@@ -1,7 +1,7 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: all build vet lint lint-json test test-real test-netcomm race race-real chaos check serve-smoke bench-service bench-backend bench-netcomm bench-speedup bench-sequence bench-cluster fuzz-smoke cover
+.PHONY: all build vet lint lint-json test test-real test-netcomm race race-real chaos check serve-smoke bench bench-test bench-service bench-backend bench-netcomm bench-speedup bench-sequence bench-cluster fuzz-smoke cover
 
 all: check
 
@@ -75,6 +75,15 @@ chaos:
 # solve hits the factorization cache), and shuts it down gracefully.
 serve-smoke:
 	$(GO) test ./cmd/pilutd -run TestEndToEnd -count=1 -v
+
+# The scoreboard (BENCHMARK.json, bench/README.md): every workload
+# untraced, then traced; results land in bench/out. bench/ is a module of
+# its own, outside ./..., so its tests need their own target.
+bench:
+	$(GO) run -C bench .
+
+bench-test:
+	cd bench && $(GO) test ./...
 
 # Cold-factor vs cache-hit solve latency; writes BENCH_service.json.
 bench-service:

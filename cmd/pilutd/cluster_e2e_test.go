@@ -425,8 +425,15 @@ func TestClusterKillOwnerTakeover(t *testing.T) {
 	for i := range b {
 		b[i] = float64(i%5) - 2
 	}
-	key := submitMatrix(t, urls[0], a)
+	// Submit at the owner and nowhere else. A successor that knew the
+	// matrix would answer the owner's cache-miss fetch by building the
+	// factor itself (one time in three with random ports), and an owner
+	// holding a peer-built factor never pushes a replica.
+	key := sparse.Fingerprint(a)
 	owner := hrwOwner(urls, key)
+	if got := submitMatrix(t, owner, a); got != key {
+		t.Fatalf("owner keyed the matrix %s, want %s", got, key)
+	}
 
 	var preKill clusterSolveReply
 	if code, body := postJSON(t, owner+"/v1/solve", map[string]any{"key": key, "b": b, "tol": 1e-8}, &preKill); code != http.StatusOK {

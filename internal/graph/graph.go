@@ -24,38 +24,73 @@ type Graph struct {
 // FromMatrix builds the adjacency graph of a square sparse matrix: an edge
 // {i, j} exists when a_ij or a_ji is stored (i ≠ j). All vertex and edge
 // weights are 1. This is the graph the paper partitions.
+//
+// The build is pattern-only and linear in nnz(A): the pattern of Aᵀ is
+// bucketed by count/scatter (its rows come out ascending because the rows
+// of A are scanned in order), then row i of A and row i of Aᵀ — both
+// ascending — are merged straight into the adjacency arrays.
 func FromMatrix(a *sparse.CSR) *Graph {
 	if a.N != a.M {
 		panic("graph: FromMatrix requires a square matrix")
 	}
-	s := a.SymmetrizeStructure()
-	g := &Graph{NVtx: s.N, Xadj: make([]int, s.N+1)}
-	for i := 0; i < s.N; i++ {
-		cols, _ := s.Row(i)
-		deg := 0
-		for _, j := range cols {
-			if j != i {
-				deg++
-			}
-		}
-		g.Xadj[i+1] = g.Xadj[i] + deg
+	n := a.N
+	// tptr is shifted by one during the scatter so that it ends up as the
+	// row pointer of Aᵀ without a second cursor array.
+	tptr := make([]int, n+2)
+	for _, j := range a.Cols {
+		tptr[j+2]++
 	}
-	g.Adj = make([]int, g.Xadj[s.N])
-	g.AdjWgt = make([]int, g.Xadj[s.N])
-	g.VWgt = make([]int, s.N)
-	for i := 0; i < s.N; i++ {
-		g.VWgt[i] = 1
-		p := g.Xadj[i]
-		cols, _ := s.Row(i)
-		for _, j := range cols {
-			if j != i {
-				g.Adj[p] = j
-				g.AdjWgt[p] = 1
-				p++
-			}
+	for j := 0; j < n; j++ {
+		tptr[j+2] += tptr[j+1]
+	}
+	tcols := make([]int, len(a.Cols))
+	for i := 0; i < n; i++ {
+		for _, j := range a.Cols[a.RowPtr[i]:a.RowPtr[i+1]] {
+			tcols[tptr[j+1]] = i
+			tptr[j+1]++
 		}
+	}
+
+	g := &Graph{NVtx: n, Xadj: make([]int, n+1), VWgt: make([]int, n)}
+	for i := 0; i < n; i++ {
+		g.VWgt[i] = 1
+		g.Xadj[i+1] = g.Xadj[i] + unionRow(nil, a.Cols[a.RowPtr[i]:a.RowPtr[i+1]], tcols[tptr[i]:tptr[i+1]], i)
+	}
+	g.Adj = make([]int, g.Xadj[n])
+	g.AdjWgt = make([]int, g.Xadj[n])
+	for i := 0; i < n; i++ {
+		unionRow(g.Adj[g.Xadj[i]:g.Xadj[i+1]], a.Cols[a.RowPtr[i]:a.RowPtr[i+1]], tcols[tptr[i]:tptr[i+1]], i)
+	}
+	for k := range g.AdjWgt {
+		g.AdjWgt[k] = 1
 	}
 	return g
+}
+
+// unionRow merges the ascending lists x and y, leaving out skip and
+// repeated entries, and reports the size of the union. It writes the union
+// to dst unless dst is nil (the counting pass).
+func unionRow(dst, x, y []int, skip int) int {
+	n, prev := 0, skip
+	for p, q := 0, 0; p < len(x) || q < len(y); {
+		var j int
+		if q == len(y) || (p < len(x) && x[p] <= y[q]) {
+			j = x[p]
+			p++
+		} else {
+			j = y[q]
+			q++
+		}
+		if j == skip || j == prev {
+			continue
+		}
+		prev = j
+		if dst != nil {
+			dst[n] = j
+		}
+		n++
+	}
+	return n
 }
 
 // NEdges reports the number of undirected edges.

@@ -2,6 +2,8 @@ package graph
 
 import (
 	"math/rand"
+	"reflect"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -46,6 +48,103 @@ func TestFromMatrixNonsymmetric(t *testing.T) {
 	}
 	if g.Neighbors(1)[0] != 0 {
 		t.Fatal("edge {0,1} missing its reverse")
+	}
+}
+
+// naiveFromMatrix is the reference FromMatrix is held to: collect every
+// off-diagonal (i, j) and (j, i) in a set per vertex, then sort.
+func naiveFromMatrix(a *sparse.CSR) *Graph {
+	nbr := make([]map[int]bool, a.N)
+	for i := range nbr {
+		nbr[i] = map[int]bool{}
+	}
+	for i := 0; i < a.N; i++ {
+		cols, _ := a.Row(i)
+		for _, j := range cols {
+			if j != i {
+				nbr[i][j] = true
+				nbr[j][i] = true
+			}
+		}
+	}
+	g := &Graph{NVtx: a.N, Xadj: make([]int, a.N+1), Adj: []int{}, AdjWgt: []int{}, VWgt: make([]int, a.N)}
+	for i, set := range nbr {
+		row := make([]int, 0, len(set))
+		for j := range set {
+			row = append(row, j)
+		}
+		sort.Ints(row)
+		g.Adj = append(g.Adj, row...)
+		g.Xadj[i+1] = len(g.Adj)
+		g.VWgt[i] = 1
+	}
+	for range g.Adj {
+		g.AdjWgt = append(g.AdjWgt, 1)
+	}
+	return g
+}
+
+func TestFromMatrixMatchesNaiveReference(t *testing.T) {
+	// Empty rows (2, 5), diagonal-only rows (1, 4), one-directional
+	// entries (0→3, 3→6, 6→0), a mutual pair (0↔7) and a missing diagonal
+	// (row 7).
+	b := sparse.NewBuilder(8, 8)
+	for _, e := range [][2]int{{0, 0}, {0, 3}, {0, 7}, {1, 1}, {3, 3}, {3, 6}, {4, 4}, {6, 0}, {6, 6}, {7, 0}} {
+		b.Add(e[0], e[1], 1)
+	}
+	r := rand.New(rand.NewSource(9))
+	unsym := sparse.NewBuilder(300, 300)
+	for k := 0; k < 1500; k++ {
+		unsym.Add(r.Intn(300), r.Intn(300), 1)
+	}
+	for name, a := range map[string]*sparse.CSR{
+		"handmade":   b.Build(),
+		"random":     unsym.Build(),
+		"convdiff":   matgen.ConvDiff2D(20, 23, 10, 20),
+		"randomspd":  matgen.RandomSPDPattern(500, 7, 4),
+		"grid2d":     matgen.Grid2D(37, 41),
+		"grid3d":     matgen.Grid3D(9, 10, 11),
+		"torso":      matgen.Torso(12, 12, 12, 3),
+		"anisotropy": matgen.Anisotropic2D(17, 19, 0.01),
+		"empty":      sparse.NewCSR(5, 5),
+		"zero":       sparse.NewCSR(0, 0),
+	} {
+		g := FromMatrix(a)
+		if err := g.Validate(); err != nil {
+			t.Errorf("%s: %v", name, err)
+		}
+		if want := naiveFromMatrix(a); !reflect.DeepEqual(g, want) {
+			t.Errorf("%s: FromMatrix differs from the naive reference", name)
+		}
+	}
+}
+
+// FromMatrix makes the graph's five allocations plus two for the pattern
+// of Aᵀ, whatever the size of the matrix.
+func TestFromMatrixAllocCount(t *testing.T) {
+	a := matgen.Torso(12, 12, 12, 1)
+	if n := testing.AllocsPerRun(5, func() { FromMatrix(a) }); n > 7 {
+		t.Errorf("FromMatrix made %v allocations, want ≤ 7", n)
+	}
+}
+
+var benchGraph *Graph
+
+func BenchmarkFromMatrix(b *testing.B) {
+	for _, c := range []struct {
+		name string
+		a    *sparse.CSR
+	}{
+		{"Torso20", matgen.Torso(20, 20, 20, 1)},
+		{"Grid128", matgen.Grid2D(128, 128)},
+		{"ConvDiff128", matgen.ConvDiff2D(128, 128, 10, 20)},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				benchGraph = FromMatrix(c.a)
+			}
+		})
 	}
 }
 

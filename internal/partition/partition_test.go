@@ -1,11 +1,13 @@
 package partition
 
 import (
+	"math/rand"
 	"testing"
 	"testing/quick"
 
 	"repro/internal/graph"
 	"repro/internal/matgen"
+	"repro/internal/sparse"
 )
 
 func gridGraph(nx, ny int) *graph.Graph {
@@ -126,6 +128,97 @@ func TestKWayNpartsExceedsVertices(t *testing.T) {
 			}
 		}
 	}
+	// More parts than vertices: recursive bisection reaches empty and
+	// single-vertex subgraphs that still have parts to hand out. Every
+	// vertex must land in a part of its own, in range.
+	for _, k := range []int{5, 8, 16, 64} {
+		part := KWay(g, k, Options{Seed: 1})
+		_, weights, err := Validate(g, part, k)
+		if err != nil {
+			t.Fatalf("k=%d: %v", k, err)
+		}
+		for p, w := range weights {
+			if w > 1 {
+				t.Errorf("k=%d: part %d holds %d of the 4 vertices", k, p, w)
+			}
+		}
+	}
+	for _, n := range []int{0, 1} {
+		small := graph.FromMatrix(sparse.Identity(n))
+		if _, _, err := Validate(small, KWay(small, 3, Options{}), 3); err != nil {
+			t.Errorf("%d-vertex graph: %v", n, err)
+		}
+	}
+}
+
+// parentCuts are the edge cuts of the last KWay whose FM passes drained
+// the queue (commit aa1cf01), seeds 1–5. The bounded pass must stay within
+// 2 % of them in the mean over the seeds of each row. (Single seeds
+// scatter by ±5 % either way on both versions — over 30 seeds the two
+// agree to 0.5 % — so rows, not cells, are the unit.)
+var parentCuts = []struct {
+	name string
+	a    func() *sparse.CSR
+	cuts map[int][5]int // k → cut at seeds 1–5
+}{
+	{"Torso20", func() *sparse.CSR { return matgen.Torso(20, 20, 20, 1) }, map[int][5]int{
+		4: {800, 800, 800, 800, 800}, 16: {1969, 1951, 1946, 1942, 1951}}},
+	{"Grid128", func() *sparse.CSR { return matgen.Grid2D(128, 128) }, map[int][5]int{
+		4: {265, 256, 264, 256, 270}, 16: {785, 768, 825, 770, 768}}},
+	{"Grid63x65", func() *sparse.CSR { return matgen.Grid2D(63, 65) }, map[int][5]int{
+		4: {128, 128, 128, 129, 134}, 16: {398, 387, 389, 409, 396}}},
+	{"Grid3D16", func() *sparse.CSR { return matgen.Grid3D(16, 16, 16) }, map[int][5]int{
+		4: {535, 532, 512, 512, 520}, 16: {1310, 1307, 1292, 1280, 1293}}},
+}
+
+func TestKWayCutQualityVsExhaustiveFM(t *testing.T) {
+	for _, c := range parentCuts {
+		g := graph.FromMatrix(c.a())
+		for k, cuts := range c.cuts {
+			// Each bisection lets a side reach 0.5 + (Ubfactor−1) of its
+			// graph, so log2(k) of them compound to this much over target.
+			maxWeight := float64(g.NVtx) / float64(k)
+			for kk := k; kk > 1; kk /= 2 {
+				maxWeight *= 1.10
+			}
+			got, want := 0, 0
+			for i, parent := range cuts {
+				part := KWay(g, k, Options{Seed: int64(i + 1)})
+				cut, weights, err := Validate(g, part, k)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got += cut
+				want += parent
+				for p, w := range weights {
+					if float64(w) > maxWeight+1 {
+						t.Errorf("%s k=%d seed=%d: part %d weighs %d, bound %.0f", c.name, k, i+1, p, w, maxWeight)
+					}
+				}
+			}
+			if float64(got) > 1.02*float64(want) {
+				t.Errorf("%s k=%d: cut summed over seeds 1–5 is %d, more than 1.02 × %d", c.name, k, got, want)
+			}
+		}
+	}
+}
+
+// A stack too small for the hierarchy spills to the heap and changes
+// nothing else.
+func TestKWaySpilledStackSamePartition(t *testing.T) {
+	g := graph.FromMatrix(matgen.Torso(8, 8, 8, 1))
+	want := KWay(g, 8, Options{Seed: 3})
+
+	opt := Options{Seed: 3}.Normalize()
+	ws := newWorkspace(g)
+	ws.stack = ws.stack[:3*g.NVtx]
+	got := make([]int, g.NVtx)
+	ws.recursiveBisect(g, sparse.IdentityPermutation(g.NVtx), 8, 0, got, opt, rand.New(rand.NewSource(opt.Seed)))
+	for v := range want {
+		if got[v] != want[v] {
+			t.Fatalf("vertex %d: part %d with a spilled stack, %d without", v, got[v], want[v])
+		}
+	}
 }
 
 func TestValidateErrors(t *testing.T) {
@@ -141,27 +234,34 @@ func TestValidateErrors(t *testing.T) {
 }
 
 func TestGainHeap(t *testing.T) {
-	h := newGainHeap(4)
-	h.push(1, 5)
-	h.push(2, 9)
-	h.push(3, 1)
-	h.push(4, 9)
-	v, g := h.pop()
-	if g != 9 {
-		t.Fatalf("pop gain %d, want 9", g)
+	h := &newWorkspace(gridGraph(3, 2)).heap
+	h.set(1, 5)
+	h.set(2, 9)
+	h.set(3, 1)
+	h.set(4, 9)
+	h.set(5, 7)
+	h.set(5, 0) // re-key downwards
+	h.set(3, 8) // re-key upwards
+	if h.n != 5 {
+		t.Fatalf("heap holds %d entries, want 5 (re-keying must not duplicate)", h.n)
 	}
-	_ = v
-	if _, g2 := h.pop(); g2 != 9 {
-		t.Fatalf("second pop gain %d, want 9", g2)
+	for i, want := range []int{9, 9, 8, 5, 0} {
+		v, g := h.pop()
+		if g != want {
+			t.Fatalf("pop %d: gain %d, want %d", i, g, want)
+		}
+		if h.pos[v] != absent {
+			t.Fatalf("pop %d: vertex %d still indexed", i, v)
+		}
 	}
-	if _, g3 := h.pop(); g3 != 5 {
-		t.Fatalf("third pop gain %d, want 5", g3)
-	}
-	if _, g4 := h.pop(); g4 != 1 {
-		t.Fatalf("fourth pop gain %d, want 1", g4)
-	}
-	if h.len() != 0 {
+	if h.n != 0 {
 		t.Fatal("heap not empty")
+	}
+	h.set(0, 3)
+	h.set(2, 4)
+	h.reset()
+	if h.n != 0 || h.pos[0] != absent || h.pos[2] != absent {
+		t.Fatal("reset left entries behind")
 	}
 }
 
@@ -171,7 +271,7 @@ func TestSubgraphExtraction(t *testing.T) {
 	for v := 8; v < 16; v++ {
 		side[v] = 1
 	}
-	sub, vmap := subgraph(g, side, 0)
+	sub, vmap := newWorkspace(g).subgraph(g, side, 0, sparse.IdentityPermutation(16))
 	if sub.NVtx != 8 {
 		t.Fatalf("subgraph NVtx = %d, want 8", sub.NVtx)
 	}

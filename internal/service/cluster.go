@@ -5,6 +5,7 @@ import (
 	"context"
 	"crypto/sha256"
 	"crypto/subtle"
+	"encoding/binary"
 	"encoding/gob"
 	"encoding/json"
 	"errors"
@@ -451,6 +452,20 @@ type wireFactor struct {
 	Levels        int
 	FactorSeconds float64
 	Pieces        []core.WirePrecond
+	// PartDigest is the sha-256 of the exporter's row → processor
+	// assignment. The importer binds the pieces to the assignment it
+	// derives itself, so a daemon whose partitioner is another version —
+	// and derives another assignment — must refuse them. The zero digest
+	// of an exporter that predates the field never matches.
+	PartDigest [sha256.Size]byte
+}
+
+func partDigest(part []int) [sha256.Size]byte {
+	buf := make([]byte, 8*len(part))
+	for i, q := range part {
+		binary.LittleEndian.PutUint64(buf[8*i:], uint64(q))
+	}
+	return sha256.Sum256(buf)
 }
 
 // ErrNotExportable marks entries whose pieces are not ProcPrecond rows
@@ -469,6 +484,7 @@ func wireOfEntry(ent *entry, cfg Config) (*wireFactor, error) {
 		Levels:        ent.levels,
 		FactorSeconds: ent.factorSeconds,
 		Pieces:        make([]core.WirePrecond, len(ent.pcs)),
+		PartDigest:    partDigest(ent.lay.PartOf),
 	}
 	for q, pc := range ent.pcs {
 		pp, ok := pc.(*core.ProcPrecond)
@@ -508,8 +524,8 @@ func (s *Server) ExportFactor(key string) ([]byte, error) {
 // importFactor decodes a peer's factorization and rebuilds a cache
 // entry around it: the matrix, layout and plan are reconstructed
 // locally (deterministic given the wire's procs and seed, which must
-// match this daemon's), the preconditioner rows come straight off the
-// wire, and the ghost-exchange plans are rebuilt in a local
+// match this daemon's, and checked against the exporter's partition
+// digest), the preconditioner rows come straight off the wire, and the ghost-exchange plans are rebuilt in a local
 // shared-memory run — the only part that needs a communicator, and it
 // moves no floating-point data.
 func (s *Server) importFactor(key string, data []byte) (ent *entry, err error) {
@@ -539,6 +555,9 @@ func (s *Server) importFactor(key string, data []byte) (ent *entry, err error) {
 
 	g := graph.FromMatrix(a)
 	part := partition.KWay(g, s.cfg.Procs, partition.Options{Seed: s.cfg.Seed})
+	if partDigest(part) != wf.PartDigest {
+		return nil, fmt.Errorf("service: peer partitioned %s differently from this daemon (another partitioner version, or none declared) — its pieces do not fit the local plan", key)
+	}
 	lay, err := dist.NewLayout(a.N, s.cfg.Procs, part)
 	if err != nil {
 		return nil, fmt.Errorf("service: layout for imported %s: %w", key, err)

@@ -1,7 +1,10 @@
 package service
 
 import (
+	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/gob"
 	"encoding/json"
 	"fmt"
 	"math"
@@ -339,6 +342,50 @@ func TestExportUnknownAndUnexportable(t *testing.T) {
 	defer srv.Shutdown(context.Background())
 	if _, err := srv.ExportFactor("sha256:nope"); err == nil {
 		t.Fatal("exporting an unknown key succeeded")
+	}
+}
+
+// TestImportRejectsForeignPartition: the importer binds a peer's pieces
+// to the partition it derives itself, so pieces factored under any
+// other assignment — a tampered digest, or an exporter too old to send
+// one — must be refused, which sends the fetch down its failure path to
+// a local build.
+func TestImportRejectsForeignPartition(t *testing.T) {
+	a := matgen.Grid2D(10, 10)
+	key := sparse.Fingerprint(a)
+	exp := New(Config{Procs: 2, Workers: 1, Backend: "real"})
+	defer exp.Shutdown(context.Background())
+	if _, _, err := exp.Submit(a); err != nil {
+		t.Fatal(err)
+	}
+	data, err := exp.ExportFactor(key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wf wireFactor
+	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&wf); err != nil {
+		t.Fatal(err)
+	}
+	if wf.PartDigest == ([sha256.Size]byte{}) {
+		t.Fatal("export carries no partition digest")
+	}
+
+	imp := New(Config{Procs: 2, Workers: 1, Backend: "real"})
+	defer imp.Shutdown(context.Background())
+	tampered, absent := wf, wf
+	tampered.PartDigest[7] ^= 1
+	absent.PartDigest = [sha256.Size]byte{}
+	for name, w := range map[string]wireFactor{"tampered": tampered, "absent": absent} {
+		var buf bytes.Buffer
+		if err := gob.NewEncoder(&buf).Encode(&w); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := imp.importFactor(key, buf.Bytes()); err == nil || !strings.Contains(err.Error(), "partitioned") {
+			t.Errorf("%s digest: err %v, want partition mismatch", name, err)
+		}
+	}
+	if _, err := imp.importFactor(key, data); err != nil {
+		t.Errorf("untouched export refused: %v", err)
 	}
 }
 

@@ -1,7 +1,7 @@
 // Package sparse provides the sparse-matrix kernel underlying the parallel
 // ILUT factorization: compressed sparse row (CSR) matrices, triplet
-// assembly, permutation, transposition, structural symmetrization, dense
-// conversion for small-scale verification, and the full-length working-row
+// assembly, permutation, transposition, dense conversion for small-scale
+// verification, and the full-length working-row
 // accumulator used by threshold-based incomplete factorizations.
 package sparse
 
@@ -129,29 +129,6 @@ func (a *CSR) Transpose() *CSR {
 	// Rows of the transpose come out sorted because rows of A are scanned
 	// in increasing i.
 	return t
-}
-
-// SymmetrizeStructure returns a matrix with the sparsity pattern of A + Aᵀ
-// and the values of A (entries present only in Aᵀ get an explicit zero).
-// Incomplete-factorization graph algorithms (independent sets, partitioning)
-// need an undirected structure even when A is structurally nonsymmetric.
-func (a *CSR) SymmetrizeStructure() *CSR {
-	if a.N != a.M {
-		panic("sparse: SymmetrizeStructure requires a square matrix")
-	}
-	t := a.Transpose()
-	b := NewBuilder(a.N, a.M)
-	for i := 0; i < a.N; i++ {
-		cols, vals := a.Row(i)
-		for k, j := range cols {
-			b.Add(i, j, vals[k])
-		}
-		tcols, _ := t.Row(i)
-		for _, j := range tcols {
-			b.Add(i, j, 0) // duplicate adds collapse; value of A wins via summation with 0
-		}
-	}
-	return b.Build()
 }
 
 // Permute returns P·A·Pᵀ where perm maps old index → new index, i.e.

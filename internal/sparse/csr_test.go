@@ -184,15 +184,14 @@ func TestInversePermutationPanicsOnDuplicate(t *testing.T) {
 	InversePermutation([]int{0, 0, 1})
 }
 
-func TestSymmetrizeStructure(t *testing.T) {
+func TestTransposeUnsymmetricPattern(t *testing.T) {
 	a := FromDense([][]float64{
 		{1, 5, 0},
 		{0, 2, 0},
 		{7, 0, 3},
 	})
-	s := a.SymmetrizeStructure()
-	// Pattern must contain (1,0) and (0,2) as explicit (zero) entries.
-	hasEntry := func(m *CSR, i, j int) bool {
+	at := a.Transpose()
+	stored := func(m *CSR, i, j int) bool {
 		cols, _ := m.Row(i)
 		for _, c := range cols {
 			if c == j {
@@ -201,17 +200,19 @@ func TestSymmetrizeStructure(t *testing.T) {
 		}
 		return false
 	}
-	for _, e := range [][2]int{{0, 1}, {1, 0}, {2, 0}, {0, 2}} {
-		if !hasEntry(s, e[0], e[1]) {
-			t.Errorf("symmetrized pattern missing (%d,%d)", e[0], e[1])
+	// The one-directional entries (0,1) and (2,0) appear mirrored in Aᵀ
+	// and only there: the union of the two patterns is what the
+	// adjacency graph (graph.FromMatrix) is built from.
+	for _, e := range [][2]int{{0, 1}, {2, 0}} {
+		if !stored(at, e[1], e[0]) {
+			t.Errorf("transpose pattern missing (%d,%d)", e[1], e[0])
+		}
+		if stored(at, e[0], e[1]) {
+			t.Errorf("transpose pattern kept (%d,%d) unmirrored", e[0], e[1])
 		}
 	}
-	// Original values preserved.
-	if s.At(0, 1) != 5 || s.At(2, 0) != 7 {
-		t.Error("symmetrization altered original values")
-	}
-	if s.At(1, 0) != 0 || s.At(0, 2) != 0 {
-		t.Error("fill-in entries should be explicit zeros")
+	if at.At(1, 0) != 5 || at.At(0, 2) != 7 {
+		t.Error("transposition altered values")
 	}
 }
 
