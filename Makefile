@@ -1,7 +1,7 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: all build vet lint lint-json test test-real test-netcomm race race-real chaos check serve-smoke bench bench-test bench-service bench-backend bench-netcomm bench-speedup bench-sequence bench-cluster fuzz-smoke cover
+.PHONY: all build vet lint lint-json test test-real test-netcomm race race-real chaos check serve-smoke bench bench-test bench-netcomm bench-speedup bench-sequence bench-cluster fuzz-smoke cover
 
 all: check
 
@@ -31,15 +31,17 @@ test:
 test-real:
 	PILUT_BACKEND=real $(GO) test ./...
 
-# The multi-process socket backend lane: the netcomm package's own
-# suite (frame codec, rendezvous, collectives, watchdog, spawn smoke),
-# the backend-equivalence pipeline re-run with each world's ranks spread
-# across two OS processes, and the sharded-pilutd cluster end-to-end
-# tests (peer fetch, peer death, -spawn-peers). Only netcomm-aware tests
-# run under the spawn spec: generic suites collect per-rank results into
-# shared slices, which no multi-process world can fill.
+# The multi-process socket backend lane: the wall-clock engine and the
+# backend contract suite (which runs a two-node netcomm group), the
+# netcomm package's own suite (frame codec, sever/redial, watchdog,
+# spawn smoke), the backend-equivalence pipeline re-run with each
+# world's ranks spread across two OS processes, and the sharded-pilutd
+# cluster end-to-end tests (peer fetch, peer death, -spawn-peers). Only
+# netcomm-aware tests run under the spawn spec: generic suites collect
+# per-rank results into shared slices, which no multi-process world can
+# fill.
 test-netcomm:
-	$(GO) test ./internal/pcomm/netcomm -count=1
+	$(GO) test ./internal/pcomm/engine ./internal/pcomm/pcommtest ./internal/pcomm/netcomm -count=1
 	PILUT_BACKEND=netcomm:spawn=2 $(GO) test . -run 'TestBackendBitwiseEquivalence|TestAnalyzeRefactorEquivalence' -count=1
 	$(GO) test ./cmd/pilutd -run TestCluster -count=1
 
@@ -60,13 +62,15 @@ race-real:
 # wire — then the full tier-1 suite replayed under a delay-only fault
 # spec (delays must leave every numerical assertion bitwise intact;
 # collectives fold in rank order regardless of arrival time), and
-# finally the socket backend's own sever/panic/watchdog paths under the
-# race detector.
+# finally the wall-clock engine with the backend contract suite and the
+# socket backend's own sever/panic/watchdog paths under the race
+# detector.
 chaos:
 	PILUT_TEST_FAST=1 $(GO) test -race -count=1 ./internal/fault ./internal/service
 	PILUT_TEST_FAST=1 PILUT_BACKEND=real $(GO) test -race -count=1 ./internal/fault ./internal/service
 	PILUT_TEST_FAST=1 PILUT_FAULTS='seed=7,delay=0.05@1e-6' $(GO) test -count=1 ./internal/core ./internal/krylov ./internal/dist
 	PILUT_TEST_FAST=1 PILUT_FAULTS='seed=7,delay=0.05@1e-6' PILUT_BACKEND=real $(GO) test -count=1 ./internal/core ./internal/krylov ./internal/dist
+	PILUT_TEST_FAST=1 $(GO) test -race -count=1 ./internal/pcomm/engine ./internal/pcomm/pcommtest
 	PILUT_TEST_FAST=1 $(GO) test -race -count=1 ./internal/pcomm/netcomm -run 'TestGroupDropFaultReconnect|TestGroupPanicPropagation|TestGroupWatchdog'
 	$(GO) test ./cmd/pilutd -run TestClusterKillPeerFault -count=1
 
@@ -84,17 +88,6 @@ bench:
 
 bench-test:
 	cd bench && $(GO) test ./...
-
-# Cold-factor vs cache-hit solve latency; writes BENCH_service.json.
-bench-service:
-	PILUT_BENCH_OUT=$(CURDIR)/BENCH_service.json \
-		$(GO) test ./internal/service -run TestEmitServiceBench -count=1 -v
-
-# Wall-clock factorization time, modelled machine vs the real
-# shared-memory backend at p=16; writes BENCH_backend.json.
-bench-backend:
-	PILUT_BENCH_OUT=$(CURDIR)/BENCH_backend.json \
-		$(GO) test . -run TestEmitBackendBench -count=1 -v
 
 # Wall-clock factorization time, shared-memory backend vs netcomm over
 # unix-socket loopback (two nodes) at p=16; writes BENCH_netcomm.json.

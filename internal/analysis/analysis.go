@@ -191,38 +191,47 @@ func isNamed(t types.Type, path, name string) bool {
 	return obj.Name() == name && obj.Pkg() != nil && obj.Pkg().Path() == path
 }
 
-// isComm reports whether t is a communicator handle: *machine.Proc, the
-// pcomm.Comm interface, or a backend's concrete processor type
-// (*realcomm.Proc). Anything whose type satisfies pcomm.Comm counts, so
-// user-defined interfaces embedding Comm are covered too.
+// isComm reports whether t is a communicator handle: anything whose
+// method set satisfies pcomm.Comm — the interface itself, interfaces
+// embedding it, *machine.Proc and every backend's concrete handle
+// (*engine.Proc, *netcomm.Proc), wrappers that embed one. The test is
+// structural so a new or moved handle type cannot fall out of coverage
+// the way a list of names would let it.
 func isComm(t types.Type) bool {
-	if isProcPtr(t) || isNamed(t, MachinePath, "Proc") {
+	comm := commInterface(t)
+	if comm == nil {
+		return false
+	}
+	if types.Implements(t, comm) {
 		return true
 	}
-	if isNamed(t, PcommPath, "Comm") {
-		return true
-	}
+	// A handle held by value (machine.Proc) has the methods on its pointer.
+	_, isPtr := t.(*types.Pointer)
+	return !isPtr && !types.IsInterface(t) && types.Implements(types.NewPointer(t), comm)
+}
+
+// commInterface finds pcomm.Comm as t's defining package sees it. A type
+// whose methods mention pcomm.ReduceOp must come from pcomm or a package
+// importing it directly, so no deeper search is needed.
+func commInterface(t types.Type) *types.Interface {
 	if ptr, ok := t.(*types.Pointer); ok {
-		if isNamed(ptr.Elem(), PcommPath+"/realcomm", "Proc") {
-			return true
+		t = ptr.Elem()
+	}
+	named, ok := t.(*types.Named)
+	if !ok || named.Obj().Pkg() == nil {
+		return nil
+	}
+	pkgs := append([]*types.Package{named.Obj().Pkg()}, named.Obj().Pkg().Imports()...)
+	for _, pkg := range pkgs {
+		if pkg.Path() != PcommPath {
+			continue
+		}
+		if obj := pkg.Scope().Lookup("Comm"); obj != nil {
+			iface, _ := obj.Type().Underlying().(*types.Interface)
+			return iface
 		}
 	}
-	if iface, ok := t.Underlying().(*types.Interface); ok {
-		// An interface that includes the Comm method set (ID, P, Send,
-		// Recv, Barrier) is a communicator view.
-		need := map[string]bool{"ID": false, "P": false, "Send": false, "Recv": false, "Barrier": false}
-		for i := 0; i < iface.NumMethods(); i++ {
-			if _, ok := need[iface.Method(i).Name()]; ok {
-				need[iface.Method(i).Name()] = true
-			}
-		}
-		all := true
-		for _, got := range need {
-			all = all && got
-		}
-		return all
-	}
-	return false
+	return nil
 }
 
 // commLabel names t's communicator flavor for diagnostics.

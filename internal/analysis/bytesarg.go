@@ -15,7 +15,7 @@ import (
 // time because nothing functional depends on it.
 //
 // Accepted forms: a call to any function whose name starts with BytesOf
-// (machine.BytesOfFloats, ilu.BytesOfURows, ...), the constant 0 (a pure
+// (pcomm.BytesOfFloats, ilu.BytesOfURows, ...), the constant 0 (a pure
 // control message), sums of accepted forms, and variables/parameters
 // whose every definition is an accepted form.
 var BytesArg = &Analyzer{

@@ -6,6 +6,7 @@ package procescape
 import (
 	"repro/internal/machine"
 	"repro/internal/pcomm"
+	"repro/internal/pcomm/netcomm"
 )
 
 var global *machine.Proc
@@ -48,6 +49,16 @@ func badComm(c pcomm.Comm, ch chan pcomm.Comm) {
 	ch <- c // want `pcomm.Comm sent on a channel`
 
 	globalComm = c // want `pcomm.Comm stored in a package-level variable`
+}
+
+// badConcrete: a backend's concrete handle is a communicator too, found
+// by its method set rather than by name — *netcomm.Proc was on no list.
+func badConcrete(p *netcomm.Proc, ch chan *netcomm.Proc) {
+	go commWorker(p) // want `pcomm.Comm passed to a goroutine`
+
+	go p.Barrier() // want `pcomm.Comm method launched as a goroutine`
+
+	ch <- p // want `pcomm.Comm sent on a channel`
 }
 
 // Clean: scalar results may cross goroutines; local aliases are fine.

@@ -22,7 +22,7 @@ import (
 // makespans, identical traced timestamps) that a wall-clock backend cannot
 // provide. Cross-backend equivalence of factors and stats is covered by
 // the pcomm backend-equivalence tests instead.
-func runTracedFactor(t *testing.T, a *sparse.CSR, P int, opt Options) ([]*ProcPrecond, []trace.Event, machine.Result) {
+func runTracedFactor(t *testing.T, a *sparse.CSR, P int, opt Options) ([]*ProcPrecond, []trace.Event, pcomm.Result) {
 	t.Helper()
 	g := graph.FromMatrix(a)
 	part := partition.KWay(g, P, partition.Options{Seed: 17})

@@ -18,7 +18,7 @@ import (
 
 // runFactor partitions a, factors it on P virtual processors and returns
 // the per-processor pieces plus the machine result.
-func runFactor(t *testing.T, a *sparse.CSR, P int, opt Options) ([]*ProcPrecond, *Plan, machine.Result) {
+func runFactor(t *testing.T, a *sparse.CSR, P int, opt Options) ([]*ProcPrecond, *Plan, pcomm.Result) {
 	t.Helper()
 	g := graph.FromMatrix(a)
 	part := partition.KWay(g, P, partition.Options{Seed: 17})

@@ -23,7 +23,6 @@ import (
 	"repro/internal/partition"
 	"repro/internal/pcomm"
 	"repro/internal/pcomm/backend"
-	"repro/internal/pcomm/realcomm"
 	"repro/internal/sparse"
 )
 
@@ -242,7 +241,7 @@ func TestInjectedPanicSurfacesAsRunError(t *testing.T) {
 
 // TestDroppedSendTripsWatchdog: swallowing one message blocks its
 // receiver forever; the watchdog must convert that hang into a
-// *machine.DeadlockError (via RunError) instead of hanging the process.
+// *pcomm.DeadlockError (via RunError) instead of hanging the process.
 func TestDroppedSendTripsWatchdog(t *testing.T) {
 	for _, kind := range backends {
 		spec, err := fault.Parse("seed=1,drop=0@1")
@@ -261,10 +260,8 @@ func TestDroppedSendTripsWatchdog(t *testing.T) {
 		if runErr == nil {
 			t.Fatalf("%s: dropped send did not fail the run", kind)
 		}
-		// Each backend has its own DeadlockError type; accept either.
-		var mde *machine.DeadlockError
-		var rde *realcomm.DeadlockError
-		if !errors.As(runErr, &mde) && !errors.As(runErr, &rde) {
+		var de *pcomm.DeadlockError
+		if !errors.As(runErr, &de) {
 			t.Fatalf("%s: error %v (%T) does not wrap a DeadlockError", kind, runErr, runErr)
 		}
 		var re *pcomm.RunError

@@ -1,145 +1,16 @@
 package machine
 
 import (
-	"fmt"
 	"strings"
-	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/pcomm"
 )
 
-// A Machine is single-use: rendezvous buffers, mailboxes and failure
-// state belong to one generation of processors. Reuse must be an explicit
-// panic, not silent corruption.
-func TestRunReusePanics(t *testing.T) {
-	m := New(2, Zero())
-	m.Run(func(p *Proc) { p.Barrier() })
-	defer func() {
-		r := recover()
-		if r == nil {
-			t.Fatal("expected second Run on the same Machine to panic")
-		}
-		if !strings.Contains(r.(string), "single-use") {
-			t.Fatalf("unexpected panic value: %v", r)
-		}
-	}()
-	m.Run(func(p *Proc) { p.Barrier() })
-}
-
-func TestRunReusePanicsAfterFailure(t *testing.T) {
-	m := New(2, Zero())
-	func() {
-		defer func() { recover() }()
-		m.Run(func(p *Proc) { panic("boom") })
-	}()
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected Run on a failed Machine to panic")
-		}
-	}()
-	m.Run(func(p *Proc) {})
-}
-
-// A panic on one processor must carry its original value out of Run even
-// when the other processors are parked in a collective (not just in Recv,
-// which TestPanicPropagation covers). Run wraps it in a *pcomm.RunError
-// naming the failing rank, with its stack trace and a blocked-state dump
-// of the siblings it stranded.
-func TestPanicUnblocksCollective(t *testing.T) {
-	m := New(4, Zero())
-	defer func() {
-		r := recover()
-		if r == nil {
-			t.Fatal("expected panic to propagate from Run")
-		}
-		re, ok := r.(*pcomm.RunError)
-		if !ok {
-			t.Fatalf("expected *pcomm.RunError, got %T: %v", r, r)
-		}
-		if re.Rank != 3 || re.Cause != any("boom") {
-			t.Fatalf("root cause lost: rank=%d cause=%v, want rank 3 cause \"boom\"", re.Rank, re.Cause)
-		}
-		if !strings.Contains(re.Stack, "TestPanicUnblocksCollective") {
-			t.Errorf("stack trace does not name the panicking frame:\n%s", re.Stack)
-		}
-		// The dump is a best-effort snapshot at failure time (siblings
-		// may not have parked yet); it must at least cover every rank
-		// and embed the root-cause stack.
-		if !strings.Contains(re.Dump, "P=4 processors") || !strings.Contains(re.Dump, "root-cause stack (proc 3)") {
-			t.Errorf("dump missing processor table or stack section:\n%s", re.Dump)
-		}
-	}()
-	m.Run(func(p *Proc) {
-		if p.ID() == 3 {
-			panic("boom")
-		}
-		p.Barrier()
-	})
-}
-
-// The collective-mismatch panic must also surface as the Run panic value
-// and wake processors parked in the other collective.
-func TestCollectiveMismatchReportsOps(t *testing.T) {
-	m := New(3, Zero())
-	defer func() {
-		r := recover()
-		if r == nil {
-			t.Fatal("expected collective mismatch panic")
-		}
-		re, ok := r.(*pcomm.RunError)
-		if !ok || !strings.Contains(fmt.Sprint(re.Cause), "collective mismatch") {
-			t.Fatalf("unexpected panic value: %v", r)
-		}
-	}()
-	m.Run(func(p *Proc) {
-		if p.ID() == 0 {
-			p.AllReduceInt(1, OpSum)
-		} else {
-			p.Barrier()
-		}
-	})
-}
-
-func TestWatchdogRecvDeadlockDump(t *testing.T) {
-	m := New(2, Zero())
-	m.SetWatchdog(50 * time.Millisecond)
-	defer func() {
-		r := recover()
-		re, ok := r.(*pcomm.RunError)
-		if !ok {
-			t.Fatalf("expected *pcomm.RunError, got %v", r)
-		}
-		de, ok := re.Cause.(*DeadlockError)
-		if !ok {
-			t.Fatalf("expected *DeadlockError cause, got %v", re.Cause)
-		}
-		if re.Rank != -1 {
-			t.Errorf("watchdog failure blames rank %d, want -1 (no single culprit)", re.Rank)
-		}
-		for _, want := range []string{
-			"proc 0: blocked in Recv(src=1, tag=7)",
-			"proc 1: blocked in Recv(src=0, tag=9)",
-		} {
-			if !strings.Contains(de.Dump, want) {
-				t.Errorf("dump missing %q:\n%s", want, de.Dump)
-			}
-		}
-		if !strings.Contains(de.Error(), "watchdog") {
-			t.Errorf("Error() missing watchdog marker: %s", de.Error())
-		}
-	}()
-	m.Run(func(p *Proc) {
-		// Classic SPMD deadlock: both sides receive first, nobody sends.
-		if p.ID() == 0 {
-			p.Recv(1, 7)
-		} else {
-			p.Recv(0, 9)
-		}
-	})
-}
-
+// The contract shared with the other backends (root cause, single use,
+// mismatch, watchdog) is pcommtest.Conformance; this pins the machine's
+// own dump format: arrival counts and last-seen virtual clocks.
 func TestWatchdogCollectiveDeadlockDump(t *testing.T) {
 	m := New(3, Zero())
 	m.SetWatchdog(50 * time.Millisecond)
@@ -149,15 +20,18 @@ func TestWatchdogCollectiveDeadlockDump(t *testing.T) {
 		if !ok {
 			t.Fatalf("expected *pcomm.RunError, got %v", r)
 		}
-		de, ok := re.Cause.(*DeadlockError)
+		de, ok := re.Cause.(*pcomm.DeadlockError)
 		if !ok {
 			t.Fatalf("expected *DeadlockError cause, got %v", re.Cause)
 		}
 		if !strings.Contains(de.Dump, `waiting in collective "barrier" (2 of 3 arrived)`) {
 			t.Errorf("dump missing collective wait:\n%s", de.Dump)
 		}
-		if !strings.Contains(de.Dump, "blocked in Recv(src=0, tag=1)") {
+		if !strings.Contains(de.Dump, "proc 2: blocked in Recv(src=0, tag=1) at t=") {
 			t.Errorf("dump missing recv wait:\n%s", de.Dump)
+		}
+		if !strings.HasPrefix(de.Error(), "machine: watchdog: run still blocked after 50ms\nP=3 processors:") {
+			t.Errorf("Error() lost the machine wording: %s", de.Error())
 		}
 	}()
 	m.Run(func(p *Proc) {
@@ -170,57 +44,4 @@ func TestWatchdogCollectiveDeadlockDump(t *testing.T) {
 			p.Barrier()
 		}
 	})
-}
-
-func TestWatchdogDoesNotFireOnCompletion(t *testing.T) {
-	m := New(4, Zero())
-	m.SetWatchdog(time.Minute)
-	var total int64
-	res := m.Run(func(p *Proc) {
-		p.Send((p.ID()+1)%4, 1, p.ID(), 8)
-		v := p.Recv((p.ID()+3)%4, 1).(int)
-		atomic.AddInt64(&total, int64(v))
-		p.Barrier()
-	})
-	if total != 6 {
-		t.Fatalf("ring total = %d", total)
-	}
-	if res.PerProc[0].MsgsSent != 1 {
-		t.Fatalf("stats lost: %+v", res.PerProc[0])
-	}
-}
-
-func TestSetWatchdogAfterRunPanics(t *testing.T) {
-	m := New(1, Zero())
-	m.Run(func(p *Proc) {})
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected SetWatchdog after Run to panic")
-		}
-	}()
-	m.SetWatchdog(time.Second)
-}
-
-func TestCopyHelpers(t *testing.T) {
-	xs := []int{1, 2, 3}
-	cp := CopyInts(xs)
-	cp[0] = 99
-	if xs[0] != 1 {
-		t.Fatal("CopyInts aliases its input")
-	}
-	fs := []float64{1.5}
-	fcp := CopyFloats(fs)
-	fcp[0] = 0
-	if fs[0] != 1.5 {
-		t.Fatal("CopyFloats aliases its input")
-	}
-	bs := []bool{true}
-	bcp := CopyBools(bs)
-	bcp[0] = false
-	if !bs[0] {
-		t.Fatal("CopyBools aliases its input")
-	}
-	if BytesOfBools(5) != 5 || BytesOfUint64s(2) != 16 {
-		t.Fatal("byte helpers wrong")
-	}
 }

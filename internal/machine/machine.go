@@ -16,9 +16,7 @@ package machine
 import (
 	"fmt"
 	"math"
-	"runtime/debug"
 	"sync"
-	"time"
 
 	"repro/internal/pcomm"
 	"repro/internal/trace"
@@ -63,14 +61,6 @@ func Workstation() CostModel {
 // that only care about data movement semantics.
 func Zero() CostModel { return CostModel{} }
 
-// Stats and Result are the backend-neutral pcomm types: the machine is
-// one of two pcomm.World backends and reports its activity in the shared
-// vocabulary (Time/Busy are virtual modelled seconds here).
-type (
-	Stats  = pcomm.Stats
-	Result = pcomm.Result
-)
-
 type message struct {
 	tag     int
 	payload any
@@ -85,6 +75,10 @@ type Machine struct {
 	P    int
 	Cost CostModel
 
+	// sup is the run lifecycle shared with the wall-clock backends:
+	// single-use flag, watchdog, first-failure record, *pcomm.RunError.
+	sup *pcomm.Supervisor
+
 	mu   sync.Mutex
 	cond *sync.Cond
 	mail []msgQueue // index src*P + dst
@@ -96,16 +90,7 @@ type Machine struct {
 	rvTimes  []float64
 	rvResult *rvResult
 
-	failed    any
-	failRank  int    // root-cause rank, -1 when none (watchdog)
-	failStack string // panicking goroutine's stack, "" for watchdog
-	failDump  string // blocked-state table at failure time
-
-	started  bool          // set by Run; a Machine is single-use
-	procs    []*Proc       // the run's processors, for the watchdog dump
-	watchdog time.Duration // 0 = disabled; see SetWatchdog
-
-	rec *trace.Recorder // nil = tracing off (the default)
+	procs []*Proc // the run's processors, for the watchdog dump
 }
 
 // msgQueue is one (src, dst) mailbox. Each mailbox carries its own
@@ -129,6 +114,7 @@ func New(p int, cost CostModel) *Machine {
 		panic("machine: need at least one processor")
 	}
 	m := &Machine{P: p, Cost: cost, mail: make([]msgQueue, p*p)}
+	m.sup = pcomm.NewSupervisor("modelled", "machine", "proc", p, m.dump, m.wakeAll)
 	m.cond = sync.NewCond(&m.mu)
 	for i := range m.mail {
 		m.mail[i].cond = sync.NewCond(&m.mu)
@@ -150,8 +136,12 @@ type Proc struct {
 	m  *Machine
 
 	now   float64
-	stats Stats
+	stats pcomm.Stats
 	tr    *trace.ProcTracer // nil when tracing is off
+	// fbuf and ibuf are the scratch an AllReduce unboxes the rendezvous'
+	// values into for the shared rank-order pcomm.Fold.
+	fbuf []float64
+	ibuf []int
 
 	// blocked describes what the processor is waiting on, for the
 	// watchdog's deadlock dump. Guarded by m.mu; the clock field is the
@@ -176,106 +166,36 @@ type blockedState struct {
 // a *pcomm.RunError carrying the failing rank, its stack trace, the root
 // panic value, and a blocked-state dump of the other processors. Run may
 // be called at most once per Machine.
-func (m *Machine) Run(f func(*Proc)) Result {
-	m.mu.Lock()
-	if m.started {
-		m.mu.Unlock()
-		panic("machine: Run called twice on the same Machine; a Machine is single-use — create a new Machine per run")
-	}
-	m.started = true
+func (m *Machine) Run(f func(*Proc)) pcomm.Result {
+	rec := m.sup.Start()
 	procs := make([]*Proc, m.P)
-	for i := 0; i < m.P; i++ {
-		procs[i] = &Proc{id: i, m: m, tr: m.rec.Proc(i)}
+	for i := range procs {
+		procs[i] = &Proc{id: i, m: m, tr: rec.Proc(i)}
 	}
+	m.mu.Lock()
 	m.procs = procs
 	m.mu.Unlock()
-
-	stopWatchdog := m.startWatchdog()
-	defer stopWatchdog()
-
-	var wg sync.WaitGroup
-	wg.Add(m.P)
-	for i := 0; i < m.P; i++ {
-		go func(p *Proc) {
-			defer wg.Done()
-			defer func() {
-				if r := recover(); r != nil {
-					if _, secondary := r.(procAbort); secondary {
-						m.fail(r)
-						return
-					}
-					// debug.Stack() inside a deferred recover still sees
-					// the panicking frames: defers run before the stack
-					// unwinds, so the trace names the real culprit.
-					m.failProc(p.id, r, string(debug.Stack()))
-				}
-			}()
-			f(p)
-		}(procs[i])
-	}
-	wg.Wait()
-	m.mu.Lock()
-	failed := m.failed
-	rank, stack, dump := m.failRank, m.failStack, m.failDump
-	m.mu.Unlock()
-	if failed != nil {
-		if abort, ok := failed.(procAbort); ok {
-			failed = abort.cause
-		}
-		panic(&pcomm.RunError{Backend: "modelled", Rank: rank, Cause: failed, Stack: stack, Dump: dump})
-	}
-	res := Result{PerProc: make([]Stats, m.P)}
+	m.sup.Supervise(0, m.P, func(rank int) { f(procs[rank]) }, nil)
+	stats := make([]pcomm.Stats, m.P)
 	for i, p := range procs {
 		p.stats.Time = p.now
-		res.PerProc[i] = p.stats
-		if p.now > res.Elapsed {
-			res.Elapsed = p.now
-		}
+		stats[i] = p.stats
 	}
-	return res
+	return pcomm.NewResult(stats)
 }
 
-func (m *Machine) fail(cause any) {
+// wakeAll is the supervisor's failure hook: it wakes every parked
+// processor — collective waiters on the machine cond and receivers on
+// their per-mailbox conds — so a failure (or the watchdog) reaches
+// processors wherever they are blocked.
+func (m *Machine) wakeAll(int, any) {
 	m.mu.Lock()
-	if m.failed == nil {
-		m.failed = cause
-	}
-	m.wakeAllLocked()
-	m.mu.Unlock()
-}
-
-// failProc records a root-cause processor failure: the rank, its stack
-// trace, and a blocked-state snapshot of every other processor at the
-// moment of death. Only the first failure wins; secondary procAbort
-// unwinds go through fail and never overwrite these fields.
-func (m *Machine) failProc(rank int, cause any, stack string) {
-	m.mu.Lock()
-	if m.failed == nil {
-		m.failed = cause
-		m.failRank = rank
-		m.failStack = stack
-		m.failDump = m.dumpLocked()
-		if stack != "" {
-			m.failDump += fmt.Sprintf("\nroot-cause stack (proc %d):\n%s", rank, stack)
-		}
-	}
-	m.wakeAllLocked()
-	m.mu.Unlock()
-}
-
-// wakeAllLocked wakes every parked processor — collective waiters on the
-// machine cond and receivers on their per-mailbox conds — so a failure
-// (or the watchdog) reaches processors wherever they are blocked.
-func (m *Machine) wakeAllLocked() {
 	m.cond.Broadcast()
 	for i := range m.mail {
 		m.mail[i].cond.Broadcast()
 	}
+	m.mu.Unlock()
 }
-
-// procAbort wraps the original panic so that secondary processors woken by
-// a failure do not overwrite the root cause when they unwind.
-type procAbort struct{ cause any }
 
 // SetRecorder attaches a trace recorder to the machine. It must be called
 // before Run; the recorder must have been created for at least P
@@ -283,17 +203,7 @@ type procAbort struct{ cause any }
 // every record site reduces to one nil pointer comparison and the virtual
 // clocks are never touched either way, so the LogP cost model is
 // identical with and without tracing.
-func (m *Machine) SetRecorder(r *trace.Recorder) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.started {
-		panic("machine: SetRecorder after Run")
-	}
-	if r != nil && r.NumProcs() < m.P {
-		panic(fmt.Sprintf("machine: recorder covers %d processors, machine has %d", r.NumProcs(), m.P))
-	}
-	m.rec = r
-}
+func (m *Machine) SetRecorder(r *trace.Recorder) { m.sup.SetRecorder(r) }
 
 // ID returns this processor's rank in [0, P).
 func (p *Proc) ID() int { return p.id }
@@ -313,7 +223,7 @@ func (p *Proc) Tracer() *trace.ProcTracer { return p.tr }
 func (p *Proc) Machine() *Machine { return p.m }
 
 // Stats returns a snapshot of the processor's counters.
-func (p *Proc) Stats() Stats {
+func (p *Proc) Stats() pcomm.Stats {
 	s := p.stats
 	s.Time = p.now
 	return s
@@ -391,7 +301,7 @@ func (p *Proc) takeMessage(src, tag int) message {
 	p.blocked = blockedState{kind: "recv", src: src, tag: tag, clock: p.now}
 	defer func() { p.blocked = blockedState{clock: p.blocked.clock} }()
 	for {
-		m.checkFailedLocked()
+		m.sup.CheckFailed()
 		q := m.mail[box].q
 		for i := range q {
 			if q[i].tag == tag {
@@ -401,12 +311,6 @@ func (p *Proc) takeMessage(src, tag int) message {
 			}
 		}
 		m.mail[box].cond.Wait()
-	}
-}
-
-func (m *Machine) checkFailedLocked() {
-	if m.failed != nil {
-		panic(procAbort{m.failed})
 	}
 }
 
@@ -420,7 +324,7 @@ func (p *Proc) collect(op string, val any) ([]any, float64) {
 	defer m.mu.Unlock()
 	p.blocked = blockedState{kind: "collective", op: op, clock: p.now}
 	defer func() { p.blocked = blockedState{clock: p.blocked.clock} }()
-	m.checkFailedLocked()
+	m.sup.CheckFailed()
 	if m.rvCount == 0 {
 		m.rvOp = op
 	} else if m.rvOp != op {
@@ -445,7 +349,7 @@ func (p *Proc) collect(op string, val any) ([]any, float64) {
 		return vals, maxT
 	}
 	for m.rvGen == myGen {
-		m.checkFailedLocked()
+		m.sup.CheckFailed()
 		m.cond.Wait()
 	}
 	return m.rvResult.vals, m.rvResult.maxTime
@@ -477,66 +381,25 @@ func (p *Proc) Barrier() {
 	p.traceCollective("barrier", t0, 0)
 }
 
-// ReduceOp and the reduction operators are the pcomm vocabulary; the
-// aliases keep machine-level code and tests spelled the traditional way.
-type ReduceOp = pcomm.ReduceOp
-
-// Reduction operators.
-const (
-	OpSum = pcomm.OpSum
-	OpMax = pcomm.OpMax
-	OpMin = pcomm.OpMin
-)
-
 // AllReduceFloat64 combines one float64 per processor with op; all
 // processors receive the result.
-func (p *Proc) AllReduceFloat64(v float64, op ReduceOp) float64 {
+func (p *Proc) AllReduceFloat64(v float64, op pcomm.ReduceOp) float64 {
 	t0 := p.now
 	vals, maxT := p.collect("allreduce_f64", v)
 	p.now = maxT + p.collectiveCost(8)
 	p.traceCollective("allreduce_f64", t0, 8)
-	out := vals[0].(float64)
-	for _, a := range vals[1:] {
-		x := a.(float64)
-		switch op {
-		case OpSum:
-			out += x
-		case OpMax:
-			if x > out {
-				out = x
-			}
-		case OpMin:
-			if x < out {
-				out = x
-			}
-		}
-	}
-	return out
+	p.fbuf = pcomm.Unbox(p.fbuf, vals)
+	return pcomm.Fold(p.fbuf, op)
 }
 
 // AllReduceInt combines one int per processor with op.
-func (p *Proc) AllReduceInt(v int, op ReduceOp) int {
+func (p *Proc) AllReduceInt(v int, op pcomm.ReduceOp) int {
 	t0 := p.now
 	vals, maxT := p.collect("allreduce_int", v)
 	p.now = maxT + p.collectiveCost(8)
 	p.traceCollective("allreduce_int", t0, 8)
-	out := vals[0].(int)
-	for _, a := range vals[1:] {
-		x := a.(int)
-		switch op {
-		case OpSum:
-			out += x
-		case OpMax:
-			if x > out {
-				out = x
-			}
-		case OpMin:
-			if x < out {
-				out = x
-			}
-		}
-	}
-	return out
+	p.ibuf = pcomm.Unbox(p.ibuf, vals)
+	return pcomm.Fold(p.ibuf, op)
 }
 
 // AllGather deposits one value per processor and returns the slice indexed
@@ -555,29 +418,3 @@ func (p *Proc) AllGather(v any, bytes int) []any {
 func (p *Proc) collectiveCost(b int) float64 {
 	return p.logP() * (p.m.Cost.Latency + float64(b)*p.m.Cost.ByteTime)
 }
-
-// The BytesOf* sizing helpers and Copy* payload-detachment helpers live
-// in pcomm (their canonical home since the communicator abstraction was
-// extracted); these wrappers keep the traditional machine-qualified
-// spelling working for machine-level code and tests.
-
-// BytesOfFloats returns the modelled wire size of n float64s.
-func BytesOfFloats(n int) int { return pcomm.BytesOfFloats(n) }
-
-// BytesOfInts returns the modelled wire size of n int indices.
-func BytesOfInts(n int) int { return pcomm.BytesOfInts(n) }
-
-// BytesOfUint64s returns the modelled wire size of n uint64 keys.
-func BytesOfUint64s(n int) int { return pcomm.BytesOfUint64s(n) }
-
-// BytesOfBools returns the modelled wire size of n boolean flags.
-func BytesOfBools(n int) int { return pcomm.BytesOfBools(n) }
-
-// CopyInts returns a copy of xs that shares no memory with it.
-func CopyInts(xs []int) []int { return pcomm.CopyInts(xs) }
-
-// CopyFloats returns a copy of xs that shares no memory with it.
-func CopyFloats(xs []float64) []float64 { return pcomm.CopyFloats(xs) }
-
-// CopyBools returns a copy of xs that shares no memory with it.
-func CopyBools(xs []bool) []bool { return pcomm.CopyBools(xs) }

@@ -9,59 +9,6 @@ import (
 	"repro/internal/pcomm"
 )
 
-func TestSendRecvBasic(t *testing.T) {
-	m := New(2, Zero())
-	var got int
-	m.Run(func(p *Proc) {
-		if p.ID() == 0 {
-			p.Send(1, 7, 42, 8)
-		} else {
-			got = p.Recv(0, 7).(int)
-		}
-	})
-	if got != 42 {
-		t.Fatalf("got %d, want 42", got)
-	}
-}
-
-func TestSendRecvFIFOPerTag(t *testing.T) {
-	m := New(2, Zero())
-	var order []int
-	m.Run(func(p *Proc) {
-		if p.ID() == 0 {
-			for i := 0; i < 5; i++ {
-				p.Send(1, 1, i, 8)
-			}
-		} else {
-			for i := 0; i < 5; i++ {
-				order = append(order, p.Recv(0, 1).(int))
-			}
-		}
-	})
-	for i, v := range order {
-		if v != i {
-			t.Fatalf("FIFO violated: %v", order)
-		}
-	}
-}
-
-func TestRecvByTagOutOfOrder(t *testing.T) {
-	m := New(2, Zero())
-	var a, b int
-	m.Run(func(p *Proc) {
-		if p.ID() == 0 {
-			p.Send(1, 10, 100, 8)
-			p.Send(1, 20, 200, 8)
-		} else {
-			b = p.Recv(0, 20).(int) // receive the later tag first
-			a = p.Recv(0, 10).(int)
-		}
-	})
-	if a != 100 || b != 200 {
-		t.Fatalf("tag-directed receive failed: a=%d b=%d", a, b)
-	}
-}
-
 func TestClockAdvancesOnWork(t *testing.T) {
 	cost := CostModel{FlopTime: 1e-6}
 	m := New(1, cost)
@@ -134,114 +81,6 @@ func TestBarrierSynchronizesClocks(t *testing.T) {
 	}
 }
 
-func TestAllReduce(t *testing.T) {
-	m := New(5, Zero())
-	sums := make([]float64, 5)
-	maxs := make([]int, 5)
-	mins := make([]int, 5)
-	m.Run(func(p *Proc) {
-		sums[p.ID()] = p.AllReduceFloat64(float64(p.ID()+1), OpSum)
-		maxs[p.ID()] = p.AllReduceInt(p.ID(), OpMax)
-		mins[p.ID()] = p.AllReduceInt(p.ID()+10, OpMin)
-	})
-	for i := 0; i < 5; i++ {
-		if sums[i] != 15 {
-			t.Errorf("proc %d sum = %v, want 15", i, sums[i])
-		}
-		if maxs[i] != 4 {
-			t.Errorf("proc %d max = %d, want 4", i, maxs[i])
-		}
-		if mins[i] != 10 {
-			t.Errorf("proc %d min = %d, want 10", i, mins[i])
-		}
-	}
-}
-
-func TestAllGather(t *testing.T) {
-	m := New(3, Zero())
-	var results [3][][]int
-	m.Run(func(p *Proc) {
-		results[p.ID()] = pcomm.AllGatherInts(p, []int{p.ID(), p.ID() * 10})
-	})
-	for pid := 0; pid < 3; pid++ {
-		for src := 0; src < 3; src++ {
-			got := results[pid][src]
-			if got[0] != src || got[1] != src*10 {
-				t.Fatalf("proc %d: gathered[%d] = %v", pid, src, got)
-			}
-		}
-	}
-}
-
-func TestAllGatherFloats(t *testing.T) {
-	m := New(2, Zero())
-	var out [][]float64
-	m.Run(func(p *Proc) {
-		g := pcomm.AllGatherFloats(p, []float64{float64(p.ID()) + 0.5})
-		if p.ID() == 0 {
-			out = g
-		}
-	})
-	if out[0][0] != 0.5 || out[1][0] != 1.5 {
-		t.Fatalf("gathered %v", out)
-	}
-}
-
-func TestRepeatedCollectives(t *testing.T) {
-	m := New(4, Zero())
-	m.Run(func(p *Proc) {
-		for i := 0; i < 100; i++ {
-			s := p.AllReduceInt(1, OpSum)
-			if s != 4 {
-				panic("bad sum")
-			}
-		}
-	})
-}
-
-func TestStatsCounters(t *testing.T) {
-	m := New(2, Zero())
-	res := m.Run(func(p *Proc) {
-		if p.ID() == 0 {
-			p.Send(1, 0, nil, 100)
-			p.Send(1, 0, nil, 50)
-		} else {
-			p.Recv(0, 0)
-			p.Recv(0, 0)
-		}
-		p.Barrier()
-	})
-	if res.PerProc[0].MsgsSent != 2 || res.PerProc[0].BytesSent != 150 {
-		t.Errorf("proc 0 stats = %+v", res.PerProc[0])
-	}
-	if res.PerProc[1].MsgsSent != 0 {
-		t.Errorf("proc 1 sent %d messages", res.PerProc[1].MsgsSent)
-	}
-	if res.PerProc[0].Collectives != 1 {
-		t.Errorf("collectives = %d", res.PerProc[0].Collectives)
-	}
-	if res.TotalBytes() != 150 {
-		t.Errorf("TotalBytes = %d", res.TotalBytes())
-	}
-}
-
-func TestPanicPropagation(t *testing.T) {
-	m := New(3, Zero())
-	defer func() {
-		r := recover()
-		if r == nil {
-			t.Fatal("expected panic to propagate from Run")
-		}
-	}()
-	m.Run(func(p *Proc) {
-		if p.ID() == 1 {
-			panic("boom")
-		}
-		// Other processors block; the failure must wake them.
-		p.Recv((p.ID()+1)%3, 99)
-	})
-}
-
 func TestElapsedIsMax(t *testing.T) {
 	cost := CostModel{FlopTime: 1e-6}
 	m := New(3, cost)
@@ -296,7 +135,7 @@ func TestClockMonotoneProperty(t *testing.T) {
 			check()
 			pr.Barrier()
 			check()
-			pr.AllReduceFloat64(1, OpSum)
+			pr.AllReduceFloat64(1, pcomm.OpSum)
 			check()
 		})
 		return ok == 1
@@ -317,22 +156,6 @@ func TestT3DConstantsSane(t *testing.T) {
 	}
 }
 
-func TestCollectiveMismatchPanics(t *testing.T) {
-	m := New(2, Zero())
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic on mismatched collectives")
-		}
-	}()
-	m.Run(func(p *Proc) {
-		if p.ID() == 0 {
-			p.Barrier()
-		} else {
-			p.AllReduceInt(1, OpSum)
-		}
-	})
-}
-
 func TestSleepAdvancesClock(t *testing.T) {
 	m := New(1, Zero())
 	res := m.Run(func(p *Proc) {
@@ -341,22 +164,6 @@ func TestSleepAdvancesClock(t *testing.T) {
 	if res.Elapsed != 0.25 {
 		t.Fatalf("Elapsed = %v, want 0.25", res.Elapsed)
 	}
-}
-
-func TestSendInvalidDestination(t *testing.T) {
-	m := New(2, Zero())
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	m.Run(func(p *Proc) {
-		if p.ID() == 0 {
-			p.Send(5, 0, nil, 0)
-		} else {
-			p.Recv(0, 0)
-		}
-	})
 }
 
 func TestProcStatsSnapshot(t *testing.T) {
@@ -368,12 +175,6 @@ func TestProcStatsSnapshot(t *testing.T) {
 			panic("stats snapshot wrong")
 		}
 	})
-}
-
-func TestBytesHelpers(t *testing.T) {
-	if BytesOfFloats(3) != 24 || BytesOfInts(2) != 16 {
-		t.Fatal("byte helpers wrong")
-	}
 }
 
 func TestMachineAccessor(t *testing.T) {

@@ -6,69 +6,20 @@ import (
 	"time"
 )
 
-// DeadlockError is the failure a watchdog-armed Run panics with when the
-// timeout expires: the SPMD program made no forward progress (typically a
-// Recv with no matching Send, or processors entering collectives in
-// different orders on a path the collective-mismatch check cannot see).
-// Dump holds a per-processor state report — what each virtual processor
-// was blocked on and its last observed virtual clock — turning a silent
-// test hang into an actionable message.
-type DeadlockError struct {
-	Timeout time.Duration
-	Dump    string
-}
-
-func (e *DeadlockError) Error() string {
-	return fmt.Sprintf("machine: watchdog: run still blocked after %v\n%s", e.Timeout, e.Dump)
-}
-
 // SetWatchdog arms a per-Run timeout. If the run has not completed after
 // d, every processor blocked inside the machine is woken with a
-// *DeadlockError carrying a state dump, and Run panics with it. A
-// processor spinning in pure local compute cannot be interrupted — the
-// watchdog catches communication deadlocks, which always park in Recv or
-// a collective. Must be called before Run; d ≤ 0 disables the watchdog.
-func (m *Machine) SetWatchdog(d time.Duration) {
+// *pcomm.DeadlockError carrying a state dump — what each virtual processor
+// was blocked on and its last observed virtual clock — and Run panics
+// with it. Must be called before Run; d ≤ 0 disables the watchdog.
+func (m *Machine) SetWatchdog(d time.Duration) { m.sup.SetWatchdog(d) }
+
+// dump renders every processor's blocked state. It holds m.mu, so the
+// blocked fields are stable; clocks are the last values observed at a
+// machine operation (a running processor's true clock is private to its
+// goroutine).
+func (m *Machine) dump() string {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if m.started {
-		panic("machine: SetWatchdog must be called before Run")
-	}
-	m.watchdog = d
-}
-
-// startWatchdog spawns the timer goroutine for an armed watchdog and
-// returns a function that disarms it when the run completes.
-func (m *Machine) startWatchdog() func() {
-	if m.watchdog <= 0 {
-		return func() {}
-	}
-	done := make(chan struct{})
-	go func() {
-		t := time.NewTimer(m.watchdog)
-		defer t.Stop()
-		select {
-		case <-done:
-		case <-t.C:
-			m.mu.Lock()
-			if m.failed == nil {
-				de := &DeadlockError{Timeout: m.watchdog, Dump: m.dumpLocked()}
-				m.failed = de
-				m.failRank = -1
-				m.failDump = de.Dump
-				m.wakeAllLocked()
-			}
-			m.mu.Unlock()
-		}
-	}()
-	return func() { close(done) }
-}
-
-// dumpLocked renders every processor's blocked state. Caller holds m.mu,
-// so the blocked fields are stable; clocks are the last values observed
-// at a machine operation (a running processor's true clock is private to
-// its goroutine).
-func (m *Machine) dumpLocked() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "P=%d processors:\n", m.P)
 	for _, p := range m.procs {

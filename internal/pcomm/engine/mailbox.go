@@ -1,0 +1,122 @@
+package engine
+
+import (
+	"sync"
+	"sync/atomic"
+
+	"repro/internal/pcomm"
+)
+
+// mailboxCap is the buffered-channel fast path depth of one mailbox.
+// The SPMD codes in this repo keep at most a handful of messages in
+// flight per processor pair, so the overflow queue is cold.
+const mailboxCap = 256
+
+// Message is one in-flight payload: boxed (Payload) or an unboxed slice
+// header (Raw) from the SendRaw fast path. A transport that moves
+// messages between processes decodes them back into this form before
+// Deliver, so the consumer sees exactly what a co-located sender would
+// have handed it.
+type Message struct {
+	Tag     int
+	Payload any
+	Raw     pcomm.RawSlice
+	IsRaw   bool
+}
+
+// mailbox is the (src, dst) channel between one producer goroutine (the
+// co-located sender or the transport's connection reader) and one
+// consumer goroutine. put never blocks: when the channel is full it
+// spills to the overflow queue and pings wake so a parked consumer
+// re-checks. FIFO holds because the producer stops using the channel
+// while spilled is set, and the consumer always drains the channel
+// before the overflow.
+type mailbox struct {
+	ch      chan Message
+	wake    chan struct{} // cap 1; pinged after an overflow append
+	spilled atomic.Bool
+	mu      sync.Mutex
+	// over is the pooled spill buffer, held by pointer so returning it to
+	// overflowPool re-uses the same header (no boxing on Put). nil when
+	// nothing has spilled since the last drain.
+	over *[]Message
+}
+
+// overflowPool recycles spill buffers across mailboxes and worlds. A
+// sync.Pool, not a free list (DESIGN.md §13): spills are bursty — a
+// phase that outruns the channel depth fills a buffer once, the consumer
+// drains it, and the buffer may not be needed again for the rest of the
+// run — so letting the GC reclaim idle buffers is the right policy, and
+// (unlike the scratch pools) nothing here needs deterministic
+// enumeration. Items are *[]Message so Put never boxes a fresh header.
+var overflowPool = sync.Pool{New: func() any { return new([]Message) }}
+
+// put delivers m; producer side only.
+//
+//pilut:hotpath
+func (b *mailbox) put(m Message) {
+	if !b.spilled.Load() {
+		select {
+		case b.ch <- m:
+			return
+		default:
+		}
+	}
+	b.mu.Lock()
+	b.spilled.Store(true)
+	if b.over == nil {
+		b.over = overflowPool.Get().(*[]Message)
+	}
+	*b.over = append(*b.over, m) //pilutlint:ok hotalloc overflow spill path is cold; the buffer comes from overflowPool and grows to burst size once
+	b.mu.Unlock()
+	select {
+	case b.wake <- struct{}{}:
+	default:
+	}
+}
+
+// drainInto moves every currently delivered message into stash in
+// arrival order; consumer side only (the dst goroutine).
+//
+//pilut:hotpath
+func (b *mailbox) drainInto(stash *[]Message) {
+	for {
+		select {
+		case m := <-b.ch:
+			*stash = append(*stash, m) //pilutlint:ok hotalloc stash grows to the peak out-of-order depth once, then is reused
+			continue
+		default:
+		}
+		break
+	}
+	if b.spilled.Load() {
+		b.mu.Lock()
+		ov := b.over
+		b.over = nil
+		b.spilled.Store(false)
+		b.mu.Unlock()
+		*stash = append(*stash, *ov...) //pilutlint:ok hotalloc stash grows to the peak out-of-order depth once, then is reused
+		// Clear payload references before recycling the spill buffer so a
+		// pooled buffer cannot pin delivered payloads, then hand it back.
+		for i := range *ov {
+			(*ov)[i] = Message{}
+		}
+		*ov = (*ov)[:0]
+		overflowPool.Put(ov)
+	}
+}
+
+// takeByTagFrom removes and returns the first stashed message with the
+// tag, scanning from index from (earlier entries are known not to match
+// from a previous scan).
+func takeByTagFrom(stash *[]Message, tag, from int) (Message, bool) {
+	s := *stash
+	for i := from; i < len(s); i++ {
+		if s[i].Tag == tag {
+			m := s[i]
+			*stash = append(s[:i], s[i+1:]...)
+			return m, true
+		}
+	}
+	return Message{}, false
+}

@@ -216,7 +216,7 @@ func (c *coordinator) deposit(d deposit) {
 // finishGen decodes the stats round and broadcasts the assembled run
 // Result so Run returns the same value in every process.
 func (c *coordinator) finishGen(gen uint64, pays []payload) {
-	res := pcomm.Result{PerProc: make([]pcomm.Stats, len(pays))}
+	stats := make([]pcomm.Stats, len(pays))
 	for i, pay := range pays {
 		v, _, isRaw, err := decodePayload(pay)
 		if err != nil || isRaw {
@@ -228,11 +228,9 @@ func (c *coordinator) finishGen(gen uint64, pays []payload) {
 			c.abortGen(abortMsg{gen: gen, rank: i, msg: fmt.Sprintf("netcomm: stats deposit from rank %d decoded as %T", i, v)})
 			return
 		}
-		res.PerProc[i] = st
-		if st.Time > res.Elapsed {
-			res.Elapsed = st.Time
-		}
+		stats[i] = st
 	}
+	res := pcomm.NewResult(stats)
 	body, err := encodeDoneFrame(gen, res)
 	if err != nil {
 		c.abortGen(abortMsg{gen: gen, rank: -1, msg: err.Error()})

@@ -3,7 +3,6 @@ package netcomm
 import (
 	"errors"
 	"fmt"
-	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -85,121 +84,6 @@ func runGroup(t *testing.T, nodes []*Node, p int, f func(pcomm.Comm)) []pcomm.Re
 	return results
 }
 
-// TestGroupCollectives runs every collective across 2 processes and
-// checks values and cross-process Result identity.
-func TestGroupCollectives(t *testing.T) {
-	nodes := newGroup(t, 2)
-	const P = 4
-	results := runGroup(t, nodes, P, func(c pcomm.Comm) {
-		id := c.ID()
-		if c.P() != P {
-			panic(fmt.Sprintf("P() = %d", c.P()))
-		}
-		sum := c.AllReduceFloat64(float64(id)+0.5, pcomm.OpSum)
-		if sum != 0.5+1.5+2.5+3.5 {
-			panic(fmt.Sprintf("rank %d: sum = %v", id, sum))
-		}
-		if mx := c.AllReduceInt(id*10, pcomm.OpMax); mx != 30 {
-			panic(fmt.Sprintf("rank %d: max = %d", id, mx))
-		}
-		if mn := c.AllReduceInt(id*10, pcomm.OpMin); mn != 0 {
-			panic(fmt.Sprintf("rank %d: min = %d", id, mn))
-		}
-		c.Barrier()
-		all := c.AllGather([]int{id, id * id}, pcomm.BytesOfInts(2))
-		for q := 0; q < P; q++ {
-			got := all[q].([]int)
-			if got[0] != q || got[1] != q*q {
-				panic(fmt.Sprintf("rank %d: allgather[%d] = %v", id, q, got))
-			}
-		}
-	})
-	for i := 1; i < len(results); i++ {
-		if len(results[i].PerProc) != P {
-			t.Fatalf("process %d PerProc has %d entries", i, len(results[i].PerProc))
-		}
-		for r := 0; r < P; r++ {
-			a, b := results[0].PerProc[r], results[i].PerProc[r]
-			if a != b {
-				t.Fatalf("rank %d stats differ across processes: %+v vs %+v", r, a, b)
-			}
-		}
-	}
-	// Each rank did 5 collectives (1 float allreduce, 2 int allreduces,
-	// the barrier, the allgather); the internal stats round is not counted.
-	if got := results[0].PerProc[0].Collectives; got != 5 {
-		t.Fatalf("rank 0 Collectives = %d, want 5", got)
-	}
-}
-
-// TestGroupSendRecv pushes point-to-point traffic across the process
-// boundary in both directions, boxed and tagged out of order.
-func TestGroupSendRecv(t *testing.T) {
-	nodes := newGroup(t, 2)
-	const P = 4
-	runGroup(t, nodes, P, func(c pcomm.Comm) {
-		id := c.ID()
-		next, prev := (id+1)%P, (id+P-1)%P
-		// Ring of floats: ranks 1↔2 cross the process boundary.
-		c.Send(next, 1, float64(id)*1.25, 8)
-		if got := c.Recv(prev, 1).(float64); got != float64(prev)*1.25 {
-			panic(fmt.Sprintf("rank %d: ring got %v", id, got))
-		}
-		// Out-of-order tags across the boundary.
-		if id == 0 {
-			c.Send(3, 10, "tag10-first", 8)
-			c.Send(3, 20, "tag20", 8)
-			c.Send(3, 10, "tag10-second", 8)
-		}
-		if id == 3 {
-			if got := c.Recv(0, 20).(string); got != "tag20" {
-				panic("tag 20 mismatch: " + got)
-			}
-			if got := c.Recv(0, 10).(string); got != "tag10-first" {
-				panic("tag 10 FIFO violated: " + got)
-			}
-			if got := c.Recv(0, 10).(string); got != "tag10-second" {
-				panic("tag 10 FIFO violated: " + got)
-			}
-		}
-		// Registered struct payload across the boundary.
-		if id == 1 {
-			c.Send(2, 5, pcomm.Stats{Flops: 42, MsgsSent: 7}, 16)
-		}
-		if id == 2 {
-			st := c.Recv(1, 5).(pcomm.Stats)
-			if st.Flops != 42 || st.MsgsSent != 7 {
-				panic(fmt.Sprintf("struct payload mangled: %+v", st))
-			}
-		}
-	})
-}
-
-// TestGroupRawSlices sends raw slices both co-located and across the
-// boundary, checking exact float bits.
-func TestGroupRawSlices(t *testing.T) {
-	nodes := newGroup(t, 2)
-	const P = 2
-	vals := []float64{1.5, math.Copysign(0, -1), 5e-324, -math.MaxFloat64}
-	runGroup(t, nodes, P, func(c pcomm.Comm) {
-		if c.ID() == 0 {
-			pcomm.SendSlice(c, 1, 3, append([]float64(nil), vals...))
-			got := pcomm.RecvSlice[int](c, 1, 4)
-			if len(got) != 3 || got[2] != 30 {
-				panic(fmt.Sprintf("rank 0: got %v", got))
-			}
-		} else {
-			got := pcomm.RecvSlice[float64](c, 0, 3)
-			for i := range vals {
-				if math.Float64bits(got[i]) != math.Float64bits(vals[i]) {
-					panic(fmt.Sprintf("raw bits changed at %d: %x vs %x", i, math.Float64bits(got[i]), math.Float64bits(vals[i])))
-				}
-			}
-			pcomm.SendSlice(c, 0, 4, []int{10, 20, 30})
-		}
-	})
-}
-
 // TestGroupPanicPropagation kills one rank on the second process and
 // checks every process's Run fails: natively where the panic happened,
 // as a RemoteAbort elsewhere.
@@ -254,43 +138,6 @@ func TestGroupPanicPropagation(t *testing.T) {
 	}
 }
 
-// TestGroupCollectiveMismatch checks the coordinator detects ranks
-// entering different collectives and aborts the whole run.
-func TestGroupCollectiveMismatch(t *testing.T) {
-	nodes := newGroup(t, 2)
-	const P = 2
-	worlds := make([]*World, 2)
-	for i, nd := range nodes {
-		w, err := nd.NewWorld(P)
-		if err != nil {
-			t.Fatal(err)
-		}
-		w.SetWatchdog(30 * time.Second)
-		worlds[i] = w
-	}
-	errs := make([]error, 2)
-	var wg sync.WaitGroup
-	wg.Add(2)
-	for i, w := range worlds {
-		go func(i int, w *World) {
-			defer wg.Done()
-			_, errs[i] = pcomm.Guard(w, func(c pcomm.Comm) {
-				if c.ID() == 0 {
-					c.Barrier()
-				} else {
-					c.AllReduceInt(1, pcomm.OpSum)
-				}
-			})
-		}(i, w)
-	}
-	wg.Wait()
-	for i, err := range errs {
-		if err == nil || !strings.Contains(err.Error(), "mismatch") {
-			t.Fatalf("process %d: err = %v, want a collective mismatch", i, err)
-		}
-	}
-}
-
 // TestGroupWatchdog checks a cross-process deadlock (a Recv nobody
 // serves) fires the watchdog into a DeadlockError on the blocked
 // process and aborts the peer.
@@ -303,7 +150,11 @@ func TestGroupWatchdog(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		w.SetWatchdog(500 * time.Millisecond)
+		// Process 0's rank finishes, yet its Run still waits, under its
+		// own watchdog, for the group's completion. Only the blocked
+		// process's timer may expire first, or the two race to abort
+		// each other and the blocked one sees a RemoteAbort instead.
+		w.SetWatchdog([]time.Duration{time.Minute, 500 * time.Millisecond}[i])
 		worlds[i] = w
 	}
 	errs := make([]error, 2)
@@ -320,7 +171,7 @@ func TestGroupWatchdog(t *testing.T) {
 		}(i, w)
 	}
 	wg.Wait()
-	var dl *DeadlockError
+	var dl *pcomm.DeadlockError
 	if !errors.As(errs[1], &dl) {
 		t.Fatalf("blocked process err = %v, want DeadlockError", errs[1])
 	}

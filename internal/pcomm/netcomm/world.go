@@ -4,88 +4,12 @@ import (
 	"fmt"
 	"io"
 	"net"
-	"runtime/debug"
-	"strings"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/pcomm"
-	"repro/internal/trace"
+	"repro/internal/pcomm/engine"
 )
-
-// mailboxCap matches realcomm: the buffered-channel fast path depth of
-// one (src, dst) mailbox.
-const mailboxCap = 256
-
-// message is one in-flight payload, boxed or a raw slice header. Remote
-// payloads are decoded by the connection reader before delivery, so the
-// consumer sees exactly what realcomm would hand it.
-type message struct {
-	tag     int
-	payload any
-	raw     pcomm.RawSlice
-	isRaw   bool
-}
-
-// mailbox is realcomm's never-blocking (src, dst) queue: a buffered
-// channel fast path with a mutex-guarded overflow, single producer
-// (the co-located sender goroutine or the connection reader), single
-// consumer (the destination rank).
-type mailbox struct {
-	ch      chan message
-	wake    chan struct{}
-	spilled atomic.Bool
-	mu      sync.Mutex
-	over    []message
-}
-
-func (b *mailbox) put(m message) {
-	if !b.spilled.Load() {
-		select {
-		case b.ch <- m:
-			return
-		default:
-		}
-	}
-	b.mu.Lock()
-	b.spilled.Store(true)
-	b.over = append(b.over, m)
-	b.mu.Unlock()
-	select {
-	case b.wake <- struct{}{}:
-	default:
-	}
-}
-
-func (b *mailbox) drainInto(stash *[]message) {
-	for {
-		select {
-		case m := <-b.ch:
-			*stash = append(*stash, m)
-			continue
-		default:
-		}
-		break
-	}
-	if b.spilled.Load() {
-		b.mu.Lock()
-		*stash = append(*stash, b.over...)
-		b.over = b.over[:0]
-		b.spilled.Store(false)
-		b.mu.Unlock()
-	}
-}
-
-// DeadlockError is the watchdog failure, mirroring the other backends.
-type DeadlockError struct {
-	Timeout time.Duration
-	Dump    string
-}
-
-func (e *DeadlockError) Error() string {
-	return fmt.Sprintf("netcomm: watchdog: run still blocked after %v\n%s", e.Timeout, e.Dump)
-}
 
 // RemoteAbort is the failure cause a World panics with when the run was
 // killed by a rank hosted on another process: the original panic value
@@ -102,10 +26,6 @@ func (e *RemoteAbort) Error() string {
 	return fmt.Sprintf("netcomm: run aborted by rank %d on a peer process: %s", e.Rank, e.Msg)
 }
 
-// procAbort wraps the root cause so secondary ranks woken by a failure
-// do not overwrite it when they unwind.
-type procAbort struct{ cause any }
-
 // resultEntry is one broadcast round result with a countdown of local
 // ranks still to consume it.
 type resultEntry struct {
@@ -113,27 +33,31 @@ type resultEntry struct {
 	readers int
 }
 
-// World is one P-rank netcomm run: the local block of ranks executes
-// here, everything else is reached over the node's sockets. Like the
-// other backends a World is single-use.
+// rankState is the transport's share of one locally hosted rank, touched
+// only by the rank's own goroutine (DropTransport included: the fault
+// injector runs inside the rank).
+type rankState struct {
+	round uint64
+	// conns are the rank's dialed outbound data connections by dst.
+	conns map[int]net.Conn
+}
+
+// World is one P-rank netcomm run, the engine's transport for a group of
+// OS processes: the local block of ranks executes here on the engine's
+// mailboxes, everything else is reached over the node's sockets, and
+// collectives meet at the coordinator. Like the other backends a World
+// is single-use.
 type World struct {
+	*engine.World
 	node   *Node
 	gen    uint64
 	p      int
 	lo, hi int // local rank block [lo, hi)
-
-	boxes []mailbox // index (dst-lo)*p + src
+	ranks  []rankState
 
 	rmu     sync.Mutex
 	results map[uint64]*resultEntry
 	rwait   map[uint64]chan struct{}
-
-	failMu    sync.Mutex
-	failCause any
-	failRank  int
-	failStack string
-	failDump  string
-	failCh    chan struct{}
 
 	doneOnce sync.Once
 	doneCh   chan struct{}
@@ -143,14 +67,6 @@ type World struct {
 	conns  map[io.Closer]struct{}
 
 	completed atomic.Bool
-
-	mu       sync.Mutex
-	started  bool
-	watchdog time.Duration
-	rec      *trace.Recorder
-
-	start time.Time
-	procs []*Proc
 }
 
 func newWorld(n *Node, gen uint64, p int) *World {
@@ -161,98 +77,47 @@ func newWorld(n *Node, gen uint64, p int) *World {
 		p:       p,
 		lo:      lo,
 		hi:      hi,
-		boxes:   make([]mailbox, (hi-lo)*p),
+		ranks:   make([]rankState, hi-lo),
 		results: make(map[uint64]*resultEntry),
 		rwait:   make(map[uint64]chan struct{}),
-		failCh:  make(chan struct{}),
 		doneCh:  make(chan struct{}),
 		conns:   make(map[io.Closer]struct{}),
 	}
-	for i := range w.boxes {
-		w.boxes[i].ch = make(chan message, mailboxCap)
-		w.boxes[i].wake = make(chan struct{}, 1)
+	for i := range w.ranks {
+		w.ranks[i].conns = make(map[int]net.Conn)
 	}
+	w.World = engine.New(w, "netcomm", "netcomm", "rank", p, lo, hi)
 	return w
 }
 
-// NumProcs returns P — the world size, not this process's share of it.
-func (w *World) NumProcs() int { return w.p }
-
-// SetWatchdog arms a per-Run deadlock timeout; must precede Run.
-func (w *World) SetWatchdog(d time.Duration) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.started {
-		panic("netcomm: SetWatchdog must be called before Run")
-	}
-	w.watchdog = d
+// Proc is the handle Run gives a locally hosted rank: the engine's, plus
+// the one capability only a socket transport has.
+type Proc struct {
+	*engine.Proc
+	w *World
 }
 
-// SetRecorder attaches a trace recorder covering the world's ranks; only
-// locally hosted ranks emit events. Must precede Run.
-func (w *World) SetRecorder(r *trace.Recorder) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.started {
-		panic("netcomm: SetRecorder after Run")
-	}
-	if r != nil && r.NumProcs() < w.p {
-		panic(fmt.Sprintf("netcomm: recorder covers %d processors, world has %d", r.NumProcs(), w.p))
-	}
-	w.rec = r
+// Run executes f on this process's block of ranks and rendezvouses with
+// the rest of the group; it returns the same Result on every process.
+func (w *World) Run(f func(pcomm.Comm)) pcomm.Result {
+	return w.World.Run(func(c pcomm.Comm) { f(&Proc{c.(*engine.Proc), w}) })
 }
 
-// fail records a failure with no owning rank (watchdog, transport).
-func (w *World) fail(cause any) { w.failLocal(-1, cause, "") }
-
-// failLocal records a locally originated failure and tells the group.
-func (w *World) failLocal(rank int, cause any, stack string) {
-	if w.failProc(rank, cause, stack) {
+// Abort implements engine.Transport: a failure that originated here is
+// broadcast to the group (one that arrived as a RemoteAbort already has
+// been), and either way every live connection is severed so no rank
+// stays blocked in socket I/O.
+func (w *World) Abort(rank int, cause any) {
+	if _, remote := cause.(*RemoteAbort); !remote {
 		w.node.sendAbort(abortMsg{gen: w.gen, rank: rank, msg: fmt.Sprint(cause)})
-		w.closeConns()
 	}
+	w.closeConns()
 }
 
 // poison records a remotely originated failure (abort broadcast, node
-// death); unlike failLocal it does not re-broadcast.
+// death).
 func (w *World) poison(a abortMsg) {
-	if w.failProc(-1, &RemoteAbort{Rank: a.rank, Msg: a.msg}, "") {
-		w.closeConns()
-	}
-}
-
-// failProc stores the first failure cause, snapshots the blocked-state
-// dump and poisons failCh. Reports whether this call won the race.
-func (w *World) failProc(rank int, cause any, stack string) bool {
-	w.failMu.Lock()
-	defer w.failMu.Unlock()
-	if w.failCause != nil {
-		return false
-	}
-	w.failCause = cause
-	w.failRank = rank
-	w.failStack = stack
-	w.failDump = w.dump()
-	if stack != "" {
-		w.failDump += fmt.Sprintf("\nroot-cause stack (rank %d):\n%s", rank, stack)
-	}
-	close(w.failCh)
-	return true
-}
-
-func (w *World) failed() bool {
-	w.failMu.Lock()
-	defer w.failMu.Unlock()
-	return w.failCause != nil
-}
-
-// abort panics with the run's root failure cause; called by ranks woken
-// out of a blocking operation by failCh.
-func (p *Proc) abort() {
-	p.w.failMu.Lock()
-	cause := p.w.failCause
-	p.w.failMu.Unlock()
-	panic(procAbort{cause})
+	w.Fail(-1, &RemoteAbort{Rank: a.rank, Msg: a.msg}, "")
 }
 
 // trackConn registers a connection for teardown; if the world already
@@ -262,7 +127,7 @@ func (w *World) trackConn(c io.Closer) {
 	w.conns[c] = struct{}{}
 	w.connMu.Unlock()
 	select {
-	case <-w.failCh:
+	case <-w.Failed():
 		if err := c.Close(); err != nil {
 			_ = err // the world is failing; this close only wakes blocked I/O
 		}
@@ -299,7 +164,7 @@ func (w *World) closeConns() {
 // fails the run.
 func (w *World) startReader(c net.Conn, src, dst int) {
 	if dst < w.lo || dst >= w.hi || src < 0 || src >= w.p {
-		w.failLocal(-1, fmt.Errorf("netcomm: SPMD violation: inbound data connection for rank %d→%d, this process hosts [%d,%d) of P=%d",
+		w.Fail(-1, fmt.Errorf("netcomm: SPMD violation: inbound data connection for rank %d→%d, this process hosts [%d,%d) of P=%d",
 			src, dst, w.lo, w.hi, w.p), "")
 		if err := c.Close(); err != nil {
 			_ = err // the run is failing; nothing more to learn from this close
@@ -307,7 +172,6 @@ func (w *World) startReader(c net.Conn, src, dst int) {
 		return
 	}
 	w.trackConn(c)
-	box := &w.boxes[(dst-w.lo)*w.p+src]
 	go func() {
 		defer w.untrackConn(c)
 		for {
@@ -319,24 +183,24 @@ func (w *World) startReader(c net.Conn, src, dst int) {
 					}
 					return
 				}
-				w.failLocal(-1, fmt.Errorf("netcomm: data connection rank %d→%d: %w", src, dst, err), "")
+				w.Fail(-1, fmt.Errorf("netcomm: data connection rank %d→%d: %w", src, dst, err), "")
 				return
 			}
 			if typ != fData {
-				w.failLocal(-1, fmt.Errorf("netcomm: unexpected frame type %d on data connection rank %d→%d", typ, src, dst), "")
+				w.Fail(-1, fmt.Errorf("netcomm: unexpected frame type %d on data connection rank %d→%d", typ, src, dst), "")
 				return
 			}
 			tag, pay, err := decodeDataFrame(body)
 			if err != nil {
-				w.failLocal(-1, err, "")
+				w.Fail(-1, err, "")
 				return
 			}
 			v, raw, isRaw, err := decodePayload(pay)
 			if err != nil {
-				w.failLocal(-1, fmt.Errorf("netcomm: message rank %d→%d tag %d: %w", src, dst, tag, err), "")
+				w.Fail(-1, fmt.Errorf("netcomm: message rank %d→%d tag %d: %w", src, dst, tag, err), "")
 				return
 			}
-			box.put(message{tag: tag, payload: v, raw: raw, isRaw: isRaw})
+			w.Deliver(src, dst, engine.Message{Tag: tag, Payload: v, Raw: raw, IsRaw: isRaw})
 		}
 	}()
 }
@@ -358,7 +222,7 @@ func (w *World) postResult(r roundResult) {
 }
 
 // awaitResult blocks rank p until round's broadcast arrives.
-func (w *World) awaitResult(p *Proc, round uint64, desc string) roundResult {
+func (w *World) awaitResult(p *engine.Proc, round uint64, op engine.Op) roundResult {
 	w.rmu.Lock()
 	for {
 		if e, ok := w.results[round]; ok {
@@ -376,14 +240,7 @@ func (w *World) awaitResult(p *Proc, round uint64, desc string) roundResult {
 			w.rwait[round] = ch
 		}
 		w.rmu.Unlock()
-		p.blocked.Store(fmt.Sprintf("waiting in collective %q (round %d)", desc, round))
-		select {
-		case <-ch:
-			p.blocked.Store("")
-		case <-w.failCh:
-			p.blocked.Store("")
-			p.abort()
-		}
+		p.Park(ch, engine.Waiting(op, round))
 		w.rmu.Lock()
 	}
 }
@@ -396,235 +253,112 @@ func (w *World) postDone(res pcomm.Result) {
 	})
 }
 
-// Run executes f on this process's block of ranks and rendezvouses with
-// the rest of the group; it returns the same Result on every process.
-// Panic propagation and single-use semantics match the other backends.
-func (w *World) Run(f func(pcomm.Comm)) pcomm.Result {
-	w.mu.Lock()
-	if w.started {
-		w.mu.Unlock()
-		panic("netcomm: Run called twice on the same World; a World is single-use — create a new World per run")
+// Finish implements engine.Transport. Each local rank's final act is to
+// contribute its statistics to the reserved stats round (bookkeeping, not
+// part of the program, so Collectives does not count it); the coordinator
+// answers with the assembled Result, awaited here still under the
+// watchdog. A failed run skips the round — completing it would let the
+// coordinator tell the other processes the run succeeded. Then the
+// world's transport state is retired.
+func (w *World) Finish(local []pcomm.Stats) pcomm.Result {
+	select {
+	case <-w.Failed():
+	default:
+		w.depositStats(local)
 	}
-	w.started = true
-	rec := w.rec
-	wd := w.watchdog
-	w.mu.Unlock()
-
-	nLocal := w.hi - w.lo
-	w.procs = make([]*Proc, nLocal)
-	for i := 0; i < nLocal; i++ {
-		id := w.lo + i
-		w.procs[i] = &Proc{id: id, w: w, tr: rec.Proc(id), stash: make([][]message, w.p), conns: make(map[int]net.Conn)}
+	select {
+	case <-w.doneCh:
+	case <-w.Failed():
 	}
-	w.start = time.Now()
-
-	stopWatchdog := func() {}
-	if wd > 0 {
-		done := make(chan struct{})
-		go func() {
-			t := time.NewTimer(wd)
-			defer t.Stop()
-			select {
-			case <-done:
-			case <-t.C:
-				w.failLocal(-1, &DeadlockError{Timeout: wd, Dump: w.dump()}, "")
-			}
-		}()
-		stopWatchdog = func() { close(done) }
-	}
-	defer stopWatchdog()
-
-	var wg sync.WaitGroup
-	wg.Add(nLocal)
-	for i := 0; i < nLocal; i++ {
-		go func(p *Proc) {
-			defer wg.Done()
-			defer func() {
-				if r := recover(); r != nil {
-					if ab, secondary := r.(procAbort); secondary {
-						w.failProc(-1, ab, "")
-						return
-					}
-					w.failLocal(p.id, r, string(debug.Stack()))
-				}
-			}()
-			f(p)
-			p.stats.Time = time.Since(w.start).Seconds()
-			p.depositStats()
-		}(w.procs[i])
-	}
-	wg.Wait()
-
-	if !w.failed() {
-		// Every local rank deposited its stats; wait for the
-		// coordinator's completion broadcast (still under the watchdog).
-		select {
-		case <-w.doneCh:
-		case <-w.failCh:
-		}
-	}
-
 	w.completed.Store(true)
 	w.closeConns()
 	w.node.finishWorld(w.gen)
-
-	w.failMu.Lock()
-	failed := w.failCause
-	rank, stack, dump := w.failRank, w.failStack, w.failDump
-	w.failMu.Unlock()
-	if failed != nil {
-		if ab, ok := failed.(procAbort); ok {
-			failed = ab.cause
-		}
-		panic(&pcomm.RunError{Backend: "netcomm", Rank: rank, Cause: failed, Stack: stack, Dump: dump})
-	}
 	return w.result
 }
 
-// dump renders the local ranks' blocked states; remote ranks are out of
-// reach, which the report says explicitly.
-func (w *World) dump() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "P=%d ranks; process %d of %d hosts ranks [%d,%d):\n", w.p, w.node.self, w.node.n, w.lo, w.hi)
-	for _, p := range w.procs {
-		if p == nil {
-			continue
+func (w *World) depositStats(local []pcomm.Stats) {
+	for i, st := range local {
+		pay, err := encodePayload(st)
+		if err == nil {
+			err = w.node.deposit(deposit{gen: w.gen, round: w.ranks[i].round + 1, rank: w.lo + i, p: w.p, op: opStats, pay: pay})
 		}
-		state, _ := p.blocked.Load().(string)
-		if state == "" {
-			state = "not blocked in the communicator (computing or finished)"
+		if err != nil {
+			w.Fail(-1, fmt.Errorf("netcomm: depositing the run statistics of rank %d: %w", w.lo+i, err), "")
+			return
 		}
-		fmt.Fprintf(&b, "  rank %d: %s\n", p.id, state)
 	}
+}
+
+// DumpFrame implements engine.Transport: only the local ranks' blocked
+// states are in reach, which the report says explicitly.
+func (w *World) DumpFrame() (head, tail string) {
+	head = fmt.Sprintf("P=%d ranks; process %d of %d hosts ranks [%d,%d):", w.p, w.node.self, w.node.n, w.lo, w.hi)
 	if w.node.n > 1 {
-		fmt.Fprintf(&b, "  (ranks on the other %d processes are not visible from here)\n", w.node.n-1)
+		tail = fmt.Sprintf("\n  (ranks on the other %d processes are not visible from here)", w.node.n-1)
 	}
-	return strings.TrimRight(b.String(), "\n")
+	return head, tail
 }
 
-// Proc is one locally hosted rank's communicator handle, confined to
-// the goroutine Run handed it to.
-type Proc struct {
-	id    int
-	w     *World
-	tr    *trace.ProcTracer
-	stats pcomm.Stats
-	round uint64
-	// stash holds messages drained while looking for another tag,
-	// indexed by src. Owned by this rank's goroutine.
-	stash   [][]message
-	blocked atomic.Value
-	// conns are this rank's dialed outbound data connections by dst,
-	// touched only by the rank's own goroutine (DropTransport included:
-	// the fault injector runs inside the rank).
-	conns map[int]net.Conn
-}
-
-// ID returns this rank.
-func (p *Proc) ID() int { return p.id }
-
-// P returns the world size.
-func (p *Proc) P() int { return p.w.p }
-
-// Time returns wall-clock seconds since Run started.
-func (p *Proc) Time() float64 { return time.Since(p.w.start).Seconds() }
-
-// Work accounts flops; wall time is spent, not modelled.
-func (p *Proc) Work(flops float64) { p.stats.Flops += flops }
-
-// Sleep is a no-op, as in realcomm.
-func (p *Proc) Sleep(dt float64) {}
-
-// Stats returns a snapshot of the rank's counters.
-func (p *Proc) Stats() pcomm.Stats {
-	s := p.stats
-	s.Time = p.Time()
-	return s
-}
-
-// Tracer returns the rank's trace sink, nil when tracing is off.
-func (p *Proc) Tracer() *trace.ProcTracer { return p.tr }
-
-// Send delivers payload to dst under tag: a mailbox put for co-located
-// ranks, a data frame otherwise. The traffic counters use the caller's
-// byte accounting, identical across backends.
-func (p *Proc) Send(dst, tag int, payload any, bytes int) {
-	p.send(dst, tag, message{tag: tag, payload: payload}, bytes)
-}
-
-// SendRaw implements the pcomm.RawComm fast path. Co-located ranks get
-// the header zero-copy; remote ranks get the element bytes on the wire.
-func (p *Proc) SendRaw(dst, tag int, h pcomm.RawSlice, bytes int) {
-	p.send(dst, tag, message{tag: tag, raw: h, isRaw: true}, bytes)
-}
-
-func (p *Proc) send(dst, tag int, m message, bytes int) {
-	w := p.w
-	if dst < 0 || dst >= w.p {
-		panic(fmt.Sprintf("netcomm: Send to invalid rank %d", dst))
-	}
-	p.stats.MsgsSent++
-	p.stats.BytesSent += int64(bytes)
-	if p.tr != nil {
-		p.tr.Instant("machine", "send", p.Time(),
-			trace.I("dst", dst), trace.I("tag", tag), trace.I("bytes", bytes))
-	}
-	if dst >= w.lo && dst < w.hi {
-		w.boxes[(dst-w.lo)*w.p+p.id].put(m)
-		return
-	}
+// Ship implements engine.Transport: the message goes out as a data frame
+// on the rank's connection to dst's process (a raw slice as its element
+// bytes).
+func (w *World) Ship(p *engine.Proc, dst int, m engine.Message) {
 	var pay payload
-	if m.isRaw {
-		pay = encodeRawPayload(m.raw)
+	if m.IsRaw {
+		pay = encodeRawPayload(m.Raw)
 	} else {
 		var err error
-		pay, err = encodePayload(m.payload)
+		pay, err = encodePayload(m.Payload)
 		if err != nil {
 			panic(err)
 		}
 	}
-	c, err := p.dataConn(dst)
+	c, err := w.dataConn(p.ID(), dst)
 	if err == nil {
-		err = writeFrame(c, fData, encodeDataFrame(tag, pay))
+		err = writeFrame(c, fData, encodeDataFrame(m.Tag, pay))
 		if err != nil {
 			// The connection died under us (peer gone, or a fault cut it).
 			// Drop it so a retry would redial, then unwind.
-			delete(p.conns, dst)
-			p.w.untrackConn(c)
-			if cerr := c.Close(); cerr != nil {
+			if cerr := w.dropConn(p.ID(), dst, c); cerr != nil {
 				_ = cerr // already severed; the write error is the diagnosis
 			}
 		}
 	}
 	if err != nil {
-		if w.failed() {
-			p.abort()
-		}
-		panic(fmt.Errorf("netcomm: sending rank %d→%d: %w", p.id, dst, err))
+		w.CheckFailed()
+		panic(fmt.Errorf("netcomm: sending rank %d→%d: %w", p.ID(), dst, err))
 	}
 }
 
-// dataConn returns the rank's outbound connection to dst's process,
+// dataConn returns rank src's outbound connection to dst's process,
 // dialing and handshaking on first use (and again after a drop).
-func (p *Proc) dataConn(dst int) (net.Conn, error) {
-	if c, ok := p.conns[dst]; ok {
+func (w *World) dataConn(src, dst int) (net.Conn, error) {
+	conns := w.ranks[src-w.lo].conns
+	if c, ok := conns[dst]; ok {
 		return c, nil
 	}
-	w := p.w
 	addr := w.node.peers[rankProc(w.p, w.node.n, dst)]
 	c, err := net.DialTimeout(network(addr), addr, handshakeTimeout)
 	if err != nil {
-		return nil, fmt.Errorf("netcomm: dialing %s for rank %d→%d: %w", addr, p.id, dst, err)
+		return nil, fmt.Errorf("netcomm: dialing %s for rank %d→%d: %w", addr, src, dst, err)
 	}
-	if err := handshake(c, hello{kind: connData, gen: w.gen, a: uint32(p.id), b: uint32(dst), c: uint32(w.p)}); err != nil {
+	if err := handshake(c, hello{kind: connData, gen: w.gen, a: uint32(src), b: uint32(dst), c: uint32(w.p)}); err != nil {
 		if cerr := c.Close(); cerr != nil {
 			_ = cerr // the handshake error is the diagnosis
 		}
-		return nil, fmt.Errorf("netcomm: data handshake rank %d→%d: %w", p.id, dst, err)
+		return nil, fmt.Errorf("netcomm: data handshake rank %d→%d: %w", src, dst, err)
 	}
 	w.trackConn(c)
-	p.conns[dst] = c
+	conns[dst] = c
 	return c, nil
+}
+
+// dropConn forgets and closes rank src's connection toward dst, so the
+// next send redials.
+func (w *World) dropConn(src, dst int, c net.Conn) error {
+	delete(w.ranks[src-w.lo].conns, dst)
+	w.untrackConn(c)
+	return c.Close()
 }
 
 // DropTransport implements pcomm.TransportDropper for the fault layer:
@@ -638,111 +372,37 @@ func (p *Proc) DropTransport(dst int) string {
 		return fmt.Sprintf("netcomm: no transport toward invalid rank %d", dst)
 	}
 	if dst >= w.lo && dst < w.hi {
-		return fmt.Sprintf("in-process mailbox rank %d→%d (co-located, no socket to cut)", p.id, dst)
+		return fmt.Sprintf("in-process mailbox rank %d→%d (co-located, no socket to cut)", p.ID(), dst)
 	}
-	c, err := p.dataConn(dst)
+	c, err := w.dataConn(p.ID(), dst)
 	if err != nil {
-		return fmt.Sprintf("netcomm connection rank %d→%d (dial failed while arming the drop: %v)", p.id, dst, err)
+		return fmt.Sprintf("netcomm connection rank %d→%d (dial failed while arming the drop: %v)", p.ID(), dst, err)
 	}
 	desc := fmt.Sprintf("netcomm %s connection %s→%s (rank %d→%d), severed once",
-		c.LocalAddr().Network(), c.LocalAddr(), c.RemoteAddr(), p.id, dst)
-	delete(p.conns, dst)
-	w.untrackConn(c)
-	if cerr := c.Close(); cerr != nil {
+		c.LocalAddr().Network(), c.LocalAddr(), c.RemoteAddr(), p.ID(), dst)
+	if cerr := w.dropConn(p.ID(), dst, c); cerr != nil {
 		desc += fmt.Sprintf(" (close: %v)", cerr)
 	}
 	return desc
 }
 
-// Recv blocks until a message with the tag from src arrives.
-func (p *Proc) Recv(src, tag int) any {
-	t0 := p.Time()
-	m := p.recvMessage(src, tag)
-	if m.isRaw {
-		panic(fmt.Sprintf("netcomm: Recv(src=%d, tag=%d) matched a raw slice message; receive it with pcomm.RecvSlice", src, tag))
-	}
-	if p.tr != nil {
-		p.tr.Span("machine", "recv", t0, p.Time(),
-			trace.I("src", src), trace.I("tag", tag))
-	}
-	return m.payload
-}
-
-// RecvRaw implements the pcomm.RawComm fast path.
-func (p *Proc) RecvRaw(src, tag int) (pcomm.RawSlice, any, bool) {
-	t0 := p.Time()
-	m := p.recvMessage(src, tag)
-	if p.tr != nil {
-		p.tr.Span("machine", "recv", t0, p.Time(),
-			trace.I("src", src), trace.I("tag", tag))
-	}
-	return m.raw, m.payload, m.isRaw
-}
-
-func (p *Proc) recvMessage(src, tag int) message {
-	w := p.w
-	if src < 0 || src >= w.p {
-		panic(fmt.Sprintf("netcomm: Recv from invalid rank %d", src))
-	}
-	stash := &p.stash[src]
-	if m, ok := takeByTag(stash, tag); ok {
-		return m
-	}
-	b := &w.boxes[(p.id-w.lo)*w.p+src]
-	for {
-		n := len(*stash)
-		b.drainInto(stash)
-		if m, ok := takeByTagFrom(stash, tag, n); ok {
-			return m
-		}
-		p.blocked.Store(fmt.Sprintf("blocked in Recv(src=%d, tag=%d)", src, tag))
-		select {
-		case m := <-b.ch:
-			p.blocked.Store("")
-			if m.tag == tag {
-				return m
-			}
-			*stash = append(*stash, m)
-		case <-b.wake:
-			p.blocked.Store("")
-		case <-w.failCh:
-			p.blocked.Store("")
-			p.abort()
-		}
-	}
-}
-
-func takeByTag(stash *[]message, tag int) (message, bool) {
-	return takeByTagFrom(stash, tag, 0)
-}
-
-func takeByTagFrom(stash *[]message, tag, from int) (message, bool) {
-	s := *stash
-	for i := from; i < len(s); i++ {
-		if s[i].tag == tag {
-			m := s[i]
-			*stash = append(s[:i], s[i+1:]...)
-			return m, true
-		}
-	}
-	return message{}, false
-}
-
 // collect is the rendezvous underlying every collective: deposit to the
 // coordinator, await the rank-ordered broadcast, decode locally. The
-// fold over the returned values runs on every rank in rank order —
-// realcomm's exact loop — so network transport changes nothing bitwise.
-func (p *Proc) collect(op string, val any) []any {
-	w := p.w
-	p.stats.Collectives++
-	p.round++
+// engine folds the returned values on every rank in rank order, so
+// network transport changes nothing bitwise.
+func (w *World) collect(p *engine.Proc, op engine.Op, val any) []any {
+	rs := &w.ranks[p.ID()-w.lo]
+	rs.round++
 	pay, err := encodePayload(val)
 	if err != nil {
 		panic(err)
 	}
-	p.deposit(deposit{gen: w.gen, round: p.round, rank: p.id, p: w.p, op: op, pay: pay})
-	r := w.awaitResult(p, p.round, op)
-	if r.op != op {
+	if err := w.node.deposit(deposit{gen: w.gen, round: rs.round, rank: p.ID(), p: w.p, op: op.String(), pay: pay}); err != nil {
+		w.CheckFailed()
+		panic(fmt.Errorf("netcomm: depositing into collective %q: %w", op, err))
+	}
+	r := w.awaitResult(p, rs.round, op)
+	if r.op != op.String() {
 		panic(fmt.Sprintf("netcomm: collective mismatch: %q vs %q", r.op, op))
 	}
 	vals := make([]any, w.p)
@@ -759,101 +419,24 @@ func (p *Proc) collect(op string, val any) []any {
 	return vals
 }
 
-func (p *Proc) deposit(d deposit) {
-	if err := p.w.node.deposit(d); err != nil {
-		if p.w.failed() {
-			p.abort()
-		}
-		panic(fmt.Errorf("netcomm: depositing into collective %q: %w", d.op, err))
-	}
+// GatherFloat64 implements engine.Transport. The typed view is a fresh
+// slice per round: beside the round's gob and socket traffic, scratch
+// reuse would buy nothing.
+func (w *World) GatherFloat64(p *engine.Proc, v float64) []float64 {
+	return pcomm.Unbox([]float64(nil), w.collect(p, engine.OpAllReduceF64, v))
 }
 
-// depositStats is each rank's final act: contribute the run statistics
-// to the reserved stats round so the coordinator can assemble the
-// world's Result. Collectives is deliberately not incremented — the
-// round is bookkeeping, not part of the program.
-func (p *Proc) depositStats() {
-	pay, err := encodePayload(p.stats)
-	if err != nil {
-		panic(err)
-	}
-	p.deposit(deposit{gen: p.w.gen, round: p.round + 1, rank: p.id, p: p.w.p, op: opStats, pay: pay})
+// GatherInt implements engine.Transport.
+func (w *World) GatherInt(p *engine.Proc, v int) []int {
+	return pcomm.Unbox([]int(nil), w.collect(p, engine.OpAllReduceInt, v))
 }
 
-// Barrier synchronizes all ranks.
-func (p *Proc) Barrier() {
-	t0 := p.Time()
-	p.collect("barrier", nil)
-	if p.tr != nil {
-		p.tr.Span("machine", "barrier", t0, p.Time(), trace.I("bytes", 0))
-	}
-}
+// Gather implements engine.Transport.
+func (w *World) Gather(p *engine.Proc, op engine.Op, v any) []any { return w.collect(p, op, v) }
 
-// AllReduceFloat64 combines one float64 per rank with op, folding in
-// rank order — bitwise identical to the modelled backend.
-func (p *Proc) AllReduceFloat64(v float64, op pcomm.ReduceOp) float64 {
-	t0 := p.Time()
-	vals := p.collect("allreduce_f64", v)
-	if p.tr != nil {
-		p.tr.Span("machine", "allreduce_f64", t0, p.Time(), trace.I("bytes", 8))
-	}
-	out := vals[0].(float64)
-	for _, a := range vals[1:] {
-		x := a.(float64)
-		switch op {
-		case pcomm.OpSum:
-			out += x
-		case pcomm.OpMax:
-			if x > out {
-				out = x
-			}
-		case pcomm.OpMin:
-			if x < out {
-				out = x
-			}
-		}
-	}
-	return out
-}
+// Release implements engine.Transport: each rank's view is its own
+// decoded copy of the broadcast, so there is nothing to hand back.
+func (w *World) Release(p *engine.Proc, op engine.Op) {}
 
-// AllReduceInt combines one int per rank with op.
-func (p *Proc) AllReduceInt(v int, op pcomm.ReduceOp) int {
-	t0 := p.Time()
-	vals := p.collect("allreduce_int", v)
-	if p.tr != nil {
-		p.tr.Span("machine", "allreduce_int", t0, p.Time(), trace.I("bytes", 8))
-	}
-	out := vals[0].(int)
-	for _, a := range vals[1:] {
-		x := a.(int)
-		switch op {
-		case pcomm.OpSum:
-			out += x
-		case pcomm.OpMax:
-			if x > out {
-				out = x
-			}
-		case pcomm.OpMin:
-			if x < out {
-				out = x
-			}
-		}
-	}
-	return out
-}
-
-// AllGather deposits one value per rank and returns the slice indexed
-// by rank.
-func (p *Proc) AllGather(v any, bytes int) []any {
-	t0 := p.Time()
-	vals := p.collect("allgather", v)
-	if p.tr != nil {
-		p.tr.Span("machine", "allgather", t0, p.Time(), trace.I("bytes", bytes))
-	}
-	return vals
-}
-
-var _ pcomm.Comm = (*Proc)(nil)
-var _ pcomm.RawComm = (*Proc)(nil)
 var _ pcomm.TransportDropper = (*Proc)(nil)
 var _ pcomm.World = (*World)(nil)

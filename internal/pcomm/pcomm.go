@@ -3,21 +3,23 @@
 // against. A Comm is one virtual processor's handle inside a World.Run;
 // a World is a P-processor execution backend.
 //
-// Two backends implement the abstraction:
+// Three backends implement the abstraction:
 //
 //   - the modelled machine (internal/machine, wrapped by
 //     internal/pcomm/modelled): the paper's simulated Cray T3D with
 //     LogP-style virtual clocks. Time() is modelled seconds.
-//   - the real shared-memory backend (internal/pcomm/realcomm): per-pair
-//     mailboxes and sense-reversing-barrier collectives running at
-//     hardware speed. Time() is wall-clock seconds since Run started.
+//   - the shared-memory backend (internal/pcomm/realcomm) and the
+//     multi-process socket backend (internal/pcomm/netcomm): transports
+//     under the one wall-clock engine (internal/pcomm/engine), which owns
+//     the mailboxes, the processor handle and the collectives. Time() is
+//     wall-clock seconds since Run started.
 //
-// The two backends are bit-compatible in the Dong & Cooperman sense
+// All three run under the same Supervisor and reduce through the same
+// Fold, and are bit-compatible in the Dong & Cooperman sense
 // (arXiv:0803.0048): an SPMD program that follows the repo's SPMD
 // invariants (see internal/analysis) produces bitwise-identical
-// floating-point results on both, because every collective combines
-// contributions in processor-rank order on both backends. Only the
-// clocks differ.
+// floating-point results on each, because every collective combines
+// contributions in processor-rank order. Only the clocks differ.
 package pcomm
 
 import (
@@ -57,6 +59,18 @@ type Stats struct {
 type Result struct {
 	Elapsed float64 // max clock over processors (modelled or wall seconds)
 	PerProc []Stats
+}
+
+// NewResult assembles a Result from the per-processor stats: Elapsed is
+// the largest final clock.
+func NewResult(perProc []Stats) Result {
+	res := Result{PerProc: perProc}
+	for _, st := range perProc {
+		if st.Time > res.Elapsed {
+			res.Elapsed = st.Time
+		}
+	}
+	return res
 }
 
 // TotalFlops sums the flop counts of all processors.

@@ -2,126 +2,20 @@
 // goroutines exchanging messages at hardware speed, with no cost model
 // and no global lock.
 //
-// Point-to-point traffic flows through per-(src, dst) mailboxes — a
-// buffered channel fast path with a mutex-guarded overflow queue so
-// sends never block (the machine's Send is asynchronous and unbounded) —
-// and only the one processor that can consume a message is ever woken.
-// Payload slices pass by reference (zero-copy); through the
-// pcomm.RawComm fast path slice headers move without boxing into
-// interface values. Collectives rendezvous on a sense-reversing barrier
-// and combine contributions in processor-rank order, which makes every
-// floating-point result bitwise identical to the modelled backend (a
-// tree reduction would be faster asymptotically but would change the
-// rounding order and break the Dong & Cooperman bit-compatibility
-// property the cross-backend tests assert).
+// It is the engine's all-ranks-in-one-process transport: every
+// destination is a co-located mailbox (internal/pcomm/engine), so all
+// that lives here is the collective rendezvous — a sense-reversing
+// barrier around per-rank deposit slots, which the engine folds in
+// processor-rank order.
 package realcomm
 
 import (
 	"fmt"
-	"runtime/debug"
-	"strings"
-	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/pcomm"
-	"repro/internal/trace"
+	"repro/internal/pcomm/engine"
 )
-
-// mailboxCap is the buffered-channel fast path depth of one mailbox.
-// The SPMD codes in this repo keep at most a handful of messages in
-// flight per processor pair, so the overflow queue is cold.
-const mailboxCap = 256
-
-// message is one in-flight payload: boxed (payload) or an unboxed slice
-// header (raw) from the SendRaw fast path.
-type message struct {
-	tag     int
-	payload any
-	raw     pcomm.RawSlice
-	isRaw   bool
-}
-
-// mailbox is the (src, dst) channel between one producer goroutine and
-// one consumer goroutine. put never blocks: when the channel is full it
-// spills to the overflow queue and pings wake so a parked consumer
-// re-checks. FIFO holds because the producer stops using the channel
-// while spilled is set, and the consumer always drains the channel
-// before the overflow.
-type mailbox struct {
-	ch      chan message
-	wake    chan struct{} // cap 1; pinged after an overflow append
-	spilled atomic.Bool
-	mu      sync.Mutex
-	// over is the pooled spill buffer, held by pointer so returning it to
-	// overflowPool re-uses the same header (no boxing on Put). nil when
-	// nothing has spilled since the last drain.
-	over *[]message
-}
-
-// overflowPool recycles spill buffers across mailboxes and worlds. A
-// sync.Pool, not a free list (DESIGN.md §13): spills are bursty — a
-// phase that outruns the channel depth fills a buffer once, the consumer
-// drains it, and the buffer may not be needed again for the rest of the
-// run — so letting the GC reclaim idle buffers is the right policy, and
-// (unlike the scratch pools) nothing here needs deterministic
-// enumeration. Items are *[]message so Put never boxes a fresh header.
-var overflowPool = sync.Pool{New: func() any { return new([]message) }}
-
-// put delivers m; producer side only (the src goroutine).
-//
-//pilut:hotpath
-func (b *mailbox) put(m message) {
-	if !b.spilled.Load() {
-		select {
-		case b.ch <- m:
-			return
-		default:
-		}
-	}
-	b.mu.Lock()
-	b.spilled.Store(true)
-	if b.over == nil {
-		b.over = overflowPool.Get().(*[]message)
-	}
-	*b.over = append(*b.over, m) //pilutlint:ok hotalloc overflow spill path is cold; the buffer comes from overflowPool and grows to burst size once
-	b.mu.Unlock()
-	select {
-	case b.wake <- struct{}{}:
-	default:
-	}
-}
-
-// drainInto moves every currently delivered message into stash in
-// arrival order; consumer side only (the dst goroutine).
-//
-//pilut:hotpath
-func (b *mailbox) drainInto(stash *[]message) {
-	for {
-		select {
-		case m := <-b.ch:
-			*stash = append(*stash, m) //pilutlint:ok hotalloc stash grows to the peak out-of-order depth once, then is reused
-			continue
-		default:
-		}
-		break
-	}
-	if b.spilled.Load() {
-		b.mu.Lock()
-		ov := b.over
-		b.over = nil
-		b.spilled.Store(false)
-		b.mu.Unlock()
-		*stash = append(*stash, *ov...) //pilutlint:ok hotalloc stash grows to the peak out-of-order depth once, then is reused
-		// Clear payload references before recycling the spill buffer so a
-		// pooled buffer cannot pin delivered payloads, then hand it back.
-		for i := range *ov {
-			(*ov)[i] = message{}
-		}
-		*ov = (*ov)[:0]
-		overflowPool.Put(ov)
-	}
-}
 
 // barrier is a sense-reversing barrier: arrivals of one generation
 // capture the release channel of their sense before incrementing, the
@@ -132,92 +26,19 @@ type barrier struct {
 	release [2]chan struct{}
 }
 
-// Collective op codes. The rendezvous deposits and compares these bytes
-// instead of strings; opNames renders them for mismatch panics and the
-// watchdog dump, byte-identical to the historical messages.
-const (
-	opBarrier uint8 = iota
-	opAllReduceF64
-	opAllReduceInt
-	opAllGather
-)
-
-var opNames = [...]string{"barrier", "allreduce_f64", "allreduce_int", "allgather"}
-
-// Blocked-state encoding: publishing a wait state on the receive and
-// collective hot paths is one atomic uint64 store instead of an
-// fmt.Sprintf plus a string-into-interface heap escape. Layout: bits
-// [0,3) kind, [3,8) collective op code, [8,24) source rank, [24,64) tag.
-// dump decodes back to the historical human-readable strings.
-const (
-	stateNone uint64 = iota
-	stateRecv
-	stateCollWait
-	stateCollLeave
-)
-
-func packRecvState(src, tag int) uint64 {
-	return stateRecv | uint64(src)<<8 | uint64(tag)<<24
-}
-
-func packCollState(kind uint64, op uint8) uint64 {
-	return kind | uint64(op)<<3
-}
-
-// renderBlocked decodes a packed blocked state for the watchdog dump.
-func renderBlocked(s uint64) string {
-	switch s & 7 {
-	case stateRecv:
-		return fmt.Sprintf("blocked in Recv(src=%d, tag=%d)", (s>>8)&0xFFFF, s>>24)
-	case stateCollWait:
-		return fmt.Sprintf("waiting in collective %q", opNames[(s>>3)&31])
-	case stateCollLeave:
-		return fmt.Sprintf("leaving collective %q", opNames[(s>>3)&31])
-	}
-	return ""
-}
-
-// DeadlockError is the failure a watchdog-armed Run panics with when the
-// timeout expires, mirroring machine.DeadlockError: Dump reports what
-// each processor was last blocked on.
-type DeadlockError struct {
-	Timeout time.Duration
-	Dump    string
-}
-
-func (e *DeadlockError) Error() string {
-	return fmt.Sprintf("realcomm: watchdog: run still blocked after %v\n%s", e.Timeout, e.Dump)
-}
-
 // World is a P-processor shared-memory run. A World is single-use, like
 // a machine.Machine.
 type World struct {
-	p     int
-	boxes []mailbox // index src*p + dst
-	bar   barrier
+	*engine.World
+	bar barrier
 	// Rendezvous deposit slots, indexed by rank. Scalar reductions use
 	// the unboxed fvals/ivals arrays — depositing a float64 or int there
 	// is a plain store, where boxing into vals would heap-allocate on
-	// every collective — and the generic AllGather keeps the boxed slots.
-	opIdx []uint8
+	// every collective — and Barrier/AllGather use the boxed slots.
+	ops   []engine.Op
 	vals  []any
 	fvals []float64
 	ivals []int
-
-	failMu    sync.Mutex
-	failCause any
-	failRank  int    // root-cause rank, -1 when none (watchdog)
-	failStack string // panicking goroutine's stack, "" for watchdog
-	failDump  string // blocked-state table at failure time
-	failCh    chan struct{}
-
-	mu       sync.Mutex
-	started  bool
-	watchdog time.Duration
-	rec      *trace.Recorder
-
-	start time.Time
-	procs []*Proc
 }
 
 // New creates a real-backend world with p processors.
@@ -226,470 +47,102 @@ func New(p int) *World {
 		panic("realcomm: need at least one processor")
 	}
 	w := &World{
-		p:      p,
-		boxes:  make([]mailbox, p*p),
-		opIdx:  make([]uint8, p),
-		vals:   make([]any, p),
-		fvals:  make([]float64, p),
-		ivals:  make([]int, p),
-		failCh: make(chan struct{}),
-	}
-	for i := range w.boxes {
-		w.boxes[i].ch = make(chan message, mailboxCap)
-		w.boxes[i].wake = make(chan struct{}, 1)
+		ops:   make([]engine.Op, p),
+		vals:  make([]any, p),
+		fvals: make([]float64, p),
+		ivals: make([]int, p),
 	}
 	w.bar.size = int32(p)
 	w.bar.release[0] = make(chan struct{})
 	w.bar.release[1] = make(chan struct{})
+	w.World = engine.New(w, "real", "realcomm", "proc", p, 0, p)
 	return w
 }
 
-// NumProcs returns P.
-func (w *World) NumProcs() int { return w.p }
-
-// SetWatchdog arms a per-Run deadlock timeout; must be called before
-// Run, d ≤ 0 disables.
-func (w *World) SetWatchdog(d time.Duration) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.started {
-		panic("realcomm: SetWatchdog must be called before Run")
-	}
-	w.watchdog = d
-}
-
-// SetRecorder attaches a trace recorder; timestamps are wall-clock
-// seconds since Run started. Must be called before Run.
-func (w *World) SetRecorder(r *trace.Recorder) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.started {
-		panic("realcomm: SetRecorder after Run")
-	}
-	if r != nil && r.NumProcs() < w.p {
-		panic(fmt.Sprintf("realcomm: recorder covers %d processors, world has %d", r.NumProcs(), w.p))
-	}
-	w.rec = r
-}
-
-// procAbort wraps the original panic so that secondary processors woken
-// by a failure do not overwrite the root cause when they unwind.
-type procAbort struct{ cause any }
-
-func (w *World) fail(cause any) {
-	w.failProc(-1, cause, "")
-}
-
-// failProc records the root failure cause with its rank and stack trace
-// and poisons failCh, waking every processor parked in a mailbox receive
-// or barrier wait so siblings unwind promptly. Only the first failure
-// wins; the blocked-state dump is snapshotted at that moment.
-func (w *World) failProc(rank int, cause any, stack string) {
-	w.failMu.Lock()
-	if w.failCause == nil {
-		w.failCause = cause
-		w.failRank = rank
-		w.failStack = stack
-		w.failDump = w.dump()
-		if stack != "" {
-			w.failDump += fmt.Sprintf("\nroot-cause stack (proc %d):\n%s", rank, stack)
-		}
-		close(w.failCh)
-	}
-	w.failMu.Unlock()
-}
-
-// abort panics with the run's root failure cause; called by processors
-// woken out of a blocking operation by failCh.
-func (p *Proc) abort() {
-	p.w.failMu.Lock()
-	cause := p.w.failCause
-	p.w.failMu.Unlock()
-	panic(procAbort{cause})
-}
-
-// Run executes f on every processor concurrently. Panic propagation and
-// single-use semantics match machine.Machine.Run.
-func (w *World) Run(f func(pcomm.Comm)) pcomm.Result {
-	w.mu.Lock()
-	if w.started {
-		w.mu.Unlock()
-		panic("realcomm: Run called twice on the same World; a World is single-use — create a new World per run")
-	}
-	w.started = true
-	rec := w.rec
-	wd := w.watchdog
-	w.mu.Unlock()
-
-	w.procs = make([]*Proc, w.p)
-	for i := 0; i < w.p; i++ {
-		w.procs[i] = &Proc{id: i, w: w, tr: rec.Proc(i), stash: make([][]message, w.p)}
-	}
-	w.start = time.Now()
-
-	stopWatchdog := func() {}
-	if wd > 0 {
-		done := make(chan struct{})
-		go func() {
-			t := time.NewTimer(wd)
-			defer t.Stop()
-			select {
-			case <-done:
-			case <-t.C:
-				w.fail(&DeadlockError{Timeout: wd, Dump: w.dump()})
-			}
-		}()
-		stopWatchdog = func() { close(done) }
-	}
-	defer stopWatchdog()
-
-	var wg sync.WaitGroup
-	wg.Add(w.p)
-	for i := 0; i < w.p; i++ {
-		go func(p *Proc) {
-			defer wg.Done()
-			defer func() {
-				if r := recover(); r != nil {
-					if _, secondary := r.(procAbort); secondary {
-						w.fail(r)
-						return
-					}
-					// Capturing the stack inside the deferred recover
-					// preserves the panicking frames: defers run before
-					// the stack unwinds, so the trace survives into the
-					// fail-channel payload and the RunError.
-					w.failProc(p.id, r, string(debug.Stack()))
-				}
-			}()
-			f(p)
-			p.stats.Time = time.Since(w.start).Seconds()
-		}(w.procs[i])
-	}
-	wg.Wait()
-
-	w.failMu.Lock()
-	failed := w.failCause
-	rank, stack, dump := w.failRank, w.failStack, w.failDump
-	w.failMu.Unlock()
-	if failed != nil {
-		if abort, ok := failed.(procAbort); ok {
-			failed = abort.cause
-		}
-		panic(&pcomm.RunError{Backend: "real", Rank: rank, Cause: failed, Stack: stack, Dump: dump})
-	}
-	res := pcomm.Result{PerProc: make([]pcomm.Stats, w.p)}
-	for i, p := range w.procs {
-		res.PerProc[i] = p.stats
-		if p.stats.Time > res.Elapsed {
-			res.Elapsed = p.stats.Time
-		}
-	}
-	return res
-}
-
-// dump renders every processor's last published blocked state for the
-// watchdog's deadlock report.
-func (w *World) dump() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "P=%d processors:\n", w.p)
-	for _, p := range w.procs {
-		state := renderBlocked(p.blocked.Load())
-		if state == "" {
-			state = "not blocked in the communicator (computing or finished)"
-		}
-		fmt.Fprintf(&b, "  proc %d: %s\n", p.id, state)
-	}
-	return strings.TrimRight(b.String(), "\n")
-}
-
-// await passes the sense-reversing barrier; blocked is the packed wait
-// state published for the watchdog dump.
+// await passes the sense-reversing barrier; blocked is the wait state
+// published for the watchdog dump. Every collective passes it exactly
+// twice, so the sense is static: 0 to enter, 1 to leave.
 //
 //pilut:hotpath
-func (w *World) await(p *Proc, blocked uint64) {
-	s := p.sense
-	ch := w.bar.release[s]
-	p.sense = 1 - s
+func (w *World) await(p *engine.Proc, sense int, blocked uint64) {
+	ch := w.bar.release[sense]
 	if w.bar.count.Add(1) == w.bar.size {
 		w.bar.count.Store(0)
-		w.bar.release[1-s] = make(chan struct{}) //pilutlint:ok hotalloc one channel per barrier generation is the sense-reversing protocol
+		w.bar.release[1-sense] = make(chan struct{}) //pilutlint:ok hotalloc one channel per barrier generation is the sense-reversing protocol
 		close(ch)
 		return
 	}
-	p.blocked.Store(blocked)
-	defer p.blocked.Store(stateNone)
-	select {
-	case <-ch:
-	case <-w.failCh:
-		p.abort()
-	}
-}
-
-// Proc is one processor's communicator handle. Like machine.Proc it is
-// confined to the goroutine Run handed it to.
-type Proc struct {
-	id    int
-	w     *World
-	tr    *trace.ProcTracer
-	stats pcomm.Stats
-	sense int
-	// stash holds messages drained from a mailbox while looking for a
-	// different tag, in arrival order, indexed by src. Owned by this
-	// processor's goroutine.
-	stash [][]message
-	// blocked publishes the packed wait state (see renderBlocked) for the
-	// watchdog.
-	blocked atomic.Uint64
-}
-
-// ID returns this processor's rank.
-func (p *Proc) ID() int { return p.id }
-
-// P returns the number of processors.
-func (p *Proc) P() int { return p.w.p }
-
-// Time returns wall-clock seconds since Run started.
-func (p *Proc) Time() float64 { return time.Since(p.w.start).Seconds() }
-
-// Work accounts flops; the real backend spends actual time instead of
-// advancing a model clock.
-func (p *Proc) Work(flops float64) { p.stats.Flops += flops }
-
-// Sleep is a no-op: modelled non-flop local work takes its actual time
-// here.
-func (p *Proc) Sleep(dt float64) {}
-
-// Stats returns a snapshot of the processor's counters.
-func (p *Proc) Stats() pcomm.Stats {
-	s := p.stats
-	s.Time = p.Time()
-	return s
-}
-
-// Tracer returns the processor's trace sink, nil when tracing is off.
-func (p *Proc) Tracer() *trace.ProcTracer { return p.tr }
-
-// Send delivers payload to dst under tag. bytes feeds the traffic
-// counters (the cost model vocabulary is kept so both backends report
-// identical MsgsSent/BytesSent for the same program).
-func (p *Proc) Send(dst, tag int, payload any, bytes int) {
-	p.send(dst, tag, message{tag: tag, payload: payload}, bytes)
-}
-
-// SendRaw implements the pcomm.RawComm zero-boxing fast path.
-func (p *Proc) SendRaw(dst, tag int, h pcomm.RawSlice, bytes int) {
-	p.send(dst, tag, message{tag: tag, raw: h, isRaw: true}, bytes)
-}
-
-func (p *Proc) send(dst, tag int, m message, bytes int) {
-	w := p.w
-	if dst < 0 || dst >= w.p {
-		panic(fmt.Sprintf("realcomm: Send to invalid processor %d", dst))
-	}
-	p.stats.MsgsSent++
-	p.stats.BytesSent += int64(bytes)
-	if p.tr != nil {
-		p.tr.Instant("machine", "send", p.Time(),
-			trace.I("dst", dst), trace.I("tag", tag), trace.I("bytes", bytes))
-	}
-	w.boxes[p.id*w.p+dst].put(m)
-}
-
-// Recv blocks until a message with the given tag from src is available
-// and returns its payload.
-func (p *Proc) Recv(src, tag int) any {
-	t0 := p.Time()
-	m := p.recvMessage(src, tag)
-	if m.isRaw {
-		panic(fmt.Sprintf("realcomm: Recv(src=%d, tag=%d) matched a raw slice message; receive it with pcomm.RecvSlice", src, tag))
-	}
-	if p.tr != nil {
-		p.tr.Span("machine", "recv", t0, p.Time(),
-			trace.I("src", src), trace.I("tag", tag))
-	}
-	return m.payload
-}
-
-// RecvRaw implements the pcomm.RawComm zero-boxing fast path.
-func (p *Proc) RecvRaw(src, tag int) (pcomm.RawSlice, any, bool) {
-	t0 := p.Time()
-	m := p.recvMessage(src, tag)
-	if p.tr != nil {
-		p.tr.Span("machine", "recv", t0, p.Time(),
-			trace.I("src", src), trace.I("tag", tag))
-	}
-	return m.raw, m.payload, m.isRaw
-}
-
-//pilut:hotpath
-func (p *Proc) recvMessage(src, tag int) message {
-	w := p.w
-	if src < 0 || src >= w.p {
-		panic(fmt.Sprintf("realcomm: Recv from invalid processor %d", src))
-	}
-	stash := &p.stash[src]
-	if m, ok := takeByTag(stash, tag); ok {
-		return m
-	}
-	b := &w.boxes[src*w.p+p.id]
-	for {
-		n := len(*stash)
-		b.drainInto(stash)
-		if m, ok := takeByTagFrom(stash, tag, n); ok {
-			return m
-		}
-		p.blocked.Store(packRecvState(src, tag))
-		select {
-		case m := <-b.ch:
-			p.blocked.Store(stateNone)
-			// m is newer than everything stashed, so if it matches it is
-			// the FIFO-correct next message of this tag.
-			if m.tag == tag {
-				return m
-			}
-			*stash = append(*stash, m) //pilutlint:ok hotalloc stash grows to the peak out-of-order depth once, then is reused
-		case <-b.wake:
-			p.blocked.Store(stateNone)
-		case <-w.failCh:
-			p.abort()
-		}
-	}
-}
-
-// takeByTag removes and returns the first stashed message with the tag.
-func takeByTag(stash *[]message, tag int) (message, bool) {
-	return takeByTagFrom(stash, tag, 0)
-}
-
-// takeByTagFrom scans stash starting at index from (earlier entries are
-// known not to match from a previous scan).
-func takeByTagFrom(stash *[]message, tag, from int) (message, bool) {
-	s := *stash
-	for i := from; i < len(s); i++ {
-		if s[i].tag == tag {
-			m := s[i]
-			*stash = append(s[:i], s[i+1:]...)
-			return m, true
-		}
-	}
-	return message{}, false
+	p.Park(ch, blocked)
 }
 
 // enter is the first half of every collective rendezvous: deposit the op
 // code, pass the phase-1 barrier, and verify all processors entered the
-// same collective. Between enter and leave every deposit slot is stable
-// and readable by everyone; leave (the phase-2 barrier) releases the
-// slots for the next collective.
+// same collective. Between enter and Release every deposit slot is stable
+// and readable by everyone; Release (the phase-2 barrier) frees the slots
+// for the next collective.
 //
 //pilut:hotpath
-func (p *Proc) enter(op uint8) {
-	w := p.w
-	p.stats.Collectives++
-	w.opIdx[p.id] = op
-	w.await(p, packCollState(stateCollWait, op))
-	for q := 0; q < w.p; q++ {
-		if w.opIdx[q] != op {
-			panic(fmt.Sprintf("realcomm: collective mismatch: %q vs %q", opNames[w.opIdx[q]], opNames[op]))
+func (w *World) enter(p *engine.Proc, op engine.Op) {
+	w.ops[p.ID()] = op
+	w.await(p, 0, engine.Waiting(op, 0))
+	for _, theirs := range w.ops {
+		if theirs != op {
+			panic(fmt.Sprintf("realcomm: collective mismatch: %q vs %q", theirs, op))
 		}
 	}
 }
 
-//pilut:hotpath
-func (p *Proc) leave(op uint8) {
-	p.w.await(p, packCollState(stateCollLeave, op))
-}
-
-// Barrier synchronizes all processors.
+// GatherFloat64 implements engine.Transport over the unboxed slots, so
+// the steady-state reduction allocates nothing.
 //
 //pilut:hotpath
-func (p *Proc) Barrier() {
-	t0 := p.Time()
-	p.enter(opBarrier)
-	p.leave(opBarrier)
-	if p.tr != nil {
-		p.tr.Span("machine", "barrier", t0, p.Time(), trace.I("bytes", 0))
-	}
+func (w *World) GatherFloat64(p *engine.Proc, v float64) []float64 {
+	w.fvals[p.ID()] = v
+	w.enter(p, engine.OpAllReduceF64)
+	return w.fvals
 }
 
-// AllReduceFloat64 combines one float64 per processor with op. The fold
-// runs in rank order — bitwise identical to the modelled backend — over
-// the unboxed deposit array, so the steady-state reduction allocates
-// nothing.
+// GatherInt implements engine.Transport.
 //
 //pilut:hotpath
-func (p *Proc) AllReduceFloat64(v float64, op pcomm.ReduceOp) float64 {
-	t0 := p.Time()
-	w := p.w
-	w.fvals[p.id] = v
-	p.enter(opAllReduceF64)
-	out := w.fvals[0]
-	for _, x := range w.fvals[1:] {
-		switch op {
-		case pcomm.OpSum:
-			out += x
-		case pcomm.OpMax:
-			if x > out {
-				out = x
-			}
-		case pcomm.OpMin:
-			if x < out {
-				out = x
-			}
-		}
-	}
-	p.leave(opAllReduceF64)
-	if p.tr != nil {
-		p.tr.Span("machine", "allreduce_f64", t0, p.Time(), trace.I("bytes", 8))
-	}
-	return out
+func (w *World) GatherInt(p *engine.Proc, v int) []int {
+	w.ivals[p.ID()] = v
+	w.enter(p, engine.OpAllReduceInt)
+	return w.ivals
 }
 
-// AllReduceInt combines one int per processor with op.
+// Gather implements engine.Transport.
 //
 //pilut:hotpath
-func (p *Proc) AllReduceInt(v int, op pcomm.ReduceOp) int {
-	t0 := p.Time()
-	w := p.w
-	w.ivals[p.id] = v
-	p.enter(opAllReduceInt)
-	out := w.ivals[0]
-	for _, x := range w.ivals[1:] {
-		switch op {
-		case pcomm.OpSum:
-			out += x
-		case pcomm.OpMax:
-			if x > out {
-				out = x
-			}
-		case pcomm.OpMin:
-			if x < out {
-				out = x
-			}
-		}
-	}
-	p.leave(opAllReduceInt)
-	if p.tr != nil {
-		p.tr.Span("machine", "allreduce_int", t0, p.Time(), trace.I("bytes", 8))
-	}
-	return out
+func (w *World) Gather(p *engine.Proc, op engine.Op, v any) []any {
+	w.vals[p.ID()] = v
+	w.enter(p, op)
+	return w.vals
 }
 
-// AllGather deposits one value per processor and returns the slice
-// indexed by processor rank. The result is inherently per-call storage,
-// so this path keeps the boxed deposit slots.
-func (p *Proc) AllGather(v any, bytes int) []any {
-	t0 := p.Time()
-	w := p.w
-	w.vals[p.id] = v
-	p.enter(opAllGather)
-	vals := append([]any(nil), w.vals...)
-	p.leave(opAllGather)
-	if p.tr != nil {
-		p.tr.Span("machine", "allgather", t0, p.Time(), trace.I("bytes", bytes))
-	}
-	return vals
+// Release implements engine.Transport.
+//
+//pilut:hotpath
+func (w *World) Release(p *engine.Proc, op engine.Op) {
+	w.await(p, 1, engine.Leaving(op))
 }
 
-var _ pcomm.Comm = (*Proc)(nil)
-var _ pcomm.RawComm = (*Proc)(nil)
+// Ship implements engine.Transport; unreachable, since every rank is
+// hosted here.
+func (w *World) Ship(p *engine.Proc, dst int, m engine.Message) {
+	panic(fmt.Sprintf("realcomm: rank %d is not hosted in this process", dst))
+}
+
+// Abort implements engine.Transport: there is no other process to tell,
+// and every blocking wait already goes through Park.
+func (w *World) Abort(rank int, cause any) {}
+
+// Finish implements engine.Transport.
+func (w *World) Finish(local []pcomm.Stats) pcomm.Result { return pcomm.NewResult(local) }
+
+// DumpFrame implements engine.Transport.
+func (w *World) DumpFrame() (head, tail string) {
+	return fmt.Sprintf("P=%d processors:", w.NumProcs()), ""
+}
+
 var _ pcomm.World = (*World)(nil)

@@ -1,107 +1,13 @@
 package realcomm
 
 import (
-	"fmt"
-	"strings"
-	"sync/atomic"
 	"testing"
-	"time"
 
 	"repro/internal/pcomm"
-	"repro/internal/trace"
 )
 
-func TestSendRecvFIFO(t *testing.T) {
-	w := New(2)
-	w.Run(func(c pcomm.Comm) {
-		const n = 2000 // well past mailboxCap so the overflow path runs
-		if c.ID() == 0 {
-			for i := 0; i < n; i++ {
-				c.Send(1, 7, i, 8)
-			}
-		} else {
-			for i := 0; i < n; i++ {
-				got := c.Recv(0, 7).(int)
-				if got != i {
-					t.Errorf("message %d arrived out of order: got %d", i, got)
-					return
-				}
-			}
-		}
-	})
-}
-
-func TestRecvOutOfOrderTags(t *testing.T) {
-	w := New(2)
-	w.Run(func(c pcomm.Comm) {
-		if c.ID() == 0 {
-			c.Send(1, 1, "first-tag1", 8)
-			c.Send(1, 2, "tag2", 8)
-			c.Send(1, 1, "second-tag1", 8)
-		} else {
-			if got := c.Recv(0, 2).(string); got != "tag2" {
-				t.Errorf("tag 2: got %q", got)
-			}
-			if got := c.Recv(0, 1).(string); got != "first-tag1" {
-				t.Errorf("tag 1 first: got %q", got)
-			}
-			if got := c.Recv(0, 1).(string); got != "second-tag1" {
-				t.Errorf("tag 1 second: got %q", got)
-			}
-		}
-	})
-}
-
-func TestCollectives(t *testing.T) {
-	const P = 5
-	w := New(P)
-	w.Run(func(c pcomm.Comm) {
-		me := float64(c.ID() + 1)
-		if got := c.AllReduceFloat64(me, pcomm.OpSum); got != 15 {
-			t.Errorf("proc %d: sum = %v, want 15", c.ID(), got)
-		}
-		if got := c.AllReduceInt(c.ID(), pcomm.OpMax); got != P-1 {
-			t.Errorf("proc %d: max = %d, want %d", c.ID(), got, P-1)
-		}
-		if got := c.AllReduceInt(c.ID(), pcomm.OpMin); got != 0 {
-			t.Errorf("proc %d: min = %d, want 0", c.ID(), got)
-		}
-		gathered := c.AllGather(c.ID()*10, 8)
-		for q, v := range gathered {
-			if v.(int) != q*10 {
-				t.Errorf("proc %d: gathered[%d] = %v", c.ID(), q, v)
-			}
-		}
-		c.Barrier()
-		// Rank-order gather helpers over slices.
-		rows := pcomm.AllGatherInts(c, []int{c.ID(), c.ID()})
-		for q, r := range rows {
-			if len(r) != 2 || r[0] != q || r[1] != q {
-				t.Errorf("proc %d: AllGatherInts[%d] = %v", c.ID(), q, r)
-			}
-		}
-	})
-}
-
-func TestBarrierReuse(t *testing.T) {
-	const P, rounds = 4, 100
-	w := New(P)
-	var phase atomic.Int64
-	w.Run(func(c pcomm.Comm) {
-		for r := 0; r < rounds; r++ {
-			c.Barrier()
-			if got := phase.Load(); got != int64(r) {
-				t.Errorf("proc %d round %d: phase %d", c.ID(), r, got)
-				return
-			}
-			c.Barrier()
-			if c.ID() == 0 {
-				phase.Add(1)
-			}
-		}
-	})
-}
-
+// The contract shared with the other backends is pcommtest.Conformance;
+// what is specific to shared memory is that delivery aliases.
 func TestSendSliceZeroCopy(t *testing.T) {
 	w := New(2)
 	src := []float64{1, 2, 3}
@@ -119,156 +25,5 @@ func TestSendSliceZeroCopy(t *testing.T) {
 	})
 	if src[0] != 42 {
 		t.Errorf("expected zero-copy delivery to alias the source slice; src = %v", src)
-	}
-}
-
-func TestRecvOnRawMessagePanics(t *testing.T) {
-	defer func() {
-		r := recover()
-		if r == nil || !strings.Contains(fmt.Sprint(r), "RecvSlice") {
-			t.Fatalf("recover() = %v, want RecvSlice hint", r)
-		}
-	}()
-	w := New(2)
-	w.Run(func(c pcomm.Comm) {
-		if c.ID() == 0 {
-			pcomm.SendSlice(c, 1, 1, []int{1})
-		} else {
-			c.Recv(0, 1)
-		}
-	})
-}
-
-func TestCollectiveMismatchPanics(t *testing.T) {
-	defer func() {
-		r := recover()
-		if r == nil || !strings.Contains(fmt.Sprint(r), "collective mismatch") {
-			t.Fatalf("recover() = %v, want collective mismatch", r)
-		}
-	}()
-	w := New(2)
-	w.Run(func(c pcomm.Comm) {
-		if c.ID() == 0 {
-			c.Barrier()
-		} else {
-			c.AllReduceInt(1, pcomm.OpSum)
-		}
-	})
-}
-
-func TestPanicPropagatesRootCause(t *testing.T) {
-	defer func() {
-		r := recover()
-		re, ok := r.(*pcomm.RunError)
-		if !ok {
-			t.Fatalf("recover() = %v (%T), want *pcomm.RunError", r, r)
-		}
-		if re.Rank != 1 || re.Cause != any("boom on proc 1") {
-			t.Fatalf("root cause lost: rank=%d cause=%v", re.Rank, re.Cause)
-		}
-		// The fail-channel payload must preserve the panicking
-		// goroutine's stack, and the dump must embed it.
-		if !strings.Contains(re.Stack, "TestPanicPropagatesRootCause") {
-			t.Errorf("stack trace does not name the panicking frame:\n%s", re.Stack)
-		}
-		if !strings.Contains(re.Dump, "root-cause stack (proc 1)") {
-			t.Errorf("dump missing root-cause stack section:\n%s", re.Dump)
-		}
-	}()
-	w := New(3)
-	w.Run(func(c pcomm.Comm) {
-		if c.ID() == 1 {
-			panic("boom on proc 1")
-		}
-		c.Recv(1, 9) // would deadlock without failure propagation
-	})
-}
-
-func TestWatchdogDeadlock(t *testing.T) {
-	defer func() {
-		r := recover()
-		re, ok := r.(*pcomm.RunError)
-		if !ok {
-			t.Fatalf("recover() = %v (%T), want *pcomm.RunError", r, r)
-		}
-		de, ok := re.Cause.(*DeadlockError)
-		if !ok {
-			t.Fatalf("cause = %v (%T), want *DeadlockError", re.Cause, re.Cause)
-		}
-		if re.Rank != -1 {
-			t.Errorf("watchdog failure blames rank %d, want -1", re.Rank)
-		}
-		if !strings.Contains(de.Dump, "Recv(src=1, tag=5)") {
-			t.Errorf("dump missing blocked Recv state:\n%s", de.Dump)
-		}
-	}()
-	w := New(2)
-	w.SetWatchdog(50 * time.Millisecond)
-	w.Run(func(c pcomm.Comm) {
-		if c.ID() == 0 {
-			c.Recv(1, 5) // never sent
-		}
-	})
-}
-
-func TestStatsCounters(t *testing.T) {
-	w := New(2)
-	res := w.Run(func(c pcomm.Comm) {
-		c.Work(100)
-		if c.ID() == 0 {
-			c.Send(1, 1, 1.0, 8)
-		} else {
-			c.Recv(0, 1)
-		}
-		c.Barrier()
-	})
-	if res.PerProc[0].MsgsSent != 1 || res.PerProc[0].BytesSent != 8 {
-		t.Errorf("proc 0 traffic = %+v", res.PerProc[0])
-	}
-	if res.PerProc[0].Collectives != 1 || res.PerProc[1].Collectives != 1 {
-		t.Errorf("collectives = %d, %d", res.PerProc[0].Collectives, res.PerProc[1].Collectives)
-	}
-	if res.PerProc[0].Flops != 100 {
-		t.Errorf("flops = %v", res.PerProc[0].Flops)
-	}
-	if res.Elapsed <= 0 {
-		t.Errorf("elapsed = %v, want wall time > 0", res.Elapsed)
-	}
-}
-
-func TestRunTwicePanics(t *testing.T) {
-	w := New(1)
-	w.Run(func(c pcomm.Comm) {})
-	defer func() {
-		if recover() == nil {
-			t.Fatal("second Run did not panic")
-		}
-	}()
-	w.Run(func(c pcomm.Comm) {})
-}
-
-func TestTracerRecordsEvents(t *testing.T) {
-	w := New(2)
-	rec := trace.NewRecorder(2)
-	w.SetRecorder(rec)
-	w.Run(func(c pcomm.Comm) {
-		if !c.Tracer().Enabled() {
-			t.Errorf("proc %d: tracer disabled with recorder set", c.ID())
-		}
-		if c.ID() == 0 {
-			c.Send(1, 1, nil, 0)
-		} else {
-			c.Recv(0, 1)
-		}
-		c.Barrier()
-	})
-	names := map[string]bool{}
-	for _, e := range rec.Events() {
-		names[e.Name] = true
-	}
-	for _, want := range []string{"send", "recv", "barrier"} {
-		if !names[want] {
-			t.Errorf("trace missing %q event; got %v", want, names)
-		}
 	}
 }

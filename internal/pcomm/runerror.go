@@ -13,7 +13,8 @@ import (
 // solver service, a test harness — can catch with Guard, inspect, and
 // contain to one request instead of one process.
 type RunError struct {
-	// Backend names the world that failed ("modelled" or "real").
+	// Backend names the world that failed ("modelled", "real" or
+	// "netcomm").
 	Backend string
 	// Rank is the virtual processor whose panic was the root cause, or
 	// -1 when no single processor is to blame (watchdog deadlock).
@@ -51,7 +52,7 @@ func (e *RunError) Unwrap() error {
 }
 
 // Guard runs f on w and converts a failed run into an error instead of a
-// propagating panic. Both backends panic with *RunError on processor
+// propagating panic. Every backend panics with *RunError on processor
 // panics and watchdog deadlocks, so err is almost always a *RunError;
 // any other panic escaping Run (programmer errors such as reusing a
 // single-use world) is wrapped in one with Rank -1 so the caller still

@@ -18,8 +18,9 @@ type RawSlice struct {
 }
 
 // RawComm is the optional zero-boxing fast path a backend may provide.
-// The real shared-memory backend implements it; the modelled simulator
-// does not (boxed payloads are irrelevant next to its virtual clocks).
+// The wall-clock engine implements it, so both of its transports
+// (realcomm, netcomm) have it; the modelled simulator does not (boxed
+// payloads are irrelevant next to its virtual clocks).
 // SendRaw/RecvRaw must match Send/Recv semantics exactly: same FIFO
 // order per (src, dst, tag), same counters, interchangeable with boxed
 // messages on the same tag — RecvRaw returns the boxed payload (isRaw

@@ -2,10 +2,7 @@ package service
 
 import (
 	"context"
-	"encoding/json"
-	"os"
 	"testing"
-	"time"
 
 	"repro/internal/ilu"
 	"repro/internal/machine"
@@ -63,102 +60,4 @@ func BenchmarkCacheHitSolve(b *testing.B) {
 			b.Fatalf("res=%+v err=%v (want a cache hit)", res, err)
 		}
 	}
-}
-
-type benchDist struct {
-	MeanMs float64 `json:"mean_ms"`
-	MinMs  float64 `json:"min_ms"`
-	MaxMs  float64 `json:"max_ms"`
-}
-
-func summarize(samples []float64) benchDist {
-	d := benchDist{MinMs: samples[0], MaxMs: samples[0]}
-	for _, v := range samples {
-		d.MeanMs += v
-		if v < d.MinMs {
-			d.MinMs = v
-		}
-		if v > d.MaxMs {
-			d.MaxMs = v
-		}
-	}
-	d.MeanMs /= float64(len(samples))
-	return d
-}
-
-// TestEmitServiceBench writes BENCH_service.json comparing cold-factor
-// and cache-hit solve latency. Gated on PILUT_BENCH_OUT (the path to
-// write) so ordinary test runs skip it; `make bench-service` sets it.
-func TestEmitServiceBench(t *testing.T) {
-	out := os.Getenv("PILUT_BENCH_OUT")
-	if out == "" {
-		t.Skip("set PILUT_BENCH_OUT=<path> to emit BENCH_service.json")
-	}
-	cfg := benchConfig()
-	s := New(cfg)
-	defer s.Shutdown(context.Background())
-	a := matgen.Grid2D(48, 48)
-	key, _, err := s.Submit(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rhsVec := rhs(a.N, 1)
-
-	const samples = 7
-	cold := make([]float64, samples)
-	hot := make([]float64, samples)
-	var iterations int
-	var modelledSolve, modelledFactor float64
-	for i := 0; i < samples; i++ {
-		s.mu.Lock()
-		for _, ent := range s.cache.entries {
-			s.cache.removeLocked(ent) // force the next solve cold
-		}
-		s.mu.Unlock()
-		start := time.Now()
-		res, err := s.Solve(context.Background(), key, rhsVec, SolveOptions{})
-		if err != nil || res.CacheHit || !res.Converged {
-			t.Fatalf("cold sample %d: res=%+v err=%v", i, res, err)
-		}
-		cold[i] = float64(time.Since(start)) / float64(time.Millisecond)
-
-		start = time.Now()
-		res, err = s.Solve(context.Background(), key, rhsVec, SolveOptions{})
-		if err != nil || !res.CacheHit || !res.Converged {
-			t.Fatalf("hot sample %d: res=%+v err=%v", i, res, err)
-		}
-		hot[i] = float64(time.Since(start)) / float64(time.Millisecond)
-		iterations = res.Iterations
-		modelledSolve = res.ModelledSeconds
-	}
-	s.mu.Lock()
-	for _, ent := range s.cache.entries {
-		modelledFactor = ent.factorSeconds
-	}
-	s.mu.Unlock()
-
-	coldD, hotD := summarize(cold), summarize(hot)
-	report := map[string]any{
-		"benchmark":               "service_cold_factor_vs_cache_hit",
-		"matrix":                  map[string]any{"kind": "grid2d", "nx": 48, "ny": 48, "n": a.N, "nnz": a.NNZ()},
-		"procs":                   cfg.Procs,
-		"params":                  map[string]any{"m": cfg.Params.M, "tau": cfg.Params.Tau, "k": cfg.Params.K},
-		"samples":                 samples,
-		"cold":                    coldD,
-		"hot":                     hotD,
-		"speedup_mean":            coldD.MeanMs / hotD.MeanMs,
-		"iterations_per_solve":    iterations,
-		"modelled_solve_seconds":  modelledSolve,
-		"modelled_factor_seconds": modelledFactor,
-	}
-	buf, err := json.MarshalIndent(report, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	buf = append(buf, '\n')
-	if err := os.WriteFile(out, buf, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("cold %.1f ms vs cache-hit %.1f ms (×%.1f) → %s",
-		coldD.MeanMs, hotD.MeanMs, coldD.MeanMs/hotD.MeanMs, out)
 }
