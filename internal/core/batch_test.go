@@ -12,6 +12,7 @@ import (
 	"repro/internal/matgen"
 	"repro/internal/partition"
 	"repro/internal/pcomm"
+	"repro/internal/pcomm/backend"
 	"repro/internal/pcomm/pcommtest"
 )
 
@@ -39,71 +40,99 @@ func buildBatchFixture(t *testing.T, p int) (*dist.Layout, []*ProcPrecond) {
 	return lay, pcs
 }
 
+// TestSolveBatchMatchesRepeatedSolve applies sequences of batches through
+// one set of factors and demands that the last batch of each sequence
+// equals repeated single Solves bit for bit, at the cost of one exchange
+// per level per sweep whatever B is. The sequences cover B = 1 (the
+// width Solve itself runs at) and narrower batches of different content
+// after a wider one, when the retained lanes hold another application's
+// values.
 func TestSolveBatchMatchesRepeatedSolve(t *testing.T) {
 	const P = 4
-	const B = 3
 	lay, pcs := buildBatchFixture(t, P)
 	rng := rand.New(rand.NewSource(7))
-	bsGlobal := make([][]float64, B)
-	for bi := range bsGlobal {
-		bsGlobal[bi] = make([]float64, lay.N)
-		for i := range bsGlobal[bi] {
-			bsGlobal[bi][i] = rng.NormFloat64()
+	const nRHS = 6
+	parts := make([][][]float64, nRHS) // parts[r][proc]
+	for r := range parts {
+		b := make([]float64, lay.N)
+		for i := range b {
+			b[i] = rng.NormFloat64()
 		}
+		parts[r] = lay.Scatter(b)
 	}
 
-	// Reference: B single applications.
-	single := make([][][]float64, B)
-	for bi := 0; bi < B; bi++ {
-		parts := lay.Scatter(bsGlobal[bi])
+	// Reference: one single application per right-hand side.
+	single := make([][][]float64, nRHS)
+	for r := range single {
 		ys := make([][]float64, P)
 		m := pcommtest.New(t, P, machine.Zero())
 		m.SetWatchdog(30 * time.Second)
 		m.Run(func(proc pcomm.Comm) {
 			y := make([]float64, lay.NLocal(proc.ID()))
-			pcs[proc.ID()].Solve(proc, y, parts[proc.ID()])
+			pcs[proc.ID()].Solve(proc, y, parts[r][proc.ID()])
 			ys[proc.ID()] = y
 		})
-		single[bi] = ys
+		single[r] = ys
 	}
 
-	// Batched application, plus collective counting.
-	batchYs := make([][][]float64, B)
-	for bi := range batchYs {
-		batchYs[bi] = make([][]float64, P)
+	// Each batch lists the right-hand sides it solves, in lane order.
+	cases := []struct {
+		name    string
+		batches [][]int
+	}{
+		{"B=3", [][]int{{0, 1, 2}}},
+		{"B=1", [][]int{{3}}},
+		{"B=1 after B=3", [][]int{{0, 1, 2}, {4}}},
+		{"B=2 after B=3, other content", [][]int{{0, 1, 2}, {5, 3}}},
 	}
-	m := pcommtest.New(t, P, machine.Zero())
-	m.SetWatchdog(30 * time.Second)
-	res := m.Run(func(proc pcomm.Comm) {
-		bs := make([][]float64, B)
-		ys := make([][]float64, B)
-		for bi := 0; bi < B; bi++ {
-			bs[bi] = lay.Scatter(bsGlobal[bi])[proc.ID()]
-			ys[bi] = make([]float64, lay.NLocal(proc.ID()))
+	for _, kind := range []string{backend.Modelled, backend.Real} {
+		for _, tc := range cases {
+			t.Run(kind+"/"+tc.name, func(t *testing.T) {
+				last := tc.batches[len(tc.batches)-1]
+				got := make([][][]float64, len(last)) // got[lane][proc]
+				for bi := range got {
+					got[bi] = make([][]float64, P)
+				}
+				m, err := backend.New(kind, P, machine.Zero())
+				if err != nil {
+					t.Fatal(err)
+				}
+				m.SetWatchdog(30 * time.Second)
+				res := m.Run(func(proc pcomm.Comm) {
+					me := proc.ID()
+					for k, batch := range tc.batches {
+						bs := make([][]float64, len(batch))
+						ys := make([][]float64, len(batch))
+						for bi, r := range batch {
+							bs[bi] = parts[r][me]
+							ys[bi] = make([]float64, lay.NLocal(me))
+						}
+						pcs[me].SolveBatch(proc, ys, bs)
+						if k == len(tc.batches)-1 {
+							for bi := range ys {
+								got[bi][me] = ys[bi]
+							}
+						}
+					}
+				})
+				for bi, r := range last {
+					want := lay.Gather(single[r])
+					have := lay.Gather(got[bi])
+					for i := range want {
+						if want[i] != have[i] {
+							t.Fatalf("lane %d (rhs %d): batch solve differs at %d: %v vs %v", bi, r, i, have[i], want[i])
+						}
+					}
+				}
+				// One exchange per level per substitution direction per
+				// batch, independent of B.
+				q := pcs[0].NumLevels()
+				wantCollectives := int64(2 * q * len(tc.batches))
+				if c := res.PerProc[0].Collectives; c != wantCollectives {
+					t.Fatalf("batch solves used %d collectives, want %d (q=%d)", c, wantCollectives, q)
+				}
+			})
 		}
-		pcs[proc.ID()].SolveBatch(proc, ys, bs)
-		for bi := 0; bi < B; bi++ {
-			batchYs[bi][proc.ID()] = ys[bi]
-		}
-	})
-
-	for bi := 0; bi < B; bi++ {
-		want := lay.Gather(single[bi])
-		got := lay.Gather(batchYs[bi])
-		for i := range want {
-			if want[i] != got[i] {
-				t.Fatalf("rhs %d: batch solve differs at %d: %v vs %v", bi, i, got[i], want[i])
-			}
-		}
-	}
-
-	// The batch pays one exchange per level per substitution direction,
-	// independent of B: per processor that is 2q+... collectives, versus
-	// B times as many for repeated single solves.
-	q := pcs[0].NumLevels()
-	wantCollectives := int64(2 * q) // publishLevelBatch calls only
-	if got := res.PerProc[0].Collectives; got != wantCollectives {
-		t.Fatalf("batch solve used %d collectives, want %d (q=%d)", got, wantCollectives, q)
 	}
 }
 

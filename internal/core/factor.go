@@ -2,11 +2,11 @@ package core
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/ilu"
 	"repro/internal/mis"
 	"repro/internal/pcomm"
+	"repro/internal/sparse"
 	"repro/internal/trace"
 )
 
@@ -105,9 +105,9 @@ type ProcPrecond struct {
 	levels        []LevelInfo
 	levelMembers  [][]int // per level: local indices, ascending new id
 
-	// solve buffers, reused across applications
-	xInt   []float64
-	xIface []float64
+	// lanes are the solve buffers, one per right-hand side of the widest
+	// application so far, reused across applications. Lane 0 always exists.
+	lanes []solveLane
 
 	Stats Stats
 }
@@ -138,18 +138,104 @@ func Factor(p pcomm.Comm, plan *Plan, opt Options) *ProcPrecond {
 // rebound plan bitwise identical to a one-shot Factor on the same
 // values (see DESIGN.md §14). Like Factor it is an SPMD collective.
 func Refactor(p pcomm.Comm, plan *Plan, opt Options) *ProcPrecond {
+	return factor(p, plan, opt, thresholdRule)
+}
+
+// FactorILU0 is the parallel zero-fill factorization the paper contrasts
+// PILUT with (§3, Figure 1(a), and reference [9]): because ILU(0) creates
+// no fill, the reduced matrices' structure is known in advance, so the
+// *entire* elimination schedule — every independent set of the interface —
+// is computed before a single numeric operation. The numeric phase then
+// runs the levels with only the pivot-row exchanges, no per-level
+// scheduling synchronization. It is the same two-phase driver as Refactor
+// under the static row rule.
+//
+// The result is a ProcPrecond with the same solve machinery as Factor;
+// its factors have exactly the pattern of the permuted matrix.
+func FactorILU0(p pcomm.Comm, plan *Plan, misRounds int, seed int64) *ProcPrecond {
+	return factor(p, plan, Options{MISRounds: misRounds, Seed: seed}, staticRule)
+}
+
+// rowRule is how a row absorbs the pivots it references — the one thing
+// that separates parallel ILUT from the ILU(0) it is contrasted with.
+type rowRule int
+
+const (
+	// thresholdRule: eliminations create fill and the three dropping
+	// rules prune it (Algorithm 2), so the reduced matrix's structure is
+	// only known once the previous level has been eliminated.
+	thresholdRule rowRule = iota
+	// staticRule: every update is confined to positions the row already
+	// has, nothing is dropped, and Options.Params is unused (its zero
+	// value makes every pivot keep its whole row).
+	staticRule
+)
+
+// scheduleAhead reports whether every interface level can be scheduled
+// before any of them runs: true exactly when the rule cannot change the
+// reduced matrix's structure (PAPER §3, Fig. 1(a)).
+func (r rowRule) scheduleAhead() bool { return r == staticRule }
+
+// driver is one processor's state across one factorization.
+type driver struct {
+	p    pcomm.Comm
+	plan *Plan
+	pc   *ProcPrecond
+	opt  Options
+	rule rowRule
+	s    *ilu.Scratch
+	st   *ilu.Stats
+
+	flopsCharged float64
+
+	// Interface state, by local index: the current reduced row of an
+	// unfactored row (combined indices, all ≥ n), and my factored pivots
+	// — value storage with a presence mask, so storing a pivot never
+	// heap-escapes and &uF[li] stays valid for a level's pivot lookups.
+	reduced []redRow
+	uF      []ilu.URow
+	uFSet   []bool
+	nl      int // next unassigned elimination id
+
+	// Per-level structures, allocated once and recycled each level: the
+	// adjacency of the reduced matrix as one flat buffer plus offsets, the
+	// id-translation buffer, and the two pivot maps (cleared, not remade —
+	// their buckets are reused, so steady-state inserts don't allocate).
+	ownedIDs   []int
+	adj        [][]int
+	adjFlat    []int
+	adjOff     []int
+	tBuf       []int
+	levelNew   map[int]int       // original id → new id of the pivots visible here
+	pivotByNew map[int]*ilu.URow // new id → pivot row, mine and pushed
+	pivotGet   func(int) *ilu.URow
+	ownerOf    func(int) int
+}
+
+// levelPlan is one scheduled independent set: the MIS mask and exchange
+// plan over the vertex list it was computed on, and the level's id range.
+type levelPlan struct {
+	sel      []bool
+	ex       *mis.Exchange
+	start    int // first new id of the level
+	size     int // global
+	myOffset int // first new id of my pivots
+	mine     int
+}
+
+// factor is the two-phase driver (§4 of the paper) behind Refactor and
+// FactorILU0.
+func factor(p pcomm.Comm, plan *Plan, opt Options, rule rowRule) *ProcPrecond {
 	if opt.MISRounds <= 0 {
 		opt.MISRounds = mis.DefaultRounds
 	}
-	par := opt.Params
 	n := plan.A.N
-	lay := plan.Lay
 	me := p.ID()
 
 	pc := &ProcPrecond{
 		plan:  plan,
 		me:    me,
-		owned: lay.Rows[me],
+		owned: plan.Lay.Rows[me],
 	}
 	nLocal := len(pc.owned)
 	pc.newOf = make([]int, nLocal)
@@ -161,46 +247,101 @@ func Refactor(p pcomm.Comm, plan *Plan, opt Options) *ProcPrecond {
 	pc.Stats.NInterface = plan.NInterface
 	pc.Stats.NInterior = plan.NIntLocal[me]
 
-	localIdx := make(map[int]int, nLocal)
-	for li, g := range pc.owned {
-		localIdx[g] = li
+	d := &driver{
+		p: p, plan: plan, pc: pc, opt: opt, rule: rule, st: &pc.Stats.ILU,
+		reduced:    make([]redRow, nLocal),
+		uF:         make([]ilu.URow, nLocal),
+		uFSet:      make([]bool, nLocal),
+		nl:         plan.TotInterior,
+		levelNew:   make(map[int]int),
+		pivotByNew: make(map[int]*ilu.URow),
 	}
-	// enc maps a global column to the combined index space.
-	enc := func(j int) int {
-		if nid := plan.NewOfInterior[j]; nid >= 0 {
-			return nid
-		}
-		return n + j
-	}
-
-	st := &pc.Stats.ILU
+	d.pivotGet = func(k int) *ilu.URow { return d.pivotByNew[k] }
+	d.ownerOf = func(g int) int { return plan.Lay.PartOf[g] }
 	// The scratch comes from the per-process pool: after the first few
 	// factorizations every kernel call runs allocation-free, and the
 	// factored rows themselves are carved from the scratch's output arena
 	// (detached to the ProcPrecond when the scratch is returned).
-	s := getScratch(2 * n)
-	defer putScratch(s)
-	intBase := plan.IntBase[me]
-	nInt := plan.NIntLocal[me]
+	d.s = getScratch(2 * n)
+	defer putScratch(d.s)
 
-	// Charge the virtual clock for local work accumulated since the last
-	// synchronization point; copied reduced-matrix entries count too (the
-	// paper identifies this copying as a main ILUT overhead). Charging at
-	// phase boundaries instead of one deferred lump does not change any
-	// arrival time — no communication happens between charges — but it
-	// makes the phase spans below reflect modelled durations.
-	var flopsCharged float64
-	charge := func() {
-		pending := pc.Stats.ILU.Flops + float64(pc.Stats.CopiedEntries) - flopsCharged
-		if pending > 0 {
-			p.Work(pending)
-			flopsCharged += pending
-		}
+	tr := p.Tracer()
+	iface := d.phase1()
+	tIface := p.Time()
+	d.phase2(iface)
+	d.charge()
+	tPhase2 := p.Time()
+	pc.Stats.Phase2Seconds = tPhase2 - tIface
+	pc.Stats.NumLevels = len(pc.levels)
+
+	d.renumber()
+	pc.lanes = []solveLane{pc.newLane()}
+	if opt.MaxRepairRate > 0 {
+		pc.checkBreakdown(p, opt.MaxRepairRate)
 	}
+	p.Barrier()
+	if tr.Enabled() {
+		tr.Span("factor", "finalize", tPhase2, p.Time(),
+			trace.I("levels", pc.Stats.NumLevels))
+	}
+	return pc
+}
+
+// eliminateBlock removes the sequentially factored pivot block [nl, nl1)
+// from row i under the driver's rule (phase 1: a processor's interiors).
+func (d *driver) eliminateBlock(i int, cols []int, vals []float64, pivot func(int) *ilu.URow,
+	nl, nl1 int, tau float64, kcap int,
+) (lCols []int, lVals []float64, redCols []int, redVals []float64) {
+	if d.rule == staticRule {
+		return d.s.EliminateRowStatic(i, cols, vals, nil, nil, pivot, nl, nl1, d.st)
+	}
+	return d.s.EliminateRowSeq(i, cols, vals, pivot, nl, nl1, tau, d.opt.Params.M, kcap, d.st)
+}
+
+// eliminateLevel removes the current independent-set level [nl, nl1) from
+// row i under the driver's rule and merges the multipliers into the row's
+// accumulated L part (phase 2).
+func (d *driver) eliminateLevel(i int, cols []int, vals []float64, lCols []int, lVals []float64,
+	nl, nl1 int, tau float64,
+) (newLCols []int, newLVals []float64, redCols []int, redVals []float64) {
+	if d.rule == staticRule {
+		return d.s.EliminateRowStatic(i, cols, vals, lCols, lVals, d.pivotGet, nl, nl1, d.st)
+	}
+	par := d.opt.Params
+	newLCols, newLVals, redCols, redVals = d.s.EliminateRow(i, cols, vals, lCols, lVals, d.pivotGet, nl, nl1, tau, par.M, par.K, d.st)
+	// A threshold row is rebuilt, fill and all, at every level, and that
+	// copying is charged as work; a static row keeps its positions, so
+	// the model updates it in place.
+	d.pc.Stats.CopiedEntries += len(redCols)
+	return
+}
+
+// charge advances the virtual clock by the local work accumulated since
+// the last charge; copied reduced-matrix entries count too (the paper
+// identifies this copying as a main ILUT overhead). Charging at phase
+// boundaries instead of one deferred lump does not change any arrival
+// time — no communication happens between charges — but it makes the
+// phase spans reflect modelled durations.
+func (d *driver) charge() {
+	pending := d.st.Flops + float64(d.pc.Stats.CopiedEntries) - d.flopsCharged
+	if pending > 0 {
+		d.p.Work(pending)
+		d.flopsCharged += pending
+	}
+}
+
+// phase1 factors my interior rows (1a) and eliminates the interior
+// unknowns from my interface rows (1b). It returns the local indices of
+// the interface rows, whose reduced rows now sit in d.reduced.
+func (d *driver) phase1() (iface []int) {
+	p, plan, pc, st := d.p, d.plan, d.pc, d.st
+	par := d.opt.Params
+	n := plan.A.N
+	intBase := plan.IntBase[pc.me]
+	nInt := plan.NIntLocal[pc.me]
 	tr := p.Tracer()
 	tStart := p.Time()
 
-	// ---- Phase 1a: factor the interior rows (local ILUT) ---------------
 	// localU[nid-intBase] is the U row of interior pivot nid, kernel form.
 	// A value slice, not []*URow: storing a pivot is a copy into
 	// preallocated memory instead of a per-row heap escape, and the looked-
@@ -213,37 +354,44 @@ func Refactor(p pcomm.Comm, plan *Plan, opt Options) *ProcPrecond {
 		}
 		return &localU[k-intBase]
 	}
+	// encRow returns row g of A in the combined index space — interior
+	// columns by new id, interface column j as n+j — sorted. The buffers
+	// are reused: the kernels do not retain their inputs.
 	encCols := make([]int, 0, 64)
 	encVals := make([]float64, 0, 64)
-	for _, g := range pc.owned {
+	encRow := func(g int) ([]int, []float64) {
+		cols, vals := plan.A.Row(g)
+		encCols, encVals = encCols[:0], encVals[:0]
+		for k, j := range cols {
+			if nid := plan.NewOfInterior[j]; nid >= 0 {
+				encCols = append(encCols, nid)
+			} else {
+				encCols = append(encCols, n+j)
+			}
+			encVals = append(encVals, vals[k])
+		}
+		sparse.SortRow(encCols, encVals)
+		return encCols, encVals
+	}
+
+	for li, g := range pc.owned {
 		if !plan.Interior[g] {
 			continue
 		}
-		li := localIdx[g]
 		myNew := plan.NewOfInterior[g]
 		pc.newOf[li] = myNew
 		pc.interiorLocal = append(pc.interiorLocal, li)
 		tau := par.Tau * plan.RowTau[g]
-
-		cols, vals := plan.A.Row(g)
-		encCols = encCols[:0]
-		encVals = encVals[:0]
-		for k, j := range cols {
-			encCols = append(encCols, enc(j))
-			encVals = append(encVals, vals[k])
-		}
-		sortPair(encCols, encVals)
-
-		// The interior block is sequential: use the heap-driven kernel
-		// with the pivot range covering my already-factored interiors.
-		lC, lV, rC, rV := s.EliminateRowSeq(myNew, encCols, encVals,
-			pivotLookup, intBase, myNew, tau, par.M, 0, st)
+		ec, ev := encRow(g)
+		// The interior block is sequential: the pivot range covers my
+		// already-factored interiors.
+		lC, lV, rC, rV := d.eliminateBlock(myNew, ec, ev, pivotLookup, intBase, myNew, tau, 0)
 		// For an interior row the "reduced" part is its U row: everything
 		// at or after the diagonal in elimination order, i.e. combined
-		// indices ≥ myNew. EliminateRowSeq split at myNew, so rC holds
-		// diag + later interiors + interface columns. Cap it to M like the
-		// standard 2nd dropping rule (diagonal excluded from the cap).
-		urow, err := s.FactorPivotRow(myNew, rC, rV, tau, par.M, par.PivotPerturb, st)
+		// indices ≥ myNew — diag + later interiors + interface columns.
+		// Cap it to M like the standard 2nd dropping rule (diagonal
+		// excluded from the cap).
+		urow, err := d.s.FactorPivotRow(myNew, rC, rV, tau, par.M, par.PivotPerturb, st)
 		if err != nil {
 			panic(err)
 		}
@@ -254,8 +402,13 @@ func Refactor(p pcomm.Comm, plan *Plan, opt Options) *ProcPrecond {
 		pc.uDiag[li] = urow.Diag
 	}
 	// Phase 1 is embarrassingly parallel; account the local work and move
-	// on — no synchronization is needed until the interface phase.
-	charge()
+	// on — no synchronization is needed until the interface phase. The
+	// static rule's phase 1 is charged in one piece after 1b instead:
+	// Work(a) then Work(b) rounds differently from Work(a+b), and
+	// TestParentDigestOracle pins both rules' modelled clocks to the bit.
+	if d.rule == thresholdRule {
+		d.charge()
+	}
 	tInterior := p.Time()
 	pc.Stats.Phase1InteriorSeconds = tInterior - tStart
 	if tr.Enabled() {
@@ -263,254 +416,291 @@ func Refactor(p pcomm.Comm, plan *Plan, opt Options) *ProcPrecond {
 			trace.I("rows", nInt), trace.F("flops", st.Flops))
 	}
 
-	// ---- Phase 1b: eliminate interior unknowns from interface rows -----
-	reduced := make([]redRow, nLocal)
-	var remaining []int // local indices of unfactored interface rows
-	for _, g := range pc.owned {
+	for li, g := range pc.owned {
 		if plan.Interior[g] {
 			continue
 		}
-		li := localIdx[g]
 		tau := par.Tau * plan.RowTau[g]
-		cols, vals := plan.A.Row(g)
-		encCols = encCols[:0]
-		encVals = encVals[:0]
-		for k, j := range cols {
-			encCols = append(encCols, enc(j))
-			encVals = append(encVals, vals[k])
-		}
-		sortPair(encCols, encVals)
-		lC, lV, rC, rV := s.EliminateRowSeq(n+g, encCols, encVals,
-			pivotLookup, intBase, intBase+nInt, tau, par.M, par.K, st)
+		ec, ev := encRow(g)
+		lC, lV, rC, rV := d.eliminateBlock(n+g, ec, ev, pivotLookup, intBase, intBase+nInt, tau, par.K)
 		pc.lCols[li], pc.lVals[li] = lC, lV
-		reduced[li] = redRow{rC, rV}
-		remaining = append(remaining, li)
+		d.reduced[li] = redRow{rC, rV}
+		iface = append(iface, li)
 		pc.Stats.ReducedNNZ0 += len(rC)
 	}
-
-	charge()
+	d.charge()
 	tIface := p.Time()
 	pc.Stats.Phase1InterfaceSeconds = tIface - tInterior
 	if tr.Enabled() {
 		tr.Span("factor", "phase1.interface-elim", tInterior, tIface,
-			trace.I("rows", len(remaining)), trace.I("reduced_nnz", pc.Stats.ReducedNNZ0))
+			trace.I("rows", len(iface)), trace.I("reduced_nnz", pc.Stats.ReducedNNZ0))
+	}
+	return iface
+}
+
+// phase2 factors the interface rows level by level. Under the threshold
+// rule each level is scheduled on the reduced matrix the previous level
+// left behind, so scheduling and elimination interleave; a rule that can
+// schedule ahead plans every level on the one structure there will ever
+// be — a shrinking active mask over all interface rows — and then runs
+// them with no scheduling communication in between.
+func (d *driver) phase2(iface []int) {
+	p := d.p
+	if d.rule.scheduleAhead() {
+		t0 := p.Time()
+		d.buildAdjacency(iface)
+		active := make([]bool, len(iface))
+		for k := range active {
+			active[k] = true
+		}
+		var plans []levelPlan
+		for {
+			lp, ok := d.scheduleLevel(active)
+			if !ok {
+				break
+			}
+			plans = append(plans, lp)
+		}
+		if tr := p.Tracer(); tr.Enabled() {
+			tr.Span("factor", "phase2.schedule", t0, p.Time(), trace.I("levels", len(plans)))
+		}
+		for i := range plans {
+			d.runLevel(iface, &plans[i], p.Time())
+		}
+		return
 	}
 
-	// ---- Phase 2: level-by-level interface factorization ---------------
-	nl := plan.TotInterior
-	ownerOf := func(g int) int { return lay.PartOf[g] }
-	// My factored interface pivots, by local index: value storage with a
-	// presence mask, so storing a pivot never heap-escapes and &uF[li]
-	// stays valid for the level's pivot lookups.
-	uF := make([]ilu.URow, nLocal)
-	uFSet := make([]bool, nLocal)
-	// Per-level structures, allocated once and recycled each level: the
-	// adjacency of the reduced matrix as one flat buffer plus offsets, the
-	// id-translation buffer, and the two pivot maps (cleared, not remade —
-	// their buckets are reused, so steady-state inserts don't allocate).
-	var (
-		ownedIDs []int
-		adj      [][]int
-		adjFlat  []int
-		adjOff   []int
-		tBuf     []int
-	)
-	levelNew := make(map[int]int)
-	pivotByNew := make(map[int]*ilu.URow)
-	pivotGet := func(k int) *ilu.URow { return pivotByNew[k] }
-
+	remaining := iface // local indices of unfactored interface rows
 	for {
-		charge()
-		levelT0 := p.Time()
-		droppedIn := st.Dropped
-
-		if opt.Schur {
+		d.charge()
+		t0 := p.Time()
+		if d.opt.Schur {
 			var factored bool
-			remaining, factored = pc.schurBlockRound(p, s, remaining, reduced, &nl, uF, uFSet, par, st)
+			remaining, factored = d.schurBlockRound(remaining)
 			if factored {
 				continue
 			}
 		}
-
-		// Adjacency of the current reduced matrix (original ids, with all
-		// fill included — the paper's dynamic dependency structure). Built
-		// in the recycled flat buffer: neighbour lists are slices of
-		// adjFlat cut at the recorded offsets, so a level's adjacency costs
-		// no allocation once the buffers have grown to the high-water mark.
-		// DistributedPlan does not retain adj past its return.
-		rowsIn := len(remaining)
-		nnzIn := 0
-		ownedIDs = ownedIDs[:0]
-		adjFlat = adjFlat[:0]
-		adjOff = adjOff[:0]
+		d.buildAdjacency(remaining)
+		lp, ok := d.scheduleLevel(nil)
+		if !ok {
+			return
+		}
+		d.runLevel(remaining, &lp, t0)
+		// Drop the rows the level factored, in place.
+		keep := remaining[:0]
 		for _, li := range remaining {
-			g := pc.owned[li]
-			ownedIDs = append(ownedIDs, g)
-			nnzIn += len(reduced[li].cols)
-			adjOff = append(adjOff, len(adjFlat))
-			for _, c := range reduced[li].cols {
-				if o := c - n; o != g {
-					adjFlat = append(adjFlat, o)
-				}
+			if !d.uFSet[li] {
+				keep = append(keep, li)
 			}
 		}
-		adjOff = append(adjOff, len(adjFlat))
-		adj = adj[:0]
-		for k := range remaining {
-			adj = append(adj, adjFlat[adjOff[k]:adjOff[k+1]:adjOff[k+1]])
-		}
-		sel, ex := mis.DistributedPlan(p, ownedIDs, adj, nil, ownerOf,
-			opt.MISRounds, opt.Seed+int64(len(pc.levels))*7919)
-		if ex.GlobalActive == 0 {
-			break
-		}
+		remaining = keep
+	}
+}
 
-		// Assign the level's new ids: members are ordered by (processor,
-		// local order), so a single counts exchange fixes every rank.
-		mineCount := 0
-		for k := range remaining {
-			if sel[k] {
-				mineCount++
+// buildAdjacency lays out the adjacency of the current reduced matrix
+// over the rows verts (original ids, with all fill included — the paper's
+// dynamic dependency structure) in the recycled flat buffer: neighbour
+// lists are slices of adjFlat cut at the recorded offsets, so a level's
+// adjacency costs no allocation once the buffers have grown to the
+// high-water mark.
+func (d *driver) buildAdjacency(verts []int) {
+	n := d.plan.A.N
+	d.ownedIDs = d.ownedIDs[:0]
+	d.adjFlat = d.adjFlat[:0]
+	d.adjOff = d.adjOff[:0]
+	for _, li := range verts {
+		g := d.pc.owned[li]
+		d.ownedIDs = append(d.ownedIDs, g)
+		d.adjOff = append(d.adjOff, len(d.adjFlat))
+		for _, c := range d.reduced[li].cols {
+			if o := c - n; o != g {
+				d.adjFlat = append(d.adjFlat, o)
 			}
-		}
-		counts := pcomm.AllGatherInts(p, []int{mineCount})
-		levelSize := 0
-		myOffset := nl
-		for q := 0; q < lay.P; q++ {
-			if q < me {
-				myOffset += counts[q][0]
-			}
-			levelSize += counts[q][0]
-		}
-		nl1 := nl + levelSize
-		pc.levels = append(pc.levels, LevelInfo{Start: nl, Size: levelSize})
-
-		// Factor my pivots: only their U rows are created (independent
-		// rows need no elimination), 2nd dropping rule applied.
-		// levelNew maps original id → new id for the pivots this
-		// processor can see (its own plus every pushed row).
-		clear(levelNew)
-		clear(pivotByNew)
-		var members []int
-		rank := 0
-		for k, li := range remaining {
-			if !sel[k] {
-				continue
-			}
-			g := pc.owned[li]
-			tau := par.Tau * plan.RowTau[g]
-			urow, err := s.FactorPivotRow(n+g, reduced[li].cols, reduced[li].vals, tau, par.M, par.PivotPerturb, st)
-			if err != nil {
-				panic(err)
-			}
-			urow.Col = myOffset + rank
-			urow.Orig = g
-			rank++
-			uF[li] = urow
-			uFSet[li] = true
-			levelNew[g] = urow.Col
-			pivotByNew[urow.Col] = &uF[li]
-			pc.newOf[li] = urow.Col
-			pc.uCols[li], pc.uVals[li] = urow.Cols, urow.Vals
-			pc.uDiag[li] = urow.Diag
-			reduced[li] = redRow{}
-			members = append(members, li)
-		}
-		sort.Slice(members, func(a, b int) bool { return pc.newOf[members[a]] < pc.newOf[members[b]] })
-		pc.levelMembers = append(pc.levelMembers, members)
-
-		// Push pivot rows along the MIS exchange plan: the processors
-		// that requested a vertex's MIS state are exactly those whose
-		// rows reference it, so the communication can be posted before
-		// any elimination (§4 of the paper).
-		for q := 0; q < lay.P; q++ {
-			if q == me || len(ex.NeedBy[q]) == 0 {
-				continue
-			}
-			var rows []ilu.URow
-			for _, k := range ex.NeedBy[q] {
-				if !sel[k] {
-					continue
-				}
-				rows = append(rows, uF[remaining[k]])
-			}
-			p.Send(q, tagPivotRows, rows, ilu.BytesOfURows(rows))
-		}
-		for q := 0; q < lay.P; q++ {
-			if q == me || len(ex.ReqFrom[q]) == 0 {
-				continue
-			}
-			rows := p.Recv(q, tagPivotRows).([]ilu.URow)
-			for k := range rows {
-				levelNew[rows[k].Orig] = rows[k].Col
-				pivotByNew[rows[k].Col] = &rows[k]
-			}
-		}
-
-		// Eliminate the level's unknowns from my remaining rows
-		// (Algorithm 2; single sweep thanks to independence).
-		var next []int
-		for k, li := range remaining {
-			if sel[k] {
-				continue
-			}
-			g := pc.owned[li]
-			tau := par.Tau * plan.RowTau[g]
-			// Translate this level's pivot columns to their new ids, in
-			// the recycled translation buffer (the kernel does not retain
-			// its column input).
-			rc := reduced[li].cols
-			rv := reduced[li].vals
-			tC := append(tBuf[:0], rc...)
-			tBuf = tC
-			for idx, c := range rc {
-				if nid, ok := levelNew[c-n]; ok {
-					tC[idx] = nid
-				}
-			}
-			sortPair(tC, rv)
-			lC, lV, nrC, nrV := s.EliminateRow(n+g, tC, rv,
-				pc.lCols[li], pc.lVals[li], pivotGet,
-				nl, nl1, tau, par.M, par.K, st)
-			pc.lCols[li], pc.lVals[li] = lC, lV
-			reduced[li] = redRow{nrC, nrV}
-			pc.Stats.CopiedEntries += len(nrC)
-			next = append(next, li)
-		}
-		remaining = next
-		nl = nl1
-
-		charge()
-		pc.Stats.Levels = append(pc.Stats.Levels, LevelStats{
-			Start:           nl1 - levelSize,
-			Size:            levelSize,
-			PivotsLocal:     mineCount,
-			RowsLocal:       rowsIn,
-			ReducedNNZLocal: nnzIn,
-			DroppedLocal:    st.Dropped - droppedIn,
-		})
-		if tr.Enabled() {
-			tr.Span("factor", fmt.Sprintf("phase2.level%d", len(pc.Stats.Levels)-1),
-				levelT0, p.Time(),
-				trace.I("size", levelSize), trace.I("pivots_local", mineCount),
-				trace.I("rows_local", rowsIn), trace.I("reduced_nnz_local", nnzIn))
 		}
 	}
-	charge()
-	tPhase2 := p.Time()
-	pc.Stats.Phase2Seconds = tPhase2 - tIface
-	pc.Stats.NumLevels = len(pc.levels)
+	d.adjOff = append(d.adjOff, len(d.adjFlat))
+	d.adj = d.adj[:0]
+	for k := range verts {
+		d.adj = append(d.adj, d.adjFlat[d.adjOff[k]:d.adjOff[k+1]:d.adjOff[k+1]])
+	}
+}
 
-	// ---- Final translation: combined indices → elimination order -------
-	// One gather publishes every interface row's (original, new) pair so
-	// stored U rows can be renumbered.
+// scheduleLevel picks the next independent set among the active rows of
+// the adjacency buildAdjacency laid out (nil = all of them), retires its
+// members from the mask and assigns the level's id range. It reports
+// false once no row is active anywhere. DistributedPlan does not retain
+// the adjacency.
+func (d *driver) scheduleLevel(active []bool) (levelPlan, bool) {
+	pc := d.pc
+	sel, ex := mis.DistributedPlan(d.p, d.ownedIDs, d.adj, active, d.ownerOf,
+		d.opt.MISRounds, d.opt.Seed+int64(len(pc.levels))*7919)
+	if ex.GlobalActive == 0 {
+		return levelPlan{}, false
+	}
+	lp := levelPlan{sel: sel, ex: ex, start: d.nl}
+	for k, s := range sel {
+		if s {
+			lp.mine++
+			if active != nil {
+				active[k] = false
+			}
+		}
+	}
+	lp.myOffset, lp.size = d.claimIDs(lp.mine)
+	pc.levels = append(pc.levels, LevelInfo{Start: lp.start, Size: lp.size})
+	return lp, true
+}
+
+// claimIDs assigns the next level's id range given how many of its
+// unknowns are mine: members are ordered by (processor, local order), so
+// a single counts exchange fixes every rank. It returns my first id and
+// the level's global size, and advances d.nl past the level.
+func (d *driver) claimIDs(mine int) (myOffset, size int) {
+	counts := pcomm.AllGatherInts(d.p, []int{mine})
+	myOffset = d.nl
+	for q := range counts {
+		if q < d.pc.me {
+			myOffset += counts[q][0]
+		}
+		size += counts[q][0]
+	}
+	d.nl += size
+	return myOffset, size
+}
+
+// runLevel executes one scheduled level over verts, the rows lp was
+// scheduled on: factor my pivots, push them along the MIS exchange plan,
+// and eliminate the level from my other unfactored rows. t0 is where the
+// level's trace span starts.
+func (d *driver) runLevel(verts []int, lp *levelPlan, t0 float64) {
+	p, plan, pc, st := d.p, d.plan, d.pc, d.st
+	par := d.opt.Params
+	n := plan.A.N
+	me := pc.me
+	nl, nl1 := lp.start, lp.start+lp.size
+	droppedIn := st.Dropped
+	rowsIn, nnzIn := 0, 0
+
+	// Factor my pivots: only their U rows are created (independent rows
+	// need no elimination), 2nd dropping rule applied. Ids go out in local
+	// order, so members is already in ascending new id.
+	clear(d.levelNew)
+	clear(d.pivotByNew)
+	var members []int
+	if lp.mine > 0 {
+		members = make([]int, 0, lp.mine)
+	}
+	for k, li := range verts {
+		if !lp.sel[k] {
+			continue
+		}
+		g := pc.owned[li]
+		tau := par.Tau * plan.RowTau[g]
+		rowsIn++
+		nnzIn += len(d.reduced[li].cols)
+		urow, err := d.s.FactorPivotRow(n+g, d.reduced[li].cols, d.reduced[li].vals, tau, par.M, par.PivotPerturb, st)
+		if err != nil {
+			panic(err)
+		}
+		urow.Col = lp.myOffset + len(members)
+		urow.Orig = g
+		d.uF[li] = urow
+		d.uFSet[li] = true
+		d.levelNew[g] = urow.Col
+		d.pivotByNew[urow.Col] = &d.uF[li]
+		pc.newOf[li] = urow.Col
+		pc.uCols[li], pc.uVals[li] = urow.Cols, urow.Vals
+		pc.uDiag[li] = urow.Diag
+		d.reduced[li] = redRow{}
+		members = append(members, li)
+	}
+	pc.levelMembers = append(pc.levelMembers, members)
+
+	// Push pivot rows along the MIS exchange plan: the processors that
+	// requested a vertex's MIS state are exactly those whose rows
+	// reference it, so the communication can be posted before any
+	// elimination (§4 of the paper).
+	for q, need := range lp.ex.NeedBy {
+		if q == me || len(need) == 0 {
+			continue
+		}
+		var rows []ilu.URow
+		for _, k := range need {
+			if lp.sel[k] {
+				rows = append(rows, d.uF[verts[k]])
+			}
+		}
+		p.Send(q, tagPivotRows, rows, ilu.BytesOfURows(rows))
+	}
+	for q, req := range lp.ex.ReqFrom {
+		if q == me || len(req) == 0 {
+			continue
+		}
+		rows := p.Recv(q, tagPivotRows).([]ilu.URow)
+		for k := range rows {
+			d.levelNew[rows[k].Orig] = rows[k].Col
+			d.pivotByNew[rows[k].Col] = &rows[k]
+		}
+	}
+
+	// Eliminate the level's unknowns from my unfactored rows (Algorithm 2;
+	// single sweep thanks to independence).
+	for _, li := range verts {
+		if d.uFSet[li] {
+			continue
+		}
+		g := pc.owned[li]
+		tau := par.Tau * plan.RowTau[g]
+		// Translate this level's pivot columns to their new ids, in the
+		// recycled translation buffer (the kernel does not retain its
+		// column input).
+		rc, rv := d.reduced[li].cols, d.reduced[li].vals
+		rowsIn++
+		nnzIn += len(rc)
+		tC := append(d.tBuf[:0], rc...)
+		d.tBuf = tC
+		for idx, c := range rc {
+			if nid, ok := d.levelNew[c-n]; ok {
+				tC[idx] = nid
+			}
+		}
+		sparse.SortRow(tC, rv)
+		lC, lV, nrC, nrV := d.eliminateLevel(n+g, tC, rv, pc.lCols[li], pc.lVals[li], nl, nl1, tau)
+		pc.lCols[li], pc.lVals[li] = lC, lV
+		d.reduced[li] = redRow{nrC, nrV}
+	}
+
+	d.charge()
+	pc.Stats.Levels = append(pc.Stats.Levels, LevelStats{
+		Start:           lp.start,
+		Size:            lp.size,
+		PivotsLocal:     lp.mine,
+		RowsLocal:       rowsIn,
+		ReducedNNZLocal: nnzIn,
+		DroppedLocal:    st.Dropped - droppedIn,
+	})
+	if tr := p.Tracer(); tr.Enabled() {
+		tr.Span("factor", fmt.Sprintf("phase2.level%d", len(pc.Stats.Levels)-1),
+			t0, p.Time(),
+			trace.I("size", lp.size), trace.I("pivots_local", lp.mine),
+			trace.I("rows_local", rowsIn), trace.I("reduced_nnz_local", nnzIn))
+	}
+}
+
+// renumber translates the stored U rows from combined indices to the
+// final elimination order: one gather publishes every interface row's
+// (original, new) pair.
+func (d *driver) renumber() {
+	plan, pc := d.plan, d.pc
+	n := plan.A.N
 	var pairs []int
 	for li, g := range pc.owned {
 		if !plan.Interior[g] {
 			pairs = append(pairs, g, pc.newOf[li])
 		}
 	}
-	allPairs := pcomm.AllGatherInts(p, pairs)
+	allPairs := pcomm.AllGatherInts(d.p, pairs)
 	newOfIface := make(map[int]int, plan.NInterface)
 	for _, pp := range allPairs {
 		for i := 0; i < len(pp); i += 2 {
@@ -527,20 +717,8 @@ func Refactor(p pcomm.Comm, plan *Plan, opt Options) *ProcPrecond {
 				pc.uCols[li][k] = nid
 			}
 		}
-		sortPair(pc.uCols[li], pc.uVals[li])
+		sparse.SortRow(pc.uCols[li], pc.uVals[li])
 	}
-
-	pc.xInt = make([]float64, nInt)
-	pc.xIface = make([]float64, plan.NInterface)
-	if opt.MaxRepairRate > 0 {
-		pc.checkBreakdown(p, opt.MaxRepairRate)
-	}
-	p.Barrier()
-	if tr.Enabled() {
-		tr.Span("factor", "finalize", tPhase2, p.Time(),
-			trace.I("levels", pc.Stats.NumLevels))
-	}
-	return pc
 }
 
 // SummarizeLevels aggregates the per-processor level records of one
@@ -578,17 +756,4 @@ func SummarizeLevels(pcs []*ProcPrecond) []LevelSummary {
 		}
 	}
 	return out
-}
-
-// sortPair sorts cols ascending, permuting vals alongside.
-func sortPair(cols []int, vals []float64) {
-	for i := 1; i < len(cols); i++ {
-		c, v := cols[i], vals[i]
-		j := i - 1
-		for j >= 0 && cols[j] > c {
-			cols[j+1], vals[j+1] = cols[j], vals[j]
-			j--
-		}
-		cols[j+1], vals[j+1] = c, v
-	}
 }

@@ -79,7 +79,6 @@ func FromWire(plan *Plan, w WirePrecond) (*ProcPrecond, error) {
 		levelMembers:  w.LevelMembers,
 		Stats:         w.Stats,
 	}
-	pc.xInt = make([]float64, plan.NIntLocal[w.Me])
-	pc.xIface = make([]float64, plan.NInterface)
+	pc.lanes = []solveLane{pc.newLane()}
 	return pc, nil
 }

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/ilu"
 	"repro/internal/pcomm"
+	"repro/internal/sparse"
 )
 
 // redRow is the current reduced-matrix row of an unfactored interface
@@ -19,20 +20,14 @@ type redRow struct {
 // rows that currently couple only to its own rows — in both directions —
 // and factors them *sequentially* with no communication, all processors
 // at once; the mutual independence of the per-processor blocks makes this
-// a single level of the elimination order. Returns the updated remaining
-// list and whether any row was factored globally (if not, the caller
-// falls back to an independent-set level).
-func (pc *ProcPrecond) schurBlockRound(
-	p pcomm.Comm,
-	s *ilu.Scratch,
-	remaining []int,
-	reduced []redRow,
-	nl *int,
-	uF []ilu.URow,
-	uFSet []bool,
-	par ilu.Params,
-	st *ilu.Stats,
-) ([]int, bool) {
+// a single level of the elimination order. A step of the threshold rule
+// only. Returns the updated remaining list and whether any row was
+// factored globally (if not, the caller falls back to an independent-set
+// level).
+func (d *driver) schurBlockRound(remaining []int) ([]int, bool) {
+	p, s, pc, st := d.p, d.s, d.pc, d.st
+	reduced, uF, uFSet := d.reduced, d.uF, d.uFSet
+	par := d.opt.Params
 	plan := pc.plan
 	lay := plan.Lay
 	me := pc.me
@@ -85,19 +80,11 @@ func (pc *ProcPrecond) schurBlockRound(
 		}
 	}
 
-	counts := pcomm.AllGatherInts(p, []int{len(block)})
-	total := 0
-	myOffset := *nl
-	for q := 0; q < lay.P; q++ {
-		if q < me {
-			myOffset += counts[q][0]
-		}
-		total += counts[q][0]
-	}
+	start := d.nl
+	myOffset, total := d.claimIDs(len(block))
 	if total == 0 {
 		return remaining, false
 	}
-	nl1 := *nl + total
 
 	// Assign ids and factor the block sequentially, exactly like a
 	// processor's interior phase but over the reduced matrix.
@@ -122,7 +109,7 @@ func (pc *ProcPrecond) schurBlockRound(
 		rv := reduced[li].vals
 		tC := tcBuf[:0]
 		tV := tvBuf[:0]
-		// Prior L entries (already final ids < *nl) ride along so the 3rd
+		// Prior L entries (already final ids < start) ride along so the 3rd
 		// dropping rule sees the whole factored part.
 		tC = append(tC, pc.lCols[li]...)
 		tV = append(tV, pc.lVals[li]...)
@@ -134,7 +121,7 @@ func (pc *ProcPrecond) schurBlockRound(
 			}
 			tV = append(tV, rv[idx])
 		}
-		sortPair(tC, tV)
+		sparse.SortRow(tC, tV)
 		tcBuf, tvBuf = tC, tV
 		return tC, tV
 	}
@@ -164,7 +151,7 @@ func (pc *ProcPrecond) schurBlockRound(
 		pc.uDiag[li] = urow.Diag
 		reduced[li] = redRow{}
 	}
-	pc.levels = append(pc.levels, LevelInfo{Start: *nl, Size: total})
+	pc.levels = append(pc.levels, LevelInfo{Start: start, Size: total})
 	pc.levelMembers = append(pc.levelMembers, block)
 
 	// Eliminate the block's unknowns from my other remaining rows. Blocks
@@ -184,6 +171,5 @@ func (pc *ProcPrecond) schurBlockRound(
 		pc.Stats.CopiedEntries += len(nrC)
 		next = append(next, li)
 	}
-	*nl = nl1
 	return next, true
 }

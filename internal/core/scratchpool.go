@@ -12,9 +12,10 @@ import (
 // poison; the free list retains scratches across factorizations — the
 // whole point of amortizing their high-water-mark growth — and gives the
 // scratch-poisoning property tests a hook that reaches every pooled
-// scratch deterministically. Factor/FactorILU0 take a scratch per call,
-// so the list's size tracks the peak number of concurrent factorizations
-// (one per in-process rank), capped to keep a burst from pinning memory.
+// scratch deterministically. The factorization driver takes one scratch
+// per call, whichever row rule it runs under, so the list's size tracks
+// the peak number of concurrent factorizations (one per in-process rank),
+// capped to keep a burst from pinning memory.
 const maxPooledScratches = 64
 
 var scratchPool struct {

@@ -1,8 +1,10 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/dist"
@@ -158,15 +160,36 @@ func TestSolveAliasedVectors(t *testing.T) {
 func TestSolvePanicsOnBadLength(t *testing.T) {
 	P := 2
 	pcs, plan, _, _ := solveFixture(t, P)
-	m := pcommtest.New(t, P, machine.T3D())
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	m.Run(func(p pcomm.Comm) {
-		pcs[p.ID()].SolveForward(p, make([]float64, 1), make([]float64, plan.Lay.NLocal(p.ID())))
-	})
+	short := func(int) []float64 { return make([]float64, 1) }
+	full := func(me int) []float64 { return make([]float64, plan.Lay.NLocal(me)) }
+	cases := []struct {
+		msg   string
+		apply func(p pcomm.Comm, pc *ProcPrecond)
+	}{
+		{"core: SolveForward local vector length mismatch", func(p pcomm.Comm, pc *ProcPrecond) {
+			pc.SolveForward(p, short(p.ID()), full(p.ID()))
+		}},
+		{"core: SolveBackward local vector length mismatch", func(p pcomm.Comm, pc *ProcPrecond) {
+			pc.SolveBackward(p, full(p.ID()), short(p.ID()))
+		}},
+		{"core: SolveForward local vector length mismatch", func(p pcomm.Comm, pc *ProcPrecond) {
+			pc.Solve(p, short(p.ID()), full(p.ID()))
+		}},
+		{"core: SolveBatch local vector length mismatch", func(p pcomm.Comm, pc *ProcPrecond) {
+			pc.SolveBatch(p, [][]float64{full(p.ID()), short(p.ID())}, [][]float64{full(p.ID()), full(p.ID())})
+		}},
+	}
+	for _, tc := range cases {
+		func() {
+			defer func() {
+				if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), tc.msg) {
+					t.Errorf("recovered %v, want a panic carrying %q", r, tc.msg)
+				}
+			}()
+			m := pcommtest.New(t, P, machine.T3D())
+			m.Run(func(p pcomm.Comm) { tc.apply(p, pcs[p.ID()]) })
+		}()
+	}
 }
 
 func TestSolveSyncPointsEqualLevels(t *testing.T) {

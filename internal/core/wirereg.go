@@ -11,7 +11,6 @@ import (
 // never notice.
 func init() {
 	pcomm.RegisterWire(levelValues{})
-	pcomm.RegisterWire(levelValuesBatch{})
 	pcomm.RegisterWire(ilu.URow{})
 	pcomm.RegisterWire([]ilu.URow(nil))
 }

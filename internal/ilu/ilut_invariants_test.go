@@ -7,7 +7,6 @@ import (
 	"testing/quick"
 
 	"repro/internal/matgen"
-	"repro/internal/sparse"
 )
 
 // Property: ILUT(m, t) respects the 2nd dropping rule's fill cap on every
@@ -127,9 +126,9 @@ func TestEliminateRowReducedCapProperty(t *testing.T) {
 			}
 		}
 
-		w := sparse.NewWorkRow(n)
+		s := NewScratch(n)
 		var st Stats
-		newL, _, red, _ := EliminateRow(w, i, cols, vals, nil, nil,
+		newL, _, red, _ := s.EliminateRow(i, cols, vals, nil, nil,
 			func(k int) *URow { return pivots[k] },
 			0, nl1, 1e-4, m, kcap, &st)
 		if len(newL) > m {

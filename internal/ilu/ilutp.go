@@ -215,7 +215,7 @@ func ILUTP(a *sparse.CSR, p Params, permTol float64) (*ILUTPResult, error) {
 		for k, j := range uCols[i] {
 			uc[k] = pos[j]
 		}
-		sortRowPair(uc, uv)
+		sparse.SortRow(uc, uv)
 		fUC[i] = uc
 		fUV[i] = uv
 	}
@@ -231,16 +231,4 @@ func permTolInv(t float64) float64 {
 		return math.Inf(1)
 	}
 	return 1 / t
-}
-
-func sortRowPair(cols []int, vals []float64) {
-	for i := 1; i < len(cols); i++ {
-		c, v := cols[i], vals[i]
-		j := i - 1
-		for j >= 0 && cols[j] > c {
-			cols[j+1], vals[j+1] = cols[j], vals[j]
-			j--
-		}
-		cols[j+1], vals[j+1] = c, v
-	}
 }

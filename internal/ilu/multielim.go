@@ -61,7 +61,7 @@ func MultiElimILUT(a *sparse.CSR, p Params, rounds int, seed int64) (*MultiElimR
 	for i := range remaining {
 		remaining[i] = i
 	}
-	w := sparse.NewWorkRow(2 * n)
+	s := NewScratch(2 * n)
 	newOf := make([]int, n)
 	nl := 0
 
@@ -102,7 +102,7 @@ func MultiElimILUT(a *sparse.CSR, p Params, rounds int, seed int64) (*MultiElimR
 		}
 		pivotByNew := make(map[int]*URow, len(pivots))
 		for _, i := range pivots {
-			u, err := FactorPivotRow(n+i, redCols[i], redVals[i], tau[i], p.maxFill(n), st)
+			u, err := s.FactorPivotRow(n+i, redCols[i], redVals[i], tau[i], p.maxFill(n), 0, st)
 			if err != nil {
 				return nil, err
 			}
@@ -127,8 +127,8 @@ func MultiElimILUT(a *sparse.CSR, p Params, rounds int, seed int64) (*MultiElimR
 				}
 			}
 			tV := redVals[i]
-			sortPairCombined(tC, tV)
-			lC, lV, nrC, nrV := EliminateRow(w, n+i, tC, tV,
+			sparse.SortRow(tC, tV)
+			lC, lV, nrC, nrV := s.EliminateRow(n+i, tC, tV,
 				lCols[i], lVals[i],
 				func(k int) *URow { return pivotByNew[k] },
 				nl, nl1, tau[i], p.maxFillCap(), p.K, st)
@@ -162,7 +162,7 @@ func MultiElimILUT(a *sparse.CSR, p Params, rounds int, seed int64) (*MultiElimR
 			}
 			uv = append(uv, u.Vals[k])
 		}
-		sortPairCombined(uc[1:], uv[1:])
+		sparse.SortRow(uc[1:], uv[1:])
 		// The diagonal is the smallest index in an upper-triangular row,
 		// so the whole row is sorted.
 		fUC[nid], fUV[nid] = uc, uv
@@ -196,16 +196,4 @@ func indexOf(sorted []int, v int) int {
 		}
 	}
 	return lo
-}
-
-func sortPairCombined(cols []int, vals []float64) {
-	for i := 1; i < len(cols); i++ {
-		c, v := cols[i], vals[i]
-		j := i - 1
-		for j >= 0 && cols[j] > c {
-			cols[j+1], vals[j+1] = cols[j], vals[j]
-			j--
-		}
-		cols[j+1], vals[j+1] = c, v
-	}
 }

@@ -3,8 +3,6 @@ package ilu
 import (
 	"fmt"
 	"math"
-
-	"repro/internal/sparse"
 )
 
 // URow is the U-factor row of a factored pivot, in global column indices.
@@ -46,26 +44,15 @@ var (
 // FactorPivotRow turns the current reduced row of an independent-set
 // pivot into its U row (the paper's phase-2 step "factoring the nodes of
 // I_l only requires creating the rows of U"): entries below the relative
-// threshold tau are dropped and at most m off-diagonal entries survive.
-// cols/vals must contain the diagonal position i.
-func FactorPivotRow(i int, cols []int, vals []float64, tau float64, m int, st *Stats) (URow, error) {
-	return FactorPivotRowPerturbed(i, cols, vals, tau, m, 0, st)
-}
-
-// FactorPivotRowPerturbed is FactorPivotRow with the fault-injection
-// pivot perturbation of Params.PivotPerturb applied before the tiny-pivot
-// repair check; perturb 0 disables it and is bitwise identical to
-// FactorPivotRow. It is the transient-scratch wrapper around
-// Scratch.FactorPivotRow; hot callers hold a Scratch instead.
-func FactorPivotRowPerturbed(i int, cols []int, vals []float64, tau float64, m int, perturb float64, st *Stats) (URow, error) {
-	s := Scratch{fresh: true}
-	return s.FactorPivotRow(i, cols, vals, tau, m, perturb, st)
-}
-
-// FactorPivotRow is the zero-alloc kernel behind the free function of the
-// same name: the surviving-entry buffer is the scratch's reusable
-// selection buffer, selection and ordering run on closure-free insertion
-// sorts, and the U row's storage is carved from the output arena.
+// threshold tau are dropped and at most m off-diagonal entries survive
+// (tau = 0, m = 0 keeps the whole row — the static pattern of ILU(0)).
+// cols/vals must contain the diagonal position i. perturb, when non-zero,
+// is the fault-injection pivot perturbation of Params.PivotPerturb,
+// applied before the tiny-pivot repair check.
+//
+// The surviving-entry buffer is the scratch's reusable selection buffer,
+// selection and ordering run on closure-free insertion sorts, and the U
+// row's storage is carved from the output arena.
 //
 //pilut:hotpath
 func (s *Scratch) FactorPivotRow(i int, cols []int, vals []float64, tau float64, m int, perturb float64, st *Stats) (URow, error) {
@@ -112,13 +99,8 @@ func (s *Scratch) FactorPivotRow(i int, cols []int, vals []float64, tau float64,
 		r.Cols, r.Vals = emptyRowCols, emptyRowVals
 		return r, nil
 	}
-	if s.fresh {
-		r.Cols = make([]int, len(keep))     //pilutlint:ok hotalloc legacy exact-fit mode used by the free-function wrapper only
-		r.Vals = make([]float64, len(keep)) //pilutlint:ok hotalloc legacy exact-fit mode used by the free-function wrapper only
-	} else {
-		r.Cols = s.out.carveInts(len(keep))
-		r.Vals = s.out.carveFloats(len(keep))
-	}
+	r.Cols = s.out.carveInts(len(keep))
+	r.Vals = s.out.carveFloats(len(keep))
 	for k, e := range keep {
 		r.Cols[k] = e.col
 		r.Vals[k] = e.val
@@ -133,7 +115,7 @@ func (s *Scratch) FactorPivotRow(i int, cols []int, vals []float64, tau float64,
 // into the new L part (columns < nl1) and the next-level reduced row
 // (columns ≥ nl1).
 //
-//   - w is a reusable working row over the global index space (reset on
+//   - the scratch's working row spans the global index space (clean on
 //     entry and exit).
 //   - aCols/aVals is the current reduced row of i (columns in [nl, n)).
 //   - lCols/lVals is the L row accumulated over earlier levels (columns
@@ -149,25 +131,8 @@ func (s *Scratch) FactorPivotRow(i int, cols []int, vals []float64, tau float64,
 // pivot-range entries suffices — the property the paper exploits to
 // pre-post all communication.
 //
-// This free function is the transient-scratch wrapper; hot callers hold
-// a Scratch and call the method, whose returned slices are arena-carved.
-func EliminateRow(
-	w *sparse.WorkRow,
-	i int,
-	aCols []int, aVals []float64,
-	lCols []int, lVals []float64,
-	pivot func(k int) *URow,
-	nl, nl1 int,
-	tau float64, m, kcap int,
-	st *Stats,
-) (newLCols []int, newLVals []float64, redCols []int, redVals []float64) {
-	s := Scratch{w: w, fresh: true}
-	return s.EliminateRow(i, aCols, aVals, lCols, lVals, pivot, nl, nl1, tau, m, kcap, st)
-}
-
-// EliminateRow is the zero-alloc kernel: every intermediate lives in the
-// scratch and the returned row halves are carved from the output arena
-// (or exact-fit copies in fresh mode).
+// Every intermediate lives in the scratch and the returned row halves
+// are carved from the output arena.
 //
 //pilut:hotpath
 func (s *Scratch) EliminateRow(
@@ -224,22 +189,8 @@ func (s *Scratch) EliminateRow(
 // rows) rather than as an independent set: eliminations may then create
 // fill back inside the pivot range, so the sweep is driven by a heap that
 // picks up fill positions, exactly like the main ILUT loop. Dropping rules
-// and the L/reduced split are identical to EliminateRow.
-func EliminateRowSeq(
-	w *sparse.WorkRow,
-	i int,
-	aCols []int, aVals []float64,
-	pivot func(k int) *URow,
-	nl, nl1 int,
-	tau float64, m, kcap int,
-	st *Stats,
-) (newLCols []int, newLVals []float64, redCols []int, redVals []float64) {
-	s := Scratch{w: w, fresh: true}
-	return s.EliminateRowSeq(i, aCols, aVals, pivot, nl, nl1, tau, m, kcap, st)
-}
-
-// EliminateRowSeq is the zero-alloc kernel: the fill-selection heap is
-// the scratch's reusable heap rather than a per-call allocation.
+// and the L/reduced split are identical to EliminateRow. The fill-
+// selection heap is the scratch's reusable heap.
 //
 //pilut:hotpath
 func (s *Scratch) EliminateRowSeq(
@@ -294,7 +245,7 @@ func (s *Scratch) EliminateRowSeq(
 // 3rd dropping rule — threshold-and-cap the factored part; threshold
 // (and, for ILUT*, cap at kcap·m) the reduced part, always preserving
 // the reduced diagonal — then the L/reduced gather, the working-row
-// reset, and the carve (or exact-fit copy) of the four result slices.
+// reset, and the carve of the four result slices.
 //
 //pilut:hotpath
 func (s *Scratch) finishRow(i, nl1 int, tau float64, m, kcap int, st *Stats) (newLCols []int, newLVals []float64, redCols []int, redVals []float64) {
@@ -333,20 +284,6 @@ func (s *Scratch) finishRow(i, nl1 int, tau float64, m, kcap int, st *Stats) (ne
 // Works for both sequential pivot blocks and independent sets, since
 // without fill the two traversals coincide. Returns the row's new L part
 // (columns < nl1) and its remaining static row (columns ≥ nl1).
-func EliminateRowStatic(
-	w *sparse.WorkRow,
-	i int,
-	aCols []int, aVals []float64,
-	lCols []int, lVals []float64,
-	pivot func(k int) *URow,
-	nl, nl1 int,
-	st *Stats,
-) (newLCols []int, newLVals []float64, redCols []int, redVals []float64) {
-	s := Scratch{w: w, fresh: true}
-	return s.EliminateRowStatic(i, aCols, aVals, lCols, lVals, pivot, nl, nl1, st)
-}
-
-// EliminateRowStatic is the zero-alloc kernel for the static pattern.
 //
 //pilut:hotpath
 func (s *Scratch) EliminateRowStatic(
@@ -383,12 +320,6 @@ func (s *Scratch) EliminateRowStatic(
 	s.rc, s.rv = w.Gather(nl1, n, s.rc[:0], s.rv[:0])
 	w.Reset()
 	return s.takeInts(s.lc), s.takeFloats(s.lv), s.takeInts(s.rc), s.takeFloats(s.rv)
-}
-
-// FactorPivotRowStatic builds a pivot's U row keeping the full static
-// pattern (no dropping). cols/vals must contain the diagonal position i.
-func FactorPivotRowStatic(i int, cols []int, vals []float64, st *Stats) (URow, error) {
-	return FactorPivotRow(i, cols, vals, 0, 0, st)
 }
 
 // Small heap helpers shared with the ILUT driver (container/heap without

@@ -31,7 +31,7 @@ func pivotRowsFor(t *testing.T, a *sparse.CSR, pivots []int, tau float64, m int)
 	out := make(map[int]*URow)
 	for _, i := range pivots {
 		cols, vals := a.Row(i)
-		r, err := FactorPivotRow(i, cols, vals, tau, m, &st)
+		r, err := NewScratch(0).FactorPivotRow(i, cols, vals, tau, m, 0, &st)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -58,12 +58,12 @@ func TestFactorPivotRowBasic(t *testing.T) {
 
 func TestFactorPivotRowThresholdAndCap(t *testing.T) {
 	var st Stats
-	r, err := FactorPivotRow(0,
+	r, err := NewScratch(0).FactorPivotRow(0,
 		[]int{0, 2, 3, 4},
 		[]float64{10, 0.001, 5, 3},
 		0.01, // drops the 0.001
 		1,    // keeps only the 5
-		&st)
+		0, &st)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,14 +77,14 @@ func TestFactorPivotRowThresholdAndCap(t *testing.T) {
 
 func TestFactorPivotRowMissingDiagonal(t *testing.T) {
 	var st Stats
-	if _, err := FactorPivotRow(0, []int{1}, []float64{1}, 0, 0, &st); err == nil {
+	if _, err := NewScratch(0).FactorPivotRow(0, []int{1}, []float64{1}, 0, 0, 0, &st); err == nil {
 		t.Error("missing diagonal accepted")
 	}
 }
 
 func TestFactorPivotRowZeroPivotFixed(t *testing.T) {
 	var st Stats
-	r, err := FactorPivotRow(0, []int{0, 1}, []float64{0, 2}, 0.5, 0, &st)
+	r, err := NewScratch(0).FactorPivotRow(0, []int{0, 1}, []float64{0, 2}, 0.5, 0, 0, &st)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,13 +102,13 @@ func TestEliminateRowExactSchur(t *testing.T) {
 	a := reduceFixture()
 	n := a.N
 	pivots := pivotRowsFor(t, a, []int{0, 1}, 0, 0)
-	w := sparse.NewWorkRow(n)
+	s := NewScratch(n)
 	var st Stats
 
 	d := a.Dense()
 	for i := 2; i < n; i++ {
 		aCols, aVals := a.Row(i)
-		lC, lV, rC, rV := EliminateRow(w, i, aCols, aVals, nil, nil,
+		lC, lV, rC, rV := s.EliminateRow(i, aCols, aVals, nil, nil,
 			func(k int) *URow { return pivots[k] }, 0, 2, 0, 0, 0, &st)
 
 		// Expected multipliers and Schur row.
@@ -141,7 +141,7 @@ func TestEliminateRowExactSchur(t *testing.T) {
 func TestEliminateRowSecondLevel(t *testing.T) {
 	a := reduceFixture()
 	n := a.N
-	w := sparse.NewWorkRow(n)
+	s := NewScratch(n)
 	var st Stats
 
 	// Level 0: pivots {0,1}; eliminate from rows 2,3,4.
@@ -155,7 +155,7 @@ func TestEliminateRowSecondLevel(t *testing.T) {
 	state := make(map[int]rowState)
 	for i := 2; i < n; i++ {
 		aCols, aVals := a.Row(i)
-		lC, lV, rC, rV := EliminateRow(w, i, aCols, aVals, nil, nil,
+		lC, lV, rC, rV := s.EliminateRow(i, aCols, aVals, nil, nil,
 			func(k int) *URow { return piv0[k] }, 0, 2, 0, 0, 0, &st)
 		state[i] = rowState{lC, lV, rC, rV}
 	}
@@ -169,7 +169,7 @@ func TestEliminateRowSecondLevel(t *testing.T) {
 	{
 		cols := append([]int(nil), pr2.rC...)
 		vals := append([]float64(nil), pr2.rV...)
-		r, err := FactorPivotRow(2, cols, vals, 0, 0, &st)
+		r, err := NewScratch(0).FactorPivotRow(2, cols, vals, 0, 0, 0, &st)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -177,7 +177,7 @@ func TestEliminateRowSecondLevel(t *testing.T) {
 	}
 	// Eliminate pivot 2 from row 3 with its accumulated L row.
 	pr3 := state[3]
-	lC, lV, rC, rV := EliminateRow(w, 3, pr3.rC, pr3.rV, pr3.lC, pr3.lV,
+	lC, lV, rC, rV := s.EliminateRow(3, pr3.rC, pr3.rV, pr3.lC, pr3.lV,
 		func(k int) *URow {
 			if k == 2 {
 				return &u2
@@ -237,9 +237,9 @@ func TestEliminateRowILUTStarCap(t *testing.T) {
 
 	var st Stats
 	pivots := pivotRowsFor(t, a, []int{0}, 0, 0)
-	w := sparse.NewWorkRow(n)
+	s := NewScratch(n)
 	aCols, aVals := a.Row(1)
-	_, _, rC, _ := EliminateRow(w, 1, aCols, aVals, nil, nil,
+	_, _, rC, _ := s.EliminateRow(1, aCols, aVals, nil, nil,
 		func(k int) *URow { return pivots[k] }, 0, 1, 0, 2, 1, &st)
 	// Reduced part: diagonal 1 plus at most kcap·m = 2 others.
 	if len(rC) > 3 {
@@ -256,8 +256,8 @@ func TestEliminateRowILUTStarCap(t *testing.T) {
 	}
 
 	// Plain ILUT (kcap=0) keeps everything above threshold.
-	w2 := sparse.NewWorkRow(n)
-	_, _, rC2, _ := EliminateRow(w2, 1, aCols, aVals, nil, nil,
+	s2 := NewScratch(n)
+	_, _, rC2, _ := s2.EliminateRow(1, aCols, aVals, nil, nil,
 		func(k int) *URow { return pivots[k] }, 0, 1, 0, 2, 0, &st)
 	if len(rC2) <= len(rC) {
 		t.Fatalf("plain ILUT should keep more reduced entries: %d vs %d", len(rC2), len(rC))
@@ -274,9 +274,9 @@ func TestEliminateRowFirstDroppingRule(t *testing.T) {
 	})
 	var st Stats
 	pivots := pivotRowsFor(t, a, []int{0}, 0, 0)
-	w := sparse.NewWorkRow(3)
+	s := NewScratch(3)
 	aCols, aVals := a.Row(1)
-	lC, _, rC, rV := EliminateRow(w, 1, aCols, aVals, nil, nil,
+	lC, _, rC, rV := s.EliminateRow(1, aCols, aVals, nil, nil,
 		func(k int) *URow { return pivots[k] }, 0, 1, 0.1, 0, 0, &st)
 	// multiplier = 0.5/100 = 0.005 < 0.1 → dropped; L empty.
 	if len(lC) != 0 {
@@ -295,24 +295,24 @@ func TestEliminateRowPanicsOnDependentPivot(t *testing.T) {
 	// a broken independent set; EliminateRow must refuse.
 	var st Stats
 	u := &URow{Col: 0, Diag: 1, Cols: []int{1}, Vals: []float64{1}}
-	w := sparse.NewWorkRow(3)
+	s := NewScratch(3)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic")
 		}
 	}()
-	EliminateRow(w, 2, []int{0, 2}, []float64{1, 1}, nil, nil,
+	s.EliminateRow(2, []int{0, 2}, []float64{1, 1}, nil, nil,
 		func(k int) *URow { return u }, 0, 2, 0, 0, 0, &st)
 }
 
 func TestEliminateRowMissingPivotPanics(t *testing.T) {
 	var st Stats
-	w := sparse.NewWorkRow(3)
+	s := NewScratch(3)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic")
 		}
 	}()
-	EliminateRow(w, 2, []int{0, 2}, []float64{1, 1}, nil, nil,
+	s.EliminateRow(2, []int{0, 2}, []float64{1, 1}, nil, nil,
 		func(k int) *URow { return nil }, 0, 1, 0, 0, 0, &st)
 }

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"repro/internal/matgen"
-	"repro/internal/sparse"
 )
 
 // TestEliminateRowSeqExactPartialElimination verifies the phase-1 kernel
@@ -50,7 +49,7 @@ func TestEliminateRowSeqExactPartialElimination(t *testing.T) {
 				vals = append(vals, lu[k][j])
 			}
 		}
-		r, err := FactorPivotRow(k, cols, vals, 0, 0, &st)
+		r, err := NewScratch(0).FactorPivotRow(k, cols, vals, 0, 0, 0, &st)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -59,9 +58,9 @@ func TestEliminateRowSeqExactPartialElimination(t *testing.T) {
 	}
 
 	// Eliminate the block from row 7 via the kernel.
-	w := sparse.NewWorkRow(n)
+	s := NewScratch(n)
 	aCols, aVals := a.Row(7)
-	lC, lV, rC, rV := EliminateRowSeq(w, 7, aCols, aVals,
+	lC, lV, rC, rV := s.EliminateRowSeq(7, aCols, aVals,
 		func(k int) *URow { return pivots[k] }, 0, blk, 0, 0, 0, &st)
 
 	// Dense reference: eliminate pivots 0..5 from row 7 (with fill chasing).
@@ -102,8 +101,8 @@ func TestEliminateRowSeqChasesFill(t *testing.T) {
 	u0 := &URow{Col: 0, Diag: 2, Cols: []int{1, 2}, Vals: []float64{4, 6}}
 	u1 := &URow{Col: 1, Diag: 3, Cols: []int{2}, Vals: []float64{9}}
 	pivots := []*URow{u0, u1}
-	w := sparse.NewWorkRow(3)
-	lC, lV, rC, rV := EliminateRowSeq(w, 2,
+	s := NewScratch(3)
+	lC, lV, rC, rV := s.EliminateRowSeq(2,
 		[]int{0, 2}, []float64{2, 1},
 		func(k int) *URow { return pivots[k] }, 0, 2, 0, 0, 0, &st)
 	// Multiplier l20 = 2/2 = 1; fill at col1 = 0 − 1·4 = −4; at col2 = 1 − 1·6 = −5.
@@ -128,9 +127,9 @@ func TestEliminateRowSeqChasesFill(t *testing.T) {
 func TestEliminateRowSeqDroppingRules(t *testing.T) {
 	var st Stats
 	u0 := &URow{Col: 0, Diag: 100, Cols: []int{2}, Vals: []float64{5}}
-	w := sparse.NewWorkRow(3)
+	s := NewScratch(3)
 	// Multiplier 0.5/100 = 0.005 < tau=0.1 → dropped by rule 1.
-	lC, _, rC, rV := EliminateRowSeq(w, 1,
+	lC, _, rC, rV := s.EliminateRowSeq(1,
 		[]int{0, 1}, []float64{0.5, 3},
 		func(k int) *URow { return u0 }, 0, 1, 0.1, 0, 0, &st)
 	if len(lC) != 0 {
@@ -142,8 +141,8 @@ func TestEliminateRowSeqDroppingRules(t *testing.T) {
 
 	// kcap bounds the reduced part.
 	u0b := &URow{Col: 0, Diag: 1, Cols: []int{2, 3, 4, 5, 6}, Vals: []float64{9, 8, 7, 6, 5}}
-	w2 := sparse.NewWorkRow(7)
-	_, _, rC2, _ := EliminateRowSeq(w2, 1,
+	s2 := NewScratch(7)
+	_, _, rC2, _ := s2.EliminateRowSeq(1,
 		[]int{0, 1}, []float64{1, 2},
 		func(k int) *URow { return u0b }, 0, 1, 0, 1, 2, &st)
 	// reduced cap = kcap·m = 2 plus the protected diagonal 1.
@@ -164,13 +163,13 @@ func TestEliminateRowSeqDroppingRules(t *testing.T) {
 // TestEliminateRowSeqMissingPivot checks the defensive panic.
 func TestEliminateRowSeqMissingPivot(t *testing.T) {
 	var st Stats
-	w := sparse.NewWorkRow(2)
+	s := NewScratch(2)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic")
 		}
 	}()
-	EliminateRowSeq(w, 1, []int{0, 1}, []float64{1, 1},
+	s.EliminateRowSeq(1, []int{0, 1}, []float64{1, 1},
 		func(k int) *URow { return nil }, 0, 1, 0, 0, 0, &st)
 }
 

@@ -22,11 +22,9 @@ import (
 //     Scratch detaches it before reuse (DetachOutputs) and the carved
 //     rows keep their chunks alive through ordinary GC liveness.
 //
-// A zero Scratch is not usable; call NewScratch. The legacy free
-// functions (EliminateRow, FactorPivotRowPerturbed, ...) wrap these
-// methods with a transient scratch in fresh mode, preserving their
-// historical exact-fit allocation behavior for callers that factor a
-// handful of rows.
+// A zero Scratch is not usable; call NewScratch. The row kernels
+// (EliminateRow, EliminateRowSeq, EliminateRowStatic, FactorPivotRow) are
+// its methods and the only way to run them.
 type Scratch struct {
 	w *sparse.WorkRow
 	h colHeap // fill-selection heap of EliminateRowSeq
@@ -41,10 +39,8 @@ type Scratch struct {
 	// pivot-row selection buffer of FactorPivotRow.
 	ents []pivEnt
 
-	// out is the output arena; fresh selects exact-fit allocations
-	// instead (the legacy wrapper mode).
-	out   slab
-	fresh bool
+	// out is the output arena.
+	out slab
 }
 
 // pivEnt is one surviving off-diagonal entry of a pivot row.
@@ -62,8 +58,7 @@ func NewScratch(n int) *Scratch {
 // must hold no live state (kernels always leave it reset).
 func (s *Scratch) Grow(n int) { s.w.Resize(n) }
 
-// W exposes the working row (read-mostly: tests and the ILU(0) static
-// planner use it directly).
+// W exposes the working row (the poison tests plant live state in it).
 func (s *Scratch) W() *sparse.WorkRow { return s.w }
 
 // DetachOutputs releases the output arena to its carved rows: the
@@ -194,18 +189,12 @@ func (s *slab) discardAll() {
 }
 
 // takeInts stores a gathered row: nil for an empty row (matching
-// Gather-into-nil), an exact-fit copy in fresh mode, an arena carve
-// otherwise.
+// Gather-into-nil), an arena carve otherwise.
 //
 //pilut:hotpath
 func (s *Scratch) takeInts(src []int) []int {
 	if len(src) == 0 {
 		return nil
-	}
-	if s.fresh {
-		out := make([]int, len(src)) //pilutlint:ok hotalloc legacy exact-fit mode used by the free-function wrappers only
-		copy(out, src)
-		return out
 	}
 	out := s.out.carveInts(len(src))
 	copy(out, src)
@@ -216,11 +205,6 @@ func (s *Scratch) takeInts(src []int) []int {
 func (s *Scratch) takeFloats(src []float64) []float64 {
 	if len(src) == 0 {
 		return nil
-	}
-	if s.fresh {
-		out := make([]float64, len(src)) //pilutlint:ok hotalloc legacy exact-fit mode used by the free-function wrappers only
-		copy(out, src)
-		return out
 	}
 	out := s.out.carveFloats(len(src))
 	copy(out, src)

@@ -157,7 +157,7 @@ func (a *CSR) Permute(perm []int) *CSR {
 			p.Cols[lo+k] = perm[j]
 			p.Vals[lo+k] = vals[k]
 		}
-		sortRow(p.Cols[lo:p.RowPtr[newI+1]], p.Vals[lo:p.RowPtr[newI+1]])
+		SortRow(p.Cols[lo:p.RowPtr[newI+1]], p.Vals[lo:p.RowPtr[newI+1]])
 	}
 	return p
 }
@@ -304,9 +304,10 @@ func IdentityPermutation(n int) []int {
 	return p
 }
 
-// sortRow sorts a (cols, vals) pair by column index. Rows are short, so a
-// simple insertion sort avoids allocation.
-func sortRow(cols []int, vals []float64) {
+// SortRow sorts a (cols, vals) pair by column index, permuting vals
+// alongside. Rows are short, so a simple insertion sort avoids
+// allocation.
+func SortRow(cols []int, vals []float64) {
 	for i := 1; i < len(cols); i++ {
 		c, v := cols[i], vals[i]
 		j := i - 1
