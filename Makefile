@@ -1,7 +1,7 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: all build vet lint lint-json loc test test-real test-netcomm race race-real chaos check serve-smoke bench bench-test bench-netcomm bench-speedup bench-sequence bench-cluster fuzz-smoke cover
+.PHONY: all build vet lint lint-json loc fmt-check test test-real test-netcomm race race-real chaos check serve-smoke bench bench-test bench-netcomm bench-speedup bench-sequence bench-cluster fuzz-smoke cover
 
 all: check
 
@@ -14,8 +14,12 @@ vet:
 # Static SPMD-invariant checks (sendalias, collective, procescape,
 # bytesarg, determinism, floatfold, hotalloc, errdrop). Add -tests to
 # also analyze _test.go files; -enable/-disable select analyzers.
-lint: loc
+lint: loc fmt-check
 	$(GO) run ./cmd/pilutlint ./...
+
+# gofmt -l prints the files it would rewrite; any output fails.
+fmt-check:
+	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt -l:"; echo "$$out"; exit 1; fi
 
 # The two figures every simplicity PR quotes (ROADMAP aim 2): non-test Go
 # outside bench/, and the //pilutlint:ok hotalloc waivers in any .go file

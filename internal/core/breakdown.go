@@ -41,18 +41,11 @@ func (e *BreakdownError) Error() string {
 // maxRate or any non-finite value is present.
 func (pc *ProcPrecond) checkBreakdown(p pcomm.Comm, maxRate float64) {
 	nonFinite := 0
-	countRow := func(vals []float64) {
+	for _, vals := range [3][]float64{pc.fwd.val, pc.bwd.val, pc.bwd.diag} {
 		for _, v := range vals {
 			if math.IsNaN(v) || math.IsInf(v, 0) {
 				nonFinite++
 			}
-		}
-	}
-	for li := range pc.uVals {
-		countRow(pc.lVals[li])
-		countRow(pc.uVals[li])
-		if math.IsNaN(pc.uDiag[li]) || math.IsInf(pc.uDiag[li], 0) {
-			nonFinite++
 		}
 	}
 	local := []int{pc.Stats.ILU.FixedPivot, len(pc.owned), nonFinite}

@@ -84,12 +84,11 @@ func TestFactorDeterministicTraced(t *testing.T) {
 				if !reflect.DeepEqual(p1.newOf, p2.newOf) {
 					t.Fatalf("proc %d: elimination order differs", q)
 				}
-				if !reflect.DeepEqual(p1.lCols, p2.lCols) || !reflect.DeepEqual(p1.lVals, p2.lVals) {
-					t.Fatalf("proc %d: L factor differs bitwise", q)
+				if !reflect.DeepEqual(p1.fwd, p2.fwd) {
+					t.Fatalf("proc %d: L factor or its exchange plan differs bitwise", q)
 				}
-				if !reflect.DeepEqual(p1.uCols, p2.uCols) || !reflect.DeepEqual(p1.uVals, p2.uVals) ||
-					!reflect.DeepEqual(p1.uDiag, p2.uDiag) {
-					t.Fatalf("proc %d: U factor differs bitwise", q)
+				if !reflect.DeepEqual(p1.bwd, p2.bwd) {
+					t.Fatalf("proc %d: U factor or its exchange plan differs bitwise", q)
 				}
 				if !reflect.DeepEqual(p1.Stats, p2.Stats) {
 					t.Fatalf("proc %d: stats differ:\n%+v\n%+v", q, p1.Stats, p2.Stats)

@@ -86,24 +86,20 @@ type Stats struct {
 }
 
 // ProcPrecond is one processor's piece of the distributed preconditioner:
-// the L/U rows of its owned unknowns in final elimination-order indices,
-// plus the level structure that drives the triangular solves.
+// the L and U rows of its owned unknowns, each laid out flat for its
+// triangular sweep with the neighbour-exchange plan that drives it.
 type ProcPrecond struct {
 	plan *Plan
 	me   int
 
-	owned []int // global rows, increasing (== Lay.Rows[me])
-	newOf []int // final new id per owned row
+	owned  []int // global rows, increasing (== Lay.Rows[me])
+	newOf  []int // final new id per owned row
+	levels []LevelInfo
 
-	lCols [][]int
-	lVals [][]float64
-	uCols [][]int // diagonal NOT included; strictly-upper in new ids
-	uVals [][]float64
-	uDiag []float64
-
-	interiorLocal []int // local indices of interior rows, ascending new id
-	levels        []LevelInfo
-	levelMembers  [][]int // per level: local indices, ascending new id
+	fwd, bwd tri // L and U, see tri
+	// wired reports that the sweeps' exchange plans exist: factor builds
+	// them at its end, a piece from FromWire on its first application.
+	wired bool
 
 	// lanes are the solve buffers, one per right-hand side of the widest
 	// application so far, reused across applications. Lane 0 always exists.
@@ -181,6 +177,7 @@ type driver struct {
 	p    pcomm.Comm
 	plan *Plan
 	pc   *ProcPrecond
+	w    WirePrecond // the factors in row form, laid out flat at the end
 	opt  Options
 	rule rowRule
 	s    *ilu.Scratch
@@ -238,17 +235,20 @@ func factor(p pcomm.Comm, plan *Plan, opt Options, rule rowRule) *ProcPrecond {
 		owned: plan.Lay.Rows[me],
 	}
 	nLocal := len(pc.owned)
-	pc.newOf = make([]int, nLocal)
-	pc.lCols = make([][]int, nLocal)
-	pc.lVals = make([][]float64, nLocal)
-	pc.uCols = make([][]int, nLocal)
-	pc.uVals = make([][]float64, nLocal)
-	pc.uDiag = make([]float64, nLocal)
 	pc.Stats.NInterface = plan.NInterface
 	pc.Stats.NInterior = plan.NIntLocal[me]
 
 	d := &driver{
 		p: p, plan: plan, pc: pc, opt: opt, rule: rule, st: &pc.Stats.ILU,
+		w: WirePrecond{
+			Me:    me,
+			NewOf: make([]int, nLocal),
+			LCols: make([][]int, nLocal),
+			LVals: make([][]float64, nLocal),
+			UCols: make([][]int, nLocal),
+			UVals: make([][]float64, nLocal),
+			UDiag: make([]float64, nLocal),
+		},
 		reduced:    make([]redRow, nLocal),
 		uF:         make([]ilu.URow, nLocal),
 		uFSet:      make([]bool, nLocal),
@@ -261,7 +261,7 @@ func factor(p pcomm.Comm, plan *Plan, opt Options, rule rowRule) *ProcPrecond {
 	// The scratch comes from the per-process pool: after the first few
 	// factorizations every kernel call runs allocation-free, and the
 	// factored rows themselves are carved from the scratch's output arena
-	// (detached to the ProcPrecond when the scratch is returned).
+	// (detached when the scratch is returned; layOut has copied them).
 	d.s = getScratch(2 * n)
 	defer putScratch(d.s)
 
@@ -272,10 +272,11 @@ func factor(p pcomm.Comm, plan *Plan, opt Options, rule rowRule) *ProcPrecond {
 	d.charge()
 	tPhase2 := p.Time()
 	pc.Stats.Phase2Seconds = tPhase2 - tIface
-	pc.Stats.NumLevels = len(pc.levels)
+	pc.Stats.NumLevels = len(d.w.Levels)
 
 	d.renumber()
-	pc.lanes = []solveLane{pc.newLane()}
+	pc.layOut(&d.w)
+	pc.buildExchange(p)
 	if opt.MaxRepairRate > 0 {
 		pc.checkBreakdown(p, opt.MaxRepairRate)
 	}
@@ -379,8 +380,8 @@ func (d *driver) phase1() (iface []int) {
 			continue
 		}
 		myNew := plan.NewOfInterior[g]
-		pc.newOf[li] = myNew
-		pc.interiorLocal = append(pc.interiorLocal, li)
+		d.w.NewOf[li] = myNew
+		d.w.InteriorLocal = append(d.w.InteriorLocal, li)
 		tau := par.Tau * plan.RowTau[g]
 		ec, ev := encRow(g)
 		// The interior block is sequential: the pivot range covers my
@@ -397,9 +398,9 @@ func (d *driver) phase1() (iface []int) {
 		}
 		localU[myNew-intBase] = urow
 		localUSet[myNew-intBase] = true
-		pc.lCols[li], pc.lVals[li] = lC, lV
-		pc.uCols[li], pc.uVals[li] = urow.Cols, urow.Vals
-		pc.uDiag[li] = urow.Diag
+		d.w.LCols[li], d.w.LVals[li] = lC, lV
+		d.w.UCols[li], d.w.UVals[li] = urow.Cols, urow.Vals
+		d.w.UDiag[li] = urow.Diag
 	}
 	// Phase 1 is embarrassingly parallel; account the local work and move
 	// on — no synchronization is needed until the interface phase. The
@@ -423,7 +424,7 @@ func (d *driver) phase1() (iface []int) {
 		tau := par.Tau * plan.RowTau[g]
 		ec, ev := encRow(g)
 		lC, lV, rC, rV := d.eliminateBlock(n+g, ec, ev, pivotLookup, intBase, intBase+nInt, tau, par.K)
-		pc.lCols[li], pc.lVals[li] = lC, lV
+		d.w.LCols[li], d.w.LVals[li] = lC, lV
 		d.reduced[li] = redRow{rC, rV}
 		iface = append(iface, li)
 		pc.Stats.ReducedNNZ0 += len(rC)
@@ -532,9 +533,8 @@ func (d *driver) buildAdjacency(verts []int) {
 // false once no row is active anywhere. DistributedPlan does not retain
 // the adjacency.
 func (d *driver) scheduleLevel(active []bool) (levelPlan, bool) {
-	pc := d.pc
 	sel, ex := mis.DistributedPlan(d.p, d.ownedIDs, d.adj, active, d.ownerOf,
-		d.opt.MISRounds, d.opt.Seed+int64(len(pc.levels))*7919)
+		d.opt.MISRounds, d.opt.Seed+int64(len(d.w.Levels))*7919)
 	if ex.GlobalActive == 0 {
 		return levelPlan{}, false
 	}
@@ -548,7 +548,7 @@ func (d *driver) scheduleLevel(active []bool) (levelPlan, bool) {
 		}
 	}
 	lp.myOffset, lp.size = d.claimIDs(lp.mine)
-	pc.levels = append(pc.levels, LevelInfo{Start: lp.start, Size: lp.size})
+	d.w.Levels = append(d.w.Levels, LevelInfo{Start: lp.start, Size: lp.size})
 	return lp, true
 }
 
@@ -609,13 +609,13 @@ func (d *driver) runLevel(verts []int, lp *levelPlan, t0 float64) {
 		d.uFSet[li] = true
 		d.levelNew[g] = urow.Col
 		d.pivotByNew[urow.Col] = &d.uF[li]
-		pc.newOf[li] = urow.Col
-		pc.uCols[li], pc.uVals[li] = urow.Cols, urow.Vals
-		pc.uDiag[li] = urow.Diag
+		d.w.NewOf[li] = urow.Col
+		d.w.UCols[li], d.w.UVals[li] = urow.Cols, urow.Vals
+		d.w.UDiag[li] = urow.Diag
 		d.reduced[li] = redRow{}
 		members = append(members, li)
 	}
-	pc.levelMembers = append(pc.levelMembers, members)
+	d.w.LevelMembers = append(d.w.LevelMembers, members)
 
 	// Push pivot rows along the MIS exchange plan: the processors that
 	// requested a vertex's MIS state are exactly those whose rows
@@ -666,8 +666,8 @@ func (d *driver) runLevel(verts []int, lp *levelPlan, t0 float64) {
 			}
 		}
 		sparse.SortRow(tC, rv)
-		lC, lV, nrC, nrV := d.eliminateLevel(n+g, tC, rv, pc.lCols[li], pc.lVals[li], nl, nl1, tau)
-		pc.lCols[li], pc.lVals[li] = lC, lV
+		lC, lV, nrC, nrV := d.eliminateLevel(n+g, tC, rv, d.w.LCols[li], d.w.LVals[li], nl, nl1, tau)
+		d.w.LCols[li], d.w.LVals[li] = lC, lV
 		d.reduced[li] = redRow{nrC, nrV}
 	}
 
@@ -697,7 +697,7 @@ func (d *driver) renumber() {
 	var pairs []int
 	for li, g := range pc.owned {
 		if !plan.Interior[g] {
-			pairs = append(pairs, g, pc.newOf[li])
+			pairs = append(pairs, g, d.w.NewOf[li])
 		}
 	}
 	allPairs := pcomm.AllGatherInts(d.p, pairs)
@@ -707,17 +707,17 @@ func (d *driver) renumber() {
 			newOfIface[pp[i]] = pp[i+1]
 		}
 	}
-	for li := range pc.uCols {
-		for k, c := range pc.uCols[li] {
+	for li := range d.w.UCols {
+		for k, c := range d.w.UCols[li] {
 			if c >= n {
 				nid, ok := newOfIface[c-n]
 				if !ok {
 					panic("core: unfactored column survived the factorization")
 				}
-				pc.uCols[li][k] = nid
+				d.w.UCols[li][k] = nid
 			}
 		}
-		sparse.SortRow(pc.uCols[li], pc.uVals[li])
+		sparse.SortRow(d.w.UCols[li], d.w.UVals[li])
 	}
 }
 

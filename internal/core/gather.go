@@ -26,8 +26,9 @@ func GatherFactors(pcs []*ProcPrecond) (*ilu.Factors, []int, error) {
 	uCols := make([][]int, n)
 	uVals := make([][]float64, n)
 	for _, pc := range pcs {
+		w := pc.Wire()
 		for li, g := range pc.owned {
-			nid := pc.newOf[li]
+			nid := w.NewOf[li]
 			if nid < 0 || nid >= n {
 				return nil, nil, fmt.Errorf("core: row %d has invalid new id %d", g, nid)
 			}
@@ -35,10 +36,10 @@ func GatherFactors(pcs []*ProcPrecond) (*ilu.Factors, []int, error) {
 				return nil, nil, fmt.Errorf("core: row %d assigned twice", g)
 			}
 			perm[g] = nid
-			lCols[nid] = pc.lCols[li]
-			lVals[nid] = pc.lVals[li]
-			uc := append([]int{nid}, pc.uCols[li]...)
-			uv := append([]float64{pc.uDiag[li]}, pc.uVals[li]...)
+			lCols[nid] = w.LCols[li]
+			lVals[nid] = w.LVals[li]
+			uc := append([]int{nid}, w.UCols[li]...)
+			uv := append([]float64{w.UDiag[li]}, w.UVals[li]...)
 			uCols[nid] = uc
 			uVals[nid] = uv
 		}

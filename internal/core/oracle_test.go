@@ -96,13 +96,31 @@ func oracleRHS(n, k int) []float64 {
 	return b
 }
 
-// oracleDigests factors a on P modelled processors with the named
-// method, applies Solve to one right-hand side and a B = 3 SolveBatch
-// to three, and digests what each step produced: the Wire() factors and
-// kernel counters, the solution bits, the modelled clocks (Elapsed,
-// per-rank time and flops) and the per-rank message/byte/collective
-// counts of the three runs.
-func oracleDigests(t *testing.T, a *sparse.CSR, P int, method string) [4]string {
+// oracleZoo is the matrices the oracle and the exchange-plan tests run
+// over: one small instance of every matgen generator.
+type zooMatrix struct {
+	name string
+	a    *sparse.CSR
+}
+
+func oracleZoo() []zooMatrix {
+	return []zooMatrix{
+		{"grid2d", matgen.Grid2D(12, 12)},
+		{"grid3d", matgen.Grid3D(5, 5, 5)},
+		{"torso", matgen.Torso(6, 6, 6, 1)},
+		{"convdiff", matgen.ConvDiff2D(12, 12, 20, 5)},
+		{"aniso", matgen.Anisotropic2D(12, 12, 0.01)},
+		{"randspd", matgen.RandomSPDPattern(150, 5, 3)},
+	}
+}
+
+var (
+	oracleProcs   = []int{1, 2, 4, 8}
+	oracleMethods = []string{"ilut", "ilutstar", "schur", "ilu0"}
+)
+
+// oracleFactor factors a on P modelled processors with the named method.
+func oracleFactor(t *testing.T, a *sparse.CSR, P int, method string) (*Plan, []*ProcPrecond, pcomm.Result) {
 	t.Helper()
 	g := graph.FromMatrix(a)
 	part := partition.KWay(g, P, partition.Options{Seed: 17})
@@ -123,13 +141,26 @@ func oracleDigests(t *testing.T, a *sparse.CSR, P int, method string) [4]string 
 		opt.Schur = true
 	}
 	pcs := make([]*ProcPrecond, P)
-	resFactor := modelled.New(P, machine.T3D()).Run(func(p pcomm.Comm) {
+	res := modelled.New(P, machine.T3D()).Run(func(p pcomm.Comm) {
 		if method == "ilu0" {
 			pcs[p.ID()] = FactorILU0(p, plan, 0, opt.Seed)
 		} else {
 			pcs[p.ID()] = Factor(p, plan, opt)
 		}
 	})
+	return plan, pcs, res
+}
+
+// oracleDigests factors a on P modelled processors with the named
+// method, applies Solve to one right-hand side and a B = 3 SolveBatch
+// to three, and digests what each step produced: the Wire() factors and
+// kernel counters, the solution bits, the modelled clocks (Elapsed,
+// per-rank time and flops) and the per-rank message/byte/collective
+// counts of the three runs.
+func oracleDigests(t *testing.T, a *sparse.CSR, P int, method string) [4]string {
+	t.Helper()
+	plan, pcs, resFactor := oracleFactor(t, a, P, method)
+	lay := plan.Lay
 
 	const B = 3
 	rhs := make([][][]float64, B)
@@ -197,20 +228,9 @@ func oracleDigests(t *testing.T, a *sparse.CSR, P int, method string) [4]string 
 // change to the algorithm regenerates the rows (the failure message
 // prints them) and says so in CHANGES.md.
 func TestParentDigestOracle(t *testing.T) {
-	matrices := []struct {
-		name string
-		a    *sparse.CSR
-	}{
-		{"grid2d", matgen.Grid2D(12, 12)},
-		{"grid3d", matgen.Grid3D(5, 5, 5)},
-		{"torso", matgen.Torso(6, 6, 6, 1)},
-		{"convdiff", matgen.ConvDiff2D(12, 12, 20, 5)},
-		{"aniso", matgen.Anisotropic2D(12, 12, 0.01)},
-		{"randspd", matgen.RandomSPDPattern(150, 5, 3)},
-	}
-	for _, mat := range matrices {
-		for _, P := range []int{1, 2, 4, 8} {
-			for _, method := range []string{"ilut", "ilutstar", "schur", "ilu0"} {
+	for _, mat := range oracleZoo() {
+		for _, P := range oracleProcs {
+			for _, method := range oracleMethods {
 				key := fmt.Sprintf("%s/p%d/%s", mat.name, P, method)
 				got := oracleDigests(t, mat.a, P, method)
 				if want := parentDigests[key]; got != want {

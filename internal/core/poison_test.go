@@ -46,11 +46,10 @@ func comparePrecs(t *testing.T, label string, base, got []*ProcPrecond) {
 		if !reflect.DeepEqual(b.newOf, g.newOf) {
 			t.Fatalf("%s: proc %d: elimination order differs", label, q)
 		}
-		if !reflect.DeepEqual(b.lCols, g.lCols) || !reflect.DeepEqual(b.lVals, g.lVals) {
+		if !reflect.DeepEqual(b.fwd, g.fwd) {
 			t.Fatalf("%s: proc %d: L factor differs bitwise", label, q)
 		}
-		if !reflect.DeepEqual(b.uCols, g.uCols) || !reflect.DeepEqual(b.uVals, g.uVals) ||
-			!reflect.DeepEqual(b.uDiag, g.uDiag) {
+		if !reflect.DeepEqual(b.bwd, g.bwd) {
 			t.Fatalf("%s: proc %d: U factor differs bitwise", label, q)
 		}
 		if !reflect.DeepEqual(b.Stats.ILU, g.Stats.ILU) {

@@ -111,8 +111,8 @@ func (d *driver) schurBlockRound(remaining []int) ([]int, bool) {
 		tV := tvBuf[:0]
 		// Prior L entries (already final ids < start) ride along so the 3rd
 		// dropping rule sees the whole factored part.
-		tC = append(tC, pc.lCols[li]...)
-		tV = append(tV, pc.lVals[li]...)
+		tC = append(tC, d.w.LCols[li]...)
+		tV = append(tV, d.w.LVals[li]...)
 		for idx, c := range rc {
 			if nid, ok := blockNew[c-n]; ok {
 				tC = append(tC, nid)
@@ -145,14 +145,14 @@ func (d *driver) schurBlockRound(remaining []int) ([]int, bool) {
 		urow.Orig = g
 		uF[li] = urow
 		uFSet[li] = true
-		pc.newOf[li] = myNew
-		pc.lCols[li], pc.lVals[li] = lC, lV
-		pc.uCols[li], pc.uVals[li] = urow.Cols, urow.Vals
-		pc.uDiag[li] = urow.Diag
+		d.w.NewOf[li] = myNew
+		d.w.LCols[li], d.w.LVals[li] = lC, lV
+		d.w.UCols[li], d.w.UVals[li] = urow.Cols, urow.Vals
+		d.w.UDiag[li] = urow.Diag
 		reduced[li] = redRow{}
 	}
-	pc.levels = append(pc.levels, LevelInfo{Start: start, Size: total})
-	pc.levelMembers = append(pc.levelMembers, block)
+	d.w.Levels = append(d.w.Levels, LevelInfo{Start: start, Size: total})
+	d.w.LevelMembers = append(d.w.LevelMembers, block)
 
 	// Eliminate the block's unknowns from my other remaining rows. Blocks
 	// of different processors are mutually invisible, so this is local.
@@ -166,7 +166,7 @@ func (d *driver) schurBlockRound(remaining []int) ([]int, bool) {
 		tC, tV := translate(li)
 		lC, lV, nrC, nrV := s.EliminateRowSeq(n+g, tC, tV,
 			pivotFn, myOffset, myOffset+len(block), tau, par.M, par.K, st)
-		pc.lCols[li], pc.lVals[li] = lC, lV
+		d.w.LCols[li], d.w.LVals[li] = lC, lV
 		reduced[li] = redRow{nrC, nrV}
 		pc.Stats.CopiedEntries += len(nrC)
 		next = append(next, li)

@@ -43,8 +43,10 @@ func getScratch(n int) *ilu.Scratch {
 
 // putScratch returns a scratch to the pool. It sanitizes unconditionally
 // — a factorization can leave mid-kernel state behind when it panics
-// (breakdown detection, fault injection) — and detaches the output arena,
-// whose carved rows the ProcPrecond now owns.
+// (breakdown detection, fault injection) — and detaches the output arena:
+// the ProcPrecond has copied its rows into the flat sweeps, but pivot rows
+// travel by reference on the in-process backends and a slower rank may
+// still be reading them.
 func putScratch(s *ilu.Scratch) {
 	s.Sanitize()
 	s.DetachOutputs()

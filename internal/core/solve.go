@@ -5,198 +5,133 @@ import (
 )
 
 // solveLane is the solution scratch of one right-hand side during a
-// triangular sweep, in elimination-order ids: this processor's interior
-// unknowns, and every interface unknown of the system (the level
-// exchanges replicate those on every processor).
+// triangular sweep: the sweep's local vector, this processor's unknowns
+// followed by the ghost interface unknowns its rows read (see tri).
 type solveLane struct {
-	xInt   []float64
-	xIface []float64
-}
-
-func (pc *ProcPrecond) newLane() solveLane {
-	return solveLane{
-		xInt:   make([]float64, pc.plan.NIntLocal[pc.me]),
-		xIface: make([]float64, pc.plan.NInterface),
-	}
+	x []float64
 }
 
 // lanesFor returns B retained lanes, growing the set on first use of a
-// wider batch. A sweep writes every position before it reads it, so a
-// lane needs no clearing between applications.
+// wider batch; layOut makes lane 0. A sweep writes every slot before it
+// reads it, so a lane needs no clearing between applications or between
+// the two sweeps.
 func (pc *ProcPrecond) lanesFor(B int) []solveLane {
 	for len(pc.lanes) < B {
-		pc.lanes = append(pc.lanes, pc.newLane())
+		n := len(pc.owned) + max(len(pc.fwd.ghost), len(pc.bwd.ghost))
+		pc.lanes = append(pc.lanes, solveLane{x: make([]float64, n)})
 	}
 	return pc.lanes[:B]
 }
 
-// levelValues is the per-level exchange payload of the triangular solves:
-// the solution values of this processor's level members for every
-// right-hand side of the application, right-hand-side-major. One exchange
-// per level serves the whole batch, so the q synchronization points of an
-// application (§5 of the paper) are paid once per batch instead of once
-// per right-hand side — the latency amortization the solver service's
-// batching layer exists to exploit.
-type levelValues struct {
-	NewIDs []int
-	Vals   []float64 // len(NewIDs) × B values, grouped by right-hand side
-}
-
-// publishLevel makes the just-solved values of level l visible to every
-// processor for all lanes with a single collective (one synchronization
-// point per level, as in §5 of the paper: the communication volume is
-// proportional to the interface size and there are q implicit
-// synchronization points per sweep).
-func (pc *ProcPrecond) publishLevel(p pcomm.Comm, l int, lanes []solveLane) {
-	members := pc.levelMembers[l]
-	tot := pc.plan.TotInterior
-	msg := levelValues{
-		NewIDs: make([]int, len(members)),
-		Vals:   make([]float64, 0, len(members)*len(lanes)),
-	}
-	for k, li := range members {
-		msg.NewIDs[k] = pc.newOf[li]
-	}
-	for _, ln := range lanes {
-		for _, li := range members {
-			msg.Vals = append(msg.Vals, ln.xIface[pc.newOf[li]-tot])
+// sweep solves T·ys[i] = bs[i] for this processor's unknowns, one
+// right-hand side per lane, step by step (§5 of the paper: the interior
+// block is local, the interface unknowns follow level by level).
+// Communication is the precomputed neighbour exchange: before a step the
+// messages whose values it is the first to read are awaited — and only
+// those, so a processor runs on through steps, sweeps and applications
+// until it truly needs a value that has not arrived — and after it the
+// messages whose last value it produced leave, one per neighbour for the
+// whole batch. A message sent after step a is needed at a later step and
+// itself needs only messages sent before a, and sends never block, so the
+// lazy receives cannot deadlock. Per-row arithmetic is in stored entry
+// order whatever the exchange does, which keeps every solution bit for
+// bit what a serial sweep over the gathered factors gives.
+//
+//pilut:hotpath
+func (pc *ProcPrecond) sweep(p pcomm.Comm, t *tri, ys, bs [][]float64, lanes []solveLane) {
+	send, recv := t.send, t.recv
+	row, ptr, slot, val, diag := t.row, t.ptr, t.slot, t.val, t.diag
+	for s := 0; s+1 < len(t.step); s++ {
+		for ; len(recv) > 0 && int(recv[0].step) == s; recv = recv[1:] {
+			t.receive(p, &recv[0], lanes)
 		}
-	}
-	all := p.AllGather(msg, pcomm.BytesOfInts(len(msg.NewIDs))+pcomm.BytesOfFloats(len(msg.Vals)))
-	for _, a := range all {
-		lv := a.(levelValues)
-		nm := len(lv.NewIDs)
+		lo, hi := t.step[s], t.step[s+1]
 		for bi, ln := range lanes {
-			vals := lv.Vals[bi*nm : (bi+1)*nm]
-			for k, nid := range lv.NewIDs {
-				ln.xIface[nid-tot] = vals[k]
+			x, y, b := ln.x, ys[bi], bs[bi]
+			for r := lo; r < hi; r++ {
+				vs := val[ptr[r]:ptr[r+1]]
+				ss := slot[ptr[r]:ptr[r+1]]
+				ss = ss[:len(vs)]
+				li := row[r]
+				sum := b[li]
+				for k, v := range vs {
+					sum -= v * x[ss[k]]
+				}
+				if diag != nil {
+					sum /= diag[r]
+				}
+				x[r] = sum
+				y[li] = sum
 			}
 		}
+		flops := 2 * int(ptr[hi]-ptr[lo])
+		if diag != nil {
+			flops += int(hi - lo)
+		}
+		p.Work(float64(len(lanes) * flops))
+		for ; len(send) > 0 && int(send[0].step) == s; send = send[1:] {
+			t.post(p, &send[0], lanes)
+		}
 	}
 }
 
-// forward solves L·ys[i] = bs[i] for this processor's unknowns, one
-// right-hand side per lane, with one exchange per level for all of them.
+// post packs the message's slots of every lane and sends it. The buffer
+// comes from the shared pool and changes owner with the message.
+//
+//pilut:hotpath
+func (t *tri) post(p pcomm.Comm, m *xmsg, lanes []solveLane) {
+	n := len(m.slots)
+	buf := pcomm.Floats.Get(n * len(lanes))
+	for bi, ln := range lanes {
+		out := buf[bi*n : (bi+1)*n]
+		for k, s := range m.slots {
+			out[k] = ln.x[s]
+		}
+	}
+	pcomm.SendSlice(p, int(m.peer), t.tag, buf)
+}
+
+// receive blocks for the message, scatters it into every lane's ghost
+// slots and recycles the buffer.
+//
+//pilut:hotpath
+func (t *tri) receive(p pcomm.Comm, m *xmsg, lanes []solveLane) {
+	n := len(m.slots)
+	buf := pcomm.RecvSlice[float64](p, int(m.peer), t.tag)
+	if len(buf) != n*len(lanes) {
+		panic("core: sweep message length mismatch")
+	}
+	for bi, ln := range lanes {
+		in := buf[bi*n : (bi+1)*n]
+		for k, s := range m.slots {
+			ln.x[s] = in[k]
+		}
+	}
+	pcomm.Floats.Put(buf)
+}
+
+// forward solves L·ys[i] = bs[i]; backward solves U·ys[i] = bs[i],
+// traversing the interface levels in reverse and finishing with the local
+// interior block. Within a level the U sweep takes the members in
+// descending elimination order: independent-set levels have no
+// intra-level coupling, but the Schur-block levels of the §7 variant are
+// sequential within a processor.
+//
+// A piece that came through FromWire derives its exchange plan here, on
+// its first application — the earliest point at which all P pieces are
+// inside one run.
 func (pc *ProcPrecond) forward(p pcomm.Comm, ys, bs [][]float64, lanes []solveLane) {
-	tot := pc.plan.TotInterior
-	intBase := pc.plan.IntBase[pc.me]
-	flops := 0
-
-	// Interior unknowns: purely local, ascending elimination order. An
-	// interior L row references only earlier local interiors.
-	for bi, ln := range lanes {
-		b := bs[bi]
-		for _, li := range pc.interiorLocal {
-			s := b[li]
-			cols := pc.lCols[li]
-			vals := pc.lVals[li]
-			for k, c := range cols {
-				s -= vals[k] * ln.xInt[c-intBase]
-			}
-			flops += 2 * len(cols)
-			ln.xInt[pc.newOf[li]-intBase] = s
-		}
+	if !pc.wired {
+		pc.buildExchange(p)
 	}
-	p.Work(float64(flops))
-
-	// Interface unknowns level by level: an interface L row references
-	// local interiors and interface pivots of earlier levels.
-	for l := range pc.levels {
-		flops = 0
-		for bi, ln := range lanes {
-			b := bs[bi]
-			for _, li := range pc.levelMembers[l] {
-				s := b[li]
-				cols := pc.lCols[li]
-				vals := pc.lVals[li]
-				for k, c := range cols {
-					if c < tot {
-						s -= vals[k] * ln.xInt[c-intBase]
-					} else {
-						s -= vals[k] * ln.xIface[c-tot]
-					}
-				}
-				flops += 2 * len(cols)
-				ln.xIface[pc.newOf[li]-tot] = s
-			}
-		}
-		p.Work(float64(flops))
-		pc.publishLevel(p, l, lanes)
-	}
-	pc.collect(ys, lanes)
+	pc.sweep(p, &pc.fwd, ys, bs, lanes)
 }
 
-// backward solves U·ys[i] = bs[i], traversing the interface levels in
-// reverse and finishing with the local interior block.
 func (pc *ProcPrecond) backward(p pcomm.Comm, ys, bs [][]float64, lanes []solveLane) {
-	tot := pc.plan.TotInterior
-	intBase := pc.plan.IntBase[pc.me]
-
-	for l := len(pc.levels) - 1; l >= 0; l-- {
-		flops := 0
-		// Members in descending elimination order: independent-set levels
-		// have no intra-level coupling, but the Schur-block levels of the
-		// §7 variant are sequential within a processor, so later members
-		// must be solved first.
-		members := pc.levelMembers[l]
-		for bi, ln := range lanes {
-			b := bs[bi]
-			for mi := len(members) - 1; mi >= 0; mi-- {
-				li := members[mi]
-				s := b[li]
-				cols := pc.uCols[li]
-				vals := pc.uVals[li]
-				for k, c := range cols {
-					// Interface U rows reference only later interface levels.
-					s -= vals[k] * ln.xIface[c-tot]
-				}
-				flops += 2*len(cols) + 1
-				ln.xIface[pc.newOf[li]-tot] = s / pc.uDiag[li]
-			}
-		}
-		p.Work(float64(flops))
-		pc.publishLevel(p, l, lanes)
+	if !pc.wired {
+		pc.buildExchange(p)
 	}
-
-	// Interior unknowns in reverse local order; their U rows reference
-	// later local interiors and interface unknowns (all levels known now).
-	flops := 0
-	for bi, ln := range lanes {
-		b := bs[bi]
-		for k := len(pc.interiorLocal) - 1; k >= 0; k-- {
-			li := pc.interiorLocal[k]
-			s := b[li]
-			cols := pc.uCols[li]
-			vals := pc.uVals[li]
-			for idx, c := range cols {
-				if c < tot {
-					s -= vals[idx] * ln.xInt[c-intBase]
-				} else {
-					s -= vals[idx] * ln.xIface[c-tot]
-				}
-			}
-			flops += 2*len(cols) + 1
-			ln.xInt[pc.newOf[li]-intBase] = s / pc.uDiag[li]
-		}
-	}
-	p.Work(float64(flops))
-	pc.collect(ys, lanes)
-}
-
-// collect copies each lane's owned results out in owned-row order.
-func (pc *ProcPrecond) collect(ys [][]float64, lanes []solveLane) {
-	tot := pc.plan.TotInterior
-	intBase := pc.plan.IntBase[pc.me]
-	for bi, ln := range lanes {
-		y := ys[bi]
-		for li, nid := range pc.newOf {
-			if nid < tot {
-				y[li] = ln.xInt[nid-intBase]
-			} else {
-				y[li] = ln.xIface[nid-tot]
-			}
-		}
-	}
+	pc.sweep(p, &pc.bwd, ys, bs, lanes)
 }
 
 // SolveForward solves L·y = b for this processor's unknowns. b and y are
@@ -229,10 +164,12 @@ func (pc *ProcPrecond) Solve(p pcomm.Comm, y, b []float64) {
 
 // SolveBatch applies the preconditioner to B right-hand sides at once:
 // ys[i] = U⁻¹·L⁻¹·bs[i] (ys[i] and bs[i] may alias). The local
-// arithmetic is identical to B calls of Solve, but every level of the
-// forward and backward substitutions publishes the values of the entire
-// batch in one exchange. Collective: every processor must call it
-// together with the same batch size.
+// arithmetic is identical to B calls of Solve, but every message of the
+// forward and backward substitutions carries the values of the entire
+// batch, so the per-message latency is paid once per batch — the
+// amortization the solver service's batching layer exists to exploit.
+// Collective: every processor must call it together with the same batch
+// size.
 func (pc *ProcPrecond) SolveBatch(p pcomm.Comm, ys, bs [][]float64) {
 	if len(ys) != len(bs) {
 		panic("core: SolveBatch batch size mismatch")
@@ -260,28 +197,19 @@ func (pc *ProcPrecond) Levels() []LevelInfo { return pc.levels }
 // NNZ reports the local stored entries of L and U (unit diagonal of L
 // implicit, diagonal of U counted).
 func (pc *ProcPrecond) NNZ() int {
-	n := 0
-	for li := range pc.owned {
-		n += len(pc.lCols[li]) + len(pc.uCols[li]) + 1
-	}
-	return n
+	return len(pc.fwd.slot) + len(pc.bwd.slot) + len(pc.owned)
 }
 
 // SizeBytes estimates the in-memory footprint of this processor's piece
-// of the preconditioner: 16 bytes per stored L/U entry plus the index and
-// buffer arrays. The solver service's cache accounts its byte budget with
-// the sum over processors.
+// of the preconditioner: the two flat sweeps (12 bytes per stored L/U
+// entry plus their index arrays and exchange plans) and the solve lanes.
+// The solver service's cache accounts its byte budget with the sum over
+// processors.
 func (pc *ProcPrecond) SizeBytes() int64 {
-	var n int64
-	for li := range pc.owned {
-		n += 16 * int64(len(pc.lCols[li])+len(pc.uCols[li]))
-	}
-	n += 8 * int64(len(pc.uDiag)+len(pc.owned)+len(pc.newOf)+len(pc.interiorLocal))
+	n := pc.fwd.sizeBytes() + pc.bwd.sizeBytes()
+	n += 8 * int64(len(pc.owned)+len(pc.newOf))
 	for _, ln := range pc.lanes {
-		n += 8 * int64(len(ln.xInt)+len(ln.xIface))
-	}
-	for _, m := range pc.levelMembers {
-		n += 8 * int64(len(m))
+		n += 8 * int64(len(ln.x))
 	}
 	return n
 }

@@ -104,7 +104,7 @@ func TestSolveBackwardMatchesGathered(t *testing.T) {
 
 func TestSolveBuffersReusable(t *testing.T) {
 	// Two successive solves with different right-hand sides must not
-	// contaminate each other through the reused xInt/xIface buffers.
+	// contaminate each other through the reused lane buffers.
 	P := 3
 	pcs, plan, f, perm := solveFixture(t, P)
 	n := plan.A.N
@@ -192,9 +192,10 @@ func TestSolvePanicsOnBadLength(t *testing.T) {
 	}
 }
 
-func TestSolveSyncPointsEqualLevels(t *testing.T) {
-	// The paper: forward+backward substitution has q implicit
-	// synchronization points each. Count collectives per solve.
+func TestSolveSendsOnlyThePlan(t *testing.T) {
+	// §5 of the paper: the substitutions exchange interface values with the
+	// processors that need them. A forward solve posts exactly its plan's
+	// messages — at most one per level and neighbour — and no collective.
 	P := 4
 	pcs, plan, _, _ := solveFixture(t, P)
 	lay := plan.Lay
@@ -205,8 +206,15 @@ func TestSolveSyncPointsEqualLevels(t *testing.T) {
 		y := make([]float64, lay.NLocal(p.ID()))
 		pcs[p.ID()].SolveForward(p, y, parts[p.ID()])
 	})
-	q := int64(pcs[0].NumLevels())
-	if got := res.PerProc[0].Collectives; got != q {
-		t.Errorf("forward solve used %d collectives, want q=%d", got, q)
+	q := pcs[0].NumLevels()
+	for r, pc := range pcs {
+		st := res.PerProc[r]
+		if st.Collectives != 0 || st.MsgsSent != int64(len(pc.fwd.send)) {
+			t.Errorf("proc %d: forward solve used %d collectives and %d messages, want 0 and %d",
+				r, st.Collectives, st.MsgsSent, len(pc.fwd.send))
+		}
+		if len(pc.fwd.send) == 0 || len(pc.fwd.send) > q*(P-1) {
+			t.Errorf("proc %d: forward plan has %d messages for q=%d levels and %d neighbours", r, len(pc.fwd.send), q, P-1)
+		}
 	}
 }

@@ -10,7 +10,6 @@ import (
 // can serialize it; the in-process backends pass these by reference and
 // never notice.
 func init() {
-	pcomm.RegisterWire(levelValues{})
 	pcomm.RegisterWire(ilu.URow{})
 	pcomm.RegisterWire([]ilu.URow(nil))
 }

@@ -17,14 +17,28 @@ import (
 // sender genuinely lets go (the sendalias analyzer's rule, made load-
 // bearing).
 type SlicePool[T any] struct {
-	mu   sync.Mutex
-	free [][]T
+	mu    sync.Mutex
+	free  [][]T
+	limit int // free-list cap beyond minPooledSlices, see Reserve
 }
 
-// maxPooledSlices caps a pool's free list; beyond it, Put drops the
-// buffer for the GC. The cap bounds pinned memory after a burst — one
-// exchange needs at most one buffer in flight per (neighbor, direction).
-const maxPooledSlices = 64
+// minPooledSlices is the free list's cap until a caller reserves more;
+// beyond the cap, Put drops the buffer for the GC. The cap bounds pinned
+// memory after a burst — one ghost exchange needs at most one buffer in
+// flight per (neighbor, direction).
+const minPooledSlices = 64
+
+// Reserve tells the pool that n buffers may be in circulation at once,
+// raising the free list's cap to hold them all when they come back
+// (never lowering it). A protocol that keeps more than one message per
+// neighbour in flight — the triangular sweeps' exchange plan — reserves
+// its plan's worth when the plan is built; without that, every buffer
+// past the cap would be dropped and allocated again on each round.
+func (p *SlicePool[T]) Reserve(n int) {
+	p.mu.Lock()
+	p.limit = max(p.limit, n)
+	p.mu.Unlock()
+}
 
 // Get returns a length-n buffer: a pooled one when any has the capacity,
 // a fresh allocation otherwise. Contents are unspecified — callers
@@ -57,7 +71,7 @@ func (p *SlicePool[T]) Put(b []T) {
 		return
 	}
 	p.mu.Lock()
-	if len(p.free) < maxPooledSlices {
+	if len(p.free) < max(minPooledSlices, p.limit) {
 		p.free = append(p.free, b[:0]) //pilutlint:ok hotalloc free list grows to the pool cap once, then appends reuse its backing array
 	}
 	p.mu.Unlock()

@@ -389,6 +389,96 @@ func TestImportRejectsForeignPartition(t *testing.T) {
 	}
 }
 
+// TestClusterFetchOfMalformedFactorRebuildsLocally: an owner that serves
+// a factorization whose rows do not fit the plan — here an L column past
+// the matrix — costs the fetcher one failed fetch; the import returns an
+// error instead of laying out a piece that would index out of range
+// inside a run, and the solve is answered from a local build.
+func TestClusterFetchOfMalformedFactorRebuildsLocally(t *testing.T) {
+	var s [2]*Server
+	corrupt := -1 // index of the server whose exports are tampered with
+	handler := func(i int) http.Handler {
+		h := peerHandler(func() *Server { return s[i] })
+		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if i != corrupt || !strings.HasPrefix(r.URL.Path, "/v1/peer/factor/") {
+				h.ServeHTTP(w, r)
+				return
+			}
+			data, err := s[i].ExportFactor(strings.TrimPrefix(r.URL.Path, "/v1/peer/factor/"))
+			if err != nil {
+				http.Error(w, err.Error(), http.StatusNotFound)
+				return
+			}
+			var wf wireFactor
+			if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&wf); err != nil {
+				http.Error(w, err.Error(), http.StatusInternalServerError)
+				return
+			}
+			for li, cols := range wf.Pieces[0].LCols {
+				if len(cols) > 0 {
+					wf.Pieces[0].LCols[li][0] = wf.Matrix.N + 7
+					break
+				}
+			}
+			if err := gob.NewEncoder(w).Encode(&wf); err != nil {
+				t.Errorf("re-encoding the tampered export: %v", err)
+			}
+		})
+	}
+	ts0 := httptest.NewServer(handler(0))
+	ts1 := httptest.NewServer(handler(1))
+	defer ts0.Close()
+	defer ts1.Close()
+	peers := []string{ts0.URL, ts1.URL}
+	for i := range s {
+		s[i] = New(Config{Procs: 2, Workers: 1, Backend: "real", Cluster: &ClusterConfig{
+			Self: peers[i], Peers: peers, OpTimeout: 5 * time.Second,
+			ProbeInterval: -1, Replicas: -1,
+		}})
+	}
+	defer func() {
+		for _, srv := range s {
+			srv.Shutdown(context.Background())
+		}
+	}()
+
+	a := matgen.Grid2D(12, 12)
+	key := sparse.Fingerprint(a)
+	corrupt = 0
+	if s[0].cluster.owner(key) != s[0].cluster.self {
+		corrupt = 1
+	}
+	owner, other := s[corrupt], s[1-corrupt]
+	b := make([]float64, a.N)
+	for i := range b {
+		b[i] = float64(i%5) - 2
+	}
+	if _, _, err := owner.Submit(a); err != nil {
+		t.Fatal(err)
+	}
+	want, err := owner.Solve(context.Background(), key, b, SolveOptions{Tol: 1e-8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := other.Submit(a); err != nil {
+		t.Fatal(err)
+	}
+	got, err := other.Solve(context.Background(), key, b, SolveOptions{Tol: 1e-8})
+	if err != nil {
+		t.Fatalf("solve after a malformed peer factor failed: %v", err)
+	}
+	if !got.Converged || !bitsEqual(want.X, got.X) {
+		t.Errorf("the local rebuild does not reproduce the owner's answer (converged=%v)", got.Converged)
+	}
+	st := other.cluster.snapshot()
+	if st.PeerFetches != 1 || st.PeerFetchFailures != 1 || st.PeerFetchHits != 0 {
+		t.Errorf("fetcher counters: %+v, want 1 fetch, 1 failure, 0 hits", st)
+	}
+	if fs := other.StatsSnapshot().Cache; fs.Factorizations != 1 {
+		t.Errorf("fetcher ran %d local factorizations, want 1", fs.Factorizations)
+	}
+}
+
 // TestImportRejectsMismatchedConfig: a daemon must refuse a peer
 // factorization computed under a different layout configuration, since
 // applying it would silently change the preconditioner.

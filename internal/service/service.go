@@ -277,7 +277,7 @@ type Server struct {
 	cache     *factorCache
 	symbolic  *symbolicCache
 	breaker   *breaker
-	cluster   *cluster // nil outside a cluster
+	cluster   *cluster              // nil outside a cluster
 	pending   map[string][]*request // per key, FIFO
 	scheduled map[string]bool       // key is queued or being run
 	keyq      []string

@@ -136,16 +136,16 @@ func TestEmitNetcommBench(t *testing.T) {
 
 	realD, netD := summarizeMs(realMs), summarizeMs(netMs)
 	report := map[string]any{
-		"benchmark": "netcomm_vs_realcomm_factorization_wall_clock",
-		"matrix":    map[string]any{"kind": "torso", "side": 16, "n": a.N, "nnz": a.NNZ()},
-		"procs":     P,
-		"nodes":     nodesN,
-		"transport": "unix-socket loopback, two nodes in one process",
-		"host_cpus": runtime.NumCPU(),
-		"params":    map[string]any{"m": opt.Params.M, "tau": opt.Params.Tau, "k": opt.Params.K},
-		"samples":   samples,
-		"real":      realD,
-		"netcomm":   netD,
+		"benchmark":                "netcomm_vs_realcomm_factorization_wall_clock",
+		"matrix":                   map[string]any{"kind": "torso", "side": 16, "n": a.N, "nnz": a.NNZ()},
+		"procs":                    P,
+		"nodes":                    nodesN,
+		"transport":                "unix-socket loopback, two nodes in one process",
+		"host_cpus":                runtime.NumCPU(),
+		"params":                   map[string]any{"m": opt.Params.M, "tau": opt.Params.Tau, "k": opt.Params.K},
+		"samples":                  samples,
+		"real":                     realD,
+		"netcomm":                  netD,
 		"overhead_netcomm_vs_real": netD.MeanMs / realD.MeanMs,
 	}
 	buf, err := json.MarshalIndent(report, "", "  ")
