@@ -26,7 +26,7 @@ fmt-check:
 # (the analyzer's own doc and testdata mention it twice). The waiver count
 # is a ratchet — loc, and so lint, fails above HOTALLOC_WAIVERS_MAX; lower
 # that with every waiver removed.
-HOTALLOC_WAIVERS_MAX = 23
+HOTALLOC_WAIVERS_MAX = 22
 
 loc:
 	@find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' | xargs wc -l | \

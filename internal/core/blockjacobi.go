@@ -54,14 +54,6 @@ func (bj *BlockJacobi) Solve(p pcomm.Comm, x, b []float64) {
 	p.Work(float64(2 * bj.factors.NNZ()))
 }
 
-// SolveBatch applies the block preconditioner to every column of the
-// batch, so a batched GMRES does not fall back to per-vector dispatch.
-func (bj *BlockJacobi) SolveBatch(p pcomm.Comm, xs, bs [][]float64) {
-	for k := range xs {
-		bj.Solve(p, xs[k], bs[k])
-	}
-}
-
 // NNZ reports the local factor entries.
 func (bj *BlockJacobi) NNZ() int { return bj.factors.NNZ() }
 

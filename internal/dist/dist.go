@@ -108,21 +108,15 @@ type Matrix struct {
 	ghostSlot map[int]int // global id → index into ghost arrays (setup only)
 	recvFrom  [][]int     // per proc: count prefix into ghostIDs (via ranges)
 	sendTo    [][]int     // per proc: local indices of owned values to ship
-	ghost     []float64   // ghost value buffer reused across products
+	ghost     []float64   // ghost values of every vector of a product, grow-only, reused
 
 	// Pre-resolved column references for the product loops, one int32 per
 	// local nonzero: r ≥ 0 reads x[r] (owned), r < 0 reads ghost[^r]. One
 	// flat array plus offsets replaces a layout-map and a ghost-map lookup
-	// per nonzero per product — the dominant cost of MulVec once the
+	// per nonzero per product — the dominant cost of a product once the
 	// exchange is pooled.
 	refFlat []int32
 	refOff  []int
-
-	// Batch product scratch, owned by the matrix and reused: the
-	// deinterleaved ghost values of every vector in a batch, and the
-	// per-vector views into them.
-	batchGhost []float64
-	batchViews [][]float64
 }
 
 // Message tags used by this package.
@@ -217,96 +211,16 @@ func NewMatrix(p pcomm.Comm, lay *Layout, a *sparse.CSR) *Matrix {
 // NGhost reports the number of off-processor values each product fetches.
 func (m *Matrix) NGhost() int { return len(m.ghostIDs) }
 
-// exchangeGhosts ships owned x values to neighbours and fills the ghost
-// buffer from theirs: one coalesced message per neighbour per round.
-// Send buffers come from the shared pcomm.Floats pool and the borrowed-
-// buffer receive path recycles them, so a steady-state exchange touches
-// the allocator not at all.
+// exchangeGhosts ships the owned values of every vector in xs to the
+// neighbours and fills ghost — len(xs) consecutive blocks of NGhost
+// values, one per vector — from theirs: one coalesced message per
+// neighbour per round, whatever the batch size. Send buffers come from
+// the shared pcomm.Floats pool and the receiver recycles them, so a
+// steady-state exchange touches the allocator not at all.
 //
 //pilut:hotpath
-func (m *Matrix) exchangeGhosts(p pcomm.Comm, x []float64) {
-	P := m.Lay.P
-	for q := 0; q < P; q++ {
-		if q == m.me || len(m.sendTo[q]) == 0 {
-			continue
-		}
-		msg := pcomm.Floats.Get(len(m.sendTo[q]))
-		for k, li := range m.sendTo[q] {
-			msg[k] = x[li]
-		}
-		pcomm.SendSlice(p, q, tagGhost, msg)
-	}
-	pos := 0
-	for q := 0; q < P; q++ {
-		if q == m.me || len(m.recvFrom[q]) == 0 {
-			continue
-		}
-		cnt := len(m.recvFrom[q])
-		got := pcomm.RecvSliceInto(p, q, tagGhost, m.ghost[pos:pos+cnt], &pcomm.Floats)
-		if got != cnt {
-			panic("dist: ghost message length mismatch")
-		}
-		pos += cnt
-	}
-}
-
-// MulVec computes the local rows of y = A·x. x and y hold the owned
-// values in Rows[p] order. The ghost exchange and the 2·nnz flops are
-// charged to the virtual clock. The inner loop walks the pre-resolved
-// refFlat references instead of chasing layout and ghost maps.
-//
-//pilut:hotpath
-func (m *Matrix) MulVec(p pcomm.Comm, y, x []float64) {
-	rows := m.Lay.Rows[m.me]
-	if len(x) != len(rows) || len(y) != len(rows) {
-		panic("dist: MulVec local vector length mismatch")
-	}
-	m.exchangeGhosts(p, x)
-	flops := 0
-	for k, g := range rows {
-		_, vals := m.A.Row(g)
-		refs := m.refFlat[m.refOff[k]:m.refOff[k+1]]
-		var s float64
-		for idx, r := range refs {
-			if r >= 0 {
-				s += vals[idx] * x[r]
-			} else {
-				s += vals[idx] * m.ghost[^r]
-			}
-		}
-		flops += 2 * len(refs)
-		y[k] = s
-	}
-	p.Work(float64(flops))
-}
-
-// MulVecBatch computes the local rows of ys[i] = A·xs[i] for a batch of
-// vectors with a single ghost exchange: each neighbour receives one
-// message carrying the values of every vector in the batch, so the
-// per-message latency is paid once per neighbour instead of once per
-// vector. The arithmetic is identical to repeated MulVec calls.
-// Collective: every processor must call it with the same batch size.
-//
-//pilut:hotpath
-func (m *Matrix) MulVecBatch(p pcomm.Comm, ys, xs [][]float64) {
-	if len(ys) != len(xs) {
-		panic("dist: MulVecBatch batch size mismatch")
-	}
-	B := len(xs)
-	switch B {
-	case 0:
-		return
-	case 1:
-		m.MulVec(p, ys[0], xs[0])
-		return
-	}
-	rows := m.Lay.Rows[m.me]
-	for i := range xs {
-		if len(xs[i]) != len(rows) || len(ys[i]) != len(rows) {
-			panic("dist: MulVecBatch local vector length mismatch")
-		}
-	}
-	P := m.Lay.P
+func (m *Matrix) exchangeGhosts(p pcomm.Comm, xs [][]float64, ghost []float64) {
+	P, B, ng := m.Lay.P, len(xs), len(m.ghostIDs)
 	for q := 0; q < P; q++ {
 		if q == m.me || len(m.sendTo[q]) == 0 {
 			continue
@@ -321,18 +235,6 @@ func (m *Matrix) MulVecBatch(p pcomm.Comm, ys, xs [][]float64) {
 		}
 		pcomm.SendSlice(p, q, tagGhost, msg)
 	}
-	ng := len(m.ghostIDs)
-	if cap(m.batchGhost) < B*ng {
-		m.batchGhost = make([]float64, B*ng) //pilutlint:ok hotalloc grow-only scratch owned by the matrix; steady-state batches reuse it
-	}
-	if cap(m.batchViews) < B {
-		m.batchViews = make([][]float64, B) //pilutlint:ok hotalloc grow-only scratch owned by the matrix; steady-state batches reuse it
-	}
-	bg := m.batchGhost[:B*ng]
-	ghosts := m.batchViews[:B]
-	for bi := range ghosts {
-		ghosts[bi] = bg[bi*ng : (bi+1)*ng]
-	}
 	pos := 0
 	for q := 0; q < P; q++ {
 		if q == m.me || len(m.recvFrom[q]) == 0 {
@@ -341,19 +243,59 @@ func (m *Matrix) MulVecBatch(p pcomm.Comm, ys, xs [][]float64) {
 		cnt := len(m.recvFrom[q])
 		msg := pcomm.RecvSlice[float64](p, q, tagGhost)
 		if len(msg) != B*cnt {
-			panic("dist: MulVecBatch ghost message length mismatch")
+			panic("dist: ghost message length mismatch")
 		}
 		for bi := 0; bi < B; bi++ {
-			copy(ghosts[bi][pos:pos+cnt], msg[bi*cnt:(bi+1)*cnt])
+			copy(ghost[bi*ng+pos:bi*ng+pos+cnt], msg[bi*cnt:(bi+1)*cnt])
 		}
 		pcomm.Floats.Put(msg)
 		pos += cnt
 	}
+}
+
+// MulVec computes the local rows of y = A·x: MulVecBatch on a batch of
+// one. x and y hold the owned values in Rows[p] order.
+//
+//pilut:hotpath
+func (m *Matrix) MulVec(p pcomm.Comm, y, x []float64) {
+	ys, xs := [1][]float64{y}, [1][]float64{x}
+	m.MulVecBatch(p, ys[:], xs[:])
+}
+
+// MulVecBatch computes the local rows of ys[i] = A·xs[i] for a batch of
+// vectors with a single ghost exchange: each neighbour receives one
+// message carrying the values of every vector in the batch, so the
+// per-message latency is paid once per neighbour instead of once per
+// vector, and the per-vector arithmetic does not depend on the batch it
+// rides in. The exchange and the 2·nnz flops per vector are charged to
+// the virtual clock. The inner loop walks the pre-resolved refFlat
+// references instead of chasing layout and ghost maps. Collective: every
+// processor must call it with the same batch size.
+//
+//pilut:hotpath
+func (m *Matrix) MulVecBatch(p pcomm.Comm, ys, xs [][]float64) {
+	if len(ys) != len(xs) {
+		panic("dist: MulVecBatch batch size mismatch")
+	}
+	B := len(xs)
+	if B == 0 {
+		return
+	}
+	rows := m.Lay.Rows[m.me]
+	for i := range xs {
+		if len(xs[i]) != len(rows) || len(ys[i]) != len(rows) {
+			panic("dist: MulVecBatch local vector length mismatch")
+		}
+	}
+	ng := len(m.ghostIDs)
+	if len(m.ghost) < B*ng {
+		m.ghost = make([]float64, B*ng) //pilutlint:ok hotalloc grow-only scratch owned by the matrix; steady-state batches reuse it
+	}
+	m.exchangeGhosts(p, xs, m.ghost[:B*ng])
 	flops := 0
-	for bi := range xs {
-		x := xs[bi]
+	for bi, x := range xs {
 		y := ys[bi]
-		ghost := ghosts[bi]
+		ghost := m.ghost[bi*ng : (bi+1)*ng]
 		for k, g := range rows {
 			_, vals := m.A.Row(g)
 			refs := m.refFlat[m.refOff[k]:m.refOff[k+1]]

@@ -1,6 +1,7 @@
 package dist
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -206,9 +207,16 @@ func TestMulVecCostReflectsCommunication(t *testing.T) {
 	}
 }
 
+// TestMulVecBatchMatchesSerial checks the one product path at both batch
+// sizes that reach it: B = 1 (what MulVec passes) and a real batch.
 func TestMulVecBatchMatchesSerial(t *testing.T) {
+	for _, B := range []int{1, 3} {
+		t.Run(fmt.Sprintf("B=%d", B), func(t *testing.T) { mulVecBatchMatchesSerial(t, B) })
+	}
+}
+
+func mulVecBatchMatchesSerial(t *testing.T, B int) {
 	const P = 4
-	const B = 3
 	a := matgen.Grid2D(15, 15)
 	lay := partitionedLayout(t, a, P)
 	rng := rand.New(rand.NewSource(11))
@@ -229,7 +237,7 @@ func TestMulVecBatchMatchesSerial(t *testing.T) {
 	}
 	var msgsBatch int64
 	m := pcommtest.New(t, P, machine.Zero())
-	res := m.Run(func(p pcomm.Comm) {
+	m.Run(func(p pcomm.Comm) {
 		dm := NewMatrix(p, lay, a)
 		xs := make([][]float64, B)
 		ys := make([][]float64, B)
@@ -246,7 +254,6 @@ func TestMulVecBatchMatchesSerial(t *testing.T) {
 			ysParts[bi][p.ID()] = ys[bi]
 		}
 	})
-	_ = res
 	for bi := 0; bi < B; bi++ {
 		got := lay.Gather(ysParts[bi])
 		for i := range got {

@@ -5,6 +5,7 @@ import (
 	"math"
 
 	"repro/internal/pcomm"
+	"repro/internal/sparse"
 	"repro/internal/trace"
 )
 
@@ -22,6 +23,129 @@ type DistBatchPreconditioner interface {
 	SolveBatch(p pcomm.Comm, xs, bs [][]float64)
 }
 
+// system is one right-hand side inside the lock-step driver: its
+// iterate, Krylov basis, Hessenberg and convergence state, and the
+// operands and result of the batched primitive about to run over a
+// selection of systems.
+type system struct {
+	id    int // position in the batch
+	x, b  []float64
+	v     [][]float64 // Krylov basis, Restart+1 local vectors
+	tmp   []float64
+	q     *hessenberg
+	bnorm float64 // ‖M⁻¹b‖
+	steps int     // Arnoldi steps completed in the current cycle
+	done  bool    // converged or out of budget
+	res   *Result
+
+	in, out []float64 // matvec and precond: out ← op(in); dots: ⟨out, in⟩; norms: ‖out‖
+	val     float64   // what dots or norms computed
+}
+
+// lockstep is the machinery the systems of one DistGMRESBatch share: the
+// operators and the views handed to their batch interfaces, rebuilt in
+// place for every application.
+type lockstep struct {
+	p         pcomm.Comm
+	op        DistOperator
+	bop       DistBatchOperator // nil: per-vector fallback
+	prec      DistPreconditioner
+	bprec     DistBatchPreconditioner // nil: per-vector fallback
+	ins, outs [][]float64
+}
+
+func (d *lockstep) views(sel []*system) (outs, ins [][]float64) {
+	d.outs, d.ins = d.outs[:0], d.ins[:0]
+	for _, s := range sel {
+		d.outs = append(d.outs, s.out)
+		d.ins = append(d.ins, s.in)
+	}
+	return d.outs, d.ins
+}
+
+// matvec applies the operator to every selected system with one ghost
+// exchange.
+func (d *lockstep) matvec(sel []*system) {
+	outs, ins := d.views(sel)
+	t0 := d.p.Time()
+	if d.bop != nil {
+		d.bop.MulVecBatch(d.p, outs, ins)
+	} else {
+		for i := range ins {
+			d.op.MulVec(d.p, outs[i], ins[i])
+		}
+	}
+	if tr := d.p.Tracer(); tr.Enabled() {
+		tr.Span("krylov", "matvec", t0, d.p.Time(), trace.I("rhs", len(sel)))
+	}
+}
+
+// precond applies M⁻¹ to every selected system through one
+// level-synchronization pipeline.
+func (d *lockstep) precond(sel []*system) {
+	outs, ins := d.views(sel)
+	t0 := d.p.Time()
+	if d.bprec != nil {
+		d.bprec.SolveBatch(d.p, outs, ins)
+	} else {
+		for i := range ins {
+			d.prec.Solve(d.p, outs[i], ins[i])
+		}
+	}
+	if tr := d.p.Tracer(); tr.Enabled() {
+		tr.Span("krylov", "precond", t0, d.p.Time(), trace.I("rhs", len(sel)))
+	}
+}
+
+// dots leaves the global inner product ⟨out, in⟩ of every selected
+// system in its val.
+func (d *lockstep) dots(sel []*system) {
+	for _, s := range sel {
+		s.val = sparse.Dot(s.out, s.in)
+		d.p.Work(float64(2 * len(s.out)))
+	}
+	d.reduce(sel)
+}
+
+// norms leaves the global ‖out‖ of every selected system in its val.
+func (d *lockstep) norms(sel []*system) {
+	for _, s := range sel {
+		s.val = sparse.Dot(s.out, s.out)
+		d.p.Work(float64(2 * len(s.out)))
+	}
+	d.reduce(sel)
+	for _, s := range sel {
+		if s.val < 0 {
+			s.val = 0
+		}
+		s.val = math.Sqrt(s.val)
+	}
+}
+
+// reduce sums each selected system's val over the processors with one
+// collective: an all-reduce when one system is selected, one all-gather
+// of every system's partial otherwise. Either way the partials are
+// folded in rank order, so a system's sums — and with them its iterates
+// and iteration counts — do not depend on the batch it is solved in.
+// The selection is the same on every processor, so is the choice.
+func (d *lockstep) reduce(sel []*system) {
+	if len(sel) == 1 {
+		sel[0].val = d.p.AllReduceFloat64(sel[0].val, pcomm.OpSum)
+		return
+	}
+	partial := make([]float64, len(sel)) // handed over to the all-gather
+	for i, s := range sel {
+		partial[i] = s.val
+	}
+	all := pcomm.AllGatherFloats(d.p, partial)
+	for i, s := range sel {
+		s.val = 0
+		for q := range all {
+			s.val += all[q][i]
+		}
+	}
+}
+
 // DistGMRESBatch solves A·xs[i] = bs[i] for a batch of right-hand sides
 // with left-preconditioned restarted GMRES in lock-step: every Arnoldi
 // step performs one batched matrix–vector product (single ghost
@@ -31,9 +155,9 @@ type DistBatchPreconditioner interface {
 // keeps its own Krylov basis, Hessenberg matrix and convergence state;
 // systems that converge drop out of the batched operations while the
 // rest continue. The per-system arithmetic — and therefore the computed
-// solutions and iteration counts — is identical to solving each
-// right-hand side alone with DistGMRES; only the communication schedule
-// is shared.
+// solutions and iteration counts — does not depend on the batch: a
+// system solved alone (DistGMRES is this function on a batch of one)
+// gives the same bits; only the communication schedule is shared.
 //
 // It is an SPMD collective: every processor calls it with its local
 // slices, with the same batch size and options. If op or prec do not
@@ -50,324 +174,186 @@ func DistGMRESBatch(p pcomm.Comm, op DistOperator, prec DistPreconditioner, xs, 
 		return nil, fmt.Errorf("krylov: DistGMRESBatch batch size mismatch")
 	}
 	if opt.X0 != nil {
-		// A single shared guess is ambiguous for a batch; each system
-		// warm-starts from the contents of its xs[i] instead.
 		return nil, fmt.Errorf("krylov: DistGMRESBatch does not take Options.X0; seed xs[i] per system")
 	}
 	if B == 0 {
 		return nil, nil
 	}
-	nLocal := len(xs[0])
+	n := len(xs[0])
 	for i := range xs {
-		if len(xs[i]) != nLocal || len(bs[i]) != nLocal {
+		if len(xs[i]) != n || len(bs[i]) != n {
 			return nil, fmt.Errorf("krylov: DistGMRESBatch local length mismatch")
 		}
 	}
 	if prec == nil {
 		prec = DistIdentity{}
 	}
-	nGlobal := p.AllReduceInt(nLocal, pcomm.OpSum)
-	opt = opt.normalize(nGlobal)
+	// Normalize against the *global* size for the matvec budget.
+	opt = opt.normalize(p.AllReduceInt(n, pcomm.OpSum))
 	m := opt.Restart
 
-	bop, _ := op.(DistBatchOperator)
-	bprec, _ := prec.(DistBatchPreconditioner)
-	tr := p.Tracer()
-	matvecBatch := func(dst, src [][]float64) {
-		t0 := p.Time()
-		if bop != nil {
-			bop.MulVecBatch(p, dst, src)
-		} else {
-			for i := range src {
-				op.MulVec(p, dst[i], src[i])
-			}
-		}
-		if tr.Enabled() {
-			tr.Span("krylov", "matvec.batch", t0, p.Time(), trace.I("rhs", len(src)))
-		}
-	}
-	precBatch := func(dst, src [][]float64) {
-		t0 := p.Time()
-		if bprec != nil {
-			bprec.SolveBatch(p, dst, src)
-		} else {
-			for i := range src {
-				prec.Solve(p, dst[i], src[i])
-			}
-		}
-		if tr.Enabled() {
-			tr.Span("krylov", "precond.batch", t0, p.Time(), trace.I("rhs", len(src)))
-		}
-	}
-	// reduceBatch sums one partial value per selected system across
-	// processors with a single collective; summation order matches
-	// dist.Dot/dist.Norm2 so results are bitwise identical to the
-	// single-RHS path.
-	reduceBatch := func(partial []float64) []float64 {
-		all := pcomm.AllGatherFloats(p, pcomm.CopyFloats(partial))
-		out := make([]float64, len(partial))
-		for q := range all {
-			for i, v := range all[q] {
-				out[i] += v
-			}
-		}
-		return out
-	}
-	pick := func(vs [][]float64, idx []int) [][]float64 {
-		out := make([][]float64, len(idx))
-		for k, i := range idx {
-			out[k] = vs[i]
-		}
-		return out
-	}
-
-	// Per-system state.
-	v := make([][][]float64, B) // Krylov bases
-	h := make([][][]float64, B)
-	cs := make([][]float64, B)
-	sn := make([][]float64, B)
-	g := make([][]float64, B)
-	tmp := make([][]float64, B)
-	for i := 0; i < B; i++ {
-		v[i] = make([][]float64, m+1)
-		for j := range v[i] {
-			v[i][j] = make([]float64, nLocal)
-		}
-		h[i] = make([][]float64, m+1)
-		for j := range h[i] {
-			h[i][j] = make([]float64, m)
-		}
-		cs[i] = make([]float64, m)
-		sn[i] = make([]float64, m)
-		g[i] = make([]float64, m+1)
-		tmp[i] = make([]float64, nLocal)
-	}
+	d := lockstep{p: p, op: op, prec: prec, ins: make([][]float64, 0, B), outs: make([][]float64, 0, B)}
+	d.bop, _ = op.(DistBatchOperator)
+	d.bprec, _ = prec.(DistBatchPreconditioner)
 	results := make([]Result, B)
-	fin := make([]bool, B)   // no further work for this system
-	kCycle := make([]int, B) // Arnoldi steps completed in the current cycle
-	bn := make([]float64, B) // ‖M⁻¹b‖ per system
-	vecAt := func(vs [][][]float64, slot int, idx []int) [][]float64 {
-		out := make([][]float64, len(idx))
-		for k, i := range idx {
-			out[k] = vs[i][slot]
-		}
-		return out
+	all := make([]*system, B)
+	for i := range all {
+		vs := vectors(m+2, n)
+		all[i] = &system{id: i, x: xs[i], b: bs[i], v: vs[:m+1], tmp: vs[m+1], q: newHessenberg(m), res: &results[i]}
 	}
-	norms := func(vecs [][]float64) []float64 {
-		partial := make([]float64, len(vecs))
-		for k, vec := range vecs {
-			var s float64
-			for _, e := range vec {
-				s += e * e
-			}
-			partial[k] = s
+	cyc := make([]*system, 0, B)  // the systems of the current restart cycle
+	live := make([]*system, 0, B) // those still taking Arnoldi steps in it
+	tr := p.Tracer()
+	// report records the residual a system just reached, at a restart
+	// check or after an Arnoldi step.
+	report := func(s *system, event string, norm float64) {
+		s.res.Residual = norm / s.bnorm
+		s.res.History = append(s.res.History, s.res.Residual)
+		if tr.Enabled() {
+			tr.Instant("krylov", event, p.Time(), trace.I("rhs", s.id),
+				trace.I("matvec", s.res.NMatVec), trace.F("residual", s.res.Residual))
 		}
-		p.Work(float64(2 * nLocal * len(vecs)))
-		tot := reduceBatch(partial)
-		for k := range tot {
-			if tot[k] < 0 {
-				tot[k] = 0
-			}
-			tot[k] = math.Sqrt(tot[k])
-		}
-		return tot
-	}
-	dots := func(as, cs [][]float64) []float64 {
-		partial := make([]float64, len(as))
-		for k := range as {
-			var s float64
-			av, cv := as[k], cs[k]
-			for i := range av {
-				s += av[i] * cv[i]
-			}
-			partial[k] = s
-		}
-		p.Work(float64(2 * nLocal * len(as)))
-		return reduceBatch(partial)
 	}
 
-	// ‖M⁻¹b‖ per system for the stopping rule; zero right-hand sides are
-	// solved by x = 0 immediately, as in the single-RHS solver.
-	precBatch(tmp, bs)
-	for i, nrm := range norms(tmp) {
-		bn[i] = nrm
-		if nrm == 0 {
-			for j := range xs[i] {
-				xs[i][j] = 0
+	// ‖M⁻¹b‖ per system for the stopping rule; a zero right-hand side is
+	// solved by x = 0.
+	for _, s := range all {
+		s.in, s.out = s.b, s.tmp
+	}
+	d.precond(all)
+	d.norms(all)
+	for _, s := range all {
+		s.bnorm = s.val
+		if s.bnorm == 0 {
+			for j := range s.x {
+				s.x[j] = 0
 			}
-			results[i].Converged = true
-			fin[i] = true
+			s.res.Converged = true
+			s.done = true
 		}
 	}
 
 	for {
+		cyc = cyc[:0]
+		for _, s := range all {
+			if !s.done && s.res.NMatVec < opt.MaxMatVec {
+				cyc = append(cyc, s)
+			}
+		}
+		if len(cyc) == 0 {
+			return results, nil
+		}
 		if err := distCtxErr(p, opt.Ctx); err != nil {
 			return results, err
 		}
-		// Systems entering a new restart cycle.
-		var cyc []int
-		for i := 0; i < B; i++ {
-			if fin[i] {
-				continue
-			}
-			if results[i].NMatVec >= opt.MaxMatVec {
-				fin[i] = true
-				continue
-			}
-			cyc = append(cyc, i)
-		}
-		if len(cyc) == 0 {
-			break
-		}
 
-		// r_i = M⁻¹(b_i − A·x_i), batched.
-		matvecBatch(pick(tmp, cyc), pick(xs, cyc))
-		for _, i := range cyc {
-			results[i].NMatVec++
-			b := bs[i]
-			t := tmp[i]
-			for j := range t {
-				t[j] = b[j] - t[j]
-			}
+		// r = M⁻¹(b − A·x); the systems it does not satisfy yet start a
+		// cycle from it.
+		for _, s := range cyc {
+			s.in, s.out = s.x, s.tmp
 		}
-		p.Work(float64(nLocal * len(cyc)))
-		precBatch(vecAt(v, 0, cyc), pick(tmp, cyc))
-		betas := norms(vecAt(v, 0, cyc))
-		var live []int
-		for k, i := range cyc {
-			results[i].Residual = betas[k] / bn[i]
-			results[i].History = append(results[i].History, results[i].Residual)
-			if results[i].Residual <= opt.Tol {
-				results[i].Converged = true
-				fin[i] = true
+		d.matvec(cyc)
+		for _, s := range cyc {
+			s.res.NMatVec++
+			for j := range s.tmp {
+				s.tmp[j] = s.b[j] - s.tmp[j]
+			}
+			p.Work(float64(n))
+			s.in, s.out = s.tmp, s.v[0]
+		}
+		d.precond(cyc)
+		d.norms(cyc)
+		live = live[:0]
+		for _, s := range cyc {
+			beta := s.val
+			report(s, "restart", beta)
+			if s.res.Residual <= opt.Tol {
+				s.res.Converged = true
+				s.done = true
 				continue
 			}
-			inv := 1 / betas[k]
-			for j := range v[i][0] {
-				v[i][0][j] *= inv
-			}
-			for j := range g[i] {
-				g[i][j] = 0
-			}
-			g[i][0] = betas[k]
-			kCycle[i] = 0
-			live = append(live, i)
+			sparse.Scale(1/beta, s.v[0])
+			p.Work(float64(n))
+			s.q.start(beta)
+			s.steps = 0
+			live = append(live, s)
 		}
-		p.Work(float64(nLocal * len(live)))
-		cyc = append([]int(nil), live...)
+		cyc = append(cyc[:0], live...)
 
-		for k := 0; k < m && len(live) > 0; k++ {
-			if err := distCtxErr(p, opt.Ctx); err != nil {
-				return results, err
-			}
+		for k := 0; k < m; k++ {
 			// Systems at their matvec budget leave the cycle with the
 			// Arnoldi steps they have completed.
-			var inBudget []int
-			for _, i := range live {
-				if results[i].NMatVec < opt.MaxMatVec {
-					inBudget = append(inBudget, i)
-				}
-			}
-			live = inBudget
+			live = keep(live, func(s *system) bool { return s.res.NMatVec < opt.MaxMatVec })
 			if len(live) == 0 {
 				break
 			}
+			if err := distCtxErr(p, opt.Ctx); err != nil {
+				return results, err
+			}
 
-			// Batched Arnoldi step with modified Gram–Schmidt.
-			matvecBatch(pick(tmp, live), vecAt(v, k, live))
-			for _, i := range live {
-				results[i].NMatVec++
+			// Arnoldi step with modified Gram–Schmidt.
+			for _, s := range live {
+				s.in, s.out = s.v[k], s.tmp
 			}
-			precBatch(vecAt(v, k+1, live), pick(tmp, live))
+			d.matvec(live)
+			for _, s := range live {
+				s.res.NMatVec++
+				s.in, s.out = s.tmp, s.v[k+1]
+			}
+			d.precond(live)
 			for j := 0; j <= k; j++ {
-				hj := dots(vecAt(v, k+1, live), vecAt(v, j, live))
-				for idx, i := range live {
-					h[i][j][k] = hj[idx]
-					w := v[i][k+1]
-					vj := v[i][j]
-					for l := range w {
-						w[l] -= hj[idx] * vj[l]
-					}
+				for _, s := range live {
+					s.in = s.v[j]
 				}
-				p.Work(float64(2 * nLocal * len(live)))
+				d.dots(live)
+				for _, s := range live {
+					s.q.h[j][k] = s.val
+					sparse.Axpy(-s.val, s.in, s.out)
+					p.Work(float64(2 * n))
+				}
 			}
-			hk1 := norms(vecAt(v, k+1, live))
-			var stay []int
-			scaled := 0
-			for idx, i := range live {
-				arnoldiNorm := hk1[idx]
-				h[i][k+1][k] = arnoldiNorm
-				if arnoldiNorm > 0 {
-					inv := 1 / arnoldiNorm
-					w := v[i][k+1]
-					for l := range w {
-						w[l] *= inv
-					}
-					scaled++
+			d.norms(live)
+			for _, s := range live {
+				s.q.h[k+1][k] = s.val
+				if s.val > 0 {
+					sparse.Scale(1/s.val, s.out)
+					p.Work(float64(n))
 				}
-				for j := 0; j < k; j++ {
-					t := cs[i][j]*h[i][j][k] + sn[i][j]*h[i][j+1][k]
-					h[i][j+1][k] = -sn[i][j]*h[i][j][k] + cs[i][j]*h[i][j+1][k]
-					h[i][j][k] = t
-				}
-				cs[i][k], sn[i][k] = givens(h[i][k][k], h[i][k+1][k])
-				h[i][k][k] = cs[i][k]*h[i][k][k] + sn[i][k]*h[i][k+1][k]
-				h[i][k+1][k] = 0
-				g[i][k+1] = -sn[i][k] * g[i][k]
-				g[i][k] = cs[i][k] * g[i][k]
-				results[i].Residual = math.Abs(g[i][k+1]) / bn[i]
-				results[i].History = append(results[i].History, results[i].Residual)
-				kCycle[i] = k + 1
-				if results[i].Residual <= opt.Tol || arnoldiNorm == 0 {
-					continue // exits the cycle; x update happens below
-				}
-				stay = append(stay, i)
+				report(s, "iteration", s.q.rotate(k))
+				s.steps = k + 1
 			}
-			p.Work(float64(nLocal * scaled))
-			live = stay
-			if tr.Enabled() {
-				maxRes := 0.0
-				for _, i := range cyc {
-					if results[i].Residual > maxRes {
-						maxRes = results[i].Residual
-					}
-				}
-				tr.Instant("krylov", "iteration.batch", p.Time(),
-					trace.I("step", k), trace.I("live", len(live)),
-					trace.F("max_residual", maxRes))
-			}
+			// A converged system, or one whose subspace is exhausted
+			// (lucky breakdown), waits for the end of the cycle.
+			live = keep(live, func(s *system) bool { return s.res.Residual > opt.Tol && s.val != 0 })
 		}
 
-		// Cycle end: every system that ran Arnoldi steps updates its
-		// iterate from its own k×k least-squares system.
-		for _, i := range cyc {
-			k := kCycle[i]
-			y := make([]float64, k)
-			for r := k - 1; r >= 0; r-- {
-				s := g[i][r]
-				for c := r + 1; c < k; c++ {
-					s -= h[i][r][c] * y[c]
-				}
-				if h[i][r][r] == 0 {
-					return results, fmt.Errorf("krylov: DistGMRESBatch Hessenberg breakdown at %d (rhs %d)", r, i)
-				}
-				y[r] = s / h[i][r][r]
+		// Cycle end: every system that started it updates its iterate
+		// from its own least-squares system.
+		for _, s := range cyc {
+			y, err := s.q.solve(s.steps)
+			if err != nil {
+				return results, fmt.Errorf("%w (rhs %d)", err, s.id)
 			}
-			x := xs[i]
-			for j := 0; j < k; j++ {
-				yj := y[j]
-				vj := v[i][j]
-				for l := range x {
-					x[l] += yj * vj[l]
-				}
+			for j, yj := range y {
+				sparse.Axpy(yj, s.v[j], s.x)
+				p.Work(float64(2 * n))
 			}
-			p.Work(float64(2 * nLocal * k))
-			results[i].Restarts++
-			if results[i].Residual <= opt.Tol {
-				results[i].Converged = true
-				fin[i] = true
+			s.res.Restarts++
+			if s.res.Residual <= opt.Tol {
+				s.res.Converged = true
+				s.done = true
 			}
 		}
 	}
-	return results, nil
+}
+
+// keep filters sel in place.
+func keep(sel []*system, ok func(*system) bool) []*system {
+	kept := sel[:0]
+	for _, s := range sel {
+		if ok(s) {
+			kept = append(kept, s)
+		}
+	}
+	return kept
 }

@@ -39,9 +39,6 @@ func TestGMRESExpiredContextReturnsCanceled(t *testing.T) {
 		"FGMRES": func() (Result, error) {
 			return FGMRES(a, nil, make([]float64, a.N), b, Options{Ctx: ctx})
 		},
-		"CG": func() (Result, error) {
-			return CG(a, nil, make([]float64, a.N), b, Options{Ctx: ctx})
-		},
 	} {
 		res, err := run()
 		if !errors.Is(err, ErrCanceled) {

@@ -3,12 +3,10 @@ package krylov
 import (
 	"context"
 	"fmt"
-	"math"
 
 	"repro/internal/dist"
 	"repro/internal/pcomm"
 	"repro/internal/sparse"
-	"repro/internal/trace"
 )
 
 // DistOperator is a distributed matrix acting on local vectors;
@@ -84,174 +82,22 @@ func (j *DistJacobi) Solve(p pcomm.Comm, x, b []float64) {
 }
 
 // DistGMRES runs left-preconditioned restarted GMRES on the virtual
-// machine. It is an SPMD collective: every processor calls it with its
-// local slices of x and b; the collective reductions keep the control
-// flow identical on all processors. Local BLAS-1 work is charged to the
-// virtual clock.
+// machine: DistGMRESBatch on a batch of one, with Options.X0 as that
+// system's guess. It is an SPMD collective: every processor calls it
+// with its local slices of x and b; the collective reductions keep the
+// control flow identical on all processors. Local BLAS-1 work is charged
+// to the virtual clock.
 func DistGMRES(p pcomm.Comm, op DistOperator, prec DistPreconditioner, x, b []float64, opt Options) (Result, error) {
-	nLocal := len(x)
-	if len(b) != nLocal {
+	if len(b) != len(x) {
 		return Result{}, fmt.Errorf("krylov: DistGMRES local length mismatch")
 	}
-	if prec == nil {
-		prec = DistIdentity{}
-	}
 	if opt.X0 != nil {
-		if len(opt.X0) != nLocal {
-			return Result{}, fmt.Errorf("krylov: DistGMRES X0 has local length %d, want %d", len(opt.X0), nLocal)
+		if len(opt.X0) != len(x) {
+			return Result{}, fmt.Errorf("krylov: DistGMRES X0 has local length %d, want %d", len(opt.X0), len(x))
 		}
 		copy(x, opt.X0)
+		opt.X0 = nil
 	}
-	// Normalize against the *global* size for the matvec budget.
-	nGlobal := p.AllReduceInt(nLocal, pcomm.OpSum)
-	opt = opt.normalize(nGlobal)
-	m := opt.Restart
-
-	v := make([][]float64, m+1)
-	for i := range v {
-		v[i] = make([]float64, nLocal)
-	}
-	h := make([][]float64, m+1)
-	for i := range h {
-		h[i] = make([]float64, m)
-	}
-	cs := make([]float64, m)
-	sn := make([]float64, m)
-	g := make([]float64, m+1)
-	tmp := make([]float64, nLocal)
-	res := Result{}
-
-	axpy := func(alpha float64, src, dst []float64) {
-		for i := range dst {
-			dst[i] += alpha * src[i]
-		}
-		p.Work(float64(2 * nLocal))
-	}
-	scale := func(alpha float64, dst []float64) {
-		for i := range dst {
-			dst[i] *= alpha
-		}
-		p.Work(float64(nLocal))
-	}
-
-	// Tracing wraps the two expensive operators in spans on the virtual
-	// timeline and marks each Arnoldi iteration with its residual. With no
-	// recorder attached the wrappers reduce to the plain calls.
-	tr := p.Tracer()
-	mulVec := func(dst, src []float64) {
-		t0 := p.Time()
-		op.MulVec(p, dst, src)
-		if tr.Enabled() {
-			tr.Span("krylov", "matvec", t0, p.Time(), trace.I("matvec", res.NMatVec+1))
-		}
-	}
-	applyPrec := func(dst, src []float64) {
-		t0 := p.Time()
-		prec.Solve(p, dst, src)
-		if tr.Enabled() {
-			tr.Span("krylov", "precond", t0, p.Time())
-		}
-	}
-
-	applyPrec(tmp, b)
-	bnorm := dist.Norm2(p, tmp)
-	if bnorm == 0 {
-		for i := range x {
-			x[i] = 0
-		}
-		res.Converged = true
-		return res, nil
-	}
-
-	for res.NMatVec < opt.MaxMatVec {
-		if err := distCtxErr(p, opt.Ctx); err != nil {
-			return res, err
-		}
-		mulVec(tmp, x)
-		res.NMatVec++
-		for i := range tmp {
-			tmp[i] = b[i] - tmp[i]
-		}
-		p.Work(float64(nLocal))
-		applyPrec(v[0], tmp)
-		beta := dist.Norm2(p, v[0])
-		res.Residual = beta / bnorm
-		res.History = append(res.History, res.Residual)
-		if tr.Enabled() {
-			tr.Instant("krylov", "restart", p.Time(),
-				trace.I("matvec", res.NMatVec), trace.F("residual", res.Residual))
-		}
-		if res.Residual <= opt.Tol {
-			res.Converged = true
-			return res, nil
-		}
-		scale(1/beta, v[0])
-		for i := range g {
-			g[i] = 0
-		}
-		g[0] = beta
-
-		var k int
-		for k = 0; k < m && res.NMatVec < opt.MaxMatVec; k++ {
-			if err := distCtxErr(p, opt.Ctx); err != nil {
-				return res, err
-			}
-			mulVec(tmp, v[k])
-			res.NMatVec++
-			applyPrec(v[k+1], tmp)
-			for i := 0; i <= k; i++ {
-				h[i][k] = dist.Dot(p, v[k+1], v[i])
-				axpy(-h[i][k], v[i], v[k+1])
-			}
-			h[k+1][k] = dist.Norm2(p, v[k+1])
-			arnoldiNorm := h[k+1][k]
-			if h[k+1][k] > 0 {
-				scale(1/h[k+1][k], v[k+1])
-			}
-			for i := 0; i < k; i++ {
-				t := cs[i]*h[i][k] + sn[i]*h[i+1][k]
-				h[i+1][k] = -sn[i]*h[i][k] + cs[i]*h[i+1][k]
-				h[i][k] = t
-			}
-			cs[k], sn[k] = givens(h[k][k], h[k+1][k])
-			h[k][k] = cs[k]*h[k][k] + sn[k]*h[k+1][k]
-			h[k+1][k] = 0
-			g[k+1] = -sn[k] * g[k]
-			g[k] = cs[k] * g[k]
-			res.Residual = math.Abs(g[k+1]) / bnorm
-			res.History = append(res.History, res.Residual)
-			if tr.Enabled() {
-				tr.Instant("krylov", "iteration", p.Time(),
-					trace.I("matvec", res.NMatVec), trace.F("residual", res.Residual))
-			}
-			if res.Residual <= opt.Tol {
-				k++
-				break
-			}
-			if arnoldiNorm == 0 {
-				k++
-				break
-			}
-		}
-		y := make([]float64, k)
-		for i := k - 1; i >= 0; i-- {
-			s := g[i]
-			for j := i + 1; j < k; j++ {
-				s -= h[i][j] * y[j]
-			}
-			if h[i][i] == 0 {
-				return res, fmt.Errorf("krylov: DistGMRES Hessenberg breakdown at %d", i)
-			}
-			y[i] = s / h[i][i]
-		}
-		for j := 0; j < k; j++ {
-			axpy(y[j], v[j], x)
-		}
-		res.Restarts++
-		if res.Residual <= opt.Tol {
-			res.Converged = true
-			return res, nil
-		}
-	}
-	return res, nil
+	rs, err := DistGMRESBatch(p, op, prec, [][]float64{x}, [][]float64{b}, opt)
+	return rs[0], err
 }

@@ -1,15 +1,16 @@
 // Package krylov implements the iterative solvers of the paper's
 // evaluation: restarted GMRES with left preconditioning (Saad & Schultz,
-// reference [13] of the paper) in both a serial form and a distributed
-// form running on the virtual machine, plus conjugate gradients for
-// symmetric positive definite systems.
+// reference [13] of the paper) in a serial form (GMRES, and its flexible
+// right-preconditioned variant FGMRES) and a distributed form that
+// advances any number of right-hand sides in lock-step (DistGMRESBatch,
+// with DistGMRES as its batch of one). All of them run the one dense
+// kernel in arnoldi.go.
 package krylov
 
 import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
 
 	"repro/internal/sparse"
 )
@@ -65,9 +66,10 @@ type Options struct {
 	// starts the next step a few digits in. On an unchanged system a
 	// warm start from the converged solution terminates at the first
 	// residual check (one matrix–vector product). Length must equal x's:
-	// global n for the serial solvers, the processor's LOCAL piece for
-	// DistGMRES. DistGMRESBatch rejects a non-nil X0 — per-system guesses
-	// travel in xs there. X0 is read once at entry and never written.
+	// global n for GMRES and FGMRES, the processor's LOCAL piece for
+	// DistGMRES, which copies it into its one system's iterate.
+	// DistGMRESBatch rejects a non-nil X0 — per-system guesses travel in
+	// xs there. X0 is read once at entry and never written.
 	X0 []float64
 }
 
@@ -90,51 +92,68 @@ type Result struct {
 	NMatVec   int     // matrix–vector products performed (the paper's NMV)
 	Residual  float64 // final preconditioned relative residual
 	Restarts  int
-	// History records the preconditioned relative residual after every
-	// iteration (restart checks included), in order. The sequence is a
-	// pure function of the input data, so it is bitwise identical across
-	// communication backends — the backend-equivalence tests compare it
-	// with math.Float64bits.
+	// History records the monitored relative residual after every
+	// matrix–vector product (restart checks included), in order, in the
+	// serial solvers and the distributed ones alike: len(History) equals
+	// NMatVec. The sequence is a pure function of the input data, so it is
+	// bitwise identical across communication backends — the
+	// backend-equivalence tests compare it with math.Float64bits.
 	History []float64
 }
 
 // GMRES solves A·x = b with left-preconditioned restarted GMRES; x holds
 // the initial guess on entry and the solution on exit. A nil prec means
-// no preconditioning.
+// no preconditioning. It is the serial reference the distributed driver
+// is tested against: the same kernel over sparse.Dot instead of
+// reductions.
 func GMRES(a *sparse.CSR, prec Preconditioner, x, b []float64, opt Options) (Result, error) {
-	n := a.N
-	if a.M != n || len(x) != n || len(b) != n {
-		return Result{}, fmt.Errorf("krylov: GMRES dimension mismatch")
-	}
 	if prec == nil {
 		prec = identityPrec{}
 	}
+	return gmres("GMRES", a, prec, nil, x, b, opt)
+}
+
+// FGMRES solves A·x = b with flexible (right-preconditioned) restarted
+// GMRES: the preconditioner may change from step to step, which admits
+// inner iterations or block preconditioners as M. Unlike left
+// preconditioning, the monitored residual is the *true* residual.
+func FGMRES(a *sparse.CSR, prec Preconditioner, x, b []float64, opt Options) (Result, error) {
+	if prec == nil {
+		prec = identityPrec{}
+	}
+	return gmres("FGMRES", a, identityPrec{}, prec, x, b, opt)
+}
+
+// gmres is the serial restart loop: left is applied to every residual
+// and product, and the stopping rule monitors the residual it yields; a
+// non-nil right is applied to each basis vector before the product, and
+// the update then combines those preconditioned directions, which is
+// what lets right change between steps.
+func gmres(name string, a *sparse.CSR, left, right Preconditioner, x, b []float64, opt Options) (Result, error) {
+	n := a.N
+	if a.M != n || len(x) != n || len(b) != n {
+		return Result{}, fmt.Errorf("krylov: %s dimension mismatch", name)
+	}
 	if opt.X0 != nil {
 		if len(opt.X0) != n {
-			return Result{}, fmt.Errorf("krylov: GMRES X0 has length %d, want %d", len(opt.X0), n)
+			return Result{}, fmt.Errorf("krylov: %s X0 has length %d, want %d", name, len(opt.X0), n)
 		}
 		copy(x, opt.X0)
 	}
 	opt = opt.normalize(n)
 	m := opt.Restart
 
-	// Workspace.
-	v := make([][]float64, m+1)
-	for i := range v {
-		v[i] = make([]float64, n)
+	v := vectors(m+1, n)
+	dirs := v // what the update combines
+	if right != nil {
+		dirs = vectors(m, n)
 	}
-	h := make([][]float64, m+1) // h[i][j]: Hessenberg, row i, col j
-	for i := range h {
-		h[i] = make([]float64, m)
-	}
-	cs := make([]float64, m)
-	sn := make([]float64, m)
-	g := make([]float64, m+1)
+	q := newHessenberg(m)
 	tmp := make([]float64, n)
 	res := Result{}
 
 	// ‖M⁻¹b‖ for the stopping rule.
-	prec.Solve(tmp, b)
+	left.Solve(tmp, b)
 	bnorm := sparse.Norm2(tmp)
 	if bnorm == 0 {
 		for i := range x {
@@ -154,74 +173,44 @@ func GMRES(a *sparse.CSR, prec Preconditioner, x, b []float64, opt Options) (Res
 		for i := range tmp {
 			tmp[i] = b[i] - tmp[i]
 		}
-		prec.Solve(v[0], tmp)
+		left.Solve(v[0], tmp)
 		beta := sparse.Norm2(v[0])
 		res.Residual = beta / bnorm
+		res.History = append(res.History, res.Residual)
 		if res.Residual <= opt.Tol {
 			res.Converged = true
 			return res, nil
 		}
 		sparse.Scale(1/beta, v[0])
-		for i := range g {
-			g[i] = 0
-		}
-		g[0] = beta
+		q.start(beta)
 
-		var k int
-		for k = 0; k < m && res.NMatVec < opt.MaxMatVec; k++ {
+		k := 0
+		for k < m && res.NMatVec < opt.MaxMatVec {
 			if err := ctxErr(opt.Ctx); err != nil {
 				return res, err
 			}
-			// Arnoldi step with modified Gram–Schmidt.
-			a.MulVec(tmp, v[k])
+			src := v[k]
+			if right != nil {
+				right.Solve(dirs[k], v[k])
+				src = dirs[k]
+			}
+			a.MulVec(tmp, src)
 			res.NMatVec++
-			prec.Solve(v[k+1], tmp)
-			for i := 0; i <= k; i++ {
-				h[i][k] = sparse.Dot(v[k+1], v[i])
-				sparse.Axpy(-h[i][k], v[i], v[k+1])
-			}
-			h[k+1][k] = sparse.Norm2(v[k+1])
-			arnoldiNorm := h[k+1][k]
-			if h[k+1][k] > 0 {
-				sparse.Scale(1/h[k+1][k], v[k+1])
-			}
-			// Apply previous Givens rotations to the new column.
-			for i := 0; i < k; i++ {
-				t := cs[i]*h[i][k] + sn[i]*h[i+1][k]
-				h[i+1][k] = -sn[i]*h[i][k] + cs[i]*h[i+1][k]
-				h[i][k] = t
-			}
-			cs[k], sn[k] = givens(h[k][k], h[k+1][k])
-			h[k][k] = cs[k]*h[k][k] + sn[k]*h[k+1][k]
-			h[k+1][k] = 0
-			g[k+1] = -sn[k] * g[k]
-			g[k] = cs[k] * g[k]
-
-			res.Residual = math.Abs(g[k+1]) / bnorm
-			if res.Residual <= opt.Tol {
-				k++
-				break
-			}
-			if arnoldiNorm == 0 {
-				// Lucky breakdown: subspace exhausted.
-				k++
+			left.Solve(v[k+1], tmp)
+			norm := q.orthogonalize(v, k)
+			res.Residual = q.rotate(k) / bnorm
+			res.History = append(res.History, res.Residual)
+			k++
+			if res.Residual <= opt.Tol || norm == 0 {
 				break
 			}
 		}
-		// Solve the k×k triangular system and update x.
-		y := make([]float64, k)
-		for i := k - 1; i >= 0; i-- {
-			s := g[i]
-			for j := i + 1; j < k; j++ {
-				s -= h[i][j] * y[j]
-			}
-			if h[i][i] == 0 {
-				return res, fmt.Errorf("krylov: GMRES Hessenberg breakdown at %d", i)
-			}
-			y[i] = s / h[i][i]
+		y, err := q.solve(k)
+		if err != nil {
+			return res, err
 		}
-		for j := 0; j < k; j++ {
-			sparse.Axpy(y[j], v[j], x)
+		for j, yj := range y {
+			sparse.Axpy(yj, dirs[j], x)
 		}
 		res.Restarts++
 		if res.Residual <= opt.Tol {
@@ -229,93 +218,5 @@ func GMRES(a *sparse.CSR, prec Preconditioner, x, b []float64, opt Options) (Res
 			return res, nil
 		}
 	}
-	return res, nil
-}
-
-// givens returns (c, s) such that the rotation zeroes b against a.
-func givens(a, b float64) (c, s float64) {
-	if b == 0 {
-		return 1, 0
-	}
-	if math.Abs(b) > math.Abs(a) {
-		t := a / b
-		s = 1 / math.Sqrt(1+t*t)
-		c = s * t
-		return c, s
-	}
-	t := b / a
-	c = 1 / math.Sqrt(1+t*t)
-	s = c * t
-	return c, s
-}
-
-// CG solves a symmetric positive definite system with preconditioned
-// conjugate gradients; provided as the standard alternative for the SPD
-// workloads (G0, TORSO are SPD).
-func CG(a *sparse.CSR, prec Preconditioner, x, b []float64, opt Options) (Result, error) {
-	n := a.N
-	if a.M != n || len(x) != n || len(b) != n {
-		return Result{}, fmt.Errorf("krylov: CG dimension mismatch")
-	}
-	if prec == nil {
-		prec = identityPrec{}
-	}
-	if opt.X0 != nil {
-		if len(opt.X0) != n {
-			return Result{}, fmt.Errorf("krylov: CG X0 has length %d, want %d", len(opt.X0), n)
-		}
-		copy(x, opt.X0)
-	}
-	opt = opt.normalize(n)
-
-	r := make([]float64, n)
-	z := make([]float64, n)
-	p := make([]float64, n)
-	ap := make([]float64, n)
-	res := Result{}
-
-	a.MulVec(r, x)
-	res.NMatVec++
-	for i := range r {
-		r[i] = b[i] - r[i]
-	}
-	bnorm := sparse.Norm2(b)
-	if bnorm == 0 {
-		for i := range x {
-			x[i] = 0
-		}
-		res.Converged = true
-		return res, nil
-	}
-	prec.Solve(z, r)
-	copy(p, z)
-	rz := sparse.Dot(r, z)
-	for res.NMatVec < opt.MaxMatVec {
-		if err := ctxErr(opt.Ctx); err != nil {
-			return res, err
-		}
-		res.Residual = sparse.Norm2(r) / bnorm
-		if res.Residual <= opt.Tol {
-			res.Converged = true
-			return res, nil
-		}
-		a.MulVec(ap, p)
-		res.NMatVec++
-		pap := sparse.Dot(p, ap)
-		if pap <= 0 {
-			return res, fmt.Errorf("krylov: CG detected a non-SPD operator (pᵀAp = %v)", pap)
-		}
-		alpha := rz / pap
-		sparse.Axpy(alpha, p, x)
-		sparse.Axpy(-alpha, ap, r)
-		prec.Solve(z, r)
-		rzNew := sparse.Dot(r, z)
-		beta := rzNew / rz
-		rz = rzNew
-		for i := range p {
-			p[i] = z[i] + beta*p[i]
-		}
-	}
-	res.Residual = sparse.Norm2(r) / bnorm
 	return res, nil
 }

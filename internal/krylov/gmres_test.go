@@ -103,6 +103,12 @@ func TestGMRESRestartValues(t *testing.T) {
 		if !res.Converged {
 			t.Fatalf("restart=%d did not converge", restart)
 		}
+		// Every product ends in a residual, at a restart check or an
+		// Arnoldi step, and History records each.
+		if len(res.History) != res.NMatVec || res.History[len(res.History)-1] != res.Residual {
+			t.Errorf("restart=%d: History has %d entries ending in %v for %d matvecs and final residual %v",
+				restart, len(res.History), res.History[len(res.History)-1], res.NMatVec, res.Residual)
+		}
 		nmv[i] = res.NMatVec
 	}
 	if nmv[1] > nmv[0] {
@@ -147,50 +153,6 @@ func TestGMRESDimensionErrors(t *testing.T) {
 	a := matgen.Grid2D(3, 3)
 	if _, err := GMRES(a, nil, make([]float64, 2), make([]float64, 9), Options{}); err == nil {
 		t.Error("dimension mismatch accepted")
-	}
-}
-
-func TestCGOnSPD(t *testing.T) {
-	a := matgen.Grid2D(12, 12)
-	b := sparse.Ones(a.N)
-	x := make([]float64, a.N)
-	res, err := CG(a, nil, x, b, Options{Tol: 1e-10})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Converged {
-		t.Fatalf("CG did not converge: %+v", res)
-	}
-	if r := residual(a, x, b); r > 1e-8 {
-		t.Errorf("true residual %v", r)
-	}
-}
-
-func TestCGWithJacobi(t *testing.T) {
-	a := matgen.Torso(6, 6, 6, 4)
-	b := sparse.Ones(a.N)
-	j, err := ilu.Jacobi(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	x := make([]float64, a.N)
-	res, err := CG(a, j, x, b, Options{Tol: 1e-9, MaxMatVec: 5000})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Converged {
-		t.Fatalf("did not converge: %+v", res)
-	}
-}
-
-func TestCGRejectsNonSPD(t *testing.T) {
-	a := sparse.FromDense([][]float64{
-		{1, 0},
-		{0, -1},
-	})
-	x := make([]float64, 2)
-	if _, err := CG(a, nil, x, []float64{1, 1}, Options{}); err == nil {
-		t.Error("indefinite matrix accepted")
 	}
 }
 
@@ -276,6 +238,9 @@ func TestFGMRESVariablePreconditioner(t *testing.T) {
 	}
 	if !res.Converged {
 		t.Fatalf("did not converge with variable preconditioner: %+v", res)
+	}
+	if len(res.History) != res.NMatVec {
+		t.Errorf("History has %d entries for %d matvecs", len(res.History), res.NMatVec)
 	}
 	if r := residual(a, x, b); r > 1e-6 {
 		t.Errorf("true residual %v", r)

@@ -14,6 +14,12 @@ import (
 	"repro/internal/sparse"
 )
 
+// serialSolvers are the two entry points of the one serial loop.
+var serialSolvers = map[string]func(*sparse.CSR, Preconditioner, []float64, []float64, Options) (Result, error){
+	"GMRES":  GMRES,
+	"FGMRES": FGMRES,
+}
+
 // TestGMRESWarmStartUnchangedSystem pins the warm-start contract: solving
 // an unchanged system starting from its own converged solution must
 // terminate at the first residual check — one matrix–vector product, no
@@ -21,26 +27,28 @@ import (
 func TestGMRESWarmStartUnchangedSystem(t *testing.T) {
 	a := matgen.Grid2D(10, 10)
 	b := sparse.Ones(a.N)
-	x := make([]float64, a.N)
-	cold, err := GMRES(a, nil, x, b, Options{Restart: 20, Tol: 1e-9})
-	if err != nil || !cold.Converged {
-		t.Fatalf("cold solve failed: %v %+v", err, cold)
-	}
+	for name, solve := range serialSolvers {
+		x := make([]float64, a.N)
+		cold, err := solve(a, nil, x, b, Options{Restart: 20, Tol: 1e-9})
+		if err != nil || !cold.Converged {
+			t.Fatalf("%s: cold solve failed: %v %+v", name, err, cold)
+		}
 
-	warmX := make([]float64, a.N) // zeros: X0 must override the iterate
-	warm, err := GMRES(a, nil, warmX, b, Options{Restart: 20, Tol: 1e-9, X0: x})
-	if err != nil || !warm.Converged {
-		t.Fatalf("warm solve failed: %v %+v", err, warm)
-	}
-	if warm.NMatVec > 1 {
-		t.Fatalf("warm start on unchanged system took %d matvecs, want ≤ 1", warm.NMatVec)
-	}
-	if warm.Restarts != 0 {
-		t.Fatalf("warm start restarted %d times, want 0", warm.Restarts)
-	}
-	for i := range warmX {
-		if warmX[i] != x[i] {
-			t.Fatalf("warm solution drifted from the guess at %d: %v vs %v", i, warmX[i], x[i])
+		warmX := make([]float64, a.N) // zeros: X0 must override the iterate
+		warm, err := solve(a, nil, warmX, b, Options{Restart: 20, Tol: 1e-9, X0: x})
+		if err != nil || !warm.Converged {
+			t.Fatalf("%s: warm solve failed: %v %+v", name, err, warm)
+		}
+		if warm.NMatVec > 1 {
+			t.Fatalf("%s: warm start on unchanged system took %d matvecs, want ≤ 1", name, warm.NMatVec)
+		}
+		if warm.Restarts != 0 {
+			t.Fatalf("%s: warm start restarted %d times, want 0", name, warm.Restarts)
+		}
+		for i := range warmX {
+			if warmX[i] != x[i] {
+				t.Fatalf("%s: warm solution drifted from the guess at %d: %v vs %v", name, i, warmX[i], x[i])
+			}
 		}
 	}
 }
@@ -49,29 +57,12 @@ func TestGMRESWarmStartLengthError(t *testing.T) {
 	a := matgen.Grid2D(4, 4)
 	b := sparse.Ones(a.N)
 	x := make([]float64, a.N)
-	if _, err := GMRES(a, nil, x, b, Options{X0: make([]float64, a.N-1)}); err == nil {
-		t.Fatal("GMRES accepted an X0 of the wrong length")
-	}
-	if _, err := CG(a, nil, x, b, Options{X0: make([]float64, a.N+3)}); err == nil {
-		t.Fatal("CG accepted an X0 of the wrong length")
-	}
-}
-
-func TestCGWarmStartUnchangedSystem(t *testing.T) {
-	a := matgen.Grid2D(8, 8)
-	b := sparse.Ones(a.N)
-	x := make([]float64, a.N)
-	cold, err := CG(a, nil, x, b, Options{Tol: 1e-10})
-	if err != nil || !cold.Converged {
-		t.Fatalf("cold CG failed: %v %+v", err, cold)
-	}
-	warmX := make([]float64, a.N)
-	warm, err := CG(a, nil, warmX, b, Options{Tol: 1e-10, X0: x})
-	if err != nil || !warm.Converged {
-		t.Fatalf("warm CG failed: %v %+v", err, warm)
-	}
-	if warm.NMatVec > 1 {
-		t.Fatalf("warm CG took %d matvecs, want ≤ 1", warm.NMatVec)
+	for name, solve := range serialSolvers {
+		for _, n := range []int{a.N - 1, a.N + 3} {
+			if _, err := solve(a, nil, x, b, Options{X0: make([]float64, n)}); err == nil {
+				t.Fatalf("%s accepted an X0 of length %d for %d unknowns", name, n, a.N)
+			}
+		}
 	}
 }
 

@@ -13,7 +13,7 @@ import (
 )
 
 // Alloc-regression guard for the mailbox fast path (ISSUE 8): a steady-
-// state SendSlice/RecvSliceInto ping-pong under the ownership-transfer
+// state SendSlice/RecvSlice ping-pong under the ownership-transfer
 // protocol must not touch the allocator — the raw path boxes nothing,
 // blocking receives select on pre-existing channels, and the transport
 // buffers circulate through pcomm.Floats. The path belongs to the engine,
@@ -69,9 +69,11 @@ func TestMailboxSteadyStateAllocs(t *testing.T) {
 					pcomm.SendSlice(c, peer, tag, buf)
 				}
 				recv := func() {
-					if n := pcomm.RecvSliceInto(c, peer, tag, dst, &pcomm.Floats); n != msgLen {
+					msg := pcomm.RecvSlice[float64](c, peer, tag)
+					if copy(dst, msg) != msgLen {
 						panic("short ghost message in alloc guard")
 					}
+					pcomm.Floats.Put(msg)
 				}
 				if sendFirst {
 					send()

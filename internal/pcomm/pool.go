@@ -1,9 +1,6 @@
 package pcomm
 
-import (
-	"fmt"
-	"sync"
-)
+import "sync"
 
 // SlicePool is a mutex-guarded free list of message buffers. Like the
 // core scratch pool (DESIGN.md §13) it is a free list rather than a
@@ -11,8 +8,8 @@ import (
 // stay allocation-free, and tests can reason about exactly which buffers
 // exist. The intended protocol is ownership transfer: the sender Gets a
 // buffer, fills it, and SendSlices it — relinquishing it — and the
-// receiver copies the payload out with RecvSliceInto, which returns the
-// transport buffer to the pool. Both in-process backends deliver the
+// receiver RecvSlices it, copies the payload out and Puts the transport
+// buffer back. Both in-process backends deliver the
 // sender's buffer zero-copy, so the protocol must only be used where the
 // sender genuinely lets go (the sendalias analyzer's rule, made load-
 // bearing).
@@ -87,34 +84,3 @@ var (
 	// Ints pools []int message buffers (index exchanges).
 	Ints SlicePool[int]
 )
-
-// RecvSliceInto is the borrowed-buffer receive path: it receives a []T
-// sent by SendSlice (or a plain Send of a []T) from src under tag,
-// copies the payload into dst, recycles the transport buffer into pool
-// (when non-nil), and returns the payload length. dst must be at least
-// payload-sized. Use only under the ownership-transfer protocol — the
-// recycled buffer is the *sender's* slice on the in-process backends, so
-// the sender must have obtained it from the same pool and let it go.
-//
-//pilut:hotpath
-func RecvSliceInto[T any](c Comm, src, tag int, dst []T, pool *SlicePool[T]) int {
-	var payload []T
-	if rc, ok := c.(RawComm); ok {
-		h, boxed, isRaw := rc.RecvRaw(src, tag)
-		if isRaw {
-			payload = sliceOf[T](h)
-		} else if boxed != nil {
-			payload = boxed.([]T)
-		}
-	} else if v := c.Recv(src, tag); v != nil {
-		payload = v.([]T)
-	}
-	if len(payload) > len(dst) {
-		panic(fmt.Sprintf("pcomm: RecvSliceInto: payload length %d exceeds destination length %d", len(payload), len(dst)))
-	}
-	copy(dst, payload)
-	if pool != nil {
-		pool.Put(payload)
-	}
-	return len(payload)
-}
