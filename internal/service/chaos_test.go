@@ -227,23 +227,13 @@ func TestQueueShedsUnderOverload(t *testing.T) {
 		t.Fatal(err) // warm cache
 	}
 
-	// Pin the worker with an unreachable-tolerance blocker.
-	blockerCtx, stopBlocker := context.WithCancel(context.Background())
-	defer stopBlocker()
-	blockerDone := make(chan struct{})
-	go func() {
-		defer close(blockerDone)
-		s.Solve(blockerCtx, key, rhs(a.N, 2), SolveOptions{Tol: 1e-300, MaxMatVec: 500000})
-	}()
-	waitFor(t, "blocker to start running", func() bool {
-		return s.StatsSnapshot().Running == 1
-	})
+	release := pinWorker(t, s, key, rhs(a.N, 2))
 
 	// Fill the queue to MaxQueue, then one more must shed.
 	qctx, stopQueued := context.WithCancel(context.Background())
 	defer stopQueued()
 	for i := 0; i < cfg.MaxQueue; i++ {
-		go s.Solve(qctx, key, rhs(a.N, int64(3+i)), SolveOptions{Tol: 1e-300, MaxMatVec: 500000})
+		endlessSolve(qctx, s, key, rhs(a.N, int64(3+i)), SolveOptions{})
 	}
 	waitFor(t, "queue to fill", func() bool {
 		return s.StatsSnapshot().QueueDepth >= cfg.MaxQueue
@@ -258,9 +248,8 @@ func TestQueueShedsUnderOverload(t *testing.T) {
 		t.Fatal("shed requests not counted in stats")
 	}
 
-	stopBlocker()
 	stopQueued()
-	<-blockerDone
+	release()
 	waitFor(t, "workers to drain", func() bool {
 		st := s.StatsSnapshot()
 		return st.Running == 0 && st.QueueDepth == 0

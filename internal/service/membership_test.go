@@ -466,9 +466,11 @@ func TestReplicationAndTakeover(t *testing.T) {
 		t.Fatal("baseline solve did not converge")
 	}
 
-	// The proactive push runs off the request path; wait for it to land.
+	// The proactive push runs off the request path; wait for it to land
+	// and for the owner to have counted it, which it does only after the
+	// successor has answered.
 	deadline := time.Now().Add(10 * time.Second)
-	for successor.cluster.snapshot().ReplicaImports == 0 {
+	for successor.cluster.snapshot().ReplicaImports == 0 || owner.cluster.snapshot().ReplicasPushed == 0 {
 		if time.Now().After(deadline) {
 			t.Fatalf("replica never reached the successor: owner=%+v successor=%+v",
 				owner.cluster.snapshot(), successor.cluster.snapshot())

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"math"
 	"math/rand"
-	"os"
 	"runtime"
 	"sync"
 	"testing"
@@ -20,15 +19,42 @@ func testConfig() Config {
 	return Config{Procs: 4, Workers: 2, MaxBatch: 8}
 }
 
-// slowBudget is the matvec budget of "blocker" solves (unreachable
-// tolerance, so they run to the budget): long enough to be observed by
-// the tests' polling, short enough not to dominate the race lane, which
-// shrinks it further via PILUT_TEST_FAST.
-func slowBudget() int {
-	if os.Getenv("PILUT_TEST_FAST") != "" {
-		return 400
+// endlessSolve starts a solve that only ctx can end — its tolerance is
+// unreachable and its matvec budget outlasts any test — and returns the
+// channel its error arrives on. A solve whose length is a budget ends
+// on its own, on a fast host before a poll has seen what queued behind
+// it.
+func endlessSolve(ctx context.Context, s *Server, key string, b []float64, opt SolveOptions) <-chan error {
+	opt.Tol, opt.MaxMatVec = 1e-300, 500000
+	done := make(chan error, 1)
+	go func() {
+		_, err := s.Solve(ctx, key, b, opt)
+		done <- err
+	}()
+	return done
+}
+
+// pinWorker holds a one-worker server's worker with an endless solve and
+// returns once the worker has taken it. Running == 1 alone does not say
+// so: a worker answers a request before it decrements the count, so
+// right after a warm-up solve returns the count can still be that
+// solve's — the pinning request must also have been counted and have
+// left the queue. release cancels the solve and reports how it ended:
+// krylov.ErrCanceled, unless something other than the test stopped it.
+func pinWorker(t *testing.T, s *Server, key string, b []float64) (release func() error) {
+	t.Helper()
+	ctx, cancel := context.WithCancel(context.Background())
+	t.Cleanup(cancel)
+	accepted := s.StatsSnapshot().Solves.Requests
+	done := endlessSolve(ctx, s, key, b, SolveOptions{})
+	waitFor(t, "worker to take the pinning solve", func() bool {
+		st := s.StatsSnapshot()
+		return st.Solves.Requests == accepted+1 && st.QueueDepth == 0 && st.Running == 1
+	})
+	return func() error {
+		cancel()
+		return <-done
 	}
-	return 1500
 }
 
 func rhs(n int, seed int64) []float64 {
@@ -254,15 +280,7 @@ func TestBatchCoalescing(t *testing.T) {
 		t.Fatal(err) // warm cache
 	}
 
-	// Occupy the single worker with a long run (unreachable tolerance).
-	blockerDone := make(chan error, 1)
-	go func() {
-		_, err := s.Solve(context.Background(), key, rhs(a.N, 2), SolveOptions{Tol: 1e-300, MaxMatVec: slowBudget()})
-		blockerDone <- err
-	}()
-	waitFor(t, "blocker to start running", func() bool {
-		return s.StatsSnapshot().Running == 1
-	})
+	release := pinWorker(t, s, key, rhs(a.N, 2))
 
 	// Four concurrent requests with identical options queue up behind it
 	// and must be solved as one multi-RHS batch.
@@ -280,10 +298,10 @@ func TestBatchCoalescing(t *testing.T) {
 	waitFor(t, "requests to queue behind the blocker", func() bool {
 		return s.StatsSnapshot().QueueDepth >= n
 	})
-	wg.Wait()
-	if err := <-blockerDone; err != nil {
-		t.Fatalf("blocker: %v", err)
+	if err := release(); !errors.Is(err, krylov.ErrCanceled) {
+		t.Fatalf("blocker: err = %v, want krylov.ErrCanceled", err)
 	}
+	wg.Wait()
 
 	for i := 0; i < n; i++ {
 		if errs[i] != nil {
@@ -315,14 +333,7 @@ func TestGracefulShutdownDrainsInFlight(t *testing.T) {
 		t.Fatal(err) // warm cache
 	}
 
-	inFlight := make(chan error, 1)
-	go func() {
-		_, err := s.Solve(context.Background(), key, rhs(a.N, 2), SolveOptions{Tol: 1e-300, MaxMatVec: slowBudget()})
-		inFlight <- err
-	}()
-	waitFor(t, "solve to be running", func() bool {
-		return s.StatsSnapshot().Running == 1
-	})
+	finishInFlight := pinWorker(t, s, key, rhs(a.N, 2))
 
 	shutdownDone := make(chan error, 1)
 	go func() { shutdownDone <- s.Shutdown(context.Background()) }()
@@ -331,12 +342,16 @@ func TestGracefulShutdownDrainsInFlight(t *testing.T) {
 		return errors.Is(err, ErrClosed)
 	})
 
-	// New requests are rejected while the in-flight one completes.
+	// New requests are rejected while the in-flight one keeps running:
+	// the drain leaves it alone until the test itself ends it.
 	if _, err := s.Solve(context.Background(), key, rhs(a.N, 3), SolveOptions{}); !errors.Is(err, ErrClosed) {
 		t.Fatalf("solve during drain: err = %v, want ErrClosed", err)
 	}
-	if err := <-inFlight; err != nil {
-		t.Fatalf("in-flight solve was not drained cleanly: %v", err)
+	if st := s.StatsSnapshot(); st.Running != 1 {
+		t.Fatalf("in-flight solve is not running during the drain: %+v", st)
+	}
+	if err := finishInFlight(); !errors.Is(err, krylov.ErrCanceled) {
+		t.Fatalf("in-flight solve was not drained cleanly: err = %v, want its own krylov.ErrCanceled", err)
 	}
 	if err := <-shutdownDone; err != nil {
 		t.Fatalf("graceful shutdown returned %v", err)
@@ -355,30 +370,30 @@ func TestShutdownDeadlineFailsQueuedRequests(t *testing.T) {
 
 	// One running solve plus one queued behind it (different options, so
 	// it cannot join the batch).
-	running := make(chan error, 1)
-	queued := make(chan error, 1)
-	go func() {
-		_, err := s.Solve(context.Background(), key, rhs(a.N, 2), SolveOptions{Tol: 1e-300, MaxMatVec: slowBudget()})
-		running <- err
-	}()
-	waitFor(t, "first solve to run", func() bool { return s.StatsSnapshot().Running == 1 })
-	go func() {
-		_, err := s.Solve(context.Background(), key, rhs(a.N, 3), SolveOptions{Tol: 1e-300, MaxMatVec: slowBudget(), Restart: 7})
-		queued <- err
-	}()
+	finishRunning := pinWorker(t, s, key, rhs(a.N, 2))
+	queued := endlessSolve(context.Background(), s, key, rhs(a.N, 3), SolveOptions{Restart: 7})
 	waitFor(t, "second solve to queue", func() bool { return s.StatsSnapshot().QueueDepth == 1 })
 
 	ctx, cancel := context.WithTimeout(context.Background(), time.Millisecond)
 	defer cancel()
-	err := s.Shutdown(ctx)
-	if !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("shutdown err = %v, want DeadlineExceeded", err)
-	}
-	if err := <-running; err != nil {
-		t.Fatalf("already-running solve must finish: %v", err)
+	shutdownDone := make(chan error, 1)
+	go func() { shutdownDone <- s.Shutdown(ctx) }()
+	// Past its deadline Shutdown stops waiting politely: what is queued
+	// will be failed instead of solved, what is running runs on — here
+	// until the test ends it — and Shutdown returns after it.
+	waitFor(t, "shutdown deadline to pass", func() bool {
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		return s.aborting
+	})
+	if err := finishRunning(); !errors.Is(err, krylov.ErrCanceled) {
+		t.Fatalf("already-running solve must run on past the deadline: err = %v, want its own krylov.ErrCanceled", err)
 	}
 	if err := <-queued; !errors.Is(err, ErrClosed) {
 		t.Fatalf("queued solve err = %v, want ErrClosed after shutdown deadline", err)
+	}
+	if err := <-shutdownDone; !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("shutdown err = %v, want DeadlineExceeded", err)
 	}
 }
 
