@@ -1,7 +1,7 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: all build vet lint lint-json loc fmt-check test test-real test-netcomm race race-real chaos check serve-smoke bench bench-test bench-netcomm bench-speedup bench-sequence bench-cluster fuzz-smoke cover
+.PHONY: all build vet lint lint-json loc fmt-check test test-real test-netcomm race race-real chaos check serve-smoke bench bench-test bench-speedup bench-sequence fuzz-smoke cover
 
 all: check
 
@@ -107,15 +107,6 @@ bench:
 bench-test:
 	cd bench && $(GO) test ./...
 
-# Wall-clock factorization time, shared-memory backend vs netcomm over
-# unix-socket loopback (two nodes) at p=16; writes BENCH_netcomm.json.
-# The overhead ratio is the price of real frames — the number to watch
-# when deciding whether a workload is big enough to shard across
-# machines.
-bench-netcomm:
-	PILUT_BENCH_NETCOMM_OUT=$(CURDIR)/BENCH_netcomm.json \
-		$(GO) test . -run TestEmitNetcommBench -count=1 -v
-
 # Real-backend wall-clock speedup curves (factorization and GMRES solve)
 # at p in {1,2,4,8,16}; writes BENCH_speedup.json. On hosts with at least
 # 8 CPUs the factor curve must show speedup > 1 at p=8 over p=1; on
@@ -132,13 +123,6 @@ bench-speedup:
 bench-sequence:
 	PILUT_BENCH_SEQUENCE_OUT=$(CURDIR)/BENCH_sequence.json \
 		$(GO) test ./internal/service -run TestEmitSequenceBench -count=1 -v
-
-# Cluster throughput over a zipfian key mix at 1/2/4 in-process daemons,
-# plus the recovery comparison (a dead owner's key served from a
-# successor's replica vs rebuilt cold); writes BENCH_cluster.json.
-bench-cluster:
-	PILUT_BENCH_CLUSTER_OUT=$(CURDIR)/BENCH_cluster.json \
-		$(GO) test ./internal/service -run TestEmitClusterBench -count=1 -v
 
 # Short fuzzing pass over every fuzz target; matches the CI fuzz lane.
 # Override FUZZTIME for longer local runs, e.g. `make fuzz-smoke FUZZTIME=5m`.
