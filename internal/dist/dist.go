@@ -212,14 +212,14 @@ func NewMatrix(p pcomm.Comm, lay *Layout, a *sparse.CSR) *Matrix {
 func (m *Matrix) NGhost() int { return len(m.ghostIDs) }
 
 // exchangeGhosts ships the owned values of every vector in xs to the
-// neighbours and fills ghost — len(xs) consecutive blocks of NGhost
+// neighbours and fills m.ghost — len(xs) consecutive blocks of NGhost
 // values, one per vector — from theirs: one coalesced message per
 // neighbour per round, whatever the batch size. Send buffers come from
 // the shared pcomm.Floats pool and the receiver recycles them, so a
 // steady-state exchange touches the allocator not at all.
 //
 //pilut:hotpath
-func (m *Matrix) exchangeGhosts(p pcomm.Comm, xs [][]float64, ghost []float64) {
+func (m *Matrix) exchangeGhosts(p pcomm.Comm, xs [][]float64) {
 	P, B, ng := m.Lay.P, len(xs), len(m.ghostIDs)
 	for q := 0; q < P; q++ {
 		if q == m.me || len(m.sendTo[q]) == 0 {
@@ -246,7 +246,7 @@ func (m *Matrix) exchangeGhosts(p pcomm.Comm, xs [][]float64, ghost []float64) {
 			panic("dist: ghost message length mismatch")
 		}
 		for bi := 0; bi < B; bi++ {
-			copy(ghost[bi*ng+pos:bi*ng+pos+cnt], msg[bi*cnt:(bi+1)*cnt])
+			copy(m.ghost[bi*ng+pos:bi*ng+pos+cnt], msg[bi*cnt:(bi+1)*cnt])
 		}
 		pcomm.Floats.Put(msg)
 		pos += cnt
@@ -291,7 +291,7 @@ func (m *Matrix) MulVecBatch(p pcomm.Comm, ys, xs [][]float64) {
 	if len(m.ghost) < B*ng {
 		m.ghost = make([]float64, B*ng) //pilutlint:ok hotalloc grow-only scratch owned by the matrix; steady-state batches reuse it
 	}
-	m.exchangeGhosts(p, xs, m.ghost[:B*ng])
+	m.exchangeGhosts(p, xs)
 	flops := 0
 	for bi, x := range xs {
 		y := ys[bi]
