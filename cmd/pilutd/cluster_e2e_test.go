@@ -513,12 +513,21 @@ func TestClusterKillOwnerTakeover(t *testing.T) {
 		t.Errorf("new owner replica_imports = %d, want ≥ 1", st.Cluster.ReplicaImports)
 	}
 
-	// The other survivor fetches from the promoted owner and agrees
+	// The other survivor holds the promoted owner's replica and agrees
 	// bitwise.
 	third := survivors[0]
 	if third == newOwner {
 		third = survivors[1]
 	}
+	// The promoted owner re-replicates the key to its own successor —
+	// this daemon — off the request path, and that replica is the only
+	// way the matrix (submitted at the dead owner and nowhere else) gets
+	// here: before it lands, the solve below is a 404.
+	pollUntil(t, 10*time.Second, "the promoted owner's replica to land on the remaining daemon", func() bool {
+		var st clusterStatsReply
+		getJSON(t, third+"/v1/stats", &st)
+		return st.Cluster.ReplicaImports >= 1
+	})
 	var thirdSolve clusterSolveReply
 	if code, body := postJSON(t, third+"/v1/solve", map[string]any{"key": key, "b": b, "tol": 1e-8}, &thirdSolve); code != http.StatusOK {
 		t.Fatalf("solve on the remaining daemon: status %d: %s", code, body)
