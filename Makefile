@@ -26,7 +26,7 @@ fmt-check:
 # (the analyzer's own doc and testdata mention it twice). The waiver count
 # is a ratchet — loc, and so lint, fails above HOTALLOC_WAIVERS_MAX; lower
 # that with every waiver removed.
-HOTALLOC_WAIVERS_MAX = 22
+HOTALLOC_WAIVERS_MAX = 21
 
 loc:
 	@find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' | xargs wc -l | \
@@ -128,6 +128,7 @@ bench-sequence:
 # Override FUZZTIME for longer local runs, e.g. `make fuzz-smoke FUZZTIME=5m`.
 fuzz-smoke:
 	$(GO) test ./internal/sparse -run '^$$' -fuzz '^FuzzReadMatrixMarket$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/sparse -run '^$$' -fuzz '^FuzzRowTail$$' -fuzztime $(FUZZTIME)
 
 # Aggregate coverage profile across all packages; view with
 # `go tool cover -html=coverage.out`.

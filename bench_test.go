@@ -20,6 +20,9 @@ import (
 	"repro/internal/matgen"
 	"repro/internal/mis"
 	"repro/internal/partition"
+	"repro/internal/pcomm"
+	"repro/internal/pcomm/modelled"
+	"repro/internal/pcomm/realcomm"
 	"repro/internal/sparse"
 )
 
@@ -189,24 +192,76 @@ func BenchmarkPartitioner(b *testing.B) {
 	}
 }
 
-// BenchmarkMIS measures the Luby independent-set kernel.
+// BenchmarkMIS measures the Luby independent-set kernel: the serial form,
+// and the distributed one the way the interface phase drives it — on the
+// real backend at p = 4, one workspace per rank, level after level on the
+// vertices the earlier levels left, until none is left.
 func BenchmarkMIS(b *testing.B) {
 	g := graph.FromMatrix(matgen.Grid2D(100, 100))
 	adj := make([][]int, g.NVtx)
 	for v := 0; v < g.NVtx; v++ {
 		adj[v] = g.Neighbors(v)
 	}
-	var size int
-	for i := 0; i < b.N; i++ {
-		sel := mis.Serial(adj, nil, mis.DefaultRounds, int64(i+1))
-		size = 0
-		for _, s := range sel {
-			if s {
-				size++
+	b.Run("serial", func(b *testing.B) {
+		var size int
+		for i := 0; i < b.N; i++ {
+			sel := mis.Serial(adj, nil, mis.DefaultRounds, int64(i+1))
+			size = 0
+			for _, s := range sel {
+				if s {
+					size++
+				}
 			}
 		}
-	}
-	b.ReportMetric(float64(size), "set-size")
+		b.ReportMetric(float64(size), "set-size")
+	})
+	b.Run("distributed-levels", func(b *testing.B) {
+		const P = 4
+		part := partition.KWay(g, P, partition.Options{Seed: 1})
+		owner := func(v int) int { return part[v] }
+		var levels int
+		for i := 0; i < b.N; i++ {
+			gone := make([]bool, g.NVtx) // written between barriers only
+			realcomm.New(P).Run(func(p pcomm.Comm) {
+				var ws mis.Workspace
+				var owned []int
+				for v := 0; v < g.NVtx; v++ {
+					if part[v] == p.ID() {
+						owned = append(owned, v)
+					}
+				}
+				for level := 0; ; level++ {
+					local := make([][]int, len(owned))
+					for k, v := range owned {
+						for _, u := range adj[v] {
+							if !gone[u] {
+								local[k] = append(local[k], u)
+							}
+						}
+					}
+					p.Barrier()
+					sel, ex := ws.Plan(p, owned, local, nil, owner, mis.DefaultRounds, int64(i+1)+int64(level)*7919)
+					if ex.GlobalActive == 0 {
+						if p.ID() == 0 {
+							levels = level
+						}
+						return
+					}
+					rest := owned[:0]
+					for k, v := range owned {
+						if sel[k] {
+							gone[v] = true
+						} else {
+							rest = append(rest, v)
+						}
+					}
+					owned = rest
+					p.Barrier()
+				}
+			})
+		}
+		b.ReportMetric(float64(levels), "levels")
+	})
 }
 
 // BenchmarkTriangularSolveSerial measures the serial L/U solve kernel.
@@ -292,25 +347,41 @@ func BenchmarkAblationKLevels(b *testing.B) {
 }
 
 // BenchmarkFactorCore exercises core.Factor directly (plan prebuilt),
-// isolating the factorization from partitioning.
+// isolating the factorization from partitioning: on the modelled machine,
+// and in the scoreboard's configuration — real backend, p = 4,
+// ILUT*(10, 1e-4, 2) on the cold_torso and serve_churn matrices — so that
+//
+//	go test -run '^$' -bench 'FactorCore|MIS' -cpuprofile cpu.out .
+//
+// profiles what bench/ times as core.factor_ms.
 func BenchmarkFactorCore(b *testing.B) {
-	a := matgen.Torso(16, 16, 16, 1)
-	P := 8
-	g := graph.FromMatrix(a)
-	part := partition.KWay(g, P, partition.Options{Seed: 1})
-	lay, err := dist.NewLayout(a.N, P, part)
-	if err != nil {
-		b.Fatal(err)
-	}
-	plan, err := core.NewPlan(a, lay)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m := machine.New(P, machine.T3D())
-		m.Run(func(p *machine.Proc) {
-			core.Factor(p, plan, core.Options{Params: ilu.Params{M: 10, Tau: 1e-4, K: 2}})
+	opt := core.Options{Params: ilu.Params{M: 10, Tau: 1e-4, K: 2}}
+	for _, c := range []struct {
+		name  string
+		a     *sparse.CSR
+		P     int
+		world func(P int) pcomm.World
+	}{
+		{"modelled/torso16/p8", matgen.Torso(16, 16, 16, 1), 8, func(P int) pcomm.World { return modelled.New(P, machine.T3D()) }},
+		{"real/torso20/p4", matgen.Torso(20, 20, 20, 1), 4, func(P int) pcomm.World { return realcomm.New(P) }},
+		{"real/grid63x65/p4", matgen.Grid2D(63, 65), 4, func(P int) pcomm.World { return realcomm.New(P) }},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			part := partition.KWay(graph.FromMatrix(c.a), c.P, partition.Options{Seed: 1})
+			lay, err := dist.NewLayout(c.a.N, c.P, part)
+			if err != nil {
+				b.Fatal(err)
+			}
+			plan, err := core.NewPlan(c.a, lay)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				c.world(c.P).Run(func(p pcomm.Comm) {
+					core.Factor(p, plan, opt)
+				})
+			}
 		})
 	}
 }

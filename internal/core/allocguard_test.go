@@ -6,6 +6,11 @@ import (
 	"runtime"
 	"testing"
 
+	"repro/internal/dist"
+	"repro/internal/graph"
+	"repro/internal/ilu"
+	"repro/internal/matgen"
+	"repro/internal/partition"
 	"repro/internal/pcomm"
 	"repro/internal/pcomm/realcomm"
 )
@@ -70,5 +75,65 @@ func TestSolveSteadyStateAllocs(t *testing.T) {
 	t.Logf("mallocs over %d Solve+SolveBatch rounds on %d procs: %d (budget %d)", meas, P, delta, budget)
 	if delta > budget {
 		t.Errorf("preconditioner application allocated %d objects over %d rounds, budget %d", delta, meas, budget)
+	}
+}
+
+// TestFactorSteadyStateAllocs is the same guard for the factorization
+// itself, in the scoreboard's configuration at a smaller size: real
+// backend, p = 4, ILUT*(10, 1e-4, 2) on a torso matrix, after two
+// factorizations have grown the pooled scratches (row kernels, MIS
+// workspace, id tables) to their high-water mark. What remains is what a
+// factorization hands out or sends — the factors' arena chunks and flat
+// sweeps, a level's member list, mask and exchange lists, the collectives'
+// gathers, and above all the messages: five MIS rounds of four payloads to
+// each neighbour, plus the pivot rows, come to some 130 mallocs per level
+// and rank. So the count scales with levels × neighbours, not with rows or
+// entries: 22 564 here, 33 655 at the parent of the pooled MIS workspace
+// and the dense level tables, which rebuilt two maps and nine arrays per
+// level. The budget leaves a tenth of slack.
+func TestFactorSteadyStateAllocs(t *testing.T) {
+	const (
+		P      = 4
+		warm   = 2
+		meas   = 4
+		budget = 25000 // per factorization, all ranks together
+	)
+	a := matgen.Torso(12, 12, 12, 1)
+	part := partition.KWay(graph.FromMatrix(a), P, partition.Options{Seed: 1})
+	lay, err := dist.NewLayout(a.N, P, part)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan, err := NewPlan(a, lay)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt := Options{Params: ilu.Params{M: 10, Tau: 1e-4, K: 2}, Seed: 1}
+	var delta uint64
+	var levels int
+	realcomm.New(P).Run(func(p pcomm.Comm) {
+		for i := 0; i < warm; i++ {
+			Factor(p, plan, opt)
+		}
+		p.Barrier()
+		var m1, m2 runtime.MemStats
+		if p.ID() == 0 {
+			runtime.GC()
+			runtime.ReadMemStats(&m1)
+		}
+		p.Barrier()
+		for i := 0; i < meas; i++ {
+			levels = Factor(p, plan, opt).Stats.NumLevels
+		}
+		p.Barrier()
+		if p.ID() == 0 {
+			runtime.ReadMemStats(&m2)
+			delta = (m2.Mallocs - m1.Mallocs) / meas
+		}
+		p.Barrier()
+	})
+	t.Logf("mallocs per factorization (n = %d, %d levels, %d procs): %d (budget %d)", a.N, levels, P, delta, budget)
+	if delta > budget {
+		t.Errorf("a steady-state factorization allocated %d objects, budget %d", delta, budget)
 	}
 }

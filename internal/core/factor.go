@@ -77,9 +77,18 @@ type Stats struct {
 
 	// Levels holds one record per phase-2 independent-set level.
 	Levels []LevelStats
-	// Modelled seconds per phase on this processor's virtual clock:
-	// interior factorization (1a), interior elimination from interface
-	// rows (1b), and the level-by-level interface factorization (2).
+	// Seconds per phase on this processor's clock (virtual on the
+	// modelled backend, wall on the others): interior factorization (1a),
+	// interior elimination from interface rows (1b), and the level-by-level
+	// interface factorization (2). Phase 1 has no communication, so its two
+	// figures are this processor's own work. Phase2Seconds is not: it runs
+	// from the moment *this* processor leaves phase 1 to the end of its
+	// last level, and the first level's collectives cannot complete before
+	// the slowest processor arrives — so it contains the wait for every
+	// slower phase 1. Per-processor maxima of the three therefore do not
+	// add up to the factorization's time (a processor with a short phase 1
+	// has a long phase 2); only one processor's own three figures do, to
+	// its time at the end of phase 2.
 	Phase1InteriorSeconds  float64
 	Phase1InterfaceSeconds float64
 	Phase2Seconds          float64
@@ -180,6 +189,7 @@ type driver struct {
 	w    WirePrecond // the factors in row form, laid out flat at the end
 	opt  Options
 	rule rowRule
+	fs   *factorScratch // pooled; owns s, the MIS workspace and the id tables
 	s    *ilu.Scratch
 	st   *ilu.Stats
 
@@ -195,16 +205,16 @@ type driver struct {
 	nl      int // next unassigned elimination id
 
 	// Per-level structures, allocated once and recycled each level: the
-	// adjacency of the reduced matrix as one flat buffer plus offsets, the
-	// id-translation buffer, and the two pivot maps (cleared, not remade —
-	// their buckets are reused, so steady-state inserts don't allocate).
+	// adjacency of the reduced matrix as one flat buffer plus offsets and
+	// the id-translation buffer. The pivots visible at the running level —
+	// mine and pushed — are in the scratch's dense tables: fs.idOf by
+	// original id, fs.pivots by new id − levelStart.
 	ownedIDs   []int
 	adj        [][]int
 	adjFlat    []int
 	adjOff     []int
 	tBuf       []int
-	levelNew   map[int]int       // original id → new id of the pivots visible here
-	pivotByNew map[int]*ilu.URow // new id → pivot row, mine and pushed
+	levelStart int
 	pivotGet   func(int) *ilu.URow
 	ownerOf    func(int) int
 }
@@ -249,21 +259,20 @@ func factor(p pcomm.Comm, plan *Plan, opt Options, rule rowRule) *ProcPrecond {
 			UVals: make([][]float64, nLocal),
 			UDiag: make([]float64, nLocal),
 		},
-		reduced:    make([]redRow, nLocal),
-		uF:         make([]ilu.URow, nLocal),
-		uFSet:      make([]bool, nLocal),
-		nl:         plan.TotInterior,
-		levelNew:   make(map[int]int),
-		pivotByNew: make(map[int]*ilu.URow),
+		reduced: make([]redRow, nLocal),
+		uF:      make([]ilu.URow, nLocal),
+		uFSet:   make([]bool, nLocal),
+		nl:      plan.TotInterior,
 	}
-	d.pivotGet = func(k int) *ilu.URow { return d.pivotByNew[k] }
+	d.pivotGet = func(k int) *ilu.URow { return d.fs.pivots[k-d.levelStart] }
 	d.ownerOf = func(g int) int { return plan.Lay.PartOf[g] }
 	// The scratch comes from the per-process pool: after the first few
 	// factorizations every kernel call runs allocation-free, and the
 	// factored rows themselves are carved from the scratch's output arena
 	// (detached when the scratch is returned; layOut has copied them).
-	d.s = getScratch(2 * n)
-	defer putScratch(d.s)
+	d.fs = getScratch(n)
+	d.s = d.fs.rows
+	defer putScratch(d.fs)
 
 	tr := p.Tracer()
 	iface := d.phase1()
@@ -530,10 +539,10 @@ func (d *driver) buildAdjacency(verts []int) {
 // scheduleLevel picks the next independent set among the active rows of
 // the adjacency buildAdjacency laid out (nil = all of them), retires its
 // members from the mask and assigns the level's id range. It reports
-// false once no row is active anywhere. DistributedPlan does not retain
-// the adjacency.
+// false once no row is active anywhere. The MIS workspace does not retain
+// the adjacency, and what it returns is the caller's.
 func (d *driver) scheduleLevel(active []bool) (levelPlan, bool) {
-	sel, ex := mis.DistributedPlan(d.p, d.ownedIDs, d.adj, active, d.ownerOf,
+	sel, ex := d.fs.mis.Plan(d.p, d.ownedIDs, d.adj, active, d.ownerOf,
 		d.opt.MISRounds, d.opt.Seed+int64(len(d.w.Levels))*7919)
 	if ex.GlobalActive == 0 {
 		return levelPlan{}, false
@@ -585,8 +594,14 @@ func (d *driver) runLevel(verts []int, lp *levelPlan, t0 float64) {
 	// Factor my pivots: only their U rows are created (independent rows
 	// need no elimination), 2nd dropping rule applied. Ids go out in local
 	// order, so members is already in ascending new id.
-	clear(d.levelNew)
-	clear(d.pivotByNew)
+	fs := d.fs
+	fs.clearIDs()
+	if cap(fs.pivots) < lp.size {
+		fs.pivots = make([]*ilu.URow, lp.size)
+	}
+	fs.pivots = fs.pivots[:lp.size]
+	clear(fs.pivots)
+	d.levelStart = nl
 	var members []int
 	if lp.mine > 0 {
 		members = make([]int, 0, lp.mine)
@@ -607,8 +622,8 @@ func (d *driver) runLevel(verts []int, lp *levelPlan, t0 float64) {
 		urow.Orig = g
 		d.uF[li] = urow
 		d.uFSet[li] = true
-		d.levelNew[g] = urow.Col
-		d.pivotByNew[urow.Col] = &d.uF[li]
+		fs.setID(g, urow.Col-nl)
+		fs.pivots[urow.Col-nl] = &d.uF[li]
 		d.w.NewOf[li] = urow.Col
 		d.w.UCols[li], d.w.UVals[li] = urow.Cols, urow.Vals
 		d.w.UDiag[li] = urow.Diag
@@ -639,8 +654,8 @@ func (d *driver) runLevel(verts []int, lp *levelPlan, t0 float64) {
 		}
 		rows := p.Recv(q, tagPivotRows).([]ilu.URow)
 		for k := range rows {
-			d.levelNew[rows[k].Orig] = rows[k].Col
-			d.pivotByNew[rows[k].Col] = &rows[k]
+			fs.setID(rows[k].Orig, rows[k].Col-nl)
+			fs.pivots[rows[k].Col-nl] = &rows[k]
 		}
 	}
 
@@ -652,17 +667,32 @@ func (d *driver) runLevel(verts []int, lp *levelPlan, t0 float64) {
 		}
 		g := pc.owned[li]
 		tau := par.Tau * plan.RowTau[g]
-		// Translate this level's pivot columns to their new ids, in the
-		// recycled translation buffer (the kernel does not retain its
-		// column input).
 		rc, rv := d.reduced[li].cols, d.reduced[li].vals
 		rowsIn++
 		nnzIn += len(rc)
+		// A row that references no pivot of the level stays as it is: with
+		// nothing to eliminate, the dropping rules and the split it went
+		// through when it was produced reproduce it bit for bit (same tau,
+		// same caps), so the kernel call is skipped. The model still
+		// prices the paper's level-to-level copy of a threshold row.
+		first := 0
+		for first < len(rc) && fs.idOf[rc[first]-n] == 0 {
+			first++
+		}
+		if first == len(rc) {
+			if d.rule == thresholdRule {
+				pc.Stats.CopiedEntries += len(rc)
+			}
+			continue
+		}
+		// Translate this level's pivot columns to their new ids, in the
+		// recycled translation buffer (the kernel does not retain its
+		// column input).
 		tC := append(d.tBuf[:0], rc...)
 		d.tBuf = tC
-		for idx, c := range rc {
-			if nid, ok := d.levelNew[c-n]; ok {
-				tC[idx] = nid
+		for idx := first; idx < len(rc); idx++ {
+			if id := fs.idOf[rc[idx]-n]; id != 0 {
+				tC[idx] = nl + int(id) - 1
 			}
 		}
 		sparse.SortRow(tC, rv)
@@ -701,24 +731,26 @@ func (d *driver) renumber() {
 		}
 	}
 	allPairs := pcomm.AllGatherInts(d.p, pairs)
-	newOfIface := make(map[int]int, plan.NInterface)
+	fs := d.fs
+	fs.clearIDs()
 	for _, pp := range allPairs {
 		for i := 0; i < len(pp); i += 2 {
-			newOfIface[pp[i]] = pp[i+1]
+			fs.setID(pp[i], pp[i+1])
 		}
 	}
 	for li := range d.w.UCols {
 		for k, c := range d.w.UCols[li] {
 			if c >= n {
-				nid, ok := newOfIface[c-n]
-				if !ok {
+				id := fs.idOf[c-n]
+				if id == 0 {
 					panic("core: unfactored column survived the factorization")
 				}
-				d.w.UCols[li][k] = nid
+				d.w.UCols[li][k] = int(id) - 1
 			}
 		}
 		sparse.SortRow(d.w.UCols[li], d.w.UVals[li])
 	}
+	fs.clearIDs()
 }
 
 // SummarizeLevels aggregates the per-processor level records of one

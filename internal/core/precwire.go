@@ -1,6 +1,9 @@
 package core
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // WirePrecond is the row form of one processor's ProcPrecond: everything
 // the triangular solves read that cannot be rebuilt from the elimination
@@ -78,10 +81,15 @@ func FromWire(plan *Plan, w WirePrecond) (*ProcPrecond, error) {
 // checkWire verifies everything layOut and the sweeps rely on: shapes,
 // that the interior and level lists name every owned row once, that new
 // ids follow the plan (interiors) and the level ranges (interface rows,
-// consecutive within a processor's share of a level), and that every L
+// consecutive within a processor's share of a level), that every L
 // entry references an earlier unknown and every U entry a later one,
 // neither of them another processor's interior unknown, which no
-// exchange carries.
+// exchange carries — and the values: each row's columns strictly
+// increasing (a repeated column would be applied twice), every entry
+// finite, every pivot finite and non-zero. A factorization never produces
+// anything else (pivots are repaired to a floor), so a piece that fails
+// here was damaged on the way, and a sweep would turn it into a silently
+// different answer.
 func checkWire(plan *Plan, w *WirePrecond) error {
 	if w.Me < 0 || w.Me >= plan.Lay.P {
 		return fmt.Errorf("core: wire precond for processor %d of a %d-processor plan", w.Me, plan.Lay.P)
@@ -154,26 +162,46 @@ func checkWire(plan *Plan, w *WirePrecond) error {
 	}
 
 	foreign := func(c int) bool { return c < tot && (c < intBase || c >= intBase+nInt) }
+	finite := func(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
 	for li, id := range w.NewOf {
 		if len(w.LCols[li]) != len(w.LVals[li]) || len(w.UCols[li]) != len(w.UVals[li]) {
 			return fmt.Errorf("core: wire precond row %d is ragged: %d/%d L and %d/%d U columns/values",
 				li, len(w.LCols[li]), len(w.LVals[li]), len(w.UCols[li]), len(w.UVals[li]))
 		}
-		for _, c := range w.LCols[li] {
+		if d := w.UDiag[li]; d == 0 || !finite(d) {
+			return fmt.Errorf("core: wire precond row %d (id %d) has pivot %v, not a finite non-zero one", li, id, d)
+		}
+		prev := -1
+		for k, c := range w.LCols[li] {
 			if c < 0 || c >= id {
 				return fmt.Errorf("core: wire precond L row %d (id %d) references unknown %d, not an earlier one", li, id, c)
 			}
 			if foreign(c) {
 				return fmt.Errorf("core: wire precond L row %d references interior unknown %d of another processor", li, c)
 			}
+			if c <= prev {
+				return fmt.Errorf("core: wire precond L row %d lists unknown %d after %d, not in increasing order", li, c, prev)
+			}
+			if !finite(w.LVals[li][k]) {
+				return fmt.Errorf("core: wire precond L row %d holds the non-finite value %v", li, w.LVals[li][k])
+			}
+			prev = c
 		}
-		for _, c := range w.UCols[li] {
+		prev = -1
+		for k, c := range w.UCols[li] {
 			if c <= id || c >= n {
 				return fmt.Errorf("core: wire precond U row %d (id %d) references unknown %d, not a later one of %d", li, id, c, n)
 			}
 			if foreign(c) {
 				return fmt.Errorf("core: wire precond U row %d references interior unknown %d of another processor", li, c)
 			}
+			if c <= prev {
+				return fmt.Errorf("core: wire precond U row %d lists unknown %d after %d, not in increasing order", li, c, prev)
+			}
+			if !finite(w.UVals[li][k]) {
+				return fmt.Errorf("core: wire precond U row %d holds the non-finite value %v", li, w.UVals[li][k])
+			}
+			prev = c
 		}
 	}
 	return nil

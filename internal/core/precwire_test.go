@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"encoding/gob"
+	"math"
 	"strings"
 	"testing"
 )
@@ -48,7 +49,18 @@ func TestFromWireRejectsMalformedPieces(t *testing.T) {
 			}
 		}
 	}
-	if later < 0 || len(good.UCols[first]) == 0 || len(good.UCols[interior]) == 0 || nInt == 0 || intBase == 0 {
+	// Rows with two L entries, and two U entries, that this processor can
+	// legitimately reference in either order.
+	wide, wideU := -1, -1
+	for li := range good.NewOf {
+		if c := good.LCols[li]; wide < 0 && len(c) >= 2 && c[0] >= intBase {
+			wide = li
+		}
+		if c := good.UCols[li]; wideU < 0 && len(c) >= 2 && c[1] < intBase+nInt {
+			wideU = li
+		}
+	}
+	if later < 0 || len(good.UCols[first]) == 0 || len(good.UCols[interior]) == 0 || nInt == 0 || intBase == 0 || wide < 0 || wideU < 0 {
 		t.Fatal("fixture lacks the rows this test corrupts")
 	}
 
@@ -83,6 +95,24 @@ func TestFromWireRejectsMalformedPieces(t *testing.T) {
 		{"interior row dropped", func(w *WirePrecond) { w.InteriorLocal = w.InteriorLocal[1:] }, "interior rows"},
 		{"levels leave a gap", func(w *WirePrecond) { w.Levels[1].Start++ }, "expected to start"},
 		{"levels stop short", func(w *WirePrecond) { w.Levels[len(w.Levels)-1].Size-- }, "levels end"},
+		{"NaN in L", func(w *WirePrecond) { w.LVals[later][0] = math.NaN() }, "non-finite"},
+		{"Inf in L", func(w *WirePrecond) { w.LVals[later][len(w.LVals[later])-1] = math.Inf(-1) }, "non-finite"},
+		{"NaN in U", func(w *WirePrecond) { w.UVals[interior][0] = math.NaN() }, "non-finite"},
+		{"Inf in U", func(w *WirePrecond) { w.UVals[first][0] = math.Inf(1) }, "non-finite"},
+		{"zero pivot", func(w *WirePrecond) { w.UDiag[first] = 0 }, "pivot"},
+		{"negative-zero pivot", func(w *WirePrecond) { w.UDiag[interior] = math.Copysign(0, -1) }, "pivot"},
+		{"NaN pivot", func(w *WirePrecond) { w.UDiag[later] = math.NaN() }, "pivot"},
+		{"Inf pivot", func(w *WirePrecond) { w.UDiag[interior] = math.Inf(1) }, "pivot"},
+		{"L columns out of order", func(w *WirePrecond) {
+			c := w.LCols[wide]
+			c[0], c[1] = c[1], c[0]
+		}, "increasing order"},
+		{"L column repeated", func(w *WirePrecond) { w.LCols[wide][1] = w.LCols[wide][0] }, "increasing order"},
+		{"U columns out of order", func(w *WirePrecond) {
+			c := w.UCols[wideU]
+			c[0], c[1] = c[1], c[0]
+		}, "increasing order"},
+		{"U column repeated", func(w *WirePrecond) { w.UCols[wideU][1] = w.UCols[wideU][0] }, "increasing order"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

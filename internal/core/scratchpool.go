@@ -4,7 +4,42 @@ import (
 	"sync"
 
 	"repro/internal/ilu"
+	"repro/internal/mis"
 )
+
+// factorScratch is everything one processor's factorization reuses from
+// the one before it: the row kernels' scratch, the independent-set
+// workspace, and the dense tables the level loop and the final renumbering
+// use where a map would be (DESIGN.md §13).
+type factorScratch struct {
+	rows *ilu.Scratch
+	mis  mis.Workspace
+
+	// idOf[g], for an interface unknown g (an original id), is 1 + an
+	// elimination id relative to the user's base — the level's first id
+	// while a level runs, 0 during renumbering — and 0 for an unknown
+	// that has none; set lists the non-zero entries, the table being
+	// cleared through that list.
+	idOf []int32
+	set  []int32
+	// pivots[k] is the pivot row of elimination id (level start + k)
+	// while a level runs: mine or pushed to me, nil if not visible here.
+	pivots []*ilu.URow
+}
+
+// clearIDs returns idOf to all zeros.
+func (fs *factorScratch) clearIDs() {
+	for _, g := range fs.set {
+		fs.idOf[g] = 0
+	}
+	fs.set = fs.set[:0]
+}
+
+// setID records id (relative, see idOf) for original id g.
+func (fs *factorScratch) setID(g, id int) {
+	fs.idOf[g] = int32(id + 1)
+	fs.set = append(fs.set, int32(g))
+}
 
 // The factorization scratch pool: a mutex-guarded free list rather than a
 // sync.Pool, deliberately (DESIGN.md §13). A sync.Pool may drop its
@@ -20,39 +55,47 @@ const maxPooledScratches = 64
 
 var scratchPool struct {
 	mu   sync.Mutex
-	free []*ilu.Scratch
+	free []*factorScratch
 }
 
-// getScratch returns a pooled scratch grown to cover n positions, or a
-// fresh one when the pool is empty.
-func getScratch(n int) *ilu.Scratch {
+// getScratch returns a pooled scratch for a matrix of order n — working
+// row over the 2n combined indices, id table over the n original ones —
+// or a fresh one when the pool is empty.
+func getScratch(n int) *factorScratch {
 	scratchPool.mu.Lock()
-	var s *ilu.Scratch
+	var fs *factorScratch
 	if k := len(scratchPool.free); k > 0 {
-		s = scratchPool.free[k-1]
+		fs = scratchPool.free[k-1]
 		scratchPool.free[k-1] = nil
 		scratchPool.free = scratchPool.free[:k-1]
 	}
 	scratchPool.mu.Unlock()
-	if s == nil {
-		return ilu.NewScratch(n)
+	if fs == nil {
+		return &factorScratch{rows: ilu.NewScratch(2 * n), idOf: make([]int32, n)}
 	}
-	s.Grow(n)
-	return s
+	fs.rows.Grow(2 * n)
+	if len(fs.idOf) < n {
+		fs.idOf = make([]int32, n)
+	}
+	return fs
 }
 
 // putScratch returns a scratch to the pool. It sanitizes unconditionally
-// — a factorization can leave mid-kernel state behind when it panics
-// (breakdown detection, fault injection) — and detaches the output arena:
-// the ProcPrecond has copied its rows into the flat sweeps, but pivot rows
-// travel by reference on the in-process backends and a slower rank may
-// still be reading them.
-func putScratch(s *ilu.Scratch) {
-	s.Sanitize()
-	s.DetachOutputs()
+// — a factorization can leave mid-kernel or mid-level state behind when
+// it panics (breakdown detection, fault injection) — and detaches the
+// output arena: the ProcPrecond has copied its rows into the flat sweeps,
+// but pivot rows travel by reference on the in-process backends and a
+// slower rank may still be reading them. For the same reason the pivot
+// table forgets the rows it pointed at.
+func putScratch(fs *factorScratch) {
+	fs.rows.Sanitize()
+	fs.rows.DetachOutputs()
+	fs.mis.Reset()
+	fs.clearIDs()
+	clear(fs.pivots[:cap(fs.pivots)])
 	scratchPool.mu.Lock()
 	if len(scratchPool.free) < maxPooledScratches {
-		scratchPool.free = append(scratchPool.free, s)
+		scratchPool.free = append(scratchPool.free, fs)
 	}
 	scratchPool.mu.Unlock()
 }
@@ -66,7 +109,17 @@ func putScratch(s *ilu.Scratch) {
 func PoisonPooledScratches() {
 	scratchPool.mu.Lock()
 	defer scratchPool.mu.Unlock()
-	for _, s := range scratchPool.free {
-		s.Poison()
+	for _, fs := range scratchPool.free {
+		fs.rows.Poison()
+		fs.mis.Poison()
+		for _, id := range fs.idOf {
+			if id != 0 {
+				panic("core: pooled factorScratch not clean: an id survived the factorization")
+			}
+		}
+		set := fs.set[:cap(fs.set)]
+		for k := range set {
+			set[k] = -0x5A5A5A5A
+		}
 	}
 }

@@ -3,6 +3,8 @@ package ilu
 import (
 	"fmt"
 	"math"
+
+	"repro/internal/sparse"
 )
 
 // URow is the U-factor row of a factored pivot, in global column indices.
@@ -51,14 +53,19 @@ var (
 // applied before the tiny-pivot repair check.
 //
 // The surviving-entry buffer is the scratch's reusable selection buffer,
-// selection and ordering run on closure-free insertion sorts, and the U
-// row's storage is carved from the output arena.
+// the m largest are picked by the one selection routine every dropping
+// rule uses (sparse.SelectLargest), and the U row's storage is carved
+// from the output arena.
 //
 //pilut:hotpath
 func (s *Scratch) FactorPivotRow(i int, cols []int, vals []float64, tau float64, m int, perturb float64, st *Stats) (URow, error) {
 	r := URow{Col: i}
 	found := false
-	keep := s.ents[:0]
+	if cap(s.ents) < len(cols) {
+		s.ents = make([]sparse.Ent, len(cols)+len(cols)/2) //pilutlint:ok hotalloc selection buffer grows to peak row nnz once, then is reused across rows
+	}
+	keep := s.ents[:len(cols)]
+	nk := 0
 	for k, j := range cols {
 		if j == i {
 			r.Diag = vals[k]
@@ -70,9 +77,10 @@ func (s *Scratch) FactorPivotRow(i int, cols []int, vals []float64, tau float64,
 			st.DroppedRule2++
 			continue
 		}
-		keep = append(keep, pivEnt{j, vals[k]}) //pilutlint:ok hotalloc selection buffer grows to peak row nnz once, then is reused across rows
+		keep[nk] = sparse.Ent{Col: j, Val: vals[k]}
+		nk++
 	}
-	s.ents = keep
+	keep = keep[:nk]
 	if !found {
 		return r, fmt.Errorf("ilu: pivot row %d has no diagonal entry", i)
 	}
@@ -88,23 +96,17 @@ func (s *Scratch) FactorPivotRow(i int, cols []int, vals []float64, tau float64,
 		st.FixedPivot++
 	}
 	if m > 0 && len(keep) > m {
-		sortEntsByMag(keep)
+		sparse.SelectLargest(keep, m)
 		st.Dropped += len(keep) - m
 		st.DroppedRule2 += len(keep) - m
 		keep = keep[:m]
-		s.ents = keep
 	}
-	sortEntsByCol(keep)
+	sparse.SortEntsByCol(keep)
 	if len(keep) == 0 {
 		r.Cols, r.Vals = emptyRowCols, emptyRowVals
 		return r, nil
 	}
-	r.Cols = s.out.carveInts(len(keep))
-	r.Vals = s.out.carveFloats(len(keep))
-	for k, e := range keep {
-		r.Cols[k] = e.col
-		r.Vals[k] = e.val
-	}
+	r.Cols, r.Vals = s.carveEnts(keep)
 	return r, nil
 }
 
@@ -244,36 +246,31 @@ func (s *Scratch) EliminateRowSeq(
 // finishRow is the shared tail of EliminateRow and EliminateRowSeq: the
 // 3rd dropping rule — threshold-and-cap the factored part; threshold
 // (and, for ILUT*, cap at kcap·m) the reduced part, always preserving
-// the reduced diagonal — then the L/reduced gather, the working-row
-// reset, and the carve of the four result slices.
+// the reduced diagonal, recreated at the pivot floor if elimination
+// cancelled it exactly (the row must stay factorable) — and the
+// L/reduced split, all of it one sparse.WorkRow.Tail; then the carve of
+// the four result slices.
 //
 //pilut:hotpath
 func (s *Scratch) finishRow(i, nl1 int, tau float64, m, kcap int, st *Stats) (newLCols []int, newLVals []float64, redCols []int, redVals []float64) {
-	w := s.w
-	n := w.Len()
-	d2 := w.DropBelow(0, nl1, tau, -1)
-	if m > 0 {
-		d2 += w.KeepLargest(0, nl1, m, -1)
-	}
-	d3 := w.DropBelow(nl1, n, tau, i)
+	mRed := 0
 	if kcap > 0 && m > 0 {
-		d3 += w.KeepLargest(nl1, n, kcap*m, i)
+		mRed = kcap * m
 	}
+	lo, hi, d2, d3, fixed := s.w.Tail(nl1, tau, m, mRed, i, pivotFloor(tau))
 	st.Dropped += d2 + d3
 	st.DroppedRule2 += d2
 	st.DroppedRule3 += d3
-	if !w.Has(i) {
-		// The reduced diagonal must exist for the row to be factorable
-		// later; recreate it at the pivot floor if elimination cancelled
-		// it exactly.
-		w.Set(i, pivotFloor(tau))
+	if fixed {
 		st.FixedPivot++
 	}
-
-	s.lc, s.lv = w.Gather(0, nl1, s.lc[:0], s.lv[:0])
-	s.rc, s.rv = w.Gather(nl1, n, s.rc[:0], s.rv[:0])
-	w.Reset()
-	return s.takeInts(s.lc), s.takeFloats(s.lv), s.takeInts(s.rc), s.takeFloats(s.rv)
+	if len(lo) > 0 {
+		newLCols, newLVals = s.carveEnts(lo)
+	}
+	if len(hi) > 0 {
+		redCols, redVals = s.carveEnts(hi)
+	}
+	return
 }
 
 // EliminateRowStatic is the zero-fill (ILU(0)) counterpart of

@@ -37,16 +37,10 @@ type Scratch struct {
 	rv []float64
 
 	// pivot-row selection buffer of FactorPivotRow.
-	ents []pivEnt
+	ents []sparse.Ent
 
 	// out is the output arena.
 	out slab
-}
-
-// pivEnt is one surviving off-diagonal entry of a pivot row.
-type pivEnt struct {
-	col int
-	val float64
 }
 
 // NewScratch returns a Scratch whose working row covers n positions.
@@ -114,7 +108,7 @@ func (s *Scratch) Poison() {
 	s.lc, s.lv, s.rc, s.rv = s.lc[:0], s.lv[:0], s.rc[:0], s.rv[:0]
 	ee := s.ents[:cap(s.ents)]
 	for k := range ee {
-		ee[k] = pivEnt{col: sentinel, val: nan}
+		ee[k] = sparse.Ent{Col: sentinel, Val: nan}
 	}
 	s.ents = s.ents[:0]
 	s.out.poisonTail(nan, sentinel)
@@ -211,40 +205,15 @@ func (s *Scratch) takeFloats(src []float64) []float64 {
 	return out
 }
 
-// sortEntsByMag sorts descending by |val|, ties toward smaller column —
-// the 2nd-rule selection order. Insertion sort: rows are short (≤ m plus
-// slack), the comparator is a total order, and no closure or interface
-// boxing touches the hot path.
+// carveEnts stores a row of entries as an arena-carved (cols, vals) pair.
 //
 //pilut:hotpath
-func sortEntsByMag(ents []pivEnt) {
-	for i := 1; i < len(ents); i++ {
-		e := ents[i]
-		ae := math.Abs(e.val)
-		j := i - 1
-		for j >= 0 {
-			aj := math.Abs(ents[j].val)
-			if aj > ae || (aj == ae && ents[j].col < e.col) {
-				break
-			}
-			ents[j+1] = ents[j]
-			j--
-		}
-		ents[j+1] = e
+func (s *Scratch) carveEnts(ents []sparse.Ent) ([]int, []float64) {
+	cols := s.out.carveInts(len(ents))
+	vals := s.out.carveFloats(len(ents))
+	for k, e := range ents {
+		cols[k] = e.Col
+		vals[k] = e.Val
 	}
-}
-
-// sortEntsByCol sorts ascending by column (columns are distinct).
-//
-//pilut:hotpath
-func sortEntsByCol(ents []pivEnt) {
-	for i := 1; i < len(ents); i++ {
-		e := ents[i]
-		j := i - 1
-		for j >= 0 && ents[j].col > e.col {
-			ents[j+1] = ents[j]
-			j--
-		}
-		ents[j+1] = e
-	}
+	return cols, vals
 }

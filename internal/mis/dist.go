@@ -1,7 +1,7 @@
 package mis
 
 import (
-	"sort"
+	"slices"
 
 	"repro/internal/pcomm"
 	"repro/internal/trace"
@@ -47,7 +47,7 @@ type Exchange struct {
 // neighbour exchanges (keys, tentative flags, selected flags) plus the
 // exclusion notices required by the directed two-step fix-up.
 //
-//   - owned lists this processor's global vertex ids;
+//   - owned lists this processor's global vertex ids (non-negative);
 //   - adj[i] lists the out-neighbours (global ids) of owned[i];
 //   - active[i] marks vertices still eligible (nil = all);
 //   - owner maps any global id appearing in adj to its processor.
@@ -61,55 +61,230 @@ func Distributed(p pcomm.Comm, owned []int, adj [][]int, active []bool, owner fu
 }
 
 // DistributedPlan is Distributed exposing the communication plan and the
-// global activity count (see Exchange).
+// global activity count (see Exchange). It runs on a throw-away
+// Workspace; a caller computing one set after another keeps its own.
 func DistributedPlan(p pcomm.Comm, owned []int, adj [][]int, active []bool, owner func(int) int, rounds int, seed int64) ([]bool, *Exchange) {
-	if rounds <= 0 {
-		rounds = DefaultRounds
+	return new(Workspace).Plan(p, owned, adj, active, owner, rounds, seed)
+}
+
+// Workspace is the working memory of one processor's DistributedPlan
+// calls, reused from call to call (the interface phase of a factorization
+// computes one independent set per level). A call resolves every vertex it
+// sees — owned, or referenced by an out-edge — once, into a slot: an owned
+// vertex's local index, or nLocal plus a remote vertex's position in
+// (owner, id) order, which is also its position in the boundary messages.
+// Keys and flags live in one array each over the slots and the adjacency
+// is laid out flat in slots, so the edge scans of the augmentation rounds
+// are array reads.
+//
+// The zero value is ready to use. What a call returns (the mask and the
+// Exchange) is freshly allocated and never aliases the workspace.
+type Workspace struct {
+	// slotOf[g] is 1 + the slot of vertex g while a call knows it, 0
+	// otherwise; ids lists the known vertices by slot, which is also the
+	// list the table is cleared through.
+	slotOf []int32
+	ids    []int
+	nLocal int // slots below it are the owned vertices
+
+	// The out-edges of local vertex i are nbr[off[i]:off[i+1]], as slots,
+	// self-loops left out.
+	off []int32
+	nbr []int32
+
+	// Per slot; the remote part is what the last exchange delivered.
+	keys   []uint64
+	act    []bool
+	cand   []bool
+	newSel []bool
+
+	// Per remote vertex (slot − nLocal): its owner, and scratch for
+	// bucketing by owner.
+	remOwner []int32
+	remStart []int // remStart[q]: first remote position owned by processor q
+
+	// Exclusion notices of one round: processor q's are
+	// excl[exclOff[q]:exclOff[q]+exclN[q]], room for one per remote edge.
+	excl    []int
+	exclOff []int
+	exclN   []int
+}
+
+// Reset forgets the vertices of the last call, returning the id table to
+// all zeros. Plan does it on entry; it is exported for an owner that pools
+// workspaces and wants a panicked call's state gone.
+func (ws *Workspace) Reset() {
+	for _, g := range ws.ids {
+		ws.slotOf[g] = 0
 	}
+	ws.ids = ws.ids[:0]
+}
+
+// Poison resets the workspace, verifies the id table is clean, and
+// scribbles sentinels over everything else — all of which a correct call
+// writes before it reads. It is the stale-state tripwire of the
+// workspace-reuse tests, as ilu.Scratch.Poison is for the row kernels.
+func (ws *Workspace) Poison() {
+	ws.Reset()
+	for _, s := range ws.slotOf {
+		if s != 0 {
+			panic("mis: Workspace not clean: an id survived Reset")
+		}
+	}
+	const sentinel = -0x5A5A5A5A
+	for _, xs := range [][]int{ws.ids[:cap(ws.ids)], ws.remStart[:cap(ws.remStart)],
+		ws.excl[:cap(ws.excl)], ws.exclOff[:cap(ws.exclOff)], ws.exclN[:cap(ws.exclN)]} {
+		for k := range xs {
+			xs[k] = sentinel
+		}
+	}
+	for _, xs := range [][]int32{ws.off[:cap(ws.off)], ws.nbr[:cap(ws.nbr)], ws.remOwner[:cap(ws.remOwner)]} {
+		for k := range xs {
+			xs[k] = sentinel
+		}
+	}
+	keys := ws.keys[:cap(ws.keys)]
+	for k := range keys {
+		keys[k] = 0x5A5A5A5A5A5A5A5A
+	}
+	for _, xs := range [][]bool{ws.act[:cap(ws.act)], ws.cand[:cap(ws.cand)], ws.newSel[:cap(ws.newSel)]} {
+		for k := range xs {
+			xs[k] = true
+		}
+	}
+}
+
+// resize returns xs at length n, reallocating (contents lost) only when
+// the capacity is short.
+func resize[T any](xs []T, n int) []T {
+	if cap(xs) < n {
+		return make([]T, n, n+n/4)
+	}
+	return xs[:n]
+}
+
+// know enters vertex g into the id table under slot code (see setup).
+func (ws *Workspace) know(g int, code int32) {
+	ws.slotOf[g] = code
+	ws.ids = append(ws.ids, g)
+}
+
+// localIndex returns the local index of vertex g, an id off the wire, or
+// −1 if this processor does not own it.
+func (ws *Workspace) localIndex(g int) int {
+	if g < 0 || g >= len(ws.slotOf) {
+		return -1
+	}
+	if s := int(ws.slotOf[g]); s > 0 && s <= ws.nLocal {
+		return s - 1
+	}
+	return -1
+}
+
+// setup is the communication setup phase: it resolves the vertices into
+// slots, lays the adjacency out, and derives the exchange lists — which
+// remote vertices this processor needs from each owner, in (owner, id)
+// order, and, after one all-gather of those requests, which of its own
+// vertices each processor needs.
+func (ws *Workspace) setup(p pcomm.Comm, owned []int, adj [][]int, owner func(int) int) *Exchange {
+	P, me := p.P(), p.ID()
 	nLocal := len(owned)
-	P := p.P()
-
-	localIdx := make(map[int]int, nLocal)
+	ws.Reset()
+	ws.nLocal = nLocal
+	maxID, nEdges := -1, 0
+	for _, g := range owned {
+		maxID = max(maxID, g)
+	}
+	for _, nbrs := range adj {
+		nEdges += len(nbrs)
+		for _, g := range nbrs {
+			maxID = max(maxID, g)
+		}
+	}
+	if maxID >= len(ws.slotOf) {
+		ws.slotOf = append(ws.slotOf, make([]int32, maxID+1-len(ws.slotOf))...)
+	}
 	for i, g := range owned {
-		localIdx[g] = i
+		ws.know(g, int32(i+1))
 	}
 
-	// --- communication setup phase -------------------------------------
-	// Collect the remote vertices whose state we need: every out-neighbour
-	// we do not own.
-	reqFrom := make([][]int, P)
-	remoteSlot := make(map[int]int) // global id → index into remote arrays
-	var remotes []int
+	// Collect the remote vertices whose state we need — every out-neighbour
+	// we do not own — counting them by owner; until they are ordered their
+	// table entry is the marker −1. The counts go two places up so that
+	// after the prefix sum remStart[q+1] is where q's run starts, and after
+	// the bucket fill has advanced it to the run's end, remStart[q] is.
+	ws.remStart = resize(ws.remStart, P+2)
+	clear(ws.remStart)
+	ws.remOwner = ws.remOwner[:0]
 	for _, nbrs := range adj {
 		for _, g := range nbrs {
-			if _, ok := localIdx[g]; ok {
+			if ws.slotOf[g] != 0 {
 				continue
 			}
-			if _, ok := remoteSlot[g]; ok {
-				continue
-			}
-			remoteSlot[g] = len(remotes)
-			remotes = append(remotes, g)
+			ws.know(g, -1)
 			q := owner(g)
-			reqFrom[q] = append(reqFrom[q], g)
+			ws.remOwner = append(ws.remOwner, int32(q))
+			ws.remStart[q+2]++
 		}
 	}
-	for q := range reqFrom {
-		sort.Ints(reqFrom[q])
-	}
-	// Re-slot remotes in (proc, id) order so message payloads are
-	// positional.
-	remotes = remotes[:0]
+	nRemote := len(ws.ids) - nLocal
 	for q := 0; q < P; q++ {
-		for _, g := range reqFrom[q] {
-			remoteSlot[g] = len(remotes)
-			remotes = append(remotes, g)
+		ws.remStart[q+2] += ws.remStart[q+1]
+	}
+
+	// Order the remotes by (owner, id), so message payloads are positional:
+	// bucket the ids by owner into the request lists, sort each list, and
+	// give every remote the slot of its position.
+	reqFlat := make([]int, nRemote)
+	for r, g := range ws.ids[nLocal:] {
+		q := ws.remOwner[r]
+		reqFlat[ws.remStart[q+1]] = g
+		ws.remStart[q+1]++
+	}
+	reqFrom := make([][]int, P)
+	for q := 0; q < P; q++ {
+		lo, hi := ws.remStart[q], ws.remStart[q+1]
+		if lo == hi {
+			continue
+		}
+		reqFrom[q] = reqFlat[lo:hi:hi]
+		slices.Sort(reqFrom[q])
+		for r := lo; r < hi; r++ {
+			ws.slotOf[reqFlat[r]] = int32(nLocal + r + 1)
+			ws.remOwner[r] = int32(q)
 		}
 	}
+	copy(ws.ids[nLocal:], reqFlat)
+
+	// Lay the adjacency out in slots, and size the exclusion-notice buffer:
+	// a round sends at most one notice per remote edge.
+	ws.off = resize(ws.off, nLocal+1)
+	ws.nbr = resize(ws.nbr, nEdges)[:0]
+	ws.exclOff = resize(ws.exclOff, P+1)
+	ws.exclN = resize(ws.exclN, P)
+	clear(ws.exclOff)
+	for i, nbrs := range adj {
+		ws.off[i] = int32(len(ws.nbr))
+		for _, g := range nbrs {
+			if g == owned[i] {
+				continue
+			}
+			s := ws.slotOf[g] - 1
+			ws.nbr = append(ws.nbr, s)
+			if int(s) >= nLocal {
+				ws.exclOff[ws.remOwner[int(s)-nLocal]+1]++
+			}
+		}
+	}
+	ws.off[nLocal] = int32(len(ws.nbr))
+	for q := 0; q < P; q++ {
+		ws.exclOff[q+1] += ws.exclOff[q]
+	}
+	ws.excl = resize(ws.excl, ws.exclOff[P])
 
 	// Tell every owner which of its vertices we need: flatten request
 	// lists as [dst, count, ids...]* and allgather.
-	var flat []int
+	flat := make([]int, 0, nRemote+2*P)
 	for q := 0; q < P; q++ {
 		if len(reqFrom[q]) == 0 {
 			continue
@@ -125,58 +300,70 @@ func DistributedPlan(p pcomm.Comm, owned []int, adj [][]int, active []bool, owne
 			dst, cnt := f[i], f[i+1]
 			ids := f[i+2 : i+2+cnt]
 			i += 2 + cnt
-			if dst != p.ID() {
+			if dst != me {
 				continue
 			}
+			needBy[src] = slices.Grow(needBy[src], cnt)
 			for _, g := range ids {
-				li, ok := localIdx[g]
-				if !ok {
+				li := ws.localIndex(g)
+				if li < 0 {
 					panic("mis: processor asked for a vertex we do not own")
 				}
 				needBy[src] = append(needBy[src], li)
 			}
 		}
 	}
+	return &Exchange{NeedBy: needBy, ReqFrom: reqFrom}
+}
+
+// Plan is DistributedPlan on this workspace.
+func (ws *Workspace) Plan(p pcomm.Comm, owned []int, adj [][]int, active []bool, owner func(int) int, rounds int, seed int64) ([]bool, *Exchange) {
+	if rounds <= 0 {
+		rounds = DefaultRounds
+	}
+	nLocal := len(owned)
+	P, me := p.P(), p.ID()
+
+	ex := ws.setup(p, owned, adj, owner)
+	needBy, reqFrom := ex.NeedBy, ex.ReqFrom
+	nSlots := len(ws.ids)
 
 	// --- augmentation rounds --------------------------------------------
-	act := make([]bool, nLocal)
+	ws.keys = resize(ws.keys, nSlots)
+	ws.act = resize(ws.act, nSlots)
+	ws.cand = resize(ws.cand, nSlots)
+	ws.newSel = resize(ws.newSel, nSlots)
+	keys, act, cand, newSel := ws.keys, ws.act, ws.cand, ws.newSel
+	clear(keys[:nLocal]) // an inactive vertex's key travels too
 	if active == nil {
-		for i := range act {
+		for i := range act[:nLocal] {
 			act[i] = true
 		}
 	} else {
-		copy(act, active)
+		copy(act[:nLocal], active)
 	}
 	sel := make([]bool, nLocal)
-	cand := make([]bool, nLocal)
-	keys := make([]uint64, nLocal)
 
-	remKey := make([]uint64, len(remotes))
-	remAct := make([]bool, len(remotes))
-	remCand := make([]bool, len(remotes))
-	remSel := make([]bool, len(remotes))
-
-	// exchange sends one flag/key set per boundary vertex in both
-	// directions, following the setup lists.
-	exchangeBools := func(tag int, local []bool, remote []bool) {
+	// exchangeBools sends one flag per boundary vertex in both directions,
+	// following the setup lists: the local part of flags goes out, the
+	// remote part comes in.
+	exchangeBools := func(tag int, flags []bool) {
 		for q := 0; q < P; q++ {
-			if q == p.ID() || len(needBy[q]) == 0 {
+			if q == me || len(needBy[q]) == 0 {
 				continue
 			}
 			msg := make([]bool, len(needBy[q]))
 			for k, li := range needBy[q] {
-				msg[k] = local[li]
+				msg[k] = flags[li]
 			}
 			p.Send(q, tag, msg, pcomm.BytesOfBools(len(msg)))
 		}
-		pos := 0
+		pos := nLocal
 		for q := 0; q < P; q++ {
-			if q == p.ID() || len(reqFrom[q]) == 0 {
+			if q == me || len(reqFrom[q]) == 0 {
 				continue
 			}
-			msg := p.Recv(q, tag).([]bool)
-			copy(remote[pos:pos+len(msg)], msg)
-			pos += len(msg)
+			pos += copy(flags[pos:], p.Recv(q, tag).([]bool))
 		}
 	}
 
@@ -187,12 +374,11 @@ func DistributedPlan(p pcomm.Comm, owned []int, adj [][]int, active []bool, owne
 	tMIS := p.Time()
 	roundsRun := 0
 
-	ex := &Exchange{NeedBy: needBy, ReqFrom: reqFrom}
 	for r := 0; r < rounds; r++ {
 		nActive := 0
-		for i := range owned {
+		for i, g := range owned {
 			if act[i] {
-				keys[i] = key(seed, r, owned[i])
+				keys[i] = key(seed, r, g)
 				nActive++
 			}
 		}
@@ -209,7 +395,7 @@ func DistributedPlan(p pcomm.Comm, owned []int, adj [][]int, active []bool, owne
 
 		// Exchange keys + active state of boundary vertices.
 		for q := 0; q < P; q++ {
-			if q == p.ID() || len(needBy[q]) == 0 {
+			if q == me || len(needBy[q]) == 0 {
 				continue
 			}
 			msg := stateMsg{Keys: make([]uint64, len(needBy[q])), Active: make([]bool, len(needBy[q]))}
@@ -220,137 +406,49 @@ func DistributedPlan(p pcomm.Comm, owned []int, adj [][]int, active []bool, owne
 			p.Send(q, tagState, msg,
 				pcomm.BytesOfUint64s(len(needBy[q]))+pcomm.BytesOfBools(len(needBy[q])))
 		}
-		pos := 0
+		pos := nLocal
 		for q := 0; q < P; q++ {
-			if q == p.ID() || len(reqFrom[q]) == 0 {
+			if q == me || len(reqFrom[q]) == 0 {
 				continue
 			}
 			msg := p.Recv(q, tagState).(stateMsg)
-			copy(remKey[pos:], msg.Keys)
-			copy(remAct[pos:], msg.Active)
+			copy(keys[pos:], msg.Keys)
+			copy(act[pos:], msg.Active)
 			pos += len(msg.Keys)
 		}
 
 		// Step 1: tentative insertion.
-		scanned := 0
-		for i, g := range owned {
-			cand[i] = false
-			if !act[i] {
-				continue
-			}
-			ok := true
-			for _, u := range adj[i] {
-				if u == g {
-					continue
-				}
-				scanned++
-				var uk uint64
-				var ua bool
-				if li, isLocal := localIdx[u]; isLocal {
-					uk, ua = keys[li], act[li]
-				} else {
-					s := remoteSlot[u]
-					uk, ua = remKey[s], remAct[s]
-				}
-				if ua && !less(keys[i], g, uk, u) {
-					ok = false
-					break
-				}
-			}
-			cand[i] = ok
-		}
-		p.Work(float64(scanned))
+		p.Work(float64(ws.tentative()))
 
 		// Exchange tentative flags; step 2 withdraws members that see
 		// another tentative member along an out-edge.
-		exchangeBools(tagCand, cand, remCand)
-		newSel := make([]bool, nLocal)
-		for i, g := range owned {
-			if !cand[i] {
-				continue
-			}
-			keep := true
-			for _, u := range adj[i] {
-				if u == g {
-					continue
-				}
-				var uc bool
-				if li, isLocal := localIdx[u]; isLocal {
-					uc = cand[li]
-				} else {
-					uc = remCand[remoteSlot[u]]
-				}
-				if uc {
-					keep = false
-					break
-				}
-			}
-			if keep {
-				newSel[i] = true
-				sel[i] = true
-				act[i] = false
-			}
-		}
+		exchangeBools(tagCand, cand)
+		ws.withdraw(sel)
 
 		// Exchange selected flags: a vertex whose out-neighbour was
 		// selected deactivates.
-		exchangeBools(tagSel, newSel, remSel)
-		for i, g := range owned {
-			if !act[i] {
-				continue
-			}
-			for _, u := range adj[i] {
-				if u == g {
-					continue
-				}
-				var us bool
-				if li, isLocal := localIdx[u]; isLocal {
-					us = newSel[li]
-				} else {
-					us = remSel[remoteSlot[u]]
-				}
-				if us {
-					act[i] = false
-					break
-				}
-			}
-		}
+		exchangeBools(tagSel, newSel)
+		ws.deactivate()
 
 		// Exclusion notices along out-edges of selected vertices: the head
 		// of each such edge must deactivate even though it may not see the
 		// selected tail. Notices flow opposite to the request lists.
-		excl := make([][]int, P)
-		for i, g := range owned {
-			if !newSel[i] {
+		ws.exclude()
+		for q := 0; q < P; q++ {
+			if q == me || len(reqFrom[q]) == 0 {
 				continue
 			}
-			for _, u := range adj[i] {
-				if u == g {
-					continue
-				}
-				if li, isLocal := localIdx[u]; isLocal {
-					act[li] = false
-				} else {
-					excl[owner(u)] = append(excl[owner(u)], u)
-				}
-			}
+			// Copy before sending: a sent slice must never share memory
+			// with anything the sender may touch again.
+			notices := ws.excl[ws.exclOff[q] : ws.exclOff[q]+ws.exclN[q]]
+			p.Send(q, tagExcl, pcomm.CopyInts(notices), pcomm.BytesOfInts(len(notices)))
 		}
 		for q := 0; q < P; q++ {
-			if q == p.ID() || len(reqFrom[q]) == 0 {
+			if q == me || len(needBy[q]) == 0 {
 				continue
 			}
-			// Copy before sending: excl[q] stays referenced by the sender
-			// for the rest of the round, and a sent slice must never share
-			// memory with anything the sender may touch again.
-			p.Send(q, tagExcl, pcomm.CopyInts(excl[q]), pcomm.BytesOfInts(len(excl[q])))
-		}
-		for q := 0; q < P; q++ {
-			if q == p.ID() || len(needBy[q]) == 0 {
-				continue
-			}
-			ids := p.Recv(q, tagExcl).([]int)
-			for _, g := range ids {
-				if li, ok := localIdx[g]; ok {
+			for _, g := range p.Recv(q, tagExcl).([]int) {
+				if li := ws.localIndex(g); li >= 0 {
 					act[li] = false
 				}
 			}
@@ -384,4 +482,98 @@ func DistributedPlan(p pcomm.Comm, owned []int, adj [][]int, active []bool, owne
 			trace.I("selected_local", nSel), trace.I("owned", nLocal))
 	}
 	return sel, ex
+}
+
+// tentative is step 1 of a round: an active vertex becomes a candidate
+// when its key beats every active out-neighbour's. It returns the number
+// of edges scanned, the round's modelled work.
+//
+//pilut:hotpath
+func (ws *Workspace) tentative() (scanned int) {
+	keys, act, ids, nbr := ws.keys, ws.act, ws.ids, ws.nbr
+	for i := 0; i < ws.nLocal; i++ {
+		ws.cand[i] = false
+		if !act[i] {
+			continue
+		}
+		ok := true
+		for _, s := range nbr[ws.off[i]:ws.off[i+1]] {
+			scanned++
+			if act[s] && !less(keys[i], ids[i], keys[s], ids[s]) {
+				ok = false
+				break
+			}
+		}
+		ws.cand[i] = ok
+	}
+	return scanned
+}
+
+// withdraw is step 2: a candidate that sees another candidate along an
+// out-edge withdraws; the rest are selected (newSel for this round, sel
+// for the call) and leave the active set.
+//
+//pilut:hotpath
+func (ws *Workspace) withdraw(sel []bool) {
+	cand, nbr := ws.cand, ws.nbr
+	for i := 0; i < ws.nLocal; i++ {
+		ws.newSel[i] = false
+		if !cand[i] {
+			continue
+		}
+		keep := true
+		for _, s := range nbr[ws.off[i]:ws.off[i+1]] {
+			if cand[s] {
+				keep = false
+				break
+			}
+		}
+		if keep {
+			ws.newSel[i] = true
+			sel[i] = true
+			ws.act[i] = false
+		}
+	}
+}
+
+// deactivate retires every active vertex with a newly selected
+// out-neighbour.
+//
+//pilut:hotpath
+func (ws *Workspace) deactivate() {
+	act, newSel, nbr := ws.act, ws.newSel, ws.nbr
+	for i := 0; i < ws.nLocal; i++ {
+		if !act[i] {
+			continue
+		}
+		for _, s := range nbr[ws.off[i]:ws.off[i+1]] {
+			if newSel[s] {
+				act[i] = false
+				break
+			}
+		}
+	}
+}
+
+// exclude follows the out-edges of the newly selected vertices: a local
+// head deactivates at once, a remote one gets a notice, queued for its
+// owner in scan order.
+//
+//pilut:hotpath
+func (ws *Workspace) exclude() {
+	clear(ws.exclN)
+	for i := 0; i < ws.nLocal; i++ {
+		if !ws.newSel[i] {
+			continue
+		}
+		for _, s := range ws.nbr[ws.off[i]:ws.off[i+1]] {
+			if int(s) < ws.nLocal {
+				ws.act[s] = false
+				continue
+			}
+			q := ws.remOwner[int(s)-ws.nLocal]
+			ws.excl[ws.exclOff[q]+ws.exclN[q]] = ws.ids[s]
+			ws.exclN[q]++
+		}
+	}
 }

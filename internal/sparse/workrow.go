@@ -2,7 +2,6 @@ package sparse
 
 import (
 	"math"
-	"slices"
 	"sort"
 )
 
@@ -15,7 +14,7 @@ type WorkRow struct {
 	mark  []bool // position currently holds a live entry
 	inIdx []bool // position present in the companion index list (may be dropped)
 	idx   []int
-	cand  []int // scratch for KeepLargest; per-row so concurrent WorkRows never share
+	ents  []Ent // entry buffer of Tail and KeepLargest; per-row so concurrent WorkRows never share
 }
 
 // NewWorkRow returns a WorkRow over vectors of length n.
@@ -37,12 +36,11 @@ func (w *WorkRow) Resize(n int) {
 	w.mark = make([]bool, n)
 	w.inIdx = make([]bool, n)
 	w.idx = w.idx[:0]
-	w.cand = w.cand[:0]
 }
 
 // PoisonClean verifies the row is fully reset — no marks, no live
 // indices, every value zero — and then scribbles sentinel garbage over
-// the spare capacity of the index and candidate lists, the only storage
+// the spare capacity of the index list and the entry buffer, the only storage
 // a correct kernel may not read. It panics if the row is dirty. This is
 // the stale-scratch tripwire of the poisoning property tests: a kernel
 // that consumes leftover state from a previous factorization either
@@ -62,11 +60,10 @@ func (w *WorkRow) PoisonClean() {
 	for k := range spare {
 		spare[k] = sentinel
 	}
-	spare = w.cand[:cap(w.cand)]
-	for k := range spare {
-		spare[k] = sentinel
+	ents := w.ents[:cap(w.ents)]
+	for k := range ents {
+		ents[k] = Ent{sentinel, math.NaN()}
 	}
-	w.cand = w.cand[:0]
 }
 
 // NNZ reports the number of positions currently marked (explicit zeros
@@ -210,38 +207,187 @@ func (w *WorkRow) DropBelow(lo, hi int, tol float64, keep int) int {
 //
 //pilut:hotpath
 func (w *WorkRow) KeepLargest(lo, hi, m int, keep int) int {
-	cand := w.cand[:0]
+	cand := w.entBuf(len(w.idx))
+	nc := 0
 	for _, j := range w.idx {
 		if w.mark[j] && j >= lo && j < hi && j != keep {
-			cand = append(cand, j) //pilutlint:ok hotalloc candidate scratch grows to peak row nnz once, then is reused across rows
+			cand[nc] = Ent{j, w.val[j]}
+			nc++
 		}
 	}
-	w.cand = cand
-	if len(cand) <= m {
+	cand = cand[:nc]
+	if nc <= m {
 		return 0
 	}
-	// Select the m largest by magnitude: sort descending by |value|,
-	// breaking ties by column index. slices.SortFunc, not sort.Slice: the
-	// generic form boxes nothing and the comparator stays on the stack, so
-	// the 2nd dropping rule costs zero allocations. The comparator is a
-	// total order (columns are distinct), so the kept set is identical to
-	// any other correct sort.
-	//pilutlint:ok hotalloc the comparator closure does not escape slices.SortFunc; no boxing, no heap allocation
-	slices.SortFunc(cand, func(x, y int) int {
-		ax, ay := math.Abs(w.val[x]), math.Abs(w.val[y])
-		switch {
-		case ax > ay:
-			return -1
-		case ax < ay:
-			return 1
-		default:
-			return x - y
-		}
-	})
-	dropped := 0
-	for _, j := range cand[m:] {
-		w.Drop(j)
-		dropped++
+	SelectLargest(cand, m)
+	for _, e := range cand[m:] {
+		w.Drop(e.Col)
 	}
-	return dropped
+	return nc - m
+}
+
+// Tail ends a row's elimination in a single walk over the touched
+// positions, which it resets on the way: entries of magnitude < tol are
+// dropped, the rest are split at column split, at most mLo survive below
+// it and at most mHi at or above it (the largest by magnitude, ties toward
+// the smaller column; a cap ≤ 0 is no cap), and both parts come back in
+// increasing column order. The position keep is protected where it lies
+// at or above split — never dropped, not counted toward mHi — and if it
+// is not among the survivors of its part it is created with value fill
+// (filled reports that). dLo and dHi count the entries dropped from each
+// part. The returned slices are the WorkRow's own buffer, valid until its
+// next Tail or KeepLargest; the row itself is left reset.
+//
+//pilut:hotpath
+func (w *WorkRow) Tail(split int, tol float64, mLo, mHi, keep int, fill float64) (lo, hi []Ent, dLo, dHi int, filled bool) {
+	// One buffer, half of it for each part; either part may be every
+	// touched entry plus a created keep.
+	half := len(w.idx) + 1
+	buf := w.entBuf(2 * half)
+	lo, hi = buf[:0:half], buf[half:half]
+	protect := keep >= split
+	kept := Ent{keep, fill}
+	filled = true
+	for _, j := range w.idx {
+		v, marked := w.val[j], w.mark[j]
+		w.val[j], w.mark[j], w.inIdx[j] = 0, false, false
+		switch {
+		case !marked:
+		case j == keep && protect:
+			kept.Val, filled = v, false
+		case math.Abs(v) < tol:
+			if j < split {
+				dLo++
+			} else {
+				dHi++
+			}
+		case j < split:
+			lo = lo[:len(lo)+1]
+			lo[len(lo)-1] = Ent{j, v}
+		default:
+			hi = hi[:len(hi)+1]
+			hi[len(hi)-1] = Ent{j, v}
+		}
+	}
+	w.idx = w.idx[:0]
+
+	if mLo > 0 && len(lo) > mLo {
+		SelectLargest(lo, mLo)
+		dLo += len(lo) - mLo
+		lo = lo[:mLo]
+	}
+	if mHi > 0 && len(hi) > mHi {
+		SelectLargest(hi, mHi)
+		dHi += len(hi) - mHi
+		hi = hi[:mHi]
+	}
+	if !protect {
+		for _, e := range lo {
+			filled = filled && e.Col != keep
+		}
+	}
+	switch {
+	case protect:
+		hi = hi[:len(hi)+1]
+		hi[len(hi)-1] = kept
+	case filled:
+		lo = lo[:len(lo)+1]
+		lo[len(lo)-1] = kept
+	}
+	SortEntsByCol(lo)
+	SortEntsByCol(hi)
+	return lo, hi, dLo, dHi, filled
+}
+
+// Ent is one entry of a sparse row: a column and its value.
+type Ent struct {
+	Col int
+	Val float64
+}
+
+// entBuf returns the WorkRow's entry buffer at length n.
+//
+//pilut:hotpath
+func (w *WorkRow) entBuf(n int) []Ent {
+	if cap(w.ents) < n {
+		w.ents = make([]Ent, n+n/2) //pilutlint:ok hotalloc entry buffer grows to peak row nnz once, then is reused across rows
+	}
+	return w.ents[:n]
+}
+
+// SelectLargest reorders e so that its first m entries are the m largest
+// by magnitude, ties going to the smaller column: a quickselect, because
+// the dropping rules need the set and not its order. Columns are distinct,
+// so the order is total and the chosen set is the one a full sort would
+// choose. It ends after at most len(e) partitions whatever the values
+// compare like (a NaN compares as last against everything).
+//
+//pilut:hotpath
+func SelectLargest(e []Ent, m int) {
+	lo, hi := 0, len(e)-1
+	for lo < hi && m > lo && m <= hi {
+		// Lomuto partition of e[lo..hi] around its middle entry.
+		mid := lo + (hi-lo)/2
+		pv := e[mid]
+		e[mid] = e[hi]
+		pa := math.Abs(pv.Val)
+		i := lo
+		for j := lo; j < hi; j++ {
+			if a := math.Abs(e[j].Val); a > pa || a == pa && e[j].Col < pv.Col {
+				e[i], e[j] = e[j], e[i]
+				i++
+			}
+		}
+		e[hi] = e[i]
+		e[i] = pv
+		// e[lo:i] precede the pivot, now at i; e[i+1:hi+1] follow it.
+		if i >= m {
+			hi = i - 1
+		} else {
+			lo = i + 1
+		}
+	}
+}
+
+// SortEntsByCol sorts ascending by column (columns are distinct): an
+// insertion sort below a cutoff the capped rows never exceed, quicksort
+// partitions above it for the uncapped ones.
+//
+//pilut:hotpath
+func SortEntsByCol(e []Ent) {
+	for len(e) > 24 {
+		// Hoare partition around the middle column; the smaller side
+		// recurses, the larger is the next iteration.
+		pc := e[len(e)/2].Col
+		i, j := 0, len(e)-1
+		for i <= j {
+			for e[i].Col < pc {
+				i++
+			}
+			for e[j].Col > pc {
+				j--
+			}
+			if i <= j {
+				e[i], e[j] = e[j], e[i]
+				i++
+				j--
+			}
+		}
+		if j+1 < len(e)-i {
+			SortEntsByCol(e[:j+1])
+			e = e[i:]
+		} else {
+			SortEntsByCol(e[i:])
+			e = e[:j+1]
+		}
+	}
+	for i := 1; i < len(e); i++ {
+		x := e[i]
+		j := i - 1
+		for j >= 0 && e[j].Col > x.Col {
+			e[j+1] = e[j]
+			j--
+		}
+		e[j+1] = x
+	}
 }

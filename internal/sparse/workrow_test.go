@@ -3,6 +3,7 @@ package sparse
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -258,4 +259,229 @@ func TestKeepLargestProperty(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Error(err)
 	}
+}
+
+// refKeepLargest is KeepLargest as it was before it became a selection: a
+// full sort of the candidates, descending by magnitude, ties toward the
+// smaller column. It is the reference the selection is held to.
+func refKeepLargest(w *WorkRow, lo, hi, m int, keep int) int {
+	var cand []int
+	for _, j := range w.idx {
+		if w.mark[j] && j >= lo && j < hi && j != keep {
+			cand = append(cand, j)
+		}
+	}
+	if len(cand) <= m {
+		return 0
+	}
+	slices.SortFunc(cand, func(x, y int) int {
+		ax, ay := math.Abs(w.val[x]), math.Abs(w.val[y])
+		switch {
+		case ax > ay:
+			return -1
+		case ax < ay:
+			return 1
+		default:
+			return x - y
+		}
+	})
+	dropped := 0
+	for _, j := range cand[m:] {
+		w.Drop(j)
+		dropped++
+	}
+	return dropped
+}
+
+// refTail is the row tail as six walks over the touched positions — two
+// DropBelow, two KeepLargest, two Gather — then the reset: what Tail does
+// in one.
+func refTail(w *WorkRow, split int, tol float64, mLo, mHi, keep int, fill float64) (lc []int, lv []float64, hc []int, hv []float64, dLo, dHi int, filled bool) {
+	n := w.Len()
+	dLo = w.DropBelow(0, split, tol, -1)
+	if mLo > 0 {
+		dLo += refKeepLargest(w, 0, split, mLo, -1)
+	}
+	dHi = w.DropBelow(split, n, tol, keep)
+	if mHi > 0 {
+		dHi += refKeepLargest(w, split, n, mHi, keep)
+	}
+	if !w.Has(keep) {
+		w.Set(keep, fill)
+		filled = true
+	}
+	lc, lv = w.Gather(0, split, nil, nil)
+	hc, hv = w.Gather(split, n, nil, nil)
+	w.Reset()
+	return
+}
+
+// tailCase is one generated row and the tail's parameters. ops are
+// applied in order: Set(col, val), or Drop(col) where drop is set, so a
+// row has touched-but-unmarked positions like one that met the 1st
+// dropping rule.
+type tailCase struct {
+	n           int
+	ops         []tailOp
+	split, keep int
+	tol, fill   float64
+	mLo, mHi    int
+}
+
+type tailOp struct {
+	col  int
+	val  float64
+	drop bool
+}
+
+func (c *tailCase) load(w *WorkRow) (hasNaN bool) {
+	for _, op := range c.ops {
+		if op.drop {
+			w.Drop(op.col)
+		} else {
+			w.Set(op.col, op.val)
+			hasNaN = hasNaN || math.IsNaN(op.val)
+		}
+	}
+	return hasNaN
+}
+
+// tailValues is what generated rows draw from: few magnitudes, so ties are
+// the rule; both zeros; values either side of the tolerances used.
+var tailValues = []float64{0, math.Copysign(0, -1), 1, -1, 1, 2, -2, 0.5, -0.5, 0.25, 1e-3, -1e-3, 3, math.NaN()}
+
+// checkTail runs Tail and the reference on the same row. Without a NaN the
+// two must agree to the bit; with one the order is not total and only
+// termination, bounds and the bookkeeping are required.
+func checkTail(t *testing.T, c *tailCase) {
+	t.Helper()
+	w, ref := NewWorkRow(c.n), NewWorkRow(c.n)
+	hasNaN := c.load(w)
+	c.load(ref)
+	marked := w.NNZ()
+	lo, hi, dLo, dHi, filled := w.Tail(c.split, c.tol, c.mLo, c.mHi, c.keep, c.fill)
+	lo, hi = slices.Clone(lo), slices.Clone(hi) // PoisonClean scribbles over the row's buffer
+	w.PoisonClean()                             // panics unless Tail left the row reset
+	created := 0
+	if filled {
+		created = 1
+	}
+	if len(lo)+len(hi)+dLo+dHi != marked+created {
+		t.Fatalf("%d+%d kept and %d+%d dropped of %d marked, %d created", len(lo), len(hi), dLo, dHi, marked, created)
+	}
+	for k, e := range lo {
+		if e.Col < 0 || e.Col >= c.split || k > 0 && lo[k-1].Col >= e.Col {
+			t.Fatalf("low part %v: not increasing columns below %d", lo, c.split)
+		}
+	}
+	for k, e := range hi {
+		if e.Col < c.split || e.Col >= c.n || k > 0 && hi[k-1].Col >= e.Col {
+			t.Fatalf("high part %v: not increasing columns in [%d,%d)", hi, c.split, c.n)
+		}
+	}
+	if hasNaN {
+		return
+	}
+	lc, lv, hc, hv, rdLo, rdHi, rFilled := refTail(ref, c.split, c.tol, c.mLo, c.mHi, c.keep, c.fill)
+	if dLo != rdLo || dHi != rdHi || filled != rFilled {
+		t.Fatalf("dropped %d/%d filled %v, reference %d/%d %v", dLo, dHi, filled, rdLo, rdHi, rFilled)
+	}
+	same := func(got []Ent, cols []int, vals []float64) bool {
+		if len(got) != len(cols) {
+			return false
+		}
+		for k, e := range got {
+			if e.Col != cols[k] || math.Float64bits(e.Val) != math.Float64bits(vals[k]) {
+				return false
+			}
+		}
+		return true
+	}
+	if !same(lo, lc, lv) || !same(hi, hc, hv) {
+		t.Fatalf("case %+v:\nTail      %v | %v\nreference %v %v | %v %v", *c, lo, hi, lc, lv, hc, hv)
+	}
+}
+
+// tailCaseFrom decodes a case from bytes (the fuzz target's input, and a
+// compact way to write the seed corpus): a header of n, split, keep, the
+// two caps and the tolerance, then (column, value) byte pairs.
+func tailCaseFrom(data []byte) *tailCase {
+	if len(data) < 6 {
+		return nil
+	}
+	c := &tailCase{n: 2 + int(data[0])%62}
+	c.split = int(data[1]) % (c.n + 1)
+	c.keep = int(data[2]) % c.n
+	c.mLo = int(data[3])%8 - 1
+	c.mHi = int(data[4])%8 - 1
+	c.tol = []float64{0, 0.3, 1, 1.5}[int(data[5])%4]
+	c.fill = 0.125
+	for k := 6; k+1 < len(data); k += 2 {
+		v := int(data[k+1])
+		c.ops = append(c.ops, tailOp{int(data[k]) % c.n, tailValues[v%len(tailValues)], v >= 240})
+	}
+	return c
+}
+
+// TestRowTailMatchesSortReference: the selection-based tail against the
+// sort-based one on generated rows — repeated magnitudes, both zeros,
+// explicit zeros, the protected position on either side of the split and
+// present or absent, and every cap from none to one more than there are
+// candidates.
+func TestRowTailMatchesSortReference(t *testing.T) {
+	r := rand.New(rand.NewSource(19))
+	for trial := 0; trial < 3000; trial++ {
+		c := &tailCase{n: 2 + r.Intn(60), fill: 0.125}
+		c.split = r.Intn(c.n + 1)
+		c.keep = r.Intn(c.n)
+		c.tol = []float64{0, 0.3, 1, 1.5}[r.Intn(4)]
+		nLo, nHi := 0, 0
+		for k, nOps := 0, r.Intn(2*c.n); k < nOps; k++ {
+			col := r.Intn(c.n)
+			val := tailValues[r.Intn(len(tailValues)-1)] // all but the NaN
+			c.ops = append(c.ops, tailOp{col, val, r.Intn(8) == 0})
+			if col < c.split {
+				nLo++
+			} else {
+				nHi++
+			}
+		}
+		// Caps around the candidate counts (an upper bound on them is close
+		// enough: the exact counts depend on the tolerance).
+		caps := func(k int) int { return []int{0, 1, k - 1, k, k + 1, r.Intn(k + 2)}[r.Intn(6)] }
+		c.mLo, c.mHi = caps(nLo), caps(nHi)
+		checkTail(t, c)
+	}
+}
+
+// TestRowTailNaNTerminates: a NaN makes the selection order partial; the
+// tail must still end, stay in bounds and account for every entry.
+func TestRowTailNaNTerminates(t *testing.T) {
+	r := rand.New(rand.NewSource(23))
+	for trial := 0; trial < 500; trial++ {
+		c := &tailCase{n: 40, split: 17, keep: 17 + r.Intn(23), tol: 0.3, fill: 0.125, mLo: 1 + r.Intn(4), mHi: 1 + r.Intn(6)}
+		for col := 0; col < c.n; col++ {
+			val := tailValues[r.Intn(len(tailValues))]
+			if r.Intn(3) == 0 {
+				val = math.NaN()
+			}
+			c.ops = append(c.ops, tailOp{col, val, false})
+		}
+		checkTail(t, c)
+	}
+}
+
+// FuzzRowTail is TestRowTailMatchesSortReference over fuzzer-made rows.
+func FuzzRowTail(f *testing.F) {
+	f.Add([]byte{10, 5, 7, 3, 4, 1, 0, 2, 1, 3, 2, 2, 6, 5, 7, 7, 8, 9, 9, 4})
+	f.Add([]byte{40, 20, 3, 2, 2, 0, 1, 2, 2, 2, 3, 3, 25, 2, 26, 3, 27, 2, 28, 250})      // ties; keep below the split
+	f.Add([]byte{6, 0, 5, 0, 1, 2, 0, 0, 1, 1, 2, 2, 3, 3, 4, 4})                          // everything above the split
+	f.Add([]byte{6, 6, 1, 1, 0, 3, 0, 13, 1, 13, 2, 13, 3, 2, 4, 5})                       // NaNs
+	f.Add([]byte{62, 31, 40, 7, 7, 1, 30, 0, 31, 1, 32, 2, 33, 244, 33, 6, 1, 6, 2, 9})    // a dropped position set again
+	f.Add([]byte{20, 10, 15, 1, 1, 3, 15, 10, 16, 10, 17, 10, 18, 10, 2, 10, 3, 10, 4, 7}) // all below the tolerance
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if c := tailCaseFrom(data); c != nil {
+			checkTail(t, c)
+		}
+	})
 }
