@@ -1,6 +1,7 @@
 package matgen
 
 import (
+	"fmt"
 	"math"
 	"reflect"
 	"testing"
@@ -275,6 +276,28 @@ func TestEvolveStaysNearDominant(t *testing.T) {
 				t.Fatalf("step %d row %d drifted past the walk bound: |diag|=%g sum|off|=%g bound=%g",
 					i, r, diag, off, bound)
 			}
+		}
+	}
+}
+
+// TestGeneratorsPassCheck: every generator's output satisfies the CSR
+// invariants a peer's wire decoder insists on, so nothing this package
+// makes can be refused on its way between daemons.
+func TestGeneratorsPassCheck(t *testing.T) {
+	zoo := map[string]*sparse.CSR{
+		"grid2d":   Grid2D(12, 12),
+		"grid3d":   Grid3D(5, 5, 5),
+		"torso":    Torso(6, 6, 6, 1),
+		"convdiff": ConvDiff2D(12, 12, 20, 5),
+		"aniso":    Anisotropic2D(12, 12, 0.01),
+		"randspd":  RandomSPDPattern(150, 5, 3),
+	}
+	for i, a := range Evolve(zoo["torso"], 3, 0.1, 7) {
+		zoo[fmt.Sprintf("evolve-%d", i)] = a
+	}
+	for name, a := range zoo {
+		if err := a.Check(); err != nil {
+			t.Errorf("%s: %v", name, err)
 		}
 	}
 }

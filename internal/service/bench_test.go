@@ -32,9 +32,7 @@ func BenchmarkColdFactorSolve(b *testing.B) {
 		}
 		b.StopTimer()
 		s.mu.Lock()
-		for _, ent := range s.cache.entries {
-			s.cache.removeLocked(ent)
-		}
+		s.cache.remove(key)
 		s.mu.Unlock()
 		b.StartTimer()
 	}

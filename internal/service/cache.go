@@ -81,92 +81,6 @@ type entry struct {
 	// originReplica); a view change claims peer-imported keys this
 	// daemon now owns as takeovers.
 	origin string
-
-	elem *list.Element
-}
-
-// factorCache is a content-addressed LRU over factorizations with a byte
-// budget. All methods require the server lock (the cache has no lock of
-// its own); the expensive build happens outside the lock in the worker.
-type factorCache struct {
-	budget  int64
-	bytes   int64
-	entries map[string]*entry
-	lru     *list.List // front = most recently used
-
-	hits           int64
-	misses         int64
-	evictions      int64
-	factorizations int64
-}
-
-func newFactorCache(budget int64) *factorCache {
-	return &factorCache{
-		budget:  budget,
-		entries: make(map[string]*entry),
-		lru:     list.New(),
-	}
-}
-
-// lookup returns the entry for key, promoting it to most-recently-used,
-// and records a hit or miss.
-func (c *factorCache) lookup(key string) (*entry, bool) {
-	ent, ok := c.entries[key]
-	if !ok {
-		c.misses++
-		return nil, false
-	}
-	c.hits++
-	c.lru.MoveToFront(ent.elem)
-	return ent, true
-}
-
-// peek is lookup without the hit/miss accounting, for resolution paths
-// that already counted the top-level lookup (or, like peer serves,
-// should not perturb the local counters at all).
-func (c *factorCache) peek(key string) (*entry, bool) {
-	ent, ok := c.entries[key]
-	if ok {
-		c.lru.MoveToFront(ent.elem)
-	}
-	return ent, ok
-}
-
-// insert publishes a freshly built entry and evicts least-recently-used
-// entries until the budget is met again. The new entry itself is never
-// evicted (a single oversized factorization is allowed to live alone).
-// Evicted entries stay valid for any batch still holding a pointer; they
-// just stop being findable, so the next solve of that matrix refactors.
-func (c *factorCache) insert(ent *entry) {
-	if old, ok := c.entries[ent.key]; ok {
-		c.removeLocked(old)
-	}
-	ent.elem = c.lru.PushFront(ent)
-	c.entries[ent.key] = ent
-	c.bytes += ent.bytes
-	for c.bytes > c.budget && c.lru.Len() > 1 {
-		victim := c.lru.Back().Value.(*entry)
-		c.removeLocked(victim)
-		c.evictions++
-	}
-}
-
-func (c *factorCache) removeLocked(ent *entry) {
-	c.lru.Remove(ent.elem)
-	delete(c.entries, ent.key)
-	c.bytes -= ent.bytes
-}
-
-func (c *factorCache) snapshot() CacheStats {
-	return CacheStats{
-		Entries:        c.lru.Len(),
-		Bytes:          c.bytes,
-		BudgetBytes:    c.budget,
-		Hits:           c.hits,
-		Misses:         c.misses,
-		Evictions:      c.evictions,
-		Factorizations: c.factorizations,
-	}
 }
 
 // symEntry is one cached symbolic analysis: the pattern-only half of a
@@ -176,76 +90,94 @@ func (c *factorCache) snapshot() CacheStats {
 // pattern, so the entry is keyed by sparse.PatternFingerprint and serves
 // every matrix of a sequence that shares the pattern: a value-only change
 // skips graph construction, partitioning, layout and the ghost-plan
-// setup exchange, leaving just the numeric refactorization.
-type symEntry struct {
-	patternKey string
-	sym        *core.Symbolic
-	mats       []*dist.Matrix // per-proc templates; CloneFor rebinds values
-	bytes      int64
-	elem       *list.Element
-}
-
-// symbolicCache is the pattern-keyed sibling of factorCache. The two
-// tiers are deliberately separate: a full entry is worth keeping only for
-// an exact value match, while a symbolic entry stays useful for the whole
-// lifetime of a pattern — evicting one must not evict the other. The mats
+// setup exchange, leaving just the numeric refactorization. The mats
 // templates alias the full entry built alongside them (both are immutable
 // after setup), so the marginal memory of a symbolic entry is the
-// analysis arrays plus the layout. All methods require the server lock.
-type symbolicCache struct {
-	budget  int64
-	bytes   int64
-	entries map[string]*symEntry
-	lru     *list.List
-
-	hits      int64
-	misses    int64
-	refactors int64 // full builds that reused a cached analysis
+// analysis arrays plus the layout.
+type symEntry struct {
+	sym  *core.Symbolic
+	mats []*dist.Matrix // per-proc templates; CloneFor rebinds values
 }
 
-func newSymbolicCache(budget int64) *symbolicCache {
-	return &symbolicCache{
-		budget:  budget,
-		entries: make(map[string]*symEntry),
-		lru:     list.New(),
-	}
+// symbolicBudget is the byte budget of the symbolic tier.
+const symbolicBudget = 64 << 20
+
+// lru is a string-keyed LRU with a byte budget. The server keeps two: the
+// factor cache (full entries by matrix fingerprint) and the symbolic tier
+// (analyses by pattern fingerprint). They are deliberately separate
+// instances: a full entry is worth keeping only for an exact value match,
+// while an analysis stays useful for the whole lifetime of a pattern —
+// evicting one must not evict the other. All methods require the server
+// lock (the cache has no lock of its own); the expensive builds happen
+// outside it.
+type lru[V any] struct {
+	budget int64
+	bytes  int64
+	items  map[string]*lruItem[V]
+	order  *list.List // of *lruItem[V]; front = most recently used
+
+	hits, misses, evictions int64
 }
 
-func (c *symbolicCache) lookup(patternKey string) (*symEntry, bool) {
-	se, ok := c.entries[patternKey]
-	if !ok {
+type lruItem[V any] struct {
+	key   string
+	val   V
+	bytes int64
+	elem  *list.Element
+}
+
+func newLRU[V any](budget int64) *lru[V] {
+	return &lru[V]{budget: budget, items: make(map[string]*lruItem[V]), order: list.New()}
+}
+
+// lookup returns the value under key, promoting it to most-recently-used,
+// and records a hit or miss.
+func (c *lru[V]) lookup(key string) (V, bool) {
+	v, ok := c.peek(key)
+	if ok {
+		c.hits++
+	} else {
 		c.misses++
-		return nil, false
 	}
-	c.hits++
-	c.lru.MoveToFront(se.elem)
-	return se, true
+	return v, ok
 }
 
-func (c *symbolicCache) insert(se *symEntry) {
-	if old, ok := c.entries[se.patternKey]; ok {
-		c.removeLocked(old)
+// peek is lookup without the hit/miss accounting, for resolution paths
+// that already counted the top-level lookup (or, like peer serves,
+// should not perturb the local counters at all).
+func (c *lru[V]) peek(key string) (v V, ok bool) {
+	it, ok := c.items[key]
+	if !ok {
+		return v, false
 	}
-	se.elem = c.lru.PushFront(se)
-	c.entries[se.patternKey] = se
-	c.bytes += se.bytes
-	for c.bytes > c.budget && c.lru.Len() > 1 {
-		victim := c.lru.Back().Value.(*symEntry)
-		c.removeLocked(victim)
+	c.order.MoveToFront(it.elem)
+	return it.val, true
+}
+
+// insert publishes v under key, replacing what was there, and evicts
+// least-recently-used items until the budget is met again. The newcomer
+// itself is never evicted (a single oversized item is allowed to live
+// alone). Evicted values stay valid for whoever still holds them; they
+// just stop being findable, so the next request for that key rebuilds.
+func (c *lru[V]) insert(key string, v V, bytes int64) {
+	c.remove(key)
+	it := &lruItem[V]{key: key, val: v, bytes: bytes}
+	it.elem = c.order.PushFront(it)
+	c.items[key] = it
+	c.bytes += bytes
+	for c.bytes > c.budget && c.order.Len() > 1 {
+		c.remove(c.order.Back().Value.(*lruItem[V]).key)
+		c.evictions++
 	}
 }
 
-func (c *symbolicCache) removeLocked(se *symEntry) {
-	c.lru.Remove(se.elem)
-	delete(c.entries, se.patternKey)
-	c.bytes -= se.bytes
-}
-
-// fill merges the symbolic-tier numbers into a CacheStats snapshot.
-func (c *symbolicCache) fill(cs *CacheStats) {
-	cs.SymbolicEntries = c.lru.Len()
-	cs.SymbolicBytes = c.bytes
-	cs.SymbolicHits = c.hits
-	cs.SymbolicMisses = c.misses
-	cs.RefactorBuilds = c.refactors
+// remove drops key if present; not an eviction.
+func (c *lru[V]) remove(key string) {
+	it, ok := c.items[key]
+	if !ok {
+		return
+	}
+	c.order.Remove(it.elem)
+	delete(c.items, key)
+	c.bytes -= it.bytes
 }

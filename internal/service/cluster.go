@@ -2,29 +2,22 @@ package service
 
 import (
 	"bytes"
-	"context"
 	"crypto/sha256"
 	"crypto/subtle"
 	"encoding/binary"
 	"encoding/gob"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"math/rand"
 	"net/http"
-	"net/url"
 	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/dist"
-	"repro/internal/graph"
-	"repro/internal/partition"
-	"repro/internal/pcomm"
-	"repro/internal/pcomm/realcomm"
+	"repro/internal/ilu"
 	"repro/internal/sparse"
 )
 
@@ -338,82 +331,6 @@ func (cl *cluster) snapshot() *ClusterStats {
 	}
 }
 
-// errPeerMiss reports the owner answered cleanly but had nothing to
-// serve (unknown matrix or an unexportable block-Jacobi entry): the
-// peer is healthy, the fetcher just builds locally.
-var errPeerMiss = errors.New("service: peer does not have the factorization")
-
-// getFactor fetches key's encoded factorization from peer.
-func (cl *cluster) getFactor(peer, key string) ([]byte, error) {
-	ctx, cancel := context.WithTimeout(context.Background(), cl.timeout)
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, peer+"/v1/peer/factor/"+url.PathEscape(key), nil)
-	if err != nil {
-		return nil, err
-	}
-	cl.authorize(req)
-	resp, err := cl.client.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	switch resp.StatusCode {
-	case http.StatusOK:
-		return io.ReadAll(io.LimitReader(resp.Body, maxMatrixWireBytes))
-	case http.StatusNotFound:
-		return nil, errPeerMiss
-	default:
-		return nil, &peerStatusError{peer: peer, op: "factor fetch", code: resp.StatusCode}
-	}
-}
-
-// putMatrix replicates a matrix body to its owner.
-func (cl *cluster) putMatrix(peer string, body []byte) error {
-	ctx, cancel := context.WithTimeout(context.Background(), cl.timeout)
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, peer+"/v1/peer/matrix", bytes.NewReader(body))
-	if err != nil {
-		return err
-	}
-	req.Header.Set("Content-Type", "application/octet-stream")
-	cl.authorize(req)
-	resp, err := cl.client.Do(req)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return &peerStatusError{peer: peer, op: "matrix replication", code: resp.StatusCode}
-	}
-	io.Copy(io.Discard, resp.Body)
-	return nil
-}
-
-// probeHealth asks one peer for its local (non-aggregated) health.
-func (cl *cluster) probeHealth(peer string) (status string, err error) {
-	ctx, cancel := context.WithTimeout(context.Background(), cl.timeout)
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, peer+"/healthz?scope=local", nil)
-	if err != nil {
-		return "", err
-	}
-	resp, err := cl.client.Do(req)
-	if err != nil {
-		return "", err
-	}
-	defer resp.Body.Close()
-	var h struct {
-		Status string `json:"status"`
-	}
-	if err := json.NewDecoder(io.LimitReader(resp.Body, 1<<20)).Decode(&h); err != nil {
-		return "", err
-	}
-	if h.Status == "" {
-		return "", fmt.Errorf("peer answered %d with no status", resp.StatusCode)
-	}
-	return h.Status, nil
-}
-
 // maxMatrixWireBytes bounds peer transfer bodies (a factorization of a
 // cached matrix, or the matrix itself) the same way the public matrix
 // endpoint bounds MatrixMarket bodies.
@@ -431,22 +348,36 @@ func csrToWire(a *sparse.CSR) wireCSR {
 	return wireCSR{N: a.N, M: a.M, RowPtr: a.RowPtr, Cols: a.Cols, Vals: a.Vals}
 }
 
-func csrFromWire(w wireCSR) *sparse.CSR {
-	return &sparse.CSR{N: w.N, M: w.M, RowPtr: w.RowPtr, Cols: w.Cols, Vals: w.Vals}
+// csrFromWire rebuilds the matrix a peer sent and checks it: the bytes
+// come from another process, and everything downstream indexes through
+// RowPtr and Cols without looking.
+func csrFromWire(w wireCSR) (*sparse.CSR, error) {
+	a := &sparse.CSR{N: w.N, M: w.M, RowPtr: w.RowPtr, Cols: w.Cols, Vals: w.Vals}
+	if err := a.Check(); err != nil {
+		return nil, fmt.Errorf("service: peer sent a malformed matrix: %w", err)
+	}
+	return a, nil
 }
 
 // wireFactor is the gob body of /v1/peer/factor/{key}: the factored
 // matrix plus every processor's preconditioner piece, and the exact
-// configuration the factorization ran under. The importer rebuilds the
-// partition, layout and elimination plan deterministically from the
-// matrix — those are pure functions of (matrix, procs, seed) — and
+// configuration the factorization ran under. The importer derives the
+// partition, layout and elimination plan itself — pure functions of
+// (pattern, procs, seed), so usually a symbolic-tier hit — and
 // rehydrates the pieces, so the factors never get recomputed and stay
 // bitwise identical to the owner's.
 type wireFactor struct {
-	Key           string
-	Matrix        wireCSR
-	Procs         int
-	Seed          int64
+	Key    string
+	Matrix wireCSR
+	Procs  int
+	Seed   int64
+	// Params and MISRounds are the exporter's configured values (not a
+	// ladder rung's relaxed ones): a daemon running another τ, m or k
+	// serves factors this one would never have built, so the importer
+	// refuses a mismatch. The zero Params of an exporter that predates
+	// the field never match — withDefaults leaves no daemon with them.
+	Params        ilu.Params
+	MISRounds     int
 	LadderStep    string
 	Degraded      bool
 	Levels        int
@@ -473,12 +404,16 @@ func partDigest(part []int) [sha256.Size]byte {
 // not worth a wire format.
 var ErrNotExportable = errors.New("service: factorization entry is not exportable")
 
-func wireOfEntry(ent *entry, cfg Config) (*wireFactor, error) {
+// encodeEntry is the one place a cache entry becomes wire bytes, for a
+// fetching peer (ExportFactor) and for a replica push alike.
+func encodeEntry(ent *entry, cfg Config) ([]byte, error) {
 	wf := &wireFactor{
 		Key:           ent.key,
 		Matrix:        csrToWire(ent.a),
 		Procs:         cfg.Procs,
 		Seed:          cfg.Seed,
+		Params:        cfg.Params,
+		MISRounds:     cfg.MISRounds,
 		LadderStep:    ent.ladderStep,
 		Degraded:      ent.degraded,
 		Levels:        ent.levels,
@@ -493,7 +428,11 @@ func wireOfEntry(ent *entry, cfg Config) (*wireFactor, error) {
 		}
 		wf.Pieces[q] = pp.Wire()
 	}
-	return wf, nil
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(wf); err != nil {
+		return nil, fmt.Errorf("service: encoding factorization %s: %w", ent.key, err)
+	}
+	return buf.Bytes(), nil
 }
 
 // ExportFactor encodes key's factorization for a peer daemon. The entry
@@ -507,27 +446,26 @@ func (s *Server) ExportFactor(key string) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	wf, err := wireOfEntry(ent, s.cfg)
+	data, err := encodeEntry(ent, s.cfg)
 	if err != nil {
 		return nil, err
-	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(wf); err != nil {
-		return nil, fmt.Errorf("service: encoding factorization %s: %w", key, err)
 	}
 	if s.cluster != nil {
 		s.cluster.serves.Add(1)
 	}
-	return buf.Bytes(), nil
+	return data, nil
 }
 
 // importFactor decodes a peer's factorization and rebuilds a cache
-// entry around it: the matrix, layout and plan are reconstructed
-// locally (deterministic given the wire's procs and seed, which must
-// match this daemon's, and checked against the exporter's partition
-// digest), the preconditioner rows come straight off the wire, and the ghost-exchange plans are rebuilt in a local
-// shared-memory run — the only part that needs a communicator, and it
-// moves no floating-point data.
+// entry around it. Nothing on the wire is trusted before it is checked:
+// the configuration must be this daemon's, the matrix well-formed and
+// fingerprinting to the requested key, the exporter's partition the one
+// this daemon derives (its own symbolic front end — a cached analysis or
+// a fresh one — against the wire's digest), and every piece must fit the
+// plan (core.FromWire). The preconditioner rows then come straight off
+// the wire; the operators are cloned from the cached templates or, on a
+// symbolic miss, set up in a run that moves no floating-point data. The
+// caller admits the entry under its origin.
 func (s *Server) importFactor(key string, data []byte) (ent *entry, err error) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -541,47 +479,39 @@ func (s *Server) importFactor(key string, data []byte) (ent *entry, err error) {
 	if wf.Key != key {
 		return nil, fmt.Errorf("service: peer served factorization %s for requested key %s", wf.Key, key)
 	}
-	if wf.Procs != s.cfg.Procs || wf.Seed != s.cfg.Seed {
-		return nil, fmt.Errorf("service: peer factored %s with procs=%d seed=%d, this daemon runs procs=%d seed=%d — cluster members must share configuration",
-			key, wf.Procs, wf.Seed, s.cfg.Procs, s.cfg.Seed)
+	cfg := s.cfg
+	if wf.Procs != cfg.Procs || wf.Seed != cfg.Seed || wf.Params != cfg.Params || wf.MISRounds != cfg.MISRounds {
+		return nil, fmt.Errorf("service: peer factored %s with procs=%d seed=%d params=%+v mis-rounds=%d, this daemon runs procs=%d seed=%d params=%+v mis-rounds=%d — cluster members must share configuration",
+			key, wf.Procs, wf.Seed, wf.Params, wf.MISRounds, cfg.Procs, cfg.Seed, cfg.Params, cfg.MISRounds)
 	}
 	if len(wf.Pieces) != wf.Procs {
 		return nil, fmt.Errorf("service: factorization %s carries %d pieces for %d processors", key, len(wf.Pieces), wf.Procs)
 	}
-	a := csrFromWire(wf.Matrix)
+	a, err := csrFromWire(wf.Matrix)
+	if err != nil {
+		return nil, err
+	}
 	if got := sparse.Fingerprint(a); got != key {
 		return nil, fmt.Errorf("service: peer-served matrix fingerprints to %s, want %s", got, key)
 	}
 
-	g := graph.FromMatrix(a)
-	part := partition.KWay(g, s.cfg.Procs, partition.Options{Seed: s.cfg.Seed})
-	if partDigest(part) != wf.PartDigest {
+	an, err := s.analysisFor(key, a)
+	if err != nil {
+		return nil, err
+	}
+	if partDigest(an.plan.Lay.PartOf) != wf.PartDigest {
 		return nil, fmt.Errorf("service: peer partitioned %s differently from this daemon (another partitioner version, or none declared) — its pieces do not fit the local plan", key)
 	}
-	lay, err := dist.NewLayout(a.N, s.cfg.Procs, part)
+	plan, err := rungPlan(key, an, wf.LadderStep)
 	if err != nil {
-		return nil, fmt.Errorf("service: layout for imported %s: %w", key, err)
+		return nil, err
 	}
-	prem := a
-	if wf.LadderStep == "shift" {
-		prem = shiftDiagonal(a, shiftAlpha(a))
-	}
-	plan, err := core.NewPlan(prem, lay)
+	ent, setup, err := newEntry(key, an)
 	if err != nil {
-		return nil, fmt.Errorf("service: plan for imported %s: %w", key, err)
+		return nil, err
 	}
-
-	ent = &entry{
-		key:           key,
-		a:             a,
-		lay:           lay,
-		pcs:           make([]precPiece, wf.Procs),
-		mats:          make([]*dist.Matrix, wf.Procs),
-		levels:        wf.Levels,
-		factorSeconds: wf.FactorSeconds,
-		degraded:      wf.Degraded,
-		ladderStep:    wf.LadderStep,
-	}
+	ent.levels, ent.factorSeconds = wf.Levels, wf.FactorSeconds
+	ent.degraded, ent.ladderStep = wf.Degraded, wf.LadderStep
 	for q := range wf.Pieces {
 		pp, perr := core.FromWire(plan, wf.Pieces[q])
 		if perr != nil {
@@ -589,17 +519,12 @@ func (s *Server) importFactor(key string, data []byte) (ent *entry, err error) {
 		}
 		ent.pcs[q] = pp
 	}
-	if _, rerr := pcomm.Guard(realcomm.New(wf.Procs), func(c pcomm.Comm) {
-		ent.mats[c.ID()] = dist.NewMatrix(c, lay, a)
-	}); rerr != nil {
-		return nil, fmt.Errorf("service: ghost plans for imported %s: %w", key, rerr)
+	if setup != nil {
+		if _, rerr := s.run("import", key, setup); rerr != nil {
+			return nil, fmt.Errorf("service: ghost plans for imported %s: %w", key, rerr)
+		}
 	}
-
-	ent.bytes = a.SizeBytes()
-	for q := 0; q < wf.Procs; q++ {
-		ent.bytes += ent.pcs[q].SizeBytes()
-		ent.bytes += ent.mats[q].SizeBytes()
-	}
+	s.publish(an, ent.mats, false)
 	// The importing daemon now knows the matrix too: a later cache
 	// eviction can rebuild locally without resubmission.
 	s.mu.Lock()
@@ -615,7 +540,11 @@ func (s *Server) ImportMatrix(r io.Reader) (key string, known bool, err error) {
 	if err := gob.NewDecoder(io.LimitReader(r, maxMatrixWireBytes)).Decode(&w); err != nil {
 		return "", false, fmt.Errorf("service: decoding replicated matrix: %w", err)
 	}
-	return s.Submit(csrFromWire(w))
+	a, err := csrFromWire(w)
+	if err != nil {
+		return "", false, err
+	}
+	return s.Submit(a)
 }
 
 // replicateMatrix pushes a freshly submitted matrix to its owning

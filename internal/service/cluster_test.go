@@ -6,6 +6,7 @@ import (
 	"crypto/sha256"
 	"encoding/gob"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -15,7 +16,10 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/fault"
+	"repro/internal/ilu"
 	"repro/internal/matgen"
+	"repro/internal/pcomm"
 	"repro/internal/sparse"
 )
 
@@ -349,7 +353,8 @@ func TestExportUnknownAndUnexportable(t *testing.T) {
 // to the partition it derives itself, so pieces factored under any
 // other assignment — a tampered digest, or an exporter too old to send
 // one — must be refused, which sends the fetch down its failure path to
-// a local build.
+// a local build. So must a body whose key, piece count or matrix is not
+// what was asked for, before the partition is even looked at.
 func TestImportRejectsForeignPartition(t *testing.T) {
 	a := matgen.Grid2D(10, 10)
 	key := sparse.Fingerprint(a)
@@ -375,26 +380,80 @@ func TestImportRejectsForeignPartition(t *testing.T) {
 	tampered, absent := wf, wf
 	tampered.PartDigest[7] ^= 1
 	absent.PartDigest = [sha256.Size]byte{}
-	for name, w := range map[string]wireFactor{"tampered": tampered, "absent": absent} {
+	// The checks that stand before the digest are held here too, one
+	// tampering each: a body for another key, a piece short, and a sound
+	// matrix that is not the one the key names.
+	otherKey, shortPieces, otherValues := wf, wf, wf
+	otherKey.Key = "0123456789abcdef0123456789abcdef"
+	shortPieces.Pieces = wf.Pieces[:1]
+	otherValues.Matrix.Vals = append([]float64(nil), wf.Matrix.Vals...)
+	otherValues.Matrix.Vals[0] *= 2
+	for name, tc := range map[string]struct {
+		w    wireFactor
+		want string
+	}{
+		"tampered digest": {tampered, "partitioned"},
+		"absent digest":   {absent, "partitioned"},
+		"other key":       {otherKey, "for requested key"},
+		"short pieces":    {shortPieces, "carries 1 pieces for 2 processors"},
+		"other values":    {otherValues, "fingerprints to"},
+	} {
 		var buf bytes.Buffer
-		if err := gob.NewEncoder(&buf).Encode(&w); err != nil {
+		if err := gob.NewEncoder(&buf).Encode(&tc.w); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := imp.importFactor(key, buf.Bytes()); err == nil || !strings.Contains(err.Error(), "partitioned") {
-			t.Errorf("%s digest: err %v, want partition mismatch", name, err)
+		if _, err := imp.importFactor(key, buf.Bytes()); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: err %v, want %q", name, err, tc.want)
 		}
 	}
 	if _, err := imp.importFactor(key, data); err != nil {
 		t.Errorf("untouched export refused: %v", err)
 	}
+	// The accepted import published the pattern's analysis, so the same
+	// refusal must now come off the symbolic-hit path: the digest is held
+	// against the cached layout, not skipped because the analysis was.
+	before := imp.StatsSnapshot().Cache
+	if before.SymbolicEntries != 1 {
+		t.Fatalf("accepted import left %d symbolic entries, want 1", before.SymbolicEntries)
+	}
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(&tampered); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := imp.importFactor(key, buf.Bytes()); err == nil || !strings.Contains(err.Error(), "partitioned") {
+		t.Errorf("tampered digest on a warm symbolic tier: err %v, want partition mismatch", err)
+	}
+	if after := imp.StatsSnapshot().Cache; after.SymbolicHits != before.SymbolicHits+1 || after.SymbolicMisses != before.SymbolicMisses {
+		t.Errorf("the warm refusal did not go through the symbolic hit path: %+v -> %+v", before, after)
+	}
 }
 
 // TestClusterFetchOfMalformedFactorRebuildsLocally: an owner that serves
-// a factorization whose rows do not fit the plan — here an L column past
-// the matrix — costs the fetcher one failed fetch; the import returns an
-// error instead of laying out a piece that would index out of range
-// inside a run, and the solve is answered from a local build.
+// a factorization whose rows do not fit the plan (an L column past the
+// matrix) or whose matrix is not a CSR at all (a column past M) costs the
+// fetcher one failed fetch; the import returns an error — from
+// core.FromWire, from CSR.Check before the bytes are even fingerprinted —
+// instead of indexing out of range, and the solve is answered from a
+// local build.
 func TestClusterFetchOfMalformedFactorRebuildsLocally(t *testing.T) {
+	t.Run("piece", func(t *testing.T) {
+		fetchOfMalformedFactorRebuildsLocally(t, "wire precond", func(wf *wireFactor) {
+			for li, cols := range wf.Pieces[0].LCols {
+				if len(cols) > 0 {
+					wf.Pieces[0].LCols[li][0] = wf.Matrix.N + 7
+					break
+				}
+			}
+		})
+	})
+	t.Run("matrix", func(t *testing.T) {
+		fetchOfMalformedFactorRebuildsLocally(t, "malformed matrix", func(wf *wireFactor) {
+			wf.Matrix.Cols[len(wf.Matrix.Cols)/2] = wf.Matrix.M + 7
+		})
+	})
+}
+
+func fetchOfMalformedFactorRebuildsLocally(t *testing.T, wantErr string, tamper func(wf *wireFactor)) {
 	var s [2]*Server
 	corrupt := -1 // index of the server whose exports are tampered with
 	handler := func(i int) http.Handler {
@@ -414,12 +473,7 @@ func TestClusterFetchOfMalformedFactorRebuildsLocally(t *testing.T) {
 				http.Error(w, err.Error(), http.StatusInternalServerError)
 				return
 			}
-			for li, cols := range wf.Pieces[0].LCols {
-				if len(cols) > 0 {
-					wf.Pieces[0].LCols[li][0] = wf.Matrix.N + 7
-					break
-				}
-			}
+			tamper(&wf)
 			if err := gob.NewEncoder(w).Encode(&wf); err != nil {
 				t.Errorf("re-encoding the tampered export: %v", err)
 			}
@@ -477,6 +531,14 @@ func TestClusterFetchOfMalformedFactorRebuildsLocally(t *testing.T) {
 	if fs := other.StatsSnapshot().Cache; fs.Factorizations != 1 {
 		t.Errorf("fetcher ran %d local factorizations, want 1", fs.Factorizations)
 	}
+	// The failed fetch above is only a counter; name the check that made it.
+	served, err := other.cluster.getFactor(peers[corrupt], key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := other.importFactor(key, served); err == nil || !strings.Contains(err.Error(), wantErr) {
+		t.Errorf("import of the tampered export: err %v, want %q", err, wantErr)
+	}
 }
 
 // TestImportRejectsMismatchedConfig: a daemon must refuse a peer
@@ -495,14 +557,46 @@ func TestImportRejectsMismatchedConfig(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	imp := New(Config{Procs: 4, Workers: 1, Backend: "real"})
-	defer imp.Shutdown(context.Background())
-	if _, err := imp.importFactor(key, data); err == nil || !strings.Contains(err.Error(), "must share configuration") {
-		t.Fatalf("mismatched procs import: err %v, want configuration mismatch", err)
+	// The exporter ran the defaults: ILUT*(10, 1e-4, 2), MISRounds 0,
+	// Seed 0. Every field that shapes the factors is part of the shared
+	// configuration; a daemon that differs in one must refuse the bytes.
+	def := ilu.Params{M: 10, Tau: 1e-4, K: 2}
+	var imp *Server
+	for name, cfg := range map[string]Config{
+		"procs":     {Procs: 4},
+		"seed":      {Procs: 2, Seed: 5},
+		"tau":       {Procs: 2, Params: ilu.Params{M: def.M, Tau: 1e-3, K: def.K}},
+		"m":         {Procs: 2, Params: ilu.Params{M: 20, Tau: def.Tau, K: def.K}},
+		"k":         {Procs: 2, Params: ilu.Params{M: def.M, Tau: def.Tau, K: 3}},
+		"misrounds": {Procs: 2, MISRounds: 3},
+	} {
+		cfg.Workers, cfg.Backend = 1, "real"
+		imp = New(cfg)
+		defer imp.Shutdown(context.Background())
+		if _, err := imp.importFactor(key, data); err == nil || !strings.Contains(err.Error(), "must share configuration") {
+			t.Errorf("mismatched %s import: err %v, want configuration mismatch", name, err)
+		}
+	}
+	// An exporter that predates the fields sends their zero values, which
+	// no daemon runs: refused like any other mismatch.
+	var wf wireFactor
+	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&wf); err != nil {
+		t.Fatal(err)
+	}
+	if wf.Params != def || wf.MISRounds != 0 {
+		t.Fatalf("export declares params %+v / %d rounds, want the exporter's configured %+v / 0", wf.Params, wf.MISRounds, def)
+	}
+	wf.Params = ilu.Params{}
+	var old bytes.Buffer
+	if err := gob.NewEncoder(&old).Encode(&wf); err != nil {
+		t.Fatal(err)
 	}
 
 	ok := New(Config{Procs: 2, Workers: 1, Backend: "real"})
 	defer ok.Shutdown(context.Background())
+	if _, err := ok.importFactor(key, old.Bytes()); err == nil || !strings.Contains(err.Error(), "must share configuration") {
+		t.Errorf("import from an exporter without parameters: err %v, want configuration mismatch", err)
+	}
 	ent, err := ok.importFactor(key, data)
 	if err != nil {
 		t.Fatalf("matching import failed: %v", err)
@@ -512,5 +606,254 @@ func TestImportRejectsMismatchedConfig(t *testing.T) {
 	}
 	if _, err := imp.importFactor(key, data[:len(data)/2]); err == nil {
 		t.Error("truncated body import succeeded")
+	}
+}
+
+// TestImportMatrixRejectsMalformedCSR: a /v1/peer/matrix body that gob
+// decodes but is not a CSR is refused before it is fingerprinted or
+// stored — stored, it would sit under its key and fail (a recovered
+// panic) inside every build that ever touches it.
+func TestImportMatrixRejectsMalformedCSR(t *testing.T) {
+	srv := New(Config{Procs: 2, Workers: 1, Backend: "real"})
+	defer srv.Shutdown(context.Background())
+	good := matgen.Grid2D(6, 6)
+	for name, edit := range map[string]func(w *wireCSR){
+		"column past M":    func(w *wireCSR) { w.Cols[3] = w.M + 2 },
+		"short RowPtr":     func(w *wireCSR) { w.RowPtr = w.RowPtr[:w.N-1] },
+		"RowPtr overshoot": func(w *wireCSR) { w.RowPtr[w.N] = len(w.Cols) + 5 },
+		"values missing":   func(w *wireCSR) { w.Vals = w.Vals[:len(w.Vals)/2] },
+		"NaN":              func(w *wireCSR) { w.Vals[0] = math.NaN() },
+	} {
+		w := csrToWire(good.Clone())
+		edit(&w)
+		var buf bytes.Buffer
+		if err := gob.NewEncoder(&buf).Encode(w); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := srv.ImportMatrix(&buf); err == nil || !strings.Contains(err.Error(), "malformed matrix") {
+			t.Errorf("%s: err %v, want a malformed-matrix refusal", name, err)
+		}
+	}
+	if n := srv.StatsSnapshot().Matrices; n != 0 {
+		t.Errorf("%d malformed matrices were stored", n)
+	}
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(csrToWire(good)); err != nil {
+		t.Fatal(err)
+	}
+	if key, _, err := srv.ImportMatrix(&buf); err != nil || key != sparse.Fingerprint(good) {
+		t.Errorf("sound matrix: key %s, err %v", key, err)
+	}
+}
+
+// shiftRungMatrix returns a matrix whose configured factorization breaks
+// down and whose "shift" rung succeeds: a grid block plus enough
+// decoupled rows with an explicit zero diagonal that more than a quarter
+// of all pivots need the floor repair — until the shift gives each a
+// diagonal. (The pivot fault of chaos_test.go cannot stop there: it
+// scales the pivots of every distributed rung alike and lands on
+// block-Jacobi, which has no wire form.) scale multiplies every value,
+// so two scales share one pattern. The system is consistent for a
+// right-hand side that is zero on the decoupled rows.
+func shiftRungMatrix(scale float64) (a *sparse.CSR, coupled int) {
+	g := matgen.Grid2D(12, 12)
+	n := g.N + 80
+	b := sparse.NewBuilder(n, n)
+	for i := 0; i < g.N; i++ {
+		cols, vals := g.Row(i)
+		for k, j := range cols {
+			b.Add(i, j, scale*vals[k])
+		}
+	}
+	for i := g.N; i < n; i++ {
+		b.Add(i, i, 0)
+	}
+	return b.Build(), g.N
+}
+
+// TestImportThroughSymbolicLRUIsTheSameImport: build, peer fetch and
+// replica import share the symbolic front end, so the first import of a
+// pattern records a miss and publishes the analysis, the second — other
+// values, same pattern — a hit, and neither counts as a factorization or
+// a refactor build. What matters is that the route changes nothing: both
+// imported entries solve bitwise like the owner's and like an import into
+// a daemon whose symbolic tier is cold. Run for a configured
+// factorization and for a "shift"-rung one, whose plan is not the
+// analysis's.
+func TestImportThroughSymbolicLRUIsTheSameImport(t *testing.T) {
+	grid := matgen.Evolve(matgen.Grid2D(12, 12), 2, 0.1, 3)
+	shiftA, coupled := shiftRungMatrix(1)
+	shiftB, _ := shiftRungMatrix(1.25)
+	for _, tc := range []struct {
+		step string
+		mats []*sparse.CSR
+		live int // rows with a non-zero right-hand side
+	}{
+		{"", grid[:2], grid[0].N},
+		{"shift", []*sparse.CSR{shiftA, shiftB}, coupled},
+	} {
+		t.Run("rung="+tc.step, func(t *testing.T) {
+			cfg := chaosConfig(t, "")
+			b := rhs(tc.mats[0].N, 11)
+			for i := tc.live; i < len(b); i++ {
+				b[i] = 0
+			}
+			owner := New(cfg)
+			defer owner.Shutdown(context.Background())
+			var keys []string
+			var exports [][]byte
+			var want []SolveResult
+			for _, a := range tc.mats {
+				key, _, err := owner.Submit(a)
+				if err != nil {
+					t.Fatal(err)
+				}
+				res, err := owner.Solve(context.Background(), key, b, SolveOptions{Tol: 1e-8})
+				if err != nil || !res.Converged || res.LadderStep != tc.step {
+					t.Fatalf("owner solve: converged=%v step=%q err=%v, want rung %q", res.Converged, res.LadderStep, err, tc.step)
+				}
+				data, err := owner.ExportFactor(key)
+				if err != nil {
+					t.Fatal(err)
+				}
+				keys, exports, want = append(keys, key), append(exports, data), append(want, res)
+			}
+			if keys[0] == keys[1] || sparse.PatternFingerprint(tc.mats[0]) != sparse.PatternFingerprint(tc.mats[1]) {
+				t.Fatal("test matrices must differ in values only")
+			}
+
+			// importAndSolve is what peerFetch and ImportReplica do with the
+			// bytes, then a solve through the admitted entry.
+			importAndSolve := func(s *Server, i int) (*entry, SolveResult) {
+				t.Helper()
+				ent, err := s.importFactor(keys[i], exports[i])
+				if err != nil {
+					t.Fatalf("import %d: %v", i, err)
+				}
+				s.admit(ent, originPeer)
+				res, err := s.Solve(context.Background(), keys[i], b, SolveOptions{Tol: 1e-8})
+				if err != nil || !res.CacheHit {
+					t.Fatalf("solve through import %d: hit=%v err=%v", i, res.CacheHit, err)
+				}
+				return ent, res
+			}
+			imp := New(cfg)
+			defer imp.Shutdown(context.Background())
+			ent0, got0 := importAndSolve(imp, 0)
+			first := imp.StatsSnapshot().Cache
+			if ent0.symbolicHit || first.SymbolicMisses != 1 || first.SymbolicHits != 0 || first.SymbolicEntries != 1 {
+				t.Fatalf("first import: hit=%v stats %+v, want one symbolic miss that published the analysis", ent0.symbolicHit, first)
+			}
+			ent1, got1 := importAndSolve(imp, 1)
+			second := imp.StatsSnapshot().Cache
+			if !ent1.symbolicHit || second.SymbolicHits != 1 || second.SymbolicMisses != 1 {
+				t.Fatalf("second import: hit=%v stats %+v, want a symbolic hit and no new miss", ent1.symbolicHit, second)
+			}
+			if second.RefactorBuilds != 0 || second.Factorizations != 0 {
+				t.Errorf("imports counted as builds: %d refactor builds, %d factorizations", second.RefactorBuilds, second.Factorizations)
+			}
+			if ent1.ladderStep != tc.step || ent1.degraded != (tc.step != "") {
+				t.Errorf("imported entry is rung %q degraded=%v, want %q", ent1.ladderStep, ent1.degraded, tc.step)
+			}
+
+			cold := New(cfg)
+			defer cold.Shutdown(context.Background())
+			entCold, gotCold := importAndSolve(cold, 1)
+			if entCold.symbolicHit {
+				t.Fatal("the cold importer reports a symbolic hit")
+			}
+			for i, got := range []SolveResult{got0, got1} {
+				if !bitsEqual(got.X, want[i].X) || got.Iterations != want[i].Iterations {
+					t.Errorf("import %d solves differently from the owner (iterations %d vs %d)", i, got.Iterations, want[i].Iterations)
+				}
+			}
+			if !bitsEqual(gotCold.X, got1.X) || gotCold.Iterations != got1.Iterations {
+				t.Error("an import through a warm symbolic tier solves differently from one through a cold tier")
+			}
+		})
+	}
+}
+
+// TestImportReplicaRefusals: a replica push is an import like any other —
+// a daemon outside a cluster takes none, a body that fails importFactor
+// is an error and caches nothing — and a key already cached answers
+// known without the body being read at all.
+func TestImportReplicaRefusals(t *testing.T) {
+	a := matgen.Grid2D(10, 10)
+	key := sparse.Fingerprint(a)
+	alone := New(Config{Procs: 2, Workers: 1, Backend: "real"})
+	defer alone.Shutdown(context.Background())
+	if _, _, err := alone.Submit(a); err != nil {
+		t.Fatal(err)
+	}
+	data, err := alone.ExportFactor(key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := alone.ImportReplica(key, bytes.NewReader(data)); err == nil || !strings.Contains(err.Error(), "not a cluster member") {
+		t.Errorf("standalone daemon: err %v, want not-a-member", err)
+	}
+
+	member := New(Config{Procs: 2, Workers: 1, Backend: "real", Cluster: &ClusterConfig{
+		Self: "http://a", Peers: []string{"http://a"}, ProbeInterval: -1, Replicas: -1,
+	}})
+	defer member.Shutdown(context.Background())
+	if _, err := member.ImportReplica(key, strings.NewReader("not gob")); err == nil {
+		t.Error("garbage replica body accepted")
+	}
+	if _, err := member.ImportReplica("another-key", bytes.NewReader(data)); err == nil || !strings.Contains(err.Error(), "for requested key") {
+		t.Errorf("replica pushed under another key: err %v", err)
+	}
+	if st := member.StatsSnapshot(); st.Cache.Entries != 0 || st.Cluster.ReplicaImports != 0 {
+		t.Fatalf("refused pushes left %d entries, %d imports", st.Cache.Entries, st.Cluster.ReplicaImports)
+	}
+	if known, err := member.ImportReplica(key, bytes.NewReader(data)); err != nil || known {
+		t.Fatalf("sound push: known=%v err=%v", known, err)
+	}
+	if known, err := member.ImportReplica(key, strings.NewReader("not gob")); err != nil || !known {
+		t.Errorf("repeated push: known=%v err=%v, want known without decoding", known, err)
+	}
+	if st := member.StatsSnapshot(); st.Cache.Entries != 1 || st.Cluster.ReplicaImports != 1 || st.Cache.Factorizations != 0 {
+		t.Errorf("after one sound push: %+v / %+v", st.Cache, st.Cluster)
+	}
+}
+
+// TestImportRunFailureIsAFailedImport: the one run an import may need —
+// the ghost-plan setup of a symbolic miss — is a run like any other, on
+// the configured backend under the fault layer and the watchdog. A
+// processor that dies in it fails the import with the structured error
+// (a fetch then falls back to a local build, as for every failed import),
+// caches and publishes nothing, and leaves the daemon importing cleanly
+// once the one-shot fault is spent.
+func TestImportRunFailureIsAFailedImport(t *testing.T) {
+	a := matgen.Grid2D(12, 12)
+	key := sparse.Fingerprint(a)
+	exp := New(chaosConfig(t, ""))
+	defer exp.Shutdown(context.Background())
+	if _, _, err := exp.Submit(a); err != nil {
+		t.Fatal(err)
+	}
+	data, err := exp.ExportFactor(key)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	imp := New(chaosConfig(t, "seed=1,panic=1@1"))
+	defer imp.Shutdown(context.Background())
+	_, err = imp.importFactor(key, data)
+	var ip *fault.InjectedPanic
+	var re *pcomm.RunError
+	if !errors.As(err, &ip) || !errors.As(err, &re) || re.Rank != 1 {
+		t.Fatalf("import under a panic fault: err %v, want the injected panic of rank 1 in a *pcomm.RunError", err)
+	}
+	if st := imp.StatsSnapshot().Cache; st.SymbolicEntries != 0 || st.Entries != 0 {
+		t.Errorf("the failed import left %d analyses and %d entries behind", st.SymbolicEntries, st.Entries)
+	}
+	ent, err := imp.importFactor(key, data)
+	if err != nil || ent.symbolicHit {
+		t.Fatalf("import after the spent fault: hit=%v err=%v", ent != nil && ent.symbolicHit, err)
+	}
+	if st := imp.StatsSnapshot().Cache; st.SymbolicEntries != 1 || st.SymbolicMisses != 2 {
+		t.Errorf("after the clean import: %+v, want the analysis published on the second miss", st)
 	}
 }

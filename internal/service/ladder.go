@@ -23,18 +23,119 @@ import (
 // immediately: retrying cannot help and the caller needs the real error.
 var ladderRungs = []string{"", "shift", "relaxed", "blockjacobi"}
 
+// analysis is what the symbolic front end hands every route to a cache
+// entry: the elimination plan bound to one value set, and where its
+// pattern-only half came from.
+type analysis struct {
+	plan *core.Plan
+	// mats are the cached ghost-exchange templates of a symbolic hit; nil
+	// marks a miss, when the operators must be set up in a run.
+	mats []*dist.Matrix
+}
+
+// analysisFor is the symbolic front end: PILUT's steps 1–2 (partition,
+// layout, interior/interface classification, interior numbering) for a,
+// which are a pure function of the sparsity pattern and (Procs, Seed).
+// They are looked up in the pattern-keyed symbolic tier first: a hit
+// only binds a's values; a miss analyzes from scratch. Local builds and
+// imports of a peer's factorization both start here, so both fill and
+// both profit from the same tier. The server lock is taken only around
+// the lookup.
+func (s *Server) analysisFor(key string, a *sparse.CSR) (*analysis, error) {
+	patternKey := sparse.PatternFingerprint(a)
+	s.mu.Lock()
+	se, ok := s.symbolic.lookup(patternKey)
+	s.mu.Unlock()
+	if ok {
+		// Bind re-checks the exact pattern; a failure (can only be a
+		// fingerprint collision) falls back to a fresh analysis rather
+		// than failing the caller.
+		if plan, err := se.sym.Bind(a); err == nil {
+			return &analysis{plan: plan, mats: se.mats}, nil
+		}
+	}
+	g := graph.FromMatrix(a)
+	part := partition.KWay(g, s.cfg.Procs, partition.Options{Seed: s.cfg.Seed})
+	lay, err := dist.NewLayout(a.N, s.cfg.Procs, part)
+	if err != nil {
+		return nil, fmt.Errorf("service: layout for %s: %w", key, err)
+	}
+	sym, err := core.Analyze(a, lay)
+	if err != nil {
+		return nil, fmt.Errorf("service: symbolic analysis for %s: %w", key, err)
+	}
+	plan, err := sym.Bind(a)
+	if err != nil {
+		return nil, fmt.Errorf("service: elimination plan for %s: %w", key, err)
+	}
+	return &analysis{plan: plan}, nil
+}
+
+// publish records the analysis an entry was just finished under: a miss
+// enters the symbolic tier with the entry's operators as its templates,
+// a hit is already there. built marks a local numeric build, the only
+// kind RefactorBuilds counts — an import factors nothing.
+func (s *Server) publish(an *analysis, mats []*dist.Matrix, built bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	switch {
+	case an.mats == nil:
+		sym := an.plan.Symbolic
+		s.symbolic.insert(sym.PatternKey, &symEntry{sym: sym, mats: mats}, sym.SizeBytes())
+	case built:
+		s.refactors++
+	}
+}
+
+// rungPlan returns the plan a ladder rung's pieces are laid out under.
+// Only "shift" differs from the analysis: the shift may create diagonal
+// entries the pattern lacks, so that rung plans the shifted matrix from
+// scratch (same layout) and cannot reuse the symbolic analysis.
+func rungPlan(key string, an *analysis, step string) (*core.Plan, error) {
+	if step != "shift" {
+		return an.plan, nil
+	}
+	a := an.plan.A
+	plan, err := core.NewPlan(shiftDiagonal(a, shiftAlpha(a)), an.plan.Lay)
+	if err != nil {
+		return nil, fmt.Errorf("service: shifted elimination plan for %s: %w", key, err)
+	}
+	return plan, nil
+}
+
+// newEntry starts the cache entry for a under an: everything but the
+// preconditioner pieces. The distributed operator the solves apply is
+// always the original a — a degraded preconditioner must never change
+// which system is being solved. On a symbolic hit the operators are
+// cloned serially from the cached templates (CloneFor communicates
+// nothing) and setup is nil; on a miss setup is the ghost-plan exchange
+// each processor of the caller's run must execute.
+func newEntry(key string, an *analysis) (ent *entry, setup func(pcomm.Comm), err error) {
+	a, lay := an.plan.A, an.plan.Lay
+	ent = &entry{
+		key:         key,
+		a:           a,
+		lay:         lay,
+		pcs:         make([]precPiece, lay.P),
+		mats:        make([]*dist.Matrix, lay.P),
+		symbolicHit: an.mats != nil,
+	}
+	if an.mats == nil {
+		return ent, func(proc pcomm.Comm) { ent.mats[proc.ID()] = dist.NewMatrix(proc, lay, a) }, nil
+	}
+	for q := range ent.mats {
+		if ent.mats[q], err = an.mats[q].CloneFor(a); err != nil {
+			return nil, nil, fmt.Errorf("service: operator clone for %s: %w", key, err)
+		}
+	}
+	return ent, nil, nil
+}
+
 // buildEntry plans and factors a on cfg.Procs virtual processors,
-// climbing the recovery ladder on numerical breakdown when
-// cfg.DisableLadder is unset. The symbolic phase (graph, partition,
-// layout, interior/interface analysis, ghost-exchange templates) is
-// looked up in the pattern-keyed symbolic cache first: a hit skips it
-// entirely and only the numeric refactorization runs; a miss analyzes
-// from scratch and publishes the analysis for the next same-pattern
-// build. It runs on a worker goroutine; the server lock is taken only
-// around the symbolic cache accesses. Any failed factorization surfaces
-// as an error, never a panic or a process death.
+// climbing the recovery ladder on numerical breakdown. It runs on a
+// worker goroutine. Any failed factorization surfaces as an error, never
+// a panic or a process death.
 func (s *Server) buildEntry(key string, a *sparse.CSR) (ent *entry, err error) {
-	cfg := s.cfg
 	// The serial phases (graph, partition, analysis, diagonal shift) can
 	// panic on a malformed matrix; pcomm.Guard only covers the machine
 	// run, so catch those here and surface an error.
@@ -44,63 +145,15 @@ func (s *Server) buildEntry(key string, a *sparse.CSR) (ent *entry, err error) {
 			err = fmt.Errorf("service: factorization of %s failed: %v", key, r)
 		}
 	}()
-
-	patternKey := sparse.PatternFingerprint(a)
-	s.mu.Lock()
-	se, symHit := s.symbolic.lookup(patternKey)
-	s.mu.Unlock()
-
-	var sym *core.Symbolic
-	var plan *core.Plan
-	var matTemplates []*dist.Matrix
-	if symHit {
-		// Bind re-checks the exact pattern; a failure (can only be a
-		// fingerprint collision) falls back to a fresh analysis rather
-		// than failing the build.
-		if plan, err = se.sym.Bind(a); err == nil {
-			sym, matTemplates = se.sym, se.mats
-		} else {
-			symHit = false
-		}
-	}
-	if !symHit {
-		g := graph.FromMatrix(a)
-		part := partition.KWay(g, cfg.Procs, partition.Options{Seed: cfg.Seed})
-		lay, lerr := dist.NewLayout(a.N, cfg.Procs, part)
-		if lerr != nil {
-			return nil, fmt.Errorf("service: layout for %s: %w", key, lerr)
-		}
-		if sym, err = core.Analyze(a, lay); err != nil {
-			return nil, fmt.Errorf("service: symbolic analysis for %s: %w", key, err)
-		}
-		if plan, err = sym.Bind(a); err != nil {
-			return nil, fmt.Errorf("service: elimination plan for %s: %w", key, err)
-		}
-	}
-
-	rungs := ladderRungs
-	if cfg.DisableLadder {
-		rungs = rungs[:1]
+	an, err := s.analysisFor(key, a)
+	if err != nil {
+		return nil, err
 	}
 	var lastErr error
-	for i, step := range rungs {
-		ent, err := buildRung(key, a, plan, cfg, step, matTemplates)
+	for i, step := range ladderRungs {
+		ent, err := s.buildRung(key, an, step)
 		if err == nil {
-			ent.degraded = step != ""
-			ent.ladderStep = step
-			ent.symbolicHit = symHit
-			s.mu.Lock()
-			if symHit {
-				s.symbolic.refactors++
-			} else {
-				s.symbolic.insert(&symEntry{
-					patternKey: patternKey,
-					sym:        sym,
-					mats:       ent.mats,
-					bytes:      sym.SizeBytes(),
-				})
-			}
-			s.mu.Unlock()
+			s.publish(an, ent.mats, true)
 			return ent, nil
 		}
 		lastErr = err
@@ -108,37 +161,24 @@ func (s *Server) buildEntry(key string, a *sparse.CSR) (ent *entry, err error) {
 		if !errors.As(err, &bd) {
 			return nil, err
 		}
-		if i < len(rungs)-1 {
-			s.stats.ladderRetry()
+		if i < len(ladderRungs)-1 {
+			s.stats.count(&s.stats.v.LadderRetries)
 		}
 	}
 	return nil, fmt.Errorf("service: recovery ladder exhausted for %s: %w", key, lastErr)
 }
 
-// buildRung runs one ladder rung against the bound plan. The
-// preconditioner is factored from the rung's (possibly shifted) matrix,
-// but the distributed operator the solves apply is always the original
-// a — a degraded preconditioner must never change which system is being
-// solved. A non-nil matTemplates reuses the cached ghost-exchange plans:
-// the distributed operators are cloned serially (CloneFor communicates
-// nothing) and the run skips the dist.NewMatrix setup exchange.
-func buildRung(key string, a *sparse.CSR, plan *core.Plan, cfg Config, step string, matTemplates []*dist.Matrix) (*entry, error) {
-	lay := plan.Lay
+// buildRung runs one ladder rung: the preconditioner is factored from
+// the rung's (possibly shifted) plan in the same run that sets up the
+// operators.
+func (s *Server) buildRung(key string, an *analysis, step string) (*entry, error) {
+	cfg := s.cfg
 	params := cfg.Params
 	if cfg.Faults != nil {
 		params.PivotPerturb = cfg.Faults.PivotScale
 	}
 	maxRepair := cfg.MaxRepairRate
 	switch step {
-	case "shift":
-		// The shift may create diagonal entries the pattern lacks, so
-		// this rung cannot reuse the symbolic analysis: it plans the
-		// shifted matrix from scratch (same layout).
-		prem := shiftDiagonal(a, shiftAlpha(a))
-		var perr error
-		if plan, perr = core.NewPlan(prem, lay); perr != nil {
-			return nil, fmt.Errorf("service: elimination plan for %s: %w", key, perr)
-		}
 	case "relaxed":
 		params.Tau /= 10
 		if params.M > 0 {
@@ -153,32 +193,18 @@ func buildRung(key string, a *sparse.CSR, plan *core.Plan, cfg Config, step stri
 		params.PivotPerturb = 0
 		maxRepair = 0
 	}
+	plan, err := rungPlan(key, an, step)
+	if err != nil {
+		return nil, err
+	}
+	ent, setup, err := newEntry(key, an)
+	if err != nil {
+		return nil, err
+	}
+	ent.degraded, ent.ladderStep = step != "", step
 
-	ent := &entry{
-		key:  key,
-		a:    a,
-		lay:  lay,
-		pcs:  make([]precPiece, cfg.Procs),
-		mats: make([]*dist.Matrix, cfg.Procs),
-	}
-	if matTemplates != nil {
-		for q := 0; q < cfg.Procs; q++ {
-			dm, cerr := matTemplates[q].CloneFor(a)
-			if cerr != nil {
-				return nil, fmt.Errorf("service: operator clone for %s: %w", key, cerr)
-			}
-			ent.mats[q] = dm
-		}
-	}
-
-	m := cfg.mustWorld()
-	m.SetWatchdog(cfg.Watchdog)
-	rec := newRunRecorder(cfg)
-	if rec != nil {
-		m.SetRecorder(rec)
-	}
 	bjErrs := make([]error, cfg.Procs)
-	res, runErr := pcomm.Guard(m, func(proc pcomm.Comm) {
+	res, runErr := s.run("factor", key, func(proc pcomm.Comm) {
 		if step == "blockjacobi" {
 			bj, err := core.FactorBlockJacobi(proc, plan, params)
 			if err != nil {
@@ -194,11 +220,10 @@ func buildRung(key string, a *sparse.CSR, plan *core.Plan, cfg Config, step stri
 				MaxRepairRate: maxRepair,
 			})
 		}
-		if matTemplates == nil {
-			ent.mats[proc.ID()] = dist.NewMatrix(proc, lay, a)
+		if setup != nil {
+			setup(proc)
 		}
 	})
-	writeRunTrace(cfg.TraceDir, "factor", key, rec)
 	if runErr != nil {
 		return nil, fmt.Errorf("service: factorization of %s failed: %w", key, runErr)
 	}
@@ -210,12 +235,6 @@ func buildRung(key string, a *sparse.CSR, plan *core.Plan, cfg Config, step stri
 	ent.factorSeconds = res.Elapsed
 	if pp, ok := ent.pcs[0].(*core.ProcPrecond); ok {
 		ent.levels = pp.NumLevels()
-	}
-
-	ent.bytes = a.SizeBytes()
-	for q := 0; q < cfg.Procs; q++ {
-		ent.bytes += ent.pcs[q].SizeBytes()
-		ent.bytes += ent.mats[q].SizeBytes()
 	}
 	return ent, nil
 }

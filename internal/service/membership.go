@@ -17,13 +17,8 @@ package service
 // exactly how split views go unnoticed.
 
 import (
-	"bytes"
-	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
-	"net/http"
 	"net/url"
 	"sort"
 	"sync"
@@ -331,92 +326,6 @@ func (ms *membership) counts() (alive, suspect, dead, left int) {
 		}
 	}
 	return alive, suspect, dead, left
-}
-
-// getView fetches a peer's current view; the probe loop uses it both as
-// the liveness check and as anti-entropy (the answer merges into the
-// local view, so independently observed deaths and joins converge).
-func (cl *cluster) getView(peer string) (View, error) {
-	ctx, cancel := context.WithTimeout(context.Background(), cl.timeout)
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, peer+"/v1/cluster/view", nil)
-	if err != nil {
-		return View{}, err
-	}
-	cl.authorize(req)
-	resp, err := cl.client.Do(req)
-	if err != nil {
-		return View{}, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return View{}, &peerStatusError{peer: peer, op: "view probe", code: resp.StatusCode}
-	}
-	var v View
-	if err := json.NewDecoder(io.LimitReader(resp.Body, 1<<20)).Decode(&v); err != nil {
-		return View{}, fmt.Errorf("service: decoding view from %s: %w", peer, err)
-	}
-	return v, nil
-}
-
-// postView pushes a view to one peer (join/leave broadcast). The peer
-// merges it and answers its own; merging the answer back closes the loop
-// one gossip round earlier than waiting for the next probe.
-func (cl *cluster) postView(peer string, v View) (View, error) {
-	body, err := json.Marshal(v)
-	if err != nil {
-		return View{}, fmt.Errorf("service: encoding view for %s: %w", peer, err)
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), cl.timeout)
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, peer+"/v1/cluster/view", bytes.NewReader(body))
-	if err != nil {
-		return View{}, err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	cl.authorize(req)
-	resp, err := cl.client.Do(req)
-	if err != nil {
-		return View{}, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return View{}, &peerStatusError{peer: peer, op: "view push", code: resp.StatusCode}
-	}
-	var out View
-	if err := json.NewDecoder(io.LimitReader(resp.Body, 1<<20)).Decode(&out); err != nil {
-		return View{}, fmt.Errorf("service: decoding view answer from %s: %w", peer, err)
-	}
-	return out, nil
-}
-
-// postJoin asks a seed member to admit url, answering the seed's view.
-func (cl *cluster) postJoin(seed, joiner string) (View, error) {
-	body, err := json.Marshal(map[string]string{"url": joiner})
-	if err != nil {
-		return View{}, fmt.Errorf("service: encoding join request: %w", err)
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), cl.timeout)
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, seed+"/v1/cluster/join", bytes.NewReader(body))
-	if err != nil {
-		return View{}, err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	cl.authorize(req)
-	resp, err := cl.client.Do(req)
-	if err != nil {
-		return View{}, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return View{}, &peerStatusError{peer: seed, op: "join", code: resp.StatusCode}
-	}
-	var v View
-	if err := json.NewDecoder(io.LimitReader(resp.Body, 1<<20)).Decode(&v); err != nil {
-		return View{}, fmt.Errorf("service: decoding join answer from %s: %w", seed, err)
-	}
-	return v, nil
 }
 
 // probeLoop is the membership heartbeat: every ProbeInterval it probes

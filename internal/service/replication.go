@@ -7,7 +7,9 @@ package service
 // bytes — becomes the new owner the moment the view writes the old one
 // off, and a solve there is a cache hit, not a rebuild. On every view
 // change each daemon re-walks its cache, claims keys it now owns, and
-// re-replicates them to the current successor set.
+// re-replicates them to the current successor set. The one peer HTTP
+// operation every cluster exchange goes through (call) and its wrappers
+// live here too.
 //
 // This file is under the errdrop analyzer's strict cluster boundary:
 // every error from the net/http, io and encoding layers must be handled
@@ -17,7 +19,7 @@ package service
 import (
 	"bytes"
 	"context"
-	"encoding/gob"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -46,6 +48,150 @@ type peerStatusError struct {
 
 func (e *peerStatusError) Error() string {
 	return fmt.Sprintf("service: peer %s answered %d to %s", e.peer, e.code, e.op)
+}
+
+// errPeerMiss reports the owner answered cleanly but had nothing to
+// serve (unknown matrix or an unexportable block-Jacobi entry): the
+// peer is healthy, the fetcher just builds locally.
+var errPeerMiss = errors.New("service: peer does not have the factorization")
+
+// call is the one peer HTTP operation every cluster exchange goes
+// through: method on peer+path with an optional body, bounded by the op
+// timeout and carrying the cluster token. It answers the status and at
+// most limit bytes of the response body; the rest is drained (bounded)
+// so the connection can be reused. err is a transport failure only — the
+// wrappers below decide what a status means.
+func (cl *cluster) call(method, peer, path string, body []byte, limit int64) (status int, data []byte, err error) {
+	ctx, cancel := context.WithTimeout(context.Background(), cl.timeout)
+	defer cancel()
+	var rd io.Reader
+	if body != nil {
+		rd = bytes.NewReader(body)
+	}
+	req, err := http.NewRequestWithContext(ctx, method, peer+path, rd)
+	if err != nil {
+		return 0, nil, err
+	}
+	cl.authorize(req)
+	resp, err := cl.client.Do(req)
+	if err != nil {
+		return 0, nil, err
+	}
+	defer resp.Body.Close()
+	if data, err = io.ReadAll(io.LimitReader(resp.Body, limit)); err != nil {
+		return 0, nil, fmt.Errorf("service: reading answer of %s %s%s: %w", method, peer, path, err)
+	}
+	if _, err = io.Copy(io.Discard, io.LimitReader(resp.Body, maxDrainBytes)); err != nil {
+		return 0, nil, fmt.Errorf("service: draining answer of %s %s%s: %w", method, peer, path, err)
+	}
+	return resp.StatusCode, data, nil
+}
+
+// maxDrainBytes bounds what call reads past the caller's limit to keep a
+// connection reusable; beyond it, closing is cheaper than reading.
+const maxDrainBytes = 1 << 16
+
+// maxViewBytes bounds the JSON answers of the membership endpoints.
+const maxViewBytes = 1 << 20
+
+// callOK is call for the exchanges whose only good answer is 200: any
+// other status becomes a *peerStatusError naming op.
+func (cl *cluster) callOK(method, peer, path, op string, body []byte, limit int64) ([]byte, error) {
+	status, data, err := cl.call(method, peer, path, body, limit)
+	if err != nil {
+		return nil, err
+	}
+	if status != http.StatusOK {
+		return nil, &peerStatusError{peer: peer, op: op, code: status}
+	}
+	return data, nil
+}
+
+// callView is callOK for the membership endpoints: an optional JSON
+// request body in, the peer's view out.
+func (cl *cluster) callView(method, peer, path, op string, in any) (View, error) {
+	var body []byte
+	if in != nil {
+		var err error
+		if body, err = json.Marshal(in); err != nil {
+			return View{}, fmt.Errorf("service: encoding %s for %s: %w", op, peer, err)
+		}
+	}
+	data, err := cl.callOK(method, peer, path, op, body, maxViewBytes)
+	if err != nil {
+		return View{}, err
+	}
+	var v View
+	if err := json.Unmarshal(data, &v); err != nil {
+		return View{}, fmt.Errorf("service: decoding %s answer from %s: %w", op, peer, err)
+	}
+	return v, nil
+}
+
+// getFactor fetches key's encoded factorization from peer; a 404 is the
+// clean miss.
+func (cl *cluster) getFactor(peer, key string) ([]byte, error) {
+	status, data, err := cl.call(http.MethodGet, peer, "/v1/peer/factor/"+url.PathEscape(key), nil, maxMatrixWireBytes)
+	switch {
+	case err != nil:
+		return nil, err
+	case status == http.StatusNotFound:
+		return nil, errPeerMiss
+	case status != http.StatusOK:
+		return nil, &peerStatusError{peer: peer, op: "factor fetch", code: status}
+	}
+	return data, nil
+}
+
+// putMatrix replicates a matrix body to its owner.
+func (cl *cluster) putMatrix(peer string, body []byte) error {
+	_, err := cl.callOK(http.MethodPost, peer, "/v1/peer/matrix", "matrix replication", body, 0)
+	return err
+}
+
+// putReplica pushes an encoded factorization to one successor.
+func (cl *cluster) putReplica(peer, key string, body []byte) error {
+	_, err := cl.callOK(http.MethodPost, peer, "/v1/peer/replica/"+url.PathEscape(key), "replica push", body, 0)
+	return err
+}
+
+// probeHealth asks one peer for its local (non-aggregated) health. The
+// status in the body is the answer whatever the HTTP code: a draining
+// peer says so under a 503.
+func (cl *cluster) probeHealth(peer string) (string, error) {
+	status, data, err := cl.call(http.MethodGet, peer, "/healthz?scope=local", nil, maxViewBytes)
+	if err != nil {
+		return "", err
+	}
+	var h struct {
+		Status string `json:"status"`
+	}
+	if err := json.Unmarshal(data, &h); err != nil {
+		return "", err
+	}
+	if h.Status == "" {
+		return "", fmt.Errorf("peer answered %d with no status", status)
+	}
+	return h.Status, nil
+}
+
+// getView fetches a peer's current view; the probe loop uses it both as
+// the liveness check and as anti-entropy (the answer merges into the
+// local view, so independently observed deaths and joins converge).
+func (cl *cluster) getView(peer string) (View, error) {
+	return cl.callView(http.MethodGet, peer, "/v1/cluster/view", "view probe", nil)
+}
+
+// postView pushes a view to one peer (join/leave broadcast). The peer
+// merges it and answers its own; merging the answer back closes the loop
+// one gossip round earlier than waiting for the next probe.
+func (cl *cluster) postView(peer string, v View) (View, error) {
+	return cl.callView(http.MethodPost, peer, "/v1/cluster/view", "view push", v)
+}
+
+// postJoin asks a seed member to admit joiner, answering the seed's view.
+func (cl *cluster) postJoin(seed, joiner string) (View, error) {
+	return cl.callView(http.MethodPost, seed, "/v1/cluster/join", "join", map[string]string{"url": joiner})
 }
 
 // transientFetchErr splits peer-operation failures into transient (worth
@@ -161,34 +307,9 @@ func (s *Server) peerFetch(key string) (*entry, bool) {
 			cl.fetchFailures.Add(1)
 			continue
 		}
-		ent.origin = originPeer
 		cl.fetchHits.Add(1)
 		return ent, true
 	}
-}
-
-// putReplica pushes an encoded factorization to one successor.
-func (cl *cluster) putReplica(peer, key string, body []byte) error {
-	ctx, cancel := context.WithTimeout(context.Background(), cl.timeout)
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, peer+"/v1/peer/replica/"+url.PathEscape(key), bytes.NewReader(body))
-	if err != nil {
-		return err
-	}
-	req.Header.Set("Content-Type", "application/octet-stream")
-	cl.authorize(req)
-	resp, err := cl.client.Do(req)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return &peerStatusError{peer: peer, op: "replica push", code: resp.StatusCode}
-	}
-	if _, err := io.Copy(io.Discard, resp.Body); err != nil {
-		return fmt.Errorf("service: draining replica answer from %s: %w", peer, err)
-	}
-	return nil
 }
 
 // pushReplicas sends ent to the current HRW successors of its key.
@@ -200,12 +321,11 @@ func (cl *cluster) putReplica(peer, key string, body []byte) error {
 // a stable view must not strand a factor without its redundancy.
 func (s *Server) pushReplicas(ent *entry) {
 	cl := s.cluster
-	wf, err := wireOfEntry(ent, s.cfg)
-	if err != nil {
-		return // not exportable; nothing to protect
+	body, err := encodeEntry(ent, s.cfg)
+	if errors.Is(err, ErrNotExportable) {
+		return // nothing to protect
 	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(wf); err != nil {
+	if err != nil {
 		cl.replicaPushFailures.Add(1)
 		return
 	}
@@ -218,7 +338,7 @@ func (s *Server) pushReplicas(ent *entry) {
 			landed = false
 			continue
 		}
-		if err := cl.putReplica(peer, ent.key, buf.Bytes()); err != nil {
+		if err := cl.putReplica(peer, ent.key, body); err != nil {
 			cl.replicaPushFailures.Add(1)
 			cl.peerDown(peer)
 			landed = false
@@ -254,7 +374,7 @@ func (s *Server) retryPendingReplicas() {
 	sort.Strings(keys)
 	for _, key := range keys {
 		s.mu.Lock()
-		ent, ok := s.cache.entries[key]
+		it, ok := s.cache.items[key]
 		s.mu.Unlock()
 		if !ok || cl.replicas <= 0 || cl.owner(key) != cl.self {
 			// Evicted, replication off, or ownership moved — the push is
@@ -264,7 +384,7 @@ func (s *Server) retryPendingReplicas() {
 			cl.mu.Unlock()
 			continue
 		}
-		s.pushReplicas(ent)
+		s.pushReplicas(it.val)
 	}
 }
 
@@ -291,7 +411,7 @@ func (s *Server) ImportReplica(key string, r io.Reader) (known bool, err error) 
 		return false, errors.New("service: this daemon is not a cluster member")
 	}
 	s.mu.Lock()
-	_, have := s.cache.entries[key]
+	_, have := s.cache.items[key]
 	s.mu.Unlock()
 	if have {
 		return true, nil
@@ -304,10 +424,7 @@ func (s *Server) ImportReplica(key string, r io.Reader) (known bool, err error) 
 	if err != nil {
 		return false, err
 	}
-	ent.origin = originReplica
-	s.mu.Lock()
-	s.cache.insert(ent)
-	s.mu.Unlock()
+	s.admit(ent, originReplica)
 	cl.replicaImports.Add(1)
 	return false, nil
 }
@@ -324,10 +441,10 @@ func (s *Server) onViewChange() {
 		return
 	}
 	s.mu.Lock()
-	owned := make([]*entry, 0, len(s.cache.entries))
-	for _, ent := range s.cache.entries {
-		if cl.owner(ent.key) == cl.self {
-			owned = append(owned, ent)
+	owned := make([]*entry, 0, len(s.cache.items))
+	for key, it := range s.cache.items {
+		if cl.owner(key) == cl.self {
+			owned = append(owned, it.val)
 		}
 	}
 	s.mu.Unlock()

@@ -25,6 +25,7 @@ import (
 	"repro/internal/pcomm/backend"
 	"repro/internal/pcomm/netcomm"
 	"repro/internal/sparse"
+	"repro/internal/trace"
 )
 
 var (
@@ -101,11 +102,6 @@ type Config struct {
 	MaxBatch int
 	// CacheBytes is the factorization cache budget. Default 256 MiB.
 	CacheBytes int64
-	// SymbolicCacheBytes budgets the symbolic-analysis cache: pattern-
-	// keyed entries holding the partition, layout and interior/interface
-	// analysis that same-pattern rebuilds reuse, so a matrix sequence with
-	// fixed sparsity pays the symbolic phase once. Default 64 MiB.
-	SymbolicCacheBytes int64
 	// TraceDir, when non-empty, writes one Chrome trace-event JSON file
 	// per machine run into the directory: factor-<key>-<stamp>.json for
 	// factorizations and solve-<key>-<stamp>.json for solve batches. Empty
@@ -140,22 +136,32 @@ type Config struct {
 	// factorization is declared broken down (see core.Options). Default
 	// 0.25; negative disables breakdown detection.
 	MaxRepairRate float64
-	// DisableLadder turns off the breakdown recovery ladder (diagonal
-	// shift → relaxed parameters → block-Jacobi): breakdowns then fail
-	// the request instead of degrading it.
-	DisableLadder bool
 }
 
-// mustWorld builds one backend world for a factorization or solve run,
-// wrapped in the fault-injection layer when Config.Faults is set. New
-// validates cfg.Backend, so an unknown kind here cannot happen for a
-// server built through New.
-func (c Config) mustWorld() pcomm.World {
-	w, err := backend.New(c.Backend, c.Procs, c.Cost)
+// run executes f on every processor of one fresh world — the only way
+// the service starts a machine run. The world is the configured backend
+// wrapped in the fault-injection layer when Config.Faults is set, under
+// the per-run watchdog; a failed run (processor panic, deadlock) comes
+// back as an error. With TraceDir set the run's events are written to
+// <kind>-<key>-<stamp>.json. New validates cfg.Backend, so an unknown
+// kind here cannot happen for a server built through New.
+func (s *Server) run(kind, key string, f func(pcomm.Comm)) (pcomm.Result, error) {
+	w, err := backend.New(s.cfg.Backend, s.cfg.Procs, s.cfg.Cost)
 	if err != nil {
 		panic(err)
 	}
-	return c.Faults.World(w)
+	m := s.cfg.Faults.World(w)
+	m.SetWatchdog(s.cfg.Watchdog)
+	var rec *trace.Recorder
+	if s.cfg.TraceDir != "" {
+		rec = trace.NewRecorder(s.cfg.Procs)
+		m.SetRecorder(rec)
+	}
+	res, err := pcomm.Guard(m, f)
+	if rec != nil {
+		writeRunTrace(s.cfg.TraceDir, kind, key, rec)
+	}
+	return res, err
 }
 
 func (c Config) withDefaults() Config {
@@ -173,9 +179,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.CacheBytes <= 0 {
 		c.CacheBytes = 256 << 20
-	}
-	if c.SymbolicCacheBytes <= 0 {
-		c.SymbolicCacheBytes = 64 << 20
 	}
 	if c.MaxQueue <= 0 {
 		c.MaxQueue = 1024
@@ -244,9 +247,9 @@ type SolveResult struct {
 	// LadderStep names the rung ("shift", "relaxed", "blockjacobi").
 	Degraded   bool   `json:"degraded,omitempty"`
 	LadderStep string `json:"ladder_step,omitempty"`
-	// SymbolicHit marks a solve through an entry whose build reused a
-	// cached symbolic analysis (refactor-only build); WarmStarted marks a
-	// solve seeded with a caller initial guess.
+	// SymbolicHit marks a solve through an entry that was built (a
+	// refactor-only build) or imported under a cached symbolic analysis;
+	// WarmStarted marks a solve seeded with a caller initial guess.
 	SymbolicHit bool `json:"symbolic_hit,omitempty"`
 	WarmStarted bool `json:"warm_started,omitempty"`
 }
@@ -274,8 +277,8 @@ type Server struct {
 	mu        sync.Mutex
 	cond      *sync.Cond
 	matrices  *matrixStore
-	cache     *factorCache
-	symbolic  *symbolicCache
+	cache     *lru[*entry]    // factorizations by matrix fingerprint
+	symbolic  *lru[*symEntry] // analyses by pattern fingerprint
 	breaker   *breaker
 	cluster   *cluster              // nil outside a cluster
 	pending   map[string][]*request // per key, FIFO
@@ -286,6 +289,10 @@ type Server struct {
 	draining  bool // reject new requests
 	aborting  bool // fail queued requests instead of solving them
 	stopping  bool // workers exit once the queue is empty
+	// factorizations counts completed local builds, refactors those of
+	// them that reused a cached analysis; imports count as neither.
+	factorizations int64
+	refactors      int64
 
 	reqWG    sync.WaitGroup // accepted, not-yet-answered requests
 	workerWG sync.WaitGroup
@@ -320,8 +327,8 @@ func New(cfg Config) *Server {
 		cfg:       cfg,
 		stats:     newStatsCollector(),
 		matrices:  newMatrixStore(),
-		cache:     newFactorCache(cfg.CacheBytes),
-		symbolic:  newSymbolicCache(cfg.SymbolicCacheBytes),
+		cache:     newLRU[*entry](cfg.CacheBytes),
+		symbolic:  newLRU[*symEntry](symbolicBudget),
 		breaker:   newBreaker(cfg.BreakerFailures, cfg.BreakerCooldown),
 		pending:   make(map[string][]*request),
 		scheduled: make(map[string]bool),
@@ -405,12 +412,12 @@ func (s *Server) Solve(ctx context.Context, key string, b []float64, opt SolveOp
 		opt.X0 = append([]float64(nil), opt.X0...)
 	}
 	if wait, ok := s.breaker.allow(key); !ok {
-		s.stats.breakerRejected()
+		s.stats.count(&s.stats.v.BreakerRejected)
 		s.mu.Unlock()
 		return SolveResult{}, &BreakerOpenError{Key: key, RetryAfter: wait}
 	}
 	if s.queued >= s.cfg.MaxQueue {
-		s.stats.shedRequest()
+		s.stats.count(&s.stats.v.Shed)
 		depth := s.queued
 		s.mu.Unlock()
 		return SolveResult{}, &OverloadedError{QueueDepth: depth, RetryAfter: time.Second}
@@ -423,7 +430,7 @@ func (s *Server) Solve(ctx context.Context, key string, b []float64, opt SolveOp
 		enq:  time.Now(),
 		done: make(chan outcome, 1),
 	}
-	s.stats.request()
+	s.stats.count(&s.stats.v.Requests)
 	s.reqWG.Add(1)
 	s.pending[key] = append(s.pending[key], req)
 	s.queued++
@@ -471,7 +478,9 @@ func (s *Server) Health() Health {
 		h.Status = "draining"
 	}
 	s.mu.Unlock()
-	h.DegradedSolves = s.stats.degradedCount()
+	s.stats.mu.Lock()
+	h.DegradedSolves = s.stats.v.Degraded
+	s.stats.mu.Unlock()
 	if h.BreakerOpenKeys == nil {
 		h.BreakerOpenKeys = []string{}
 	}
@@ -486,14 +495,25 @@ func (s *Server) StatsSnapshot() Stats {
 	for _, q := range s.pending {
 		depth += len(q)
 	}
-	cache := s.cache.snapshot()
-	s.symbolic.fill(&cache)
 	st := Stats{
 		Matrices:   s.matrices.len(),
 		QueueDepth: depth,
 		Running:    s.running,
-		Cache:      cache,
-		Solves:     s.stats.snapshot(),
+		Cache: CacheStats{
+			Entries:         len(s.cache.items),
+			Bytes:           s.cache.bytes,
+			BudgetBytes:     s.cache.budget,
+			Hits:            s.cache.hits,
+			Misses:          s.cache.misses,
+			Evictions:       s.cache.evictions,
+			Factorizations:  s.factorizations,
+			SymbolicEntries: len(s.symbolic.items),
+			SymbolicBytes:   s.symbolic.bytes,
+			SymbolicHits:    s.symbolic.hits,
+			SymbolicMisses:  s.symbolic.misses,
+			RefactorBuilds:  s.refactors,
+		},
+		Solves: s.stats.snapshot(),
 	}
 	if s.cluster != nil {
 		st.Cluster = s.cluster.snapshot()
@@ -617,9 +637,9 @@ func (s *Server) respond(r *request, out outcome) {
 func (s *Server) failBatch(batch []*request, err error) {
 	for _, r := range batch {
 		if errors.Is(err, krylov.ErrCanceled) {
-			s.stats.canceledSolve()
+			s.stats.count(&s.stats.v.Canceled)
 		} else {
-			s.stats.failedSolve()
+			s.stats.count(&s.stats.v.Errors)
 		}
 		s.respond(r, outcome{err: err})
 	}
@@ -639,12 +659,28 @@ func (s *Server) entryFor(key string) (*entry, bool, error) {
 		return ent, true, nil
 	}
 	if ent, ok := s.peerFetch(key); ok {
-		s.mu.Lock()
-		s.cache.insert(ent)
-		s.mu.Unlock()
+		s.admit(ent, originPeer)
 		return ent, false, nil
 	}
 	return s.entryForLocal(key)
+}
+
+// admit publishes a finished entry in the factor cache under its origin
+// (originLocal, originPeer, originReplica), sized here and nowhere else.
+// Only locally built entries count as factorizations; peer-imported ones
+// are visible in ClusterStats.PeerFetchHits and ReplicaImports instead.
+func (s *Server) admit(ent *entry, origin string) {
+	ent.origin = origin
+	bytes := ent.a.SizeBytes()
+	for q := range ent.pcs {
+		bytes += ent.pcs[q].SizeBytes() + ent.mats[q].SizeBytes()
+	}
+	s.mu.Lock()
+	s.cache.insert(ent.key, ent, bytes)
+	if origin == originLocal {
+		s.factorizations++
+	}
+	s.mu.Unlock()
 }
 
 // entryForLocal resolves key strictly on this daemon: cache hit or
@@ -668,13 +704,7 @@ func (s *Server) entryForLocal(key string) (*entry, bool, error) {
 	if err != nil {
 		return nil, false, err
 	}
-	ent.origin = originLocal
-	s.mu.Lock()
-	s.cache.insert(ent)
-	// Only locally built entries count as factorizations; peer-imported
-	// ones are visible in ClusterStats.PeerFetchHits instead.
-	s.cache.factorizations++
-	s.mu.Unlock()
+	s.admit(ent, originLocal)
 	// The owner protects a fresh factorization by pushing it to its HRW
 	// successors; off the request path so the build's caller never waits
 	// on peer round-trips.
@@ -750,7 +780,7 @@ func (s *Server) runBatch(key string, batch []*request) {
 	var live []*request
 	for _, r := range batch {
 		if cause := r.ctx.Err(); cause != nil {
-			s.stats.canceledSolve()
+			s.stats.count(&s.stats.v.Canceled)
 			s.respond(r, outcome{err: fmt.Errorf("%w: %v", krylov.ErrCanceled, cause)})
 			continue
 		}
@@ -779,13 +809,7 @@ func (s *Server) runBatch(key string, batch []*request) {
 	perRes := make([]krylov.Result, B)
 	procErrs := make([]error, s.cfg.Procs)
 
-	m := s.cfg.mustWorld()
-	m.SetWatchdog(s.cfg.Watchdog)
-	rec := newRunRecorder(s.cfg)
-	if rec != nil {
-		m.SetRecorder(rec)
-	}
-	mres, runErr := pcomm.Guard(m, func(proc pcomm.Comm) {
+	mres, runErr := s.run("solve", key, func(proc pcomm.Comm) {
 		xs := make([][]float64, B)
 		bs := make([][]float64, B)
 		for bi := 0; bi < B; bi++ {
@@ -804,9 +828,6 @@ func (s *Server) runBatch(key string, batch []*request) {
 			copy(perRes, rs)
 		}
 	})
-	if rec != nil {
-		writeRunTrace(s.cfg.TraceDir, "solve", key, rec)
-	}
 	if runErr != nil {
 		runErr = fmt.Errorf("service: solve of %s failed: %w", key, runErr)
 	} else {
@@ -840,10 +861,10 @@ func (s *Server) runBatch(key string, batch []*request) {
 		}
 		s.stats.completedSolve(float64(time.Since(r.enq))/float64(time.Millisecond), res.Iterations)
 		if ent.degraded {
-			s.stats.degradedSolve()
+			s.stats.count(&s.stats.v.Degraded)
 		}
 		if res.WarmStarted {
-			s.stats.warmStarted()
+			s.stats.count(&s.stats.v.WarmStarted)
 		}
 		s.respond(r, outcome{res: res})
 	}

@@ -123,27 +123,15 @@ var (
 	iterationBounds = []float64{1, 2, 5, 10, 25, 50, 100, 250, 500, 1000, 2500, 5000}
 )
 
-// statsCollector aggregates solve-side counters; cache counters live in
-// the cache itself and are merged at snapshot time.
+// statsCollector aggregates the solve-side counters in the SolveStats
+// they are reported as; cache counters live in the caches themselves and
+// are merged at snapshot time.
 type statsCollector struct {
-	mu         sync.Mutex
-	requests   int64
-	completed  int64
-	canceled   int64
-	errors     int64
-	batches    int64
-	batchedRHS int64
-	maxBatch   int
-	shed       int64
-	breakerRej int64
-	ladderRet  int64
-	degraded   int64
-	warmStart  int64
-	sequences  int64
-	seqSteps   int64
+	mu sync.Mutex
+	v  SolveStats // LatencyMs and Iterations are rendered at snapshot
+	// The mutable histograms behind v.LatencyMs and v.Iterations.
 	latency    *histogram
 	iterations *histogram
-	modelled   float64
 }
 
 func newStatsCollector() *statsCollector {
@@ -153,107 +141,44 @@ func newStatsCollector() *statsCollector {
 	}
 }
 
-func (s *statsCollector) request() {
+// count adds one to a counter of s.v, e.g. s.count(&s.v.Shed).
+func (s *statsCollector) count(c *int64) {
 	s.mu.Lock()
-	s.requests++
+	*c++
 	s.mu.Unlock()
 }
 
 func (s *statsCollector) batch(size int, modelledSeconds float64) {
 	s.mu.Lock()
-	s.batches++
-	s.batchedRHS += int64(size)
-	if size > s.maxBatch {
-		s.maxBatch = size
+	s.v.Batches++
+	s.v.BatchedRHS += int64(size)
+	if size > s.v.MaxBatch {
+		s.v.MaxBatch = size
 	}
-	s.modelled += modelledSeconds
+	s.v.ModelledSeconds += modelledSeconds
 	s.mu.Unlock()
 }
 
 func (s *statsCollector) completedSolve(latencyMs float64, iterations int) {
 	s.mu.Lock()
-	s.completed++
+	s.v.Completed++
 	s.latency.observe(latencyMs)
 	s.iterations.observe(float64(iterations))
 	s.mu.Unlock()
 }
 
-func (s *statsCollector) canceledSolve() {
-	s.mu.Lock()
-	s.canceled++
-	s.mu.Unlock()
-}
-
-func (s *statsCollector) failedSolve() {
-	s.mu.Lock()
-	s.errors++
-	s.mu.Unlock()
-}
-
-func (s *statsCollector) shedRequest() {
-	s.mu.Lock()
-	s.shed++
-	s.mu.Unlock()
-}
-
-func (s *statsCollector) breakerRejected() {
-	s.mu.Lock()
-	s.breakerRej++
-	s.mu.Unlock()
-}
-
-func (s *statsCollector) ladderRetry() {
-	s.mu.Lock()
-	s.ladderRet++
-	s.mu.Unlock()
-}
-
-func (s *statsCollector) degradedSolve() {
-	s.mu.Lock()
-	s.degraded++
-	s.mu.Unlock()
-}
-
-func (s *statsCollector) warmStarted() {
-	s.mu.Lock()
-	s.warmStart++
-	s.mu.Unlock()
-}
-
 func (s *statsCollector) sequence(steps int) {
 	s.mu.Lock()
-	s.sequences++
-	s.seqSteps += int64(steps)
+	s.v.Sequences++
+	s.v.SequenceSteps += int64(steps)
 	s.mu.Unlock()
-}
-
-// degradedCount reads the degraded-solve counter for health reports.
-func (s *statsCollector) degradedCount() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.degraded
 }
 
 func (s *statsCollector) snapshot() SolveStats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return SolveStats{
-		Requests:        s.requests,
-		Completed:       s.completed,
-		Canceled:        s.canceled,
-		Errors:          s.errors,
-		Batches:         s.batches,
-		BatchedRHS:      s.batchedRHS,
-		MaxBatch:        s.maxBatch,
-		Shed:            s.shed,
-		BreakerRejected: s.breakerRej,
-		LadderRetries:   s.ladderRet,
-		Degraded:        s.degraded,
-		WarmStarted:     s.warmStart,
-		Sequences:       s.sequences,
-		SequenceSteps:   s.seqSteps,
-		LatencyMs:       s.latency.snapshot(),
-		Iterations:      s.iterations.snapshot(),
-		ModelledSeconds: s.modelled,
-	}
+	out := s.v
+	out.LatencyMs = s.latency.snapshot()
+	out.Iterations = s.iterations.snapshot()
+	return out
 }

@@ -9,24 +9,11 @@ import (
 	"repro/internal/trace"
 )
 
-// newRunRecorder returns a recorder for one machine run when tracing is
-// configured, nil otherwise (the nil recorder is the zero-cost path all
-// the way down the stack).
-func newRunRecorder(cfg Config) *trace.Recorder {
-	if cfg.TraceDir == "" {
-		return nil
-	}
-	return trace.NewRecorder(cfg.Procs)
-}
-
 // writeRunTrace persists one run's events as a Chrome trace file named
 // <prefix>-<key>-<stamp>.json. Tracing is best-effort observability: a
 // failed write must not fail the solve that produced it, so errors are
 // reported on stderr and otherwise dropped.
 func writeRunTrace(dir, prefix, key string, rec *trace.Recorder) {
-	if rec == nil || dir == "" {
-		return
-	}
 	short := key
 	if len(short) > 12 {
 		short = short[:12]

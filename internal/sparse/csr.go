@@ -253,6 +253,37 @@ func (a *CSR) Equal(b *CSR) bool {
 	return true
 }
 
+// Check reports whether a is a well-formed CSR matrix: the invariants
+// every routine in this package assumes without testing. A matrix decoded
+// from bytes another process wrote must pass it before anything indexes
+// through RowPtr or Cols. The first violation found is returned.
+func (a *CSR) Check() error {
+	if a.N < 0 || a.M < 0 {
+		return fmt.Errorf("sparse: negative dimensions %d×%d", a.N, a.M)
+	}
+	if len(a.RowPtr) != a.N+1 || a.RowPtr[0] != 0 {
+		return fmt.Errorf("sparse: RowPtr must hold %d offsets starting at 0", a.N+1)
+	}
+	if len(a.Cols) != len(a.Vals) || a.RowPtr[a.N] != len(a.Cols) {
+		return fmt.Errorf("sparse: RowPtr ends at %d for %d columns and %d values", a.RowPtr[a.N], len(a.Cols), len(a.Vals))
+	}
+	for i := 0; i < a.N; i++ {
+		lo, hi := a.RowPtr[i], a.RowPtr[i+1]
+		if lo > hi || hi > len(a.Cols) {
+			return fmt.Errorf("sparse: row %d spans [%d,%d) of %d entries", i, lo, hi, len(a.Cols))
+		}
+		for k := lo; k < hi; k++ {
+			if j := a.Cols[k]; j < 0 || j >= a.M || (k > lo && j <= a.Cols[k-1]) {
+				return fmt.Errorf("sparse: row %d: column %d out of range [0,%d) or not strictly increasing", i, j, a.M)
+			}
+			if v := a.Vals[k]; math.IsNaN(v) || math.IsInf(v, 0) {
+				return fmt.Errorf("sparse: row %d: non-finite value at column %d", i, a.Cols[k])
+			}
+		}
+	}
+	return nil
+}
+
 // MaxAbsDiff returns max_{ij} |a_ij − b_ij| over the union of both
 // patterns. Matrices must have equal dimensions.
 func MaxAbsDiff(a, b *CSR) float64 {

@@ -3,6 +3,7 @@ package sparse
 import (
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -372,4 +373,45 @@ func randomPermutation(r *rand.Rand, n int) []int {
 	p := IdentityPermutation(n)
 	r.Shuffle(n, func(i, j int) { p[i], p[j] = p[j], p[i] })
 	return p
+}
+
+// TestCheck: one row per invariant Check states, each a single edit of a
+// sound matrix; the sound matrix and the empty ones pass.
+func TestCheck(t *testing.T) {
+	cases := []struct {
+		name string
+		edit func(a *CSR)
+		want string // error substring; "" = passes
+	}{
+		{"sound", func(a *CSR) {}, ""},
+		{"empty", func(a *CSR) { *a = *NewCSR(0, 0) }, ""},
+		{"no entries", func(a *CSR) { *a = *NewCSR(3, 2) }, ""},
+		{"negative rows", func(a *CSR) { a.N = -1 }, "negative dimensions"},
+		{"negative columns", func(a *CSR) { a.M = -4 }, "negative dimensions"},
+		{"short RowPtr", func(a *CSR) { a.RowPtr = a.RowPtr[:a.N] }, "offsets"},
+		{"nil RowPtr", func(a *CSR) { a.RowPtr = nil }, "offsets"},
+		{"rows beyond RowPtr", func(a *CSR) { a.N = 1 << 40 }, "offsets"},
+		{"RowPtr starts late", func(a *CSR) { a.RowPtr[0] = 1 }, "offsets"},
+		{"RowPtr ends early", func(a *CSR) { a.RowPtr[a.N]-- }, "RowPtr ends"},
+		{"values shorter than columns", func(a *CSR) { a.Vals = a.Vals[:len(a.Vals)-1] }, "RowPtr ends"},
+		{"RowPtr decreases", func(a *CSR) { a.RowPtr[2] = 1 }, "spans"},
+		{"RowPtr overshoots", func(a *CSR) { a.RowPtr[1] = len(a.Cols) + 3 }, "spans"},
+		{"negative column", func(a *CSR) { a.Cols[0] = -1 }, "out of range"},
+		{"column past M", func(a *CSR) { a.Cols[len(a.Cols)-1] = a.M }, "out of range"},
+		{"repeated column", func(a *CSR) { a.Cols[1] = a.Cols[0] }, "strictly increasing"},
+		{"unsorted row", func(a *CSR) { a.Cols[2], a.Cols[3] = a.Cols[3], a.Cols[2] }, "strictly increasing"},
+		{"NaN", func(a *CSR) { a.Vals[4] = math.NaN() }, "non-finite"},
+		{"Inf", func(a *CSR) { a.Vals[0] = math.Inf(-1) }, "non-finite"},
+	}
+	for _, tc := range cases {
+		a := testMatrix()
+		tc.edit(a)
+		err := a.Check()
+		switch {
+		case tc.want == "" && err != nil:
+			t.Errorf("%s: %v", tc.name, err)
+		case tc.want != "" && (err == nil || !strings.Contains(err.Error(), tc.want)):
+			t.Errorf("%s: err %v, want substring %q", tc.name, err, tc.want)
+		}
+	}
 }

@@ -6,24 +6,27 @@ import (
 	"testing"
 )
 
+// mmSeeds seeds FuzzReadMatrixMarket; with the committed corpus under
+// testdata/fuzz they are also what TestMatrixMarketCorpusPassesCheck reads.
+var mmSeeds = [][]byte{
+	[]byte("%%MatrixMarket matrix coordinate real general\n2 2 3\n1 1 4.0\n1 2 -1.5\n2 2 3.25\n"),
+	[]byte("%%MatrixMarket matrix coordinate real symmetric\n3 3 4\n1 1 2\n2 1 -1\n2 2 2\n3 3 2\n"),
+	[]byte("%%MatrixMarket matrix coordinate integer general\n% comment line\n\n2 2 2\n1 1 7\n2 2 9\n"),
+	[]byte("%%MatrixMarket matrix coordinate real general\n1 1 1\n1 1 1e308\n"),
+	[]byte("%%MatrixMarket matrix coordinate real general\n2 2 -5\n"),
+	[]byte("%%MatrixMarket matrix coordinate real symmetric\n2 1 1\n2 1 0\n"),
+	[]byte("%%MatrixMarket matrix coordinate real general\n99999999999 2 1\n1 1 1\n"),
+	[]byte("%%MatrixMarket matrix coordinate real general\n2 2 2\n1 1 1\n"),
+	[]byte("not a matrix market file\n"),
+	[]byte(""),
+}
+
 // FuzzReadMatrixMarket feeds arbitrary bytes to the MatrixMarket reader.
 // The reader must never panic — malformed input is an error, not a crash —
 // and any matrix it does accept must be structurally sound and survive a
 // write/read round trip unchanged.
 func FuzzReadMatrixMarket(f *testing.F) {
-	seeds := [][]byte{
-		[]byte("%%MatrixMarket matrix coordinate real general\n2 2 3\n1 1 4.0\n1 2 -1.5\n2 2 3.25\n"),
-		[]byte("%%MatrixMarket matrix coordinate real symmetric\n3 3 4\n1 1 2\n2 1 -1\n2 2 2\n3 3 2\n"),
-		[]byte("%%MatrixMarket matrix coordinate integer general\n% comment line\n\n2 2 2\n1 1 7\n2 2 9\n"),
-		[]byte("%%MatrixMarket matrix coordinate real general\n1 1 1\n1 1 1e308\n"),
-		[]byte("%%MatrixMarket matrix coordinate real general\n2 2 -5\n"),
-		[]byte("%%MatrixMarket matrix coordinate real symmetric\n2 1 1\n2 1 0\n"),
-		[]byte("%%MatrixMarket matrix coordinate real general\n99999999999 2 1\n1 1 1\n"),
-		[]byte("%%MatrixMarket matrix coordinate real general\n2 2 2\n1 1 1\n"),
-		[]byte("not a matrix market file\n"),
-		[]byte(""),
-	}
-	for _, s := range seeds {
+	for _, s := range mmSeeds {
 		f.Add(s)
 	}
 

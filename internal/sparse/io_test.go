@@ -3,6 +3,9 @@ package sparse
 import (
 	"bytes"
 	"math/rand"
+	"os"
+	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -112,5 +115,43 @@ func TestVecOps(t *testing.T) {
 	p := PermuteVec([]float64{1, 2, 3}, []int{2, 0, 1})
 	if p[2] != 1 || p[0] != 2 || p[1] != 3 {
 		t.Errorf("PermuteVec wrong: %v", p)
+	}
+}
+
+// TestMatrixMarketCorpusPassesCheck: whatever the reader accepts from the
+// fuzz seeds and the committed corpus satisfies CSR.Check — the reader's
+// output and the wire decoder's precondition are the same invariants.
+func TestMatrixMarketCorpusPassesCheck(t *testing.T) {
+	inputs := append([][]byte(nil), mmSeeds...)
+	files, err := filepath.Glob("testdata/fuzz/FuzzReadMatrixMarket/*")
+	if err != nil || len(files) == 0 {
+		t.Fatalf("no committed corpus found: %v", err)
+	}
+	for _, name := range files {
+		raw, err := os.ReadFile(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Corpus file format: a version line, then one `[]byte("…")` line.
+		_, lit, ok := strings.Cut(string(raw), "\n[]byte(")
+		in, err := strconv.Unquote(strings.TrimSuffix(strings.TrimSpace(lit), ")"))
+		if !ok || err != nil {
+			t.Fatalf("%s: not a one-argument corpus entry: %v", name, err)
+		}
+		inputs = append(inputs, []byte(in))
+	}
+	accepted := 0
+	for _, in := range inputs {
+		a, err := ReadMatrixMarket(bytes.NewReader(in))
+		if err != nil {
+			continue
+		}
+		accepted++
+		if err := a.Check(); err != nil {
+			t.Errorf("reader accepted %q but Check says %v", in, err)
+		}
+	}
+	if accepted < 5 {
+		t.Errorf("only %d corpus entries parse; the test reaches too little", accepted)
 	}
 }
