@@ -1,7 +1,7 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: all build vet lint lint-json loc fmt-check test test-real test-netcomm race race-real chaos check serve-smoke bench bench-test bench-speedup bench-sequence fuzz-smoke cover
+.PHONY: all build vet lint lint-json loc fmt-check test test-real test-netcomm race race-real chaos check serve-smoke bench bench-test bench-kernels bench-speedup bench-sequence fuzz-smoke cover
 
 all: check
 
@@ -29,7 +29,7 @@ fmt-check:
 # every waiver removed. So are the service's two single seams: one peer
 # HTTP request builder (cluster.call) and one partitioner call
 # (analysisFor) — a second occurrence of either fails loc.
-HOTALLOC_WAIVERS_MAX = 21
+HOTALLOC_WAIVERS_MAX = 18
 SERVICE_SRC = $$(find internal/service -name '*.go' -not -name '*_test.go')
 
 loc:
@@ -115,6 +115,16 @@ bench:
 
 bench-test:
 	cd bench && $(GO) test ./...
+
+# One iteration of each kernel benchmark a cold build's per-nonzero loops
+# are judged by — the factorization in the scoreboard's configuration, the
+# serial baseline, the MatrixMarket reader, the row kernel over a 262 144-
+# column pivot range — so they keep compiling and running. For numbers,
+# raise -benchtime and alternate with the parent commit.
+bench-kernels:
+	$(GO) test . -run '^$$' -bench '^BenchmarkFactorCore$$/^real$$/^torso20$$/^p4$$|^BenchmarkSerialILUT$$' -benchtime 1x
+	$(GO) test ./internal/sparse -run '^$$' -bench 'BenchmarkReadMatrixMarket' -benchtime 1x
+	$(GO) test ./internal/ilu -run '^$$' -bench 'BenchmarkEliminateRowSeq/wide' -benchtime 1x
 
 # Real-backend wall-clock speedup curves (factorization and GMRES solve)
 # at p in {1,2,4,8,16}; writes BENCH_speedup.json. On hosts with at least

@@ -76,6 +76,25 @@ func TestNegativeTimeoutRejected(t *testing.T) {
 	}
 }
 
+// TestNonFiniteMatrixRejected: a MatrixMarket body with a NaN or an
+// infinity is a 400 that names the line, and nothing is stored.
+func TestNonFiniteMatrixRejected(t *testing.T) {
+	ts, svc, _ := newTestServer(t)
+	for _, v := range []string{"nan", "-Inf"} {
+		mm := "%%MatrixMarket matrix coordinate real general\n2 2 2\n1 1 4\n2 2 " + v + "\n"
+		resp, err := http.Post(ts.URL+"/v1/matrices", "text/plain", strings.NewReader(mm))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if msg := decodeError(t, resp, http.StatusBadRequest); !strings.Contains(msg, "line 4") || !strings.Contains(msg, "not finite") {
+			t.Errorf("%s: error %q does not name the line and the reason", v, msg)
+		}
+	}
+	if n := svc.StatsSnapshot().Matrices; n != 1 {
+		t.Errorf("%d matrices stored, want the test server's one", n)
+	}
+}
+
 func TestHealthzJSON(t *testing.T) {
 	ts, _, _ := newTestServer(t)
 	resp, err := http.Get(ts.URL + "/healthz")

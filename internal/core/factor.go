@@ -297,8 +297,28 @@ func factor(p pcomm.Comm, plan *Plan, opt Options, rule rowRule) *ProcPrecond {
 	return pc
 }
 
+// factorInterior factors interior row i of a sequentially factored block
+// whose earlier rows are the pivots [nl, i), under the driver's rule
+// (phase 1a): its L part and its U row — everything at or after the
+// diagonal in elimination order, i.e. combined indices ≥ i: diagonal,
+// later interiors, interface columns — capped to M like the standard 2nd
+// dropping rule (diagonal excluded from the cap).
+func (d *driver) factorInterior(i int, cols []int, vals []float64, pivot func(int) *ilu.URow, nl int, tau float64,
+) (lCols []int, lVals []float64, u ilu.URow) {
+	par := d.opt.Params
+	if d.rule == thresholdRule {
+		return d.s.FactorInteriorRow(i, cols, vals, pivot, nl, tau, par.M, par.PivotPerturb, d.st)
+	}
+	lCols, lVals, rC, rV := d.s.EliminateRowStatic(i, cols, vals, nil, nil, pivot, nl, i, d.st)
+	u, err := d.s.FactorPivotRow(i, rC, rV, tau, par.M, par.PivotPerturb, d.st)
+	if err != nil {
+		panic(err)
+	}
+	return lCols, lVals, u
+}
+
 // eliminateBlock removes the sequentially factored pivot block [nl, nl1)
-// from row i under the driver's rule (phase 1: a processor's interiors).
+// from interface row i under the driver's rule (phase 1b).
 func (d *driver) eliminateBlock(i int, cols []int, vals []float64, pivot func(int) *ilu.URow,
 	nl, nl1 int, tau float64, kcap int,
 ) (lCols []int, lVals []float64, redCols []int, redVals []float64) {
@@ -395,16 +415,7 @@ func (d *driver) phase1() (iface []int) {
 		ec, ev := encRow(g)
 		// The interior block is sequential: the pivot range covers my
 		// already-factored interiors.
-		lC, lV, rC, rV := d.eliminateBlock(myNew, ec, ev, pivotLookup, intBase, myNew, tau, 0)
-		// For an interior row the "reduced" part is its U row: everything
-		// at or after the diagonal in elimination order, i.e. combined
-		// indices ≥ myNew — diag + later interiors + interface columns.
-		// Cap it to M like the standard 2nd dropping rule (diagonal
-		// excluded from the cap).
-		urow, err := d.s.FactorPivotRow(myNew, rC, rV, tau, par.M, par.PivotPerturb, st)
-		if err != nil {
-			panic(err)
-		}
+		lC, lV, urow := d.factorInterior(myNew, ec, ev, pivotLookup, intBase, tau)
 		localU[myNew-intBase] = urow
 		localUSet[myNew-intBase] = true
 		d.w.LCols[li], d.w.LVals[li] = lC, lV

@@ -135,13 +135,7 @@ func (d *driver) schurBlockRound(remaining []int) ([]int, bool) {
 		tau := par.Tau * plan.RowTau[g]
 		myNew := myOffset + r
 		tC, tV := translate(li)
-		lC, lV, rC, rV := s.EliminateRowSeq(myNew, tC, tV,
-			pivotFn, myOffset, myNew, tau, par.M, 0, st)
-		urow, err := s.FactorPivotRow(myNew, rC, rV, tau, par.M, par.PivotPerturb, st)
-		if err != nil {
-			panic(err)
-		}
-		urow.Col = myNew
+		lC, lV, urow := s.FactorInteriorRow(myNew, tC, tV, pivotFn, myOffset, tau, par.M, par.PivotPerturb, st)
 		urow.Orig = g
 		uF[li] = urow
 		uFSet[li] = true

@@ -44,16 +44,41 @@ func newGuardFixture() *guardFixture {
 
 func (f *guardFixture) pivot(k int) *URow { return &f.pivots[k] }
 
-// TestAllocsEliminateRowSeq guards the ILUT row-merge kernel: the
-// heap-driven sweep plus pivot-row factorization — one full phase-1
-// iteration of core.Factor.
+// TestAllocsEliminateRowSeq guards the sequential kernels: the
+// queue-driven sweep ending in the L/reduced split (phase 1b of
+// core.Factor) and in the fused interior row (phase 1a).
 func TestAllocsEliminateRowSeq(t *testing.T) {
+	f := newGuardFixture()
+	s := NewScratch(64)
+	st := &Stats{}
+	// The same row seen as interior row 8: its diagonal at 8, every pivot
+	// below it factored.
+	intCols := []int{0, 3, 5, 8, 12, 20}
+	var sink int
+	avg := testing.AllocsPerRun(100, func() {
+		lC, lV, rC, _ := s.EliminateRowSeq(9, f.aCols, f.aVals, f.pivot, 0, 8, 1e-3, 4, 2, st)
+		iC, _, urow := s.FactorInteriorRow(8, intCols, f.aVals, f.pivot, 0, 1e-3, 4, 0, st)
+		sink = len(lC) + len(lV) + len(rC) + len(iC) + len(urow.Cols)
+		s.out.discardAll()
+	})
+	if sink == 0 {
+		t.Fatal("the kernels returned nothing inside the guard loop")
+	}
+	if avg > 0 {
+		t.Errorf("EliminateRowSeq+FactorInteriorRow allocate %.2f objects/row, want 0", avg)
+	}
+}
+
+// TestAllocsEliminateRow guards one phase-2 level of core.Factor: the
+// increasing-column sweep with an accumulated L merge, then the reduced
+// row factored as a pivot.
+func TestAllocsEliminateRow(t *testing.T) {
 	f := newGuardFixture()
 	s := NewScratch(64)
 	st := &Stats{}
 	var sink int
 	avg := testing.AllocsPerRun(100, func() {
-		lC, lV, rC, rV := s.EliminateRowSeq(9, f.aCols, f.aVals, f.pivot, 0, 8, 1e-3, 4, 2, st)
+		lC, lV, rC, rV := s.EliminateRow(9, f.aCols, f.aVals, f.lCols, f.lVals, f.pivot, 0, 8, 1e-3, 4, 2, st)
 		urow, err := s.FactorPivotRow(9, rC, rV, 1e-3, 4, 0, st)
 		if err != nil {
 			sink = -1
@@ -63,29 +88,10 @@ func TestAllocsEliminateRowSeq(t *testing.T) {
 		s.out.discardAll()
 	})
 	if sink < 0 {
-		t.Fatal("kernel returned an error inside the guard loop")
+		t.Fatal("FactorPivotRow returned an error inside the guard loop")
 	}
 	if avg > 0 {
-		t.Errorf("EliminateRowSeq+FactorPivotRow allocates %.2f objects/row, want 0", avg)
-	}
-}
-
-// TestAllocsEliminateRow guards the Schur elimination round kernel: the
-// increasing-column sweep with an accumulated L merge — one §7 block-round
-// iteration of core's schurBlockRound.
-func TestAllocsEliminateRow(t *testing.T) {
-	f := newGuardFixture()
-	s := NewScratch(64)
-	st := &Stats{}
-	var sink int
-	avg := testing.AllocsPerRun(100, func() {
-		lC, lV, rC, rV := s.EliminateRow(9, f.aCols, f.aVals, f.lCols, f.lVals, f.pivot, 0, 8, 1e-3, 4, 2, st)
-		sink = len(lC) + len(lV) + len(rC) + len(rV)
-		s.out.discardAll()
-	})
-	_ = sink
-	if avg > 0 {
-		t.Errorf("EliminateRow allocates %.2f objects/row, want 0", avg)
+		t.Errorf("EliminateRow+FactorPivotRow allocate %.2f objects/row, want 0", avg)
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"math"
 	"testing"
 
-	"repro/internal/matgen"
 	"repro/internal/sparse"
 )
 
@@ -22,15 +21,8 @@ import (
 // EliminateRow. Unfactored columns live at n+j and elimination ids below
 // n, so a pivot range inside [0, n) beyond the ids in use touches no row.
 func TestEliminateRowWithoutLevelPivotIsIdentity(t *testing.T) {
-	zoo := map[string]*sparse.CSR{
-		"grid2d":   matgen.Grid2D(12, 12),
-		"grid3d":   matgen.Grid3D(5, 5, 5),
-		"torso":    matgen.Torso(6, 6, 6, 1),
-		"convdiff": matgen.ConvDiff2D(12, 12, 20, 5),
-		"aniso":    matgen.Anisotropic2D(12, 12, 0.01),
-		"randspd":  matgen.RandomSPDPattern(150, 5, 3),
-	}
-	for name, a := range zoo {
+	for _, z := range kernelZoo() {
+		name, a := z.name, z.a
 		for _, par := range []Params{{M: 4, Tau: 1e-2, K: 2}, {M: 4, Tau: 1e-2}, {}} {
 			n, h := a.N, a.N/2
 			s := NewScratch(2 * n)

@@ -1,7 +1,6 @@
 package ilu
 
 import (
-	"container/heap"
 	"fmt"
 	"math"
 
@@ -48,7 +47,8 @@ func symbolicILUK(a *sparse.CSR, maxLev int) (*sparse.CSR, error) {
 		levRow[j] = -1
 	}
 	var touched []int
-	var h colHeap
+	var q colQueue
+	q.resize(n)
 
 	rowCols := make([][]int, n)
 	rowLevs := make([][]float64, n)
@@ -60,13 +60,12 @@ func symbolicILUK(a *sparse.CSR, maxLev int) (*sparse.CSR, error) {
 	for i := 0; i < n; i++ {
 		cols, _ := a.Row(i)
 		hasDiag := false
-		h = h[:0]
 		touched = touched[:0]
 		for _, j := range cols {
 			levRow[j] = 0
 			touched = append(touched, j)
 			if j < i {
-				h = append(h, j)
+				q.push(j)
 			}
 			if j == i {
 				hasDiag = true
@@ -76,9 +75,7 @@ func symbolicILUK(a *sparse.CSR, maxLev int) (*sparse.CSR, error) {
 			levRow[i] = 0
 			touched = append(touched, i)
 		}
-		heap.Init(&h)
-		for h.Len() > 0 {
-			k := heap.Pop(&h).(int)
+		for k := q.pop(); k >= 0; k = q.pop() {
 			lik := levRow[k]
 			if lik < 0 || lik > maxLev {
 				continue
@@ -92,7 +89,7 @@ func symbolicILUK(a *sparse.CSR, maxLev int) (*sparse.CSR, error) {
 					levRow[j] = nl
 					touched = append(touched, j)
 					if j < i {
-						heap.Push(&h, j)
+						q.push(j)
 					}
 				} else if nl < levRow[j] {
 					levRow[j] = nl
@@ -149,7 +146,6 @@ func factorOnPattern(a *sparse.CSR, pattern *sparse.CSR) (*Factors, Stats, error
 	lVals := make([][]float64, n)
 	uCols := make([][]int, n)
 	uVals := make([][]float64, n)
-	var h colHeap
 
 	for i := 0; i < n; i++ {
 		pcols, _ := pattern.Row(i)
@@ -163,15 +159,12 @@ func factorOnPattern(a *sparse.CSR, pattern *sparse.CSR) (*Factors, Stats, error
 				w.Set(j, avals[k])
 			}
 		}
-		h = h[:0]
-		for _, j := range pcols {
-			if j < i {
-				h = append(h, j)
+		// No fill on a fixed pattern: the pivots are the row's own columns
+		// below the diagonal, which a CSR row lists in increasing order.
+		for _, k := range pcols {
+			if k >= i {
+				break
 			}
-		}
-		heap.Init(&h)
-		for h.Len() > 0 {
-			k := heap.Pop(&h).(int)
 			piv := uVals[k][0]
 			wk := w.Get(k) / piv
 			st.Flops++

@@ -1,7 +1,6 @@
 package ilu
 
 import (
-	"container/heap"
 	"fmt"
 	"math"
 
@@ -100,7 +99,8 @@ func ILUT(a *sparse.CSR, p Params) (*Factors, Stats, error) {
 	lVals := make([][]float64, n)
 	uCols := make([][]int, n)
 	uVals := make([][]float64, n)
-	var lheap colHeap
+	var q colQueue
+	q.resize(n)
 
 	for i := 0; i < n; i++ {
 		cols, vals := a.Row(i)
@@ -110,21 +110,16 @@ func ILUT(a *sparse.CSR, p Params) (*Factors, Stats, error) {
 		tau := p.Tau * a.RowNorm2(i)
 
 		w.Scatter(cols, vals)
-		lheap = lheap[:0]
 		for _, j := range cols {
 			if j < i {
-				lheap = append(lheap, j)
+				q.push(j)
 			}
 		}
-		heap.Init(&lheap)
 
 		// Elimination sweep: process k < i in increasing order, including
-		// fill positions created along the way.
-		for lheap.Len() > 0 {
-			k := heap.Pop(&lheap).(int)
-			if !w.Has(k) {
-				continue // dropped earlier in this sweep
-			}
+		// fill positions created along the way (U's row k only reaches
+		// columns beyond k, so they all lie ahead of the queue's cursor).
+		for k := q.pop(); k >= 0; k = q.pop() {
 			piv := uVals[k][0] // diagonal of U stored first in row k
 			wk := w.Get(k) / piv
 			st.Flops++
@@ -141,8 +136,8 @@ func ILUT(a *sparse.CSR, p Params) (*Factors, Stats, error) {
 			ukv := uVals[k]
 			for idx := 1; idx < len(ukc); idx++ {
 				j := ukc[idx]
-				if !w.Has(j) && j < i {
-					heap.Push(&lheap, j)
+				if j < i {
+					q.push(j)
 				}
 				w.Add(j, -wk*ukv[idx])
 				st.Flops += 2
@@ -195,21 +190,6 @@ func fromURows(n int, cols [][]int, vals [][]float64) *sparse.CSR {
 	// leading diagonal element is already the smallest column in an upper
 	// triangular row, so rows are in fact fully sorted.
 	return sparse.FromRows(n, n, cols, vals)
-}
-
-// colHeap is a min-heap of column indices driving the elimination order.
-type colHeap []int
-
-func (h colHeap) Len() int            { return len(h) }
-func (h colHeap) Less(i, j int) bool  { return h[i] < h[j] }
-func (h colHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *colHeap) Push(x interface{}) { *h = append(*h, x.(int)) }
-func (h *colHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	x := old[n-1]
-	*h = old[:n-1]
-	return x
 }
 
 // CompleteLU computes the exact LU factorization by running ILUT with no

@@ -1,7 +1,6 @@
 package ilu
 
 import (
-	"container/heap"
 	"fmt"
 	"math"
 	"sort"
@@ -62,7 +61,8 @@ func ILUTP(a *sparse.CSR, p Params, permTol float64) (*ILUTPResult, error) {
 	uCols := make([][]int, n) // original columns; diag col first
 	uVals := make([][]float64, n)
 	uDiagCol := make([]int, n)
-	var h colHeap
+	var q colQueue // of pivot positions
+	q.resize(n)
 
 	for i := 0; i < n; i++ {
 		cols, vals := a.Row(i)
@@ -71,19 +71,13 @@ func ILUTP(a *sparse.CSR, p Params, permTol float64) (*ILUTPResult, error) {
 		}
 		tau := p.Tau * a.RowNorm2(i)
 		w.Scatter(cols, vals)
-		h = h[:0]
 		for _, j := range cols {
 			if pos[j] < i {
-				h = append(h, pos[j])
+				q.push(pos[j])
 			}
 		}
-		heap.Init(&h)
-		for h.Len() > 0 {
-			k := heap.Pop(&h).(int)
+		for k := q.pop(); k >= 0; k = q.pop() {
 			jc := colAt[k] // original column sitting at pivot position k
-			if !w.Has(jc) {
-				continue
-			}
 			piv := uVals[k][0]
 			wk := w.Get(jc) / piv
 			st.Flops++
@@ -97,8 +91,8 @@ func ILUTP(a *sparse.CSR, p Params, permTol float64) (*ILUTPResult, error) {
 			ukv := uVals[k]
 			for idx := 1; idx < len(ukc); idx++ {
 				j := ukc[idx]
-				if !w.Has(j) && pos[j] < i {
-					heap.Push(&h, pos[j])
+				if pos[j] < i { // a position beyond k: row k's U part never moves behind its pivot
+					q.push(pos[j])
 				}
 				w.Add(j, -wk*ukv[idx])
 				st.Flops += 2

@@ -88,15 +88,60 @@ func TestScratchPoisonBitwise(t *testing.T) {
 }
 
 // TestScratchPoisonPanicsOnLiveState pins the other half of the Poison
-// contract: poisoning a scratch whose working row still holds live data
-// must panic rather than silently corrupt it.
+// contract: poisoning a scratch that still holds live data — an entry in
+// the working row, a column in the pivot queue — must panic rather than
+// silently corrupt it.
 func TestScratchPoisonPanicsOnLiveState(t *testing.T) {
-	s := NewScratch(16)
-	s.W().Scatter([]int{3}, []float64{1.5})
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Poison on a dirty working row did not panic")
-		}
-	}()
+	for name, dirty := range map[string]func(s *Scratch){
+		"working row": func(s *Scratch) { s.W().Scatter([]int{3}, []float64{1.5}) },
+		"pivot queue": func(s *Scratch) { s.q.push(5) },
+	} {
+		s := NewScratch(16)
+		dirty(s)
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("Poison on a dirty %s did not panic", name)
+				}
+			}()
+			s.Poison()
+		}()
+	}
+}
+
+// TestScratchSanitizeAfterMidRowPanic: a sweep that panics on a missing
+// pivot after its first elimination leaves the row scattered and the
+// second pivot still queued. Poison refuses that scratch, for the queue
+// alone too; Sanitize makes it pass, and the scratch then factors like a
+// fresh one.
+func TestScratchSanitizeAfterMidRowPanic(t *testing.T) {
+	s := NewScratch(96)
+	first := URow{Col: 2, Diag: 2, Cols: []int{5, 70}, Vals: []float64{1, 1}}
+	panicked := func(f func()) (p bool) {
+		defer func() { p = recover() != nil }()
+		f()
+		return
+	}
+	if !panicked(func() {
+		s.EliminateRowSeq(80, []int{2, 40, 80}, []float64{1, 1, 4}, func(k int) *URow {
+			if k == 2 {
+				return &first
+			}
+			return nil // pivot 5, the fill of pivot 2, is missing
+		}, 0, 64, 1e-3, 5, 2, &Stats{})
+	}) {
+		t.Fatal("a missing pivot did not panic")
+	}
+	if !panicked(s.Poison) {
+		t.Fatal("Poison passed a scratch abandoned mid-row")
+	}
+	s.W().Reset()
+	if !panicked(s.Poison) {
+		t.Fatal("Poison passed a scratch whose pivot queue still holds column 40")
+	}
+	s.Sanitize()
 	s.Poison()
+	if got, want := runPoisonRows(t, s), runPoisonRows(t, NewScratch(96)); !reflect.DeepEqual(got, want) {
+		t.Fatal("a sanitized scratch factors differently from a fresh one")
+	}
 }

@@ -84,17 +84,7 @@ func (s *Scratch) FactorPivotRow(i int, cols []int, vals []float64, tau float64,
 	if !found {
 		return r, fmt.Errorf("ilu: pivot row %d has no diagonal entry", i)
 	}
-	if perturb != 0 {
-		r.Diag *= perturb
-	}
-	if r.Diag == 0 || math.Abs(r.Diag) < 1e-300 {
-		if r.Diag >= 0 {
-			r.Diag = pivotFloor(tau)
-		} else {
-			r.Diag = -pivotFloor(tau)
-		}
-		st.FixedPivot++
-	}
+	r.Diag = repairPivot(r.Diag, tau, perturb, st)
 	if m > 0 && len(keep) > m {
 		sparse.SelectLargest(keep, m)
 		st.Dropped += len(keep) - m
@@ -108,6 +98,23 @@ func (s *Scratch) FactorPivotRow(i int, cols []int, vals []float64, tau float64,
 	}
 	r.Cols, r.Vals = s.carveEnts(keep)
 	return r, nil
+}
+
+// repairPivot applies the fault-injection perturbation (0 = none) to a
+// computed pivot d and replaces a zero or denormal-small result by the
+// pivot floor of its sign.
+func repairPivot(d, tau, perturb float64, st *Stats) float64 {
+	if perturb != 0 {
+		d *= perturb
+	}
+	if d == 0 || math.Abs(d) < 1e-300 {
+		st.FixedPivot++
+		if d >= 0 {
+			return pivotFloor(tau)
+		}
+		return -pivotFloor(tau)
+	}
+	return d
 }
 
 // EliminateRow applies Algorithm 2 of the paper to one row that is *not*
@@ -189,10 +196,10 @@ func (s *Scratch) EliminateRow(
 // EliminateRowSeq is the phase-1 variant of EliminateRow used when the
 // pivot block [nl, nl1) was factored *sequentially* (a processor's interior
 // rows) rather than as an independent set: eliminations may then create
-// fill back inside the pivot range, so the sweep is driven by a heap that
-// picks up fill positions, exactly like the main ILUT loop. Dropping rules
-// and the L/reduced split are identical to EliminateRow. The fill-
-// selection heap is the scratch's reusable heap.
+// fill back inside the pivot range, so the sweep is driven by the scratch's
+// pivot queue, which picks up fill positions exactly like the main ILUT
+// loop. Dropping rules and the L/reduced split are identical to
+// EliminateRow.
 //
 //pilut:hotpath
 func (s *Scratch) EliminateRowSeq(
@@ -203,21 +210,27 @@ func (s *Scratch) EliminateRowSeq(
 	tau float64, m, kcap int,
 	st *Stats,
 ) (newLCols []int, newLVals []float64, redCols []int, redVals []float64) {
-	w := s.w
-	w.Scatter(aCols, aVals)
+	s.sweepSeq(aCols, aVals, pivot, nl, nl1, tau, st)
+	return s.finishRow(i, nl1, tau, m, kcap, st)
+}
 
-	h := s.h[:0]
-	for _, k := range aCols {
+// sweepSeq scatters a row into the working row and eliminates the
+// sequentially factored pivots [nl, nl1) from it in ascending order, fill
+// included, under the 1st dropping rule. A pivot's U row only reaches
+// columns beyond the pivot, so every column queued during the sweep lies
+// ahead of the queue's cursor, and the queue is empty again when the sweep
+// ends.
+//
+//pilut:hotpath
+func (s *Scratch) sweepSeq(aCols []int, aVals []float64, pivot func(k int) *URow, nl, nl1 int, tau float64, st *Stats) {
+	w, q := s.w, &s.q
+	for idx, k := range aCols {
+		w.Add(k, aVals[idx])
 		if k >= nl && k < nl1 {
-			h = append(h, k) //pilutlint:ok hotalloc the fill heap grows to one row's peak pivot-range nnz once, then is reused across rows
+			q.push(k)
 		}
 	}
-	heapInit(&h)
-	for h.Len() > 0 {
-		k := heapPop(&h)
-		if !w.Has(k) {
-			continue
-		}
+	for k := q.pop(); k >= 0; k = q.pop() {
 		p := pivot(k)
 		if p == nil {
 			panic(fmt.Sprintf("ilu: EliminateRowSeq: missing pivot row %d", k))
@@ -232,15 +245,55 @@ func (s *Scratch) EliminateRowSeq(
 		}
 		w.Set(k, wk)
 		for idx, j := range p.Cols {
-			if j > k && j < nl1 && !w.Has(j) {
-				heapPush(&h, j)
+			if j > k && j < nl1 {
+				q.push(j)
 			}
 			w.Add(j, -wk*p.Vals[idx])
 			st.Flops += 2
 		}
 	}
-	s.h = h
-	return s.finishRow(i, nl1, tau, m, kcap, st)
+}
+
+// FactorInteriorRow factors one row of a sequentially factored block —
+// a processor's interior rows, a Schur block — whose earlier rows are the
+// pivots [nl, i): the sequential sweep, then one row tail that applies the
+// 2nd dropping rule to the L part and, to the U part, the 3rd rule's
+// threshold and the 2nd rule's cap of m with the diagonal protected, then
+// the pivot perturbation and repair of FactorPivotRow on that diagonal.
+// It returns what EliminateRowSeq with kcap = 0 followed by
+// FactorPivotRow on the reduced part returns, values and Stats to the
+// bit, without ever sorting, storing or rescanning the uncapped U part:
+// the tail has already removed what is below tau, so the pivot row's own
+// threshold pass would find nothing, and the m largest of a set do not
+// depend on the order they are selected from.
+//
+//pilut:hotpath
+func (s *Scratch) FactorInteriorRow(
+	i int,
+	aCols []int, aVals []float64,
+	pivot func(k int) *URow,
+	nl int,
+	tau float64, m int, perturb float64,
+	st *Stats,
+) (lCols []int, lVals []float64, u URow) {
+	s.sweepSeq(aCols, aVals, pivot, nl, i, tau, st)
+	lo, hi, dLo, dHi, fixed := s.w.Tail(i, tau, m, m, i, pivotFloor(tau))
+	cut := s.w.CutHi()
+	st.Dropped += dLo + dHi
+	st.DroppedRule2 += dLo + cut
+	st.DroppedRule3 += dHi - cut
+	if fixed {
+		st.FixedPivot++
+	}
+	if len(lo) > 0 {
+		lCols, lVals = s.carveEnts(lo)
+	}
+	// The diagonal is the U part's smallest column, so it leads.
+	u = URow{Col: i, Diag: repairPivot(hi[0].Val, tau, perturb, st), Cols: emptyRowCols, Vals: emptyRowVals}
+	if len(hi) > 1 {
+		u.Cols, u.Vals = s.carveEnts(hi[1:])
+	}
+	return lCols, lVals, u
 }
 
 // finishRow is the shared tail of EliminateRow and EliminateRowSeq: the
@@ -317,59 +370,4 @@ func (s *Scratch) EliminateRowStatic(
 	s.rc, s.rv = w.Gather(nl1, n, s.rc[:0], s.rv[:0])
 	w.Reset()
 	return s.takeInts(s.lc), s.takeFloats(s.lv), s.takeInts(s.rc), s.takeFloats(s.rv)
-}
-
-// Small heap helpers shared with the ILUT driver (container/heap without
-// the interface boilerplate for the hot path).
-//
-//pilut:hotpath
-func heapInit(h *colHeap) {
-	n := h.Len()
-	for i := n/2 - 1; i >= 0; i-- {
-		heapDown(*h, i, n)
-	}
-}
-
-//pilut:hotpath
-func heapPush(h *colHeap, x int) {
-	*h = append(*h, x) //pilutlint:ok hotalloc heap scratch is bounded by one row's fill and reused across pushes
-	i := len(*h) - 1
-	for i > 0 {
-		p := (i - 1) / 2
-		if (*h)[p] <= (*h)[i] {
-			break
-		}
-		(*h)[p], (*h)[i] = (*h)[i], (*h)[p]
-		i = p
-	}
-}
-
-//pilut:hotpath
-func heapPop(h *colHeap) int {
-	old := *h
-	n := len(old)
-	x := old[0]
-	old[0] = old[n-1]
-	*h = old[:n-1]
-	heapDown(*h, 0, n-1)
-	return x
-}
-
-//pilut:hotpath
-func heapDown(h colHeap, i, n int) {
-	for {
-		l, r := 2*i+1, 2*i+2
-		m := i
-		if l < n && h[l] < h[m] {
-			m = l
-		}
-		if r < n && h[r] < h[m] {
-			m = r
-		}
-		if m == i {
-			return
-		}
-		h[i], h[m] = h[m], h[i]
-		i = m
-	}
 }

@@ -172,24 +172,3 @@ func TestEliminateRowSeqMissingPivot(t *testing.T) {
 	s.EliminateRowSeq(1, []int{0, 1}, []float64{1, 1},
 		func(k int) *URow { return nil }, 0, 1, 0, 0, 0, &st)
 }
-
-// TestHeapHelpers exercises the bespoke heap directly.
-func TestHeapHelpers(t *testing.T) {
-	var h colHeap
-	for _, v := range []int{5, 1, 9, 3, 7, 2} {
-		heapPush(&h, v)
-	}
-	prev := -1
-	for h.Len() > 0 {
-		v := heapPop(&h)
-		if v < prev {
-			t.Fatalf("heap pop out of order: %d after %d", v, prev)
-		}
-		prev = v
-	}
-	h = colHeap{9, 4, 6, 1}
-	heapInit(&h)
-	if heapPop(&h) != 1 {
-		t.Fatal("heapInit did not establish order")
-	}
-}

@@ -8,13 +8,13 @@ import (
 
 // Scratch bundles every piece of reusable working memory the row kernels
 // need, so the steady-state factorization loop allocates zero bytes per
-// row: the dense working row of Algorithm 1, the fill-selection heap of
-// the sequential kernel, gather staging buffers, the pivot-row selection
+// row: the dense working row of Algorithm 1, the pivot queue of the
+// sequential kernels, gather staging buffers, the pivot-row selection
 // buffer, and an output arena the factored rows are carved from.
 //
 // Ownership rules (DESIGN.md §13):
 //
-//   - The volatile parts (working row, heap, staging buffers) hold no
+//   - The volatile parts (working row, queue, staging buffers) hold no
 //     live data between kernel calls and may be reused across
 //     factorizations — core pools them per processor.
 //   - The output arena (out) owns the memory of every row a kernel
@@ -23,11 +23,11 @@ import (
 //     rows keep their chunks alive through ordinary GC liveness.
 //
 // A zero Scratch is not usable; call NewScratch. The row kernels
-// (EliminateRow, EliminateRowSeq, EliminateRowStatic, FactorPivotRow) are
-// its methods and the only way to run them.
+// (EliminateRow, EliminateRowSeq, FactorInteriorRow, EliminateRowStatic,
+// FactorPivotRow) are its methods and the only way to run them.
 type Scratch struct {
 	w *sparse.WorkRow
-	h colHeap // fill-selection heap of EliminateRowSeq
+	q colQueue // pivot queue of the sequential sweep, over the working row's positions; empty between rows
 
 	// gather staging: factored part (lc/lv) and reduced part (rc/rv) of
 	// the current row, reused across rows.
@@ -45,12 +45,18 @@ type Scratch struct {
 
 // NewScratch returns a Scratch whose working row covers n positions.
 func NewScratch(n int) *Scratch {
-	return &Scratch{w: sparse.NewWorkRow(n)}
+	s := &Scratch{w: sparse.NewWorkRow(n)}
+	s.q.resize(n)
+	return s
 }
 
-// Grow ensures the working row covers at least n positions. The scratch
-// must hold no live state (kernels always leave it reset).
-func (s *Scratch) Grow(n int) { s.w.Resize(n) }
+// Grow ensures the working row and the pivot queue cover at least n
+// positions. The scratch must hold no live state (kernels always leave it
+// reset).
+func (s *Scratch) Grow(n int) {
+	s.w.Resize(n)
+	s.q.resize(n)
+}
 
 // W exposes the working row (the poison tests plant live state in it).
 func (s *Scratch) W() *sparse.WorkRow { return s.w }
@@ -67,28 +73,24 @@ func (s *Scratch) DetachOutputs() { s.out = slab{} }
 // working-row reset is O(nnz of the interrupted row)).
 func (s *Scratch) Sanitize() {
 	s.w.Reset()
-	s.h = s.h[:0]
+	s.q.clear()
 	s.lc, s.lv = s.lc[:0], s.lv[:0]
 	s.rc, s.rv = s.rc[:0], s.rv[:0]
 	s.ents = s.ents[:0]
 }
 
-// Poison verifies the volatile state is clean and then overwrites every
-// byte a correct kernel may not read — spare capacities of the heap,
-// staging buffers, selection buffer, and the unused tail of the output
-// arena — with NaN/sentinel garbage. A kernel that reads stale scratch
-// state after a Poison produces NaNs or absurd indices, which the
-// bitwise run-to-run property tests catch. Panics if live state is
-// found.
+// Poison verifies the volatile state is clean — working row reset, pivot
+// queue empty — and then overwrites every byte a correct kernel may not
+// read — spare capacities of the staging buffers and the selection
+// buffer, and the unused tail of the output arena — with NaN/sentinel
+// garbage. A kernel that reads stale scratch state after a Poison produces
+// NaNs or absurd indices, which the bitwise run-to-run property tests
+// catch. Panics if live state is found.
 func (s *Scratch) Poison() {
 	s.w.PoisonClean()
+	s.q.checkEmpty()
 	const sentinel = -0x5A5A5A5A
 	nan := math.NaN()
-	hh := s.h[:cap(s.h)]
-	for k := range hh {
-		hh[k] = sentinel
-	}
-	s.h = s.h[:0]
 	ic := s.lc[:cap(s.lc)]
 	for k := range ic {
 		ic[k] = sentinel

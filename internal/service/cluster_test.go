@@ -646,6 +646,28 @@ func TestImportMatrixRejectsMalformedCSR(t *testing.T) {
 	}
 }
 
+// TestSubmitRefusesNonFiniteValues: the MatrixMarket reader refuses a NaN
+// or an infinity where it stands, and Submit refuses a matrix that holds
+// one however it was built, so neither is ever stored under a key.
+func TestSubmitRefusesNonFiniteValues(t *testing.T) {
+	srv := New(Config{Procs: 2, Workers: 1, Backend: "real"})
+	defer srv.Shutdown(context.Background())
+	if _, err := sparse.ReadMatrixMarket(strings.NewReader(
+		"%%MatrixMarket matrix coordinate real general\n2 2 2\n1 1 4\n2 2 inf\n")); err == nil || !strings.Contains(err.Error(), "line 4") {
+		t.Errorf("reader: err %v, want a refusal naming line 4", err)
+	}
+	for _, v := range []float64{math.NaN(), math.Inf(-1)} {
+		bad := matgen.Grid2D(6, 6)
+		bad.Vals[7] = v
+		if _, _, err := srv.Submit(bad); err == nil || !strings.Contains(err.Error(), "non-finite") {
+			t.Errorf("Submit with %v: err %v, want a non-finite refusal", v, err)
+		}
+	}
+	if n := srv.StatsSnapshot().Matrices; n != 0 {
+		t.Errorf("%d non-finite matrices were stored", n)
+	}
+}
+
 // shiftRungMatrix returns a matrix whose configured factorization breaks
 // down and whose "shift" rung succeeds: a grid block plus enough
 // decoupled rows with an explicit zero diagonal that more than a quarter

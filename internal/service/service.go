@@ -13,6 +13,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -355,7 +356,7 @@ func New(cfg Config) *Server {
 // Submit registers a matrix and returns its content key. Submitting the
 // same matrix (by content, not by pointer) again returns the same key
 // with known = true and costs nothing. The matrix must be square with at
-// least Procs rows.
+// least Procs rows and finite values.
 func (s *Server) Submit(a *sparse.CSR) (key string, known bool, err error) {
 	if a == nil {
 		return "", false, fmt.Errorf("service: nil matrix")
@@ -365,6 +366,11 @@ func (s *Server) Submit(a *sparse.CSR) (key string, known bool, err error) {
 	}
 	if a.N < s.cfg.Procs {
 		return "", false, fmt.Errorf("service: matrix has %d rows, need at least one per processor (%d)", a.N, s.cfg.Procs)
+	}
+	for _, v := range a.Vals {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return "", false, fmt.Errorf("service: matrix holds a non-finite value %v", v)
+		}
 	}
 	s.mu.Lock()
 	if s.draining {

@@ -2,6 +2,7 @@ package sparse
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -31,6 +32,13 @@ func (b *Builder) Add(i, j int, v float64) {
 	b.vals = append(b.vals, v)
 }
 
+// reserve makes room for k more triplets.
+func (b *Builder) reserve(k int) {
+	b.rows = slices.Grow(b.rows, k)
+	b.cols = slices.Grow(b.cols, k)
+	b.vals = slices.Grow(b.vals, k)
+}
+
 // Len reports the number of recorded triplets (before duplicate collapse).
 func (b *Builder) Len() int { return len(b.rows) }
 
@@ -58,7 +66,15 @@ func (b *Builder) Build() *CSR {
 	for i := 0; i < b.n; i++ {
 		lo, hi := count[i], count[i+1]
 		rowIdx := order[lo:hi]
-		sort.Slice(rowIdx, func(x, y int) bool { return b.cols[rowIdx[x]] < b.cols[rowIdx[y]] })
+		// A row that arrived with strictly increasing columns (a file
+		// written row by row) is in the one order the sort could give it.
+		increasing := true
+		for k := 1; k < len(rowIdx) && increasing; k++ {
+			increasing = b.cols[rowIdx[k-1]] < b.cols[rowIdx[k]]
+		}
+		if !increasing {
+			sort.Slice(rowIdx, func(x, y int) bool { return b.cols[rowIdx[x]] < b.cols[rowIdx[y]] })
+		}
 		for k := 0; k < len(rowIdx); {
 			j := b.cols[rowIdx[k]]
 			var v float64

@@ -2,8 +2,11 @@ package sparse
 
 import (
 	"bufio"
+	"bytes"
+	"errors"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 	"strings"
 )
@@ -37,13 +40,26 @@ func WriteMatrixMarket(w io.Writer, a *CSR) error {
 // worst-case pre-allocation in the low hundreds of megabytes.
 const maxMMDim = 1 << 24
 
+// errNonFinite marks the refusal of a NaN or infinite value.
+var errNonFinite = errors.New("value is not finite")
+
 // ReadMatrixMarket parses a MatrixMarket coordinate file (real; general or
 // symmetric — symmetric input is expanded to full storage). Pattern and
 // complex files are rejected, as are headers declaring negative entry
-// counts, non-square symmetric shapes, or dimensions beyond maxMMDim.
+// counts, non-square symmetric shapes, or dimensions beyond maxMMDim, and
+// values that are not finite — as read, or as duplicates sum to — so
+// whatever it returns passes CSR.Check. Fields of an entry line are
+// separated by ASCII white space only.
 func ReadMatrixMarket(r io.Reader) (*CSR, error) {
+	// rest is the length of the input, when the reader can tell: it bounds
+	// the read buffer and the entries the input can hold.
+	rest, bufSize := -1, 64<<10
+	if l, ok := r.(interface{ Len() int }); ok {
+		rest = l.Len()
+		bufSize = min(bufSize, rest+1)
+	}
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<20), 1<<24)
+	sc.Buffer(make([]byte, 0, bufSize), 1<<24)
 
 	if !sc.Scan() {
 		return nil, fmt.Errorf("sparse: MatrixMarket: empty input")
@@ -66,12 +82,14 @@ func ReadMatrixMarket(r io.Reader) (*CSR, error) {
 
 	// Skip comments, read the size line.
 	var n, m, nnz int
+	lineNo := 1
 	for sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
-		if line == "" || strings.HasPrefix(line, "%") {
+		lineNo++
+		line := bytes.TrimSpace(sc.Bytes())
+		if len(line) == 0 || line[0] == '%' {
 			continue
 		}
-		if _, err := fmt.Sscan(line, &n, &m, &nnz); err != nil {
+		if _, err := fmt.Sscan(string(line), &n, &m, &nnz); err != nil {
 			return nil, fmt.Errorf("sparse: MatrixMarket: bad size line %q: %v", line, err)
 		}
 		break
@@ -89,31 +107,51 @@ func ReadMatrixMarket(r io.Reader) (*CSR, error) {
 		return nil, fmt.Errorf("sparse: MatrixMarket: symmetric matrix must be square, got %d×%d", n, m)
 	}
 
+	// Room for the declared entries, but for no more than the input could
+	// spell (an entry takes at least "1 1 1" and a newline), and for a
+	// small first guess when its length is unknown: the size line is not
+	// believed further than the bytes behind it.
+	reserve := 1 << 10
+	if rest >= 0 {
+		reserve = rest / 6
+	}
+	reserve = min(reserve, nnz)
+	if symmetric {
+		reserve *= 2
+	}
 	b := NewBuilder(n, m)
+	b.reserve(reserve)
 	read := 0
 	for read < nnz && sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
-		if line == "" || strings.HasPrefix(line, "%") {
+		lineNo++
+		fi, line := mmField(sc.Bytes())
+		if len(fi) == 0 || fi[0] == '%' {
 			continue
 		}
-		f := strings.Fields(line)
-		if len(f) < 3 {
-			return nil, fmt.Errorf("sparse: MatrixMarket: bad entry line %q", line)
+		fj, line := mmField(line)
+		fv, _ := mmField(line)
+		if len(fv) == 0 {
+			return nil, fmt.Errorf("sparse: MatrixMarket: line %d: bad entry line %q", lineNo, sc.Bytes())
 		}
-		i, err := strconv.Atoi(f[0])
+		// A conversion of a short token to string for a call that does not
+		// keep it stays on the stack.
+		i, err := strconv.Atoi(string(fi))
 		if err != nil {
-			return nil, fmt.Errorf("sparse: MatrixMarket: bad row index %q", f[0])
+			return nil, fmt.Errorf("sparse: MatrixMarket: line %d: bad row index %q", lineNo, fi)
 		}
-		j, err := strconv.Atoi(f[1])
+		j, err := strconv.Atoi(string(fj))
 		if err != nil {
-			return nil, fmt.Errorf("sparse: MatrixMarket: bad column index %q", f[1])
+			return nil, fmt.Errorf("sparse: MatrixMarket: line %d: bad column index %q", lineNo, fj)
 		}
-		v, err := strconv.ParseFloat(f[2], 64)
+		v, err := strconv.ParseFloat(string(fv), 64)
 		if err != nil {
-			return nil, fmt.Errorf("sparse: MatrixMarket: bad value %q", f[2])
+			return nil, fmt.Errorf("sparse: MatrixMarket: line %d: bad value %q", lineNo, fv)
+		}
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return nil, fmt.Errorf("sparse: MatrixMarket: line %d: value %q: %w", lineNo, fv, errNonFinite)
 		}
 		if i < 1 || i > n || j < 1 || j > m {
-			return nil, fmt.Errorf("sparse: MatrixMarket: entry (%d,%d) out of range", i, j)
+			return nil, fmt.Errorf("sparse: MatrixMarket: line %d: entry (%d,%d) out of range", lineNo, i, j)
 		}
 		b.Add(i-1, j-1, v)
 		if symmetric && i != j {
@@ -127,5 +165,30 @@ func ReadMatrixMarket(r io.Reader) (*CSR, error) {
 	if read < nnz {
 		return nil, fmt.Errorf("sparse: MatrixMarket: expected %d entries, found %d", nnz, read)
 	}
-	return b.Build(), nil
+	a := b.Build()
+	for k, v := range a.Vals {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return nil, fmt.Errorf("sparse: MatrixMarket: duplicate entries of column %d sum to %v: %w", a.Cols[k]+1, v, errNonFinite)
+		}
+	}
+	return a, nil
+}
+
+// mmField returns the first field of an entry line — empty if there is
+// none — and what follows it. Fields are separated by the ASCII white space
+// a line can hold; the Unicode spaces (U+0085, U+00A0, …) are not
+// separators, so a line that uses one is a bad entry line.
+func mmField(line []byte) (field, rest []byte) {
+	// Space, or \t \v \f \r (a line holds no \n); one test for the bytes
+	// of a number.
+	isSpace := func(c byte) bool { return c <= ' ' && (c == ' ' || c >= '\t' && c <= '\r') }
+	k := 0
+	for k < len(line) && isSpace(line[k]) {
+		k++
+	}
+	start := k
+	for k < len(line) && !isSpace(line[k]) {
+		k++
+	}
+	return line[start:k], line[k:]
 }

@@ -19,21 +19,30 @@ var mmSeeds = [][]byte{
 	[]byte("%%MatrixMarket matrix coordinate real general\n2 2 2\n1 1 1\n"),
 	[]byte("not a matrix market file\n"),
 	[]byte(""),
+	[]byte("%%MatrixMarket matrix coordinate real general\n2 2 2\n1 1 nan\n2 2 -inf\n"),
+	[]byte("%%MatrixMarket matrix coordinate real general\n2 2 2\n1 2 1e308\n1 2 1e308\n"),
+	[]byte("%%MatrixMarket matrix coordinate real general\n2 2 1\n1\u00a01\u0085 5\n"),
+	[]byte("%%MatrixMarket matrix coordinate real symmetric\n3 3 1099511627776\n\t2\v1\f 4.5 junk\r\n"),
 }
 
 // FuzzReadMatrixMarket feeds arbitrary bytes to the MatrixMarket reader.
 // The reader must never panic — malformed input is an error, not a crash —
-// and any matrix it does accept must be structurally sound and survive a
-// write/read round trip unchanged.
+// it must decide and parse as the parent's line-by-line parser did
+// (checkAgainstParent), and any matrix it does accept must be structurally
+// sound, pass CSR.Check and survive a write/read round trip unchanged.
 func FuzzReadMatrixMarket(f *testing.F) {
 	for _, s := range mmSeeds {
 		f.Add(s)
 	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
+		checkAgainstParent(t, data)
 		a, err := ReadMatrixMarket(bytes.NewReader(data))
 		if err != nil {
 			return
+		}
+		if err := a.Check(); err != nil {
+			t.Fatalf("accepted a matrix that fails Check: %v", err)
 		}
 		if a.N <= 0 || a.M <= 0 {
 			t.Fatalf("accepted matrix with dimensions %d×%d", a.N, a.M)

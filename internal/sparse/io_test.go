@@ -1,13 +1,22 @@
 package sparse
 
 import (
+	"bufio"
 	"bytes"
+	"errors"
+	"fmt"
+	"io"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"reflect"
+	"runtime"
 	"strconv"
 	"strings"
 	"testing"
+	"unicode"
+	"unicode/utf8"
 )
 
 func TestMatrixMarketRoundTrip(t *testing.T) {
@@ -122,6 +131,25 @@ func TestVecOps(t *testing.T) {
 // fuzz seeds and the committed corpus satisfies CSR.Check — the reader's
 // output and the wire decoder's precondition are the same invariants.
 func TestMatrixMarketCorpusPassesCheck(t *testing.T) {
+	accepted := 0
+	for _, in := range mmCorpus(t) {
+		a, err := ReadMatrixMarket(bytes.NewReader(in))
+		if err != nil {
+			continue
+		}
+		accepted++
+		if err := a.Check(); err != nil {
+			t.Errorf("reader accepted %q but Check says %v", in, err)
+		}
+	}
+	if accepted < 5 {
+		t.Errorf("only %d corpus entries parse; the test reaches too little", accepted)
+	}
+}
+
+// mmCorpus is the fuzz seeds plus the committed corpus.
+func mmCorpus(t *testing.T) [][]byte {
+	t.Helper()
 	inputs := append([][]byte(nil), mmSeeds...)
 	files, err := filepath.Glob("testdata/fuzz/FuzzReadMatrixMarket/*")
 	if err != nil || len(files) == 0 {
@@ -140,18 +168,199 @@ func TestMatrixMarketCorpusPassesCheck(t *testing.T) {
 		}
 		inputs = append(inputs, []byte(in))
 	}
-	accepted := 0
-	for _, in := range inputs {
-		a, err := ReadMatrixMarket(bytes.NewReader(in))
-		if err != nil {
+	return inputs
+}
+
+// refReadMatrixMarket is ReadMatrixMarket as it was before it became a
+// byte scanner, verbatim: Scanner.Text, TrimSpace, Fields and Sscan on
+// every line. It is the reference the scanner is held to.
+func refReadMatrixMarket(r io.Reader) (*CSR, error) {
+	sc := bufio.NewScanner(r)
+	sc.Buffer(make([]byte, 1<<20), 1<<24)
+
+	if !sc.Scan() {
+		return nil, fmt.Errorf("sparse: MatrixMarket: empty input")
+	}
+	header := strings.Fields(strings.ToLower(sc.Text()))
+	if len(header) < 5 || header[0] != "%%matrixmarket" || header[1] != "matrix" || header[2] != "coordinate" {
+		return nil, fmt.Errorf("sparse: MatrixMarket: unsupported header %q", sc.Text())
+	}
+	if header[3] != "real" && header[3] != "integer" {
+		return nil, fmt.Errorf("sparse: MatrixMarket: unsupported field type %q", header[3])
+	}
+	symmetric := false
+	switch header[4] {
+	case "general":
+	case "symmetric":
+		symmetric = true
+	default:
+		return nil, fmt.Errorf("sparse: MatrixMarket: unsupported symmetry %q", header[4])
+	}
+
+	// Skip comments, read the size line.
+	var n, m, nnz int
+	for sc.Scan() {
+		line := strings.TrimSpace(sc.Text())
+		if line == "" || strings.HasPrefix(line, "%") {
 			continue
 		}
-		accepted++
-		if err := a.Check(); err != nil {
-			t.Errorf("reader accepted %q but Check says %v", in, err)
+		if _, err := fmt.Sscan(line, &n, &m, &nnz); err != nil {
+			return nil, fmt.Errorf("sparse: MatrixMarket: bad size line %q: %v", line, err)
+		}
+		break
+	}
+	if n <= 0 || m <= 0 {
+		return nil, fmt.Errorf("sparse: MatrixMarket: invalid dimensions %d×%d", n, m)
+	}
+	if n > maxMMDim || m > maxMMDim {
+		return nil, fmt.Errorf("sparse: MatrixMarket: dimensions %d×%d exceed the %d limit", n, m, maxMMDim)
+	}
+	if nnz < 0 {
+		return nil, fmt.Errorf("sparse: MatrixMarket: negative entry count %d", nnz)
+	}
+	if symmetric && n != m {
+		return nil, fmt.Errorf("sparse: MatrixMarket: symmetric matrix must be square, got %d×%d", n, m)
+	}
+
+	b := NewBuilder(n, m)
+	read := 0
+	for read < nnz && sc.Scan() {
+		line := strings.TrimSpace(sc.Text())
+		if line == "" || strings.HasPrefix(line, "%") {
+			continue
+		}
+		f := strings.Fields(line)
+		if len(f) < 3 {
+			return nil, fmt.Errorf("sparse: MatrixMarket: bad entry line %q", line)
+		}
+		i, err := strconv.Atoi(f[0])
+		if err != nil {
+			return nil, fmt.Errorf("sparse: MatrixMarket: bad row index %q", f[0])
+		}
+		j, err := strconv.Atoi(f[1])
+		if err != nil {
+			return nil, fmt.Errorf("sparse: MatrixMarket: bad column index %q", f[1])
+		}
+		v, err := strconv.ParseFloat(f[2], 64)
+		if err != nil {
+			return nil, fmt.Errorf("sparse: MatrixMarket: bad value %q", f[2])
+		}
+		if i < 1 || i > n || j < 1 || j > m {
+			return nil, fmt.Errorf("sparse: MatrixMarket: entry (%d,%d) out of range", i, j)
+		}
+		b.Add(i-1, j-1, v)
+		if symmetric && i != j {
+			b.Add(j-1, i-1, v)
+		}
+		read++
+	}
+	if err := sc.Err(); err != nil {
+		return nil, err
+	}
+	if read < nnz {
+		return nil, fmt.Errorf("sparse: MatrixMarket: expected %d entries, found %d", nnz, read)
+	}
+	return b.Build(), nil
+}
+
+// checkAgainstParent holds the scanner to the parent's parser on one
+// input: the same accept or reject, and on accept the same CSR with values
+// compared as bits. Two refusals of something the parent took are allowed,
+// each recognised for what it is: a value that is not finite, and an entry
+// line that leans on a Unicode space to separate or pad its fields.
+func checkAgainstParent(t *testing.T, data []byte) {
+	t.Helper()
+	got, gerr := ReadMatrixMarket(bytes.NewReader(data))
+	want, werr := refReadMatrixMarket(bytes.NewReader(data))
+	switch {
+	case gerr != nil && werr != nil:
+	case gerr == nil && werr != nil:
+		t.Fatalf("accepted %q, which the parent refused: %v", data, werr)
+	case gerr == nil:
+		if got.N != want.N || got.M != want.M || !reflect.DeepEqual(got.RowPtr, want.RowPtr) || !reflect.DeepEqual(got.Cols, want.Cols) {
+			t.Fatalf("%q: structure differs from the parent's\n got %+v\nwant %+v", data, got, want)
+		}
+		for k, v := range got.Vals {
+			if math.Float64bits(v) != math.Float64bits(want.Vals[k]) {
+				t.Fatalf("%q: value %d is %v, the parent's %v", data, k, v, want.Vals[k])
+			}
+		}
+	case errors.Is(gerr, errNonFinite):
+		if want.Check() == nil {
+			t.Fatalf("%q refused as non-finite (%v), but the parent's matrix is finite", data, gerr)
+		}
+	case bytes.ContainsFunc(data, func(r rune) bool { return r >= utf8.RuneSelf && unicode.IsSpace(r) }):
+	default:
+		t.Fatalf("refused %q, which the parent accepted: %v", data, gerr)
+	}
+}
+
+// TestReadMatrixMarketMatchesParent runs the differential check over the
+// seeds and the committed corpus, then pins each allowed divergence and the
+// size-line bound as decisions.
+func TestReadMatrixMarketMatchesParent(t *testing.T) {
+	for _, in := range mmCorpus(t) {
+		checkAgainstParent(t, in)
+	}
+	const head = "%%MatrixMarket matrix coordinate real general\n"
+	for _, c := range []struct {
+		name, in string
+		refuse   string // what the scanner's error says; "" = accepted like the parent
+		parentOK bool
+	}{
+		{"tabs, CR, VT, FF and a fourth field", head + "2 2 2\n\t1\v1\f 4.5 junk\r\n  2 \t 2   -1e-3\n", "", true},
+		{"comment and blank lines among the entries", head + "2 2 2\n1 1 1\n\n  % note\n \t\r\n2 2 2\n", "", true},
+		{"entries past the declared count are not read", head + "1 1 1\n1 1 7\nnot an entry\n", "", true},
+		{"signed and zero-padded indices", head + "3 3 1\n+2 003 0x1p-2\n", "", true},
+		{"no newline at the end", head + "1 1 1\n1 1 2.5", "", true},
+		{"two fields", head + "2 2 1\n1 1\n", "line 3: bad entry line", false},
+		{"nan", head + "2 2 2\n1 1 1\n2 2 nan\n", "line 4: value \"nan\": value is not finite", true},
+		{"inf", head + "2 2 1\n2 1 -Inf\n", "line 3: value \"-Inf\": value is not finite", true},
+		{"infinity spelled out", head + "1 1 1\n1 1 +infinity\n", "line 3", true},
+		{"duplicates that sum past the largest float", head + "2 2 2\n1 2 1e308\n1 2 1e308\n", "duplicate entries of column 2 sum to +Inf", true},
+		{"U+00A0 between fields", head + "2 2 1\n1\u00a01 5\n", "line 3: bad entry line", true},
+		{"U+0085 after the value", head + "2 2 1\n1 1 5\u0085\n", "line 3: bad value", true},
+		{"U+00A0 before the row index", head + "2 2 1\n\u00a01 1 5\n", "line 3: bad row index", true},
+		{"a line of U+2003 alone", head + "1 1 1\n\u2003\n1 1 5\n", "line 3: bad entry line", true},
+	} {
+		checkAgainstParent(t, []byte(c.in))
+		_, err := ReadMatrixMarket(strings.NewReader(c.in))
+		_, perr := refReadMatrixMarket(strings.NewReader(c.in))
+		if (perr == nil) != c.parentOK {
+			t.Errorf("%s: parent's error %v, expected accept = %v", c.name, perr, c.parentOK)
+		}
+		switch {
+		case c.refuse == "" && err != nil:
+			t.Errorf("%s: refused: %v", c.name, err)
+		case c.refuse != "" && (err == nil || !strings.Contains(err.Error(), c.refuse)):
+			t.Errorf("%s: error %v, want one saying %q", c.name, err, c.refuse)
 		}
 	}
-	if accepted < 5 {
-		t.Errorf("only %d corpus entries parse; the test reaches too little", accepted)
+}
+
+// TestReadMatrixMarketDoesNotTrustTheSizeLine: a size line declaring 2^40
+// entries over a body of one makes the reader allocate for the bytes that
+// are there — a constant when it can ask the input for its length, its
+// first read buffer when it cannot — and then report the shortfall.
+func TestReadMatrixMarketDoesNotTrustTheSizeLine(t *testing.T) {
+	body := "%%MatrixMarket matrix coordinate real symmetric\n3 3 1099511627776\n1 1 1\n"
+	for _, c := range []struct {
+		name  string
+		open  func() io.Reader
+		bound uint64
+	}{
+		{"length known", func() io.Reader { return strings.NewReader(body) }, 8 << 10},
+		{"length unknown", func() io.Reader { return struct{ io.Reader }{strings.NewReader(body)} }, 256 << 10},
+	} {
+		var m1, m2 runtime.MemStats
+		runtime.ReadMemStats(&m1)
+		_, err := ReadMatrixMarket(c.open())
+		runtime.ReadMemStats(&m2)
+		if err == nil || !strings.Contains(err.Error(), "expected 1099511627776 entries, found 1") {
+			t.Errorf("%s: error %v, want the shortfall", c.name, err)
+		}
+		if got := m2.TotalAlloc - m1.TotalAlloc; got > c.bound {
+			t.Errorf("%s: %d bytes allocated for a %d-byte input, bound %d", c.name, got, len(body), c.bound)
+		}
 	}
 }

@@ -11,15 +11,22 @@ import (
 // One WorkRow is reused across all rows of a factorization.
 type WorkRow struct {
 	val   []float64
-	mark  []bool // position currently holds a live entry
-	inIdx []bool // position present in the companion index list (may be dropped)
+	state []uint8 // per position: live | listed, one byte so a touch reads one flag line
 	idx   []int
 	ents  []Ent // entry buffer of Tail and KeepLargest; per-row so concurrent WorkRows never share
+	cutHi int   // entries the last Tail's upper cap removed, see CutHi
 }
+
+// A position's state bits. A live position is always listed; a listed one
+// that is not live was dropped and waits for the next compaction or reset.
+const (
+	live   uint8 = 1 << iota // position currently holds an entry
+	listed                   // position is in the companion index list
+)
 
 // NewWorkRow returns a WorkRow over vectors of length n.
 func NewWorkRow(n int) *WorkRow {
-	return &WorkRow{val: make([]float64, n), mark: make([]bool, n), inIdx: make([]bool, n)}
+	return &WorkRow{val: make([]float64, n), state: make([]uint8, n)}
 }
 
 // Len reports the full (dense) length of the row.
@@ -33,8 +40,7 @@ func (w *WorkRow) Resize(n int) {
 		return
 	}
 	w.val = make([]float64, n)
-	w.mark = make([]bool, n)
-	w.inIdx = make([]bool, n)
+	w.state = make([]uint8, n)
 	w.idx = w.idx[:0]
 }
 
@@ -48,7 +54,7 @@ func (w *WorkRow) Resize(n int) {
 // in a way the bitwise run-to-run comparison catches.
 func (w *WorkRow) PoisonClean() {
 	for j := range w.val {
-		if w.val[j] != 0 || w.mark[j] || w.inIdx[j] {
+		if w.val[j] != 0 || w.state[j] != 0 {
 			panic("sparse: WorkRow not clean: stale state survived a Reset")
 		}
 	}
@@ -71,7 +77,7 @@ func (w *WorkRow) PoisonClean() {
 func (w *WorkRow) NNZ() int {
 	n := 0
 	for _, j := range w.idx {
-		if w.mark[j] {
+		if w.state[j]&live != 0 {
 			n++
 		}
 	}
@@ -92,23 +98,28 @@ func (w *WorkRow) Scatter(cols []int, vals []float64) {
 //
 //pilut:hotpath
 func (w *WorkRow) Add(j int, v float64) {
-	w.mark[j] = true
-	if !w.inIdx[j] {
-		w.inIdx[j] = true
-		w.idx = append(w.idx, j) //pilutlint:ok hotalloc index list grows to peak row nnz once, then is reused across rows
-	}
+	w.touch(j)
 	w.val[j] += v
+}
+
+// touch makes position j live, listing it on its first touch since the
+// last reset.
+//
+//pilut:hotpath
+func (w *WorkRow) touch(j int) {
+	if s := w.state[j]; s != live|listed {
+		if s == 0 {
+			w.idx = append(w.idx, j) //pilutlint:ok hotalloc index list grows to peak row nnz once, then is reused across rows
+		}
+		w.state[j] = live | listed
+	}
 }
 
 // Set overwrites position j with v, marking it if previously unset.
 //
 //pilut:hotpath
 func (w *WorkRow) Set(j int, v float64) {
-	w.mark[j] = true
-	if !w.inIdx[j] {
-		w.inIdx[j] = true
-		w.idx = append(w.idx, j) //pilutlint:ok hotalloc index list grows to peak row nnz once, then is reused across rows
-	}
+	w.touch(j)
 	w.val[j] = v
 }
 
@@ -120,15 +131,15 @@ func (w *WorkRow) Get(j int) float64 { return w.val[j] }
 // Has reports whether position j is currently marked.
 //
 //pilut:hotpath
-func (w *WorkRow) Has(j int) bool { return w.mark[j] }
+func (w *WorkRow) Has(j int) bool { return w.state[j]&live != 0 }
 
 // Drop unmarks position j and zeroes its value. The companion index list
 // is compacted lazily by Indices/Gather, so Drop is O(1).
 //
 //pilut:hotpath
 func (w *WorkRow) Drop(j int) {
-	if w.mark[j] {
-		w.mark[j] = false
+	if w.state[j]&live != 0 {
+		w.state[j] = listed
 		w.val[j] = 0
 	}
 }
@@ -141,10 +152,10 @@ func (w *WorkRow) Drop(j int) {
 func (w *WorkRow) Indices() []int {
 	out := w.idx[:0]
 	for _, j := range w.idx {
-		if w.mark[j] {
+		if w.state[j]&live != 0 {
 			out = append(out, j) //pilutlint:ok hotalloc compacts in place into idx's own backing array, never grows
 		} else {
-			w.inIdx[j] = false
+			w.state[j] = 0
 		}
 	}
 	w.idx = out
@@ -158,8 +169,7 @@ func (w *WorkRow) Indices() []int {
 //pilut:hotpath
 func (w *WorkRow) Reset() {
 	for _, j := range w.idx {
-		w.mark[j] = false
-		w.inIdx[j] = false
+		w.state[j] = 0
 		w.val[j] = 0
 	}
 	w.idx = w.idx[:0]
@@ -188,7 +198,7 @@ func (w *WorkRow) Gather(lo, hi int, cols []int, vals []float64) ([]int, []float
 func (w *WorkRow) DropBelow(lo, hi int, tol float64, keep int) int {
 	dropped := 0
 	for _, j := range w.idx {
-		if !w.mark[j] || j < lo || j >= hi || j == keep {
+		if !w.Has(j) || j < lo || j >= hi || j == keep {
 			continue
 		}
 		if math.Abs(w.val[j]) < tol {
@@ -210,7 +220,7 @@ func (w *WorkRow) KeepLargest(lo, hi, m int, keep int) int {
 	cand := w.entBuf(len(w.idx))
 	nc := 0
 	for _, j := range w.idx {
-		if w.mark[j] && j >= lo && j < hi && j != keep {
+		if w.Has(j) && j >= lo && j < hi && j != keep {
 			cand[nc] = Ent{j, w.val[j]}
 			nc++
 		}
@@ -249,8 +259,8 @@ func (w *WorkRow) Tail(split int, tol float64, mLo, mHi, keep int, fill float64)
 	kept := Ent{keep, fill}
 	filled = true
 	for _, j := range w.idx {
-		v, marked := w.val[j], w.mark[j]
-		w.val[j], w.mark[j], w.inIdx[j] = 0, false, false
+		v, marked := w.val[j], w.state[j]&live != 0
+		w.val[j], w.state[j] = 0, 0
 		switch {
 		case !marked:
 		case j == keep && protect:
@@ -276,9 +286,11 @@ func (w *WorkRow) Tail(split int, tol float64, mLo, mHi, keep int, fill float64)
 		dLo += len(lo) - mLo
 		lo = lo[:mLo]
 	}
+	w.cutHi = 0
 	if mHi > 0 && len(hi) > mHi {
 		SelectLargest(hi, mHi)
-		dHi += len(hi) - mHi
+		w.cutHi = len(hi) - mHi
+		dHi += w.cutHi
 		hi = hi[:mHi]
 	}
 	if !protect {
@@ -298,6 +310,11 @@ func (w *WorkRow) Tail(split int, tol float64, mLo, mHi, keep int, fill float64)
 	SortEntsByCol(hi)
 	return lo, hi, dLo, dHi, filled
 }
+
+// CutHi reports how many of the last Tail's dHi entries its cap mHi
+// removed; the rest of dHi fell below the tolerance. A factored row's
+// upper part charges the two to different dropping rules.
+func (w *WorkRow) CutHi() int { return w.cutHi }
 
 // Ent is one entry of a sparse row: a column and its value.
 type Ent struct {

@@ -267,7 +267,7 @@ func TestKeepLargestProperty(t *testing.T) {
 func refKeepLargest(w *WorkRow, lo, hi, m int, keep int) int {
 	var cand []int
 	for _, j := range w.idx {
-		if w.mark[j] && j >= lo && j < hi && j != keep {
+		if w.Has(j) && j >= lo && j < hi && j != keep {
 			cand = append(cand, j)
 		}
 	}
