@@ -277,11 +277,10 @@ func (s *Scratch) FactorInteriorRow(
 	st *Stats,
 ) (lCols []int, lVals []float64, u URow) {
 	s.sweepSeq(aCols, aVals, pivot, nl, i, tau, st)
-	lo, hi, dLo, dHi, fixed := s.w.Tail(i, tau, m, m, i, pivotFloor(tau))
-	cut := s.w.CutHi()
-	st.Dropped += dLo + dHi
-	st.DroppedRule2 += dLo + cut
-	st.DroppedRule3 += dHi - cut
+	lo, hi, dLo, dTol, dCut, fixed := s.w.Tail(i, tau, m, m, i, pivotFloor(tau))
+	st.Dropped += dLo + dTol + dCut
+	st.DroppedRule2 += dLo + dCut
+	st.DroppedRule3 += dTol
 	if fixed {
 		st.FixedPivot++
 	}
@@ -310,7 +309,8 @@ func (s *Scratch) finishRow(i, nl1 int, tau float64, m, kcap int, st *Stats) (ne
 	if kcap > 0 && m > 0 {
 		mRed = kcap * m
 	}
-	lo, hi, d2, d3, fixed := s.w.Tail(nl1, tau, m, mRed, i, pivotFloor(tau))
+	lo, hi, d2, dTol, dCut, fixed := s.w.Tail(nl1, tau, m, mRed, i, pivotFloor(tau))
+	d3 := dTol + dCut
 	st.Dropped += d2 + d3
 	st.DroppedRule2 += d2
 	st.DroppedRule3 += d3

@@ -2,7 +2,6 @@ package sparse
 
 import (
 	"fmt"
-	"slices"
 	"sort"
 )
 
@@ -30,13 +29,6 @@ func (b *Builder) Add(i, j int, v float64) {
 	b.rows = append(b.rows, i)
 	b.cols = append(b.cols, j)
 	b.vals = append(b.vals, v)
-}
-
-// reserve makes room for k more triplets.
-func (b *Builder) reserve(k int) {
-	b.rows = slices.Grow(b.rows, k)
-	b.cols = slices.Grow(b.cols, k)
-	b.vals = slices.Grow(b.vals, k)
 }
 
 // Len reports the number of recorded triplets (before duplicate collapse).

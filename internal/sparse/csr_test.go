@@ -3,6 +3,7 @@ package sparse
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -344,6 +345,38 @@ func TestBuilderOrderIndependence(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestBuilderSortedRowsSkipTheSort: Build leaves a row that arrived in
+// strictly increasing column order as it is; the same entries (distinct,
+// so no sum depends on their order) arriving shuffled go through the sort.
+// The two matrices must be identical to the bit.
+func TestBuilderSortedRowsSkipTheSort(t *testing.T) {
+	r := rand.New(rand.NewSource(7))
+	for _, a := range []*CSR{randomCSR(r, 40, 30, 0.2), randomCSR(r, 1, 1, 1), Identity(5)} {
+		sorted, shuffled := NewBuilder(a.N, a.M), NewBuilder(a.N, a.M)
+		var ks [][2]int
+		for i := 0; i < a.N; i++ {
+			for k := a.RowPtr[i]; k < a.RowPtr[i+1]; k++ {
+				sorted.Add(i, a.Cols[k], a.Vals[k])
+				ks = append(ks, [2]int{i, k})
+			}
+		}
+		r.Shuffle(len(ks), func(x, y int) { ks[x], ks[y] = ks[y], ks[x] })
+		for _, ik := range ks {
+			shuffled.Add(ik[0], a.Cols[ik[1]], a.Vals[ik[1]])
+		}
+		for _, got := range []*CSR{sorted.Build(), shuffled.Build()} {
+			if !reflect.DeepEqual(got.RowPtr, a.RowPtr) || !reflect.DeepEqual(got.Cols, a.Cols) {
+				t.Fatalf("pattern differs: %v %v, want %v %v", got.RowPtr, got.Cols, a.RowPtr, a.Cols)
+			}
+			for k, v := range got.Vals {
+				if math.Float64bits(v) != math.Float64bits(a.Vals[k]) {
+					t.Fatalf("value %d: %v, want %v", k, v, a.Vals[k])
+				}
+			}
+		}
 	}
 }
 

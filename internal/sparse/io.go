@@ -51,15 +51,8 @@ var errNonFinite = errors.New("value is not finite")
 // whatever it returns passes CSR.Check. Fields of an entry line are
 // separated by ASCII white space only.
 func ReadMatrixMarket(r io.Reader) (*CSR, error) {
-	// rest is the length of the input, when the reader can tell: it bounds
-	// the read buffer and the entries the input can hold.
-	rest, bufSize := -1, 64<<10
-	if l, ok := r.(interface{ Len() int }); ok {
-		rest = l.Len()
-		bufSize = min(bufSize, rest+1)
-	}
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, bufSize), 1<<24)
+	sc.Buffer(make([]byte, 0, 64<<10), 1<<24)
 
 	if !sc.Scan() {
 		return nil, fmt.Errorf("sparse: MatrixMarket: empty input")
@@ -107,20 +100,9 @@ func ReadMatrixMarket(r io.Reader) (*CSR, error) {
 		return nil, fmt.Errorf("sparse: MatrixMarket: symmetric matrix must be square, got %d×%d", n, m)
 	}
 
-	// Room for the declared entries, but for no more than the input could
-	// spell (an entry takes at least "1 1 1" and a newline), and for a
-	// small first guess when its length is unknown: the size line is not
-	// believed further than the bytes behind it.
-	reserve := 1 << 10
-	if rest >= 0 {
-		reserve = rest / 6
-	}
-	reserve = min(reserve, nnz)
-	if symmetric {
-		reserve *= 2
-	}
+	// The triplets grow with the entries actually read: the size line's
+	// count is checked against them, never allocated for.
 	b := NewBuilder(n, m)
-	b.reserve(reserve)
 	read := 0
 	for read < nnz && sc.Scan() {
 		lineNo++

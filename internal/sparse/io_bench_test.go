@@ -42,12 +42,14 @@ func BenchmarkReadMatrixMarket(b *testing.B) {
 	}
 }
 
-// TestReadMatrixMarketAllocs: a parse allocates per matrix, never per
-// line — and not per row either when the file lists each row's entries in
-// increasing column order, as WriteMatrixMarket does, because Builder.Build
-// then has no row to sort (a row it must sort costs sort.Slice's two
-// boxes). The parent's line-by-line parser made 123 300 mallocs on this
-// matrix of 8 000 rows and 53 600 entries.
+// TestReadMatrixMarketAllocs: a parse allocates per matrix and per
+// doubling of the Builder's three triplet slices, never per line — and not
+// per row either when the file lists each row's entries in increasing
+// column order, as WriteMatrixMarket does, because Builder.Build then has
+// no row to sort (a row it must sort costs sort.Slice's two boxes). The
+// reader is treated as any other: nothing is sized from its length. The
+// parent's line-by-line parser made 123 300 mallocs on this matrix of
+// 8 000 rows and 53 600 entries.
 func TestReadMatrixMarketAllocs(t *testing.T) {
 	a := matgen.Torso(20, 20, 20, 1)
 	body := mmBody(t, a)
@@ -56,8 +58,8 @@ func TestReadMatrixMarketAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	if got > 64 {
-		t.Errorf("%.0f mallocs to parse %d rows and %d entries, bound 64", got, a.N, a.NNZ())
+	if got > 128 {
+		t.Errorf("%.0f mallocs to parse %d rows and %d entries, bound 128", got, a.N, a.NNZ())
 	}
 	t.Logf("%.0f mallocs per parse (%d rows, %d entries)", got, a.N, a.NNZ())
 }

@@ -14,7 +14,6 @@ type WorkRow struct {
 	state []uint8 // per position: live | listed, one byte so a touch reads one flag line
 	idx   []int
 	ents  []Ent // entry buffer of Tail and KeepLargest; per-row so concurrent WorkRows never share
-	cutHi int   // entries the last Tail's upper cap removed, see CutHi
 }
 
 // A position's state bits. A live position is always listed; a listed one
@@ -244,12 +243,14 @@ func (w *WorkRow) KeepLargest(lo, hi, m int, keep int) int {
 // increasing column order. The position keep is protected where it lies
 // at or above split — never dropped, not counted toward mHi — and if it
 // is not among the survivors of its part it is created with value fill
-// (filled reports that). dLo and dHi count the entries dropped from each
-// part. The returned slices are the WorkRow's own buffer, valid until its
-// next Tail or KeepLargest; the row itself is left reset.
+// (filled reports that). dLo counts the entries dropped from the lower
+// part; the upper part's are counted by cause, dHiTol below the tolerance
+// and dHiCut removed by the cap. The returned slices are the WorkRow's own
+// buffer, valid until its next Tail or KeepLargest; the row itself is left
+// reset.
 //
 //pilut:hotpath
-func (w *WorkRow) Tail(split int, tol float64, mLo, mHi, keep int, fill float64) (lo, hi []Ent, dLo, dHi int, filled bool) {
+func (w *WorkRow) Tail(split int, tol float64, mLo, mHi, keep int, fill float64) (lo, hi []Ent, dLo, dHiTol, dHiCut int, filled bool) {
 	// One buffer, half of it for each part; either part may be every
 	// touched entry plus a created keep.
 	half := len(w.idx) + 1
@@ -269,7 +270,7 @@ func (w *WorkRow) Tail(split int, tol float64, mLo, mHi, keep int, fill float64)
 			if j < split {
 				dLo++
 			} else {
-				dHi++
+				dHiTol++
 			}
 		case j < split:
 			lo = lo[:len(lo)+1]
@@ -286,11 +287,9 @@ func (w *WorkRow) Tail(split int, tol float64, mLo, mHi, keep int, fill float64)
 		dLo += len(lo) - mLo
 		lo = lo[:mLo]
 	}
-	w.cutHi = 0
 	if mHi > 0 && len(hi) > mHi {
 		SelectLargest(hi, mHi)
-		w.cutHi = len(hi) - mHi
-		dHi += w.cutHi
+		dHiCut = len(hi) - mHi
 		hi = hi[:mHi]
 	}
 	if !protect {
@@ -308,13 +307,8 @@ func (w *WorkRow) Tail(split int, tol float64, mLo, mHi, keep int, fill float64)
 	}
 	SortEntsByCol(lo)
 	SortEntsByCol(hi)
-	return lo, hi, dLo, dHi, filled
+	return lo, hi, dLo, dHiTol, dHiCut, filled
 }
-
-// CutHi reports how many of the last Tail's dHi entries its cap mHi
-// removed; the rest of dHi fell below the tolerance. A factored row's
-// upper part charges the two to different dropping rules.
-func (w *WorkRow) CutHi() int { return w.cutHi }
 
 // Ent is one entry of a sparse row: a column and its value.
 type Ent struct {

@@ -296,15 +296,15 @@ func refKeepLargest(w *WorkRow, lo, hi, m int, keep int) int {
 // refTail is the row tail as six walks over the touched positions — two
 // DropBelow, two KeepLargest, two Gather — then the reset: what Tail does
 // in one.
-func refTail(w *WorkRow, split int, tol float64, mLo, mHi, keep int, fill float64) (lc []int, lv []float64, hc []int, hv []float64, dLo, dHi int, filled bool) {
+func refTail(w *WorkRow, split int, tol float64, mLo, mHi, keep int, fill float64) (lc []int, lv []float64, hc []int, hv []float64, dLo, dHiTol, dHiCut int, filled bool) {
 	n := w.Len()
 	dLo = w.DropBelow(0, split, tol, -1)
 	if mLo > 0 {
 		dLo += refKeepLargest(w, 0, split, mLo, -1)
 	}
-	dHi = w.DropBelow(split, n, tol, keep)
+	dHiTol = w.DropBelow(split, n, tol, keep)
 	if mHi > 0 {
-		dHi += refKeepLargest(w, split, n, mHi, keep)
+		dHiCut = refKeepLargest(w, split, n, mHi, keep)
 	}
 	if !w.Has(keep) {
 		w.Set(keep, fill)
@@ -359,7 +359,8 @@ func checkTail(t *testing.T, c *tailCase) {
 	hasNaN := c.load(w)
 	c.load(ref)
 	marked := w.NNZ()
-	lo, hi, dLo, dHi, filled := w.Tail(c.split, c.tol, c.mLo, c.mHi, c.keep, c.fill)
+	lo, hi, dLo, dTol, dCut, filled := w.Tail(c.split, c.tol, c.mLo, c.mHi, c.keep, c.fill)
+	dHi := dTol + dCut
 	lo, hi = slices.Clone(lo), slices.Clone(hi) // PoisonClean scribbles over the row's buffer
 	w.PoisonClean()                             // panics unless Tail left the row reset
 	created := 0
@@ -382,9 +383,9 @@ func checkTail(t *testing.T, c *tailCase) {
 	if hasNaN {
 		return
 	}
-	lc, lv, hc, hv, rdLo, rdHi, rFilled := refTail(ref, c.split, c.tol, c.mLo, c.mHi, c.keep, c.fill)
-	if dLo != rdLo || dHi != rdHi || filled != rFilled {
-		t.Fatalf("dropped %d/%d filled %v, reference %d/%d %v", dLo, dHi, filled, rdLo, rdHi, rFilled)
+	lc, lv, hc, hv, rdLo, rdTol, rdCut, rFilled := refTail(ref, c.split, c.tol, c.mLo, c.mHi, c.keep, c.fill)
+	if dLo != rdLo || dTol != rdTol || dCut != rdCut || filled != rFilled {
+		t.Fatalf("dropped %d/%d+%d filled %v, reference %d/%d+%d %v", dLo, dTol, dCut, filled, rdLo, rdTol, rdCut, rFilled)
 	}
 	same := func(got []Ent, cols []int, vals []float64) bool {
 		if len(got) != len(cols) {
