@@ -49,16 +49,11 @@ const (
 	stateNone uint64 = iota
 	stateRecv
 	stateCollWait
-	stateCollLeave
 )
 
-// Waiting is the blocked state of a rank parked until every rank has
+// Waiting is the blocked state of a rank waiting until every rank has
 // entered collective op.
 func Waiting(op Op, round uint64) uint64 { return stateCollWait | uint64(op)<<3 | round<<8 }
-
-// Leaving is the blocked state of a rank parked until every rank has
-// read collective op's deposits.
-func Leaving(op Op) uint64 { return stateCollLeave | uint64(op)<<3 }
 
 func renderBlocked(s uint64) string {
 	op := Op(s >> 3 & 31)
@@ -70,8 +65,6 @@ func renderBlocked(s uint64) string {
 			return fmt.Sprintf("waiting in collective %q (round %d)", op, round)
 		}
 		return fmt.Sprintf("waiting in collective %q", op)
-	case stateCollLeave:
-		return fmt.Sprintf("leaving collective %q", op)
 	}
 	return "not blocked in the communicator (computing or finished)"
 }
@@ -83,19 +76,18 @@ type Transport interface {
 	Ship(p *Proc, dst int, m Message)
 
 	// The Gather methods deposit this rank's contribution to a
-	// collective, block (through p.Park) until all P ranks have entered
+	// collective, block (through p.Wait) until all P ranks have entered
 	// it — panicking when they entered different ones — and
 	// return every rank's contribution in rank order. The view stays
-	// valid, and must not be written, until the rank calls Release(op),
-	// which may block until all ranks have.
+	// valid, and must not be written, until the rank enters its next
+	// collective.
 	GatherFloat64(p *Proc, v float64) []float64 // OpAllReduceF64
 	GatherInt(p *Proc, v int) []int             // OpAllReduceInt
 	Gather(p *Proc, op Op, v any) []any         // OpBarrier (v nil), OpAllGather
-	Release(p *Proc, op Op)
 
 	// Abort runs once when the run fails in this process, after local
 	// ranks have been woken: tell the other processes, tear down
-	// whatever could keep a rank blocked outside Park.
+	// whatever could keep a rank blocked outside Wait.
 	Abort(rank int, cause any)
 	// Finish runs once after the local ranks' goroutines have ended,
 	// still under the watchdog, whether or not the run failed. It turns
@@ -132,7 +124,7 @@ func New(t Transport, backend, prefix, noun string, p, lo, hi int) *World {
 		w.boxes[i].wake = make(chan struct{}, 1)
 	}
 	for i := range w.procs {
-		w.procs[i] = &Proc{id: lo + i, w: w, stash: make([][]Message, p)}
+		w.procs[i] = &Proc{id: lo + i, w: w}
 	}
 	return w
 }

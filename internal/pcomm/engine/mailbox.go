@@ -40,6 +40,9 @@ type mailbox struct {
 	// overflowPool re-uses the same header (no boxing on Put). nil when
 	// nothing has spilled since the last drain.
 	over *[]Message
+	// stash holds messages the consumer took out while looking for a
+	// different tag, in arrival order. Consumer side only.
+	stash []Message
 }
 
 // overflowPool recycles spill buffers across mailboxes and worlds. A
@@ -72,6 +75,24 @@ func (b *mailbox) put(m Message) {
 	select {
 	case b.wake <- struct{}{}:
 	default:
+	}
+}
+
+// Ready implements Waiter for the consumer: a drain would find something.
+func (b *mailbox) Ready() bool { return len(b.ch) > 0 || b.spilled.Load() }
+
+// Sleep implements Waiter: the consumer sleeps until a message arrives on
+// the channel — it goes to the stash, newer than everything there — or
+// the producer pings an overflow append.
+//
+//pilut:hotpath
+func (b *mailbox) Sleep(p *Proc) {
+	select {
+	case m := <-b.ch:
+		b.stash = append(b.stash, m) //pilutlint:ok hotalloc stash grows to the peak out-of-order depth once, then is reused
+	case <-b.wake:
+	case <-p.w.failCh:
+		p.w.CheckFailed()
 	}
 }
 

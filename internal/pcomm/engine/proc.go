@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"runtime"
 	"sync/atomic"
 	"time"
 
@@ -16,10 +17,6 @@ type Proc struct {
 	w     *World
 	tr    *trace.ProcTracer
 	stats pcomm.Stats
-	// stash holds messages drained from a mailbox while looking for a
-	// different tag, in arrival order, indexed by src. Owned by this
-	// rank's goroutine.
-	stash [][]Message
 	// blocked publishes the packed wait state (see renderBlocked) for the
 	// watchdog.
 	blocked atomic.Uint64
@@ -52,14 +49,60 @@ func (p *Proc) Stats() pcomm.Stats {
 // Tracer returns the rank's trace sink, nil when tracing is off.
 func (p *Proc) Tracer() *trace.ProcTracer { return p.tr }
 
-// Park blocks the rank until ch is closed or sent to, publishing state
-// (Waiting, Leaving) for the watchdog dump meanwhile. If the run fails
-// first, the rank unwinds instead of returning.
+// How long a rank looks for its condition before it parks. A parked
+// goroutine costs its waker a futex wake when its P has gone to sleep,
+// and with more ranks than Ps that is what every message used to pay;
+// a rank that yields instead lets the runnable ranks have the P first
+// and sees a message from the rank on another P within a scheduler
+// round trip. Yield, not spin: a spinning rank would hold the P the
+// sender needs. waitChecks immediate re-checks come first because with a
+// P per rank the answer is usually a cache miss away and a yield costs
+// more than the hand-off it saves; waitYields bounds what an idle P burns
+// (≈ 30 µs) before the rank parks after all. Measurements: DESIGN.md §10.
+const (
+	waitChecks = 8
+	waitYields = 100
+)
+
+// Waiter is what a rank blocks on: a mailbox, a collective's barrier.
+type Waiter interface {
+	// Ready reports, without blocking, whether the wait is over.
+	Ready() bool
+	// Sleep blocks until Ready may have changed — through p.Park, or a
+	// select of its own that honours the run's failure the same way.
+	Sleep(p *Proc)
+}
+
+// Wait is the one way a rank blocks: it returns once c is ready, or has
+// slept. Before it lets c sleep the rank re-checks it across a bounded
+// run of scheduler yields, with state (stateRecv, Waiting) published for
+// the watchdog dump from the first yield on. A run that fails while the
+// rank yields is noticed in the sleep that follows.
 //
 //pilut:hotpath
-func (p *Proc) Park(ch <-chan struct{}, state uint64) {
+func (p *Proc) Wait(state uint64, c Waiter) {
+	for n := 0; n < waitChecks; n++ {
+		if c.Ready() {
+			return
+		}
+	}
 	p.blocked.Store(state)
-	defer p.blocked.Store(stateNone)
+	for n := 0; n < waitYields; n++ {
+		runtime.Gosched()
+		if c.Ready() {
+			p.blocked.Store(stateNone)
+			return
+		}
+	}
+	c.Sleep(p)
+	p.blocked.Store(stateNone)
+}
+
+// Park sleeps until ch is closed or sent to, for use in a Waiter's
+// Sleep. If the run fails first, the rank unwinds instead of returning.
+//
+//pilut:hotpath
+func (p *Proc) Park(ch <-chan struct{}) {
 	select {
 	case <-ch:
 	case <-p.w.failCh:
@@ -111,7 +154,7 @@ func (p *Proc) Recv(src, tag int) any {
 
 // RecvRaw implements the pcomm.RawComm zero-boxing fast path.
 func (p *Proc) RecvRaw(src, tag int) (pcomm.RawSlice, any, bool) {
-	t0 := p.Time()
+	t0 := p.traceTime()
 	m := p.recvMessage(src, tag)
 	if p.tr != nil {
 		p.tr.Span("machine", "recv", t0, p.Time(),
@@ -126,37 +169,34 @@ func (p *Proc) recvMessage(src, tag int) Message {
 	if src < 0 || src >= w.p {
 		panic(fmt.Sprintf("%s: Recv from invalid %s %d", w.prefix, w.noun, src))
 	}
-	stash := &p.stash[src]
+	b := &w.boxes[(p.id-w.lo)*w.p+src]
+	stash := &b.stash
 	if m, ok := takeByTagFrom(stash, tag, 0); ok {
 		return m
 	}
-	b := &w.boxes[(p.id-w.lo)*w.p+src]
+	// Nothing stashed below n matches; the drain, and a sleep that took a
+	// message off the channel itself, both append at or above it.
+	n := len(*stash)
 	for {
-		n := len(*stash)
 		b.drainInto(stash)
 		if m, ok := takeByTagFrom(stash, tag, n); ok {
 			return m
 		}
-		p.blocked.Store(stateRecv | uint64(src)<<8 | uint64(tag)<<24)
-		select {
-		case m := <-b.ch:
-			p.blocked.Store(stateNone)
-			// m is newer than everything stashed, so if it matches it is
-			// the FIFO-correct next message of this tag.
-			if m.Tag == tag {
-				return m
-			}
-			*stash = append(*stash, m) //pilutlint:ok hotalloc stash grows to the peak out-of-order depth once, then is reused
-		case <-b.wake:
-			p.blocked.Store(stateNone)
-		case <-w.failCh:
-			p.blocked.Store(stateNone)
-			w.CheckFailed()
-		}
+		n = len(*stash)
+		p.Wait(stateRecv|uint64(src)<<8|uint64(tag)<<24, b)
 	}
 }
 
-// span closes a collective's trace span opened at t0.
+// traceTime is Time when a tracer is attached and zero otherwise: the
+// start of a span nobody will record costs no clock read.
+func (p *Proc) traceTime() float64 {
+	if p.tr == nil {
+		return 0
+	}
+	return p.Time()
+}
+
+// span closes a collective's trace span opened at t0 = traceTime().
 func (p *Proc) span(op Op, t0 float64, bytes int) {
 	if p.tr != nil {
 		p.tr.Span("machine", op.String(), t0, p.Time(), trace.I("bytes", bytes))
@@ -167,10 +207,9 @@ func (p *Proc) span(op Op, t0 float64, bytes int) {
 //
 //pilut:hotpath
 func (p *Proc) Barrier() {
-	t0 := p.Time()
+	t0 := p.traceTime()
 	p.stats.Collectives++
 	p.w.t.Gather(p, OpBarrier, nil)
-	p.w.t.Release(p, OpBarrier)
 	p.span(OpBarrier, t0, 0)
 }
 
@@ -179,10 +218,9 @@ func (p *Proc) Barrier() {
 //
 //pilut:hotpath
 func (p *Proc) AllReduceFloat64(v float64, op pcomm.ReduceOp) float64 {
-	t0 := p.Time()
+	t0 := p.traceTime()
 	p.stats.Collectives++
 	out := pcomm.Fold(p.w.t.GatherFloat64(p, v), op)
-	p.w.t.Release(p, OpAllReduceF64)
 	p.span(OpAllReduceF64, t0, 8)
 	return out
 }
@@ -191,22 +229,20 @@ func (p *Proc) AllReduceFloat64(v float64, op pcomm.ReduceOp) float64 {
 //
 //pilut:hotpath
 func (p *Proc) AllReduceInt(v int, op pcomm.ReduceOp) int {
-	t0 := p.Time()
+	t0 := p.traceTime()
 	p.stats.Collectives++
 	out := pcomm.Fold(p.w.t.GatherInt(p, v), op)
-	p.w.t.Release(p, OpAllReduceInt)
 	p.span(OpAllReduceInt, t0, 8)
 	return out
 }
 
 // AllGather deposits one value per rank and returns the slice indexed by
 // rank. The result is per-call storage: the transport's view is only
-// valid until Release.
+// valid until the rank's next collective.
 func (p *Proc) AllGather(v any, bytes int) []any {
-	t0 := p.Time()
+	t0 := p.traceTime()
 	p.stats.Collectives++
 	vals := append([]any(nil), p.w.t.Gather(p, OpAllGather, v)...)
-	p.w.t.Release(p, OpAllGather)
 	p.span(OpAllGather, t0, bytes)
 	return vals
 }

@@ -37,6 +37,7 @@ type resultEntry struct {
 // only by the rank's own goroutine (DropTransport included: the fault
 // injector runs inside the rank).
 type rankState struct {
+	w     *World
 	round uint64
 	// conns are the rank's dialed outbound data connections by dst.
 	conns map[int]net.Conn
@@ -84,6 +85,7 @@ func newWorld(n *Node, gen uint64, p int) *World {
 		conns:   make(map[io.Closer]struct{}),
 	}
 	for i := range w.ranks {
+		w.ranks[i].w = w
 		w.ranks[i].conns = make(map[int]net.Conn)
 	}
 	w.World = engine.New(w, "netcomm", "netcomm", "rank", p, lo, hi)
@@ -221,28 +223,44 @@ func (w *World) postResult(r roundResult) {
 	w.rmu.Unlock()
 }
 
-// awaitResult blocks rank p until round's broadcast arrives.
-func (w *World) awaitResult(p *engine.Proc, round uint64, op engine.Op) roundResult {
+// Ready implements engine.Waiter: the broadcast of the round the rank is
+// in has arrived.
+func (rs *rankState) Ready() bool {
+	w := rs.w
 	w.rmu.Lock()
-	for {
-		if e, ok := w.results[round]; ok {
-			r := e.r
-			e.readers--
-			if e.readers <= 0 {
-				delete(w.results, round)
-			}
-			w.rmu.Unlock()
-			return r
-		}
-		ch, ok := w.rwait[round]
-		if !ok {
-			ch = make(chan struct{})
-			w.rwait[round] = ch
-		}
+	_, ok := w.results[rs.round]
+	w.rmu.Unlock()
+	return ok
+}
+
+// Sleep implements engine.Waiter.
+func (rs *rankState) Sleep(p *engine.Proc) {
+	w := rs.w
+	w.rmu.Lock()
+	if _, ok := w.results[rs.round]; ok {
 		w.rmu.Unlock()
-		p.Park(ch, engine.Waiting(op, round))
-		w.rmu.Lock()
+		return
 	}
+	ch, ok := w.rwait[rs.round]
+	if !ok {
+		ch = make(chan struct{})
+		w.rwait[rs.round] = ch
+	}
+	w.rmu.Unlock()
+	p.Park(ch)
+}
+
+// awaitResult blocks rank p until its round's broadcast arrives.
+func (w *World) awaitResult(p *engine.Proc, rs *rankState, op engine.Op) roundResult {
+	p.Wait(engine.Waiting(op, rs.round), rs)
+	w.rmu.Lock()
+	defer w.rmu.Unlock()
+	e := w.results[rs.round]
+	e.readers--
+	if e.readers <= 0 {
+		delete(w.results, rs.round)
+	}
+	return e.r
 }
 
 // postDone installs the coordinator's run Result exactly once.
@@ -401,7 +419,7 @@ func (w *World) collect(p *engine.Proc, op engine.Op, val any) []any {
 		w.CheckFailed()
 		panic(fmt.Errorf("netcomm: depositing into collective %q: %w", op, err))
 	}
-	r := w.awaitResult(p, rs.round, op)
+	r := w.awaitResult(p, rs, op)
 	if r.op != op.String() {
 		panic(fmt.Sprintf("netcomm: collective mismatch: %q vs %q", r.op, op))
 	}
@@ -433,10 +451,6 @@ func (w *World) GatherInt(p *engine.Proc, v int) []int {
 
 // Gather implements engine.Transport.
 func (w *World) Gather(p *engine.Proc, op engine.Op, v any) []any { return w.collect(p, op, v) }
-
-// Release implements engine.Transport: each rank's view is its own
-// decoded copy of the broadcast, so there is nothing to hand back.
-func (w *World) Release(p *engine.Proc, op engine.Op) {}
 
 var _ pcomm.TransportDropper = (*Proc)(nil)
 var _ pcomm.World = (*World)(nil)

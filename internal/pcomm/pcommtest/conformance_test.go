@@ -4,7 +4,10 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/rand"
+	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -203,6 +206,59 @@ func Conformance(t *testing.T, newWorld func(p int) pcomm.World) {
 		})
 	})
 
+	// Collectives must stay correct when ranks drift apart: seeded stalls
+	// put one rank or another behind, so the rest have deposited for the
+	// next collective — and wait in it — while the straggler still reads
+	// the last one. Every fold is checked against the serial answer; under
+	// the race detector a deposit that overwrote a slot still being read
+	// would also be a reported race.
+	t.Run("CollectivesRunAhead", func(t *testing.T) {
+		const P = 4
+		n := 10000
+		if os.Getenv("PILUT_TEST_FAST") != "" {
+			n = 2000
+		}
+		addend := func(i, r int) float64 {
+			return [...]float64{1e16, 1, -1e16, 3}[(i+r)%4] * float64(1+i%5)
+		}
+		mustRun(t, P, func(c pcomm.Comm) {
+			id := c.ID()
+			rng := rand.New(rand.NewSource(int64(977*id + 5)))
+			for i := 0; i < n; i++ {
+				switch rng.Intn(16) {
+				case 0:
+					time.Sleep(20 * time.Microsecond)
+				case 1, 2:
+					for k := rng.Intn(50); k > 0; k-- {
+						runtime.Gosched()
+					}
+				}
+				switch i % 4 {
+				case 0:
+					want := addend(i, 0)
+					for r := 1; r < P; r++ {
+						want += addend(i, r)
+					}
+					if got := c.AllReduceFloat64(addend(i, id), pcomm.OpSum); math.Float64bits(got) != math.Float64bits(want) {
+						panic(fmt.Sprintf("rank %d collective %d: float sum = %v, want %v", id, i, got, want))
+					}
+				case 1:
+					if got := c.AllReduceInt(i*(id+1), pcomm.OpMax); got != i*P {
+						panic(fmt.Sprintf("rank %d collective %d: int max = %d, want %d", id, i, got, i*P))
+					}
+				case 2:
+					for q, r := range pcomm.AllGatherInts(c, []int{i, q2(id)}) {
+						if len(r) != 2 || r[0] != i || r[1] != q2(q) {
+							panic(fmt.Sprintf("rank %d collective %d: gathered[%d] = %v", id, i, q, r))
+						}
+					}
+				case 3:
+					c.Barrier()
+				}
+			}
+		})
+	})
+
 	t.Run("CollectiveMismatch", func(t *testing.T) {
 		_, err := run(t, 3, func(c pcomm.Comm) {
 			if c.ID() == 0 {
@@ -211,8 +267,9 @@ func Conformance(t *testing.T, newWorld func(p int) pcomm.World) {
 				c.Barrier()
 			}
 		})
-		if err == nil || !strings.Contains(err.Error(), "collective mismatch") {
-			t.Fatalf("err = %v, want a collective mismatch", err)
+		if err == nil || !strings.Contains(err.Error(), "collective mismatch") ||
+			!strings.Contains(err.Error(), `"allreduce_int"`) || !strings.Contains(err.Error(), `"barrier"`) {
+			t.Fatalf("err = %v, want a collective mismatch naming both ops", err)
 		}
 		runError(t, err)
 	})
@@ -373,6 +430,9 @@ func Conformance(t *testing.T, newWorld func(p int) pcomm.World) {
 		}
 	})
 }
+
+// q2 is the second entry rank r gathers in the run-ahead case.
+func q2(r int) int { return r*r + 1 }
 
 func TestConformanceModelled(t *testing.T) {
 	Conformance(t, func(p int) pcomm.World { return modelled.New(p, machine.T3D()) })

@@ -4,8 +4,8 @@
 //
 // It is the engine's all-ranks-in-one-process transport: every
 // destination is a co-located mailbox (internal/pcomm/engine), so all
-// that lives here is the collective rendezvous — a sense-reversing
-// barrier around per-rank deposit slots, which the engine folds in
+// that lives here is the collective rendezvous — one barrier per
+// collective over per-rank deposit slots, which the engine folds in
 // processor-rank order.
 package realcomm
 
@@ -17,28 +17,60 @@ import (
 	"repro/internal/pcomm/engine"
 )
 
-// barrier is a sense-reversing barrier: arrivals of one generation
-// capture the release channel of their sense before incrementing, the
-// last arriver re-arms the other sense's channel and closes this one.
-type barrier struct {
-	size    int32
-	count   atomic.Int32
-	release [2]chan struct{}
-}
-
-// World is a P-processor shared-memory run. A World is single-use, like
-// a machine.Machine.
-type World struct {
-	*engine.World
-	bar barrier
-	// Rendezvous deposit slots, indexed by rank. Scalar reductions use
-	// the unboxed fvals/ivals arrays — depositing a float64 or int there
-	// is a plain store, where boxing into vals would heap-allocate on
-	// every collective — and Barrier/AllGather use the boxed slots.
+// slots is one set of per-rank deposit slots. Scalar reductions use the
+// unboxed fvals/ivals arrays — depositing a float64 or int there is a
+// plain store, where boxing into vals would heap-allocate on every
+// collective — and Barrier/AllGather use the boxed slots.
+type slots struct {
 	ops   []engine.Op
 	vals  []any
 	fvals []float64
 	ivals []int
+}
+
+// World is a P-processor shared-memory run. A World is single-use, like
+// a machine.Machine.
+//
+// A collective is one barrier. Collective g deposits into slot set g&1,
+// so a rank may still be reading the view of g while a faster one
+// deposits for g+1; nobody deposits for g+2, into the set g used, before
+// every rank has arrived at g+1 — which a rank does only after it has
+// left g. That is why a view is valid until its rank's next collective
+// and no second barrier is needed to hand the slots back.
+type World struct {
+	*engine.World
+	size  int32
+	count atomic.Int32  // arrivals at the collective in progress
+	gen   atomic.Uint64 // collectives completed
+	sets  [2]slots
+	seats []seat
+}
+
+// seat is one rank's place at the barrier, the engine.Waiter it blocks
+// on. A rank that has to sleep raises parked and waits on wake; whoever
+// completes the barrier lowers each raised flag and sends that rank its
+// token.
+type seat struct {
+	w      *World
+	g      uint64 // the index of the collective the rank is in: its own count of them
+	parked atomic.Bool
+	wake   chan struct{} // cap 1
+	_      [32]byte      // a cache line per seat: g is written on every collective
+}
+
+// Ready implements engine.Waiter: the collective the rank is in has
+// completed.
+func (s *seat) Ready() bool { return s.w.gen.Load() > s.g }
+
+// Sleep implements engine.Waiter. Raise the flag, then look again: an
+// opener that missed the flag has already moved gen. If it took the flag
+// instead, its token is on the way and must be consumed.
+func (s *seat) Sleep(p *engine.Proc) {
+	s.parked.Store(true)
+	if s.Ready() && s.parked.CompareAndSwap(true, false) {
+		return
+	}
+	p.Park(s.wake)
 }
 
 // New creates a real-backend world with p processors.
@@ -46,46 +78,49 @@ func New(p int) *World {
 	if p < 1 {
 		panic("realcomm: need at least one processor")
 	}
-	w := &World{
-		ops:   make([]engine.Op, p),
-		vals:  make([]any, p),
-		fvals: make([]float64, p),
-		ivals: make([]int, p),
+	w := &World{size: int32(p), seats: make([]seat, p)}
+	for i := range w.sets {
+		w.sets[i] = slots{make([]engine.Op, p), make([]any, p), make([]float64, p), make([]int, p)}
 	}
-	w.bar.size = int32(p)
-	w.bar.release[0] = make(chan struct{})
-	w.bar.release[1] = make(chan struct{})
+	for i := range w.seats {
+		w.seats[i].w = w
+		w.seats[i].wake = make(chan struct{}, 1)
+	}
 	w.World = engine.New(w, "real", "realcomm", "proc", p, 0, p)
 	return w
 }
 
-// await passes the sense-reversing barrier; blocked is the wait state
-// published for the watchdog dump. Every collective passes it exactly
-// twice, so the sense is static: 0 to enter, 1 to leave.
+// deposit returns the slot set of the collective p is entering, with its
+// op code recorded.
 //
 //pilut:hotpath
-func (w *World) await(p *engine.Proc, sense int, blocked uint64) {
-	ch := w.bar.release[sense]
-	if w.bar.count.Add(1) == w.bar.size {
-		w.bar.count.Store(0)
-		w.bar.release[1-sense] = make(chan struct{}) //pilutlint:ok hotalloc one channel per barrier generation is the sense-reversing protocol
-		close(ch)
-		return
-	}
-	p.Park(ch, blocked)
+func (w *World) deposit(p *engine.Proc, op engine.Op) *slots {
+	s := &w.sets[w.seats[p.ID()].g&1]
+	s.ops[p.ID()] = op
+	return s
 }
 
-// enter is the first half of every collective rendezvous: deposit the op
-// code, pass the phase-1 barrier, and verify all processors entered the
-// same collective. Between enter and Release every deposit slot is stable
-// and readable by everyone; Release (the phase-2 barrier) frees the slots
-// for the next collective.
+// meet is the barrier of the collective p deposited into s for: the last
+// rank to arrive opens it, the others wait for gen to move. All then
+// verify they entered the same collective; from here until the rank's
+// next collective the set's slots are stable and readable.
 //
 //pilut:hotpath
-func (w *World) enter(p *engine.Proc, op engine.Op) {
-	w.ops[p.ID()] = op
-	w.await(p, 0, engine.Waiting(op, 0))
-	for _, theirs := range w.ops {
+func (w *World) meet(p *engine.Proc, op engine.Op, s *slots) {
+	st := &w.seats[p.ID()]
+	if w.count.Add(1) == w.size {
+		w.count.Store(0)
+		w.gen.Store(st.g + 1)
+		for r := range w.seats {
+			if o := &w.seats[r]; o.parked.Load() && o.parked.CompareAndSwap(true, false) {
+				o.wake <- struct{}{}
+			}
+		}
+	} else {
+		p.Wait(engine.Waiting(op, 0), st)
+	}
+	st.g++
+	for _, theirs := range s.ops {
 		if theirs != op {
 			panic(fmt.Sprintf("realcomm: collective mismatch: %q vs %q", theirs, op))
 		}
@@ -97,34 +132,30 @@ func (w *World) enter(p *engine.Proc, op engine.Op) {
 //
 //pilut:hotpath
 func (w *World) GatherFloat64(p *engine.Proc, v float64) []float64 {
-	w.fvals[p.ID()] = v
-	w.enter(p, engine.OpAllReduceF64)
-	return w.fvals
+	s := w.deposit(p, engine.OpAllReduceF64)
+	s.fvals[p.ID()] = v
+	w.meet(p, engine.OpAllReduceF64, s)
+	return s.fvals
 }
 
 // GatherInt implements engine.Transport.
 //
 //pilut:hotpath
 func (w *World) GatherInt(p *engine.Proc, v int) []int {
-	w.ivals[p.ID()] = v
-	w.enter(p, engine.OpAllReduceInt)
-	return w.ivals
+	s := w.deposit(p, engine.OpAllReduceInt)
+	s.ivals[p.ID()] = v
+	w.meet(p, engine.OpAllReduceInt, s)
+	return s.ivals
 }
 
 // Gather implements engine.Transport.
 //
 //pilut:hotpath
 func (w *World) Gather(p *engine.Proc, op engine.Op, v any) []any {
-	w.vals[p.ID()] = v
-	w.enter(p, op)
-	return w.vals
-}
-
-// Release implements engine.Transport.
-//
-//pilut:hotpath
-func (w *World) Release(p *engine.Proc, op engine.Op) {
-	w.await(p, 1, engine.Leaving(op))
+	s := w.deposit(p, op)
+	s.vals[p.ID()] = v
+	w.meet(p, op, s)
+	return s.vals
 }
 
 // Ship implements engine.Transport; unreachable, since every rank is
@@ -134,7 +165,7 @@ func (w *World) Ship(p *engine.Proc, dst int, m engine.Message) {
 }
 
 // Abort implements engine.Transport: there is no other process to tell,
-// and every blocking wait already goes through Park.
+// and every blocking wait already goes through Wait.
 func (w *World) Abort(rank int, cause any) {}
 
 // Finish implements engine.Transport.
