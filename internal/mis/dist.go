@@ -16,17 +16,8 @@ const (
 	tagExcl  = 9105
 )
 
-type stateMsg struct {
-	Keys   []uint64
-	Active []bool
-}
-
-// stateMsg crosses the communicator, so the multi-process backend must
-// be able to serialize it.
-func init() { pcomm.RegisterWire(stateMsg{}) }
-
 // Exchange describes the communication plan the setup phase derived and
-// the global activity count observed in the first round. The parallel
+// the global activity count its all-gather carried. The parallel
 // factorization reuses the plan to push pivot rows: the processors that
 // requested a vertex's MIS state are exactly the processors whose rows
 // reference that vertex.
@@ -43,9 +34,10 @@ type Exchange struct {
 // vertices are distributed over the processors of a virtual machine.
 // It mirrors the paper's implementation: a communication setup phase
 // determines which vertex keys each processor pair must exchange (the
-// boundary vertices), then each augmentation round performs three
-// neighbour exchanges (keys, tentative flags, selected flags) plus the
-// exclusion notices required by the directed two-step fix-up.
+// boundary vertices), then each augmentation round performs up to three
+// neighbour exchanges: activity flags, tentative flags, and selected
+// flags together with the exclusion notices required by the directed
+// two-step fix-up (see Plan for what each round can leave out).
 //
 //   - owned lists this processor's global vertex ids (non-negative);
 //   - adj[i] lists the out-neighbours (global ids) of owned[i];
@@ -185,8 +177,10 @@ func (ws *Workspace) localIndex(g int) int {
 // slots, lays the adjacency out, and derives the exchange lists — which
 // remote vertices this processor needs from each owner, in (owner, id)
 // order, and, after one all-gather of those requests, which of its own
-// vertices each processor needs.
-func (ws *Workspace) setup(p pcomm.Comm, owned []int, adj [][]int, owner func(int) int) *Exchange {
+// vertices each processor needs. The all-gather also carries nActive,
+// this processor's count of active vertices, and so yields the global
+// count with no reduction of its own.
+func (ws *Workspace) setup(p pcomm.Comm, owned []int, adj [][]int, owner func(int) int, nActive int) *Exchange {
 	P, me := p.P(), p.ID()
 	nLocal := len(owned)
 	ws.Reset()
@@ -283,8 +277,9 @@ func (ws *Workspace) setup(p pcomm.Comm, owned []int, adj [][]int, owner func(in
 	ws.excl = resize(ws.excl, ws.exclOff[P])
 
 	// Tell every owner which of its vertices we need: flatten request
-	// lists as [dst, count, ids...]* and allgather.
-	flat := make([]int, 0, nRemote+2*P)
+	// lists as nActive, [dst, count, ids...]* and allgather.
+	flat := make([]int, 1, 1+nRemote+2*P)
+	flat[0] = nActive
 	for q := 0; q < P; q++ {
 		if len(reqFrom[q]) == 0 {
 			continue
@@ -294,9 +289,11 @@ func (ws *Workspace) setup(p pcomm.Comm, owned []int, adj [][]int, owner func(in
 	}
 	allReq := pcomm.AllGatherInts(p, flat)
 	needBy := make([][]int, P) // needBy[q]: local indices of vertices proc q needs
+	globalActive := 0
 	for src := 0; src < P; src++ {
 		f := allReq[src]
-		for i := 0; i < len(f); {
+		globalActive += f[0]
+		for i := 1; i < len(f); {
 			dst, cnt := f[i], f[i+1]
 			ids := f[i+2 : i+2+cnt]
 			i += 2 + cnt
@@ -313,18 +310,71 @@ func (ws *Workspace) setup(p pcomm.Comm, owned []int, adj [][]int, owner func(in
 			}
 		}
 	}
-	return &Exchange{NeedBy: needBy, ReqFrom: reqFrom}
+	return &Exchange{NeedBy: needBy, ReqFrom: reqFrom, GlobalActive: globalActive}
+}
+
+// sendFlags sends processor q the flags of the owned vertices it needs,
+// in its request order, on a pooled buffer the receiver hands back.
+func (ws *Workspace) sendFlags(p pcomm.Comm, needBy [][]int, tag int, flags []bool) {
+	for q, need := range needBy {
+		if q == p.ID() || len(need) == 0 {
+			continue
+		}
+		msg := pcomm.Bools.Get(len(need))
+		for k, li := range need {
+			msg[k] = flags[li]
+		}
+		pcomm.SendSlice(p, q, tag, msg)
+	}
+}
+
+// recvFlags is the other end of sendFlags: the remote part of flags comes
+// in, owner by owner.
+func (ws *Workspace) recvFlags(p pcomm.Comm, reqFrom [][]int, tag int, flags []bool) {
+	pos := ws.nLocal
+	for q, req := range reqFrom {
+		if q == p.ID() || len(req) == 0 {
+			continue
+		}
+		msg := pcomm.RecvSlice[bool](p, q, tag)
+		pos += copy(flags[pos:], msg)
+		pcomm.Bools.Put(msg)
+	}
 }
 
 // Plan is DistributedPlan on this workspace.
+//
+// A call blocks once in the set-up all-gather and then, per round, once
+// per neighbour exchange — with the paper's five rounds and every vertex
+// active, 14 times:
+//
+//   - activity flags of the boundary vertices, except in round 0 of a
+//     call with active == nil, where both ends know them to be all true.
+//     Keys do not travel: key(seed, round, id) is a function of things
+//     the reader has, so it draws the keys of the remote vertices itself;
+//   - tentative flags;
+//   - selected flags and exclusion notices, posted together before either
+//     is awaited (the notices follow from the local selected flags alone,
+//     and everything they and the flags trigger only retires vertices, in
+//     whatever order). The last round stops before this exchange: the set
+//     is final after its withdraw step, and activity is not read again.
 func (ws *Workspace) Plan(p pcomm.Comm, owned []int, adj [][]int, active []bool, owner func(int) int, rounds int, seed int64) ([]bool, *Exchange) {
 	if rounds <= 0 {
 		rounds = DefaultRounds
 	}
 	nLocal := len(owned)
-	P, me := p.P(), p.ID()
+	me := p.ID()
+	nActive := nLocal
+	if active != nil {
+		nActive = 0
+		for _, a := range active {
+			if a {
+				nActive++
+			}
+		}
+	}
 
-	ex := ws.setup(p, owned, adj, owner)
+	ex := ws.setup(p, owned, adj, owner, nActive)
 	needBy, reqFrom := ex.NeedBy, ex.ReqFrom
 	nSlots := len(ws.ids)
 
@@ -334,38 +384,14 @@ func (ws *Workspace) Plan(p pcomm.Comm, owned []int, adj [][]int, active []bool,
 	ws.cand = resize(ws.cand, nSlots)
 	ws.newSel = resize(ws.newSel, nSlots)
 	keys, act, cand, newSel := ws.keys, ws.act, ws.cand, ws.newSel
-	clear(keys[:nLocal]) // an inactive vertex's key travels too
 	if active == nil {
-		for i := range act[:nLocal] {
-			act[i] = true
+		for s := range act {
+			act[s] = true
 		}
 	} else {
 		copy(act[:nLocal], active)
 	}
 	sel := make([]bool, nLocal)
-
-	// exchangeBools sends one flag per boundary vertex in both directions,
-	// following the setup lists: the local part of flags goes out, the
-	// remote part comes in.
-	exchangeBools := func(tag int, flags []bool) {
-		for q := 0; q < P; q++ {
-			if q == me || len(needBy[q]) == 0 {
-				continue
-			}
-			msg := make([]bool, len(needBy[q]))
-			for k, li := range needBy[q] {
-				msg[k] = flags[li]
-			}
-			p.Send(q, tag, msg, pcomm.BytesOfBools(len(msg)))
-		}
-		pos := nLocal
-		for q := 0; q < P; q++ {
-			if q == me || len(reqFrom[q]) == 0 {
-				continue
-			}
-			pos += copy(flags[pos:], p.Recv(q, tag).([]bool))
-		}
-	}
 
 	// Tracing is local-only: round counts and candidate/selected tallies are
 	// recorded on this processor's timeline without any added communication,
@@ -374,47 +400,23 @@ func (ws *Workspace) Plan(p pcomm.Comm, owned []int, adj [][]int, active []bool,
 	tMIS := p.Time()
 	roundsRun := 0
 
-	for r := 0; r < rounds; r++ {
-		nActive := 0
-		for i, g := range owned {
-			if act[i] {
-				keys[i] = key(seed, r, g)
-				nActive++
-			}
+	// With nothing active anywhere there is nothing to do, and every
+	// processor knows it from the set-up; otherwise all rounds run
+	// unconditionally (messages stay matched, and an empty round is
+	// cheap), keeping the synchronization count at one per MIS call.
+	for r := 0; r < rounds && ex.GlobalActive > 0; r++ {
+		if r > 0 || active != nil {
+			ws.sendFlags(p, needBy, tagState, act)
+			ws.recvFlags(p, reqFrom, tagState, act)
 		}
-		// A single global reduction in the first round detects the
-		// nothing-to-do case; later rounds run unconditionally (messages
-		// stay matched, and an empty round is cheap), keeping the
-		// synchronization count at one per MIS call.
-		if r == 0 {
-			ex.GlobalActive = p.AllReduceInt(nActive, pcomm.OpSum)
-		}
-		if ex.GlobalActive == 0 {
-			break
-		}
-
-		// Exchange keys + active state of boundary vertices.
-		for q := 0; q < P; q++ {
-			if q == me || len(needBy[q]) == 0 {
-				continue
+		nActive = 0
+		for s, g := range ws.ids {
+			if act[s] {
+				keys[s] = key(seed, r, g)
+				if s < nLocal {
+					nActive++
+				}
 			}
-			msg := stateMsg{Keys: make([]uint64, len(needBy[q])), Active: make([]bool, len(needBy[q]))}
-			for k, li := range needBy[q] {
-				msg.Keys[k] = keys[li]
-				msg.Active[k] = act[li]
-			}
-			p.Send(q, tagState, msg,
-				pcomm.BytesOfUint64s(len(needBy[q]))+pcomm.BytesOfBools(len(needBy[q])))
-		}
-		pos := nLocal
-		for q := 0; q < P; q++ {
-			if q == me || len(reqFrom[q]) == 0 {
-				continue
-			}
-			msg := p.Recv(q, tagState).(stateMsg)
-			copy(keys[pos:], msg.Keys)
-			copy(act[pos:], msg.Active)
-			pos += len(msg.Keys)
 		}
 
 		// Step 1: tentative insertion.
@@ -422,36 +424,41 @@ func (ws *Workspace) Plan(p pcomm.Comm, owned []int, adj [][]int, active []bool,
 
 		// Exchange tentative flags; step 2 withdraws members that see
 		// another tentative member along an out-edge.
-		exchangeBools(tagCand, cand)
+		ws.sendFlags(p, needBy, tagCand, cand)
+		ws.recvFlags(p, reqFrom, tagCand, cand)
 		ws.withdraw(sel)
 
-		// Exchange selected flags: a vertex whose out-neighbour was
-		// selected deactivates.
-		exchangeBools(tagSel, newSel)
-		ws.deactivate()
-
-		// Exclusion notices along out-edges of selected vertices: the head
-		// of each such edge must deactivate even though it may not see the
-		// selected tail. Notices flow opposite to the request lists.
-		ws.exclude()
-		for q := 0; q < P; q++ {
-			if q == me || len(reqFrom[q]) == 0 {
-				continue
-			}
-			// Copy before sending: a sent slice must never share memory
-			// with anything the sender may touch again.
-			notices := ws.excl[ws.exclOff[q] : ws.exclOff[q]+ws.exclN[q]]
-			p.Send(q, tagExcl, pcomm.CopyInts(notices), pcomm.BytesOfInts(len(notices)))
-		}
-		for q := 0; q < P; q++ {
-			if q == me || len(needBy[q]) == 0 {
-				continue
-			}
-			for _, g := range p.Recv(q, tagExcl).([]int) {
-				if li := ws.localIndex(g); li >= 0 {
-					act[li] = false
+		if r < rounds-1 {
+			// A vertex whose out-neighbour was selected deactivates, and so
+			// must the head of every out-edge of a selected vertex, even
+			// though it may not see the selected tail: exclusion notices
+			// flow opposite to the request lists.
+			ws.exclude()
+			ws.sendFlags(p, needBy, tagSel, newSel)
+			for q, req := range reqFrom {
+				if q == me || len(req) == 0 {
+					continue
 				}
+				// Copy before sending: a sent slice must never share memory
+				// with anything the sender may touch again.
+				notices := pcomm.Ints.Get(ws.exclN[q])
+				copy(notices, ws.excl[ws.exclOff[q]:])
+				pcomm.SendSlice(p, q, tagExcl, notices)
 			}
+			ws.recvFlags(p, reqFrom, tagSel, newSel)
+			for q, need := range needBy {
+				if q == me || len(need) == 0 {
+					continue
+				}
+				notices := pcomm.RecvSlice[int](p, q, tagExcl)
+				for _, g := range notices {
+					if li := ws.localIndex(g); li >= 0 {
+						act[li] = false
+					}
+				}
+				pcomm.Ints.Put(notices)
+			}
+			ws.deactivate()
 		}
 
 		roundsRun++

@@ -83,4 +83,6 @@ var (
 	Floats SlicePool[float64]
 	// Ints pools []int message buffers (index exchanges).
 	Ints SlicePool[int]
+	// Bools pools []bool message buffers (per-vertex flags).
+	Bools SlicePool[bool]
 )
