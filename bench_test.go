@@ -264,6 +264,81 @@ func BenchmarkMIS(b *testing.B) {
 	})
 }
 
+// BenchmarkMISPlan is one Workspace.Plan call as a threshold level makes
+// it — real backend, p = 4, everything active, five rounds — on the
+// interface graph of the cold_torso matrix: the vertices with an edge
+// into another processor's block, and the edges among them. The set-up
+// all-gather and the rounds' neighbour exchanges are most of it.
+func BenchmarkMISPlan(b *testing.B) {
+	b.Run("torso20/p4", func(b *testing.B) {
+		const P = 4
+		g := graph.FromMatrix(matgen.Torso(20, 20, 20, 1))
+		part := partition.KWay(g, P, partition.Options{Seed: 1})
+		owner := func(v int) int { return part[v] }
+		iface := make([]bool, g.NVtx)
+		for v := range iface {
+			for _, u := range g.Neighbors(v) {
+				iface[v] = iface[v] || part[u] != part[v]
+			}
+		}
+		owned, adj := make([][]int, P), make([][][]int, P)
+		for v := 0; v < g.NVtx; v++ {
+			if !iface[v] {
+				continue
+			}
+			var nbrs []int
+			for _, u := range g.Neighbors(v) {
+				if iface[u] {
+					nbrs = append(nbrs, u)
+				}
+			}
+			owned[part[v]] = append(owned[part[v]], v)
+			adj[part[v]] = append(adj[part[v]], nbrs)
+		}
+		b.ResetTimer()
+		realcomm.New(P).Run(func(p pcomm.Comm) {
+			var ws mis.Workspace
+			for i := 0; i < b.N; i++ {
+				ws.Plan(p, owned[p.ID()], adj[p.ID()], nil, owner, mis.DefaultRounds, int64(i+1))
+			}
+		})
+	})
+}
+
+// BenchmarkEngineWait times the wall-clock engine's blocking points on
+// the real backend at p = 4: a round trip between rank pairs, an
+// all-reduce and an all-gather, each b.N times inside one run. Run it
+// with -cpu 2 for the oversubscribed case the scoreboard lives in (four
+// ranks on two Ps), where how a rank waits is most of what a call costs.
+func BenchmarkEngineWait(b *testing.B) {
+	const tag = 7
+	for _, c := range []struct {
+		name string
+		call func(p pcomm.Comm, i int)
+	}{
+		{"pingpong", func(p pcomm.Comm, i int) {
+			peer := p.ID() ^ 1
+			if p.ID() < peer {
+				p.Send(peer, tag, i, pcomm.BytesOfInts(1))
+				p.Recv(peer, tag)
+			} else {
+				p.Recv(peer, tag)
+				p.Send(peer, tag, i, pcomm.BytesOfInts(1))
+			}
+		}},
+		{"allreduce", func(p pcomm.Comm, i int) { p.AllReduceFloat64(float64(p.ID()), pcomm.OpSum) }},
+		{"allgather", func(p pcomm.Comm, i int) { pcomm.AllGatherInts(p, []int{i}) }},
+	} {
+		b.Run(c.name+"/p4", func(b *testing.B) {
+			realcomm.New(4).Run(func(p pcomm.Comm) {
+				for i := 0; i < b.N; i++ {
+					c.call(p, i)
+				}
+			})
+		})
+	}
+}
+
 // BenchmarkTriangularSolveSerial measures the serial L/U solve kernel.
 func BenchmarkTriangularSolveSerial(b *testing.B) {
 	a := matgen.Grid2D(64, 64)

@@ -12,6 +12,7 @@ import (
 	"repro/internal/matgen"
 	"repro/internal/partition"
 	"repro/internal/pcomm"
+	"repro/internal/pcomm/pcommtest"
 	"repro/internal/pcomm/realcomm"
 )
 
@@ -57,7 +58,7 @@ func TestSolveSteadyStateAllocs(t *testing.T) {
 		p.Barrier()
 		var m1, m2 runtime.MemStats
 		if me == 0 {
-			runtime.GC()
+			pcommtest.QuiesceAllocs()
 			runtime.ReadMemStats(&m1)
 		}
 		p.Barrier()
@@ -85,18 +86,19 @@ func TestSolveSteadyStateAllocs(t *testing.T) {
 // workspace, id tables) to their high-water mark. What remains is what a
 // factorization hands out or sends — the factors' arena chunks and flat
 // sweeps, a level's member list, mask and exchange lists, the collectives'
-// gathers, and above all the messages: five MIS rounds of four payloads to
-// each neighbour, plus the pivot rows, come to some 130 mallocs per level
-// and rank. So the count scales with levels × neighbours, not with rows or
-// entries: 22 554 here, 33 655 at the parent of the pooled MIS workspace
-// and the dense level tables, which rebuilt two maps and nine arrays per
-// level. The budget leaves a tenth of slack.
+// gathers, and the boxed messages: the pivot rows and the exchange
+// plan's requests (the MIS flags and notices travel on pooled buffers).
+// So the count scales with levels × neighbours, not with rows or entries:
+// 5 533 here, some 33 per level and rank; 22 554 when each of five MIS
+// rounds made four fresh payloads for each neighbour, 33 655 at the parent
+// of the pooled MIS workspace and the dense level tables, which rebuilt
+// two maps and nine arrays per level. The budget leaves a tenth of slack.
 func TestFactorSteadyStateAllocs(t *testing.T) {
 	const (
 		P      = 4
 		warm   = 2
 		meas   = 4
-		budget = 24800 // per factorization, all ranks together
+		budget = 6100 // per factorization, all ranks together
 	)
 	a := matgen.Torso(12, 12, 12, 1)
 	part := partition.KWay(graph.FromMatrix(a), P, partition.Options{Seed: 1})
@@ -118,7 +120,7 @@ func TestFactorSteadyStateAllocs(t *testing.T) {
 		p.Barrier()
 		var m1, m2 runtime.MemStats
 		if p.ID() == 0 {
-			runtime.GC()
+			pcommtest.QuiesceAllocs()
 			runtime.ReadMemStats(&m1)
 		}
 		p.Barrier()

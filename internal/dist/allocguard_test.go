@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/matgen"
 	"repro/internal/pcomm"
+	"repro/internal/pcomm/pcommtest"
 	"repro/internal/pcomm/realcomm"
 )
 
@@ -52,7 +53,7 @@ func TestMulVecSteadyStateAllocs(t *testing.T) {
 		p.Barrier()
 		var m1, m2 runtime.MemStats
 		if p.ID() == 0 {
-			runtime.GC()
+			pcommtest.QuiesceAllocs()
 			runtime.ReadMemStats(&m1)
 		}
 		p.Barrier()

@@ -187,12 +187,14 @@ func NewMatrix(p pcomm.Comm, lay *Layout, a *sparse.CSR) *Matrix {
 	}
 	all := pcomm.AllGatherInts(p, flat)
 	m.sendTo = make([][]int, P)
+	pairs := 0 // (reader, owner) pairs in the world: one message each per exchange
 	for src := 0; src < P; src++ {
 		f := all[src]
 		for i := 0; i < len(f); {
 			dst, cnt := f[i], f[i+1]
 			ids := f[i+2 : i+2+cnt]
 			i += 2 + cnt
+			pairs++
 			if dst != p.ID() {
 				continue
 			}
@@ -205,6 +207,9 @@ func NewMatrix(p pcomm.Comm, lay *Layout, a *sparse.CSR) *Matrix {
 			}
 		}
 	}
+	// A rank may be an exchange ahead of its slowest neighbour; buffers
+	// past the pool's cap would be dropped and allocated again each round.
+	pcomm.Floats.Reserve(2 * pairs)
 	return m
 }
 

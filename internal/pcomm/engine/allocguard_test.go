@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/pcomm"
 	"repro/internal/pcomm/netcomm"
+	"repro/internal/pcomm/pcommtest"
 	"repro/internal/pcomm/realcomm"
 )
 
@@ -90,7 +91,7 @@ func TestMailboxSteadyStateAllocs(t *testing.T) {
 			c.Barrier()
 			var m1, m2 runtime.MemStats
 			if c.ID() == 0 {
-				runtime.GC()
+				pcommtest.QuiesceAllocs()
 				runtime.ReadMemStats(&m1)
 			}
 			c.Barrier()

@@ -85,9 +85,9 @@ type Transport interface {
 	GatherInt(p *Proc, v int) []int             // OpAllReduceInt
 	Gather(p *Proc, op Op, v any) []any         // OpBarrier (v nil), OpAllGather
 
-	// Abort runs once when the run fails in this process, after local
-	// ranks have been woken: tell the other processes, tear down
-	// whatever could keep a rank blocked outside Wait.
+	// Abort runs once when the run fails in this process: ring the bell
+	// of every rank that may be asleep in a collective, tell the other
+	// processes, tear down whatever could keep a rank blocked elsewhere.
 	Abort(rank int, cause any)
 	// Finish runs once after the local ranks' goroutines have ended,
 	// still under the watchdog, whether or not the run failed. It turns
@@ -106,9 +106,8 @@ type World struct {
 	p, lo, hi int
 	prefix    string
 	noun      string
-	failCh    <-chan struct{} // Supervisor.Failed(), cached for the receive loop
-	boxes     []mailbox       // index (dst-lo)*p + src
-	procs     []*Proc         // index rank-lo
+	boxes     []mailbox // index (dst-lo)*p + src
+	procs     []*Proc   // index rank-lo
 	start     time.Time
 }
 
@@ -117,11 +116,11 @@ type World struct {
 func New(t Transport, backend, prefix, noun string, p, lo, hi int) *World {
 	w := &World{t: t, p: p, lo: lo, hi: hi, prefix: prefix, noun: noun,
 		boxes: make([]mailbox, (hi-lo)*p), procs: make([]*Proc, hi-lo)}
-	w.Supervisor = pcomm.NewSupervisor(backend, prefix, noun, p, w.dump, t.Abort)
-	w.failCh = w.Failed()
+	w.Supervisor = pcomm.NewSupervisor(backend, prefix, noun, p, w.dump, w.abort)
 	for i := range w.boxes {
 		w.boxes[i].ch = make(chan Message, mailboxCap)
-		w.boxes[i].wake = make(chan struct{}, 1)
+		w.boxes[i].bell.Init()
+		w.boxes[i].stash = make([]Message, 0, stashCap)
 	}
 	for i := range w.procs {
 		w.procs[i] = &Proc{id: lo + i, w: w}
@@ -153,6 +152,15 @@ func (w *World) Run(f func(pcomm.Comm)) (res pcomm.Result) {
 		res = w.t.Finish(local)
 	})
 	return res
+}
+
+// abort wakes the ranks asleep on a mailbox so they unwind, then lets the
+// transport do the same for those asleep in a collective.
+func (w *World) abort(rank int, cause any) {
+	for i := range w.boxes {
+		w.boxes[i].bell.Ring()
+	}
+	w.t.Abort(rank, cause)
 }
 
 // Deliver feeds a message that arrived from src, a rank hosted elsewhere,

@@ -12,6 +12,12 @@ import (
 // flight per processor pair, so the overflow queue is cold.
 const mailboxCap = 256
 
+// stashCap is the stash depth a mailbox starts with: a sender that runs
+// an exchange or two ahead of its receiver leaves a handful of messages
+// to take out together, and growing the stash to that depth in the
+// middle of a run is the allocation the steady-state guards would see.
+const stashCap = 8
+
 // Message is one in-flight payload: boxed (Payload) or an unboxed slice
 // header (Raw) from the SendRaw fast path. A transport that moves
 // messages between processes decodes them back into this form before
@@ -27,19 +33,23 @@ type Message struct {
 // mailbox is the (src, dst) channel between one producer goroutine (the
 // co-located sender or the transport's connection reader) and one
 // consumer goroutine. put never blocks: when the channel is full it
-// spills to the overflow queue and pings wake so a parked consumer
-// re-checks. FIFO holds because the producer stops using the channel
-// while spilled is set, and the consumer always drains the channel
-// before the overflow.
+// spills to the overflow queue. FIFO holds because the producer stops
+// using the channel while spilled is set, and the consumer always drains
+// the channel before the overflow.
 type mailbox struct {
 	ch      chan Message
-	wake    chan struct{} // cap 1; pinged after an overflow append
 	spilled atomic.Bool
 	mu      sync.Mutex
 	// over is the pooled spill buffer, held by pointer so returning it to
 	// overflowPool re-uses the same header (no boxing on Put). nil when
 	// nothing has spilled since the last drain.
 	over *[]Message
+	// sent counts the messages put, after each is in place; taken, on the
+	// consumer's side, those drained. The consumer waits (Proc.Wait, on
+	// bell) for sent to pass taken.
+	sent  atomic.Int64
+	taken int64
+	bell  Bell
 	// stash holds messages the consumer took out while looking for a
 	// different tag, in arrival order. Consumer side only.
 	stash []Message
@@ -61,6 +71,8 @@ func (b *mailbox) put(m Message) {
 	if !b.spilled.Load() {
 		select {
 		case b.ch <- m:
+			b.sent.Add(1)
+			b.bell.Ring()
 			return
 		default:
 		}
@@ -72,35 +84,19 @@ func (b *mailbox) put(m Message) {
 	}
 	*b.over = append(*b.over, m) //pilutlint:ok hotalloc overflow spill path is cold; the buffer comes from overflowPool and grows to burst size once
 	b.mu.Unlock()
-	select {
-	case b.wake <- struct{}{}:
-	default:
-	}
+	b.sent.Add(1)
+	b.bell.Ring()
 }
 
-// Ready implements Waiter for the consumer: a drain would find something.
-func (b *mailbox) Ready() bool { return len(b.ch) > 0 || b.spilled.Load() }
-
-// Sleep implements Waiter: the consumer sleeps until a message arrives on
-// the channel — it goes to the stash, newer than everything there — or
-// the producer pings an overflow append.
-//
-//pilut:hotpath
-func (b *mailbox) Sleep(p *Proc) {
-	select {
-	case m := <-b.ch:
-		b.stash = append(b.stash, m) //pilutlint:ok hotalloc stash grows to the peak out-of-order depth once, then is reused
-	case <-b.wake:
-	case <-p.w.failCh:
-		p.w.CheckFailed()
-	}
-}
+// Ready reports, to the consumer, that a drain would find something.
+func (b *mailbox) Ready() bool { return b.sent.Load() > b.taken }
 
 // drainInto moves every currently delivered message into stash in
 // arrival order; consumer side only (the dst goroutine).
 //
 //pilut:hotpath
 func (b *mailbox) drainInto(stash *[]Message) {
+	before := len(*stash)
 	for {
 		select {
 		case m := <-b.ch:
@@ -125,6 +121,7 @@ func (b *mailbox) drainInto(stash *[]Message) {
 		*ov = (*ov)[:0]
 		overflowPool.Put(ov)
 	}
+	b.taken += int64(len(*stash) - before)
 }
 
 // takeByTagFrom removes and returns the first stashed message with the

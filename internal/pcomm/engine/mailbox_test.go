@@ -3,7 +3,9 @@ package engine
 import "testing"
 
 func newMailbox() *mailbox {
-	return &mailbox{ch: make(chan Message, mailboxCap), wake: make(chan struct{}, 1)}
+	b := &mailbox{ch: make(chan Message, mailboxCap)}
+	b.bell.Init()
+	return b
 }
 
 // A burst beyond the channel depth spills to the overflow queue; draining
@@ -18,15 +20,16 @@ func TestMailboxSpillKeepsFIFO(t *testing.T) {
 	if !b.spilled.Load() {
 		t.Fatalf("%d puts into a %d-deep mailbox did not spill", n, mailboxCap)
 	}
-	select {
-	case <-b.wake:
-	default:
-		t.Error("overflow append did not ping wake; a parked consumer would sleep through it")
+	if !b.Ready() {
+		t.Error("a consumer would not see the spilled messages")
 	}
 	var stash []Message
 	b.drainInto(&stash)
 	if len(stash) != n {
 		t.Fatalf("drained %d messages, want %d", len(stash), n)
+	}
+	if b.Ready() {
+		t.Error("the mailbox still reads ready after a full drain")
 	}
 	for i, m := range stash {
 		if m.Payload.(int) != i {
@@ -37,7 +40,7 @@ func TestMailboxSpillKeepsFIFO(t *testing.T) {
 		t.Error("drain left the mailbox spilled")
 	}
 	b.put(Message{Tag: 1, Payload: n})
-	if len(b.ch) != 1 {
+	if len(b.ch) != 1 || !b.Ready() {
 		t.Error("put after a drain did not return to the channel fast path")
 	}
 }

@@ -49,65 +49,76 @@ func (p *Proc) Stats() pcomm.Stats {
 // Tracer returns the rank's trace sink, nil when tracing is off.
 func (p *Proc) Tracer() *trace.ProcTracer { return p.tr }
 
-// How long a rank looks for its condition before it parks. A parked
-// goroutine costs its waker a futex wake when its P has gone to sleep,
-// and with more ranks than Ps that is what every message used to pay;
-// a rank that yields instead lets the runnable ranks have the P first
-// and sees a message from the rank on another P within a scheduler
-// round trip. Yield, not spin: a spinning rank would hold the P the
-// sender needs. waitChecks immediate re-checks come first because with a
-// P per rank the answer is usually a cache miss away and a yield costs
-// more than the hand-off it saves; waitYields bounds what an idle P burns
-// (≈ 30 µs) before the rank parks after all. Measurements: DESIGN.md §10.
+// How long a rank looks for its condition before it sleeps. A sleeping
+// goroutine costs its waker a futex wake when its P has gone idle, and
+// with more ranks than Ps that is what every message used to pay; a rank
+// that yields instead lets the runnable ranks have the P first and sees a
+// message from the rank on another P within a scheduler round trip.
+// Yield, not spin: a spinning rank would hold the P the sender needs.
+// waitChecks immediate re-checks come first because with a P per rank the
+// answer is usually a cache miss away; waitYields bounds what an idle P
+// burns (≈ 30 µs) before the rank sleeps after all. Measurements:
+// DESIGN.md §10.
 const (
 	waitChecks = 8
 	waitYields = 100
 )
 
-// Waiter is what a rank blocks on: a mailbox, a collective's barrier.
-type Waiter interface {
-	// Ready reports, without blocking, whether the wait is over.
-	Ready() bool
-	// Sleep blocks until Ready may have changed — through p.Park, or a
-	// select of its own that honours the run's failure the same way.
-	Sleep(p *Proc)
+// Bell is how one rank sleeps until someone has changed what it waits
+// for: the sleeper raises asleep and blocks on wake; whoever changes the
+// condition calls Ring afterwards, which lowers a raised flag and sends
+// the token. At most one token is ever in flight, so Ring never blocks.
+type Bell struct {
+	asleep atomic.Bool
+	wake   chan struct{} // cap 1
 }
 
-// Wait is the one way a rank blocks: it returns once c is ready, or has
-// slept. Before it lets c sleep the rank re-checks it across a bounded
-// run of scheduler yields, with state (stateRecv, Waiting) published for
-// the watchdog dump from the first yield on. A run that fails while the
-// rank yields is noticed in the sleep that follows.
+// Init readies b; once, before first use.
+func (b *Bell) Init() { b.wake = make(chan struct{}, 1) }
+
+// Ring wakes the rank sleeping on b, if one is. It must follow the change
+// the sleeper waits for; it may come late, when the sleeper has seen the
+// change by itself and sleeps for the next one, so a woken rank looks
+// before it leaps. A failed run's Abort rings every bell.
 //
 //pilut:hotpath
-func (p *Proc) Wait(state uint64, c Waiter) {
+func (b *Bell) Ring() {
+	if b.asleep.Load() && b.asleep.CompareAndSwap(true, false) {
+		b.wake <- struct{}{}
+	}
+}
+
+// Wait is the one way a rank blocks: it returns once c is ready, having
+// re-checked it a few times, then across a bounded run of scheduler
+// yields — state (stateRecv, Waiting) published for the watchdog dump
+// from the first yield on — and at last asleep on b. If the run fails
+// meanwhile, the rank unwinds instead of returning.
+//
+//pilut:hotpath
+func (p *Proc) Wait(state uint64, b *Bell, c interface{ Ready() bool }) {
 	for n := 0; n < waitChecks; n++ {
 		if c.Ready() {
 			return
 		}
 	}
 	p.blocked.Store(state)
-	for n := 0; n < waitYields; n++ {
+	for n := 0; n < waitYields && !c.Ready(); n++ {
 		runtime.Gosched()
-		if c.Ready() {
-			p.blocked.Store(stateNone)
-			return
+	}
+	// Raise the flag, then look again: whoever failed the run or made c
+	// ready before seeing the flag will not ring. If the flag is gone
+	// already, a token is on its way and has to be taken. And look again
+	// after every wake: a ring may be for something the rank has already
+	// seen by itself and moved on from.
+	for !c.Ready() {
+		b.asleep.Store(true)
+		p.w.CheckFailed()
+		if !c.Ready() || !b.asleep.CompareAndSwap(true, false) {
+			<-b.wake
+			p.w.CheckFailed()
 		}
 	}
-	c.Sleep(p)
 	p.blocked.Store(stateNone)
-}
-
-// Park sleeps until ch is closed or sent to, for use in a Waiter's
-// Sleep. If the run fails first, the rank unwinds instead of returning.
-//
-//pilut:hotpath
-func (p *Proc) Park(ch <-chan struct{}) {
-	select {
-	case <-ch:
-	case <-p.w.failCh:
-		p.w.CheckFailed()
-	}
 }
 
 // Send delivers payload to dst under tag: a mailbox put for co-located
@@ -170,20 +181,16 @@ func (p *Proc) recvMessage(src, tag int) Message {
 		panic(fmt.Sprintf("%s: Recv from invalid %s %d", w.prefix, w.noun, src))
 	}
 	b := &w.boxes[(p.id-w.lo)*w.p+src]
-	stash := &b.stash
-	if m, ok := takeByTagFrom(stash, tag, 0); ok {
+	if m, ok := takeByTagFrom(&b.stash, tag, 0); ok {
 		return m
 	}
-	// Nothing stashed below n matches; the drain, and a sleep that took a
-	// message off the channel itself, both append at or above it.
-	n := len(*stash)
 	for {
-		b.drainInto(stash)
-		if m, ok := takeByTagFrom(stash, tag, n); ok {
+		n := len(b.stash) // nothing stashed below n matches
+		b.drainInto(&b.stash)
+		if m, ok := takeByTagFrom(&b.stash, tag, n); ok {
 			return m
 		}
-		n = len(*stash)
-		p.Wait(stateRecv|uint64(src)<<8|uint64(tag)<<24, b)
+		p.Wait(stateRecv|uint64(src)<<8|uint64(tag)<<24, &b.bell, b)
 	}
 }
 

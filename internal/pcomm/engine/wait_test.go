@@ -4,6 +4,7 @@ import (
 	"errors"
 	"runtime"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -68,5 +69,48 @@ func TestYieldingReceiverDoesNotStarveSender(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+}
+
+type flagCond struct{ atomic.Bool }
+
+func (c *flagCond) Ready() bool { return c.Load() }
+
+// A ring may come late, for a change the rank has already seen by itself:
+// a rank woken with its condition still false goes back to sleep instead
+// of returning — for a collective, returning would mean reading deposit
+// slots before everyone has written them.
+func TestWaitSleepsThroughALateRing(t *testing.T) {
+	w := New(p2pOnly{}, "test", "engine", "proc", 2, 0, 2)
+	w.SetWatchdog(30 * time.Second)
+	var bell Bell
+	bell.Init()
+	var cond flagCond
+	var returned atomic.Bool
+	asleep := func() {
+		for !bell.asleep.Load() && !returned.Load() {
+			runtime.Gosched()
+		}
+	}
+	_, err := pcomm.Guard(w, func(c pcomm.Comm) {
+		if c.ID() == 1 {
+			c.(*Proc).Wait(Waiting(OpBarrier, 0), &bell, &cond)
+			returned.Store(true)
+			return
+		}
+		asleep()
+		bell.Ring() // nothing has changed
+		asleep()    // ... and the rank is back asleep
+		if returned.Load() {
+			panic("Wait returned on a ring with its condition false")
+		}
+		cond.Store(true)
+		bell.Ring()
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !returned.Load() {
+		t.Fatal("Wait did not return once its condition held")
 	}
 }

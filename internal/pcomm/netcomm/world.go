@@ -39,6 +39,7 @@ type resultEntry struct {
 type rankState struct {
 	w     *World
 	round uint64
+	bell  engine.Bell
 	// conns are the rank's dialed outbound data connections by dst.
 	conns map[int]net.Conn
 }
@@ -58,7 +59,6 @@ type World struct {
 
 	rmu     sync.Mutex
 	results map[uint64]*resultEntry
-	rwait   map[uint64]chan struct{}
 
 	doneOnce sync.Once
 	doneCh   chan struct{}
@@ -80,12 +80,12 @@ func newWorld(n *Node, gen uint64, p int) *World {
 		hi:      hi,
 		ranks:   make([]rankState, hi-lo),
 		results: make(map[uint64]*resultEntry),
-		rwait:   make(map[uint64]chan struct{}),
 		doneCh:  make(chan struct{}),
 		conns:   make(map[io.Closer]struct{}),
 	}
 	for i := range w.ranks {
 		w.ranks[i].w = w
+		w.ranks[i].bell.Init()
 		w.ranks[i].conns = make(map[int]net.Conn)
 	}
 	w.World = engine.New(w, "netcomm", "netcomm", "rank", p, lo, hi)
@@ -113,6 +113,7 @@ func (w *World) Abort(rank int, cause any) {
 	if _, remote := cause.(*RemoteAbort); !remote {
 		w.node.sendAbort(abortMsg{gen: w.gen, rank: rank, msg: fmt.Sprint(cause)})
 	}
+	w.ringAll()
 	w.closeConns()
 }
 
@@ -216,43 +217,31 @@ func (w *World) postResult(r roundResult) {
 	if _, dup := w.results[r.round]; !dup {
 		w.results[r.round] = &resultEntry{r: r, readers: w.hi - w.lo}
 	}
-	if ch, ok := w.rwait[r.round]; ok {
-		delete(w.rwait, r.round)
-		close(ch)
-	}
 	w.rmu.Unlock()
+	// Every local rank has deposited for this round, or it would not have
+	// completed: whoever sleeps, sleeps for it.
+	w.ringAll()
 }
 
-// Ready implements engine.Waiter: the broadcast of the round the rank is
-// in has arrived.
+// Ready reports that the broadcast of the round the rank is in has
+// arrived.
 func (rs *rankState) Ready() bool {
-	w := rs.w
-	w.rmu.Lock()
-	_, ok := w.results[rs.round]
-	w.rmu.Unlock()
+	rs.w.rmu.Lock()
+	_, ok := rs.w.results[rs.round]
+	rs.w.rmu.Unlock()
 	return ok
 }
 
-// Sleep implements engine.Waiter.
-func (rs *rankState) Sleep(p *engine.Proc) {
-	w := rs.w
-	w.rmu.Lock()
-	if _, ok := w.results[rs.round]; ok {
-		w.rmu.Unlock()
-		return
+// ringAll wakes every local rank asleep in a collective.
+func (w *World) ringAll() {
+	for i := range w.ranks {
+		w.ranks[i].bell.Ring()
 	}
-	ch, ok := w.rwait[rs.round]
-	if !ok {
-		ch = make(chan struct{})
-		w.rwait[rs.round] = ch
-	}
-	w.rmu.Unlock()
-	p.Park(ch)
 }
 
 // awaitResult blocks rank p until its round's broadcast arrives.
 func (w *World) awaitResult(p *engine.Proc, rs *rankState, op engine.Op) roundResult {
-	p.Wait(engine.Waiting(op, rs.round), rs)
+	p.Wait(engine.Waiting(op, rs.round), &rs.bell, rs)
 	w.rmu.Lock()
 	defer w.rmu.Unlock()
 	e := w.results[rs.round]

@@ -11,6 +11,8 @@ package pcommtest
 
 import (
 	"os"
+	"runtime"
+	"sync"
 	"testing"
 
 	"repro/internal/fault"
@@ -53,4 +55,35 @@ func New(t testing.TB, p int, cost machine.CostModel) pcomm.World {
 		t.Fatal(err)
 	}
 	return spec.World(w)
+}
+
+// QuiesceAllocs readies the runtime for a window in which a test counts
+// mallocs: it collects garbage, then restocks what the collection emptied
+// — the scheduler's central sudog cache. A goroutine that sleeps takes a
+// sudog from its P's cache and, woken from another P, gives it back
+// there, so sudogs drift between Ps; a P that runs dry refills from the
+// central cache, and with that empty every refill is a malloc (up to 128
+// before the other P's cache spills) that is the runtime's and not the
+// code's under test. Blocking more goroutines at once than the per-P
+// caches hold, then releasing them, leaves all of the caches full.
+func QuiesceAllocs() {
+	runtime.GC()
+	sleepers := 256 * runtime.GOMAXPROCS(0) // a P's cache holds 128
+	gate := make(chan struct{})
+	var blocked, done sync.WaitGroup
+	blocked.Add(sleepers)
+	done.Add(sleepers)
+	for i := 0; i < sleepers; i++ {
+		go func() {
+			defer done.Done()
+			blocked.Done()
+			<-gate
+		}()
+	}
+	blocked.Wait()
+	for i := 0; i < sleepers; i++ {
+		runtime.Gosched() // the last few reach their receive
+	}
+	close(gate)
+	done.Wait()
 }

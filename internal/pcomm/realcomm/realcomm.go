@@ -46,32 +46,17 @@ type World struct {
 	seats []seat
 }
 
-// seat is one rank's place at the barrier, the engine.Waiter it blocks
-// on. A rank that has to sleep raises parked and waits on wake; whoever
-// completes the barrier lowers each raised flag and sends that rank its
-// token.
+// seat is one rank's place at the barrier: the condition it waits for
+// (engine.Proc.Wait) and the bell it sleeps on meanwhile.
 type seat struct {
-	w      *World
-	g      uint64 // the index of the collective the rank is in: its own count of them
-	parked atomic.Bool
-	wake   chan struct{} // cap 1
-	_      [32]byte      // a cache line per seat: g is written on every collective
+	w    *World
+	g    uint64 // the index of the collective the rank is in: its own count of them
+	bell engine.Bell
+	_    [32]byte // a cache line per seat: g is written on every collective
 }
 
-// Ready implements engine.Waiter: the collective the rank is in has
-// completed.
+// Ready reports that the collective the rank is in has completed.
 func (s *seat) Ready() bool { return s.w.gen.Load() > s.g }
-
-// Sleep implements engine.Waiter. Raise the flag, then look again: an
-// opener that missed the flag has already moved gen. If it took the flag
-// instead, its token is on the way and must be consumed.
-func (s *seat) Sleep(p *engine.Proc) {
-	s.parked.Store(true)
-	if s.Ready() && s.parked.CompareAndSwap(true, false) {
-		return
-	}
-	p.Park(s.wake)
-}
 
 // New creates a real-backend world with p processors.
 func New(p int) *World {
@@ -84,7 +69,7 @@ func New(p int) *World {
 	}
 	for i := range w.seats {
 		w.seats[i].w = w
-		w.seats[i].wake = make(chan struct{}, 1)
+		w.seats[i].bell.Init()
 	}
 	w.World = engine.New(w, "real", "realcomm", "proc", p, 0, p)
 	return w
@@ -111,13 +96,9 @@ func (w *World) meet(p *engine.Proc, op engine.Op, s *slots) {
 	if w.count.Add(1) == w.size {
 		w.count.Store(0)
 		w.gen.Store(st.g + 1)
-		for r := range w.seats {
-			if o := &w.seats[r]; o.parked.Load() && o.parked.CompareAndSwap(true, false) {
-				o.wake <- struct{}{}
-			}
-		}
+		w.ringAll()
 	} else {
-		p.Wait(engine.Waiting(op, 0), st)
+		p.Wait(engine.Waiting(op, 0), &st.bell, st)
 	}
 	st.g++
 	for _, theirs := range s.ops {
@@ -164,9 +145,17 @@ func (w *World) Ship(p *engine.Proc, dst int, m engine.Message) {
 	panic(fmt.Sprintf("realcomm: rank %d is not hosted in this process", dst))
 }
 
-// Abort implements engine.Transport: there is no other process to tell,
-// and every blocking wait already goes through Wait.
-func (w *World) Abort(rank int, cause any) {}
+// ringAll wakes every rank asleep at the barrier.
+//
+//pilut:hotpath
+func (w *World) ringAll() {
+	for r := range w.seats {
+		w.seats[r].bell.Ring()
+	}
+}
+
+// Abort implements engine.Transport: there is no other process to tell.
+func (w *World) Abort(rank int, cause any) { w.ringAll() }
 
 // Finish implements engine.Transport.
 func (w *World) Finish(local []pcomm.Stats) pcomm.Result { return pcomm.NewResult(local) }
