@@ -15,7 +15,7 @@ import (
 	"repro/internal/trace"
 )
 
-// The schedule Plan replaced (PR 22), kept as the oracle of
+// The schedule Plan replaced (PR 23), kept as the oracle of
 // TestPlanMatchesParentSchedule.
 
 type refStateMsg struct {

@@ -12,10 +12,9 @@ import (
 // flight per processor pair, so the overflow queue is cold.
 const mailboxCap = 256
 
-// stashCap is the stash depth a mailbox starts with: a sender that runs
-// an exchange or two ahead of its receiver leaves a handful of messages
-// to take out together, and growing the stash to that depth in the
-// middle of a run is the allocation the steady-state guards would see.
+// stashCap is the stash depth a mailbox starts with: a sender an exchange
+// or two ahead leaves a handful of messages to take out together, and the
+// steady-state guards would see the stash grow to that depth mid-run.
 const stashCap = 8
 
 // Message is one in-flight payload: boxed (Payload) or an unboxed slice

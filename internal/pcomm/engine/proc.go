@@ -49,25 +49,22 @@ func (p *Proc) Stats() pcomm.Stats {
 // Tracer returns the rank's trace sink, nil when tracing is off.
 func (p *Proc) Tracer() *trace.ProcTracer { return p.tr }
 
-// How long a rank looks for its condition before it sleeps. A sleeping
-// goroutine costs its waker a futex wake when its P has gone idle, and
-// with more ranks than Ps that is what every message used to pay; a rank
-// that yields instead lets the runnable ranks have the P first and sees a
-// message from the rank on another P within a scheduler round trip.
-// Yield, not spin: a spinning rank would hold the P the sender needs.
-// waitChecks immediate re-checks come first because with a P per rank the
-// answer is usually a cache miss away; waitYields bounds what an idle P
-// burns (≈ 30 µs) before the rank sleeps after all. Measurements:
-// DESIGN.md §10.
+// How long a rank looks for its condition before it sleeps (DESIGN.md
+// §10 has the measurements): a sleeper costs its waker a futex wake once
+// its P has gone idle, a rank that yields lets the runnable ranks have the
+// P and sees a message from another P within a scheduler round trip. Yield,
+// not spin — a spinning rank holds the P the sender needs. waitChecks
+// immediate looks come first, for when every rank has a P; waitYields
+// bounds what an idle P burns (≈ 30 µs) before the rank sleeps after all.
 const (
 	waitChecks = 8
 	waitYields = 100
 )
 
 // Bell is how one rank sleeps until someone has changed what it waits
-// for: the sleeper raises asleep and blocks on wake; whoever changes the
-// condition calls Ring afterwards, which lowers a raised flag and sends
-// the token. At most one token is ever in flight, so Ring never blocks.
+// for: the sleeper raises asleep and blocks on wake; Ring, called after
+// the change, lowers a raised flag and sends the token. At most one token
+// is ever in flight, so Ring never blocks.
 type Bell struct {
 	asleep atomic.Bool
 	wake   chan struct{} // cap 1
@@ -76,10 +73,9 @@ type Bell struct {
 // Init readies b; once, before first use.
 func (b *Bell) Init() { b.wake = make(chan struct{}, 1) }
 
-// Ring wakes the rank sleeping on b, if one is. It must follow the change
-// the sleeper waits for; it may come late, when the sleeper has seen the
-// change by itself and sleeps for the next one, so a woken rank looks
-// before it leaps. A failed run's Abort rings every bell.
+// Ring wakes the rank sleeping on b, if one is. It may come late, when
+// the sleeper has seen the change by itself and sleeps for the next one,
+// so a woken rank looks again. A failed run's Abort rings every bell.
 //
 //pilut:hotpath
 func (b *Bell) Ring() {
@@ -89,10 +85,10 @@ func (b *Bell) Ring() {
 }
 
 // Wait is the one way a rank blocks: it returns once c is ready, having
-// re-checked it a few times, then across a bounded run of scheduler
-// yields — state (stateRecv, Waiting) published for the watchdog dump
-// from the first yield on — and at last asleep on b. If the run fails
-// meanwhile, the rank unwinds instead of returning.
+// looked a few times, then across a bounded run of scheduler yields —
+// state (stateRecv, Waiting) published for the watchdog dump from the
+// first yield on — and at last asleep on b. If the run fails meanwhile,
+// the rank unwinds instead of returning.
 //
 //pilut:hotpath
 func (p *Proc) Wait(state uint64, b *Bell, c interface{ Ready() bool }) {
@@ -107,9 +103,7 @@ func (p *Proc) Wait(state uint64, b *Bell, c interface{ Ready() bool }) {
 	}
 	// Raise the flag, then look again: whoever failed the run or made c
 	// ready before seeing the flag will not ring. If the flag is gone
-	// already, a token is on its way and has to be taken. And look again
-	// after every wake: a ring may be for something the rank has already
-	// seen by itself and moved on from.
+	// already, a token is on its way and has to be taken.
 	for !c.Ready() {
 		b.asleep.Store(true)
 		p.w.CheckFailed()

@@ -58,14 +58,13 @@ func New(t testing.TB, p int, cost machine.CostModel) pcomm.World {
 }
 
 // QuiesceAllocs readies the runtime for a window in which a test counts
-// mallocs: it collects garbage, then restocks what the collection emptied
-// — the scheduler's central sudog cache. A goroutine that sleeps takes a
-// sudog from its P's cache and, woken from another P, gives it back
-// there, so sudogs drift between Ps; a P that runs dry refills from the
-// central cache, and with that empty every refill is a malloc (up to 128
-// before the other P's cache spills) that is the runtime's and not the
-// code's under test. Blocking more goroutines at once than the per-P
-// caches hold, then releasing them, leaves all of the caches full.
+// mallocs: it collects garbage, then restocks the scheduler's sudog
+// caches, whose central one the collection emptied. A goroutine that
+// sleeps takes a sudog from its P and, woken from another P, returns it
+// there; a P that runs dry refills from the central cache, and with that
+// empty each refill is a malloc of the runtime's, not of the code under
+// test. Blocking more goroutines at once than the per-P caches hold,
+// then releasing them, leaves every cache full.
 func QuiesceAllocs() {
 	runtime.GC()
 	sleepers := 256 * runtime.GOMAXPROCS(0) // a P's cache holds 128
