@@ -90,16 +90,16 @@ func (b *mailbox) put(m Message) {
 // Ready reports, to the consumer, that a drain would find something.
 func (b *mailbox) Ready() bool { return b.sent.Load() > b.taken }
 
-// drainInto moves every currently delivered message into stash in
+// drain moves every currently delivered message into the stash in
 // arrival order; consumer side only (the dst goroutine).
 //
 //pilut:hotpath
-func (b *mailbox) drainInto(stash *[]Message) {
-	before := len(*stash)
+func (b *mailbox) drain() {
+	before := len(b.stash)
 	for {
 		select {
 		case m := <-b.ch:
-			*stash = append(*stash, m) //pilutlint:ok hotalloc stash grows to the peak out-of-order depth once, then is reused
+			b.stash = append(b.stash, m) //pilutlint:ok hotalloc stash grows to the peak out-of-order depth once, then is reused
 			continue
 		default:
 		}
@@ -111,7 +111,7 @@ func (b *mailbox) drainInto(stash *[]Message) {
 		b.over = nil
 		b.spilled.Store(false)
 		b.mu.Unlock()
-		*stash = append(*stash, *ov...) //pilutlint:ok hotalloc stash grows to the peak out-of-order depth once, then is reused
+		b.stash = append(b.stash, *ov...) //pilutlint:ok hotalloc stash grows to the peak out-of-order depth once, then is reused
 		// Clear payload references before recycling the spill buffer so a
 		// pooled buffer cannot pin delivered payloads, then hand it back.
 		for i := range *ov {
@@ -120,7 +120,7 @@ func (b *mailbox) drainInto(stash *[]Message) {
 		*ov = (*ov)[:0]
 		overflowPool.Put(ov)
 	}
-	b.taken += int64(len(*stash) - before)
+	b.taken += int64(len(b.stash) - before)
 }
 
 // takeByTagFrom removes and returns the first stashed message with the

@@ -23,8 +23,8 @@ func TestMailboxSpillKeepsFIFO(t *testing.T) {
 	if !b.Ready() {
 		t.Error("a consumer would not see the spilled messages")
 	}
-	var stash []Message
-	b.drainInto(&stash)
+	b.drain()
+	stash := b.stash
 	if len(stash) != n {
 		t.Fatalf("drained %d messages, want %d", len(stash), n)
 	}

@@ -180,7 +180,7 @@ func (p *Proc) recvMessage(src, tag int) Message {
 	}
 	for {
 		n := len(b.stash) // nothing stashed below n matches
-		b.drainInto(&b.stash)
+		b.drain()
 		if m, ok := takeByTagFrom(&b.stash, tag, n); ok {
 			return m
 		}

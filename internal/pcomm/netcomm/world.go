@@ -118,9 +118,15 @@ func (w *World) Abort(rank int, cause any) {
 }
 
 // poison records a remotely originated failure (abort broadcast, node
-// death).
+// death) — unless the coordinator has already declared the run done:
+// every rank has finished then, and a peer process that exits before
+// this one has retired the world is not a failure of the run.
 func (w *World) poison(a abortMsg) {
-	w.Fail(-1, &RemoteAbort{Rank: a.rank, Msg: a.msg}, "")
+	select {
+	case <-w.doneCh:
+	default:
+		w.Fail(-1, &RemoteAbort{Rank: a.rank, Msg: a.msg}, "")
+	}
 }
 
 // trackConn registers a connection for teardown; if the world already
