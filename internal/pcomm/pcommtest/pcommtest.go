@@ -14,6 +14,7 @@ import (
 	"runtime"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/fault"
 	"repro/internal/machine"
@@ -80,9 +81,7 @@ func QuiesceAllocs() {
 		}()
 	}
 	blocked.Wait()
-	for i := 0; i < sleepers; i++ {
-		runtime.Gosched() // the last few reach their receive
-	}
+	time.Sleep(time.Millisecond) // the last few reach their receive
 	close(gate)
 	done.Wait()
 }
