@@ -8,6 +8,7 @@ package repro_test
 
 import (
 	"fmt"
+	"sync"
 	"testing"
 
 	"repro/internal/core"
@@ -310,6 +311,8 @@ func BenchmarkMISPlan(b *testing.B) {
 // all-reduce and an all-gather, each b.N times inside one run. Run it
 // with -cpu 2 for the oversubscribed case the scoreboard lives in (four
 // ranks on two Ps), where how a rank waits is most of what a call costs.
+// The 2x cases run two such worlds at once, as a daemon's two workers
+// do, where a rank that yields would hand the Ps to the other world.
 func BenchmarkEngineWait(b *testing.B) {
 	const tag = 7
 	for _, c := range []struct {
@@ -329,12 +332,24 @@ func BenchmarkEngineWait(b *testing.B) {
 		{"allreduce", func(p pcomm.Comm, i int) { p.AllReduceFloat64(float64(p.ID()), pcomm.OpSum) }},
 		{"allgather", func(p pcomm.Comm, i int) { pcomm.AllGatherInts(p, []int{i}) }},
 	} {
-		b.Run(c.name+"/p4", func(b *testing.B) {
+		run := func(b *testing.B) {
 			realcomm.New(4).Run(func(p pcomm.Comm) {
 				for i := 0; i < b.N; i++ {
 					c.call(p, i)
 				}
 			})
+		}
+		b.Run(c.name+"/p4", run)
+		b.Run(c.name+"/2x/p4", func(b *testing.B) {
+			var wg sync.WaitGroup
+			wg.Add(2)
+			for range 2 {
+				go func() {
+					defer wg.Done()
+					run(b)
+				}()
+			}
+			wg.Wait()
 		})
 	}
 }
@@ -369,8 +384,8 @@ func BenchmarkDistSpMV(b *testing.B) {
 	xp := lay.Scatter(x)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m := machine.New(P, machine.T3D())
-		m.Run(func(p *machine.Proc) {
+		m := modelled.New(P, machine.T3D())
+		m.Run(func(p pcomm.Comm) {
 			dm := dist.NewMatrix(p, lay, a)
 			y := make([]float64, lay.NLocal(p.ID()))
 			dm.MulVec(p, y, xp[p.ID()])
@@ -527,9 +542,9 @@ func BenchmarkAblationSchur(b *testing.B) {
 			var q float64
 			var elapsed float64
 			for i := 0; i < b.N; i++ {
-				m := machine.New(P, machine.T3D())
+				m := modelled.New(P, machine.T3D())
 				var pc0 *core.ProcPrecond
-				res := m.Run(func(p *machine.Proc) {
+				res := m.Run(func(p pcomm.Comm) {
 					pc := core.Factor(p, plan, core.Options{
 						Params: ilu.Params{M: 10, Tau: 1e-6, K: 2},
 						Schur:  schur,
@@ -617,9 +632,9 @@ func BenchmarkParallelILU0(b *testing.B) {
 	var q float64
 	var elapsed float64
 	for i := 0; i < b.N; i++ {
-		m := machine.New(P, machine.T3D())
+		m := modelled.New(P, machine.T3D())
 		var pc0 *core.ProcPrecond
-		res := m.Run(func(p *machine.Proc) {
+		res := m.Run(func(p pcomm.Comm) {
 			pc := core.FactorILU0(p, plan, 0, 1)
 			if p.ID() == 0 {
 				pc0 = pc

@@ -6,8 +6,8 @@
 //
 // Arguments are package directories; "./..." (the default) walks the
 // module. Test files are skipped unless -tests is given, because the
-// machine package's own tests intentionally violate the invariants to
-// exercise failure paths. Suppress a finding with a trailing
+// communicator tests intentionally violate the invariants to exercise
+// failure paths. Suppress a finding with a trailing
 // "//pilutlint:ok <analyzer> <reason>" comment.
 //
 // -json emits the findings as a JSON array (one object per finding with

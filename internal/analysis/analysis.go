@@ -1,7 +1,7 @@
-// Package analysis is a static-analysis suite for the machine layer's
-// SPMD invariants: every virtual processor must reach collectives in the
+// Package analysis is a static-analysis suite for the communicator
+// layer's SPMD invariants: every processor must reach collectives in the
 // same order, all inter-processor data flow must go through Send/Recv
-// with by-value (freshly copied) payloads, *machine.Proc handles are
+// with by-value (freshly copied) payloads, communicator handles are
 // goroutine-confined, and modelled byte counts must come from BytesOf*
 // helpers so the LogP cost model stays honest.
 //
@@ -27,25 +27,23 @@ import (
 	"strings"
 )
 
-// MachinePath is the import path of the simulated-machine package whose
-// invariants the analyzers enforce.
-const MachinePath = "repro/internal/machine"
-
-// PcommPath is the import path of the communicator-interface package.
-// Algorithm code talks to pcomm.Comm rather than *machine.Proc, so the
-// analyzers treat both as the machine layer.
+// PcommPath is the import path of the communicator-interface package,
+// whose subpackages are the engine and its backends.
 const PcommPath = "repro/internal/pcomm"
+
+// EnginePath is the package of the one concrete communicator,
+// *engine.Proc; algorithm code talks to pcomm.Comm instead.
+const EnginePath = PcommPath + "/engine"
 
 // FaultPath is the fault-injection layer: a pass-through Comm wrapper
 // that forwards caller-owned payloads by design, like the backends.
 const FaultPath = "repro/internal/fault"
 
 // exemptPkg reports whether path is part of the messaging layer itself
-// (the machine, the pcomm interface, or a backend), where the invariants
-// are established rather than consumed.
+// (the pcomm interface, the engine, a backend, fault injection), where
+// the invariants are established rather than consumed.
 func exemptPkg(path string) bool {
-	return path == MachinePath || path == PcommPath || path == FaultPath ||
-		strings.HasPrefix(path, PcommPath+"/")
+	return path == PcommPath || path == FaultPath || strings.HasPrefix(path, PcommPath+"/")
 }
 
 // Diagnostic is one finding.
@@ -173,15 +171,6 @@ func suppress(name string, pkg *Package, diags []Diagnostic) []Diagnostic {
 
 // ---- shared type helpers -------------------------------------------------
 
-// isProcPtr reports whether t is *machine.Proc.
-func isProcPtr(t types.Type) bool {
-	ptr, ok := t.(*types.Pointer)
-	if !ok {
-		return false
-	}
-	return isNamed(ptr.Elem(), MachinePath, "Proc")
-}
-
 func isNamed(t types.Type, path, name string) bool {
 	named, ok := t.(*types.Named)
 	if !ok {
@@ -193,8 +182,8 @@ func isNamed(t types.Type, path, name string) bool {
 
 // isComm reports whether t is a communicator handle: anything whose
 // method set satisfies pcomm.Comm — the interface itself, interfaces
-// embedding it, *machine.Proc and every backend's concrete handle
-// (*engine.Proc, *netcomm.Proc), wrappers that embed one. The test is
+// embedding it, the engine's concrete handle (*engine.Proc), wrappers
+// that embed one (*netcomm.Proc, fault's). The test is
 // structural so a new or moved handle type cannot fall out of coverage
 // the way a list of names would let it.
 func isComm(t types.Type) bool {
@@ -205,7 +194,7 @@ func isComm(t types.Type) bool {
 	if types.Implements(t, comm) {
 		return true
 	}
-	// A handle held by value (machine.Proc) has the methods on its pointer.
+	// A handle held by value (engine.Proc) has the methods on its pointer.
 	_, isPtr := t.(*types.Pointer)
 	return !isPtr && !types.IsInterface(t) && types.Implements(types.NewPointer(t), comm)
 }
@@ -234,16 +223,20 @@ func commInterface(t types.Type) *types.Interface {
 	return nil
 }
 
-// commLabel names t's communicator flavor for diagnostics.
+// commLabel names t's communicator flavor for diagnostics: the engine's
+// handle by name, anything else by the interface it satisfies.
 func commLabel(t types.Type) string {
-	if isProcPtr(t) || isNamed(t, MachinePath, "Proc") {
-		return "*machine.Proc"
+	if ptr, ok := t.(*types.Pointer); ok {
+		t = ptr.Elem()
+	}
+	if isNamed(t, EnginePath, "Proc") {
+		return "*engine.Proc"
 	}
 	return "pcomm.Comm"
 }
 
 // procMethod returns the method name if call is a method call on a
-// communicator receiver (p.Send, p.Barrier, ... on *machine.Proc or
+// communicator receiver (p.Send, p.Barrier, ... on *engine.Proc or
 // pcomm.Comm).
 func procMethod(info *types.Info, call *ast.CallExpr) (string, bool) {
 	sel, ok := call.Fun.(*ast.SelectorExpr)

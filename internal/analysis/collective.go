@@ -11,11 +11,11 @@ import (
 // data returned by p.Recv, p.Time, p.Stats). Collectives are rendezvous
 // points: every virtual processor must reach them in the same order, so a
 // collective guarded by processor-dependent control flow is the static
-// form of the machine's runtime "collective mismatch" panic — and a
+// form of the engine's runtime "collective mismatch" panic — and a
 // deadlock on a real MPI machine, where nothing checks.
 //
 // The analysis is a lexical taint check: it sees direct method calls on
-// *machine.Proc, not collectives buried in callees, and only flags
+// a communicator, not collectives buried in callees, and only flags
 // conditions that provably mention proc-local data. Uniform conditions
 // (loop counters, AllReduce results, configuration) pass.
 var Collective = &Analyzer{

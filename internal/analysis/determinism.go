@@ -7,7 +7,7 @@ import (
 
 // Determinism flags nondeterminism sources reachable from SPMD code —
 // any function whose signature carries a communicator (pcomm.Comm,
-// *machine.Proc): map-range iteration, wall-clock reads (time.Now /
+// *engine.Proc): map-range iteration, wall-clock reads (time.Now /
 // Since / Until), the global math/rand source, select statements, and
 // goroutine launches. The repo's central contract is that a run produces
 // bitwise-identical factors, stats and GMRES histories on the modelled

@@ -8,7 +8,7 @@ import (
 )
 
 // ErrDrop flags discarded errors on the comm and service boundaries: a
-// call into the messaging layer (pcomm and its backends, machine, fault)
+// call into the messaging layer (pcomm, its engine and backends, fault)
 // or the service package whose error result is dropped — the call used
 // as a statement, deferred, or the error assigned to the blank
 // identifier. The error on these boundaries is almost always a

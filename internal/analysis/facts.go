@@ -123,7 +123,7 @@ func (s *FactStore) Lookup(fn *types.Func) *FuncFacts {
 }
 
 // factOpaque reports whether facts must not propagate out of pkg: the
-// messaging layer itself (machine, pcomm and its backends, fault), the
+// messaging layer itself (pcomm, its engine and backends, fault), the
 // trace recorder and the service supervisor establish the invariants the
 // analyzers check elsewhere — a select inside realcomm's mailbox or a
 // wall-clock read inside the service's latency histogram is by design.

@@ -5,12 +5,11 @@ import (
 	"go/types"
 )
 
-// ProcEscape flags communicator handles (*machine.Proc, pcomm.Comm)
+// ProcEscape flags communicator handles (*engine.Proc, pcomm.Comm)
 // escaping the goroutine Run handed them to: captured by or passed to a
 // go statement, stored in a package-level variable, or sent through a
-// channel. A handle carries an unsynchronized virtual clock (or
-// receiver-owned mailbox stashes on the real backend) and per-processor
-// counters; sharing one across goroutines races, and using one after Run
+// channel. A handle carries an unsynchronized clock, receiver-owned
+// mailbox stashes and per-processor counters; sharing one across goroutines races, and using one after Run
 // returns corrupts the next run's accounting. The messaging layer itself
 // is exempt — Run is where the confinement is established.
 var ProcEscape = &Analyzer{

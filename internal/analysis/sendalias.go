@@ -6,7 +6,7 @@ import (
 )
 
 // SendAlias flags Send/AllGather payloads that may alias memory the
-// sender retains. The simulated machine passes references where a real
+// sender retains. Co-located ranks pass references where a real
 // distributed machine serializes onto the wire, so a sender that keeps a
 // reference to a sent slice or map and later mutates it silently corrupts
 // the receiver — the cardinal sin of a shared-address-space simulation of
@@ -43,7 +43,7 @@ var pcommPayloadArg = map[string]int{
 
 func runSendAlias(pass *Pass) error {
 	if exemptPkg(pass.Pkg.Path()) {
-		// The machine and pcomm packages are the messaging layer itself:
+		// The pcomm packages are the messaging layer itself:
 		// their wrappers forward caller-owned buffers by design, and the
 		// convention is enforced at their call sites.
 		return nil

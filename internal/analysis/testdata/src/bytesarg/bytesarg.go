@@ -4,8 +4,8 @@
 package bytesarg
 
 import (
-	"repro/internal/machine"
 	"repro/internal/pcomm"
+	"repro/internal/pcomm/engine"
 )
 
 // BytesOfPairs is a domain-specific sizing helper; any BytesOf* name is
@@ -15,7 +15,7 @@ func BytesOfPairs(n int) int { return 16 * n }
 type pair struct{ a, b float64 }
 
 // Violations: raw literals and hand-rolled arithmetic.
-func bad(p *machine.Proc, xs []int) {
+func bad(p *engine.Proc, xs []int) {
 	p.Send(1, 0, xs, 8*len(xs)) // want `modelled byte count of Send should come from a BytesOf\* helper`
 
 	p.Send(1, 1, xs, 800) // want `modelled byte count of Send should come from a BytesOf\* helper`
@@ -34,7 +34,7 @@ func badComm(c pcomm.Comm, xs []int) {
 }
 
 // Clean: helpers, zero, sums of helpers, accumulators, forwarded params.
-func good(p *machine.Proc, xs []int, flags []bool) {
+func good(p *engine.Proc, xs []int, flags []bool) {
 	p.Send(1, 0, xs, pcomm.BytesOfInts(len(xs)))
 	p.Send(1, 1, nil, 0)
 	p.Send(1, 2, xs, pcomm.BytesOfInts(len(xs))+pcomm.BytesOfBools(len(flags)))
@@ -55,11 +55,11 @@ func goodComm(c pcomm.Comm, ps []pair) {
 }
 
 // sendWith forwards its byte count: the obligation moves to its callers.
-func sendWith(p *machine.Proc, bytes int) {
+func sendWith(p *engine.Proc, bytes int) {
 	p.Send(1, 0, []int{1}, bytes)
 }
 
 // Suppressed: a deliberately modelled constant header size.
-func waived(p *machine.Proc) {
+func waived(p *engine.Proc) {
 	p.Send(1, 0, nil, 64) //pilutlint:ok bytesarg fixed 64-byte header, modelled deliberately
 }

@@ -4,12 +4,12 @@
 package collective
 
 import (
-	"repro/internal/machine"
 	"repro/internal/pcomm"
+	"repro/internal/pcomm/engine"
 )
 
 // Violations: the guard derives from p.ID() or Recv data.
-func bad(p *machine.Proc, x int) {
+func bad(p *engine.Proc, x int) {
 	if p.ID() == 0 {
 		p.Barrier() // want `collective Barrier inside a branch whose condition derives from proc-local state`
 	}
@@ -48,7 +48,7 @@ func badComm(c pcomm.Comm, x int) {
 }
 
 // Clean: uniform guards — loop counters, AllReduce results, parameters.
-func good(p *machine.Proc, iters int, tol float64) {
+func good(p *engine.Proc, iters int, tol float64) {
 	for i := 0; i < iters; i++ {
 		p.Barrier()
 	}
@@ -74,7 +74,7 @@ func goodComm(c pcomm.Comm, tol float64) {
 }
 
 // Suppressed: every processor provably computes the same flag.
-func waived(p *machine.Proc, flags []bool) {
+func waived(p *engine.Proc, flags []bool) {
 	if flags[p.ID()] {
 		//pilutlint:ok collective flags is replicated identically on all procs
 		p.Barrier()

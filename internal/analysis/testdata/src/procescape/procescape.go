@@ -1,19 +1,19 @@
 // Package procescape exercises the procescape analyzer: a communicator
-// handle (*machine.Proc or pcomm.Comm) is confined to the goroutine Run
+// handle (*engine.Proc or pcomm.Comm) is confined to the goroutine Run
 // handed it to.
 package procescape
 
 import (
-	"repro/internal/machine"
 	"repro/internal/pcomm"
+	"repro/internal/pcomm/engine"
 	"repro/internal/pcomm/netcomm"
 )
 
-var global *machine.Proc
+var global *engine.Proc
 
 var globalComm pcomm.Comm
 
-func worker(p *machine.Proc) {
+func worker(p *engine.Proc) {
 	p.Barrier()
 }
 
@@ -22,18 +22,18 @@ func commWorker(c pcomm.Comm) {
 }
 
 // Violations: the Proc leaks to another goroutine or outlives the run.
-func bad(p *machine.Proc, ch chan *machine.Proc) {
-	go worker(p) // want `\*machine.Proc passed to a goroutine`
+func bad(p *engine.Proc, ch chan *engine.Proc) {
+	go worker(p) // want `\*engine.Proc passed to a goroutine`
 
-	go p.Barrier() // want `\*machine.Proc method launched as a goroutine`
+	go p.Barrier() // want `\*engine.Proc method launched as a goroutine`
 
 	go func() {
-		p.Send(1, 0, nil, 0) // want `\*machine.Proc p captured by a go-statement closure`
+		p.Send(1, 0, nil, 0) // want `\*engine.Proc p captured by a go-statement closure`
 	}()
 
-	ch <- p // want `\*machine.Proc sent on a channel`
+	ch <- p // want `\*engine.Proc sent on a channel`
 
-	global = p // want `\*machine.Proc stored in a package-level variable`
+	global = p // want `\*engine.Proc stored in a package-level variable`
 }
 
 // badComm: the same escapes through the backend-agnostic interface.
@@ -62,7 +62,7 @@ func badConcrete(p *netcomm.Proc, ch chan *netcomm.Proc) {
 }
 
 // Clean: scalar results may cross goroutines; local aliases are fine.
-func good(p *machine.Proc, c pcomm.Comm, done chan int) {
+func good(p *engine.Proc, c pcomm.Comm, done chan int) {
 	go func(id int) {
 		done <- id
 	}(p.ID())
@@ -83,7 +83,7 @@ func good(p *machine.Proc, c pcomm.Comm, done chan int) {
 
 // Suppressed: a deliberate hand-off, e.g. a helper goroutine joined
 // before the processor body returns.
-func waived(p *machine.Proc) {
+func waived(p *engine.Proc) {
 	//pilutlint:ok procescape helper is joined before the proc body returns
 	go worker(p)
 }

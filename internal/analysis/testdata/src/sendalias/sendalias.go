@@ -3,8 +3,8 @@
 package sendalias
 
 import (
-	"repro/internal/machine"
 	"repro/internal/pcomm"
+	"repro/internal/pcomm/engine"
 )
 
 type holder struct {
@@ -12,7 +12,7 @@ type holder struct {
 }
 
 // Violations: the payload provably aliases sender-visible memory.
-func bad(p *machine.Proc, xs []int, h holder, rows [][]float64) {
+func bad(p *engine.Proc, xs []int, h holder, rows [][]float64) {
 	p.Send(1, 0, xs, pcomm.BytesOfInts(len(xs)))           // want `payload of Send may alias memory the sender retains`
 	p.Send(1, 1, h.data, pcomm.BytesOfFloats(len(h.data))) // want `payload of Send may alias memory the sender retains`
 	for _, row := range rows {
@@ -39,7 +39,7 @@ func badComm(c pcomm.Comm, xs []int, ys []float64) {
 }
 
 // Clean: freshly built payloads and scalar payloads.
-func good(p *machine.Proc, xs []int, n int) {
+func good(p *engine.Proc, xs []int, n int) {
 	p.Send(1, 0, []int{1, 2, 3}, pcomm.BytesOfInts(3))
 
 	msg := make([]float64, n)
@@ -68,7 +68,7 @@ func goodComm(c pcomm.Comm, xs []int) {
 }
 
 // Suppressed: the sender provably never mutates xs again.
-func waived(p *machine.Proc, xs []int) {
+func waived(p *engine.Proc, xs []int) {
 	//pilutlint:ok sendalias xs is never mutated after this send
 	p.Send(1, 0, xs, pcomm.BytesOfInts(len(xs)))
 }

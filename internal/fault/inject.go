@@ -53,27 +53,23 @@ func (w *world) Run(f func(pcomm.Comm)) pcomm.Result {
 // the spec and its own operation sequence — independent of goroutine
 // interleaving, hence reproducible.
 func (s *Spec) wrap(c pcomm.Comm) pcomm.Comm {
-	in := &injector{
+	return &injector{
 		Comm: c,
+		raw:  c.(pcomm.RawComm),
 		spec: s,
 		rng:  rand.New(rand.NewSource(s.Seed ^ (int64(c.ID()+1) * 0x5DEECE66D))),
 	}
-	// The SendSlice/RecvSlice fast path type-asserts RawComm, so the
-	// wrapper must mirror the inner communicator's RawComm-ness exactly:
-	// always claiming it would hand the modelled backend raw headers it
-	// cannot unbox, never claiming it would silently de-optimize the
-	// real backend.
-	if rc, ok := c.(pcomm.RawComm); ok {
-		return &rawInjector{injector: in, raw: rc}
-	}
-	return in
 }
 
 // injector wraps a Comm; the embedded interface passes the local-only
 // methods (ID, P, Time, Work, Sleep, Stats, Tracer) straight through,
-// and every communication method runs the fault schedule first.
+// and every communication method runs the fault schedule first. Every
+// backend's communicator has the RawComm fast path, and so does the
+// injector, with the same schedule (raw sends count toward drop=, raw
+// ops toward panic=): SendSlice/RecvSlice type-assert it.
 type injector struct {
 	pcomm.Comm
+	raw  pcomm.RawComm
 	spec *Spec
 	rng  *rand.Rand
 	ops  int // communicator operations so far, for panic=RANK@NTH
@@ -155,15 +151,7 @@ func (in *injector) AllGather(v any, bytes int) []any {
 	return in.Comm.AllGather(v, bytes)
 }
 
-// rawInjector adds the RawComm fast path on backends that provide it,
-// injecting the same fault schedule (raw sends count toward drop=, raw
-// ops toward panic=).
-type rawInjector struct {
-	*injector
-	raw pcomm.RawComm
-}
-
-func (in *rawInjector) SendRaw(dst, tag int, h pcomm.RawSlice, bytes int) {
+func (in *injector) SendRaw(dst, tag int, h pcomm.RawSlice, bytes int) {
 	in.beforeOp("send")
 	if in.dropThis(dst) {
 		return
@@ -171,7 +159,7 @@ func (in *rawInjector) SendRaw(dst, tag int, h pcomm.RawSlice, bytes int) {
 	in.raw.SendRaw(dst, tag, h, bytes)
 }
 
-func (in *rawInjector) RecvRaw(src, tag int) (pcomm.RawSlice, any, bool) {
+func (in *injector) RecvRaw(src, tag int) (pcomm.RawSlice, any, bool) {
 	in.beforeOp("recv")
 	return in.raw.RecvRaw(src, tag)
 }

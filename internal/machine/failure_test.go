@@ -1,18 +1,21 @@
-package machine
+package machine_test
 
 import (
 	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/machine"
 	"repro/internal/pcomm"
+	"repro/internal/pcomm/modelled"
 )
 
 // The contract shared with the other backends (root cause, single use,
-// mismatch, watchdog) is pcommtest.Conformance; this pins the machine's
-// own dump format: arrival counts and last-seen virtual clocks.
+// mismatch, watchdog) is pcommtest.Conformance; this pins what the
+// modelled world's dump adds: each processor's virtual clock and the
+// arrival count of the collective in progress.
 func TestWatchdogCollectiveDeadlockDump(t *testing.T) {
-	m := New(3, Zero())
+	m := modelled.New(3, machine.T3D())
 	m.SetWatchdog(50 * time.Millisecond)
 	defer func() {
 		r := recover()
@@ -24,23 +27,27 @@ func TestWatchdogCollectiveDeadlockDump(t *testing.T) {
 		if !ok {
 			t.Fatalf("expected *DeadlockError cause, got %v", re.Cause)
 		}
-		if !strings.Contains(de.Dump, `waiting in collective "barrier" (2 of 3 arrived)`) {
-			t.Errorf("dump missing collective wait:\n%s", de.Dump)
-		}
-		if !strings.Contains(de.Dump, "proc 2: blocked in Recv(src=0, tag=1) at t=") {
-			t.Errorf("dump missing recv wait:\n%s", de.Dump)
+		for _, want := range []string{
+			`proc 0: waiting in collective "barrier" at t=1.000e-03`,
+			"proc 2: blocked in Recv(src=0, tag=1) at t=0.000e+00",
+			"collective 0: 2 of 3 arrived",
+		} {
+			if !strings.Contains(de.Dump, want) {
+				t.Errorf("dump missing %q:\n%s", want, de.Dump)
+			}
 		}
 		if !strings.HasPrefix(de.Error(), "machine: watchdog: run still blocked after 50ms\nP=3 processors:") {
 			t.Errorf("Error() lost the machine wording: %s", de.Error())
 		}
 	}()
-	m.Run(func(p *Proc) {
+	m.Run(func(p pcomm.Comm) {
 		// Proc 2 waits for a message that never comes while the others
 		// enter the barrier: a one-sided collective, the static form of
 		// which the collective analyzer flags.
 		if p.ID() == 2 {
 			p.Recv(0, 1)
 		} else {
+			p.Work(15e3) // 1 ms on the T3D
 			p.Barrier()
 		}
 	})

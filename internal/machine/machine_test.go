@@ -1,4 +1,6 @@
-package machine
+// The cost models' clock as the modelled backend applies it: these run
+// on modelled.New, the engine's modelled clock over realcomm's transport.
+package machine_test
 
 import (
 	"math"
@@ -6,13 +8,15 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/machine"
 	"repro/internal/pcomm"
+	"repro/internal/pcomm/modelled"
 )
 
 func TestClockAdvancesOnWork(t *testing.T) {
-	cost := CostModel{FlopTime: 1e-6}
-	m := New(1, cost)
-	res := m.Run(func(p *Proc) {
+	cost := machine.CostModel{FlopTime: 1e-6}
+	m := modelled.New(1, cost)
+	res := m.Run(func(p pcomm.Comm) {
 		p.Work(1000)
 	})
 	if math.Abs(res.Elapsed-1e-3) > 1e-12 {
@@ -24,10 +28,10 @@ func TestClockAdvancesOnWork(t *testing.T) {
 }
 
 func TestMessageTimestampPropagation(t *testing.T) {
-	cost := CostModel{FlopTime: 1e-6, Latency: 1e-3, ByteTime: 1e-6}
-	m := New(2, cost)
+	cost := machine.CostModel{FlopTime: 1e-6, Latency: 1e-3, ByteTime: 1e-6}
+	m := modelled.New(2, cost)
 	var recvTime float64
-	m.Run(func(p *Proc) {
+	m.Run(func(p pcomm.Comm) {
 		if p.ID() == 0 {
 			p.Work(5000) // clock = 5ms
 			p.Send(1, 0, nil, 1000)
@@ -44,10 +48,10 @@ func TestMessageTimestampPropagation(t *testing.T) {
 }
 
 func TestRecvDoesNotRewindClock(t *testing.T) {
-	cost := CostModel{FlopTime: 1e-6, Latency: 1e-6}
-	m := New(2, cost)
+	cost := machine.CostModel{FlopTime: 1e-6, Latency: 1e-6}
+	m := modelled.New(2, cost)
 	var recvTime float64
-	m.Run(func(p *Proc) {
+	m.Run(func(p pcomm.Comm) {
 		if p.ID() == 0 {
 			p.Send(1, 0, nil, 0) // arrives early
 		} else {
@@ -62,11 +66,10 @@ func TestRecvDoesNotRewindClock(t *testing.T) {
 }
 
 func TestBarrierSynchronizesClocks(t *testing.T) {
-	cost := CostModel{FlopTime: 1e-6, Latency: 1e-6}
-	m := New(4, Zero())
-	m.Cost = cost
+	cost := machine.CostModel{FlopTime: 1e-6, Latency: 1e-6}
+	m := modelled.New(4, cost)
 	times := make([]float64, 4)
-	m.Run(func(p *Proc) {
+	m.Run(func(p pcomm.Comm) {
 		p.Work(float64(p.ID()) * 1000) // uneven work
 		p.Barrier()
 		times[p.ID()] = p.Time()
@@ -82,9 +85,9 @@ func TestBarrierSynchronizesClocks(t *testing.T) {
 }
 
 func TestElapsedIsMax(t *testing.T) {
-	cost := CostModel{FlopTime: 1e-6}
-	m := New(3, cost)
-	res := m.Run(func(p *Proc) {
+	cost := machine.CostModel{FlopTime: 1e-6}
+	m := modelled.New(3, cost)
+	res := m.Run(func(p pcomm.Comm) {
 		p.Work(float64(p.ID()) * 1e6)
 	})
 	if math.Abs(res.Elapsed-2.0) > 1e-9 {
@@ -93,9 +96,9 @@ func TestElapsedIsMax(t *testing.T) {
 }
 
 func TestManyProcessorsStress(t *testing.T) {
-	m := New(64, Zero())
+	m := modelled.New(64, machine.Zero())
 	var total int64
-	m.Run(func(p *Proc) {
+	m.Run(func(p pcomm.Comm) {
 		// Ring exchange.
 		next := (p.ID() + 1) % 64
 		prev := (p.ID() + 63) % 64
@@ -117,9 +120,9 @@ func TestClockMonotoneProperty(t *testing.T) {
 			seed = -(seed + 1)
 		}
 		p := int(seed%4) + 2
-		m := New(p, T3D())
+		m := modelled.New(p, machine.T3D())
 		ok := int32(1)
-		m.Run(func(pr *Proc) {
+		m.Run(func(pr pcomm.Comm) {
 			last := pr.Time()
 			check := func() {
 				if pr.Time() < last {
@@ -146,19 +149,19 @@ func TestClockMonotoneProperty(t *testing.T) {
 }
 
 func TestT3DConstantsSane(t *testing.T) {
-	c := T3D()
+	c := machine.T3D()
 	if c.FlopTime <= 0 || c.Latency <= 0 || c.ByteTime <= 0 {
 		t.Fatal("T3D constants must be positive")
 	}
-	w := Workstation()
+	w := machine.Workstation()
 	if w.Latency <= c.Latency {
 		t.Error("workstation network should be slower than T3D")
 	}
 }
 
 func TestSleepAdvancesClock(t *testing.T) {
-	m := New(1, Zero())
-	res := m.Run(func(p *Proc) {
+	m := modelled.New(1, machine.Zero())
+	res := m.Run(func(p pcomm.Comm) {
 		p.Sleep(0.25)
 	})
 	if res.Elapsed != 0.25 {
@@ -167,8 +170,8 @@ func TestSleepAdvancesClock(t *testing.T) {
 }
 
 func TestProcStatsSnapshot(t *testing.T) {
-	m := New(1, CostModel{FlopTime: 1})
-	m.Run(func(p *Proc) {
+	m := modelled.New(1, machine.CostModel{FlopTime: 1})
+	m.Run(func(p pcomm.Comm) {
 		p.Work(3)
 		s := p.Stats()
 		if s.Flops != 3 || s.Time != 3 {
@@ -177,18 +180,9 @@ func TestProcStatsSnapshot(t *testing.T) {
 	})
 }
 
-func TestMachineAccessor(t *testing.T) {
-	m := New(3, Zero())
-	m.Run(func(p *Proc) {
-		if p.Machine() != m || p.Machine().P != 3 || p.P() != 3 {
-			panic("Machine accessor wrong")
-		}
-	})
-}
-
 func TestTotalFlopsAndResult(t *testing.T) {
-	m := New(2, CostModel{FlopTime: 1e-9})
-	res := m.Run(func(p *Proc) {
+	m := modelled.New(2, machine.CostModel{FlopTime: 1e-9})
+	res := m.Run(func(p pcomm.Comm) {
 		p.Work(100)
 	})
 	if res.TotalFlops() != 200 {
@@ -197,9 +191,9 @@ func TestTotalFlopsAndResult(t *testing.T) {
 }
 
 func TestBusyAndOverheadAccounting(t *testing.T) {
-	cost := CostModel{FlopTime: 1e-3, Latency: 1e-3}
-	m := New(2, cost)
-	res := m.Run(func(p *Proc) {
+	cost := machine.CostModel{FlopTime: 1e-3, Latency: 1e-3}
+	m := modelled.New(2, cost)
+	res := m.Run(func(p pcomm.Comm) {
 		if p.ID() == 0 {
 			p.Work(10) // 10 ms busy
 			p.Send(1, 0, nil, 0)

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/pcomm"
+	"repro/internal/pcomm/engine"
 	"repro/internal/pcomm/netcomm"
 	"repro/internal/pcomm/pcommtest"
 	"repro/internal/pcomm/realcomm"
@@ -19,18 +20,20 @@ import (
 // blocking receives select on pre-existing channels, and the transport
 // buffers circulate through pcomm.Floats. The path belongs to the engine,
 // so it must hold under both transports: realcomm, and two co-located
-// ranks of a netcomm world. AllocsPerRun cannot see across goroutines, so
-// the guard reads the global malloc counter around a quiesced measurement
-// window instead; the generous budget absorbs the barrier generations
-// that delimit the window and incidental runtime housekeeping, while a
-// real per-message regression would show up as thousands. Excluded under
-// the race detector, whose instrumentation allocates.
+// ranks of a netcomm world. So must the spill path, which a mailbox only
+// a few messages deep takes whenever a sender is that far ahead: the
+// "spill" row sends each round a burst deeper than the mailbox before
+// the peer receives anything, so every burst overflows into a pooled
+// buffer. AllocsPerRun cannot see across goroutines, so the guard reads
+// the global malloc counter around a quiesced measurement window
+// instead; the generous budget absorbs the barrier generations that
+// delimit the window and incidental runtime housekeeping, while a real
+// per-message regression would show up as thousands. Excluded under the
+// race detector, whose instrumentation allocates.
 func TestMailboxSteadyStateAllocs(t *testing.T) {
 	const (
 		tag    = 4242
 		msgLen = 64
-		warm   = 300
-		meas   = 2000
 		budget = 100
 		// netcomm's two window barriers each cross the coordinator: gob
 		// payloads, deposit and result records, a wait channel per round.
@@ -50,43 +53,57 @@ func TestMailboxSteadyStateAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	dst := make([][]float64, 2)
+	send := func(c pcomm.Comm, peer int) {
+		buf := pcomm.Floats.Get(msgLen)
+		for k := range buf {
+			buf[k] = float64(k)
+		}
+		pcomm.SendSlice(c, peer, tag, buf)
+	}
+	recv := func(c pcomm.Comm, peer int) {
+		msg := pcomm.RecvSlice[float64](c, peer, tag)
+		if copy(dst[c.ID()], msg) != msgLen {
+			panic("short ghost message in alloc guard")
+		}
+		pcomm.Floats.Put(msg)
+	}
+	pingPong := func(c pcomm.Comm, peer int) {
+		if c.ID() == 0 {
+			send(c, peer)
+			recv(c, peer)
+		} else {
+			recv(c, peer)
+			send(c, peer)
+		}
+	}
+	burst := engine.MailboxCap + 4
+	spill := func(c pcomm.Comm, peer int) {
+		for i := 0; i < burst; i++ {
+			send(c, peer)
+		}
+		c.Barrier() // the peer has sent its whole burst, and received nothing
+		for i := 0; i < burst; i++ {
+			recv(c, peer)
+		}
+	}
 	for _, row := range []struct {
-		name   string
-		w      pcomm.World
-		budget uint64
+		name       string
+		w          pcomm.World
+		round      func(c pcomm.Comm, peer int)
+		warm, meas int
+		budget     uint64
 	}{
-		{"realcomm", realcomm.New(2), budget},
-		{"netcomm", netWorld, budget + coordBarriers},
+		{"realcomm", realcomm.New(2), pingPong, 300, 2000, budget},
+		{"netcomm", netWorld, pingPong, 300, 2000, budget + coordBarriers},
+		{"spill", realcomm.New(2), spill, 50, 200, budget},
 	} {
 		var delta uint64
 		row.w.Run(func(c pcomm.Comm) {
-			dst := make([]float64, msgLen)
-			round := func(peer int, sendFirst bool) {
-				send := func() {
-					buf := pcomm.Floats.Get(msgLen)
-					for k := range buf {
-						buf[k] = float64(k)
-					}
-					pcomm.SendSlice(c, peer, tag, buf)
-				}
-				recv := func() {
-					msg := pcomm.RecvSlice[float64](c, peer, tag)
-					if copy(dst, msg) != msgLen {
-						panic("short ghost message in alloc guard")
-					}
-					pcomm.Floats.Put(msg)
-				}
-				if sendFirst {
-					send()
-					recv()
-				} else {
-					recv()
-					send()
-				}
-			}
+			dst[c.ID()] = make([]float64, msgLen)
 			peer := 1 - c.ID()
-			for i := 0; i < warm; i++ {
-				round(peer, c.ID() == 0)
+			for i := 0; i < row.warm; i++ {
+				row.round(c, peer)
 			}
 			c.Barrier()
 			var m1, m2 runtime.MemStats
@@ -95,8 +112,8 @@ func TestMailboxSteadyStateAllocs(t *testing.T) {
 				runtime.ReadMemStats(&m1)
 			}
 			c.Barrier()
-			for i := 0; i < meas; i++ {
-				round(peer, c.ID() == 0)
+			for i := 0; i < row.meas; i++ {
+				row.round(c, peer)
 			}
 			c.Barrier()
 			if c.ID() == 0 {
@@ -105,9 +122,9 @@ func TestMailboxSteadyStateAllocs(t *testing.T) {
 			}
 			c.Barrier()
 		})
-		t.Logf("%s: mallocs over %d ping-pong rounds: %d (budget %d)", row.name, meas, delta, row.budget)
+		t.Logf("%s: mallocs over %d rounds: %d (budget %d)", row.name, row.meas, delta, row.budget)
 		if delta > row.budget {
-			t.Errorf("%s: mailbox fast path allocated %d objects over %d rounds, budget %d", row.name, delta, meas, row.budget)
+			t.Errorf("%s: mailbox path allocated %d objects over %d rounds, budget %d", row.name, delta, row.meas, row.budget)
 		}
 	}
 }

@@ -1,13 +1,18 @@
-// Package engine is the one wall-clock pcomm engine. It owns what every
-// hardware-speed backend does the same way — per-(src, dst) mailboxes
-// with FIFO-per-tag matching, the processor handle with its counters and
-// trace spans, the collectives' rank-order fold, the blocked-state dump —
-// and runs it under the shared pcomm.Supervisor. What differs between
-// backends sits behind Transport: where ranks other than the local block
-// live and how the P ranks of a collective meet. realcomm (all ranks in
-// one process, a sense-reversing barrier over shared slots) and netcomm
-// (a block of ranks per OS process, sockets and a coordinator) are the
-// two transports.
+// Package engine is the one pcomm engine. It owns what every backend does
+// the same way — per-(src, dst) mailboxes with FIFO-per-tag matching, the
+// processor handle with its counters, clock and trace spans, the
+// collectives' rank-order fold, the blocked-state dump — and runs it
+// under the shared pcomm.Supervisor. What differs between backends sits
+// behind Transport: where ranks other than the local block live and how
+// the P ranks of a collective meet. realcomm (all ranks in one process, a
+// barrier over shared slots) and netcomm (a block of ranks per OS
+// process, sockets and a coordinator) are the two transports.
+//
+// A world's clock is the wall clock, or — given a machine.CostModel — the
+// modelled machine's LogP virtual clock: a per-rank time advanced by
+// Work and Sleep, stamped on every message as its arrival time and taken
+// in by Recv, and maxed over the ranks at every collective. The modelled
+// backend is realcomm's transport under that clock.
 //
 // Payload slices pass by reference between co-located ranks (zero-copy);
 // through the pcomm.RawComm fast path slice headers move without boxing
@@ -16,9 +21,12 @@ package engine
 
 import (
 	"fmt"
+	"math"
 	"strings"
+	"sync/atomic"
 	"time"
 
+	"repro/internal/machine"
 	"repro/internal/pcomm"
 )
 
@@ -98,8 +106,8 @@ type Transport interface {
 	DumpFrame() (head, tail string)
 }
 
-// World is one P-rank wall-clock run, hosting ranks [lo, hi). It
-// implements pcomm.World; like every backend it is single-use.
+// World is one P-rank run, hosting ranks [lo, hi). It implements
+// pcomm.World; like every backend it is single-use.
 type World struct {
 	*pcomm.Supervisor
 	t         Transport
@@ -109,21 +117,45 @@ type World struct {
 	boxes     []mailbox // index (dst-lo)*p + src
 	procs     []*Proc   // index rank-lo
 	start     time.Time
+
+	// The modelled clock; cost is nil on the wall clock. logP is
+	// ceil(log2 P), at least 1: the steps of a collective. clocks holds
+	// the ranks' entry clocks of collective g in set g&1 — the transport's
+	// parity invariant, which lets a rank read set g&1 while a faster one
+	// writes the other, and keeps anyone from writing it again before
+	// every rank has left g.
+	cost   *machine.CostModel
+	logP   float64
+	clocks [2][]float64
 }
+
+// running counts the worlds of this process inside Run. A waiting rank
+// yields the P only while there is one (Proc.Wait).
+var running atomic.Int32
 
 // New creates the engine for ranks [lo, hi) of a p-rank world over t.
 // backend, prefix and noun name the backend as in pcomm.NewSupervisor.
-func New(t Transport, backend, prefix, noun string, p, lo, hi int) *World {
+// cost, when not nil, puts the world on the modelled clock; such a world
+// must host all its ranks.
+func New(t Transport, cost *machine.CostModel, backend, prefix, noun string, p, lo, hi int) *World {
 	w := &World{t: t, p: p, lo: lo, hi: hi, prefix: prefix, noun: noun,
 		boxes: make([]mailbox, (hi-lo)*p), procs: make([]*Proc, hi-lo)}
 	w.Supervisor = pcomm.NewSupervisor(backend, prefix, noun, p, w.dump, w.abort)
+	if cost != nil {
+		if lo != 0 || hi != p {
+			panic(fmt.Sprintf("%s: a modelled world hosts all its ranks, not [%d,%d) of %d", prefix, lo, hi, p))
+		}
+		w.cost = cost
+		w.logP = max(1, math.Ceil(math.Log2(float64(p))))
+		w.clocks = [2][]float64{make([]float64, p), make([]float64, p)}
+	}
 	for i := range w.boxes {
 		w.boxes[i].ch = make(chan Message, mailboxCap)
 		w.boxes[i].bell.Init()
 		w.boxes[i].stash = make([]Message, 0, stashCap)
 	}
 	for i := range w.procs {
-		w.procs[i] = &Proc{id: lo + i, w: w}
+		w.procs[i] = &Proc{id: lo + i, w: w, cost: cost}
 	}
 	return w
 }
@@ -136,6 +168,8 @@ func (w *World) NumProcs() int { return w.p }
 // blocked rank is woken and Run panics with a *pcomm.RunError.
 func (w *World) Run(f func(pcomm.Comm)) (res pcomm.Result) {
 	rec := w.Start()
+	running.Add(1)
+	defer running.Add(-1)
 	for _, p := range w.procs {
 		p.tr = rec.Proc(p.id)
 	}
@@ -144,6 +178,7 @@ func (w *World) Run(f func(pcomm.Comm)) (res pcomm.Result) {
 		p := w.procs[rank-w.lo]
 		f(p)
 		p.stats.Time = p.Time()
+		p.publishClock()
 	}, func() {
 		local := make([]pcomm.Stats, len(w.procs))
 		for i, p := range w.procs {
@@ -169,13 +204,17 @@ func (w *World) Deliver(src, dst int, m Message) {
 	w.boxes[(dst-w.lo)*w.p+src].put(m)
 }
 
-// dump renders every local rank's last published blocked state.
+// dump renders every local rank's last published blocked state, and on
+// the modelled clock the virtual time it was published at.
 func (w *World) dump() string {
 	head, tail := w.t.DumpFrame()
 	var b strings.Builder
 	b.WriteString(head)
 	for _, p := range w.procs {
 		fmt.Fprintf(&b, "\n  %s %d: %s", w.noun, p.id, renderBlocked(p.blocked.Load()))
+		if w.cost != nil {
+			fmt.Fprintf(&b, " at t=%.3e", math.Float64frombits(p.clock.Load()))
+		}
 	}
 	b.WriteString(tail)
 	return b.String()

@@ -7,10 +7,12 @@ import (
 	"repro/internal/pcomm"
 )
 
-// mailboxCap is the buffered-channel fast path depth of one mailbox.
-// The SPMD codes in this repo keep at most a handful of messages in
-// flight per processor pair, so the overflow queue is cold.
-const mailboxCap = 256
+// mailboxCap is the buffered-channel fast path depth of one mailbox. A
+// world allocates one per (src, dst) pair up front, P² of them, so the
+// depth is what a pair has in flight, not the worst burst: the SPMD codes
+// here keep at most four (DESIGN.md §10 has the spill rates), and a
+// sender further ahead spills to the pooled overflow queue.
+const mailboxCap = 8
 
 // stashCap is the stash depth a mailbox starts with: a sender an exchange
 // or two ahead leaves a handful of messages to take out together, and the
@@ -21,12 +23,14 @@ const stashCap = 8
 // header (Raw) from the SendRaw fast path. A transport that moves
 // messages between processes decodes them back into this form before
 // Deliver, so the consumer sees exactly what a co-located sender would
-// have handed it.
+// have handed it. Arrival is the modelled clock's arrival time, zero on
+// the wall clock.
 type Message struct {
 	Tag     int
 	Payload any
 	Raw     pcomm.RawSlice
 	IsRaw   bool
+	Arrival float64
 }
 
 // mailbox is the (src, dst) channel between one producer goroutine (the

@@ -2,10 +2,12 @@ package engine
 
 import (
 	"fmt"
+	"math"
 	"runtime"
 	"sync/atomic"
 	"time"
 
+	"repro/internal/machine"
 	"repro/internal/pcomm"
 	"repro/internal/trace"
 )
@@ -20,6 +22,13 @@ type Proc struct {
 	// blocked publishes the packed wait state (see renderBlocked) for the
 	// watchdog.
 	blocked atomic.Uint64
+
+	// cost is the world's cost model, nil on the wall clock; now is the
+	// rank's modelled clock, clock its float64 bits as last published for
+	// the watchdog dump.
+	cost  *machine.CostModel
+	now   float64
+	clock atomic.Uint64
 }
 
 // ID returns this rank.
@@ -28,16 +37,42 @@ func (p *Proc) ID() int { return p.id }
 // P returns the world size.
 func (p *Proc) P() int { return p.w.p }
 
-// Time returns wall-clock seconds since Run started.
-func (p *Proc) Time() float64 { return time.Since(p.w.start).Seconds() }
+// Time returns the modelled clock, or wall-clock seconds since Run
+// started.
+func (p *Proc) Time() float64 {
+	if p.cost != nil {
+		return p.now
+	}
+	return time.Since(p.w.start).Seconds()
+}
 
-// Work accounts flops; a wall-clock backend spends actual time instead of
-// advancing a model clock.
-func (p *Proc) Work(flops float64) { p.stats.Flops += flops }
+// Work accounts flops. The modelled clock advances by flops × FlopTime;
+// on the wall clock the work has taken its actual time.
+func (p *Proc) Work(flops float64) {
+	p.stats.Flops += flops
+	if c := p.cost; c != nil {
+		dt := flops * c.FlopTime
+		p.now += dt
+		p.stats.Busy += dt
+	}
+}
 
-// Sleep is a no-op: modelled non-flop local work takes its actual time
-// here.
-func (p *Proc) Sleep(dt float64) {}
+// Sleep advances the modelled clock by dt seconds of non-flop local work
+// (copying, sorting); a no-op on the wall clock, where such work takes
+// its actual time.
+func (p *Proc) Sleep(dt float64) {
+	if p.cost != nil {
+		p.now += dt
+		p.stats.Busy += dt
+	}
+}
+
+// publishClock makes the modelled clock readable by the watchdog dump.
+func (p *Proc) publishClock() {
+	if p.cost != nil {
+		p.clock.Store(math.Float64bits(p.now))
+	}
+}
 
 // Stats returns a snapshot of the rank's counters.
 func (p *Proc) Stats() pcomm.Stats {
@@ -56,6 +91,9 @@ func (p *Proc) Tracer() *trace.ProcTracer { return p.tr }
 // not spin — a spinning rank holds the P the sender needs. waitChecks
 // immediate looks come first, for when every rank has a P; waitYields
 // bounds what an idle P burns (≈ 30 µs) before the rank sleeps after all.
+// The yields are for a process running one world: with several, each
+// world's yielding ranks take the Ps from the others' and it costs them
+// more than it saves.
 const (
 	waitChecks = 8
 	waitYields = 100
@@ -85,10 +123,11 @@ func (b *Bell) Ring() {
 }
 
 // Wait is the one way a rank blocks: it returns once c is ready, having
-// looked a few times, then across a bounded run of scheduler yields —
-// state (stateRecv, Waiting) published for the watchdog dump from the
-// first yield on — and at last asleep on b. If the run fails meanwhile,
-// the rank unwinds instead of returning.
+// looked a few times, then — while this process runs no other world —
+// across a bounded run of scheduler yields, and at last asleep on b. Its
+// state (stateRecv, Waiting) is published for the watchdog dump after the
+// first looks. If the run fails meanwhile, the rank unwinds instead of
+// returning.
 //
 //pilut:hotpath
 func (p *Proc) Wait(state uint64, b *Bell, c interface{ Ready() bool }) {
@@ -98,8 +137,11 @@ func (p *Proc) Wait(state uint64, b *Bell, c interface{ Ready() bool }) {
 		}
 	}
 	p.blocked.Store(state)
-	for n := 0; n < waitYields && !c.Ready(); n++ {
-		runtime.Gosched()
+	p.publishClock()
+	if running.Load() == 1 {
+		for n := 0; n < waitYields && !c.Ready(); n++ {
+			runtime.Gosched()
+		}
 	}
 	// Raise the flag, then look again: whoever failed the run or made c
 	// ready before seeing the flag will not ring. If the flag is gone
@@ -117,8 +159,9 @@ func (p *Proc) Wait(state uint64, b *Bell, c interface{ Ready() bool }) {
 
 // Send delivers payload to dst under tag: a mailbox put for co-located
 // ranks, the transport's business otherwise. bytes feeds the traffic
-// counters (the cost model vocabulary is kept so every backend reports
-// identical MsgsSent/BytesSent for the same program).
+// counters, which every backend reports identically for the same
+// program, and the modelled clock: the sender pays Overhead, the message
+// arrives Latency + bytes × ByteTime later.
 func (p *Proc) Send(dst, tag int, payload any, bytes int) {
 	p.send(dst, tag, Message{Tag: tag, Payload: payload}, bytes)
 }
@@ -136,6 +179,10 @@ func (p *Proc) send(dst, tag int, m Message, bytes int) {
 	}
 	p.stats.MsgsSent++
 	p.stats.BytesSent += int64(bytes)
+	if c := p.cost; c != nil {
+		p.now += c.Overhead
+		m.Arrival = p.now + c.Latency + float64(bytes)*c.ByteTime
+	}
 	if p.tr != nil {
 		p.tr.Instant("machine", "send", p.Time(),
 			trace.I("dst", dst), trace.I("tag", tag), trace.I("bytes", bytes))
@@ -148,7 +195,8 @@ func (p *Proc) send(dst, tag int, m Message, bytes int) {
 }
 
 // Recv blocks until a message with the given tag from src is available
-// and returns its payload.
+// and returns its payload. The modelled clock pays Overhead and then
+// waits, if it must, for the message's arrival.
 func (p *Proc) Recv(src, tag int) any {
 	_, payload, isRaw := p.RecvRaw(src, tag)
 	if isRaw {
@@ -161,6 +209,12 @@ func (p *Proc) Recv(src, tag int) any {
 func (p *Proc) RecvRaw(src, tag int) (pcomm.RawSlice, any, bool) {
 	t0 := p.traceTime()
 	m := p.recvMessage(src, tag)
+	if c := p.cost; c != nil {
+		p.now += c.Overhead
+		if m.Arrival > p.now {
+			p.now = m.Arrival
+		}
+	}
 	if p.tr != nil {
 		p.tr.Span("machine", "recv", t0, p.Time(),
 			trace.I("src", src), trace.I("tag", tag))
@@ -197,8 +251,41 @@ func (p *Proc) traceTime() float64 {
 	return p.Time()
 }
 
-// span closes a collective's trace span opened at t0 = traceTime().
-func (p *Proc) span(op Op, t0 float64, bytes int) {
+// enter counts the collective the rank is entering and, on the modelled
+// clock, records its entry time in the collective's parity set.
+//
+//pilut:hotpath
+func (p *Proc) enter() {
+	p.stats.Collectives++
+	if p.cost != nil {
+		p.w.clocks[p.stats.Collectives&1][p.id] = p.now
+	}
+}
+
+// leave closes a collective of bytes per rank that every rank has
+// entered: the modelled clock moves to the latest entry time plus the
+// collective's cost — log P message steps — and the trace span opened at
+// t0 = traceTime() ends.
+//
+//pilut:hotpath
+func (p *Proc) leave(op Op, t0 float64, bytes int) {
+	if c := p.cost; c != nil {
+		maxT := math.Inf(-1)
+		for _, t := range p.w.clocks[p.stats.Collectives&1] {
+			if t > maxT {
+				maxT = t
+			}
+		}
+		switch op {
+		case OpBarrier:
+			p.now = maxT + 2*p.w.logP*c.Latency
+		case OpAllGather:
+			// Recursive doubling moves ~P × bytes per rank in total.
+			p.now = maxT + p.w.logP*c.Latency + float64(p.w.p*bytes)*c.ByteTime
+		default:
+			p.now = maxT + p.w.logP*(c.Latency+float64(bytes)*c.ByteTime)
+		}
+	}
 	if p.tr != nil {
 		p.tr.Span("machine", op.String(), t0, p.Time(), trace.I("bytes", bytes))
 	}
@@ -209,9 +296,9 @@ func (p *Proc) span(op Op, t0 float64, bytes int) {
 //pilut:hotpath
 func (p *Proc) Barrier() {
 	t0 := p.traceTime()
-	p.stats.Collectives++
+	p.enter()
 	p.w.t.Gather(p, OpBarrier, nil)
-	p.span(OpBarrier, t0, 0)
+	p.leave(OpBarrier, t0, 0)
 }
 
 // AllReduceFloat64 combines one float64 per rank with op, through the
@@ -220,9 +307,9 @@ func (p *Proc) Barrier() {
 //pilut:hotpath
 func (p *Proc) AllReduceFloat64(v float64, op pcomm.ReduceOp) float64 {
 	t0 := p.traceTime()
-	p.stats.Collectives++
+	p.enter()
 	out := pcomm.Fold(p.w.t.GatherFloat64(p, v), op)
-	p.span(OpAllReduceF64, t0, 8)
+	p.leave(OpAllReduceF64, t0, 8)
 	return out
 }
 
@@ -231,9 +318,9 @@ func (p *Proc) AllReduceFloat64(v float64, op pcomm.ReduceOp) float64 {
 //pilut:hotpath
 func (p *Proc) AllReduceInt(v int, op pcomm.ReduceOp) int {
 	t0 := p.traceTime()
-	p.stats.Collectives++
+	p.enter()
 	out := pcomm.Fold(p.w.t.GatherInt(p, v), op)
-	p.span(OpAllReduceInt, t0, 8)
+	p.leave(OpAllReduceInt, t0, 8)
 	return out
 }
 
@@ -242,9 +329,9 @@ func (p *Proc) AllReduceInt(v int, op pcomm.ReduceOp) int {
 // valid until the rank's next collective.
 func (p *Proc) AllGather(v any, bytes int) []any {
 	t0 := p.traceTime()
-	p.stats.Collectives++
+	p.enter()
 	vals := append([]any(nil), p.w.t.Gather(p, OpAllGather, v)...)
-	p.span(OpAllGather, t0, bytes)
+	p.leave(OpAllGather, t0, bytes)
 	return vals
 }
 

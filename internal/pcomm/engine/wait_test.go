@@ -29,7 +29,7 @@ func (p2pOnly) DumpFrame() (string, string)            { return "test world:", "
 // word is published before the first yield, so a yielding rank never
 // reads as computing.
 func TestFailureUnwindsWaitingRank(t *testing.T) {
-	w := New(p2pOnly{}, "test", "engine", "proc", 2, 0, 2)
+	w := New(p2pOnly{}, nil, "test", "engine", "proc", 2, 0, 2)
 	w.SetWatchdog(30 * time.Second)
 	_, err := pcomm.Guard(w, func(c pcomm.Comm) {
 		if c.ID() == 1 {
@@ -55,7 +55,7 @@ func TestFailureUnwindsWaitingRank(t *testing.T) {
 // yield loop or the sleep behind it.
 func TestYieldingReceiverDoesNotStarveSender(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	w := New(p2pOnly{}, "test", "engine", "proc", 2, 0, 2)
+	w := New(p2pOnly{}, nil, "test", "engine", "proc", 2, 0, 2)
 	w.SetWatchdog(30 * time.Second)
 	_, err := pcomm.Guard(w, func(c pcomm.Comm) {
 		peer := 1 - c.ID()
@@ -81,7 +81,7 @@ func (c *flagCond) Ready() bool { return c.Load() }
 // of returning — for a collective, returning would mean reading deposit
 // slots before everyone has written them.
 func TestWaitSleepsThroughALateRing(t *testing.T) {
-	w := New(p2pOnly{}, "test", "engine", "proc", 2, 0, 2)
+	w := New(p2pOnly{}, nil, "test", "engine", "proc", 2, 0, 2)
 	w.SetWatchdog(30 * time.Second)
 	var bell Bell
 	bell.Init()
@@ -112,5 +112,60 @@ func TestWaitSleepsThroughALateRing(t *testing.T) {
 	}
 	if !returned.Load() {
 		t.Fatal("Wait did not return once its condition held")
+	}
+}
+
+// A rank yields only while its world is the only one this process runs:
+// running counts the worlds inside Run, two at once turn the yields off,
+// and a run that fails still leaves the count where it found it, so the
+// next world on its own yields again.
+func TestWaitYieldsOnlyInASoleWorld(t *testing.T) {
+	inRun := func(f func(c pcomm.Comm)) error {
+		w := New(p2pOnly{}, nil, "test", "engine", "proc", 1, 0, 1)
+		w.SetWatchdog(30 * time.Second)
+		_, err := pcomm.Guard(w, f)
+		return err
+	}
+	err := inRun(func(pcomm.Comm) {
+		if n := running.Load(); n != 1 {
+			t.Errorf("%d worlds running inside a sole Run, want 1", n)
+		}
+		panic("boom")
+	})
+	var re *pcomm.RunError
+	if !errors.As(err, &re) {
+		t.Fatalf("err = %v, want the failed run's *pcomm.RunError", err)
+	}
+	if n := running.Load(); n != 0 {
+		t.Fatalf("%d worlds running after the failed run returned, want 0", n)
+	}
+
+	entered, leave := make(chan struct{}), make(chan struct{})
+	done := make(chan error)
+	go func() {
+		done <- inRun(func(pcomm.Comm) {
+			close(entered)
+			<-leave
+		})
+	}()
+	<-entered
+	if err := inRun(func(pcomm.Comm) {
+		if n := running.Load(); n != 2 {
+			t.Errorf("%d worlds running beside another, want 2: a waiting rank would yield", n)
+		}
+	}); err != nil {
+		t.Fatal(err)
+	}
+	close(leave)
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+
+	if err := inRun(func(pcomm.Comm) {
+		if n := running.Load(); n != 1 {
+			t.Errorf("%d worlds running in a sole Run after the others ended, want 1: a waiting rank would not yield", n)
+		}
+	}); err != nil {
+		t.Fatal(err)
 	}
 }

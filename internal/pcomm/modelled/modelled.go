@@ -1,43 +1,22 @@
-// Package modelled adapts the simulated machine (internal/machine) to
-// the pcomm.World interface. The adaptation is a zero-cost shim:
-// *machine.Proc itself implements pcomm.Comm, so the virtual-time output
-// of a run through this wrapper is byte-identical to driving the machine
-// directly.
+// Package modelled is the paper's machine: P processors on a LogP virtual
+// clock (internal/machine's cost models) in place of the Cray T3D.
+// Computation advances a rank's clock by flops × FlopTime; a message
+// arrives at its sender's time + Latency + bytes × ByteTime and a receiver
+// waits for it; a collective ends log P message steps after its last
+// rank enters. The elapsed time of a run is the largest clock — the
+// makespan of the communication DAG — which reproduces the scaling shape
+// of a real distributed machine on a host with far fewer cores.
+//
+// The world is realcomm's shared-memory transport under the engine's
+// modelled clock (internal/pcomm/engine): the same mailboxes,
+// collectives, supervisor and trace spans as the wall-clock backends.
 package modelled
 
 import (
-	"time"
-
 	"repro/internal/machine"
-	"repro/internal/pcomm"
-	"repro/internal/trace"
+	"repro/internal/pcomm/realcomm"
 )
-
-// World wraps one single-use machine.Machine as a pcomm.World.
-type World struct {
-	M *machine.Machine
-}
 
 // New creates a modelled world with p processors and the given cost
 // model.
-func New(p int, cost machine.CostModel) *World {
-	return &World{M: machine.New(p, cost)}
-}
-
-// NumProcs returns P.
-func (w *World) NumProcs() int { return w.M.NumProcs() }
-
-// SetWatchdog arms the machine's deadlock watchdog.
-func (w *World) SetWatchdog(d time.Duration) { w.M.SetWatchdog(d) }
-
-// SetRecorder attaches a trace recorder to the machine.
-func (w *World) SetRecorder(r *trace.Recorder) { w.M.SetRecorder(r) }
-
-// Run executes f on every virtual processor.
-func (w *World) Run(f func(pcomm.Comm)) pcomm.Result {
-	return w.M.Run(func(p *machine.Proc) { f(p) })
-}
-
-// Interface conformance of the machine's processor handle.
-var _ pcomm.Comm = (*machine.Proc)(nil)
-var _ pcomm.World = (*World)(nil)
+func New(p int, cost machine.CostModel) *realcomm.World { return realcomm.NewModelled(p, cost) }

@@ -3,16 +3,16 @@
 // against. A Comm is one virtual processor's handle inside a World.Run;
 // a World is a P-processor execution backend.
 //
-// Three backends implement the abstraction:
+// One engine (internal/pcomm/engine) implements the communicator: it
+// owns the mailboxes, the processor handle, the collectives and the
+// clock. Three backends are transports and clocks under it:
 //
-//   - the modelled machine (internal/machine, wrapped by
-//     internal/pcomm/modelled): the paper's simulated Cray T3D with
-//     LogP-style virtual clocks. Time() is modelled seconds.
+//   - the modelled backend (internal/pcomm/modelled): the paper's Cray
+//     T3D as realcomm's transport under a LogP-style virtual clock
+//     (internal/machine's cost models). Time() is modelled seconds.
 //   - the shared-memory backend (internal/pcomm/realcomm) and the
-//     multi-process socket backend (internal/pcomm/netcomm): transports
-//     under the one wall-clock engine (internal/pcomm/engine), which owns
-//     the mailboxes, the processor handle and the collectives. Time() is
-//     wall-clock seconds since Run started.
+//     multi-process socket backend (internal/pcomm/netcomm), on the wall
+//     clock. Time() is wall-clock seconds since Run started.
 //
 // All three run under the same Supervisor and reduce through the same
 // Fold, and are bit-compatible in the Dong & Cooperman sense

@@ -6,7 +6,7 @@
 // lane can replay the entire suite under deterministic fault injection
 // (delay-only specs keep every numerical assertion valid — see
 // internal/fault). Tests that assert modelled virtual-time numbers
-// should call machine.New directly instead.
+// should call modelled.New directly instead.
 package pcommtest
 
 import (

@@ -1,6 +1,7 @@
-// Package realcomm is the wall-clock shared-memory pcomm backend: P
-// goroutines exchanging messages at hardware speed, with no cost model
-// and no global lock.
+// Package realcomm is the shared-memory pcomm backend: P goroutines
+// exchanging messages at hardware speed, with no global lock — on the
+// wall clock (New), or on the modelled machine's virtual clock
+// (NewModelled, the modelled backend).
 //
 // It is the engine's all-ranks-in-one-process transport: every
 // destination is a co-located mailbox (internal/pcomm/engine), so all
@@ -13,6 +14,7 @@ import (
 	"fmt"
 	"sync/atomic"
 
+	"repro/internal/machine"
 	"repro/internal/pcomm"
 	"repro/internal/pcomm/engine"
 )
@@ -29,7 +31,7 @@ type slots struct {
 }
 
 // World is a P-processor shared-memory run. A World is single-use, like
-// a machine.Machine.
+// every pcomm.World.
 //
 // A collective is one barrier. Collective g deposits into slot set g&1,
 // so a rank may still be reading the view of g while a faster one
@@ -59,9 +61,18 @@ type seat struct {
 func (s *seat) Ready() bool { return s.w.gen.Load() > s.g }
 
 // New creates a real-backend world with p processors.
-func New(p int) *World {
+func New(p int) *World { return newWorld(p, nil, "real", "realcomm") }
+
+// NewModelled creates a world with p processors on the virtual clock of
+// cost: the modelled backend, whose panics and watchdog speak as the
+// machine.
+func NewModelled(p int, cost machine.CostModel) *World {
+	return newWorld(p, &cost, "modelled", "machine")
+}
+
+func newWorld(p int, cost *machine.CostModel, backend, prefix string) *World {
 	if p < 1 {
-		panic("realcomm: need at least one processor")
+		panic(prefix + ": need at least one processor")
 	}
 	w := &World{size: int32(p), seats: make([]seat, p)}
 	for i := range w.sets {
@@ -71,7 +82,7 @@ func New(p int) *World {
 		w.seats[i].w = w
 		w.seats[i].bell.Init()
 	}
-	w.World = engine.New(w, "real", "realcomm", "proc", p, 0, p)
+	w.World = engine.New(w, cost, backend, prefix, "proc", p, 0, p)
 	return w
 }
 
@@ -160,9 +171,13 @@ func (w *World) Abort(rank int, cause any) { w.ringAll() }
 // Finish implements engine.Transport.
 func (w *World) Finish(local []pcomm.Stats) pcomm.Result { return pcomm.NewResult(local) }
 
-// DumpFrame implements engine.Transport.
+// DumpFrame implements engine.Transport; the tail counts the arrivals at
+// the collective in progress.
 func (w *World) DumpFrame() (head, tail string) {
-	return fmt.Sprintf("P=%d processors:", w.NumProcs()), ""
+	if n := w.count.Load(); n > 0 {
+		tail = fmt.Sprintf("\n  collective %d: %d of %d arrived", w.gen.Load(), n, w.size)
+	}
+	return fmt.Sprintf("P=%d processors:", w.NumProcs()), tail
 }
 
 var _ pcomm.World = (*World)(nil)
