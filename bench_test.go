@@ -306,13 +306,15 @@ func BenchmarkMISPlan(b *testing.B) {
 	})
 }
 
-// BenchmarkEngineWait times the wall-clock engine's blocking points on
-// the real backend at p = 4: a round trip between rank pairs, an
-// all-reduce and an all-gather, each b.N times inside one run. Run it
-// with -cpu 2 for the oversubscribed case the scoreboard lives in (four
-// ranks on two Ps), where how a rank waits is most of what a call costs.
-// The 2x cases run two such worlds at once, as a daemon's two workers
-// do, where a rank that yields would hand the Ps to the other world.
+// BenchmarkEngineWait times the engine's blocking points at p = 4: a
+// round trip between rank pairs, an all-reduce and an all-gather, each
+// b.N times inside one run — on the real backend, and under modelled/ on
+// the modelled T3D, whose ranks are coroutines handing one baton around.
+// Run it with -cpu 2 for the oversubscribed case the scoreboard lives in
+// (four ranks on two Ps), where how a rank waits is most of what a call
+// costs. The 2x cases run two such worlds at once, as a daemon's two
+// workers do, where a rank that yields would hand the Ps to the other
+// world.
 func BenchmarkEngineWait(b *testing.B) {
 	const tag = 7
 	for _, c := range []struct {
@@ -332,25 +334,33 @@ func BenchmarkEngineWait(b *testing.B) {
 		{"allreduce", func(p pcomm.Comm, i int) { p.AllReduceFloat64(float64(p.ID()), pcomm.OpSum) }},
 		{"allgather", func(p pcomm.Comm, i int) { pcomm.AllGatherInts(p, []int{i}) }},
 	} {
-		run := func(b *testing.B) {
-			realcomm.New(4).Run(func(p pcomm.Comm) {
-				for i := 0; i < b.N; i++ {
-					c.call(p, i)
+		for _, backend := range []struct {
+			prefix string
+			world  func() pcomm.World
+		}{
+			{"", func() pcomm.World { return realcomm.New(4) }},
+			{"modelled/", func() pcomm.World { return modelled.New(4, machine.T3D()) }},
+		} {
+			run := func(b *testing.B) {
+				backend.world().Run(func(p pcomm.Comm) {
+					for i := 0; i < b.N; i++ {
+						c.call(p, i)
+					}
+				})
+			}
+			b.Run(backend.prefix+c.name+"/p4", run)
+			b.Run(backend.prefix+c.name+"/2x/p4", func(b *testing.B) {
+				var wg sync.WaitGroup
+				wg.Add(2)
+				for range 2 {
+					go func() {
+						defer wg.Done()
+						run(b)
+					}()
 				}
+				wg.Wait()
 			})
 		}
-		b.Run(c.name+"/p4", run)
-		b.Run(c.name+"/2x/p4", func(b *testing.B) {
-			var wg sync.WaitGroup
-			wg.Add(2)
-			for range 2 {
-				go func() {
-					defer wg.Done()
-					run(b)
-				}()
-			}
-			wg.Wait()
-		})
 	}
 }
 

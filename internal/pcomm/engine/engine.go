@@ -12,7 +12,12 @@
 // modelled machine's LogP virtual clock: a per-rank time advanced by
 // Work and Sleep, stamped on every message as its arrival time and taken
 // in by Recv, and maxed over the ranks at every collective. The modelled
-// backend is realcomm's transport under that clock.
+// backend is realcomm's transport under that clock. Its result and every
+// clock reading are independent of how the ranks interleave, so a
+// modelled world runs them one at a time, as coroutines on one goroutine:
+// a driver resumes the runnable rank with the least modelled clock, and
+// finds a deadlock exactly, the moment no rank can proceed (sched.go).
+// Wall-clock worlds run a goroutine per rank.
 //
 // Payload slices pass by reference between co-located ranks (zero-copy);
 // through the pcomm.RawComm fast path slice headers move without boxing
@@ -127,10 +132,14 @@ type World struct {
 	cost   *machine.CostModel
 	logP   float64
 	clocks [2][]float64
+
+	// pick, set only by the schedule-independence tests, chooses the rank
+	// a modelled world resumes among the runnable ones (sched.go).
+	pick func(runnable []int) int
 }
 
-// running counts the worlds of this process inside Run. A waiting rank
-// yields the P only while there is one (Proc.Wait).
+// running counts the wall-clock worlds of this process inside Run. A
+// waiting rank yields the P only while there is one (Proc.Wait).
 var running atomic.Int32
 
 // New creates the engine for ranks [lo, hi) of a p-rank world over t.
@@ -163,29 +172,37 @@ func New(t Transport, cost *machine.CostModel, backend, prefix, noun string, p, 
 // NumProcs returns P — the world size, not this process's share of it.
 func (w *World) NumProcs() int { return w.p }
 
-// Run executes f on every locally hosted rank concurrently and returns
-// the transport's Result once all have finished. If a rank panics, every
-// blocked rank is woken and Run panics with a *pcomm.RunError.
+// Run executes f on every locally hosted rank and returns the
+// transport's Result once all have finished: concurrently, a goroutine
+// per rank, on the wall clock; as coroutines on one driver goroutine on
+// the modelled clock (sched.go). If a rank panics, every blocked rank is
+// woken and Run panics with a *pcomm.RunError.
 func (w *World) Run(f func(pcomm.Comm)) (res pcomm.Result) {
 	rec := w.Start()
-	running.Add(1)
-	defer running.Add(-1)
 	for _, p := range w.procs {
 		p.tr = rec.Proc(p.id)
 	}
 	w.start = time.Now()
-	w.Supervise(w.lo, w.hi, func(rank int) {
+	body := func(rank int) {
 		p := w.procs[rank-w.lo]
 		f(p)
 		p.stats.Time = p.Time()
 		p.publishClock()
-	}, func() {
+	}
+	finish := func() {
 		local := make([]pcomm.Stats, len(w.procs))
 		for i, p := range w.procs {
 			local[i] = p.stats
 		}
 		res = w.t.Finish(local)
-	})
+	}
+	if w.cost != nil {
+		w.Supervise(0, 1, func(int) { w.drive(body) }, finish)
+		return res
+	}
+	running.Add(1)
+	defer running.Add(-1)
+	w.Supervise(w.lo, w.hi, body, finish)
 	return res
 }
 

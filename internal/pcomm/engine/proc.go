@@ -13,7 +13,7 @@ import (
 )
 
 // Proc is one locally hosted rank's communicator handle, confined to the
-// goroutine Run handed it to.
+// goroutine (on the modelled clock, the coroutine) Run handed it to.
 type Proc struct {
 	id    int
 	w     *World
@@ -29,6 +29,13 @@ type Proc struct {
 	cost  *machine.CostModel
 	now   float64
 	clock atomic.Uint64
+
+	// On the modelled clock the rank is a coroutine (sched.go): yield hands
+	// the baton back to the driver, cond is what the rank is parked on (nil
+	// before it starts), done is set once its body has returned.
+	yield func(struct{}) bool
+	cond  interface{ Ready() bool }
+	done  bool
 }
 
 // ID returns this rank.
@@ -91,9 +98,10 @@ func (p *Proc) Tracer() *trace.ProcTracer { return p.tr }
 // not spin — a spinning rank holds the P the sender needs. waitChecks
 // immediate looks come first, for when every rank has a P; waitYields
 // bounds what an idle P burns (≈ 30 µs) before the rank sleeps after all.
-// The yields are for a process running one world: with several, each
-// world's yielding ranks take the Ps from the others' and it costs them
-// more than it saves.
+// The yields are for a process running one wall-clock world: with
+// several, each world's yielding ranks take the Ps from the others' and it
+// costs them more than it saves. A modelled world's ranks do none of this:
+// they hand the baton back to their world's driver (park).
 const (
 	waitChecks = 8
 	waitYields = 100
@@ -122,22 +130,26 @@ func (b *Bell) Ring() {
 	}
 }
 
-// Wait is the one way a rank blocks: it returns once c is ready, having
-// looked a few times, then — while this process runs no other world —
-// across a bounded run of scheduler yields, and at last asleep on b. Its
-// state (stateRecv, Waiting) is published for the watchdog dump after the
-// first looks. If the run fails meanwhile, the rank unwinds instead of
-// returning.
+// Wait is the one way a rank blocks: it returns once c is ready. On the
+// wall clock it looks a few times, then — while this process runs no
+// other wall-clock world — across a bounded run of scheduler yields, and
+// at last asleep on b; on the modelled clock it parks on c until the
+// driver resumes it. Its state (stateRecv, Waiting) is published for the
+// blocked-state dump before it yields or parks. If the run fails
+// meanwhile, the rank unwinds instead of returning.
 //
 //pilut:hotpath
 func (p *Proc) Wait(state uint64, b *Bell, c interface{ Ready() bool }) {
+	if p.cost != nil {
+		p.park(state, c)
+		return
+	}
 	for n := 0; n < waitChecks; n++ {
 		if c.Ready() {
 			return
 		}
 	}
 	p.blocked.Store(state)
-	p.publishClock()
 	if running.Load() == 1 {
 		for n := 0; n < waitYields && !c.Ready(); n++ {
 			runtime.Gosched()

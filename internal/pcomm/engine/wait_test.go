@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/machine"
 	"repro/internal/pcomm"
 )
 
@@ -115,18 +116,20 @@ func TestWaitSleepsThroughALateRing(t *testing.T) {
 	}
 }
 
-// A rank yields only while its world is the only one this process runs:
-// running counts the worlds inside Run, two at once turn the yields off,
-// and a run that fails still leaves the count where it found it, so the
-// next world on its own yields again.
+// A rank yields only while its world is the only wall-clock one this
+// process runs: running counts the wall-clock worlds inside Run, two at
+// once turn the yields off, a modelled world (whose ranks park instead)
+// does not count, and a run that fails still leaves the count where it
+// found it, so the next world on its own yields again.
 func TestWaitYieldsOnlyInASoleWorld(t *testing.T) {
-	inRun := func(f func(c pcomm.Comm)) error {
-		w := New(p2pOnly{}, nil, "test", "engine", "proc", 1, 0, 1)
+	t3d := machine.T3D()
+	inRun := func(cost *machine.CostModel, f func(c pcomm.Comm)) error {
+		w := New(p2pOnly{}, cost, "test", "engine", "proc", 1, 0, 1)
 		w.SetWatchdog(30 * time.Second)
 		_, err := pcomm.Guard(w, f)
 		return err
 	}
-	err := inRun(func(pcomm.Comm) {
+	err := inRun(nil, func(pcomm.Comm) {
 		if n := running.Load(); n != 1 {
 			t.Errorf("%d worlds running inside a sole Run, want 1", n)
 		}
@@ -140,28 +143,33 @@ func TestWaitYieldsOnlyInASoleWorld(t *testing.T) {
 		t.Fatalf("%d worlds running after the failed run returned, want 0", n)
 	}
 
-	entered, leave := make(chan struct{}), make(chan struct{})
-	done := make(chan error)
-	go func() {
-		done <- inRun(func(pcomm.Comm) {
-			close(entered)
-			<-leave
-		})
-	}()
-	<-entered
-	if err := inRun(func(pcomm.Comm) {
-		if n := running.Load(); n != 2 {
-			t.Errorf("%d worlds running beside another, want 2: a waiting rank would yield", n)
+	for _, beside := range []struct {
+		cost *machine.CostModel
+		want int32
+	}{{nil, 2}, {&t3d, 1}} {
+		entered, leave := make(chan struct{}), make(chan struct{})
+		done := make(chan error)
+		go func() {
+			done <- inRun(beside.cost, func(pcomm.Comm) {
+				close(entered)
+				<-leave
+			})
+		}()
+		<-entered
+		if err := inRun(nil, func(pcomm.Comm) {
+			if n := running.Load(); n != beside.want {
+				t.Errorf("%d worlds running beside a modelled=%v one, want %d", n, beside.cost != nil, beside.want)
+			}
+		}); err != nil {
+			t.Fatal(err)
 		}
-	}); err != nil {
-		t.Fatal(err)
-	}
-	close(leave)
-	if err := <-done; err != nil {
-		t.Fatal(err)
+		close(leave)
+		if err := <-done; err != nil {
+			t.Fatal(err)
+		}
 	}
 
-	if err := inRun(func(pcomm.Comm) {
+	if err := inRun(nil, func(pcomm.Comm) {
 		if n := running.Load(); n != 1 {
 			t.Errorf("%d worlds running in a sole Run after the others ended, want 1: a waiting rank would not yield", n)
 		}

@@ -10,6 +10,10 @@
 // The world is realcomm's shared-memory transport under the engine's
 // modelled clock (internal/pcomm/engine): the same mailboxes,
 // collectives, supervisor and trace spans as the wall-clock backends.
+// Since no result or clock reading depends on how the ranks interleave,
+// they run one at a time, as coroutines on one goroutine, the rank with
+// the least clock first; a world in which no rank can proceed fails at
+// once with a *pcomm.DeadlockError, watchdog or not.
 package modelled
 
 import (

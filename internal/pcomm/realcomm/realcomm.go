@@ -1,7 +1,8 @@
-// Package realcomm is the shared-memory pcomm backend: P goroutines
-// exchanging messages at hardware speed, with no global lock — on the
-// wall clock (New), or on the modelled machine's virtual clock
-// (NewModelled, the modelled backend).
+// Package realcomm is the shared-memory pcomm backend: P ranks exchanging
+// messages at hardware speed, with no global lock — on the wall clock
+// (New), a goroutine per rank, or on the modelled machine's virtual clock
+// (NewModelled, the modelled backend), as coroutines the engine resumes
+// one at a time on one goroutine.
 //
 // It is the engine's all-ranks-in-one-process transport: every
 // destination is a co-located mailbox (internal/pcomm/engine), so all

@@ -10,12 +10,14 @@ import (
 	"repro/internal/trace"
 )
 
-// DeadlockError is the failure a watchdog-armed Run panics with when the
-// timeout expires: the SPMD program made no forward progress (typically a
-// Recv with no matching Send, or processors entering collectives in
-// different orders on a path the collective-mismatch check cannot see).
-// Dump holds the backend's per-processor blocked-state report, turning a
-// silent hang into an actionable message.
+// DeadlockError is the failure a Run panics with when the SPMD program
+// makes no forward progress (typically a Recv with no matching Send, or
+// processors entering collectives in different orders on a path the
+// collective-mismatch check cannot see): found exactly by a scheduler
+// that sees no processor able to proceed (Timeout zero), or by an armed
+// watchdog when its timeout expires. Dump holds the backend's
+// per-processor blocked-state report, turning a silent hang into an
+// actionable message.
 type DeadlockError struct {
 	Backend string // "machine", "realcomm" or "netcomm": the Error() prefix
 	Timeout time.Duration
@@ -23,6 +25,9 @@ type DeadlockError struct {
 }
 
 func (e *DeadlockError) Error() string {
+	if e.Timeout == 0 {
+		return fmt.Sprintf("%s: deadlock: no processor can proceed\n%s", e.Backend, e.Dump)
+	}
 	return fmt.Sprintf("%s: watchdog: run still blocked after %v\n%s", e.Backend, e.Timeout, e.Dump)
 }
 
@@ -75,7 +80,9 @@ func NewSupervisor(backend, prefix, noun string, p int, dump func() string, onFa
 // d, it fails with a *DeadlockError carrying the blocked-state dump. A
 // processor spinning in pure local compute cannot be interrupted — the
 // watchdog catches communication deadlocks, which always park in Recv or
-// a collective. Must be called before Run; d ≤ 0 disables the watchdog.
+// a collective. A world that finds those exactly (Deadlock) needs it only
+// to report a processor computing forever. Must be called before Run;
+// d ≤ 0 disables the watchdog.
 func (s *Supervisor) SetWatchdog(d time.Duration) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -134,6 +141,19 @@ func (s *Supervisor) record(f *failure) bool {
 	s.onFail(f.rank, f.cause)
 	return true
 }
+
+// Deadlock records that no processor can proceed, as found by a scheduler
+// that sees every unfinished processor blocked: a *DeadlockError with the
+// blocked-state dump, at once and with no watchdog involved.
+func (s *Supervisor) Deadlock() { s.deadlock(0) }
+
+func (s *Supervisor) deadlock(timeout time.Duration) {
+	dump := s.dump()
+	s.record(&failure{-1, &DeadlockError{Backend: s.prefix, Timeout: timeout, Dump: dump}, "", dump})
+}
+
+// HasFailed reports whether the run has failed.
+func (s *Supervisor) HasFailed() bool { return s.fail.Load() != nil }
 
 // Failed is closed once the run has failed; blocking operations select
 // on it beside whatever they wait for.
