@@ -31,9 +31,13 @@ fmt-check:
 # (analysisFor) — a second occurrence of either fails loc — and the one
 # comm engine: internal/machine is the cost models, so its non-test files
 # importing sync, pcomm or trace (a second engine growing back) fails loc.
+# So does a boxed Send or Recv in the numeric packages' non-test files:
+# their halo traffic travels as raw slices (pcomm.SendSlice, the Halo
+# helpers), never as a gob payload on netcomm.
 HOTALLOC_WAIVERS_MAX = 16
 SERVICE_SRC = $$(find internal/service -name '*.go' -not -name '*_test.go')
 MACHINE_SRC = $$(find internal/machine -name '*.go' -not -name '*_test.go')
+NUMERIC_SRC = $$(find internal/core internal/mis internal/dist internal/krylov -name '*.go' -not -name '*_test.go')
 
 loc:
 	@find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' | xargs wc -l | \
@@ -45,6 +49,8 @@ loc:
 	done
 	@if grep -n -E '"(sync|repro/internal/pcomm|repro/internal/trace)(/[a-z/]*)?"' $(MACHINE_SRC); then \
 		echo "internal/machine imports a comm or trace package: it holds the cost models only"; exit 1; fi
+	@if grep -n -E '\.(Send|Recv)\(' $(NUMERIC_SRC); then \
+		echo "boxed Send/Recv in a numeric package: send raw slices (pcomm.SendSlice, pcomm.Post)"; exit 1; fi
 	@n=$$(grep -rn --include='*.go' 'pilutlint:ok hotalloc' . | wc -l); \
 		echo "hotalloc waivers: $$n (ratchet: at most $(HOTALLOC_WAIVERS_MAX))"; \
 		[ $$n -le $(HOTALLOC_WAIVERS_MAX) ]

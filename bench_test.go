@@ -241,8 +241,8 @@ func BenchmarkMIS(b *testing.B) {
 						}
 					}
 					p.Barrier()
-					sel, ex := ws.Plan(p, owned, local, nil, owner, mis.DefaultRounds, int64(i+1)+int64(level)*7919)
-					if ex.GlobalActive == 0 {
+					sel, globalActive := ws.Plan(p, owned, local, nil, owner, mis.DefaultRounds, int64(i+1)+int64(level)*7919)
+					if globalActive == 0 {
 						if p.ID() == 0 {
 							levels = level
 						}

@@ -6,9 +6,10 @@ import (
 	"strings"
 )
 
-// Collective flags calls to Barrier/AllReduce*/AllGather* that sit inside
-// a branch or loop whose condition derives from proc-local state (p.ID,
-// data returned by p.Recv, p.Time, p.Stats). Collectives are rendezvous
+// Collective flags calls to Barrier/AllReduce*/AllGather* (and to
+// pcomm.BuildHalo, which all-gathers) that sit inside a branch or loop
+// whose condition derives from proc-local state (p.ID, data returned by
+// p.Recv, p.Time, p.Stats). Collectives are rendezvous
 // points: every virtual processor must reach them in the same order, so a
 // collective guarded by processor-dependent control flow is the static
 // form of the engine's runtime "collective mismatch" panic — and a
@@ -25,7 +26,7 @@ var Collective = &Analyzer{
 }
 
 func isCollectiveName(name string) bool {
-	return name == "Barrier" ||
+	return name == "Barrier" || name == "BuildHalo" ||
 		strings.HasPrefix(name, "AllReduce") ||
 		strings.HasPrefix(name, "AllGather")
 }

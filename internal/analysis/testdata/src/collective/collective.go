@@ -33,6 +33,9 @@ func bad(p *engine.Proc, x int) {
 	case id:
 		p.Barrier() // want `collective Barrier inside a switch case whose condition derives from proc-local state`
 	}
+	if p.ID() == 0 {
+		pcomm.BuildHalo(p, nil, 0, nil) // want `collective BuildHalo inside a branch whose condition derives from proc-local state`
+	}
 }
 
 // badComm repeats the violations through the backend-agnostic interface:

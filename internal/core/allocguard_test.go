@@ -83,22 +83,24 @@ func TestSolveSteadyStateAllocs(t *testing.T) {
 // itself, in the scoreboard's configuration at a smaller size: real
 // backend, p = 4, ILUT*(10, 1e-4, 2) on a torso matrix, after two
 // factorizations have grown the pooled scratches (row kernels, MIS
-// workspace, id tables) to their high-water mark. What remains is what a
-// factorization hands out or sends — the factors' arena chunks and flat
-// sweeps, a level's member list, mask and exchange lists, the collectives'
-// gathers, and the boxed messages: the pivot rows and the exchange
-// plan's requests (the MIS flags and notices travel on pooled buffers).
-// So the count scales with levels × neighbours, not with rows or entries:
-// 5 533 here, some 33 per level and rank; 22 554 when each of five MIS
-// rounds made four fresh payloads for each neighbour, 33 655 at the parent
-// of the pooled MIS workspace and the dense level tables, which rebuilt
-// two maps and nine arrays per level. The budget leaves a tenth of slack.
+// workspace and its exchange plan, id tables, pushed-row lists) to their
+// high-water mark. What remains is what a factorization hands out or
+// gathers — the factors' arena chunks and flat sweeps, a level's member
+// list and mask, the collectives' payloads and results; every message (the
+// plan requests, the MIS flags and notices, the pivot rows) travels on a
+// pooled buffer. So the count scales with levels, not with rows or
+// entries: about 3 660 here, some 22 per level and rank; 5 533 when the
+// pivot rows went boxed and every level built fresh exchange lists,
+// 22 554 when each of five MIS rounds made four fresh payloads for each
+// neighbour, 33 655 at the parent of the pooled MIS workspace and the
+// dense level tables, which rebuilt two maps and nine arrays per level.
+// The budget leaves a tenth of slack.
 func TestFactorSteadyStateAllocs(t *testing.T) {
 	const (
 		P      = 4
 		warm   = 2
 		meas   = 4
-		budget = 6100 // per factorization, all ranks together
+		budget = 4030 // per factorization, all ranks together
 	)
 	a := matgen.Torso(12, 12, 12, 1)
 	part := partition.KWay(graph.FromMatrix(a), P, partition.Options{Seed: 1})

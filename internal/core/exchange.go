@@ -3,20 +3,19 @@ package core
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"repro/internal/pcomm"
 )
 
-// Message tags of the triangular sweeps and of the request exchange that
-// plans them. Matching is FIFO per (source, destination, tag) and every
-// application sends the same messages in the same order, so a rank that
-// has run ahead into the next application only queues behind its own
-// earlier messages.
+// Message tags of the triangular sweeps. Matching is FIFO per (source,
+// destination, tag) and every application sends the same messages in the
+// same order, so a rank that has run ahead into the next application only
+// queues behind its own earlier messages.
 const (
 	tagSolveForward  = 9302
 	tagSolveBackward = 9303
-	tagSolvePlan     = 9304
 )
 
 // xmsg is one message of a sweep's exchange plan. A send leaves once its
@@ -32,138 +31,78 @@ type xmsg struct {
 
 // buildExchange derives both sweeps' neighbour-exchange plans: per
 // neighbour, which of my level members its rows read and the step at
-// which it first needs them. One request exchange, in the manner of
-// dist.NewMatrix but with the requests themselves sent point to point, so
-// the traffic stays proportional to the interface: every processor
-// publishes its id range per level (from which everybody knows who owns
-// what), then the owners it reads from, and sends each of them the ghosts
-// it reads with their first-use steps; from that each side of every
-// (owner, reader) pair cuts the same values into the same messages
-// (fuse). Collective. The plan is a pure function of the P pieces, so it
-// is rebuilt rather than shipped when a factorization changes daemons.
+// which it first needs them. Every processor publishes its id range per
+// level, from which everybody knows who owns what; then one
+// pcomm.BuildHalo, whose requests carry first-use steps, tells every owner
+// what its readers read. The sweeps share that plan: a U request names
+// ^id, and an owner's U slot s is nOwn+s. Each side of every (owner,
+// reader) pair then cuts the same values into the same messages (fuse).
+// Collective. The plan is a pure function of the P pieces, so it is
+// rebuilt rather than shipped when a factorization changes daemons.
 func (pc *ProcPrecond) buildExchange(p pcomm.Comm) {
 	me, q, tot := pc.me, len(pc.levels), pc.plan.TotInterior
 	nOwn := len(pc.owned)
 	sweeps := [2]*tri{&pc.fwd, &pc.bwd}
 
-	// Who owns each interface unknown. Ids go out per level in (processor,
-	// local order), so a processor's share of a level is one range.
-	mine := make([]int, 0, 2*q+1)
-	for l := 0; l < q; l++ {
-		lo, hi := pc.fwd.step[l+1], pc.fwd.step[l+2]
-		first := 0
-		if hi > lo {
-			first = pc.newOf[pc.fwd.row[lo]]
-		}
-		mine = append(mine, first, int(hi-lo))
-	}
-	mine = append(mine, len(pc.fwd.ghost)+len(pc.bwd.ghost))
-	all := pcomm.AllGatherInts(p, mine)
-	owner := make([]int32, pc.plan.NInterface)
-	for i := range owner {
-		owner[i] = -1
-	}
-	inFlight := 0
-	for r, f := range all {
-		if len(f) != 2*q+1 {
-			panic(fmt.Sprintf("core: solve plan: processor %d's piece is not of this %d-level factorization", r, q))
-		}
-		for l, lv := range pc.levels {
-			first, cnt := f[2*l], f[2*l+1]
-			if cnt < 0 || cnt > 0 && (first < lv.Start || first+cnt > lv.Start+lv.Size) {
-				panic(fmt.Sprintf("core: solve plan: processor %d claims ids [%d,%d) outside level %d", r, first, first+cnt, l))
-			}
-			for id := first; id < first+cnt; id++ {
-				if owner[id-tot] >= 0 {
-					panic(fmt.Sprintf("core: solve plan: processors %d and %d both claim unknown %d", owner[id-tot], r, id))
-				}
-				owner[id-tot] = int32(r)
-			}
-		}
-		inFlight += f[2*q]
+	mine := pc.claims()
+	owner, err := checkExchange(pc.plan, pc.levels, pcomm.AllGatherInts(p, mine), []*ProcPrecond{pc})
+	if err != nil {
+		panic(err)
 	}
 
-	// My requests, one message per owner I read from: the number of L
-	// pairs, then the (id, first use) pairs of L and of U, each in the
-	// order the owner produces the values.
-	req := make([][]int, len(all))
-	var asks []int
+	// My requests, one per owner I read from: the ghosts of L, then those
+	// of U, each in the order the owner produces the values.
+	var h pcomm.Halo
+	linkOf := make([]int, pc.plan.Lay.P)
 	for d, t := range sweeps {
 		for k, id := range t.ghost {
-			o := owner[id-tot]
-			if o < 0 || int(o) == me {
-				panic(fmt.Sprintf("core: solve plan: processor %d reads unknown %d, which no other processor owns", me, id))
+			o := int(owner[id-tot])
+			if linkOf[o] == 0 {
+				h.In = append(h.In, pcomm.Link{Peer: o})
+				linkOf[o] = len(h.In)
 			}
-			if req[o] == nil {
-				req[o] = []int{0}
-			}
-			req[o] = append(req[o], id, int(t.use[k]))
-			if d == 0 {
-				req[o][0]++
-			}
+			l := &h.In[linkOf[o]-1]
+			l.IDs, l.Slots, l.Use = append(l.IDs, id^-d), append(l.Slots, int32(nOwn+k)), append(l.Use, t.use[k]) // ^id for U
 		}
 	}
-	for o := range req {
-		if req[o] != nil {
-			asks = append(asks, o)
-		}
-	}
-	allAsks := pcomm.AllGatherInts(p, asks)
-	for _, o := range asks {
-		pcomm.SendSlice(p, o, tagSolvePlan, pcomm.CopyInts(req[o]))
-	}
-	reads := make([][2][]int, len(all)) // per reader and sweep: the pairs it reads of mine
-	for r, os := range allAsks {
-		k := sort.SearchInts(os, me)
-		if r == me || k == len(os) || os[k] != me {
-			continue
-		}
-		f := pcomm.RecvSlice[int](p, r, tagSolvePlan)
-		if len(f) == 0 || len(f)%2 != 1 || f[0] < 0 || 1+2*f[0] > len(f) {
-			panic(fmt.Sprintf("core: solve plan: malformed request from processor %d", r))
-		}
-		reads[r] = [2][]int{f[1 : 1+2*f[0]], f[1+2*f[0]:]}
-	}
+	sort.Slice(h.In, func(i, j int) bool { return h.In[i].Peer < h.In[j].Peer })
 	levelOf := func(id int) int {
 		return sort.Search(q, func(l int) bool { return id < pc.levels[l].Start+pc.levels[l].Size })
 	}
+	inFlight := pcomm.BuildHalo(p, &h, len(pc.fwd.ghost)+len(pc.bwd.ghost), func(id int) int32 {
+		g := max(id, ^id)
+		if g < tot || g >= tot+len(owner) || owner[g-tot] != int32(me) {
+			return -1
+		}
+		l := levelOf(g)
+		slot := int(pc.fwd.step[l+1]) + g - mine[2*l]
+		if id < 0 {
+			slot = 2*nOwn - 1 - slot
+		}
+		return int32(slot)
+	})
 
+	// Cut every pair's values of each sweep into messages.
+	var made, use, slots []int32
 	for d, t := range sweeps {
 		t.send, t.recv = nil, nil
-		var made, use, slots []int32
-		for r := range all {
-			if r == me {
-				continue
-			}
-			// What r reads of mine, in the order I produce it.
+		for _, l := range h.Out {
 			made, use, slots = made[:0], use[:0], slots[:0]
-			for pr := reads[r][d]; len(pr) > 0; pr = pr[2:] {
-				id := pr[0]
-				if id < tot || id >= tot+len(owner) || owner[id-tot] != int32(me) {
-					panic(fmt.Sprintf("core: solve plan: processor %d asks processor %d for unknown %d, which it does not own", r, me, id))
+			for k, s := range l.Slots {
+				if s -= int32(d * nOwn); s >= 0 && int(s) < nOwn {
+					made, use, slots = append(made, t.madeAt(levelOf(pc.newOf[t.row[s]]), q)), append(use, l.Use[k]), append(slots, s)
 				}
-				l := levelOf(id)
-				slot := int(pc.fwd.step[l+1]) + id - mine[2*l]
-				if t.diag != nil {
-					slot = nOwn - 1 - slot
-				}
-				made = append(made, t.madeAt(l, q))
-				use = append(use, int32(pr[1]))
-				slots = append(slots, int32(slot))
 			}
-			t.send = fuse(t.send, me, r, true, made, use, slots)
-
-			// What I read of r's, in the order r produces it.
+			t.send = fuse(t.send, l.Peer, true, made, use, slots)
+		}
+		for _, l := range h.In {
 			made, use, slots = made[:0], use[:0], slots[:0]
-			for k, id := range t.ghost {
-				if owner[id-tot] != int32(r) {
-					continue
+			for k, id := range l.IDs {
+				if id < 0 == (d == 1) {
+					made, use, slots = append(made, t.madeAt(levelOf(max(id, ^id)), q)), append(use, l.Use[k]), append(slots, l.Slots[k])
 				}
-				made = append(made, t.madeAt(levelOf(id), q))
-				use = append(use, t.use[k])
-				slots = append(slots, int32(nOwn+k))
 			}
-			t.recv = fuse(t.recv, r, me, false, made, use, slots)
+			t.recv = fuse(t.recv, l.Peer, false, made, use, slots)
 		}
 		// Stable: a neighbour's messages keep their order, which is also
 		// the order of their steps.
@@ -177,7 +116,77 @@ func (pc *ProcPrecond) buildExchange(p pcomm.Comm) {
 	pc.wired = true
 }
 
-// fuse cuts the values reader reads of owner's — value k produced at step
+// claims lists my share of each level as (first id, count): a level's
+// members are numbered in (processor, local order), so a processor's share
+// of a level is one run of ids.
+func (pc *ProcPrecond) claims() []int {
+	mine := make([]int, 0, 2*len(pc.levels))
+	for l := range pc.levels {
+		lo, hi := pc.fwd.step[l+1], pc.fwd.step[l+2]
+		first := 0
+		if hi > lo {
+			first = pc.newOf[pc.fwd.row[lo]]
+		}
+		mine = append(mine, first, int(hi-lo))
+	}
+	return mine
+}
+
+// checkExchange checks what a solve's exchange plan relies on of the P
+// pieces of one factorization and returns the owner of every interface
+// unknown: the processors' claims, in rank order, split every level's ids
+// into consecutive runs, and every ghost a reader's sweeps read is
+// produced at a step strictly before the reader's first use of it (else
+// it would be awaited before it is sent). buildExchange checks each
+// piece's own reads in the run; an import checks all pieces at once.
+func checkExchange(plan *Plan, levels []LevelInfo, claims [][]int, readers []*ProcPrecond) ([]int32, error) {
+	q, tot := len(levels), plan.TotInterior
+	owner := make([]int32, plan.NInterface)
+	for l, lv := range levels {
+		id, end := lv.Start, lv.Start+lv.Size
+		for r, f := range claims {
+			if len(f) != 2*q || f[2*l+1] < 0 || f[2*l+1] > end-id || f[2*l+1] > 0 && f[2*l] != id {
+				return nil, fmt.Errorf("core: exchange plan: processor %d's share of level %d is not the next run of its ids", r, l)
+			}
+			for n := f[2*l+1]; n > 0; n-- {
+				owner[id-tot] = int32(r)
+				id++
+			}
+		}
+		if id != end {
+			return nil, fmt.Errorf("core: exchange plan: ids [%d,%d) of level %d belong to no processor", id, end, l)
+		}
+	}
+	for _, pc := range readers {
+		for _, t := range [2]*tri{&pc.fwd, &pc.bwd} {
+			for k, id := range t.ghost {
+				l := sort.Search(q, func(l int) bool { return id < levels[l].Start+levels[l].Size })
+				if made := t.madeAt(l, q); t.use[k] <= made {
+					return nil, fmt.Errorf("core: exchange plan: processor %d reads unknown %d of processor %d at step %d of the sweep that produces it at step %d",
+						pc.me, id, owner[id-tot], t.use[k], made)
+				}
+			}
+		}
+	}
+	return owner, nil
+}
+
+// CheckExchange verifies that the P pieces of one factorization fit
+// together as a solve's exchange plan needs them to (checkExchange), which
+// FromWire cannot tell from one piece. Not collective.
+func CheckExchange(pcs []*ProcPrecond) error {
+	claims := make([][]int, len(pcs))
+	for r, pc := range pcs {
+		if pc.me != r || !slices.Equal(pc.levels, pcs[0].levels) {
+			return fmt.Errorf("core: exchange plan: piece %d is not processor %d's of this factorization", r, r)
+		}
+		claims[r] = pc.claims()
+	}
+	_, err := checkExchange(pcs[0].plan, pcs[0].levels, claims, pcs)
+	return err
+}
+
+// fuse cuts the values a reader reads of an owner's — value k produced at step
 // made[k] and first read at step use[k], listed in production order —
 // into messages and appends them to msgs: the owner's sends (stamped with
 // the step they leave after) or the reader's receives (stamped with the
@@ -187,20 +196,13 @@ func (pc *ProcPrecond) buildExchange(p pcomm.Comm) {
 // needed; and since a cut happens exactly when the next value is produced
 // no earlier than the pending first use, first uses rise strictly from one
 // message to the next — the reader meets them in the order the owner sent
-// them. Both ends run fuse on the same list.
-func fuse(msgs []xmsg, owner, reader int, sending bool, made, use, slots []int32) []xmsg {
-	peer := owner
-	if sending {
-		peer = reader
-	}
+// them. Both ends run fuse on the same list, whose values checkExchange
+// has found produced before they are used.
+func fuse(msgs []xmsg, peer int, sending bool, made, use, slots []int32) []xmsg {
 	for lo := 0; lo < len(made); {
 		first := int32(math.MaxInt32)
 		hi := lo
 		for ; hi < len(made) && made[hi] < first; hi++ {
-			if use[hi] <= made[hi] {
-				panic(fmt.Sprintf("core: solve plan: processor %d reads a value of processor %d at step %d of the sweep that produces it at step %d",
-					reader, owner, use[hi], made[hi]))
-			}
 			first = min(first, use[hi])
 		}
 		m := xmsg{peer: int32(peer), step: first, slots: append([]int32(nil), slots[lo:hi]...)}

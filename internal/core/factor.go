@@ -10,9 +10,10 @@ import (
 	"repro/internal/trace"
 )
 
-// Message tags used by this package.
+// Message tags of the pivot push, a row's integers and floats (pushRows).
 const (
-	tagPivotRows = 9301
+	tagPivotCols = 9301
+	tagPivotVals = 9305
 )
 
 // Options configure a parallel factorization.
@@ -112,7 +113,7 @@ type ProcPrecond struct {
 
 	// lanes are the solve buffers, one per right-hand side of the widest
 	// application so far, reused across applications. Lane 0 always exists.
-	lanes []solveLane
+	lanes [][]float64
 
 	Stats Stats
 }
@@ -219,11 +220,17 @@ type driver struct {
 	ownerOf    func(int) int
 }
 
+// levelHook, when set (by the exchange-plan tests), sees every MIS call's
+// vertex list and exchange plan on every processor.
+var levelHook func(p pcomm.Comm, verts []int, h *pcomm.Halo)
+
 // levelPlan is one scheduled independent set: the MIS mask and exchange
 // plan over the vertex list it was computed on, and the level's id range.
+// The plan is the MIS workspace's, rebuilt by every call alike when the
+// vertex list and adjacency stay (a schedule-ahead rule's levels).
 type levelPlan struct {
 	sel      []bool
-	ex       *mis.Exchange
+	halo     *pcomm.Halo
 	start    int // first new id of the level
 	size     int // global
 	myOffset int // first new id of my pivots
@@ -553,12 +560,15 @@ func (d *driver) buildAdjacency(verts []int) {
 // false once no row is active anywhere. The MIS workspace does not retain
 // the adjacency, and what it returns is the caller's.
 func (d *driver) scheduleLevel(active []bool) (levelPlan, bool) {
-	sel, ex := d.fs.mis.Plan(d.p, d.ownedIDs, d.adj, active, d.ownerOf,
+	sel, globalActive := d.fs.mis.Plan(d.p, d.ownedIDs, d.adj, active, d.ownerOf,
 		d.opt.MISRounds, d.opt.Seed+int64(len(d.w.Levels))*7919)
-	if ex.GlobalActive == 0 {
+	if levelHook != nil {
+		levelHook(d.p, d.ownedIDs, d.fs.mis.Halo())
+	}
+	if globalActive == 0 {
 		return levelPlan{}, false
 	}
-	lp := levelPlan{sel: sel, ex: ex, start: d.nl}
+	lp := levelPlan{sel: sel, halo: d.fs.mis.Halo(), start: d.nl}
 	for k, s := range sel {
 		if s {
 			lp.mine++
@@ -597,7 +607,6 @@ func (d *driver) runLevel(verts []int, lp *levelPlan, t0 float64) {
 	p, plan, pc, st := d.p, d.plan, d.pc, d.st
 	par := d.opt.Params
 	n := plan.A.N
-	me := pc.me
 	nl, nl1 := lp.start, lp.start+lp.size
 	droppedIn := st.Dropped
 	rowsIn, nnzIn := 0, 0
@@ -647,27 +656,16 @@ func (d *driver) runLevel(verts []int, lp *levelPlan, t0 float64) {
 	// requested a vertex's MIS state are exactly those whose rows
 	// reference it, so the communication can be posted before any
 	// elimination (§4 of the paper).
-	for q, need := range lp.ex.NeedBy {
-		if q == me || len(need) == 0 {
-			continue
-		}
-		var rows []ilu.URow
-		for _, k := range need {
-			if lp.sel[k] {
-				rows = append(rows, d.uF[verts[k]])
-			}
-		}
-		p.Send(q, tagPivotRows, rows, ilu.BytesOfURows(rows))
+	for _, l := range lp.halo.Out {
+		d.pushRows(l.Peer, l.Slots, lp.sel, verts)
 	}
-	for q, req := range lp.ex.ReqFrom {
-		if q == me || len(req) == 0 {
-			continue
-		}
-		rows := p.Recv(q, tagPivotRows).([]ilu.URow)
-		for k := range rows {
-			fs.setID(rows[k].Orig, rows[k].Col-nl)
-			fs.pivots[rows[k].Col-nl] = &rows[k]
-		}
+	for _, l := range lp.halo.In {
+		d.pullRows(l.Peer)
+	}
+	for k := range fs.pushed {
+		u := &fs.pushed[k]
+		fs.setID(u.Orig, u.Col-nl)
+		fs.pivots[u.Col-nl] = u
 	}
 
 	// Eliminate the level's unknowns from my unfactored rows (Algorithm 2;
@@ -712,6 +710,7 @@ func (d *driver) runLevel(verts []int, lp *levelPlan, t0 float64) {
 		d.reduced[li] = redRow{nrC, nrV}
 	}
 
+	fs.releasePushed()
 	d.charge()
 	pc.Stats.Levels = append(pc.Stats.Levels, LevelStats{
 		Start:           lp.start,
@@ -726,6 +725,47 @@ func (d *driver) runLevel(verts []int, lp *levelPlan, t0 float64) {
 			t0, p.Time(),
 			trace.I("size", lp.size), trace.I("pivots_local", lp.mine),
 			trace.I("rows_local", rowsIn), trace.I("reduced_nnz_local", nnzIn))
+	}
+}
+
+// pushRows sends peer my pivots among the vertices it reads (slots into
+// verts, the level's vertex list) as two pooled raw messages, even when
+// there are none: per row Col, Orig and the entry count followed by the
+// columns, and per row Diag followed by the values.
+func (d *driver) pushRows(peer int, slots []int32, sel []bool, verts []int) {
+	rows, entries := 0, 0
+	for _, k := range slots {
+		if sel[k] {
+			rows, entries = rows+1, entries+len(d.uF[verts[k]].Cols)
+		}
+	}
+	cols, vals := pcomm.Ints.Get(3*rows+entries), pcomm.Floats.Get(rows+entries)
+	i, f := 0, 0
+	for _, k := range slots {
+		if sel[k] {
+			u := &d.uF[verts[k]]
+			cols[i], cols[i+1], cols[i+2] = u.Col, u.Orig, len(u.Cols)
+			i += 3 + copy(cols[i+3:], u.Cols)
+			vals[f] = u.Diag
+			f += 1 + copy(vals[f+1:], u.Vals)
+		}
+	}
+	pcomm.SendSlice(d.p, peer, tagPivotCols, cols)
+	pcomm.SendSlice(d.p, peer, tagPivotVals, vals)
+}
+
+// pullRows receives peer's pushRows messages and appends its rows to
+// fs.pushed. The rows alias the received buffers, which the level keeps
+// until releasePushed hands them back to their pools.
+func (d *driver) pullRows(peer int) {
+	fs := d.fs
+	cols, vals := pcomm.RecvSlice[int](d.p, peer, tagPivotCols), pcomm.RecvSlice[float64](d.p, peer, tagPivotVals)
+	fs.pushCols, fs.pushVals = append(fs.pushCols, cols), append(fs.pushVals, vals)
+	for i, f := 0, 0; i < len(cols); {
+		m := cols[i+2]
+		c, v := cols[i+3:i+3+m:i+3+m], vals[f+1:f+1+m:f+1+m]
+		fs.pushed = append(fs.pushed, ilu.URow{Col: cols[i], Orig: cols[i+1], Diag: vals[f], Cols: c, Vals: v})
+		i, f = i+3+m, f+1+m
 	}
 }
 

@@ -132,6 +132,16 @@ func oracleFactor(t *testing.T, a *sparse.CSR, P int, method string) (*Plan, []*
 	if err != nil {
 		t.Fatal(err)
 	}
+	pcs := make([]*ProcPrecond, P)
+	res := modelled.New(P, machine.T3D()).Run(func(p pcomm.Comm) {
+		pcs[p.ID()] = oracleMethod(p, plan, method)
+	})
+	return plan, pcs, res
+}
+
+// oracleMethod is one processor's factorization of the oracle under the
+// named method.
+func oracleMethod(p pcomm.Comm, plan *Plan, method string) *ProcPrecond {
 	opt := Options{Params: ilu.Params{M: 4, Tau: 1e-2}, Seed: 5}
 	switch method {
 	case "ilutstar":
@@ -139,16 +149,10 @@ func oracleFactor(t *testing.T, a *sparse.CSR, P int, method string) (*Plan, []*
 	case "schur":
 		opt.Params.K = 1
 		opt.Schur = true
+	case "ilu0":
+		return FactorILU0(p, plan, 0, opt.Seed)
 	}
-	pcs := make([]*ProcPrecond, P)
-	res := modelled.New(P, machine.T3D()).Run(func(p pcomm.Comm) {
-		if method == "ilu0" {
-			pcs[p.ID()] = FactorILU0(p, plan, 0, opt.Seed)
-		} else {
-			pcs[p.ID()] = Factor(p, plan, opt)
-		}
-	})
-	return plan, pcs, res
+	return Factor(p, plan, opt)
 }
 
 // oracleDigests factors a on P modelled processors with the named

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/ilu"
 	"repro/internal/mis"
+	"repro/internal/pcomm"
 )
 
 // factorScratch is everything one processor's factorization reuses from
@@ -25,6 +26,12 @@ type factorScratch struct {
 	// pivots[k] is the pivot row of elimination id (level start + k)
 	// while a level runs: mine or pushed to me, nil if not visible here.
 	pivots []*ilu.URow
+
+	// The rows pushed to me while a level runs, and the received buffers
+	// they alias (see driver.pullRows).
+	pushed   []ilu.URow
+	pushCols [][]int
+	pushVals [][]float64
 }
 
 // clearIDs returns idOf to all zeros.
@@ -39,6 +46,16 @@ func (fs *factorScratch) clearIDs() {
 func (fs *factorScratch) setID(g, id int) {
 	fs.idOf[g] = int32(id + 1)
 	fs.set = append(fs.set, int32(g))
+}
+
+// releasePushed ends a level's pushed rows and hands the received buffers
+// back to the message pools.
+func (fs *factorScratch) releasePushed() {
+	for k := range fs.pushCols {
+		pcomm.Ints.Put(fs.pushCols[k])
+		pcomm.Floats.Put(fs.pushVals[k])
+	}
+	fs.pushed, fs.pushCols, fs.pushVals = fs.pushed[:0], fs.pushCols[:0], fs.pushVals[:0]
 }
 
 // The factorization scratch pool: a mutex-guarded free list rather than a
@@ -84,15 +101,15 @@ func getScratch(n int) *factorScratch {
 // — a factorization can leave mid-kernel or mid-level state behind when
 // it panics (breakdown detection, fault injection) — and detaches the
 // output arena: the ProcPrecond has copied its rows into the flat sweeps,
-// but pivot rows travel by reference on the in-process backends and a
-// slower rank may still be reading them. For the same reason the pivot
-// table forgets the rows it pointed at.
+// and the next factorization starts a fresh one. The pivot table and the
+// pushed rows forget what they pointed at.
 func putScratch(fs *factorScratch) {
 	fs.rows.Sanitize()
 	fs.rows.DetachOutputs()
 	fs.mis.Reset()
 	fs.clearIDs()
 	clear(fs.pivots[:cap(fs.pivots)])
+	fs.releasePushed()
 	scratchPool.mu.Lock()
 	if len(scratchPool.free) < maxPooledScratches {
 		scratchPool.free = append(scratchPool.free, fs)

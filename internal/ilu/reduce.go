@@ -20,21 +20,6 @@ type URow struct {
 	Vals []float64
 }
 
-// BytesOfURow returns the modelled wire size of one U row: the pivot's
-// column, original id and diagonal (8 bytes each) plus a (column, value)
-// pair per off-diagonal entry. Keeping the cost model behind a BytesOf*
-// helper is what the bytesarg analyzer enforces at Send/AllGather sites.
-func BytesOfURow(r *URow) int { return 24 + 16*len(r.Cols) }
-
-// BytesOfURows returns the modelled wire size of a pivot-row message.
-func BytesOfURows(rows []URow) int {
-	b := 0
-	for i := range rows {
-		b += BytesOfURow(&rows[i])
-	}
-	return b
-}
-
 // emptyRowCols/emptyRowVals back the Cols/Vals of a pivot row with no
 // off-diagonal survivors: non-nil (matching the historical exact-fit
 // make) and shared — zero-length, so no write can ever land in them.

@@ -7,7 +7,7 @@ import (
 	"repro/internal/trace"
 )
 
-// Message tags used by Distributed; callers sharing a machine must avoid
+// Message tags used by Plan; callers sharing a machine must avoid
 // this range.
 const (
 	tagState = 9102
@@ -16,52 +16,9 @@ const (
 	tagExcl  = 9105
 )
 
-// Exchange describes the communication plan the setup phase derived and
-// the global activity count its all-gather carried. The parallel
-// factorization reuses the plan to push pivot rows: the processors that
-// requested a vertex's MIS state are exactly the processors whose rows
-// reference that vertex.
-type Exchange struct {
-	// NeedBy[q] lists local indices of owned vertices processor q needs.
-	NeedBy [][]int
-	// ReqFrom[q] lists global ids this processor requested from q.
-	ReqFrom [][]int
-	// GlobalActive is the total number of active vertices at entry.
-	GlobalActive int
-}
-
-// Distributed computes an independent set of a directed graph whose
-// vertices are distributed over the processors of a virtual machine.
-// It mirrors the paper's implementation: a communication setup phase
-// determines which vertex keys each processor pair must exchange (the
-// boundary vertices), then each augmentation round performs up to three
-// neighbour exchanges: activity flags, tentative flags, and selected
-// flags together with the exclusion notices required by the directed
-// two-step fix-up (see Plan for what each round can leave out).
-//
-//   - owned lists this processor's global vertex ids (non-negative);
-//   - adj[i] lists the out-neighbours (global ids) of owned[i];
-//   - active[i] marks vertices still eligible (nil = all);
-//   - owner maps any global id appearing in adj to its processor.
-//
-// All processors must call Distributed collectively with the same rounds
-// and seed. The returned mask is over owned, and the union across
-// processors is independent and nonempty whenever any vertex is active.
-func Distributed(p pcomm.Comm, owned []int, adj [][]int, active []bool, owner func(int) int, rounds int, seed int64) []bool {
-	sel, _ := DistributedPlan(p, owned, adj, active, owner, rounds, seed)
-	return sel
-}
-
-// DistributedPlan is Distributed exposing the communication plan and the
-// global activity count (see Exchange). It runs on a throw-away
-// Workspace; a caller computing one set after another keeps its own.
-func DistributedPlan(p pcomm.Comm, owned []int, adj [][]int, active []bool, owner func(int) int, rounds int, seed int64) ([]bool, *Exchange) {
-	return new(Workspace).Plan(p, owned, adj, active, owner, rounds, seed)
-}
-
-// Workspace is the working memory of one processor's DistributedPlan
-// calls, reused from call to call (the interface phase of a factorization
-// computes one independent set per level). A call resolves every vertex it
+// Workspace is the working memory of one processor's Plan calls, reused
+// from call to call (the interface phase of a factorization computes one
+// independent set per level). A call resolves every vertex it
 // sees — owned, or referenced by an out-edge — once, into a slot: an owned
 // vertex's local index, or nLocal plus a remote vertex's position in
 // (owner, id) order, which is also its position in the boundary messages.
@@ -69,8 +26,9 @@ func DistributedPlan(p pcomm.Comm, owned []int, adj [][]int, active []bool, owne
 // is laid out flat in slots, so the edge scans of the augmentation rounds
 // are array reads.
 //
-// The zero value is ready to use. What a call returns (the mask and the
-// Exchange) is freshly allocated and never aliases the workspace.
+// The zero value is ready to use. The mask a call returns is freshly
+// allocated and never aliases the workspace; the exchange plan it ran on
+// (Halo) is the workspace's, valid until the next call.
 type Workspace struct {
 	// slotOf[g] is 1 + the slot of vertex g while a call knows it, 0
 	// otherwise; ids lists the known vertices by slot, which is also the
@@ -90,10 +48,17 @@ type Workspace struct {
 	cand   []bool
 	newSel []bool
 
-	// Per remote vertex (slot − nLocal): its owner, and scratch for
-	// bucketing by owner.
+	// Per remote vertex (slot − nLocal): its owner, its slot, and scratch
+	// for bucketing by owner.
 	remOwner []int32
+	remSlot  []int32
 	remStart []int // remStart[q]: first remote position owned by processor q
+	reqFlat  []int
+
+	// halo is the call's exchange plan: flags travel along it, exclusion
+	// notices against it. resolve maps a requested id to its local index.
+	halo    pcomm.Halo
+	resolve func(g int) int32
 
 	// Exclusion notices of one round: processor q's are
 	// excl[exclOff[q]:exclOff[q]+exclN[q]], room for one per remote edge.
@@ -124,13 +89,13 @@ func (ws *Workspace) Poison() {
 		}
 	}
 	const sentinel = -0x5A5A5A5A
-	for _, xs := range [][]int{ws.ids[:cap(ws.ids)], ws.remStart[:cap(ws.remStart)],
+	for _, xs := range [][]int{ws.ids[:cap(ws.ids)], ws.remStart[:cap(ws.remStart)], ws.reqFlat[:cap(ws.reqFlat)],
 		ws.excl[:cap(ws.excl)], ws.exclOff[:cap(ws.exclOff)], ws.exclN[:cap(ws.exclN)]} {
 		for k := range xs {
 			xs[k] = sentinel
 		}
 	}
-	for _, xs := range [][]int32{ws.off[:cap(ws.off)], ws.nbr[:cap(ws.nbr)], ws.remOwner[:cap(ws.remOwner)]} {
+	for _, xs := range [][]int32{ws.off[:cap(ws.off)], ws.nbr[:cap(ws.nbr)], ws.remOwner[:cap(ws.remOwner)], ws.remSlot[:cap(ws.remSlot)]} {
 		for k := range xs {
 			xs[k] = sentinel
 		}
@@ -174,14 +139,14 @@ func (ws *Workspace) localIndex(g int) int {
 }
 
 // setup is the communication setup phase: it resolves the vertices into
-// slots, lays the adjacency out, and derives the exchange lists — which
+// slots, lays the adjacency out, and builds the exchange plan — which
 // remote vertices this processor needs from each owner, in (owner, id)
-// order, and, after one all-gather of those requests, which of its own
-// vertices each processor needs. The all-gather also carries nActive,
-// this processor's count of active vertices, and so yields the global
-// count with no reduction of its own.
-func (ws *Workspace) setup(p pcomm.Comm, owned []int, adj [][]int, owner func(int) int, nActive int) *Exchange {
-	P, me := p.P(), p.ID()
+// order, and, through pcomm.BuildHalo, which of its own vertices each
+// processor needs. The builder's all-gather also carries nActive, this
+// processor's count of active vertices, and so yields the global count,
+// which setup returns, with no reduction of its own.
+func (ws *Workspace) setup(p pcomm.Comm, owned []int, adj [][]int, owner func(int) int, nActive int) (globalActive int) {
+	P := p.P()
 	nLocal := len(owned)
 	ws.Reset()
 	ws.nLocal = nLocal
@@ -227,28 +192,31 @@ func (ws *Workspace) setup(p pcomm.Comm, owned []int, adj [][]int, owner func(in
 	}
 
 	// Order the remotes by (owner, id), so message payloads are positional:
-	// bucket the ids by owner into the request lists, sort each list, and
-	// give every remote the slot of its position.
-	reqFlat := make([]int, nRemote)
+	// bucket the ids by owner into the requests, sort each, and give every
+	// remote the slot of its position.
+	ws.reqFlat = resize(ws.reqFlat, nRemote)
+	ws.remSlot = resize(ws.remSlot, nRemote)
 	for r, g := range ws.ids[nLocal:] {
 		q := ws.remOwner[r]
-		reqFlat[ws.remStart[q+1]] = g
+		ws.reqFlat[ws.remStart[q+1]] = g
 		ws.remStart[q+1]++
 	}
-	reqFrom := make([][]int, P)
+	copy(ws.ids[nLocal:], ws.reqFlat)
+	ws.halo.In = ws.halo.In[:0]
 	for q := 0; q < P; q++ {
 		lo, hi := ws.remStart[q], ws.remStart[q+1]
 		if lo == hi {
 			continue
 		}
-		reqFrom[q] = reqFlat[lo:hi:hi]
-		slices.Sort(reqFrom[q])
+		req := ws.ids[nLocal+lo : nLocal+hi : nLocal+hi]
+		slices.Sort(req)
 		for r := lo; r < hi; r++ {
-			ws.slotOf[reqFlat[r]] = int32(nLocal + r + 1)
+			ws.slotOf[req[r-lo]] = int32(nLocal + r + 1)
 			ws.remOwner[r] = int32(q)
+			ws.remSlot[r] = int32(nLocal + r)
 		}
+		ws.halo.In = append(ws.halo.In, pcomm.Link{Peer: q, IDs: req, Slots: ws.remSlot[lo:hi:hi]})
 	}
-	copy(ws.ids[nLocal:], reqFlat)
 
 	// Lay the adjacency out in slots, and size the exclusion-notice buffer:
 	// a round sends at most one notice per remote edge.
@@ -276,77 +244,45 @@ func (ws *Workspace) setup(p pcomm.Comm, owned []int, adj [][]int, owner func(in
 	}
 	ws.excl = resize(ws.excl, ws.exclOff[P])
 
-	// Tell every owner which of its vertices we need: flatten request
-	// lists as nActive, [dst, count, ids...]* and allgather.
-	flat := make([]int, 1, 1+nRemote+2*P)
-	flat[0] = nActive
-	for q := 0; q < P; q++ {
-		if len(reqFrom[q]) == 0 {
-			continue
-		}
-		flat = append(flat, q, len(reqFrom[q]))
-		flat = append(flat, reqFrom[q]...)
+	// Tell every owner which of its vertices we need.
+	if ws.resolve == nil {
+		ws.resolve = func(g int) int32 { return int32(ws.localIndex(g)) }
 	}
-	allReq := pcomm.AllGatherInts(p, flat)
-	needBy := make([][]int, P) // needBy[q]: local indices of vertices proc q needs
-	globalActive := 0
-	for src := 0; src < P; src++ {
-		f := allReq[src]
-		globalActive += f[0]
-		for i := 1; i < len(f); {
-			dst, cnt := f[i], f[i+1]
-			ids := f[i+2 : i+2+cnt]
-			i += 2 + cnt
-			if dst != me {
-				continue
-			}
-			needBy[src] = slices.Grow(needBy[src], cnt)
-			for _, g := range ids {
-				li := ws.localIndex(g)
-				if li < 0 {
-					panic("mis: processor asked for a vertex we do not own")
-				}
-				needBy[src] = append(needBy[src], li)
-			}
-		}
-	}
-	return &Exchange{NeedBy: needBy, ReqFrom: reqFrom, GlobalActive: globalActive}
+	return pcomm.BuildHalo(p, &ws.halo, nActive, ws.resolve)
 }
 
-// sendFlags sends processor q the flags of the owned vertices it needs,
-// in its request order, on a pooled buffer the receiver hands back.
-func (ws *Workspace) sendFlags(p pcomm.Comm, needBy [][]int, tag int, flags []bool) {
-	for q, need := range needBy {
-		if q == p.ID() || len(need) == 0 {
-			continue
-		}
-		msg := pcomm.Bools.Get(len(need))
-		for k, li := range need {
-			msg[k] = flags[li]
-		}
-		pcomm.SendSlice(p, q, tag, msg)
-	}
+// Halo returns the last call's exchange plan, valid until the next call:
+// the factorization pushes pivot rows along it.
+func (ws *Workspace) Halo() *pcomm.Halo { return &ws.halo }
+
+// exchange sends the flags of my boundary vertices to the processors that
+// read them and receives the remote part of flags, owner by owner.
+func (ws *Workspace) exchange(p pcomm.Comm, tag int, flags []bool) {
+	xs := [1][]bool{flags}
+	pcomm.Post(p, &ws.halo, tag, xs[:])
+	pcomm.Await(p, &ws.halo, tag, xs[:])
 }
 
-// recvFlags is the other end of sendFlags: the remote part of flags comes
-// in, owner by owner.
-func (ws *Workspace) recvFlags(p pcomm.Comm, reqFrom [][]int, tag int, flags []bool) {
-	pos := ws.nLocal
-	for q, req := range reqFrom {
-		if q == p.ID() || len(req) == 0 {
-			continue
-		}
-		msg := pcomm.RecvSlice[bool](p, q, tag)
-		pos += copy(flags[pos:], msg)
-		pcomm.Bools.Put(msg)
-	}
-}
-
-// Plan is DistributedPlan on this workspace.
+// Plan computes an independent set of a directed graph whose vertices are
+// distributed over the processors of a virtual machine, as the paper's
+// implementation does: a communication set-up determines which boundary
+// vertices each processor pair exchanges (the exchange plan, Halo), then
+// each augmentation round performs up to three neighbour exchanges.
 //
-// A call blocks once in the set-up all-gather and then, per round, once
-// per neighbour exchange — with the paper's five rounds and every vertex
-// active, 14 times:
+//   - owned lists this processor's global vertex ids (non-negative);
+//   - adj[i] lists the out-neighbours (global ids) of owned[i];
+//   - active[i] marks vertices still eligible (nil = all);
+//   - owner maps any global id appearing in adj to its processor.
+//
+// All processors call Plan collectively with the same rounds and seed. It
+// returns the mask over owned — the union across processors is
+// independent and nonempty whenever any vertex is active — and the global
+// count of active vertices at entry.
+//
+// A call blocks twice in the set-up — the builder's all-gather and the
+// receipt of its readers' requests — and then, per round, once per
+// neighbour exchange; with the paper's five rounds and every vertex
+// active, 15 times:
 //
 //   - activity flags of the boundary vertices, except in round 0 of a
 //     call with active == nil, where both ends know them to be all true.
@@ -358,12 +294,11 @@ func (ws *Workspace) recvFlags(p pcomm.Comm, reqFrom [][]int, tag int, flags []b
 //     and everything they and the flags trigger only retires vertices, in
 //     whatever order). The last round stops before this exchange: the set
 //     is final after its withdraw step, and activity is not read again.
-func (ws *Workspace) Plan(p pcomm.Comm, owned []int, adj [][]int, active []bool, owner func(int) int, rounds int, seed int64) ([]bool, *Exchange) {
+func (ws *Workspace) Plan(p pcomm.Comm, owned []int, adj [][]int, active []bool, owner func(int) int, rounds int, seed int64) (sel []bool, globalActive int) {
 	if rounds <= 0 {
 		rounds = DefaultRounds
 	}
 	nLocal := len(owned)
-	me := p.ID()
 	nActive := nLocal
 	if active != nil {
 		nActive = 0
@@ -374,8 +309,7 @@ func (ws *Workspace) Plan(p pcomm.Comm, owned []int, adj [][]int, active []bool,
 		}
 	}
 
-	ex := ws.setup(p, owned, adj, owner, nActive)
-	needBy, reqFrom := ex.NeedBy, ex.ReqFrom
+	globalActive = ws.setup(p, owned, adj, owner, nActive)
 	nSlots := len(ws.ids)
 
 	// --- augmentation rounds --------------------------------------------
@@ -391,7 +325,7 @@ func (ws *Workspace) Plan(p pcomm.Comm, owned []int, adj [][]int, active []bool,
 	} else {
 		copy(act[:nLocal], active)
 	}
-	sel := make([]bool, nLocal)
+	sel = make([]bool, nLocal)
 
 	// Tracing is local-only: round counts and candidate/selected tallies are
 	// recorded on this processor's timeline without any added communication,
@@ -404,10 +338,9 @@ func (ws *Workspace) Plan(p pcomm.Comm, owned []int, adj [][]int, active []bool,
 	// processor knows it from the set-up; otherwise all rounds run
 	// unconditionally (messages stay matched, and an empty round is
 	// cheap), keeping the synchronization count at one per MIS call.
-	for r := 0; r < rounds && ex.GlobalActive > 0; r++ {
+	for r := 0; r < rounds && globalActive > 0; r++ {
 		if r > 0 || active != nil {
-			ws.sendFlags(p, needBy, tagState, act)
-			ws.recvFlags(p, reqFrom, tagState, act)
+			ws.exchange(p, tagState, act)
 		}
 		nActive = 0
 		for s, g := range ws.ids {
@@ -424,33 +357,27 @@ func (ws *Workspace) Plan(p pcomm.Comm, owned []int, adj [][]int, active []bool,
 
 		// Exchange tentative flags; step 2 withdraws members that see
 		// another tentative member along an out-edge.
-		ws.sendFlags(p, needBy, tagCand, cand)
-		ws.recvFlags(p, reqFrom, tagCand, cand)
+		ws.exchange(p, tagCand, cand)
 		ws.withdraw(sel)
 
 		if r < rounds-1 {
 			// A vertex whose out-neighbour was selected deactivates, and so
 			// must the head of every out-edge of a selected vertex, even
 			// though it may not see the selected tail: exclusion notices
-			// flow opposite to the request lists.
+			// flow opposite to the flags, from reader to owner.
 			ws.exclude()
-			ws.sendFlags(p, needBy, tagSel, newSel)
-			for q, req := range reqFrom {
-				if q == me || len(req) == 0 {
-					continue
-				}
+			xs := [1][]bool{newSel}
+			pcomm.Post(p, &ws.halo, tagSel, xs[:])
+			for _, l := range ws.halo.In {
 				// Copy before sending: a sent slice must never share memory
 				// with anything the sender may touch again.
-				notices := pcomm.Ints.Get(ws.exclN[q])
-				copy(notices, ws.excl[ws.exclOff[q]:])
-				pcomm.SendSlice(p, q, tagExcl, notices)
+				notices := pcomm.Ints.Get(ws.exclN[l.Peer])
+				copy(notices, ws.excl[ws.exclOff[l.Peer]:])
+				pcomm.SendSlice(p, l.Peer, tagExcl, notices)
 			}
-			ws.recvFlags(p, reqFrom, tagSel, newSel)
-			for q, need := range needBy {
-				if q == me || len(need) == 0 {
-					continue
-				}
-				notices := pcomm.RecvSlice[int](p, q, tagExcl)
+			pcomm.Await(p, &ws.halo, tagSel, xs[:])
+			for _, l := range ws.halo.Out {
+				notices := pcomm.RecvSlice[int](p, l.Peer, tagExcl)
 				for _, g := range notices {
 					if li := ws.localIndex(g); li >= 0 {
 						act[li] = false
@@ -485,10 +412,10 @@ func (ws *Workspace) Plan(p pcomm.Comm, owned []int, adj [][]int, active []bool,
 			}
 		}
 		tr.Span("mis", "distributed", tMIS, p.Time(),
-			trace.I("rounds", roundsRun), trace.I("global_active", ex.GlobalActive),
+			trace.I("rounds", roundsRun), trace.I("global_active", globalActive),
 			trace.I("selected_local", nSel), trace.I("owned", nLocal))
 	}
-	return sel, ex
+	return sel, globalActive
 }
 
 // tentative is step 1 of a round: an active vertex becomes a candidate

@@ -197,7 +197,7 @@ func runDistributed(t *testing.T, adj [][]int, P, rounds int, seed int64) []bool
 				localAdj = append(localAdj, adj[v])
 			}
 		}
-		sel := Distributed(p, owned, localAdj, nil, ownerOf, rounds, seed)
+		sel, _ := new(Workspace).Plan(p, owned, localAdj, nil, ownerOf, rounds, seed)
 		<-mu
 		for i, g := range owned {
 			globalSel[g] = sel[i]
@@ -287,7 +287,7 @@ func TestDistributedActiveMask(t *testing.T) {
 				act = append(act, v < n/2)
 			}
 		}
-		sel := Distributed(p, owned, localAdj, act, ownerOf, DefaultRounds, 4)
+		sel, _ := new(Workspace).Plan(p, owned, localAdj, act, ownerOf, DefaultRounds, 4)
 		<-gate
 		for i, g := range owned {
 			globalSel[g] = sel[i]

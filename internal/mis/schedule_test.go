@@ -23,12 +23,21 @@ type refStateMsg struct {
 	Active []bool
 }
 
+// refExchange is the parent's exchange lists: NeedBy[q] the local indices
+// of the owned vertices processor q needs, ReqFrom[q] the global ids
+// requested from q, and the global activity count.
+type refExchange struct {
+	NeedBy       [][]int
+	ReqFrom      [][]int
+	GlobalActive int
+}
+
 // refSetup is the parent's setup, verbatim: the communication setup phase: it resolves the vertices into
 // slots, lays the adjacency out, and derives the exchange lists — which
 // remote vertices this processor needs from each owner, in (owner, id)
 // order, and, after one all-gather of those requests, which of its own
 // vertices each processor needs.
-func (ws *Workspace) refSetup(p pcomm.Comm, owned []int, adj [][]int, owner func(int) int) *Exchange {
+func (ws *Workspace) refSetup(p pcomm.Comm, owned []int, adj [][]int, owner func(int) int) *refExchange {
 	P, me := p.P(), p.ID()
 	nLocal := len(owned)
 	ws.Reset()
@@ -155,13 +164,13 @@ func (ws *Workspace) refSetup(p pcomm.Comm, owned []int, adj [][]int, owner func
 			}
 		}
 	}
-	return &Exchange{NeedBy: needBy, ReqFrom: reqFrom}
+	return &refExchange{NeedBy: needBy, ReqFrom: reqFrom}
 }
 
 // refPlan is the parent's Plan, verbatim: one all-gather, one
 // all-reduce, and four neighbour exchanges (keys with activity, tentative
 // flags, selected flags, exclusion notices) in every round.
-func (ws *Workspace) refPlan(p pcomm.Comm, owned []int, adj [][]int, active []bool, owner func(int) int, rounds int, seed int64) ([]bool, *Exchange) {
+func (ws *Workspace) refPlan(p pcomm.Comm, owned []int, adj [][]int, active []bool, owner func(int) int, rounds int, seed int64) planOut {
 	if rounds <= 0 {
 		rounds = DefaultRounds
 	}
@@ -325,11 +334,17 @@ func (ws *Workspace) refPlan(p pcomm.Comm, owned []int, adj [][]int, active []bo
 			trace.I("rounds", roundsRun), trace.I("global_active", ex.GlobalActive),
 			trace.I("selected_local", nSel), trace.I("owned", nLocal))
 	}
-	return sel, ex
+	return planOut{sel, ex.NeedBy, ex.ReqFrom, ex.GlobalActive}
 }
 
-// planFunc is the signature Plan and refPlan share.
-type planFunc func(ws *Workspace, p pcomm.Comm, owned []int, adj [][]int, active []bool, owner func(int) int, rounds int, seed int64) ([]bool, *Exchange)
+// planFunc is the signature plan and refPlan share.
+type planFunc func(ws *Workspace, p pcomm.Comm, owned []int, adj [][]int, active []bool, owner func(int) int, rounds int, seed int64) planOut
+
+// plan is Plan with its exchange plan read back in the parent's form.
+func plan(ws *Workspace, p pcomm.Comm, owned []int, adj [][]int, active []bool, owner func(int) int, rounds int, seed int64) planOut {
+	sel, globalActive := ws.Plan(p, owned, adj, active, owner, rounds, seed)
+	return outOf(p, ws, sel, globalActive)
+}
 
 // planCounts is one processor's traffic over one Plan call.
 type planCounts struct{ msgs, collectives int64 }
@@ -339,14 +354,15 @@ type planCounts struct{ msgs, collectives int64 }
 // vertices active (nil), seeded random masks and nothing active, and 1, 2
 // and 5 rounds, both return the same set, the same exchange lists and the
 // same activity count — and Plan sends exactly the messages its schedule
-// says, no more and no fewer: per round one message to each processor
-// that needs my vertices for the activity flags (none in round 0 of an
+// says, no more and no fewer: one request to each processor whose
+// vertices I need, then per round one message to each processor that
+// needs my vertices for the activity flags (none in round 0 of an
 // all-active call), one for the tentative flags, and in every round but
 // the last one for the selected flags plus one notice list to each
 // processor whose vertices I need; one collective per call. With the
-// paper's five rounds and everything active that is 14 blocking points
+// paper's five rounds and everything active that is 15 blocking points
 // where the parent had 22, which with the level's id claim and pivot push
-// makes the 16 of DESIGN.md §5.
+// makes the 17 of DESIGN.md §5.
 func TestPlanMatchesParentSchedule(t *testing.T) {
 	zoo := map[string][][]int{
 		"grid2d":   symAdj(graph.FromMatrix(matgen.Grid2D(12, 12))),
@@ -377,9 +393,9 @@ func TestPlanMatchesParentSchedule(t *testing.T) {
 				active = []bool{} // an empty share of a masked call is still masked
 			}
 			before := p.Stats()
-			sel, ex := plan(new(Workspace), p, owned, local, active, owner, rounds, 41)
+			out := plan(new(Workspace), p, owned, local, active, owner, rounds, 41)
 			after := p.Stats()
-			outs[p.ID()] = planOut{sel, ex.NeedBy, ex.ReqFrom, ex.GlobalActive}
+			outs[p.ID()] = out
 			counts[p.ID()] = planCounts{after.MsgsSent - before.MsgsSent, after.Collectives - before.Collectives}
 		})
 		return outs, counts
@@ -411,7 +427,7 @@ func TestPlanMatchesParentSchedule(t *testing.T) {
 					t.Run(fmt.Sprintf("%s/p%d/%s/r%d", name, P, maskName, rounds), func(t *testing.T) {
 						mask := mk(int64(P*100 + rounds))
 						want, wantCounts := run(adj, P, mask, rounds, (*Workspace).refPlan)
-						got, counts := run(adj, P, mask, rounds, (*Workspace).Plan)
+						got, counts := run(adj, P, mask, rounds, plan)
 						if !reflect.DeepEqual(got, want) {
 							t.Fatalf("Plan and the parent schedule disagree:\ngot  %+v\nwant %+v", got, want)
 						}
@@ -422,11 +438,11 @@ func TestPlanMatchesParentSchedule(t *testing.T) {
 							if mask == nil {
 								stateRounds--
 							}
-							msgs := flagPeers*(stateRounds+r+(r-1)) + noticePeers*(r-1)
+							msgs := flagPeers*(stateRounds+r+(r-1)) + noticePeers*r
 							parentMsgs := flagPeers*3*r + noticePeers*r
 							parentCollectives := int64(2)
 							if got[q].GlobalActive == 0 {
-								msgs, parentMsgs = 0, 0
+								msgs, parentMsgs = noticePeers, 0 // the requests only
 							}
 							if counts[q] != (planCounts{msgs, 1}) {
 								t.Errorf("processor %d: Plan sent %+v, its schedule says {%d 1}", q, counts[q], msgs)
@@ -477,9 +493,12 @@ func (c *waitCounter) AllReduceInt(v int, op pcomm.ReduceOp) int {
 }
 
 // TestPlanBlockingPoints counts them: with the paper's five rounds a
-// threshold level's call (everything active) waits 14 times where the
-// parent waited 22 — 16 against 24 per level with the id claim and the
-// pivot push — and a masked call 15 times.
+// threshold level's call (everything active) waits 15 times where the
+// parent waited 22 — 17 against 24 per level with the id claim and the
+// pivot push — and a masked call 16 times. Each count is one more than
+// with the parent's request all-gather (14 and 15): the set-up's requests
+// travel point to point (pcomm.BuildHalo), so a call also blocks for its
+// readers' requests after the all-gather of owner lists.
 func TestPlanBlockingPoints(t *testing.T) {
 	adj := symAdj(graph.FromMatrix(matgen.Grid2D(12, 12)))
 	const P = 4
@@ -511,8 +530,8 @@ func TestPlanBlockingPoints(t *testing.T) {
 		plan   planFunc
 		want   int
 	}{
-		{"Plan, all active", false, (*Workspace).Plan, 14},
-		{"Plan, masked", true, (*Workspace).Plan, 15},
+		{"Plan, all active", false, plan, 15},
+		{"Plan, masked", true, plan, 16},
 		{"parent, all active", false, (*Workspace).refPlan, 22},
 		{"parent, masked", true, (*Workspace).refPlan, 22},
 	} {

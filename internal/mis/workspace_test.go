@@ -13,11 +13,27 @@ import (
 	"repro/internal/pcomm/modelled"
 )
 
-// planOut is what one DistributedPlan call hands back.
+// planOut is what one Plan call hands back, with its exchange plan in the
+// parent's form: NeedBy[q] lists the local indices of the owned vertices
+// processor q reads, ReqFrom[q] the ids read of q.
 type planOut struct {
 	Sel             []bool
 	NeedBy, ReqFrom [][]int
 	GlobalActive    int
+}
+
+// outOf reads ws's exchange plan back into a planOut.
+func outOf(p pcomm.Comm, ws *Workspace, sel []bool, globalActive int) planOut {
+	out := planOut{Sel: sel, NeedBy: make([][]int, p.P()), ReqFrom: make([][]int, p.P()), GlobalActive: globalActive}
+	for _, l := range ws.Halo().Out {
+		for _, s := range l.Slots {
+			out.NeedBy[l.Peer] = append(out.NeedBy[l.Peer], int(s))
+		}
+	}
+	for _, l := range ws.Halo().In {
+		out.ReqFrom[l.Peer] = append([]int(nil), l.IDs...)
+	}
+	return out
 }
 
 // runLevels drives the distributed MIS the way the interface phase of a
@@ -28,7 +44,7 @@ type planOut struct {
 // finally a few calls on a fixed vertex list under a shrinking active
 // mask, the static schedule's shape. plan is called once per level per
 // processor; what it returned is recorded per processor in call order.
-func runLevels(adj0 [][]int, P int, plan func(ws *Workspace, p pcomm.Comm, owned []int, adj [][]int, active []bool, owner func(int) int, seed int64) ([]bool, *Exchange)) ([][]planOut, pcomm.Result) {
+func runLevels(adj0 [][]int, P int, plan func(ws *Workspace, p pcomm.Comm, owned []int, adj [][]int, active []bool, owner func(int) int, seed int64) planOut) ([][]planOut, pcomm.Result) {
 	n := len(adj0)
 	owner := func(g int) int { return (g / 3) % P }
 	// Shared between the processors, each writing only its own vertices'
@@ -43,9 +59,6 @@ func runLevels(adj0 [][]int, P int, plan func(ws *Workspace, p pcomm.Comm, owned
 
 	res := modelled.New(P, machine.T3D()).Run(func(p pcomm.Comm) {
 		var ws Workspace
-		record := func(sel []bool, ex *Exchange) {
-			outs[p.ID()] = append(outs[p.ID()], planOut{sel, ex.NeedBy, ex.ReqFrom, ex.GlobalActive})
-		}
 		var owned []int
 		for v := 0; v < n; v++ {
 			if owner(v) == p.ID() {
@@ -57,9 +70,10 @@ func runLevels(adj0 [][]int, P int, plan func(ws *Workspace, p pcomm.Comm, owned
 			for k, v := range owned {
 				local[k] = cur[v]
 			}
-			sel, ex := plan(&ws, p, owned, local, nil, owner, 100+int64(level)*7919)
-			record(sel, ex)
-			if ex.GlobalActive == 0 {
+			out := plan(&ws, p, owned, local, nil, owner, 100+int64(level)*7919)
+			outs[p.ID()] = append(outs[p.ID()], out)
+			sel := out.Sel
+			if out.GlobalActive == 0 {
 				break
 			}
 			rest := owned[:0:0]
@@ -111,10 +125,10 @@ func runLevels(adj0 [][]int, P int, plan func(ws *Workspace, p pcomm.Comm, owned
 			active[k] = v%4 != 0
 		}
 		for level := 0; level < 3; level++ {
-			sel, ex := plan(&ws, p, owned, local, active, owner, 7+int64(level))
-			record(sel, ex)
-			for k := range sel {
-				active[k] = active[k] && !sel[k]
+			out := plan(&ws, p, owned, local, active, owner, 7+int64(level))
+			outs[p.ID()] = append(outs[p.ID()], out)
+			for k, s := range out.Sel {
+				active[k] = active[k] && !s
 			}
 		}
 	})
@@ -137,12 +151,12 @@ func TestDistributedPlanWorkspaceReuse(t *testing.T) {
 		"grid":     symAdj(graph.FromMatrix(matgen.Grid2D(11, 9))),
 		"directed": directed,
 	}
-	fresh := func(_ *Workspace, p pcomm.Comm, owned []int, adj [][]int, active []bool, owner func(int) int, seed int64) ([]bool, *Exchange) {
-		return DistributedPlan(p, owned, adj, active, owner, DefaultRounds, seed)
+	fresh := func(_ *Workspace, p pcomm.Comm, owned []int, adj [][]int, active []bool, owner func(int) int, seed int64) planOut {
+		return plan(new(Workspace), p, owned, adj, active, owner, DefaultRounds, seed)
 	}
-	reused := func(ws *Workspace, p pcomm.Comm, owned []int, adj [][]int, active []bool, owner func(int) int, seed int64) ([]bool, *Exchange) {
+	reused := func(ws *Workspace, p pcomm.Comm, owned []int, adj [][]int, active []bool, owner func(int) int, seed int64) planOut {
 		ws.Poison()
-		return ws.Plan(p, owned, adj, active, owner, DefaultRounds, seed)
+		return plan(ws, p, owned, adj, active, owner, DefaultRounds, seed)
 	}
 	for name, adj := range graphs {
 		for _, P := range []int{1, 2, 4, 8} {

@@ -4,9 +4,9 @@ import "unsafe"
 
 // BytesOf returns the modelled wire size of n elements of type T — the
 // generic form of the BytesOf* helpers, for payloads built through
-// SendSlice/RecvSlice. It sizes the element representation only; for
-// element types that themselves hold slices, write a domain-specific
-// BytesOf* helper that sizes the reachable data (see ilu.BytesOfURows).
+// SendSlice/RecvSlice. It sizes the element representation only, so a
+// payload that holds slices is flattened into slices of scalars before it
+// is sent (the pivot push sends a row's integers and its floats apart).
 func BytesOf[T any](n int) int {
 	var z T
 	return int(unsafe.Sizeof(z)) * n

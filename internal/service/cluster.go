@@ -461,11 +461,12 @@ func (s *Server) ExportFactor(key string) ([]byte, error) {
 // the configuration must be this daemon's, the matrix well-formed and
 // fingerprinting to the requested key, the exporter's partition the one
 // this daemon derives (its own symbolic front end — a cached analysis or
-// a fresh one — against the wire's digest), and every piece must fit the
-// plan (core.FromWire). The preconditioner rows then come straight off
-// the wire; the operators are cloned from the cached templates or, on a
-// symbolic miss, set up in a run that moves no floating-point data. The
-// caller admits the entry under its origin.
+// a fresh one — against the wire's digest), every piece must fit the
+// plan (core.FromWire), and the pieces must fit together into the
+// solves' exchange plan (core.CheckExchange). The preconditioner rows then
+// come straight off the wire; the operators are cloned from the cached
+// templates or, on a symbolic miss, set up in a run that moves no
+// floating-point data. The caller admits the entry under its origin.
 func (s *Server) importFactor(key string, data []byte) (ent *entry, err error) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -512,12 +513,16 @@ func (s *Server) importFactor(key string, data []byte) (ent *entry, err error) {
 	}
 	ent.levels, ent.factorSeconds = wf.Levels, wf.FactorSeconds
 	ent.degraded, ent.ladderStep = wf.Degraded, wf.LadderStep
+	pcs := make([]*core.ProcPrecond, len(wf.Pieces))
 	for q := range wf.Pieces {
 		pp, perr := core.FromWire(plan, wf.Pieces[q])
 		if perr != nil {
 			return nil, perr
 		}
-		ent.pcs[q] = pp
+		pcs[q], ent.pcs[q] = pp, pp
+	}
+	if err := core.CheckExchange(pcs); err != nil {
+		return nil, err
 	}
 	if setup != nil {
 		if _, rerr := s.run("import", key, setup); rerr != nil {

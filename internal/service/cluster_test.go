@@ -12,6 +12,7 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -430,11 +431,13 @@ func TestImportRejectsForeignPartition(t *testing.T) {
 
 // TestClusterFetchOfMalformedFactorRebuildsLocally: an owner that serves
 // a factorization whose rows do not fit the plan (an L column past the
-// matrix) or whose matrix is not a CSR at all (a column past M) costs the
-// fetcher one failed fetch; the import returns an error — from
-// core.FromWire, from CSR.Check before the bytes are even fingerprinted —
-// instead of indexing out of range, and the solve is answered from a
-// local build.
+// matrix), whose pieces do not fit together (an L row reading a same-level
+// unknown of another processor, which each piece alone cannot tell) or
+// whose matrix is not a CSR at all (a column past M) costs the fetcher one
+// failed fetch; the import returns an error — from core.FromWire, from
+// core.CheckExchange, from CSR.Check before the bytes are even
+// fingerprinted — instead of indexing out of range or panicking in the
+// first solve, and the solve is answered from a local build.
 func TestClusterFetchOfMalformedFactorRebuildsLocally(t *testing.T) {
 	t.Run("piece", func(t *testing.T) {
 		fetchOfMalformedFactorRebuildsLocally(t, "wire precond", func(wf *wireFactor) {
@@ -444,6 +447,22 @@ func TestClusterFetchOfMalformedFactorRebuildsLocally(t *testing.T) {
 					break
 				}
 			}
+		})
+	})
+	t.Run("cross-piece", func(t *testing.T) {
+		fetchOfMalformedFactorRebuildsLocally(t, "the sweep that produces it", func(wf *wireFactor) {
+			w := &wf.Pieces[len(wf.Pieces)-1]
+			for l, members := range w.LevelMembers {
+				if len(members) == 0 || w.NewOf[members[0]] == w.Levels[l].Start {
+					continue // no other processor's member of this level comes first
+				}
+				li, id := members[0], w.Levels[l].Start
+				k, _ := slices.BinarySearch(w.LCols[li], id)
+				w.LCols[li] = slices.Insert(w.LCols[li], k, id)
+				w.LVals[li] = slices.Insert(w.LVals[li], k, 0.5)
+				return
+			}
+			t.Error("no level has members on two processors")
 		})
 	})
 	t.Run("matrix", func(t *testing.T) {
