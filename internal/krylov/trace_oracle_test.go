@@ -113,22 +113,22 @@ func TestTraceDigestOracle(t *testing.T) {
 
 // traceDigests holds TestTraceDigestOracle's {factor, solve} digests.
 var traceDigests = map[string][2]string{
-	"grid2d/p2":   {"244925412b73979b", "536ee59cee352ef7"},
-	"grid2d/p4":   {"ae1b714ecc5a4513", "9ebfb0eaeda303e6"},
-	"grid2d/p8":   {"7b388f565da09e68", "aa7a4faec8f4f4b6"},
-	"grid3d/p2":   {"87af3814c3b8c2c2", "8cef1b2583d94e36"},
-	"grid3d/p4":   {"2264774853fc82ef", "bcc04e65ba763664"},
-	"grid3d/p8":   {"881e70443b67a1bf", "2b4b9b3a4446ffb7"},
-	"torso/p2":    {"4748a299a6858f18", "0ce19a0b97b784e1"},
-	"torso/p4":    {"168d7bc3a0123a03", "8b9cc0ff97328e65"},
-	"torso/p8":    {"5f27280f88062ff0", "b2ed9d386226e147"},
-	"convdiff/p2": {"c47a5dff16b017e9", "3d638918523eed54"},
-	"convdiff/p4": {"1d99eae387dddedb", "4c7c84a94315d785"},
-	"convdiff/p8": {"8cc372c8df40d6bb", "c6bb59eb1cd7d5da"},
-	"aniso/p2":    {"165097a0968b9026", "2b17437fcf8bbadd"},
-	"aniso/p4":    {"4b04881e3d4de04d", "913dcab3e3ac91a0"},
-	"aniso/p8":    {"bbafeeaa78972874", "80e6c2be20f65609"},
-	"randspd/p2":  {"2cb30486fca8199a", "9a6076630fc196f9"},
-	"randspd/p4":  {"b18cba1bdcb2dde2", "bb08d9d8ec0bd959"},
-	"randspd/p8":  {"9d39377e8ba63ace", "a23797cad7a5b770"},
+	"grid2d/p2":   {"a4987d384d44fc4f", "536ee59cee352ef7"},
+	"grid2d/p4":   {"27bac5e9dfb2862d", "9ebfb0eaeda303e6"},
+	"grid2d/p8":   {"66ad70d456d8d86e", "aa7a4faec8f4f4b6"},
+	"grid3d/p2":   {"5566f230739951c6", "8cef1b2583d94e36"},
+	"grid3d/p4":   {"6bcb2433836d3407", "bcc04e65ba763664"},
+	"grid3d/p8":   {"25baa680f1836323", "2b4b9b3a4446ffb7"},
+	"torso/p2":    {"32a385a2bc59007d", "0ce19a0b97b784e1"},
+	"torso/p4":    {"dd55310ff5e0268f", "8b9cc0ff97328e65"},
+	"torso/p8":    {"72cb2d9dbf4aa564", "b2ed9d386226e147"},
+	"convdiff/p2": {"d5c2bbaf53c3437b", "3d638918523eed54"},
+	"convdiff/p4": {"c774112c43d76b02", "4c7c84a94315d785"},
+	"convdiff/p8": {"0d4d3030583a7adb", "c6bb59eb1cd7d5da"},
+	"aniso/p2":    {"5984e9afe3ac6736", "2b17437fcf8bbadd"},
+	"aniso/p4":    {"9dac398ce55d6b81", "913dcab3e3ac91a0"},
+	"aniso/p8":    {"5e1ea10c65bfc062", "80e6c2be20f65609"},
+	"randspd/p2":  {"2709ec3a82a1bf98", "9a6076630fc196f9"},
+	"randspd/p4":  {"d89bfb253c7d5e23", "bb08d9d8ec0bd959"},
+	"randspd/p8":  {"a7183ee23562b0d5", "a23797cad7a5b770"},
 }
