@@ -98,7 +98,9 @@ func tracedDigests(t *testing.T, a *sparse.CSR, P int) [2]string {
 // them), plus per-rank clocks and busy time. The constants were computed
 // on the simulated machine before it became a clock on the wall-clock
 // engine: a backend may change how ranks meet, never what the modelled
-// trace reads.
+// trace reads. The factor column was regenerated, alone, when every halo
+// exchange moved onto one plan (pcomm.Halo), which changed the factor
+// run's messages; the solve column did not move.
 func TestTraceDigestOracle(t *testing.T) {
 	for _, mat := range oracleZoo() {
 		for _, P := range []int{2, 4, 8} {
