@@ -34,6 +34,8 @@ fmt-check:
 # So does a boxed Send or Recv in the numeric packages' non-test files:
 # their halo traffic travels as raw slices (pcomm.SendSlice, the Halo
 # helpers), never as a gob payload on netcomm.
+# And so does encoding/gob in internal/service's non-test files: factors
+# and matrices cross between daemons as the flat body of wire.go only.
 HOTALLOC_WAIVERS_MAX = 16
 SERVICE_SRC = $$(find internal/service -name '*.go' -not -name '*_test.go')
 MACHINE_SRC = $$(find internal/machine -name '*.go' -not -name '*_test.go')
@@ -51,6 +53,8 @@ loc:
 		echo "internal/machine imports a comm or trace package: it holds the cost models only"; exit 1; fi
 	@if grep -n -E '\.(Send|Recv)\(' $(NUMERIC_SRC); then \
 		echo "boxed Send/Recv in a numeric package: send raw slices (pcomm.SendSlice, pcomm.Post)"; exit 1; fi
+	@if grep -n -F '"encoding/gob"' $(SERVICE_SRC); then \
+		echo "encoding/gob in internal/service: peer bodies use the flat codec (wire.go)"; exit 1; fi
 	@n=$$(grep -rn --include='*.go' 'pilutlint:ok hotalloc' . | wc -l); \
 		echo "hotalloc waivers: $$n (ratchet: at most $(HOTALLOC_WAIVERS_MAX))"; \
 		[ $$n -le $(HOTALLOC_WAIVERS_MAX) ]
@@ -163,10 +167,15 @@ bench-sequence:
 		$(GO) test ./internal/service -run TestEmitSequenceBench -count=1 -v
 
 # Short fuzzing pass over every fuzz target; matches the CI fuzz lane.
+# The peer-body targets run in a large instrumented binary, where an
+# unbounded minimization of a new input can take the whole pass: it is
+# capped at 1000 executions.
 # Override FUZZTIME for longer local runs, e.g. `make fuzz-smoke FUZZTIME=5m`.
 fuzz-smoke:
 	$(GO) test ./internal/sparse -run '^$$' -fuzz '^FuzzReadMatrixMarket$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/sparse -run '^$$' -fuzz '^FuzzRowTail$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/service -run '^$$' -fuzz '^FuzzDecodeFactor$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 1000x -parallel 1
+	$(GO) test ./internal/service -run '^$$' -fuzz '^FuzzDecodeMatrix$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 1000x -parallel 1
 
 # Aggregate coverage profile across all packages; view with
 # `go tool cover -html=coverage.out`.

@@ -289,8 +289,9 @@ func newMux(svc *service.Server, maxTimeoutMs int) *http.ServeMux {
 	})
 
 	// Internal peer API: daemon-to-daemon factorization transfer, matrix
-	// replication and proactive factor replicas (gob bodies, not part of
-	// the public surface). All token-guarded.
+	// replication and proactive factor replicas (flat little-endian
+	// bodies, see internal/service/wire.go; not part of the public
+	// surface). All token-guarded.
 	mux.HandleFunc("GET /v1/peer/factor/{key}", peerGuard(func(w http.ResponseWriter, r *http.Request) {
 		data, err := svc.ExportFactor(r.PathValue("key"))
 		if err != nil {

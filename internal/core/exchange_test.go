@@ -16,8 +16,10 @@ import (
 	"repro/internal/dist"
 	"repro/internal/fault"
 	"repro/internal/machine"
+	"repro/internal/matgen"
 	"repro/internal/pcomm"
 	"repro/internal/pcomm/backend"
+	"repro/internal/pcomm/modelled"
 	"repro/internal/pcomm/netcomm"
 	"repro/internal/sparse"
 )
@@ -216,6 +218,37 @@ func TestExchangePlanInvariants(t *testing.T) {
 					}
 				})
 			}
+		}
+	}
+}
+
+// TestRefactorOnReboundPlanPassesCheckExchange: the pieces of a Refactor
+// through a reused analysis — the plan a symbolic-tier hit binds to new
+// values — fit together as the solves' exchange plan needs them to, on
+// the zoo at p ∈ {1, 2, 4, 8} for every method Refactor runs.
+func TestRefactorOnReboundPlanPassesCheckExchange(t *testing.T) {
+	for _, mat := range oracleZoo() {
+		for _, P := range oracleProcs {
+			t.Run(fmt.Sprintf("%s/p%d", mat.name, P), func(t *testing.T) {
+				plan, _, _ := oracleFactor(t, mat.a, P, "ilut") // the oracle's layout
+				sym, err := Analyze(mat.a, plan.Lay)
+				if err != nil {
+					t.Fatal(err)
+				}
+				rebound, err := sym.Bind(matgen.Evolve(mat.a, 1, 2e-2, 11)[0])
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, method := range []string{"ilut", "ilutstar", "schur"} {
+					pcs := make([]*ProcPrecond, P)
+					modelled.New(P, machine.T3D()).Run(func(p pcomm.Comm) {
+						pcs[p.ID()] = oracleMethod(p, rebound, method)
+					})
+					if err := CheckExchange(pcs); err != nil {
+						t.Errorf("%s: CheckExchange rejects the pieces of a Refactor on a rebound plan: %v", method, err)
+					}
+				}
+			})
 		}
 	}
 }

@@ -35,6 +35,7 @@ type WirePrecond struct {
 // from the flat sweeps. The value rows alias the piece's storage; callers
 // encode them before the entry mutates (entries are immutable once
 // published, so in practice: any time).
+// A list with no entries is nil, as the peer wire decodes it.
 func (pc *ProcPrecond) Wire() WirePrecond {
 	w := WirePrecond{
 		Me:     pc.me,
@@ -53,8 +54,12 @@ func (pc *ProcPrecond) Wire() WirePrecond {
 		order[r] = int(li)
 	}
 	step := pc.fwd.step
-	w.InteriorLocal = order[:step[1]:step[1]]
-	w.LevelMembers = make([][]int, len(pc.levels))
+	if step[1] > 0 {
+		w.InteriorLocal = order[:step[1]:step[1]]
+	}
+	if len(pc.levels) > 0 {
+		w.LevelMembers = make([][]int, len(pc.levels))
+	}
 	for l := range w.LevelMembers {
 		w.LevelMembers[l] = order[step[l+1]:step[l+2]:step[l+2]]
 	}

@@ -8,7 +8,8 @@ import (
 	"testing"
 )
 
-// cloneWire deep-copies a wire piece the way a peer transfer does.
+// cloneWire deep-copies a wire piece through a gob round trip, so a
+// corrupted copy leaves the factored piece intact.
 func cloneWire(t *testing.T, w WirePrecond) WirePrecond {
 	t.Helper()
 	var buf bytes.Buffer

@@ -59,3 +59,55 @@ func BenchmarkCacheHitSolve(b *testing.B) {
 		}
 	}
 }
+
+// peerBenchProcs is the processor count of the peer_fetch scoreboard
+// workload, and Grid2D(63, 65) the size of its patterns.
+const peerBenchProcs = 4
+
+func peerBenchExport(b *testing.B) (string, []byte, *Server) {
+	a := matgen.Grid2D(63, 65)
+	s := New(Config{Procs: peerBenchProcs, Workers: 1, Backend: "real"})
+	b.Cleanup(func() { s.Shutdown(context.Background()) })
+	key, _, err := s.Submit(a)
+	if err != nil {
+		b.Fatal(err)
+	}
+	data, err := s.ExportFactor(key)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return key, data, s
+}
+
+// BenchmarkExportFactor measures the owner's half of a peer transfer:
+// a cached entry encoded as a factor body.
+func BenchmarkExportFactor(b *testing.B) {
+	key, data, s := peerBenchExport(b)
+	b.SetBytes(int64(len(data)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := s.ExportFactor(key); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkImportFactor measures the fetcher's half: decode, checks and
+// rehydration of the pieces, on a warm symbolic tier.
+func BenchmarkImportFactor(b *testing.B) {
+	key, data, _ := peerBenchExport(b)
+	imp := New(Config{Procs: peerBenchProcs, Workers: 1, Backend: "real"})
+	defer imp.Shutdown(context.Background())
+	if _, err := imp.importFactor(key, data); err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(int64(len(data)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := imp.importFactor(key, data); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

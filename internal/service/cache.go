@@ -25,11 +25,18 @@ func newMatrixStore() *matrixStore {
 // known). Caller holds the server lock.
 func (s *matrixStore) put(a *sparse.CSR) (string, bool) {
 	key := sparse.Fingerprint(a)
+	return key, s.putKeyed(key, a)
+}
+
+// putKeyed stores a under key, which the caller has already checked is
+// a's fingerprint, and reports whether it was already known. Caller holds
+// the server lock.
+func (s *matrixStore) putKeyed(key string, a *sparse.CSR) bool {
 	if _, ok := s.byKey[key]; ok {
-		return key, true
+		return true
 	}
 	s.byKey[key] = a
-	return key, false
+	return false
 }
 
 func (s *matrixStore) get(key string) (*sparse.CSR, bool) {

@@ -5,7 +5,6 @@ import (
 	"crypto/sha256"
 	"crypto/subtle"
 	"encoding/binary"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"io"
@@ -17,7 +16,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/ilu"
 	"repro/internal/sparse"
 )
 
@@ -336,59 +334,14 @@ func (cl *cluster) snapshot() *ClusterStats {
 // endpoint bounds MatrixMarket bodies.
 const maxMatrixWireBytes = 1 << 30
 
-// wireCSR is the gob form of a sparse matrix for peer replication.
-type wireCSR struct {
-	N, M   int
-	RowPtr []int
-	Cols   []int
-	Vals   []float64
-}
-
-func csrToWire(a *sparse.CSR) wireCSR {
-	return wireCSR{N: a.N, M: a.M, RowPtr: a.RowPtr, Cols: a.Cols, Vals: a.Vals}
-}
-
-// csrFromWire rebuilds the matrix a peer sent and checks it: the bytes
-// come from another process, and everything downstream indexes through
-// RowPtr and Cols without looking.
-func csrFromWire(w wireCSR) (*sparse.CSR, error) {
-	a := &sparse.CSR{N: w.N, M: w.M, RowPtr: w.RowPtr, Cols: w.Cols, Vals: w.Vals}
+// checkPeerMatrix checks a matrix a peer sent: the bytes come from
+// another process, and everything downstream indexes through RowPtr and
+// Cols without looking.
+func checkPeerMatrix(a *sparse.CSR) error {
 	if err := a.Check(); err != nil {
-		return nil, fmt.Errorf("service: peer sent a malformed matrix: %w", err)
+		return fmt.Errorf("service: peer sent a malformed matrix: %w", err)
 	}
-	return a, nil
-}
-
-// wireFactor is the gob body of /v1/peer/factor/{key}: the factored
-// matrix plus every processor's preconditioner piece, and the exact
-// configuration the factorization ran under. The importer derives the
-// partition, layout and elimination plan itself — pure functions of
-// (pattern, procs, seed), so usually a symbolic-tier hit — and
-// rehydrates the pieces, so the factors never get recomputed and stay
-// bitwise identical to the owner's.
-type wireFactor struct {
-	Key    string
-	Matrix wireCSR
-	Procs  int
-	Seed   int64
-	// Params and MISRounds are the exporter's configured values (not a
-	// ladder rung's relaxed ones): a daemon running another τ, m or k
-	// serves factors this one would never have built, so the importer
-	// refuses a mismatch. The zero Params of an exporter that predates
-	// the field never match — withDefaults leaves no daemon with them.
-	Params        ilu.Params
-	MISRounds     int
-	LadderStep    string
-	Degraded      bool
-	Levels        int
-	FactorSeconds float64
-	Pieces        []core.WirePrecond
-	// PartDigest is the sha-256 of the exporter's row → processor
-	// assignment. The importer binds the pieces to the assignment it
-	// derives itself, so a daemon whose partitioner is another version —
-	// and derives another assignment — must refuse them. The zero digest
-	// of an exporter that predates the field never matches.
-	PartDigest [sha256.Size]byte
+	return nil
 }
 
 func partDigest(part []int) [sha256.Size]byte {
@@ -409,7 +362,7 @@ var ErrNotExportable = errors.New("service: factorization entry is not exportabl
 func encodeEntry(ent *entry, cfg Config) ([]byte, error) {
 	wf := &wireFactor{
 		Key:           ent.key,
-		Matrix:        csrToWire(ent.a),
+		Matrix:        ent.a,
 		Procs:         cfg.Procs,
 		Seed:          cfg.Seed,
 		Params:        cfg.Params,
@@ -428,11 +381,11 @@ func encodeEntry(ent *entry, cfg Config) ([]byte, error) {
 		}
 		wf.Pieces[q] = pp.Wire()
 	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(wf); err != nil {
+	data, err := encodeFactor(wf)
+	if err != nil {
 		return nil, fmt.Errorf("service: encoding factorization %s: %w", ent.key, err)
 	}
-	return buf.Bytes(), nil
+	return data, nil
 }
 
 // ExportFactor encodes key's factorization for a peer daemon. The entry
@@ -473,8 +426,8 @@ func (s *Server) importFactor(key string, data []byte) (ent *entry, err error) {
 			ent, err = nil, fmt.Errorf("service: importing factorization %s: %v", key, r)
 		}
 	}()
-	var wf wireFactor
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&wf); err != nil {
+	wf, err := decodeFactor(data)
+	if err != nil {
 		return nil, fmt.Errorf("service: decoding factorization %s: %w", key, err)
 	}
 	if wf.Key != key {
@@ -488,8 +441,8 @@ func (s *Server) importFactor(key string, data []byte) (ent *entry, err error) {
 	if len(wf.Pieces) != wf.Procs {
 		return nil, fmt.Errorf("service: factorization %s carries %d pieces for %d processors", key, len(wf.Pieces), wf.Procs)
 	}
-	a, err := csrFromWire(wf.Matrix)
-	if err != nil {
+	a := wf.Matrix
+	if err := checkPeerMatrix(a); err != nil {
 		return nil, err
 	}
 	if got := sparse.Fingerprint(a); got != key {
@@ -531,22 +484,26 @@ func (s *Server) importFactor(key string, data []byte) (ent *entry, err error) {
 	}
 	s.publish(an, ent.mats, false)
 	// The importing daemon now knows the matrix too: a later cache
-	// eviction can rebuild locally without resubmission.
+	// eviction can rebuild locally without resubmission. The key was
+	// checked against the matrix above.
 	s.mu.Lock()
-	s.matrices.put(a)
+	s.matrices.putKeyed(key, a)
 	s.mu.Unlock()
 	return ent, nil
 }
 
-// ImportMatrix ingests a replicated matrix from a peer (the gob wireCSR
-// body of POST /v1/peer/matrix).
+// ImportMatrix ingests a replicated matrix from a peer (the matrix body
+// of POST /v1/peer/matrix, see wire.go).
 func (s *Server) ImportMatrix(r io.Reader) (key string, known bool, err error) {
-	var w wireCSR
-	if err := gob.NewDecoder(io.LimitReader(r, maxMatrixWireBytes)).Decode(&w); err != nil {
+	data, err := io.ReadAll(io.LimitReader(r, maxMatrixWireBytes))
+	if err != nil {
+		return "", false, fmt.Errorf("service: reading replicated matrix: %w", err)
+	}
+	a, err := decodeMatrix(data)
+	if err != nil {
 		return "", false, fmt.Errorf("service: decoding replicated matrix: %w", err)
 	}
-	a, err := csrFromWire(w)
-	if err != nil {
+	if err := checkPeerMatrix(a); err != nil {
 		return "", false, err
 	}
 	return s.Submit(a)
@@ -566,12 +523,12 @@ func (s *Server) replicateMatrix(key string, a *sparse.CSR) {
 	if owner == cl.self || !cl.allow(owner) {
 		return
 	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(csrToWire(a)); err != nil {
+	body, err := encodeMatrix(a)
+	if err != nil {
 		cl.replLost.Add(1)
 		return
 	}
-	if err := cl.putMatrix(owner, buf.Bytes()); err != nil {
+	if err := cl.putMatrix(owner, body); err != nil {
 		cl.replLost.Add(1)
 		cl.peerDown(owner)
 		return

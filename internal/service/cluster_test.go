@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"crypto/sha256"
-	"encoding/gob"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -352,8 +351,8 @@ func TestExportUnknownAndUnexportable(t *testing.T) {
 
 // TestImportRejectsForeignPartition: the importer binds a peer's pieces
 // to the partition it derives itself, so pieces factored under any
-// other assignment — a tampered digest, or an exporter too old to send
-// one — must be refused, which sends the fetch down its failure path to
+// other assignment — a tampered digest, or an all-zero one — must be
+// refused, which sends the fetch down its failure path to
 // a local build. So must a body whose key, piece count or matrix is not
 // what was asked for, before the partition is even looked at.
 func TestImportRejectsForeignPartition(t *testing.T) {
@@ -368,10 +367,7 @@ func TestImportRejectsForeignPartition(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var wf wireFactor
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&wf); err != nil {
-		t.Fatal(err)
-	}
+	wf := *mustDecodeFactor(t, data)
 	if wf.PartDigest == ([sha256.Size]byte{}) {
 		t.Fatal("export carries no partition digest")
 	}
@@ -387,8 +383,10 @@ func TestImportRejectsForeignPartition(t *testing.T) {
 	otherKey, shortPieces, otherValues := wf, wf, wf
 	otherKey.Key = "0123456789abcdef0123456789abcdef"
 	shortPieces.Pieces = wf.Pieces[:1]
-	otherValues.Matrix.Vals = append([]float64(nil), wf.Matrix.Vals...)
-	otherValues.Matrix.Vals[0] *= 2
+	otherMatrix := *wf.Matrix
+	otherMatrix.Vals = slices.Clone(wf.Matrix.Vals)
+	otherMatrix.Vals[0] *= 2
+	otherValues.Matrix = &otherMatrix
 	for name, tc := range map[string]struct {
 		w    wireFactor
 		want string
@@ -399,11 +397,7 @@ func TestImportRejectsForeignPartition(t *testing.T) {
 		"short pieces":    {shortPieces, "carries 1 pieces for 2 processors"},
 		"other values":    {otherValues, "fingerprints to"},
 	} {
-		var buf bytes.Buffer
-		if err := gob.NewEncoder(&buf).Encode(&tc.w); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := imp.importFactor(key, buf.Bytes()); err == nil || !strings.Contains(err.Error(), tc.want) {
+		if _, err := imp.importFactor(key, mustEncodeFactor(t, &tc.w)); err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: err %v, want %q", name, err, tc.want)
 		}
 	}
@@ -417,11 +411,7 @@ func TestImportRejectsForeignPartition(t *testing.T) {
 	if before.SymbolicEntries != 1 {
 		t.Fatalf("accepted import left %d symbolic entries, want 1", before.SymbolicEntries)
 	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(&tampered); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := imp.importFactor(key, buf.Bytes()); err == nil || !strings.Contains(err.Error(), "partitioned") {
+	if _, err := imp.importFactor(key, mustEncodeFactor(t, &tampered)); err == nil || !strings.Contains(err.Error(), "partitioned") {
 		t.Errorf("tampered digest on a warm symbolic tier: err %v, want partition mismatch", err)
 	}
 	if after := imp.StatsSnapshot().Cache; after.SymbolicHits != before.SymbolicHits+1 || after.SymbolicMisses != before.SymbolicMisses {
@@ -487,14 +477,18 @@ func fetchOfMalformedFactorRebuildsLocally(t *testing.T, wantErr string, tamper 
 				http.Error(w, err.Error(), http.StatusNotFound)
 				return
 			}
-			var wf wireFactor
-			if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&wf); err != nil {
+			wf, err := decodeFactor(data)
+			if err != nil {
 				http.Error(w, err.Error(), http.StatusInternalServerError)
 				return
 			}
-			tamper(&wf)
-			if err := gob.NewEncoder(w).Encode(&wf); err != nil {
+			tamper(wf)
+			body, err := encodeFactor(wf)
+			if err != nil {
 				t.Errorf("re-encoding the tampered export: %v", err)
+			}
+			if _, err := w.Write(body); err != nil {
+				t.Errorf("serving the tampered export: %v", err)
 			}
 		})
 	}
@@ -596,24 +590,18 @@ func TestImportRejectsMismatchedConfig(t *testing.T) {
 			t.Errorf("mismatched %s import: err %v, want configuration mismatch", name, err)
 		}
 	}
-	// An exporter that predates the fields sends their zero values, which
-	// no daemon runs: refused like any other mismatch.
-	var wf wireFactor
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&wf); err != nil {
-		t.Fatal(err)
-	}
+	// Zero parameters, which no daemon runs, are refused like any other
+	// mismatch.
+	wf := mustDecodeFactor(t, data)
 	if wf.Params != def || wf.MISRounds != 0 {
 		t.Fatalf("export declares params %+v / %d rounds, want the exporter's configured %+v / 0", wf.Params, wf.MISRounds, def)
 	}
 	wf.Params = ilu.Params{}
-	var old bytes.Buffer
-	if err := gob.NewEncoder(&old).Encode(&wf); err != nil {
-		t.Fatal(err)
-	}
+	old := mustEncodeFactor(t, wf)
 
 	ok := New(Config{Procs: 2, Workers: 1, Backend: "real"})
 	defer ok.Shutdown(context.Background())
-	if _, err := ok.importFactor(key, old.Bytes()); err == nil || !strings.Contains(err.Error(), "must share configuration") {
+	if _, err := ok.importFactor(key, old); err == nil || !strings.Contains(err.Error(), "must share configuration") {
 		t.Errorf("import from an exporter without parameters: err %v, want configuration mismatch", err)
 	}
 	ent, err := ok.importFactor(key, data)
@@ -628,7 +616,7 @@ func TestImportRejectsMismatchedConfig(t *testing.T) {
 	}
 }
 
-// TestImportMatrixRejectsMalformedCSR: a /v1/peer/matrix body that gob
+// TestImportMatrixRejectsMalformedCSR: a /v1/peer/matrix body that
 // decodes but is not a CSR is refused before it is fingerprinted or
 // stored — stored, it would sit under its key and fail (a recovered
 // panic) inside every build that ever touches it.
@@ -636,31 +624,23 @@ func TestImportMatrixRejectsMalformedCSR(t *testing.T) {
 	srv := New(Config{Procs: 2, Workers: 1, Backend: "real"})
 	defer srv.Shutdown(context.Background())
 	good := matgen.Grid2D(6, 6)
-	for name, edit := range map[string]func(w *wireCSR){
-		"column past M":    func(w *wireCSR) { w.Cols[3] = w.M + 2 },
-		"short RowPtr":     func(w *wireCSR) { w.RowPtr = w.RowPtr[:w.N-1] },
-		"RowPtr overshoot": func(w *wireCSR) { w.RowPtr[w.N] = len(w.Cols) + 5 },
-		"values missing":   func(w *wireCSR) { w.Vals = w.Vals[:len(w.Vals)/2] },
-		"NaN":              func(w *wireCSR) { w.Vals[0] = math.NaN() },
+	for name, edit := range map[string]func(a *sparse.CSR){
+		"column past M":    func(a *sparse.CSR) { a.Cols[3] = a.M + 2 },
+		"short RowPtr":     func(a *sparse.CSR) { a.RowPtr = a.RowPtr[:a.N-1] },
+		"RowPtr overshoot": func(a *sparse.CSR) { a.RowPtr[a.N] = len(a.Cols) + 5 },
+		"values missing":   func(a *sparse.CSR) { a.Vals = a.Vals[:len(a.Vals)/2] },
+		"NaN":              func(a *sparse.CSR) { a.Vals[0] = math.NaN() },
 	} {
-		w := csrToWire(good.Clone())
-		edit(&w)
-		var buf bytes.Buffer
-		if err := gob.NewEncoder(&buf).Encode(w); err != nil {
-			t.Fatal(err)
-		}
-		if _, _, err := srv.ImportMatrix(&buf); err == nil || !strings.Contains(err.Error(), "malformed matrix") {
+		a := good.Clone()
+		edit(a)
+		if _, _, err := srv.ImportMatrix(bytes.NewReader(mustEncodeMatrix(t, a))); err == nil || !strings.Contains(err.Error(), "malformed matrix") {
 			t.Errorf("%s: err %v, want a malformed-matrix refusal", name, err)
 		}
 	}
 	if n := srv.StatsSnapshot().Matrices; n != 0 {
 		t.Errorf("%d malformed matrices were stored", n)
 	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(csrToWire(good)); err != nil {
-		t.Fatal(err)
-	}
-	if key, _, err := srv.ImportMatrix(&buf); err != nil || key != sparse.Fingerprint(good) {
+	if key, _, err := srv.ImportMatrix(bytes.NewReader(mustEncodeMatrix(t, good))); err != nil || key != sparse.Fingerprint(good) {
 		t.Errorf("sound matrix: key %s, err %v", key, err)
 	}
 }
@@ -839,7 +819,7 @@ func TestImportReplicaRefusals(t *testing.T) {
 		Self: "http://a", Peers: []string{"http://a"}, ProbeInterval: -1, Replicas: -1,
 	}})
 	defer member.Shutdown(context.Background())
-	if _, err := member.ImportReplica(key, strings.NewReader("not gob")); err == nil {
+	if _, err := member.ImportReplica(key, strings.NewReader("not a factor body")); err == nil {
 		t.Error("garbage replica body accepted")
 	}
 	if _, err := member.ImportReplica("another-key", bytes.NewReader(data)); err == nil || !strings.Contains(err.Error(), "for requested key") {
@@ -851,7 +831,7 @@ func TestImportReplicaRefusals(t *testing.T) {
 	if known, err := member.ImportReplica(key, bytes.NewReader(data)); err != nil || known {
 		t.Fatalf("sound push: known=%v err=%v", known, err)
 	}
-	if known, err := member.ImportReplica(key, strings.NewReader("not gob")); err != nil || !known {
+	if known, err := member.ImportReplica(key, strings.NewReader("not a factor body")); err != nil || !known {
 		t.Errorf("repeated push: known=%v err=%v, want known without decoding", known, err)
 	}
 	if st := member.StatsSnapshot(); st.Cache.Entries != 1 || st.Cluster.ReplicaImports != 1 || st.Cache.Factorizations != 0 {

@@ -1,0 +1,48 @@
+package service
+
+import (
+	"context"
+	"fmt"
+	"testing"
+
+	"repro/internal/core"
+	"repro/internal/sparse"
+)
+
+// TestLadderRungsPassCheckExchange: the recovery-ladder rungs that yield
+// core.ProcPrecond pieces — the shifted plan and the relaxed parameters —
+// produce pieces that fit together as the solves' exchange plan needs
+// them to, on the zoo at p ∈ {1, 2, 4, 8}: what an importer would check
+// of them holds of them where they are built.
+func TestLadderRungsPassCheckExchange(t *testing.T) {
+	for _, p := range []int{1, 2, 4, 8} {
+		srv := New(Config{Procs: p, Workers: 1, Backend: "real"})
+		defer srv.Shutdown(context.Background())
+		for name, a := range oracleZoo() {
+			key := sparse.Fingerprint(a)
+			an, err := srv.analysisFor(key, a)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, step := range []string{"shift", "relaxed"} {
+				t.Run(fmt.Sprintf("%s/p%d/%s", name, p, step), func(t *testing.T) {
+					ent, err := srv.buildRung(key, an, step)
+					if err != nil {
+						t.Fatal(err)
+					}
+					pcs := make([]*core.ProcPrecond, p)
+					for q, pc := range ent.pcs {
+						pp, ok := pc.(*core.ProcPrecond)
+						if !ok {
+							t.Fatalf("processor %d holds a %T piece", q, pc)
+						}
+						pcs[q] = pp
+					}
+					if err := core.CheckExchange(pcs); err != nil {
+						t.Errorf("CheckExchange rejects the rung's pieces: %v", err)
+					}
+				})
+			}
+		}
+	}
+}

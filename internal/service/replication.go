@@ -2,7 +2,7 @@ package service
 
 // Proactive factor replication and owner-failure takeover. When a
 // factorization is built on its owning daemon, the owner pushes the
-// gob-encoded factor to its R HRW successors so an owner's death is
+// encoded factor (wire.go) to its R HRW successors so an owner's death is
 // absorbed by HRW itself: the first successor — already holding the
 // bytes — becomes the new owner the moment the view writes the old one
 // off, and a solve there is a cache hit, not a rebuild. On every view
