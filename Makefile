@@ -1,7 +1,7 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: all build vet lint lint-json loc fmt-check test test-real test-netcomm race race-real chaos check serve-smoke bench bench-test bench-kernels bench-speedup bench-sequence fuzz-smoke cover
+.PHONY: all build vet lint lint-json loc fmt-check test test-real test-netcomm race race-real chaos check serve-smoke bench bench-test bench-kernels bench-speedup bench-sequence fuzz-smoke cover examples
 
 all: check
 
@@ -176,6 +176,15 @@ fuzz-smoke:
 	$(GO) test ./internal/sparse -run '^$$' -fuzz '^FuzzRowTail$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/service -run '^$$' -fuzz '^FuzzDecodeFactor$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 1000x -parallel 1
 	$(GO) test ./internal/service -run '^$$' -fuzz '^FuzzDecodeMatrix$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 1000x -parallel 1
+	$(GO) test ./internal/pcomm/netcomm -run '^$$' -fuzz '^FuzzNetcommFrameBodies$$' -fuzztime $(FUZZTIME)
+
+# Every example program, built and run once (a few seconds each); any
+# nonzero exit fails the target.
+examples:
+	@for d in examples/*/; do \
+		echo "== $$d"; \
+		$(GO) run ./$$d || exit 1; \
+	done
 
 # Aggregate coverage profile across all packages; view with
 # `go tool cover -html=coverage.out`.

@@ -604,26 +604,6 @@ func BenchmarkNetworkSensitivity(b *testing.B) {
 	}
 }
 
-// BenchmarkSerialMultiElim measures the serial multi-elimination driver.
-func BenchmarkSerialMultiElim(b *testing.B) {
-	a := matgen.Grid2D(48, 48)
-	for i := 0; i < b.N; i++ {
-		if _, err := ilu.MultiElimILUT(a, ilu.Params{M: 10, Tau: 1e-4}, mis.DefaultRounds, 1); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkSerialILUTP measures the pivoting variant against plain ILUT.
-func BenchmarkSerialILUTP(b *testing.B) {
-	a := matgen.ConvDiff2D(48, 48, 60, 40)
-	for i := 0; i < b.N; i++ {
-		if _, err := ilu.ILUTP(a, ilu.Params{M: 10, Tau: 1e-4}, 50); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkParallelILU0 measures the static-schedule factorization the
 // paper contrasts PILUT with (§3).
 func BenchmarkParallelILU0(b *testing.B) {

@@ -96,9 +96,6 @@ func unionRow(dst, x, y []int, skip int) int {
 // NEdges reports the number of undirected edges.
 func (g *Graph) NEdges() int { return len(g.Adj) / 2 }
 
-// Degree reports the number of neighbours of vertex v.
-func (g *Graph) Degree(v int) int { return g.Xadj[v+1] - g.Xadj[v] }
-
 // Neighbors returns the neighbour slice of v (aliases graph storage).
 func (g *Graph) Neighbors(v int) []int { return g.Adj[g.Xadj[v]:g.Xadj[v+1]] }
 
@@ -153,36 +150,6 @@ func (g *Graph) PartWeights(part []int, nparts int) []int {
 		w[p] += g.VWgt[v]
 	}
 	return w
-}
-
-// Components labels connected components; it returns the label array and
-// the number of components.
-func (g *Graph) Components() ([]int, int) {
-	comp := make([]int, g.NVtx)
-	for i := range comp {
-		comp[i] = -1
-	}
-	var stack []int
-	nc := 0
-	for s := 0; s < g.NVtx; s++ {
-		if comp[s] != -1 {
-			continue
-		}
-		comp[s] = nc
-		stack = append(stack[:0], s)
-		for len(stack) > 0 {
-			v := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			for _, u := range g.Neighbors(v) {
-				if comp[u] == -1 {
-					comp[u] = nc
-					stack = append(stack, u)
-				}
-			}
-		}
-		nc++
-	}
-	return comp, nc
 }
 
 // Validate checks structural invariants: sorted-free adjacency within

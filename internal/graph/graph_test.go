@@ -21,10 +21,10 @@ func TestFromMatrixGrid(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Corner has degree 2, edge 3, centre 4.
-	if got := g.Degree(0); got != 2 {
+	if got := len(g.Neighbors(0)); got != 2 {
 		t.Errorf("corner degree = %d, want 2", got)
 	}
-	if got := g.Degree(4); got != 4 {
+	if got := len(g.Neighbors(4)); got != 4 {
 		t.Errorf("centre degree = %d, want 4", got)
 	}
 	if got := g.NEdges(); got != 12 {
@@ -43,8 +43,8 @@ func TestFromMatrixNonsymmetric(t *testing.T) {
 	if err := g.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if g.Degree(0) != 1 || g.Degree(1) != 1 {
-		t.Fatalf("degrees = %d,%d, want 1,1", g.Degree(0), g.Degree(1))
+	if len(g.Neighbors(0)) != 1 || len(g.Neighbors(1)) != 1 {
+		t.Fatalf("degrees = %d,%d, want 1,1", len(g.Neighbors(0)), len(g.Neighbors(1)))
 	}
 	if g.Neighbors(1)[0] != 0 {
 		t.Fatal("edge {0,1} missing its reverse")
@@ -183,47 +183,6 @@ func TestPartWeights(t *testing.T) {
 	w := g.PartWeights([]int{0, 1, 1, 1}, 2)
 	if w[0] != 1 || w[1] != 3 {
 		t.Errorf("PartWeights = %v, want [1 3]", w)
-	}
-}
-
-func TestComponents(t *testing.T) {
-	// Two disjoint 2×2 grids glued into one matrix block-diagonally.
-	b := sparse.NewBuilder(8, 8)
-	add := func(off int) {
-		pairs := [][2]int{{0, 1}, {1, 3}, {3, 2}, {2, 0}}
-		for _, p := range pairs {
-			b.Add(off+p[0], off+p[1], -1)
-			b.Add(off+p[1], off+p[0], -1)
-		}
-		for i := 0; i < 4; i++ {
-			b.Add(off+i, off+i, 4)
-		}
-	}
-	add(0)
-	add(4)
-	g := FromMatrix(b.Build())
-	comp, nc := g.Components()
-	if nc != 2 {
-		t.Fatalf("components = %d, want 2", nc)
-	}
-	for i := 0; i < 4; i++ {
-		if comp[i] != comp[0] {
-			t.Error("first block split across components")
-		}
-		if comp[4+i] != comp[4] {
-			t.Error("second block split across components")
-		}
-	}
-	if comp[0] == comp[4] {
-		t.Error("blocks merged into one component")
-	}
-}
-
-func TestComponentsConnected(t *testing.T) {
-	g := FromMatrix(matgen.Grid2D(5, 7))
-	_, nc := g.Components()
-	if nc != 1 {
-		t.Fatalf("grid should be connected, got %d components", nc)
 	}
 }
 

@@ -47,10 +47,8 @@ func (p Params) maxFill(n int) int {
 
 // Stats reports what a factorization did; the parallel driver aggregates
 // these per virtual processor. Dropped is the total over every dropping
-// rule; the DroppedRuleN counters attribute drops to the paper's three
-// rules where the kernel can tell them apart (their sum can be below
-// Dropped for kernels that predate the split, e.g. ILUTP's column
-// pivoting path).
+// rule; the DroppedRuleN counters split it among the paper's three
+// rules.
 type Stats struct {
 	Flops      float64 // multiply-add and divide operations
 	Dropped    int     // entries removed by any dropping rule

@@ -89,48 +89,3 @@ func TestILUTTauMonotoneProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
-
-// Property: multi-elimination levels are always a disjoint cover, and the
-// factors always have valid structure.
-func TestMultiElimWellFormedProperty(t *testing.T) {
-	f := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		n := 5 + r.Intn(30)
-		a := matgen.RandomSPDPattern(n, 3, seed)
-		res, err := MultiElimILUT(a, Params{M: 5, Tau: 1e-4}, 5, seed)
-		if err != nil {
-			return false
-		}
-		total := 0
-		for _, s := range res.LevelSizes {
-			total += s
-		}
-		if total != n {
-			return false
-		}
-		sparse.InversePermutation(res.Perm)
-		return res.Factors.CheckStructure() == nil
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
-		t.Error(err)
-	}
-}
-
-// Property: ILUTP's column permutation is always valid and its factors
-// well formed.
-func TestILUTPWellFormedProperty(t *testing.T) {
-	f := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		n := 5 + r.Intn(25)
-		a := matgen.RandomSPDPattern(n, 3, seed)
-		res, err := ILUTP(a, Params{M: 1 + r.Intn(6), Tau: 1e-4}, 10)
-		if err != nil {
-			return false
-		}
-		sparse.InversePermutation(res.Pos)
-		return res.Factors.CheckStructure() == nil
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
-		t.Error(err)
-	}
-}

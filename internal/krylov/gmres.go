@@ -1,10 +1,9 @@
 // Package krylov implements the iterative solvers of the paper's
 // evaluation: restarted GMRES with left preconditioning (Saad & Schultz,
-// reference [13] of the paper) in a serial form (GMRES, and its flexible
-// right-preconditioned variant FGMRES) and a distributed form that
-// advances any number of right-hand sides in lock-step (DistGMRESBatch,
-// with DistGMRES as its batch of one). All of them run the one dense
-// kernel in arnoldi.go.
+// reference [13] of the paper) in a serial form (GMRES) and a
+// distributed form that advances any number of right-hand sides in
+// lock-step (DistGMRESBatch, with DistGMRES as its batch of one). Both
+// run the one dense kernel in arnoldi.go.
 package krylov
 
 import (
@@ -66,7 +65,7 @@ type Options struct {
 	// starts the next step a few digits in. On an unchanged system a
 	// warm start from the converged solution terminates at the first
 	// residual check (one matrix–vector product). Length must equal x's:
-	// global n for GMRES and FGMRES, the processor's LOCAL piece for
+	// global n for GMRES, the processor's LOCAL piece for
 	// DistGMRES, which copies it into its one system's iterate.
 	// DistGMRESBatch rejects a non-nil X0 — per-system guesses travel in
 	// xs there. X0 is read once at entry and never written.
@@ -105,38 +104,19 @@ type Result struct {
 // the initial guess on entry and the solution on exit. A nil prec means
 // no preconditioning. It is the serial reference the distributed driver
 // is tested against: the same kernel over sparse.Dot instead of
-// reductions.
+// reductions. prec is applied to every residual and product, and the
+// stopping rule monitors the residual it yields.
 func GMRES(a *sparse.CSR, prec Preconditioner, x, b []float64, opt Options) (Result, error) {
 	if prec == nil {
 		prec = identityPrec{}
 	}
-	return gmres("GMRES", a, prec, nil, x, b, opt)
-}
-
-// FGMRES solves A·x = b with flexible (right-preconditioned) restarted
-// GMRES: the preconditioner may change from step to step, which admits
-// inner iterations or block preconditioners as M. Unlike left
-// preconditioning, the monitored residual is the *true* residual.
-func FGMRES(a *sparse.CSR, prec Preconditioner, x, b []float64, opt Options) (Result, error) {
-	if prec == nil {
-		prec = identityPrec{}
-	}
-	return gmres("FGMRES", a, identityPrec{}, prec, x, b, opt)
-}
-
-// gmres is the serial restart loop: left is applied to every residual
-// and product, and the stopping rule monitors the residual it yields; a
-// non-nil right is applied to each basis vector before the product, and
-// the update then combines those preconditioned directions, which is
-// what lets right change between steps.
-func gmres(name string, a *sparse.CSR, left, right Preconditioner, x, b []float64, opt Options) (Result, error) {
 	n := a.N
 	if a.M != n || len(x) != n || len(b) != n {
-		return Result{}, fmt.Errorf("krylov: %s dimension mismatch", name)
+		return Result{}, errors.New("krylov: GMRES dimension mismatch")
 	}
 	if opt.X0 != nil {
 		if len(opt.X0) != n {
-			return Result{}, fmt.Errorf("krylov: %s X0 has length %d, want %d", name, len(opt.X0), n)
+			return Result{}, fmt.Errorf("krylov: GMRES X0 has length %d, want %d", len(opt.X0), n)
 		}
 		copy(x, opt.X0)
 	}
@@ -144,16 +124,12 @@ func gmres(name string, a *sparse.CSR, left, right Preconditioner, x, b []float6
 	m := opt.Restart
 
 	v := vectors(m+1, n)
-	dirs := v // what the update combines
-	if right != nil {
-		dirs = vectors(m, n)
-	}
 	q := newHessenberg(m)
 	tmp := make([]float64, n)
 	res := Result{}
 
 	// ‖M⁻¹b‖ for the stopping rule.
-	left.Solve(tmp, b)
+	prec.Solve(tmp, b)
 	bnorm := sparse.Norm2(tmp)
 	if bnorm == 0 {
 		for i := range x {
@@ -173,7 +149,7 @@ func gmres(name string, a *sparse.CSR, left, right Preconditioner, x, b []float6
 		for i := range tmp {
 			tmp[i] = b[i] - tmp[i]
 		}
-		left.Solve(v[0], tmp)
+		prec.Solve(v[0], tmp)
 		beta := sparse.Norm2(v[0])
 		res.Residual = beta / bnorm
 		res.History = append(res.History, res.Residual)
@@ -189,14 +165,9 @@ func gmres(name string, a *sparse.CSR, left, right Preconditioner, x, b []float6
 			if err := ctxErr(opt.Ctx); err != nil {
 				return res, err
 			}
-			src := v[k]
-			if right != nil {
-				right.Solve(dirs[k], v[k])
-				src = dirs[k]
-			}
-			a.MulVec(tmp, src)
+			a.MulVec(tmp, v[k])
 			res.NMatVec++
-			left.Solve(v[k+1], tmp)
+			prec.Solve(v[k+1], tmp)
 			norm := q.orthogonalize(v, k)
 			res.Residual = q.rotate(k) / bnorm
 			res.History = append(res.History, res.Residual)
@@ -210,7 +181,7 @@ func gmres(name string, a *sparse.CSR, left, right Preconditioner, x, b []float6
 			return res, err
 		}
 		for j, yj := range y {
-			sparse.Axpy(yj, dirs[j], x)
+			sparse.Axpy(yj, v[j], x)
 		}
 		res.Restarts++
 		if res.Residual <= opt.Tol {

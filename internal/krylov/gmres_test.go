@@ -167,104 +167,3 @@ func TestGivens(t *testing.T) {
 		}
 	}
 }
-
-func TestFGMRESUnpreconditioned(t *testing.T) {
-	a := matgen.Grid2D(8, 8)
-	b := sparse.Ones(a.N)
-	x := make([]float64, a.N)
-	res, err := FGMRES(a, nil, x, b, Options{Restart: 30, Tol: 1e-10})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Converged {
-		t.Fatalf("did not converge: %+v", res)
-	}
-	if r := residual(a, x, b); r > 1e-8 {
-		t.Errorf("true residual %v", r)
-	}
-}
-
-func TestFGMRESWithILUT(t *testing.T) {
-	a := matgen.Torso(6, 6, 6, 3)
-	b := sparse.Ones(a.N)
-	f, _, err := ilu.ILUT(a, ilu.Params{M: 10, Tau: 1e-4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	x := make([]float64, a.N)
-	res, err := FGMRES(a, f, x, b, Options{Restart: 20, Tol: 1e-9})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Converged {
-		t.Fatalf("did not converge: %+v", res)
-	}
-	if r := residual(a, x, b); r > 1e-7 {
-		t.Errorf("true residual %v", r)
-	}
-}
-
-// variablePrec alternates two preconditioners — only a flexible method
-// tolerates this.
-type variablePrec struct {
-	a, b Preconditioner
-	k    int
-}
-
-func (v *variablePrec) Solve(x, bvec []float64) {
-	v.k++
-	if v.k%2 == 0 {
-		v.a.Solve(x, bvec)
-	} else {
-		v.b.Solve(x, bvec)
-	}
-}
-
-func TestFGMRESVariablePreconditioner(t *testing.T) {
-	a := matgen.Grid2D(10, 10)
-	b := sparse.Ones(a.N)
-	f1, _, err := ilu.ILUT(a, ilu.Params{M: 5, Tau: 1e-3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	f2, err := ilu.Jacobi(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	x := make([]float64, a.N)
-	res, err := FGMRES(a, &variablePrec{a: f1, b: f2}, x, b, Options{Restart: 25, Tol: 1e-8, MaxMatVec: 3000})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Converged {
-		t.Fatalf("did not converge with variable preconditioner: %+v", res)
-	}
-	if len(res.History) != res.NMatVec {
-		t.Errorf("History has %d entries for %d matvecs", len(res.History), res.NMatVec)
-	}
-	if r := residual(a, x, b); r > 1e-6 {
-		t.Errorf("true residual %v", r)
-	}
-}
-
-func TestILUTPAsPreconditioner(t *testing.T) {
-	// ILUTP's Solve undoes the column permutation, so it plugs into
-	// FGMRES as-is (right preconditioning applies M⁻¹ to vectors).
-	a := matgen.ConvDiff2D(12, 12, 40, 10)
-	b := sparse.Ones(a.N)
-	r, err := ilu.ILUTP(a, ilu.Params{M: 8, Tau: 1e-3}, 50)
-	if err != nil {
-		t.Fatal(err)
-	}
-	x := make([]float64, a.N)
-	res, err := FGMRES(a, r, x, b, Options{Restart: 30, Tol: 1e-8, MaxMatVec: 2000})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Converged {
-		t.Fatalf("did not converge: %+v", res)
-	}
-	if rr := residual(a, x, b); rr > 1e-6 {
-		t.Errorf("true residual %v", rr)
-	}
-}

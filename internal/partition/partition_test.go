@@ -14,6 +14,15 @@ func gridGraph(nx, ny int) *graph.Graph {
 	return graph.FromMatrix(matgen.Grid2D(nx, ny))
 }
 
+// identity is the top-level vertex map KWay hands recursiveBisect.
+func identity(n int) []int {
+	m := make([]int, n)
+	for i := range m {
+		m[i] = i
+	}
+	return m
+}
+
 func TestKWayBasicInvariants(t *testing.T) {
 	g := gridGraph(20, 20)
 	for _, k := range []int{1, 2, 3, 4, 8} {
@@ -213,7 +222,7 @@ func TestKWaySpilledStackSamePartition(t *testing.T) {
 	ws := newWorkspace(g)
 	ws.stack = ws.stack[:3*g.NVtx]
 	got := make([]int, g.NVtx)
-	ws.recursiveBisect(g, sparse.IdentityPermutation(g.NVtx), 8, 0, got, opt, rand.New(rand.NewSource(opt.Seed)))
+	ws.recursiveBisect(g, identity(g.NVtx), 8, 0, got, opt, rand.New(rand.NewSource(opt.Seed)))
 	for v := range want {
 		if got[v] != want[v] {
 			t.Fatalf("vertex %d: part %d with a spilled stack, %d without", v, got[v], want[v])
@@ -271,7 +280,7 @@ func TestSubgraphExtraction(t *testing.T) {
 	for v := 8; v < 16; v++ {
 		side[v] = 1
 	}
-	sub, vmap := newWorkspace(g).subgraph(g, side, 0, sparse.IdentityPermutation(16))
+	sub, vmap := newWorkspace(g).subgraph(g, side, 0, identity(16))
 	if sub.NVtx != 8 {
 		t.Fatalf("subgraph NVtx = %d, want 8", sub.NVtx)
 	}

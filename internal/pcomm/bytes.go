@@ -33,9 +33,6 @@ func BytesOfBools(n int) int { return n }
 // freshly built buffer) restores the by-value semantics of a real
 // message.
 
-// CopySlice returns a copy of xs that shares no memory with it.
-func CopySlice[T any](xs []T) []T { return append([]T(nil), xs...) }
-
 // CopyInts returns a copy of xs that shares no memory with it.
 func CopyInts(xs []int) []int { return append([]int(nil), xs...) }
 

@@ -366,6 +366,11 @@ func decodeResultFrame(body []byte) (roundResult, error) {
 	rest := body[18+opLen:]
 	count := int(binary.BigEndian.Uint32(rest[:4]))
 	rest = rest[4:]
+	// Five bytes (kind + length) is the smallest encoded payload: a count
+	// the remaining bytes cannot hold is refused before it sizes anything.
+	if count > len(rest)/5 {
+		return r, fmt.Errorf("netcomm: result frame claims %d payloads in %d bytes", count, len(rest))
+	}
 	r.pays = make([]payload, 0, count)
 	for i := 0; i < count; i++ {
 		var p payload

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"runtime"
 	"strings"
 	"testing"
 	"unsafe"
@@ -318,6 +319,133 @@ func TestDepositResultFrames(t *testing.T) {
 	if gen != 9 || gotRes.Elapsed != res.Elapsed || len(gotRes.PerProc) != 2 || gotRes.PerProc[0].Flops != 10 {
 		t.Fatalf("done round trip: gen=%d res=%+v", gen, gotRes)
 	}
+}
+
+// oversizedResultBody is a 22-byte result frame body — gen, round, an
+// empty op — whose payload count (0x7FFFFFFF) the remaining zero bytes
+// cannot hold.
+func oversizedResultBody() []byte {
+	body := make([]byte, 22)
+	binary.BigEndian.PutUint32(body[18:], 0x7FFFFFFF)
+	return body
+}
+
+// TestDecodeResultFrameRefusesOversizedCount: the payload count is
+// checked against the bytes left before it sizes the payload slice, so
+// a short body claiming two billion payloads is an error, not a
+// multi-gigabyte allocation.
+func TestDecodeResultFrameRefusesOversizedCount(t *testing.T) {
+	if _, err := decodeResultFrame(oversizedResultBody()); err == nil {
+		t.Fatal("result frame claiming 0x7FFFFFFF payloads in 0 bytes decoded")
+	}
+}
+
+// decodeAllocBound is the most a frame decoder may allocate for an
+// n-byte body (the bound of the service's peer-body fuzz targets).
+func decodeAllocBound(n int) uint64 { return 8*uint64(n) + 4096 }
+
+// allocatedBy reports the bytes fn allocates.
+func allocatedBy(fn func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	fn()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// FuzzNetcommFrameBodies feeds the same bytes to every frame body
+// decoder, as if they had arrived under each frame type, and decodes
+// every payload a frame yields. Nothing may panic. The decoders and the
+// nil, float64, int and raw payload decodes must allocate within
+// decodeAllocBound of the body; gob payloads and the done frame (both
+// gob underneath) are checked for panics only.
+func FuzzNetcommFrameBodies(f *testing.F) {
+	pays := make([]payload, 0, 4)
+	for _, v := range []any{nil, 7, []float64{1.25, -2.5}} {
+		pay, err := encodePayload(v)
+		if err != nil {
+			f.Fatal(err)
+		}
+		pays = append(pays, pay)
+	}
+	raw := encodeRawPayload(rawSliceOfFloats([]float64{1.5, -0.25}))
+	pays = append(pays, raw)
+	f64, err := encodePayload(2.5)
+	if err != nil {
+		f.Fatal(err)
+	}
+	done, err := encodeDoneFrame(9, pcomm.Result{Elapsed: 1.5, PerProc: []pcomm.Stats{{Flops: 10, MsgsSent: 3}}})
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, seed := range [][]byte{
+		encodeHello(hello{kind: connData, gen: 3, a: 0, b: 1, c: 2}),
+		encodeAck(fmt.Errorf("wrong group size")),
+		encodeDataFrame(5, raw),
+		encodeDepositFrame(deposit{gen: 9, round: 4, rank: 2, p: 4, op: "allreduce_f64", pay: f64}),
+		encodeResultFrame(roundResult{gen: 9, round: 4, op: "allgather", pays: pays}),
+		encodeAbortFrame(abortMsg{gen: 9, rank: -1, msg: "watchdog fired"}),
+		done,
+		oversizedResultBody(),
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		// bounded fails when fn allocates over the bound three times in a
+		// row: the decoders are pure, so a real excess repeats, while the
+		// fuzzing engine's own goroutines allocate into the same
+		// process-wide counter now and then.
+		bounded := func(what string, fn func()) {
+			n := allocatedBy(fn)
+			for try := 1; try < 3 && n > decodeAllocBound(len(body)); try++ {
+				n = allocatedBy(fn)
+			}
+			if n > decodeAllocBound(len(body)) {
+				t.Fatalf("%s: decoding %d bytes allocated %d", what, len(body), n)
+			}
+		}
+		// contributions decodes the payloads a frame carried: the
+		// non-gob ones inside the allocation window, then the gob ones.
+		contributions := func(what string, ps []payload) {
+			bounded(what+" payloads", func() {
+				for _, p := range ps {
+					if p.kind != pkGob {
+						_, _, _, _ = decodePayload(p)
+					}
+				}
+			})
+			for _, p := range ps {
+				if p.kind == pkGob {
+					_, _, _, _ = decodePayload(p)
+				}
+			}
+		}
+
+		bounded("hello", func() { _, _ = decodeHello(body) })
+		bounded("ack", func() { _ = decodeAck(body) })
+
+		var dp payload
+		var derr error
+		bounded("data frame", func() { _, dp, derr = decodeDataFrame(body) })
+		if derr == nil {
+			contributions("data frame", []payload{dp})
+		}
+
+		var d deposit
+		bounded("deposit frame", func() { d, derr = decodeDepositFrame(body) })
+		if derr == nil {
+			contributions("deposit frame", []payload{d.pay})
+		}
+
+		var r roundResult
+		bounded("result frame", func() { r, derr = decodeResultFrame(body) })
+		if derr == nil {
+			contributions("result frame", r.pays)
+		}
+
+		bounded("abort frame", func() { _, _ = decodeAbortFrame(body) })
+		_, _, _ = decodeDoneFrame(body)
+	})
 }
 
 // TestSpecParsing is the table-driven spec grammar check: every accepted

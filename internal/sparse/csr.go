@@ -31,9 +31,6 @@ func NewCSR(n, m int) *CSR {
 // NNZ reports the number of stored entries.
 func (a *CSR) NNZ() int { return len(a.Cols) }
 
-// Dims reports the matrix dimensions (rows, columns).
-func (a *CSR) Dims() (int, int) { return a.N, a.M }
-
 // SizeBytes reports the in-memory footprint of the stored arrays (8 bytes
 // per row pointer, column index and value). Cache byte budgets are
 // accounted with it.
@@ -324,15 +321,6 @@ func InversePermutation(perm []int) []int {
 		inv[p] = i
 	}
 	return inv
-}
-
-// IdentityPermutation returns the permutation 0,1,…,n−1.
-func IdentityPermutation(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		p[i] = i
-	}
-	return p
 }
 
 // SortRow sorts a (cols, vals) pair by column index, permuting vals

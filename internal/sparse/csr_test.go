@@ -148,7 +148,7 @@ func TestPermuteSymmetric(t *testing.T) {
 
 func TestPermuteIdentity(t *testing.T) {
 	a := testMatrix()
-	p := a.Permute(IdentityPermutation(4))
+	p := a.Permute([]int{0, 1, 2, 3})
 	if !a.Equal(p) {
 		t.Fatal("identity permutation changed the matrix")
 	}
@@ -403,7 +403,10 @@ func randomVec(r *rand.Rand, n int) []float64 {
 }
 
 func randomPermutation(r *rand.Rand, n int) []int {
-	p := IdentityPermutation(n)
+	p := make([]int, n)
+	for i := range p {
+		p[i] = i
+	}
 	r.Shuffle(n, func(i, j int) { p[i], p[j] = p[j], p[i] })
 	return p
 }
