@@ -13,13 +13,15 @@
 // runs the same test sequence so its world-creation order matches the
 // parent's (the SPMD-at-program-granularity contract). Because netcomm
 // processes host only their local ranks, the pipeline gathers every
-// observable with an AllGather so each process can assemble the full
+// observable with an all-gather so each process can assemble the full
 // picture — the gathers happen after the comm-counter snapshot, so the
 // counters still describe the pipeline alone.
 package repro_test
 
 import (
+	"bytes"
 	"context"
+	"encoding/gob"
 	"math"
 	"os"
 	"reflect"
@@ -43,8 +45,9 @@ import (
 )
 
 // rankObs is one rank's contribution to the pipeline cross-check,
-// shipped through a single AllGather. All fields are exported because
-// the netcomm backend moves top-level payloads through encoding/gob.
+// gob-encoded to bytes and shipped through a single AllGatherSlice (the
+// communicator moves only typed slices). All fields are exported for
+// encoding/gob.
 type rankObs struct {
 	Wire  core.WirePrecond
 	Comm  pcomm.Stats
@@ -52,10 +55,20 @@ type rankObs struct {
 	X     []float64
 }
 
-func init() {
-	// Spawned netcomm workers run this same binary, so the registration
-	// covers both sides of the wire.
-	pcomm.RegisterWire(rankObs{})
+// gatherObs all-gathers every rank's observation, in rank order.
+func gatherObs(p pcomm.Comm, mine rankObs) []rankObs {
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(mine); err != nil {
+		panic(err)
+	}
+	parts := pcomm.AllGatherSlice(p, buf.Bytes())
+	all := make([]rankObs, len(parts))
+	for q, part := range parts {
+		if err := gob.NewDecoder(bytes.NewReader(part)).Decode(&all[q]); err != nil {
+			panic(err)
+		}
+	}
+	return all
 }
 
 // netcommWorker reports whether this process is a spawned netcomm child:
@@ -105,7 +118,7 @@ type pipelineOut struct {
 // runPipeline factors a on w's processors, gathers the factors, then
 // solves A·x = A·1 with preconditioned GMRES, recording every
 // backend-independent observable. The observables travel through an
-// AllGather rather than shared slices so the pipeline also works on
+// all-gather rather than shared slices so the pipeline also works on
 // multi-process backends, where each process sees only its local ranks.
 func runPipeline(t *testing.T, w pcomm.World, a *sparse.CSR, lay *dist.Layout, plan *core.Plan, P int) pipelineOut {
 	t.Helper()
@@ -138,13 +151,7 @@ func runPipeline(t *testing.T, w pcomm.World, a *sparse.CSR, lay *dist.Layout, p
 		s := p.Stats()
 		s.Time, s.Busy = 0, 0
 
-		obs := p.AllGather(rankObs{Wire: pc.Wire(), Comm: s, Gmres: r, X: x},
-			pcomm.BytesOf[rankObs](1))
-		all := make([]rankObs, P)
-		for q, v := range obs {
-			all[q] = v.(rankObs)
-		}
-		views[id] = all
+		views[id] = gatherObs(p, rankObs{Wire: pc.Wire(), Comm: s, Gmres: r, X: x})
 	})
 
 	// Every rank assembled the same P observations; any local view works.

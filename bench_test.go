@@ -332,7 +332,7 @@ func BenchmarkEngineWait(b *testing.B) {
 			}
 		}},
 		{"allreduce", func(p pcomm.Comm, i int) { p.AllReduceFloat64(float64(p.ID()), pcomm.OpSum) }},
-		{"allgather", func(p pcomm.Comm, i int) { pcomm.AllGatherInts(p, []int{i}) }},
+		{"allgather", func(p pcomm.Comm, i int) { pcomm.AllGatherSlice(p, []int{i}) }},
 	} {
 		for _, backend := range []struct {
 			prefix string

@@ -254,7 +254,7 @@ func procMethod(info *types.Info, call *ast.CallExpr) (string, bool) {
 }
 
 // pcommFunc returns the function name if call invokes a package-level
-// function of the pcomm package (pcomm.AllGatherInts, pcomm.SendSlice,
+// function of the pcomm package (pcomm.AllGatherSlice, pcomm.SendSlice,
 // ...), unwrapping explicit generic instantiation.
 func pcommFunc(info *types.Info, call *ast.CallExpr) (string, bool) {
 	fun := call.Fun
@@ -292,7 +292,9 @@ func containsRefs1(t types.Type, seen map[types.Type]bool) bool {
 	case *types.Slice, *types.Map, *types.Pointer, *types.Chan, *types.Interface, *types.Signature:
 		return true
 	case *types.Basic:
-		return false // scalars; strings are immutable, hence safe too
+		// Scalars and immutable strings are safe; an unsafe.Pointer (a
+		// pcomm.RawSlice's data) points like any pointer.
+		return u.Kind() == types.UnsafePointer
 	case *types.Array:
 		return containsRefs1(u.Elem(), seen)
 	case *types.Struct:

@@ -7,27 +7,29 @@ import (
 	"strings"
 )
 
-// BytesArg flags Send/AllGather calls whose modelled byte count is a raw
-// literal or hand-rolled arithmetic instead of a BytesOf* helper. The
-// byte count drives the LogP cost model behind every number in the
+// BytesArg flags Send/SendRaw/AllGatherRaw calls whose modelled byte
+// count is a raw literal or hand-rolled arithmetic instead of a BytesOf*
+// helper (SendSlice and AllGatherSlice size their payloads themselves,
+// with BytesOf[T]). The byte count drives the LogP cost model behind every number in the
 // EXPERIMENTS tables; a raw "8*len(xs)" that drifts from the payload's
 // real wire size silently skews them, and the drift is invisible at run
 // time because nothing functional depends on it.
 //
 // Accepted forms: a call to any function whose name starts with BytesOf
-// (pcomm.BytesOfFloats, pcomm.BytesOf[T], ...), the constant 0 (a pure
+// (pcomm.BytesOf[T], pcomm.BytesOfInts, ...), the constant 0 (a pure
 // control message), sums of accepted forms, and variables/parameters
 // whose every definition is an accepted form.
 var BytesArg = &Analyzer{
 	Name: "bytesarg",
-	Doc:  "flag raw byte counts at Send/AllGather sites",
+	Doc:  "flag raw byte counts at Send/SendRaw/AllGatherRaw sites",
 	Run:  runBytesArg,
 }
 
 // bytesArgIdx maps methods to the index of their modelled-bytes argument.
 var bytesArgIdx = map[string]int{
-	"Send":      3,
-	"AllGather": 1,
+	"Send":         3,
+	"SendRaw":      3,
+	"AllGatherRaw": 1,
 }
 
 func runBytesArg(pass *Pass) error {

@@ -9,12 +9,13 @@ import (
 // FloatFold flags floating-point accumulation whose fold order is not
 // deterministic rank order: an accumulation statement inside a loop that
 // ranges over a map (iteration order varies run to run), and manual
-// folds over AllGather results that walk the gathered contributions in
-// descending index order. Floating-point addition is not associative, so
-// either pattern silently produces a different last bit on the next run
-// — the exact failure mode the backends' rank-order collective contract
-// (DESIGN.md §10) exists to prevent. AllReduce and an ascending walk
-// over AllGather results both fold in rank order and pass.
+// folds over all-gather results (AllGatherSlice, AllGatherRaw) that walk
+// the gathered contributions in descending index order. Floating-point
+// addition is not associative, so either pattern silently produces a
+// different last bit on the next run — the exact failure mode the
+// backends' rank-order collective contract (DESIGN.md §10) exists to
+// prevent. AllReduce and an ascending walk over all-gather results both
+// fold in rank order and pass.
 var FloatFold = &Analyzer{
 	Name: "floatfold",
 	Doc:  "flag float accumulation in map-range or non-rank order",
@@ -67,7 +68,7 @@ func lookupIdentVar(info *types.Info, e ast.Expr) *types.Var {
 }
 
 // gatherDefined reports whether v's value provably comes from an
-// AllGather (the per-rank contribution slice).
+// all-gather (the per-rank contribution slice).
 func gatherDefined(info *types.Info, idx *defIndex, v *types.Var) bool {
 	for _, d := range idx.defs[v] {
 		if d.rhs == nil {
@@ -77,14 +78,11 @@ func gatherDefined(info *types.Info, idx *defIndex, v *types.Var) bool {
 		if !ok {
 			continue
 		}
-		if m, ok := procMethod(info, call); ok && m == "AllGather" {
+		if m, ok := procMethod(info, call); ok && m == "AllGatherRaw" {
 			return true
 		}
-		if m, ok := pcommFunc(info, call); ok {
-			switch m {
-			case "AllGather", "AllGatherSlice", "AllGatherInts", "AllGatherFloats":
-				return true
-			}
+		if m, ok := pcommFunc(info, call); ok && m == "AllGatherSlice" {
+			return true
 		}
 	}
 	return false

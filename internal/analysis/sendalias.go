@@ -5,7 +5,8 @@ import (
 	"go/types"
 )
 
-// SendAlias flags Send/AllGather payloads that may alias memory the
+// SendAlias flags Send/SendSlice/AllGatherSlice payloads that may alias
+// memory the
 // sender retains. Co-located ranks pass references where a real
 // distributed machine serializes onto the wire, so a sender that keeps a
 // reference to a sent slice or map and later mutates it silently corrupts
@@ -21,24 +22,23 @@ import (
 // is reported. Payloads of pure-scalar type are always fine.
 var SendAlias = &Analyzer{
 	Name: "sendalias",
-	Doc:  "flag Send/AllGather payloads aliasing memory the sender retains",
+	Doc:  "flag Send/SendSlice/AllGatherSlice payloads aliasing memory the sender retains",
 	Run:  runSendAlias,
 }
 
 // payloadArg maps collective/point-to-point methods to the index of
 // their payload argument.
 var payloadArg = map[string]int{
-	"Send":      2,
-	"AllGather": 0,
+	"Send":         2,
+	"SendRaw":      2,
+	"AllGatherRaw": 0,
 }
 
 // pcommPayloadArg maps pcomm package-level functions to the index of
 // their payload argument (index 0 is the communicator).
 var pcommPayloadArg = map[string]int{
-	"SendSlice":       3,
-	"AllGatherSlice":  1,
-	"AllGatherInts":   1,
-	"AllGatherFloats": 1,
+	"SendSlice":      3,
+	"AllGatherSlice": 1,
 }
 
 func runSendAlias(pass *Pass) error {
@@ -72,7 +72,7 @@ func runSendAlias(pass *Pass) error {
 			}
 			if !fresh(pass.TypesInfo, idx, payload, make(map[*types.Var]bool)) {
 				pass.Reportf(payload.Pos(),
-					"payload of %s may alias memory the sender retains; send a freshly built buffer or copy it first (pcomm.CopyInts/CopyFloats/CopyBools)", name)
+					"payload of %s may alias memory the sender retains; send a freshly built buffer or copy it first (slices.Clone)", name)
 			}
 			return true
 		})
@@ -101,7 +101,7 @@ func fresh(info *types.Info, idx *defIndex, e ast.Expr, visiting map[*types.Var]
 	case *ast.CallExpr:
 		// A received payload belongs to this processor but was built by
 		// the sender; forwarding it verbatim re-shares that memory.
-		if m, ok := procMethod(info, e); ok && m == "Recv" {
+		if m, ok := procMethod(info, e); ok && (m == "Recv" || m == "RecvRaw") {
 			return false
 		}
 		if m, ok := pcommFunc(info, e); ok && m == "RecvSlice" {

@@ -26,7 +26,7 @@ func bad(p *engine.Proc, x int) {
 
 	n := p.Recv(0, 0).(int)
 	for i := 0; i < n; i++ {
-		pcomm.AllGatherInts(p, []int{i}) // want `collective AllGatherInts inside a loop whose condition derives from proc-local state`
+		pcomm.AllGatherSlice(p, []int{i}) // want `collective AllGatherSlice inside a loop whose condition derives from proc-local state`
 	}
 
 	switch x {

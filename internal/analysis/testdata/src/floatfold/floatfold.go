@@ -1,6 +1,6 @@
 // Package floatfold exercises the floatfold analyzer: floating-point
 // accumulation must fold in a deterministic rank order — never in
-// map-range order, never descending over AllGather contributions.
+// map-range order, never descending over all-gathered contributions.
 package floatfold
 
 import "repro/internal/pcomm"
@@ -22,7 +22,7 @@ func badMapAssignForm(m map[int]float64) float64 {
 }
 
 func badDescGather(c pcomm.Comm, x float64) float64 {
-	parts := pcomm.AllGatherFloats(c, []float64{x})
+	parts := pcomm.AllGatherSlice(c, []float64{x})
 	s := 0.0
 	for i := len(parts) - 1; i >= 0; i-- {
 		s += parts[i][0] // want `manual fold over AllGather contributions in descending order`
@@ -41,7 +41,7 @@ func goodIntMap(m map[int]int) int {
 
 // Ascending folds over gathered contributions are rank order: fine.
 func goodAscendGather(c pcomm.Comm, x float64) float64 {
-	parts := pcomm.AllGatherFloats(c, []float64{x})
+	parts := pcomm.AllGatherSlice(c, []float64{x})
 	s := 0.0
 	for i := 0; i < len(parts); i++ {
 		s += parts[i][0]

@@ -50,7 +50,7 @@ func (pc *ProcPrecond) checkBreakdown(p pcomm.Comm, maxRate float64) {
 	}
 	local := []int{pc.Stats.ILU.FixedPivot, len(pc.owned), nonFinite}
 	var fixed, rows, bad int
-	for _, part := range pcomm.AllGatherInts(p, local) {
+	for _, part := range pcomm.AllGatherSlice(p, local) {
 		fixed += part[0]
 		rows += part[1]
 		bad += part[2]

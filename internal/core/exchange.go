@@ -45,7 +45,7 @@ func (pc *ProcPrecond) buildExchange(p pcomm.Comm) {
 	sweeps := [2]*tri{&pc.fwd, &pc.bwd}
 
 	mine := pc.claims()
-	owner, err := checkExchange(pc.plan, pc.levels, pcomm.AllGatherInts(p, mine), []*ProcPrecond{pc})
+	owner, err := checkExchange(pc.plan, pc.levels, pcomm.AllGatherSlice(p, mine), []*ProcPrecond{pc})
 	if err != nil {
 		panic(err)
 	}

@@ -587,7 +587,7 @@ func (d *driver) scheduleLevel(active []bool) (levelPlan, bool) {
 // a single counts exchange fixes every rank. It returns my first id and
 // the level's global size, and advances d.nl past the level.
 func (d *driver) claimIDs(mine int) (myOffset, size int) {
-	counts := pcomm.AllGatherInts(d.p, []int{mine})
+	counts := pcomm.AllGatherSlice(d.p, []int{mine})
 	myOffset = d.nl
 	for q := range counts {
 		if q < d.pc.me {
@@ -781,7 +781,7 @@ func (d *driver) renumber() {
 			pairs = append(pairs, g, d.w.NewOf[li])
 		}
 	}
-	allPairs := pcomm.AllGatherInts(d.p, pairs)
+	allPairs := pcomm.AllGatherSlice(d.p, pairs)
 	fs := d.fs
 	fs.clearIDs()
 	for _, pp := range allPairs {

@@ -47,7 +47,7 @@ func (d *driver) schurBlockRound(remaining []int) ([]int, bool) {
 		}
 	}
 	sort.Ints(refs)
-	all := pcomm.AllGatherInts(p, refs)
+	all := pcomm.AllGatherSlice(p, refs)
 	remoteRef := make(map[int]bool)
 	for q, ids := range all {
 		if q == me {

@@ -55,7 +55,6 @@ func (w *world) Run(f func(pcomm.Comm)) pcomm.Result {
 func (s *Spec) wrap(c pcomm.Comm) pcomm.Comm {
 	return &injector{
 		Comm: c,
-		raw:  c.(pcomm.RawComm),
 		spec: s,
 		rng:  rand.New(rand.NewSource(s.Seed ^ (int64(c.ID()+1) * 0x5DEECE66D))),
 	}
@@ -63,13 +62,12 @@ func (s *Spec) wrap(c pcomm.Comm) pcomm.Comm {
 
 // injector wraps a Comm; the embedded interface passes the local-only
 // methods (ID, P, Time, Work, Sleep, Stats, Tracer) straight through,
-// and every communication method runs the fault schedule first. Every
-// backend's communicator has the RawComm fast path, and so does the
-// injector, with the same schedule (raw sends count toward drop=, raw
-// ops toward panic=): SendSlice/RecvSlice type-assert it.
+// and every communication method — boxed and raw alike, since embedding
+// would otherwise promote the raw ones past the schedule — runs the
+// fault schedule first: raw sends count toward drop=, raw ops toward
+// panic=.
 type injector struct {
 	pcomm.Comm
-	raw  pcomm.RawComm
 	spec *Spec
 	rng  *rand.Rand
 	ops  int // communicator operations so far, for panic=RANK@NTH
@@ -146,9 +144,9 @@ func (in *injector) AllReduceInt(v int, op pcomm.ReduceOp) int {
 	return in.Comm.AllReduceInt(v, op)
 }
 
-func (in *injector) AllGather(v any, bytes int) []any {
+func (in *injector) AllGatherRaw(h pcomm.RawSlice, bytes int) []pcomm.RawSlice {
 	in.beforeOp("allgather")
-	return in.Comm.AllGather(v, bytes)
+	return in.Comm.AllGatherRaw(h, bytes)
 }
 
 func (in *injector) SendRaw(dst, tag int, h pcomm.RawSlice, bytes int) {
@@ -156,10 +154,10 @@ func (in *injector) SendRaw(dst, tag int, h pcomm.RawSlice, bytes int) {
 	if in.dropThis(dst) {
 		return
 	}
-	in.raw.SendRaw(dst, tag, h, bytes)
+	in.Comm.SendRaw(dst, tag, h, bytes)
 }
 
-func (in *injector) RecvRaw(src, tag int) (pcomm.RawSlice, any, bool) {
+func (in *injector) RecvRaw(src, tag int) pcomm.RawSlice {
 	in.beforeOp("recv")
-	return in.raw.RecvRaw(src, tag)
+	return in.Comm.RecvRaw(src, tag)
 }

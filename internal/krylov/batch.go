@@ -137,7 +137,7 @@ func (d *lockstep) reduce(sel []*system) {
 	for i, s := range sel {
 		partial[i] = s.val
 	}
-	all := pcomm.AllGatherFloats(d.p, partial)
+	all := pcomm.AllGatherSlice(d.p, partial)
 	for i, s := range sel {
 		s.val = 0
 		for q := range all {

@@ -143,7 +143,7 @@ func (ws *Workspace) refSetup(p pcomm.Comm, owned []int, adj [][]int, owner func
 		flat = append(flat, q, len(reqFrom[q]))
 		flat = append(flat, reqFrom[q]...)
 	}
-	allReq := pcomm.AllGatherInts(p, flat)
+	allReq := pcomm.AllGatherSlice(p, flat)
 	needBy := make([][]int, P) // needBy[q]: local indices of vertices proc q needs
 	for src := 0; src < P; src++ {
 		f := allReq[src]
@@ -209,7 +209,7 @@ func (ws *Workspace) refPlan(p pcomm.Comm, owned []int, adj [][]int, active []bo
 			for k, li := range needBy[q] {
 				msg[k] = flags[li]
 			}
-			p.Send(q, tag, msg, pcomm.BytesOfBools(len(msg)))
+			p.Send(q, tag, msg, pcomm.BytesOf[bool](len(msg)))
 		}
 		pos := nLocal
 		for q := 0; q < P; q++ {
@@ -257,7 +257,7 @@ func (ws *Workspace) refPlan(p pcomm.Comm, owned []int, adj [][]int, active []bo
 				msg.Active[k] = act[li]
 			}
 			p.Send(q, tagState, msg,
-				pcomm.BytesOfUint64s(len(needBy[q]))+pcomm.BytesOfBools(len(needBy[q])))
+				pcomm.BytesOf[uint64](len(needBy[q]))+pcomm.BytesOf[bool](len(needBy[q])))
 		}
 		pos := nLocal
 		for q := 0; q < P; q++ {
@@ -294,7 +294,7 @@ func (ws *Workspace) refPlan(p pcomm.Comm, owned []int, adj [][]int, active []bo
 			// Copy before sending: a sent slice must never share memory
 			// with anything the sender may touch again.
 			notices := ws.excl[ws.exclOff[q] : ws.exclOff[q]+ws.exclN[q]]
-			p.Send(q, tagExcl, pcomm.CopyInts(notices), pcomm.BytesOfInts(len(notices)))
+			p.Send(q, tagExcl, slices.Clone(notices), pcomm.BytesOfInts(len(notices)))
 		}
 		for q := 0; q < P; q++ {
 			if q == me || len(needBy[q]) == 0 {
@@ -460,30 +460,48 @@ func TestPlanMatchesParentSchedule(t *testing.T) {
 
 // waitCounter counts a processor's blocking points: every collective, and
 // every run of receives not interrupted by a send — the neighbour
-// exchanges post all their sends and then await all their receives.
+// exchanges post all their sends and then await all their receives. It
+// overrides the raw methods too: embedding would otherwise promote them
+// past the count.
 type waitCounter struct {
 	pcomm.Comm
 	points    int
 	receiving bool
 }
 
-func (c *waitCounter) Send(dst, tag int, payload any, bytes int) {
-	c.receiving = false
-	c.Comm.Send(dst, tag, payload, bytes)
-}
+func (c *waitCounter) sent() { c.receiving = false }
 
-func (c *waitCounter) Recv(src, tag int) any {
+func (c *waitCounter) received() {
 	if !c.receiving {
 		c.receiving = true
 		c.points++
 	}
+}
+
+func (c *waitCounter) Send(dst, tag int, payload any, bytes int) {
+	c.sent()
+	c.Comm.Send(dst, tag, payload, bytes)
+}
+
+func (c *waitCounter) SendRaw(dst, tag int, h pcomm.RawSlice, bytes int) {
+	c.sent()
+	c.Comm.SendRaw(dst, tag, h, bytes)
+}
+
+func (c *waitCounter) Recv(src, tag int) any {
+	c.received()
 	return c.Comm.Recv(src, tag)
 }
 
-func (c *waitCounter) AllGather(v any, bytes int) []any {
+func (c *waitCounter) RecvRaw(src, tag int) pcomm.RawSlice {
+	c.received()
+	return c.Comm.RecvRaw(src, tag)
+}
+
+func (c *waitCounter) AllGatherRaw(h pcomm.RawSlice, bytes int) []pcomm.RawSlice {
 	c.receiving = false
 	c.points++
-	return c.Comm.AllGather(v, bytes)
+	return c.Comm.AllGatherRaw(h, bytes)
 }
 
 func (c *waitCounter) AllReduceInt(v int, op pcomm.ReduceOp) int {

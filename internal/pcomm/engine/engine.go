@@ -19,9 +19,9 @@
 // finds a deadlock exactly, the moment no rank can proceed (sched.go).
 // Wall-clock worlds run a goroutine per rank.
 //
-// Payload slices pass by reference between co-located ranks (zero-copy);
-// through the pcomm.RawComm fast path slice headers move without boxing
-// into interface values.
+// Payload slices pass by reference between co-located ranks (zero-copy):
+// messages and all-gather contributions move as pcomm.RawSlice headers,
+// never boxed into interface values.
 package engine
 
 import (
@@ -94,9 +94,9 @@ type Transport interface {
 	// return every rank's contribution in rank order. The view stays
 	// valid, and must not be written, until the rank enters its next
 	// collective.
-	GatherFloat64(p *Proc, v float64) []float64 // OpAllReduceF64
-	GatherInt(p *Proc, v int) []int             // OpAllReduceInt
-	Gather(p *Proc, op Op, v any) []any         // OpBarrier (v nil), OpAllGather
+	GatherFloat64(p *Proc, v float64) []float64               // OpAllReduceF64
+	GatherInt(p *Proc, v int) []int                           // OpAllReduceInt
+	Gather(p *Proc, op Op, h pcomm.RawSlice) []pcomm.RawSlice // OpBarrier (h zero), OpAllGather
 
 	// Abort runs once when the run fails in this process: ring the bell
 	// of every rank that may be asleep in a collective, tell the other

@@ -19,8 +19,8 @@ const mailboxCap = 8
 // steady-state guards would see the stash grow to that depth mid-run.
 const stashCap = 8
 
-// Message is one in-flight payload: boxed (Payload) or an unboxed slice
-// header (Raw) from the SendRaw fast path. A transport that moves
+// Message is one in-flight payload: boxed (Payload, from Send) or an
+// unboxed slice header (Raw, from SendRaw). A transport that moves
 // messages between processes decodes them back into this form before
 // Deliver, so the consumer sees exactly what a co-located sender would
 // have handed it. Arrival is the modelled clock's arrival time, zero on

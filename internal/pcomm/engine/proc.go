@@ -178,8 +178,8 @@ func (p *Proc) Send(dst, tag int, payload any, bytes int) {
 	p.send(dst, tag, Message{Tag: tag, Payload: payload}, bytes)
 }
 
-// SendRaw implements the pcomm.RawComm zero-boxing fast path. Co-located
-// ranks get the header zero-copy.
+// SendRaw is Send for an unboxed slice header. Co-located ranks get the
+// header zero-copy.
 func (p *Proc) SendRaw(dst, tag int, h pcomm.RawSlice, bytes int) {
 	p.send(dst, tag, Message{Tag: tag, Raw: h, IsRaw: true}, bytes)
 }
@@ -210,17 +210,42 @@ func (p *Proc) send(dst, tag int, m Message, bytes int) {
 // and returns its payload. The modelled clock pays Overhead and then
 // waits, if it must, for the message's arrival.
 func (p *Proc) Recv(src, tag int) any {
-	_, payload, isRaw := p.RecvRaw(src, tag)
-	if isRaw {
-		panic(fmt.Sprintf("%s: Recv(src=%d, tag=%d) matched a raw slice message; receive it with pcomm.RecvSlice", p.w.prefix, src, tag))
-	}
+	payload, _ := p.recv(src, tag, false)
 	return payload
 }
 
-// RecvRaw implements the pcomm.RawComm zero-boxing fast path.
-func (p *Proc) RecvRaw(src, tag int) (pcomm.RawSlice, any, bool) {
+// RecvRaw is Recv for a message sent with SendRaw.
+func (p *Proc) RecvRaw(src, tag int) pcomm.RawSlice {
+	_, h := p.recv(src, tag, true)
+	return h
+}
+
+// recv takes the next message from src under tag; raw says which form
+// the caller receives, and a message sent in the other is a program error
+// that names the fix.
+//
+//pilut:hotpath
+func (p *Proc) recv(src, tag int, raw bool) (any, pcomm.RawSlice) {
+	w := p.w
+	if src < 0 || src >= w.p {
+		panic(fmt.Sprintf("%s: Recv from invalid %s %d", w.prefix, w.noun, src))
+	}
 	t0 := p.traceTime()
-	m := p.recvMessage(src, tag)
+	b := &w.boxes[(p.id-w.lo)*w.p+src]
+	m, ok := takeByTagFrom(&b.stash, tag, 0)
+	for !ok {
+		n := len(b.stash) // nothing stashed below n matches
+		b.drain()
+		if m, ok = takeByTagFrom(&b.stash, tag, n); !ok {
+			p.Wait(stateRecv|uint64(src)<<8|uint64(tag)<<24, &b.bell, b)
+		}
+	}
+	if m.IsRaw && !raw {
+		panic(fmt.Sprintf("%s: Recv(src=%d, tag=%d) matched a raw slice message; receive it with pcomm.RecvSlice", w.prefix, src, tag))
+	}
+	if raw && !m.IsRaw {
+		panic(fmt.Sprintf("%s: RecvSlice(src=%d, tag=%d) matched a boxed message; receive it with Recv", w.prefix, src, tag))
+	}
 	if c := p.cost; c != nil {
 		p.now += c.Overhead
 		if m.Arrival > p.now {
@@ -231,27 +256,7 @@ func (p *Proc) RecvRaw(src, tag int) (pcomm.RawSlice, any, bool) {
 		p.tr.Span("machine", "recv", t0, p.Time(),
 			trace.I("src", src), trace.I("tag", tag))
 	}
-	return m.Raw, m.Payload, m.IsRaw
-}
-
-//pilut:hotpath
-func (p *Proc) recvMessage(src, tag int) Message {
-	w := p.w
-	if src < 0 || src >= w.p {
-		panic(fmt.Sprintf("%s: Recv from invalid %s %d", w.prefix, w.noun, src))
-	}
-	b := &w.boxes[(p.id-w.lo)*w.p+src]
-	if m, ok := takeByTagFrom(&b.stash, tag, 0); ok {
-		return m
-	}
-	for {
-		n := len(b.stash) // nothing stashed below n matches
-		b.drain()
-		if m, ok := takeByTagFrom(&b.stash, tag, n); ok {
-			return m
-		}
-		p.Wait(stateRecv|uint64(src)<<8|uint64(tag)<<24, &b.bell, b)
-	}
+	return m.Payload, m.Raw
 }
 
 // traceTime is Time when a tracer is attached and zero otherwise: the
@@ -309,7 +314,7 @@ func (p *Proc) leave(op Op, t0 float64, bytes int) {
 func (p *Proc) Barrier() {
 	t0 := p.traceTime()
 	p.enter()
-	p.w.t.Gather(p, OpBarrier, nil)
+	p.w.t.Gather(p, OpBarrier, pcomm.RawSlice{})
 	p.leave(OpBarrier, t0, 0)
 }
 
@@ -336,17 +341,16 @@ func (p *Proc) AllReduceInt(v int, op pcomm.ReduceOp) int {
 	return out
 }
 
-// AllGather deposits one value per rank and returns the slice indexed by
-// rank. The result is per-call storage: the transport's view is only
-// valid until the rank's next collective.
-func (p *Proc) AllGather(v any, bytes int) []any {
+// AllGatherRaw deposits one slice header per rank and returns them
+// indexed by rank: the transport's view, valid until the rank's next
+// collective (pcomm.AllGatherSlice copies the headers out at once).
+func (p *Proc) AllGatherRaw(h pcomm.RawSlice, bytes int) []pcomm.RawSlice {
 	t0 := p.traceTime()
 	p.enter()
-	vals := append([]any(nil), p.w.t.Gather(p, OpAllGather, v)...)
+	hs := p.w.t.Gather(p, OpAllGather, h)
 	p.leave(OpAllGather, t0, bytes)
-	return vals
+	return hs
 }
 
 var _ pcomm.Comm = (*Proc)(nil)
-var _ pcomm.RawComm = (*Proc)(nil)
 var _ pcomm.World = (*World)(nil)

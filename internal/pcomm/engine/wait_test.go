@@ -16,13 +16,13 @@ import (
 // co-located ranks: nothing ships, no collective is entered.
 type p2pOnly struct{}
 
-func (p2pOnly) Ship(*Proc, int, Message)               { panic("p2pOnly: Ship") }
-func (p2pOnly) GatherFloat64(*Proc, float64) []float64 { panic("p2pOnly: collective") }
-func (p2pOnly) GatherInt(*Proc, int) []int             { panic("p2pOnly: collective") }
-func (p2pOnly) Gather(*Proc, Op, any) []any            { panic("p2pOnly: collective") }
-func (p2pOnly) Abort(int, any)                         {}
-func (p2pOnly) Finish(l []pcomm.Stats) pcomm.Result    { return pcomm.NewResult(l) }
-func (p2pOnly) DumpFrame() (string, string)            { return "test world:", "" }
+func (p2pOnly) Ship(*Proc, int, Message)                          { panic("p2pOnly: Ship") }
+func (p2pOnly) GatherFloat64(*Proc, float64) []float64            { panic("p2pOnly: collective") }
+func (p2pOnly) GatherInt(*Proc, int) []int                        { panic("p2pOnly: collective") }
+func (p2pOnly) Gather(*Proc, Op, pcomm.RawSlice) []pcomm.RawSlice { panic("p2pOnly: collective") }
+func (p2pOnly) Abort(int, any)                                    {}
+func (p2pOnly) Finish(l []pcomm.Stats) pcomm.Result               { return pcomm.NewResult(l) }
+func (p2pOnly) DumpFrame() (string, string)                       { return "test world:", "" }
 
 // A rank that fails while another is waiting for a message unwinds it —
 // whether that one is still yielding or already asleep — and the dump

@@ -26,15 +26,3 @@ func Fold[T int | float64](vals []T, op ReduceOp) T {
 	}
 	return out
 }
-
-// Unbox copies boxed contributions into buf[:0] as Ts, for a backend whose
-// rendezvous carries []any (netcomm's decoded round results) so it Folds
-// over the same typed view as the shared-memory slots. buf is the
-// caller's reusable scratch.
-func Unbox[T any](buf []T, vals []any) []T {
-	buf = buf[:0]
-	for _, v := range vals {
-		buf = append(buf, v.(T))
-	}
-	return buf
-}

@@ -54,7 +54,7 @@ func BuildHalo(c Comm, h *Halo, count int, resolve func(id int) int32) int {
 	}
 	sum, pairs := 0, 0
 	h.Out = h.Out[:0]
-	for r, f := range AllGatherInts(c, owners) {
+	for r, f := range AllGatherSlice(c, owners) {
 		sum, pairs = sum+f[0], pairs+len(f)-1
 		if _, asks := slices.BinarySearch(f[1:], me); r == me || !asks {
 			continue

@@ -40,12 +40,11 @@ type genCollect struct {
 	aborted bool
 }
 
-// roundCollect accumulates one collective round's deposits.
+// roundCollect holds one collective round's deposits by rank: memory
+// follows the deposits received, never the world size a peer claims.
 type roundCollect struct {
 	op   string
-	pays []payload
-	seen []bool
-	got  int
+	pays map[int]payload
 }
 
 func newCoordinator(n *Node) *coordinator {
@@ -184,33 +183,35 @@ func (c *coordinator) deposit(d deposit) {
 	}
 	rc, ok := gc.rounds[d.round]
 	if !ok {
-		rc = &roundCollect{op: d.op, pays: make([]payload, gc.p), seen: make([]bool, gc.p)}
+		rc = &roundCollect{op: d.op, pays: make(map[int]payload)}
 		gc.rounds[d.round] = rc
 	}
 	if rc.op != d.op {
 		abort(fmt.Sprintf("netcomm: collective mismatch in round %d: rank %d entered %q, others entered %q", d.round, d.rank, d.op, rc.op))
 		return
 	}
-	if rc.seen[d.rank] {
+	if _, dup := rc.pays[d.rank]; dup {
 		abort(fmt.Sprintf("netcomm: rank %d deposited twice into round %d (%q)", d.rank, d.round, d.op))
 		return
 	}
 	rc.pays[d.rank] = d.pay
-	rc.seen[d.rank] = true
-	rc.got++
-	if rc.got < gc.p {
+	if len(rc.pays) < gc.p {
 		c.mu.Unlock()
 		return
 	}
 	delete(gc.rounds, d.round)
+	pays := make([]payload, gc.p) // all p ranks have deposited: p is real
+	for rank, pay := range rc.pays {
+		pays[rank] = pay
+	}
 	if d.op == opStats {
 		delete(c.gens, d.gen) // the stats round is every rank's last act
 		c.mu.Unlock()
-		c.finishGen(d.gen, rc.pays)
+		c.finishGen(d.gen, pays)
 		return
 	}
 	c.mu.Unlock()
-	c.broadcastResult(roundResult{gen: d.gen, round: d.round, op: d.op, pays: rc.pays})
+	c.broadcastResult(roundResult{gen: d.gen, round: d.round, op: d.op, pays: pays})
 }
 
 // finishGen decodes the stats round and broadcasts the assembled run
@@ -218,24 +219,15 @@ func (c *coordinator) deposit(d deposit) {
 func (c *coordinator) finishGen(gen uint64, pays []payload) {
 	stats := make([]pcomm.Stats, len(pays))
 	for i, pay := range pays {
-		v, _, isRaw, err := decodePayload(pay)
-		if err != nil || isRaw {
+		st, err := decodeStatsPayload(pay)
+		if err != nil {
 			c.abortGen(abortMsg{gen: gen, rank: i, msg: fmt.Sprintf("netcomm: malformed stats deposit from rank %d: %v", i, err)})
-			return
-		}
-		st, ok := v.(pcomm.Stats)
-		if !ok {
-			c.abortGen(abortMsg{gen: gen, rank: i, msg: fmt.Sprintf("netcomm: stats deposit from rank %d decoded as %T", i, v)})
 			return
 		}
 		stats[i] = st
 	}
 	res := pcomm.NewResult(stats)
-	body, err := encodeDoneFrame(gen, res)
-	if err != nil {
-		c.abortGen(abortMsg{gen: gen, rank: -1, msg: err.Error()})
-		return
-	}
+	body := encodeDoneFrame(gen, res)
 	c.node.handleDone(gen, res)
 	for idx, cc := range c.snapshotConns() {
 		if cc == nil {

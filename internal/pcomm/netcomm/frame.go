@@ -1,15 +1,14 @@
 package netcomm
 
 import (
-	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"fmt"
 	"io"
 	"math"
 	"unsafe"
 
 	"repro/internal/pcomm"
+	"repro/internal/pcomm/engine"
 )
 
 // Wire constants. Every connection starts with a hello frame carrying
@@ -18,7 +17,7 @@ import (
 // data frame.
 const (
 	wireMagic   uint32 = 0x50494C55 // "PILU"
-	wireVersion uint16 = 1
+	wireVersion uint16 = 2
 
 	// maxFrameLen bounds one frame. The length prefix is validated
 	// against it before any allocation, so a corrupt or malicious prefix
@@ -43,14 +42,13 @@ const (
 	connData
 )
 
-// Payload kinds. Float64 and int travel as fixed 8-byte values (the
-// AllReduce fast path); raw carries a RawSlice's bytes; everything else
-// rides the gob registry (see pcomm.RegisterWire).
+// Payload kinds, the only four: nil, float64 and int (8 fixed bytes), for
+// boxed messages and reductions; raw, a RawSlice's element bytes, for
+// slice messages, all-gather contributions and the stats round.
 const (
 	pkNil byte = iota
 	pkFloat64
 	pkInt
-	pkGob
 	pkRaw
 )
 
@@ -168,25 +166,44 @@ type payload struct {
 	data []byte
 }
 
-// encodePayload serializes a boxed value. Floats and ints (the
-// AllReduce vocabulary) take a fixed 8-byte form whose decode is exactly
-// bit-preserving; every other value must be registered with
-// pcomm.RegisterWire.
+// encodePayload serializes a boxed value: nil, or a float or int in a
+// fixed 8-byte form whose decode is exactly bit-preserving. Nothing else
+// boxed crosses processes.
 func encodePayload(v any) (payload, error) {
 	switch x := v.(type) {
 	case nil:
 		return payload{kind: pkNil}, nil
 	case float64:
-		return payload{kind: pkFloat64, data: binary.BigEndian.AppendUint64(nil, math.Float64bits(x))}, nil
+		return floatPayload(x), nil
 	case int:
-		return payload{kind: pkInt, data: binary.BigEndian.AppendUint64(nil, uint64(int64(x)))}, nil
-	default:
-		var buf bytes.Buffer
-		if err := gob.NewEncoder(&buf).Encode(&v); err != nil {
-			return payload{}, fmt.Errorf("netcomm: encoding %T payload (is the type registered with pcomm.RegisterWire?): %w", v, err)
-		}
-		return payload{kind: pkGob, data: buf.Bytes()}, nil
+		return intPayload(x), nil
 	}
+	return payload{}, fmt.Errorf("netcomm: a boxed %T cannot cross processes, only nil, int and float64 can; send arrays with pcomm.SendSlice", v)
+}
+
+func floatPayload(x float64) payload { return scalarPayload(pkFloat64, math.Float64bits(x)) }
+func intPayload(x int) payload       { return scalarPayload(pkInt, uint64(x)) }
+
+func scalarPayload(kind byte, bits uint64) payload {
+	return payload{kind: kind, data: binary.BigEndian.AppendUint64(nil, bits)}
+}
+
+// scalarOf returns the 8-byte value of a payload of the given kind.
+func scalarOf(p payload, kind byte) (uint64, error) {
+	if p.kind != kind || len(p.data) != 8 {
+		return 0, fmt.Errorf("netcomm: payload of kind %d and %d bytes, want an 8-byte kind %d", p.kind, len(p.data), kind)
+	}
+	return binary.BigEndian.Uint64(p.data), nil
+}
+
+func decodeFloat(p payload) (float64, error) {
+	bits, err := scalarOf(p, pkFloat64)
+	return math.Float64frombits(bits), err
+}
+
+func decodeInt(p payload) (int, error) {
+	bits, err := scalarOf(p, pkInt)
+	return int(bits), err
 }
 
 // encodeRawPayload serializes a RawSlice's element bytes.
@@ -201,49 +218,43 @@ func encodeRawPayload(h pcomm.RawSlice) payload {
 	return payload{kind: pkRaw, data: buf}
 }
 
-// decodePayload reconstructs a payload. Raw slices come back on a
-// fresh 8-byte-aligned backing array (allocated as []uint64) so the
-// receiver may reinterpret them as float64/int slices safely.
-func decodePayload(p payload) (boxed any, raw pcomm.RawSlice, isRaw bool, err error) {
-	switch p.kind {
-	case pkNil:
-		return nil, pcomm.RawSlice{}, false, nil
-	case pkFloat64:
-		if len(p.data) != 8 {
-			return nil, pcomm.RawSlice{}, false, fmt.Errorf("netcomm: float64 payload is %d bytes", len(p.data))
-		}
-		return math.Float64frombits(binary.BigEndian.Uint64(p.data)), pcomm.RawSlice{}, false, nil
-	case pkInt:
-		if len(p.data) != 8 {
-			return nil, pcomm.RawSlice{}, false, fmt.Errorf("netcomm: int payload is %d bytes", len(p.data))
-		}
-		return int(int64(binary.BigEndian.Uint64(p.data))), pcomm.RawSlice{}, false, nil
-	case pkGob:
-		var v any
-		if err := gob.NewDecoder(bytes.NewReader(p.data)).Decode(&v); err != nil {
-			return nil, pcomm.RawSlice{}, false, fmt.Errorf("netcomm: decoding gob payload: %w", err)
-		}
-		return v, pcomm.RawSlice{}, false, nil
-	case pkRaw:
-		if len(p.data) < 8 {
-			return nil, pcomm.RawSlice{}, false, fmt.Errorf("netcomm: raw payload header is %d bytes", len(p.data))
-		}
-		elem := int(binary.BigEndian.Uint32(p.data[0:4]))
-		n := int(binary.BigEndian.Uint32(p.data[4:8]))
-		nbytes := n * elem
-		if len(p.data) != 8+nbytes || elem <= 0 && n > 0 {
-			return nil, pcomm.RawSlice{}, false, fmt.Errorf("netcomm: raw payload wants %d×%d bytes, frame has %d", n, elem, len(p.data)-8)
-		}
-		h := pcomm.RawSlice{Len: n, Cap: n, Elem: uintptr(elem)}
-		if nbytes > 0 {
-			words := make([]uint64, (nbytes+7)/8)
-			copy(unsafe.Slice((*byte)(unsafe.Pointer(&words[0])), nbytes), p.data[8:])
-			h.Ptr = unsafe.Pointer(&words[0])
-		}
-		return nil, h, true, nil
-	default:
-		return nil, pcomm.RawSlice{}, false, fmt.Errorf("netcomm: unknown payload kind %d", p.kind)
+// decodeRaw reconstructs a raw payload on a fresh 8-byte-aligned backing
+// array (allocated as []uint64), so the receiver may reinterpret it as
+// float64/int slices safely.
+func decodeRaw(p payload) (pcomm.RawSlice, error) {
+	if p.kind != pkRaw || len(p.data) < 8 {
+		return pcomm.RawSlice{}, fmt.Errorf("netcomm: payload of kind %d and %d bytes is not a raw slice", p.kind, len(p.data))
 	}
+	elem := int(binary.BigEndian.Uint32(p.data[0:4]))
+	n := int(binary.BigEndian.Uint32(p.data[4:8]))
+	nbytes := n * elem
+	if len(p.data) != 8+nbytes || elem <= 0 && n > 0 {
+		return pcomm.RawSlice{}, fmt.Errorf("netcomm: raw payload wants %d×%d bytes, frame has %d", n, elem, len(p.data)-8)
+	}
+	h := pcomm.RawSlice{Len: n, Cap: n, Elem: uintptr(elem)}
+	if nbytes > 0 {
+		words := make([]uint64, (nbytes+7)/8)
+		copy(unsafe.Slice((*byte)(unsafe.Pointer(&words[0])), nbytes), p.data[8:])
+		h.Ptr = unsafe.Pointer(&words[0])
+	}
+	return h, nil
+}
+
+// decodeMessage reconstructs the payload of a data frame as the message
+// a co-located sender would have handed the receiver.
+func decodeMessage(tag int, p payload) (m engine.Message, err error) {
+	m.Tag = tag
+	switch {
+	case p.kind == pkNil && len(p.data) == 0:
+	case p.kind == pkFloat64:
+		m.Payload, err = decodeFloat(p)
+	case p.kind == pkInt:
+		m.Payload, err = decodeInt(p)
+	default: // anything else must be a well-formed raw slice
+		m.Raw, err = decodeRaw(p)
+		m.IsRaw = true
+	}
+	return m, err
 }
 
 // appendPayload / readPayload frame a payload inside a larger body.
@@ -290,7 +301,7 @@ type deposit struct {
 	gen   uint64
 	round uint64
 	rank  int
-	p     int // world size, so the coordinator can size the round
+	p     int // world size: the deposits that complete the round
 	op    string
 	pay   payload
 }
@@ -411,24 +422,61 @@ func decodeAbortFrame(body []byte) (abortMsg, error) {
 	}, nil
 }
 
-// Done frames: the coordinator's world-completion broadcast carrying the
-// assembled per-rank statistics, so World.Run returns an identical
-// Result in every process (including processes hosting zero ranks).
-func encodeDoneFrame(gen uint64, res pcomm.Result) ([]byte, error) {
-	buf := bytes.NewBuffer(binary.BigEndian.AppendUint64(nil, gen))
-	if err := gob.NewEncoder(buf).Encode(res); err != nil {
-		return nil, fmt.Errorf("netcomm: encoding run result: %w", err)
+// statsBytes is the wire size of one rank's Stats: six big-endian 8-byte
+// words, one per field in declaration order.
+const statsBytes = 48
+
+func appendStats(buf []byte, st pcomm.Stats) []byte {
+	for _, w := range [...]uint64{math.Float64bits(st.Flops), uint64(st.MsgsSent), uint64(st.BytesSent),
+		uint64(st.Collectives), math.Float64bits(st.Time), math.Float64bits(st.Busy)} {
+		buf = binary.BigEndian.AppendUint64(buf, w)
 	}
-	return buf.Bytes(), nil
+	return buf
 }
 
+// readStats decodes the statsBytes at the front of b.
+func readStats(b []byte) pcomm.Stats {
+	w := func(i int) uint64 { return binary.BigEndian.Uint64(b[8*i:]) }
+	return pcomm.Stats{Flops: math.Float64frombits(w(0)), MsgsSent: int64(w(1)), BytesSent: int64(w(2)),
+		Collectives: int64(w(3)), Time: math.Float64frombits(w(4)), Busy: math.Float64frombits(w(5))}
+}
+
+// statsPayload is a rank's deposit into the stats round: its Stats as a
+// raw payload of statsBytes bytes.
+func statsPayload(st pcomm.Stats) payload {
+	b := appendStats(nil, st)
+	return encodeRawPayload(pcomm.RawSlice{Ptr: unsafe.Pointer(&b[0]), Len: statsBytes, Cap: statsBytes, Elem: 1})
+}
+
+// decodeStatsPayload is the coordinator's inverse of statsPayload.
+func decodeStatsPayload(p payload) (pcomm.Stats, error) {
+	if h, err := decodeRaw(p); err != nil || h.Elem != 1 || h.Len != statsBytes {
+		return pcomm.Stats{}, fmt.Errorf("netcomm: stats payload of kind %d and %d bytes, want %d raw bytes", p.kind, len(p.data), statsBytes)
+	}
+	return readStats(p.data[8:]), nil
+}
+
+// Done frames: the coordinator's world-completion broadcast carrying the
+// per-rank statistics — the generation, then statsBytes per rank in rank
+// order — so World.Run returns an identical Result in every process
+// (including processes hosting zero ranks).
+func encodeDoneFrame(gen uint64, res pcomm.Result) []byte {
+	buf := binary.BigEndian.AppendUint64(make([]byte, 0, 8+statsBytes*len(res.PerProc)), gen)
+	for _, st := range res.PerProc {
+		buf = appendStats(buf, st)
+	}
+	return buf
+}
+
+// decodeDoneFrame checks the body length before it sizes anything.
 func decodeDoneFrame(body []byte) (gen uint64, res pcomm.Result, err error) {
-	if len(body) < 8 {
-		return 0, res, fmt.Errorf("netcomm: truncated done frame")
+	if len(body) < 8 || (len(body)-8)%statsBytes != 0 {
+		return 0, res, fmt.Errorf("netcomm: done frame of %d bytes is not 8 + k×%d", len(body), statsBytes)
 	}
 	gen = binary.BigEndian.Uint64(body[0:8])
-	if err := gob.NewDecoder(bytes.NewReader(body[8:])).Decode(&res); err != nil {
-		return 0, res, fmt.Errorf("netcomm: decoding run result: %w", err)
+	stats := make([]pcomm.Stats, (len(body)-8)/statsBytes)
+	for i := range stats {
+		stats[i] = readStats(body[8+i*statsBytes:])
 	}
-	return gen, res, nil
+	return gen, pcomm.NewResult(stats), nil
 }

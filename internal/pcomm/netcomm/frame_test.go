@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"reflect"
 	"runtime"
 	"strings"
 	"testing"
@@ -174,68 +175,41 @@ func TestAckRoundTrip(t *testing.T) {
 	}
 }
 
-// TestPayloadRoundTrip checks every payload kind, including exact bit
-// preservation of float64 (the property the bitwise-equivalence contract
-// rests on).
+// TestPayloadRoundTrip checks every boxed payload kind, including exact
+// bit preservation of float64 (the property the bitwise-equivalence
+// contract rests on), and that nothing else boxed crosses processes.
 func TestPayloadRoundTrip(t *testing.T) {
-	floats := []float64{0, math.Copysign(0, -1), 1.5, -math.MaxFloat64, math.Inf(1), 5e-324}
-	for _, f := range floats {
-		pay, err := encodePayload(f)
+	roundTrip := func(v any) any {
+		t.Helper()
+		pay, err := encodePayload(v)
 		if err != nil {
 			t.Fatal(err)
 		}
-		v, _, isRaw, err := decodePayload(pay)
-		if err != nil || isRaw {
-			t.Fatalf("float64 %v: err=%v isRaw=%v", f, err, isRaw)
+		m, err := decodeMessage(5, pay)
+		if err != nil || m.IsRaw || m.Tag != 5 {
+			t.Fatalf("%v: err=%v isRaw=%v tag=%d", v, err, m.IsRaw, m.Tag)
 		}
-		if math.Float64bits(v.(float64)) != math.Float64bits(f) {
-			t.Fatalf("float64 bits changed: sent %x, got %x", math.Float64bits(f), math.Float64bits(v.(float64)))
+		return m.Payload
+	}
+	for _, f := range []float64{0, math.Copysign(0, -1), 1.5, -math.MaxFloat64, math.Inf(1), 5e-324} {
+		if got := roundTrip(f).(float64); math.Float64bits(got) != math.Float64bits(f) {
+			t.Fatalf("float64 bits changed: sent %x, got %x", math.Float64bits(f), math.Float64bits(got))
 		}
 	}
-
 	for _, n := range []int{0, -1, 1 << 40, math.MinInt64} {
-		pay, err := encodePayload(n)
-		if err != nil {
-			t.Fatal(err)
+		if got := roundTrip(n).(int); got != n {
+			t.Fatalf("int round trip: sent %d, got %d", n, got)
 		}
-		v, _, _, err := decodePayload(pay)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if v.(int) != n {
-			t.Fatalf("int round trip: sent %d, got %d", n, v)
-		}
+	}
+	if v := roundTrip(nil); v != nil {
+		t.Fatalf("nil round trip: v=%v", v)
 	}
 
-	pay, err := encodePayload(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v, _, _, err := decodePayload(pay); err != nil || v != nil {
-		t.Fatalf("nil round trip: v=%v err=%v", v, err)
-	}
-
-	// Gob path: a registered slice type.
-	xs := []float64{1.25, -2.5, 3.75}
-	pay, err = encodePayload(xs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	v, _, _, err := decodePayload(pay)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := v.([]float64)
-	for i := range xs {
-		if math.Float64bits(got[i]) != math.Float64bits(xs[i]) {
-			t.Fatalf("gob []float64 bits changed at %d", i)
+	// Arrays travel raw; any other boxed value is refused with the fix.
+	for _, v := range []any{[]int{1}, "text", pcomm.Stats{}} {
+		if _, err := encodePayload(v); err == nil || !strings.Contains(err.Error(), "pcomm.SendSlice") {
+			t.Fatalf("boxed %T payload error = %v, want the SendSlice hint", v, err)
 		}
-	}
-
-	// Unregistered type: the error should point at RegisterWire.
-	type unregistered struct{ X int }
-	if _, err := encodePayload(unregistered{1}); err == nil || !strings.Contains(err.Error(), "RegisterWire") {
-		t.Fatalf("unregistered payload error = %v, want a RegisterWire hint", err)
 	}
 }
 
@@ -243,13 +217,11 @@ func TestPayloadRoundTrip(t *testing.T) {
 // aligned backing array.
 func TestRawPayloadRoundTrip(t *testing.T) {
 	src := []float64{1.5, -0.25, 3.5e300, 5e-324}
-	h := rawSliceOfFloats(src)
-	pay := encodeRawPayload(h)
-	_, got, isRaw, err := decodePayload(pay)
-	if err != nil || !isRaw {
-		t.Fatalf("raw decode: isRaw=%v err=%v", isRaw, err)
+	m, err := decodeMessage(1, encodeRawPayload(rawSliceOfFloats(src)))
+	if err != nil || !m.IsRaw {
+		t.Fatalf("raw decode: isRaw=%v err=%v", m.IsRaw, err)
 	}
-	out := floatsOfRawSlice(got)
+	out := floatsOfRawSlice(m.Raw)
 	if len(out) != len(src) {
 		t.Fatalf("raw length %d, want %d", len(out), len(src))
 	}
@@ -260,16 +232,23 @@ func TestRawPayloadRoundTrip(t *testing.T) {
 	}
 
 	// Empty slice.
-	pay = encodeRawPayload(rawSliceOfFloats(nil))
-	if _, got, isRaw, err := decodePayload(pay); err != nil || !isRaw || got.Len != 0 {
-		t.Fatalf("empty raw: len=%d isRaw=%v err=%v", got.Len, isRaw, err)
+	if got, err := decodeRaw(encodeRawPayload(rawSliceOfFloats(nil))); err != nil || got.Len != 0 {
+		t.Fatalf("empty raw: len=%d err=%v", got.Len, err)
 	}
 
 	// Truncated raw body.
-	pay = encodeRawPayload(rawSliceOfFloats(src))
+	pay := encodeRawPayload(rawSliceOfFloats(src))
 	pay.data = pay.data[:len(pay.data)-3]
-	if _, _, _, err := decodePayload(pay); err == nil {
+	if _, err := decodeRaw(pay); err == nil {
 		t.Fatal("truncated raw payload accepted")
+	}
+
+	// A scalar is not a raw slice, nor a raw slice a scalar.
+	if _, err := decodeRaw(intPayload(7)); err == nil {
+		t.Fatal("int payload decoded as a raw slice")
+	}
+	if _, err := scalarOf(encodeRawPayload(rawSliceOfFloats(src[:1])), pkFloat64); err == nil {
+		t.Fatal("raw payload decoded as a float64")
 	}
 }
 
@@ -307,17 +286,69 @@ func TestDepositResultFrames(t *testing.T) {
 		t.Fatalf("abort round trip: got %+v, want %+v", gotA, a)
 	}
 
-	res := pcomm.Result{Elapsed: 1.5, PerProc: []pcomm.Stats{{Flops: 10, MsgsSent: 3}, {Collectives: 2}}}
-	body, err := encodeDoneFrame(9, res)
+	res := pcomm.NewResult([]pcomm.Stats{
+		{Flops: 10, MsgsSent: 3, BytesSent: 1 << 40, Collectives: 2, Time: 1.5, Busy: 0.25},
+		{Flops: math.Copysign(0, -1), MsgsSent: -1, Time: 5e-324},
+	})
+	gen, gotRes, err := decodeDoneFrame(encodeDoneFrame(9, res))
 	if err != nil {
 		t.Fatal(err)
 	}
-	gen, gotRes, err := decodeDoneFrame(body)
+	if gen != 9 || !reflect.DeepEqual(gotRes, res) || !math.Signbit(gotRes.PerProc[1].Flops) {
+		t.Fatalf("done round trip: gen=%d res=%+v, want %+v", gen, gotRes, res)
+	}
+	for _, st := range res.PerProc {
+		if got, err := decodeStatsPayload(statsPayload(st)); err != nil || got != st {
+			t.Fatalf("stats payload round trip: got %+v (%v), want %+v", got, err, st)
+		}
+	}
+	// A done body is the generation and 48 bytes per rank, nothing else.
+	for _, body := range [][]byte{nil, make([]byte, 7), make([]byte, 8+statsBytes+1), make([]byte, 8+statsBytes-1)} {
+		if _, _, err := decodeDoneFrame(body); err == nil {
+			t.Fatalf("%d-byte done body decoded", len(body))
+		}
+	}
+}
+
+// hugeWorldDepositBody is a 38-byte deposit frame body — gen 1, round 1,
+// rank 0, a nil barrier contribution — claiming a world of 0xFFFFFFFF
+// ranks.
+func hugeWorldDepositBody() []byte {
+	return encodeDepositFrame(deposit{gen: 1, round: 1, rank: 0, p: 0xFFFFFFFF, op: "barrier", pay: payload{kind: pkNil}})
+}
+
+// testCoordinator is process 0's coordinator of a two-process group with
+// no connections: broadcasts reach only its own node, which parks them
+// for worlds it has not created.
+func testCoordinator() *coordinator {
+	return newCoordinator(&Node{n: 2,
+		worlds:         make(map[uint64]*World),
+		doneGens:       make(map[uint64]bool),
+		pendingResults: make(map[uint64][]roundResult),
+		pendingAborts:  make(map[uint64][]abortMsg),
+		pendingDones:   make(map[uint64]*pcomm.Result),
+		pendingConns:   make(map[uint64][]pendingData),
+	})
+}
+
+// TestCoordinatorSizesNothingByClaimedWorldSize: a deposit claiming four
+// billion ranks costs the coordinator what the deposit itself holds, not
+// a round sized by the claim.
+func TestCoordinatorSizesNothingByClaimedWorldSize(t *testing.T) {
+	body := hugeWorldDepositBody()
+	if len(body) != 38 {
+		t.Fatalf("deposit body is %d bytes, want 38", len(body))
+	}
+	d, err := decodeDepositFrame(body)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if gen != 9 || gotRes.Elapsed != res.Elapsed || len(gotRes.PerProc) != 2 || gotRes.PerProc[0].Flops != 10 {
-		t.Fatalf("done round trip: gen=%d res=%+v", gen, gotRes)
+	c := testCoordinator()
+	if n := allocatedBy(func() { c.deposit(d) }); n > decodeAllocBound(len(body)) {
+		t.Fatalf("one deposit claiming P=%d allocated %d bytes", d.p, n)
+	}
+	if r := c.gens[1].rounds[1]; r == nil || len(r.pays) != 1 {
+		t.Fatalf("the deposit was not held for its round: %+v", c.gens[1])
 	}
 }
 
@@ -354,30 +385,15 @@ func allocatedBy(fn func()) uint64 {
 }
 
 // FuzzNetcommFrameBodies feeds the same bytes to every frame body
-// decoder, as if they had arrived under each frame type, and decodes
-// every payload a frame yields. Nothing may panic. The decoders and the
-// nil, float64, int and raw payload decodes must allocate within
-// decodeAllocBound of the body; gob payloads and the done frame (both
-// gob underneath) are checked for panics only.
+// decoder, as if they had arrived under each frame type, decodes every
+// payload a frame yields in every form a receiver may take it, and hands
+// a decoded deposit to a fresh coordinator. Nothing may panic, and each
+// step must allocate within decodeAllocBound of the body.
 func FuzzNetcommFrameBodies(f *testing.F) {
-	pays := make([]payload, 0, 4)
-	for _, v := range []any{nil, 7, []float64{1.25, -2.5}} {
-		pay, err := encodePayload(v)
-		if err != nil {
-			f.Fatal(err)
-		}
-		pays = append(pays, pay)
-	}
 	raw := encodeRawPayload(rawSliceOfFloats([]float64{1.5, -0.25}))
-	pays = append(pays, raw)
-	f64, err := encodePayload(2.5)
-	if err != nil {
-		f.Fatal(err)
-	}
-	done, err := encodeDoneFrame(9, pcomm.Result{Elapsed: 1.5, PerProc: []pcomm.Stats{{Flops: 10, MsgsSent: 3}}})
-	if err != nil {
-		f.Fatal(err)
-	}
+	pays := []payload{{kind: pkNil}, intPayload(7), raw, statsPayload(pcomm.Stats{Flops: 10})}
+	f64 := floatPayload(2.5)
+	done := encodeDoneFrame(9, pcomm.NewResult([]pcomm.Stats{{Flops: 10, MsgsSent: 3, Time: 1.5}}))
 	for _, seed := range [][]byte{
 		encodeHello(hello{kind: connData, gen: 3, a: 0, b: 1, c: 2}),
 		encodeAck(fmt.Errorf("wrong group size")),
@@ -387,6 +403,9 @@ func FuzzNetcommFrameBodies(f *testing.F) {
 		encodeAbortFrame(abortMsg{gen: 9, rank: -1, msg: "watchdog fired"}),
 		done,
 		oversizedResultBody(),
+		done[:len(done)-1],
+		hugeWorldDepositBody(),
+		encodeDepositFrame(deposit{gen: 2, round: 1, rank: 0, p: 1, op: opStats, pay: statsPayload(pcomm.Stats{MsgsSent: 1})}),
 	} {
 		f.Add(seed)
 	}
@@ -404,21 +423,18 @@ func FuzzNetcommFrameBodies(f *testing.F) {
 				t.Fatalf("%s: decoding %d bytes allocated %d", what, len(body), n)
 			}
 		}
-		// contributions decodes the payloads a frame carried: the
-		// non-gob ones inside the allocation window, then the gob ones.
+		// contributions decodes the payloads a frame carried as a message,
+		// a gathered slice, both scalars and a stats deposit.
 		contributions := func(what string, ps []payload) {
 			bounded(what+" payloads", func() {
 				for _, p := range ps {
-					if p.kind != pkGob {
-						_, _, _, _ = decodePayload(p)
-					}
+					_, _ = decodeMessage(0, p)
+					_, _ = decodeRaw(p)
+					_, _ = scalarOf(p, pkFloat64)
+					_, _ = scalarOf(p, pkInt)
+					_, _ = decodeStatsPayload(p)
 				}
 			})
-			for _, p := range ps {
-				if p.kind == pkGob {
-					_, _, _, _ = decodePayload(p)
-				}
-			}
 		}
 
 		bounded("hello", func() { _, _ = decodeHello(body) })
@@ -435,6 +451,7 @@ func FuzzNetcommFrameBodies(f *testing.F) {
 		bounded("deposit frame", func() { d, derr = decodeDepositFrame(body) })
 		if derr == nil {
 			contributions("deposit frame", []payload{d.pay})
+			bounded("coordinator", func() { testCoordinator().deposit(d) })
 		}
 
 		var r roundResult
@@ -444,7 +461,7 @@ func FuzzNetcommFrameBodies(f *testing.F) {
 		}
 
 		bounded("abort frame", func() { _, _ = decodeAbortFrame(body) })
-		_, _, _ = decodeDoneFrame(body)
+		bounded("done frame", func() { _, _, _ = decodeDoneFrame(body) })
 	})
 }
 

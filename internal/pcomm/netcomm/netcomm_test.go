@@ -138,6 +138,40 @@ func TestGroupPanicPropagation(t *testing.T) {
 	}
 }
 
+// TestGroupBoxedSliceFails: a boxed array sent to a rank in another
+// process fails the run with the fix named — natively on the sender's
+// process, as a RemoteAbort on the receiver's — instead of crossing
+// through some fallback codec.
+func TestGroupBoxedSliceFails(t *testing.T) {
+	nodes := newGroup(t, 2)
+	errs := make([]error, len(nodes))
+	var wg sync.WaitGroup
+	for i, nd := range nodes {
+		w, err := nd.NewWorld(2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		w.SetWatchdog(30 * time.Second)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			_, errs[i] = pcomm.Guard(w, func(c pcomm.Comm) {
+				if c.ID() == 0 {
+					c.Send(1, 1, []int{1, 2, 3}, pcomm.BytesOfInts(3))
+				} else {
+					c.Recv(0, 1)
+				}
+			})
+		}()
+	}
+	wg.Wait()
+	for i, err := range errs {
+		if err == nil || !strings.Contains(err.Error(), "pcomm.SendSlice") {
+			t.Errorf("process %d: err = %v, want the SendSlice hint", i, err)
+		}
+	}
+}
+
 // TestGroupWatchdog checks a cross-process deadlock (a Recv nobody
 // serves) fires the watchdog into a DeadlockError on the blocked
 // process and aborts the peer.

@@ -204,12 +204,12 @@ func (w *World) startReader(c net.Conn, src, dst int) {
 				w.Fail(-1, err, "")
 				return
 			}
-			v, raw, isRaw, err := decodePayload(pay)
+			m, err := decodeMessage(tag, pay)
 			if err != nil {
 				w.Fail(-1, fmt.Errorf("netcomm: message rank %d→%d tag %d: %w", src, dst, tag, err), "")
 				return
 			}
-			w.Deliver(src, dst, engine.Message{Tag: tag, Payload: v, Raw: raw, IsRaw: isRaw})
+			w.Deliver(src, dst, m)
 		}
 	}()
 }
@@ -291,10 +291,7 @@ func (w *World) Finish(local []pcomm.Stats) pcomm.Result {
 
 func (w *World) depositStats(local []pcomm.Stats) {
 	for i, st := range local {
-		pay, err := encodePayload(st)
-		if err == nil {
-			err = w.node.deposit(deposit{gen: w.gen, round: w.ranks[i].round + 1, rank: w.lo + i, p: w.p, op: opStats, pay: pay})
-		}
+		err := w.node.deposit(deposit{gen: w.gen, round: w.ranks[i].round + 1, rank: w.lo + i, p: w.p, op: opStats, pay: statsPayload(st)})
 		if err != nil {
 			w.Fail(-1, fmt.Errorf("netcomm: depositing the run statistics of rank %d: %w", w.lo+i, err), "")
 			return
@@ -314,7 +311,7 @@ func (w *World) DumpFrame() (head, tail string) {
 
 // Ship implements engine.Transport: the message goes out as a data frame
 // on the rank's connection to dst's process (a raw slice as its element
-// bytes).
+// bytes). A boxed payload other than nil, int or float64 fails the run.
 func (w *World) Ship(p *engine.Proc, dst int, m engine.Message) {
 	var pay payload
 	if m.IsRaw {
@@ -399,17 +396,13 @@ func (p *Proc) DropTransport(dst int) string {
 	return desc
 }
 
-// collect is the rendezvous underlying every collective: deposit to the
-// coordinator, await the rank-ordered broadcast, decode locally. The
-// engine folds the returned values on every rank in rank order, so
-// network transport changes nothing bitwise.
-func (w *World) collect(p *engine.Proc, op engine.Op, val any) []any {
+// gather is the rendezvous underlying every collective: deposit pay, await
+// the coordinator's rank-ordered broadcast, decode it into a fresh slice
+// (beside the socket traffic, scratch reuse would buy nothing). The
+// engine folds it in rank order, so the network changes nothing bitwise.
+func gather[T any](w *World, p *engine.Proc, op engine.Op, pay payload, decode func(payload) (T, error)) []T {
 	rs := &w.ranks[p.ID()-w.lo]
 	rs.round++
-	pay, err := encodePayload(val)
-	if err != nil {
-		panic(err)
-	}
 	if err := w.node.deposit(deposit{gen: w.gen, round: rs.round, rank: p.ID(), p: w.p, op: op.String(), pay: pay}); err != nil {
 		w.CheckFailed()
 		panic(fmt.Errorf("netcomm: depositing into collective %q: %w", op, err))
@@ -418,34 +411,34 @@ func (w *World) collect(p *engine.Proc, op engine.Op, val any) []any {
 	if r.op != op.String() {
 		panic(fmt.Sprintf("netcomm: collective mismatch: %q vs %q", r.op, op))
 	}
-	vals := make([]any, w.p)
-	for i := range r.pays {
-		v, _, isRaw, err := decodePayload(r.pays[i])
-		if err != nil {
+	if len(r.pays) != w.p {
+		panic(fmt.Sprintf("netcomm: collective %q result carries %d contributions, want %d", op, len(r.pays), w.p))
+	}
+	out := make([]T, w.p)
+	for i := range out {
+		var err error
+		if out[i], err = decode(r.pays[i]); err != nil {
 			panic(fmt.Errorf("netcomm: decoding collective %q contribution of rank %d: %w", op, i, err))
 		}
-		if isRaw {
-			panic(fmt.Sprintf("netcomm: collective %q contribution of rank %d is a raw slice", op, i))
-		}
-		vals[i] = v
 	}
-	return vals
+	return out
 }
 
-// GatherFloat64 implements engine.Transport. The typed view is a fresh
-// slice per round: beside the round's gob and socket traffic, scratch
-// reuse would buy nothing.
+// GatherFloat64 implements engine.Transport.
 func (w *World) GatherFloat64(p *engine.Proc, v float64) []float64 {
-	return pcomm.Unbox([]float64(nil), w.collect(p, engine.OpAllReduceF64, v))
+	return gather(w, p, engine.OpAllReduceF64, floatPayload(v), decodeFloat)
 }
 
 // GatherInt implements engine.Transport.
 func (w *World) GatherInt(p *engine.Proc, v int) []int {
-	return pcomm.Unbox([]int(nil), w.collect(p, engine.OpAllReduceInt, v))
+	return gather(w, p, engine.OpAllReduceInt, intPayload(v), decodeInt)
 }
 
-// Gather implements engine.Transport.
-func (w *World) Gather(p *engine.Proc, op engine.Op, v any) []any { return w.collect(p, op, v) }
+// Gather implements engine.Transport: every contribution travels as a raw
+// payload, a barrier's as an empty one.
+func (w *World) Gather(p *engine.Proc, op engine.Op, h pcomm.RawSlice) []pcomm.RawSlice {
+	return gather(w, p, op, encodeRawPayload(h), decodeRaw)
+}
 
 var _ pcomm.TransportDropper = (*Proc)(nil)
 var _ pcomm.World = (*World)(nil)

@@ -109,8 +109,8 @@ func (r Result) OverheadFraction() float64 {
 // Comm is one virtual processor's communicator: everything the SPMD
 // algorithm stack may do that touches another processor or the clock.
 // A Comm must only be used from the goroutine Run handed it to (the
-// procescape analyzer enforces this), and payloads handed to Send and
-// AllGather must not alias memory the sender retains (sendalias).
+// procescape analyzer enforces this), and sent or gathered payloads must
+// not alias memory the sender retains (sendalias).
 type Comm interface {
 	// ID returns this processor's rank in [0, P).
 	ID() int
@@ -131,14 +131,21 @@ type Comm interface {
 	// Tracer returns the processor's trace sink, nil when tracing is off.
 	Tracer() *trace.ProcTracer
 
-	// Send delivers payload to processor dst under tag. bytes is the wire
-	// size for the cost model and the traffic counters (use the BytesOf*
-	// helpers; the bytesarg analyzer enforces this). Sends are
-	// asynchronous and unbounded; matching is FIFO per (src, dst, tag).
+	// Send delivers a boxed scalar or control payload to processor dst
+	// under tag (only nil, int and float64 cross processes; arrays go
+	// through SendSlice). bytes is the wire size for the cost model and
+	// the traffic counters (use the BytesOf helpers; the bytesarg analyzer
+	// enforces this). Sends are asynchronous and unbounded; matching is
+	// FIFO per (src, dst, tag).
 	Send(dst, tag int, payload any, bytes int)
 	// Recv blocks until a message with the given tag from src is
-	// available and returns its payload.
+	// available and returns its payload; a raw one panics.
 	Recv(src, tag int) any
+	// SendRaw and RecvRaw are Send and Recv for an unboxed slice header,
+	// the form SendSlice and RecvSlice use; RecvRaw of a boxed message
+	// panics.
+	SendRaw(dst, tag int, h RawSlice, bytes int)
+	RecvRaw(src, tag int) RawSlice
 
 	// Barrier synchronizes all processors.
 	Barrier()
@@ -148,9 +155,11 @@ type Comm interface {
 	AllReduceFloat64(v float64, op ReduceOp) float64
 	// AllReduceInt combines one int per processor with op.
 	AllReduceInt(v int, op ReduceOp) int
-	// AllGather deposits one value per processor and returns the slice
-	// indexed by processor rank. bytes is the per-processor payload size.
-	AllGather(v any, bytes int) []any
+	// AllGatherRaw deposits one slice header per processor and returns
+	// them indexed by processor rank, the form AllGatherSlice uses. bytes
+	// is the per-processor payload size. The returned headers are valid,
+	// and must not be written, until the processor's next collective.
+	AllGatherRaw(h RawSlice, bytes int) []RawSlice
 }
 
 // World is a P-processor execution backend. A World is single-use:
@@ -172,8 +181,13 @@ type World interface {
 	SetRecorder(r *trace.Recorder)
 }
 
-// AllGatherInts gathers one []int per processor.
-func AllGatherInts(c Comm, xs []int) [][]int { return AllGatherSlice(c, xs) }
-
-// AllGatherFloats gathers one []float64 per processor.
-func AllGatherFloats(c Comm, xs []float64) [][]float64 { return AllGatherSlice(c, xs) }
+// TransportDropper is an optional Comm capability of backends whose
+// messages cross a real transport. DropTransport severs the underlying
+// connection from this rank toward dst — the network-level analogue of
+// the fault layer's message drop — and returns a human-readable
+// description of the transport it cut, for the RunError diagnosis.
+// In-process backends do not implement it (there is no transport to
+// cut); the fault injector falls back to silently swallowing the send.
+type TransportDropper interface {
+	DropTransport(dst int) string
+}

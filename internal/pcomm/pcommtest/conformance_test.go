@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -75,16 +76,16 @@ func Conformance(t *testing.T, newWorld func(p int) pcomm.World) {
 	t.Run("OutOfOrderTags", func(t *testing.T) {
 		mustRun(t, 2, func(c pcomm.Comm) {
 			if c.ID() == 0 {
-				c.Send(1, 1, "first-tag1", 8)
-				c.Send(1, 2, "tag2", 8)
-				c.Send(1, 1, "second-tag1", 8)
-				c.Send(1, 3, pcomm.Stats{Flops: 42, MsgsSent: 7}, 16)
+				c.Send(1, 1, 11, pcomm.BytesOf[int](1))
+				c.Send(1, 2, 2.5, pcomm.BytesOf[float64](1))
+				c.Send(1, 1, 12, pcomm.BytesOf[int](1))
+				c.Send(1, 3, nil, 0)
 				return
 			}
 			for _, want := range []struct {
 				tag int
 				val any
-			}{{3, pcomm.Stats{Flops: 42, MsgsSent: 7}}, {2, "tag2"}, {1, "first-tag1"}, {1, "second-tag1"}} {
+			}{{3, nil}, {2, 2.5}, {1, 11}, {1, 12}} {
 				if got := c.Recv(0, want.tag); got != want.val {
 					panic(fmt.Sprintf("tag %d: got %v, want %v", want.tag, got, want.val))
 				}
@@ -93,11 +94,13 @@ func Conformance(t *testing.T, newWorld func(p int) pcomm.World) {
 	})
 
 	t.Run("BoxedRawInterchange", func(t *testing.T) {
+		// Boxed and raw messages share a tag's FIFO order; each is
+		// received in the form it was sent.
 		vals := []float64{1.5, math.Copysign(0, -1), 5e-324, -math.MaxFloat64}
 		mustRun(t, 2, func(c pcomm.Comm) {
 			if c.ID() == 0 {
-				pcomm.SendSlice(c, 1, 3, pcomm.CopyFloats(vals))
-				c.Send(1, 3, []int{10, 20, 30}, pcomm.BytesOfInts(3)) // boxed, same tag
+				pcomm.SendSlice(c, 1, 3, slices.Clone(vals))
+				c.Send(1, 3, 30, pcomm.BytesOf[int](1)) // boxed, same tag
 				pcomm.SendSlice(c, 1, 3, []int(nil))
 				return
 			}
@@ -107,8 +110,8 @@ func Conformance(t *testing.T, newWorld func(p int) pcomm.World) {
 					panic(fmt.Sprintf("raw float bits changed: %v", got))
 				}
 			}
-			if ints := pcomm.RecvSlice[int](c, 0, 3); len(ints) != 3 || ints[2] != 30 {
-				panic(fmt.Sprintf("boxed slice through RecvSlice: %v", ints))
+			if v := c.Recv(0, 3); v != any(30) {
+				panic(fmt.Sprintf("boxed scalar between raw messages: %v", v))
 			}
 			if empty := pcomm.RecvSlice[int](c, 0, 3); len(empty) != 0 {
 				panic(fmt.Sprintf("nil slice arrived as %v", empty))
@@ -129,6 +132,21 @@ func Conformance(t *testing.T, newWorld func(p int) pcomm.World) {
 		})
 		if err == nil || !strings.Contains(err.Error(), "RecvSlice") {
 			t.Fatalf("err = %v, want the RecvSlice hint", err)
+		}
+	})
+
+	t.Run("RecvSliceOnBoxedPanics", func(t *testing.T) {
+		// The mirror case: a boxed message is never reinterpreted as a
+		// slice, and the error names the fix.
+		_, err := run(t, 2, func(c pcomm.Comm) {
+			if c.ID() == 0 {
+				c.Send(1, 1, 1, pcomm.BytesOf[int](1))
+				return
+			}
+			pcomm.RecvSlice[int](c, 0, 1)
+		})
+		if err == nil || !strings.Contains(err.Error(), "matched a boxed message; receive it with Recv") {
+			t.Fatalf("err = %v, want the Recv hint", err)
 		}
 	})
 
@@ -163,19 +181,19 @@ func Conformance(t *testing.T, newWorld func(p int) pcomm.World) {
 			if got := c.AllReduceInt(id+10, pcomm.OpMin); got != 10 {
 				panic(fmt.Sprintf("int min = %d", got))
 			}
-			for q, v := range c.AllGather(id*10, 8) {
-				if v.(int) != q*10 {
-					panic(fmt.Sprintf("rank %d: gathered[%d] = %v", id, q, v))
-				}
-			}
-			for q, r := range pcomm.AllGatherInts(c, []int{id, id * id}) {
+			for q, r := range pcomm.AllGatherSlice(c, []int{id, id * id}) {
 				if len(r) != 2 || r[0] != q || r[1] != q*q {
-					panic(fmt.Sprintf("rank %d: AllGatherInts[%d] = %v", id, q, r))
+					panic(fmt.Sprintf("rank %d: gathered ints[%d] = %v", id, q, r))
 				}
 			}
-			for q, r := range pcomm.AllGatherFloats(c, []float64{float64(id) + 0.5}) {
+			for q, r := range pcomm.AllGatherSlice(c, []float64{float64(id) + 0.5}) {
 				if len(r) != 1 || r[0] != float64(q)+0.5 {
-					panic(fmt.Sprintf("rank %d: AllGatherFloats[%d] = %v", id, q, r))
+					panic(fmt.Sprintf("rank %d: gathered floats[%d] = %v", id, q, r))
+				}
+			}
+			for q, r := range pcomm.AllGatherSlice(c, make([]bool, id%2)) {
+				if len(r) != q%2 {
+					panic(fmt.Sprintf("rank %d: gathered flags[%d] = %v", id, q, r))
 				}
 			}
 		})
@@ -239,7 +257,7 @@ func Conformance(t *testing.T, newWorld func(p int) pcomm.World) {
 						panic(fmt.Sprintf("rank %d collective %d: int max = %d, want %d", id, i, got, i*P))
 					}
 				case 2:
-					for q, r := range pcomm.AllGatherInts(c, []int{i, q2(id)}) {
+					for q, r := range pcomm.AllGatherSlice(c, []int{i, q2(id)}) {
 						if len(r) != 2 || r[0] != i || r[1] != q2(q) {
 							panic(fmt.Sprintf("rank %d collective %d: gathered[%d] = %v", id, i, q, r))
 						}
@@ -363,7 +381,7 @@ func Conformance(t *testing.T, newWorld func(p int) pcomm.World) {
 		res := mustRun(t, P, func(c pcomm.Comm) {
 			id, next, prev := c.ID(), (c.ID()+1)%P, (c.ID()+P-1)%P
 			c.Work(float64(100 * (id + 1)))
-			c.Send(next, 1, 1.0, pcomm.BytesOfFloats(1))
+			c.Send(next, 1, 1.0, pcomm.BytesOf[float64](1))
 			c.Send(next, 2, nil, 100)
 			pcomm.SendSlice(c, next, 3, []float64{1, 2, 3})
 			c.Recv(prev, 2)
@@ -372,7 +390,7 @@ func Conformance(t *testing.T, newWorld func(p int) pcomm.World) {
 			c.Barrier()
 			c.AllReduceFloat64(1, pcomm.OpSum)
 			c.AllReduceInt(1, pcomm.OpMax)
-			c.AllGather(id, 8)
+			pcomm.AllGatherSlice(c, []int{id})
 			if st := c.Stats(); st.MsgsSent != 3 || st.Collectives != 4 {
 				panic(fmt.Sprintf("mid-run Stats() = %+v", st))
 			}
@@ -408,7 +426,7 @@ func Conformance(t *testing.T, newWorld func(p int) pcomm.World) {
 			c.Barrier()
 			c.AllReduceFloat64(1, pcomm.OpSum)
 			c.AllReduceInt(1, pcomm.OpSum)
-			c.AllGather(nil, 0)
+			pcomm.AllGatherSlice[int](c, nil)
 		})
 		seen := map[string]int{}
 		for _, e := range rec.Events() {

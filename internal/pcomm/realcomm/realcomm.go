@@ -20,13 +20,12 @@ import (
 	"repro/internal/pcomm/engine"
 )
 
-// slots is one set of per-rank deposit slots. Scalar reductions use the
-// unboxed fvals/ivals arrays — depositing a float64 or int there is a
-// plain store, where boxing into vals would heap-allocate on every
-// collective — and Barrier/AllGather use the boxed slots.
+// slots is one set of per-rank deposit slots, one typed array per
+// contribution form: depositing is a plain store, never a boxing
+// allocation. Barrier deposits an empty header into raws.
 type slots struct {
 	ops   []engine.Op
-	vals  []any
+	raws  []pcomm.RawSlice
 	fvals []float64
 	ivals []int
 }
@@ -77,7 +76,7 @@ func newWorld(p int, cost *machine.CostModel, backend, prefix string) *World {
 	}
 	w := &World{size: int32(p), seats: make([]seat, p)}
 	for i := range w.sets {
-		w.sets[i] = slots{make([]engine.Op, p), make([]any, p), make([]float64, p), make([]int, p)}
+		w.sets[i] = slots{make([]engine.Op, p), make([]pcomm.RawSlice, p), make([]float64, p), make([]int, p)}
 	}
 	for i := range w.seats {
 		w.seats[i].w = w
@@ -144,11 +143,11 @@ func (w *World) GatherInt(p *engine.Proc, v int) []int {
 // Gather implements engine.Transport.
 //
 //pilut:hotpath
-func (w *World) Gather(p *engine.Proc, op engine.Op, v any) []any {
+func (w *World) Gather(p *engine.Proc, op engine.Op, h pcomm.RawSlice) []pcomm.RawSlice {
 	s := w.deposit(p, op)
-	s.vals[p.ID()] = v
+	s.raws[p.ID()] = h
 	w.meet(p, op, s)
-	return s.vals
+	return s.raws
 }
 
 // Ship implements engine.Transport; unreachable, since every rank is
