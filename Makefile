@@ -173,7 +173,8 @@ bench-sequence:
 # Short fuzzing pass over every fuzz target; matches the CI fuzz lane.
 # The peer-body targets run in a large instrumented binary, where an
 # unbounded minimization of a new input can take the whole pass: it is
-# capped at 1000 executions.
+# capped at 1000 executions. The solve-body target runs a daemon in
+# every fuzz worker process, so it runs one worker.
 # Override FUZZTIME for longer local runs, e.g. `make fuzz-smoke FUZZTIME=5m`.
 fuzz-smoke:
 	$(GO) test ./internal/sparse -run '^$$' -fuzz '^FuzzReadMatrixMarket$$' -fuzztime $(FUZZTIME)
@@ -181,6 +182,7 @@ fuzz-smoke:
 	$(GO) test ./internal/service -run '^$$' -fuzz '^FuzzDecodeFactor$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 1000x -parallel 1
 	$(GO) test ./internal/service -run '^$$' -fuzz '^FuzzDecodeMatrix$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 1000x -parallel 1
 	$(GO) test ./internal/pcomm/netcomm -run '^$$' -fuzz '^FuzzNetcommFrameBodies$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./cmd/pilutd -run '^$$' -fuzz '^FuzzSolveBodies$$' -fuzztime $(FUZZTIME) -parallel 1
 
 # Every example program, built and run once (a few seconds each); any
 # nonzero exit fails the target.

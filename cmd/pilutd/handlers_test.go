@@ -15,6 +15,10 @@ import (
 	"repro/internal/sparse"
 )
 
+// tinyMatrix is the 4×4 matrix the handler tests register.
+const tinyMatrix = "%%MatrixMarket matrix coordinate real general\n4 4 8\n" +
+	"1 1 4\n2 2 4\n3 3 4\n4 4 4\n1 2 -1\n2 3 -1\n3 4 -1\n4 1 -1\n"
+
 // newTestServer spins up the real mux over an in-process service with a
 // tiny matrix pre-submitted, so handler tests exercise exactly the code
 // the daemon runs.
@@ -27,9 +31,7 @@ func newTestServer(t *testing.T) (*httptest.Server, *service.Server, string) {
 		svc.Shutdown(context.Background())
 	})
 
-	mm := "%%MatrixMarket matrix coordinate real general\n4 4 8\n" +
-		"1 1 4\n2 2 4\n3 3 4\n4 4 4\n1 2 -1\n2 3 -1\n3 4 -1\n4 1 -1\n"
-	resp, err := http.Post(ts.URL+"/v1/matrices", "text/plain", strings.NewReader(mm))
+	resp, err := http.Post(ts.URL+"/v1/matrices", "text/plain", strings.NewReader(tinyMatrix))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,6 +75,34 @@ func TestNegativeTimeoutRejected(t *testing.T) {
 	msg := decodeError(t, resp, http.StatusBadRequest)
 	if !strings.Contains(msg, "timeout_ms") {
 		t.Fatalf("error %q does not mention timeout_ms", msg)
+	}
+}
+
+// A restart above the service's bound is a client error on both solve
+// routes — before the fix GMRES(200000) tried to allocate ≈ 300 GiB per
+// rank and the runtime killed the daemon — and the daemon answers the
+// next solve.
+func TestHugeRestartRejected(t *testing.T) {
+	ts, _, key := newTestServer(t)
+	post := func(route string, req map[string]any) *http.Response {
+		t.Helper()
+		body, _ := json.Marshal(req)
+		resp, err := http.Post(ts.URL+route, "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp
+	}
+	b := []float64{1, 1, 1, 1}
+	msg := decodeError(t, post("/v1/solve", map[string]any{"key": key, "b": b, "restart": 200000}), http.StatusUnprocessableEntity)
+	if !strings.Contains(msg, "restart") {
+		t.Fatalf("error %q does not mention restart", msg)
+	}
+	decodeError(t, post("/v1/sequences", map[string]any{"keys": []string{key}, "b": b, "restart": 200000}), http.StatusUnprocessableEntity)
+	resp := post("/v1/solve", map[string]any{"key": key, "b": b})
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("solve after the refusals: status %d, want 200", resp.StatusCode)
 	}
 }
 

@@ -7,10 +7,10 @@ import (
 	"strings"
 )
 
-// BytesArg flags Send/SendRaw/AllGatherRaw calls whose modelled byte
-// count is a raw literal or hand-rolled arithmetic instead of a BytesOf*
-// helper (SendSlice and AllGatherSlice size their payloads themselves,
-// with BytesOf[T]). The byte count drives the LogP cost model behind every number in the
+// BytesArg flags boxed Send calls whose modelled byte count is a raw
+// literal or hand-rolled arithmetic instead of a BytesOf* helper (raw
+// messages and all-gather contributions carry no count: they are sized
+// Len × Elem from their slice header). The byte count drives the LogP cost model behind every number in the
 // EXPERIMENTS tables; a raw "8*len(xs)" that drifts from the payload's
 // real wire size silently skews them, and the drift is invisible at run
 // time because nothing functional depends on it.
@@ -21,15 +21,13 @@ import (
 // whose every definition is an accepted form.
 var BytesArg = &Analyzer{
 	Name: "bytesarg",
-	Doc:  "flag raw byte counts at Send/SendRaw/AllGatherRaw sites",
+	Doc:  "flag raw byte counts at boxed Send sites",
 	Run:  runBytesArg,
 }
 
 // bytesArgIdx maps methods to the index of their modelled-bytes argument.
 var bytesArgIdx = map[string]int{
-	"Send":         3,
-	"SendRaw":      3,
-	"AllGatherRaw": 1,
+	"Send": 3,
 }
 
 func runBytesArg(pass *Pass) error {

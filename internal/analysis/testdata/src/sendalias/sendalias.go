@@ -21,9 +21,9 @@ func bad(p *engine.Proc, xs []int, h holder, rows [][]float64, raw pcomm.RawSlic
 		p.Send(1, 2, row, pcomm.BytesOf[float64](len(row))) // want `payload of Send may alias memory the sender retains`
 	}
 	v := p.Recv(0, 3)
-	p.Send(2, 3, v, 0)                               // want `payload of Send may alias memory the sender retains`
-	p.AllGatherRaw(raw, pcomm.BytesOf[int](raw.Len)) // want `payload of AllGatherRaw may alias memory the sender retains`
-	pcomm.AllGatherSlice(p, xs)                      // want `payload of AllGatherSlice may alias memory the sender retains`
+	p.Send(2, 3, v, 0)          // want `payload of Send may alias memory the sender retains`
+	p.AllGatherRaw(raw)         // want `payload of AllGatherRaw may alias memory the sender retains`
+	pcomm.AllGatherSlice(p, xs) // want `payload of AllGatherSlice may alias memory the sender retains`
 
 	alias := xs
 	p.Send(1, 4, alias, pcomm.BytesOfInts(len(alias))) // want `payload of Send may alias memory the sender retains`
@@ -37,8 +37,8 @@ func badComm(c pcomm.Comm, xs []int, ys []float64) {
 	pcomm.AllGatherSlice(c, ys)                  // want `payload of AllGatherSlice may alias memory the sender retains`
 
 	got := pcomm.RecvSlice[float64](c, 0, 2)
-	pcomm.SendSlice(c, 2, 2, got)       // want `payload of SendSlice may alias memory the sender retains`
-	c.SendRaw(2, 3, c.RecvRaw(0, 3), 0) // want `payload of SendRaw may alias memory the sender retains`
+	pcomm.SendSlice(c, 2, 2, got)    // want `payload of SendSlice may alias memory the sender retains`
+	c.SendRaw(2, 3, c.RecvRaw(0, 3)) // want `payload of SendRaw may alias memory the sender retains`
 }
 
 // Clean: freshly built payloads and scalar payloads.

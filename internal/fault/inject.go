@@ -144,17 +144,17 @@ func (in *injector) AllReduceInt(v int, op pcomm.ReduceOp) int {
 	return in.Comm.AllReduceInt(v, op)
 }
 
-func (in *injector) AllGatherRaw(h pcomm.RawSlice, bytes int) []pcomm.RawSlice {
+func (in *injector) AllGatherRaw(h pcomm.RawSlice) []pcomm.RawSlice {
 	in.beforeOp("allgather")
-	return in.Comm.AllGatherRaw(h, bytes)
+	return in.Comm.AllGatherRaw(h)
 }
 
-func (in *injector) SendRaw(dst, tag int, h pcomm.RawSlice, bytes int) {
+func (in *injector) SendRaw(dst, tag int, h pcomm.RawSlice) {
 	in.beforeOp("send")
 	if in.dropThis(dst) {
 		return
 	}
-	in.Comm.SendRaw(dst, tag, h, bytes)
+	in.Comm.SendRaw(dst, tag, h)
 }
 
 func (in *injector) RecvRaw(src, tag int) pcomm.RawSlice {

@@ -62,11 +62,11 @@ func TestWatchdogCollectiveDeadlockDump(t *testing.T) {
 			t.Errorf("watchdog %v: the deadlock took %v to find", watchdog, d)
 		}
 		wantDump(t, de,
-			`proc 0: waiting in collective "barrier" at t=1.000e-03`,
-			"proc 2: blocked in Recv(src=0, tag=1) at t=0.000e+00",
+			`rank 0: waiting in collective "barrier" at t=1.000e-03`,
+			"rank 2: blocked in Recv(src=0, tag=1) at t=0.000e+00",
 			"collective 0: 2 of 3 arrived")
-		if !strings.HasPrefix(de.Error(), "machine: deadlock: no processor can proceed\nP=3 processors:") {
-			t.Errorf("watchdog %v: Error() lost the machine wording: %s", watchdog, de.Error())
+		if !strings.HasPrefix(de.Error(), "modelled: deadlock: no processor can proceed\nP=3 processors:") {
+			t.Errorf("watchdog %v: Error() lost the modelled wording: %s", watchdog, de.Error())
 		}
 	}
 }
@@ -80,9 +80,9 @@ func TestWatchdogCatchesAComputingProc(t *testing.T) {
 		p.Barrier()
 	})
 	wantDump(t, de,
-		`proc 0: waiting in collective "barrier" at t=1.000e-03`,
-		"proc 2: not blocked in the communicator (computing or finished) at t=0.000e+00")
-	if !strings.HasPrefix(de.Error(), "machine: watchdog: run still blocked after 50ms\nP=3 processors:") {
+		`rank 0: waiting in collective "barrier" at t=1.000e-03`,
+		"rank 2: not blocked in the communicator (computing or finished) at t=0.000e+00")
+	if !strings.HasPrefix(de.Error(), "modelled: watchdog: run still blocked after 50ms\nP=3 processors:") {
 		t.Errorf("Error() lost the watchdog wording: %s", de.Error())
 	}
 }

@@ -483,9 +483,9 @@ func (c *waitCounter) Send(dst, tag int, payload any, bytes int) {
 	c.Comm.Send(dst, tag, payload, bytes)
 }
 
-func (c *waitCounter) SendRaw(dst, tag int, h pcomm.RawSlice, bytes int) {
+func (c *waitCounter) SendRaw(dst, tag int, h pcomm.RawSlice) {
 	c.sent()
-	c.Comm.SendRaw(dst, tag, h, bytes)
+	c.Comm.SendRaw(dst, tag, h)
 }
 
 func (c *waitCounter) Recv(src, tag int) any {
@@ -498,10 +498,10 @@ func (c *waitCounter) RecvRaw(src, tag int) pcomm.RawSlice {
 	return c.Comm.RecvRaw(src, tag)
 }
 
-func (c *waitCounter) AllGatherRaw(h pcomm.RawSlice, bytes int) []pcomm.RawSlice {
+func (c *waitCounter) AllGatherRaw(h pcomm.RawSlice) []pcomm.RawSlice {
 	c.receiving = false
 	c.points++
-	return c.Comm.AllGatherRaw(h, bytes)
+	return c.Comm.AllGatherRaw(h)
 }
 
 func (c *waitCounter) AllReduceInt(v int, op pcomm.ReduceOp) int {

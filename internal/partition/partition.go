@@ -13,43 +13,26 @@ import (
 	"repro/internal/graph"
 )
 
-// Options control the partitioner. The zero value is usable; Normalize
-// fills in defaults.
+// Options control the partitioner.
 type Options struct {
-	// Ubfactor is the allowed imbalance: every part may weigh up to
-	// Ubfactor × (total/nparts). Default 1.05.
-	Ubfactor float64
-	// CoarsenTo stops coarsening once the graph has at most this many
-	// vertices. Default 80.
-	CoarsenTo int
-	// NIter is the number of FM refinement passes per level. Default 6.
-	NIter int
-	// NInitTries is the number of greedy-growing attempts for the initial
-	// bisection of the coarsest graph. Default 8.
-	NInitTries int
 	// Seed drives every random choice; runs are reproducible. Default 1.
 	Seed int64
 }
 
-// Normalize returns a copy of o with defaults applied.
-func (o Options) Normalize() Options {
-	if o.Ubfactor < 1 {
-		o.Ubfactor = 1.05
-	}
-	if o.CoarsenTo <= 0 {
-		o.CoarsenTo = 80
-	}
-	if o.NIter <= 0 {
-		o.NIter = 6
-	}
-	if o.NInitTries <= 0 {
-		o.NInitTries = 8
-	}
-	if o.Seed == 0 {
-		o.Seed = 1
-	}
-	return o
-}
+// The partitioner's fixed parameters.
+const (
+	// ubfactor is the allowed imbalance: a bisection's side may miss its
+	// target weight by (ubfactor − 1) × the graph's total weight.
+	ubfactor = 1.05
+	// coarsenTo stops coarsening once the graph has at most this many
+	// vertices.
+	coarsenTo = 80
+	// nIter is the number of FM refinement passes per level.
+	nIter = 6
+	// nInitTries is the number of greedy-growing attempts for the initial
+	// bisection of the coarsest graph.
+	nInitTries = 8
+)
 
 // KWay partitions g into nparts parts by multilevel recursive bisection
 // and returns the part assignment (values in [0, nparts)).
@@ -57,18 +40,21 @@ func KWay(g *graph.Graph, nparts int, opt Options) []int {
 	if nparts < 1 {
 		panic("partition: nparts must be ≥ 1")
 	}
-	opt = opt.Normalize()
+	seed := opt.Seed
+	if seed == 0 {
+		seed = 1
+	}
 	part := make([]int, g.NVtx)
 	if nparts == 1 {
 		return part
 	}
-	rng := rand.New(rand.NewSource(opt.Seed))
+	rng := rand.New(rand.NewSource(seed))
 	ws := newWorkspace(g)
 	vtxMap := ws.alloc(g.NVtx) // identity mapping at the top level
 	for i := range vtxMap {
 		vtxMap[i] = i
 	}
-	ws.recursiveBisect(g, vtxMap, nparts, 0, part, opt, rng)
+	ws.recursiveBisect(g, vtxMap, nparts, 0, part, rng)
 	return part
 }
 
@@ -147,7 +133,7 @@ func (ws *workspace) alloc(n int) []int {
 // recursiveBisect partitions the subgraph g (whose vertex v corresponds to
 // original vertex vtxMap[v]) into nparts parts numbered starting at
 // firstPart, writing assignments into the global part array.
-func (ws *workspace) recursiveBisect(g *graph.Graph, vtxMap []int, nparts, firstPart int, part []int, opt Options, rng *rand.Rand) {
+func (ws *workspace) recursiveBisect(g *graph.Graph, vtxMap []int, nparts, firstPart int, part []int, rng *rand.Rand) {
 	// More parts than vertices leaves some parts empty: a subgraph of at
 	// most one vertex cannot be bisected further.
 	if nparts == 1 || g.NVtx <= 1 {
@@ -162,11 +148,11 @@ func (ws *workspace) recursiveBisect(g *graph.Graph, vtxMap []int, nparts, first
 
 	mark := ws.top
 	side := ws.alloc(g.NVtx)
-	ws.multilevelBisect(g, side, target0, opt, rng)
+	ws.multilevelBisect(g, side, target0, rng)
 	for which, k := range [2]int{k0, nparts - k0} {
 		m := ws.top
 		sub, orig := ws.subgraph(g, side, which, vtxMap)
-		ws.recursiveBisect(sub, orig, k, firstPart+which*k0, part, opt, rng)
+		ws.recursiveBisect(sub, orig, k, firstPart+which*k0, part, rng)
 		ws.top = m
 	}
 	ws.top = mark
@@ -230,12 +216,12 @@ type level struct {
 
 // multilevelBisect bisects g so that side 0 weighs approximately target0,
 // writing the 0/1 assignment to side.
-func (ws *workspace) multilevelBisect(g *graph.Graph, side []int, target0 int, opt Options, rng *rand.Rand) {
+func (ws *workspace) multilevelBisect(g *graph.Graph, side []int, target0 int, rng *rand.Rand) {
 	mark := ws.top
 	// Coarsening phase.
 	var levels []level
 	cur := g
-	for cur.NVtx > opt.CoarsenTo {
+	for cur.NVtx > coarsenTo {
 		m := ws.top
 		coarse, cmap := ws.coarsen(cur, rng)
 		if coarse.NVtx >= cur.NVtx*95/100 {
@@ -258,8 +244,8 @@ func (ws *workspace) multilevelBisect(g *graph.Graph, side []int, target0 int, o
 
 	// Initial bisection on the coarsest graph.
 	cs := sideOf(cur)
-	ws.initialBisect(cur, cs, target0, opt, rng)
-	ws.fmRefine(cur, cs, target0, opt)
+	ws.initialBisect(cur, cs, target0, rng)
+	ws.fmRefine(cur, cs, target0)
 
 	// Uncoarsening with refinement.
 	for li := len(levels) - 1; li >= 0; li-- {
@@ -269,7 +255,7 @@ func (ws *workspace) multilevelBisect(g *graph.Graph, side []int, target0 int, o
 			fs[v] = cs[fine.cmap[v]]
 		}
 		cs = fs
-		ws.fmRefine(fine.g, cs, target0, opt)
+		ws.fmRefine(fine.g, cs, target0)
 	}
 	ws.top = mark
 }
@@ -370,13 +356,13 @@ func contract(g, coarse *graph.Graph, cmap, match, first, stamp, slot []int) int
 // greedy graph growing: grow a BFS region from a random seed until side 0
 // reaches its target weight; repeat several times and keep the smallest
 // refined cut in best.
-func (ws *workspace) initialBisect(g *graph.Graph, best []int, target0 int, opt Options, rng *rand.Rand) {
+func (ws *workspace) initialBisect(g *graph.Graph, best []int, target0 int, rng *rand.Rand) {
 	mark := ws.top
 	side := ws.alloc(g.NVtx)
 	// Borrowed: coarsening is over by the time the coarsest graph is cut.
 	queue, seen := ws.match[:g.NVtx], ws.order[:g.NVtx]
 	bestCut := -1
-	for try := 0; try < opt.NInitTries; try++ {
+	for try := 0; try < nInitTries; try++ {
 		for i := range side {
 			side[i] = 1
 		}
@@ -404,7 +390,7 @@ func (ws *workspace) initialBisect(g *graph.Graph, best []int, target0 int, opt 
 				w0 += g.VWgt[v]
 			}
 		}
-		ws.fmRefine(g, side, target0, opt)
+		ws.fmRefine(g, side, target0)
 		cut := g.EdgeCut(side)
 		if bestCut < 0 || cut < bestCut {
 			bestCut = cut
@@ -415,8 +401,8 @@ func (ws *workspace) initialBisect(g *graph.Graph, best []int, target0 int, opt 
 }
 
 // fmRefine runs Fiduccia–Mattheyses boundary refinement passes on a
-// bisection in place, respecting the balance tolerance in opt.
-func (ws *workspace) fmRefine(g *graph.Graph, side []int, target0 int, opt Options) {
+// bisection in place, respecting the balance tolerance ubfactor.
+func (ws *workspace) fmRefine(g *graph.Graph, side []int, target0 int) {
 	total := g.TotalVWgt()
 	maxVW := 1
 	for _, w := range g.VWgt {
@@ -425,7 +411,7 @@ func (ws *workspace) fmRefine(g *graph.Graph, side []int, target0 int, opt Optio
 		}
 	}
 	// Allowed deviation from the target split.
-	dev := int(float64(total) * (opt.Ubfactor - 1))
+	dev := int(float64(total) * (ubfactor - 1))
 	if dev < maxVW {
 		dev = maxVW
 	}
@@ -452,7 +438,7 @@ func (ws *workspace) fmRefine(g *graph.Graph, side []int, target0 int, opt Optio
 			}
 		}
 	}
-	for pass := 0; pass < opt.NIter; pass++ {
+	for pass := 0; pass < nIter; pass++ {
 		if !ws.fmPass(g, side, lo0, hi0) {
 			break
 		}

@@ -46,7 +46,7 @@ func TestKWayBasicInvariants(t *testing.T) {
 func TestKWayBalance(t *testing.T) {
 	g := gridGraph(30, 30)
 	for _, k := range []int{2, 4, 8, 16} {
-		part := KWay(g, k, Options{Seed: 7, Ubfactor: 1.05})
+		part := KWay(g, k, Options{Seed: 7})
 		_, weights, err := Validate(g, part, k)
 		if err != nil {
 			t.Fatal(err)
@@ -184,7 +184,7 @@ func TestKWayCutQualityVsExhaustiveFM(t *testing.T) {
 	for _, c := range parentCuts {
 		g := graph.FromMatrix(c.a())
 		for k, cuts := range c.cuts {
-			// Each bisection lets a side reach 0.5 + (Ubfactor−1) of its
+			// Each bisection lets a side reach 0.5 + (ubfactor−1) of its
 			// graph, so log2(k) of them compound to this much over target.
 			maxWeight := float64(g.NVtx) / float64(k)
 			for kk := k; kk > 1; kk /= 2 {
@@ -218,11 +218,10 @@ func TestKWaySpilledStackSamePartition(t *testing.T) {
 	g := graph.FromMatrix(matgen.Torso(8, 8, 8, 1))
 	want := KWay(g, 8, Options{Seed: 3})
 
-	opt := Options{Seed: 3}.Normalize()
 	ws := newWorkspace(g)
 	ws.stack = ws.stack[:3*g.NVtx]
 	got := make([]int, g.NVtx)
-	ws.recursiveBisect(g, identity(g.NVtx), 8, 0, got, opt, rand.New(rand.NewSource(opt.Seed)))
+	ws.recursiveBisect(g, identity(g.NVtx), 8, 0, got, rand.New(rand.NewSource(3)))
 	for v := range want {
 		if got[v] != want[v] {
 			t.Fatalf("vertex %d: part %d with a spilled stack, %d without", v, got[v], want[v])
@@ -323,16 +322,5 @@ func TestKWayValidCoverProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestOptionsNormalize(t *testing.T) {
-	o := Options{}.Normalize()
-	if o.Ubfactor < 1 || o.CoarsenTo <= 0 || o.NIter <= 0 || o.NInitTries <= 0 || o.Seed == 0 {
-		t.Fatalf("defaults not applied: %+v", o)
-	}
-	custom := Options{Ubfactor: 1.2, CoarsenTo: 10, NIter: 3, NInitTries: 2, Seed: 9}.Normalize()
-	if custom != (Options{Ubfactor: 1.2, CoarsenTo: 10, NIter: 3, NInitTries: 2, Seed: 9}) {
-		t.Fatalf("custom values overridden: %+v", custom)
 	}
 }

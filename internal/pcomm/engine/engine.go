@@ -1,8 +1,9 @@
 // Package engine is the one pcomm engine. It owns what every backend does
 // the same way — per-(src, dst) mailboxes with FIFO-per-tag matching, the
 // processor handle with its counters, clock and trace spans, the
-// collectives' rank-order fold, the blocked-state dump — and runs it
-// under the shared pcomm.Supervisor. What differs between backends sits
+// collectives' rank-order fold, the blocked-state dump — and the run
+// around them: the watchdog, the failure record and the *pcomm.RunError
+// a failed run panics with (run.go). What differs between backends sits
 // behind Transport: where ranks other than the local block live and how
 // the P ranks of a collective meet. realcomm (all ranks in one process, a
 // barrier over shared slots) and netcomm (a block of ranks per OS
@@ -28,11 +29,13 @@ import (
 	"fmt"
 	"math"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/machine"
 	"repro/internal/pcomm"
+	"repro/internal/trace"
 )
 
 // Op identifies a collective. Rendezvous state and the blocked-state word
@@ -114,14 +117,21 @@ type Transport interface {
 // World is one P-rank run, hosting ranks [lo, hi). It implements
 // pcomm.World; like every backend it is single-use.
 type World struct {
-	*pcomm.Supervisor
 	t         Transport
+	name      string // "modelled", "real" or "netcomm"
 	p, lo, hi int
-	prefix    string
-	noun      string
 	boxes     []mailbox // index (dst-lo)*p + src
 	procs     []*Proc   // index rank-lo
 	start     time.Time
+
+	// The run lifecycle (run.go): the pre-Run settings under mu, and the
+	// first failure, after which failCh is closed.
+	mu       sync.Mutex
+	started  bool
+	watchdog time.Duration
+	rec      *trace.Recorder
+	fail     atomic.Pointer[failure]
+	failCh   chan struct{}
 
 	// The modelled clock; cost is nil on the wall clock. logP is
 	// ceil(log2 P), at least 1: the steps of a collective. clocks holds
@@ -143,16 +153,15 @@ type World struct {
 var running atomic.Int32
 
 // New creates the engine for ranks [lo, hi) of a p-rank world over t.
-// backend, prefix and noun name the backend as in pcomm.NewSupervisor.
-// cost, when not nil, puts the world on the modelled clock; such a world
-// must host all its ranks.
-func New(t Transport, cost *machine.CostModel, backend, prefix, noun string, p, lo, hi int) *World {
-	w := &World{t: t, p: p, lo: lo, hi: hi, prefix: prefix, noun: noun,
-		boxes: make([]mailbox, (hi-lo)*p), procs: make([]*Proc, hi-lo)}
-	w.Supervisor = pcomm.NewSupervisor(backend, prefix, noun, p, w.dump, w.abort)
+// name is the backend's: the RunError and DeadlockError Backend and the
+// prefix of its panics. cost, when not nil, puts the world on the
+// modelled clock; such a world must host all its ranks.
+func New(t Transport, cost *machine.CostModel, name string, p, lo, hi int) *World {
+	w := &World{t: t, name: name, p: p, lo: lo, hi: hi,
+		boxes: make([]mailbox, (hi-lo)*p), procs: make([]*Proc, hi-lo), failCh: make(chan struct{})}
 	if cost != nil {
 		if lo != 0 || hi != p {
-			panic(fmt.Sprintf("%s: a modelled world hosts all its ranks, not [%d,%d) of %d", prefix, lo, hi, p))
+			panic(fmt.Sprintf("%s: a modelled world hosts all its ranks, not [%d,%d) of %d", name, lo, hi, p))
 		}
 		w.cost = cost
 		w.logP = max(1, math.Ceil(math.Log2(float64(p))))
@@ -172,49 +181,6 @@ func New(t Transport, cost *machine.CostModel, backend, prefix, noun string, p, 
 // NumProcs returns P — the world size, not this process's share of it.
 func (w *World) NumProcs() int { return w.p }
 
-// Run executes f on every locally hosted rank and returns the
-// transport's Result once all have finished: concurrently, a goroutine
-// per rank, on the wall clock; as coroutines on one driver goroutine on
-// the modelled clock (sched.go). If a rank panics, every blocked rank is
-// woken and Run panics with a *pcomm.RunError.
-func (w *World) Run(f func(pcomm.Comm)) (res pcomm.Result) {
-	rec := w.Start()
-	for _, p := range w.procs {
-		p.tr = rec.Proc(p.id)
-	}
-	w.start = time.Now()
-	body := func(rank int) {
-		p := w.procs[rank-w.lo]
-		f(p)
-		p.stats.Time = p.Time()
-		p.publishClock()
-	}
-	finish := func() {
-		local := make([]pcomm.Stats, len(w.procs))
-		for i, p := range w.procs {
-			local[i] = p.stats
-		}
-		res = w.t.Finish(local)
-	}
-	if w.cost != nil {
-		w.Supervise(0, 1, func(int) { w.drive(body) }, finish)
-		return res
-	}
-	running.Add(1)
-	defer running.Add(-1)
-	w.Supervise(w.lo, w.hi, body, finish)
-	return res
-}
-
-// abort wakes the ranks asleep on a mailbox so they unwind, then lets the
-// transport do the same for those asleep in a collective.
-func (w *World) abort(rank int, cause any) {
-	for i := range w.boxes {
-		w.boxes[i].bell.Ring()
-	}
-	w.t.Abort(rank, cause)
-}
-
 // Deliver feeds a message that arrived from src, a rank hosted elsewhere,
 // into local rank dst's mailbox. One goroutine at a time per (src, dst).
 func (w *World) Deliver(src, dst int, m Message) {
@@ -228,7 +194,7 @@ func (w *World) dump() string {
 	var b strings.Builder
 	b.WriteString(head)
 	for _, p := range w.procs {
-		fmt.Fprintf(&b, "\n  %s %d: %s", w.noun, p.id, renderBlocked(p.blocked.Load()))
+		fmt.Fprintf(&b, "\n  rank %d: %s", p.id, renderBlocked(p.blocked.Load()))
 		if w.cost != nil {
 			fmt.Fprintf(&b, " at t=%.3e", math.Float64frombits(p.clock.Load()))
 		}

@@ -178,16 +178,16 @@ func (p *Proc) Send(dst, tag int, payload any, bytes int) {
 	p.send(dst, tag, Message{Tag: tag, Payload: payload}, bytes)
 }
 
-// SendRaw is Send for an unboxed slice header. Co-located ranks get the
-// header zero-copy.
-func (p *Proc) SendRaw(dst, tag int, h pcomm.RawSlice, bytes int) {
-	p.send(dst, tag, Message{Tag: tag, Raw: h, IsRaw: true}, bytes)
+// SendRaw is Send for an unboxed slice header, h.Bytes() long.
+// Co-located ranks get the header zero-copy.
+func (p *Proc) SendRaw(dst, tag int, h pcomm.RawSlice) {
+	p.send(dst, tag, Message{Tag: tag, Raw: h, IsRaw: true}, h.Bytes())
 }
 
 func (p *Proc) send(dst, tag int, m Message, bytes int) {
 	w := p.w
 	if dst < 0 || dst >= w.p {
-		panic(fmt.Sprintf("%s: Send to invalid %s %d", w.prefix, w.noun, dst))
+		panic(fmt.Sprintf("%s: Send to invalid rank %d", w.name, dst))
 	}
 	p.stats.MsgsSent++
 	p.stats.BytesSent += int64(bytes)
@@ -228,7 +228,7 @@ func (p *Proc) RecvRaw(src, tag int) pcomm.RawSlice {
 func (p *Proc) recv(src, tag int, raw bool) (any, pcomm.RawSlice) {
 	w := p.w
 	if src < 0 || src >= w.p {
-		panic(fmt.Sprintf("%s: Recv from invalid %s %d", w.prefix, w.noun, src))
+		panic(fmt.Sprintf("%s: Recv from invalid rank %d", w.name, src))
 	}
 	t0 := p.traceTime()
 	b := &w.boxes[(p.id-w.lo)*w.p+src]
@@ -241,10 +241,10 @@ func (p *Proc) recv(src, tag int, raw bool) (any, pcomm.RawSlice) {
 		}
 	}
 	if m.IsRaw && !raw {
-		panic(fmt.Sprintf("%s: Recv(src=%d, tag=%d) matched a raw slice message; receive it with pcomm.RecvSlice", w.prefix, src, tag))
+		panic(fmt.Sprintf("%s: Recv(src=%d, tag=%d) matched a raw slice message; receive it with pcomm.RecvSlice", w.name, src, tag))
 	}
 	if raw && !m.IsRaw {
-		panic(fmt.Sprintf("%s: RecvSlice(src=%d, tag=%d) matched a boxed message; receive it with Recv", w.prefix, src, tag))
+		panic(fmt.Sprintf("%s: RecvSlice(src=%d, tag=%d) matched a boxed message; receive it with Recv", w.name, src, tag))
 	}
 	if c := p.cost; c != nil {
 		p.now += c.Overhead
@@ -344,11 +344,11 @@ func (p *Proc) AllReduceInt(v int, op pcomm.ReduceOp) int {
 // AllGatherRaw deposits one slice header per rank and returns them
 // indexed by rank: the transport's view, valid until the rank's next
 // collective (pcomm.AllGatherSlice copies the headers out at once).
-func (p *Proc) AllGatherRaw(h pcomm.RawSlice, bytes int) []pcomm.RawSlice {
+func (p *Proc) AllGatherRaw(h pcomm.RawSlice) []pcomm.RawSlice {
 	t0 := p.traceTime()
 	p.enter()
 	hs := p.w.t.Gather(p, OpAllGather, h)
-	p.leave(OpAllGather, t0, bytes)
+	p.leave(OpAllGather, t0, h.Bytes())
 	return hs
 }
 

@@ -19,7 +19,7 @@ func (w *World) drive(body func(rank int)) {
 	for left := len(w.procs); left > 0; {
 		i := w.runnable()
 		if i < 0 {
-			w.Deadlock()
+			w.deadlock(0)
 			continue
 		}
 		if next[i] == nil {
@@ -39,7 +39,7 @@ func (w *World) coroutine(p *Proc, body func(rank int)) func() (struct{}, bool) 
 		p.yield = yield
 		defer func() {
 			// A rank unwinding from a failed run is a casualty, not a cause.
-			if r := recover(); r != nil && !w.HasFailed() {
+			if r := recover(); r != nil && !w.hasFailed() {
 				w.Fail(p.id, r, string(debug.Stack()))
 			}
 		}()
@@ -51,7 +51,7 @@ func (w *World) coroutine(p *Proc, body func(rank int)) func() (struct{}, bool) 
 // runnable returns the rank to resume next, or -1 when none can proceed.
 // With a pick hook set, the hook chooses among the runnable ranks.
 func (w *World) runnable() int {
-	failed := w.HasFailed()
+	failed := w.hasFailed()
 	best := -1
 	var ready []int
 	for i, p := range w.procs {

@@ -30,7 +30,7 @@ func (p2pOnly) DumpFrame() (string, string)                       { return "test
 // word is published before the first yield, so a yielding rank never
 // reads as computing.
 func TestFailureUnwindsWaitingRank(t *testing.T) {
-	w := New(p2pOnly{}, nil, "test", "engine", "proc", 2, 0, 2)
+	w := New(p2pOnly{}, nil, "test", 2, 0, 2)
 	w.SetWatchdog(30 * time.Second)
 	_, err := pcomm.Guard(w, func(c pcomm.Comm) {
 		if c.ID() == 1 {
@@ -46,7 +46,7 @@ func TestFailureUnwindsWaitingRank(t *testing.T) {
 	if !errors.As(err, &re) || re.Rank != 0 || re.Cause != any("boom on rank 0") {
 		t.Fatalf("err = %v, want a *pcomm.RunError blaming rank 0", err)
 	}
-	if want := "proc 1: blocked in Recv(src=0, tag=5)"; !strings.Contains(re.Dump, want) {
+	if want := "rank 1: blocked in Recv(src=0, tag=5)"; !strings.Contains(re.Dump, want) {
 		t.Errorf("dump missing %q:\n%s", want, re.Dump)
 	}
 }
@@ -56,7 +56,7 @@ func TestFailureUnwindsWaitingRank(t *testing.T) {
 // yield loop or the sleep behind it.
 func TestYieldingReceiverDoesNotStarveSender(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	w := New(p2pOnly{}, nil, "test", "engine", "proc", 2, 0, 2)
+	w := New(p2pOnly{}, nil, "test", 2, 0, 2)
 	w.SetWatchdog(30 * time.Second)
 	_, err := pcomm.Guard(w, func(c pcomm.Comm) {
 		peer := 1 - c.ID()
@@ -82,7 +82,7 @@ func (c *flagCond) Ready() bool { return c.Load() }
 // of returning — for a collective, returning would mean reading deposit
 // slots before everyone has written them.
 func TestWaitSleepsThroughALateRing(t *testing.T) {
-	w := New(p2pOnly{}, nil, "test", "engine", "proc", 2, 0, 2)
+	w := New(p2pOnly{}, nil, "test", 2, 0, 2)
 	w.SetWatchdog(30 * time.Second)
 	var bell Bell
 	bell.Init()
@@ -124,7 +124,7 @@ func TestWaitSleepsThroughALateRing(t *testing.T) {
 func TestWaitYieldsOnlyInASoleWorld(t *testing.T) {
 	t3d := machine.T3D()
 	inRun := func(cost *machine.CostModel, f func(c pcomm.Comm)) error {
-		w := New(p2pOnly{}, cost, "test", "engine", "proc", 1, 0, 1)
+		w := New(p2pOnly{}, cost, "test", 1, 0, 1)
 		w.SetWatchdog(30 * time.Second)
 		_, err := pcomm.Guard(w, f)
 		return err

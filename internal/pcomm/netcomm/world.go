@@ -88,7 +88,7 @@ func newWorld(n *Node, gen uint64, p int) *World {
 		w.ranks[i].bell.Init()
 		w.ranks[i].conns = make(map[int]net.Conn)
 	}
-	w.World = engine.New(w, nil, "netcomm", "netcomm", "rank", p, lo, hi)
+	w.World = engine.New(w, nil, "netcomm", p, lo, hi)
 	return w
 }
 

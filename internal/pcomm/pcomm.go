@@ -14,8 +14,8 @@
 //     multi-process socket backend (internal/pcomm/netcomm), on the wall
 //     clock. Time() is wall-clock seconds since Run started.
 //
-// All three run under the same Supervisor and reduce through the same
-// Fold, and are bit-compatible in the Dong & Cooperman sense
+// All three run on the same engine and reduce through the same Fold,
+// and are bit-compatible in the Dong & Cooperman sense
 // (arXiv:0803.0048): an SPMD program that follows the repo's SPMD
 // invariants (see internal/analysis) produces bitwise-identical
 // floating-point results on each, because every collective combines
@@ -142,9 +142,9 @@ type Comm interface {
 	// available and returns its payload; a raw one panics.
 	Recv(src, tag int) any
 	// SendRaw and RecvRaw are Send and Recv for an unboxed slice header,
-	// the form SendSlice and RecvSlice use; RecvRaw of a boxed message
-	// panics.
-	SendRaw(dst, tag int, h RawSlice, bytes int)
+	// the form SendSlice and RecvSlice use; the message is h.Bytes() long.
+	// RecvRaw of a boxed message panics.
+	SendRaw(dst, tag int, h RawSlice)
 	RecvRaw(src, tag int) RawSlice
 
 	// Barrier synchronizes all processors.
@@ -156,10 +156,10 @@ type Comm interface {
 	// AllReduceInt combines one int per processor with op.
 	AllReduceInt(v int, op ReduceOp) int
 	// AllGatherRaw deposits one slice header per processor and returns
-	// them indexed by processor rank, the form AllGatherSlice uses. bytes
-	// is the per-processor payload size. The returned headers are valid,
-	// and must not be written, until the processor's next collective.
-	AllGatherRaw(h RawSlice, bytes int) []RawSlice
+	// them indexed by processor rank, the form AllGatherSlice uses; each
+	// contribution is h.Bytes() long. The returned headers are valid, and
+	// must not be written, until the processor's next collective.
+	AllGatherRaw(h RawSlice) []RawSlice
 }
 
 // World is a P-processor execution backend. A World is single-use:

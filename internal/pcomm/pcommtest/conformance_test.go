@@ -29,8 +29,8 @@ import (
 // Exact counter and fold expectations make "equal across backends" a
 // consequence of each backend passing. Backend-specific behaviour
 // (virtual-clock arithmetic, sockets, process spawning) is tested beside
-// the backend.
-func Conformance(t *testing.T, newWorld func(p int) pcomm.World) {
+// the backend. name is the backend's: the Backend of its failures.
+func Conformance(t *testing.T, name string, newWorld func(p int) pcomm.World) {
 	// run executes f under a watchdog long enough never to fire on a
 	// healthy run, so a hang fails the subtest instead of the binary.
 	run := func(t *testing.T, p int, f func(pcomm.Comm)) (pcomm.Result, error) {
@@ -318,7 +318,7 @@ func Conformance(t *testing.T, newWorld func(p int) pcomm.World) {
 			if !strings.Contains(re.Stack, "Conformance") {
 				t.Errorf("stack does not name the panicking frame:\n%s", re.Stack)
 			}
-			if !strings.Contains(re.Dump, "root-cause stack (proc 3)") && !strings.Contains(re.Dump, "root-cause stack (rank 3)") {
+			if !strings.Contains(re.Dump, "root-cause stack (rank 3)") {
 				t.Errorf("dump missing the root-cause stack section:\n%s", re.Dump)
 			}
 		})
@@ -345,6 +345,9 @@ func Conformance(t *testing.T, newWorld func(p int) pcomm.World) {
 		}
 		if re.Rank != -1 {
 			t.Errorf("watchdog failure blames rank %d, want -1 (no single culprit)", re.Rank)
+		}
+		if re.Backend != name || de.Backend != name {
+			t.Errorf("RunError.Backend %q, DeadlockError.Backend %q, want both %q", re.Backend, de.Backend, name)
 		}
 		for _, want := range []string{"blocked in Recv(src=0, tag=5)", `waiting in collective "barrier"`} {
 			if !strings.Contains(re.Dump, want) {
@@ -384,14 +387,18 @@ func Conformance(t *testing.T, newWorld func(p int) pcomm.World) {
 			c.Send(next, 1, 1.0, pcomm.BytesOf[float64](1))
 			c.Send(next, 2, nil, 100)
 			pcomm.SendSlice(c, next, 3, []float64{1, 2, 3})
+			pcomm.SendSlice(c, next, 4, []bool{true, false, true})
+			pcomm.SendSlice(c, next, 5, []int32{1, 2})
 			c.Recv(prev, 2)
 			c.Recv(prev, 1)
 			pcomm.RecvSlice[float64](c, prev, 3)
+			pcomm.RecvSlice[bool](c, prev, 4)
+			pcomm.RecvSlice[int32](c, prev, 5)
 			c.Barrier()
 			c.AllReduceFloat64(1, pcomm.OpSum)
 			c.AllReduceInt(1, pcomm.OpMax)
 			pcomm.AllGatherSlice(c, []int{id})
-			if st := c.Stats(); st.MsgsSent != 3 || st.Collectives != 4 {
+			if st := c.Stats(); st.MsgsSent != 5 || st.Collectives != 4 {
 				panic(fmt.Sprintf("mid-run Stats() = %+v", st))
 			}
 		})
@@ -399,11 +406,12 @@ func Conformance(t *testing.T, newWorld func(p int) pcomm.World) {
 			t.Fatalf("PerProc has %d entries, want %d", len(res.PerProc), P)
 		}
 		for r, st := range res.PerProc {
-			if st.MsgsSent != 3 || st.BytesSent != 8+100+24 || st.Collectives != 4 || st.Flops != float64(100*(r+1)) {
+			// A raw message is Len × Elem bytes: 3 × 8, 3 × 1 and 2 × 4.
+			if st.MsgsSent != 5 || st.BytesSent != 8+100+24+3+8 || st.Collectives != 4 || st.Flops != float64(100*(r+1)) {
 				t.Errorf("rank %d stats = %+v", r, st)
 			}
 		}
-		if res.TotalBytes() != P*132 || res.TotalFlops() != 600 {
+		if res.TotalBytes() != P*143 || res.TotalFlops() != 600 {
 			t.Errorf("TotalBytes = %d, TotalFlops = %v", res.TotalBytes(), res.TotalFlops())
 		}
 	})
@@ -447,11 +455,11 @@ func Conformance(t *testing.T, newWorld func(p int) pcomm.World) {
 func q2(r int) int { return r*r + 1 }
 
 func TestConformanceModelled(t *testing.T) {
-	Conformance(t, func(p int) pcomm.World { return modelled.New(p, machine.T3D()) })
+	Conformance(t, "modelled", func(p int) pcomm.World { return modelled.New(p, machine.T3D()) })
 }
 
 func TestConformanceReal(t *testing.T) {
-	Conformance(t, func(p int) pcomm.World { return realcomm.New(p) })
+	Conformance(t, "real", func(p int) pcomm.World { return realcomm.New(p) })
 }
 
 // TestConformanceNetcomm runs the contract over a two-node group inside
@@ -483,7 +491,7 @@ func TestConformanceNetcomm(t *testing.T) {
 			}
 		}
 	})
-	Conformance(t, func(p int) pcomm.World {
+	Conformance(t, "netcomm", func(p int) pcomm.World {
 		g := &groupWorld{t: t, worlds: make([]pcomm.World, len(nodes))}
 		for i, nd := range nodes {
 			w, err := nd.NewWorld(p)

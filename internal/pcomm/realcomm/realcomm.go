@@ -61,18 +61,17 @@ type seat struct {
 func (s *seat) Ready() bool { return s.w.gen.Load() > s.g }
 
 // New creates a real-backend world with p processors.
-func New(p int) *World { return newWorld(p, nil, "real", "realcomm") }
+func New(p int) *World { return newWorld(p, nil, "real") }
 
 // NewModelled creates a world with p processors on the virtual clock of
-// cost: the modelled backend, whose panics and watchdog speak as the
-// machine.
+// cost: the modelled backend.
 func NewModelled(p int, cost machine.CostModel) *World {
-	return newWorld(p, &cost, "modelled", "machine")
+	return newWorld(p, &cost, "modelled")
 }
 
-func newWorld(p int, cost *machine.CostModel, backend, prefix string) *World {
+func newWorld(p int, cost *machine.CostModel, name string) *World {
 	if p < 1 {
-		panic(prefix + ": need at least one processor")
+		panic(name + ": need at least one processor")
 	}
 	w := &World{size: int32(p), seats: make([]seat, p)}
 	for i := range w.sets {
@@ -82,7 +81,7 @@ func newWorld(p int, cost *machine.CostModel, backend, prefix string) *World {
 		w.seats[i].w = w
 		w.seats[i].bell.Init()
 	}
-	w.World = engine.New(w, cost, backend, prefix, "proc", p, 0, p)
+	w.World = engine.New(w, cost, name, p, 0, p)
 	return w
 }
 

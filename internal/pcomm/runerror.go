@@ -3,6 +3,7 @@ package pcomm
 import (
 	"fmt"
 	"strings"
+	"time"
 )
 
 // RunError is the structured failure a World.Run panics with when an SPMD
@@ -69,4 +70,25 @@ func Guard(w World, f func(Comm)) (res Result, err error) {
 	}()
 	res = w.Run(f)
 	return res, nil
+}
+
+// DeadlockError is the failure a Run panics with when the SPMD program
+// makes no forward progress (typically a Recv with no matching Send, or
+// processors entering collectives in different orders on a path the
+// collective-mismatch check cannot see): found exactly by a scheduler
+// that sees no processor able to proceed (Timeout zero), or by an armed
+// watchdog when its timeout expires. Dump holds the backend's
+// per-processor blocked-state report, turning a silent hang into an
+// actionable message.
+type DeadlockError struct {
+	Backend string // the failing world's RunError.Backend: the Error() prefix
+	Timeout time.Duration
+	Dump    string
+}
+
+func (e *DeadlockError) Error() string {
+	if e.Timeout == 0 {
+		return fmt.Sprintf("%s: deadlock: no processor can proceed\n%s", e.Backend, e.Dump)
+	}
+	return fmt.Sprintf("%s: watchdog: run still blocked after %v\n%s", e.Backend, e.Timeout, e.Dump)
 }

@@ -17,6 +17,11 @@ type RawSlice struct {
 	Elem uintptr // element size in bytes
 }
 
+// Bytes is the payload's wire size, Len × Elem: what a raw message or
+// all-gather contribution charges the traffic counters and the modelled
+// clock.
+func (h RawSlice) Bytes() int { return h.Len * int(h.Elem) }
+
 func rawOf[T any](xs []T) RawSlice {
 	var z T
 	var ptr unsafe.Pointer
@@ -37,13 +42,13 @@ func sliceOf[T any](h RawSlice) []T {
 	return unsafe.Slice((*T)(h.Ptr), h.Cap)[:h.Len]
 }
 
-// SendSlice sends xs to dst under tag, sizing the message with
-// BytesOf[T]. The slice header passes unboxed and the element data is
+// SendSlice sends xs to dst under tag; the message is sized
+// BytesOf[T](len(xs)). The slice header passes unboxed and the element data is
 // never copied between co-located ranks (zero-copy), so the sendalias
 // rule applies exactly as for Send: the sender must not retain and
 // mutate xs.
 func SendSlice[T any](c Comm, dst, tag int, xs []T) {
-	c.SendRaw(dst, tag, rawOf(xs), BytesOf[T](len(xs)))
+	c.SendRaw(dst, tag, rawOf(xs))
 }
 
 // RecvSlice receives a []T sent by SendSlice from src under tag.
@@ -51,11 +56,11 @@ func RecvSlice[T any](c Comm, src, tag int) []T {
 	return sliceOf[T](c.RecvRaw(src, tag))
 }
 
-// AllGatherSlice gathers one []T per processor, sized with BytesOf[T].
+// AllGatherSlice gathers one []T per processor, each sized BytesOf[T].
 // The outer slice is per-call storage; the contributions are the
 // senders' slices, which they must not mutate (sendalias).
 func AllGatherSlice[T any](c Comm, xs []T) [][]T {
-	hs := c.AllGatherRaw(rawOf(xs), BytesOf[T](len(xs)))
+	hs := c.AllGatherRaw(rawOf(xs))
 	out := make([][]T, len(hs))
 	for i, h := range hs {
 		out[i] = sliceOf[T](h)

@@ -53,11 +53,6 @@ type ClusterConfig struct {
 	// through joins, leaves and pushed views — the static-cluster mode
 	// tests use).
 	ProbeInterval time.Duration
-	// SuspectAfter and DeadAfter are the consecutive probe-failure
-	// counts that demote a member alive → suspect and → dead.
-	// Defaults 1 and 2.
-	SuspectAfter int
-	DeadAfter    int
 	// Token, when non-empty, is the shared secret every /v1/peer/* and
 	// /v1/cluster/* request must present (pilutd -cluster-token /
 	// PILUT_CLUSTER_TOKEN). All members must agree on it.
@@ -83,12 +78,6 @@ func (c *ClusterConfig) withDefaults() (*ClusterConfig, error) {
 	}
 	if out.ProbeInterval == 0 {
 		out.ProbeInterval = time.Second
-	}
-	if out.SuspectAfter <= 0 {
-		out.SuspectAfter = 1
-	}
-	if out.DeadAfter <= out.SuspectAfter {
-		out.DeadAfter = out.SuspectAfter + 1
 	}
 	if len(out.Peers) == 0 {
 		out.Peers = []string{out.Self}
@@ -172,7 +161,7 @@ type cluster struct {
 func newCluster(cfg *ClusterConfig, brkFailures int, brkCooldown time.Duration) *cluster {
 	return &cluster{
 		self:          cfg.Self,
-		ms:            newMembership(cfg.Self, cfg.Peers, cfg.SuspectAfter, cfg.DeadAfter),
+		ms:            newMembership(cfg.Self, cfg.Peers),
 		client:        &http.Client{Timeout: cfg.OpTimeout},
 		timeout:       cfg.OpTimeout,
 		token:         cfg.Token,

@@ -168,6 +168,11 @@ func (s *Server) buildEntry(key string, a *sparse.CSR) (ent *entry, err error) {
 	return nil, fmt.Errorf("service: recovery ladder exhausted for %s: %w", key, lastErr)
 }
 
+// maxRepairRate is the global pivot-repair rate above which a rung's
+// factorization is declared broken down (core.Options.MaxRepairRate) and
+// the ladder moves on.
+const maxRepairRate = 0.25
+
 // buildRung runs one ladder rung: the preconditioner is factored from
 // the rung's (possibly shifted) plan in the same run that sets up the
 // operators.
@@ -177,7 +182,7 @@ func (s *Server) buildRung(key string, an *analysis, step string) (*entry, error
 	if cfg.Faults != nil {
 		params.PivotPerturb = cfg.Faults.PivotScale
 	}
-	maxRepair := cfg.MaxRepairRate
+	maxRepair := maxRepairRate
 	switch step {
 	case "relaxed":
 		params.Tau /= 10

@@ -92,27 +92,23 @@ type member struct {
 // safe for concurrent use; the probe loop, HTTP handlers and the router
 // all read through it.
 type membership struct {
-	mu           sync.Mutex
-	self         string
-	epoch        uint64
-	members      map[string]*member
-	suspectAfter int // consecutive failures: alive → suspect
-	deadAfter    int // consecutive failures: suspect → dead
+	mu      sync.Mutex
+	self    string
+	epoch   uint64
+	members map[string]*member
 }
 
-func newMembership(self string, peers []string, suspectAfter, deadAfter int) *membership {
-	if suspectAfter <= 0 {
-		suspectAfter = 1
-	}
-	if deadAfter <= suspectAfter {
-		deadAfter = suspectAfter + 1
-	}
+// The probe ladder: consecutive probe failures that demote a member.
+const (
+	suspectAfter = 1 // alive → suspect
+	deadAfter    = 2 // → dead
+)
+
+func newMembership(self string, peers []string) *membership {
 	ms := &membership{
-		self:         self,
-		epoch:        1,
-		members:      make(map[string]*member, len(peers)+1),
-		suspectAfter: suspectAfter,
-		deadAfter:    deadAfter,
+		self:    self,
+		epoch:   1,
+		members: make(map[string]*member, len(peers)+1),
 	}
 	for _, p := range peers {
 		ms.members[p] = &member{url: p, state: stateAlive, stamp: 1}
@@ -204,7 +200,7 @@ func (ms *membership) observeAlive(url string) bool {
 }
 
 // observeFailure records a failed probe and walks the member down the
-// alive → suspect → dead ladder at the configured failure counts.
+// alive → suspect → dead ladder at suspectAfter and deadAfter failures.
 // Reports whether the state changed and the state after the observation.
 func (ms *membership) observeFailure(url string) (changed bool, after memberState) {
 	ms.mu.Lock()
@@ -216,9 +212,9 @@ func (ms *membership) observeFailure(url string) (changed bool, after memberStat
 	m.fails++
 	want := m.state
 	switch {
-	case m.fails >= ms.deadAfter:
+	case m.fails >= deadAfter:
 		want = stateDead
-	case m.fails >= ms.suspectAfter && m.state == stateAlive:
+	case m.fails >= suspectAfter && m.state == stateAlive:
 		want = stateSuspect
 	}
 	if want == m.state {

@@ -22,7 +22,7 @@ import (
 )
 
 func TestMembershipProbeLadder(t *testing.T) {
-	ms := newMembership("a", []string{"a", "b", "c"}, 1, 3)
+	ms := newMembership("a", []string{"a", "b", "c"})
 	e0 := ms.epoch
 
 	// One failure: alive → suspect, still routable.
@@ -32,13 +32,9 @@ func TestMembershipProbeLadder(t *testing.T) {
 	if r := ms.routable(); len(r) != 3 {
 		t.Fatalf("suspect member dropped from routing: %v", r)
 	}
-	// Second failure: suspect stays suspect (deadAfter=3), no change.
-	if ch, after := ms.observeFailure("b"); ch || after != stateSuspect {
-		t.Fatalf("second failure: changed=%v state=%v, want false/suspect", ch, after)
-	}
-	// Third failure: dead, out of routing, still probed for rejoin.
+	// Second failure: dead, out of routing, still probed for rejoin.
 	if ch, after := ms.observeFailure("b"); !ch || after != stateDead {
-		t.Fatalf("third failure: changed=%v state=%v, want true/dead", ch, after)
+		t.Fatalf("second failure: changed=%v state=%v, want true/dead", ch, after)
 	}
 	if r := ms.routable(); len(r) != 2 {
 		t.Fatalf("dead member still routable: %v", r)
@@ -88,7 +84,7 @@ func TestMembershipProbeLadder(t *testing.T) {
 }
 
 func TestMembershipMergeLastWriterWins(t *testing.T) {
-	ms := newMembership("a", []string{"a", "b", "c"}, 1, 2)
+	ms := newMembership("a", []string{"a", "b", "c"})
 
 	// A higher-stamped record wins; a lower-stamped one is ignored.
 	changed := ms.merge(View{Epoch: 9, Members: []MemberRecord{
@@ -168,7 +164,7 @@ func TestHRWMinimalDisruption(t *testing.T) {
 			removed := peers[n-1]
 			shrunk := mk(peers[:n-1])
 			probed := mk(peers)
-			for f := 0; f < 2; f++ { // default deadAfter = 2
+			for f := 0; f < 2; f++ { // deadAfter = 2
 				probed.ms.observeFailure(removed)
 			}
 
@@ -506,7 +502,7 @@ func TestReplicationAndTakeover(t *testing.T) {
 		t.Errorf("third daemon built %d factorizations instead of fetching", f)
 	}
 
-	// Walk the owner to dead on the successor (deadAfter defaults to 2);
+	// Walk the owner to dead on the successor (deadAfter is 2);
 	// the view change must claim the key and re-replicate it onward.
 	for f := 0; f < 2; f++ {
 		successor.cluster.ms.observeFailure(ranked[0])

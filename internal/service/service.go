@@ -133,10 +133,6 @@ type Config struct {
 	// down), and new matrices are replicated to their owner. All peers
 	// must run identical Procs, Seed and Params.
 	Cluster *ClusterConfig
-	// MaxRepairRate is the global pivot-repair rate above which a
-	// factorization is declared broken down (see core.Options). Default
-	// 0.25; negative disables breakdown detection.
-	MaxRepairRate float64
 }
 
 // run executes f on every processor of one fresh world — the only way
@@ -193,14 +189,14 @@ func (c Config) withDefaults() Config {
 	if c.BreakerCooldown <= 0 {
 		c.BreakerCooldown = 30 * time.Second
 	}
-	switch {
-	case c.MaxRepairRate == 0:
-		c.MaxRepairRate = 0.25
-	case c.MaxRepairRate < 0:
-		c.MaxRepairRate = 0 // disables the check in core.Factor
-	}
 	return c
 }
+
+// maxRestart bounds SolveOptions.Restart. GMRES(m) allocates an
+// (m+1)·m Hessenberg matrix and m+1 basis vectors on every rank, so a
+// client's restart sizes what each rank allocates; 1 000 is 20 × the
+// paper's largest GMRES(50).
+const maxRestart = 1000
 
 // SolveOptions select the Krylov parameters of one request. Requests for
 // the same matrix with identical Krylov parameters are batchable. Zero
@@ -395,6 +391,9 @@ func (s *Server) Submit(a *sparse.CSR) (key string, known bool, err error) {
 func (s *Server) Solve(ctx context.Context, key string, b []float64, opt SolveOptions) (SolveResult, error) {
 	if ctx == nil {
 		ctx = context.Background()
+	}
+	if opt.Restart > maxRestart {
+		return SolveResult{}, fmt.Errorf("service: restart %d exceeds the limit of %d", opt.Restart, maxRestart)
 	}
 	s.mu.Lock()
 	if s.draining {

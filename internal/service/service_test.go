@@ -419,6 +419,31 @@ func TestRequestValidation(t *testing.T) {
 	}
 }
 
+// A client's restart sizes what every rank allocates, so one above
+// maxRestart is refused before it reaches a worker — alone or as a
+// sequence step — and the server goes on answering.
+func TestSolveRefusesHugeRestart(t *testing.T) {
+	s := New(Config{Procs: 2, Workers: 1, Backend: "real"})
+	defer s.Shutdown(context.Background())
+	a := matgen.Grid2D(8, 8)
+	key, _, err := s.Submit(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := rhs(a.N, 1)
+	huge := SolveOptions{Restart: 200000}
+	if _, err := s.Solve(context.Background(), key, b, huge); err == nil {
+		t.Fatal("restart 200000 accepted")
+	}
+	if _, err := s.SolveSequence(context.Background(), []string{key}, b, huge, true); err == nil {
+		t.Fatal("restart 200000 accepted in a sequence")
+	}
+	res, err := s.Solve(context.Background(), key, b, SolveOptions{Restart: maxRestart})
+	if err != nil || !res.Converged {
+		t.Fatalf("solve after the refusals: converged=%v err=%v", res.Converged, err)
+	}
+}
+
 func TestFactorizationFailureIsAnError(t *testing.T) {
 	// A malformed matrix (column index out of range) makes the
 	// factorization pipeline panic; the service must answer with an

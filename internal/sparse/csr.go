@@ -85,22 +85,6 @@ func (a *CSR) MulVec(y, x []float64) {
 	}
 }
 
-// MulVecT computes y = Aᵀ·x.
-func (a *CSR) MulVecT(y, x []float64) {
-	if len(x) != a.N || len(y) != a.M {
-		panic(fmt.Sprintf("sparse: MulVecT dimension mismatch: A is %d×%d, x %d, y %d", a.N, a.M, len(x), len(y)))
-	}
-	for i := range y {
-		y[i] = 0
-	}
-	for i := 0; i < a.N; i++ {
-		xi := x[i]
-		for k := a.RowPtr[i]; k < a.RowPtr[i+1]; k++ {
-			y[a.Cols[k]] += a.Vals[k] * xi
-		}
-	}
-}
-
 // Transpose returns Aᵀ with sorted rows.
 func (a *CSR) Transpose() *CSR {
 	t := &CSR{N: a.M, M: a.N}
@@ -159,30 +143,6 @@ func (a *CSR) Permute(perm []int) *CSR {
 	return p
 }
 
-// PermuteRows returns the matrix whose row perm[i] is row i of A; columns
-// are untouched. Used to renumber equations without renumbering unknowns.
-func (a *CSR) PermuteRows(perm []int) *CSR {
-	if len(perm) != a.N {
-		panic("sparse: PermuteRows: permutation length mismatch")
-	}
-	inv := InversePermutation(perm)
-	p := &CSR{N: a.N, M: a.M}
-	p.RowPtr = make([]int, a.N+1)
-	for newI := 0; newI < a.N; newI++ {
-		p.RowPtr[newI+1] = p.RowPtr[newI] + a.RowNNZ(inv[newI])
-	}
-	p.Cols = make([]int, a.NNZ())
-	p.Vals = make([]float64, a.NNZ())
-	for newI := 0; newI < a.N; newI++ {
-		oldI := inv[newI]
-		lo := p.RowPtr[newI]
-		cols, vals := a.Row(oldI)
-		copy(p.Cols[lo:], cols)
-		copy(p.Vals[lo:], vals)
-	}
-	return p
-}
-
 // Dense returns the matrix as a dense row-major n×m slice-of-slices. Only
 // intended for small-scale verification in tests.
 func (a *CSR) Dense() [][]float64 {
@@ -208,17 +168,6 @@ func (a *CSR) Diagonal() []float64 {
 		d[i] = a.At(i, i)
 	}
 	return d
-}
-
-// RowNorm1 returns the 1-norm of row i (sum of absolute values of the
-// stored entries). ILUT's relative drop tolerance is t times this norm.
-func (a *CSR) RowNorm1(i int) float64 {
-	_, vals := a.Row(i)
-	var s float64
-	for _, v := range vals {
-		s += math.Abs(v)
-	}
-	return s
 }
 
 // RowNorm2 returns the 2-norm of row i.

@@ -112,15 +112,6 @@ func TestVecOps(t *testing.T) {
 	if e[0] != 1 || e[2] != 1 {
 		t.Errorf("Ones wrong: %v", e)
 	}
-	g := Gathered([]float64{10, 20, 30}, []int{2, 0})
-	if g[0] != 30 || g[1] != 10 {
-		t.Errorf("Gathered wrong: %v", g)
-	}
-	s := make([]float64, 3)
-	ScatterInto(s, []int{1, 2}, []float64{9, 8})
-	if s[1] != 9 || s[2] != 8 {
-		t.Errorf("ScatterInto wrong: %v", s)
-	}
 	p := PermuteVec([]float64{1, 2, 3}, []int{2, 0, 1})
 	if p[2] != 1 || p[0] != 2 || p[1] != 3 {
 		t.Errorf("PermuteVec wrong: %v", p)

@@ -57,22 +57,6 @@ func Ones(n int) []float64 {
 	return e
 }
 
-// Gathered returns x restricted to the given indices: out[k] = x[idx[k]].
-func Gathered(x []float64, idx []int) []float64 {
-	out := make([]float64, len(idx))
-	for k, i := range idx {
-		out[k] = x[i]
-	}
-	return out
-}
-
-// ScatterInto writes vals into x at the given indices: x[idx[k]] = vals[k].
-func ScatterInto(x []float64, idx []int, vals []float64) {
-	for k, i := range idx {
-		x[i] = vals[k]
-	}
-}
-
 // PermuteVec returns the vector y with y[perm[i]] = x[i].
 func PermuteVec(x []float64, perm []int) []float64 {
 	y := make([]float64, len(x))

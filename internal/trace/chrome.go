@@ -94,8 +94,6 @@ func WriteChrome(w io.Writer, parts ...Part) error {
 			case KindInstant:
 				ce.Ph = "i"
 				ce.S = "t" // thread-scoped instant
-			case KindCounter:
-				ce.Ph = "C"
 			}
 			emit(ce)
 		}

@@ -17,14 +17,13 @@ package trace
 import "sort"
 
 // Kind discriminates the event shapes of the Chrome trace-event format we
-// use: complete spans ("X"), instants ("i") and counters ("C").
+// use: complete spans ("X") and instants ("i").
 type Kind uint8
 
 // Event kinds.
 const (
 	KindSpan Kind = iota
 	KindInstant
-	KindCounter
 )
 
 // Arg is one key/value annotation on an event. Numeric values are held as
@@ -92,18 +91,6 @@ func (t *ProcTracer) Instant(cat, name string, ts float64, args ...Arg) {
 	t.events = append(t.events, Event{
 		Kind: KindInstant, Cat: cat, Name: name, Proc: t.proc,
 		Ts: ts, Args: args, Seq: t.seq,
-	})
-	t.seq++
-}
-
-// Counter records a named counter sample at ts virtual seconds.
-func (t *ProcTracer) Counter(cat, name string, ts float64, value float64) {
-	if t == nil {
-		return
-	}
-	t.events = append(t.events, Event{
-		Kind: KindCounter, Cat: cat, Name: name, Proc: t.proc,
-		Ts: ts, Args: []Arg{F("value", value)}, Seq: t.seq,
 	})
 	t.seq++
 }

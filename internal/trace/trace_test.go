@@ -19,7 +19,6 @@ func TestNilRecorderIsSafe(t *testing.T) {
 	// Every recording method must be a no-op on the nil tracer.
 	p.Span("c", "n", 0, 1)
 	p.Instant("c", "n", 0)
-	p.Counter("c", "n", 0, 1)
 	if r.NumProcs() != 0 {
 		t.Fatalf("nil recorder has %d procs", r.NumProcs())
 	}
@@ -60,7 +59,6 @@ func TestWriteChromeValidJSON(t *testing.T) {
 	r := NewRecorder(2)
 	r.Proc(0).Span("factor", "phase1.interior", 0, 0.25, I("rows", 10), F("flops", 123.5))
 	r.Proc(1).Instant("machine", "send", 0.1, I("dst", 0), S("why", "test"))
-	r.Proc(0).Counter("machine", "queue", 0.2, 3)
 
 	var buf bytes.Buffer
 	if err := WriteChrome(&buf, Part{Name: "factorization", Rec: r}, Part{Name: "empty", Rec: nil}); err != nil {
@@ -105,13 +103,13 @@ func TestWriteChromeValidJSON(t *testing.T) {
 	if !haveProcessName || !haveSpan {
 		t.Fatalf("missing metadata or span events: %v", byPh)
 	}
-	if byPh["i"] != 1 || byPh["C"] != 1 {
-		t.Fatalf("instant/counter counts wrong: %v", byPh)
+	if byPh["i"] != 1 {
+		t.Fatalf("instant count wrong: %v", byPh)
 	}
-	// 1 process_name + 2 thread_name + 3 events; the nil part contributes
+	// 1 process_name + 2 thread_name + 2 events; the nil part contributes
 	// nothing.
-	if len(doc.TraceEvents) != 6 {
-		t.Fatalf("got %d events, want 6", len(doc.TraceEvents))
+	if len(doc.TraceEvents) != 5 {
+		t.Fatalf("got %d events, want 5", len(doc.TraceEvents))
 	}
 	if strings.Count(buf.String(), "\n") != 1 {
 		t.Fatalf("expected single-line output with trailing newline")
