@@ -125,9 +125,11 @@ chaos:
 
 # End-to-end smoke of the solver daemon: builds pilutd, starts it, submits
 # the quickstart matrix over HTTP, solves it twice (asserting the second
-# solve hits the factorization cache), and shuts it down gracefully.
+# solve hits the factorization cache), and shuts it down gracefully; then
+# posts more than the matrix tier's 32 MiB budget of distinct matrices to
+# a fresh daemon and checks /v1/stats holds the tier within it.
 serve-smoke:
-	$(GO) test ./cmd/pilutd -run TestEndToEnd -count=1 -v
+	$(GO) test ./cmd/pilutd -run 'TestEndToEnd|TestDaemonMatrixTierBound' -count=1 -v
 
 # The scoreboard (BENCHMARK.json, bench/README.md): every workload
 # untraced, then traced; results land in bench/out. bench/ is a module of

@@ -4,11 +4,11 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"math"
 	"net/http"
 	"os"
 	"os/exec"
-	"path/filepath"
 	"regexp"
 	"strconv"
 	"strings"
@@ -21,6 +21,23 @@ import (
 	"repro/internal/sparse"
 )
 
+// e2eBackend is the daemon backend of the end-to-end smoke tests:
+// PILUT_BACKEND selects it, so the CI backend matrix drives the whole
+// HTTP path on both implementations.
+func e2eBackend() string {
+	kind := os.Getenv("PILUT_BACKEND")
+	if kind == "" {
+		return "modelled"
+	}
+	if netcomm.IsSpec(kind) {
+		// The daemon rejects multi-process backends (its request streams
+		// live in one process); run the netcomm CI lane's e2e pass on
+		// the wall-clock backend instead.
+		return "real"
+	}
+	return kind
+}
+
 // TestEndToEnd drives the real pilutd binary over HTTP: submit the
 // quickstart grid matrix, solve it twice (the second solve must hit the
 // factorization cache), check the stats endpoint, exercise a request
@@ -29,25 +46,8 @@ func TestEndToEnd(t *testing.T) {
 	if testing.Short() {
 		t.Skip("end-to-end smoke test builds and runs a binary")
 	}
-	bin := filepath.Join(t.TempDir(), "pilutd")
-	build := exec.Command("go", "build", "-o", bin, ".")
-	if out, err := build.CombinedOutput(); err != nil {
-		t.Fatalf("building pilutd: %v\n%s", err, out)
-	}
-
-	// PILUT_BACKEND selects the daemon's communication backend so the CI
-	// backend matrix drives the whole HTTP path on both implementations.
-	backendKind := os.Getenv("PILUT_BACKEND")
-	if backendKind == "" {
-		backendKind = "modelled"
-	}
-	if netcomm.IsSpec(backendKind) {
-		// The daemon rejects multi-process backends (its request streams
-		// live in one process); run the netcomm CI lane's e2e pass on
-		// the wall-clock backend instead.
-		backendKind = "real"
-	}
-	cmd := exec.Command(bin, "-addr", "127.0.0.1:0", "-procs", "4", "-backend", backendKind)
+	bin := buildPilutd(t)
+	cmd := exec.Command(bin, "-addr", "127.0.0.1:0", "-procs", "4", "-backend", e2eBackend())
 	stderr, err := cmd.StderrPipe()
 	if err != nil {
 		t.Fatal(err)
@@ -330,5 +330,51 @@ func TestEndToEnd(t *testing.T) {
 		}
 	case <-time.After(30 * time.Second):
 		t.Fatal("pilutd did not exit after SIGTERM")
+	}
+}
+
+// matrixTierBudget is the service's matrix-tier budget (matrixBudget).
+const matrixTierBudget = 32 << 20
+
+// TestDaemonMatrixTierBound posts more than the matrix tier's budget of
+// distinct matrices to the real daemon, submits only, and checks that
+// /v1/stats reports the tier within its budget and that the daemon still
+// answers a solve.
+func TestDaemonMatrixTierBound(t *testing.T) {
+	if testing.Short() {
+		t.Skip("end-to-end smoke test builds and runs a binary")
+	}
+	base := fmt.Sprintf("http://127.0.0.1:%d", freePort(t))
+	startDaemon(t, buildPilutd(t), "-addr", strings.TrimPrefix(base, "http://"), "-procs", "4", "-backend", e2eBackend())
+	waitHealthy(t, base)
+
+	var posted int64
+	for i := 0; posted <= matrixTierBudget+(1<<20); i++ {
+		a := matgen.Grid2D(120, 120+i)
+		submitMatrix(t, base, a)
+		posted += a.SizeBytes()
+	}
+	var st struct {
+		Matrices int `json:"matrices"`
+		Cache    struct {
+			MatrixBytes     int64 `json:"matrix_bytes"`
+			MatrixEvictions int64 `json:"matrix_evictions"`
+		} `json:"cache"`
+	}
+	if code := getJSON(t, base+"/v1/stats", &st); code != http.StatusOK {
+		t.Fatalf("stats: status %d", code)
+	}
+	t.Logf("posted %.1f MiB of matrices: %d held in %.1f MiB, %d evicted",
+		float64(posted)/(1<<20), st.Matrices, float64(st.Cache.MatrixBytes)/(1<<20), st.Cache.MatrixEvictions)
+	if st.Cache.MatrixBytes > matrixTierBudget || st.Cache.MatrixEvictions == 0 {
+		t.Fatalf("matrix_bytes = %d (budget %d), matrix_evictions = %d: the tier is not bounded",
+			st.Cache.MatrixBytes, matrixTierBudget, st.Cache.MatrixEvictions)
+	}
+
+	a := matgen.Grid2D(16, 16)
+	key := submitMatrix(t, base, a)
+	var res clusterSolveReply
+	if code, body := postJSON(t, base+"/v1/solve", map[string]any{"key": key, "b": sparse.Ones(a.N), "tol": 1e-8}, &res); code != http.StatusOK || !res.Converged {
+		t.Fatalf("solve after the overflow: status %d converged=%v: %s", code, res.Converged, body)
 	}
 }

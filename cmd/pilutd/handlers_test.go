@@ -184,6 +184,49 @@ func TestUnknownEndpointIsJSON404(t *testing.T) {
 	}
 }
 
+// TestEvictedMatrixIs404ThenResubmit: once the matrix tier has evicted
+// the test server's never-solved matrix, solving its key answers 404;
+// posting the matrix again returns the same key and the solve answers
+// 200.
+func TestEvictedMatrixIs404ThenResubmit(t *testing.T) {
+	ts, svc, key := newTestServer(t)
+	filler := matgen.Grid2D(128, 128)
+	for seed := int64(0); svc.StatsSnapshot().Cache.MatrixEvictions == 0; seed++ {
+		if _, _, err := svc.Submit(matgen.Evolve(filler, 1, 1e-3, seed)[0]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	solve := func() *http.Response {
+		t.Helper()
+		body, _ := json.Marshal(map[string]any{"key": key, "b": []float64{1, 1, 1, 1}})
+		resp, err := http.Post(ts.URL+"/v1/solve", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp
+	}
+	decodeError(t, solve(), http.StatusNotFound)
+
+	resp, err := http.Post(ts.URL+"/v1/matrices", "text/plain", strings.NewReader(tinyMatrix))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sub struct {
+		Key   string `json:"key"`
+		Known bool   `json:"known"`
+	}
+	err = json.NewDecoder(resp.Body).Decode(&sub)
+	resp.Body.Close()
+	if err != nil || sub.Key != key || sub.Known {
+		t.Fatalf("resubmit: key %q known=%v err=%v, want %q known=false", sub.Key, sub.Known, err, key)
+	}
+	resp = solve()
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("solve after resubmission: status %d, want 200", resp.StatusCode)
+	}
+}
+
 // TestSequencesEndpoint drives the matrix-sequence workflow end to end
 // over HTTP: submit a fixed-pattern evolving family, solve it as one
 // sequence, and check every step after the first reused the cached

@@ -210,12 +210,13 @@ func (s *Symbolic) InteriorFraction() float64 {
 }
 
 // SizeBytes estimates the heap footprint of the artifact for cache
-// accounting. The layout is counted too: a cached Symbolic keeps its
-// layout alive, and the two are reused as a unit.
+// accounting. The layout and the aliased rowPtr/cols are counted too: a
+// cached Symbolic keeps them alive, and they are reused as a unit.
 func (s *Symbolic) SizeBytes() int64 {
 	b := int64(len(s.Interior)) // bools
 	b += 8 * int64(len(s.IntBase)+len(s.NIntLocal)+len(s.NewOfInterior))
 	b += int64(len(s.PatternKey))
+	b += 8 * int64(len(s.rowPtr)+len(s.cols))
 	if s.Lay != nil {
 		b += s.Lay.SizeBytes()
 	}

@@ -12,10 +12,11 @@ import (
 )
 
 // TestCloneForBitwiseMulVec builds distributed operators under one world,
-// clones them serially (no world, no communication) for a same-pattern
-// matrix with new values, and checks the clones' MulVec is bitwise
-// identical to operators built fresh for that matrix inside a run — the
-// ghost-exchange plan reuse must not change a single bit.
+// clones them serially (no world, no communication) from their
+// pattern-only templates for a same-pattern matrix with new values, and
+// checks the clones' MulVec is bitwise identical to operators built fresh
+// for that matrix inside a run — the ghost-exchange plan reuse must not
+// change a single bit.
 func TestCloneForBitwiseMulVec(t *testing.T) {
 	base := matgen.Grid2D(10, 10)
 	next := matgen.Evolve(base, 1, 5e-2, 13)[0]
@@ -45,10 +46,15 @@ func TestCloneForBitwiseMulVec(t *testing.T) {
 		templates[p.ID()] = NewMatrix(p, lay, base)
 	})
 
-	// Clone serially — outside any machine run.
+	// Clone serially — outside any machine run — from templates that keep
+	// no matrix and no ghost buffers.
 	clones := make([]*Matrix, P)
 	for q := 0; q < P; q++ {
-		c, err := templates[q].CloneFor(next)
+		tmpl := templates[q].Template()
+		if tmpl.A != nil || tmpl.ghost != nil {
+			t.Fatalf("template %d keeps its matrix or ghost buffers", q)
+		}
+		c, err := tmpl.CloneFor(next)
 		if err != nil {
 			t.Fatalf("CloneFor proc %d: %v", q, err)
 		}
@@ -105,5 +111,8 @@ func TestCloneForRejectsMismatches(t *testing.T) {
 	}
 	if _, err := templates[0].CloneFor(b.Build()); err == nil {
 		t.Fatal("CloneFor accepted a matrix with a different nonzero count")
+	}
+	if _, err := templates[0].Template().CloneFor(b.Build()); err == nil {
+		t.Fatal("CloneFor of a template accepted a matrix with a different nonzero count")
 	}
 }

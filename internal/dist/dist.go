@@ -106,6 +106,7 @@ type Matrix struct {
 	// exchange is pooled.
 	refFlat []int32
 	refOff  []int
+	nnz     int // A.NNZ() of the matrix the plan was built for
 }
 
 // Message tags used by this package.
@@ -124,7 +125,7 @@ func NewMatrix(p pcomm.Comm, lay *Layout, a *sparse.CSR) *Matrix {
 		panic("dist: matrix too large for int32 column references")
 	}
 	me := p.ID()
-	m := &Matrix{Lay: lay, A: a, me: me, halo: new(pcomm.Halo)}
+	m := &Matrix{Lay: lay, A: a, me: me, halo: new(pcomm.Halo), nnz: a.NNZ()}
 	rows := lay.Rows[me]
 	slotOf := make(map[int]int32) // ghost id → slot; −1 until ordered
 	need := make([][]int, lay.P)
@@ -172,7 +173,13 @@ func NewMatrix(p pcomm.Comm, lay *Layout, a *sparse.CSR) *Matrix {
 }
 
 // NGhost reports the number of off-processor values each product fetches.
-func (m *Matrix) NGhost() int { return len(m.ghost[0]) }
+func (m *Matrix) NGhost() int {
+	n := 0
+	for _, l := range m.halo.In {
+		n += len(l.IDs)
+	}
+	return n
+}
 
 // Halo returns the ghost exchange plan. It is shared and must not be
 // modified.
@@ -252,29 +259,33 @@ func (m *Matrix) MulVecBatch(p pcomm.Comm, ys, xs [][]float64) {
 // The caller is responsible for the pattern actually matching (the
 // service guarantees it via sparse.PatternFingerprint keys); CloneFor
 // checks dimensions and nonzero count as a cheap guard and returns an
-// error on mismatch.
+// error on mismatch. The receiver may be a Template.
 func (m *Matrix) CloneFor(a *sparse.CSR) (*Matrix, error) {
 	if a.N != m.Lay.N || a.M != m.Lay.N {
 		return nil, fmt.Errorf("dist: CloneFor matrix %dx%d does not match layout size %d", a.N, a.M, m.Lay.N)
 	}
-	if a.NNZ() != m.A.NNZ() {
-		return nil, fmt.Errorf("dist: CloneFor matrix has %d entries, exchange plan was built for %d", a.NNZ(), m.A.NNZ())
+	if a.NNZ() != m.nnz {
+		return nil, fmt.Errorf("dist: CloneFor matrix has %d entries, exchange plan was built for %d", a.NNZ(), m.nnz)
 	}
-	return &Matrix{
-		Lay:     m.Lay,
-		A:       a,
-		me:      m.me,
-		halo:    m.halo,
-		ghost:   [][]float64{make([]float64, m.NGhost())},
-		refFlat: m.refFlat,
-		refOff:  m.refOff,
-	}, nil
+	c := m.Template()
+	c.A = a
+	c.ghost = [][]float64{make([]float64, m.NGhost())}
+	return c, nil
+}
+
+// Template returns the pattern-only half of this view: the shared halo,
+// column references and nonzero count, without the matrix or the ghost
+// value buffers. It serves only as a CloneFor receiver, and keeps no
+// value array alive.
+func (m *Matrix) Template() *Matrix {
+	return &Matrix{Lay: m.Lay, me: m.me, halo: m.halo, refFlat: m.refFlat, refOff: m.refOff, nnz: m.nnz}
 }
 
 // SizeBytes estimates the in-memory footprint of this processor's ghost
-// exchange plan and buffers (the shared CSR is accounted separately).
+// exchange plan, column references and buffers (the shared CSR is
+// accounted separately).
 func (m *Matrix) SizeBytes() int64 {
-	var n int64
+	n := 4*int64(len(m.refFlat)) + 8*int64(len(m.refOff))
 	for _, g := range m.ghost {
 		n += 8 * int64(len(g))
 	}

@@ -9,43 +9,6 @@ import (
 	"repro/internal/sparse"
 )
 
-// matrixStore holds submitted matrices by fingerprint. Matrices are
-// cheap relative to factorizations and are never evicted: an evicted
-// factorization can therefore always be rebuilt from its matrix without
-// resubmission.
-type matrixStore struct {
-	byKey map[string]*sparse.CSR
-}
-
-func newMatrixStore() *matrixStore {
-	return &matrixStore{byKey: make(map[string]*sparse.CSR)}
-}
-
-// put stores a (returning its content key and whether it was already
-// known). Caller holds the server lock.
-func (s *matrixStore) put(a *sparse.CSR) (string, bool) {
-	key := sparse.Fingerprint(a)
-	return key, s.putKeyed(key, a)
-}
-
-// putKeyed stores a under key, which the caller has already checked is
-// a's fingerprint, and reports whether it was already known. Caller holds
-// the server lock.
-func (s *matrixStore) putKeyed(key string, a *sparse.CSR) bool {
-	if _, ok := s.byKey[key]; ok {
-		return true
-	}
-	s.byKey[key] = a
-	return false
-}
-
-func (s *matrixStore) get(key string) (*sparse.CSR, bool) {
-	a, ok := s.byKey[key]
-	return a, ok
-}
-
-func (s *matrixStore) len() int { return len(s.byKey) }
-
 // precPiece is one virtual processor's preconditioner piece: anything
 // krylov can apply that also reports its memory footprint for the cache
 // byte budget. core.ProcPrecond (the normal and ladder-retry rungs) and
@@ -98,25 +61,42 @@ type entry struct {
 // every matrix of a sequence that shares the pattern: a value-only change
 // skips graph construction, partitioning, layout and the ghost-plan
 // setup exchange, leaving just the numeric refactorization. The mats
-// templates alias the full entry built alongside them (both are immutable
-// after setup), so the marginal memory of a symbolic entry is the
-// analysis arrays plus the layout.
+// templates are pattern-only (dist.Matrix.Template): they share the
+// exchange plans of the entry built alongside them (both are immutable
+// after setup) but keep neither its matrix nor its ghost buffers, so a
+// pattern's symbolic entry never pins the first matrix of that pattern.
 type symEntry struct {
 	sym  *core.Symbolic
 	mats []*dist.Matrix // per-proc templates; CloneFor rebinds values
 }
 
-// symbolicBudget is the byte budget of the symbolic tier.
-const symbolicBudget = 64 << 20
+// sizeBytes is what a symbolic entry keeps alive: the analysis with the
+// pattern it aliases, and the templates.
+func (se *symEntry) sizeBytes() int64 {
+	b := se.sym.SizeBytes()
+	for _, m := range se.mats {
+		b += m.SizeBytes()
+	}
+	return b
+}
 
-// lru is a string-keyed LRU with a byte budget. The server keeps two: the
-// factor cache (full entries by matrix fingerprint) and the symbolic tier
-// (analyses by pattern fingerprint). They are deliberately separate
-// instances: a full entry is worth keeping only for an exact value match,
-// while an analysis stays useful for the whole lifetime of a pattern —
-// evicting one must not evict the other. All methods require the server
-// lock (the cache has no lock of its own); the expensive builds happen
-// outside it.
+// The byte budgets of the symbolic tier and of the matrix tier. A
+// daemon's cached state is bounded by their sum plus Config.CacheBytes
+// (or by one item alone, should it exceed its tier's budget).
+const (
+	symbolicBudget = 64 << 20
+	matrixBudget   = 32 << 20
+)
+
+// lru is a string-keyed LRU with a byte budget. The server keeps three:
+// the matrix tier (submitted matrices by fingerprint), the factor cache
+// (full entries by matrix fingerprint) and the symbolic tier (analyses by
+// pattern fingerprint). They are deliberately separate instances: a full
+// entry is worth keeping only for an exact value match, while an analysis
+// stays useful for the whole lifetime of a pattern, and a matrix only
+// until its factor is cached or its client stops using it — evicting one
+// must not evict another. All methods require the server lock (the cache
+// has no lock of its own); the expensive builds happen outside it.
 type lru[V any] struct {
 	budget int64
 	bytes  int64

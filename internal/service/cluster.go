@@ -384,7 +384,7 @@ func encodeEntry(ent *entry, cfg Config) ([]byte, error) {
 // ErrUnknownMatrix (the peer endpoint answers 404 and the fetcher
 // builds locally).
 func (s *Server) ExportFactor(key string) ([]byte, error) {
-	ent, _, err := s.entryForLocal(key)
+	ent, _, err := s.entryForLocal(key, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -472,11 +472,11 @@ func (s *Server) importFactor(key string, data []byte) (ent *entry, err error) {
 		}
 	}
 	s.publish(an, ent.mats, false)
-	// The importing daemon now knows the matrix too: a later cache
-	// eviction can rebuild locally without resubmission. The key was
-	// checked against the matrix above.
+	// The importing daemon now holds the matrix too: while the matrix
+	// tier keeps it, a later cache eviction can rebuild locally without
+	// resubmission. The key was checked against the matrix above.
 	s.mu.Lock()
-	s.matrices.putKeyed(key, a)
+	s.putMatrixLocked(key, a)
 	s.mu.Unlock()
 	return ent, nil
 }

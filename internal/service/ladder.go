@@ -72,16 +72,22 @@ func (s *Server) analysisFor(key string, a *sparse.CSR) (*analysis, error) {
 }
 
 // publish records the analysis an entry was just finished under: a miss
-// enters the symbolic tier with the entry's operators as its templates,
-// a hit is already there. built marks a local numeric build, the only
-// kind RefactorBuilds counts — an import factors nothing.
+// enters the symbolic tier with pattern-only templates of the entry's
+// operators, a hit is already there. built marks a local numeric build,
+// the only kind RefactorBuilds counts — an import factors nothing.
 func (s *Server) publish(an *analysis, mats []*dist.Matrix, built bool) {
+	var se *symEntry
+	if an.mats == nil {
+		se = &symEntry{sym: an.plan.Symbolic, mats: make([]*dist.Matrix, len(mats))}
+		for q, m := range mats {
+			se.mats[q] = m.Template()
+		}
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	switch {
-	case an.mats == nil:
-		sym := an.plan.Symbolic
-		s.symbolic.insert(sym.PatternKey, &symEntry{sym: sym, mats: mats}, sym.SizeBytes())
+	case se != nil:
+		s.symbolic.insert(se.sym.PatternKey, se, se.sizeBytes())
 	case built:
 		s.refactors++
 	}

@@ -15,7 +15,7 @@ func (s *Server) WriteMetrics(w io.Writer) error {
 	st := s.StatsSnapshot()
 	mw := &metricsWriter{w: w}
 
-	mw.gauge("pilut_matrices", "Distinct matrices submitted.", float64(st.Matrices))
+	mw.gauge("pilut_matrices", "Submitted matrices held in the matrix tier.", float64(st.Matrices))
 	mw.gauge("pilut_queue_depth", "Solve requests waiting to be batched.", float64(st.QueueDepth))
 	mw.gauge("pilut_running_batches", "Batches currently executing.", float64(st.Running))
 
@@ -33,6 +33,8 @@ func (s *Server) WriteMetrics(w io.Writer) error {
 	mw.counter("pilut_cache_refactor_builds_total", "Refactor-only builds (numeric phase under a cached analysis).", float64(c.RefactorBuilds))
 	mw.gauge("pilut_cache_symbolic_entries", "Symbolic analyses currently cached.", float64(c.SymbolicEntries))
 	mw.gauge("pilut_cache_symbolic_bytes", "Estimated bytes held by cached symbolic analyses.", float64(c.SymbolicBytes))
+	mw.gauge("pilut_matrix_bytes", "Bytes held by submitted matrices in the matrix tier.", float64(c.MatrixBytes))
+	mw.counter("pilut_matrix_evictions_total", "Submitted matrices evicted from the matrix tier.", float64(c.MatrixEvictions))
 
 	v := st.Solves
 	mw.counter("pilut_solve_requests_total", "Solve requests accepted.", float64(v.Requests))

@@ -75,6 +75,19 @@ func TestMetricsExposition(t *testing.T) {
 	if got := metricValue(t, text, "pilut_solve_inflight"); got != 0 {
 		t.Fatalf("inflight = %v after all solves returned", got)
 	}
+	// The matrix tier holds the one submitted matrix, byte for byte.
+	if got := metricValue(t, text, "pilut_matrices"); got != 1 {
+		t.Fatalf("matrices = %v, want 1", got)
+	}
+	if got, want := metricValue(t, text, "pilut_matrix_bytes"), float64(a.SizeBytes()); got != want {
+		t.Fatalf("matrix_bytes = %v, want %v", got, want)
+	}
+	if got := metricValue(t, text, "pilut_matrix_evictions_total"); got != 0 {
+		t.Fatalf("matrix_evictions_total = %v, want 0", got)
+	}
+	if !strings.Contains(text, "# HELP pilut_matrices Submitted matrices held in the matrix tier.") {
+		t.Fatalf("pilut_matrices help text does not say matrices held:\n%s", text)
+	}
 
 	// Histogram sanity: cumulative buckets, +Inf equals _count, sum > 0.
 	count := metricValue(t, text, "pilut_solve_latency_ms_count")

@@ -258,6 +258,7 @@ type outcome struct {
 
 type request struct {
 	key  string
+	a    *sparse.CSR // the key's matrix when the request was accepted
 	b    []float64
 	opt  SolveOptions
 	ctx  context.Context
@@ -273,9 +274,9 @@ type Server struct {
 
 	mu        sync.Mutex
 	cond      *sync.Cond
-	matrices  *matrixStore
-	cache     *lru[*entry]    // factorizations by matrix fingerprint
-	symbolic  *lru[*symEntry] // analyses by pattern fingerprint
+	matrices  *lru[*sparse.CSR] // submitted matrices by fingerprint
+	cache     *lru[*entry]      // factorizations by matrix fingerprint
+	symbolic  *lru[*symEntry]   // analyses by pattern fingerprint
 	breaker   *breaker
 	cluster   *cluster              // nil outside a cluster
 	pending   map[string][]*request // per key, FIFO
@@ -323,7 +324,7 @@ func New(cfg Config) *Server {
 	s := &Server{
 		cfg:       cfg,
 		stats:     newStatsCollector(),
-		matrices:  newMatrixStore(),
+		matrices:  newLRU[*sparse.CSR](matrixBudget),
 		cache:     newLRU[*entry](cfg.CacheBytes),
 		symbolic:  newLRU[*symEntry](symbolicBudget),
 		breaker:   newBreaker(cfg.BreakerFailures, cfg.BreakerCooldown),
@@ -352,7 +353,10 @@ func New(cfg Config) *Server {
 // Submit registers a matrix and returns its content key. Submitting the
 // same matrix (by content, not by pointer) again returns the same key
 // with known = true and costs nothing. The matrix must be square with at
-// least Procs rows and finite values.
+// least Procs rows and finite values. The matrix tier is an LRU under
+// matrixBudget: a matrix neither it nor the factor cache holds any more
+// answers ErrUnknownMatrix, and submitting it again restores it under
+// the same key.
 func (s *Server) Submit(a *sparse.CSR) (key string, known bool, err error) {
 	if a == nil {
 		return "", false, fmt.Errorf("service: nil matrix")
@@ -368,12 +372,13 @@ func (s *Server) Submit(a *sparse.CSR) (key string, known bool, err error) {
 			return "", false, fmt.Errorf("service: matrix holds a non-finite value %v", v)
 		}
 	}
+	key = sparse.Fingerprint(a)
 	s.mu.Lock()
 	if s.draining {
 		s.mu.Unlock()
 		return "", false, ErrClosed
 	}
-	key, known = s.matrices.put(a)
+	known = s.putMatrixLocked(key, a)
 	s.mu.Unlock()
 	if !known {
 		// In a cluster, push new matrices to their owning daemon so
@@ -381,6 +386,30 @@ func (s *Server) Submit(a *sparse.CSR) (key string, known bool, err error) {
 		s.replicateMatrix(key, a)
 	}
 	return key, known, nil
+}
+
+// putMatrixLocked holds a in the matrix tier under key, which the caller
+// has checked is a's fingerprint, and reports whether the tier held it
+// already (then it is only promoted). Caller holds the server lock.
+func (s *Server) putMatrixLocked(key string, a *sparse.CSR) (known bool) {
+	if _, known = s.matrices.peek(key); !known {
+		s.matrices.insert(key, a, a.SizeBytes())
+	}
+	return known
+}
+
+// matrixLocked finds key's matrix. The matrix tier answers first and is
+// promoted, so its order is the order of use; a cached factor pins its
+// matrix, so a key the tier has dropped still resolves while its factor
+// is cached. Caller holds the server lock.
+func (s *Server) matrixLocked(key string) (*sparse.CSR, bool) {
+	if a, ok := s.matrices.peek(key); ok {
+		return a, true
+	}
+	if it, ok := s.cache.items[key]; ok {
+		return it.val.a, true
+	}
+	return nil, false
 }
 
 // Solve solves A·x = b for the matrix registered under key and returns
@@ -400,7 +429,7 @@ func (s *Server) Solve(ctx context.Context, key string, b []float64, opt SolveOp
 		s.mu.Unlock()
 		return SolveResult{}, ErrClosed
 	}
-	a, ok := s.matrices.get(key)
+	a, ok := s.matrixLocked(key)
 	if !ok {
 		s.mu.Unlock()
 		return SolveResult{}, fmt.Errorf("%w: %q", ErrUnknownMatrix, key)
@@ -429,6 +458,7 @@ func (s *Server) Solve(ctx context.Context, key string, b []float64, opt SolveOp
 	}
 	req := &request{
 		key:  key,
+		a:    a,
 		b:    append([]float64(nil), b...),
 		opt:  opt,
 		ctx:  ctx,
@@ -501,7 +531,7 @@ func (s *Server) StatsSnapshot() Stats {
 		depth += len(q)
 	}
 	st := Stats{
-		Matrices:   s.matrices.len(),
+		Matrices:   len(s.matrices.items),
 		QueueDepth: depth,
 		Running:    s.running,
 		Cache: CacheStats{
@@ -517,6 +547,8 @@ func (s *Server) StatsSnapshot() Stats {
 			SymbolicHits:    s.symbolic.hits,
 			SymbolicMisses:  s.symbolic.misses,
 			RefactorBuilds:  s.refactors,
+			MatrixBytes:     s.matrices.bytes,
+			MatrixEvictions: s.matrices.evictions,
 		},
 		Solves: s.stats.snapshot(),
 	}
@@ -655,8 +687,9 @@ func (s *Server) failBatch(batch []*request, err error) {
 // factorization (bitwise identical rows, no recomputation); any peer
 // failure — or no cluster at all — falls through to a local build. The
 // expensive paths run without the server lock; per-key exclusive
-// dispatch guarantees no duplicate concurrent build.
-func (s *Server) entryFor(key string) (*entry, bool, error) {
+// dispatch guarantees no duplicate concurrent build. a is the key's
+// matrix as the batch's requests were accepted with it.
+func (s *Server) entryFor(key string, a *sparse.CSR) (*entry, bool, error) {
 	s.mu.Lock()
 	ent, ok := s.cache.lookup(key)
 	s.mu.Unlock()
@@ -667,7 +700,7 @@ func (s *Server) entryFor(key string) (*entry, bool, error) {
 		s.admit(ent, originPeer)
 		return ent, false, nil
 	}
-	return s.entryForLocal(key)
+	return s.entryForLocal(key, a)
 }
 
 // admit publishes a finished entry in the factor cache under its origin
@@ -691,7 +724,10 @@ func (s *Server) admit(ent *entry, origin string) {
 // entryForLocal resolves key strictly on this daemon: cache hit or
 // local build, never a peer fetch. The peer-serve path uses it so two
 // daemons with disagreeing peer lists cannot route a fetch in a cycle.
-func (s *Server) entryForLocal(key string) (*entry, bool, error) {
+// a is the key's matrix if the caller has it — a solve carries the one
+// it was accepted with, so a matrix-tier eviction while it queued cannot
+// fail it — and nil to look it up in the matrix tier.
+func (s *Server) entryForLocal(key string, a *sparse.CSR) (*entry, bool, error) {
 	s.mu.Lock()
 	// Uncounted: the caller either already recorded the miss (entryFor)
 	// or is a peer serve, which must not perturb local cache counters.
@@ -700,9 +736,11 @@ func (s *Server) entryForLocal(key string) (*entry, bool, error) {
 		s.mu.Unlock()
 		return ent, true, nil
 	}
-	a, ok := s.matrices.get(key)
+	if a == nil {
+		a, _ = s.matrices.peek(key)
+	}
 	s.mu.Unlock()
-	if !ok {
+	if a == nil {
 		return nil, false, fmt.Errorf("%w: %q", ErrUnknownMatrix, key)
 	}
 	ent, err := s.buildEntry(key, a)
@@ -773,7 +811,7 @@ func (s *Server) runBatch(key string, batch []*request) {
 	if len(batch) == 0 {
 		return
 	}
-	ent, hit, err := s.entryFor(key)
+	ent, hit, err := s.entryFor(key, batch[0].a)
 	if err != nil {
 		s.recordOutcome(key, err)
 		s.failBatch(batch, err)

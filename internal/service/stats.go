@@ -66,6 +66,11 @@ type CacheStats struct {
 	SymbolicHits    int64 `json:"symbolic_hits"`
 	SymbolicMisses  int64 `json:"symbolic_misses"`
 	RefactorBuilds  int64 `json:"refactor_builds"`
+
+	// Matrix-tier counters: the bytes of the submitted matrices held
+	// (under matrixBudget) and how many the tier has evicted.
+	MatrixBytes     int64 `json:"matrix_bytes"`
+	MatrixEvictions int64 `json:"matrix_evictions"`
 }
 
 // SolveStats describes the solve pipeline.
@@ -108,6 +113,8 @@ type SolveStats struct {
 
 // Stats is a point-in-time snapshot of the whole service.
 type Stats struct {
+	// Matrices counts the submitted matrices the matrix tier holds now;
+	// the tier evicts under its byte budget.
 	Matrices   int        `json:"matrices"`
 	QueueDepth int        `json:"queue_depth"`
 	Running    int        `json:"running_batches"`

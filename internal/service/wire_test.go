@@ -89,7 +89,7 @@ func TestFactorBodyRoundTrip(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				ent, _, err := srv.entryForLocal(key)
+				ent, _, err := srv.entryForLocal(key, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -295,7 +295,7 @@ func FuzzDecodeFactor(f *testing.F) {
 			}
 		}
 		srv.mu.Lock()
-		_, stored := srv.matrices.get(wf.Key)
+		_, stored := srv.matrices.peek(wf.Key)
 		srv.mu.Unlock()
 		if !stored {
 			t.Fatal("accepted import did not store its matrix")
@@ -332,7 +332,7 @@ func FuzzDecodeMatrix(f *testing.F) {
 			return
 		}
 		srv.mu.Lock()
-		stored, ok := srv.matrices.get(key)
+		stored, ok := srv.matrices.peek(key)
 		srv.mu.Unlock()
 		if !ok || sparse.Fingerprint(stored) != key {
 			t.Fatalf("accepted matrix is not stored under its fingerprint %s", key)
