@@ -333,13 +333,10 @@ func TestEndToEnd(t *testing.T) {
 	}
 }
 
-// matrixTierBudget is the service's matrix-tier budget (matrixBudget).
-const matrixTierBudget = 32 << 20
-
 // TestDaemonMatrixTierBound posts more than the matrix tier's budget of
 // distinct matrices to the real daemon, submits only, and checks that
-// /v1/stats reports the tier within its budget and that the daemon still
-// answers a solve.
+// /v1/stats reports the tier within the budget it reports and that the
+// daemon still answers a solve.
 func TestDaemonMatrixTierBound(t *testing.T) {
 	if testing.Short() {
 		t.Skip("end-to-end smoke test builds and runs a binary")
@@ -348,27 +345,32 @@ func TestDaemonMatrixTierBound(t *testing.T) {
 	startDaemon(t, buildPilutd(t), "-addr", strings.TrimPrefix(base, "http://"), "-procs", "4", "-backend", e2eBackend())
 	waitHealthy(t, base)
 
+	var st struct {
+		Matrices int `json:"matrices"`
+		Cache    struct {
+			MatrixBytes       int64 `json:"matrix_bytes"`
+			MatrixBudgetBytes int64 `json:"matrix_budget_bytes"`
+			MatrixEvictions   int64 `json:"matrix_evictions"`
+		} `json:"cache"`
+	}
+	if code := getJSON(t, base+"/v1/stats", &st); code != http.StatusOK || st.Cache.MatrixBudgetBytes <= 0 {
+		t.Fatalf("stats: status %d, matrix_budget_bytes %d", code, st.Cache.MatrixBudgetBytes)
+	}
+	budget := st.Cache.MatrixBudgetBytes
 	var posted int64
-	for i := 0; posted <= matrixTierBudget+(1<<20); i++ {
+	for i := 0; posted <= budget+(1<<20); i++ {
 		a := matgen.Grid2D(120, 120+i)
 		submitMatrix(t, base, a)
 		posted += a.SizeBytes()
 	}
-	var st struct {
-		Matrices int `json:"matrices"`
-		Cache    struct {
-			MatrixBytes     int64 `json:"matrix_bytes"`
-			MatrixEvictions int64 `json:"matrix_evictions"`
-		} `json:"cache"`
-	}
 	if code := getJSON(t, base+"/v1/stats", &st); code != http.StatusOK {
 		t.Fatalf("stats: status %d", code)
 	}
-	t.Logf("posted %.1f MiB of matrices: %d held in %.1f MiB, %d evicted",
-		float64(posted)/(1<<20), st.Matrices, float64(st.Cache.MatrixBytes)/(1<<20), st.Cache.MatrixEvictions)
-	if st.Cache.MatrixBytes > matrixTierBudget || st.Cache.MatrixEvictions == 0 {
+	t.Logf("posted %.1f MiB of matrices: %d held in %.1f MiB of a %.1f MiB budget, %d evicted",
+		float64(posted)/(1<<20), st.Matrices, float64(st.Cache.MatrixBytes)/(1<<20), float64(budget)/(1<<20), st.Cache.MatrixEvictions)
+	if st.Cache.MatrixBytes > budget || st.Cache.MatrixEvictions == 0 {
 		t.Fatalf("matrix_bytes = %d (budget %d), matrix_evictions = %d: the tier is not bounded",
-			st.Cache.MatrixBytes, matrixTierBudget, st.Cache.MatrixEvictions)
+			st.Cache.MatrixBytes, budget, st.Cache.MatrixEvictions)
 	}
 
 	a := matgen.Grid2D(16, 16)

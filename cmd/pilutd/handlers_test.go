@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -206,8 +207,17 @@ func TestEvictedMatrixIs404ThenResubmit(t *testing.T) {
 		return resp
 	}
 	decodeError(t, solve(), http.StatusNotFound)
+	// A sequence is refused before any step runs, naming the missing key.
+	body, _ := json.Marshal(map[string]any{"keys": []string{key}, "b": []float64{1, 1, 1, 1}})
+	resp, err := http.Post(ts.URL+"/v1/sequences", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if msg := decodeError(t, resp, http.StatusNotFound); !strings.Contains(msg, key) {
+		t.Fatalf("sequence 404 %q does not name the missing key %s", msg, key)
+	}
 
-	resp, err := http.Post(ts.URL+"/v1/matrices", "text/plain", strings.NewReader(tinyMatrix))
+	resp, err = http.Post(ts.URL+"/v1/matrices", "text/plain", strings.NewReader(tinyMatrix))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -296,6 +306,25 @@ func TestSequencesEndpoint(t *testing.T) {
 	if reply.PatternHits != len(keys)-1 || reply.WarmStarted != len(keys)-1 || reply.CacheHits != 0 {
 		t.Fatalf("aggregates = %+v, want pattern_hits=%d warm_started=%d cache_hits=0",
 			reply, len(keys)-1, len(keys)-1)
+	}
+
+	// The same family in two calls, the second seeded through "x0" with
+	// the first's last x, computes bitwise what the one call did.
+	body, _ = json.Marshal(map[string]any{"keys": keys[1:], "b": b, "tol": 1e-9, "x0": reply.Steps[0].X})
+	resp2, err := http.Post(ts.URL+"/v1/sequences", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp2.Body.Close()
+	var tail sequenceReply
+	if err := json.NewDecoder(resp2.Body).Decode(&tail); err != nil || resp2.StatusCode != http.StatusOK {
+		t.Fatalf("seeded sequence: status %d, err %v", resp2.StatusCode, err)
+	}
+	for i, res := range tail.Steps {
+		if !res.WarmStarted || !slices.Equal(res.X, reply.Steps[i+1].X) {
+			t.Fatalf("seeded call step %d: warm_started=%v, x equal to the one call's: %v",
+				i, res.WarmStarted, slices.Equal(res.X, reply.Steps[i+1].X))
+		}
 	}
 
 	// An empty key list is a client error.

@@ -13,6 +13,16 @@
 //	GET  /metrics                              → Prometheus text metrics
 //	GET  /healthz                              → {"status", "queue_depth", ...}; 503 while draining
 //
+// Submitted matrices are held in a 32 MiB LRU tier, and a matrix whose
+// factorization is cached stays solvable beyond it. A solve of a key
+// neither holds answers 404: resubmit the matrix (same key) and retry.
+// A sequence needs all of its keys held when it is accepted, or it
+// answers 404 naming the missing ones; a family whose matrices exceed
+// the tier is solved as several sequences, each after submitting its own
+// matrices, chained by passing the last step's x as the next call's
+// "x0". A single matrix above the tier is held only until the next
+// submission, so solve it first.
+//
 // Every error response is a JSON object {"error": "..."}. Overload (full
 // queue) answers 429 and an open per-matrix circuit breaker answers 503,
 // both with a Retry-After header. SIGINT/SIGTERM drain in-flight
@@ -73,6 +83,9 @@ type sequenceRequest struct {
 	MaxMatVec int       `json:"max_matvec"`
 	TimeoutMs int       `json:"timeout_ms"`
 	WarmStart *bool     `json:"warm_start"`
+	// X0 seeds the first step only. Passing the last step's x of one call
+	// as the next call's X0 chains a family split into several calls.
+	X0 []float64 `json:"x0"`
 }
 
 type sequenceReply struct {
@@ -233,7 +246,7 @@ func newMux(svc *service.Server, maxTimeoutMs int) *http.ServeMux {
 		}
 		warm := req.WarmStart == nil || *req.WarmStart
 		steps, err := svc.SolveSequence(ctx, req.Keys, req.B, service.SolveOptions{
-			Restart: req.Restart, Tol: req.Tol, MaxMatVec: req.MaxMatVec,
+			Restart: req.Restart, Tol: req.Tol, MaxMatVec: req.MaxMatVec, X0: req.X0,
 		}, warm)
 		if err != nil {
 			writeError(w, solveStatus(err), err)

@@ -63,8 +63,10 @@ type entry struct {
 // setup exchange, leaving just the numeric refactorization. The mats
 // templates are pattern-only (dist.Matrix.Template): they share the
 // exchange plans of the entry built alongside them (both are immutable
-// after setup) but keep neither its matrix nor its ghost buffers, so a
-// pattern's symbolic entry never pins the first matrix of that pattern.
+// after setup) but keep neither its matrix nor its ghost buffers. The
+// analysis still aliases the RowPtr and Cols of the first matrix of its
+// pattern (counted in Symbolic.SizeBytes); that matrix's values and
+// ghost buffers are not kept.
 type symEntry struct {
 	sym  *core.Symbolic
 	mats []*dist.Matrix // per-proc templates; CloneFor rebinds values

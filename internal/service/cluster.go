@@ -384,7 +384,13 @@ func encodeEntry(ent *entry, cfg Config) ([]byte, error) {
 // ErrUnknownMatrix (the peer endpoint answers 404 and the fetcher
 // builds locally).
 func (s *Server) ExportFactor(key string) ([]byte, error) {
-	ent, _, err := s.entryForLocal(key, nil)
+	s.mu.Lock()
+	a, ok := s.matrixLocked(key)
+	s.mu.Unlock()
+	if !ok {
+		return nil, fmt.Errorf("%w: %q", ErrUnknownMatrix, key)
+	}
+	ent, _, err := s.entryForLocal(key, a)
 	if err != nil {
 		return nil, err
 	}

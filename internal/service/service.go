@@ -14,6 +14,8 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -418,6 +420,19 @@ func (s *Server) matrixLocked(key string) (*sparse.CSR, bool) {
 // ctx makes Solve return an error wrapping krylov.ErrCanceled; a nil ctx
 // never cancels.
 func (s *Server) Solve(ctx context.Context, key string, b []float64, opt SolveOptions) (SolveResult, error) {
+	s.mu.Lock()
+	a, ok := s.matrixLocked(key)
+	s.mu.Unlock()
+	if !ok {
+		return SolveResult{}, fmt.Errorf("%w: %q", ErrUnknownMatrix, key)
+	}
+	return s.solve(ctx, key, a, b, opt)
+}
+
+// solve queues one right-hand side against a, key's matrix as the caller
+// resolved it, and waits for its answer. The request carries a, so the
+// matrix tier evicting key while the request waits cannot fail it.
+func (s *Server) solve(ctx context.Context, key string, a *sparse.CSR, b []float64, opt SolveOptions) (SolveResult, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -428,11 +443,6 @@ func (s *Server) Solve(ctx context.Context, key string, b []float64, opt SolveOp
 	if s.draining {
 		s.mu.Unlock()
 		return SolveResult{}, ErrClosed
-	}
-	a, ok := s.matrixLocked(key)
-	if !ok {
-		s.mu.Unlock()
-		return SolveResult{}, fmt.Errorf("%w: %q", ErrUnknownMatrix, key)
 	}
 	if len(b) != a.N {
 		s.mu.Unlock()
@@ -535,20 +545,21 @@ func (s *Server) StatsSnapshot() Stats {
 		QueueDepth: depth,
 		Running:    s.running,
 		Cache: CacheStats{
-			Entries:         len(s.cache.items),
-			Bytes:           s.cache.bytes,
-			BudgetBytes:     s.cache.budget,
-			Hits:            s.cache.hits,
-			Misses:          s.cache.misses,
-			Evictions:       s.cache.evictions,
-			Factorizations:  s.factorizations,
-			SymbolicEntries: len(s.symbolic.items),
-			SymbolicBytes:   s.symbolic.bytes,
-			SymbolicHits:    s.symbolic.hits,
-			SymbolicMisses:  s.symbolic.misses,
-			RefactorBuilds:  s.refactors,
-			MatrixBytes:     s.matrices.bytes,
-			MatrixEvictions: s.matrices.evictions,
+			Entries:           len(s.cache.items),
+			Bytes:             s.cache.bytes,
+			BudgetBytes:       s.cache.budget,
+			Hits:              s.cache.hits,
+			Misses:            s.cache.misses,
+			Evictions:         s.cache.evictions,
+			Factorizations:    s.factorizations,
+			SymbolicEntries:   len(s.symbolic.items),
+			SymbolicBytes:     s.symbolic.bytes,
+			SymbolicHits:      s.symbolic.hits,
+			SymbolicMisses:    s.symbolic.misses,
+			RefactorBuilds:    s.refactors,
+			MatrixBytes:       s.matrices.bytes,
+			MatrixBudgetBytes: s.matrices.budget,
+			MatrixEvictions:   s.matrices.evictions,
 		},
 		Solves: s.stats.snapshot(),
 	}
@@ -722,26 +733,17 @@ func (s *Server) admit(ent *entry, origin string) {
 }
 
 // entryForLocal resolves key strictly on this daemon: cache hit or
-// local build, never a peer fetch. The peer-serve path uses it so two
-// daemons with disagreeing peer lists cannot route a fetch in a cycle.
-// a is the key's matrix if the caller has it — a solve carries the one
-// it was accepted with, so a matrix-tier eviction while it queued cannot
-// fail it — and nil to look it up in the matrix tier.
+// local build of a, key's matrix, never a peer fetch. The peer-serve
+// path uses it so two daemons with disagreeing peer lists cannot route a
+// fetch in a cycle.
 func (s *Server) entryForLocal(key string, a *sparse.CSR) (*entry, bool, error) {
 	s.mu.Lock()
 	// Uncounted: the caller either already recorded the miss (entryFor)
 	// or is a peer serve, which must not perturb local cache counters.
 	ent, ok := s.cache.peek(key)
-	if ok {
-		s.mu.Unlock()
-		return ent, true, nil
-	}
-	if a == nil {
-		a, _ = s.matrices.peek(key)
-	}
 	s.mu.Unlock()
-	if a == nil {
-		return nil, false, fmt.Errorf("%w: %q", ErrUnknownMatrix, key)
+	if ok {
+		return ent, true, nil
 	}
 	ent, err := s.buildEntry(key, a)
 	if err != nil {
@@ -917,27 +919,63 @@ func (s *Server) runBatch(key string, batch []*request) {
 // registered matrices in order — the matrix-sequence workflow (evolving
 // values, typically a fixed pattern). Consecutive same-pattern steps
 // reuse the cached symbolic analysis (refactor-only builds), and with
-// warmStart set each step starts from the previous step's solution. The
-// first error stops the sequence and is returned alongside the results
-// of the steps already completed.
+// warmStart set each step starts from the previous step's solution.
+// opt.X0, if set, seeds the first step only, so a warm-started sequence
+// split into several calls, each seeded with the last solution of the
+// call before, computes what one call would. The first error stops the
+// sequence and is returned alongside the results of the steps already
+// completed.
+//
+// Every key is resolved when the sequence is accepted and its matrix is
+// held until the sequence ends, so matrix-tier evictions while it runs
+// cannot fail a later step. A key neither the matrix tier nor the factor
+// cache holds fails the sequence before any step runs: the matrices of
+// one call must be held together, and a family larger than matrixBudget
+// has to be split.
 func (s *Server) SolveSequence(ctx context.Context, keys []string, b []float64, opt SolveOptions, warmStart bool) ([]SolveResult, error) {
 	if len(keys) == 0 {
 		return nil, fmt.Errorf("service: empty matrix sequence")
 	}
 	s.stats.sequence(len(keys))
+	mats, err := s.sequenceMatrices(keys)
+	if err != nil {
+		return nil, err
+	}
 	results := make([]SolveResult, 0, len(keys))
-	var prev []float64
+	x0 := opt.X0
 	for i, key := range keys {
 		o := opt
-		if warmStart && prev != nil {
-			o.X0 = prev
-		}
-		res, err := s.Solve(ctx, key, b, o)
+		o.X0 = x0
+		res, err := s.solve(ctx, key, mats[i], b, o)
 		if err != nil {
 			return results, fmt.Errorf("service: sequence step %d (%s): %w", i, key, err)
 		}
 		results = append(results, res)
-		prev = res.X
+		x0 = nil
+		if warmStart {
+			x0 = res.X
+		}
 	}
 	return results, nil
+}
+
+// sequenceMatrices resolves every key of a sequence under one lock. Keys
+// neither tier holds fail it with ErrUnknownMatrix naming each of them.
+func (s *Server) sequenceMatrices(keys []string) ([]*sparse.CSR, error) {
+	mats := make([]*sparse.CSR, len(keys))
+	var missing []string
+	s.mu.Lock()
+	for i, key := range keys {
+		a, ok := s.matrixLocked(key)
+		if !ok {
+			missing = append(missing, strconv.Quote(key))
+		}
+		mats[i] = a
+	}
+	s.mu.Unlock()
+	if missing != nil {
+		return nil, fmt.Errorf("%w: sequence keys %s are not held; resubmit them, and split a sequence whose matrices exceed the %d MiB matrix tier",
+			ErrUnknownMatrix, strings.Join(missing, ", "), matrixBudget>>20)
+	}
+	return mats, nil
 }

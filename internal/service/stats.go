@@ -67,10 +67,11 @@ type CacheStats struct {
 	SymbolicMisses  int64 `json:"symbolic_misses"`
 	RefactorBuilds  int64 `json:"refactor_builds"`
 
-	// Matrix-tier counters: the bytes of the submitted matrices held
-	// (under matrixBudget) and how many the tier has evicted.
-	MatrixBytes     int64 `json:"matrix_bytes"`
-	MatrixEvictions int64 `json:"matrix_evictions"`
+	// Matrix-tier counters: the bytes of the submitted matrices held,
+	// the tier's budget (matrixBudget) and how many it has evicted.
+	MatrixBytes       int64 `json:"matrix_bytes"`
+	MatrixBudgetBytes int64 `json:"matrix_budget_bytes"`
+	MatrixEvictions   int64 `json:"matrix_evictions"`
 }
 
 // SolveStats describes the solve pipeline.

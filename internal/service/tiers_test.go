@@ -191,3 +191,87 @@ func TestSymbolicEntryIsPatternOnly(t *testing.T) {
 		t.Fatalf("symbolic entry sized %d, below the %d bytes of pattern it pins", se.bytes, pattern)
 	}
 }
+
+// TestSequenceChunksChainAsOneCall: a warm-started sequence split into
+// two calls, the second seeded with the first's last x, computes bitwise
+// what one call computes.
+func TestSequenceChunksChainAsOneCall(t *testing.T) {
+	ctx := context.Background()
+	base := matgen.Grid2D(16, 16)
+	fam := append([]*sparse.CSR{base}, matgen.Evolve(base, 3, 1e-2, 5)...)
+	b := rhs(base.N, 2)
+	run := func(spans [][2]int) []SolveResult {
+		t.Helper()
+		s := New(testConfig())
+		defer s.Shutdown(ctx)
+		keys := make([]string, len(fam))
+		for i, a := range fam {
+			keys[i], _, _ = s.Submit(a)
+		}
+		var out []SolveResult
+		var x0 []float64
+		for _, span := range spans {
+			res, err := s.SolveSequence(ctx, keys[span[0]:span[1]], b, SolveOptions{Tol: 1e-9, X0: x0}, true)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out = append(out, res...)
+			x0 = res[len(res)-1].X
+		}
+		return out
+	}
+	one, two := run([][2]int{{0, 4}}), run([][2]int{{0, 2}, {2, 4}})
+	for i := range one {
+		if one[i].Iterations != two[i].Iterations || one[i].WarmStarted != two[i].WarmStarted {
+			t.Fatalf("step %d: one call %d iterations (warm %v), two calls %d (warm %v)",
+				i, one[i].Iterations, one[i].WarmStarted, two[i].Iterations, two[i].WarmStarted)
+		}
+		for j := range one[i].X {
+			if one[i].X[j] != two[i].X[j] {
+				t.Fatalf("step %d: x[%d] = %v in one call, %v in two", i, j, one[i].X[j], two[i].X[j])
+			}
+		}
+	}
+}
+
+// TestSequenceHoldsItsMatrices: a sequence resolves every key when it is
+// accepted, so the matrix tier evicting its later keys while an earlier
+// step waits does not fail those steps.
+func TestSequenceHoldsItsMatrices(t *testing.T) {
+	ctx := context.Background()
+	s := New(Config{Procs: 4, Workers: 1})
+	defer s.Shutdown(ctx)
+	pin := matgen.Grid2D(20, 20)
+	pinKey, _, _ := s.Submit(pin)
+	if _, err := s.Solve(ctx, pinKey, rhs(pin.N, 1), SolveOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	release := pinWorker(t, s, pinKey, rhs(pin.N, 2))
+
+	base := matgen.Grid2D(21, 22)
+	keys := make([]string, 3)
+	for i, a := range append([]*sparse.CSR{base}, matgen.Evolve(base, 2, 1e-2, 4)...) {
+		keys[i], _, _ = s.Submit(a)
+	}
+	done := make(chan error, 1)
+	go func() {
+		_, err := s.SolveSequence(ctx, keys, rhs(base.N, 3), SolveOptions{}, true)
+		done <- err
+	}()
+	waitFor(t, "the first step to queue", func() bool { return s.StatsSnapshot().QueueDepth == 1 })
+	fillMatrixTier(t, s)
+	s.mu.Lock()
+	for _, key := range keys {
+		if _, held := s.matrices.items[key]; held {
+			s.mu.Unlock()
+			t.Fatalf("key %s is still held; the fillers did not evict the sequence", key)
+		}
+	}
+	s.mu.Unlock()
+	if err := release(); !errors.Is(err, krylov.ErrCanceled) {
+		t.Fatalf("pinning solve: err = %v, want krylov.ErrCanceled", err)
+	}
+	if err := <-done; err != nil {
+		t.Fatalf("sequence after its matrices were evicted: %v", err)
+	}
+}

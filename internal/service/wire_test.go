@@ -89,7 +89,7 @@ func TestFactorBodyRoundTrip(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				ent, _, err := srv.entryForLocal(key, nil)
+				ent, _, err := srv.entryForLocal(key, a)
 				if err != nil {
 					t.Fatal(err)
 				}
