@@ -27,8 +27,10 @@ fmt-check:
 # own doc and testdata mention it twice). The waiver count is a ratchet —
 # loc, and so lint, fails above HOTALLOC_WAIVERS_MAX; lower that with
 # every waiver removed. So are the service's two single seams: one peer
-# HTTP request builder (cluster.call) and one partitioner call
-# (analysisFor) — a second occurrence of either fails loc — and the one
+# HTTP request builder (cluster.call) and one call of the front end
+# core.Prepare (analysisFor) — a second occurrence of either fails loc —
+# and the one front end itself: partition.KWay( in a non-test Go file
+# outside internal/core, cmd/partition and bench/ fails loc. And the one
 # comm engine: internal/machine is the cost models, so its non-test files
 # importing sync, pcomm or trace (a second engine growing back) fails loc.
 # So does a boxed Send or Recv in the numeric packages' non-test files:
@@ -49,10 +51,12 @@ loc:
 	@find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' | xargs wc -l | \
 		awk 'END { print "non-test Go lines outside bench/: " $$1 }'
 	@cat $(SERVICE_SRC) | wc -l | awk '{ print "non-test Go lines in internal/service: " $$1 }'
-	@for pat in 'http.NewRequestWithContext' 'partition.KWay('; do \
+	@for pat in 'http.NewRequestWithContext' 'core.Prepare('; do \
 		n=$$(cat $(SERVICE_SRC) | grep -c -F "$$pat"); \
 		if [ $$n -gt 1 ]; then echo "internal/service: $$n occurrences of $$pat, want at most 1"; exit 1; fi; \
 	done
+	@if grep -n -F 'partition.KWay(' $(GO_SRC) | grep -v -E '^\./(internal/core|cmd/partition)/'; then \
+		echo "partition.KWay outside internal/core and cmd/partition: lay a matrix out with core.Prepare"; exit 1; fi
 	@if grep -n -E '"(sync|repro/internal/pcomm|repro/internal/trace)(/[a-z/]*)?"' $(MACHINE_SRC); then \
 		echo "internal/machine imports a comm or trace package: it holds the cost models only"; exit 1; fi
 	@if grep -n -E '\.(Send|Recv)\(' $(NUMERIC_SRC); then \

@@ -10,11 +10,8 @@ import (
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/dist"
-	"repro/internal/graph"
 	"repro/internal/ilu"
 	"repro/internal/matgen"
-	"repro/internal/partition"
 	"repro/internal/pcomm"
 	"repro/internal/pcomm/realcomm"
 )
@@ -53,13 +50,7 @@ func BenchmarkRealFactorGOMAXPROCS(b *testing.B) {
 	}
 	const P = 16
 	a := matgen.Torso(16, 16, 16, 1)
-	g := graph.FromMatrix(a)
-	part := partition.KWay(g, P, partition.Options{Seed: 1})
-	lay, err := dist.NewLayout(a.N, P, part)
-	if err != nil {
-		b.Fatal(err)
-	}
-	plan, err := core.NewPlan(a, lay)
+	plan, err := core.Prepare(a, P, 1)
 	if err != nil {
 		b.Fatal(err)
 	}

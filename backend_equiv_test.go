@@ -30,12 +30,10 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/dist"
-	"repro/internal/graph"
 	"repro/internal/ilu"
 	"repro/internal/krylov"
 	"repro/internal/machine"
 	"repro/internal/matgen"
-	"repro/internal/partition"
 	"repro/internal/pcomm"
 	"repro/internal/pcomm/modelled"
 	"repro/internal/pcomm/netcomm"
@@ -278,16 +276,11 @@ func TestBackendBitwiseEquivalence(t *testing.T) {
 	for _, prob := range problems {
 		for _, P := range []int{2, 4} {
 			a := prob.a
-			g := graph.FromMatrix(a)
-			part := partition.KWay(g, P, partition.Options{Seed: 5})
-			lay, err := dist.NewLayout(a.N, P, part)
+			plan, err := core.Prepare(a, P, 5)
 			if err != nil {
 				t.Fatal(err)
 			}
-			plan, err := core.NewPlan(a, lay)
-			if err != nil {
-				t.Fatal(err)
-			}
+			lay := plan.Lay
 
 			mod := runPipeline(t, modelled.New(P, machine.T3D()), a, lay, plan, P)
 			real := runPipeline(t, realcomm.New(P), a, lay, plan, P)
@@ -302,7 +295,7 @@ func TestBackendBitwiseEquivalence(t *testing.T) {
 // TestAnalyzeRefactorEquivalence pins the symbolic/numeric split against
 // the one-shot path on every backend: a plan obtained by analyzing a
 // base matrix and rebinding its pattern to a same-pattern perturbed
-// matrix (core.Analyze + Symbolic.Bind, the sequence-reuse path) must
+// matrix (core.Prepare + Symbolic.Bind, the sequence-reuse path) must
 // drive the full factor+GMRES pipeline to bitwise-identical results as a
 // plan built from scratch for the perturbed matrix (core.NewPlan), on
 // the modelled, real and netcomm backends alike. core.Factor and
@@ -312,17 +305,12 @@ func TestAnalyzeRefactorEquivalence(t *testing.T) {
 	base := matgen.Grid2D(16, 16)
 	next := matgen.Evolve(base, 1, 2e-2, 11)[0]
 	for _, P := range []int{2, 4} {
-		g := graph.FromMatrix(base)
-		part := partition.KWay(g, P, partition.Options{Seed: 5})
-		lay, err := dist.NewLayout(base.N, P, part)
+		plan, err := core.Prepare(base, P, 5)
 		if err != nil {
 			t.Fatal(err)
 		}
-		sym, err := core.Analyze(base, lay)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rebound, err := sym.Bind(next)
+		lay := plan.Lay
+		rebound, err := plan.Bind(next)
 		if err != nil {
 			t.Fatalf("P=%d: Bind rejected a same-pattern matrix: %v", P, err)
 		}

@@ -198,7 +198,8 @@ func BenchmarkPartitioner(b *testing.B) {
 // real backend at p = 4, one workspace per rank, level after level on the
 // vertices the earlier levels left, until none is left.
 func BenchmarkMIS(b *testing.B) {
-	g := graph.FromMatrix(matgen.Grid2D(100, 100))
+	a := matgen.Grid2D(100, 100)
+	g := graph.FromMatrix(a)
 	adj := make([][]int, g.NVtx)
 	for v := 0; v < g.NVtx; v++ {
 		adj[v] = g.Neighbors(v)
@@ -218,7 +219,11 @@ func BenchmarkMIS(b *testing.B) {
 	})
 	b.Run("distributed-levels", func(b *testing.B) {
 		const P = 4
-		part := partition.KWay(g, P, partition.Options{Seed: 1})
+		plan, err := core.Prepare(a, P, 1)
+		if err != nil {
+			b.Fatal(err)
+		}
+		part := plan.Lay.PartOf
 		owner := func(v int) int { return part[v] }
 		var levels int
 		for i := 0; i < b.N; i++ {
@@ -273,8 +278,13 @@ func BenchmarkMIS(b *testing.B) {
 func BenchmarkMISPlan(b *testing.B) {
 	b.Run("torso20/p4", func(b *testing.B) {
 		const P = 4
-		g := graph.FromMatrix(matgen.Torso(20, 20, 20, 1))
-		part := partition.KWay(g, P, partition.Options{Seed: 1})
+		a := matgen.Torso(20, 20, 20, 1)
+		g := graph.FromMatrix(a)
+		plan, err := core.Prepare(a, P, 1)
+		if err != nil {
+			b.Fatal(err)
+		}
+		part := plan.Lay.PartOf
 		owner := func(v int) int { return part[v] }
 		iface := make([]bool, g.NVtx)
 		for v := range iface {
@@ -384,12 +394,11 @@ func BenchmarkTriangularSolveSerial(b *testing.B) {
 func BenchmarkDistSpMV(b *testing.B) {
 	a := matgen.Grid2D(64, 64)
 	P := 8
-	g := graph.FromMatrix(a)
-	part := partition.KWay(g, P, partition.Options{Seed: 1})
-	lay, err := dist.NewLayout(a.N, P, part)
+	plan, err := core.Prepare(a, P, 1)
 	if err != nil {
 		b.Fatal(err)
 	}
+	lay := plan.Lay
 	x := sparse.Ones(a.N)
 	xp := lay.Scatter(x)
 	b.ResetTimer()
@@ -467,12 +476,7 @@ func BenchmarkFactorCore(b *testing.B) {
 		{"real/grid63x65/p4", matgen.Grid2D(63, 65), 4, func(P int) pcomm.World { return realcomm.New(P) }},
 	} {
 		b.Run(c.name, func(b *testing.B) {
-			part := partition.KWay(graph.FromMatrix(c.a), c.P, partition.Options{Seed: 1})
-			lay, err := dist.NewLayout(c.a.N, c.P, part)
-			if err != nil {
-				b.Fatal(err)
-			}
-			plan, err := core.NewPlan(c.a, lay)
+			plan, err := core.Prepare(c.a, c.P, 1)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -533,13 +537,7 @@ func BenchmarkFig6SpeedupTrisolve(b *testing.B) {
 func BenchmarkAblationSchur(b *testing.B) {
 	a := matgen.Torso(16, 16, 16, 1)
 	P := 16
-	g := graph.FromMatrix(a)
-	part := partition.KWay(g, P, partition.Options{Seed: 1})
-	lay, err := dist.NewLayout(a.N, P, part)
-	if err != nil {
-		b.Fatal(err)
-	}
-	plan, err := core.NewPlan(a, lay)
+	plan, err := core.Prepare(a, P, 1)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -609,13 +607,7 @@ func BenchmarkNetworkSensitivity(b *testing.B) {
 func BenchmarkParallelILU0(b *testing.B) {
 	a := matgen.Torso(16, 16, 16, 1)
 	P := 16
-	g := graph.FromMatrix(a)
-	part := partition.KWay(g, P, partition.Options{Seed: 1})
-	lay, err := dist.NewLayout(a.N, P, part)
-	if err != nil {
-		b.Fatal(err)
-	}
-	plan, err := core.NewPlan(a, lay)
+	plan, err := core.Prepare(a, P, 1)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -8,7 +8,9 @@
 //	            [-scale default|paper|small] [-procs 16,32,64,128]
 //
 // Times are modelled seconds on the simulated distributed machine (T3D
-// cost constants); see DESIGN.md for the substitution argument.
+// cost constants); see DESIGN.md for the substitution argument. Stdout
+// carries the tables only, so two runs print the same bytes; each
+// experiment's wall time goes to stderr.
 package main
 
 import (
@@ -94,7 +96,7 @@ func main() {
 			fmt.Fprintf(os.Stderr, "%s: %v\n", name, err)
 			os.Exit(1)
 		}
-		fmt.Printf("[%s completed in %v wall time]\n", name, time.Since(t0).Round(time.Millisecond))
+		fmt.Fprintf(os.Stderr, "[%s completed in %v wall time]\n", name, time.Since(t0).Round(time.Millisecond))
 	}
 
 	w := os.Stdout

@@ -29,6 +29,10 @@ func main() {
 	seed := flag.Int64("seed", 1, "random seed")
 	compareRandom := flag.Bool("compare-random", false, "also report a random partition baseline")
 	flag.Parse()
+	if *k < 1 {
+		fmt.Fprintf(os.Stderr, "partition: -k %d, want at least 1\n", *k)
+		os.Exit(2)
+	}
 
 	var a *sparse.CSR
 	var err error

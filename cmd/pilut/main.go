@@ -106,9 +106,12 @@ func main() {
 	}
 	fmt.Printf("matrix %s: n=%d nnz=%d\n", name, a.N, a.NNZ())
 
-	g := graph.FromMatrix(a)
-	part := partition.KWay(g, *p, partition.Options{Seed: *seed})
-	cut, weights, err := partition.Validate(g, part, *p)
+	plan, err := core.Prepare(a, *p, *seed)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
+	}
+	cut, weights, err := partition.Validate(graph.FromMatrix(a), plan.Lay.PartOf, *p)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
@@ -124,16 +127,7 @@ func main() {
 	}
 	fmt.Printf("partition: p=%d edge-cut=%d part weights %d..%d\n", *p, cut, minW, maxW)
 
-	lay, err := dist.NewLayout(a.N, *p, part)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	plan, err := core.NewPlan(a, lay)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
+	lay := plan.Lay
 	fmt.Printf("classification: interior=%d (%.1f%%) interface=%d\n",
 		plan.TotInterior, 100*plan.InteriorFraction(), plan.NInterface)
 

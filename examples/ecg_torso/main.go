@@ -15,12 +15,10 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/dist"
-	"repro/internal/graph"
 	"repro/internal/ilu"
 	"repro/internal/krylov"
 	"repro/internal/machine"
 	"repro/internal/matgen"
-	"repro/internal/partition"
 	"repro/internal/pcomm"
 	"repro/internal/pcomm/modelled"
 	"repro/internal/sparse"
@@ -33,16 +31,11 @@ func main() {
 	n := a.N
 	fmt.Printf("torso model: n=%d nnz=%d (σ: lungs 0.005, blood 10, tissue 0.2, anisotropic muscle shell)\n", n, a.NNZ())
 
-	g := graph.FromMatrix(a)
-	part := partition.KWay(g, P, partition.Options{Seed: 1})
-	lay, err := dist.NewLayout(n, P, part)
+	plan, err := core.Prepare(a, P, 1)
 	if err != nil {
 		log.Fatal(err)
 	}
-	plan, err := core.NewPlan(a, lay)
-	if err != nil {
-		log.Fatal(err)
-	}
+	lay := plan.Lay
 	fmt.Printf("%d processors: %d interface rows (%.0f%% interior)\n\n",
 		P, plan.NInterface, 100*plan.InteriorFraction())
 

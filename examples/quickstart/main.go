@@ -10,12 +10,10 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/dist"
-	"repro/internal/graph"
 	"repro/internal/ilu"
 	"repro/internal/krylov"
 	"repro/internal/machine"
 	"repro/internal/matgen"
-	"repro/internal/partition"
 	"repro/internal/pcomm"
 	"repro/internal/pcomm/modelled"
 	"repro/internal/sparse"
@@ -43,16 +41,11 @@ func main() {
 
 	// --- parallel: PILUT* on 8 simulated processors ----------------------
 	const P = 8
-	g := graph.FromMatrix(a)
-	part := partition.KWay(g, P, partition.Options{Seed: 1})
-	lay, err := dist.NewLayout(n, P, part)
+	plan, err := core.Prepare(a, P, 1)
 	if err != nil {
 		log.Fatal(err)
 	}
-	plan, err := core.NewPlan(a, lay)
-	if err != nil {
-		log.Fatal(err)
-	}
+	lay := plan.Lay
 	fmt.Printf("parallel: %d processors, %.0f%% interior rows, %d interface rows\n",
 		P, 100*plan.InteriorFraction(), plan.NInterface)
 

@@ -10,12 +10,9 @@ import (
 	"log"
 
 	"repro/internal/core"
-	"repro/internal/dist"
-	"repro/internal/graph"
 	"repro/internal/ilu"
 	"repro/internal/machine"
 	"repro/internal/matgen"
-	"repro/internal/partition"
 	"repro/internal/pcomm"
 	"repro/internal/pcomm/modelled"
 )
@@ -29,13 +26,7 @@ func main() {
 	procs := []int{4, 8, 16, 32, 64}
 	var basePlain, baseStar float64
 	for _, P := range procs {
-		g := graph.FromMatrix(a)
-		part := partition.KWay(g, P, partition.Options{Seed: 1})
-		lay, err := dist.NewLayout(a.N, P, part)
-		if err != nil {
-			log.Fatal(err)
-		}
-		plan, err := core.NewPlan(a, lay)
+		plan, err := core.Prepare(a, P, 1)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -6,11 +6,8 @@ import (
 	"runtime"
 	"testing"
 
-	"repro/internal/dist"
-	"repro/internal/graph"
 	"repro/internal/ilu"
 	"repro/internal/matgen"
-	"repro/internal/partition"
 	"repro/internal/pcomm"
 	"repro/internal/pcomm/pcommtest"
 	"repro/internal/pcomm/realcomm"
@@ -105,15 +102,7 @@ func TestFactorSteadyStateAllocs(t *testing.T) {
 		budget = 3330 // per factorization, all ranks together
 	)
 	a := matgen.Torso(12, 12, 12, 1)
-	part := partition.KWay(graph.FromMatrix(a), P, partition.Options{Seed: 1})
-	lay, err := dist.NewLayout(a.N, P, part)
-	if err != nil {
-		t.Fatal(err)
-	}
-	plan, err := NewPlan(a, lay)
-	if err != nil {
-		t.Fatal(err)
-	}
+	plan := mustPrepare(t, a, P, 1)
 	opt := Options{Params: ilu.Params{M: 10, Tau: 1e-4, K: 2}, Seed: 1}
 	var delta uint64
 	var levels int

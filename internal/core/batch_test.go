@@ -6,11 +6,9 @@ import (
 	"time"
 
 	"repro/internal/dist"
-	"repro/internal/graph"
 	"repro/internal/ilu"
 	"repro/internal/machine"
 	"repro/internal/matgen"
-	"repro/internal/partition"
 	"repro/internal/pcomm"
 	"repro/internal/pcomm/backend"
 	"repro/internal/pcomm/pcommtest"
@@ -21,16 +19,8 @@ import (
 func buildBatchFixture(t *testing.T, p int) (*dist.Layout, []*ProcPrecond) {
 	t.Helper()
 	a := matgen.Grid2D(20, 20)
-	g := graph.FromMatrix(a)
-	part := partition.KWay(g, p, partition.Options{Seed: 3})
-	lay, err := dist.NewLayout(a.N, p, part)
-	if err != nil {
-		t.Fatal(err)
-	}
-	plan, err := NewPlan(a, lay)
-	if err != nil {
-		t.Fatal(err)
-	}
+	plan := mustPrepare(t, a, p, 3)
+	lay := plan.Lay
 	pcs := make([]*ProcPrecond, p)
 	m := pcommtest.New(t, p, machine.Zero())
 	m.SetWatchdog(30 * time.Second)

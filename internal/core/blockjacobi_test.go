@@ -4,11 +4,9 @@ import (
 	"testing"
 
 	"repro/internal/dist"
-	"repro/internal/graph"
 	"repro/internal/ilu"
 	"repro/internal/machine"
 	"repro/internal/matgen"
-	"repro/internal/partition"
 	"repro/internal/pcomm"
 	"repro/internal/pcomm/pcommtest"
 	"repro/internal/sparse"
@@ -41,13 +39,8 @@ func TestBlockJacobiSingleProcEqualsILUT(t *testing.T) {
 func TestBlockJacobiNoCommunication(t *testing.T) {
 	a := matgen.Torso(6, 6, 6, 2)
 	P := 4
-	g := graph.FromMatrix(a)
-	part := partition.KWay(g, P, partition.Options{Seed: 9})
-	lay, _ := dist.NewLayout(a.N, P, part)
-	plan, err := NewPlan(a, lay)
-	if err != nil {
-		t.Fatal(err)
-	}
+	plan := mustPrepare(t, a, P, 9)
+	lay := plan.Lay
 	b := sparse.Ones(a.N)
 	bParts := lay.Scatter(b)
 	m := pcommtest.New(t, P, machine.T3D())
@@ -71,13 +64,8 @@ func TestBlockJacobiWeakerThanPILUT(t *testing.T) {
 	// coupling and needs more iterations than PILUT at the same (m, tau).
 	a := matgen.Torso(7, 7, 7, 4)
 	P := 8
-	g := graph.FromMatrix(a)
-	part := partition.KWay(g, P, partition.Options{Seed: 9})
-	lay, _ := dist.NewLayout(a.N, P, part)
-	plan, err := NewPlan(a, lay)
-	if err != nil {
-		t.Fatal(err)
-	}
+	plan := mustPrepare(t, a, P, 9)
+	lay := plan.Lay
 	params := ilu.Params{M: 10, Tau: 1e-4, K: 2}
 	b := sparse.Ones(a.N)
 	bParts := lay.Scatter(b)

@@ -4,12 +4,9 @@ import (
 	"reflect"
 	"testing"
 
-	"repro/internal/dist"
-	"repro/internal/graph"
 	"repro/internal/ilu"
 	"repro/internal/machine"
 	"repro/internal/matgen"
-	"repro/internal/partition"
 	"repro/internal/pcomm"
 	"repro/internal/pcomm/modelled"
 	"repro/internal/sparse"
@@ -42,23 +39,10 @@ var tracedCases = []struct {
 // the pcomm backend-equivalence tests instead.
 func runTracedFactor(t *testing.T, a *sparse.CSR, P int, factor func(pcomm.Comm, *Plan) *ProcPrecond) ([]*ProcPrecond, []trace.Event, pcomm.Result) {
 	t.Helper()
-	g := graph.FromMatrix(a)
-	part := partition.KWay(g, P, partition.Options{Seed: 17})
-	lay, err := dist.NewLayout(a.N, P, part)
-	if err != nil {
-		t.Fatal(err)
-	}
-	plan, err := NewPlan(a, lay)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pcs := make([]*ProcPrecond, P)
 	m := modelled.New(P, machine.T3D())
 	rec := trace.NewRecorder(P)
 	m.SetRecorder(rec)
-	res := m.Run(func(p pcomm.Comm) {
-		pcs[p.ID()] = factor(p, plan)
-	})
+	pcs, _, res := factorOn(t, m, a, factor)
 	return pcs, rec.Events(), res
 }
 

@@ -31,7 +31,7 @@ func forEachZooCase(t *testing.T, f func(t *testing.T, plan *Plan, pcs []*ProcPr
 		for _, P := range oracleProcs {
 			for _, method := range oracleMethods {
 				t.Run(fmt.Sprintf("%s/p%d/%s", mat.name, P, method), func(t *testing.T) {
-					plan, pcs, _ := oracleFactor(t, mat.a, P, method)
+					pcs, plan, _ := factorOn(t, modelled.New(P, machine.T3D()), mat.a, oracleMethod(method))
 					f(t, plan, pcs)
 				})
 			}
@@ -230,7 +230,7 @@ func TestRefactorOnReboundPlanPassesCheckExchange(t *testing.T) {
 	for _, mat := range oracleZoo() {
 		for _, P := range oracleProcs {
 			t.Run(fmt.Sprintf("%s/p%d", mat.name, P), func(t *testing.T) {
-				plan, _, _ := oracleFactor(t, mat.a, P, "ilut") // the oracle's layout
+				plan := mustPrepare(t, mat.a, P, 17) // the oracle's layout
 				sym, err := Analyze(mat.a, plan.Lay)
 				if err != nil {
 					t.Fatal(err)
@@ -242,7 +242,7 @@ func TestRefactorOnReboundPlanPassesCheckExchange(t *testing.T) {
 				for _, method := range []string{"ilut", "ilutstar", "schur"} {
 					pcs := make([]*ProcPrecond, P)
 					modelled.New(P, machine.T3D()).Run(func(p pcomm.Comm) {
-						pcs[p.ID()] = oracleMethod(p, rebound, method)
+						pcs[p.ID()] = oracleMethod(method)(p, rebound)
 					})
 					if err := CheckExchange(pcs); err != nil {
 						t.Errorf("%s: CheckExchange rejects the pieces of a Refactor on a rebound plan: %v", method, err)
@@ -254,7 +254,7 @@ func TestRefactorOnReboundPlanPassesCheckExchange(t *testing.T) {
 }
 
 func checkExchangePlans(t *testing.T, run planRunner, a *sparse.CSR, P int, method string) {
-	plan, _, _ := oracleFactor(t, a, P, method) // the oracle's partition and plan
+	plan := mustPrepare(t, a, P, 17) // the oracle's partition and plan
 	lay := plan.Lay
 	pcs := make([]*ProcPrecond, P)
 	levels := make([][]levelPlanOf, P)
@@ -264,7 +264,7 @@ func checkExchangePlans(t *testing.T, run planRunner, a *sparse.CSR, P int, meth
 	}
 	defer func() { levelHook = nil }()
 	run(t, P, func(p pcomm.Comm) {
-		pcs[p.ID()] = oracleMethod(p, plan, method)
+		pcs[p.ID()] = oracleMethod(method)(p, plan)
 		matvec[p.ID()] = copyHalo(dist.NewMatrix(p, lay, plan.A).Halo())
 	})
 
@@ -495,7 +495,7 @@ func TestSolveRunAheadUnderDelays(t *testing.T) {
 // length.
 func TestDroppedSweepMessageTripsWatchdog(t *testing.T) {
 	zoo := oracleZoo()[0]
-	plan, pcs, _ := oracleFactor(t, zoo.a, 4, "ilut")
+	pcs, plan, _ := factorOn(t, modelled.New(4, machine.T3D()), zoo.a, oracleMethod("ilut"))
 	src := -1
 	for q, pc := range pcs {
 		if len(pc.bwd.send) > 0 {

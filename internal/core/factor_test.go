@@ -1,55 +1,50 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
-	"repro/internal/dist"
 	"repro/internal/graph"
 	"repro/internal/ilu"
 	"repro/internal/machine"
 	"repro/internal/matgen"
-	"repro/internal/partition"
 	"repro/internal/pcomm"
 	"repro/internal/pcomm/pcommtest"
 	"repro/internal/sparse"
 )
 
-// runFactor partitions a, factors it on P virtual processors and returns
-// the per-processor pieces plus the machine result.
-func runFactor(t *testing.T, a *sparse.CSR, P int, opt Options) ([]*ProcPrecond, *Plan, pcomm.Result) {
+// mustPrepare is Prepare for a test: a on P processors under seed.
+func mustPrepare(t testing.TB, a *sparse.CSR, P int, seed int64) *Plan {
 	t.Helper()
-	g := graph.FromMatrix(a)
-	part := partition.KWay(g, P, partition.Options{Seed: 17})
-	lay, err := dist.NewLayout(a.N, P, part)
+	plan, err := Prepare(a, P, seed)
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan, err := NewPlan(a, lay)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pcs := make([]*ProcPrecond, P)
-	m := pcommtest.New(t, P, machine.T3D())
-	res := m.Run(func(p pcomm.Comm) {
-		pcs[p.ID()] = Factor(p, plan, opt)
-	})
+	return plan
+}
+
+// factorOn prepares a for w's processors under seed 17 and runs factor on
+// every rank, returning the pieces, the plan and the run's result.
+func factorOn(t *testing.T, w pcomm.World, a *sparse.CSR, factor func(pcomm.Comm, *Plan) *ProcPrecond) ([]*ProcPrecond, *Plan, pcomm.Result) {
+	t.Helper()
+	plan := mustPrepare(t, a, w.NumProcs(), 17)
+	pcs := make([]*ProcPrecond, w.NumProcs())
+	res := w.Run(func(p pcomm.Comm) { pcs[p.ID()] = factor(p, plan) })
 	return pcs, plan, res
+}
+
+// withOptions is the per-rank factor call Factor(p, plan, opt).
+func withOptions(opt Options) func(pcomm.Comm, *Plan) *ProcPrecond {
+	return func(p pcomm.Comm, plan *Plan) *ProcPrecond { return Factor(p, plan, opt) }
 }
 
 func TestPlanClassification(t *testing.T) {
 	a := matgen.Grid2D(8, 8)
-	g := graph.FromMatrix(a)
-	part := partition.KWay(g, 4, partition.Options{Seed: 1})
-	lay, err := dist.NewLayout(a.N, 4, part)
-	if err != nil {
-		t.Fatal(err)
-	}
-	plan, err := NewPlan(a, lay)
-	if err != nil {
-		t.Fatal(err)
-	}
+	plan := mustPrepare(t, a, 4, 1)
+	lay := plan.Lay
 	if plan.TotInterior+plan.NInterface != a.N {
 		t.Fatalf("interior %d + interface %d != %d", plan.TotInterior, plan.NInterface, a.N)
 	}
@@ -83,40 +78,56 @@ func TestPlanClassification(t *testing.T) {
 	}
 }
 
-func TestSingleProcessorEqualsSerialILUT(t *testing.T) {
-	// With P=1 every row is interior and the parallel algorithm must
-	// reduce to plain serial ILUT in natural order.
-	a := matgen.RandomSPDPattern(50, 5, 2)
-	opt := Options{Params: ilu.Params{M: 4, Tau: 1e-3}}
-	pcs, _, _ := runFactor(t, a, 1, opt)
-	f, perm, err := GatherFactors(pcs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, p := range perm {
-		if p != i {
-			t.Fatalf("P=1 permutation not identity at %d", i)
+// sameFactors fails t unless got's L and U are want's bit for bit: the
+// same RowPtr, Cols and Vals.
+func sameFactors(t *testing.T, label string, got, want *ilu.Factors) {
+	t.Helper()
+	for _, m := range []struct {
+		name      string
+		got, want *sparse.CSR
+	}{{"L", got.L, want.L}, {"U", got.U, want.U}} {
+		same := slices.Equal(m.got.RowPtr, m.want.RowPtr) && slices.Equal(m.got.Cols, m.want.Cols) &&
+			slices.EqualFunc(m.got.Vals, m.want.Vals, func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) })
+		if !same {
+			t.Errorf("%s: %s differs bitwise from the serial factor (max |Δ| %v)", label, m.name, sparse.MaxAbsDiff(m.got, m.want))
 		}
 	}
-	want, _, err := ilu.ILUT(a, opt.Params)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d := sparse.MaxAbsDiff(f.L, want.L); d > 1e-12 {
-		t.Errorf("L differs from serial ILUT by %v", d)
-	}
-	if d := sparse.MaxAbsDiff(f.U, want.U); d > 1e-12 {
-		t.Errorf("U differs from serial ILUT by %v", d)
+}
+
+func TestSingleProcessorEqualsSerialILUT(t *testing.T) {
+	// With P=1 every row is interior and the parallel algorithm must
+	// reduce to plain serial ILUT in natural order, bit for bit.
+	for _, mat := range oracleZoo() {
+		for _, params := range []ilu.Params{{M: 4, Tau: 1e-3}, {M: 10, Tau: 1e-4}, {M: 20, Tau: 1e-6}, {M: 0, Tau: 0}} {
+			label := fmt.Sprintf("%s/ILUT(%d,%g)", mat.name, params.M, params.Tau)
+			pcs, _, _ := factorOn(t, pcommtest.New(t, 1, machine.T3D()), mat.a, withOptions(Options{Params: params}))
+			f, perm, err := GatherFactors(pcs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, p := range perm {
+				if p != i {
+					t.Fatalf("%s: P=1 permutation not identity at %d", label, i)
+				}
+			}
+			want, _, err := ilu.ILUT(mat.a, params)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sameFactors(t, label, f, want)
+		}
 	}
 }
 
 func TestParallelCompleteLUExact(t *testing.T) {
 	// With no dropping, the parallel factorization is the *complete* LU of
-	// the permuted matrix: L·U must equal P·A·Pᵀ to round-off. This
+	// the permuted matrix: L·U must equal P·A·Pᵀ to round-off, and the
+	// factors must be serial ILUT(0, 0) of P·A·Pᵀ bit for bit. This
 	// exercises both phases end to end.
 	a := matgen.Grid2D(7, 7)
-	for _, P := range []int{2, 4} {
-		pcs, _, _ := runFactor(t, a, P, Options{Params: ilu.Params{M: 0, Tau: 0}})
+	noDrop := ilu.Params{M: 0, Tau: 0}
+	for _, P := range []int{2, 4, 8} {
+		pcs, _, _ := factorOn(t, pcommtest.New(t, P, machine.T3D()), a, withOptions(Options{Params: noDrop}))
 		f, perm, err := GatherFactors(pcs)
 		if err != nil {
 			t.Fatal(err)
@@ -129,12 +140,17 @@ func TestParallelCompleteLUExact(t *testing.T) {
 		if err := f.CheckStructure(); err != nil {
 			t.Errorf("P=%d: %v", P, err)
 		}
+		want, _, err := ilu.ILUT(pap, noDrop)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameFactors(t, fmt.Sprintf("P=%d", P), f, want)
 	}
 }
 
 func TestParallelCompleteLUExactNonsymmetric(t *testing.T) {
 	a := matgen.ConvDiff2D(7, 7, 9, -4)
-	pcs, _, _ := runFactor(t, a, 3, Options{Params: ilu.Params{M: 0, Tau: 0}})
+	pcs, _, _ := factorOn(t, pcommtest.New(t, 3, machine.T3D()), a, withOptions(Options{Params: ilu.Params{M: 0, Tau: 0}}))
 	f, perm, err := GatherFactors(pcs)
 	if err != nil {
 		t.Fatal(err)
@@ -149,7 +165,7 @@ func TestFactorizationInvariants(t *testing.T) {
 	a := matgen.Torso(6, 6, 6, 5)
 	for _, P := range []int{2, 4, 8} {
 		opt := Options{Params: ilu.Params{M: 5, Tau: 1e-4, K: 2}}
-		pcs, plan, _ := runFactor(t, a, P, opt)
+		pcs, plan, _ := factorOn(t, pcommtest.New(t, P, machine.T3D()), a, withOptions(opt))
 		f, perm, err := GatherFactors(pcs)
 		if err != nil {
 			t.Fatalf("P=%d: %v", P, err)
@@ -196,7 +212,7 @@ func TestLevelsAreIndependentSets(t *testing.T) {
 	// through L or U (the factorization's own fill included).
 	a := matgen.Torso(5, 5, 5, 7)
 	P := 4
-	pcs, plan, _ := runFactor(t, a, P, Options{Params: ilu.Params{M: 8, Tau: 1e-6}})
+	pcs, plan, _ := factorOn(t, pcommtest.New(t, P, machine.T3D()), a, withOptions(Options{Params: ilu.Params{M: 8, Tau: 1e-6}}))
 	f, _, err := GatherFactors(pcs)
 	if err != nil {
 		t.Fatal(err)
@@ -229,8 +245,8 @@ func TestILUTStarReducesLevels(t *testing.T) {
 	// number of independent sets for small thresholds.
 	a := matgen.Torso(8, 8, 8, 3)
 	P := 8
-	plain, _, _ := runFactor(t, a, P, Options{Params: ilu.Params{M: 10, Tau: 1e-6, K: 0}})
-	star, _, _ := runFactor(t, a, P, Options{Params: ilu.Params{M: 10, Tau: 1e-6, K: 2}})
+	plain, _, _ := factorOn(t, pcommtest.New(t, P, machine.T3D()), a, withOptions(Options{Params: ilu.Params{M: 10, Tau: 1e-6, K: 0}}))
+	star, _, _ := factorOn(t, pcommtest.New(t, P, machine.T3D()), a, withOptions(Options{Params: ilu.Params{M: 10, Tau: 1e-6, K: 2}}))
 	qPlain := plain[0].NumLevels()
 	qStar := star[0].NumLevels()
 	if qStar > qPlain {
@@ -243,16 +259,8 @@ func TestSolveInvertsDistributedFactors(t *testing.T) {
 	a := matgen.Grid2D(10, 10)
 	n := a.N
 	for _, P := range []int{1, 2, 4, 6} {
-		g := graph.FromMatrix(a)
-		part := partition.KWay(g, P, partition.Options{Seed: 3})
-		lay, err := dist.NewLayout(n, P, part)
-		if err != nil {
-			t.Fatal(err)
-		}
-		plan, err := NewPlan(a, lay)
-		if err != nil {
-			t.Fatal(err)
-		}
+		plan := mustPrepare(t, a, P, 3)
+		lay := plan.Lay
 		pcs := make([]*ProcPrecond, P)
 		bParts := make([][]float64, P)
 		yParts := make([][]float64, P)
@@ -305,10 +313,8 @@ func TestPreconditionerReducesResidual(t *testing.T) {
 	a := matgen.Torso(6, 6, 6, 9)
 	n := a.N
 	P := 4
-	g := graph.FromMatrix(a)
-	part := partition.KWay(g, P, partition.Options{Seed: 5})
-	lay, _ := dist.NewLayout(n, P, part)
-	plan, _ := NewPlan(a, lay)
+	plan := mustPrepare(t, a, P, 5)
+	lay := plan.Lay
 	pcs := make([]*ProcPrecond, P)
 	m := pcommtest.New(t, P, machine.T3D())
 	m.Run(func(p pcomm.Comm) {
@@ -337,7 +343,7 @@ func TestPreconditionerReducesResidual(t *testing.T) {
 
 func TestFactorStats(t *testing.T) {
 	a := matgen.Grid2D(12, 12)
-	pcs, plan, res := runFactor(t, a, 4, Options{Params: ilu.Params{M: 5, Tau: 1e-4}})
+	pcs, plan, res := factorOn(t, pcommtest.New(t, 4, machine.T3D()), a, withOptions(Options{Params: ilu.Params{M: 5, Tau: 1e-4}}))
 	if res.Elapsed <= 0 {
 		t.Error("no modelled time elapsed")
 	}
@@ -359,8 +365,8 @@ func TestFactorStats(t *testing.T) {
 func TestFactorDeterministic(t *testing.T) {
 	a := matgen.Grid2D(9, 9)
 	opt := Options{Params: ilu.Params{M: 4, Tau: 1e-3}, Seed: 2}
-	p1, _, _ := runFactor(t, a, 4, opt)
-	p2, _, _ := runFactor(t, a, 4, opt)
+	p1, _, _ := factorOn(t, pcommtest.New(t, 4, machine.T3D()), a, withOptions(opt))
+	p2, _, _ := factorOn(t, pcommtest.New(t, 4, machine.T3D()), a, withOptions(opt))
 	f1, perm1, _ := GatherFactors(p1)
 	f2, perm2, _ := GatherFactors(p2)
 	for i := range perm1 {
@@ -381,16 +387,7 @@ func TestFactorDeterministic(t *testing.T) {
 func TestStaticColoringInvalidatedByFill(t *testing.T) {
 	a := matgen.Torso(7, 7, 7, 6)
 	P := 6
-	g := graph.FromMatrix(a)
-	part := partition.KWay(g, P, partition.Options{Seed: 17})
-	lay, err := dist.NewLayout(a.N, P, part)
-	if err != nil {
-		t.Fatal(err)
-	}
-	plan, err := NewPlan(a, lay)
-	if err != nil {
-		t.Fatal(err)
-	}
+	plan := mustPrepare(t, a, P, 17)
 
 	// Static colouring of the interface sub-graph of A.
 	iface := make([]int, 0, plan.NInterface)

@@ -1,44 +1,26 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
 	"repro/internal/dist"
-	"repro/internal/graph"
 	"repro/internal/ilu"
 	"repro/internal/machine"
 	"repro/internal/matgen"
-	"repro/internal/partition"
 	"repro/internal/pcomm"
 	"repro/internal/pcomm/pcommtest"
 	"repro/internal/sparse"
 )
 
-func runFactorILU0(t *testing.T, a *sparse.CSR, P int) ([]*ProcPrecond, *Plan) {
-	t.Helper()
-	g := graph.FromMatrix(a)
-	part := partition.KWay(g, P, partition.Options{Seed: 17})
-	lay, err := dist.NewLayout(a.N, P, part)
-	if err != nil {
-		t.Fatal(err)
-	}
-	plan, err := NewPlan(a, lay)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pcs := make([]*ProcPrecond, P)
-	m := pcommtest.New(t, P, machine.T3D())
-	m.Run(func(p pcomm.Comm) {
-		pcs[p.ID()] = FactorILU0(p, plan, 0, 1)
-	})
-	return pcs, plan
-}
+// withILU0 is the per-rank factor call of the parallel ILU(0).
+func withILU0(p pcomm.Comm, plan *Plan) *ProcPrecond { return FactorILU0(p, plan, 0, 1) }
 
 func TestParallelILU0PatternEqualsPermutedA(t *testing.T) {
 	a := matgen.Torso(6, 6, 6, 2)
 	for _, P := range []int{2, 4} {
-		pcs, _ := runFactorILU0(t, a, P)
+		pcs, _, _ := factorOn(t, pcommtest.New(t, P, machine.T3D()), a, withILU0)
 		f, perm, err := GatherFactors(pcs)
 		if err != nil {
 			t.Fatal(err)
@@ -76,13 +58,13 @@ func TestParallelILU0PatternEqualsPermutedA(t *testing.T) {
 }
 
 func TestParallelILU0EqualsSerialOnPermutedMatrix(t *testing.T) {
-	// The defining invariant: the parallel factorization is numerically
+	// The defining invariant: the parallel factorization is bitwise
 	// identical to serial ILU(0) applied to the permuted matrix — the
 	// elimination order and the pattern restriction are the same, only
 	// the execution is distributed.
 	a := matgen.Torso(5, 5, 7, 6)
-	for _, P := range []int{2, 5} {
-		pcs, _ := runFactorILU0(t, a, P)
+	for _, P := range []int{1, 2, 4, 8} {
+		pcs, _, _ := factorOn(t, pcommtest.New(t, P, machine.T3D()), a, withILU0)
 		f, perm, err := GatherFactors(pcs)
 		if err != nil {
 			t.Fatal(err)
@@ -91,36 +73,35 @@ func TestParallelILU0EqualsSerialOnPermutedMatrix(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if d := sparse.MaxAbsDiff(f.L, want.L); d > 1e-12 {
-			t.Errorf("P=%d: L differs from serial ILU0 of PAPᵀ by %v", P, d)
-		}
-		if d := sparse.MaxAbsDiff(f.U, want.U); d > 1e-12 {
-			t.Errorf("P=%d: U differs from serial ILU0 of PAPᵀ by %v", P, d)
-		}
+		sameFactors(t, fmt.Sprintf("P=%d", P), f, want)
 	}
 }
 
 func TestParallelILU0SingleProcEqualsSerial(t *testing.T) {
+	// At P = 1 the order is the natural one and the factors are serial
+	// ILU(0) of A itself; at larger P they are that of PAPᵀ, bit for bit.
 	a := matgen.Grid2D(9, 9)
-	pcs, _ := runFactorILU0(t, a, 1)
-	f, perm, err := GatherFactors(pcs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, p := range perm {
-		if p != i {
-			t.Fatalf("P=1 permutation not identity at %d", i)
+	for _, P := range []int{1, 2, 4, 8} {
+		pcs, _, _ := factorOn(t, pcommtest.New(t, P, machine.T3D()), a, withILU0)
+		f, perm, err := GatherFactors(pcs)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	want, _, err := ilu.ILU0(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d := sparse.MaxAbsDiff(f.L, want.L); d > 1e-12 {
-		t.Errorf("L differs from serial ILU0 by %v", d)
-	}
-	if d := sparse.MaxAbsDiff(f.U, want.U); d > 1e-12 {
-		t.Errorf("U differs from serial ILU0 by %v", d)
+		pap := a
+		if P == 1 {
+			for i, p := range perm {
+				if p != i {
+					t.Fatalf("P=1 permutation not identity at %d", i)
+				}
+			}
+		} else {
+			pap = a.Permute(perm)
+		}
+		want, _, err := ilu.ILU0(pap)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameFactors(t, fmt.Sprintf("P=%d", P), f, want)
 	}
 }
 
@@ -129,8 +110,8 @@ func TestParallelILU0FewerLevelsThanILUT(t *testing.T) {
 	// ILUT's fill forces far more.
 	a := matgen.Torso(8, 8, 8, 3)
 	P := 8
-	ilu0, _ := runFactorILU0(t, a, P)
-	ilut, _, _ := runFactor(t, a, P, Options{Params: ilu.Params{M: 10, Tau: 1e-6}})
+	ilu0, _, _ := factorOn(t, pcommtest.New(t, P, machine.T3D()), a, withILU0)
+	ilut, _, _ := factorOn(t, pcommtest.New(t, P, machine.T3D()), a, withOptions(Options{Params: ilu.Params{M: 10, Tau: 1e-6}}))
 	q0 := ilu0[0].NumLevels()
 	qT := ilut[0].NumLevels()
 	t.Logf("levels: ILU(0)=%d ILUT(10,1e-6)=%d", q0, qT)
@@ -143,7 +124,7 @@ func TestParallelILU0SolveMatchesGathered(t *testing.T) {
 	a := matgen.Torso(6, 6, 6, 4)
 	n := a.N
 	P := 4
-	pcs, plan := runFactorILU0(t, a, P)
+	pcs, plan, _ := factorOn(t, pcommtest.New(t, P, machine.T3D()), a, withILU0)
 	lay := plan.Lay
 	f, perm, err := GatherFactors(pcs)
 	if err != nil {
@@ -177,7 +158,7 @@ func TestParallelILU0PreconditionsGMRES(t *testing.T) {
 	a := matgen.Grid2D(12, 12)
 	n := a.N
 	P := 4
-	pcs, plan := runFactorILU0(t, a, P)
+	pcs, plan, _ := factorOn(t, pcommtest.New(t, P, machine.T3D()), a, withILU0)
 	lay := plan.Lay
 	b := sparse.Ones(n)
 	bParts := lay.Scatter(b)

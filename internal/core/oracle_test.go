@@ -8,12 +8,9 @@ import (
 	"math"
 	"testing"
 
-	"repro/internal/dist"
-	"repro/internal/graph"
 	"repro/internal/ilu"
 	"repro/internal/machine"
 	"repro/internal/matgen"
-	"repro/internal/partition"
 	"repro/internal/pcomm"
 	"repro/internal/pcomm/modelled"
 	"repro/internal/sparse"
@@ -119,29 +116,9 @@ var (
 	oracleMethods = []string{"ilut", "ilutstar", "schur", "ilu0"}
 )
 
-// oracleFactor factors a on P modelled processors with the named method.
-func oracleFactor(t *testing.T, a *sparse.CSR, P int, method string) (*Plan, []*ProcPrecond, pcomm.Result) {
-	t.Helper()
-	g := graph.FromMatrix(a)
-	part := partition.KWay(g, P, partition.Options{Seed: 17})
-	lay, err := dist.NewLayout(a.N, P, part)
-	if err != nil {
-		t.Fatal(err)
-	}
-	plan, err := NewPlan(a, lay)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pcs := make([]*ProcPrecond, P)
-	res := modelled.New(P, machine.T3D()).Run(func(p pcomm.Comm) {
-		pcs[p.ID()] = oracleMethod(p, plan, method)
-	})
-	return plan, pcs, res
-}
-
-// oracleMethod is one processor's factorization of the oracle under the
-// named method.
-func oracleMethod(p pcomm.Comm, plan *Plan, method string) *ProcPrecond {
+// oracleMethod is the per-rank factor call of the oracle under the named
+// method.
+func oracleMethod(method string) func(pcomm.Comm, *Plan) *ProcPrecond {
 	opt := Options{Params: ilu.Params{M: 4, Tau: 1e-2}, Seed: 5}
 	switch method {
 	case "ilutstar":
@@ -150,9 +127,9 @@ func oracleMethod(p pcomm.Comm, plan *Plan, method string) *ProcPrecond {
 		opt.Params.K = 1
 		opt.Schur = true
 	case "ilu0":
-		return FactorILU0(p, plan, 0, opt.Seed)
+		return func(p pcomm.Comm, plan *Plan) *ProcPrecond { return FactorILU0(p, plan, 0, opt.Seed) }
 	}
-	return Factor(p, plan, opt)
+	return withOptions(opt)
 }
 
 // oracleDigests factors a on P modelled processors with the named
@@ -163,7 +140,7 @@ func oracleMethod(p pcomm.Comm, plan *Plan, method string) *ProcPrecond {
 // counts of the three runs.
 func oracleDigests(t *testing.T, a *sparse.CSR, P int, method string) [4]string {
 	t.Helper()
-	plan, pcs, resFactor := oracleFactor(t, a, P, method)
+	pcs, plan, resFactor := factorOn(t, modelled.New(P, machine.T3D()), a, oracleMethod(method))
 	lay := plan.Lay
 
 	const B = 3

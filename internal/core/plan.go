@@ -27,7 +27,8 @@
 // the elimination kernels work with contiguous pivot ranges while the
 // final order of interface unknowns is still being discovered.
 //
-// The preprocessing is split into a pattern-only Symbolic phase
+// Prepare is the front end, step 1 and the classification from one
+// graph. The preprocessing is split into a pattern-only Symbolic phase
 // (Analyze) and a cheap value binding (Symbolic.Bind); Factor composes
 // them with the numeric kernels, while Refactor reuses a previous
 // Symbolic across a matrix sequence whose values evolve on a fixed
@@ -40,6 +41,7 @@ import (
 
 	"repro/internal/dist"
 	"repro/internal/graph"
+	"repro/internal/partition"
 	"repro/internal/sparse"
 )
 
@@ -98,6 +100,26 @@ type Plan struct {
 	RowTau []float64
 }
 
+// Prepare is the front end, the paper's steps 1–2 from a matrix to a
+// bound plan: it builds a's graph once, partitions it into p parts with
+// the multilevel k-way partitioner under seed, lays the rows out,
+// classifies them on that same graph and binds a's values. Analyze and
+// Bind (or NewPlan) are for a layout the caller chose some other way.
+func Prepare(a *sparse.CSR, p int, seed int64) (*Plan, error) {
+	if a.N != a.M {
+		return nil, fmt.Errorf("core: matrix must be square")
+	}
+	if p < 1 {
+		return nil, fmt.Errorf("core: %d processors, want at least 1", p)
+	}
+	g := graph.FromMatrix(a)
+	lay, err := dist.NewLayout(a.N, p, partition.KWay(g, p, partition.Options{Seed: seed}))
+	if err != nil {
+		return nil, err
+	}
+	return analyze(a, g, lay).Bind(a)
+}
+
 // Analyze runs the symbolic phase: it classifies rows against the layout
 // using the symmetrized structure (a row is interface if it is coupled to
 // a remote row in either direction) and numbers the interior unknowns
@@ -110,7 +132,11 @@ func Analyze(a *sparse.CSR, lay *dist.Layout) (*Symbolic, error) {
 	if a.N != lay.N {
 		return nil, fmt.Errorf("core: matrix size %d does not match layout size %d", a.N, lay.N)
 	}
-	g := graph.FromMatrix(a)
+	return analyze(a, graph.FromMatrix(a), lay), nil
+}
+
+// analyze is Analyze on a's graph g, for a square a of lay's size.
+func analyze(a *sparse.CSR, g *graph.Graph, lay *dist.Layout) *Symbolic {
 	boundary := g.Boundary(lay.PartOf)
 
 	s := &Symbolic{
@@ -144,7 +170,7 @@ func Analyze(a *sparse.CSR, lay *dist.Layout) (*Symbolic, error) {
 	}
 	s.TotInterior = base
 	s.NInterface = a.N - base
-	return s, nil
+	return s
 }
 
 // Bind attaches a concrete value set to the analysis, producing the Plan
@@ -193,8 +219,8 @@ func (s *Symbolic) samePattern(a *sparse.CSR) bool {
 	return true
 }
 
-// NewPlan is the one-shot composition Analyze + Bind, kept as the
-// entry point for callers without a sequence to amortize over.
+// NewPlan is the one-shot composition Analyze + Bind for a layout the
+// caller chose; Prepare is the entry point that partitions as well.
 func NewPlan(a *sparse.CSR, lay *dist.Layout) (*Plan, error) {
 	s, err := Analyze(a, lay)
 	if err != nil {

@@ -4,16 +4,12 @@ import (
 	"reflect"
 	"testing"
 
-	"repro/internal/dist"
-	"repro/internal/graph"
 	"repro/internal/ilu"
 	"repro/internal/machine"
 	"repro/internal/matgen"
-	"repro/internal/partition"
 	"repro/internal/pcomm"
 	"repro/internal/pcomm/modelled"
 	"repro/internal/pcomm/realcomm"
-	"repro/internal/sparse"
 )
 
 // Scratch-poisoning property test at the factorization level (ISSUE 8):
@@ -21,23 +17,6 @@ import (
 // is scribbled with NaN/sentinel garbage between runs, and the factors
 // must still come out bitwise identical — on the modelled backend and on
 // real goroutines, where pool contention actually happens.
-
-func poisonTestProblem(t *testing.T) (*sparse.CSR, *Plan, int) {
-	t.Helper()
-	const P = 4
-	a := matgen.Grid2D(20, 20)
-	g := graph.FromMatrix(a)
-	part := partition.KWay(g, P, partition.Options{Seed: 17})
-	lay, err := dist.NewLayout(a.N, P, part)
-	if err != nil {
-		t.Fatal(err)
-	}
-	plan, err := NewPlan(a, lay)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return a, plan, P
-}
 
 func comparePrecs(t *testing.T, label string, base, got []*ProcPrecond) {
 	t.Helper()
@@ -62,7 +41,8 @@ func comparePrecs(t *testing.T, label string, base, got []*ProcPrecond) {
 // with poisoned pooled scratches in between, across both in-process
 // backends, and demands bitwise-identical factors every time.
 func TestFactorPoisonedScratchPoolBitwise(t *testing.T) {
-	_, plan, P := poisonTestProblem(t)
+	const P = 4
+	plan := mustPrepare(t, matgen.Grid2D(20, 20), P, 17)
 	opt := Options{Params: ilu.Params{M: 6, Tau: 1e-4, K: 2}, Seed: 3}
 
 	factorModelled := func() []*ProcPrecond {
@@ -94,7 +74,8 @@ func TestFactorPoisonedScratchPoolBitwise(t *testing.T) {
 // TestFactorILU0PoisonedScratchPoolBitwise covers the static-pattern
 // factorization's use of the same pool.
 func TestFactorILU0PoisonedScratchPoolBitwise(t *testing.T) {
-	_, plan, P := poisonTestProblem(t)
+	const P = 4
+	plan := mustPrepare(t, matgen.Grid2D(20, 20), P, 17)
 
 	factor := func() []*ProcPrecond {
 		pcs := make([]*ProcPrecond, P)

@@ -6,6 +6,9 @@ import (
 	"math"
 	"strings"
 	"testing"
+
+	"repro/internal/machine"
+	"repro/internal/pcomm/modelled"
 )
 
 // cloneWire deep-copies a wire piece through a gob round trip, so a
@@ -29,7 +32,7 @@ func cloneWire(t *testing.T, w WirePrecond) WirePrecond {
 // FromWire — not a panic there, and not a piece that panics or answers
 // wrongly inside a run.
 func TestFromWireRejectsMalformedPieces(t *testing.T) {
-	plan, pcs, _ := oracleFactor(t, oracleZoo()[0].a, 4, "schur")
+	pcs, plan, _ := factorOn(t, modelled.New(4, machine.T3D()), oracleZoo()[0].a, oracleMethod("schur"))
 	const me = 1
 	good := pcs[me].Wire()
 	if _, err := FromWire(plan, cloneWire(t, good)); err != nil {

@@ -4,42 +4,18 @@ import (
 	"math"
 	"testing"
 
-	"repro/internal/dist"
-	"repro/internal/graph"
 	"repro/internal/ilu"
 	"repro/internal/machine"
 	"repro/internal/matgen"
-	"repro/internal/partition"
 	"repro/internal/pcomm"
 	"repro/internal/pcomm/pcommtest"
 	"repro/internal/sparse"
 )
 
-// runFactorSchur mirrors runFactor with the §7 variant enabled.
-func runFactorSchur(t *testing.T, a *sparse.CSR, P int, params ilu.Params) ([]*ProcPrecond, *Plan) {
-	t.Helper()
-	g := graph.FromMatrix(a)
-	part := partition.KWay(g, P, partition.Options{Seed: 17})
-	lay, err := dist.NewLayout(a.N, P, part)
-	if err != nil {
-		t.Fatal(err)
-	}
-	plan, err := NewPlan(a, lay)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pcs := make([]*ProcPrecond, P)
-	m := pcommtest.New(t, P, machine.T3D())
-	m.Run(func(p pcomm.Comm) {
-		pcs[p.ID()] = Factor(p, plan, Options{Params: params, Schur: true})
-	})
-	return pcs, plan
-}
-
 func TestSchurCompleteLUExact(t *testing.T) {
 	a := matgen.Grid2D(7, 7)
 	for _, P := range []int{2, 4} {
-		pcs, _ := runFactorSchur(t, a, P, ilu.Params{M: 0, Tau: 0})
+		pcs, _, _ := factorOn(t, pcommtest.New(t, P, machine.T3D()), a, withOptions(Options{Params: ilu.Params{M: 0, Tau: 0}, Schur: true}))
 		f, perm, err := GatherFactors(pcs)
 		if err != nil {
 			t.Fatal(err)
@@ -58,7 +34,7 @@ func TestSchurSolveMatchesGatheredFactors(t *testing.T) {
 	a := matgen.Torso(6, 6, 6, 3)
 	n := a.N
 	P := 4
-	pcs, plan := runFactorSchur(t, a, P, ilu.Params{M: 8, Tau: 1e-4, K: 2})
+	pcs, plan, _ := factorOn(t, pcommtest.New(t, P, machine.T3D()), a, withOptions(Options{Params: ilu.Params{M: 8, Tau: 1e-4, K: 2}, Schur: true}))
 	lay := plan.Lay
 	f, perm, err := GatherFactors(pcs)
 	if err != nil {
@@ -96,8 +72,8 @@ func TestSchurReducesLevelsVsMIS(t *testing.T) {
 	P := 8
 	params := ilu.Params{M: 10, Tau: 1e-6, K: 2}
 
-	pcsS, _ := runFactorSchur(t, a, P, params)
-	pcsM, _, _ := runFactor(t, a, P, Options{Params: params})
+	pcsS, _, _ := factorOn(t, pcommtest.New(t, P, machine.T3D()), a, withOptions(Options{Params: params, Schur: true}))
+	pcsM, _, _ := factorOn(t, pcommtest.New(t, P, machine.T3D()), a, withOptions(Options{Params: params}))
 	qS := pcsS[0].NumLevels()
 	qM := pcsM[0].NumLevels()
 	t.Logf("levels: schur=%d mis-only=%d", qS, qM)
@@ -108,7 +84,7 @@ func TestSchurReducesLevelsVsMIS(t *testing.T) {
 
 func TestSchurLevelsCoverInterface(t *testing.T) {
 	a := matgen.Grid2D(12, 12)
-	pcs, plan := runFactorSchur(t, a, 4, ilu.Params{M: 5, Tau: 1e-4})
+	pcs, plan, _ := factorOn(t, pcommtest.New(t, 4, machine.T3D()), a, withOptions(Options{Params: ilu.Params{M: 5, Tau: 1e-4}, Schur: true}))
 	covered := 0
 	for _, l := range pcs[0].Levels() {
 		if l.Start != plan.TotInterior+covered {
@@ -123,8 +99,8 @@ func TestSchurLevelsCoverInterface(t *testing.T) {
 
 func TestSchurDeterministic(t *testing.T) {
 	a := matgen.Grid2D(9, 9)
-	p1, _ := runFactorSchur(t, a, 4, ilu.Params{M: 4, Tau: 1e-3})
-	p2, _ := runFactorSchur(t, a, 4, ilu.Params{M: 4, Tau: 1e-3})
+	p1, _, _ := factorOn(t, pcommtest.New(t, 4, machine.T3D()), a, withOptions(Options{Params: ilu.Params{M: 4, Tau: 1e-3}, Schur: true}))
+	p2, _, _ := factorOn(t, pcommtest.New(t, 4, machine.T3D()), a, withOptions(Options{Params: ilu.Params{M: 4, Tau: 1e-3}, Schur: true}))
 	f1, perm1, _ := GatherFactors(p1)
 	f2, perm2, _ := GatherFactors(p2)
 	for i := range perm1 {

@@ -7,12 +7,9 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/dist"
-	"repro/internal/graph"
 	"repro/internal/ilu"
 	"repro/internal/machine"
 	"repro/internal/matgen"
-	"repro/internal/partition"
 	"repro/internal/pcomm"
 	"repro/internal/pcomm/pcommtest"
 	"repro/internal/sparse"
@@ -23,16 +20,7 @@ import (
 func solveFixture(t *testing.T, P int) ([]*ProcPrecond, *Plan, *ilu.Factors, []int) {
 	t.Helper()
 	a := matgen.Torso(5, 5, 7, 2)
-	g := graph.FromMatrix(a)
-	part := partition.KWay(g, P, partition.Options{Seed: 4})
-	lay, err := dist.NewLayout(a.N, P, part)
-	if err != nil {
-		t.Fatal(err)
-	}
-	plan, err := NewPlan(a, lay)
-	if err != nil {
-		t.Fatal(err)
-	}
+	plan := mustPrepare(t, a, P, 4)
 	pcs := make([]*ProcPrecond, P)
 	m := pcommtest.New(t, P, machine.T3D())
 	m.Run(func(p pcomm.Comm) {

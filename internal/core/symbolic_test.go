@@ -1,69 +1,75 @@
 package core
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 
-	"repro/internal/dist"
-	"repro/internal/graph"
 	"repro/internal/ilu"
 	"repro/internal/machine"
 	"repro/internal/matgen"
-	"repro/internal/partition"
 	"repro/internal/pcomm"
 	"repro/internal/pcomm/pcommtest"
 	"repro/internal/sparse"
 )
 
-func symTestLayout(t *testing.T, a *sparse.CSR, P int) *dist.Layout {
-	t.Helper()
-	g := graph.FromMatrix(a)
-	part := partition.KWay(g, P, partition.Options{Seed: 17})
-	lay, err := dist.NewLayout(a.N, P, part)
-	if err != nil {
-		t.Fatal(err)
+// TestAnalyzeBindMatchesNewPlan: the front end (Prepare), the explicit
+// path on its layout (Analyze + Bind) and NewPlan build the same plan —
+// every Symbolic field and the row norms — on the zoo at p ∈ {1, 2, 4, 8}.
+func TestAnalyzeBindMatchesNewPlan(t *testing.T) {
+	for _, mat := range oracleZoo() {
+		for _, P := range oracleProcs {
+			t.Run(fmt.Sprintf("%s/p%d", mat.name, P), func(t *testing.T) {
+				a := mat.a
+				prepared := mustPrepare(t, a, P, 17)
+				sym, err := Analyze(a, prepared.Lay)
+				if err != nil {
+					t.Fatal(err)
+				}
+				bound, err := sym.Bind(a)
+				if err != nil {
+					t.Fatal(err)
+				}
+				oneShot, err := NewPlan(a, prepared.Lay)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, c := range []struct {
+					name string
+					plan *Plan
+				}{{"Analyze+Bind", bound}, {"NewPlan", oneShot}} {
+					if !reflect.DeepEqual(*c.plan.Symbolic, *prepared.Symbolic) {
+						t.Errorf("%s: Symbolic differs from Prepare's", c.name)
+					}
+					if !reflect.DeepEqual(c.plan.RowTau, prepared.RowTau) {
+						t.Errorf("%s: row norms differ from Prepare's", c.name)
+					}
+				}
+				if sym.PatternKey != sparse.PatternFingerprint(a) {
+					t.Fatalf("PatternKey %s does not match PatternFingerprint %s", sym.PatternKey, sparse.PatternFingerprint(a))
+				}
+				if sym.SizeBytes() <= 0 {
+					t.Fatal("symbolic artifact reports non-positive size")
+				}
+			})
+		}
 	}
-	return lay
 }
 
-func TestAnalyzeBindMatchesNewPlan(t *testing.T) {
-	a := matgen.Grid2D(10, 10)
-	lay := symTestLayout(t, a, 4)
-
-	sym, err := Analyze(a, lay)
-	if err != nil {
-		t.Fatal(err)
+// TestPrepareRejectsBadInput: fewer than one processor or a non-square
+// matrix is an error, not a panic inside the partitioner.
+func TestPrepareRejectsBadInput(t *testing.T) {
+	if _, err := Prepare(matgen.Grid2D(4, 4), 0, 1); err == nil {
+		t.Error("Prepare accepted p = 0")
 	}
-	bound, err := sym.Bind(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	oneShot, err := NewPlan(a, lay)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(bound.Interior, oneShot.Interior) ||
-		!reflect.DeepEqual(bound.IntBase, oneShot.IntBase) ||
-		!reflect.DeepEqual(bound.NIntLocal, oneShot.NIntLocal) ||
-		!reflect.DeepEqual(bound.NewOfInterior, oneShot.NewOfInterior) ||
-		bound.TotInterior != oneShot.TotInterior ||
-		bound.NInterface != oneShot.NInterface {
-		t.Fatal("Analyze+Bind classification differs from NewPlan")
-	}
-	if !reflect.DeepEqual(bound.RowTau, oneShot.RowTau) {
-		t.Fatal("Analyze+Bind row norms differ from NewPlan")
-	}
-	if sym.PatternKey != sparse.PatternFingerprint(a) {
-		t.Fatalf("PatternKey %s does not match PatternFingerprint %s", sym.PatternKey, sparse.PatternFingerprint(a))
-	}
-	if sym.SizeBytes() <= 0 {
-		t.Fatal("symbolic artifact reports non-positive size")
+	if _, err := Prepare(&sparse.CSR{N: 2, M: 3, RowPtr: make([]int, 3)}, 2, 1); err == nil {
+		t.Error("Prepare accepted a 2×3 matrix")
 	}
 }
 
 func TestBindAcceptsSamePatternNewValues(t *testing.T) {
 	a := matgen.Grid2D(10, 10)
-	lay := symTestLayout(t, a, 4)
+	lay := mustPrepare(t, a, 4, 17).Lay
 	sym, err := Analyze(a, lay)
 	if err != nil {
 		t.Fatal(err)
@@ -93,7 +99,7 @@ func TestBindAcceptsSamePatternNewValues(t *testing.T) {
 
 func TestBindRejectsPatternChange(t *testing.T) {
 	a := matgen.Grid2D(8, 8)
-	lay := symTestLayout(t, a, 2)
+	lay := mustPrepare(t, a, 2, 17).Lay
 	sym, err := Analyze(a, lay)
 	if err != nil {
 		t.Fatal(err)
@@ -145,7 +151,7 @@ func TestRefactorBitwiseIdenticalToFactor(t *testing.T) {
 	opt := Options{Params: ilu.Params{M: 8, Tau: 1e-4, K: 2}, Seed: 7}
 
 	for _, P := range []int{2, 4} {
-		lay := symTestLayout(t, base, P)
+		lay := mustPrepare(t, base, P, 17).Lay
 		sym, err := Analyze(base, lay)
 		if err != nil {
 			t.Fatal(err)

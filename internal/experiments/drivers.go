@@ -289,7 +289,7 @@ func (c Config) RunAblationMIS(w io.Writer, pr *Problem) error {
 	params := ilu.Params{M: 10, Tau: 1e-4, K: c.K}
 	fmt.Fprintf(w, "\nAblation — MIS augmentation rounds on %s, p=%d\n", pr.Name, p)
 	tbl := &Table{Header: []string{"rounds", "Factor time", "q levels"}}
-	_, plan, err := pr.PlanFor(p)
+	plan, err := pr.PlanFor(p)
 	if err != nil {
 		return err
 	}
@@ -315,7 +315,7 @@ func (c Config) RunAblationSchur(w io.Writer, pr *Problem) error {
 	p := c.Procs[len(c.Procs)-1]
 	fmt.Fprintf(w, "\nAblation — §7 Schur-block variant on %s, p=%d\n", pr.Name, p)
 	tbl := &Table{Header: []string{"configuration", "phase 2", "Factor time", "q levels"}}
-	_, plan, err := pr.PlanFor(p)
+	plan, err := pr.PlanFor(p)
 	if err != nil {
 		return err
 	}
@@ -359,11 +359,10 @@ func (c Config) RunAblationPartition(w io.Writer, pr *Problem) error {
 	tbl.Add("multilevel k-way", fmt.Sprintf("%d", out.Interface),
 		fmt.Sprintf("%.4f", out.Seconds), fmt.Sprintf("%d", out.Levels))
 
-	lay, plan, err := pr.RandomPlanFor(p)
+	plan, err := pr.RandomPlanFor(p)
 	if err != nil {
 		return err
 	}
-	_ = lay
 	m := c.mustWorld(p)
 	var q int
 	res := m.Run(func(proc pcomm.Comm) {
@@ -384,7 +383,7 @@ func (c Config) Summary(w io.Writer, probs []*Problem) {
 	for _, pr := range probs {
 		fmt.Fprintf(w, "  %-6s n=%d nnz=%d", pr.Name, pr.A.N, pr.A.NNZ())
 		for _, p := range c.Procs {
-			_, plan, err := pr.PlanFor(p)
+			plan, err := pr.PlanFor(p)
 			if err != nil {
 				fmt.Fprintf(w, "  [plan error: %v]", err)
 				break
@@ -442,7 +441,7 @@ func (c Config) RunILU0(w io.Writer, pr *Problem) error {
 	p := c.Procs[len(c.Procs)-1]
 	fmt.Fprintf(w, "\nILU(0) vs ILUT — %s, p=%d\n", pr.Name, p)
 	tbl := &Table{Header: []string{"factorization", "q levels", "factor time", "GMRES(50) NMV"}}
-	_, plan, err := pr.PlanFor(p)
+	plan, err := pr.PlanFor(p)
 	if err != nil {
 		return err
 	}
@@ -535,7 +534,7 @@ func (c Config) RunBreakdown(w io.Writer, pr *Problem) error {
 	} {
 		row := []string{ConfigName(params.K > 0, params.M, params.Tau, c.K)}
 		for _, p := range c.Procs {
-			_, plan, err := pr.PlanFor(p)
+			plan, err := pr.PlanFor(p)
 			if err != nil {
 				return err
 			}

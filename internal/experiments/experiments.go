@@ -80,64 +80,49 @@ func PaperScale() Config {
 	return c
 }
 
-// Problem bundles a named matrix with cached partitions and plans per
-// processor count, so every experiment on the same (matrix, p) pair sees
-// the identical distribution.
+// Problem bundles a named matrix with cached plans per processor count,
+// so every experiment on the same (matrix, p) pair sees the identical
+// distribution.
 type Problem struct {
 	Name string
 	A    *sparse.CSR
 	seed int64
 
-	layouts map[int]*dist.Layout
-	plans   map[int]*core.Plan
+	plans map[int]*core.Plan
 }
 
 // G0 builds the 2-D grid problem.
 func (c Config) G0() *Problem {
-	return &Problem{Name: "G0", A: matgen.Grid2D(c.G0Side, c.G0Side), seed: c.Seed,
-		layouts: map[int]*dist.Layout{}, plans: map[int]*core.Plan{}}
+	return &Problem{Name: "G0", A: matgen.Grid2D(c.G0Side, c.G0Side), seed: c.Seed, plans: map[int]*core.Plan{}}
 }
 
 // Torso builds the synthetic TORSO problem.
 func (c Config) Torso() *Problem {
 	return &Problem{Name: "TORSO", A: matgen.Torso(c.TorsoSide, c.TorsoSide, c.TorsoSide, c.Seed), seed: c.Seed,
-		layouts: map[int]*dist.Layout{}, plans: map[int]*core.Plan{}}
+		plans: map[int]*core.Plan{}}
 }
 
-// PlanFor returns (building and caching on first use) the layout and plan
-// for p processors.
-func (pr *Problem) PlanFor(p int) (*dist.Layout, *core.Plan, error) {
-	if lay, ok := pr.layouts[p]; ok {
-		return lay, pr.plans[p], nil
+// PlanFor returns (building and caching on first use) the plan for p
+// processors.
+func (pr *Problem) PlanFor(p int) (*core.Plan, error) {
+	if plan, ok := pr.plans[p]; ok {
+		return plan, nil
 	}
-	g := graph.FromMatrix(pr.A)
-	part := partition.KWay(g, p, partition.Options{Seed: pr.seed})
-	lay, err := dist.NewLayout(pr.A.N, p, part)
+	plan, err := core.Prepare(pr.A, p, pr.seed)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	plan, err := core.NewPlan(pr.A, lay)
-	if err != nil {
-		return nil, nil, err
-	}
-	pr.layouts[p] = lay
 	pr.plans[p] = plan
-	return lay, plan, nil
+	return plan, nil
 }
 
 // RandomPlanFor is PlanFor with a random partition (partition ablation).
-func (pr *Problem) RandomPlanFor(p int) (*dist.Layout, *core.Plan, error) {
-	g := graph.FromMatrix(pr.A)
-	part := partition.RandomKWay(g, p, pr.seed)
-	lay, err := dist.NewLayout(pr.A.N, p, part)
+func (pr *Problem) RandomPlanFor(p int) (*core.Plan, error) {
+	lay, err := dist.NewLayout(pr.A.N, p, partition.RandomKWay(graph.FromMatrix(pr.A), p, pr.seed))
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	plan, err := core.NewPlan(pr.A, lay)
-	if err != nil {
-		return nil, nil, err
-	}
-	return lay, plan, nil
+	return core.NewPlan(pr.A, lay)
 }
 
 // FactorOutcome is one cell of Table 1 plus the structure data the text
@@ -154,7 +139,7 @@ type FactorOutcome struct {
 // the modelled time; it also returns the per-processor pieces so callers
 // can keep using the preconditioner.
 func (c Config) Factorization(pr *Problem, p int, params ilu.Params) (FactorOutcome, []*core.ProcPrecond, error) {
-	_, plan, err := pr.PlanFor(p)
+	plan, err := pr.PlanFor(p)
 	if err != nil {
 		return FactorOutcome{}, nil, err
 	}
@@ -186,10 +171,11 @@ func (c Config) TriangularSolve(pr *Problem, p int, pcs []*core.ProcPrecond, nAp
 // TriangularSolveRate additionally reports the per-processor MFlop rate —
 // the paper's §6 comparison metric for the substitutions.
 func (c Config) TriangularSolveRate(pr *Problem, p int, pcs []*core.ProcPrecond, nApply int) (float64, float64, error) {
-	lay, _, err := pr.PlanFor(p)
+	plan, err := pr.PlanFor(p)
 	if err != nil {
 		return 0, 0, err
 	}
+	lay := plan.Lay
 	b := sparse.Ones(pr.A.N)
 	bParts := lay.Scatter(b)
 	m := c.mustWorld(p)
@@ -212,10 +198,11 @@ func (c Config) MatVec(pr *Problem, p int, nApply int) (float64, error) {
 
 // MatVecRate additionally reports the per-processor MFlop rate.
 func (c Config) MatVecRate(pr *Problem, p int, nApply int) (float64, float64, error) {
-	lay, _, err := pr.PlanFor(p)
+	plan, err := pr.PlanFor(p)
 	if err != nil {
 		return 0, 0, err
 	}
+	lay := plan.Lay
 	x := sparse.Ones(pr.A.N)
 	xParts := lay.Scatter(x)
 	m := c.mustWorld(p)
@@ -251,10 +238,11 @@ const (
 // GMRES runs the distributed solver with b = A·e and a zero initial
 // guess, the paper's setup, and reports time and matrix–vector products.
 func (c Config) GMRES(pr *Problem, p int, kind PrecondKind, params ilu.Params, restart, maxMV int, tol float64) (GMRESOutcome, error) {
-	lay, plan, err := pr.PlanFor(p)
+	plan, err := pr.PlanFor(p)
 	if err != nil {
 		return GMRESOutcome{}, err
 	}
+	lay := plan.Lay
 	n := pr.A.N
 	e := sparse.Ones(n)
 	b := make([]float64, n)

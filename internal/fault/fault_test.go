@@ -14,13 +14,10 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/dist"
 	"repro/internal/fault"
-	"repro/internal/graph"
 	"repro/internal/ilu"
 	"repro/internal/machine"
 	"repro/internal/matgen"
-	"repro/internal/partition"
 	"repro/internal/pcomm"
 	"repro/internal/pcomm/backend"
 	"repro/internal/sparse"
@@ -115,13 +112,7 @@ func factorAndSolveBits(t *testing.T, kind string, spec *fault.Spec) ([]uint64, 
 	t.Helper()
 	const P = 4
 	a := matgen.Grid2D(12, 12)
-	g := graph.FromMatrix(a)
-	part := partition.KWay(g, P, partition.Options{Seed: 5})
-	lay, err := dist.NewLayout(a.N, P, part)
-	if err != nil {
-		t.Fatal(err)
-	}
-	plan, err := core.NewPlan(a, lay)
+	plan, err := core.Prepare(a, P, 5)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -38,11 +38,8 @@ func TestDistGMRESBatchOfOneAllocs(t *testing.T) {
 		slack  = 20  // between the entry points: the wrapper's two one-element slices per rank, barrier generations
 	)
 	a := matgen.Grid2D(64, 64)
-	lay := layoutFor(t, a, P)
-	plan, err := core.NewPlan(a, lay)
-	if err != nil {
-		t.Fatal(err)
-	}
+	plan := planFor(t, a, P)
+	lay := plan.Lay
 	bParts := lay.Scatter(sparse.Ones(a.N))
 	opt := Options{Restart: 30, Tol: 1e-8}
 	var perSolve [2]uint64

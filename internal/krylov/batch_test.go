@@ -10,11 +10,9 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/dist"
-	"repro/internal/graph"
 	"repro/internal/ilu"
 	"repro/internal/machine"
 	"repro/internal/matgen"
-	"repro/internal/partition"
 	"repro/internal/pcomm"
 	"repro/internal/pcomm/modelled"
 	"repro/internal/pcomm/pcommtest"
@@ -26,16 +24,11 @@ import (
 func batchFixture(t *testing.T, p int) (*sparse.CSR, *dist.Layout, []*core.ProcPrecond) {
 	t.Helper()
 	a := matgen.Grid2D(24, 24)
-	g := graph.FromMatrix(a)
-	part := partition.KWay(g, p, partition.Options{Seed: 5})
-	lay, err := dist.NewLayout(a.N, p, part)
+	plan, err := core.Prepare(a, p, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan, err := core.NewPlan(a, lay)
-	if err != nil {
-		t.Fatal(err)
-	}
+	lay := plan.Lay
 	pcs := make([]*core.ProcPrecond, p)
 	m := pcommtest.New(t, p, machine.Zero())
 	m.SetWatchdog(30 * time.Second)

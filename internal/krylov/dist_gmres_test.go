@@ -6,25 +6,22 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/dist"
-	"repro/internal/graph"
 	"repro/internal/ilu"
 	"repro/internal/machine"
 	"repro/internal/matgen"
-	"repro/internal/partition"
 	"repro/internal/pcomm"
 	"repro/internal/pcomm/pcommtest"
 	"repro/internal/sparse"
 )
 
-func layoutFor(t *testing.T, a *sparse.CSR, P int) *dist.Layout {
+// planFor is the krylov tests' plan of a on P processors.
+func planFor(t *testing.T, a *sparse.CSR, P int) *core.Plan {
 	t.Helper()
-	g := graph.FromMatrix(a)
-	part := partition.KWay(g, P, partition.Options{Seed: 6})
-	lay, err := dist.NewLayout(a.N, P, part)
+	plan, err := core.Prepare(a, P, 6)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return lay
+	return plan
 }
 
 func TestDistGMRESMatchesSerialUnpreconditioned(t *testing.T) {
@@ -37,7 +34,7 @@ func TestDistGMRESMatchesSerialUnpreconditioned(t *testing.T) {
 	}
 
 	for _, P := range []int{1, 3, 5} {
-		lay := layoutFor(t, a, P)
+		lay := planFor(t, a, P).Lay
 		bParts := lay.Scatter(b)
 		xParts := make([][]float64, P)
 		results := make([]Result, P)
@@ -82,11 +79,8 @@ func TestDistGMRESWithPILUT(t *testing.T) {
 	n := a.N
 	b := sparse.Ones(n)
 	for _, P := range []int{1, 2, 4, 8} {
-		lay := layoutFor(t, a, P)
-		plan, err := core.NewPlan(a, lay)
-		if err != nil {
-			t.Fatal(err)
-		}
+		plan := planFor(t, a, P)
+		lay := plan.Lay
 		bParts := lay.Scatter(b)
 		xParts := make([][]float64, P)
 		var nmv [2]int
@@ -140,7 +134,7 @@ func TestDistGMRESWithPILUT(t *testing.T) {
 
 func TestDistJacobi(t *testing.T) {
 	a := matgen.Grid2D(4, 4)
-	lay := layoutFor(t, a, 2)
+	lay := planFor(t, a, 2).Lay
 	m := pcommtest.New(t, 2, machine.Zero())
 	m.Run(func(p pcomm.Comm) {
 		j, err := NewDistJacobi(lay, a, p.ID())
@@ -164,7 +158,7 @@ func TestDistJacobi(t *testing.T) {
 
 func TestDistGMRESZeroRHS(t *testing.T) {
 	a := matgen.Grid2D(4, 4)
-	lay := layoutFor(t, a, 2)
+	lay := planFor(t, a, 2).Lay
 	m := pcommtest.New(t, 2, machine.Zero())
 	m.Run(func(p pcomm.Comm) {
 		dm := dist.NewMatrix(p, lay, a)

@@ -10,11 +10,9 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/dist"
-	"repro/internal/graph"
 	"repro/internal/ilu"
 	"repro/internal/machine"
 	"repro/internal/matgen"
-	"repro/internal/partition"
 	"repro/internal/pcomm"
 	"repro/internal/pcomm/modelled"
 	"repro/internal/sparse"
@@ -96,15 +94,11 @@ type oracleSystem struct {
 
 func oracleBuild(t *testing.T, a *sparse.CSR, P int, precond string) oracleSystem {
 	t.Helper()
-	part := partition.KWay(graph.FromMatrix(a), P, partition.Options{Seed: 17})
-	lay, err := dist.NewLayout(a.N, P, part)
+	plan, err := core.Prepare(a, P, 17)
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan, err := core.NewPlan(a, lay)
-	if err != nil {
-		t.Fatal(err)
-	}
+	lay := plan.Lay
 	sys := oracleSystem{lay: lay, dms: make([]*dist.Matrix, P), precs: make([]DistPreconditioner, P)}
 	modelled.New(P, machine.T3D()).Run(func(p pcomm.Comm) {
 		me := p.ID()

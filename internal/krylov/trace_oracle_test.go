@@ -6,10 +6,8 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/dist"
-	"repro/internal/graph"
 	"repro/internal/ilu"
 	"repro/internal/machine"
-	"repro/internal/partition"
 	"repro/internal/pcomm"
 	"repro/internal/pcomm/modelled"
 	"repro/internal/sparse"
@@ -57,14 +55,11 @@ func (d digest) trace(rec *trace.Recorder, res pcomm.Result) {
 // digests each run's trace.
 func tracedDigests(t *testing.T, a *sparse.CSR, P int) [2]string {
 	t.Helper()
-	lay, err := dist.NewLayout(a.N, P, partition.KWay(graph.FromMatrix(a), P, partition.Options{Seed: 17}))
+	plan, err := core.Prepare(a, P, 17)
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan, err := core.NewPlan(a, lay)
-	if err != nil {
-		t.Fatal(err)
-	}
+	lay := plan.Lay
 	dms := make([]*dist.Matrix, P)
 	pcs := make([]*core.ProcPrecond, P)
 	traced := func(f func(pcomm.Comm)) string {

@@ -71,7 +71,7 @@ func TestDistGMRESWarmStartDeterministic(t *testing.T) {
 	next := matgen.Evolve(base, 1, 1e-4, 5)[0]
 	b := sparse.Ones(base.N)
 	const P = 4
-	lay := layoutFor(t, base, P)
+	lay := planFor(t, base, P).Lay
 	bParts := lay.Scatter(b)
 
 	solve := func(a *sparse.CSR, x0Parts [][]float64) ([]Result, [][]float64) {
@@ -140,7 +140,7 @@ func TestDistGMRESWarmStartDeterministic(t *testing.T) {
 func TestDistGMRESBatchRejectsSharedX0(t *testing.T) {
 	const P = 2
 	a := matgen.Grid2D(6, 6)
-	lay := layoutFor(t, a, P)
+	lay := planFor(t, a, P).Lay
 	b := sparse.Ones(a.N)
 	bParts := lay.Scatter(b)
 	m := pcommtest.New(t, P, machine.T3D())

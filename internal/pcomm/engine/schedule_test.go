@@ -13,12 +13,10 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/dist"
-	"repro/internal/graph"
 	"repro/internal/ilu"
 	"repro/internal/krylov"
 	"repro/internal/machine"
 	"repro/internal/matgen"
-	"repro/internal/partition"
 	"repro/internal/pcomm"
 	"repro/internal/pcomm/engine"
 	"repro/internal/pcomm/modelled"
@@ -104,14 +102,11 @@ func (s scheduled) run(P int, traced bool, f func(pcomm.Comm) any) {
 // TestTraceDigestOracle, the ILUT* (K = 2) build and the cold DistGMRES
 // on it are traced.
 func (s scheduled) pipelines(a *sparse.CSR, P int) string {
-	lay, err := dist.NewLayout(a.N, P, partition.KWay(graph.FromMatrix(a), P, partition.Options{Seed: 17}))
+	plan, err := core.Prepare(a, P, 17)
 	if err != nil {
 		panic(err)
 	}
-	plan, err := core.NewPlan(a, lay)
-	if err != nil {
-		panic(err)
-	}
+	lay := plan.Lay
 	rhs := make([][][]float64, 3)
 	for k := range rhs {
 		b := make([]float64, a.N)

@@ -7,8 +7,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/dist"
-	"repro/internal/graph"
-	"repro/internal/partition"
 	"repro/internal/pcomm"
 	"repro/internal/sparse"
 )
@@ -54,17 +52,7 @@ func (s *Server) analysisFor(key string, a *sparse.CSR) (*analysis, error) {
 			return &analysis{plan: plan, mats: se.mats}, nil
 		}
 	}
-	g := graph.FromMatrix(a)
-	part := partition.KWay(g, s.cfg.Procs, partition.Options{Seed: s.cfg.Seed})
-	lay, err := dist.NewLayout(a.N, s.cfg.Procs, part)
-	if err != nil {
-		return nil, fmt.Errorf("service: layout for %s: %w", key, err)
-	}
-	sym, err := core.Analyze(a, lay)
-	if err != nil {
-		return nil, fmt.Errorf("service: symbolic analysis for %s: %w", key, err)
-	}
-	plan, err := sym.Bind(a)
+	plan, err := core.Prepare(a, s.cfg.Procs, s.cfg.Seed)
 	if err != nil {
 		return nil, fmt.Errorf("service: elimination plan for %s: %w", key, err)
 	}

@@ -16,11 +16,9 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/dist"
-	"repro/internal/graph"
 	"repro/internal/ilu"
 	"repro/internal/krylov"
 	"repro/internal/matgen"
-	"repro/internal/partition"
 	"repro/internal/pcomm"
 	"repro/internal/pcomm/realcomm"
 	"repro/internal/sparse"
@@ -59,16 +57,11 @@ func TestEmitSpeedupBench(t *testing.T) {
 	procs := []int{1, 2, 4, 8, 16}
 	curve := make([]speedupPoint, 0, len(procs))
 	for _, P := range procs {
-		g := graph.FromMatrix(a)
-		part := partition.KWay(g, P, partition.Options{Seed: 1})
-		lay, err := dist.NewLayout(a.N, P, part)
+		plan, err := core.Prepare(a, P, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		plan, err := core.NewPlan(a, lay)
-		if err != nil {
-			t.Fatal(err)
-		}
+		lay := plan.Lay
 		opt := core.Options{Params: params, Seed: 1}
 		bParts := lay.Scatter(b)
 
