@@ -41,6 +41,11 @@ fmt-check:
 # flat body of internal/service/wire.go, and netcomm's frames carry typed
 # slices and fixed-width scalars only. It matches import lines, so the
 # analyzers' tables of package names do not trip it.
+# And so does a "/v1/peer/ or "/v1/cluster/ string literal in a non-test
+# Go file outside internal/service: the peer protocol's route table, its
+# client (cluster.call) and its handlers (Server.PeerRoutes) live there
+# together, so the two halves cannot drift. It matches the opening quote,
+# so comments naming a route do not trip it.
 HOTALLOC_WAIVERS_MAX = 16
 GO_SRC = $$(find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' -not -path '*/testdata/*')
 SERVICE_SRC = $$(find internal/service -name '*.go' -not -name '*_test.go')
@@ -63,6 +68,8 @@ loc:
 		echo "boxed Send/Recv in a numeric package: send raw slices (pcomm.SendSlice, pcomm.Post)"; exit 1; fi
 	@if grep -n -E '^[[:space:]]*(import[[:space:]]+)?([A-Za-z_.]+[[:space:]]+)?"encoding/gob"' $(GO_SRC); then \
 		echo "encoding/gob imported outside bench/: use the flat codecs (internal/service/wire.go, netcomm's frames)"; exit 1; fi
+	@if grep -n -E '"/v1/(peer|cluster)/' $(GO_SRC) | grep -v '^\./internal/service/'; then \
+		echo "peer protocol route outside internal/service: serve it with Server.PeerRoutes, call it through cluster.call"; exit 1; fi
 	@n=$$(grep -rn --include='*.go' 'pilutlint:ok hotalloc' . | wc -l); \
 		echo "hotalloc waivers: $$n (ratchet: at most $(HOTALLOC_WAIVERS_MAX))"; \
 		[ $$n -le $(HOTALLOC_WAIVERS_MAX) ]

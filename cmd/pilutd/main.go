@@ -13,6 +13,10 @@
 //	GET  /metrics                              → Prometheus text metrics
 //	GET  /healthz                              → {"status", "queue_depth", ...}; 503 while draining
 //
+// /healthz and the token-guarded daemon-to-daemon routes (/v1/peer/*,
+// /v1/cluster/*; -peers, -join) belong to internal/service, which serves
+// the same protocol its cluster client calls (Server.PeerRoutes).
+//
 // Submitted matrices are held in a 32 MiB LRU tier, and a matrix whose
 // factorization is cached stays solvable beyond it. A solve of a key
 // neither holds answers 404: resubmit the matrix (same key) and retry.
@@ -151,21 +155,26 @@ func writeError(w http.ResponseWriter, status int, err error) {
 	writeJSON(w, status, errorReply{err.Error()})
 }
 
+// deadline derives a request's context from its timeout_ms: a negative
+// one is refused, and 0 or anything above the server's cap becomes the
+// cap, so one request cannot pin a worker arbitrarily long.
+func deadline(r *http.Request, timeoutMs, maxTimeoutMs int) (context.Context, context.CancelFunc, error) {
+	if timeoutMs < 0 {
+		return nil, nil, fmt.Errorf("timeout_ms must be non-negative, got %d", timeoutMs)
+	}
+	if maxTimeoutMs > 0 && (timeoutMs == 0 || timeoutMs > maxTimeoutMs) {
+		timeoutMs = maxTimeoutMs
+	}
+	if timeoutMs == 0 {
+		return r.Context(), func() {}, nil
+	}
+	ctx, cancel := context.WithTimeout(r.Context(), time.Duration(timeoutMs)*time.Millisecond)
+	return ctx, cancel, nil
+}
+
 func newMux(svc *service.Server, maxTimeoutMs int) *http.ServeMux {
 	mux := http.NewServeMux()
-
-	// peerGuard wraps the daemon-to-daemon surface (/v1/peer/*,
-	// /v1/cluster/*) with the shared-secret check: a missing or wrong
-	// token answers 403 and bumps the rejected-peer-request counter.
-	peerGuard := func(h http.HandlerFunc) http.HandlerFunc {
-		return func(w http.ResponseWriter, r *http.Request) {
-			if !svc.PeerAuthOK(r.Header.Get(service.ClusterTokenHeader)) {
-				writeJSON(w, http.StatusForbidden, errorReply{"cluster token mismatch"})
-				return
-			}
-			h(w, r)
-		}
-	}
+	svc.PeerRoutes(mux)
 
 	mux.HandleFunc("POST /v1/matrices", func(w http.ResponseWriter, r *http.Request) {
 		a, err := sparse.ReadMatrixMarket(http.MaxBytesReader(w, r.Body, maxMatrixBytes))
@@ -193,22 +202,12 @@ func newMux(svc *service.Server, maxTimeoutMs int) *http.ServeMux {
 			writeError(w, http.StatusBadRequest, fmt.Errorf("parsing solve request: %w", err))
 			return
 		}
-		if req.TimeoutMs < 0 {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("timeout_ms must be non-negative, got %d", req.TimeoutMs))
+		ctx, cancel, err := deadline(r, req.TimeoutMs, maxTimeoutMs)
+		if err != nil {
+			writeError(w, http.StatusBadRequest, err)
 			return
 		}
-		// Cap client deadlines at the server maximum so a single request
-		// cannot pin a worker arbitrarily long; 0 means the cap itself.
-		timeout := req.TimeoutMs
-		if maxTimeoutMs > 0 && (timeout == 0 || timeout > maxTimeoutMs) {
-			timeout = maxTimeoutMs
-		}
-		ctx := r.Context()
-		if timeout > 0 {
-			var cancel context.CancelFunc
-			ctx, cancel = context.WithTimeout(ctx, time.Duration(timeout)*time.Millisecond)
-			defer cancel()
-		}
+		defer cancel()
 		res, err := svc.Solve(ctx, req.Key, req.B, service.SolveOptions{
 			Restart: req.Restart, Tol: req.Tol, MaxMatVec: req.MaxMatVec,
 		})
@@ -229,21 +228,13 @@ func newMux(svc *service.Server, maxTimeoutMs int) *http.ServeMux {
 			writeError(w, http.StatusBadRequest, fmt.Errorf("sequence needs at least one key"))
 			return
 		}
-		if req.TimeoutMs < 0 {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("timeout_ms must be non-negative, got %d", req.TimeoutMs))
+		// The deadline covers the whole sequence.
+		ctx, cancel, err := deadline(r, req.TimeoutMs, maxTimeoutMs)
+		if err != nil {
+			writeError(w, http.StatusBadRequest, err)
 			return
 		}
-		// The deadline covers the whole sequence, capped like /v1/solve.
-		timeout := req.TimeoutMs
-		if maxTimeoutMs > 0 && (timeout == 0 || timeout > maxTimeoutMs) {
-			timeout = maxTimeoutMs
-		}
-		ctx := r.Context()
-		if timeout > 0 {
-			var cancel context.CancelFunc
-			ctx, cancel = context.WithTimeout(ctx, time.Duration(timeout)*time.Millisecond)
-			defer cancel()
-		}
+		defer cancel()
 		warm := req.WarmStart == nil || *req.WarmStart
 		steps, err := svc.SolveSequence(ctx, req.Keys, req.B, service.SolveOptions{
 			Restart: req.Restart, Tol: req.Tol, MaxMatVec: req.MaxMatVec, X0: req.X0,
@@ -277,131 +268,6 @@ func newMux(svc *service.Server, maxTimeoutMs int) *http.ServeMux {
 			log.Printf("pilutd: writing metrics: %v", err)
 		}
 	})
-
-	// In a cluster, /healthz aggregates every peer's liveness; peers
-	// probe each other with ?scope=local, which answers this daemon's
-	// own health without recursing. A down peer degrades the status but
-	// keeps it 200 — the daemon still answers everything it can serve
-	// alone; only draining (this daemon going away) is a 503.
-	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
-		if !svc.ClusterEnabled() || r.URL.Query().Get("scope") == "local" {
-			h := svc.Health()
-			status := http.StatusOK
-			if h.Status != "ok" {
-				status = http.StatusServiceUnavailable
-			}
-			writeJSON(w, status, h)
-			return
-		}
-		h := svc.ClusterHealthCheck()
-		status := http.StatusOK
-		if h.Status != "ok" && h.Status != "degraded" {
-			status = http.StatusServiceUnavailable
-		}
-		writeJSON(w, status, h)
-	})
-
-	// Internal peer API: daemon-to-daemon factorization transfer, matrix
-	// replication and proactive factor replicas (flat little-endian
-	// bodies, see internal/service/wire.go; not part of the public
-	// surface). All token-guarded.
-	mux.HandleFunc("GET /v1/peer/factor/{key}", peerGuard(func(w http.ResponseWriter, r *http.Request) {
-		data, err := svc.ExportFactor(r.PathValue("key"))
-		if err != nil {
-			status := http.StatusNotFound
-			if !errors.Is(err, service.ErrUnknownMatrix) && !errors.Is(err, service.ErrNotExportable) {
-				status = http.StatusUnprocessableEntity
-			}
-			writeError(w, status, err)
-			return
-		}
-		w.Header().Set("Content-Type", "application/octet-stream")
-		if _, err := w.Write(data); err != nil {
-			log.Printf("pilutd: writing peer factor response: %v", err)
-		}
-	}))
-
-	mux.HandleFunc("POST /v1/peer/matrix", peerGuard(func(w http.ResponseWriter, r *http.Request) {
-		key, known, err := svc.ImportMatrix(http.MaxBytesReader(w, r.Body, maxMatrixBytes))
-		if err != nil {
-			status := http.StatusBadRequest
-			if errors.Is(err, service.ErrClosed) {
-				status = http.StatusServiceUnavailable
-			}
-			writeError(w, status, err)
-			return
-		}
-		writeJSON(w, http.StatusOK, map[string]any{"key": key, "known": known})
-	}))
-
-	mux.HandleFunc("POST /v1/peer/replica/{key}", peerGuard(func(w http.ResponseWriter, r *http.Request) {
-		known, err := svc.ImportReplica(r.PathValue("key"), http.MaxBytesReader(w, r.Body, maxMatrixBytes))
-		if err != nil {
-			writeError(w, http.StatusUnprocessableEntity, err)
-			return
-		}
-		writeJSON(w, http.StatusOK, map[string]any{"known": known})
-	}))
-
-	// Cluster membership: the gossiped view, runtime join and the
-	// administrative drain. GET view doubles as the health probe other
-	// members run every -probe-interval-ms.
-	mux.HandleFunc("GET /v1/cluster/view", peerGuard(func(w http.ResponseWriter, r *http.Request) {
-		v, ok := svc.ClusterView()
-		if !ok {
-			writeJSON(w, http.StatusNotFound, errorReply{"this daemon is not a cluster member"})
-			return
-		}
-		writeJSON(w, http.StatusOK, v)
-	}))
-
-	mux.HandleFunc("POST /v1/cluster/view", peerGuard(func(w http.ResponseWriter, r *http.Request) {
-		var v service.View
-		if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20)).Decode(&v); err != nil {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("parsing view: %w", err))
-			return
-		}
-		merged, ok := svc.MergeView(v)
-		if !ok {
-			writeJSON(w, http.StatusNotFound, errorReply{"this daemon is not a cluster member"})
-			return
-		}
-		writeJSON(w, http.StatusOK, merged)
-	}))
-
-	mux.HandleFunc("POST /v1/cluster/join", peerGuard(func(w http.ResponseWriter, r *http.Request) {
-		var req struct {
-			URL string `json:"url"`
-		}
-		if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<16)).Decode(&req); err != nil {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("parsing join request: %w", err))
-			return
-		}
-		v, err := svc.HandleJoin(req.URL)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, err)
-			return
-		}
-		log.Printf("pilutd: cluster member joined: %s (epoch %d)", req.URL, v.Epoch)
-		writeJSON(w, http.StatusOK, v)
-	}))
-
-	mux.HandleFunc("POST /v1/cluster/leave", peerGuard(func(w http.ResponseWriter, r *http.Request) {
-		var req struct {
-			URL string `json:"url"`
-		}
-		if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<16)).Decode(&req); err != nil {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("parsing leave request: %w", err))
-			return
-		}
-		v, err := svc.HandleLeave(req.URL)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, err)
-			return
-		}
-		log.Printf("pilutd: cluster member left: %s (epoch %d)", req.URL, v.Epoch)
-		writeJSON(w, http.StatusOK, v)
-	}))
 
 	// Unknown paths get the same structured JSON error shape as every
 	// other failure instead of the default text/plain 404 page.

@@ -188,29 +188,33 @@ func TestClusterCall(t *testing.T) {
 		return last
 	}
 
-	status, data, err := cl.call(http.MethodPost, ts.URL, "/v1/x?y=1", []byte("payload"), 1<<10)
+	get := func(path string, limit int64) peerRoute {
+		return peerRoute{method: http.MethodGet, path: path, maxAnswer: limit}
+	}
+	post := peerRoute{method: http.MethodPost, path: "/v1/x/{key}", query: "?y=1", maxAnswer: 1 << 10}
+	status, data, err := cl.call(post, ts.URL, "k w", []byte("payload"))
 	if err != nil || status != http.StatusOK || string(data) != "answer" {
 		t.Fatalf("call = %d, %q, %v", status, data, err)
 	}
-	if got := sawLast(); got != (seen{http.MethodPost, "/v1/x?y=1", "s3cret", "payload"}) {
-		t.Errorf("peer saw %+v, want the POST with its query, body and the cluster token", got)
+	if got := sawLast(); got != (seen{http.MethodPost, "/v1/x/k%20w?y=1", "s3cret", "payload"}) {
+		t.Errorf("peer saw %+v, want the POST to the escaped key with its query, body and the cluster token", got)
 	}
-	if status, data, err = cl.call(http.MethodGet, ts.URL, "/big", nil, 100); err != nil || status != http.StatusOK || len(data) != 100 {
+	if status, data, err = cl.call(get("/big", 100), ts.URL, "", nil); err != nil || status != http.StatusOK || len(data) != 100 {
 		t.Errorf("limited call = %d, %d bytes, %v; want 100 bytes of the 4096", status, len(data), err)
 	}
 	if got := sawLast(); got.method != http.MethodGet || got.body != "" {
 		t.Errorf("bodiless call sent %+v", got)
 	}
-	if status, data, err = cl.call(http.MethodGet, ts.URL, "/x/forbidden", nil, 10); err != nil || status != http.StatusForbidden || string(data) != "no" {
+	if status, data, err = cl.call(get("/x/forbidden", 10), ts.URL, "", nil); err != nil || status != http.StatusForbidden || string(data) != "no" {
 		t.Errorf("non-200 call = %d, %q, %v; want the status and body passed up", status, data, err)
 	}
 	start := time.Now()
-	if _, _, err = cl.call(http.MethodGet, ts.URL, "/slow", nil, 10); err == nil {
+	if _, _, err = cl.call(get("/slow", 10), ts.URL, "", nil); err == nil {
 		t.Error("a call to a hung peer returned without error")
 	} else if d := time.Since(start); d > 5*time.Second {
 		t.Errorf("op timeout of 200ms took %v to fire", d)
 	}
-	if _, _, err = cl.call(http.MethodGet, "http://127.0.0.1:1", "/x", nil, 10); err == nil {
+	if _, _, err = cl.call(get("/x", 10), "http://127.0.0.1:1", "", nil); err == nil {
 		t.Error("a call to a closed port returned without error")
 	}
 
@@ -226,7 +230,7 @@ func TestClusterCall(t *testing.T) {
 	if _, err := cl.getFactor(ts.URL, "forbidden"); !errors.As(err, &se) || se.code != http.StatusForbidden || se.peer != ts.URL {
 		t.Errorf("getFactor on 403: %v, want a *peerStatusError with the code", err)
 	}
-	if err := cl.putMatrix(ts.URL+"/x/forbidden?", nil); !errors.As(err, &se) || se.code != http.StatusForbidden {
-		t.Errorf("putMatrix on 403: %v, want a *peerStatusError", err)
+	if _, err := cl.callOK(routeMatrix, ts.URL+"/x/forbidden?", "", nil); !errors.As(err, &se) || se.code != http.StatusForbidden || se.op != routeMatrix.op {
+		t.Errorf("callOK on 403: %v, want a *peerStatusError naming the route", err)
 	}
 }

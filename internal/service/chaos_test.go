@@ -211,6 +211,43 @@ func TestBreakerOpensAndProbes(t *testing.T) {
 	}
 }
 
+// TestCanceledProbeHandsTheProbeBack: a half-open probe whose request was
+// canceled while it queued says nothing about the matrix. The worker must
+// hand the probe back, so the next request probes and a healthy key's
+// circuit closes, instead of bouncing every later request until restart.
+func TestCanceledProbeHandsTheProbeBack(t *testing.T) {
+	s := New(Config{Procs: 2, Workers: 1, BreakerFailures: 2, BreakerCooldown: time.Hour})
+	defer s.Shutdown(context.Background())
+	a := matgen.Grid2D(8, 8)
+	key, _, err := s.Submit(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	later := time.Now().Add(2 * time.Hour)
+	s.mu.Lock()
+	s.breaker.failure(key)
+	s.breaker.failure(key)
+	s.breaker.now = func() time.Time { return later }
+	s.mu.Unlock()
+
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := s.Solve(ctx, key, rhs(a.N, 1), SolveOptions{}); !errors.Is(err, krylov.ErrCanceled) {
+		t.Fatalf("canceled probe: err %v, want krylov.ErrCanceled", err)
+	}
+	waitFor(t, "the worker to answer the canceled probe", func() bool {
+		st := s.StatsSnapshot()
+		return st.Solves.Canceled == 1 && st.Running == 0
+	})
+	res, err := s.Solve(context.Background(), key, rhs(a.N, 2), SolveOptions{Tol: 1e-8})
+	if err != nil || !res.Converged {
+		t.Fatalf("solve after the canceled probe: converged=%v err=%v", res.Converged, err)
+	}
+	if h := s.Health(); len(h.BreakerOpenKeys) != 0 {
+		t.Errorf("breaker still open for %v after a successful probe", h.BreakerOpenKeys)
+	}
+}
+
 // TestQueueShedsUnderOverload: with the single worker pinned and the
 // bounded queue full, the next request is shed immediately with a 429
 // retry hint instead of queueing without bound.

@@ -3,7 +3,6 @@ package service
 import (
 	"bytes"
 	"crypto/sha256"
-	"crypto/subtle"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -178,29 +177,6 @@ func newCluster(cfg *ClusterConfig, brkFailures int, brkCooldown time.Duration) 
 // /v1/peer/* and /v1/cluster/* request.
 const ClusterTokenHeader = "X-Pilut-Cluster-Token"
 
-// authorize attaches the cluster token to an outgoing peer request.
-func (cl *cluster) authorize(req *http.Request) {
-	if cl.token != "" {
-		req.Header.Set(ClusterTokenHeader, cl.token)
-	}
-}
-
-// PeerAuthOK checks a presented cluster token against the configured
-// shared secret (constant-time). Mismatches count toward the
-// rejected-peer-request counter; with no token configured (or no
-// cluster) every request passes.
-func (s *Server) PeerAuthOK(got string) bool {
-	cl := s.cluster
-	if cl == nil || cl.token == "" {
-		return true
-	}
-	if subtle.ConstantTimeCompare([]byte(got), []byte(cl.token)) == 1 {
-		return true
-	}
-	cl.rejected.Add(1)
-	return false
-}
-
 // ranked orders the routable members for key by rendezvous hashing,
 // best first: ranked[0] is the owner, ranked[1:1+R] the replica
 // successors. Every daemon computes the same order from the same view,
@@ -318,9 +294,9 @@ func (cl *cluster) snapshot() *ClusterStats {
 	}
 }
 
-// maxMatrixWireBytes bounds peer transfer bodies (a factorization of a
-// cached matrix, or the matrix itself) the same way the public matrix
-// endpoint bounds MatrixMarket bodies.
+// maxMatrixWireBytes bounds the flat bodies of the peer routes — a
+// factorization, fetched or pushed as a replica, and a replicated matrix
+// (replication.go's route table).
 const maxMatrixWireBytes = 1 << 30
 
 // checkPeerMatrix checks a matrix a peer sent: the bytes come from
@@ -341,10 +317,14 @@ func partDigest(part []int) [sha256.Size]byte {
 	return sha256.Sum256(buf)
 }
 
-// ErrNotExportable marks entries whose pieces are not ProcPrecond rows
-// (the block-Jacobi containment floor): those are cheap to rebuild and
-// not worth a wire format.
-var ErrNotExportable = errors.New("service: factorization entry is not exportable")
+var (
+	// errNotExportable marks entries whose pieces are not ProcPrecond rows
+	// (the block-Jacobi containment floor): those are cheap to rebuild and
+	// not worth a wire format.
+	errNotExportable = errors.New("service: factorization entry is not exportable")
+	// errNotMember refuses a cluster operation on a standalone daemon.
+	errNotMember = errors.New("service: this daemon is not a cluster member")
+)
 
 // encodeEntry is the one place a cache entry becomes wire bytes, for a
 // fetching peer (ExportFactor) and for a replica push alike.
@@ -366,7 +346,7 @@ func encodeEntry(ent *entry, cfg Config) ([]byte, error) {
 	for q, pc := range ent.pcs {
 		pp, ok := pc.(*core.ProcPrecond)
 		if !ok {
-			return nil, fmt.Errorf("%w: processor %d holds a %T piece", ErrNotExportable, q, pc)
+			return nil, fmt.Errorf("%w: processor %d holds a %T piece", errNotExportable, q, pc)
 		}
 		wf.Pieces[q] = pp.Wire()
 	}
@@ -381,8 +361,8 @@ func encodeEntry(ent *entry, cfg Config) ([]byte, error) {
 // is resolved strictly locally — cache hit or local build, never a
 // fetch from another peer — so daemons with disagreeing peer lists
 // cannot route a fetch in a cycle. Unknown keys surface
-// ErrUnknownMatrix (the peer endpoint answers 404 and the fetcher
-// builds locally).
+// ErrUnknownMatrix (the factor route answers 404 and the fetcher builds
+// locally).
 func (s *Server) ExportFactor(key string) ([]byte, error) {
 	s.mu.Lock()
 	a, ok := s.matrixLocked(key)
@@ -487,10 +467,10 @@ func (s *Server) importFactor(key string, data []byte) (ent *entry, err error) {
 	return ent, nil
 }
 
-// ImportMatrix ingests a replicated matrix from a peer (the matrix body
-// of POST /v1/peer/matrix, see wire.go).
-func (s *Server) ImportMatrix(r io.Reader) (key string, known bool, err error) {
-	data, err := io.ReadAll(io.LimitReader(r, maxMatrixWireBytes))
+// importMatrix ingests a matrix a peer replicated to this daemon (the
+// matrix body of wire.go).
+func (s *Server) importMatrix(r io.Reader) (key string, known bool, err error) {
+	data, err := io.ReadAll(r)
 	if err != nil {
 		return "", false, fmt.Errorf("service: reading replicated matrix: %w", err)
 	}
@@ -523,7 +503,7 @@ func (s *Server) replicateMatrix(key string, a *sparse.CSR) {
 		cl.replLost.Add(1)
 		return
 	}
-	if err := cl.putMatrix(owner, body); err != nil {
+	if _, err := cl.callOK(routeMatrix, owner, "", body); err != nil {
 		cl.replLost.Add(1)
 		cl.peerDown(owner)
 		return
@@ -532,8 +512,8 @@ func (s *Server) replicateMatrix(key string, a *sparse.CSR) {
 	cl.peerUp(owner)
 }
 
-// PeerHealth is one member's row in the aggregated cluster health.
-type PeerHealth struct {
+// peerHealth is one member's row in the aggregated cluster health.
+type peerHealth struct {
 	URL string `json:"url"`
 	// Status: the peer's own reported status ("ok", "draining"), or
 	// "down" when it cannot be reached, "left" for administratively
@@ -550,35 +530,33 @@ type PeerHealth struct {
 	Error       string `json:"error,omitempty"`
 }
 
-// ClusterHealth is the cluster-wide health answer: this daemon's local
+// clusterHealth is the cluster-wide health answer: this daemon's local
 // health plus one row per member of the view and the view's epoch.
 // Status degrades to "degraded" when any non-left member is unreachable
 // or written off — the cluster still answers everything this daemon can
 // serve alone, so degradation is a warning, not an outage.
-type ClusterHealth struct {
+type clusterHealth struct {
 	Health
 	Epoch   uint64       `json:"epoch,omitempty"`
-	Cluster []PeerHealth `json:"cluster,omitempty"`
+	Cluster []peerHealth `json:"cluster,omitempty"`
 }
 
-// ClusterEnabled reports whether this server is a cluster member.
-func (s *Server) ClusterEnabled() bool { return s.cluster != nil }
-
-// ClusterHealthCheck probes every live member's local health and
-// aggregates it with the membership view. Probes run concurrently; a
+// clusterHealthCheck probes every live member's local health and
+// aggregates it with the membership view; outside a cluster, or when
+// local, it is this daemon's health alone. Probes run concurrently; a
 // dead peer costs one OpTimeout, not one per peer.
-func (s *Server) ClusterHealthCheck() ClusterHealth {
-	out := ClusterHealth{Health: s.Health()}
+func (s *Server) clusterHealthCheck(local bool) clusterHealth {
+	out := clusterHealth{Health: s.Health()}
 	cl := s.cluster
-	if cl == nil {
+	if cl == nil || local {
 		return out
 	}
 	view := cl.ms.snapshot()
 	out.Epoch = view.Epoch
-	rows := make([]PeerHealth, len(view.Members))
+	rows := make([]peerHealth, len(view.Members))
 	var wg sync.WaitGroup
 	for i, m := range view.Members {
-		rows[i] = PeerHealth{URL: m.URL, State: m.State, BreakerOpen: cl.breakerOpen(m.URL)}
+		rows[i] = peerHealth{URL: m.URL, State: m.State, BreakerOpen: cl.breakerOpen(m.URL)}
 		switch {
 		case m.URL == cl.self:
 			rows[i].Status = "self"
@@ -600,13 +578,8 @@ func (s *Server) ClusterHealthCheck() ClusterHealth {
 		}(i, m.URL)
 	}
 	wg.Wait()
-	for i := range rows {
-		if out.Status != "ok" {
-			break
-		}
-		switch rows[i].Status {
-		case "self", "ok", "left":
-		default:
+	for _, row := range rows {
+		if out.Status == "ok" && row.Status != "self" && row.Status != "ok" && row.Status != "left" {
 			out.Status = "degraded"
 		}
 	}

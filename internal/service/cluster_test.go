@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"crypto/sha256"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
@@ -86,59 +85,49 @@ func TestClusterOwnerDeterministic(t *testing.T) {
 	}
 }
 
-// peerHandler exposes the subset of pilutd's HTTP surface the cluster
-// layer talks to, backed by a Server resolved at request time (the
-// server needs the listener's URL before it can be constructed).
-func peerHandler(get func() *Server) http.Handler {
-	mux := http.NewServeMux()
-	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
-		json.NewEncoder(w).Encode(get().Health())
-	})
-	mux.HandleFunc("/v1/peer/factor/", func(w http.ResponseWriter, r *http.Request) {
-		key := strings.TrimPrefix(r.URL.Path, "/v1/peer/factor/")
-		data, err := get().ExportFactor(key)
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusNotFound)
-			return
-		}
-		w.Write(data)
-	})
-	mux.HandleFunc("/v1/peer/matrix", func(w http.ResponseWriter, r *http.Request) {
-		if _, _, err := get().ImportMatrix(r.Body); err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-	})
-	return mux
-}
-
-// clusterPair builds two servers joined into one cluster over httptest
-// listeners. Returned in peer-list order.
-func clusterPair(t *testing.T, cfg Config) (srvs [2]*Server, urls [2]string, shutdown func()) {
+// startCluster runs n daemons as one cluster, each serving PeerRoutes on
+// an httptest listener whose URL is known before New. Every daemon runs
+// cfg with member as its cluster settings, Self and Peers filled in.
+// wrap, when not nil, stands in front of daemon i's routes: a test that
+// injects a fault there passes the rest of the traffic on to them. The
+// listeners close and the daemons shut down when the test ends.
+func startCluster(t *testing.T, n int, cfg Config, member ClusterConfig, wrap func(i int, routes http.Handler) http.Handler) ([]*Server, []*httptest.Server) {
 	t.Helper()
-	var s [2]*Server
-	ts0 := httptest.NewServer(peerHandler(func() *Server { return s[0] }))
-	ts1 := httptest.NewServer(peerHandler(func() *Server { return s[1] }))
-	peers := []string{ts0.URL, ts1.URL}
-	for i := range s {
-		c := cfg
-		// Probing and replication are disabled so these tests exercise the
-		// static on-demand fetch path deterministically; the membership
-		// machinery has its own tests.
-		c.Cluster = &ClusterConfig{
-			Self: peers[i], Peers: peers, OpTimeout: 5 * time.Second,
-			ProbeInterval: -1, Replicas: -1,
-		}
-		s[i] = New(c)
+	tss := make([]*httptest.Server, n)
+	peers := make([]string, n)
+	for i := range tss {
+		tss[i] = httptest.NewUnstartedServer(nil)
+		peers[i] = "http://" + tss[i].Listener.Addr().String()
 	}
-	return s, [2]string{ts0.URL, ts1.URL}, func() {
-		ts0.Close()
-		ts1.Close()
-		for _, srv := range s {
+	srvs := make([]*Server, n)
+	for i := range srvs {
+		c, m := cfg, member
+		m.Self, m.Peers = peers[i], peers
+		c.Cluster = &m
+		srvs[i] = New(c)
+		mux := http.NewServeMux()
+		srvs[i].PeerRoutes(mux)
+		tss[i].Config.Handler = mux
+		if wrap != nil {
+			tss[i].Config.Handler = wrap(i, mux)
+		}
+		tss[i].Start()
+	}
+	t.Cleanup(func() {
+		for _, ts := range tss {
+			ts.Close()
+		}
+		for _, srv := range srvs {
 			srv.Shutdown(context.Background())
 		}
-	}
+	})
+	return srvs, tss
 }
+
+// staticMember is the cluster setting of the on-demand fetch tests:
+// probing and replication are off, so they exercise the static fetch path
+// deterministically; the membership machinery has its own tests.
+var staticMember = ClusterConfig{OpTimeout: 5 * time.Second, ProbeInterval: -1, Replicas: -1}
 
 func bitsEqual(a, b []float64) bool {
 	if len(a) != len(b) {
@@ -157,8 +146,7 @@ func bitsEqual(a, b []float64) bool {
 // owner's cached factorization instead of recomputing, and the solution
 // is bitwise identical to the owner's own answer.
 func TestClusterPeerFetch(t *testing.T) {
-	srvs, _, shutdown := clusterPair(t, Config{Procs: 2, Workers: 1, Backend: "real"})
-	defer shutdown()
+	srvs, _ := startCluster(t, 2, Config{Procs: 2, Workers: 1, Backend: "real"}, staticMember, nil)
 
 	a := matgen.Grid2D(12, 12)
 	key := sparse.Fingerprint(a)
@@ -224,24 +212,9 @@ func TestClusterPeerFetch(t *testing.T) {
 // breaker opens after enough failures, and the solve is built locally.
 func TestClusterPeerDeathFallsBack(t *testing.T) {
 	cfg := Config{Procs: 2, Workers: 1, Backend: "real", BreakerFailures: 2, BreakerCooldown: time.Hour}
-	var s [2]*Server
-	ts0 := httptest.NewServer(peerHandler(func() *Server { return s[0] }))
-	ts1 := httptest.NewServer(peerHandler(func() *Server { return s[1] }))
-	peers := []string{ts0.URL, ts1.URL}
-	for i := range s {
-		c := cfg
-		c.Cluster = &ClusterConfig{
-			Self: peers[i], Peers: peers, OpTimeout: 2 * time.Second,
-			ProbeInterval: -1, Replicas: -1,
-		}
-		s[i] = New(c)
-	}
-	defer ts1.Close()
-	defer func() {
-		for _, srv := range s {
-			srv.Shutdown(context.Background())
-		}
-	}()
+	member := staticMember
+	member.OpTimeout = 2 * time.Second
+	s, tss := startCluster(t, 2, cfg, member, nil)
 
 	a := matgen.Grid2D(12, 12)
 	key := sparse.Fingerprint(a)
@@ -250,13 +223,8 @@ func TestClusterPeerDeathFallsBack(t *testing.T) {
 		ownerIdx = 1
 	}
 	// Kill the owner's listener before the survivor ever talks to it.
-	if ownerIdx == 0 {
-		ts0.Close()
-	} else {
-		ts1.Close()
-		defer ts0.Close()
-	}
-	survivor, ownerURL := s[1-ownerIdx], peers[ownerIdx]
+	tss[ownerIdx].Close()
+	survivor, ownerURL := s[1-ownerIdx], tss[ownerIdx].URL
 
 	b := make([]float64, a.N)
 	for i := range b {
@@ -297,10 +265,9 @@ func TestClusterPeerDeathFallsBack(t *testing.T) {
 // per peer; a dead peer degrades the aggregate without marking this
 // daemon unhealthy.
 func TestClusterHealthAggregation(t *testing.T) {
-	srvs, urls, shutdown := clusterPair(t, Config{Procs: 2, Workers: 1, Backend: "real"})
-	defer shutdown()
+	srvs, tss := startCluster(t, 2, Config{Procs: 2, Workers: 1, Backend: "real"}, staticMember, nil)
 
-	h := srvs[0].ClusterHealthCheck()
+	h := srvs[0].clusterHealthCheck(false)
 	if h.Status != "ok" {
 		t.Fatalf("healthy cluster reports %q, want ok", h.Status)
 	}
@@ -309,7 +276,7 @@ func TestClusterHealthAggregation(t *testing.T) {
 	}
 	for _, row := range h.Cluster {
 		want := "ok"
-		if row.URL == urls[0] {
+		if row.URL == tss[0].URL {
 			want = "self"
 		}
 		if row.Status != want {
@@ -319,14 +286,14 @@ func TestClusterHealthAggregation(t *testing.T) {
 
 	// Shut down peer 1's listener: peer 0's aggregate degrades, and the
 	// row carries the probe error.
-	resp, err := http.Get(urls[1] + "/healthz")
+	resp, err := http.Get(tss[1].URL + "/healthz")
 	if err != nil {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
 	// (the Get above just proves the listener was up; now kill it)
 	srvs[1].Shutdown(context.Background())
-	h2 := srvs[0].ClusterHealthCheck()
+	h2 := srvs[0].clusterHealthCheck(false)
 	// A draining peer is not "ok", so the aggregate must degrade whether
 	// the probe saw "draining" or a closed listener.
 	if h2.Status != "degraded" {
@@ -463,22 +430,18 @@ func TestClusterFetchOfMalformedFactorRebuildsLocally(t *testing.T) {
 }
 
 func fetchOfMalformedFactorRebuildsLocally(t *testing.T, wantErr string, tamper func(wf *wireFactor)) {
-	var s [2]*Server
 	corrupt := -1 // index of the server whose exports are tampered with
-	handler := func(i int) http.Handler {
-		h := peerHandler(func() *Server { return s[i] })
+	s, tss := startCluster(t, 2, Config{Procs: 2, Workers: 1, Backend: "real"}, staticMember, func(i int, routes http.Handler) http.Handler {
 		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 			if i != corrupt || !strings.HasPrefix(r.URL.Path, "/v1/peer/factor/") {
-				h.ServeHTTP(w, r)
+				routes.ServeHTTP(w, r)
 				return
 			}
-			data, err := s[i].ExportFactor(strings.TrimPrefix(r.URL.Path, "/v1/peer/factor/"))
+			rec := httptest.NewRecorder()
+			routes.ServeHTTP(rec, r)
+			wf, err := decodeFactor(rec.Body.Bytes())
 			if err != nil {
-				http.Error(w, err.Error(), http.StatusNotFound)
-				return
-			}
-			wf, err := decodeFactor(data)
-			if err != nil {
+				t.Errorf("the owner's export (status %d) does not decode: %v", rec.Code, err)
 				http.Error(w, err.Error(), http.StatusInternalServerError)
 				return
 			}
@@ -491,23 +454,7 @@ func fetchOfMalformedFactorRebuildsLocally(t *testing.T, wantErr string, tamper 
 				t.Errorf("serving the tampered export: %v", err)
 			}
 		})
-	}
-	ts0 := httptest.NewServer(handler(0))
-	ts1 := httptest.NewServer(handler(1))
-	defer ts0.Close()
-	defer ts1.Close()
-	peers := []string{ts0.URL, ts1.URL}
-	for i := range s {
-		s[i] = New(Config{Procs: 2, Workers: 1, Backend: "real", Cluster: &ClusterConfig{
-			Self: peers[i], Peers: peers, OpTimeout: 5 * time.Second,
-			ProbeInterval: -1, Replicas: -1,
-		}})
-	}
-	defer func() {
-		for _, srv := range s {
-			srv.Shutdown(context.Background())
-		}
-	}()
+	})
 
 	a := matgen.Grid2D(12, 12)
 	key := sparse.Fingerprint(a)
@@ -545,7 +492,7 @@ func fetchOfMalformedFactorRebuildsLocally(t *testing.T, wantErr string, tamper 
 		t.Errorf("fetcher ran %d local factorizations, want 1", fs.Factorizations)
 	}
 	// The failed fetch above is only a counter; name the check that made it.
-	served, err := other.cluster.getFactor(peers[corrupt], key)
+	served, err := other.cluster.getFactor(tss[corrupt].URL, key)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -633,14 +580,14 @@ func TestImportMatrixRejectsMalformedCSR(t *testing.T) {
 	} {
 		a := good.Clone()
 		edit(a)
-		if _, _, err := srv.ImportMatrix(bytes.NewReader(mustEncodeMatrix(t, a))); err == nil || !strings.Contains(err.Error(), "malformed matrix") {
+		if _, _, err := srv.importMatrix(bytes.NewReader(mustEncodeMatrix(t, a))); err == nil || !strings.Contains(err.Error(), "malformed matrix") {
 			t.Errorf("%s: err %v, want a malformed-matrix refusal", name, err)
 		}
 	}
 	if n := srv.StatsSnapshot().Matrices; n != 0 {
 		t.Errorf("%d malformed matrices were stored", n)
 	}
-	if key, _, err := srv.ImportMatrix(bytes.NewReader(mustEncodeMatrix(t, good))); err != nil || key != sparse.Fingerprint(good) {
+	if key, _, err := srv.importMatrix(bytes.NewReader(mustEncodeMatrix(t, good))); err != nil || key != sparse.Fingerprint(good) {
 		t.Errorf("sound matrix: key %s, err %v", key, err)
 	}
 }
@@ -743,7 +690,7 @@ func TestImportThroughSymbolicLRUIsTheSameImport(t *testing.T) {
 				t.Fatal("test matrices must differ in values only")
 			}
 
-			// importAndSolve is what peerFetch and ImportReplica do with the
+			// importAndSolve is what peerFetch and importReplica do with the
 			// bytes, then a solve through the admitted entry.
 			importAndSolve := func(s *Server, i int) (*entry, SolveResult) {
 				t.Helper()
@@ -811,7 +758,7 @@ func TestImportReplicaRefusals(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := alone.ImportReplica(key, bytes.NewReader(data)); err == nil || !strings.Contains(err.Error(), "not a cluster member") {
+	if _, err := alone.importReplica(key, bytes.NewReader(data)); err == nil || !strings.Contains(err.Error(), "not a cluster member") {
 		t.Errorf("standalone daemon: err %v, want not-a-member", err)
 	}
 
@@ -819,19 +766,19 @@ func TestImportReplicaRefusals(t *testing.T) {
 		Self: "http://a", Peers: []string{"http://a"}, ProbeInterval: -1, Replicas: -1,
 	}})
 	defer member.Shutdown(context.Background())
-	if _, err := member.ImportReplica(key, strings.NewReader("not a factor body")); err == nil {
+	if _, err := member.importReplica(key, strings.NewReader("not a factor body")); err == nil {
 		t.Error("garbage replica body accepted")
 	}
-	if _, err := member.ImportReplica("another-key", bytes.NewReader(data)); err == nil || !strings.Contains(err.Error(), "for requested key") {
+	if _, err := member.importReplica("another-key", bytes.NewReader(data)); err == nil || !strings.Contains(err.Error(), "for requested key") {
 		t.Errorf("replica pushed under another key: err %v", err)
 	}
 	if st := member.StatsSnapshot(); st.Cache.Entries != 0 || st.Cluster.ReplicaImports != 0 {
 		t.Fatalf("refused pushes left %d entries, %d imports", st.Cache.Entries, st.Cluster.ReplicaImports)
 	}
-	if known, err := member.ImportReplica(key, bytes.NewReader(data)); err != nil || known {
+	if known, err := member.importReplica(key, bytes.NewReader(data)); err != nil || known {
 		t.Fatalf("sound push: known=%v err=%v", known, err)
 	}
-	if known, err := member.ImportReplica(key, strings.NewReader("not a factor body")); err != nil || !known {
+	if known, err := member.importReplica(key, strings.NewReader("not a factor body")); err != nil || !known {
 		t.Errorf("repeated push: known=%v err=%v, want known without decoding", known, err)
 	}
 	if st := member.StatsSnapshot(); st.Cache.Entries != 1 || st.Cluster.ReplicaImports != 1 || st.Cache.Factorizations != 0 {

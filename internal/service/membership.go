@@ -17,7 +17,6 @@ package service
 // exactly how split views go unnoticed.
 
 import (
-	"errors"
 	"fmt"
 	"net/url"
 	"sort"
@@ -35,32 +34,22 @@ const (
 	stateLeft                       // administratively drained; excluded from routing and probing
 )
 
+var stateNames = [...]string{stateAlive: "alive", stateSuspect: "suspect", stateDead: "dead", stateLeft: "left"}
+
 func (s memberState) String() string {
-	switch s {
-	case stateAlive:
-		return "alive"
-	case stateSuspect:
-		return "suspect"
-	case stateDead:
-		return "dead"
-	case stateLeft:
-		return "left"
+	if s >= 0 && int(s) < len(stateNames) {
+		return stateNames[s]
 	}
 	return fmt.Sprintf("memberState(%d)", int(s))
 }
 
-func parseMemberState(s string) (memberState, error) {
-	switch s {
-	case "alive":
-		return stateAlive, nil
-	case "suspect":
-		return stateSuspect, nil
-	case "dead":
-		return stateDead, nil
-	case "left":
-		return stateLeft, nil
+func parseMemberState(name string) (memberState, error) {
+	for s, n := range stateNames {
+		if n == name {
+			return memberState(s), nil
+		}
 	}
-	return 0, fmt.Errorf("service: unknown member state %q", s)
+	return 0, fmt.Errorf("service: unknown member state %q", name)
 }
 
 // MemberRecord is one member's row in a gossiped view.
@@ -356,7 +345,7 @@ func (s *Server) probeOnce() bool {
 		wg.Add(1)
 		go func(i int, peer string) {
 			defer wg.Done()
-			v, err := cl.getView(peer)
+			v, err := cl.callView(routeView, peer, nil)
 			if err != nil {
 				ch, _ := cl.ms.observeFailure(peer)
 				changed[i] = ch
@@ -378,36 +367,10 @@ func (s *Server) probeOnce() bool {
 	return false
 }
 
-// ClusterView answers GET /v1/cluster/view; ok is false outside a
-// cluster.
-func (s *Server) ClusterView() (View, bool) {
-	if s.cluster == nil {
-		return View{}, false
-	}
-	return s.cluster.ms.snapshot(), true
-}
-
-// MergeView folds a pushed view (POST /v1/cluster/view) into the local
-// one, re-replicating owned keys when the view changed, and answers the
-// merged view.
-func (s *Server) MergeView(v View) (View, bool) {
-	if s.cluster == nil {
-		return View{}, false
-	}
-	if s.cluster.ms.merge(v) {
-		s.onViewChange()
-	}
-	return s.cluster.ms.snapshot(), true
-}
-
-// HandleJoin admits a member (POST /v1/cluster/join) and answers the
-// updated view. The joiner's URL must be absolute — it is what every
-// member will dial.
-func (s *Server) HandleJoin(raw string) (View, error) {
+// joinMember admits a member and answers the updated view. The joiner's
+// URL must be absolute — it is what every member will dial.
+func (s *Server) joinMember(raw string) (View, error) {
 	cl := s.cluster
-	if cl == nil {
-		return View{}, errors.New("service: this daemon is not a cluster member")
-	}
 	u, err := url.Parse(raw)
 	if err != nil || u.Scheme == "" || u.Host == "" {
 		return View{}, fmt.Errorf("service: join URL %q is not an absolute base URL", raw)
@@ -422,14 +385,11 @@ func (s *Server) HandleJoin(raw string) (View, error) {
 	return v, nil
 }
 
-// HandleLeave tombstones a member (POST /v1/cluster/leave) and answers
-// the updated view. Leaving self is allowed: the daemon keeps serving
-// what it holds, but stops being routed to — the administrative drain.
-func (s *Server) HandleLeave(raw string) (View, error) {
+// leaveMember tombstones a member and answers the updated view. Leaving
+// self is allowed: the daemon keeps serving what it holds, but stops
+// being routed to — the administrative drain.
+func (s *Server) leaveMember(raw string) (View, error) {
 	cl := s.cluster
-	if cl == nil {
-		return View{}, errors.New("service: this daemon is not a cluster member")
-	}
 	changed, err := cl.ms.leave(raw)
 	if err != nil {
 		return View{}, err
@@ -454,7 +414,7 @@ func (s *Server) broadcastView(v View, skip string) {
 			continue
 		}
 		go func(peer string) {
-			if _, err := cl.postView(peer, v); err != nil {
+			if _, err := cl.callView(routeViewPush, peer, v); err != nil {
 				cl.peerDown(peer)
 				return
 			}
@@ -469,14 +429,14 @@ func (s *Server) broadcastView(v View, skip string) {
 func (s *Server) JoinCluster(seed string) error {
 	cl := s.cluster
 	if cl == nil {
-		return errors.New("service: this daemon is not a cluster member")
+		return errNotMember
 	}
 	var lastErr error
 	for attempt := 0; attempt < joinAttempts; attempt++ {
 		if attempt > 0 {
 			time.Sleep(joinRetryDelay)
 		}
-		v, err := cl.postJoin(seed, cl.self)
+		v, err := cl.callView(routeJoin, seed, memberRequest{URL: cl.self})
 		if err != nil {
 			lastErr = err
 			continue

@@ -307,10 +307,10 @@ func TestPeerAuthToken(t *testing.T) {
 		ProbeInterval: -1, Replicas: -1,
 	}})
 	defer srv.Shutdown(context.Background())
-	if !srv.PeerAuthOK("s3cret") {
+	if !srv.peerAuthOK("s3cret") {
 		t.Error("correct token rejected")
 	}
-	if srv.PeerAuthOK("") || srv.PeerAuthOK("wrong") {
+	if srv.peerAuthOK("") || srv.peerAuthOK("wrong") {
 		t.Error("bad token accepted")
 	}
 	if got := srv.cluster.snapshot().RejectedPeerReqs; got != 2 {
@@ -322,108 +322,52 @@ func TestPeerAuthToken(t *testing.T) {
 		ProbeInterval: -1, Replicas: -1,
 	}})
 	defer open.Shutdown(context.Background())
-	if !open.PeerAuthOK("") || !open.PeerAuthOK("anything") {
+	if !open.peerAuthOK("") || !open.peerAuthOK("anything") {
 		t.Error("tokenless cluster rejected a request")
 	}
-	// Outgoing requests carry the header when configured.
-	req, _ := http.NewRequest(http.MethodGet, "http://a/x", nil)
-	srv.cluster.authorize(req)
-	if req.Header.Get(ClusterTokenHeader) != "s3cret" {
-		t.Error("authorize did not attach the configured token")
+}
+
+// TestPeerRoutesBoundBodies: each route reads the request body its
+// declaration allows and not one byte more. A JSON body padded inside
+// its braces to exactly the bound reaches the handler; one more byte is
+// refused before the value closes.
+func TestPeerRoutesBoundBodies(t *testing.T) {
+	_, tss := startCluster(t, 1, Config{Procs: 2, Workers: 1, Backend: "real"}, replicatingMember, nil)
+	for _, tc := range []struct {
+		rt         peerRoute
+		head, want string // want: the handler's answer at the bound
+	}{
+		{routeViewPush, `{`, ""},
+		{routeJoin, `{"url":"not-a-url"`, "not an absolute base URL"},
+		{routeLeave, `{"url":"http://never-joined.invalid"`, "not a cluster member"},
+	} {
+		for _, extra := range []int{0, 1} {
+			body := tc.head + strings.Repeat(" ", int(tc.rt.maxBody)-len(tc.head)-1+extra) + "}"
+			resp, err := http.Post(tss[0].URL+tc.rt.path, "application/json", strings.NewReader(body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var got struct{ Error string }
+			err = json.NewDecoder(resp.Body).Decode(&got)
+			resp.Body.Close()
+			want := tc.want
+			if extra > 0 {
+				want = "request body too large"
+			}
+			if err != nil || !strings.Contains(got.Error, want) || (want == "") != (resp.StatusCode == http.StatusOK) {
+				t.Errorf("%s with %d bytes: %d %q (%v), want %q", tc.rt.op, len(body), resp.StatusCode, got.Error, err, want)
+			}
+		}
 	}
 }
 
-// memberHandler is peerHandler plus the membership/replication surface —
-// the subset of pilutd the dynamic-cluster service layer talks to.
-func memberHandler(get func() *Server) http.Handler {
-	mux := http.NewServeMux()
-	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
-		json.NewEncoder(w).Encode(get().Health())
-	})
-	mux.HandleFunc("GET /v1/peer/factor/{key}", func(w http.ResponseWriter, r *http.Request) {
-		data, err := get().ExportFactor(r.PathValue("key"))
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusNotFound)
-			return
-		}
-		w.Write(data)
-	})
-	mux.HandleFunc("POST /v1/peer/matrix", func(w http.ResponseWriter, r *http.Request) {
-		if _, _, err := get().ImportMatrix(r.Body); err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-		}
-	})
-	mux.HandleFunc("POST /v1/peer/replica/{key}", func(w http.ResponseWriter, r *http.Request) {
-		known, err := get().ImportReplica(r.PathValue("key"), r.Body)
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusUnprocessableEntity)
-			return
-		}
-		json.NewEncoder(w).Encode(map[string]bool{"known": known})
-	})
-	mux.HandleFunc("GET /v1/cluster/view", func(w http.ResponseWriter, r *http.Request) {
-		v, ok := get().ClusterView()
-		if !ok {
-			http.Error(w, "not a member", http.StatusNotFound)
-			return
-		}
-		json.NewEncoder(w).Encode(v)
-	})
-	mux.HandleFunc("POST /v1/cluster/view", func(w http.ResponseWriter, r *http.Request) {
-		var v View
-		if err := json.NewDecoder(r.Body).Decode(&v); err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		merged, ok := get().MergeView(v)
-		if !ok {
-			http.Error(w, "not a member", http.StatusNotFound)
-			return
-		}
-		json.NewEncoder(w).Encode(merged)
-	})
-	mux.HandleFunc("POST /v1/cluster/join", func(w http.ResponseWriter, r *http.Request) {
-		var req struct {
-			URL string `json:"url"`
-		}
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		v, err := get().HandleJoin(req.URL)
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		json.NewEncoder(w).Encode(v)
-	})
-	return mux
-}
+// replicatingMember is the cluster setting of the membership tests:
+// replication on, probing under manual control.
+var replicatingMember = ClusterConfig{OpTimeout: 5 * time.Second, Replicas: 1, ProbeInterval: -1}
 
-// clusterTrio builds three servers joined into one cluster with
-// replication enabled and probing under manual control.
-func clusterTrio(t *testing.T) (srvs [3]*Server, tss [3]*httptest.Server, shutdown func()) {
-	t.Helper()
-	var s [3]*Server
-	for i := range tss {
-		i := i
-		tss[i] = httptest.NewServer(memberHandler(func() *Server { return s[i] }))
-	}
-	peers := []string{tss[0].URL, tss[1].URL, tss[2].URL}
-	for i := range s {
-		s[i] = New(Config{Procs: 2, Workers: 1, Backend: "real", Cluster: &ClusterConfig{
-			Self: peers[i], Peers: peers, OpTimeout: 5 * time.Second,
-			Replicas: 1, ProbeInterval: -1,
-		}})
-	}
-	return s, tss, func() {
-		for _, ts := range tss {
-			ts.Close()
-		}
-		for _, srv := range s {
-			srv.Shutdown(context.Background())
-		}
-	}
+// clusterTrio builds three servers joined into one replicating cluster.
+func clusterTrio(t *testing.T) ([]*Server, []*httptest.Server) {
+	return startCluster(t, 3, Config{Procs: 2, Workers: 1, Backend: "real"}, replicatingMember, nil)
 }
 
 // TestReplicationAndTakeover is the service-layer failover contract: the
@@ -433,8 +377,7 @@ func clusterTrio(t *testing.T) (srvs [3]*Server, tss [3]*httptest.Server, shutdo
 // daemon's in-flight-style fetch walks past the dead owner to the new
 // one.
 func TestReplicationAndTakeover(t *testing.T) {
-	srvs, tss, shutdown := clusterTrio(t)
-	defer shutdown()
+	srvs, tss := clusterTrio(t)
 
 	a := matgen.Grid2D(12, 12)
 	key := sparse.Fingerprint(a)
@@ -539,8 +482,7 @@ func TestReplicationAndTakeover(t *testing.T) {
 // walks alive → suspect → dead in two rounds, the view epoch advances,
 // and /healthz-style aggregation reports the membership verdict.
 func TestProbeWalksPeerToDead(t *testing.T) {
-	srvs, tss, shutdown := clusterTrio(t)
-	defer shutdown()
+	srvs, tss := clusterTrio(t)
 
 	if srvs[0].probeOnce() {
 		t.Fatal("probe round over a healthy cluster changed the view")
@@ -565,11 +507,11 @@ func TestProbeWalksPeerToDead(t *testing.T) {
 		t.Errorf("epoch %d did not advance across state changes (was %d)", e, e0)
 	}
 
-	h := srvs[0].ClusterHealthCheck()
+	h := srvs[0].clusterHealthCheck(false)
 	if h.Status != "degraded" {
 		t.Errorf("cluster health %q, want degraded", h.Status)
 	}
-	var row *PeerHealth
+	var row *peerHealth
 	for i := range h.Cluster {
 		if h.Cluster[i].URL == victim {
 			row = &h.Cluster[i]
@@ -584,16 +526,9 @@ func TestProbeWalksPeerToDead(t *testing.T) {
 // at the service layer: a fourth daemon joins via a seed, the seed
 // admits and broadcasts, and every member converges on a 4-member view.
 func TestJoinPropagatesMembership(t *testing.T) {
-	srvs, _, shutdown := clusterTrio(t)
-	defer shutdown()
-
-	var joiner *Server
-	ts := httptest.NewServer(memberHandler(func() *Server { return joiner }))
-	defer ts.Close()
-	joiner = New(Config{Procs: 2, Workers: 1, Backend: "real", Cluster: &ClusterConfig{
-		Self: ts.URL, OpTimeout: 5 * time.Second, Replicas: 1, ProbeInterval: -1,
-	}})
-	defer joiner.Shutdown(context.Background())
+	srvs, _ := clusterTrio(t)
+	joiners, tss := startCluster(t, 1, Config{Procs: 2, Workers: 1, Backend: "real"}, replicatingMember, nil)
+	joiner, ts := joiners[0], tss[0]
 
 	if err := joiner.JoinCluster(srvs[0].cluster.self); err != nil {
 		t.Fatalf("JoinCluster: %v", err)
@@ -619,8 +554,8 @@ func TestJoinPropagatesMembership(t *testing.T) {
 	}
 
 	// Leave tombstones the joiner everywhere and stops routing to it.
-	if _, err := srvs[0].HandleLeave(ts.URL); err != nil {
-		t.Fatalf("HandleLeave: %v", err)
+	if _, err := srvs[0].leaveMember(ts.URL); err != nil {
+		t.Fatalf("leaveMember: %v", err)
 	}
 	if got := len(srvs[0].cluster.ms.routable()); got != 3 {
 		t.Errorf("after leave the seed routes to %d members, want 3", got)
@@ -628,7 +563,7 @@ func TestJoinPropagatesMembership(t *testing.T) {
 	if got := srvs[0].cluster.snapshot().Leaves; got != 1 {
 		t.Errorf("seed leave counter = %d, want 1", got)
 	}
-	if _, err := srvs[0].HandleLeave("http://never-joined.invalid"); err == nil ||
+	if _, err := srvs[0].leaveMember("http://never-joined.invalid"); err == nil ||
 		!strings.Contains(err.Error(), "not a cluster member") {
 		t.Errorf("leave of a non-member: err %v, want not-a-member error", err)
 	}
@@ -640,35 +575,16 @@ func TestJoinPropagatesMembership(t *testing.T) {
 // first clean push delivers the factor and clears the backlog. Stale
 // pending keys (evicted from the cache) are dropped without a push.
 func TestPendingReplicaRetry(t *testing.T) {
-	var s [2]*Server
 	var failReplica atomic.Bool
-	var tss [2]*httptest.Server
-	for i := range tss {
-		i := i
-		inner := memberHandler(func() *Server { return s[i] })
-		tss[i] = httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+	s, _ := startCluster(t, 2, Config{Procs: 2, Workers: 1, Backend: "real"}, replicatingMember, func(_ int, routes http.Handler) http.Handler {
+		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 			if failReplica.Load() && strings.HasPrefix(r.URL.Path, "/v1/peer/replica/") {
 				http.Error(w, "synthetic push failure", http.StatusInternalServerError)
 				return
 			}
-			inner.ServeHTTP(w, r)
-		}))
-	}
-	peers := []string{tss[0].URL, tss[1].URL}
-	for i := range s {
-		s[i] = New(Config{Procs: 2, Workers: 1, Backend: "real", Cluster: &ClusterConfig{
-			Self: peers[i], Peers: peers, OpTimeout: 5 * time.Second,
-			Replicas: 1, ProbeInterval: -1,
-		}})
-	}
-	defer func() {
-		for _, ts := range tss {
-			ts.Close()
-		}
-		for _, srv := range s {
-			srv.Shutdown(context.Background())
-		}
-	}()
+			routes.ServeHTTP(w, r)
+		})
+	})
 
 	a := matgen.Grid2D(12, 12)
 	key := sparse.Fingerprint(a)

@@ -496,7 +496,7 @@ func (s *Server) solve(ctx context.Context, key string, a *sparse.CSR, b []float
 	}
 }
 
-// Health is the liveness summary served by pilutd's /healthz endpoint.
+// Health is the liveness summary /healthz serves (PeerRoutes).
 type Health struct {
 	// Status is "ok" while the server accepts work and "draining" once
 	// Shutdown has begun.
@@ -757,7 +757,7 @@ func (s *Server) entryForLocal(key string, a *sparse.CSR) (*entry, bool, error) 
 		s.replWG.Add(1)
 		go func() {
 			defer s.replWG.Done()
-			s.maybeReplicate(ent)
+			s.pushReplicas(ent)
 		}()
 	}
 	return ent, false, nil
@@ -792,7 +792,7 @@ func mergedContext(reqs []*request) (context.Context, func()) {
 
 // recordOutcome feeds one batch verdict to the key's circuit breaker.
 // Cancellations say nothing about the matrix: they only revert a pending
-// half-open probe. Unknown keys are client errors, not matrix failures.
+// half-open probe.
 func (s *Server) recordOutcome(key string, err error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -801,7 +801,6 @@ func (s *Server) recordOutcome(key string, err error) {
 		s.breaker.success(key)
 	case errors.Is(err, krylov.ErrCanceled):
 		s.breaker.cancel(key)
-	case errors.Is(err, ErrUnknownMatrix):
 	default:
 		s.breaker.failure(key)
 	}
@@ -832,6 +831,9 @@ func (s *Server) runBatch(key string, batch []*request) {
 		live = append(live, r)
 	}
 	if len(live) == 0 {
+		// No verdict about the matrix, but a half-open probe must be
+		// handed back, or the key stays open until restart.
+		s.recordOutcome(key, krylov.ErrCanceled)
 		return
 	}
 

@@ -303,7 +303,7 @@ func FuzzDecodeFactor(f *testing.F) {
 	})
 }
 
-// FuzzDecodeMatrix: the same for a matrix body and ImportMatrix.
+// FuzzDecodeMatrix: the same for a matrix body and importMatrix.
 func FuzzDecodeMatrix(f *testing.F) {
 	srv := New(Config{Procs: 4, Workers: 1, Backend: "real"})
 	f.Cleanup(func() { srv.Shutdown(context.Background()) })
@@ -323,7 +323,7 @@ func FuzzDecodeMatrix(f *testing.F) {
 			t.Fatalf("re-encoding a decoded body: err %v, bytes equal %v", err, bytes.Equal(again, body))
 		}
 		before := srv.StatsSnapshot().Matrices
-		key, _, err := srv.ImportMatrix(bytes.NewReader(body))
+		key, _, err := srv.importMatrix(bytes.NewReader(body))
 		after := srv.StatsSnapshot().Matrices
 		if err != nil {
 			if after != before {
