@@ -41,11 +41,12 @@ fmt-check:
 # flat body of internal/service/wire.go, and netcomm's frames carry typed
 # slices and fixed-width scalars only. It matches import lines, so the
 # analyzers' tables of package names do not trip it.
-# And so does a "/v1/peer/ or "/v1/cluster/ string literal in a non-test
-# Go file outside internal/service: the peer protocol's route table, its
-# client (cluster.call) and its handlers (Server.PeerRoutes) live there
-# together, so the two halves cannot drift. It matches the opening quote,
-# so comments naming a route do not trip it.
+# And so does a route literal — a string opening with /v1/, /healthz or
+# /metrics, bare or after "GET " or "POST " — in a non-test Go file
+# outside internal/service: the daemon's one route table, its handlers
+# (Server.Routes) and the peer client (cluster.call) live there together,
+# so no second copy of the HTTP surface can grow. It matches the opening
+# quote, so comments naming a route do not trip it.
 HOTALLOC_WAIVERS_MAX = 16
 GO_SRC = $$(find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' -not -path '*/testdata/*')
 SERVICE_SRC = $$(find internal/service -name '*.go' -not -name '*_test.go')
@@ -68,8 +69,8 @@ loc:
 		echo "boxed Send/Recv in a numeric package: send raw slices (pcomm.SendSlice, pcomm.Post)"; exit 1; fi
 	@if grep -n -E '^[[:space:]]*(import[[:space:]]+)?([A-Za-z_.]+[[:space:]]+)?"encoding/gob"' $(GO_SRC); then \
 		echo "encoding/gob imported outside bench/: use the flat codecs (internal/service/wire.go, netcomm's frames)"; exit 1; fi
-	@if grep -n -E '"/v1/(peer|cluster)/' $(GO_SRC) | grep -v '^\./internal/service/'; then \
-		echo "peer protocol route outside internal/service: serve it with Server.PeerRoutes, call it through cluster.call"; exit 1; fi
+	@if grep -n -E '"((GET|POST) )?/(v1/|healthz|metrics)' $(GO_SRC) | grep -v '^\./internal/service/'; then \
+		echo "route literal outside internal/service: serve it from the route table (Server.Routes), call it through cluster.call"; exit 1; fi
 	@n=$$(grep -rn --include='*.go' 'pilutlint:ok hotalloc' . | wc -l); \
 		echo "hotalloc waivers: $$n (ratchet: at most $(HOTALLOC_WAIVERS_MAX))"; \
 		[ $$n -le $(HOTALLOC_WAIVERS_MAX) ]
@@ -195,7 +196,8 @@ fuzz-smoke:
 	$(GO) test ./internal/service -run '^$$' -fuzz '^FuzzDecodeFactor$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 1000x -parallel 1
 	$(GO) test ./internal/service -run '^$$' -fuzz '^FuzzDecodeMatrix$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 1000x -parallel 1
 	$(GO) test ./internal/pcomm/netcomm -run '^$$' -fuzz '^FuzzNetcommFrameBodies$$' -fuzztime $(FUZZTIME)
-	$(GO) test ./cmd/pilutd -run '^$$' -fuzz '^FuzzSolveBodies$$' -fuzztime $(FUZZTIME) -parallel 1
+	$(GO) test ./internal/service -run '^$$' -fuzz '^FuzzSolveBodies$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 1000x -parallel 1
+	$(GO) test ./internal/service -run '^$$' -fuzz '^FuzzViewBody$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 1000x -parallel 1
 
 # Every example program, built and run once (a few seconds each); any
 # nonzero exit fails the target.

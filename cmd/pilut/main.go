@@ -191,7 +191,7 @@ func main() {
 	for _, v := range nnzCh {
 		nnz += v
 	}
-	label := name2(params)
+	label := experiments.ConfigName(params.K > 0, params.M, params.Tau, params.K)
 	if *precond == "ilu0" || *precond == "jacobi" || *precond == "none" {
 		label = ""
 	}
@@ -292,13 +292,6 @@ func printFactorSummary(w io.Writer, pcs []*core.ProcPrecond) {
 			fmt.Sprint(ls.Rows), fmt.Sprint(ls.ReducedNNZ), fmt.Sprint(ls.Dropped))
 	}
 	t.Write(w)
-}
-
-func name2(p ilu.Params) string {
-	if p.K > 0 {
-		return fmt.Sprintf("ILUT*(%d,%.0e,%d)", p.M, p.Tau, p.K)
-	}
-	return fmt.Sprintf("ILUT(%d,%.0e)", p.M, p.Tau)
 }
 
 func loadMatrix(path, gen string, size int, seed int64) (*sparse.CSR, string, error) {

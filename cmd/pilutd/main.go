@@ -13,9 +13,9 @@
 //	GET  /metrics                              → Prometheus text metrics
 //	GET  /healthz                              → {"status", "queue_depth", ...}; 503 while draining
 //
-// /healthz and the token-guarded daemon-to-daemon routes (/v1/peer/*,
-// /v1/cluster/*; -peers, -join) belong to internal/service, which serves
-// the same protocol its cluster client calls (Server.PeerRoutes).
+// internal/service serves every route (Server.Routes): these, the
+// token-guarded daemon-to-daemon routes (/v1/peer/*, /v1/cluster/*;
+// -peers, -join) and a JSON 404 for any other path.
 //
 // Submitted matrices are held in a 32 MiB LRU tier, and a matrix whose
 // factorization is cached stays solvable beyond it. A solve of a key
@@ -35,7 +35,6 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
@@ -46,7 +45,6 @@ import (
 	"os"
 	"os/exec"
 	"os/signal"
-	"strconv"
 	"strings"
 	"sync/atomic"
 	"syscall"
@@ -54,229 +52,10 @@ import (
 
 	"repro/internal/fault"
 	"repro/internal/ilu"
-	"repro/internal/krylov"
 	"repro/internal/machine"
 	"repro/internal/pcomm/backend"
 	"repro/internal/service"
-	"repro/internal/sparse"
 )
-
-const maxMatrixBytes = 256 << 20
-
-type solveRequest struct {
-	Key       string    `json:"key"`
-	B         []float64 `json:"b"`
-	Restart   int       `json:"restart"`
-	Tol       float64   `json:"tol"`
-	MaxMatVec int       `json:"max_matvec"`
-	// TimeoutMs, when positive, bounds the request: an exceeded deadline
-	// cancels the solve collectively and answers 504.
-	TimeoutMs int `json:"timeout_ms"`
-}
-
-type sequenceRequest struct {
-	// Keys are the registered matrix keys solved in order against the one
-	// right-hand side B — the matrix-sequence workflow. Same-pattern steps
-	// reuse the cached symbolic analysis; WarmStart (default true, use a
-	// pointer-less false via "warm_start": false) seeds each step with the
-	// previous step's solution.
-	Keys      []string  `json:"keys"`
-	B         []float64 `json:"b"`
-	Restart   int       `json:"restart"`
-	Tol       float64   `json:"tol"`
-	MaxMatVec int       `json:"max_matvec"`
-	TimeoutMs int       `json:"timeout_ms"`
-	WarmStart *bool     `json:"warm_start"`
-	// X0 seeds the first step only. Passing the last step's x of one call
-	// as the next call's X0 chains a family split into several calls.
-	X0 []float64 `json:"x0"`
-}
-
-type sequenceReply struct {
-	Steps []service.SolveResult `json:"steps"`
-	// Aggregates over the steps, for clients that only want the headline.
-	PatternHits int `json:"pattern_hits"`
-	CacheHits   int `json:"cache_hits"`
-	WarmStarted int `json:"warm_started"`
-}
-
-type errorReply struct {
-	Error string `json:"error"`
-}
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	if err := json.NewEncoder(w).Encode(v); err != nil {
-		log.Printf("pilutd: encoding response: %v", err)
-	}
-}
-
-func solveStatus(err error) int {
-	switch {
-	case errors.Is(err, service.ErrUnknownMatrix):
-		return http.StatusNotFound
-	case errors.Is(err, service.ErrOverloaded):
-		return http.StatusTooManyRequests
-	case errors.Is(err, service.ErrBreakerOpen),
-		errors.Is(err, service.ErrClosed):
-		return http.StatusServiceUnavailable
-	case errors.Is(err, krylov.ErrCanceled):
-		return http.StatusGatewayTimeout
-	default:
-		return http.StatusUnprocessableEntity
-	}
-}
-
-// retryAfter extracts the back-off hint carried by shed and breaker-open
-// errors, rounded up to whole seconds for the Retry-After header.
-func retryAfter(err error) (time.Duration, bool) {
-	var ov *service.OverloadedError
-	if errors.As(err, &ov) {
-		return ov.RetryAfter, true
-	}
-	var bo *service.BreakerOpenError
-	if errors.As(err, &bo) {
-		return bo.RetryAfter, true
-	}
-	return 0, false
-}
-
-// writeError renders the structured JSON error body every non-200 answer
-// uses, attaching Retry-After when the error carries a back-off hint.
-func writeError(w http.ResponseWriter, status int, err error) {
-	if wait, ok := retryAfter(err); ok {
-		secs := int64(wait / time.Second)
-		if wait%time.Second != 0 || secs == 0 {
-			secs++
-		}
-		w.Header().Set("Retry-After", strconv.FormatInt(secs, 10))
-	}
-	writeJSON(w, status, errorReply{err.Error()})
-}
-
-// deadline derives a request's context from its timeout_ms: a negative
-// one is refused, and 0 or anything above the server's cap becomes the
-// cap, so one request cannot pin a worker arbitrarily long.
-func deadline(r *http.Request, timeoutMs, maxTimeoutMs int) (context.Context, context.CancelFunc, error) {
-	if timeoutMs < 0 {
-		return nil, nil, fmt.Errorf("timeout_ms must be non-negative, got %d", timeoutMs)
-	}
-	if maxTimeoutMs > 0 && (timeoutMs == 0 || timeoutMs > maxTimeoutMs) {
-		timeoutMs = maxTimeoutMs
-	}
-	if timeoutMs == 0 {
-		return r.Context(), func() {}, nil
-	}
-	ctx, cancel := context.WithTimeout(r.Context(), time.Duration(timeoutMs)*time.Millisecond)
-	return ctx, cancel, nil
-}
-
-func newMux(svc *service.Server, maxTimeoutMs int) *http.ServeMux {
-	mux := http.NewServeMux()
-	svc.PeerRoutes(mux)
-
-	mux.HandleFunc("POST /v1/matrices", func(w http.ResponseWriter, r *http.Request) {
-		a, err := sparse.ReadMatrixMarket(http.MaxBytesReader(w, r.Body, maxMatrixBytes))
-		if err != nil {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("parsing MatrixMarket body: %w", err))
-			return
-		}
-		key, known, err := svc.Submit(a)
-		if err != nil {
-			status := http.StatusBadRequest
-			if errors.Is(err, service.ErrClosed) {
-				status = http.StatusServiceUnavailable
-			}
-			writeError(w, status, err)
-			return
-		}
-		writeJSON(w, http.StatusOK, map[string]any{
-			"key": key, "n": a.N, "nnz": a.NNZ(), "known": known,
-		})
-	})
-
-	mux.HandleFunc("POST /v1/solve", func(w http.ResponseWriter, r *http.Request) {
-		var req solveRequest
-		if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxMatrixBytes)).Decode(&req); err != nil {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("parsing solve request: %w", err))
-			return
-		}
-		ctx, cancel, err := deadline(r, req.TimeoutMs, maxTimeoutMs)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, err)
-			return
-		}
-		defer cancel()
-		res, err := svc.Solve(ctx, req.Key, req.B, service.SolveOptions{
-			Restart: req.Restart, Tol: req.Tol, MaxMatVec: req.MaxMatVec,
-		})
-		if err != nil {
-			writeError(w, solveStatus(err), err)
-			return
-		}
-		writeJSON(w, http.StatusOK, res)
-	})
-
-	mux.HandleFunc("POST /v1/sequences", func(w http.ResponseWriter, r *http.Request) {
-		var req sequenceRequest
-		if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxMatrixBytes)).Decode(&req); err != nil {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("parsing sequence request: %w", err))
-			return
-		}
-		if len(req.Keys) == 0 {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("sequence needs at least one key"))
-			return
-		}
-		// The deadline covers the whole sequence.
-		ctx, cancel, err := deadline(r, req.TimeoutMs, maxTimeoutMs)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, err)
-			return
-		}
-		defer cancel()
-		warm := req.WarmStart == nil || *req.WarmStart
-		steps, err := svc.SolveSequence(ctx, req.Keys, req.B, service.SolveOptions{
-			Restart: req.Restart, Tol: req.Tol, MaxMatVec: req.MaxMatVec, X0: req.X0,
-		}, warm)
-		if err != nil {
-			writeError(w, solveStatus(err), err)
-			return
-		}
-		reply := sequenceReply{Steps: steps}
-		for _, res := range steps {
-			if res.SymbolicHit {
-				reply.PatternHits++
-			}
-			if res.CacheHit {
-				reply.CacheHits++
-			}
-			if res.WarmStarted {
-				reply.WarmStarted++
-			}
-		}
-		writeJSON(w, http.StatusOK, reply)
-	})
-
-	mux.HandleFunc("GET /v1/stats", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, svc.StatsSnapshot())
-	})
-
-	mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		if err := svc.WriteMetrics(w); err != nil {
-			log.Printf("pilutd: writing metrics: %v", err)
-		}
-	})
-
-	// Unknown paths get the same structured JSON error shape as every
-	// other failure instead of the default text/plain 404 page.
-	mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusNotFound, errorReply{fmt.Sprintf("no such endpoint: %s %s", r.Method, r.URL.Path)})
-	})
-
-	return mux
-}
 
 // splitPeers parses the -peers list, trimming blanks.
 func splitPeers(list string) []string {
@@ -433,7 +212,9 @@ func main() {
 	if err != nil {
 		log.Fatalf("pilutd: listen: %v", err)
 	}
-	srv := &http.Server{Handler: newMux(svc, *maxTimeoutMs)}
+	mux := http.NewServeMux()
+	svc.Routes(mux, time.Duration(*maxTimeoutMs)*time.Millisecond)
+	srv := &http.Server{Handler: mux}
 	log.Printf("pilutd listening on %s (procs=%d workers=%d max-batch=%d)",
 		ln.Addr(), *procs, *workers, *maxBatch)
 

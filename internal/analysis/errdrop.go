@@ -49,11 +49,12 @@ func netBoundaryPkg(path string) bool {
 }
 
 // clusterBoundaryPkg is the boundary set applied inside the service
-// package's membership and replication files: the stdlib layers the
-// gossip view exchange and replica pushes are built on, plus the usual
-// comm/service boundary. A dropped error on these paths is a silently
-// lost probe verdict or a factor stranded without its redundancy — the
-// exact failures the dynamic-membership layer exists to surface.
+// package's membership, replication and routes files: the stdlib layers
+// the gossip view exchange, replica pushes and the HTTP answer writer are
+// built on, plus the usual comm/service boundary. A dropped error on
+// these paths is a silently lost probe verdict, a factor stranded
+// without its redundancy or a reply lost unlogged — the exact failures
+// the dynamic-membership layer and the daemon's edge exist to surface.
 func clusterBoundaryPkg(path string) bool {
 	switch path {
 	case "net", "net/http", "io", "bufio", "encoding/gob", "encoding/json":
@@ -63,7 +64,7 @@ func clusterBoundaryPkg(path string) bool {
 }
 
 // clusterStrictFile reports whether filename is one of the service
-// package's membership/replication code paths, which get the stricter
+// package's membership/replication/HTTP code paths, which get the stricter
 // cluster boundary per file (the rest of the package keeps the ordinary
 // comm/service boundary).
 func clusterStrictFile(pkgPath, filename string) bool {
@@ -71,7 +72,7 @@ func clusterStrictFile(pkgPath, filename string) bool {
 		return false
 	}
 	switch filepath.Base(filename) {
-	case "membership.go", "replication.go":
+	case "membership.go", "replication.go", "routes.go":
 		return true
 	}
 	return false

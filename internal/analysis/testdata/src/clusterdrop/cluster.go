@@ -2,7 +2,7 @@ package clusterdrop
 
 // The strict cluster boundary is per FILE, not per package: this sibling
 // drops the same stdlib errors membership.go is flagged for, and stays
-// clean because it is neither membership.go nor replication.go — the
+// clean because it is none of membership.go, replication.go, routes.go — the
 // ordinary comm/service boundary applies here and says nothing about
 // net/http or encoding errors.
 

@@ -1,5 +1,5 @@
 // Package clusterdrop exercises the errdrop analyzer's per-file cluster
-// boundary: inside membership.go and replication.go of the service
+// boundary: inside membership.go, replication.go and routes.go of the service
 // package (or a package named clusterdrop, like this golden one),
 // dropped errors from the stdlib layers the gossip view exchange and
 // replica pushes are built on (net, net/http, io, bufio, encoding/gob,

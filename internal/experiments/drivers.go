@@ -453,12 +453,9 @@ func (c Config) RunILU0(w io.Writer, pr *Problem) error {
 	res := m.Run(func(proc pcomm.Comm) {
 		pcs[proc.ID()] = core.FactorILU0(proc, plan, 0, c.Seed)
 	})
-	nmv, err := c.gmresWith(pr, p, lay, func(proc pcomm.Comm) krylov.DistPreconditioner {
+	nmv := c.gmresWith(pr, p, lay, func(proc pcomm.Comm) krylov.DistPreconditioner {
 		return pcs[proc.ID()]
 	})
-	if err != nil {
-		return err
-	}
 	tbl.Add("ILU(0)", fmt.Sprintf("%d", pcs[0].NumLevels()),
 		fmt.Sprintf("%.4f", res.Elapsed), nmv)
 
@@ -471,12 +468,9 @@ func (c Config) RunILU0(w io.Writer, pr *Problem) error {
 		if err != nil {
 			return err
 		}
-		nmv, err := c.gmresWith(pr, p, lay, func(proc pcomm.Comm) krylov.DistPreconditioner {
+		nmv := c.gmresWith(pr, p, lay, func(proc pcomm.Comm) krylov.DistPreconditioner {
 			return fpcs[proc.ID()]
 		})
-		if err != nil {
-			return err
-		}
 		tbl.Add(ConfigName(params.K > 0, params.M, params.Tau, c.K),
 			fmt.Sprintf("%d", out.Levels), fmt.Sprintf("%.4f", out.Seconds), nmv)
 	}
@@ -486,34 +480,15 @@ func (c Config) RunILU0(w io.Writer, pr *Problem) error {
 	return nil
 }
 
-// gmresWith runs the distributed solver with a caller-supplied
+// gmresWith runs the Table 3 solve with a caller-supplied
 // preconditioner factory and returns the NMV cell text.
-func (c Config) gmresWith(pr *Problem, p int, lay *dist.Layout, prec func(pcomm.Comm) krylov.DistPreconditioner) (string, error) {
-	n := pr.A.N
-	e := make([]float64, n)
-	for i := range e {
-		e[i] = 1
-	}
-	b := make([]float64, n)
-	pr.A.MulVec(b, e)
-	bParts := lay.Scatter(b)
-	outs := make([]krylov.Result, p)
-	m := c.mustWorld(p)
-	m.Run(func(proc pcomm.Comm) {
-		dm := dist.NewMatrix(proc, lay, pr.A)
-		x := make([]float64, lay.NLocal(proc.ID()))
-		r, err := krylov.DistGMRES(proc, dm, prec(proc), x, bParts[proc.ID()],
-			krylov.Options{Restart: 50, Tol: 1e-6, MaxMatVec: 4000})
-		if err != nil {
-			panic(err)
-		}
-		outs[proc.ID()] = r
-	})
-	nmv := fmt.Sprintf("%d", outs[0].NMatVec)
-	if !outs[0].Converged {
+func (c Config) gmresWith(pr *Problem, p int, lay *dist.Layout, prec func(pcomm.Comm) krylov.DistPreconditioner) string {
+	_, out := c.runGMRES(pr, p, lay, prec, krylov.Options{Restart: 50, Tol: 1e-6, MaxMatVec: 4000})
+	nmv := fmt.Sprintf("%d", out.NMatVec)
+	if !out.Converged {
 		nmv += "*"
 	}
-	return nmv, nil
+	return nmv
 }
 
 // RunBreakdown decomposes the modelled factorization time into compute

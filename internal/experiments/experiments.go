@@ -242,13 +242,6 @@ func (c Config) GMRES(pr *Problem, p int, kind PrecondKind, params ilu.Params, r
 	if err != nil {
 		return GMRESOutcome{}, err
 	}
-	lay := plan.Lay
-	n := pr.A.N
-	e := sparse.Ones(n)
-	b := make([]float64, n)
-	pr.A.MulVec(b, e)
-	bParts := lay.Scatter(b)
-
 	// Build the preconditioner first (its cost is reported separately in
 	// the paper).
 	var pcs []*core.ProcPrecond
@@ -260,35 +253,42 @@ func (c Config) GMRES(pr *Problem, p int, kind PrecondKind, params ilu.Params, r
 		})
 	}
 
-	outs := make([]krylov.Result, p)
-	m := c.mustWorld(p)
-	res := m.Run(func(proc pcomm.Comm) {
-		dm := dist.NewMatrix(proc, lay, pr.A)
-		var prec krylov.DistPreconditioner
-		switch kind {
-		case PrecondDiagonal:
-			j, err := krylov.NewDistJacobi(lay, pr.A, proc.ID())
-			if err != nil {
-				panic(err)
-			}
-			prec = j
-		default:
-			prec = pcs[proc.ID()]
+	res, out := c.runGMRES(pr, p, plan.Lay, func(proc pcomm.Comm) krylov.DistPreconditioner {
+		if kind != PrecondDiagonal {
+			return pcs[proc.ID()]
 		}
+		j, err := krylov.NewDistJacobi(plan.Lay, pr.A, proc.ID())
+		if err != nil {
+			panic(err)
+		}
+		return j
+	}, krylov.Options{Restart: restart, Tol: tol, MaxMatVec: maxMV})
+	return GMRESOutcome{
+		Seconds:   res.Elapsed,
+		NMV:       out.NMatVec,
+		Converged: out.Converged,
+		Residual:  out.Residual,
+	}, nil
+}
+
+// runGMRES is the one distributed solve of the Table 3 drivers: b = A·e
+// scattered over lay, a zero initial guess and prec's preconditioner on
+// a fresh world. It reports the run and rank 0's result.
+func (c Config) runGMRES(pr *Problem, p int, lay *dist.Layout, prec func(pcomm.Comm) krylov.DistPreconditioner, opt krylov.Options) (pcomm.Result, krylov.Result) {
+	b := make([]float64, pr.A.N)
+	pr.A.MulVec(b, sparse.Ones(pr.A.N))
+	bParts := lay.Scatter(b)
+	outs := make([]krylov.Result, p)
+	res := c.mustWorld(p).Run(func(proc pcomm.Comm) {
+		dm := dist.NewMatrix(proc, lay, pr.A)
 		x := make([]float64, lay.NLocal(proc.ID()))
-		r, err := krylov.DistGMRES(proc, dm, prec, x, bParts[proc.ID()],
-			krylov.Options{Restart: restart, Tol: tol, MaxMatVec: maxMV})
+		r, err := krylov.DistGMRES(proc, dm, prec(proc), x, bParts[proc.ID()], opt)
 		if err != nil {
 			panic(err)
 		}
 		outs[proc.ID()] = r
 	})
-	return GMRESOutcome{
-		Seconds:   res.Elapsed,
-		NMV:       outs[0].NMatVec,
-		Converged: outs[0].Converged,
-		Residual:  outs[0].Residual,
-	}, nil
+	return res, outs[0]
 }
 
 // ConfigName formats a factorization configuration the way the paper

@@ -221,16 +221,17 @@ func TestEvolveFixedPatternDeterministic(t *testing.T) {
 		t.Fatalf("Evolve returned %d steps, want 5", len(seq))
 	}
 	pk := sparse.PatternFingerprint(base)
-	prevVF := sparse.ValueFingerprint(base)
+	// The pattern is fixed, so the full fingerprint moves with the values alone.
+	prevFP := sparse.Fingerprint(base)
 	for i, m := range seq {
 		if sparse.PatternFingerprint(m) != pk {
 			t.Fatalf("step %d changed the sparsity pattern", i)
 		}
-		vf := sparse.ValueFingerprint(m)
-		if vf == prevVF {
+		fp := sparse.Fingerprint(m)
+		if fp == prevFP {
 			t.Fatalf("step %d has the same values as the previous step", i)
 		}
-		prevVF = vf
+		prevFP = fp
 	}
 	// The input is untouched.
 	for k, v := range base.Vals {
@@ -241,13 +242,13 @@ func TestEvolveFixedPatternDeterministic(t *testing.T) {
 	// Same arguments reproduce the identical sequence bit for bit.
 	again := Evolve(base, 5, 1e-2, 42)
 	for i := range seq {
-		if sparse.ValueFingerprint(seq[i]) != sparse.ValueFingerprint(again[i]) {
+		if sparse.Fingerprint(seq[i]) != sparse.Fingerprint(again[i]) {
 			t.Fatalf("step %d is not deterministic across calls", i)
 		}
 	}
 	// A different seed diverges.
 	other := Evolve(base, 5, 1e-2, 43)
-	if sparse.ValueFingerprint(other[0]) == sparse.ValueFingerprint(seq[0]) {
+	if sparse.Fingerprint(other[0]) == sparse.Fingerprint(seq[0]) {
 		t.Fatalf("different seeds produced identical perturbations")
 	}
 }

@@ -188,10 +188,10 @@ func TestClusterCall(t *testing.T) {
 		return last
 	}
 
-	get := func(path string, limit int64) peerRoute {
-		return peerRoute{method: http.MethodGet, path: path, maxAnswer: limit}
+	get := func(path string, limit int64) route {
+		return route{method: http.MethodGet, path: path, maxAnswer: limit}
 	}
-	post := peerRoute{method: http.MethodPost, path: "/v1/x/{key}", query: "?y=1", maxAnswer: 1 << 10}
+	post := route{method: http.MethodPost, path: "/v1/x/{key}", query: "?y=1", maxAnswer: 1 << 10}
 	status, data, err := cl.call(post, ts.URL, "k w", []byte("payload"))
 	if err != nil || status != http.StatusOK || string(data) != "answer" {
 		t.Fatalf("call = %d, %q, %v", status, data, err)

@@ -296,7 +296,7 @@ func (cl *cluster) snapshot() *ClusterStats {
 
 // maxMatrixWireBytes bounds the flat bodies of the peer routes — a
 // factorization, fetched or pushed as a replica, and a replicated matrix
-// (replication.go's route table).
+// (routes.go's route table).
 const maxMatrixWireBytes = 1 << 30
 
 // checkPeerMatrix checks a matrix a peer sent: the bytes come from

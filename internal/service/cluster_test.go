@@ -85,7 +85,7 @@ func TestClusterOwnerDeterministic(t *testing.T) {
 	}
 }
 
-// startCluster runs n daemons as one cluster, each serving PeerRoutes on
+// startCluster runs n daemons as one cluster, each serving its Routes on
 // an httptest listener whose URL is known before New. Every daemon runs
 // cfg with member as its cluster settings, Self and Peers filled in.
 // wrap, when not nil, stands in front of daemon i's routes: a test that
@@ -106,7 +106,7 @@ func startCluster(t *testing.T, n int, cfg Config, member ClusterConfig, wrap fu
 		c.Cluster = &m
 		srvs[i] = New(c)
 		mux := http.NewServeMux()
-		srvs[i].PeerRoutes(mux)
+		srvs[i].Routes(mux, 0)
 		tss[i].Config.Handler = mux
 		if wrap != nil {
 			tss[i].Config.Handler = wrap(i, mux)

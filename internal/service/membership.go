@@ -249,21 +249,36 @@ func (ms *membership) leave(url string) (changed bool, err error) {
 	return true, nil
 }
 
+// A gossiped stamp must leave room to count. Every state change stamps
+// the epoch plus one, so a view stamped at the top of the uint64 range
+// would wrap the refutation it provokes to 0, which then loses every
+// merge. So merge takes a stamp or view epoch only up to 2^62, which one
+// change at a time never reaches, or stampStep past its own epoch, so a
+// peer holding a rumour near 2^62 still takes the refutation. A forged
+// view lifts an epoch by at most stampStep: 3·2^42 of them fit above 2^62.
+const (
+	maxStamp  = 1 << 62
+	stampStep = 1 << 20
+)
+
 // merge folds a gossiped view into the local one: per member, the higher
 // stamp wins; the epoch ratchets to the maximum stamp seen. A rumor of
 // our own death (or departure) is refuted by re-stamping self alive
-// above it — the refutation then wins every future merge. Reports
-// whether any member's state or the member set changed.
+// above it — the refutation then wins every future merge. A record with
+// an unknown state, a URL a join refuses or a stamp without room to
+// count is skipped. Reports whether any member's state or the member
+// set changed.
 func (ms *membership) merge(v View) bool {
 	ms.mu.Lock()
 	defer ms.mu.Unlock()
 	changed := false
-	if v.Epoch > ms.epoch {
+	limit := max(maxStamp, ms.epoch+stampStep)
+	if v.Epoch > ms.epoch && v.Epoch <= limit {
 		ms.epoch = v.Epoch
 	}
 	for _, r := range v.Members {
 		st, err := parseMemberState(r.State)
-		if err != nil || r.URL == "" {
+		if err != nil || checkMemberURL(r.URL) != nil || r.Stamp > limit {
 			continue // a malformed record must not poison the view
 		}
 		if r.Stamp > ms.epoch {
@@ -367,13 +382,21 @@ func (s *Server) probeOnce() bool {
 	return false
 }
 
-// joinMember admits a member and answers the updated view. The joiner's
-// URL must be absolute — it is what every member will dial.
-func (s *Server) joinMember(raw string) (View, error) {
-	cl := s.cluster
+// checkMemberURL admits a member's URL: it must be absolute, since every
+// member will dial it.
+func checkMemberURL(raw string) error {
 	u, err := url.Parse(raw)
 	if err != nil || u.Scheme == "" || u.Host == "" {
-		return View{}, fmt.Errorf("service: join URL %q is not an absolute base URL", raw)
+		return fmt.Errorf("service: join URL %q is not an absolute base URL", raw)
+	}
+	return nil
+}
+
+// joinMember admits a member and answers the updated view.
+func (s *Server) joinMember(raw string) (View, error) {
+	cl := s.cluster
+	if err := checkMemberURL(raw); err != nil {
+		return View{}, err
 	}
 	changed := cl.ms.join(raw)
 	v := cl.ms.snapshot()

@@ -10,8 +10,10 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -84,29 +86,30 @@ func TestMembershipProbeLadder(t *testing.T) {
 }
 
 func TestMembershipMergeLastWriterWins(t *testing.T) {
-	ms := newMembership("a", []string{"a", "b", "c"})
+	// Merge admits only the absolute URLs a join admits.
+	ms := newMembership("http://a", []string{"http://a", "http://b", "http://c"})
 
 	// A higher-stamped record wins; a lower-stamped one is ignored.
 	changed := ms.merge(View{Epoch: 9, Members: []MemberRecord{
-		{URL: "b", State: "dead", Stamp: 9},
-		{URL: "c", State: "suspect", Stamp: 0}, // stale: local stamp is 1
-		{URL: "d", State: "alive", Stamp: 5},   // new member
-		{URL: "", State: "alive", Stamp: 99},   // malformed: no URL
-		{URL: "e", State: "zombie", Stamp: 99}, // malformed: unknown state
+		{URL: "http://b", State: "dead", Stamp: 9},
+		{URL: "http://c", State: "suspect", Stamp: 0}, // stale: local stamp is 1
+		{URL: "http://d", State: "alive", Stamp: 5},   // new member
+		{URL: "", State: "alive", Stamp: 99},          // malformed: no URL
+		{URL: "http://e", State: "zombie", Stamp: 99}, // malformed: unknown state
 	}})
 	if !changed {
 		t.Fatal("merge with new information reported no change")
 	}
-	if st, _ := ms.stateOf("b"); st != stateDead {
+	if st, _ := ms.stateOf("http://b"); st != stateDead {
 		t.Errorf("higher-stamped death did not win: b is %v", st)
 	}
-	if st, _ := ms.stateOf("c"); st != stateAlive {
+	if st, _ := ms.stateOf("http://c"); st != stateAlive {
 		t.Errorf("stale record overwrote c: %v", st)
 	}
-	if st, ok := ms.stateOf("d"); !ok || st != stateAlive {
+	if st, ok := ms.stateOf("http://d"); !ok || st != stateAlive {
 		t.Errorf("new member not admitted by merge: %v %v", st, ok)
 	}
-	if _, ok := ms.stateOf("e"); ok {
+	if _, ok := ms.stateOf("http://e"); ok {
 		t.Error("malformed record created a member")
 	}
 	if ms.epochNow() < 9 {
@@ -114,16 +117,16 @@ func TestMembershipMergeLastWriterWins(t *testing.T) {
 	}
 
 	// Merging the same view again is a no-op (stamps are not >).
-	if ms.merge(View{Epoch: 9, Members: []MemberRecord{{URL: "b", State: "dead", Stamp: 9}}}) {
+	if ms.merge(View{Epoch: 9, Members: []MemberRecord{{URL: "http://b", State: "dead", Stamp: 9}}}) {
 		t.Error("idempotent re-merge reported a change")
 	}
 
 	// Self-refutation: a rumor of our own death is refuted under a fresh
 	// stamp above the rumor's, so the refutation wins every future merge.
-	if !ms.merge(View{Epoch: 30, Members: []MemberRecord{{URL: "a", State: "dead", Stamp: 30}}}) {
+	if !ms.merge(View{Epoch: 30, Members: []MemberRecord{{URL: "http://a", State: "dead", Stamp: 30}}}) {
 		t.Fatal("self-death rumor reported no change")
 	}
-	if st, _ := ms.stateOf("a"); st != stateAlive {
+	if st, _ := ms.stateOf("http://a"); st != stateAlive {
 		t.Fatalf("self was not refuted back to alive: %v", st)
 	}
 	v := ms.snapshot()
@@ -131,10 +134,79 @@ func TestMembershipMergeLastWriterWins(t *testing.T) {
 		t.Errorf("refutation stamp %d does not exceed the rumor's 30", v.Epoch)
 	}
 	for _, m := range v.Members {
-		if m.URL == "a" && m.Stamp <= 30 {
+		if m.URL == "http://a" && m.Stamp <= 30 {
 			t.Errorf("self record stamp %d would lose the next merge against the rumor", m.Stamp)
 		}
 	}
+}
+
+// TestMergeRefusesStampWithoutRoom: a view stamping a daemon dead at the
+// top of the uint64 range is refused whole, so the daemon's refutation
+// does not wrap its epoch to 0 and a peer holding the same rumour keeps
+// routing to it. A rumour at the 2^62 ceiling is taken, and the
+// refutation above the ceiling still reaches that peer.
+func TestMergeRefusesStampWithoutRoom(t *testing.T) {
+	for _, stamp := range []uint64{math.MaxUint64, 1 << 62} {
+		peers := []string{"http://a", "http://b"}
+		a, b := newMembership(peers[0], peers), newMembership(peers[1], peers)
+		rumour := View{Epoch: stamp, Members: []MemberRecord{{URL: peers[0], State: "dead", Stamp: stamp}}}
+		a.merge(rumour)
+		b.merge(rumour)
+		if e := a.epochNow(); e == 0 {
+			t.Errorf("stamp %d: the refutation wrapped daemon a's epoch to 0", stamp)
+		}
+		b.merge(a.snapshot())
+		if r := b.routable(); !slices.Contains(r, peers[0]) {
+			t.Errorf("stamp %d: peer b routes only %v after a's refutation", stamp, r)
+		}
+	}
+}
+
+// TestMergeRefusesMalformedMember: a gossiped member whose URL a join
+// would refuse is not admitted, so HRW never routes a key to it.
+func TestMergeRefusesMalformedMember(t *testing.T) {
+	ms := newMembership("http://a", []string{"http://a", "http://b"})
+	ms.merge(View{Epoch: 5, Members: []MemberRecord{{URL: "not a url", State: "alive", Stamp: 5}}})
+	if _, ok := ms.stateOf("not a url"); ok {
+		t.Errorf("merge admitted a member a join refuses; routable: %v", ms.routable())
+	}
+}
+
+// FuzzViewBody decodes each input as the view push's body is decoded
+// (serveView) and merges it into daemon a's membership, then hands a's
+// view to peer b, which merged the same input. No input may panic, leave
+// a other than alive and routable, lower a's epoch, make a member
+// routable that a join refuses, or keep b from taking a's refutation.
+func FuzzViewBody(f *testing.F) {
+	f.Add(`{"epoch":18446744073709551615,"members":[{"url":"http://a","state":"dead","stamp":18446744073709551615}]}`)
+	f.Add(`{"epoch":5,"members":[{"url":"not a url","state":"alive","stamp":5}]}`)
+	f.Add(`{"epoch":9,"members":[{"url":"http://b","state":"dead","stamp":9},{"url":"http://c","state":"alive","stamp":3}]}`)
+	f.Fuzz(func(t *testing.T, body string) {
+		var v View
+		if err := json.NewDecoder(strings.NewReader(body)).Decode(&v); err != nil {
+			return
+		}
+		peers := []string{"http://a", "http://b"}
+		a, b := newMembership(peers[0], peers), newMembership(peers[1], peers)
+		before := a.epochNow()
+		a.merge(v)
+		if st, _ := a.stateOf(peers[0]); st != stateAlive {
+			t.Fatalf("self is %v after merging %q", st, body)
+		}
+		if after := a.epochNow(); after < before {
+			t.Fatalf("epoch went down from %d to %d merging %q", before, after, body)
+		}
+		for _, m := range a.routable() {
+			if err := checkMemberURL(m); err != nil {
+				t.Fatalf("routable member %q fails the join check: %v", m, err)
+			}
+		}
+		b.merge(v)
+		b.merge(a.snapshot())
+		if !slices.Contains(b.routable(), peers[0]) {
+			t.Fatalf("peer b does not route to a after a refuted %q", body)
+		}
+	})
 }
 
 // TestHRWMinimalDisruption pins the property failover rests on: removing
@@ -327,14 +399,14 @@ func TestPeerAuthToken(t *testing.T) {
 	}
 }
 
-// TestPeerRoutesBoundBodies: each route reads the request body its
+// TestPeerRoutesBoundBodies: each peer route reads the request body its
 // declaration allows and not one byte more. A JSON body padded inside
 // its braces to exactly the bound reaches the handler; one more byte is
 // refused before the value closes.
 func TestPeerRoutesBoundBodies(t *testing.T) {
 	_, tss := startCluster(t, 1, Config{Procs: 2, Workers: 1, Backend: "real"}, replicatingMember, nil)
 	for _, tc := range []struct {
-		rt         peerRoute
+		rt         route
 		head, want string // want: the handler's answer at the bound
 	}{
 		{routeViewPush, `{`, ""},

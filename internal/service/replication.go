@@ -9,9 +9,8 @@ package service
 // change each daemon re-walks its cache, claims keys it now owns, and
 // re-replicates them to the current successor set.
 //
-// The peer protocol lives here whole: one route table, the one peer HTTP
-// operation every cluster exchange goes through (call) and its wrappers,
-// and the handlers PeerRoutes serves, so the two halves cannot drift.
+// The peer routes these exchanges travel, their client (cluster.call)
+// and their handlers live in routes.go.
 //
 // This file is under the errdrop analyzer's strict cluster boundary:
 // every error from the net/http, io and encoding layers must be handled
@@ -19,18 +18,11 @@ package service
 // recovery path.
 
 import (
-	"bytes"
-	"context"
-	"crypto/subtle"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
-	"log"
 	"net/http"
-	"net/url"
 	"sort"
-	"strings"
 	"time"
 )
 
@@ -42,308 +34,6 @@ const (
 	originPeer    = "peer"    // fetched on demand from the then-owner
 	originReplica = "replica" // pushed proactively by the owner
 )
-
-// peerStatusError is a peer HTTP answer with a non-success status; the
-// code drives the transient-vs-permanent retry split.
-type peerStatusError struct {
-	peer string
-	op   string
-	code int
-}
-
-func (e *peerStatusError) Error() string {
-	return fmt.Sprintf("service: peer %s answered %d to %s", e.peer, e.code, e.op)
-}
-
-// errPeerMiss reports the owner answered cleanly but had nothing to
-// serve (unknown matrix or an unexportable block-Jacobi entry): the
-// peer is healthy, the fetcher just builds locally.
-var errPeerMiss = errors.New("service: peer does not have the factorization")
-
-// peerRoute is one route of the peer protocol, declared once: PeerRoutes
-// serves it under its method and path, reading at most maxBody of the
-// request, and call, the client half, sends the same method to the same
-// path and keeps at most maxAnswer of the answer.
-type peerRoute struct {
-	op           string // what a failure calls the exchange
-	method, path string // path is a mux pattern: {key} stands for a matrix key
-	query        string // the client's query, if any
-	maxBody      int64
-	maxAnswer    int64
-}
-
-// The peer protocol. A factor crosses as a fetch's answer or a replica
-// push's body under one bound, so a factor a peer can fetch can also be
-// pushed. A view is bounded alike pushed or answered.
-var (
-	routeFactor   = peerRoute{op: "factor fetch", method: http.MethodGet, path: "/v1/peer/factor/{key}", maxAnswer: maxMatrixWireBytes}
-	routeMatrix   = peerRoute{op: "matrix replication", method: http.MethodPost, path: "/v1/peer/matrix", maxBody: maxMatrixWireBytes}
-	routeReplica  = peerRoute{op: "replica push", method: http.MethodPost, path: "/v1/peer/replica/{key}", maxBody: maxMatrixWireBytes}
-	routeView     = peerRoute{op: "view probe", method: http.MethodGet, path: "/v1/cluster/view", maxAnswer: 1 << 20}
-	routeViewPush = peerRoute{op: "view push", method: http.MethodPost, path: "/v1/cluster/view", maxBody: 1 << 20, maxAnswer: 1 << 20}
-	routeJoin     = peerRoute{op: "join", method: http.MethodPost, path: "/v1/cluster/join", maxBody: 1 << 16, maxAnswer: 1 << 20}
-	routeLeave    = peerRoute{op: "leave", method: http.MethodPost, path: "/v1/cluster/leave", maxBody: 1 << 16}
-	routeHealth   = peerRoute{op: "health probe", method: http.MethodGet, path: "/healthz", query: "?scope=local", maxAnswer: 1 << 20}
-)
-
-// maxDrainBytes bounds what call reads past the route's answer bound to
-// keep a connection reusable; beyond it, closing is cheaper than reading.
-const maxDrainBytes = 1 << 16
-
-// memberRequest is the body of a join or a leave.
-type memberRequest struct {
-	URL string `json:"url"`
-}
-
-// call is the one peer HTTP operation every cluster exchange goes
-// through: rt on peer for key with an optional body, bounded by the op
-// timeout and carrying the cluster token. It answers the status and at
-// most rt.maxAnswer bytes of the response body; the rest is drained
-// (bounded) so the connection can be reused. err is a transport failure
-// only — the callers decide what a status means.
-func (cl *cluster) call(rt peerRoute, peer, key string, body []byte) (status int, data []byte, err error) {
-	ctx, cancel := context.WithTimeout(context.Background(), cl.timeout)
-	defer cancel()
-	var rd io.Reader
-	if body != nil {
-		rd = bytes.NewReader(body)
-	}
-	target := peer + strings.Replace(rt.path, "{key}", url.PathEscape(key), 1) + rt.query
-	req, err := http.NewRequestWithContext(ctx, rt.method, target, rd)
-	if err != nil {
-		return 0, nil, err
-	}
-	if cl.token != "" {
-		req.Header.Set(ClusterTokenHeader, cl.token)
-	}
-	resp, err := cl.client.Do(req)
-	if err != nil {
-		return 0, nil, err
-	}
-	defer resp.Body.Close()
-	if data, err = io.ReadAll(io.LimitReader(resp.Body, rt.maxAnswer)); err != nil {
-		return 0, nil, fmt.Errorf("service: reading answer of %s %s: %w", rt.method, target, err)
-	}
-	if _, err = io.Copy(io.Discard, io.LimitReader(resp.Body, maxDrainBytes)); err != nil {
-		return 0, nil, fmt.Errorf("service: draining answer of %s %s: %w", rt.method, target, err)
-	}
-	return resp.StatusCode, data, nil
-}
-
-// callOK is call for the exchanges whose only good answer is 200: any
-// other status becomes a *peerStatusError naming the route's op.
-func (cl *cluster) callOK(rt peerRoute, peer, key string, body []byte) ([]byte, error) {
-	status, data, err := cl.call(rt, peer, key, body)
-	if err == nil && status != http.StatusOK {
-		return nil, &peerStatusError{peer: peer, op: rt.op, code: status}
-	}
-	return data, err
-}
-
-// callView is callOK for the membership routes: an optional JSON request
-// body in, the peer's view out.
-func (cl *cluster) callView(rt peerRoute, peer string, in any) (View, error) {
-	var body []byte
-	if in != nil {
-		var err error
-		if body, err = json.Marshal(in); err != nil {
-			return View{}, fmt.Errorf("service: encoding %s for %s: %w", rt.op, peer, err)
-		}
-	}
-	data, err := cl.callOK(rt, peer, "", body)
-	if err != nil {
-		return View{}, err
-	}
-	var v View
-	if err := json.Unmarshal(data, &v); err != nil {
-		return View{}, fmt.Errorf("service: decoding %s answer from %s: %w", rt.op, peer, err)
-	}
-	return v, nil
-}
-
-// getFactor fetches key's encoded factorization from peer; a 404 is the
-// clean miss.
-func (cl *cluster) getFactor(peer, key string) ([]byte, error) {
-	data, err := cl.callOK(routeFactor, peer, key, nil)
-	var se *peerStatusError
-	if errors.As(err, &se) && se.code == http.StatusNotFound {
-		return nil, errPeerMiss
-	}
-	return data, err
-}
-
-// probeHealth asks one peer for its local (non-aggregated) health. The
-// status in the body is the answer whatever the HTTP code: a draining
-// peer says so under a 503.
-func (cl *cluster) probeHealth(peer string) (string, error) {
-	status, data, err := cl.call(routeHealth, peer, "", nil)
-	if err != nil {
-		return "", err
-	}
-	var h Health
-	if err := json.Unmarshal(data, &h); err != nil {
-		return "", err
-	}
-	if h.Status == "" {
-		return "", fmt.Errorf("peer answered %d with no status", status)
-	}
-	return h.Status, nil
-}
-
-// PeerRoutes registers the server half of the peer protocol on mux: the
-// seven token-guarded routes other daemons call — factor fetch, matrix
-// and replica pushes, the view exchange, join and leave — and /healthz,
-// whose ?scope=local answer is what a peer's health probe reads. A
-// handler answers a status and a JSON value, or the raw bytes of a
-// factor.
-func (s *Server) PeerRoutes(mux *http.ServeMux) {
-	for _, h := range []struct {
-		rt    peerRoute
-		serve func(r *http.Request) (int, any)
-	}{
-		{routeHealth, s.serveHealth},
-		{routeFactor, s.serveFactor},
-		{routeMatrix, s.serveMatrix},
-		{routeReplica, s.serveReplica},
-		{routeView, s.serveView},
-		{routeViewPush, s.serveView},
-		{routeJoin, s.serveMember(routeJoin, s.joinMember)},
-		{routeLeave, s.serveMember(routeLeave, s.leaveMember)},
-	} {
-		mux.HandleFunc(h.rt.method+" "+h.rt.path, func(w http.ResponseWriter, r *http.Request) {
-			status, v := http.StatusForbidden, any(errorReply{"cluster token mismatch"})
-			// /healthz is also the public liveness check: no token.
-			if h.rt == routeHealth || s.peerAuthOK(r.Header.Get(ClusterTokenHeader)) {
-				r.Body = http.MaxBytesReader(w, r.Body, h.rt.maxBody)
-				status, v = h.serve(r)
-			}
-			var err error
-			if data, ok := v.([]byte); ok {
-				w.Header().Set("Content-Type", "application/octet-stream")
-				_, err = w.Write(data)
-			} else {
-				w.Header().Set("Content-Type", "application/json")
-				w.WriteHeader(status)
-				err = json.NewEncoder(w).Encode(v)
-			}
-			if err != nil {
-				log.Printf("service: answering %s %s: %v", r.Method, r.URL.Path, err)
-			}
-		})
-	}
-}
-
-// peerAuthOK checks a presented cluster token against the configured
-// shared secret (constant-time). Mismatches count toward the
-// rejected-peer-request counter; with no token configured (or no
-// cluster) every request passes.
-func (s *Server) peerAuthOK(got string) bool {
-	cl := s.cluster
-	if cl == nil || cl.token == "" {
-		return true
-	}
-	if subtle.ConstantTimeCompare([]byte(got), []byte(cl.token)) == 1 {
-		return true
-	}
-	cl.rejected.Add(1)
-	return false
-}
-
-// errorReply is the body of every refusal: the JSON shape all of
-// pilutd's errors share.
-type errorReply struct {
-	Error string `json:"error"`
-}
-
-func refuse(status int, err error) (int, any) {
-	return status, errorReply{err.Error()}
-}
-
-// serveHealth answers /healthz: this daemon's health and, in a cluster,
-// one row per member, unless the caller asked for scope=local (a peer's
-// probe, which must not recurse). A down peer degrades the status but
-// keeps it 200 — this daemon still answers everything it can serve
-// alone; only draining is a 503.
-func (s *Server) serveHealth(r *http.Request) (int, any) {
-	h := s.clusterHealthCheck(r.URL.Query().Get("scope") == "local")
-	if h.Status != "ok" && h.Status != "degraded" {
-		return http.StatusServiceUnavailable, h
-	}
-	return http.StatusOK, h
-}
-
-// serveFactor exports a factorization to a fetching peer: 404 is the
-// clean miss (unknown key, or a block-Jacobi entry with no wire form),
-// 422 a build that failed.
-func (s *Server) serveFactor(r *http.Request) (int, any) {
-	data, err := s.ExportFactor(r.PathValue("key"))
-	switch {
-	case errors.Is(err, ErrUnknownMatrix), errors.Is(err, errNotExportable):
-		return refuse(http.StatusNotFound, err)
-	case err != nil:
-		return refuse(http.StatusUnprocessableEntity, err)
-	}
-	return http.StatusOK, data
-}
-
-func (s *Server) serveMatrix(r *http.Request) (int, any) {
-	key, known, err := s.importMatrix(r.Body)
-	switch {
-	case errors.Is(err, ErrClosed):
-		return refuse(http.StatusServiceUnavailable, err)
-	case err != nil:
-		return refuse(http.StatusBadRequest, err)
-	}
-	return http.StatusOK, map[string]any{"key": key, "known": known}
-}
-
-func (s *Server) serveReplica(r *http.Request) (int, any) {
-	known, err := s.importReplica(r.PathValue("key"), r.Body)
-	if err != nil {
-		return refuse(http.StatusUnprocessableEntity, err)
-	}
-	return http.StatusOK, map[string]any{"known": known}
-}
-
-// serveView answers the view exchange with this daemon's view: GET is a
-// peer's probe, POST pushes the peer's view to merge first.
-func (s *Server) serveView(r *http.Request) (int, any) {
-	var pushed View
-	push := r.Method == http.MethodPost
-	if push {
-		if err := json.NewDecoder(r.Body).Decode(&pushed); err != nil {
-			return refuse(http.StatusBadRequest, fmt.Errorf("parsing view: %w", err))
-		}
-	}
-	cl := s.cluster
-	if cl == nil {
-		return http.StatusNotFound, errorReply{"this daemon is not a cluster member"}
-	}
-	if push && cl.ms.merge(pushed) {
-		s.onViewChange()
-	}
-	return http.StatusOK, cl.ms.snapshot()
-}
-
-// serveMember answers a join or a leave: the member's URL in, the
-// changed view out.
-func (s *Server) serveMember(rt peerRoute, change func(url string) (View, error)) func(*http.Request) (int, any) {
-	return func(r *http.Request) (int, any) {
-		var req memberRequest
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			return refuse(http.StatusBadRequest, fmt.Errorf("parsing %s request: %w", rt.op, err))
-		}
-		if s.cluster == nil {
-			return refuse(http.StatusBadRequest, errNotMember)
-		}
-		v, err := change(req.URL)
-		if err != nil {
-			return refuse(http.StatusBadRequest, err)
-		}
-		log.Printf("service: cluster %s of %s (epoch %d)", rt.op, req.URL, v.Epoch)
-		return http.StatusOK, v
-	}
-}
 
 // transientFetchErr splits peer-operation failures into transient (worth
 // one bounded retry: transport errors, overload and server-side

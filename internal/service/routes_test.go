@@ -1,9 +1,15 @@
-package main
+package service
+
+// The daemon's HTTP surface as a client meets it: each test serves
+// Routes over an in-process server and checks statuses, content types,
+// the one refusal shape, Retry-After and the token guard.
 
 import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"slices"
@@ -11,10 +17,17 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/krylov"
 	"repro/internal/matgen"
-	"repro/internal/service"
 	"repro/internal/sparse"
 )
+
+// routesHandler is what pilutd serves: every route of svc on one mux.
+func routesHandler(svc *Server, maxTimeout time.Duration) *http.ServeMux {
+	mux := http.NewServeMux()
+	svc.Routes(mux, maxTimeout)
+	return mux
+}
 
 // tinyMatrix is the 4×4 matrix the handler tests register.
 const tinyMatrix = "%%MatrixMarket matrix coordinate real general\n4 4 8\n" +
@@ -23,10 +36,10 @@ const tinyMatrix = "%%MatrixMarket matrix coordinate real general\n4 4 8\n" +
 // newTestServer spins up the real mux over an in-process service with a
 // tiny matrix pre-submitted, so handler tests exercise exactly the code
 // the daemon runs.
-func newTestServer(t *testing.T) (*httptest.Server, *service.Server, string) {
+func newTestServer(t *testing.T) (*httptest.Server, *Server, string) {
 	t.Helper()
-	svc := service.New(service.Config{Procs: 2, Workers: 1})
-	ts := httptest.NewServer(newMux(svc, 600000))
+	svc := New(Config{Procs: 2, Workers: 1})
+	ts := httptest.NewServer(routesHandler(svc, 600*time.Second))
 	t.Cleanup(func() {
 		ts.Close()
 		svc.Shutdown(context.Background())
@@ -126,6 +139,27 @@ func TestNonFiniteMatrixRejected(t *testing.T) {
 	}
 }
 
+// TestRouteContentTypes: the raw answers keep their content types — the
+// Prometheus text format on /metrics, an octet stream on the factor
+// route — and a JSON answer says so.
+func TestRouteContentTypes(t *testing.T) {
+	ts, _, key := newTestServer(t)
+	for path, want := range map[string]string{
+		"/metrics":               "text/plain; version=0.0.4; charset=utf-8",
+		"/v1/peer/factor/" + key: "application/octet-stream",
+		"/v1/stats":              "application/json",
+	} {
+		resp, err := http.Get(ts.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if ct := resp.Header.Get("Content-Type"); resp.StatusCode != http.StatusOK || ct != want {
+			t.Errorf("GET %s: %d %q, want 200 %q", path, resp.StatusCode, ct, want)
+		}
+	}
+}
+
 func TestHealthzJSON(t *testing.T) {
 	ts, _, _ := newTestServer(t)
 	resp, err := http.Get(ts.URL + "/healthz")
@@ -151,8 +185,8 @@ func TestHealthzJSON(t *testing.T) {
 }
 
 func TestHealthzDraining(t *testing.T) {
-	svc := service.New(service.Config{Procs: 2, Workers: 1})
-	ts := httptest.NewServer(newMux(svc, 600000))
+	svc := New(Config{Procs: 2, Workers: 1})
+	ts := httptest.NewServer(routesHandler(svc, 600*time.Second))
 	defer ts.Close()
 	if err := svc.Shutdown(context.Background()); err != nil {
 		t.Fatal(err)
@@ -242,8 +276,8 @@ func TestEvictedMatrixIs404ThenResubmit(t *testing.T) {
 // sequence, and check every step after the first reused the cached
 // symbolic analysis and warm-started from its predecessor.
 func TestSequencesEndpoint(t *testing.T) {
-	svc := service.New(service.Config{Procs: 2, Workers: 1})
-	ts := httptest.NewServer(newMux(svc, 600000))
+	svc := New(Config{Procs: 2, Workers: 1})
+	ts := httptest.NewServer(routesHandler(svc, 600*time.Second))
 	t.Cleanup(func() {
 		ts.Close()
 		svc.Shutdown(context.Background())
@@ -340,31 +374,34 @@ func TestSolveStatusMapping(t *testing.T) {
 		err  error
 		want int
 	}{
-		{&service.OverloadedError{QueueDepth: 9, RetryAfter: time.Second}, http.StatusTooManyRequests},
-		{&service.BreakerOpenError{Key: "k", RetryAfter: 5 * time.Second}, http.StatusServiceUnavailable},
-		{service.ErrClosed, http.StatusServiceUnavailable},
-		{service.ErrUnknownMatrix, http.StatusNotFound},
+		{&OverloadedError{QueueDepth: 9, RetryAfter: time.Second}, http.StatusTooManyRequests},
+		{&BreakerOpenError{Key: "k", RetryAfter: 5 * time.Second}, http.StatusServiceUnavailable},
+		{ErrClosed, http.StatusServiceUnavailable},
+		{ErrUnknownMatrix, http.StatusNotFound},
+		{fmt.Errorf("%w: %q", errNotExportable, "k"), http.StatusNotFound},
+		{fmt.Errorf("%w: deadline", krylov.ErrCanceled), http.StatusGatewayTimeout},
+		{errors.New("no service error: the route's fallback"), http.StatusUnprocessableEntity},
 	}
 	for _, c := range cases {
-		if got := solveStatus(c.err); got != c.want {
-			t.Errorf("solveStatus(%v) = %d, want %d", c.err, got, c.want)
+		if got := statusOf(c.err, http.StatusUnprocessableEntity); got != c.want {
+			t.Errorf("statusOf(%v) = %d, want %d", c.err, got, c.want)
 		}
 	}
 }
 
 func TestWriteErrorSetsRetryAfter(t *testing.T) {
 	rec := httptest.NewRecorder()
-	writeError(rec, http.StatusTooManyRequests, &service.OverloadedError{QueueDepth: 3, RetryAfter: 1500 * time.Millisecond})
+	writeAnswer(rec, "", http.StatusTooManyRequests, &OverloadedError{QueueDepth: 3, RetryAfter: 1500 * time.Millisecond})
 	if got := rec.Header().Get("Retry-After"); got != "2" {
 		t.Fatalf("Retry-After = %q, want 2 (rounded up)", got)
 	}
 	rec = httptest.NewRecorder()
-	writeError(rec, http.StatusServiceUnavailable, &service.BreakerOpenError{Key: "k", RetryAfter: 30 * time.Second})
+	writeAnswer(rec, "", http.StatusServiceUnavailable, &BreakerOpenError{Key: "k", RetryAfter: 30 * time.Second})
 	if got := rec.Header().Get("Retry-After"); got != "30" {
 		t.Fatalf("Retry-After = %q, want 30", got)
 	}
 	rec = httptest.NewRecorder()
-	writeError(rec, http.StatusNotFound, service.ErrUnknownMatrix)
+	writeAnswer(rec, "", http.StatusNotFound, ErrUnknownMatrix)
 	if got := rec.Header().Get("Retry-After"); got != "" {
 		t.Fatalf("Retry-After = %q for a plain error, want unset", got)
 	}
@@ -372,13 +409,13 @@ func TestWriteErrorSetsRetryAfter(t *testing.T) {
 
 // newClusterTestServer spins up the real mux over a single-member cluster
 // service, optionally token-protected.
-func newClusterTestServer(t *testing.T, token string) (*httptest.Server, *service.Server) {
+func newClusterTestServer(t *testing.T, token string) (*httptest.Server, *Server) {
 	t.Helper()
-	svc := service.New(service.Config{Procs: 2, Workers: 1, Cluster: &service.ClusterConfig{
+	svc := New(Config{Procs: 2, Workers: 1, Cluster: &ClusterConfig{
 		Self: "http://127.0.0.1:1", Token: token,
 		ProbeInterval: -1, Replicas: -1,
 	}})
-	ts := httptest.NewServer(newMux(svc, 600000))
+	ts := httptest.NewServer(routesHandler(svc, 600*time.Second))
 	t.Cleanup(func() {
 		ts.Close()
 		svc.Shutdown(context.Background())
@@ -407,7 +444,7 @@ func TestClusterTokenGuard(t *testing.T) {
 			t.Fatal(err)
 		}
 		if token != "" {
-			req.Header.Set(service.ClusterTokenHeader, token)
+			req.Header.Set(ClusterTokenHeader, token)
 		}
 		resp, err := http.DefaultClient.Do(req)
 		if err != nil {
@@ -504,4 +541,55 @@ func TestClusterViewEndpoint(t *testing.T) {
 	if !strings.Contains(msg, "absolute") {
 		t.Errorf("malformed join URL error: %q", msg)
 	}
+}
+
+// solveStatuses are the answers the solve routes document: success,
+// malformed request, unknown matrix, unsolvable request, overload,
+// breaker open or draining, deadline exceeded.
+var solveStatuses = map[int]bool{
+	http.StatusOK: true, http.StatusBadRequest: true, http.StatusNotFound: true,
+	http.StatusUnprocessableEntity: true, http.StatusTooManyRequests: true,
+	http.StatusServiceUnavailable: true, http.StatusGatewayTimeout: true,
+}
+
+// FuzzSolveBodies posts each input as the JSON body of /v1/solve and of
+// /v1/sequences to one in-process daemon with tinyMatrix registered and
+// a 100 ms deadline cap: neither route may panic or answer outside
+// solveStatuses, and the daemon must still solve a well-formed request
+// afterwards.
+func FuzzSolveBodies(f *testing.F) {
+	a, err := sparse.ReadMatrixMarket(strings.NewReader(tinyMatrix))
+	if err != nil {
+		f.Fatal(err)
+	}
+	svc := New(Config{Procs: 2, Workers: 1})
+	defer svc.Shutdown(context.Background())
+	key, _, err := svc.Submit(a)
+	if err != nil {
+		f.Fatal(err)
+	}
+	mux := routesHandler(svc, 100*time.Millisecond)
+	post := func(route, body string) int {
+		rec := httptest.NewRecorder()
+		mux.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, route, strings.NewReader(body)))
+		return rec.Code
+	}
+	good := fmt.Sprintf(`{"key":%q,"keys":[%[1]q],"b":[1,2,3,4]}`, key)
+
+	f.Add(good)
+	f.Add(fmt.Sprintf(`{"key":%q,"keys":[%[1]q],"b":[1,2,3,4],"restart":200000}`, key))
+	f.Add(fmt.Sprintf(`{"key":%q,"keys":[%[1]q],"b":[1,2,3]}`, key))
+	f.Add(`{"key":"deadbeef","keys":["deadbeef"],"b":[1,2,3,4]}`)
+	f.Add(fmt.Sprintf(`{"key":%q,"keys":[],"b":[1,2,3,4]}`, key))
+	f.Add(fmt.Sprintf(`{"key":%q,"keys":[%[1]q],"b":[1,2,3,4],"timeout_ms":-1}`, key))
+	f.Fuzz(func(t *testing.T, body string) {
+		for _, route := range []string{"/v1/solve", "/v1/sequences"} {
+			if code := post(route, body); !solveStatuses[code] {
+				t.Fatalf("%s answered %d to %q", route, code, body)
+			}
+		}
+		if code := post("/v1/solve", good); code != http.StatusOK {
+			t.Fatalf("well-formed solve after %q answered %d", body, code)
+		}
+	})
 }

@@ -60,6 +60,9 @@ func (e *OverloadedError) Error() string {
 // Is makes errors.Is(err, ErrOverloaded) match.
 func (e *OverloadedError) Is(target error) bool { return target == ErrOverloaded }
 
+// retryAfter is the back-off hint the HTTP answer carries as Retry-After.
+func (e *OverloadedError) retryAfter() time.Duration { return e.RetryAfter }
+
 // BreakerOpenError rejects a request for a key whose circuit breaker is
 // open; RetryAfter is the cooldown remaining until the next probe.
 type BreakerOpenError struct {
@@ -73,6 +76,8 @@ func (e *BreakerOpenError) Error() string {
 
 // Is makes errors.Is(err, ErrBreakerOpen) match.
 func (e *BreakerOpenError) Is(target error) bool { return target == ErrBreakerOpen }
+
+func (e *BreakerOpenError) retryAfter() time.Duration { return e.RetryAfter }
 
 // Config configures a Server. The zero value of every field selects a
 // sensible default.
@@ -496,7 +501,7 @@ func (s *Server) solve(ctx context.Context, key string, a *sparse.CSR, b []float
 	}
 }
 
-// Health is the liveness summary /healthz serves (PeerRoutes).
+// Health is the liveness summary /healthz serves (Routes).
 type Health struct {
 	// Status is "ok" while the server accepts work and "draining" once
 	// Shutdown has begun.

@@ -9,21 +9,20 @@ import (
 
 // Fingerprint version strings are folded into every hash so that a change
 // to an encoding can never collide with hashes computed by an older
-// scheme, and so the three fingerprint families can never collide with
+// scheme, and so the two fingerprint families can never collide with
 // each other even on matrices whose payloads would hash identically.
 const (
 	fingerprintVersion        = "pilut-fp-v1"
 	patternFingerprintVersion = "pilut-pfp-v1"
-	valueFingerprintVersion   = "pilut-vfp-v1"
 )
 
 // hashCSR is the shared fingerprint body: it hashes the version string,
-// the dimensions, and whichever of the structure (row pointers + column
-// indices) and value payloads the caller selects. The byte stream for
-// pattern+values under fingerprintVersion is exactly the historical
-// Fingerprint encoding — cache keys and HRW cluster routing depend on
-// that stability.
-func hashCSR(a *CSR, version string, pattern, values bool) string {
+// the dimensions, the structure (row pointers + column indices) and,
+// when values is set, the value payload. The byte stream with values
+// under fingerprintVersion is exactly the historical Fingerprint
+// encoding — cache keys and HRW cluster routing depend on that
+// stability.
+func hashCSR(a *CSR, version string, values bool) string {
 	h := sha256.New()
 	var scratch [8]byte
 	writeU64 := func(v uint64) {
@@ -49,13 +48,11 @@ func hashCSR(a *CSR, version string, pattern, values bool) string {
 		}
 		buf = binary.LittleEndian.AppendUint64(buf, v)
 	}
-	if pattern {
-		for _, p := range a.RowPtr {
-			put(uint64(p))
-		}
-		for _, c := range a.Cols {
-			put(uint64(c))
-		}
+	for _, p := range a.RowPtr {
+		put(uint64(p))
+	}
+	for _, c := range a.Cols {
+		put(uint64(c))
 	}
 	if values {
 		for _, v := range a.Vals {
@@ -77,7 +74,7 @@ func hashCSR(a *CSR, version string, pattern, values bool) string {
 // of the matrix. Permuting a matrix or perturbing a single value yields a
 // different fingerprint.
 func Fingerprint(a *CSR) string {
-	return hashCSR(a, fingerprintVersion, true, true)
+	return hashCSR(a, fingerprintVersion, true)
 }
 
 // PatternFingerprint hashes only the sparsity structure: dimensions, row
@@ -89,15 +86,5 @@ func Fingerprint(a *CSR) string {
 // analysis is reused while each value set still gets its own numeric
 // factorization.
 func PatternFingerprint(a *CSR) string {
-	return hashCSR(a, patternFingerprintVersion, true, false)
-}
-
-// ValueFingerprint hashes only the dimensions and the value payload
-// (bit-for-bit). Together with PatternFingerprint it decomposes
-// Fingerprint: equal pattern + equal value fingerprints imply the full
-// fingerprints agree. It exists so callers can tell "same pattern, new
-// values" (refactor only) apart from "same matrix" (full cache hit)
-// without hashing the structure twice.
-func ValueFingerprint(a *CSR) string {
-	return hashCSR(a, valueFingerprintVersion, false, true)
+	return hashCSR(a, patternFingerprintVersion, false)
 }

@@ -84,12 +84,12 @@ func TestFingerprintValuePerturbationDiffers(t *testing.T) {
 
 func TestPatternFingerprintIgnoresValues(t *testing.T) {
 	a := fpTestMatrix()
-	pa, va, fa := PatternFingerprint(a), ValueFingerprint(a), Fingerprint(a)
-	if pa == va || pa == fa || va == fa {
-		t.Fatalf("fingerprint families collide: pattern=%s value=%s full=%s", pa, va, fa)
+	pa, fa := PatternFingerprint(a), Fingerprint(a)
+	if pa == fa {
+		t.Fatalf("fingerprint families collide: pattern=%s full=%s", pa, fa)
 	}
 
-	// A value edit must change the value and full fingerprints but leave
+	// A value edit must change the full fingerprint but leave
 	// the pattern key unchanged — this is the property the symbolic cache
 	// relies on for matrix sequences.
 	b := a.Clone()
@@ -99,16 +99,13 @@ func TestPatternFingerprintIgnoresValues(t *testing.T) {
 	if got := PatternFingerprint(b); got != pa {
 		t.Fatalf("value edit changed pattern fingerprint: %s vs %s", got, pa)
 	}
-	if ValueFingerprint(b) == va {
-		t.Fatalf("value edit did not change value fingerprint")
-	}
 	if Fingerprint(b) == fa {
 		t.Fatalf("value edit did not change full fingerprint")
 	}
 
-	// Clones agree on all three keys.
+	// Clones agree on both keys.
 	c := a.Clone()
-	if PatternFingerprint(c) != pa || ValueFingerprint(c) != va || Fingerprint(c) != fa {
+	if PatternFingerprint(c) != pa || Fingerprint(c) != fa {
 		t.Fatalf("clone fingerprints differ from original")
 	}
 }
@@ -139,16 +136,13 @@ func TestPatternFingerprintSeesStructure(t *testing.T) {
 
 func TestValueFingerprintLengthAndDims(t *testing.T) {
 	a := fpTestMatrix()
-	for _, fp := range []string{PatternFingerprint(a), ValueFingerprint(a)} {
+	for _, fp := range []string{PatternFingerprint(a), Fingerprint(a)} {
 		if len(fp) != 32 {
 			t.Fatalf("fingerprint %q has length %d, want 32 hex chars", fp, len(fp))
 		}
 	}
 	if PatternFingerprint(NewCSR(3, 4)) == PatternFingerprint(NewCSR(4, 3)) {
 		t.Fatalf("transposed empty dimensions collide on pattern fingerprint")
-	}
-	if ValueFingerprint(NewCSR(3, 4)) == ValueFingerprint(NewCSR(4, 3)) {
-		t.Fatalf("transposed empty dimensions collide on value fingerprint")
 	}
 }
 
