@@ -132,6 +132,15 @@ func main() {
 		plan.TotInterior, 100*plan.InteriorFraction(), plan.NInterface)
 
 	params := ilu.Params{M: *m, Tau: *tau, K: *k}
+	// Block-Jacobi is PILUT on the block-diagonal part: its plan has no
+	// interface rows, so the factorization is phase 1 alone.
+	factorPlan := plan
+	if *precond == "blockjacobi" {
+		if factorPlan, err = core.BlockJacobi(plan); err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			os.Exit(2)
+		}
+	}
 	precs := make([]krylov.DistPreconditioner, *p)
 	pcs := make([]*core.ProcPrecond, *p)
 	mach, err := backend.New(*backendKind, *p, cost)
@@ -152,8 +161,8 @@ func main() {
 	nnzCh := make([]int, *p)
 	factRes := mach.Run(func(proc pcomm.Comm) {
 		switch *precond {
-		case "pilut", "pilut-schur":
-			pc := core.Factor(proc, plan, core.Options{Params: params, Seed: *seed, Schur: *precond == "pilut-schur"})
+		case "pilut", "pilut-schur", "blockjacobi":
+			pc := core.Factor(proc, factorPlan, core.Options{Params: params, Seed: *seed, Schur: *precond == "pilut-schur"})
 			precs[proc.ID()] = pc
 			pcs[proc.ID()] = pc
 			nnzCh[proc.ID()] = pc.NNZ()
@@ -167,13 +176,6 @@ func main() {
 			if proc.ID() == 0 {
 				levels = pc.NumLevels()
 			}
-		case "blockjacobi":
-			bj, err := core.FactorBlockJacobi(proc, plan, params)
-			if err != nil {
-				panic(err)
-			}
-			precs[proc.ID()] = bj
-			nnzCh[proc.ID()] = bj.NNZ()
 		case "jacobi":
 			j, err := krylov.NewDistJacobi(lay, a, proc.ID())
 			if err != nil {

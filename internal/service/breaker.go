@@ -27,10 +27,17 @@ type breaker struct {
 	keys      map[string]*breakerState
 }
 
-func newBreaker(threshold int, cooldown time.Duration) *breaker {
+// A breaker opens after breakerFailures consecutive failures and stays
+// open for breakerCooldown before it admits one probe.
+const (
+	breakerFailures = 3
+	breakerCooldown = 30 * time.Second
+)
+
+func newBreaker() *breaker {
 	return &breaker{
-		threshold: threshold,
-		cooldown:  cooldown,
+		threshold: breakerFailures,
+		cooldown:  breakerCooldown,
 		now:       time.Now,
 		keys:      make(map[string]*breakerState),
 	}

@@ -5,18 +5,8 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/dist"
-	"repro/internal/krylov"
 	"repro/internal/sparse"
 )
-
-// precPiece is one virtual processor's preconditioner piece: anything
-// krylov can apply that also reports its memory footprint for the cache
-// byte budget. core.ProcPrecond (the normal and ladder-retry rungs) and
-// core.BlockJacobi (the final fallback rung) both satisfy it.
-type precPiece interface {
-	krylov.DistPreconditioner
-	SizeBytes() int64
-}
 
 // entry is one cached factorization: the elimination plan plus every
 // virtual processor's preconditioner piece and ghost-exchange plan, all
@@ -28,7 +18,7 @@ type entry struct {
 	key  string
 	a    *sparse.CSR
 	lay  *dist.Layout
-	pcs  []precPiece
+	pcs  []*core.ProcPrecond
 	mats []*dist.Matrix
 
 	bytes         int64

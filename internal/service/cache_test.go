@@ -180,7 +180,7 @@ func TestClusterCall(t *testing.T) {
 	cl := newCluster(&ClusterConfig{
 		Self: "http://self.invalid", Peers: []string{"http://self.invalid", ts.URL},
 		OpTimeout: 200 * time.Millisecond, Token: "s3cret",
-	}, 3, time.Minute)
+	})
 
 	sawLast := func() seen {
 		mu.Lock()

@@ -121,9 +121,8 @@ func TestPanicFaultIsContained(t *testing.T) {
 // the factorization; the per-run watchdog must fail that request with a
 // structured deadlock error and leave the daemon healthy.
 func TestDropFaultTripsWatchdogAndRecovers(t *testing.T) {
-	cfg := chaosConfig(t, "seed=1,drop=0@2")
-	cfg.Watchdog = 1500 * time.Millisecond
-	s := New(cfg)
+	s := New(chaosConfig(t, "seed=1,drop=0@2"))
+	s.watchdog = 1500 * time.Millisecond
 	defer s.Shutdown(context.Background())
 	a := matgen.Grid2D(16, 16)
 	key, _, _ := s.Submit(a)
@@ -153,10 +152,12 @@ func TestDropFaultTripsWatchdogAndRecovers(t *testing.T) {
 func TestBreakerOpensAndProbes(t *testing.T) {
 	cfg := chaosConfig(t, "")
 	cfg.Workers = 1
-	cfg.BreakerFailures = 2
-	cfg.BreakerCooldown = 200 * time.Millisecond
 	s := New(cfg)
 	defer s.Shutdown(context.Background())
+	const cooldown = 200 * time.Millisecond
+	s.mu.Lock()
+	s.breaker.threshold, s.breaker.cooldown = 2, cooldown
+	s.mu.Unlock()
 
 	g := matgen.Grid2D(8, 8)
 	bad := g.Clone()
@@ -187,7 +188,7 @@ func TestBreakerOpensAndProbes(t *testing.T) {
 	}
 
 	// After the cooldown one probe is admitted (and fails again).
-	time.Sleep(cfg.BreakerCooldown + 50*time.Millisecond)
+	time.Sleep(cooldown + 50*time.Millisecond)
 	if _, err := s.Solve(context.Background(), key, b, SolveOptions{}); errors.Is(err, ErrBreakerOpen) {
 		t.Fatalf("post-cooldown probe was rejected: %v", err)
 	}
@@ -216,7 +217,7 @@ func TestBreakerOpensAndProbes(t *testing.T) {
 // hand the probe back, so the next request probes and a healthy key's
 // circuit closes, instead of bouncing every later request until restart.
 func TestCanceledProbeHandsTheProbeBack(t *testing.T) {
-	s := New(Config{Procs: 2, Workers: 1, BreakerFailures: 2, BreakerCooldown: time.Hour})
+	s := New(Config{Procs: 2, Workers: 1})
 	defer s.Shutdown(context.Background())
 	a := matgen.Grid2D(8, 8)
 	key, _, err := s.Submit(a)
@@ -225,6 +226,7 @@ func TestCanceledProbeHandsTheProbeBack(t *testing.T) {
 	}
 	later := time.Now().Add(2 * time.Hour)
 	s.mu.Lock()
+	s.breaker.threshold, s.breaker.cooldown = 2, time.Hour
 	s.breaker.failure(key)
 	s.breaker.failure(key)
 	s.breaker.now = func() time.Time { return later }

@@ -157,7 +157,7 @@ type cluster struct {
 	joins, leaves, rejected                        atomic.Int64
 }
 
-func newCluster(cfg *ClusterConfig, brkFailures int, brkCooldown time.Duration) *cluster {
+func newCluster(cfg *ClusterConfig) *cluster {
 	return &cluster{
 		self:          cfg.Self,
 		ms:            newMembership(cfg.Self, cfg.Peers),
@@ -166,7 +166,7 @@ func newCluster(cfg *ClusterConfig, brkFailures int, brkCooldown time.Duration) 
 		token:         cfg.Token,
 		replicas:      cfg.Replicas,
 		probeInterval: cfg.ProbeInterval,
-		brk:           newBreaker(brkFailures, brkCooldown),
+		brk:           newBreaker(),
 		claimed:       make(map[string]bool),
 		pending:       make(map[string]bool),
 		rng:           rand.New(rand.NewSource(1)),
@@ -317,14 +317,8 @@ func partDigest(part []int) [sha256.Size]byte {
 	return sha256.Sum256(buf)
 }
 
-var (
-	// errNotExportable marks entries whose pieces are not ProcPrecond rows
-	// (the block-Jacobi containment floor): those are cheap to rebuild and
-	// not worth a wire format.
-	errNotExportable = errors.New("service: factorization entry is not exportable")
-	// errNotMember refuses a cluster operation on a standalone daemon.
-	errNotMember = errors.New("service: this daemon is not a cluster member")
-)
+// errNotMember refuses a cluster operation on a standalone daemon.
+var errNotMember = errors.New("service: this daemon is not a cluster member")
 
 // encodeEntry is the one place a cache entry becomes wire bytes, for a
 // fetching peer (ExportFactor) and for a replica push alike.
@@ -344,11 +338,7 @@ func encodeEntry(ent *entry, cfg Config) ([]byte, error) {
 		PartDigest:    partDigest(ent.lay.PartOf),
 	}
 	for q, pc := range ent.pcs {
-		pp, ok := pc.(*core.ProcPrecond)
-		if !ok {
-			return nil, fmt.Errorf("%w: processor %d holds a %T piece", errNotExportable, q, pc)
-		}
-		wf.Pieces[q] = pp.Wire()
+		wf.Pieces[q] = pc.Wire()
 	}
 	data, err := encodeFactor(wf)
 	if err != nil {
@@ -441,15 +431,12 @@ func (s *Server) importFactor(key string, data []byte) (ent *entry, err error) {
 	}
 	ent.levels, ent.factorSeconds = wf.Levels, wf.FactorSeconds
 	ent.degraded, ent.ladderStep = wf.Degraded, wf.LadderStep
-	pcs := make([]*core.ProcPrecond, len(wf.Pieces))
 	for q := range wf.Pieces {
-		pp, perr := core.FromWire(plan, wf.Pieces[q])
-		if perr != nil {
-			return nil, perr
+		if ent.pcs[q], err = core.FromWire(plan, wf.Pieces[q]); err != nil {
+			return nil, err
 		}
-		pcs[q], ent.pcs[q] = pp, pp
 	}
-	if err := core.CheckExchange(pcs); err != nil {
+	if err := core.CheckExchange(ent.pcs); err != nil {
 		return nil, err
 	}
 	if setup != nil {

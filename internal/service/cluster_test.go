@@ -64,7 +64,7 @@ func TestClusterConfigValidation(t *testing.T) {
 func TestClusterOwnerDeterministic(t *testing.T) {
 	peers := []string{"http://a:1", "http://b:1", "http://c:1"}
 	mk := func(order []string) *cluster {
-		return newCluster(&ClusterConfig{Self: order[0], Peers: order, OpTimeout: time.Second}, 3, time.Second)
+		return newCluster(&ClusterConfig{Self: order[0], Peers: order, OpTimeout: time.Second})
 	}
 	c1 := mk(peers)
 	c2 := mk([]string{peers[2], peers[0], peers[1]})
@@ -207,14 +207,79 @@ func TestClusterPeerFetch(t *testing.T) {
 	}
 }
 
+// TestDegradedEntryCrossesDaemons: a factorization the recovery ladder
+// landed on its block-Jacobi rung is an entry like any other. Only the
+// owner runs under a pivot fault, so only its build degrades; its push
+// reaches the replica successor, and the third daemon's solve imports the
+// owner's factor instead of factoring the matrix itself — no local build,
+// no ladder retry — and answers degraded, bitwise equal to the owner.
+func TestDegradedEntryCrossesDaemons(t *testing.T) {
+	srvs, _ := clusterTrio(t)
+	a := matgen.Grid2D(16, 16)
+	key := sparse.Fingerprint(a)
+	ranked := srvs[0].cluster.ranked(key)
+	byURL := map[string]*Server{}
+	for _, srv := range srvs {
+		byURL[srv.cluster.self] = srv
+	}
+	owner, successor, third := byURL[ranked[0]], byURL[ranked[1]], byURL[ranked[2]]
+	spec, err := fault.Parse("seed=3,pivot=1e-320")
+	if err != nil {
+		t.Fatal(err)
+	}
+	owner.cfg.Faults = spec // before the owner's first request
+
+	b := rhs(a.N, 1)
+	if _, _, err := owner.Submit(a); err != nil {
+		t.Fatal(err)
+	}
+	want, err := owner.Solve(context.Background(), key, b, SolveOptions{Tol: 1e-8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !want.Converged || !want.Degraded || want.LadderStep != "blockjacobi" {
+		t.Fatalf("owner: converged=%v degraded=%v step=%q, want a converged blockjacobi solve", want.Converged, want.Degraded, want.LadderStep)
+	}
+	// Each of the others answers from the owner's factor: the third
+	// daemon fetches it, the successor holds it as a replica.
+	sameAnswer := func(name string, srv *Server) {
+		if _, _, err := srv.Submit(a); err != nil {
+			t.Fatal(err)
+		}
+		got, err := srv.Solve(context.Background(), key, b, SolveOptions{Tol: 1e-8})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !got.Degraded || got.LadderStep != "blockjacobi" || !bitsEqual(want.X, got.X) {
+			t.Errorf("%s: degraded=%v step=%q, bitwise equal %v; want the owner's blockjacobi answer", name, got.Degraded, got.LadderStep, bitsEqual(want.X, got.X))
+		}
+		if st := srv.StatsSnapshot(); st.Cache.Factorizations != 0 || st.Solves.LadderRetries != 0 {
+			t.Errorf("%s factored locally: factorizations=%d ladder retries=%d", name, st.Cache.Factorizations, st.Solves.LadderRetries)
+		}
+	}
+	sameAnswer("third", third)
+	if hits := third.cluster.snapshot().PeerFetchHits; hits != 1 {
+		t.Errorf("third daemon fetch hits = %d, want 1", hits)
+	}
+	waitFor(t, "the owner's replica push", func() bool {
+		return owner.cluster.snapshot().ReplicasPushed == 1 && successor.cluster.snapshot().ReplicaImports == 1
+	})
+	sameAnswer("successor", successor)
+}
+
 // TestClusterPeerDeathFallsBack: killing the owner must not fail a
 // request the surviving daemon can answer alone — the fetch fails, the
 // breaker opens after enough failures, and the solve is built locally.
 func TestClusterPeerDeathFallsBack(t *testing.T) {
-	cfg := Config{Procs: 2, Workers: 1, Backend: "real", BreakerFailures: 2, BreakerCooldown: time.Hour}
 	member := staticMember
 	member.OpTimeout = 2 * time.Second
-	s, tss := startCluster(t, 2, cfg, member, nil)
+	s, tss := startCluster(t, 2, Config{Procs: 2, Workers: 1, Backend: "real"}, member, nil)
+	const failures = 2
+	for _, srv := range s {
+		srv.cluster.mu.Lock()
+		srv.cluster.brk.threshold, srv.cluster.brk.cooldown = failures, time.Hour
+		srv.cluster.mu.Unlock()
+	}
 
 	a := matgen.Grid2D(12, 12)
 	key := sparse.Fingerprint(a)
@@ -246,11 +311,11 @@ func TestClusterPeerDeathFallsBack(t *testing.T) {
 	}
 	// Drive the breaker open with repeated failures, then confirm fetch
 	// attempts stop being spent on the dead peer.
-	for i := 0; i < cfg.BreakerFailures; i++ {
+	for i := 0; i < failures; i++ {
 		survivor.cluster.peerDown(ownerURL)
 	}
 	if !survivor.cluster.breakerOpen(ownerURL) {
-		t.Fatalf("breaker still closed after %d consecutive failures", cfg.BreakerFailures)
+		t.Fatalf("breaker still closed after %d consecutive failures", failures)
 	}
 	before := survivor.cluster.snapshot().PeerFetches
 	if ent, ok := survivor.peerFetch(key); ok || ent != nil {
@@ -304,15 +369,15 @@ func TestClusterHealthAggregation(t *testing.T) {
 	}
 }
 
-// TestExportUnknownAndUnexportable pins the 404 contract of the peer
-// endpoint: unknown keys and block-Jacobi entries both surface as
-// errors the HTTP layer maps to 404, and the fetcher treats 404 as a
-// clean miss (local build), not a peer failure.
-func TestExportUnknownAndUnexportable(t *testing.T) {
+// TestExportUnknownKey pins the 404 contract of the peer endpoint: an
+// unknown key surfaces as an error the HTTP layer maps to 404, which the
+// fetcher treats as a clean miss (local build), not a peer failure.
+func TestExportUnknownKey(t *testing.T) {
 	srv := New(Config{Procs: 2, Workers: 1, Backend: "real"})
 	defer srv.Shutdown(context.Background())
-	if _, err := srv.ExportFactor("sha256:nope"); err == nil {
-		t.Fatal("exporting an unknown key succeeded")
+	_, err := srv.ExportFactor("sha256:nope")
+	if !errors.Is(err, ErrUnknownMatrix) || statusOf(err, http.StatusUnprocessableEntity) != http.StatusNotFound {
+		t.Fatalf("exporting an unknown key: %v, want ErrUnknownMatrix answered 404", err)
 	}
 }
 

@@ -13,12 +13,13 @@ import (
 
 // The recovery ladder, climbed one rung per *core.BreakdownError. The
 // empty rung is the configured factorization; each later rung trades
-// preconditioner quality for robustness, ending at block-Jacobi — a
-// zero-communication factorization of diagonally shifted local blocks
-// whose pivot floor cannot cascade, the containment floor that always
-// produces *some* usable preconditioner. Any failure that is not a
-// breakdown (a panicked processor, a watchdog deadlock) aborts the climb
-// immediately: retrying cannot help and the caller needs the real error.
+// preconditioner quality for robustness, ending at block-Jacobi — phase
+// 1 alone on the block-diagonal part of the matrix (core.BlockJacobi),
+// whose pivot floor repairs locally and cannot cascade, the containment
+// floor that always produces *some* usable preconditioner. Any failure
+// that is not a breakdown (a panicked processor, a watchdog deadlock)
+// aborts the climb immediately: retrying cannot help and the caller
+// needs the real error.
 var ladderRungs = []string{"", "shift", "relaxed", "blockjacobi"}
 
 // analysis is what the symbolic front end hands every route to a cache
@@ -81,18 +82,24 @@ func (s *Server) publish(an *analysis, mats []*dist.Matrix, built bool) {
 	}
 }
 
-// rungPlan returns the plan a ladder rung's pieces are laid out under.
-// Only "shift" differs from the analysis: the shift may create diagonal
-// entries the pattern lacks, so that rung plans the shifted matrix from
-// scratch (same layout) and cannot reuse the symbolic analysis.
-func rungPlan(key string, an *analysis, step string) (*core.Plan, error) {
-	if step != "shift" {
+// rungPlan returns the plan a ladder rung's pieces are laid out under:
+// the analysis's, except on the two rungs that change the matrix the
+// preconditioner is factored from. "shift" may create diagonal entries
+// the pattern lacks and "blockjacobi" drops every coupling between
+// processors, so both plan their matrix from scratch under the
+// analysis's layout and cannot reuse its symbolic half.
+func rungPlan(key string, an *analysis, step string) (plan *core.Plan, err error) {
+	switch step {
+	case "shift":
+		a := an.plan.A
+		plan, err = core.NewPlan(shiftDiagonal(a, shiftAlpha(a)), an.plan.Lay)
+	case "blockjacobi":
+		plan, err = core.BlockJacobi(an.plan)
+	default:
 		return an.plan, nil
 	}
-	a := an.plan.A
-	plan, err := core.NewPlan(shiftDiagonal(a, shiftAlpha(a)), an.plan.Lay)
 	if err != nil {
-		return nil, fmt.Errorf("service: shifted elimination plan for %s: %w", key, err)
+		return nil, fmt.Errorf("service: %s elimination plan for %s: %w", step, key, err)
 	}
 	return plan, nil
 }
@@ -110,7 +117,7 @@ func newEntry(key string, an *analysis) (ent *entry, setup func(pcomm.Comm), err
 		key:         key,
 		a:           a,
 		lay:         lay,
-		pcs:         make([]precPiece, lay.P),
+		pcs:         make([]*core.ProcPrecond, lay.P),
 		mats:        make([]*dist.Matrix, lay.P),
 		symbolicHit: an.mats != nil,
 	}
@@ -168,8 +175,7 @@ func (s *Server) buildEntry(key string, a *sparse.CSR) (ent *entry, err error) {
 const maxRepairRate = 0.25
 
 // buildRung runs one ladder rung: the preconditioner is factored from
-// the rung's (possibly shifted) plan in the same run that sets up the
-// operators.
+// the rung's plan in the same run that sets up the operators.
 func (s *Server) buildRung(key string, an *analysis, step string) (*entry, error) {
 	cfg := s.cfg
 	params := cfg.Params
@@ -186,7 +192,7 @@ func (s *Server) buildRung(key string, an *analysis, step string) (*entry, error
 	case "blockjacobi":
 		// The containment floor must terminate even under a persistent
 		// injected pivot fault: the fault targets the distributed
-		// pivot-row pipeline, so the local-block fallback runs
+		// pivot-row pipeline, so the block-diagonal fallback runs
 		// unperturbed and without the breakdown check (its pivot floor
 		// repairs locally and cannot cascade across processors).
 		params.PivotPerturb = 0
@@ -202,23 +208,13 @@ func (s *Server) buildRung(key string, an *analysis, step string) (*entry, error
 	}
 	ent.degraded, ent.ladderStep = step != "", step
 
-	bjErrs := make([]error, cfg.Procs)
 	res, runErr := s.run("factor", key, func(proc pcomm.Comm) {
-		if step == "blockjacobi" {
-			bj, err := core.FactorBlockJacobi(proc, plan, params)
-			if err != nil {
-				bjErrs[proc.ID()] = err
-				return
-			}
-			ent.pcs[proc.ID()] = bj
-		} else {
-			ent.pcs[proc.ID()] = core.Refactor(proc, plan, core.Options{
-				Params:        params,
-				MISRounds:     cfg.MISRounds,
-				Seed:          cfg.Seed,
-				MaxRepairRate: maxRepair,
-			})
-		}
+		ent.pcs[proc.ID()] = core.Refactor(proc, plan, core.Options{
+			Params:        params,
+			MISRounds:     cfg.MISRounds,
+			Seed:          cfg.Seed,
+			MaxRepairRate: maxRepair,
+		})
 		if setup != nil {
 			setup(proc)
 		}
@@ -226,15 +222,8 @@ func (s *Server) buildRung(key string, an *analysis, step string) (*entry, error
 	if runErr != nil {
 		return nil, fmt.Errorf("service: factorization of %s failed: %w", key, runErr)
 	}
-	for _, err := range bjErrs {
-		if err != nil {
-			return nil, fmt.Errorf("service: factorization of %s failed: %w", key, err)
-		}
-	}
 	ent.factorSeconds = res.Elapsed
-	if pp, ok := ent.pcs[0].(*core.ProcPrecond); ok {
-		ent.levels = pp.NumLevels()
-	}
+	ent.levels = ent.pcs[0].NumLevels()
 	return ent, nil
 }
 

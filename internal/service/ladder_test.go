@@ -9,9 +9,9 @@ import (
 	"repro/internal/sparse"
 )
 
-// TestLadderRungsPassCheckExchange: the recovery-ladder rungs that yield
-// core.ProcPrecond pieces — the shifted plan and the relaxed parameters —
-// produce pieces that fit together as the solves' exchange plan needs
+// TestLadderRungsPassCheckExchange: every recovery-ladder rung — the
+// shifted plan, the relaxed parameters and the block-diagonal plan —
+// produces pieces that fit together as the solves' exchange plan needs
 // them to, on the zoo at p ∈ {1, 2, 4, 8}: what an importer would check
 // of them holds of them where they are built.
 func TestLadderRungsPassCheckExchange(t *testing.T) {
@@ -24,21 +24,13 @@ func TestLadderRungsPassCheckExchange(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, step := range []string{"shift", "relaxed"} {
+			for _, step := range ladderRungs[1:] {
 				t.Run(fmt.Sprintf("%s/p%d/%s", name, p, step), func(t *testing.T) {
 					ent, err := srv.buildRung(key, an, step)
 					if err != nil {
 						t.Fatal(err)
 					}
-					pcs := make([]*core.ProcPrecond, p)
-					for q, pc := range ent.pcs {
-						pp, ok := pc.(*core.ProcPrecond)
-						if !ok {
-							t.Fatalf("processor %d holds a %T piece", q, pc)
-						}
-						pcs[q] = pp
-					}
-					if err := core.CheckExchange(pcs); err != nil {
+					if err := core.CheckExchange(ent.pcs); err != nil {
 						t.Errorf("CheckExchange rejects the rung's pieces: %v", err)
 					}
 				})

@@ -223,7 +223,7 @@ func TestHRWMinimalDisruption(t *testing.T) {
 				peers[i] = fmt.Sprintf("http://node-%d:8417", i)
 			}
 			mk := func(list []string) *cluster {
-				return newCluster(&ClusterConfig{Self: list[0], Peers: list, OpTimeout: time.Second}, 3, time.Second)
+				return newCluster(&ClusterConfig{Self: list[0], Peers: list, OpTimeout: time.Second})
 			}
 			full := mk(peers)
 			before := make(map[string]string, keys)
@@ -302,7 +302,7 @@ func retryCluster(ts *httptest.Server) *cluster {
 		Self:      "http://self.invalid",
 		Peers:     []string{"http://self.invalid", ts.URL},
 		OpTimeout: 5 * time.Second,
-	}, 3, time.Minute)
+	})
 }
 
 func TestGetFactorRetryOnceOnTransient(t *testing.T) {

@@ -156,20 +156,16 @@ func (s *Server) peerFetch(key string) (*entry, bool) {
 // pushReplicas sends ent to the current HRW successors of its key when
 // this daemon owns it and replication is on. Only the owner pushes, so R
 // successors hold the bytes and the death of the owner promotes one of
-// them for free. Block-Jacobi entries are not exportable and are skipped
-// — they are the cheap rung. A push that does not fully land (breaker
-// open, transport failure, peer rejection) marks the key pending so the
-// probe loop retries it — a stable view must not strand a factor without
-// its redundancy.
+// them for free. A push that does not fully land (breaker open,
+// transport failure, peer rejection) marks the key pending so the probe
+// loop retries it — a stable view must not strand a factor without its
+// redundancy.
 func (s *Server) pushReplicas(ent *entry) {
 	cl := s.cluster
 	if cl.replicas <= 0 || cl.owner(ent.key) != cl.self {
 		return
 	}
 	body, err := encodeEntry(ent, s.cfg)
-	if errors.Is(err, errNotExportable) {
-		return // nothing to protect
-	}
 	if err != nil {
 		cl.replicaPushFailures.Add(1)
 		return

@@ -84,8 +84,8 @@ func (e *peerStatusError) Error() string {
 }
 
 // errPeerMiss reports the owner answered cleanly but had nothing to
-// serve (unknown matrix or an unexportable block-Jacobi entry): the
-// peer is healthy, the fetcher just builds locally.
+// serve (an unknown matrix): the peer is healthy, the fetcher just
+// builds locally.
 var errPeerMiss = errors.New("service: peer does not have the factorization")
 
 // memberRequest is the body of a join or a leave.
@@ -270,7 +270,7 @@ func writeAnswer(w http.ResponseWriter, raw string, status int, v any) error {
 // malformed request and 422 for one the service could not carry out.
 func statusOf(err error, fallback int) int {
 	switch {
-	case errors.Is(err, ErrUnknownMatrix), errors.Is(err, errNotExportable):
+	case errors.Is(err, ErrUnknownMatrix):
 		return http.StatusNotFound
 	case errors.Is(err, ErrOverloaded):
 		return http.StatusTooManyRequests
@@ -431,8 +431,7 @@ func (s *Server) serveHealth(r *http.Request) (int, any) {
 }
 
 // serveFactor exports a factorization to a fetching peer: 404 is the
-// clean miss (unknown key, or a block-Jacobi entry with no wire form),
-// 422 a build that failed.
+// clean miss (an unknown key), 422 a build that failed.
 func (s *Server) serveFactor(r *http.Request) (int, any) {
 	data, err := s.ExportFactor(r.PathValue("key"))
 	if err != nil {

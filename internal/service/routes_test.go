@@ -378,7 +378,6 @@ func TestSolveStatusMapping(t *testing.T) {
 		{&BreakerOpenError{Key: "k", RetryAfter: 5 * time.Second}, http.StatusServiceUnavailable},
 		{ErrClosed, http.StatusServiceUnavailable},
 		{ErrUnknownMatrix, http.StatusNotFound},
-		{fmt.Errorf("%w: %q", errNotExportable, "k"), http.StatusNotFound},
 		{fmt.Errorf("%w: deadline", krylov.ErrCanceled), http.StatusGatewayTimeout},
 		{errors.New("no service error: the route's fallback"), http.StatusUnprocessableEntity},
 	}

@@ -124,14 +124,6 @@ type Config struct {
 	// MaxQueue bounds the accepted-but-not-yet-running solve requests;
 	// beyond it Solve sheds load with an *OverloadedError. Default 1024.
 	MaxQueue int
-	// Watchdog is the per-run deadlock timeout of every factorization
-	// and solve run. Default 2 minutes.
-	Watchdog time.Duration
-	// BreakerFailures is the consecutive-failure count that opens a
-	// matrix key's circuit breaker; BreakerCooldown is how long it stays
-	// open before one probe request is admitted. Defaults 3 and 30s.
-	BreakerFailures int
-	BreakerCooldown time.Duration
 	// Cluster, when non-nil, makes this server one member of a static
 	// pilutd cluster: matrix fingerprints are routed across the peer
 	// list by rendezvous hashing, cache misses for keys another daemon
@@ -155,7 +147,7 @@ func (s *Server) run(kind, key string, f func(pcomm.Comm)) (pcomm.Result, error)
 		panic(err)
 	}
 	m := s.cfg.Faults.World(w)
-	m.SetWatchdog(s.cfg.Watchdog)
+	m.SetWatchdog(s.watchdog)
 	var rec *trace.Recorder
 	if s.cfg.TraceDir != "" {
 		rec = trace.NewRecorder(s.cfg.Procs)
@@ -187,17 +179,12 @@ func (c Config) withDefaults() Config {
 	if c.MaxQueue <= 0 {
 		c.MaxQueue = 1024
 	}
-	if c.Watchdog <= 0 {
-		c.Watchdog = 2 * time.Minute
-	}
-	if c.BreakerFailures <= 0 {
-		c.BreakerFailures = 3
-	}
-	if c.BreakerCooldown <= 0 {
-		c.BreakerCooldown = 30 * time.Second
-	}
 	return c
 }
+
+// runWatchdog is the deadlock timeout of every factorization and solve
+// run (Server.watchdog, which tests shorten).
+const runWatchdog = 2 * time.Minute
 
 // maxRestart bounds SolveOptions.Restart. GMRES(m) allocates an
 // (m+1)·m Hessenberg matrix and m+1 basis vectors on every rank, so a
@@ -276,8 +263,9 @@ type request struct {
 // Server is the solver service. Create one with New, stop it with
 // Shutdown.
 type Server struct {
-	cfg   Config
-	stats *statsCollector
+	cfg      Config
+	watchdog time.Duration // runWatchdog; a test may shorten it before its first request
+	stats    *statsCollector
 
 	mu        sync.Mutex
 	cond      *sync.Cond
@@ -334,12 +322,13 @@ func New(cfg Config) *Server {
 		matrices:  newLRU[*sparse.CSR](matrixBudget),
 		cache:     newLRU[*entry](cfg.CacheBytes),
 		symbolic:  newLRU[*symEntry](symbolicBudget),
-		breaker:   newBreaker(cfg.BreakerFailures, cfg.BreakerCooldown),
+		breaker:   newBreaker(),
+		watchdog:  runWatchdog,
 		pending:   make(map[string][]*request),
 		scheduled: make(map[string]bool),
 	}
 	if clusterCfg != nil {
-		s.cluster = newCluster(clusterCfg, cfg.BreakerFailures, cfg.BreakerCooldown)
+		s.cluster = newCluster(clusterCfg)
 		if s.cluster.probeInterval > 0 {
 			s.probeStop = make(chan struct{})
 			s.probeWG.Add(1)
@@ -541,13 +530,9 @@ func (s *Server) Health() Health {
 func (s *Server) StatsSnapshot() Stats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	depth := 0
-	for _, q := range s.pending {
-		depth += len(q)
-	}
 	st := Stats{
 		Matrices:   len(s.matrices.items),
-		QueueDepth: depth,
+		QueueDepth: s.queued,
 		Running:    s.running,
 		Cache: CacheStats{
 			Entries:           len(s.cache.items),

@@ -110,7 +110,7 @@ func TestFactorBodyRoundTrip(t *testing.T) {
 					t.Fatalf("%d pieces for %d processors", len(wf.Pieces), p)
 				}
 				for q, pc := range ent.pcs {
-					if want := pc.(*core.ProcPrecond).Wire(); !reflect.DeepEqual(wf.Pieces[q], want) {
+					if want := pc.Wire(); !reflect.DeepEqual(wf.Pieces[q], want) {
 						t.Errorf("piece %d does not round-trip", q)
 					}
 				}
