@@ -41,7 +41,11 @@ fmt-check:
 # bench/ and testdata/: factors and matrices cross between daemons as the
 # flat body of internal/service/wire.go, and netcomm's frames carry typed
 # slices and fixed-width scalars only. It matches import lines, so the
-# analyzers' tables of package names do not trip it.
+# analyzers' tables of package names do not trip it. So does an
+# encoding/binary import outside internal/codec and the two hashers
+# (internal/sparse/fingerprint.go, the partition digest in
+# internal/service/cluster.go): every byte that crosses a process is
+# written and read by the one codec, so no second one can grow.
 # And so does a route literal — a string opening with /v1/, /healthz or
 # /metrics, bare or after "GET " or "POST " — in a non-test Go file
 # outside internal/service: the daemon's one route table, its handlers
@@ -69,6 +73,9 @@ loc:
 		echo "boxed Send/Recv in a numeric package: send raw slices (pcomm.SendSlice, pcomm.Post)"; exit 1; fi
 	@if grep -n -E '^[[:space:]]*(import[[:space:]]+)?([A-Za-z_.]+[[:space:]]+)?"encoding/gob"' $(GO_SRC); then \
 		echo "encoding/gob imported outside bench/: use the flat codecs (internal/service/wire.go, netcomm's frames)"; exit 1; fi
+	@if grep -n -E '^[[:space:]]*(import[[:space:]]+)?([A-Za-z_.]+[[:space:]]+)?"encoding/binary"' $(GO_SRC) | \
+		grep -v -E '^\./(internal/codec/|internal/sparse/fingerprint\.go:|internal/service/cluster\.go:)'; then \
+		echo "encoding/binary imported outside internal/codec and the two hashers: write what crosses a process with internal/codec"; exit 1; fi
 	@if grep -n -E '"((GET|POST) )?/(v1/|healthz|metrics)' $(GO_SRC) | grep -v '^\./internal/service/'; then \
 		echo "route literal outside internal/service: serve it from the route table (Server.Routes), call it through cluster.call"; exit 1; fi
 	@n=$$(grep -rn --include='*.go' 'pilutlint:ok hotalloc' . | wc -l); \

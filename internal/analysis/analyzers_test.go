@@ -50,14 +50,14 @@ func TestErrDrop(t *testing.T) {
 }
 
 // TestErrDropNetcomm covers the stricter boundary applied inside the
-// netcomm transport: stdlib net/io/bufio/gob/exec errors and the
+// netcomm transport: stdlib net/io/bufio/exec errors, the codec's and the
 // package's own helpers must be handled, with Close excepted.
 func TestErrDropNetcomm(t *testing.T) {
 	analysistest.Run(t, analysis.ErrDrop, testdata(t, "netcomm"))
 }
 
 // TestErrDropCluster covers the per-file cluster boundary: inside
-// membership.go and replication.go, stdlib net/http/io/gob/json errors
+// membership.go and replication.go, stdlib net/http/io/json errors
 // must be handled (Close excepted), while a sibling file in the same
 // package dropping the same errors stays clean.
 func TestErrDropCluster(t *testing.T) {

@@ -8,8 +8,8 @@ import (
 )
 
 // ErrDrop flags discarded errors on the comm and service boundaries: a
-// call into the messaging layer (pcomm, its engine and backends, fault)
-// or the service package whose error result is dropped — the call used
+// call into the messaging layer (pcomm, its engine and backends, fault),
+// the service package or the wire codec whose error result is dropped — the call used
 // as a statement, deferred, or the error assigned to the blank
 // identifier. The error on these boundaries is almost always a
 // *pcomm.RunError carrying the failing rank, root cause, stack and
@@ -27,10 +27,15 @@ var ErrDrop = &Analyzer{
 // ServicePath is the import path of the solver-service package.
 const ServicePath = "repro/internal/service"
 
+// CodecPath is the import path of the wire codec: a dropped Encode or
+// End error is a body sent truncated or a malformed one accepted.
+const CodecPath = "repro/internal/codec"
+
 // errBoundaryPkg reports whether path is a package whose returned errors
-// must not be dropped: the messaging layer plus the service supervisor.
+// must not be dropped: the messaging layer, the service supervisor and
+// the wire codec.
 func errBoundaryPkg(path string) bool {
-	return exemptPkg(path) || path == ServicePath
+	return exemptPkg(path) || path == ServicePath || path == CodecPath
 }
 
 // netBoundaryPkg is the boundary set applied *inside* the netcomm
@@ -42,7 +47,7 @@ func errBoundaryPkg(path string) bool {
 // names the broken link.
 func netBoundaryPkg(path string) bool {
 	switch path {
-	case "net", "io", "bufio", "encoding/gob", "os/exec":
+	case "net", "io", "bufio", "os/exec":
 		return true
 	}
 	return strings.HasSuffix(path, "/netcomm") || errBoundaryPkg(path)
@@ -57,7 +62,7 @@ func netBoundaryPkg(path string) bool {
 // the dynamic-membership layer and the daemon's edge exist to surface.
 func clusterBoundaryPkg(path string) bool {
 	switch path {
-	case "net", "net/http", "io", "bufio", "encoding/gob", "encoding/json":
+	case "net", "net/http", "io", "bufio", "encoding/json":
 		return true
 	}
 	return errBoundaryPkg(path)

@@ -2,15 +2,14 @@
 // boundary: inside membership.go, replication.go and routes.go of the service
 // package (or a package named clusterdrop, like this golden one),
 // dropped errors from the stdlib layers the gossip view exchange and
-// replica pushes are built on (net, net/http, io, bufio, encoding/gob,
-// encoding/json) fail lint — a dropped probe or push error is a silently
+// replica pushes are built on (net, net/http, io, bufio, encoding/json)
+// fail lint — a dropped probe or push error is a silently
 // lost liveness verdict or a factor stranded without its redundancy.
 // Close is excepted: teardown paths drop Close errors deliberately.
 package clusterdrop
 
 import (
 	"bytes"
-	"encoding/gob"
 	"encoding/json"
 	"io"
 	"net/http"
@@ -31,8 +30,6 @@ func badProbe(c *http.Client, url string) {
 
 func badPush(w io.Writer, v view) {
 	var buf bytes.Buffer
-	gob.NewEncoder(&buf).Encode(v) // want `error result of gob.Encoder.Encode discarded .call used as a statement.`
-
 	json.NewEncoder(w).Encode(v) // want `error result of json.Encoder.Encode discarded .call used as a statement.`
 
 	go io.Copy(io.Discard, &buf) // want `error result of io.Copy discarded .go statement.`

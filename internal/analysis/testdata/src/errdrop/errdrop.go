@@ -1,9 +1,12 @@
 // Package errdrop exercises the errdrop analyzer: errors returned
 // across the comm/service boundary (pcomm.Guard above all) carry the
-// failure diagnosis and must not be dropped.
+// failure diagnosis and must not be dropped, and neither may the wire
+// codec's: a dropped Encode error sends a body truncated, a dropped End
+// error accepts a malformed one.
 package errdrop
 
 import (
+	"repro/internal/codec"
 	"repro/internal/pcomm"
 )
 
@@ -29,4 +32,24 @@ func good(w pcomm.World, f func(pcomm.Comm)) error {
 
 func waived(w pcomm.World, f func(pcomm.Comm)) {
 	_, _ = pcomm.Guard(w, f) //pilutlint:ok errdrop best-effort warmup, failure is retried cold
+}
+
+func badCodec(body []byte) {
+	codec.Encode(func(w *codec.Writer) { w.Bytes(body) }) // want `error result of codec.Encode discarded .call used as a statement.`
+
+	out, _ := codec.Encode(func(w *codec.Writer) { w.Bytes(body) }) // want `error result of codec.Encode assigned to _`
+	_ = out
+
+	r := codec.NewReader("errdrop: body", body)
+	_ = r.Str()
+	r.End() // want `error result of codec.Reader.End discarded .call used as a statement.`
+}
+
+func goodCodec(body []byte) ([]byte, error) {
+	r := codec.NewReader("errdrop: body", body)
+	s := r.Str()
+	if err := r.End(); err != nil {
+		return nil, err
+	}
+	return codec.Encode(func(w *codec.Writer) { w.Str(s) })
 }

@@ -1,17 +1,17 @@
 // Package netcomm exercises the errdrop analyzer's stricter in-transport
 // boundary: inside a package whose import path ends in /netcomm, dropped
-// errors from the stdlib layers the transport is built on (net, io,
-// bufio, encoding/gob, os/exec) and from the package's own helpers fail
+// errors from the layers the transport is built on (net, io, bufio,
+// os/exec, the wire codec) and from the package's own helpers fail
 // lint — a dropped dial/accept/frame error is a rank that blocks forever
 // instead of a *RunError naming the broken link. Close is excepted:
 // teardown paths drop Close errors deliberately.
 package netcomm
 
 import (
-	"bytes"
-	"encoding/gob"
 	"io"
 	"net"
+
+	"repro/internal/codec"
 )
 
 // writeFrame is a module-local transport helper; its dropped errors are
@@ -33,8 +33,7 @@ func badFrame(w io.Writer, body []byte) {
 
 	writeFrame(w, body) // want `error result of netcomm.writeFrame discarded .call used as a statement.`
 
-	var buf bytes.Buffer
-	gob.NewEncoder(&buf).Encode(body) // want `error result of gob.Encoder.Encode discarded .call used as a statement.`
+	codec.Frame(1<<20, func(w *codec.Writer) { w.Bytes(body) }) // want `error result of codec.Frame discarded .call used as a statement.`
 
 	go writeFrame(w, body) // want `error result of netcomm.writeFrame discarded .go statement.`
 }

@@ -239,12 +239,24 @@ func (s *Symbolic) InteriorFraction() float64 {
 // accounting. The layout and the aliased rowPtr/cols are counted too: a
 // cached Symbolic keeps them alive, and they are reused as a unit.
 func (s *Symbolic) SizeBytes() int64 {
-	b := int64(len(s.Interior)) // bools
-	b += 8 * int64(len(s.IntBase)+len(s.NIntLocal)+len(s.NewOfInterior))
-	b += int64(len(s.PatternKey))
-	b += 8 * int64(len(s.rowPtr)+len(s.cols))
+	b := s.classBytes() + 8*int64(len(s.rowPtr)+len(s.cols))
 	if s.Lay != nil {
 		b += s.Lay.SizeBytes()
 	}
 	return b
+}
+
+// classBytes is the footprint of the classification arrays alone.
+func (s *Symbolic) classBytes() int64 {
+	b := int64(len(s.Interior)) // bools
+	b += 8 * int64(len(s.IntBase)+len(s.NIntLocal)+len(s.NewOfInterior))
+	return b + int64(len(s.PatternKey))
+}
+
+// SizeBytes estimates what the plan keeps alive beyond its layout, which
+// every plan of one partition shares: the matrix, the row norms and the
+// classification arrays (the pattern they alias counted once, with the
+// matrix).
+func (p *Plan) SizeBytes() int64 {
+	return p.A.SizeBytes() + 8*int64(len(p.RowTau)) + p.classBytes()
 }

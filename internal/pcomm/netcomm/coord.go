@@ -227,13 +227,13 @@ func (c *coordinator) finishGen(gen uint64, pays []payload) {
 		stats[i] = st
 	}
 	res := pcomm.NewResult(stats)
-	body := encodeDoneFrame(gen, res)
+	frame, ferr := encodeFrame(fDone, doneFrame(gen, res))
 	c.node.handleDone(gen, res)
 	for idx, cc := range c.snapshotConns() {
 		if cc == nil {
 			continue
 		}
-		if err := cc.send(fDone, body); err != nil {
+		if err := cc.send(frame, ferr); err != nil {
 			c.peerLost(idx, fmt.Errorf("netcomm: broadcasting done to process %d: %w", idx, err))
 		}
 	}
@@ -241,13 +241,13 @@ func (c *coordinator) finishGen(gen uint64, pays []payload) {
 
 // broadcastResult delivers one completed round to every process.
 func (c *coordinator) broadcastResult(r roundResult) {
-	body := encodeResultFrame(r)
+	frame, ferr := encodeFrame(fResult, r.put)
 	c.node.handleResult(r)
 	for idx, cc := range c.snapshotConns() {
 		if cc == nil {
 			continue
 		}
-		if err := cc.send(fResult, body); err != nil {
+		if err := cc.send(frame, ferr); err != nil {
 			c.peerLost(idx, fmt.Errorf("netcomm: broadcasting round result to process %d: %w", idx, err))
 		}
 	}
@@ -269,13 +269,13 @@ func (c *coordinator) abortGen(a abortMsg) {
 	gc.aborted = true
 	gc.rounds = make(map[uint64]*roundCollect) // drop buffered deposits
 	c.mu.Unlock()
-	body := encodeAbortFrame(a)
+	frame, ferr := encodeFrame(fAbort, a.put)
 	c.node.handleAbort(a)
 	for _, cc := range c.snapshotConns() {
 		if cc == nil {
 			continue
 		}
-		if err := cc.send(fAbort, body); err != nil {
+		if err := cc.send(frame, ferr); err != nil {
 			// A peer unreachable during an abort broadcast is already dead;
 			// its own read-loop EOF handling raises the group failure.
 			continue

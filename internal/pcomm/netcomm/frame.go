@@ -1,12 +1,12 @@
 package netcomm
 
 import (
-	"encoding/binary"
 	"fmt"
 	"io"
 	"math"
 	"unsafe"
 
+	"repro/internal/codec"
 	"repro/internal/pcomm"
 	"repro/internal/pcomm/engine"
 )
@@ -16,8 +16,8 @@ import (
 // rejected at handshake time with an explanatory ack, never at first
 // data frame.
 const (
-	wireMagic   uint32 = 0x50494C55 // "PILU"
-	wireVersion uint16 = 2
+	wireMagic          = "PILU"
+	wireVersion uint32 = 3
 
 	// maxFrameLen bounds one frame. The length prefix is validated
 	// against it before any allocation, so a corrupt or malicious prefix
@@ -52,48 +52,36 @@ const (
 	pkRaw
 )
 
-// writeFrame writes one length-prefixed frame: a 4-byte big-endian
-// length covering the type byte and body, then both.
-func writeFrame(w io.Writer, typ byte, body []byte) error {
-	n := 1 + len(body)
-	if n > maxFrameLen {
-		return fmt.Errorf("netcomm: frame of %d bytes exceeds the %d-byte limit", n, maxFrameLen)
+// encodeFrame builds one whole frame — the codec's length prefix, the
+// type byte, the body — in one buffer of exactly its size.
+func encodeFrame(typ byte, body func(w *codec.Writer)) ([]byte, error) {
+	return codec.Frame(maxFrameLen, func(w *codec.Writer) {
+		w.U8(typ)
+		body(w)
+	})
+}
+
+// writeFrame encodes one frame and writes it with one Write.
+func writeFrame(c io.Writer, typ byte, body func(w *codec.Writer)) error {
+	frame, err := encodeFrame(typ, body)
+	if err != nil {
+		return fmt.Errorf("netcomm: encoding frame type %d: %w", typ, err)
 	}
-	var hdr [5]byte
-	binary.BigEndian.PutUint32(hdr[:4], uint32(n))
-	hdr[4] = typ
-	if _, err := w.Write(hdr[:]); err != nil {
-		return fmt.Errorf("netcomm: writing frame header: %w", err)
-	}
-	if len(body) > 0 {
-		if _, err := w.Write(body); err != nil {
-			return fmt.Errorf("netcomm: writing frame body: %w", err)
-		}
+	if _, err := c.Write(frame); err != nil {
+		return fmt.Errorf("netcomm: writing frame: %w", err)
 	}
 	return nil
 }
 
-// readFrame reads one frame. The length prefix is validated before the
-// body is allocated; torn reads surface as io.ErrUnexpectedEOF from
-// io.ReadFull.
+// readFrame reads one frame; torn reads surface as io.ErrUnexpectedEOF,
+// a clean end between frames as io.EOF itself.
 func readFrame(r io.Reader) (typ byte, body []byte, err error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+	buf, err := codec.ReadFrame(r, maxFrameLen)
+	if err != nil {
 		return 0, nil, err
 	}
-	n := binary.BigEndian.Uint32(hdr[:])
-	if n == 0 {
+	if len(buf) == 0 {
 		return 0, nil, fmt.Errorf("netcomm: zero-length frame")
-	}
-	if n > maxFrameLen {
-		return 0, nil, fmt.Errorf("netcomm: frame length %d exceeds the %d-byte limit", n, maxFrameLen)
-	}
-	buf := make([]byte, n)
-	if _, err := io.ReadFull(r, buf); err != nil {
-		if err == io.EOF {
-			err = io.ErrUnexpectedEOF
-		}
-		return 0, nil, fmt.Errorf("netcomm: reading %d-byte frame body: %w", n, err)
 	}
 	return buf[0], buf[1:], nil
 }
@@ -107,63 +95,92 @@ type hello struct {
 	c    uint32 // data: world size P
 }
 
-func encodeHello(h hello) []byte {
-	buf := make([]byte, 0, 27)
-	buf = binary.BigEndian.AppendUint32(buf, wireMagic)
-	buf = binary.BigEndian.AppendUint16(buf, wireVersion)
-	buf = append(buf, h.kind)
-	buf = binary.BigEndian.AppendUint64(buf, h.gen)
-	buf = binary.BigEndian.AppendUint32(buf, h.a)
-	buf = binary.BigEndian.AppendUint32(buf, h.b)
-	buf = binary.BigEndian.AppendUint32(buf, h.c)
-	return buf
+func (h hello) put(w *codec.Writer) {
+	w.Header(wireMagic, wireVersion)
+	w.U8(h.kind)
+	w.U64(h.gen)
+	w.U32(h.a)
+	w.U32(h.b)
+	w.U32(h.c)
 }
 
 // decodeHello validates magic and version before touching anything else,
 // so a stranger protocol (or a future netcomm) is told exactly why it
 // was turned away.
 func decodeHello(body []byte) (hello, error) {
-	if len(body) < 27 {
-		return hello{}, fmt.Errorf("netcomm: hello frame is %d bytes, want 27", len(body))
-	}
-	if m := binary.BigEndian.Uint32(body[0:4]); m != wireMagic {
-		return hello{}, fmt.Errorf("netcomm: bad magic %#x (not a netcomm peer?)", m)
-	}
-	if v := binary.BigEndian.Uint16(body[4:6]); v != wireVersion {
-		return hello{}, fmt.Errorf("netcomm: protocol version %d, this process speaks %d", v, wireVersion)
-	}
-	return hello{
-		kind: body[6],
-		gen:  binary.BigEndian.Uint64(body[7:15]),
-		a:    binary.BigEndian.Uint32(body[15:19]),
-		b:    binary.BigEndian.Uint32(body[19:23]),
-		c:    binary.BigEndian.Uint32(body[23:27]),
-	}, nil
+	return codec.Decode("netcomm: hello frame", body, func(r *codec.Reader) hello {
+		r.Header(wireMagic, wireVersion)
+		return hello{kind: r.U8(), gen: r.U64(), a: r.U32(), b: r.U32(), c: r.U32()}
+	})
 }
 
-// encodeAck builds a hello-ack body: a status byte and, on rejection,
-// the reason.
-func encodeAck(err error) []byte {
-	if err == nil {
-		return []byte{0}
+// ack is a hello-ack body: a status byte and, on rejection, the reason.
+func ack(err error) func(w *codec.Writer) {
+	return func(w *codec.Writer) {
+		if err == nil {
+			w.U8(0)
+			w.Str("")
+			return
+		}
+		w.U8(1)
+		w.Str(err.Error())
 	}
-	return append([]byte{1}, err.Error()...)
 }
 
 func decodeAck(body []byte) error {
-	if len(body) == 0 {
-		return fmt.Errorf("netcomm: empty hello ack")
+	var rejected bool
+	reason, err := codec.Decode("netcomm: hello ack", body, func(r *codec.Reader) string {
+		rejected = r.Flag()
+		return r.Str()
+	})
+	if err == nil && rejected {
+		err = fmt.Errorf("netcomm: peer rejected handshake: %s", reason)
 	}
-	if body[0] == 0 {
-		return nil
-	}
-	return fmt.Errorf("netcomm: peer rejected handshake: %s", string(body[1:]))
+	return err
 }
 
-// payload is one encoded Send/collective value.
+// payload is one Send or collective contribution. A received raw
+// payload's data is a view of its frame; a sent one's, of the sender's
+// slice, read only while its frame is encoded.
 type payload struct {
 	kind byte
-	data []byte
+	elem uint32 // pkRaw: bytes per element
+	bits uint64 // pkFloat64, pkInt: the value
+	data []byte // pkRaw: the elements' bytes
+}
+
+// put writes a payload as its kind, element size, byte count and bytes:
+// at least 9 bytes, whatever its kind.
+func (p payload) put(w *codec.Writer) {
+	w.U8(p.kind)
+	w.U32(p.elem)
+	if p.kind == pkFloat64 || p.kind == pkInt {
+		w.Count(8)
+		w.U64(p.bits)
+		return
+	}
+	w.Count(len(p.data))
+	w.Bytes(p.data)
+}
+
+// minPayloadBytes is the fewest bytes an encoded payload takes.
+const minPayloadBytes = 9
+
+func readPayload(r *codec.Reader) payload {
+	p := payload{kind: r.U8(), elem: r.U32()}
+	n := r.Count(1)
+	switch p.kind {
+	case pkFloat64, pkInt:
+		if r.Err() == nil && (p.elem != 8 || n != 8) {
+			r.Fail(fmt.Errorf("netcomm: scalar payload of %d bytes in elements of %d, want one of 8", n, p.elem))
+		}
+		p.bits = r.U64()
+	case pkNil, pkRaw:
+		p.data = r.Take(n)
+	default:
+		r.Fail(fmt.Errorf("netcomm: unknown payload kind %d", p.kind))
+	}
+	return p
 }
 
 // encodePayload serializes a boxed value: nil, or a float or int in a
@@ -181,19 +198,17 @@ func encodePayload(v any) (payload, error) {
 	return payload{}, fmt.Errorf("netcomm: a boxed %T cannot cross processes, only nil, int and float64 can; send arrays with pcomm.SendSlice", v)
 }
 
-func floatPayload(x float64) payload { return scalarPayload(pkFloat64, math.Float64bits(x)) }
-func intPayload(x int) payload       { return scalarPayload(pkInt, uint64(x)) }
-
-func scalarPayload(kind byte, bits uint64) payload {
-	return payload{kind: kind, data: binary.BigEndian.AppendUint64(nil, bits)}
+func floatPayload(x float64) payload {
+	return payload{kind: pkFloat64, elem: 8, bits: math.Float64bits(x)}
 }
+func intPayload(x int) payload { return payload{kind: pkInt, elem: 8, bits: uint64(x)} }
 
 // scalarOf returns the 8-byte value of a payload of the given kind.
 func scalarOf(p payload, kind byte) (uint64, error) {
-	if p.kind != kind || len(p.data) != 8 {
+	if p.kind != kind {
 		return 0, fmt.Errorf("netcomm: payload of kind %d and %d bytes, want an 8-byte kind %d", p.kind, len(p.data), kind)
 	}
-	return binary.BigEndian.Uint64(p.data), nil
+	return p.bits, nil
 }
 
 func decodeFloat(p payload) (float64, error) {
@@ -206,36 +221,30 @@ func decodeInt(p payload) (int, error) {
 	return int(bits), err
 }
 
-// encodeRawPayload serializes a RawSlice's element bytes.
+// encodeRawPayload views a RawSlice's element bytes as a payload, without
+// copying them.
 func encodeRawPayload(h pcomm.RawSlice) payload {
-	n := h.Len * int(h.Elem)
-	buf := make([]byte, 8, 8+n)
-	binary.BigEndian.PutUint32(buf[0:4], uint32(h.Elem))
-	binary.BigEndian.PutUint32(buf[4:8], uint32(h.Len))
-	if n > 0 {
-		buf = append(buf, unsafe.Slice((*byte)(h.Ptr), n)...)
+	p := payload{kind: pkRaw, elem: uint32(h.Elem)}
+	if n := h.Len * int(h.Elem); n > 0 {
+		p.data = unsafe.Slice((*byte)(h.Ptr), n)
 	}
-	return payload{kind: pkRaw, data: buf}
+	return p
 }
 
 // decodeRaw reconstructs a raw payload on a fresh 8-byte-aligned backing
 // array (allocated as []uint64), so the receiver may reinterpret it as
 // float64/int slices safely.
 func decodeRaw(p payload) (pcomm.RawSlice, error) {
-	if p.kind != pkRaw || len(p.data) < 8 {
-		return pcomm.RawSlice{}, fmt.Errorf("netcomm: payload of kind %d and %d bytes is not a raw slice", p.kind, len(p.data))
+	elem, nbytes := int(p.elem), len(p.data)
+	if p.kind != pkRaw || elem == 0 && nbytes > 0 || elem > 0 && nbytes%elem != 0 {
+		return pcomm.RawSlice{}, fmt.Errorf("netcomm: payload of kind %d and %d bytes is not a raw slice of %d-byte elements", p.kind, nbytes, elem)
 	}
-	elem := int(binary.BigEndian.Uint32(p.data[0:4]))
-	n := int(binary.BigEndian.Uint32(p.data[4:8]))
-	nbytes := n * elem
-	if len(p.data) != 8+nbytes || elem <= 0 && n > 0 {
-		return pcomm.RawSlice{}, fmt.Errorf("netcomm: raw payload wants %d×%d bytes, frame has %d", n, elem, len(p.data)-8)
-	}
-	h := pcomm.RawSlice{Len: n, Cap: n, Elem: uintptr(elem)}
+	h := pcomm.RawSlice{Elem: uintptr(elem)}
 	if nbytes > 0 {
 		words := make([]uint64, (nbytes+7)/8)
-		copy(unsafe.Slice((*byte)(unsafe.Pointer(&words[0])), nbytes), p.data[8:])
+		copy(unsafe.Slice((*byte)(unsafe.Pointer(&words[0])), nbytes), p.data)
 		h.Ptr = unsafe.Pointer(&words[0])
+		h.Len, h.Cap = nbytes/elem, nbytes/elem
 	}
 	return h, nil
 }
@@ -257,43 +266,20 @@ func decodeMessage(tag int, p payload) (m engine.Message, err error) {
 	return m, err
 }
 
-// appendPayload / readPayload frame a payload inside a larger body.
-func appendPayload(buf []byte, p payload) []byte {
-	buf = append(buf, p.kind)
-	buf = binary.BigEndian.AppendUint32(buf, uint32(len(p.data)))
-	return append(buf, p.data...)
-}
-
-func readPayload(body []byte) (payload, []byte, error) {
-	if len(body) < 5 {
-		return payload{}, nil, fmt.Errorf("netcomm: truncated payload header")
-	}
-	n := int(binary.BigEndian.Uint32(body[1:5]))
-	if len(body) < 5+n {
-		return payload{}, nil, fmt.Errorf("netcomm: payload wants %d bytes, frame has %d", n, len(body)-5)
-	}
-	return payload{kind: body[0], data: body[5 : 5+n]}, body[5+n:], nil
-}
-
 // Data frames: tag, then the payload.
-func encodeDataFrame(tag int, p payload) []byte {
-	buf := binary.BigEndian.AppendUint64(nil, uint64(int64(tag)))
-	return appendPayload(buf, p)
+func dataFrame(tag int, p payload) func(w *codec.Writer) {
+	return func(w *codec.Writer) {
+		w.I64(int64(tag))
+		p.put(w)
+	}
 }
 
 func decodeDataFrame(body []byte) (tag int, p payload, err error) {
-	if len(body) < 8 {
-		return 0, payload{}, fmt.Errorf("netcomm: truncated data frame")
-	}
-	tag = int(int64(binary.BigEndian.Uint64(body[:8])))
-	p, rest, err := readPayload(body[8:])
-	if err != nil {
-		return 0, payload{}, err
-	}
-	if len(rest) != 0 {
-		return 0, payload{}, fmt.Errorf("netcomm: %d trailing bytes in data frame", len(rest))
-	}
-	return tag, p, nil
+	p, err = codec.Decode("netcomm: data frame", body, func(r *codec.Reader) payload {
+		tag = int(r.I64())
+		return readPayload(r)
+	})
+	return tag, p, err
 }
 
 // Deposit frames: one rank's contribution to one collective round.
@@ -306,39 +292,19 @@ type deposit struct {
 	pay   payload
 }
 
-func encodeDepositFrame(d deposit) []byte {
-	buf := binary.BigEndian.AppendUint64(nil, d.gen)
-	buf = binary.BigEndian.AppendUint64(buf, d.round)
-	buf = binary.BigEndian.AppendUint32(buf, uint32(d.rank))
-	buf = binary.BigEndian.AppendUint32(buf, uint32(d.p))
-	buf = binary.BigEndian.AppendUint16(buf, uint16(len(d.op)))
-	buf = append(buf, d.op...)
-	return appendPayload(buf, d.pay)
+func (d deposit) put(w *codec.Writer) {
+	w.U64(d.gen)
+	w.U64(d.round)
+	w.U32(uint32(d.rank))
+	w.U32(uint32(d.p))
+	w.Str(d.op)
+	d.pay.put(w)
 }
 
 func decodeDepositFrame(body []byte) (deposit, error) {
-	var d deposit
-	if len(body) < 26 {
-		return d, fmt.Errorf("netcomm: truncated deposit frame")
-	}
-	d.gen = binary.BigEndian.Uint64(body[0:8])
-	d.round = binary.BigEndian.Uint64(body[8:16])
-	d.rank = int(binary.BigEndian.Uint32(body[16:20]))
-	d.p = int(binary.BigEndian.Uint32(body[20:24]))
-	opLen := int(binary.BigEndian.Uint16(body[24:26]))
-	if len(body) < 26+opLen {
-		return d, fmt.Errorf("netcomm: deposit op wants %d bytes, frame has %d", opLen, len(body)-26)
-	}
-	d.op = string(body[26 : 26+opLen])
-	pay, rest, err := readPayload(body[26+opLen:])
-	if err != nil {
-		return d, err
-	}
-	if len(rest) != 0 {
-		return d, fmt.Errorf("netcomm: %d trailing bytes in deposit frame", len(rest))
-	}
-	d.pay = pay
-	return d, nil
+	return codec.Decode("netcomm: deposit frame", body, func(r *codec.Reader) deposit {
+		return deposit{gen: r.U64(), round: r.U64(), rank: int(r.U32()), p: int(r.U32()), op: r.Str(), pay: readPayload(r)}
+	})
 }
 
 // Result frames: the coordinator's broadcast of one completed round —
@@ -350,52 +316,27 @@ type roundResult struct {
 	pays  []payload // indexed by rank
 }
 
-func encodeResultFrame(r roundResult) []byte {
-	buf := binary.BigEndian.AppendUint64(nil, r.gen)
-	buf = binary.BigEndian.AppendUint64(buf, r.round)
-	buf = binary.BigEndian.AppendUint16(buf, uint16(len(r.op)))
-	buf = append(buf, r.op...)
-	buf = binary.BigEndian.AppendUint32(buf, uint32(len(r.pays)))
-	for _, p := range r.pays {
-		buf = appendPayload(buf, p)
+func (rr roundResult) put(w *codec.Writer) {
+	w.U64(rr.gen)
+	w.U64(rr.round)
+	w.Str(rr.op)
+	w.Count(len(rr.pays))
+	for _, p := range rr.pays {
+		p.put(w)
 	}
-	return buf
 }
 
+// decodeResultFrame holds the payload count against the bytes left
+// before it sizes anything.
 func decodeResultFrame(body []byte) (roundResult, error) {
-	var r roundResult
-	if len(body) < 18 {
-		return r, fmt.Errorf("netcomm: truncated result frame")
-	}
-	r.gen = binary.BigEndian.Uint64(body[0:8])
-	r.round = binary.BigEndian.Uint64(body[8:16])
-	opLen := int(binary.BigEndian.Uint16(body[16:18]))
-	if len(body) < 18+opLen+4 {
-		return r, fmt.Errorf("netcomm: truncated result frame op")
-	}
-	r.op = string(body[18 : 18+opLen])
-	rest := body[18+opLen:]
-	count := int(binary.BigEndian.Uint32(rest[:4]))
-	rest = rest[4:]
-	// Five bytes (kind + length) is the smallest encoded payload: a count
-	// the remaining bytes cannot hold is refused before it sizes anything.
-	if count > len(rest)/5 {
-		return r, fmt.Errorf("netcomm: result frame claims %d payloads in %d bytes", count, len(rest))
-	}
-	r.pays = make([]payload, 0, count)
-	for i := 0; i < count; i++ {
-		var p payload
-		var err error
-		p, rest, err = readPayload(rest)
-		if err != nil {
-			return r, fmt.Errorf("netcomm: result payload %d: %w", i, err)
+	return codec.Decode("netcomm: result frame", body, func(r *codec.Reader) roundResult {
+		rr := roundResult{gen: r.U64(), round: r.U64(), op: r.Str()}
+		rr.pays = make([]payload, r.Count(minPayloadBytes))
+		for i := range rr.pays {
+			rr.pays[i] = readPayload(r)
 		}
-		r.pays = append(r.pays, p)
-	}
-	if len(rest) != 0 {
-		return r, fmt.Errorf("netcomm: %d trailing bytes in result frame", len(rest))
-	}
-	return r, nil
+		return rr
+	})
 }
 
 // Abort frames: a failure on one process, broadcast to all.
@@ -405,78 +346,80 @@ type abortMsg struct {
 	msg  string
 }
 
-func encodeAbortFrame(a abortMsg) []byte {
-	buf := binary.BigEndian.AppendUint64(nil, a.gen)
-	buf = binary.BigEndian.AppendUint32(buf, uint32(int32(a.rank)))
-	return append(buf, a.msg...)
+func (a abortMsg) put(w *codec.Writer) {
+	w.U64(a.gen)
+	w.I32(a.rank)
+	w.Str(a.msg)
 }
 
 func decodeAbortFrame(body []byte) (abortMsg, error) {
-	if len(body) < 12 {
-		return abortMsg{}, fmt.Errorf("netcomm: truncated abort frame")
-	}
-	return abortMsg{
-		gen:  binary.BigEndian.Uint64(body[0:8]),
-		rank: int(int32(binary.BigEndian.Uint32(body[8:12]))),
-		msg:  string(body[12:]),
-	}, nil
+	return codec.Decode("netcomm: abort frame", body, func(r *codec.Reader) abortMsg {
+		return abortMsg{gen: r.U64(), rank: r.I32(), msg: r.Str()}
+	})
 }
 
-// statsBytes is the wire size of one rank's Stats: six big-endian 8-byte
-// words, one per field in declaration order.
+// statsBytes is the wire size of one rank's Stats: six 8-byte words, one
+// per field in declaration order.
 const statsBytes = 48
 
-func appendStats(buf []byte, st pcomm.Stats) []byte {
-	for _, w := range [...]uint64{math.Float64bits(st.Flops), uint64(st.MsgsSent), uint64(st.BytesSent),
-		uint64(st.Collectives), math.Float64bits(st.Time), math.Float64bits(st.Busy)} {
-		buf = binary.BigEndian.AppendUint64(buf, w)
-	}
-	return buf
+func putStats(w *codec.Writer, st pcomm.Stats) {
+	w.F64(st.Flops)
+	w.I64(st.MsgsSent)
+	w.I64(st.BytesSent)
+	w.I64(st.Collectives)
+	w.F64(st.Time)
+	w.F64(st.Busy)
 }
 
-// readStats decodes the statsBytes at the front of b.
-func readStats(b []byte) pcomm.Stats {
-	w := func(i int) uint64 { return binary.BigEndian.Uint64(b[8*i:]) }
-	return pcomm.Stats{Flops: math.Float64frombits(w(0)), MsgsSent: int64(w(1)), BytesSent: int64(w(2)),
-		Collectives: int64(w(3)), Time: math.Float64frombits(w(4)), Busy: math.Float64frombits(w(5))}
+func readStats(r *codec.Reader) pcomm.Stats {
+	return pcomm.Stats{Flops: r.F64(), MsgsSent: r.I64(), BytesSent: r.I64(), Collectives: r.I64(), Time: r.F64(), Busy: r.F64()}
 }
 
 // statsPayload is a rank's deposit into the stats round: its Stats as a
 // raw payload of statsBytes bytes.
 func statsPayload(st pcomm.Stats) payload {
-	b := appendStats(nil, st)
-	return encodeRawPayload(pcomm.RawSlice{Ptr: unsafe.Pointer(&b[0]), Len: statsBytes, Cap: statsBytes, Elem: 1})
+	b, err := codec.Encode(func(w *codec.Writer) { putStats(w, st) })
+	if err != nil {
+		panic(err) // six fixed-width words cannot fail to encode
+	}
+	return payload{kind: pkRaw, elem: 1, data: b}
 }
 
 // decodeStatsPayload is the coordinator's inverse of statsPayload.
 func decodeStatsPayload(p payload) (pcomm.Stats, error) {
-	if h, err := decodeRaw(p); err != nil || h.Elem != 1 || h.Len != statsBytes {
+	if p.kind != pkRaw || p.elem != 1 || len(p.data) != statsBytes {
 		return pcomm.Stats{}, fmt.Errorf("netcomm: stats payload of kind %d and %d bytes, want %d raw bytes", p.kind, len(p.data), statsBytes)
 	}
-	return readStats(p.data[8:]), nil
+	return readStats(codec.NewReader("netcomm: stats payload", p.data)), nil
 }
 
 // Done frames: the coordinator's world-completion broadcast carrying the
-// per-rank statistics — the generation, then statsBytes per rank in rank
+// per-rank statistics — the generation, then each rank's Stats in rank
 // order — so World.Run returns an identical Result in every process
 // (including processes hosting zero ranks).
-func encodeDoneFrame(gen uint64, res pcomm.Result) []byte {
-	buf := binary.BigEndian.AppendUint64(make([]byte, 0, 8+statsBytes*len(res.PerProc)), gen)
-	for _, st := range res.PerProc {
-		buf = appendStats(buf, st)
+func doneFrame(gen uint64, res pcomm.Result) func(w *codec.Writer) {
+	return func(w *codec.Writer) {
+		w.U64(gen)
+		w.Count(len(res.PerProc))
+		for _, st := range res.PerProc {
+			putStats(w, st)
+		}
 	}
-	return buf
 }
 
-// decodeDoneFrame checks the body length before it sizes anything.
+// decodeDoneFrame holds the rank count against the bytes left before it
+// sizes anything.
 func decodeDoneFrame(body []byte) (gen uint64, res pcomm.Result, err error) {
-	if len(body) < 8 || (len(body)-8)%statsBytes != 0 {
-		return 0, res, fmt.Errorf("netcomm: done frame of %d bytes is not 8 + k×%d", len(body), statsBytes)
-	}
-	gen = binary.BigEndian.Uint64(body[0:8])
-	stats := make([]pcomm.Stats, (len(body)-8)/statsBytes)
-	for i := range stats {
-		stats[i] = readStats(body[8+i*statsBytes:])
+	stats, err := codec.Decode("netcomm: done frame", body, func(r *codec.Reader) []pcomm.Stats {
+		gen = r.U64()
+		stats := make([]pcomm.Stats, r.Count(statsBytes))
+		for i := range stats {
+			stats[i] = readStats(r)
+		}
+		return stats
+	})
+	if err != nil {
+		return 0, res, err
 	}
 	return gen, pcomm.NewResult(stats), nil
 }

@@ -13,8 +13,32 @@ import (
 	"testing"
 	"unsafe"
 
+	"repro/internal/codec"
 	"repro/internal/pcomm"
+	"repro/internal/pcomm/engine"
 )
+
+// body encodes one frame body alone, as the decoders take it.
+func body(put func(w *codec.Writer)) []byte {
+	b, err := codec.Encode(put)
+	if err != nil {
+		panic(err)
+	}
+	return b
+}
+
+func encodeHello(h hello) []byte                          { return body(h.put) }
+func encodeAck(err error) []byte                          { return body(ack(err)) }
+func encodeDataFrame(tag int, p payload) []byte           { return body(dataFrame(tag, p)) }
+func encodeDepositFrame(d deposit) []byte                 { return body(d.put) }
+func encodeResultFrame(r roundResult) []byte              { return body(r.put) }
+func encodeAbortFrame(a abortMsg) []byte                  { return body(a.put) }
+func encodeDoneFrame(gen uint64, res pcomm.Result) []byte { return body(doneFrame(gen, res)) }
+
+// rawBody writes b as a frame body.
+func rawBody(b []byte) func(w *codec.Writer) {
+	return func(w *codec.Writer) { w.Bytes(b) }
+}
 
 func rawSliceOfFloats(xs []float64) pcomm.RawSlice {
 	var ptr unsafe.Pointer
@@ -44,7 +68,7 @@ func TestFrameRoundTrip(t *testing.T) {
 	}
 	for _, tc := range cases {
 		var buf bytes.Buffer
-		if err := writeFrame(&buf, tc.typ, tc.body); err != nil {
+		if err := writeFrame(&buf, tc.typ, rawBody(tc.body)); err != nil {
 			t.Fatalf("writeFrame(%d): %v", tc.typ, err)
 		}
 		typ, body, err := readFrame(&buf)
@@ -61,7 +85,7 @@ func TestFrameRoundTrip(t *testing.T) {
 // as io.ErrUnexpectedEOF, never as a silent short read.
 func TestFrameTornRead(t *testing.T) {
 	var buf bytes.Buffer
-	if err := writeFrame(&buf, fData, []byte("payload-that-gets-torn")); err != nil {
+	if err := writeFrame(&buf, fData, rawBody([]byte("payload-that-gets-torn"))); err != nil {
 		t.Fatal(err)
 	}
 	whole := buf.Bytes()
@@ -97,7 +121,7 @@ func (w *errWriter) Write(p []byte) (int, error) {
 // instead of dropping bytes silently.
 func TestFrameShortWrite(t *testing.T) {
 	for _, n := range []int{0, 3, 5, 7} {
-		err := writeFrame(&errWriter{n: n}, fData, []byte("body bytes"))
+		err := writeFrame(&errWriter{n: n}, fData, rawBody([]byte("body bytes")))
 		if err == nil {
 			t.Fatalf("writer failing after %d bytes: writeFrame succeeded", n)
 		}
@@ -109,7 +133,7 @@ func TestFrameShortWrite(t *testing.T) {
 // alone — the body is never allocated or read.
 func TestFrameOversizedPrefixRejectedBeforeAlloc(t *testing.T) {
 	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(maxFrameLen+1))
+	binary.LittleEndian.PutUint32(hdr[:], uint32(maxFrameLen+1))
 	// Only the 4 prefix bytes exist; if readFrame tried to allocate and
 	// read the claimed 1GiB+ body it would block or fail differently.
 	_, _, err := readFrame(bytes.NewReader(hdr[:]))
@@ -120,7 +144,7 @@ func TestFrameOversizedPrefixRejectedBeforeAlloc(t *testing.T) {
 		t.Fatalf("oversized prefix error = %v, want a limit violation", err)
 	}
 
-	binary.BigEndian.PutUint32(hdr[:], 0)
+	binary.LittleEndian.PutUint32(hdr[:], 0)
 	if _, _, err := readFrame(bytes.NewReader(hdr[:])); err == nil {
 		t.Fatal("zero-length frame accepted")
 	}
@@ -130,7 +154,7 @@ func TestFrameOversizedPrefixRejectedBeforeAlloc(t *testing.T) {
 // a different protocol version with a message naming both versions.
 func TestHelloVersionMismatch(t *testing.T) {
 	h := encodeHello(hello{kind: connControl, a: 1, b: 2})
-	binary.BigEndian.PutUint16(h[4:6], wireVersion+1)
+	binary.LittleEndian.PutUint32(h[len(wireMagic):], wireVersion+1)
 	_, err := decodeHello(h)
 	if err == nil {
 		t.Fatal("hello with wrong version accepted")
@@ -310,7 +334,55 @@ func TestDepositResultFrames(t *testing.T) {
 	}
 }
 
-// hugeWorldDepositBody is a 38-byte deposit frame body — gen 1, round 1,
+// TestFramesRefuseTrailingBytes: every frame body — each frame type, the
+// data frame with each of the four payload kinds, the deposit with a
+// stats payload — decodes as encoded, and is refused given one more
+// byte. The free text of an ack and an abort is a length-counted string,
+// so nothing can hide past its end either.
+func TestFramesRefuseTrailingBytes(t *testing.T) {
+	raw := encodeRawPayload(rawSliceOfFloats([]float64{1.5, -0.25}))
+	stats := statsPayload(pcomm.Stats{Flops: 10, MsgsSent: 3})
+	hi := func(b []byte) error { _, err := decodeHello(b); return err }
+	// A rejecting ack decodes to the peer's reason; only a malformed one
+	// is a refusal of the body.
+	ackBody := func(b []byte) error {
+		if err := decodeAck(b); err != nil && !strings.Contains(err.Error(), "peer rejected") {
+			return err
+		}
+		return nil
+	}
+	data := func(b []byte) error { _, _, err := decodeDataFrame(b); return err }
+	dep := func(b []byte) error { _, err := decodeDepositFrame(b); return err }
+	res := func(b []byte) error { _, err := decodeResultFrame(b); return err }
+	abort := func(b []byte) error { _, err := decodeAbortFrame(b); return err }
+	done := func(b []byte) error { _, _, err := decodeDoneFrame(b); return err }
+	for _, tc := range []struct {
+		name   string
+		body   []byte
+		decode func([]byte) error
+	}{
+		{"hello", encodeHello(hello{kind: connData, gen: 3, a: 0, b: 1, c: 2}), hi},
+		{"ack accepted", encodeAck(nil), ackBody},
+		{"ack rejected", encodeAck(fmt.Errorf("wrong group size")), ackBody},
+		{"data nil", encodeDataFrame(1, payload{kind: pkNil}), data},
+		{"data float64", encodeDataFrame(2, floatPayload(2.5)), data},
+		{"data int", encodeDataFrame(3, intPayload(-7)), data},
+		{"data raw", encodeDataFrame(4, raw), data},
+		{"deposit stats", encodeDepositFrame(deposit{gen: 2, round: 1, rank: 0, p: 1, op: opStats, pay: stats}), dep},
+		{"result", encodeResultFrame(roundResult{gen: 9, round: 4, op: "allgather", pays: []payload{raw, raw}}), res},
+		{"abort", encodeAbortFrame(abortMsg{gen: 9, rank: -1, msg: "watchdog fired"}), abort},
+		{"done", encodeDoneFrame(9, pcomm.NewResult([]pcomm.Stats{{Flops: 10}, {Time: 1.5}})), done},
+	} {
+		if err := tc.decode(tc.body); err != nil {
+			t.Errorf("%s: the encoded body is refused: %v", tc.name, err)
+		}
+		if err := tc.decode(append(bytes.Clone(tc.body), 0)); err == nil {
+			t.Errorf("%s: a body with one trailing byte decoded", tc.name)
+		}
+	}
+}
+
+// hugeWorldDepositBody is a 44-byte deposit frame body — gen 1, round 1,
 // rank 0, a nil barrier contribution — claiming a world of 0xFFFFFFFF
 // ranks.
 func hugeWorldDepositBody() []byte {
@@ -336,8 +408,8 @@ func testCoordinator() *coordinator {
 // a round sized by the claim.
 func TestCoordinatorSizesNothingByClaimedWorldSize(t *testing.T) {
 	body := hugeWorldDepositBody()
-	if len(body) != 38 {
-		t.Fatalf("deposit body is %d bytes, want 38", len(body))
+	if len(body) != 44 {
+		t.Fatalf("deposit body is %d bytes, want 44", len(body))
 	}
 	d, err := decodeDepositFrame(body)
 	if err != nil {
@@ -352,13 +424,16 @@ func TestCoordinatorSizesNothingByClaimedWorldSize(t *testing.T) {
 	}
 }
 
-// oversizedResultBody is a 22-byte result frame body — gen, round, an
+// oversizedResultBody is a 24-byte result frame body — gen, round, an
 // empty op — whose payload count (0x7FFFFFFF) the remaining zero bytes
 // cannot hold.
 func oversizedResultBody() []byte {
-	body := make([]byte, 22)
-	binary.BigEndian.PutUint32(body[18:], 0x7FFFFFFF)
-	return body
+	return body(func(w *codec.Writer) {
+		w.U64(0)
+		w.U64(0)
+		w.Str("")
+		w.U32(0x7FFFFFFF)
+	})
 }
 
 // TestDecodeResultFrameRefusesOversizedCount: the payload count is
@@ -462,6 +537,52 @@ func FuzzNetcommFrameBodies(f *testing.F) {
 
 		bounded("abort frame", func() { _, _ = decodeAbortFrame(body) })
 		bounded("done frame", func() { _, _, _ = decodeDoneFrame(body) })
+	})
+}
+
+// FuzzDataFrameDeliver runs a data connection's receive path on any
+// body: decodeDataFrame, decodeMessage, then Deliver into rank 1's
+// mailbox of a local two-rank world, as the connection reader does.
+// Nothing may panic, and the path must allocate within decodeAllocBound
+// of the body.
+func FuzzDataFrameDeliver(f *testing.F) {
+	raw := encodeRawPayload(rawSliceOfFloats([]float64{1.5, -0.25, 3}))
+	i32 := []int32{7, -1}
+	ints := encodeRawPayload(pcomm.RawSlice{Ptr: unsafe.Pointer(&i32[0]), Len: 2, Cap: 2, Elem: 4})
+	for _, seed := range [][]byte{
+		encodeDataFrame(5, raw),
+		encodeDataFrame(6, ints),
+		encodeDataFrame(7, payload{kind: pkNil}),
+		encodeDataFrame(8, floatPayload(math.Inf(-1))),
+		encodeDataFrame(9, intPayload(math.MinInt64)),
+		encodeDataFrame(10, statsPayload(pcomm.Stats{Flops: 10})),
+		encodeDataFrame(11, encodeRawPayload(rawSliceOfFloats(nil))),
+		encodeDataFrame(5, raw)[:20],
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		// As in FuzzNetcommFrameBodies, an excess must repeat three times
+		// (on a fresh world each) to count.
+		var n uint64
+		for try := 0; try < 3; try++ {
+			w := engine.New(nil, nil, "netcomm", 2, 0, 2)
+			n = allocatedBy(func() {
+				tag, pay, err := decodeDataFrame(body)
+				if err != nil {
+					return
+				}
+				m, err := decodeMessage(tag, pay)
+				if err != nil {
+					return
+				}
+				w.Deliver(0, 1, m)
+			})
+			if n <= decodeAllocBound(len(body)) {
+				return
+			}
+		}
+		t.Fatalf("receiving a %d-byte data frame allocated %d", len(body), n)
 	})
 }
 

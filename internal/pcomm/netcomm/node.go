@@ -1,6 +1,7 @@
 package netcomm
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"io/fs"
@@ -75,10 +76,18 @@ type ctlConn struct {
 	c  net.Conn
 }
 
-func (c *ctlConn) send(typ byte, body []byte) error {
+// send writes one frame, encoded once for every connection it goes to;
+// a frame that failed to encode fails each send, like a failed write.
+func (c *ctlConn) send(frame []byte, encodeErr error) error {
+	if encodeErr != nil {
+		return encodeErr
+	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return writeFrame(c.c, typ, body)
+	if _, err := c.c.Write(frame); err != nil {
+		return fmt.Errorf("netcomm: writing frame: %w", err)
+	}
+	return nil
 }
 
 // registry caches one Node per spec text, so repeated WorldFor calls
@@ -275,7 +284,7 @@ func handshake(c net.Conn, h hello) error {
 	if err := c.SetDeadline(time.Now().Add(handshakeTimeout)); err != nil {
 		return err
 	}
-	if err := writeFrame(c, fHello, encodeHello(h)); err != nil {
+	if err := writeFrame(c, fHello, h.put); err != nil {
 		return err
 	}
 	typ, body, err := readFrame(c)
@@ -307,7 +316,7 @@ func (n *Node) acceptLoop() {
 // connections attach to their world (parking until it exists).
 func (n *Node) handleConn(c net.Conn) {
 	reject := func(err error) {
-		if werr := writeFrame(c, fHelloAck, encodeAck(err)); werr != nil {
+		if werr := writeFrame(c, fHelloAck, ack(err)); werr != nil {
 			_ = werr //pilutlint:ok errdrop the peer is being rejected; its ack read failing too adds nothing
 		}
 		if cerr := c.Close(); cerr != nil {
@@ -342,7 +351,7 @@ func (n *Node) handleConn(c net.Conn) {
 			reject(fmt.Errorf("netcomm: control hello from invalid process index %d", h.a))
 			return
 		}
-		if err := writeFrame(c, fHelloAck, encodeAck(nil)); err != nil {
+		if err := writeFrame(c, fHelloAck, ack(nil)); err != nil {
 			reject(err)
 			return
 		}
@@ -361,7 +370,7 @@ func (n *Node) handleConn(c net.Conn) {
 			reject(fmt.Errorf("netcomm: rank %d is not hosted on process %d", dst, n.self))
 			return
 		}
-		if err := writeFrame(c, fHelloAck, encodeAck(nil)); err != nil {
+		if err := writeFrame(c, fHelloAck, ack(nil)); err != nil {
 			reject(err)
 			return
 		}
@@ -540,13 +549,18 @@ func (n *Node) finishWorld(gen uint64) {
 }
 
 // deposit forwards one collective contribution to the coordinator —
-// locally on process 0, over the control connection elsewhere.
+// locally on process 0, over the control connection elsewhere. A raw
+// contribution is a view of the depositing rank's slice, which the rank
+// may write once its collective returns, while another local rank may
+// still be reading the round's result: on process 0 the coordinator
+// keeps a copy, as a frame would have carried elsewhere.
 func (n *Node) deposit(d deposit) error {
 	if n.coord != nil {
+		d.pay.data = bytes.Clone(d.pay.data)
 		n.coord.deposit(d)
 		return nil
 	}
-	return n.ctlOut.send(fDeposit, encodeDepositFrame(d))
+	return n.ctlOut.send(encodeFrame(fDeposit, d.put))
 }
 
 // sendAbort tells the coordinator (and through it, everyone) that gen
@@ -556,7 +570,7 @@ func (n *Node) sendAbort(a abortMsg) {
 		n.coord.abortGen(a)
 		return
 	}
-	if err := n.ctlOut.send(fAbort, encodeAbortFrame(a)); err != nil {
+	if err := n.ctlOut.send(encodeFrame(fAbort, a.put)); err != nil {
 		// The control link is gone; the coordinator will observe the EOF
 		// and broadcast the group failure itself.
 		_ = err //pilutlint:ok errdrop abort-path write failure is superseded by the coordinator's own EOF detection

@@ -20,6 +20,10 @@ type entry struct {
 	lay  *dist.Layout
 	pcs  []*core.ProcPrecond
 	mats []*dist.Matrix
+	// rung is the plan of a "shift" or "blockjacobi" entry's own matrix,
+	// which its pieces keep alive; nil where they were factored under the
+	// analysis's plan.
+	rung *core.Plan
 
 	bytes         int64
 	levels        int

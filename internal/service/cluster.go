@@ -425,7 +425,7 @@ func (s *Server) importFactor(key string, data []byte) (ent *entry, err error) {
 	if err != nil {
 		return nil, err
 	}
-	ent, setup, err := newEntry(key, an)
+	ent, setup, err := newEntry(key, an, plan)
 	if err != nil {
 		return nil, err
 	}

@@ -104,14 +104,14 @@ func rungPlan(key string, an *analysis, step string) (plan *core.Plan, err error
 	return plan, nil
 }
 
-// newEntry starts the cache entry for a under an: everything but the
-// preconditioner pieces. The distributed operator the solves apply is
+// newEntry starts the cache entry for a under an, whose pieces are to be
+// factored under plan: everything but the pieces. The distributed operator the solves apply is
 // always the original a — a degraded preconditioner must never change
 // which system is being solved. On a symbolic hit the operators are
 // cloned serially from the cached templates (CloneFor communicates
 // nothing) and setup is nil; on a miss setup is the ghost-plan exchange
 // each processor of the caller's run must execute.
-func newEntry(key string, an *analysis) (ent *entry, setup func(pcomm.Comm), err error) {
+func newEntry(key string, an *analysis, plan *core.Plan) (ent *entry, setup func(pcomm.Comm), err error) {
 	a, lay := an.plan.A, an.plan.Lay
 	ent = &entry{
 		key:         key,
@@ -120,6 +120,9 @@ func newEntry(key string, an *analysis) (ent *entry, setup func(pcomm.Comm), err
 		pcs:         make([]*core.ProcPrecond, lay.P),
 		mats:        make([]*dist.Matrix, lay.P),
 		symbolicHit: an.mats != nil,
+	}
+	if plan != an.plan {
+		ent.rung = plan
 	}
 	if an.mats == nil {
 		return ent, func(proc pcomm.Comm) { ent.mats[proc.ID()] = dist.NewMatrix(proc, lay, a) }, nil
@@ -202,7 +205,7 @@ func (s *Server) buildRung(key string, an *analysis, step string) (*entry, error
 	if err != nil {
 		return nil, err
 	}
-	ent, setup, err := newEntry(key, an)
+	ent, setup, err := newEntry(key, an, plan)
 	if err != nil {
 		return nil, err
 	}

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/matgen"
 	"repro/internal/sparse"
 )
 
@@ -36,5 +37,47 @@ func TestLadderRungsPassCheckExchange(t *testing.T) {
 				})
 			}
 		}
+	}
+}
+
+// TestRungPlanCounted: the factor cache counts what an entry keeps alive.
+// The pieces of a "shift" or "blockjacobi" entry keep that rung's own
+// plan alive — its matrix, row norms and classification — so the entry's
+// bytes include the plan's; rungs factored under the analysis's plan
+// count none.
+func TestRungPlanCounted(t *testing.T) {
+	srv := New(Config{Procs: 4, Workers: 1, Backend: "real"})
+	defer srv.Shutdown(context.Background())
+	a := matgen.Grid2D(32, 32)
+	key := sparse.Fingerprint(a)
+	an, err := srv.analysisFor(key, a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, step := range ladderRungs {
+		t.Run(fmt.Sprintf("rung=%q", step), func(t *testing.T) {
+			ent, err := srv.buildRung(key, an, step)
+			if err != nil {
+				t.Fatal(err)
+			}
+			srv.admit(ent, originLocal)
+			want := a.SizeBytes()
+			for q := range ent.pcs {
+				want += ent.pcs[q].SizeBytes() + ent.mats[q].SizeBytes()
+			}
+			if step == "shift" || step == "blockjacobi" {
+				plan, err := rungPlan(key, an, step)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want += plan.SizeBytes()
+			}
+			srv.mu.Lock()
+			got := srv.cache.items[key].bytes
+			srv.mu.Unlock()
+			if got != want {
+				t.Errorf("entry counted %d bytes, want %d", got, want)
+			}
+		})
 	}
 }

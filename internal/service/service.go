@@ -705,7 +705,8 @@ func (s *Server) entryFor(key string, a *sparse.CSR) (*entry, bool, error) {
 }
 
 // admit publishes a finished entry in the factor cache under its origin
-// (originLocal, originPeer, originReplica), sized here and nowhere else.
+// (originLocal, originPeer, originReplica), sized here and nowhere else:
+// the matrix, the pieces, the operators and a rung's own plan.
 // Only locally built entries count as factorizations; peer-imported ones
 // are visible in ClusterStats.PeerFetchHits and ReplicaImports instead.
 func (s *Server) admit(ent *entry, origin string) {
@@ -713,6 +714,9 @@ func (s *Server) admit(ent *entry, origin string) {
 	bytes := ent.a.SizeBytes()
 	for q := range ent.pcs {
 		bytes += ent.pcs[q].SizeBytes() + ent.mats[q].SizeBytes()
+	}
+	if ent.rung != nil {
+		bytes += ent.rung.SizeBytes()
 	}
 	s.mu.Lock()
 	s.cache.insert(ent.key, ent, bytes)
