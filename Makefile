@@ -203,6 +203,7 @@ fuzz-smoke:
 	$(GO) test ./internal/service -run '^$$' -fuzz '^FuzzDecodeFactor$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 1000x -parallel 1
 	$(GO) test ./internal/service -run '^$$' -fuzz '^FuzzDecodeMatrix$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 1000x -parallel 1
 	$(GO) test ./internal/pcomm/netcomm -run '^$$' -fuzz '^FuzzNetcommFrameBodies$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/pcomm/netcomm -run '^$$' -fuzz '^FuzzDataFrameDeliver$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/service -run '^$$' -fuzz '^FuzzSolveBodies$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 1000x -parallel 1
 	$(GO) test ./internal/service -run '^$$' -fuzz '^FuzzViewBody$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 1000x -parallel 1
 

@@ -35,21 +35,24 @@ func waived(w pcomm.World, f func(pcomm.Comm)) {
 }
 
 func badCodec(body []byte) {
-	codec.Encode(func(w *codec.Writer) { w.Bytes(body) }) // want `error result of codec.Encode discarded .call used as a statement.`
+	var s string
+	layout := func(c *codec.Coder) { c.Str(&s) }
 
-	out, _ := codec.Encode(func(w *codec.Writer) { w.Bytes(body) }) // want `error result of codec.Encode assigned to _`
+	codec.Encode(layout) // want `error result of codec.Encode discarded .call used as a statement.`
+
+	out, _ := codec.Encode(layout) // want `error result of codec.Encode assigned to _`
 	_ = out
 
-	r := codec.NewReader("errdrop: body", body)
-	_ = r.Str()
-	r.End() // want `error result of codec.Reader.End discarded .call used as a statement.`
+	c := codec.NewDecoder("errdrop: body", body)
+	layout(c)
+	c.End() // want `error result of codec.Coder.End discarded .call used as a statement.`
 }
 
 func goodCodec(body []byte) ([]byte, error) {
-	r := codec.NewReader("errdrop: body", body)
-	s := r.Str()
-	if err := r.End(); err != nil {
+	var s string
+	layout := func(c *codec.Coder) { c.Str(&s) }
+	if err := codec.Decode("errdrop: body", body, layout); err != nil {
 		return nil, err
 	}
-	return codec.Encode(func(w *codec.Writer) { w.Str(s) })
+	return codec.Encode(layout)
 }

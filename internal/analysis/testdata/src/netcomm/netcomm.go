@@ -33,7 +33,7 @@ func badFrame(w io.Writer, body []byte) {
 
 	writeFrame(w, body) // want `error result of netcomm.writeFrame discarded .call used as a statement.`
 
-	codec.Frame(1<<20, func(w *codec.Writer) { w.Bytes(body) }) // want `error result of codec.Frame discarded .call used as a statement.`
+	codec.Frame(1<<20, func(c *codec.Coder) { c.Bytes(body) }) // want `error result of codec.Frame discarded .call used as a statement.`
 
 	go writeFrame(w, body) // want `error result of netcomm.writeFrame discarded .go statement.`
 }

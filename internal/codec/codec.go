@@ -1,20 +1,22 @@
 // Package codec is the one binary form of every byte that crosses a
 // process: netcomm's frames between the ranks of a world, and the peer
-// bodies (factors, matrices) between daemons. What a layout holds is its
-// package's business; how each value is written and read is this one's.
+// bodies (factors, matrices) between daemons. A package writes each of
+// its layouts once, as a function of a *Coder, and that one function
+// encodes (Encode, Frame) and decodes (Decode): a layout's writer and
+// its reader cannot disagree.
 //
 // Every integer is little-endian. Lengths are uint32; indices are int32,
-// and the writer refuses a value that does not fit rather than
-// truncating it. Floats travel as their raw IEEE-754 bits, so a decode is
-// bit-exact. A list of rows travels as its row count, the row lengths,
-// then one concatenated array.
+// and encoding refuses a value that does not fit rather than truncating
+// it. Floats travel as their raw IEEE-754 bits, so a decode is bit-exact.
+// A list of rows travels as its row count, the row lengths, then one
+// concatenated array.
 //
-// A Writer runs its layout twice (Encode, Frame): once to size the
-// output, once into a buffer of exactly that size. A Reader trusts no
-// length: each is checked against the bytes still unread before anything
-// is allocated, every list decodes into one flat allocation its rows are
-// sliced from, and End refuses trailing bytes. A Reader's first failure
-// is kept; every later read returns a zero value without allocating.
+// Encoding runs the layout twice: once to size the output, once into a
+// buffer of exactly that size. Decoding trusts no length: each is checked
+// against the bytes still unread before anything is allocated, every list
+// decodes into one flat allocation its rows are sliced from, and trailing
+// bytes are an error. The first failure is kept; every later value
+// decodes as zero without allocating.
 package codec
 
 import (
@@ -25,51 +27,80 @@ import (
 	"slices"
 )
 
-// Encode runs write twice: once to size the output, once into a buffer
+// Coder runs a layout in one direction. Its methods take each value by
+// pointer: encoding reads it, decoding stores into it.
+type Coder struct {
+	decoding bool
+	what     string // decoding: the input's name, opening every error
+	in       []byte // decoding: the unread bytes
+	out      []byte // encoding: the output, nil while sizing
+	n        int    // encoding: the bytes coded so far
+	err      error
+}
+
+// Encode runs layout twice: once to size the output, once into a buffer
 // of exactly that size.
-func Encode(write func(w *Writer)) ([]byte, error) { return encode(-1, write) }
+func Encode(layout func(c *Coder)) ([]byte, error) { return encode(-1, layout) }
 
 // Frame is Encode behind a uint32 length prefix, in one buffer: a frame
 // whose content exceeds limit bytes is refused before the buffer is
 // allocated. ReadFrame reads it back.
-func Frame(limit int, write func(w *Writer)) ([]byte, error) { return encode(limit, write) }
+func Frame(limit int, layout func(c *Coder)) ([]byte, error) { return encode(limit, layout) }
 
 // encode is Encode, or with a limit ≥ 0 Frame.
-func encode(limit int, write func(w *Writer)) ([]byte, error) {
-	w := &Writer{sizing: true}
-	write(w)
-	if w.err != nil {
-		return nil, w.err
+func encode(limit int, layout func(c *Coder)) ([]byte, error) {
+	c := &Coder{}
+	layout(c)
+	if c.err != nil {
+		return nil, c.err
 	}
-	if limit >= 0 && w.n > limit {
-		return nil, fmt.Errorf("codec: frame of %d bytes exceeds the %d-byte limit", w.n, limit)
+	size := c.n
+	if limit >= 0 && size > limit {
+		return nil, fmt.Errorf("codec: frame of %d bytes exceeds the %d-byte limit", size, limit)
 	}
-	size := w.n
-	w.sizing = false
+	c.n = 0
 	if limit < 0 {
-		w.buf = make([]byte, 0, size)
+		c.out = make([]byte, 0, size)
 	} else {
-		w.buf = make([]byte, 0, 4+size)
-		w.U32(uint32(size))
+		c.out = make([]byte, 0, 4+size)
+		prefix := uint32(size)
+		c.U32(&prefix)
 	}
-	write(w)
-	if w.err != nil {
-		return nil, w.err
+	layout(c)
+	if c.err != nil {
+		return nil, c.err
 	}
-	return w.buf, nil
+	return c.out, nil
 }
 
-// Decode reads b with read and then requires that nothing is left: the
-// first failure of the read or the trailing bytes are the error, and the
-// zero T goes with it.
-func Decode[T any](what string, b []byte, read func(r *Reader) T) (T, error) {
-	r := NewReader(what, b)
-	v := read(r)
-	if err := r.End(); err != nil {
-		var zero T
-		return zero, err
+// Decode runs layout over b and then requires that nothing is left.
+func Decode(what string, b []byte, layout func(c *Coder)) error {
+	c := NewDecoder(what, b)
+	layout(c)
+	return c.End()
+}
+
+// NewDecoder starts decoding b, whose name (such as "netcomm: hello
+// frame") opens every error; End finishes. Decode is the two together.
+func NewDecoder(what string, b []byte) *Coder {
+	return &Coder{decoding: true, what: what, in: b}
+}
+
+// End reports the first failure, or an error if bytes are left over.
+func (c *Coder) End() error {
+	if c.err == nil && len(c.in) > 0 {
+		c.err = fmt.Errorf("%s has %d trailing bytes", c.what, len(c.in))
 	}
-	return v, nil
+	return c.err
+}
+
+// Fail records err unless a failure is already kept. Decoding stops: every
+// later value decodes as zero.
+func (c *Coder) Fail(err error) {
+	if c.err == nil {
+		c.err = err
+	}
+	c.in = nil
 }
 
 // ReadFrame reads one frame that Frame wrote and returns its content. The
@@ -95,360 +126,308 @@ func ReadFrame(r io.Reader, limit int) ([]byte, error) {
 	return buf, nil
 }
 
-// Writer appends the encoding to its buffer or, while sizing, only counts
-// the bytes. The first value that does not fit its field is kept as the
-// error; writing goes on, so both passes stay the same size.
-type Writer struct {
-	buf    []byte
-	n      int
-	sizing bool
-	err    error
-}
-
-// next reserves k bytes and returns them to fill, or nil while sizing.
-func (w *Writer) next(k int) []byte {
-	w.n += k
-	if w.sizing {
+// field returns the next k bytes: to fill when encoding (nil while
+// sizing), to read when decoding (nil once failed, or when fewer are
+// left, which fails).
+func (c *Coder) field(k int) []byte {
+	if c.decoding {
+		if c.err != nil {
+			return nil
+		}
+		if k > len(c.in) {
+			c.Fail(fmt.Errorf("%s ends early", c.what))
+			return nil
+		}
+		b := c.in[:k:k]
+		c.in = c.in[k:]
+		return b
+	}
+	c.n += k
+	if c.out == nil {
 		return nil
 	}
-	at := len(w.buf)
-	w.buf = slices.Grow(w.buf, k)[:at+k]
-	return w.buf[at:]
+	at := len(c.out)
+	c.out = slices.Grow(c.out, k)[:at+k]
+	return c.out[at:]
 }
 
-func (w *Writer) fail(format string, args ...any) {
-	if w.err == nil {
-		w.err = fmt.Errorf("codec: "+format, args...)
+// tooWide is the error of a value that does not fit its 32-bit field.
+func tooWide(what string, v int) error {
+	return fmt.Errorf("codec: %s %d does not fit 32 bits", what, v)
+}
+
+// encodeErr keeps err as an encoding's first failure; encoding goes on,
+// so both passes stay the same size.
+func (c *Coder) encodeErr(err error) {
+	if c.err == nil {
+		c.err = err
 	}
 }
 
-// Header opens a layout with its magic string and its version.
-func (w *Writer) Header(magic string, version uint32) {
-	w.Bytes([]byte(magic))
-	w.U32(version)
-}
-
-// Bytes writes b as it is, without a length.
-func (w *Writer) Bytes(b []byte) {
-	if out := w.next(len(b)); out != nil {
-		copy(out, b)
-	}
-}
-
-func (w *Writer) U8(v byte) {
-	if out := w.next(1); out != nil {
-		out[0] = v
-	}
-}
-
-func (w *Writer) U32(v uint32) {
-	if out := w.next(4); out != nil {
-		binary.LittleEndian.PutUint32(out, v)
-	}
-}
-
-func (w *Writer) U64(v uint64) {
-	if out := w.next(8); out != nil {
-		binary.LittleEndian.PutUint64(out, v)
-	}
-}
-
-func (w *Writer) I64(v int64)   { w.U64(uint64(v)) }
-func (w *Writer) F64(v float64) { w.U64(math.Float64bits(v)) }
-
-// Flag writes v as one byte, 0 or 1.
-func (w *Writer) Flag(v bool) {
-	if out := w.next(1); out != nil && v {
-		out[0] = 1
-	}
-}
-
-// Count writes a length.
-func (w *Writer) Count(n int) {
-	if n < 0 || n > math.MaxUint32 {
-		w.fail("length %d does not fit 32 bits", n)
-	}
-	w.U32(uint32(n))
-}
-
-// I32 writes an index.
-func (w *Writer) I32(v int) {
-	if v != int(int32(v)) {
-		w.fail("index %d does not fit 32 bits", v)
-	}
-	w.U32(uint32(v))
-}
-
-// Str writes a length and the string's bytes.
-func (w *Writer) Str(s string) {
-	w.Count(len(s))
-	if out := w.next(len(s)); out != nil {
-		copy(out, s)
-	}
-}
-
-// putInts fills out with xs as int32s.
-func (w *Writer) putInts(out []byte, xs []int) {
-	for i, v := range xs {
-		if v != int(int32(v)) {
-			w.fail("index %d does not fit 32 bits", v)
-		}
-		binary.LittleEndian.PutUint32(out[4*i:], uint32(v))
-	}
-}
-
-func putFloats(out []byte, xs []float64) {
-	for i, v := range xs {
-		binary.LittleEndian.PutUint64(out[8*i:], math.Float64bits(v))
-	}
-}
-
-// Ints writes a length and xs as int32s.
-func (w *Writer) Ints(xs []int) {
-	w.Count(len(xs))
-	if out := w.next(4 * len(xs)); out != nil {
-		w.putInts(out, xs)
-	}
-}
-
-// Floats writes a length and xs.
-func (w *Writer) Floats(xs []float64) {
-	w.Count(len(xs))
-	if out := w.next(8 * len(xs)); out != nil {
-		putFloats(out, xs)
-	}
-}
-
-// rowLengths writes a row list's count and row lengths, and reserves
-// room for the concatenated rows at elem bytes an item.
-func rowLengths[T any](w *Writer, rows [][]T, elem int) []byte {
-	w.Count(len(rows))
-	lens := w.next(4 * len(rows))
-	total := 0
-	for i, row := range rows {
-		if len(row) > math.MaxUint32 {
-			w.fail("row length %d does not fit 32 bits", len(row))
-		}
-		if lens != nil {
-			binary.LittleEndian.PutUint32(lens[4*i:], uint32(len(row)))
-		}
-		total += len(row)
-	}
-	return w.next(elem * total)
-}
-
-// IntRows writes a list of rows of int32s.
-func (w *Writer) IntRows(rows [][]int) {
-	if out := rowLengths(w, rows, 4); out != nil {
-		for _, row := range rows {
-			w.putInts(out, row)
-			out = out[4*len(row):]
+func (c *Coder) U8(v *byte) {
+	if b := c.field(1); b != nil {
+		if c.decoding {
+			*v = b[0]
+		} else {
+			b[0] = *v
 		}
 	}
 }
 
-// FloatRows writes a list of rows of float64s.
-func (w *Writer) FloatRows(rows [][]float64) {
-	if out := rowLengths(w, rows, 8); out != nil {
-		for _, row := range rows {
-			putFloats(out, row)
-			out = out[8*len(row):]
+func (c *Coder) U32(v *uint32) {
+	if b := c.field(4); b != nil {
+		if c.decoding {
+			*v = binary.LittleEndian.Uint32(b)
+		} else {
+			binary.LittleEndian.PutUint32(b, *v)
 		}
 	}
 }
 
-// Reader consumes an input from the front. Its errors open with what,
-// the input's name ("service: peer body", "netcomm: hello frame").
-type Reader struct {
-	what string
-	buf  []byte // unread
-	err  error
-}
-
-// NewReader reads b.
-func NewReader(what string, b []byte) *Reader { return &Reader{what: what, buf: b} }
-
-// Fail records err as the reader's failure unless one is already kept.
-// Every later read returns a zero value.
-func (r *Reader) Fail(err error) {
-	if r.err == nil {
-		r.err = err
-	}
-	r.buf = nil
-}
-
-// Err is the first failure, or nil.
-func (r *Reader) Err() error { return r.err }
-
-// End reports the first failure, or an error if bytes are left over.
-func (r *Reader) End() error {
-	if r.err == nil && len(r.buf) > 0 {
-		r.err = fmt.Errorf("%s has %d trailing bytes", r.what, len(r.buf))
-	}
-	return r.err
-}
-
-// Take consumes k bytes and returns them (a view of the input), or fails
-// when fewer are left.
-func (r *Reader) Take(k int) []byte {
-	if r.err != nil || k > len(r.buf) {
-		r.Fail(fmt.Errorf("%s ends early", r.what))
-		return nil
-	}
-	out := r.buf[:k:k]
-	r.buf = r.buf[k:]
-	return out
-}
-
-// Header reads what Writer.Header wrote. Before anything else is read it
-// refuses another magic (a stranger protocol) or another version of this
-// one, each with an error that says so.
-func (r *Reader) Header(magic string, version uint32) {
-	if r.err != nil || len(r.buf) < len(magic) || string(r.buf[:len(magic)]) != magic {
-		r.Fail(fmt.Errorf("%s does not start with the magic %q", r.what, magic))
-		return
-	}
-	r.buf = r.buf[len(magic):]
-	if v := r.U32(); r.err == nil && v != version {
-		r.Fail(fmt.Errorf("%s has wire version %d, this process reads version %d", r.what, v, version))
+func (c *Coder) U64(v *uint64) {
+	if b := c.field(8); b != nil {
+		if c.decoding {
+			*v = binary.LittleEndian.Uint64(b)
+		} else {
+			binary.LittleEndian.PutUint64(b, *v)
+		}
 	}
 }
 
-func (r *Reader) U8() byte {
-	if b := r.Take(1); b != nil {
-		return b[0]
-	}
-	return 0
+func (c *Coder) I64(v *int64) {
+	u := uint64(*v)
+	c.U64(&u)
+	*v = int64(u)
 }
 
-func (r *Reader) U32() uint32 {
-	if b := r.Take(4); b != nil {
-		return binary.LittleEndian.Uint32(b)
-	}
-	return 0
+// Int codes v in 64 bits.
+func (c *Coder) Int(v *int) {
+	u := uint64(*v)
+	c.U64(&u)
+	*v = int(int64(u))
 }
 
-func (r *Reader) U64() uint64 {
-	if b := r.Take(8); b != nil {
-		return binary.LittleEndian.Uint64(b)
-	}
-	return 0
+func (c *Coder) F64(v *float64) {
+	u := math.Float64bits(*v)
+	c.U64(&u)
+	*v = math.Float64frombits(u)
 }
 
-func (r *Reader) I64() int64   { return int64(r.U64()) }
-func (r *Reader) F64() float64 { return math.Float64frombits(r.U64()) }
+// I32 codes an index in 32 bits.
+func (c *Coder) I32(v *int) {
+	if !c.decoding && *v != int(int32(*v)) {
+		c.encodeErr(tooWide("index", *v))
+	}
+	u := uint32(*v)
+	c.U32(&u)
+	*v = int(int32(u))
+}
 
-// I32 reads an index.
-func (r *Reader) I32() int { return int(int32(r.U32())) }
-
-// Flag reads a byte that must be 0 or 1.
-func (r *Reader) Flag() bool {
-	b := r.U8()
+// Flag codes v as one byte, 0 or 1.
+func (c *Coder) Flag(v *bool) {
+	var b byte
+	if !c.decoding && *v {
+		b = 1
+	}
+	c.U8(&b)
 	if b > 1 {
-		r.Fail(fmt.Errorf("%s has flag byte %d", r.what, b))
+		c.Fail(fmt.Errorf("%s has flag byte %d", c.what, b))
 	}
-	return b == 1
+	*v = b == 1
 }
 
-// Count reads a length of items that take at least elem > 0 bytes each,
-// and fails unless that many bytes are still unread.
-func (r *Reader) Count(elem int) int {
-	n := int(r.U32())
-	if r.err == nil && n > len(r.buf)/elem {
-		r.Fail(fmt.Errorf("%s ends early: %d items of %d bytes declared, %d bytes left", r.what, n, elem, len(r.buf)))
+// Len codes the length n of a list whose items take at least elem bytes
+// each. Decoding returns the length read, failing unless that many items
+// of elem bytes are still unread.
+func (c *Coder) Len(n, elem int) int {
+	var u uint32
+	if !c.decoding {
+		if n < 0 || n > math.MaxUint32 {
+			c.encodeErr(tooWide("length", n))
+		}
+		u = uint32(n)
+	}
+	c.U32(&u)
+	if c.decoding && c.err == nil && int(u) > len(c.in)/elem {
+		c.Fail(fmt.Errorf("%s ends early: %d items of %d bytes declared, %d bytes left", c.what, u, elem, len(c.in)))
 		return 0
 	}
-	return n
+	return int(u)
 }
 
-// Str reads a length and that many bytes as a string.
-func (r *Reader) Str() string {
-	return string(r.Take(r.Count(1)))
+// List codes the length of *xs, whose items take at least elem bytes
+// each; decoding allocates *xs at that length (nil when empty). The
+// caller codes the items.
+func List[T any](c *Coder, xs *[]T, elem int) {
+	if n := c.Len(len(*xs), elem); c.decoding && n > 0 {
+		*xs = make([]T, n)
+	}
 }
 
-// getInts decodes len(out) int32s into out.
-func (r *Reader) getInts(out []int) {
-	b := r.Take(4 * len(out))
+// Header codes a layout's magic string and version. Decoding refuses
+// another magic (a stranger protocol) or another version of this one
+// before anything else is read, each with an error that says which.
+func (c *Coder) Header(magic string, version uint32) {
+	if c.decoding && (len(c.in) < len(magic) || string(c.in[:len(magic)]) != magic) {
+		c.Fail(fmt.Errorf("%s does not start with the magic %q", c.what, magic))
+		return
+	}
+	c.Bytes([]byte(magic))
+	v := version
+	c.U32(&v)
+	if c.err == nil && v != version {
+		c.Fail(fmt.Errorf("%s has wire version %d, this process reads version %d", c.what, v, version))
+	}
+}
+
+// Bytes codes len(b) bytes in place, without a length.
+func (c *Coder) Bytes(b []byte) {
+	if f := c.field(len(b)); f != nil {
+		if c.decoding {
+			copy(b, f)
+		} else {
+			copy(f, b)
+		}
+	}
+}
+
+// Blob codes a length and that many bytes; decoding leaves *b a view of
+// the input.
+func (c *Coder) Blob(b *[]byte) {
+	n := c.Len(len(*b), 1)
+	if f := c.field(n); f != nil {
+		if c.decoding {
+			*b = f
+		} else {
+			copy(f, *b)
+		}
+	}
+}
+
+// Str codes a length and the string's bytes.
+func (c *Coder) Str(s *string) {
+	n := c.Len(len(*s), 1)
+	if f := c.field(n); f != nil {
+		if c.decoding {
+			*s = string(f)
+		} else {
+			copy(f, *s)
+		}
+	}
+}
+
+// Ints codes a length and the values as int32s; an empty list decodes as
+// nil. Ints, Floats, IntRows and FloatRows stay out of line: inlined into
+// another package, their generic call would move its *Coder to the heap.
+//
+//go:noinline
+func (c *Coder) Ints(xs *[]int) { codeList(c, xs, 4, getInts, putInts) }
+
+// Floats codes a length and the values; an empty list decodes as nil.
+//
+//go:noinline
+func (c *Coder) Floats(xs *[]float64) { codeList(c, xs, 8, getFloats, putFloats) }
+
+// IntRows codes a list of rows of int32s; an empty list decodes as nil,
+// a row never does.
+//
+//go:noinline
+func (c *Coder) IntRows(rows *[][]int) { codeRows(c, rows, 4, getInts, putInts) }
+
+// FloatRows codes a list of rows of float64s, as IntRows does.
+//
+//go:noinline
+func (c *Coder) FloatRows(rows *[][]float64) { codeRows(c, rows, 8, getFloats, putFloats) }
+
+// codeList codes a length and the items of *xs at elem bytes each, with
+// get and put converting them from and to the wire.
+func codeList[T any](c *Coder, xs *[]T, elem int, get func([]byte, []T), put func([]byte, []T) error) {
+	n := c.Len(len(*xs), elem)
+	b := c.field(elem * n)
+	switch {
+	case b == nil || n == 0:
+	case c.decoding:
+		*xs = make([]T, n)
+		get(b, *xs)
+	default:
+		c.encodeErr(put(b, *xs))
+	}
+}
+
+// codeRows codes a row list's count, its row lengths and the rows
+// concatenated, at elem bytes an item. Decoding holds their total against
+// the bytes left before it allocates the rows: one flat array they are
+// sliced from, and their headers.
+func codeRows[T any](c *Coder, rows *[][]T, elem int, get func([]byte, []T), put func([]byte, []T) error) {
+	n := c.Len(len(*rows), 4)
+	lens := c.field(4 * n)
+	total := 0
+	if !c.decoding {
+		for i, row := range *rows {
+			if len(row) > math.MaxUint32 {
+				c.encodeErr(tooWide("row length", len(row)))
+			}
+			if lens != nil {
+				binary.LittleEndian.PutUint32(lens[4*i:], uint32(len(row)))
+			}
+			total += len(row)
+		}
+		if b := c.field(elem * total); b != nil {
+			for _, row := range *rows {
+				c.encodeErr(put(b, row))
+				b = b[elem*len(row):]
+			}
+		}
+		return
+	}
+	for i := 0; i < len(lens); i += 4 {
+		total += int(binary.LittleEndian.Uint32(lens[i:]))
+	}
+	if c.err == nil && total > len(c.in)/elem {
+		c.Fail(fmt.Errorf("%s ends early: rows of %d items of %d bytes declared, %d bytes left", c.what, total, elem, len(c.in)))
+	}
+	b := c.field(elem * total)
+	if b == nil || n == 0 {
+		return
+	}
+	flat := make([]T, total)
+	get(b, flat)
+	*rows = make([][]T, n)
+	at := 0
+	for i := range *rows {
+		end := at + int(binary.LittleEndian.Uint32(lens[4*i:]))
+		(*rows)[i] = flat[at:end:end]
+		at = end
+	}
+}
+
+// putInts fills b with xs as int32s; a value that does not fit is the
+// error.
+func putInts(b []byte, xs []int) (err error) {
+	for i, v := range xs {
+		if v != int(int32(v)) && err == nil {
+			err = tooWide("index", v)
+		}
+		binary.LittleEndian.PutUint32(b[4*i:], uint32(v))
+	}
+	return err
+}
+
+func getInts(b []byte, out []int) {
 	for i := range out {
 		out[i] = int(int32(binary.LittleEndian.Uint32(b[4*i:])))
 	}
 }
 
-func (r *Reader) getFloats(out []float64) {
-	b := r.Take(8 * len(out))
+func putFloats(b []byte, xs []float64) error {
+	for i, v := range xs {
+		binary.LittleEndian.PutUint64(b[8*i:], math.Float64bits(v))
+	}
+	return nil
+}
+
+func getFloats(b []byte, out []float64) {
 	for i := range out {
 		out[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:]))
 	}
-}
-
-// Ints reads what Writer.Ints wrote; an empty list is nil.
-func (r *Reader) Ints() []int {
-	n := r.Count(4)
-	if n == 0 {
-		return nil
-	}
-	out := make([]int, n)
-	r.getInts(out)
-	return out
-}
-
-// Floats reads what Writer.Floats wrote; an empty list is nil.
-func (r *Reader) Floats() []float64 {
-	n := r.Count(8)
-	if n == 0 {
-		return nil
-	}
-	out := make([]float64, n)
-	r.getFloats(out)
-	return out
-}
-
-// rowLengths reads a row list's count and lengths and returns the raw
-// lengths and their total, once the total is known to fit the bytes left
-// at elem bytes an item. Nothing is allocated.
-func (r *Reader) rowLengths(elem int) (lens []byte, total int) {
-	lens = r.Take(4 * r.Count(4))
-	for i := 0; i < len(lens); i += 4 {
-		total += int(binary.LittleEndian.Uint32(lens[i:]))
-	}
-	if r.err == nil && total > len(r.buf)/elem {
-		r.Fail(fmt.Errorf("%s ends early: rows of %d items of %d bytes declared, %d bytes left", r.what, total, elem, len(r.buf)))
-		return nil, 0
-	}
-	return lens, total
-}
-
-// IntRows reads what Writer.IntRows wrote; an empty list is nil, a row
-// never is.
-func (r *Reader) IntRows() [][]int {
-	lens, total := r.rowLengths(4)
-	if len(lens) == 0 {
-		return nil
-	}
-	flat := make([]int, total)
-	r.getInts(flat)
-	return sliceRows(lens, flat)
-}
-
-// FloatRows reads what Writer.FloatRows wrote.
-func (r *Reader) FloatRows() [][]float64 {
-	lens, total := r.rowLengths(8)
-	if len(lens) == 0 {
-		return nil
-	}
-	flat := make([]float64, total)
-	r.getFloats(flat)
-	return sliceRows(lens, flat)
-}
-
-// sliceRows cuts flat into rows of the given uint32 lengths.
-func sliceRows[T any](lens []byte, flat []T) [][]T {
-	rows := make([][]T, len(lens)/4)
-	at := 0
-	for i := range rows {
-		end := at + int(binary.LittleEndian.Uint32(lens[4*i:]))
-		rows[i] = flat[at:end:end]
-		at = end
-	}
-	return rows
 }

@@ -227,7 +227,7 @@ func (c *coordinator) finishGen(gen uint64, pays []payload) {
 		stats[i] = st
 	}
 	res := pcomm.NewResult(stats)
-	frame, ferr := encodeFrame(fDone, doneFrame(gen, res))
+	frame, ferr := encodeFrame(fDone, (&doneMsg{gen, res.PerProc}).code)
 	c.node.handleDone(gen, res)
 	for idx, cc := range c.snapshotConns() {
 		if cc == nil {
@@ -241,7 +241,7 @@ func (c *coordinator) finishGen(gen uint64, pays []payload) {
 
 // broadcastResult delivers one completed round to every process.
 func (c *coordinator) broadcastResult(r roundResult) {
-	frame, ferr := encodeFrame(fResult, r.put)
+	frame, ferr := encodeFrame(fResult, r.code)
 	c.node.handleResult(r)
 	for idx, cc := range c.snapshotConns() {
 		if cc == nil {
@@ -269,7 +269,7 @@ func (c *coordinator) abortGen(a abortMsg) {
 	gc.aborted = true
 	gc.rounds = make(map[uint64]*roundCollect) // drop buffered deposits
 	c.mu.Unlock()
-	frame, ferr := encodeFrame(fAbort, a.put)
+	frame, ferr := encodeFrame(fAbort, a.code)
 	c.node.handleAbort(a)
 	for _, cc := range c.snapshotConns() {
 		if cc == nil {

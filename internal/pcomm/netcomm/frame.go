@@ -54,20 +54,26 @@ const (
 
 // encodeFrame builds one whole frame — the codec's length prefix, the
 // type byte, the body — in one buffer of exactly its size.
-func encodeFrame(typ byte, body func(w *codec.Writer)) ([]byte, error) {
-	return codec.Frame(maxFrameLen, func(w *codec.Writer) {
-		w.U8(typ)
-		body(w)
+func encodeFrame(typ byte, body func(c *codec.Coder)) ([]byte, error) {
+	return codec.Frame(maxFrameLen, func(c *codec.Coder) {
+		c.U8(&typ)
+		body(c)
 	})
 }
 
 // writeFrame encodes one frame and writes it with one Write.
-func writeFrame(c io.Writer, typ byte, body func(w *codec.Writer)) error {
+func writeFrame(w io.Writer, typ byte, body func(c *codec.Coder)) error {
 	frame, err := encodeFrame(typ, body)
+	return write(w, frame, err)
+}
+
+// write writes what encodeFrame returned with one Write; a frame that
+// failed to encode fails the write.
+func write(w io.Writer, frame []byte, err error) error {
 	if err != nil {
-		return fmt.Errorf("netcomm: encoding frame type %d: %w", typ, err)
+		return fmt.Errorf("netcomm: encoding frame: %w", err)
 	}
-	if _, err := c.Write(frame); err != nil {
+	if _, err := w.Write(frame); err != nil {
 		return fmt.Errorf("netcomm: writing frame: %w", err)
 	}
 	return nil
@@ -95,48 +101,43 @@ type hello struct {
 	c    uint32 // data: world size P
 }
 
-func (h hello) put(w *codec.Writer) {
-	w.Header(wireMagic, wireVersion)
-	w.U8(h.kind)
-	w.U64(h.gen)
-	w.U32(h.a)
-	w.U32(h.b)
-	w.U32(h.c)
+// code opens with the magic and version, which decoding checks before
+// anything else: a stranger protocol (or a future netcomm) is told
+// exactly why it was turned away.
+func (h *hello) code(c *codec.Coder) {
+	c.Header(wireMagic, wireVersion)
+	c.U8(&h.kind)
+	c.U64(&h.gen)
+	c.U32(&h.a)
+	c.U32(&h.b)
+	c.U32(&h.c)
 }
 
-// decodeHello validates magic and version before touching anything else,
-// so a stranger protocol (or a future netcomm) is told exactly why it
-// was turned away.
-func decodeHello(body []byte) (hello, error) {
-	return codec.Decode("netcomm: hello frame", body, func(r *codec.Reader) hello {
-		r.Header(wireMagic, wireVersion)
-		return hello{kind: r.U8(), gen: r.U64(), a: r.U32(), b: r.U32(), c: r.U32()}
-	})
+func decodeHello(body []byte) (h hello, err error) {
+	err = codec.Decode("netcomm: hello frame", body, h.code)
+	return h, err
 }
 
-// ack is a hello-ack body: a status byte and, on rejection, the reason.
-func ack(err error) func(w *codec.Writer) {
-	return func(w *codec.Writer) {
-		if err == nil {
-			w.U8(0)
-			w.Str("")
-			return
-		}
-		w.U8(1)
-		w.Str(err.Error())
-	}
+// helloAck is a hello-ack body: whether the hello was rejected, and why.
+type helloAck struct {
+	rejected bool
+	reason   string
+}
+
+func (a *helloAck) code(c *codec.Coder) {
+	c.Flag(&a.rejected)
+	c.Str(&a.reason)
 }
 
 func decodeAck(body []byte) error {
-	var rejected bool
-	reason, err := codec.Decode("netcomm: hello ack", body, func(r *codec.Reader) string {
-		rejected = r.Flag()
-		return r.Str()
-	})
-	if err == nil && rejected {
-		err = fmt.Errorf("netcomm: peer rejected handshake: %s", reason)
+	var a helloAck
+	if err := codec.Decode("netcomm: hello ack", body, a.code); err != nil {
+		return err
 	}
-	return err
+	if a.rejected {
+		return fmt.Errorf("netcomm: peer rejected handshake: %s", a.reason)
+	}
+	return nil
 }
 
 // payload is one Send or collective contribution. A received raw
@@ -149,38 +150,22 @@ type payload struct {
 	data []byte // pkRaw: the elements' bytes
 }
 
-// put writes a payload as its kind, element size, byte count and bytes:
-// at least 9 bytes, whatever its kind.
-func (p payload) put(w *codec.Writer) {
-	w.U8(p.kind)
-	w.U32(p.elem)
-	if p.kind == pkFloat64 || p.kind == pkInt {
-		w.Count(8)
-		w.U64(p.bits)
-		return
-	}
-	w.Count(len(p.data))
-	w.Bytes(p.data)
-}
-
-// minPayloadBytes is the fewest bytes an encoded payload takes.
+// minPayloadBytes is the fewest bytes an encoded payload takes: kind,
+// element size and byte count.
 const minPayloadBytes = 9
 
-func readPayload(r *codec.Reader) payload {
-	p := payload{kind: r.U8(), elem: r.U32()}
-	n := r.Count(1)
-	switch p.kind {
-	case pkFloat64, pkInt:
-		if r.Err() == nil && (p.elem != 8 || n != 8) {
-			r.Fail(fmt.Errorf("netcomm: scalar payload of %d bytes in elements of %d, want one of 8", n, p.elem))
-		}
-		p.bits = r.U64()
-	case pkNil, pkRaw:
-		p.data = r.Take(n)
-	default:
-		r.Fail(fmt.Errorf("netcomm: unknown payload kind %d", p.kind))
+// code writes a payload as its kind, element size, byte count and bytes.
+func (p *payload) code(c *codec.Coder) {
+	c.U8(&p.kind)
+	c.U32(&p.elem)
+	if p.kind != pkFloat64 && p.kind != pkInt {
+		c.Blob(&p.data)
+		return
 	}
-	return p
+	if n := c.Len(8, 1); n != 8 || p.elem != 8 {
+		c.Fail(fmt.Errorf("netcomm: scalar payload of %d bytes in elements of %d, want one of 8", n, p.elem))
+	}
+	c.U64(&p.bits)
 }
 
 // encodePayload serializes a boxed value: nil, or a float or int in a
@@ -201,6 +186,7 @@ func encodePayload(v any) (payload, error) {
 func floatPayload(x float64) payload {
 	return payload{kind: pkFloat64, elem: 8, bits: math.Float64bits(x)}
 }
+
 func intPayload(x int) payload { return payload{kind: pkInt, elem: 8, bits: uint64(x)} }
 
 // scalarOf returns the 8-byte value of a payload of the given kind.
@@ -266,20 +252,21 @@ func decodeMessage(tag int, p payload) (m engine.Message, err error) {
 	return m, err
 }
 
-// Data frames: tag, then the payload.
-func dataFrame(tag int, p payload) func(w *codec.Writer) {
-	return func(w *codec.Writer) {
-		w.I64(int64(tag))
-		p.put(w)
-	}
+// dataMsg is a data frame: the tag, then the payload.
+type dataMsg struct {
+	tag int
+	pay payload
+}
+
+func (m *dataMsg) code(c *codec.Coder) {
+	c.Int(&m.tag)
+	m.pay.code(c)
 }
 
 func decodeDataFrame(body []byte) (tag int, p payload, err error) {
-	p, err = codec.Decode("netcomm: data frame", body, func(r *codec.Reader) payload {
-		tag = int(r.I64())
-		return readPayload(r)
-	})
-	return tag, p, err
+	var m dataMsg
+	err = codec.Decode("netcomm: data frame", body, m.code)
+	return m.tag, m.pay, err
 }
 
 // Deposit frames: one rank's contribution to one collective round.
@@ -292,19 +279,20 @@ type deposit struct {
 	pay   payload
 }
 
-func (d deposit) put(w *codec.Writer) {
-	w.U64(d.gen)
-	w.U64(d.round)
-	w.U32(uint32(d.rank))
-	w.U32(uint32(d.p))
-	w.Str(d.op)
-	d.pay.put(w)
+func (d *deposit) code(c *codec.Coder) {
+	c.U64(&d.gen)
+	c.U64(&d.round)
+	rank, p := uint32(d.rank), uint32(d.p)
+	c.U32(&rank)
+	c.U32(&p)
+	d.rank, d.p = int(rank), int(p)
+	c.Str(&d.op)
+	d.pay.code(c)
 }
 
-func decodeDepositFrame(body []byte) (deposit, error) {
-	return codec.Decode("netcomm: deposit frame", body, func(r *codec.Reader) deposit {
-		return deposit{gen: r.U64(), round: r.U64(), rank: int(r.U32()), p: int(r.U32()), op: r.Str(), pay: readPayload(r)}
-	})
+func decodeDepositFrame(body []byte) (d deposit, err error) {
+	err = codec.Decode("netcomm: deposit frame", body, d.code)
+	return d, err
 }
 
 // Result frames: the coordinator's broadcast of one completed round —
@@ -316,27 +304,21 @@ type roundResult struct {
 	pays  []payload // indexed by rank
 }
 
-func (rr roundResult) put(w *codec.Writer) {
-	w.U64(rr.gen)
-	w.U64(rr.round)
-	w.Str(rr.op)
-	w.Count(len(rr.pays))
-	for _, p := range rr.pays {
-		p.put(w)
+// code holds the payload count against the bytes left before decoding
+// sizes anything.
+func (r *roundResult) code(c *codec.Coder) {
+	c.U64(&r.gen)
+	c.U64(&r.round)
+	c.Str(&r.op)
+	codec.List(c, &r.pays, minPayloadBytes)
+	for i := range r.pays {
+		r.pays[i].code(c)
 	}
 }
 
-// decodeResultFrame holds the payload count against the bytes left
-// before it sizes anything.
-func decodeResultFrame(body []byte) (roundResult, error) {
-	return codec.Decode("netcomm: result frame", body, func(r *codec.Reader) roundResult {
-		rr := roundResult{gen: r.U64(), round: r.U64(), op: r.Str()}
-		rr.pays = make([]payload, r.Count(minPayloadBytes))
-		for i := range rr.pays {
-			rr.pays[i] = readPayload(r)
-		}
-		return rr
-	})
+func decodeResultFrame(body []byte) (r roundResult, err error) {
+	err = codec.Decode("netcomm: result frame", body, r.code)
+	return r, err
 }
 
 // Abort frames: a failure on one process, broadcast to all.
@@ -346,39 +328,34 @@ type abortMsg struct {
 	msg  string
 }
 
-func (a abortMsg) put(w *codec.Writer) {
-	w.U64(a.gen)
-	w.I32(a.rank)
-	w.Str(a.msg)
+func (a *abortMsg) code(c *codec.Coder) {
+	c.U64(&a.gen)
+	c.I32(&a.rank)
+	c.Str(&a.msg)
 }
 
-func decodeAbortFrame(body []byte) (abortMsg, error) {
-	return codec.Decode("netcomm: abort frame", body, func(r *codec.Reader) abortMsg {
-		return abortMsg{gen: r.U64(), rank: r.I32(), msg: r.Str()}
-	})
+func decodeAbortFrame(body []byte) (a abortMsg, err error) {
+	err = codec.Decode("netcomm: abort frame", body, a.code)
+	return a, err
 }
 
 // statsBytes is the wire size of one rank's Stats: six 8-byte words, one
 // per field in declaration order.
 const statsBytes = 48
 
-func putStats(w *codec.Writer, st pcomm.Stats) {
-	w.F64(st.Flops)
-	w.I64(st.MsgsSent)
-	w.I64(st.BytesSent)
-	w.I64(st.Collectives)
-	w.F64(st.Time)
-	w.F64(st.Busy)
-}
-
-func readStats(r *codec.Reader) pcomm.Stats {
-	return pcomm.Stats{Flops: r.F64(), MsgsSent: r.I64(), BytesSent: r.I64(), Collectives: r.I64(), Time: r.F64(), Busy: r.F64()}
+func codeStats(c *codec.Coder, st *pcomm.Stats) {
+	c.F64(&st.Flops)
+	c.I64(&st.MsgsSent)
+	c.I64(&st.BytesSent)
+	c.I64(&st.Collectives)
+	c.F64(&st.Time)
+	c.F64(&st.Busy)
 }
 
 // statsPayload is a rank's deposit into the stats round: its Stats as a
 // raw payload of statsBytes bytes.
 func statsPayload(st pcomm.Stats) payload {
-	b, err := codec.Encode(func(w *codec.Writer) { putStats(w, st) })
+	b, err := codec.Encode(func(c *codec.Coder) { codeStats(c, &st) })
 	if err != nil {
 		panic(err) // six fixed-width words cannot fail to encode
 	}
@@ -386,40 +363,37 @@ func statsPayload(st pcomm.Stats) payload {
 }
 
 // decodeStatsPayload is the coordinator's inverse of statsPayload.
-func decodeStatsPayload(p payload) (pcomm.Stats, error) {
+func decodeStatsPayload(p payload) (st pcomm.Stats, err error) {
 	if p.kind != pkRaw || p.elem != 1 || len(p.data) != statsBytes {
-		return pcomm.Stats{}, fmt.Errorf("netcomm: stats payload of kind %d and %d bytes, want %d raw bytes", p.kind, len(p.data), statsBytes)
+		return st, fmt.Errorf("netcomm: stats payload of kind %d and %d bytes, want %d raw bytes", p.kind, len(p.data), statsBytes)
 	}
-	return readStats(codec.NewReader("netcomm: stats payload", p.data)), nil
+	err = codec.Decode("netcomm: stats payload", p.data, func(c *codec.Coder) { codeStats(c, &st) })
+	return st, err
 }
 
-// Done frames: the coordinator's world-completion broadcast carrying the
-// per-rank statistics — the generation, then each rank's Stats in rank
-// order — so World.Run returns an identical Result in every process
-// (including processes hosting zero ranks).
-func doneFrame(gen uint64, res pcomm.Result) func(w *codec.Writer) {
-	return func(w *codec.Writer) {
-		w.U64(gen)
-		w.Count(len(res.PerProc))
-		for _, st := range res.PerProc {
-			putStats(w, st)
-		}
+// doneMsg is a done frame: the coordinator's world-completion broadcast
+// carrying the per-rank statistics in rank order, so World.Run returns an
+// identical Result in every process (including processes hosting zero
+// ranks).
+type doneMsg struct {
+	gen   uint64
+	stats []pcomm.Stats
+}
+
+// code holds the rank count against the bytes left before decoding sizes
+// anything.
+func (d *doneMsg) code(c *codec.Coder) {
+	c.U64(&d.gen)
+	codec.List(c, &d.stats, statsBytes)
+	for i := range d.stats {
+		codeStats(c, &d.stats[i])
 	}
 }
 
-// decodeDoneFrame holds the rank count against the bytes left before it
-// sizes anything.
 func decodeDoneFrame(body []byte) (gen uint64, res pcomm.Result, err error) {
-	stats, err := codec.Decode("netcomm: done frame", body, func(r *codec.Reader) []pcomm.Stats {
-		gen = r.U64()
-		stats := make([]pcomm.Stats, r.Count(statsBytes))
-		for i := range stats {
-			stats[i] = readStats(r)
-		}
-		return stats
-	})
-	if err != nil {
+	var d doneMsg
+	if err := codec.Decode("netcomm: done frame", body, d.code); err != nil {
 		return 0, res, err
 	}
-	return gen, pcomm.NewResult(stats), nil
+	return d.gen, pcomm.NewResult(d.stats), nil
 }

@@ -19,25 +19,32 @@ import (
 )
 
 // body encodes one frame body alone, as the decoders take it.
-func body(put func(w *codec.Writer)) []byte {
-	b, err := codec.Encode(put)
+func body(layout func(c *codec.Coder)) []byte {
+	b, err := codec.Encode(layout)
 	if err != nil {
 		panic(err)
 	}
 	return b
 }
 
-func encodeHello(h hello) []byte                          { return body(h.put) }
-func encodeAck(err error) []byte                          { return body(ack(err)) }
-func encodeDataFrame(tag int, p payload) []byte           { return body(dataFrame(tag, p)) }
-func encodeDepositFrame(d deposit) []byte                 { return body(d.put) }
-func encodeResultFrame(r roundResult) []byte              { return body(r.put) }
-func encodeAbortFrame(a abortMsg) []byte                  { return body(a.put) }
-func encodeDoneFrame(gen uint64, res pcomm.Result) []byte { return body(doneFrame(gen, res)) }
+func encodeHello(h hello) []byte { return body(h.code) }
+func encodeAck(err error) []byte {
+	if err == nil {
+		return body((&helloAck{}).code)
+	}
+	return body((&helloAck{rejected: true, reason: err.Error()}).code)
+}
+func encodeDataFrame(tag int, p payload) []byte { return body((&dataMsg{tag, p}).code) }
+func encodeDepositFrame(d deposit) []byte       { return body(d.code) }
+func encodeResultFrame(r roundResult) []byte    { return body(r.code) }
+func encodeAbortFrame(a abortMsg) []byte        { return body(a.code) }
+func encodeDoneFrame(gen uint64, res pcomm.Result) []byte {
+	return body((&doneMsg{gen, res.PerProc}).code)
+}
 
 // rawBody writes b as a frame body.
-func rawBody(b []byte) func(w *codec.Writer) {
-	return func(w *codec.Writer) { w.Bytes(b) }
+func rawBody(b []byte) func(c *codec.Coder) {
+	return func(c *codec.Coder) { c.Bytes(b) }
 }
 
 func rawSliceOfFloats(xs []float64) pcomm.RawSlice {
@@ -428,12 +435,9 @@ func TestCoordinatorSizesNothingByClaimedWorldSize(t *testing.T) {
 // empty op — whose payload count (0x7FFFFFFF) the remaining zero bytes
 // cannot hold.
 func oversizedResultBody() []byte {
-	return body(func(w *codec.Writer) {
-		w.U64(0)
-		w.U64(0)
-		w.Str("")
-		w.U32(0x7FFFFFFF)
-	})
+	body := encodeResultFrame(roundResult{})
+	binary.LittleEndian.PutUint32(body[len(body)-4:], 0x7FFFFFFF)
+	return body
 }
 
 // TestDecodeResultFrameRefusesOversizedCount: the payload count is

@@ -76,18 +76,12 @@ type ctlConn struct {
 	c  net.Conn
 }
 
-// send writes one frame, encoded once for every connection it goes to;
-// a frame that failed to encode fails each send, like a failed write.
-func (c *ctlConn) send(frame []byte, encodeErr error) error {
-	if encodeErr != nil {
-		return encodeErr
-	}
+// send writes what encodeFrame returned: a broadcast encodes its frame
+// once for every connection it goes to.
+func (c *ctlConn) send(frame []byte, err error) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if _, err := c.c.Write(frame); err != nil {
-		return fmt.Errorf("netcomm: writing frame: %w", err)
-	}
-	return nil
+	return write(c.c, frame, err)
 }
 
 // registry caches one Node per spec text, so repeated WorldFor calls
@@ -284,7 +278,7 @@ func handshake(c net.Conn, h hello) error {
 	if err := c.SetDeadline(time.Now().Add(handshakeTimeout)); err != nil {
 		return err
 	}
-	if err := writeFrame(c, fHello, h.put); err != nil {
+	if err := writeFrame(c, fHello, h.code); err != nil {
 		return err
 	}
 	typ, body, err := readFrame(c)
@@ -316,7 +310,7 @@ func (n *Node) acceptLoop() {
 // connections attach to their world (parking until it exists).
 func (n *Node) handleConn(c net.Conn) {
 	reject := func(err error) {
-		if werr := writeFrame(c, fHelloAck, ack(err)); werr != nil {
+		if werr := writeFrame(c, fHelloAck, (&helloAck{rejected: true, reason: err.Error()}).code); werr != nil {
 			_ = werr //pilutlint:ok errdrop the peer is being rejected; its ack read failing too adds nothing
 		}
 		if cerr := c.Close(); cerr != nil {
@@ -351,7 +345,7 @@ func (n *Node) handleConn(c net.Conn) {
 			reject(fmt.Errorf("netcomm: control hello from invalid process index %d", h.a))
 			return
 		}
-		if err := writeFrame(c, fHelloAck, ack(nil)); err != nil {
+		if err := writeFrame(c, fHelloAck, (&helloAck{}).code); err != nil {
 			reject(err)
 			return
 		}
@@ -370,7 +364,7 @@ func (n *Node) handleConn(c net.Conn) {
 			reject(fmt.Errorf("netcomm: rank %d is not hosted on process %d", dst, n.self))
 			return
 		}
-		if err := writeFrame(c, fHelloAck, ack(nil)); err != nil {
+		if err := writeFrame(c, fHelloAck, (&helloAck{}).code); err != nil {
 			reject(err)
 			return
 		}
@@ -560,7 +554,7 @@ func (n *Node) deposit(d deposit) error {
 		n.coord.deposit(d)
 		return nil
 	}
-	return n.ctlOut.send(encodeFrame(fDeposit, d.put))
+	return n.ctlOut.send(encodeFrame(fDeposit, d.code))
 }
 
 // sendAbort tells the coordinator (and through it, everyone) that gen
@@ -570,7 +564,7 @@ func (n *Node) sendAbort(a abortMsg) {
 		n.coord.abortGen(a)
 		return
 	}
-	if err := n.ctlOut.send(encodeFrame(fAbort, a.put)); err != nil {
+	if err := n.ctlOut.send(encodeFrame(fAbort, a.code)); err != nil {
 		// The control link is gone; the coordinator will observe the EOF
 		// and broadcast the group failure itself.
 		_ = err //pilutlint:ok errdrop abort-path write failure is superseded by the coordinator's own EOF detection

@@ -325,7 +325,7 @@ func (w *World) Ship(p *engine.Proc, dst int, m engine.Message) {
 	}
 	c, err := w.dataConn(p.ID(), dst)
 	if err == nil {
-		err = writeFrame(c, fData, dataFrame(m.Tag, pay))
+		err = writeFrame(c, fData, (&dataMsg{m.Tag, pay}).code)
 		if err != nil {
 			// The connection died under us (peer gone, or a fault cut it).
 			// Drop it so a retry would redial, then unwind.

@@ -8,11 +8,11 @@ package service
 // (or a gob body from an older one) is refused before anything else is
 // read, and the fetcher builds locally instead.
 //
-// Both bodies are written and read by internal/codec (little-endian,
-// uint32 lengths, int32 indices refused rather than truncated past 32
-// bits — maxMMDim is 2^24 — raw float64 bits, rows as count, lengths and
-// one concatenated array). Header integers and the matrix dimensions are
-// int64.
+// Each body's layout is one function of an internal/codec Coder, which
+// both writes and reads it (little-endian, uint32 lengths, int32 indices
+// refused rather than truncated past 32 bits — maxMMDim is 2^24 — raw
+// float64 bits, rows as count, lengths and one concatenated array).
+// Header integers and the matrix dimensions are int64.
 //
 //	factor body:  "PILUTFAC" version
 //	              key Procs Seed Params(M Tau K PivotPerturb) MISRounds
@@ -24,8 +24,8 @@ package service
 //	              InteriorLocal Levels(Start Size) LevelMembers
 //	matrix body:  "PILUTCSR" version matrix
 //
-// The codec's reader trusts no length and refuses trailing bytes. What
-// the decoder returns is only well-formed as bytes — sparse.CSR.Check,
+// The codec trusts no length when it decodes and refuses trailing bytes.
+// What the decoder returns is only well-formed as bytes — sparse.CSR.Check,
 // core.FromWire and core.CheckExchange judge the contents, as importFactor
 // does. A list of length zero decodes as nil; rows are never nil.
 
@@ -81,161 +81,106 @@ type wireFactor struct {
 }
 
 // encodeFactor writes wf as a factor body.
-func encodeFactor(wf *wireFactor) ([]byte, error) {
-	return codec.Encode(func(w *codec.Writer) {
-		w.Header(factorMagic, wireVersion)
-		w.Str(wf.Key)
-		w.I64(int64(wf.Procs))
-		w.I64(wf.Seed)
-		w.I64(int64(wf.Params.M))
-		w.F64(wf.Params.Tau)
-		w.I64(int64(wf.Params.K))
-		w.F64(wf.Params.PivotPerturb)
-		w.I64(int64(wf.MISRounds))
-		w.Str(wf.LadderStep)
-		w.Flag(wf.Degraded)
-		w.I64(int64(wf.Levels))
-		w.F64(wf.FactorSeconds)
-		w.Bytes(wf.PartDigest[:])
-		w.Count(len(wf.Pieces))
-		for q := range wf.Pieces {
-			w.I64(int64(wf.Pieces[q].Me))
-			putStats(w, &wf.Pieces[q].Stats)
-		}
-		putCSR(w, wf.Matrix)
-		for q := range wf.Pieces {
-			pc := &wf.Pieces[q]
-			w.Ints(pc.NewOf)
-			w.IntRows(pc.LCols)
-			w.FloatRows(pc.LVals)
-			w.IntRows(pc.UCols)
-			w.FloatRows(pc.UVals)
-			w.Floats(pc.UDiag)
-			w.Ints(pc.InteriorLocal)
-			w.Count(len(pc.Levels))
-			for _, lv := range pc.Levels {
-				w.I32(lv.Start)
-				w.I32(lv.Size)
-			}
-			w.IntRows(pc.LevelMembers)
-		}
-	})
-}
+func encodeFactor(wf *wireFactor) ([]byte, error) { return codec.Encode(wf.code) }
 
 // decodeFactor reads a factor body.
 func decodeFactor(data []byte) (*wireFactor, error) {
-	return codec.Decode("service: peer body", data, readFactor)
+	wf := &wireFactor{}
+	c := codec.NewDecoder("service: peer body", data)
+	wf.code(c)
+	if err := c.End(); err != nil {
+		return nil, err
+	}
+	return wf, nil
 }
 
-func readFactor(r *codec.Reader) *wireFactor {
-	r.Header(factorMagic, wireVersion)
-	wf := &wireFactor{}
-	wf.Key = r.Str()
-	wf.Procs = int(r.I64())
-	wf.Seed = r.I64()
-	wf.Params.M = int(r.I64())
-	wf.Params.Tau = r.F64()
-	wf.Params.K = int(r.I64())
-	wf.Params.PivotPerturb = r.F64()
-	wf.MISRounds = int(r.I64())
-	wf.LadderStep = r.Str()
-	wf.Degraded = r.Flag()
-	wf.Levels = int(r.I64())
-	wf.FactorSeconds = r.F64()
-	copy(wf.PartDigest[:], r.Take(sha256.Size))
-	if n := r.Count(minPieceBytes); n > 0 {
-		wf.Pieces = make([]core.WirePrecond, n)
-	}
+// code is the factor body's layout.
+func (wf *wireFactor) code(c *codec.Coder) {
+	c.Header(factorMagic, wireVersion)
+	c.Str(&wf.Key)
+	c.Int(&wf.Procs)
+	c.I64(&wf.Seed)
+	c.Int(&wf.Params.M)
+	c.F64(&wf.Params.Tau)
+	c.Int(&wf.Params.K)
+	c.F64(&wf.Params.PivotPerturb)
+	c.Int(&wf.MISRounds)
+	c.Str(&wf.LadderStep)
+	c.Flag(&wf.Degraded)
+	c.Int(&wf.Levels)
+	c.F64(&wf.FactorSeconds)
+	c.Bytes(wf.PartDigest[:])
+	codec.List(c, &wf.Pieces, minPieceBytes)
 	for q := range wf.Pieces {
-		wf.Pieces[q].Me = int(r.I64())
-		readStats(r, &wf.Pieces[q].Stats)
+		c.Int(&wf.Pieces[q].Me)
+		codeStats(c, &wf.Pieces[q].Stats)
 	}
-	wf.Matrix = readCSR(r)
+	codeCSR(c, &wf.Matrix)
 	for q := range wf.Pieces {
 		pc := &wf.Pieces[q]
-		pc.NewOf = r.Ints()
-		pc.LCols = r.IntRows()
-		pc.LVals = r.FloatRows()
-		pc.UCols = r.IntRows()
-		pc.UVals = r.FloatRows()
-		pc.UDiag = r.Floats()
-		pc.InteriorLocal = r.Ints()
-		if n := r.Count(8); n > 0 {
-			pc.Levels = make([]core.LevelInfo, n)
-			for l := range pc.Levels {
-				pc.Levels[l] = core.LevelInfo{Start: r.I32(), Size: r.I32()}
-			}
+		c.Ints(&pc.NewOf)
+		c.IntRows(&pc.LCols)
+		c.FloatRows(&pc.LVals)
+		c.IntRows(&pc.UCols)
+		c.FloatRows(&pc.UVals)
+		c.Floats(&pc.UDiag)
+		c.Ints(&pc.InteriorLocal)
+		codec.List(c, &pc.Levels, 8)
+		for l := range pc.Levels {
+			c.I32(&pc.Levels[l].Start)
+			c.I32(&pc.Levels[l].Size)
 		}
-		pc.LevelMembers = r.IntRows()
+		c.IntRows(&pc.LevelMembers)
 	}
-	return wf
 }
 
 // encodeMatrix writes a as a matrix body.
 func encodeMatrix(a *sparse.CSR) ([]byte, error) {
-	return codec.Encode(func(w *codec.Writer) {
-		w.Header(matrixMagic, wireVersion)
-		putCSR(w, a)
+	return codec.Encode(func(c *codec.Coder) {
+		c.Header(matrixMagic, wireVersion)
+		codeCSR(c, &a)
 	})
 }
 
 // decodeMatrix reads a matrix body.
-func decodeMatrix(data []byte) (*sparse.CSR, error) {
-	return codec.Decode("service: peer body", data, func(r *codec.Reader) *sparse.CSR {
-		r.Header(matrixMagic, wireVersion)
-		return readCSR(r)
+func decodeMatrix(data []byte) (a *sparse.CSR, err error) {
+	err = codec.Decode("service: peer body", data, func(c *codec.Coder) {
+		c.Header(matrixMagic, wireVersion)
+		codeCSR(c, &a)
 	})
-}
-
-func putCSR(w *codec.Writer, a *sparse.CSR) {
-	w.I64(int64(a.N))
-	w.I64(int64(a.M))
-	w.Ints(a.RowPtr)
-	w.Ints(a.Cols)
-	w.Floats(a.Vals)
-}
-
-func readCSR(r *codec.Reader) *sparse.CSR {
-	a := &sparse.CSR{N: int(r.I64()), M: int(r.I64())}
-	a.RowPtr = r.Ints()
-	a.Cols = r.Ints()
-	a.Vals = r.Floats()
-	return a
-}
-
-func putStats(w *codec.Writer, st *core.Stats) {
-	w.F64(st.ILU.Flops)
-	for _, v := range [...]int{st.ILU.Dropped, st.ILU.FixedPivot, st.ILU.DroppedRule1, st.ILU.DroppedRule2, st.ILU.DroppedRule3,
-		st.NumLevels, st.NInterface, st.NInterior, st.ReducedNNZ0, st.CopiedEntries} {
-		w.I64(int64(v))
+	if err != nil {
+		return nil, err
 	}
-	w.Count(len(st.Levels))
-	for _, ls := range st.Levels {
-		for _, v := range [...]int{ls.Start, ls.Size, ls.PivotsLocal, ls.RowsLocal, ls.ReducedNNZLocal, ls.DroppedLocal} {
-			w.I64(int64(v))
-		}
-	}
-	w.F64(st.Phase1InteriorSeconds)
-	w.F64(st.Phase1InterfaceSeconds)
-	w.F64(st.Phase2Seconds)
+	return a, nil
 }
 
-func readStats(r *codec.Reader, st *core.Stats) {
-	st.ILU.Flops = r.F64()
+// codeCSR codes the matrix *a, which decoding allocates.
+func codeCSR(c *codec.Coder, a **sparse.CSR) {
+	if *a == nil {
+		*a = &sparse.CSR{}
+	}
+	m := *a
+	c.Int(&m.N)
+	c.Int(&m.M)
+	c.Ints(&m.RowPtr)
+	c.Ints(&m.Cols)
+	c.Floats(&m.Vals)
+}
+
+func codeStats(c *codec.Coder, st *core.Stats) {
+	c.F64(&st.ILU.Flops)
 	for _, v := range [...]*int{&st.ILU.Dropped, &st.ILU.FixedPivot, &st.ILU.DroppedRule1, &st.ILU.DroppedRule2, &st.ILU.DroppedRule3,
 		&st.NumLevels, &st.NInterface, &st.NInterior, &st.ReducedNNZ0, &st.CopiedEntries} {
-		*v = int(r.I64())
+		c.Int(v)
 	}
-	if n := r.Count(6 * 8); n > 0 {
-		st.Levels = make([]core.LevelStats, n)
-		for l := range st.Levels {
-			ls := &st.Levels[l]
-			for _, v := range [...]*int{&ls.Start, &ls.Size, &ls.PivotsLocal, &ls.RowsLocal, &ls.ReducedNNZLocal, &ls.DroppedLocal} {
-				*v = int(r.I64())
-			}
+	codec.List(c, &st.Levels, 6*8)
+	for l := range st.Levels {
+		ls := &st.Levels[l]
+		for _, v := range [...]*int{&ls.Start, &ls.Size, &ls.PivotsLocal, &ls.RowsLocal, &ls.ReducedNNZLocal, &ls.DroppedLocal} {
+			c.Int(v)
 		}
 	}
-	st.Phase1InteriorSeconds = r.F64()
-	st.Phase1InterfaceSeconds = r.F64()
-	st.Phase2Seconds = r.F64()
+	c.F64(&st.Phase1InteriorSeconds)
+	c.F64(&st.Phase1InterfaceSeconds)
+	c.F64(&st.Phase2Seconds)
 }
