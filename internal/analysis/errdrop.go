@@ -9,9 +9,9 @@ import (
 
 // ErrDrop flags discarded errors on the comm and service boundaries: a
 // call into the messaging layer (pcomm, its engine and backends, fault),
-// the service package or the wire codec whose error result is dropped — the call used
-// as a statement, deferred, or the error assigned to the blank
-// identifier. The error on these boundaries is almost always a
+// the service package or the wire codec whose error result is dropped —
+// the call used as a statement, deferred, or the error assigned to the
+// blank identifier. The error on these boundaries is almost always a
 // *pcomm.RunError carrying the failing rank, root cause, stack and
 // blocked-state dump, or a service admission/breaker decision; dropping
 // it converts a contained, diagnosable failure back into a silent one,

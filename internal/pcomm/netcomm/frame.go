@@ -263,10 +263,13 @@ func (m *dataMsg) code(c *codec.Coder) {
 	m.pay.code(c)
 }
 
+// decodeDataFrame runs once per message received: called directly, the
+// layout keeps its Coder on the stack, and the decode allocates nothing.
 func decodeDataFrame(body []byte) (tag int, p payload, err error) {
 	var m dataMsg
-	err = codec.Decode("netcomm: data frame", body, m.code)
-	return m.tag, m.pay, err
+	c := codec.NewDecoder("netcomm: data frame", body)
+	m.code(c)
+	return m.tag, m.pay, c.End()
 }
 
 // Deposit frames: one rank's contribution to one collective round.

@@ -105,12 +105,13 @@ func rungPlan(key string, an *analysis, step string) (plan *core.Plan, err error
 }
 
 // newEntry starts the cache entry for a under an, whose pieces are to be
-// factored under plan: everything but the pieces. The distributed operator the solves apply is
-// always the original a — a degraded preconditioner must never change
-// which system is being solved. On a symbolic hit the operators are
-// cloned serially from the cached templates (CloneFor communicates
-// nothing) and setup is nil; on a miss setup is the ghost-plan exchange
-// each processor of the caller's run must execute.
+// factored under plan: everything but the pieces. The distributed
+// operator the solves apply is always the original a — a degraded
+// preconditioner must never change which system is being solved. On a
+// symbolic hit the operators are cloned serially from the cached
+// templates (CloneFor communicates nothing) and setup is nil; on a miss
+// setup is the ghost-plan exchange each processor of the caller's run
+// must execute.
 func newEntry(key string, an *analysis, plan *core.Plan) (ent *entry, setup func(pcomm.Comm), err error) {
 	a, lay := an.plan.A, an.plan.Lay
 	ent = &entry{
