@@ -116,7 +116,7 @@ func (c *coordinator) closeConns() {
 // round without it, so everything aborts.
 func (c *coordinator) readLoop(idx int, conn net.Conn) {
 	for {
-		typ, body, err := readFrame(conn)
+		typ, body, err := readFrame(conn, maxFrameLen)
 		if err != nil {
 			c.node.mu.Lock()
 			closed := c.node.closed

@@ -23,6 +23,11 @@ const (
 	// against it before any allocation, so a corrupt or malicious prefix
 	// cannot balloon memory.
 	maxFrameLen = 1 << 30
+	// maxHandshakeLen bounds a hello or an ack, a few dozen bytes: a
+	// stranger's first four bytes read as a length (an HTTP request, an
+	// older netcomm's big-endian prefix) are refused at once, not awaited
+	// up to maxFrameLen.
+	maxHandshakeLen = 1 << 16
 )
 
 // Frame types.
@@ -79,10 +84,10 @@ func write(w io.Writer, frame []byte, err error) error {
 	return nil
 }
 
-// readFrame reads one frame; torn reads surface as io.ErrUnexpectedEOF,
-// a clean end between frames as io.EOF itself.
-func readFrame(r io.Reader) (typ byte, body []byte, err error) {
-	buf, err := codec.ReadFrame(r, maxFrameLen)
+// readFrame reads one frame of at most limit bytes; torn reads surface
+// as io.ErrUnexpectedEOF, a clean end between frames as io.EOF itself.
+func readFrame(r io.Reader, limit int) (typ byte, body []byte, err error) {
+	buf, err := codec.ReadFrame(r, limit)
 	if err != nil {
 		return 0, nil, err
 	}
@@ -142,7 +147,9 @@ func decodeAck(body []byte) error {
 
 // payload is one Send or collective contribution. A received raw
 // payload's data is a view of its frame; a sent one's, of the sender's
-// slice, read only while its frame is encoded.
+// slice, which the sender has handed over (pcomm's contract, held by
+// sendalias), so on process 0 the coordinator keeps it as a co-located
+// transport would.
 type payload struct {
 	kind byte
 	elem uint32 // pkRaw: bytes per element

@@ -78,7 +78,7 @@ func TestFrameRoundTrip(t *testing.T) {
 		if err := writeFrame(&buf, tc.typ, rawBody(tc.body)); err != nil {
 			t.Fatalf("writeFrame(%d): %v", tc.typ, err)
 		}
-		typ, body, err := readFrame(&buf)
+		typ, body, err := readFrame(&buf, maxFrameLen)
 		if err != nil {
 			t.Fatalf("readFrame(%d): %v", tc.typ, err)
 		}
@@ -97,7 +97,7 @@ func TestFrameTornRead(t *testing.T) {
 	}
 	whole := buf.Bytes()
 	for cut := 1; cut < len(whole); cut++ {
-		_, _, err := readFrame(bytes.NewReader(whole[:cut]))
+		_, _, err := readFrame(bytes.NewReader(whole[:cut]), maxFrameLen)
 		if err == nil {
 			t.Fatalf("cut at %d of %d: read succeeded on a torn frame", cut, len(whole))
 		}
@@ -143,7 +143,7 @@ func TestFrameOversizedPrefixRejectedBeforeAlloc(t *testing.T) {
 	binary.LittleEndian.PutUint32(hdr[:], uint32(maxFrameLen+1))
 	// Only the 4 prefix bytes exist; if readFrame tried to allocate and
 	// read the claimed 1GiB+ body it would block or fail differently.
-	_, _, err := readFrame(bytes.NewReader(hdr[:]))
+	_, _, err := readFrame(bytes.NewReader(hdr[:]), maxFrameLen)
 	if err == nil {
 		t.Fatal("oversized length prefix accepted")
 	}
@@ -152,7 +152,7 @@ func TestFrameOversizedPrefixRejectedBeforeAlloc(t *testing.T) {
 	}
 
 	binary.LittleEndian.PutUint32(hdr[:], 0)
-	if _, _, err := readFrame(bytes.NewReader(hdr[:])); err == nil {
+	if _, _, err := readFrame(bytes.NewReader(hdr[:]), maxFrameLen); err == nil {
 		t.Fatal("zero-length frame accepted")
 	}
 }

@@ -3,6 +3,7 @@ package netcomm
 import (
 	"errors"
 	"fmt"
+	"net"
 	"os"
 	"path/filepath"
 	"strings"
@@ -343,6 +344,42 @@ func TestSpawnSmoke(t *testing.T) {
 	for r := 0; r < 3; r++ {
 		if res.PerProc[r].Collectives != 1 || res.PerProc[r].MsgsSent != 1 {
 			t.Fatalf("rank %d stats = %+v", r, res.PerProc[r])
+		}
+	}
+}
+
+// TestHandshakeRefusesStranger: a stranger's first bytes — an HTTP
+// request, a version-2 netcomm hello with its big-endian length — read
+// as a length far above any hello, so the node refuses them at once with
+// an ack that says why, instead of sizing a frame of hundreds of
+// megabytes and waiting out the handshake timeout for it.
+func TestHandshakeRefusesStranger(t *testing.T) {
+	nodes := newGroup(t, 2)
+	v2Hello := append([]byte{0, 0, 0, 28, fHello}, "PILU\x00\x02"...)
+	v2Hello = append(v2Hello, make([]byte, 21)...)
+	for name, first := range map[string][]byte{
+		"http":             []byte("GET /v1/stats HTTP/1.1\r\nHost: pilut\r\n\r\n"),
+		"netcomm v2 hello": v2Hello,
+	} {
+		c, err := net.Dial("unix", nodes[1].peers[1])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := c.SetDeadline(time.Now().Add(handshakeTimeout / 2)); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := c.Write(first); err != nil {
+			t.Fatal(err)
+		}
+		typ, body, err := readFrame(c, maxHandshakeLen)
+		if err != nil || typ != fHelloAck {
+			t.Fatalf("%s: no ack before half the handshake timeout: type %d, %v", name, typ, err)
+		}
+		if err := decodeAck(body); err == nil || !strings.Contains(err.Error(), "exceeds") {
+			t.Errorf("%s: ack %v, want a refusal naming the oversized length", name, err)
+		}
+		if err := c.Close(); err != nil {
+			t.Logf("closing: %v", err)
 		}
 	}
 }

@@ -1,7 +1,6 @@
 package netcomm
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"io/fs"
@@ -281,7 +280,7 @@ func handshake(c net.Conn, h hello) error {
 	if err := writeFrame(c, fHello, h.code); err != nil {
 		return err
 	}
-	typ, body, err := readFrame(c)
+	typ, body, err := readFrame(c, maxHandshakeLen)
 	if err != nil {
 		return fmt.Errorf("reading hello ack: %w", err)
 	}
@@ -321,7 +320,7 @@ func (n *Node) handleConn(c net.Conn) {
 		reject(err)
 		return
 	}
-	typ, body, err := readFrame(c)
+	typ, body, err := readFrame(c, maxHandshakeLen)
 	if err != nil || typ != fHello {
 		reject(fmt.Errorf("netcomm: expected hello frame: %v", err))
 		return
@@ -404,7 +403,7 @@ func (n *Node) attachData(c net.Conn, h hello) {
 // coordinator process died, which breaks the whole group.
 func (n *Node) controlReadLoop(c net.Conn) {
 	for {
-		typ, body, err := readFrame(c)
+		typ, body, err := readFrame(c, maxFrameLen)
 		if err != nil {
 			n.mu.Lock()
 			closed := n.closed
@@ -543,14 +542,9 @@ func (n *Node) finishWorld(gen uint64) {
 }
 
 // deposit forwards one collective contribution to the coordinator —
-// locally on process 0, over the control connection elsewhere. A raw
-// contribution is a view of the depositing rank's slice, which the rank
-// may write once its collective returns, while another local rank may
-// still be reading the round's result: on process 0 the coordinator
-// keeps a copy, as a frame would have carried elsewhere.
+// locally on process 0, over the control connection elsewhere.
 func (n *Node) deposit(d deposit) error {
 	if n.coord != nil {
-		d.pay.data = bytes.Clone(d.pay.data)
 		n.coord.deposit(d)
 		return nil
 	}

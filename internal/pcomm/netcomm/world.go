@@ -184,7 +184,7 @@ func (w *World) startReader(c net.Conn, src, dst int) {
 	go func() {
 		defer w.untrackConn(c)
 		for {
-			typ, body, err := readFrame(c)
+			typ, body, err := readFrame(c, maxFrameLen)
 			if err != nil {
 				if err == io.EOF || w.completed.Load() {
 					if cerr := c.Close(); cerr != nil {
