@@ -532,44 +532,6 @@ func BenchmarkFig6SpeedupTrisolve(b *testing.B) {
 	benchmarkSpeedup(b, c.Torso(), true)
 }
 
-// BenchmarkAblationSchur compares the §7 variant's level count and time
-// against MIS-only phase 2.
-func BenchmarkAblationSchur(b *testing.B) {
-	a := matgen.Torso(16, 16, 16, 1)
-	P := 16
-	plan, err := core.Prepare(a, P, 1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, schur := range []bool{false, true} {
-		name := "mis-only"
-		if schur {
-			name = "schur"
-		}
-		b.Run(name, func(b *testing.B) {
-			var q float64
-			var elapsed float64
-			for i := 0; i < b.N; i++ {
-				m := modelled.New(P, machine.T3D())
-				var pc0 *core.ProcPrecond
-				res := m.Run(func(p pcomm.Comm) {
-					pc := core.Factor(p, plan, core.Options{
-						Params: ilu.Params{M: 10, Tau: 1e-6, K: 2},
-						Schur:  schur,
-					})
-					if p.ID() == 0 {
-						pc0 = pc
-					}
-				})
-				q = float64(pc0.NumLevels())
-				elapsed = res.Elapsed
-			}
-			b.ReportMetric(q, "q-levels")
-			b.ReportMetric(elapsed*1e3, "model-ms")
-		})
-	}
-}
-
 // BenchmarkNetworkSensitivity measures the modelled time ILUT* saves over
 // ILUT under the two cost models (the paper's conclusion claim: the
 // saving explodes on slow networks).

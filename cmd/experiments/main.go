@@ -3,9 +3,9 @@
 //
 // Usage:
 //
-//	experiments -exp table1|table2|table3|fig4|fig5|fig6|structure|
-//	            ablation-k|ablation-mis|ablation-partition|ablation-schur|summary|all
-//	            [-scale default|paper|small] [-procs 16,32,64,128]
+//	experiments -exp NAME|all [-scale default|paper|small] [-procs 16,32,64,128]
+//
+// `experiments -h` lists the names, in the order -exp all runs them.
 //
 // Times are modelled seconds on the simulated distributed machine (T3D
 // cost constants); see DESIGN.md for the substitution argument. Stdout
@@ -16,6 +16,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strconv"
 	"strings"
@@ -24,8 +25,52 @@ import (
 	"repro/internal/experiments"
 )
 
+// env is what an experiment runs on: the configured harness, its two
+// problems, the GMRES stopping rule of table3, and the writer for the
+// tables.
+type env struct {
+	cfg       experiments.Config
+	g0, torso *experiments.Problem
+	tol       float64
+	maxMV     int
+	w         io.Writer
+}
+
+func (e env) both() []*experiments.Problem { return []*experiments.Problem{e.g0, e.torso} }
+
+// drivers maps each -exp name to its experiment, in the order -exp all
+// runs them.
+var drivers = []struct {
+	name string
+	run  func(e env) error
+}{
+	{"summary", func(e env) error { e.cfg.Summary(e.w, e.both()); return nil }},
+	{"table1", func(e env) error { return e.cfg.RunTable1(e.w, e.both()) }},
+	{"table2", func(e env) error { return e.cfg.RunTable2(e.w, e.torso) }},
+	{"table3", func(e env) error { return e.cfg.RunTable3(e.w, e.both(), e.tol, e.maxMV) }},
+	{"fig4", func(e env) error { return e.cfg.RunFigure(e.w, e.g0, false) }},
+	{"fig5", func(e env) error { return e.cfg.RunFigure(e.w, e.torso, false) }},
+	{"fig6", func(e env) error { return e.cfg.RunFigure(e.w, e.torso, true) }},
+	{"structure", func(e env) error { return e.cfg.RunStructure(e.w) }},
+	{"ablation-k", func(e env) error { return e.cfg.RunAblationK(e.w, e.torso) }},
+	{"ablation-mis", func(e env) error { return e.cfg.RunAblationMIS(e.w, e.torso) }},
+	{"ablation-partition", func(e env) error { return e.cfg.RunAblationPartition(e.w, e.torso) }},
+	{"breakdown", func(e env) error { return e.cfg.RunBreakdown(e.w, e.torso) }},
+	{"ilu0", func(e env) error { return e.cfg.RunILU0(e.w, e.torso) }},
+	{"network", func(e env) error { return e.cfg.RunNetwork(e.w, e.torso) }},
+}
+
+// names lists the experiments for -h and the unknown-name error.
+func names() string {
+	var ns []string
+	for _, d := range drivers {
+		ns = append(ns, d.name)
+	}
+	return strings.Join(ns, ", ") + ", all"
+}
+
 func main() {
-	exp := flag.String("exp", "all", "experiment to run (table1, table2, table3, fig4, fig5, fig6, structure, ablation-k, ablation-mis, ablation-partition, ablation-schur, network, ilu0, breakdown, summary, all)")
+	exp := flag.String("exp", "all", "experiment to run: "+names())
 	scale := flag.String("scale", "default", "problem scale: small, default, or paper")
 	procsFlag := flag.String("procs", "", "comma-separated processor counts (default 16,32,64,128)")
 	msFlag := flag.String("ms", "", "comma-separated m values (default 5,10,20)")
@@ -86,77 +131,25 @@ func main() {
 		cfg.Taus = taus
 	}
 
-	g0 := cfg.G0()
-	torso := cfg.Torso()
-	both := []*experiments.Problem{g0, torso}
+	known := *exp == "all"
+	for _, d := range drivers {
+		known = known || d.name == *exp
+	}
+	if !known {
+		fmt.Fprintf(os.Stderr, "unknown experiment %q; choose one of %s\n", *exp, names())
+		os.Exit(2)
+	}
 
-	run := func(name string, f func() error) {
+	e := env{cfg: cfg, g0: cfg.G0(), torso: cfg.Torso(), tol: *tol, maxMV: *maxMV, w: os.Stdout}
+	for _, d := range drivers {
+		if *exp != "all" && *exp != d.name {
+			continue
+		}
 		t0 := time.Now()
-		if err := f(); err != nil {
-			fmt.Fprintf(os.Stderr, "%s: %v\n", name, err)
+		if err := d.run(e); err != nil {
+			fmt.Fprintf(os.Stderr, "%s: %v\n", d.name, err)
 			os.Exit(1)
 		}
-		fmt.Fprintf(os.Stderr, "[%s completed in %v wall time]\n", name, time.Since(t0).Round(time.Millisecond))
-	}
-
-	w := os.Stdout
-	all := *exp == "all"
-	did := false
-	want := func(name string) bool {
-		if all || *exp == name {
-			did = true
-			return true
-		}
-		return false
-	}
-
-	if want("summary") || all {
-		cfg.Summary(w, both)
-	}
-	if want("table1") {
-		run("table1", func() error { return cfg.RunTable1(w, both) })
-	}
-	if want("table2") {
-		run("table2", func() error { return cfg.RunTable2(w, torso) })
-	}
-	if want("table3") {
-		run("table3", func() error { return cfg.RunTable3(w, both, *tol, *maxMV) })
-	}
-	if want("fig4") {
-		run("fig4", func() error { return cfg.RunFigure(w, g0, false) })
-	}
-	if want("fig5") {
-		run("fig5", func() error { return cfg.RunFigure(w, torso, false) })
-	}
-	if want("fig6") {
-		run("fig6", func() error { return cfg.RunFigure(w, torso, true) })
-	}
-	if want("structure") {
-		run("structure", func() error { return cfg.RunStructure(w) })
-	}
-	if want("ablation-k") {
-		run("ablation-k", func() error { return cfg.RunAblationK(w, torso) })
-	}
-	if want("ablation-mis") {
-		run("ablation-mis", func() error { return cfg.RunAblationMIS(w, torso) })
-	}
-	if want("ablation-partition") {
-		run("ablation-partition", func() error { return cfg.RunAblationPartition(w, torso) })
-	}
-	if want("breakdown") {
-		run("breakdown", func() error { return cfg.RunBreakdown(w, torso) })
-	}
-	if want("ilu0") {
-		run("ilu0", func() error { return cfg.RunILU0(w, torso) })
-	}
-	if want("network") {
-		run("network", func() error { return cfg.RunNetwork(w, torso) })
-	}
-	if want("ablation-schur") {
-		run("ablation-schur", func() error { return cfg.RunAblationSchur(w, torso) })
-	}
-	if !did {
-		fmt.Fprintf(os.Stderr, "unknown experiment %q\n", *exp)
-		os.Exit(2)
+		fmt.Fprintf(os.Stderr, "[%s completed in %v wall time]\n", d.name, time.Since(t0).Round(time.Millisecond))
 	}
 }

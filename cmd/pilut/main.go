@@ -18,6 +18,8 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"slices"
+	"strings"
 
 	"repro/internal/core"
 	"repro/internal/dist"
@@ -34,6 +36,9 @@ import (
 	"repro/internal/trace"
 )
 
+// preconds are the -precond choices.
+var preconds = []string{"pilut", "ilu0", "blockjacobi", "jacobi", "none"}
+
 func main() {
 	matrixPath := flag.String("matrix", "", "MatrixMarket file to solve (overrides -gen)")
 	gen := flag.String("gen", "grid2d", "generator: grid2d, grid3d, torso, convdiff")
@@ -42,7 +47,7 @@ func main() {
 	m := flag.Int("m", 10, "ILUT fill per row (0 = unlimited)")
 	tau := flag.Float64("tau", 1e-4, "ILUT drop threshold")
 	k := flag.Int("k", 2, "ILUT* reduced-row cap multiplier (0 = plain ILUT)")
-	precond := flag.String("precond", "pilut", "preconditioner: pilut, pilut-schur, ilu0, blockjacobi, jacobi, none")
+	precond := flag.String("precond", "pilut", "preconditioner: "+strings.Join(preconds, ", "))
 	network := flag.String("network", "t3d", "cost model: t3d or workstation (modelled backend only)")
 	backendKind := flag.String("backend", "modelled", "communication backend: modelled (virtual time) or real (wall-clock shared memory)")
 	restart := flag.Int("restart", 50, "GMRES restart length")
@@ -53,6 +58,10 @@ func main() {
 	cpuProfile := flag.String("cpuprofile", "", "write a pprof CPU profile of the whole run to this path")
 	memProfile := flag.String("memprofile", "", "write a pprof heap profile at exit to this path")
 	flag.Parse()
+	if !slices.Contains(preconds, *precond) {
+		fmt.Fprintf(os.Stderr, "unknown preconditioner %q; choose one of %s\n", *precond, strings.Join(preconds, ", "))
+		os.Exit(2)
+	}
 
 	// Profiles are written by deferred closers, so they cover the normal
 	// return path only; the os.Exit error paths below bypass them — an
@@ -161,8 +170,8 @@ func main() {
 	nnzCh := make([]int, *p)
 	factRes := mach.Run(func(proc pcomm.Comm) {
 		switch *precond {
-		case "pilut", "pilut-schur", "blockjacobi":
-			pc := core.Factor(proc, factorPlan, core.Options{Params: params, Seed: *seed, Schur: *precond == "pilut-schur"})
+		case "pilut", "blockjacobi":
+			pc := core.Factor(proc, factorPlan, core.Options{Params: params, Seed: *seed})
 			precs[proc.ID()] = pc
 			pcs[proc.ID()] = pc
 			nnzCh[proc.ID()] = pc.NNZ()
@@ -185,8 +194,6 @@ func main() {
 			nnzCh[proc.ID()] = lay.NLocal(proc.ID())
 		case "none":
 			precs[proc.ID()] = krylov.DistIdentity{}
-		default:
-			panic(fmt.Sprintf("unknown preconditioner %q", *precond))
 		}
 	})
 	nnz := 0

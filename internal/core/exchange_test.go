@@ -25,7 +25,7 @@ import (
 )
 
 // forEachZooCase runs f over the oracle's zoo: 6 generators × p ∈ {1, 2,
-// 4, 8} × ILUT / ILUT* / Schur / ILU(0), factored on the modelled machine.
+// 4, 8} × ILUT / ILUT* / ILU(0), factored on the modelled machine.
 func forEachZooCase(t *testing.T, f func(t *testing.T, plan *Plan, pcs []*ProcPrecond)) {
 	for _, mat := range oracleZoo() {
 		for _, P := range oracleProcs {
@@ -239,7 +239,7 @@ func TestRefactorOnReboundPlanPassesCheckExchange(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				for _, method := range []string{"ilut", "ilutstar", "schur"} {
+				for _, method := range []string{"ilut", "ilutstar"} {
 					pcs := make([]*ProcPrecond, P)
 					modelled.New(P, machine.T3D()).Run(func(p pcomm.Comm) {
 						pcs[p.ID()] = oracleMethod(method)(p, rebound)

@@ -35,13 +35,6 @@ type Options struct {
 	// recovery ladder catches it through pcomm.Guard. Zero — the default
 	// — disables the check.
 	MaxRepairRate float64
-	// Schur enables the paper's §7 future-work variant: before each
-	// independent-set level, every processor factors — sequentially and
-	// with no synchronization — the interface rows that currently couple
-	// only to its own rows (a partition-extracted block of the reduced
-	// matrix). Independent sets then handle only the genuinely coupled
-	// remainder, shrinking q further.
-	Schur bool
 }
 
 // LevelInfo describes one independent set in the elimination order.
@@ -129,7 +122,7 @@ func Factor(p pcomm.Comm, plan *Plan, opt Options) *ProcPrecond {
 }
 
 // Refactor runs ONLY the numeric phase of the factorization: the
-// value-dependent ILUT/Schur kernels against a prebuilt symbolic
+// value-dependent ILUT kernels against a prebuilt symbolic
 // analysis. The plan is a Symbolic (pattern-only, typically reused
 // across a matrix sequence) bound to the current value set via
 // Symbolic.Bind — so "refactor for new values" is spelled
@@ -176,6 +169,13 @@ const (
 	// value makes every pivot keep its whole row).
 	staticRule
 )
+
+// redRow is the current reduced-matrix row of an unfactored interface
+// unknown, in combined indices (all columns ≥ n, i.e. unfactored).
+type redRow struct {
+	cols []int
+	vals []float64
+}
 
 // scheduleAhead reports whether every interface level can be scheduled
 // before any of them runs: true exactly when the rule cannot change the
@@ -502,13 +502,6 @@ func (d *driver) phase2(iface []int) {
 	for {
 		d.charge()
 		t0 := p.Time()
-		if d.opt.Schur {
-			var factored bool
-			remaining, factored = d.schurBlockRound(remaining)
-			if factored {
-				continue
-			}
-		}
 		d.buildAdjacency(remaining)
 		lp, ok := d.scheduleLevel(nil)
 		if !ok {

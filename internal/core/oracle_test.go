@@ -113,7 +113,7 @@ func oracleZoo() []zooMatrix {
 
 var (
 	oracleProcs   = []int{1, 2, 4, 8}
-	oracleMethods = []string{"ilut", "ilutstar", "schur", "ilu0"}
+	oracleMethods = []string{"ilut", "ilutstar", "ilu0"}
 )
 
 // oracleMethod is the per-rank factor call of the oracle under the named
@@ -123,9 +123,6 @@ func oracleMethod(method string) func(pcomm.Comm, *Plan) *ProcPrecond {
 	switch method {
 	case "ilutstar":
 		opt.Params.K = 1
-	case "schur":
-		opt.Params.K = 1
-		opt.Schur = true
 	case "ilu0":
 		return func(p pcomm.Comm, plan *Plan) *ProcPrecond { return FactorILU0(p, plan, 0, opt.Seed) }
 	}
@@ -200,8 +197,8 @@ func oracleDigests(t *testing.T, a *sparse.CSR, P int, method string) [4]string 
 }
 
 // TestParentDigestOracle pins the numeric core bit for bit: every matgen
-// generator at p ∈ {1, 2, 4, 8} through Factor (ILUT, ILUT* and the
-// Schur variant) and FactorILU0, then Solve and SolveBatch, compared
+// generator at p ∈ {1, 2, 4, 8} through Factor (ILUT and ILUT*) and
+// FactorILU0, then Solve and SolveBatch, compared
 // with digests computed at the commit before the driver, sweep and
 // kernel API were each folded into one definition. A refactor of
 // internal/core or internal/ilu that moves a factor entry, a solution

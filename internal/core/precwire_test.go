@@ -32,7 +32,7 @@ func cloneWire(t *testing.T, w WirePrecond) WirePrecond {
 // FromWire — not a panic there, and not a piece that panics or answers
 // wrongly inside a run.
 func TestFromWireRejectsMalformedPieces(t *testing.T) {
-	pcs, plan, _ := factorOn(t, modelled.New(4, machine.T3D()), oracleZoo()[0].a, oracleMethod("schur"))
+	pcs, plan, _ := factorOn(t, modelled.New(4, machine.T3D()), oracleZoo()[0].a, oracleMethod("ilutstar"))
 	const me = 1
 	good := pcs[me].Wire()
 	if _, err := FromWire(plan, cloneWire(t, good)); err != nil {

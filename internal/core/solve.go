@@ -73,9 +73,9 @@ func (pc *ProcPrecond) sweep(p pcomm.Comm, t *tri, ys, bs, lanes [][]float64) {
 // apply solves T·ys[i] = bs[i] with T = L (t = &pc.fwd) or U (t = &pc.bwd),
 // U traversing the interface levels in reverse and finishing with the
 // local interior block. Within a level the U sweep takes the members in
-// descending elimination order: independent-set levels have no
-// intra-level coupling, but the Schur-block levels of the §7 variant are
-// sequential within a processor.
+// descending elimination order, as it does the interior block; an
+// independent set has no intra-level coupling, so that order only fixes
+// the layout.
 //
 // A piece that came through FromWire derives its exchange plan here, on
 // its first application — the earliest point at which all P pieces are

@@ -308,43 +308,6 @@ func (c Config) RunAblationMIS(w io.Writer, pr *Problem) error {
 	return nil
 }
 
-// RunAblationSchur contrasts the paper's §7 future-work variant (local
-// Schur blocks factored sequentially per processor before each
-// independent-set level) against the plain MIS-only phase 2.
-func (c Config) RunAblationSchur(w io.Writer, pr *Problem) error {
-	p := c.Procs[len(c.Procs)-1]
-	fmt.Fprintf(w, "\nAblation — §7 Schur-block variant on %s, p=%d\n", pr.Name, p)
-	tbl := &Table{Header: []string{"configuration", "phase 2", "Factor time", "q levels"}}
-	plan, err := pr.PlanFor(p)
-	if err != nil {
-		return err
-	}
-	for _, params := range []ilu.Params{
-		{M: 10, Tau: 1e-4, K: c.K},
-		{M: 10, Tau: 1e-6, K: c.K},
-		{M: 10, Tau: 1e-6},
-	} {
-		for _, schur := range []bool{false, true} {
-			name := "MIS only"
-			if schur {
-				name = "Schur blocks + MIS"
-			}
-			m := c.mustWorld(p)
-			var q int
-			res := m.Run(func(proc pcomm.Comm) {
-				pc := core.Factor(proc, plan, core.Options{Params: params, Seed: c.Seed, Schur: schur})
-				if proc.ID() == 0 {
-					q = pc.NumLevels()
-				}
-			})
-			tbl.Add(ConfigName(params.K > 0, params.M, params.Tau, c.K), name,
-				fmt.Sprintf("%.4f", res.Elapsed), fmt.Sprintf("%d", q))
-		}
-	}
-	tbl.Write(w)
-	return nil
-}
-
 // RunAblationPartition contrasts multilevel and random partitions.
 func (c Config) RunAblationPartition(w io.Writer, pr *Problem) error {
 	p := c.Procs[len(c.Procs)-1]

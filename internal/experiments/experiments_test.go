@@ -212,17 +212,6 @@ func TestRunNetworkSmoke(t *testing.T) {
 	}
 }
 
-func TestRunAblationSchurSmoke(t *testing.T) {
-	c := tiny()
-	var buf bytes.Buffer
-	if err := c.RunAblationSchur(&buf, c.G0()); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), "Schur blocks + MIS") {
-		t.Errorf("schur ablation output incomplete:\n%s", buf.String())
-	}
-}
-
 func TestNetworkAmplifiesILUTStarAdvantage(t *testing.T) {
 	// The paper's conclusion: on slower networks ILUT* becomes critical.
 	// The absolute cost of ILUT's extra synchronization levels must blow

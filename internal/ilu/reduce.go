@@ -240,8 +240,8 @@ func (s *Scratch) sweepSeq(aCols []int, aVals []float64, pivot func(k int) *URow
 }
 
 // FactorInteriorRow factors one row of a sequentially factored block —
-// a processor's interior rows, a Schur block — whose earlier rows are the
-// pivots [nl, i): the sequential sweep, then one row tail that applies the
+// a processor's interior rows — whose earlier rows are the pivots
+// [nl, i): the sequential sweep, then one row tail that applies the
 // 2nd dropping rule to the L part and, to the U part, the 3rd rule's
 // threshold and the 2nd rule's cap of m with the diagonal protected, then
 // the pivot perturbation and repair of FactorPivotRow on that diagonal.

@@ -96,7 +96,7 @@ func (s scheduled) run(P int, traced bool, f func(pcomm.Comm) any) {
 }
 
 // pipelines are TestParentDigestOracle's factorizations (ILUT, ILUT*,
-// Schur, ILU(0)) with their Solve and B = 3 SolveBatch, and
+// ILU(0)) with their Solve and B = 3 SolveBatch, and
 // TestGMRESParentDigestOracle's solves: DistGMRES cold and warm-started
 // and a B = 3 DistGMRESBatch under ILUT* (K = 2) and DistJacobi. As in
 // TestTraceDigestOracle, the ILUT* (K = 2) build and the cold DistGMRES
@@ -127,7 +127,6 @@ func (s scheduled) pipelines(a *sparse.CSR, P int) string {
 	for _, opt := range []core.Options{
 		{Params: ilu.Params{M: 4, Tau: 1e-2}, Seed: 5},
 		{Params: ilu.Params{M: 4, Tau: 1e-2, K: 1}, Seed: 5},
-		{Params: ilu.Params{M: 4, Tau: 1e-2, K: 1}, Seed: 5, Schur: true},
 	} {
 		s.run(P, false, func(p pcomm.Comm) any {
 			pcs[p.ID()] = core.Factor(p, plan, opt)
