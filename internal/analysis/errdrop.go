@@ -159,12 +159,13 @@ func runErrDrop(pass *Pass) error {
 					report(n, fn, "discarded (go statement)")
 				}
 			case *ast.AssignStmt:
-				// x, _ := pcomm.Guard(...): the error position is blanked.
+				// x, _ := pcomm.Guard(...) or _ = c.End(): the error
+				// position is blanked.
 				if len(n.Rhs) != 1 {
 					return true
 				}
 				call, ok := n.Rhs[0].(*ast.CallExpr)
-				if !ok || len(n.Lhs) < 2 {
+				if !ok {
 					return true
 				}
 				fn, errIdx := results(call)

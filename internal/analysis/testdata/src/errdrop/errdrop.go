@@ -46,6 +46,8 @@ func badCodec(body []byte) {
 	c := codec.NewDecoder("errdrop: body", body)
 	layout(c)
 	c.End() // want `error result of codec.Coder.End discarded .call used as a statement.`
+
+	_ = c.End() // want `error result of codec.Coder.End assigned to _`
 }
 
 func goodCodec(body []byte) ([]byte, error) {

@@ -517,7 +517,7 @@ func FuzzNetcommFrameBodies(f *testing.F) {
 		}
 
 		bounded("hello", func() { _, _ = decodeHello(body) })
-		bounded("ack", func() { _ = decodeAck(body) })
+		bounded("ack", func() { _ = decodeAck(body) }) //pilutlint:ok errdrop the fuzz body is arbitrary bytes; only the allocation is checked
 
 		var dp payload
 		var derr error
