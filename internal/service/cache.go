@@ -20,10 +20,11 @@ type entry struct {
 	lay  *dist.Layout
 	pcs  []*core.ProcPrecond
 	mats []*dist.Matrix
-	// rung is the plan of a "shift" or "blockjacobi" entry's own matrix,
-	// which its pieces keep alive; nil where they were factored under the
-	// analysis's plan.
-	rung *core.Plan
+	// planBytes is what the plan the pieces keep alive holds that nothing
+	// else counts: all of a "shift" or "blockjacobi" rung's own plan, and
+	// of the analysis's plan only its row norms — its matrix is the
+	// entry's and its classification sits in the symbolic tier.
+	planBytes int64
 
 	bytes         int64
 	levels        int

@@ -122,8 +122,9 @@ func newEntry(key string, an *analysis, plan *core.Plan) (ent *entry, setup func
 		mats:        make([]*dist.Matrix, lay.P),
 		symbolicHit: an.mats != nil,
 	}
+	ent.planBytes = 8 * int64(len(plan.RowTau))
 	if plan != an.plan {
-		ent.rung = plan
+		ent.planBytes = plan.SizeBytes()
 	}
 	if an.mats == nil {
 		return ent, func(proc pcomm.Comm) { ent.mats[proc.ID()] = dist.NewMatrix(proc, lay, a) }, nil

@@ -44,7 +44,8 @@ func TestLadderRungsPassCheckExchange(t *testing.T) {
 // The pieces of a "shift" or "blockjacobi" entry keep that rung's own
 // plan alive — its matrix, row norms and classification — so the entry's
 // bytes include the plan's; rungs factored under the analysis's plan
-// count none.
+// count that plan's row norms, which neither the entry's matrix nor the
+// symbolic tier's classification covers.
 func TestRungPlanCounted(t *testing.T) {
 	srv := New(Config{Procs: 4, Workers: 1, Backend: "real"})
 	defer srv.Shutdown(context.Background())
@@ -71,6 +72,8 @@ func TestRungPlanCounted(t *testing.T) {
 					t.Fatal(err)
 				}
 				want += plan.SizeBytes()
+			} else {
+				want += 8 * int64(a.N) // the analysis plan's RowTau
 			}
 			srv.mu.Lock()
 			got := srv.cache.items[key].bytes

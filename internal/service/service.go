@@ -706,7 +706,7 @@ func (s *Server) entryFor(key string, a *sparse.CSR) (*entry, bool, error) {
 
 // admit publishes a finished entry in the factor cache under its origin
 // (originLocal, originPeer, originReplica), sized here and nowhere else:
-// the matrix, the pieces, the operators and a rung's own plan.
+// the matrix, the pieces, the operators and what their plan adds.
 // Only locally built entries count as factorizations; peer-imported ones
 // are visible in ClusterStats.PeerFetchHits and ReplicaImports instead.
 func (s *Server) admit(ent *entry, origin string) {
@@ -715,9 +715,7 @@ func (s *Server) admit(ent *entry, origin string) {
 	for q := range ent.pcs {
 		bytes += ent.pcs[q].SizeBytes() + ent.mats[q].SizeBytes()
 	}
-	if ent.rung != nil {
-		bytes += ent.rung.SizeBytes()
-	}
+	bytes += ent.planBytes
 	s.mu.Lock()
 	s.cache.insert(ent.key, ent, bytes)
 	if origin == originLocal {
