@@ -170,17 +170,17 @@ const (
 	staticRule
 )
 
+// scheduleAhead reports whether every interface level can be scheduled
+// before any of them runs: true exactly when the rule cannot change the
+// reduced matrix's structure (PAPER §3, Fig. 1(a)).
+func (r rowRule) scheduleAhead() bool { return r == staticRule }
+
 // redRow is the current reduced-matrix row of an unfactored interface
 // unknown, in combined indices (all columns ≥ n, i.e. unfactored).
 type redRow struct {
 	cols []int
 	vals []float64
 }
-
-// scheduleAhead reports whether every interface level can be scheduled
-// before any of them runs: true exactly when the rule cannot change the
-// reduced matrix's structure (PAPER §3, Fig. 1(a)).
-func (r rowRule) scheduleAhead() bool { return r == staticRule }
 
 // driver is one processor's state across one factorization.
 type driver struct {
