@@ -25,11 +25,11 @@ import (
 )
 
 // forEachZooCase runs f over the oracle's zoo: 6 generators × p ∈ {1, 2,
-// 4, 8} × ILUT / ILUT* / ILU(0), factored on the modelled machine.
+// 4, 8} × zooMethods, factored on the modelled machine.
 func forEachZooCase(t *testing.T, f func(t *testing.T, plan *Plan, pcs []*ProcPrecond)) {
 	for _, mat := range oracleZoo() {
 		for _, P := range oracleProcs {
-			for _, method := range oracleMethods {
+			for _, method := range zooMethods {
 				t.Run(fmt.Sprintf("%s/p%d/%s", mat.name, P, method), func(t *testing.T) {
 					pcs, plan, _ := factorOn(t, modelled.New(P, machine.T3D()), mat.a, oracleMethod(method))
 					f(t, plan, pcs)
@@ -211,7 +211,7 @@ func TestExchangePlanInvariants(t *testing.T) {
 	backends := planBackends(t)
 	for _, mat := range oracleZoo() {
 		for _, P := range oracleProcs {
-			for _, method := range oracleMethods {
+			for _, method := range zooMethods {
 				t.Run(fmt.Sprintf("%s/p%d/%s", mat.name, P, method), func(t *testing.T) {
 					for _, kind := range []string{backend.Modelled, backend.Real, "netcomm"} {
 						t.Run(kind, func(t *testing.T) { checkExchangePlans(t, backends[kind], mat.a, P, method) })

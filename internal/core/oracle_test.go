@@ -114,6 +114,11 @@ func oracleZoo() []zooMatrix {
 var (
 	oracleProcs   = []int{1, 2, 4, 8}
 	oracleMethods = []string{"ilut", "ilutstar", "ilu0"}
+	// zooMethods are the methods the exchange, wire and run-ahead checks
+	// factor the zoo with: the oracle's, plus ILUT* at the paper's k = 2
+	// and ILUT in the deep-fill regime (many levels, long exchange
+	// lists). The extra two have no pinned digests.
+	zooMethods = []string{"ilut", "ilutstar", "ilu0", "ilutstar2", "dense"}
 )
 
 // oracleMethod is the per-rank factor call of the oracle under the named
@@ -123,6 +128,10 @@ func oracleMethod(method string) func(pcomm.Comm, *Plan) *ProcPrecond {
 	switch method {
 	case "ilutstar":
 		opt.Params.K = 1
+	case "ilutstar2":
+		opt.Params.K = 2
+	case "dense":
+		opt.Params = ilu.Params{M: 16, Tau: 1e-6}
 	case "ilu0":
 		return func(p pcomm.Comm, plan *Plan) *ProcPrecond { return FactorILU0(p, plan, 0, opt.Seed) }
 	}
