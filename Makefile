@@ -52,6 +52,10 @@ fmt-check:
 # (Server.Routes) and the peer client (cluster.call) live there together,
 # so no second copy of the HTTP surface can grow. It matches the opening
 # quote, so comments naming a route do not trip it.
+# And so does debug.SetMemoryLimit( in a non-test Go file outside
+# internal/service/memlimit.go: the tiers' accountant alone sets the
+# runtime memory limit, from the bytes every live server holds, so no
+# second setter can fight it.
 HOTALLOC_WAIVERS_MAX = 16
 GO_SRC = $$(find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' -not -path '*/testdata/*')
 SERVICE_SRC = $$(find internal/service -name '*.go' -not -name '*_test.go')
@@ -78,6 +82,8 @@ loc:
 		echo "encoding/binary imported outside internal/codec and the two hashers: write what crosses a process with internal/codec"; exit 1; fi
 	@if grep -n -E '"((GET|POST) )?/(v1/|healthz|metrics)' $(GO_SRC) | grep -v '^\./internal/service/'; then \
 		echo "route literal outside internal/service: serve it from the route table (Server.Routes), call it through cluster.call"; exit 1; fi
+	@if grep -n -F 'debug.SetMemoryLimit(' $(GO_SRC) | grep -v '^\./internal/service/memlimit\.go:'; then \
+		echo "debug.SetMemoryLimit outside internal/service/memlimit.go: the tiers' accountant alone sets the memory limit"; exit 1; fi
 	@n=$$(grep -rn --include='*.go' 'pilutlint:ok hotalloc' . | wc -l); \
 		echo "hotalloc waivers: $$n (ratchet: at most $(HOTALLOC_WAIVERS_MAX))"; \
 		[ $$n -le $(HOTALLOC_WAIVERS_MAX) ]

@@ -31,7 +31,7 @@ type Config struct {
 	K     int
 	// G0Side is the square-grid side for the G0 problem (the paper's G0
 	// has ≈52k unknowns ⇒ side ≈ 228). Benchmarks default to a reduced
-	// scale; pass -scale full to cmd/experiments for paper size.
+	// scale; pass -scale paper to cmd/experiments for paper size.
 	G0Side int
 	// TorsoSide is the cube side for the synthetic TORSO stand-in (the
 	// paper's TORSO has ≈201k unknowns ⇒ side ≈ 59).

@@ -307,23 +307,31 @@ func TestGroupDropFaultReconnect(t *testing.T) {
 	}
 }
 
-// TestSpawnSmoke is the exec-based two-OS-process end-to-end test: the
-// parent re-executes this test binary (spawn mode), the child joins the
-// group via the explicit spec in its environment, and one world spans
-// both processes. Inside the child this same test runs again and takes
-// the join path, which is exactly the SPMD-at-program-granularity
-// contract.
-func TestSpawnSmoke(t *testing.T) {
-	spec := os.Getenv(BackendEnvVar)
-	if !IsSpec(spec) {
-		spec = "netcomm:spawn=2"
+// TestMain gives a spawned rank a path of its own. spawnPeers re-executes
+// this test binary with the parent's arguments and an explicit spec in
+// BackendEnvVar; such a child joins the one world its parent's
+// TestSpawnSmoke builds and exits, instead of running the whole suite
+// again and printing its results into the parent's output.
+func TestMain(m *testing.M) {
+	if spec, err := ParseSpec(os.Getenv(BackendEnvVar)); err == nil && spec.Spawn == 0 {
+		if _, err := spawnSmoke(spec.Raw); err != nil {
+			fmt.Fprintf(os.Stderr, "spawned rank: %v\n", err)
+			os.Exit(1)
+		}
+		os.Exit(0)
 	}
+	os.Exit(m.Run())
+}
+
+// spawnSmoke runs one 3-rank world on spec's process group: an
+// all-reduce and a ring of point-to-point messages.
+func spawnSmoke(spec string) (pcomm.Result, error) {
 	w, err := WorldFor(spec, 3)
 	if err != nil {
-		t.Fatalf("WorldFor(%q): %v", spec, err)
+		return pcomm.Result{}, fmt.Errorf("WorldFor(%q): %w", spec, err)
 	}
 	w.SetWatchdog(90 * time.Second)
-	res, err := pcomm.Guard(w, func(c pcomm.Comm) {
+	return pcomm.Guard(w, func(c pcomm.Comm) {
 		id := c.ID()
 		if got := c.AllReduceInt(id+1, pcomm.OpSum); got != 6 {
 			panic(fmt.Sprintf("spawned world sum = %d", got))
@@ -335,6 +343,19 @@ func TestSpawnSmoke(t *testing.T) {
 			panic(fmt.Sprintf("spawned ring got %v", got))
 		}
 	})
+}
+
+// TestSpawnSmoke is the exec-based two-OS-process end-to-end test: the
+// parent re-executes this test binary (spawn mode), the child joins the
+// group via the explicit spec in its environment, and one world spans
+// both processes. The child enters spawnSmoke from TestMain, which is
+// exactly the SPMD-at-program-granularity contract.
+func TestSpawnSmoke(t *testing.T) {
+	spec := os.Getenv(BackendEnvVar)
+	if !IsSpec(spec) {
+		spec = "netcomm:spawn=2"
+	}
+	res, err := spawnSmoke(spec)
 	if err != nil {
 		t.Fatalf("spawned run: %v", err)
 	}

@@ -93,12 +93,15 @@ const (
 // stays useful for the whole lifetime of a pattern, and a matrix only
 // until its factor is cached or its client stops using it — evicting one
 // must not evict another. All methods require the server lock (the cache
-// has no lock of its own); the expensive builds happen outside it.
+// has no lock of its own); the expensive builds happen outside it. Every
+// change to bytes is reported to acct, the process's accountant, while
+// the server lives (nil outside one).
 type lru[V any] struct {
 	budget int64
 	bytes  int64
 	items  map[string]*lruItem[V]
 	order  *list.List // of *lruItem[V]; front = most recently used
+	acct   *accountant
 
 	hits, misses, evictions int64
 }
@@ -144,19 +147,29 @@ func (c *lru[V]) peek(key string) (v V, ok bool) {
 // alone). Evicted values stay valid for whoever still holds them; they
 // just stop being findable, so the next request for that key rebuilds.
 func (c *lru[V]) insert(key string, v V, bytes int64) {
-	c.remove(key)
+	before := c.bytes
+	c.drop(key)
 	it := &lruItem[V]{key: key, val: v, bytes: bytes}
 	it.elem = c.order.PushFront(it)
 	c.items[key] = it
 	c.bytes += bytes
 	for c.bytes > c.budget && c.order.Len() > 1 {
-		c.remove(c.order.Back().Value.(*lruItem[V]).key)
+		c.drop(c.order.Back().Value.(*lruItem[V]).key)
 		c.evictions++
 	}
+	c.acct.add(c.bytes - before)
 }
 
 // remove drops key if present; not an eviction.
 func (c *lru[V]) remove(key string) {
+	before := c.bytes
+	c.drop(key)
+	c.acct.add(c.bytes - before)
+}
+
+// drop is remove without the report to the accountant, for insert, which
+// reports its whole change once.
+func (c *lru[V]) drop(key string) {
 	it, ok := c.items[key]
 	if !ok {
 		return

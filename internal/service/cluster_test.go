@@ -685,9 +685,9 @@ func TestSubmitRefusesNonFiniteValues(t *testing.T) {
 // of all pivots need the floor repair — until the shift gives each a
 // diagonal. (The pivot fault of chaos_test.go cannot stop there: it
 // scales the pivots of every distributed rung alike and lands on
-// block-Jacobi, which has no wire form.) scale multiplies every value,
-// so two scales share one pattern. The system is consistent for a
-// right-hand side that is zero on the decoupled rows.
+// block-Jacobi, which TestDegradedEntryCrossesDaemons covers.) scale
+// multiplies every value, so two scales share one pattern. The system is
+// consistent for a right-hand side that is zero on the decoupled rows.
 func shiftRungMatrix(scale float64) (a *sparse.CSR, coupled int) {
 	g := matgen.Grid2D(12, 12)
 	n := g.N + 80

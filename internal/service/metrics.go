@@ -35,6 +35,7 @@ func (s *Server) WriteMetrics(w io.Writer) error {
 	mw.gauge("pilut_cache_symbolic_bytes", "Estimated bytes held by cached symbolic analyses.", float64(c.SymbolicBytes))
 	mw.gauge("pilut_matrix_bytes", "Bytes held by submitted matrices in the matrix tier.", float64(c.MatrixBytes))
 	mw.counter("pilut_matrix_evictions_total", "Submitted matrices evicted from the matrix tier.", float64(c.MatrixEvictions))
+	mw.gauge("pilut_memory_limit_bytes", "Runtime memory limit: bytes the process's tiers hold plus a fixed allowance, capped at the starting limit.", float64(st.MemoryLimitBytes))
 
 	v := st.Solves
 	mw.counter("pilut_solve_requests_total", "Solve requests accepted.", float64(v.Requests))

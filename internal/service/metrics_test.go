@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"regexp"
+	"runtime/debug"
 	"strconv"
 	"strings"
 	"sync"
@@ -84,6 +85,10 @@ func TestMetricsExposition(t *testing.T) {
 	}
 	if got := metricValue(t, text, "pilut_matrix_evictions_total"); got != 0 {
 		t.Fatalf("matrix_evictions_total = %v, want 0", got)
+	}
+	// The limit gauge reads the accountant, as /v1/stats does.
+	if got, want := metricValue(t, text, "pilut_memory_limit_bytes"), float64(s.StatsSnapshot().MemoryLimitBytes); got != want || want != float64(debug.SetMemoryLimit(-1)) {
+		t.Fatalf("memory_limit_bytes = %v, want the accountant's %v and the runtime's %d", got, want, debug.SetMemoryLimit(-1))
 	}
 	if !strings.Contains(text, "# HELP pilut_matrices Submitted matrices held in the matrix tier.") {
 		t.Fatalf("pilut_matrices help text does not say matrices held:\n%s", text)

@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"runtime/debug"
 	"slices"
 	"strings"
 	"testing"
@@ -157,6 +158,31 @@ func TestRouteContentTypes(t *testing.T) {
 		if ct := resp.Header.Get("Content-Type"); resp.StatusCode != http.StatusOK || ct != want {
 			t.Errorf("GET %s: %d %q, want 200 %q", path, resp.StatusCode, ct, want)
 		}
+	}
+}
+
+// TestStatsReportMemoryLimit: /v1/stats reads the accountant, so it shows
+// what the tiers hold and the runtime limit set from it.
+func TestStatsReportMemoryLimit(t *testing.T) {
+	ts, svc, _ := newTestServer(t)
+	resp, err := http.Get(ts.URL + "/v1/stats")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var st Stats
+	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
+		t.Fatal(err)
+	}
+	held := tierBytes(svc)
+	tiers.mu.Lock()
+	start := tiers.start
+	tiers.mu.Unlock()
+	if held == 0 || st.HeldBytes != held {
+		t.Fatalf("held_bytes = %d, the server's tiers hold %d", st.HeldBytes, held)
+	}
+	if want := min(held+heapAllowance, start); st.MemoryLimitBytes != want || debug.SetMemoryLimit(-1) != want {
+		t.Fatalf("memory_limit_bytes = %d, runtime limit %d, want %d", st.MemoryLimitBytes, debug.SetMemoryLimit(-1), want)
 	}
 }
 

@@ -327,6 +327,8 @@ func New(cfg Config) *Server {
 		pending:   make(map[string][]*request),
 		scheduled: make(map[string]bool),
 	}
+	s.matrices.acct, s.cache.acct, s.symbolic.acct = &tiers, &tiers, &tiers
+	tiers.open()
 	if clusterCfg != nil {
 		s.cluster = newCluster(clusterCfg)
 		if s.cluster.probeInterval > 0 {
@@ -553,6 +555,7 @@ func (s *Server) StatsSnapshot() Stats {
 		},
 		Solves: s.stats.snapshot(),
 	}
+	st.HeldBytes, st.MemoryLimitBytes = tiers.snapshot()
 	if s.cluster != nil {
 		st.Cluster = s.cluster.snapshot()
 	}
@@ -603,6 +606,14 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	// Workers are gone, so no new replica pushes can start; wait out the
 	// in-flight ones (each bounded by the cluster op timeout).
 	s.replWG.Wait()
+	// The tiers' bytes leave the process's count; what still reaches them
+	// (a peer serve or import through a live HTTP server) is not counted.
+	s.mu.Lock()
+	if s.cache.acct != nil {
+		s.matrices.acct, s.cache.acct, s.symbolic.acct = nil, nil, nil
+		tiers.close(s.matrices.bytes + s.cache.bytes + s.symbolic.bytes)
+	}
+	s.mu.Unlock()
 	return err
 }
 

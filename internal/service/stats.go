@@ -121,6 +121,12 @@ type Stats struct {
 	Running    int        `json:"running_batches"`
 	Cache      CacheStats `json:"cache"`
 	Solves     SolveStats `json:"solves"`
+	// HeldBytes is what the tiers of every live server in the process
+	// hold (one server in a daemon), and MemoryLimitBytes the runtime
+	// memory limit set from it: HeldBytes plus heapAllowance, capped at
+	// the limit the process started with.
+	HeldBytes        int64 `json:"held_bytes"`
+	MemoryLimitBytes int64 `json:"memory_limit_bytes"`
 	// Cluster carries cross-daemon traffic counters; nil outside a
 	// cluster.
 	Cluster *ClusterStats `json:"cluster,omitempty"`
