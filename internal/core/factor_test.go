@@ -94,10 +94,30 @@ func sameFactors(t *testing.T, label string, got, want *ilu.Factors) {
 	}
 }
 
+// smallPivot is [[1,1,0],[1,1+eps,1],[0,1,4]]: eliminating row 0 leaves
+// row 1 a pivot of about eps, far below τ‖a_1‖ for a modest τ but
+// nowhere near underflow.
+func smallPivot(eps float64) *sparse.CSR {
+	b := sparse.NewBuilder(3, 3)
+	for _, e := range []struct {
+		i, j int
+		v    float64
+	}{{0, 0, 1}, {0, 1, 1}, {1, 0, 1}, {1, 1, 1 + eps}, {1, 2, 1}, {2, 1, 1}, {2, 2, 4}} {
+		b.Add(e.i, e.j, e.v)
+	}
+	return b.Build()
+}
+
 func TestSingleProcessorEqualsSerialILUT(t *testing.T) {
 	// With P=1 every row is interior and the parallel algorithm must
-	// reduce to plain serial ILUT in natural order, bit for bit.
-	for _, mat := range oracleZoo() {
+	// reduce to plain serial ILUT in natural order, bit for bit — also
+	// on a pivot that is small but not denormal, which both repair by
+	// the same rule (or, as here, keep).
+	zoo := oracleZoo()
+	for _, eps := range []float64{1e-12, 1e-8, 1e-6} {
+		zoo = append(zoo, zooMatrix{fmt.Sprintf("smallpivot%g", eps), smallPivot(eps)})
+	}
+	for _, mat := range zoo {
 		for _, params := range []ilu.Params{{M: 4, Tau: 1e-3}, {M: 10, Tau: 1e-4}, {M: 20, Tau: 1e-6}, {M: 0, Tau: 0}} {
 			label := fmt.Sprintf("%s/ILUT(%d,%g)", mat.name, params.M, params.Tau)
 			pcs, _, _ := factorOn(t, pcommtest.New(t, 1, machine.T3D()), mat.a, withOptions(Options{Params: params}))

@@ -77,31 +77,49 @@ func TestParallelILU0EqualsSerialOnPermutedMatrix(t *testing.T) {
 	}
 }
 
+// denormalPivot is Grid2D(9, 9) plus one decoupled unknown whose
+// diagonal, and so whose pivot, is the negative denormal −5e-324: the
+// repair must keep its sign.
+func denormalPivot() *sparse.CSR {
+	g := matgen.Grid2D(9, 9)
+	b := sparse.NewBuilder(g.N+1, g.N+1)
+	for i := 0; i < g.N; i++ {
+		cols, vals := g.Row(i)
+		for k, j := range cols {
+			b.Add(i, j, vals[k])
+		}
+	}
+	b.Add(g.N, g.N, -math.SmallestNonzeroFloat64)
+	return b.Build()
+}
+
 func TestParallelILU0SingleProcEqualsSerial(t *testing.T) {
 	// At P = 1 the order is the natural one and the factors are serial
-	// ILU(0) of A itself; at larger P they are that of PAPᵀ, bit for bit.
-	a := matgen.Grid2D(9, 9)
-	for _, P := range []int{1, 2, 4, 8} {
-		pcs, _, _ := factorOn(t, pcommtest.New(t, P, machine.T3D()), a, withILU0)
-		f, perm, err := GatherFactors(pcs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		pap := a
-		if P == 1 {
-			for i, p := range perm {
-				if p != i {
-					t.Fatalf("P=1 permutation not identity at %d", i)
-				}
+	// ILU(0) of A itself; at larger P they are that of PAPᵀ, bit for bit
+	// — also when a pivot is a negative denormal and must be repaired.
+	for _, mat := range []zooMatrix{{"grid2d", matgen.Grid2D(9, 9)}, {"denormalpivot", denormalPivot()}} {
+		for _, P := range []int{1, 2, 4, 8} {
+			pcs, _, _ := factorOn(t, pcommtest.New(t, P, machine.T3D()), mat.a, withILU0)
+			f, perm, err := GatherFactors(pcs)
+			if err != nil {
+				t.Fatal(err)
 			}
-		} else {
-			pap = a.Permute(perm)
+			pap := mat.a
+			if P == 1 {
+				for i, p := range perm {
+					if p != i {
+						t.Fatalf("P=1 permutation not identity at %d", i)
+					}
+				}
+			} else {
+				pap = mat.a.Permute(perm)
+			}
+			want, _, err := ilu.ILU0(pap)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sameFactors(t, fmt.Sprintf("%s/P=%d", mat.name, P), f, want)
 		}
-		want, _, err := ilu.ILU0(pap)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sameFactors(t, fmt.Sprintf("P=%d", P), f, want)
 	}
 }
 

@@ -2,7 +2,6 @@ package ilu
 
 import (
 	"fmt"
-	"math"
 
 	"repro/internal/sparse"
 )
@@ -180,13 +179,9 @@ func factorOnPattern(a *sparse.CSR, pattern *sparse.CSR) (*Factors, Stats, error
 			}
 		}
 		lCols[i], lVals[i] = w.Gather(0, i, nil, nil)
-		d := w.Get(i)
-		if d == 0 || math.Abs(d) < 1e-300 {
-			d = pivotFloor(0)
-			st.FixedPivot++
-		}
+		// The parallel ILU(0)'s repair: a tiny pivot keeps its sign.
 		uc := []int{i}
-		uv := []float64{d}
+		uv := []float64{repairPivot(w.Get(i), 0, 0, &st)}
 		w.Drop(i)
 		uc, uv = w.Gather(i, n, uc, uv)
 		uCols[i], uVals[i] = uc, uv

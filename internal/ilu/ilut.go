@@ -151,27 +151,13 @@ func ILUT(a *sparse.CSR, p Params) (*Factors, Stats, error) {
 		st.DroppedRule2 += d2
 
 		lCols[i], lVals[i] = w.Gather(0, i, nil, nil)
-		var uc []int
-		var uv []float64
-		// Store the diagonal first for O(1) pivot access; the remaining
-		// upper entries follow in increasing column order.
-		d := w.Get(i)
-		if p.PivotPerturb != 0 {
-			d *= p.PivotPerturb
-		}
-		if math.Abs(d) < pivotFloor(tau)*1e-3 || d == 0 {
-			if d >= 0 {
-				d = pivotFloor(tau)
-			} else {
-				d = -pivotFloor(tau)
-			}
-			st.FixedPivot++
-		}
-		uc = append(uc, i)
-		uv = append(uv, d)
+		// Store the diagonal first for O(1) pivot access, repaired as
+		// PILUT repairs it (so the two agree at P = 1 bit for bit); the
+		// remaining upper entries follow in increasing column order.
+		uc := []int{i}
+		uv := []float64{repairPivot(w.Get(i), tau, p.PivotPerturb, &st)}
 		w.Drop(i)
-		uc, uv = w.Gather(i, n, uc, uv)
-		uCols[i], uVals[i] = uc, uv
+		uCols[i], uVals[i] = w.Gather(i, n, uc, uv)
 
 		w.Reset()
 	}
