@@ -1,9 +1,9 @@
-// Benchmarks regenerating the paper's evaluation, one family per table
-// and figure. Wall time measures the simulation host; the reproduced
-// quantity is the *modelled* time on the simulated T3D, reported as the
-// custom metrics model-ms (modelled milliseconds) and q-levels
-// (independent sets). Run the full sweep with cmd/experiments; these
-// benchmarks exercise a reduced scale so `go test -bench=.` stays fast.
+// Wall-clock benchmarks of the kernels the solver is built from: the
+// serial references, the partitioner, the MIS, the comm engine's blocking
+// points, the distributed matvec and the factorization itself. They time
+// this host. The paper's tables are modelled T3D seconds, which no
+// benchmark loop measures: cmd/experiments prints them, and the golden
+// test of internal/experiments pins a reduced run byte for byte.
 package repro_test
 
 import (
@@ -13,7 +13,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/dist"
-	"repro/internal/experiments"
 	"repro/internal/graph"
 	"repro/internal/ilu"
 	"repro/internal/krylov"
@@ -26,125 +25,6 @@ import (
 	"repro/internal/pcomm/realcomm"
 	"repro/internal/sparse"
 )
-
-func benchConfig() experiments.Config {
-	c := experiments.Default()
-	c.G0Side = 64    // 4096 unknowns
-	c.TorsoSide = 16 // 4096 unknowns
-	c.Procs = []int{4, 16}
-	return c
-}
-
-// BenchmarkTable1Factorization: parallel factorization time (Table 1,
-// Figures 4 and 5 measure the same runs across p).
-func BenchmarkTable1Factorization(b *testing.B) {
-	c := benchConfig()
-	for _, prob := range []*experiments.Problem{c.G0(), c.Torso()} {
-		for _, star := range []bool{false, true} {
-			for _, p := range c.Procs {
-				params := ilu.Params{M: 10, Tau: 1e-6}
-				name := "ILUT"
-				if star {
-					params.K = c.K
-					name = "ILUTstar"
-				}
-				b.Run(fmt.Sprintf("%s/%s/p=%d", prob.Name, name, p), func(b *testing.B) {
-					var out experiments.FactorOutcome
-					for i := 0; i < b.N; i++ {
-						var err error
-						out, _, err = c.Factorization(prob, p, params)
-						if err != nil {
-							b.Fatal(err)
-						}
-					}
-					b.ReportMetric(out.Seconds*1e3, "model-ms")
-					b.ReportMetric(float64(out.Levels), "q-levels")
-				})
-			}
-		}
-	}
-}
-
-// BenchmarkTable2Triangular: forward+backward substitution time per
-// application (Table 2, Figure 6).
-func BenchmarkTable2Triangular(b *testing.B) {
-	c := benchConfig()
-	prob := c.Torso()
-	for _, star := range []bool{false, true} {
-		for _, p := range c.Procs {
-			params := ilu.Params{M: 10, Tau: 1e-4}
-			name := "ILUT"
-			if star {
-				params.K = c.K
-				name = "ILUTstar"
-			}
-			_, pcs, err := c.Factorization(prob, p, params)
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.Run(fmt.Sprintf("%s/p=%d", name, p), func(b *testing.B) {
-				var t float64
-				for i := 0; i < b.N; i++ {
-					t, err = c.TriangularSolve(prob, p, pcs, 3)
-					if err != nil {
-						b.Fatal(err)
-					}
-				}
-				b.ReportMetric(t*1e3, "model-ms")
-			})
-		}
-	}
-}
-
-// BenchmarkTable2MatVec: the matrix–vector row of Table 2.
-func BenchmarkTable2MatVec(b *testing.B) {
-	c := benchConfig()
-	prob := c.Torso()
-	for _, p := range c.Procs {
-		b.Run(fmt.Sprintf("p=%d", p), func(b *testing.B) {
-			var t float64
-			var err error
-			for i := 0; i < b.N; i++ {
-				t, err = c.MatVec(prob, p, 3)
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(t*1e3, "model-ms")
-		})
-	}
-}
-
-// BenchmarkTable3GMRES: preconditioned GMRES time and matvec count.
-func BenchmarkTable3GMRES(b *testing.B) {
-	c := benchConfig()
-	prob := c.G0()
-	p := c.Procs[len(c.Procs)-1]
-	for _, tc := range []struct {
-		name   string
-		kind   experiments.PrecondKind
-		params ilu.Params
-	}{
-		{"ILUT", experiments.PrecondILUT, ilu.Params{M: 10, Tau: 1e-4}},
-		{"ILUTstar", experiments.PrecondILUTStar, ilu.Params{M: 10, Tau: 1e-4, K: 2}},
-		{"Diagonal", experiments.PrecondDiagonal, ilu.Params{}},
-	} {
-		b.Run(tc.name, func(b *testing.B) {
-			var out experiments.GMRESOutcome
-			var err error
-			for i := 0; i < b.N; i++ {
-				out, err = c.GMRES(prob, p, tc.kind, tc.params, 50, 3000, 1e-6)
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(out.Seconds*1e3, "model-ms")
-			b.ReportMetric(float64(out.NMV), "NMV")
-		})
-	}
-}
-
-// --- kernel microbenchmarks (ablation support) --------------------------
 
 // BenchmarkSerialILUT measures the sequential factorization kernel, the
 // baseline every parallel number is compared against.
@@ -429,32 +309,6 @@ func BenchmarkGMRESSerial(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationKLevels quantifies DESIGN.md ablation 1: the reduced-row
-// cap k against the level count q (the paper's central trade-off).
-func BenchmarkAblationKLevels(b *testing.B) {
-	c := benchConfig()
-	prob := c.Torso()
-	p := 16
-	for _, k := range []int{1, 2, 4, 0} {
-		name := fmt.Sprintf("k=%d", k)
-		if k == 0 {
-			name = "k=inf"
-		}
-		b.Run(name, func(b *testing.B) {
-			var out experiments.FactorOutcome
-			var err error
-			for i := 0; i < b.N; i++ {
-				out, _, err = c.Factorization(prob, p, ilu.Params{M: 10, Tau: 1e-6, K: k})
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(float64(out.Levels), "q-levels")
-			b.ReportMetric(out.Seconds*1e3, "model-ms")
-		})
-	}
-}
-
 // BenchmarkFactorCore exercises core.Factor directly (plan prebuilt),
 // isolating the factorization from partitioning: on the modelled machine,
 // and in the scoreboard's configuration — real backend, p = 4,
@@ -488,105 +342,4 @@ func BenchmarkFactorCore(b *testing.B) {
 			}
 		})
 	}
-}
-
-// BenchmarkFig4SpeedupG0 / Fig5 / Fig6: relative-speedup measurements
-// behind the paper's figures, reported as the speedup metric between the
-// smallest and largest benchmark processor counts.
-func benchmarkSpeedup(b *testing.B, prob *experiments.Problem, substitution bool) {
-	c := benchConfig()
-	params := ilu.Params{M: 10, Tau: 1e-6, K: c.K}
-	var times [2]float64
-	for i := 0; i < b.N; i++ {
-		for pi, p := range c.Procs {
-			out, pcs, err := c.Factorization(prob, p, params)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if substitution {
-				t, err := c.TriangularSolve(prob, p, pcs, 3)
-				if err != nil {
-					b.Fatal(err)
-				}
-				times[pi] = t
-			} else {
-				times[pi] = out.Seconds
-			}
-		}
-	}
-	b.ReportMetric(times[0]/times[1], "speedup")
-}
-
-func BenchmarkFig4SpeedupG0(b *testing.B) {
-	c := benchConfig()
-	benchmarkSpeedup(b, c.G0(), false)
-}
-
-func BenchmarkFig5SpeedupTorso(b *testing.B) {
-	c := benchConfig()
-	benchmarkSpeedup(b, c.Torso(), false)
-}
-
-func BenchmarkFig6SpeedupTrisolve(b *testing.B) {
-	c := benchConfig()
-	benchmarkSpeedup(b, c.Torso(), true)
-}
-
-// BenchmarkNetworkSensitivity measures the modelled time ILUT* saves over
-// ILUT under the two cost models (the paper's conclusion claim: the
-// saving explodes on slow networks).
-func BenchmarkNetworkSensitivity(b *testing.B) {
-	for _, net := range []struct {
-		name string
-		cost machine.CostModel
-	}{
-		{"t3d", machine.T3D()},
-		{"workstation", machine.Workstation()},
-	} {
-		b.Run(net.name, func(b *testing.B) {
-			c := benchConfig()
-			c.Cost = net.cost
-			prob := c.Torso()
-			var ratio float64
-			for i := 0; i < b.N; i++ {
-				plain, _, err := c.Factorization(prob, 16, ilu.Params{M: 10, Tau: 1e-6})
-				if err != nil {
-					b.Fatal(err)
-				}
-				star, _, err := c.Factorization(prob, 16, ilu.Params{M: 10, Tau: 1e-6, K: 2})
-				if err != nil {
-					b.Fatal(err)
-				}
-				ratio = plain.Seconds - star.Seconds
-			}
-			b.ReportMetric(ratio*1e3, "saved-model-ms")
-		})
-	}
-}
-
-// BenchmarkParallelILU0 measures the static-schedule factorization the
-// paper contrasts PILUT with (§3).
-func BenchmarkParallelILU0(b *testing.B) {
-	a := matgen.Torso(16, 16, 16, 1)
-	P := 16
-	plan, err := core.Prepare(a, P, 1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	var q float64
-	var elapsed float64
-	for i := 0; i < b.N; i++ {
-		m := modelled.New(P, machine.T3D())
-		var pc0 *core.ProcPrecond
-		res := m.Run(func(p pcomm.Comm) {
-			pc := core.FactorILU0(p, plan, 0, 1)
-			if p.ID() == 0 {
-				pc0 = pc
-			}
-		})
-		q = float64(pc0.NumLevels())
-		elapsed = res.Elapsed
-	}
-	b.ReportMetric(q, "q-levels")
-	b.ReportMetric(elapsed*1e3, "model-ms")
 }

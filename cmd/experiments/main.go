@@ -16,8 +16,8 @@ package main
 import (
 	"flag"
 	"fmt"
-	"io"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -25,52 +25,9 @@ import (
 	"repro/internal/experiments"
 )
 
-// env is what an experiment runs on: the configured harness, its two
-// problems, the GMRES stopping rule of table3, and the writer for the
-// tables.
-type env struct {
-	cfg       experiments.Config
-	g0, torso *experiments.Problem
-	tol       float64
-	maxMV     int
-	w         io.Writer
-}
-
-func (e env) both() []*experiments.Problem { return []*experiments.Problem{e.g0, e.torso} }
-
-// drivers maps each -exp name to its experiment, in the order -exp all
-// runs them.
-var drivers = []struct {
-	name string
-	run  func(e env) error
-}{
-	{"summary", func(e env) error { e.cfg.Summary(e.w, e.both()); return nil }},
-	{"table1", func(e env) error { return e.cfg.RunTable1(e.w, e.both()) }},
-	{"table2", func(e env) error { return e.cfg.RunTable2(e.w, e.torso) }},
-	{"table3", func(e env) error { return e.cfg.RunTable3(e.w, e.both(), e.tol, e.maxMV) }},
-	{"fig4", func(e env) error { return e.cfg.RunFigure(e.w, e.g0, false) }},
-	{"fig5", func(e env) error { return e.cfg.RunFigure(e.w, e.torso, false) }},
-	{"fig6", func(e env) error { return e.cfg.RunFigure(e.w, e.torso, true) }},
-	{"structure", func(e env) error { return e.cfg.RunStructure(e.w) }},
-	{"ablation-k", func(e env) error { return e.cfg.RunAblationK(e.w, e.torso) }},
-	{"ablation-mis", func(e env) error { return e.cfg.RunAblationMIS(e.w, e.torso) }},
-	{"ablation-partition", func(e env) error { return e.cfg.RunAblationPartition(e.w, e.torso) }},
-	{"breakdown", func(e env) error { return e.cfg.RunBreakdown(e.w, e.torso) }},
-	{"ilu0", func(e env) error { return e.cfg.RunILU0(e.w, e.torso) }},
-	{"network", func(e env) error { return e.cfg.RunNetwork(e.w, e.torso) }},
-}
-
-// names lists the experiments for -h and the unknown-name error.
-func names() string {
-	var ns []string
-	for _, d := range drivers {
-		ns = append(ns, d.name)
-	}
-	return strings.Join(ns, ", ") + ", all"
-}
-
 func main() {
-	exp := flag.String("exp", "all", "experiment to run: "+names())
+	names := strings.Join(experiments.Names(), ", ") + ", all"
+	exp := flag.String("exp", "all", "experiment to run: "+names)
 	scale := flag.String("scale", "default", "problem scale: small, default, or paper")
 	procsFlag := flag.String("procs", "", "comma-separated processor counts (default 16,32,64,128)")
 	msFlag := flag.String("ms", "", "comma-separated m values (default 5,10,20)")
@@ -131,25 +88,17 @@ func main() {
 		cfg.Taus = taus
 	}
 
-	known := *exp == "all"
-	for _, d := range drivers {
-		known = known || d.name == *exp
-	}
-	if !known {
-		fmt.Fprintf(os.Stderr, "unknown experiment %q; choose one of %s\n", *exp, names())
+	if *exp != "all" && !slices.Contains(experiments.Names(), *exp) {
+		fmt.Fprintf(os.Stderr, "unknown experiment %q; choose one of %s\n", *exp, names)
 		os.Exit(2)
 	}
-
-	e := env{cfg: cfg, g0: cfg.G0(), torso: cfg.Torso(), tol: *tol, maxMV: *maxMV, w: os.Stdout}
-	for _, d := range drivers {
-		if *exp != "all" && *exp != d.name {
-			continue
-		}
-		t0 := time.Now()
-		if err := d.run(e); err != nil {
-			fmt.Fprintf(os.Stderr, "%s: %v\n", d.name, err)
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "[%s completed in %v wall time]\n", d.name, time.Since(t0).Round(time.Millisecond))
+	t0 := time.Now()
+	err := cfg.Run(os.Stdout, []string{*exp}, *tol, *maxMV, func(name string) {
+		fmt.Fprintf(os.Stderr, "[%s completed in %v wall time]\n", name, time.Since(t0).Round(time.Millisecond))
+		t0 = time.Now()
+	})
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
 	}
 }

@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 	"io"
+	"strings"
 
 	"repro/internal/core"
 	"repro/internal/dist"
@@ -10,7 +11,86 @@ import (
 	"repro/internal/krylov"
 	"repro/internal/machine"
 	"repro/internal/pcomm"
+	"repro/internal/pcomm/backend"
 )
+
+// env is what a driver runs on: the configuration, its two problems
+// (built once, so every driver sees the same plans), table3's GMRES
+// stopping rule and the writer for the tables.
+type env struct {
+	c         Config
+	g0, torso *Problem
+	tol       float64
+	maxMV     int
+	w         io.Writer
+}
+
+func (e env) both() []*Problem { return []*Problem{e.g0, e.torso} }
+
+// drivers maps each experiment name to its driver, in the order "all"
+// runs them.
+var drivers = []struct {
+	name string
+	run  func(e env) error
+}{
+	{"summary", func(e env) error { e.c.Summary(e.w, e.both()); return nil }},
+	{"table1", func(e env) error { return e.c.RunTable1(e.w, e.both()) }},
+	{"table2", func(e env) error { return e.c.RunTable2(e.w, e.torso) }},
+	{"table3", func(e env) error { return e.c.RunTable3(e.w, e.both(), e.tol, e.maxMV) }},
+	{"fig4", func(e env) error { return e.c.RunFigure(e.w, e.g0, false) }},
+	{"fig5", func(e env) error { return e.c.RunFigure(e.w, e.torso, false) }},
+	{"fig6", func(e env) error { return e.c.RunFigure(e.w, e.torso, true) }},
+	{"structure", func(e env) error { return e.c.RunStructure(e.w) }},
+	{"ablation-k", func(e env) error { return e.c.RunAblationK(e.w, e.torso) }},
+	{"ablation-mis", func(e env) error { return e.c.RunAblationMIS(e.w, e.torso) }},
+	{"ablation-partition", func(e env) error { return e.c.RunAblationPartition(e.w, e.torso) }},
+	{"breakdown", func(e env) error { return e.c.RunBreakdown(e.w, e.torso) }},
+	{"ilu0", func(e env) error { return e.c.RunILU0(e.w, e.torso) }},
+	{"network", func(e env) error { return e.c.RunNetwork(e.w, e.torso) }},
+}
+
+// Names lists the experiments, in the order "all" runs them.
+func Names() []string {
+	ns := make([]string, len(drivers))
+	for i, d := range drivers {
+		ns[i] = d.name
+	}
+	return ns
+}
+
+// Run runs the named experiments in the order given — "all" stands for
+// every one, in Names order — on c's two problems and writes their
+// tables to w. tol and maxMV are table3's GMRES stopping rule. done, when
+// non-nil, is called with each name as its experiment finishes. An
+// unknown name or backend is reported before anything runs.
+func (c Config) Run(w io.Writer, names []string, tol float64, maxMV int, done func(name string)) error {
+	var order []int
+	for _, name := range names {
+		found := false
+		for i, d := range drivers {
+			if name == "all" || name == d.name {
+				order = append(order, i)
+				found = true
+			}
+		}
+		if !found {
+			return fmt.Errorf("unknown experiment %q; choose from %s, all", name, strings.Join(Names(), ", "))
+		}
+	}
+	if err := backend.Validate(c.Backend); err != nil {
+		return err
+	}
+	e := env{c: c, g0: c.G0(), torso: c.Torso(), tol: tol, maxMV: maxMV, w: w}
+	for _, i := range order {
+		if err := drivers[i].run(e); err != nil {
+			return fmt.Errorf("%s: %w", drivers[i].name, err)
+		}
+		if done != nil {
+			done(drivers[i].name)
+		}
+	}
+	return nil
+}
 
 // coreFactor wraps core.Factor with an explicit MIS round bound.
 func coreFactor(proc pcomm.Comm, plan *core.Plan, params ilu.Params, rounds int, seed int64) *core.ProcPrecond {
@@ -81,7 +161,7 @@ func (c Config) RunTable2(w io.Writer, pr *Problem) error {
 					if err != nil {
 						return err
 					}
-					t, err := c.TriangularSolve(pr, p, pcs, nApply)
+					t, _, err := c.TriangularSolveRate(pr, p, pcs, nApply)
 					if err != nil {
 						return err
 					}
@@ -129,10 +209,10 @@ func (c Config) RunTable3(w io.Writer, probs []*Problem, tol float64, maxMV int)
 		fmt.Fprintf(w, "\nTable 3 — %s on p=%d: GMRES time (modelled s) and matvec count, tol=%g\n",
 			pr.Name, p, tol)
 		tbl := &Table{Header: []string{"Preconditioner", "GMRES(10) Time", "NMV", "GMRES(50) Time", "NMV"}}
-		addRow := func(name string, kind PrecondKind, params ilu.Params) error {
+		addRow := func(name string, params *ilu.Params) error {
 			row := []string{name}
 			for _, restart := range []int{10, 50} {
-				out, err := c.GMRES(pr, p, kind, params, restart, maxMV, tol)
+				out, err := c.GMRES(pr, p, params, restart, maxMV, tol)
 				if err != nil {
 					return err
 				}
@@ -146,19 +226,16 @@ func (c Config) RunTable3(w io.Writer, probs []*Problem, tol float64, maxMV int)
 			return nil
 		}
 		for _, star := range []bool{false, true} {
-			kind := PrecondILUT
-			if star {
-				kind = PrecondILUTStar
-			}
 			for _, tau := range c.Taus {
 				for _, m := range c.Ms {
-					if err := addRow(ConfigName(star, m, tau, c.K), kind, c.params(star, m, tau)); err != nil {
+					params := c.params(star, m, tau)
+					if err := addRow(ConfigName(star, m, tau, c.K), &params); err != nil {
 						return err
 					}
 				}
 			}
 		}
-		if err := addRow("Diagonal", PrecondDiagonal, ilu.Params{}); err != nil {
+		if err := addRow("Diagonal", nil); err != nil {
 			return err
 		}
 		tbl.Write(w)
@@ -190,7 +267,7 @@ func (c Config) RunFigure(w io.Writer, pr *Problem, substitution bool) error {
 						return err
 					}
 					if substitution {
-						t, err := c.TriangularSolve(pr, p, pcs, 3)
+						t, _, err := c.TriangularSolveRate(pr, p, pcs, 3)
 						if err != nil {
 							return err
 						}
@@ -260,11 +337,7 @@ func (c Config) RunAblationK(w io.Writer, pr *Problem) error {
 		if err != nil {
 			return err
 		}
-		kind := PrecondILUTStar
-		if k == 0 {
-			kind = PrecondILUT
-		}
-		gm, err := c.GMRES(pr, p, kind, params, 50, 3000, 1e-6)
+		gm, err := c.GMRES(pr, p, &params, 50, 3000, 1e-6)
 		if err != nil {
 			return err
 		}

@@ -1,8 +1,9 @@
 // Package experiments reproduces the paper's evaluation: Table 1
 // (factorization time), Table 2 (triangular-solve and matrix–vector time),
 // Table 3 (GMRES preconditioning quality), and Figures 4–6 (relative
-// speedups), plus the ablations DESIGN.md commits to. Both cmd/experiments
-// and the top-level benchmarks drive this package.
+// speedups), plus the ablations DESIGN.md commits to. Run is the one
+// entry to its drivers: cmd/experiments calls it at full size, and the
+// golden test (testdata/golden.txt) at a reduced one.
 package experiments
 
 import (
@@ -30,8 +31,8 @@ type Config struct {
 	Taus  []float64
 	K     int
 	// G0Side is the square-grid side for the G0 problem (the paper's G0
-	// has ≈52k unknowns ⇒ side ≈ 228). Benchmarks default to a reduced
-	// scale; pass -scale paper to cmd/experiments for paper size.
+	// has ≈52k unknowns ⇒ side ≈ 228). Default is a reduced scale; pass
+	// -scale paper to cmd/experiments for paper size.
 	G0Side int
 	// TorsoSide is the cube side for the synthetic TORSO stand-in (the
 	// paper's TORSO has ≈201k unknowns ⇒ side ≈ 59).
@@ -56,8 +57,8 @@ func (c Config) mustWorld(p int) pcomm.World {
 	return w
 }
 
-// Default returns the reduced-scale configuration used by tests and
-// benchmarks: same sweep as the paper, smaller matrices.
+// Default returns the reduced-scale configuration cmd/experiments runs
+// by default: same sweep as the paper, smaller matrices.
 func Default() Config {
 	return Config{
 		Procs:     []int{16, 32, 64, 128},
@@ -132,7 +133,6 @@ type FactorOutcome struct {
 	Levels    int     // q
 	NNZ       int     // stored factor entries
 	Interface int     // global interface unknowns
-	Flops     float64
 }
 
 // Factorization runs the parallel ILUT/ILUT* factorization and reports
@@ -157,19 +157,13 @@ func (c Config) Factorization(pr *Problem, p int, params ilu.Params) (FactorOutc
 		Levels:    pcs[0].NumLevels(),
 		NNZ:       nnz,
 		Interface: plan.NInterface,
-		Flops:     res.TotalFlops(),
 	}, pcs, nil
 }
 
-// TriangularSolve reports the modelled time of nApply forward+backward
-// substitutions with an already-built preconditioner.
-func (c Config) TriangularSolve(pr *Problem, p int, pcs []*core.ProcPrecond, nApply int) (float64, error) {
-	t, _, err := c.TriangularSolveRate(pr, p, pcs, nApply)
-	return t, err
-}
-
-// TriangularSolveRate additionally reports the per-processor MFlop rate —
-// the paper's §6 comparison metric for the substitutions.
+// TriangularSolveRate reports the modelled time of one forward+backward
+// substitution with an already-built preconditioner (averaged over
+// nApply) and the per-processor MFlop rate — the paper's §6 comparison
+// metric for the substitutions.
 func (c Config) TriangularSolveRate(pr *Problem, p int, pcs []*core.ProcPrecond, nApply int) (float64, float64, error) {
 	plan, err := pr.PlanFor(p)
 	if err != nil {
@@ -189,14 +183,9 @@ func (c Config) TriangularSolveRate(pr *Problem, p int, pcs []*core.ProcPrecond,
 	return res.Elapsed / float64(nApply), mflops, nil
 }
 
-// MatVec reports the modelled time of one distributed matrix–vector
-// product (averaged over nApply), the last row of Table 2.
-func (c Config) MatVec(pr *Problem, p int, nApply int) (float64, error) {
-	t, _, err := c.MatVecRate(pr, p, nApply)
-	return t, err
-}
-
-// MatVecRate additionally reports the per-processor MFlop rate.
+// MatVecRate reports the modelled time of one distributed matrix–vector
+// product (averaged over nApply), the last row of Table 2, and the
+// per-processor MFlop rate.
 func (c Config) MatVecRate(pr *Problem, p int, nApply int) (float64, float64, error) {
 	plan, err := pr.PlanFor(p)
 	if err != nil {
@@ -222,22 +211,13 @@ type GMRESOutcome struct {
 	Seconds   float64 // modelled GMRES time (excluding factorization)
 	NMV       int
 	Converged bool
-	Residual  float64
 }
-
-// PrecondKind selects the preconditioner of a Table 3 run.
-type PrecondKind int
-
-// Preconditioner kinds.
-const (
-	PrecondILUT PrecondKind = iota // params.K ≤ 0
-	PrecondILUTStar
-	PrecondDiagonal
-)
 
 // GMRES runs the distributed solver with b = A·e and a zero initial
 // guess, the paper's setup, and reports time and matrix–vector products.
-func (c Config) GMRES(pr *Problem, p int, kind PrecondKind, params ilu.Params, restart, maxMV int, tol float64) (GMRESOutcome, error) {
+// The preconditioner is the parallel factorization with params (ILUT or,
+// when params.K > 0, ILUT*), or the diagonal baseline when params is nil.
+func (c Config) GMRES(pr *Problem, p int, params *ilu.Params, restart, maxMV int, tol float64) (GMRESOutcome, error) {
 	plan, err := pr.PlanFor(p)
 	if err != nil {
 		return GMRESOutcome{}, err
@@ -245,16 +225,16 @@ func (c Config) GMRES(pr *Problem, p int, kind PrecondKind, params ilu.Params, r
 	// Build the preconditioner first (its cost is reported separately in
 	// the paper).
 	var pcs []*core.ProcPrecond
-	if kind != PrecondDiagonal {
+	if params != nil {
 		pcs = make([]*core.ProcPrecond, p)
 		mf := c.mustWorld(p)
 		mf.Run(func(proc pcomm.Comm) {
-			pcs[proc.ID()] = core.Factor(proc, plan, core.Options{Params: params, Seed: c.Seed})
+			pcs[proc.ID()] = core.Factor(proc, plan, core.Options{Params: *params, Seed: c.Seed})
 		})
 	}
 
 	res, out := c.runGMRES(pr, p, plan.Lay, func(proc pcomm.Comm) krylov.DistPreconditioner {
-		if kind != PrecondDiagonal {
+		if pcs != nil {
 			return pcs[proc.ID()]
 		}
 		j, err := krylov.NewDistJacobi(plan.Lay, pr.A, proc.ID())
@@ -267,7 +247,6 @@ func (c Config) GMRES(pr *Problem, p int, kind PrecondKind, params ilu.Params, r
 		Seconds:   res.Elapsed,
 		NMV:       out.NMatVec,
 		Converged: out.Converged,
-		Residual:  out.Residual,
 	}, nil
 }
 
