@@ -243,14 +243,13 @@ func main() {
 	for i := range r {
 		r[i] = b[i] - r[i]
 	}
-	errNorm := 0.0
+	xErr := make([]float64, len(x)) // x − e, e the all-ones solution
 	for i := range x {
-		d := x[i] - 1
-		errNorm += d * d
+		xErr[i] = x[i] - 1
 	}
 	fmt.Printf("GMRES(%d): converged=%v NMV=%d %s %.4fs  true rel residual=%.2e  ‖x−e‖=%.2e\n",
 		*restart, results[0].Converged, results[0].NMatVec, timeLabel, solveRes.Elapsed,
-		sparse.Norm2(r)/sparse.Norm2(b), errNorm)
+		sparse.Norm2(r)/sparse.Norm2(b), sparse.Norm2(xErr))
 
 	if *traceOut != "" {
 		f, err := os.Create(*traceOut)

@@ -62,20 +62,6 @@ func (b *breaker) allow(key string) (retryAfter time.Duration, ok bool) {
 	return 0, true
 }
 
-// retryAfter reports the cooldown remaining on key's open circuit
-// without admitting a probe, for callers that only want the back-off
-// hint (the peer-fetch retry reuses it as its pause).
-func (b *breaker) retryAfter(key string) (time.Duration, bool) {
-	st := b.keys[key]
-	if st == nil || st.failures < b.threshold {
-		return 0, false
-	}
-	if left := st.openUntil.Sub(b.now()); left > 0 {
-		return left, true
-	}
-	return 0, false
-}
-
 // success closes the circuit for key.
 func (b *breaker) success(key string) {
 	delete(b.keys, key)

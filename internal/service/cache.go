@@ -44,8 +44,10 @@ type entry struct {
 
 	// origin records how the entry got here (originLocal, originPeer,
 	// originReplica); a view change claims peer-imported keys this
-	// daemon now owns as takeovers.
-	origin string
+	// daemon now owns as takeovers, counting each entry once (claimed,
+	// under the server lock).
+	origin  string
+	claimed bool
 }
 
 // symEntry is one cached symbolic analysis: the pattern-only half of a

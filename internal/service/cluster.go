@@ -145,7 +145,6 @@ type cluster struct {
 
 	mu      sync.Mutex
 	brk     *breaker
-	claimed map[string]bool // peer-imported keys already counted as takeovers
 	pending map[string]bool // owned keys whose last replica push did not fully land
 	rng     *rand.Rand      // retry-backoff jitter; guarded by mu
 
@@ -167,7 +166,6 @@ func newCluster(cfg *ClusterConfig) *cluster {
 		replicas:      cfg.Replicas,
 		probeInterval: cfg.ProbeInterval,
 		brk:           newBreaker(),
-		claimed:       make(map[string]bool),
 		pending:       make(map[string]bool),
 		rng:           rand.New(rand.NewSource(1)),
 	}

@@ -53,29 +53,17 @@ func transientFetchErr(err error) bool {
 	return true
 }
 
-const (
-	fetchRetryBase = 25 * time.Millisecond
-	fetchRetryMax  = 250 * time.Millisecond
-)
+// fetchRetryBase centres the pause before the one retried peer
+// operation.
+const fetchRetryBase = 25 * time.Millisecond
 
-// retryBackoff picks the pause before the one retried peer operation:
-// the peer breaker's retry-after hint when one is pending (the breaker
-// already knows when the peer is worth probing again), otherwise a
-// jittered slice around the base so colliding fetchers don't retry in
-// lock-step. Always bounded by fetchRetryMax.
-func (cl *cluster) retryBackoff(peer string) time.Duration {
-	base := fetchRetryBase
+// retryBackoff picks that pause: a jittered slice in [base/2, 3·base/2),
+// so colliding fetchers don't retry in lock-step.
+func (cl *cluster) retryBackoff() time.Duration {
 	cl.mu.Lock()
-	if hint, ok := cl.brk.retryAfter(peer); ok && hint > 0 && hint < fetchRetryMax {
-		base = hint
-	}
-	jitter := time.Duration(cl.rng.Int63n(int64(base)))
+	jitter := time.Duration(cl.rng.Int63n(int64(fetchRetryBase)))
 	cl.mu.Unlock()
-	d := base/2 + jitter
-	if d > fetchRetryMax {
-		d = fetchRetryMax
-	}
-	return d
+	return fetchRetryBase/2 + jitter
 }
 
 // getFactorRetry is getFactor plus the bounded retry: one extra attempt,
@@ -86,7 +74,7 @@ func (cl *cluster) getFactorRetry(peer, key string) ([]byte, error) {
 		return data, err
 	}
 	cl.fetchRetries.Add(1)
-	time.Sleep(cl.retryBackoff(peer))
+	time.Sleep(cl.retryBackoff())
 	return cl.getFactor(peer, key)
 }
 
@@ -273,21 +261,14 @@ func (s *Server) onViewChange() {
 	for key, it := range s.cache.items {
 		if cl.owner(key) == cl.self {
 			owned = append(owned, it.val)
+			if it.val.origin != originLocal && !it.val.claimed {
+				it.val.claimed = true
+				cl.takeovers.Add(1)
+			}
 		}
 	}
 	s.mu.Unlock()
 	for _, ent := range owned {
-		if ent.origin != originLocal {
-			cl.mu.Lock()
-			first := !cl.claimed[ent.key]
-			if first {
-				cl.claimed[ent.key] = true
-			}
-			cl.mu.Unlock()
-			if first {
-				cl.takeovers.Add(1)
-			}
-		}
 		s.pushReplicas(ent)
 	}
 }
