@@ -1,9 +1,9 @@
 // Wall-clock benchmarks of the kernels the solver is built from: the
 // serial references, the partitioner, the MIS, the comm engine's blocking
 // points, the distributed matvec and the factorization itself. They time
-// this host. The paper's tables are modelled T3D seconds, which no
-// benchmark loop measures: cmd/experiments prints them, and the golden
-// test of internal/experiments pins a reduced run byte for byte.
+// the machine they run on. The paper's tables are modelled T3D seconds,
+// which no benchmark loop measures: cmd/experiments prints them, and the
+// golden test of internal/experiments pins a reduced run byte for byte.
 package repro_test
 
 import (
