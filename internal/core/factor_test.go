@@ -111,8 +111,7 @@ func smallPivot(eps float64) *sparse.CSR {
 func TestSingleProcessorEqualsSerialILUT(t *testing.T) {
 	// With P=1 every row is interior and the parallel algorithm must
 	// reduce to plain serial ILUT in natural order, bit for bit — also
-	// on a pivot that is small but not denormal, which both repair by
-	// the same rule (or, as here, keep).
+	// on a pivot that is small but not denormal, which both keep.
 	zoo := oracleZoo()
 	for _, eps := range []float64{1e-12, 1e-8, 1e-6} {
 		zoo = append(zoo, zooMatrix{fmt.Sprintf("smallpivot%g", eps), smallPivot(eps)})
