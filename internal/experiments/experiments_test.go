@@ -93,6 +93,36 @@ func TestGMRESOutcomes(t *testing.T) {
 	}
 }
 
+func TestRunTable1Smoke(t *testing.T) {
+	c := tiny()
+	var buf bytes.Buffer
+	if err := c.RunTable1(&buf, []*Problem{c.G0()}); err != nil {
+		t.Fatal(err)
+	}
+	out := buf.String()
+	if !strings.Contains(out, "ILUT(5,1e-02)") || !strings.Contains(out, "ILUT*(5,1e-04,2)") {
+		t.Errorf("table missing expected rows:\n%s", out)
+	}
+}
+
+func TestRunTable2And3Smoke(t *testing.T) {
+	c := tiny()
+	var buf bytes.Buffer
+	if err := c.RunTable2(&buf, c.Torso()); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(buf.String(), "Matrix-Vector") {
+		t.Error("table 2 missing matvec row")
+	}
+	buf.Reset()
+	if err := c.RunTable3(&buf, []*Problem{c.G0()}, 1e-5, 1500); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(buf.String(), "Diagonal") {
+		t.Error("table 3 missing diagonal row")
+	}
+}
+
 func TestRunFigureAndStructureSmoke(t *testing.T) {
 	c := tiny()
 	var buf bytes.Buffer
@@ -218,5 +248,16 @@ func TestRunILU0Smoke(t *testing.T) {
 	}
 	if !strings.Contains(buf.String(), "ILU(0)") {
 		t.Errorf("ilu0 output incomplete:\n%s", buf.String())
+	}
+}
+
+func TestRunBreakdownSmoke(t *testing.T) {
+	c := tiny()
+	var buf bytes.Buffer
+	if err := c.RunBreakdown(&buf, c.G0()); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(buf.String(), "%") {
+		t.Errorf("breakdown output incomplete:\n%s", buf.String())
 	}
 }
