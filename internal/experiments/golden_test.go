@@ -16,11 +16,11 @@ var update = flag.Bool("update", false, "rewrite testdata/golden.txt from this r
 // goldenPath holds the reduced run's tables; `make golden` rewrites it.
 var goldenPath = filepath.Join("testdata", "golden.txt")
 
-// TestGolden runs the paper's Tables 1–3 and the overhead breakdown at a
-// reduced size — G0 on a 64×64 grid, TORSO on a 16³ cube, p ∈ {4, 8},
-// m = 10, τ ∈ {1e-2, 1e-4} — and requires the output to be golden.txt
-// byte for byte. Every figure is modelled T3D seconds, a count or a
-// ratio of them, so any change to the modelled clock, the partition, the
+// TestGolden runs every driver in Names order at a reduced size — G0 on
+// a 64×64 grid, TORSO on a 16³ cube, p ∈ {4, 8}, m = 10,
+// τ ∈ {1e-2, 1e-4} — and requires the output to be golden.txt byte for
+// byte. Every figure is modelled seconds (T3D, and the workstation
+// rows of network), a count or a ratio of them, so any change to the modelled clock, the partition, the
 // MIS or a factor or solution bit shows up as a reviewed diff of the
 // paper's tables. The backend is pinned to modelled whatever
 // PILUT_BACKEND says: wall-clock times would never repeat.
@@ -32,7 +32,7 @@ func TestGolden(t *testing.T) {
 	c.Taus = []float64{1e-2, 1e-4}
 	c.Backend = backend.Modelled
 	var got bytes.Buffer
-	if err := c.Run(&got, []string{"summary", "table1", "table2", "table3", "breakdown"}, 1e-5, 3000, nil); err != nil {
+	if err := c.Run(&got, Names(), 1e-5, 3000, nil); err != nil {
 		t.Fatal(err)
 	}
 	if *update {
