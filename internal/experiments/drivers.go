@@ -97,6 +97,10 @@ func coreFactor(proc pcomm.Comm, plan *core.Plan, params ilu.Params, rounds int,
 	return core.Factor(proc, plan, core.Options{Params: params, MISRounds: rounds, Seed: seed})
 }
 
+// nApply is how many substitutions (or products) one timed run of Table 2
+// or Figure 6 makes; its time is reported per application.
+const nApply = 5
+
 // params builds the ilu.Params of one sweep entry.
 func (c Config) params(star bool, m int, tau float64) ilu.Params {
 	p := ilu.Params{M: m, Tau: tau}
@@ -151,7 +155,6 @@ func (c Config) RunTable2(w io.Writer, pr *Problem) error {
 	for _, p := range c.Procs {
 		tbl.Header = append(tbl.Header, fmt.Sprintf("p=%d", p))
 	}
-	const nApply = 5
 	for _, star := range []bool{false, true} {
 		for _, tau := range c.Taus {
 			for _, m := range c.Ms {
@@ -267,7 +270,7 @@ func (c Config) RunFigure(w io.Writer, pr *Problem, substitution bool) error {
 						return err
 					}
 					if substitution {
-						t, _, err := c.TriangularSolveRate(pr, p, pcs, 3)
+						t, _, err := c.TriangularSolveRate(pr, p, pcs, nApply)
 						if err != nil {
 							return err
 						}
