@@ -200,7 +200,7 @@ func main() {
 	for _, v := range nnzCh {
 		nnz += v
 	}
-	label := experiments.ConfigName(params.K > 0, params.M, params.Tau, params.K)
+	label := experiments.ConfigName(params)
 	if *precond == "ilu0" || *precond == "jacobi" || *precond == "none" {
 		label = ""
 	}

@@ -6,11 +6,8 @@ import (
 	"strings"
 
 	"repro/internal/core"
-	"repro/internal/dist"
 	"repro/internal/ilu"
-	"repro/internal/krylov"
 	"repro/internal/machine"
-	"repro/internal/pcomm"
 	"repro/internal/pcomm/backend"
 )
 
@@ -40,7 +37,7 @@ var drivers = []struct {
 	{"fig4", func(e env) error { return e.c.RunFigure(e.w, e.g0, false) }},
 	{"fig5", func(e env) error { return e.c.RunFigure(e.w, e.torso, false) }},
 	{"fig6", func(e env) error { return e.c.RunFigure(e.w, e.torso, true) }},
-	{"structure", func(e env) error { return e.c.RunStructure(e.w) }},
+	{"structure", func(e env) error { return e.c.RunStructure(e.w, e.g0) }},
 	{"ablation-k", func(e env) error { return e.c.RunAblationK(e.w, e.torso) }},
 	{"ablation-mis", func(e env) error { return e.c.RunAblationMIS(e.w, e.torso) }},
 	{"ablation-partition", func(e env) error { return e.c.RunAblationPartition(e.w, e.torso) }},
@@ -92,22 +89,55 @@ func (c Config) Run(w io.Writer, names []string, tol float64, maxMV int, done fu
 	return nil
 }
 
-// coreFactor wraps core.Factor with an explicit MIS round bound.
-func coreFactor(proc pcomm.Comm, plan *core.Plan, params ilu.Params, rounds int, seed int64) *core.ProcPrecond {
-	return core.Factor(proc, plan, core.Options{Params: params, MISRounds: rounds, Seed: seed})
-}
-
 // nApply is how many substitutions (or products) one timed run of Table 2
 // or Figure 6 makes; its time is reported per application.
 const nApply = 5
 
-// params builds the ilu.Params of one sweep entry.
-func (c Config) params(star bool, m int, tau float64) ilu.Params {
-	p := ilu.Params{M: m, Tau: tau}
-	if star {
-		p.K = c.K
+// sweep is the paper's factorization grid in its tables' row order:
+// ILUT, then ILUT*, each τ, each m.
+func (c Config) sweep() []ilu.Params {
+	var rows []ilu.Params
+	for _, k := range []int{0, c.K} {
+		for _, tau := range c.Taus {
+			for _, m := range c.Ms {
+				rows = append(rows, ilu.Params{M: m, Tau: tau, K: k})
+			}
+		}
 	}
-	return p
+	return rows
+}
+
+// procTable is the paper's one rows-by-p table: a row per params, named
+// by ConfigName, whose entries row makes from pr's cells on every p of
+// c.Procs. first heads the names' column and extra any columns after the
+// p ones.
+func (c Config) procTable(pr *Problem, first string, rows []ilu.Params, row func(cs []Cell) []string, extra ...string) (*Table, error) {
+	tbl := &Table{Header: []string{first}}
+	for _, p := range c.Procs {
+		tbl.Header = append(tbl.Header, fmt.Sprintf("p=%d", p))
+	}
+	tbl.Header = append(tbl.Header, extra...)
+	for _, params := range rows {
+		cs := make([]Cell, len(c.Procs))
+		for i, p := range c.Procs {
+			cell, err := c.Factorization(pr, p, params)
+			if err != nil {
+				return nil, err
+			}
+			cs[i] = cell
+		}
+		tbl.Add(append([]string{ConfigName(params)}, row(cs)...)...)
+	}
+	return tbl, nil
+}
+
+// each formats every cell of a row with f.
+func each(cs []Cell, f func(Cell) string) []string {
+	out := make([]string, len(cs))
+	for i, x := range cs {
+		out[i] = f(x)
+	}
+	return out
 }
 
 // RunTable1 reproduces Table 1: parallel factorization time (modelled
@@ -118,28 +148,12 @@ func (c Config) RunTable1(w io.Writer, probs []*Problem) error {
 	for _, pr := range probs {
 		fmt.Fprintf(w, "\nTable 1 — %s (n=%d, nnz=%d): factorization time (modelled seconds)\n",
 			pr.Name, pr.A.N, pr.A.NNZ())
-		tbl := &Table{Header: []string{"Factorization"}}
-		for _, p := range c.Procs {
-			tbl.Header = append(tbl.Header, fmt.Sprintf("p=%d", p))
-		}
-		tbl.Header = append(tbl.Header, "q@maxp")
-		for _, star := range []bool{false, true} {
-			for _, tau := range c.Taus {
-				for _, m := range c.Ms {
-					row := []string{ConfigName(star, m, tau, c.K)}
-					lastLevels := 0
-					for _, p := range c.Procs {
-						out, _, err := c.Factorization(pr, p, c.params(star, m, tau))
-						if err != nil {
-							return err
-						}
-						row = append(row, fmt.Sprintf("%.4f", out.Seconds))
-						lastLevels = out.Levels
-					}
-					row = append(row, fmt.Sprintf("%d", lastLevels))
-					tbl.Add(row...)
-				}
-			}
+		tbl, err := c.procTable(pr, "Factorization", c.sweep(), func(cs []Cell) []string {
+			return append(each(cs, func(x Cell) string { return fmt.Sprintf("%.4f", x.Seconds) }),
+				fmt.Sprintf("%d", cs[len(cs)-1].Levels))
+		}, "q@maxp")
+		if err != nil {
+			return err
 		}
 		tbl.Write(w)
 	}
@@ -151,28 +165,12 @@ func (c Config) RunTable1(w io.Writer, probs []*Problem) error {
 // product row.
 func (c Config) RunTable2(w io.Writer, pr *Problem) error {
 	fmt.Fprintf(w, "\nTable 2 — %s: forward+backward substitution time (modelled seconds)\n", pr.Name)
-	tbl := &Table{Header: []string{"Factorization"}}
-	for _, p := range c.Procs {
-		tbl.Header = append(tbl.Header, fmt.Sprintf("p=%d", p))
-	}
-	for _, star := range []bool{false, true} {
-		for _, tau := range c.Taus {
-			for _, m := range c.Ms {
-				row := []string{ConfigName(star, m, tau, c.K)}
-				for _, p := range c.Procs {
-					_, pcs, err := c.Factorization(pr, p, c.params(star, m, tau))
-					if err != nil {
-						return err
-					}
-					t, _, err := c.TriangularSolveRate(pr, p, pcs, nApply)
-					if err != nil {
-						return err
-					}
-					row = append(row, fmt.Sprintf("%.5f", t))
-				}
-				tbl.Add(row...)
-			}
-		}
+	rows := c.sweep()
+	tbl, err := c.procTable(pr, "Factorization", rows, func(cs []Cell) []string {
+		return each(cs, func(x Cell) string { return fmt.Sprintf("%.5f", x.SolveSeconds) })
+	})
+	if err != nil {
+		return err
 	}
 	row := []string{"Matrix-Vector"}
 	var mvRates []string
@@ -189,53 +187,44 @@ func (c Config) RunTable2(w io.Writer, pr *Problem) error {
 	fmt.Fprintf(w, "matvec MFlops/processor: %s\n", mvRates)
 
 	// The paper's §6 rate comparison: trisolve MFlops vs matvec MFlops
-	// for the densest factorization.
-	_, pcs, err := c.Factorization(pr, c.Procs[len(c.Procs)-1], c.params(true, c.Ms[len(c.Ms)-1], c.Taus[len(c.Taus)-1]))
+	// for the densest factorization, the sweep's last row.
+	maxP := c.Procs[len(c.Procs)-1]
+	densest, err := c.Factorization(pr, maxP, rows[len(rows)-1])
 	if err != nil {
 		return err
 	}
-	_, tsRate, err := c.TriangularSolveRate(pr, c.Procs[len(c.Procs)-1], pcs, nApply)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(w, "trisolve MFlops/processor at p=%d (densest ILUT*): %.1f\n",
-		c.Procs[len(c.Procs)-1], tsRate)
+	fmt.Fprintf(w, "trisolve MFlops/processor at p=%d (densest ILUT*): %.1f\n", maxP, densest.SolveMFlops)
 	return nil
 }
 
 // RunTable3 reproduces Table 3: GMRES(10) and GMRES(50) time and
 // matrix–vector counts on the largest processor count, for ILUT, ILUT*
-// and the diagonal preconditioner.
+// and the diagonal preconditioner. Both restarts of a row run on one
+// factorization.
 func (c Config) RunTable3(w io.Writer, probs []*Problem, tol float64, maxMV int) error {
 	p := c.Procs[len(c.Procs)-1]
 	for _, pr := range probs {
 		fmt.Fprintf(w, "\nTable 3 — %s on p=%d: GMRES time (modelled s) and matvec count, tol=%g\n",
 			pr.Name, p, tol)
 		tbl := &Table{Header: []string{"Preconditioner", "GMRES(10) Time", "NMV", "GMRES(50) Time", "NMV"}}
-		addRow := func(name string, params *ilu.Params) error {
+		addRow := func(name string, pcs []*core.ProcPrecond) error {
 			row := []string{name}
 			for _, restart := range []int{10, 50} {
-				out, err := c.GMRES(pr, p, params, restart, maxMV, tol)
+				out, err := c.GMRES(pr, p, pcs, restart, maxMV, tol)
 				if err != nil {
 					return err
 				}
-				nmv := fmt.Sprintf("%d", out.NMV)
-				if !out.Converged {
-					nmv += "*" // budget exhausted, as the paper marks non-convergence
-				}
-				row = append(row, fmt.Sprintf("%.4f", out.Seconds), nmv)
+				row = append(row, fmt.Sprintf("%.4f", out.Seconds), out.nmv())
 			}
 			tbl.Add(row...)
 			return nil
 		}
-		for _, star := range []bool{false, true} {
-			for _, tau := range c.Taus {
-				for _, m := range c.Ms {
-					params := c.params(star, m, tau)
-					if err := addRow(ConfigName(star, m, tau, c.K), &params); err != nil {
-						return err
-					}
-				}
+		for _, params := range c.sweep() {
+			_, err := c.factor(pr, c.at(p, params), func(pcs []*core.ProcPrecond) error {
+				return addRow(ConfigName(params), pcs)
+			})
+			if err != nil {
+				return err
 			}
 		}
 		if err := addRow("Diagonal", nil); err != nil {
@@ -252,51 +241,26 @@ func (c Config) RunTable3(w io.Writer, probs []*Problem, tol float64, maxMV int)
 // smallest.
 func (c Config) RunFigure(w io.Writer, pr *Problem, substitution bool) error {
 	what := "factorization"
+	seconds := func(x Cell) float64 { return x.Seconds }
 	if substitution {
 		what = "forward+backward substitution"
+		seconds = func(x Cell) float64 { return x.SolveSeconds }
 	}
 	fmt.Fprintf(w, "\nFigure — %s: %s speedup relative to p=%d\n", pr.Name, what, c.Procs[0])
-	tbl := &Table{Header: []string{"Configuration"}}
-	for _, p := range c.Procs {
-		tbl.Header = append(tbl.Header, fmt.Sprintf("p=%d", p))
-	}
-	for _, star := range []bool{false, true} {
-		for _, tau := range c.Taus {
-			for _, m := range c.Ms {
-				times := map[int]float64{}
-				for _, p := range c.Procs {
-					out, pcs, err := c.Factorization(pr, p, c.params(star, m, tau))
-					if err != nil {
-						return err
-					}
-					if substitution {
-						t, _, err := c.TriangularSolveRate(pr, p, pcs, nApply)
-						if err != nil {
-							return err
-						}
-						times[p] = t
-					} else {
-						times[p] = out.Seconds
-					}
-				}
-				row := []string{ConfigName(star, m, tau, c.K)}
-				base := times[c.Procs[0]]
-				for _, p := range c.Procs {
-					row = append(row, fmt.Sprintf("%.2f", base/times[p]))
-				}
-				tbl.Add(row...)
-			}
-		}
+	tbl, err := c.procTable(pr, "Configuration", c.sweep(), func(cs []Cell) []string {
+		return each(cs, func(x Cell) string { return fmt.Sprintf("%.2f", seconds(cs[0])/seconds(x)) })
+	})
+	if err != nil {
+		return err
 	}
 	tbl.Write(w)
 	return nil
 }
 
 // RunStructure prints the level-set statistics the paper's Figures 1–3
-// illustrate: how many independent sets the interface needs, their sizes,
-// and how fill makes a static colouring invalid.
-func (c Config) RunStructure(w io.Writer) error {
-	pr := c.G0()
+// illustrate on pr: how many independent sets the interface needs, their
+// sizes, and how fill makes a static colouring invalid.
+func (c Config) RunStructure(w io.Writer, pr *Problem) error {
 	p := c.Procs[0]
 	fmt.Fprintf(w, "\nStructure (Figures 1–3) — %s on p=%d\n", pr.Name, p)
 	for _, cfg := range []struct {
@@ -308,20 +272,20 @@ func (c Config) RunStructure(w io.Writer) error {
 		{"ILUT(10,1e-6)", ilu.Params{M: 10, Tau: 1e-6}},
 		{"ILUT*(10,1e-6,2)", ilu.Params{M: 10, Tau: 1e-6, K: c.K}},
 	} {
-		out, pcs, err := c.Factorization(pr, p, cfg.params)
+		cell, err := c.Factorization(pr, p, cfg.params)
 		if err != nil {
 			return err
 		}
 		sizes := ""
-		for i, l := range pcs[0].Levels() {
+		for i, size := range cell.Sizes {
 			if i > 8 {
 				sizes += "…"
 				break
 			}
-			sizes += fmt.Sprintf("%d ", l.Size)
+			sizes += fmt.Sprintf("%d ", size)
 		}
 		fmt.Fprintf(w, "  %-22s interface=%d  q=%d  level sizes: %s\n",
-			cfg.name, out.Interface, out.Levels, sizes)
+			cfg.name, cell.Interface, cell.Levels, sizes)
 	}
 	fmt.Fprintln(w, "  (more fill ⇒ denser reduced matrices ⇒ more, smaller independent sets)")
 	return nil
@@ -335,12 +299,11 @@ func (c Config) RunAblationK(w io.Writer, pr *Problem) error {
 	fmt.Fprintf(w, "\nAblation — ILUT* cap k on %s, p=%d, m=%d, tau=%.0e\n", pr.Name, p, m, tau)
 	tbl := &Table{Header: []string{"k", "Factor time", "q levels", "GMRES(50) NMV"}}
 	for _, k := range []int{1, 2, 4, 8, 0} {
-		params := ilu.Params{M: m, Tau: tau, K: k}
-		out, _, err := c.Factorization(pr, p, params)
-		if err != nil {
+		var gm GMRESOutcome
+		cell, err := c.factor(pr, c.at(p, ilu.Params{M: m, Tau: tau, K: k}), func(pcs []*core.ProcPrecond) (err error) {
+			gm, err = c.GMRES(pr, p, pcs, 50, 3000, 1e-6)
 			return err
-		}
-		gm, err := c.GMRES(pr, p, &params, 50, 3000, 1e-6)
+		})
 		if err != nil {
 			return err
 		}
@@ -348,11 +311,7 @@ func (c Config) RunAblationK(w io.Writer, pr *Problem) error {
 		if k == 0 {
 			label = "∞ (plain ILUT)"
 		}
-		nmv := fmt.Sprintf("%d", gm.NMV)
-		if !gm.Converged {
-			nmv += "*"
-		}
-		tbl.Add(label, fmt.Sprintf("%.4f", out.Seconds), fmt.Sprintf("%d", out.Levels), nmv)
+		tbl.Add(label, fmt.Sprintf("%.4f", cell.Seconds), fmt.Sprintf("%d", cell.Levels), gm.nmv())
 	}
 	tbl.Write(w)
 	return nil
@@ -362,23 +321,16 @@ func (c Config) RunAblationK(w io.Writer, pr *Problem) error {
 // it at 5).
 func (c Config) RunAblationMIS(w io.Writer, pr *Problem) error {
 	p := c.Procs[len(c.Procs)-1]
-	params := ilu.Params{M: 10, Tau: 1e-4, K: c.K}
 	fmt.Fprintf(w, "\nAblation — MIS augmentation rounds on %s, p=%d\n", pr.Name, p)
 	tbl := &Table{Header: []string{"rounds", "Factor time", "q levels"}}
-	plan, err := pr.PlanFor(p)
-	if err != nil {
-		return err
-	}
 	for _, rounds := range []int{1, 3, 5, 8, 16} {
-		m := c.mustWorld(p)
-		var q int
-		res := m.Run(func(proc pcomm.Comm) {
-			pc := coreFactor(proc, plan, params, rounds, c.Seed)
-			if proc.ID() == 0 {
-				q = pc.NumLevels()
-			}
-		})
-		tbl.Add(fmt.Sprintf("%d", rounds), fmt.Sprintf("%.4f", res.Elapsed), fmt.Sprintf("%d", q))
+		k := c.at(p, ilu.Params{M: 10, Tau: 1e-4, K: c.K})
+		k.rounds = rounds
+		cell, err := c.cell(pr, k)
+		if err != nil {
+			return err
+		}
+		tbl.Add(fmt.Sprintf("%d", rounds), fmt.Sprintf("%.4f", cell.Seconds), fmt.Sprintf("%d", cell.Levels))
 	}
 	tbl.Write(w)
 	return nil
@@ -387,31 +339,21 @@ func (c Config) RunAblationMIS(w io.Writer, pr *Problem) error {
 // RunAblationPartition contrasts multilevel and random partitions.
 func (c Config) RunAblationPartition(w io.Writer, pr *Problem) error {
 	p := c.Procs[len(c.Procs)-1]
-	params := ilu.Params{M: 10, Tau: 1e-4, K: c.K}
 	fmt.Fprintf(w, "\nAblation — partition quality on %s, p=%d\n", pr.Name, p)
 	tbl := &Table{Header: []string{"partition", "interface", "Factor time", "q levels"}}
-
-	out, _, err := c.Factorization(pr, p, params)
-	if err != nil {
-		return err
-	}
-	tbl.Add("multilevel k-way", fmt.Sprintf("%d", out.Interface),
-		fmt.Sprintf("%.4f", out.Seconds), fmt.Sprintf("%d", out.Levels))
-
-	plan, err := pr.RandomPlanFor(p)
-	if err != nil {
-		return err
-	}
-	m := c.mustWorld(p)
-	var q int
-	res := m.Run(func(proc pcomm.Comm) {
-		pc := coreFactor(proc, plan, params, 0, c.Seed)
-		if proc.ID() == 0 {
-			q = pc.NumLevels()
+	for _, random := range []bool{false, true} {
+		k := c.at(p, ilu.Params{M: 10, Tau: 1e-4, K: c.K})
+		k.random = random
+		cell, err := c.cell(pr, k)
+		if err != nil {
+			return err
 		}
-	})
-	tbl.Add("random", fmt.Sprintf("%d", plan.NInterface),
-		fmt.Sprintf("%.4f", res.Elapsed), fmt.Sprintf("%d", q))
+		name := "multilevel k-way"
+		if random {
+			name = "random"
+		}
+		tbl.Add(name, fmt.Sprintf("%d", cell.Interface), fmt.Sprintf("%.4f", cell.Seconds), fmt.Sprintf("%d", cell.Levels))
+	}
 	tbl.Write(w)
 	return nil
 }
@@ -454,11 +396,11 @@ func (c Config) RunNetwork(w io.Writer, pr *Problem) error {
 	} {
 		cfg := c
 		cfg.Cost = net.cost
-		plain, _, err := cfg.Factorization(pr, p, ilu.Params{M: 10, Tau: 1e-6})
+		plain, err := cfg.Factorization(pr, p, ilu.Params{M: 10, Tau: 1e-6})
 		if err != nil {
 			return err
 		}
-		star, _, err := cfg.Factorization(pr, p, ilu.Params{M: 10, Tau: 1e-6, K: c.K})
+		star, err := cfg.Factorization(pr, p, ilu.Params{M: 10, Tau: 1e-6, K: c.K})
 		if err != nil {
 			return err
 		}
@@ -480,54 +422,37 @@ func (c Config) RunILU0(w io.Writer, pr *Problem) error {
 	p := c.Procs[len(c.Procs)-1]
 	fmt.Fprintf(w, "\nILU(0) vs ILUT — %s, p=%d\n", pr.Name, p)
 	tbl := &Table{Header: []string{"factorization", "q levels", "factor time", "GMRES(50) NMV"}}
-	plan, err := pr.PlanFor(p)
-	if err != nil {
-		return err
-	}
-	lay := plan.Lay
-
-	// Parallel ILU(0).
-	pcs := make([]*core.ProcPrecond, p)
-	m := c.mustWorld(p)
-	res := m.Run(func(proc pcomm.Comm) {
-		pcs[proc.ID()] = core.FactorILU0(proc, plan, 0, c.Seed)
-	})
-	nmv := c.gmresWith(pr, p, lay, func(proc pcomm.Comm) krylov.DistPreconditioner {
-		return pcs[proc.ID()]
-	})
-	tbl.Add("ILU(0)", fmt.Sprintf("%d", pcs[0].NumLevels()),
-		fmt.Sprintf("%.4f", res.Elapsed), nmv)
-
+	ilu0 := c.at(p, ilu.Params{})
+	ilu0.ilu0 = true
+	rows := []struct {
+		name string
+		k    cellKey
+	}{{"ILU(0)", ilu0}}
 	for _, params := range []ilu.Params{
 		{M: 5, Tau: 1e-2},
 		{M: 10, Tau: 1e-4, K: c.K},
 		{M: 10, Tau: 1e-6, K: c.K},
 	} {
-		out, fpcs, err := c.Factorization(pr, p, params)
+		rows = append(rows, struct {
+			name string
+			k    cellKey
+		}{ConfigName(params), c.at(p, params)})
+	}
+	for _, row := range rows {
+		var gm GMRESOutcome
+		cell, err := c.factor(pr, row.k, func(pcs []*core.ProcPrecond) (err error) {
+			gm, err = c.GMRES(pr, p, pcs, 50, 4000, 1e-6)
+			return err
+		})
 		if err != nil {
 			return err
 		}
-		nmv := c.gmresWith(pr, p, lay, func(proc pcomm.Comm) krylov.DistPreconditioner {
-			return fpcs[proc.ID()]
-		})
-		tbl.Add(ConfigName(params.K > 0, params.M, params.Tau, c.K),
-			fmt.Sprintf("%d", out.Levels), fmt.Sprintf("%.4f", out.Seconds), nmv)
+		tbl.Add(row.name, fmt.Sprintf("%d", cell.Levels), fmt.Sprintf("%.4f", cell.Seconds), gm.nmv())
 	}
 	tbl.Write(w)
 	fmt.Fprintln(w, "ILU(0)'s schedule is precomputable (few colour-class levels) but its")
 	fmt.Fprintln(w, "position-based dropping needs more GMRES iterations on hard problems.")
 	return nil
-}
-
-// gmresWith runs the Table 3 solve with a caller-supplied
-// preconditioner factory and returns the NMV cell text.
-func (c Config) gmresWith(pr *Problem, p int, lay *dist.Layout, prec func(pcomm.Comm) krylov.DistPreconditioner) string {
-	_, out := c.runGMRES(pr, p, lay, prec, krylov.Options{Restart: 50, Tol: 1e-6, MaxMatVec: 4000})
-	nmv := fmt.Sprintf("%d", out.NMatVec)
-	if !out.Converged {
-		nmv += "*"
-	}
-	return nmv
 }
 
 // RunBreakdown decomposes the modelled factorization time into compute
@@ -536,29 +461,16 @@ func (c Config) gmresWith(pr *Problem, p int, lay *dist.Layout, prec func(pcomm.
 // at small thresholds; ILUT*'s stays moderate.
 func (c Config) RunBreakdown(w io.Writer, pr *Problem) error {
 	fmt.Fprintf(w, "\nOverhead breakdown — %s factorization, overhead%% of processor-time\n", pr.Name)
-	tbl := &Table{Header: []string{"Factorization"}}
-	for _, p := range c.Procs {
-		tbl.Header = append(tbl.Header, fmt.Sprintf("p=%d", p))
-	}
-	for _, params := range []ilu.Params{
+	tbl, err := c.procTable(pr, "Factorization", []ilu.Params{
 		{M: 10, Tau: 1e-4},
 		{M: 10, Tau: 1e-4, K: c.K},
 		{M: 10, Tau: 1e-6},
 		{M: 10, Tau: 1e-6, K: c.K},
-	} {
-		row := []string{ConfigName(params.K > 0, params.M, params.Tau, c.K)}
-		for _, p := range c.Procs {
-			plan, err := pr.PlanFor(p)
-			if err != nil {
-				return err
-			}
-			m := c.mustWorld(p)
-			res := m.Run(func(proc pcomm.Comm) {
-				core.Factor(proc, plan, core.Options{Params: params, Seed: c.Seed})
-			})
-			row = append(row, fmt.Sprintf("%.0f%%", 100*res.OverheadFraction()))
-		}
-		tbl.Add(row...)
+	}, func(cs []Cell) []string {
+		return each(cs, func(x Cell) string { return fmt.Sprintf("%.0f%%", 100*x.Overhead) })
+	})
+	if err != nil {
+		return err
 	}
 	tbl.Write(w)
 	return nil

@@ -17,6 +17,7 @@ import (
 	"repro/internal/krylov"
 	"repro/internal/machine"
 	"repro/internal/matgen"
+	"repro/internal/mis"
 	"repro/internal/partition"
 	"repro/internal/pcomm"
 	"repro/internal/pcomm/backend"
@@ -83,24 +84,26 @@ func PaperScale() Config {
 
 // Problem bundles a named matrix with cached plans per processor count,
 // so every experiment on the same (matrix, p) pair sees the identical
-// distribution.
+// distribution, and with the cells computed on it so far.
 type Problem struct {
 	Name string
 	A    *sparse.CSR
 	seed int64
 
 	plans map[int]*core.Plan
+	cells map[cellKey]Cell
+}
+
+func newProblem(name string, a *sparse.CSR, seed int64) *Problem {
+	return &Problem{Name: name, A: a, seed: seed, plans: map[int]*core.Plan{}, cells: map[cellKey]Cell{}}
 }
 
 // G0 builds the 2-D grid problem.
-func (c Config) G0() *Problem {
-	return &Problem{Name: "G0", A: matgen.Grid2D(c.G0Side, c.G0Side), seed: c.Seed, plans: map[int]*core.Plan{}}
-}
+func (c Config) G0() *Problem { return newProblem("G0", matgen.Grid2D(c.G0Side, c.G0Side), c.Seed) }
 
 // Torso builds the synthetic TORSO problem.
 func (c Config) Torso() *Problem {
-	return &Problem{Name: "TORSO", A: matgen.Torso(c.TorsoSide, c.TorsoSide, c.TorsoSide, c.Seed), seed: c.Seed,
-		plans: map[int]*core.Plan{}}
+	return newProblem("TORSO", matgen.Torso(c.TorsoSide, c.TorsoSide, c.TorsoSide, c.Seed), c.Seed)
 }
 
 // PlanFor returns (building and caching on first use) the plan for p
@@ -126,61 +129,109 @@ func (pr *Problem) RandomPlanFor(p int) (*core.Plan, error) {
 	return core.NewPlan(pr.A, lay)
 }
 
-// FactorOutcome is one cell of Table 1 plus the structure data the text
-// quotes (number of independent sets, fill).
-type FactorOutcome struct {
-	Seconds   float64 // modelled time on the virtual machine
+// Cell is one factorization of a problem as the drivers print it. The
+// paper's tables, figures, breakdown and ablations are views over cells,
+// and a Problem keeps each cell it has computed, so a run factors every
+// (p, options) pair once however many drivers print it.
+type Cell struct {
+	Seconds   float64 // modelled factorization time on the virtual machine
 	Levels    int     // q
+	Sizes     []int   // the q interface levels' sizes, in order
 	NNZ       int     // stored factor entries
 	Interface int     // global interface unknowns
+	Overhead  float64 // overhead share of processor-time while factoring
+	// SolveSeconds is one forward+backward substitution with the factors,
+	// averaged over nApply, and SolveMFlops its per-processor rate — the
+	// paper's §6 comparison metric for the substitutions.
+	SolveSeconds, SolveMFlops float64
 }
 
-// Factorization runs the parallel ILUT/ILUT* factorization and reports
-// the modelled time; it also returns the per-processor pieces so callers
-// can keep using the preconditioner.
-func (c Config) Factorization(pr *Problem, p int, params ilu.Params) (FactorOutcome, []*core.ProcPrecond, error) {
-	plan, err := pr.PlanFor(p)
-	if err != nil {
-		return FactorOutcome{}, nil, err
+// cellKey is what a cell is a function of, besides its problem.
+type cellKey struct {
+	p      int
+	params ilu.Params
+	rounds int  // MIS augmentation bound
+	random bool // random partition instead of multilevel k-way
+	ilu0   bool // static-pattern ILU(0); params unused
+	cost   machine.CostModel
+}
+
+// at is the key of the factorization with params on p processors under
+// c's cost model, with the default MIS rounds and partition.
+func (c Config) at(p int, params ilu.Params) cellKey {
+	return cellKey{p: p, params: params, rounds: mis.DefaultRounds, cost: c.Cost}
+}
+
+// Factorization returns the cell of pr factored with params (ILUT or,
+// when params.K > 0, ILUT*) on p processors, computing it on first use.
+func (c Config) Factorization(pr *Problem, p int, params ilu.Params) (Cell, error) {
+	return c.cell(pr, c.at(p, params))
+}
+
+// cell returns pr's cell at k, computing it on first use.
+func (c Config) cell(pr *Problem, k cellKey) (Cell, error) {
+	if cell, ok := pr.cells[k]; ok {
+		return cell, nil
 	}
-	pcs := make([]*core.ProcPrecond, p)
-	m := c.mustWorld(p)
-	res := m.Run(func(proc pcomm.Comm) {
-		pcs[proc.ID()] = core.Factor(proc, plan, core.Options{Params: params, Seed: c.Seed})
+	return c.factor(pr, k, nil)
+}
+
+// factor is the package's one factorization: it factors pr at k on a
+// fresh world, takes the cell's numbers if pr has none at k yet, and hands
+// the pieces to use, when non-nil, while they live. The pieces are dropped
+// on return (every cell's would not fit at -scale paper), so a driver
+// that solves with them — Table 3, the k ablation, ILU(0) — factors again
+// a cell an earlier driver took, and runs all its solves on that one
+// factorization.
+func (c Config) factor(pr *Problem, k cellKey, use func(pcs []*core.ProcPrecond) error) (Cell, error) {
+	plan, err := pr.PlanFor(k.p)
+	if k.random {
+		plan, err = pr.RandomPlanFor(k.p)
+	}
+	if err != nil {
+		return Cell{}, err
+	}
+	pcs := make([]*core.ProcPrecond, k.p)
+	res := c.mustWorld(k.p).Run(func(proc pcomm.Comm) {
+		if k.ilu0 {
+			pcs[proc.ID()] = core.FactorILU0(proc, plan, k.rounds, c.Seed)
+		} else {
+			pcs[proc.ID()] = core.Factor(proc, plan, core.Options{Params: k.params, MISRounds: k.rounds, Seed: c.Seed})
+		}
 	})
-	nnz := 0
-	for _, pc := range pcs {
-		nnz += pc.NNZ()
+	cell, ok := pr.cells[k]
+	if !ok {
+		cell = Cell{Seconds: res.Elapsed, Levels: pcs[0].NumLevels(), Interface: plan.NInterface,
+			Overhead: res.OverheadFraction()}
+		for _, l := range pcs[0].Levels() {
+			cell.Sizes = append(cell.Sizes, l.Size)
+		}
+		for _, pc := range pcs {
+			cell.NNZ += pc.NNZ()
+		}
+		cell.SolveSeconds, cell.SolveMFlops = c.solveRate(plan.Lay, pcs)
+		pr.cells[k] = cell
 	}
-	return FactorOutcome{
-		Seconds:   res.Elapsed,
-		Levels:    pcs[0].NumLevels(),
-		NNZ:       nnz,
-		Interface: plan.NInterface,
-	}, pcs, nil
+	if use != nil {
+		err = use(pcs)
+	}
+	return cell, err
 }
 
-// TriangularSolveRate reports the modelled time of one forward+backward
-// substitution with an already-built preconditioner (averaged over
-// nApply) and the per-processor MFlop rate — the paper's §6 comparison
-// metric for the substitutions.
-func (c Config) TriangularSolveRate(pr *Problem, p int, pcs []*core.ProcPrecond, nApply int) (float64, float64, error) {
-	plan, err := pr.PlanFor(p)
-	if err != nil {
-		return 0, 0, err
-	}
-	lay := plan.Lay
-	b := sparse.Ones(pr.A.N)
-	bParts := lay.Scatter(b)
-	m := c.mustWorld(p)
-	res := m.Run(func(proc pcomm.Comm) {
+// solveRate reports the modelled time of one forward+backward
+// substitution with pcs, laid out by lay (averaged over nApply), and the
+// per-processor MFlop rate.
+func (c Config) solveRate(lay *dist.Layout, pcs []*core.ProcPrecond) (float64, float64) {
+	p := len(pcs)
+	bParts := lay.Scatter(sparse.Ones(lay.N))
+	res := c.mustWorld(p).Run(func(proc pcomm.Comm) {
 		x := make([]float64, lay.NLocal(proc.ID()))
 		for it := 0; it < nApply; it++ {
 			pcs[proc.ID()].Solve(proc, x, bParts[proc.ID()])
 		}
 	})
 	mflops := res.TotalFlops() / (res.Elapsed * float64(p)) / 1e6
-	return res.Elapsed / float64(nApply), mflops, nil
+	return res.Elapsed / nApply, mflops
 }
 
 // MatVecRate reports the modelled time of one distributed matrix–vector
@@ -213,47 +264,25 @@ type GMRESOutcome struct {
 	Converged bool
 }
 
+// nmv is the matvec count as the paper prints it: starred when the budget
+// ran out first.
+func (o GMRESOutcome) nmv() string {
+	if !o.Converged {
+		return fmt.Sprintf("%d*", o.NMV)
+	}
+	return fmt.Sprintf("%d", o.NMV)
+}
+
 // GMRES runs the distributed solver with b = A·e and a zero initial
 // guess, the paper's setup, and reports time and matrix–vector products.
-// The preconditioner is the parallel factorization with params (ILUT or,
-// when params.K > 0, ILUT*), or the diagonal baseline when params is nil.
-func (c Config) GMRES(pr *Problem, p int, params *ilu.Params, restart, maxMV int, tol float64) (GMRESOutcome, error) {
+// The preconditioner is pcs, the pieces of a factorization of pr on p
+// processors (see factor), or the diagonal baseline when pcs is nil.
+func (c Config) GMRES(pr *Problem, p int, pcs []*core.ProcPrecond, restart, maxMV int, tol float64) (GMRESOutcome, error) {
 	plan, err := pr.PlanFor(p)
 	if err != nil {
 		return GMRESOutcome{}, err
 	}
-	// Build the preconditioner first (its cost is reported separately in
-	// the paper).
-	var pcs []*core.ProcPrecond
-	if params != nil {
-		pcs = make([]*core.ProcPrecond, p)
-		mf := c.mustWorld(p)
-		mf.Run(func(proc pcomm.Comm) {
-			pcs[proc.ID()] = core.Factor(proc, plan, core.Options{Params: *params, Seed: c.Seed})
-		})
-	}
-
-	res, out := c.runGMRES(pr, p, plan.Lay, func(proc pcomm.Comm) krylov.DistPreconditioner {
-		if pcs != nil {
-			return pcs[proc.ID()]
-		}
-		j, err := krylov.NewDistJacobi(plan.Lay, pr.A, proc.ID())
-		if err != nil {
-			panic(err)
-		}
-		return j
-	}, krylov.Options{Restart: restart, Tol: tol, MaxMatVec: maxMV})
-	return GMRESOutcome{
-		Seconds:   res.Elapsed,
-		NMV:       out.NMatVec,
-		Converged: out.Converged,
-	}, nil
-}
-
-// runGMRES is the one distributed solve of the Table 3 drivers: b = A·e
-// scattered over lay, a zero initial guess and prec's preconditioner on
-// a fresh world. It reports the run and rank 0's result.
-func (c Config) runGMRES(pr *Problem, p int, lay *dist.Layout, prec func(pcomm.Comm) krylov.DistPreconditioner, opt krylov.Options) (pcomm.Result, krylov.Result) {
+	lay := plan.Lay
 	b := make([]float64, pr.A.N)
 	pr.A.MulVec(b, sparse.Ones(pr.A.N))
 	bParts := lay.Scatter(b)
@@ -261,22 +290,32 @@ func (c Config) runGMRES(pr *Problem, p int, lay *dist.Layout, prec func(pcomm.C
 	res := c.mustWorld(p).Run(func(proc pcomm.Comm) {
 		dm := dist.NewMatrix(proc, lay, pr.A)
 		x := make([]float64, lay.NLocal(proc.ID()))
-		r, err := krylov.DistGMRES(proc, dm, prec(proc), x, bParts[proc.ID()], opt)
+		var prec krylov.DistPreconditioner
+		if pcs != nil {
+			prec = pcs[proc.ID()]
+		} else {
+			j, err := krylov.NewDistJacobi(lay, pr.A, proc.ID())
+			if err != nil {
+				panic(err)
+			}
+			prec = j
+		}
+		r, err := krylov.DistGMRES(proc, dm, prec, x, bParts[proc.ID()], krylov.Options{Restart: restart, Tol: tol, MaxMatVec: maxMV})
 		if err != nil {
 			panic(err)
 		}
 		outs[proc.ID()] = r
 	})
-	return res, outs[0]
+	return GMRESOutcome{Seconds: res.Elapsed, NMV: outs[0].NMatVec, Converged: outs[0].Converged}, nil
 }
 
 // ConfigName formats a factorization configuration the way the paper
-// labels its rows.
-func ConfigName(star bool, m int, tau float64, k int) string {
-	if star {
-		return fmt.Sprintf("ILUT*(%d,%.0e,%d)", m, tau, k)
+// labels its rows: ILUT(m,τ), or ILUT*(m,τ,k) when params.K > 0.
+func ConfigName(params ilu.Params) string {
+	if params.K > 0 {
+		return fmt.Sprintf("ILUT*(%d,%.0e,%d)", params.M, params.Tau, params.K)
 	}
-	return fmt.Sprintf("ILUT(%d,%.0e)", m, tau)
+	return fmt.Sprintf("ILUT(%d,%.0e)", params.M, params.Tau)
 }
 
 // Table is a simple fixed-width table writer shared by the experiment

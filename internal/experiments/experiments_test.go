@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/ilu"
 	"repro/internal/machine"
 )
@@ -37,29 +38,26 @@ func tiny() Config {
 func TestFactorizationOutcome(t *testing.T) {
 	c := tiny()
 	pr := c.G0()
-	out, pcs, err := c.Factorization(pr, 4, ilu.Params{M: 5, Tau: 1e-4})
+	out, err := c.Factorization(pr, 4, ilu.Params{M: 5, Tau: 1e-4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if out.Seconds <= 0 || out.Levels <= 0 || out.NNZ <= 0 || out.Interface <= 0 {
+	if out.Seconds <= 0 || out.Levels <= 0 || out.NNZ <= 0 || out.Interface <= 0 || out.SolveSeconds <= 0 {
 		t.Fatalf("degenerate outcome: %+v", out)
 	}
-	if len(pcs) != 4 {
-		t.Fatalf("expected 4 pieces, got %d", len(pcs))
+	if len(out.Sizes) != out.Levels {
+		t.Fatalf("%d level sizes for q=%d", len(out.Sizes), out.Levels)
 	}
 }
 
 func TestTriangularSolveAndMatVecTimes(t *testing.T) {
 	c := tiny()
 	pr := c.Torso()
-	_, pcs, err := c.Factorization(pr, 2, ilu.Params{M: 5, Tau: 1e-4, K: 2})
+	cell, err := c.Factorization(pr, 2, ilu.Params{M: 5, Tau: 1e-4, K: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts, _, err := c.TriangularSolveRate(pr, 2, pcs, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ts := cell.SolveSeconds
 	mv, _, err := c.MatVecRate(pr, 2, 3)
 	if err != nil {
 		t.Fatal(err)
@@ -77,7 +75,11 @@ func TestTriangularSolveAndMatVecTimes(t *testing.T) {
 func TestGMRESOutcomes(t *testing.T) {
 	c := tiny()
 	pr := c.G0()
-	ilutOut, err := c.GMRES(pr, 4, &ilu.Params{M: 5, Tau: 1e-4, K: 2}, 10, 2000, 1e-6)
+	var ilutOut GMRESOutcome
+	_, err := c.factor(pr, c.at(4, ilu.Params{M: 5, Tau: 1e-4, K: 2}), func(pcs []*core.ProcPrecond) (err error) {
+		ilutOut, err = c.GMRES(pr, 4, pcs, 10, 2000, 1e-6)
+		return err
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +134,7 @@ func TestRunFigureAndStructureSmoke(t *testing.T) {
 	if err := c.RunFigure(&buf, c.G0(), true); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.RunStructure(&buf); err != nil {
+	if err := c.RunStructure(&buf, c.G0()); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(buf.String(), "speedup") {
@@ -166,11 +168,11 @@ func TestSpeedupShape(t *testing.T) {
 	c.Procs = []int{2, 8}
 	c.G0Side = 64
 	pr := c.G0()
-	t2, _, err := c.Factorization(pr, 2, ilu.Params{M: 5, Tau: 1e-4, K: 2})
+	t2, err := c.Factorization(pr, 2, ilu.Params{M: 5, Tau: 1e-4, K: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	t8, _, err := c.Factorization(pr, 8, ilu.Params{M: 5, Tau: 1e-4, K: 2})
+	t8, err := c.Factorization(pr, 8, ilu.Params{M: 5, Tau: 1e-4, K: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,11 +186,11 @@ func TestILUTStarFasterAtSmallThreshold(t *testing.T) {
 	c := tiny()
 	pr := c.Torso()
 	p := 4
-	plain, _, err := c.Factorization(pr, p, ilu.Params{M: 10, Tau: 1e-6})
+	plain, err := c.Factorization(pr, p, ilu.Params{M: 10, Tau: 1e-6})
 	if err != nil {
 		t.Fatal(err)
 	}
-	star, _, err := c.Factorization(pr, p, ilu.Params{M: 10, Tau: 1e-6, K: 2})
+	star, err := c.Factorization(pr, p, ilu.Params{M: 10, Tau: 1e-6, K: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,11 +224,11 @@ func TestNetworkAmplifiesILUTStarAdvantage(t *testing.T) {
 	saved := func(cost machine.CostModel) float64 {
 		cfg := c
 		cfg.Cost = cost
-		plain, _, err := cfg.Factorization(pr, 4, ilu.Params{M: 10, Tau: 1e-6})
+		plain, err := cfg.Factorization(pr, 4, ilu.Params{M: 10, Tau: 1e-6})
 		if err != nil {
 			t.Fatal(err)
 		}
-		star, _, err := cfg.Factorization(pr, 4, ilu.Params{M: 10, Tau: 1e-6, K: 2})
+		star, err := cfg.Factorization(pr, 4, ilu.Params{M: 10, Tau: 1e-6, K: 2})
 		if err != nil {
 			t.Fatal(err)
 		}
