@@ -51,42 +51,12 @@ func main() {
 		fmt.Fprintf(os.Stderr, "unknown scale %q\n", *scale)
 		os.Exit(2)
 	}
-	if *procsFlag != "" {
-		var procs []int
-		for _, s := range strings.Split(*procsFlag, ",") {
-			v, err := strconv.Atoi(strings.TrimSpace(s))
-			if err != nil || v < 1 {
-				fmt.Fprintf(os.Stderr, "bad -procs entry %q\n", s)
-				os.Exit(2)
-			}
-			procs = append(procs, v)
-		}
-		cfg.Procs = procs
-	}
-	if *msFlag != "" {
-		var ms []int
-		for _, s := range strings.Split(*msFlag, ",") {
-			v, err := strconv.Atoi(strings.TrimSpace(s))
-			if err != nil || v < 1 {
-				fmt.Fprintf(os.Stderr, "bad -ms entry %q\n", s)
-				os.Exit(2)
-			}
-			ms = append(ms, v)
-		}
-		cfg.Ms = ms
-	}
-	if *tausFlag != "" {
-		var taus []float64
-		for _, s := range strings.Split(*tausFlag, ",") {
-			v, err := strconv.ParseFloat(strings.TrimSpace(s), 64)
-			if err != nil || v <= 0 {
-				fmt.Fprintf(os.Stderr, "bad -taus entry %q\n", s)
-				os.Exit(2)
-			}
-			taus = append(taus, v)
-		}
-		cfg.Taus = taus
-	}
+	cfg.Procs = list("procs", *procsFlag, cfg.Procs, positive)
+	cfg.Ms = list("ms", *msFlag, cfg.Ms, positive)
+	cfg.Taus = list("taus", *tausFlag, cfg.Taus, func(s string) (float64, bool) {
+		v, err := strconv.ParseFloat(s, 64)
+		return v, err == nil && v > 0
+	})
 
 	if *exp != "all" && !slices.Contains(experiments.Names(), *exp) {
 		fmt.Fprintf(os.Stderr, "unknown experiment %q; choose one of %s\n", *exp, names)
@@ -101,4 +71,28 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
+}
+
+// list parses flag -name's comma-separated value, each entry with parse;
+// an empty value keeps def. An entry parse refuses exits 2, naming it.
+func list[T any](name, value string, def []T, parse func(string) (T, bool)) []T {
+	if value == "" {
+		return def
+	}
+	var out []T
+	for _, s := range strings.Split(value, ",") {
+		v, ok := parse(strings.TrimSpace(s))
+		if !ok {
+			fmt.Fprintf(os.Stderr, "bad -%s entry %q\n", name, s)
+			os.Exit(2)
+		}
+		out = append(out, v)
+	}
+	return out
+}
+
+// positive parses a count of at least 1.
+func positive(s string) (int, bool) {
+	v, err := strconv.Atoi(s)
+	return v, err == nil && v >= 1
 }
