@@ -236,21 +236,22 @@ func (c Config) solveRate(lay *dist.Layout, pcs []*core.ProcPrecond) (float64, f
 
 // MatVecRate reports the modelled time of one distributed matrix–vector
 // product (averaged over nApply), the last row of Table 2, and the
-// per-processor MFlop rate.
+// per-processor MFlop rate. The distributed matrix, whose ghost plan is a
+// collective of its own, is built in a run before the timed one, as the
+// factors are for the substitution rows.
 func (c Config) MatVecRate(pr *Problem, p int, nApply int) (float64, float64, error) {
 	plan, err := pr.PlanFor(p)
 	if err != nil {
 		return 0, 0, err
 	}
 	lay := plan.Lay
-	x := sparse.Ones(pr.A.N)
-	xParts := lay.Scatter(x)
-	m := c.mustWorld(p)
-	res := m.Run(func(proc pcomm.Comm) {
-		dm := dist.NewMatrix(proc, lay, pr.A)
+	mats := make([]*dist.Matrix, p)
+	c.mustWorld(p).Run(func(proc pcomm.Comm) { mats[proc.ID()] = dist.NewMatrix(proc, lay, pr.A) })
+	xParts := lay.Scatter(sparse.Ones(pr.A.N))
+	res := c.mustWorld(p).Run(func(proc pcomm.Comm) {
 		y := make([]float64, lay.NLocal(proc.ID()))
 		for it := 0; it < nApply; it++ {
-			dm.MulVec(proc, y, xParts[proc.ID()])
+			mats[proc.ID()].MulVec(proc, y, xParts[proc.ID()])
 		}
 	})
 	mflops := res.TotalFlops() / (res.Elapsed * float64(p)) / 1e6
