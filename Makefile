@@ -183,7 +183,7 @@ bench-kernels:
 # The paper's tables, the commands of EXPERIMENTS.md's reproduction
 # index: rewrite the golden file of the reduced run that the
 # experiments package's tests hold the tree to
-# (internal/experiments/testdata/golden.txt), then regenerate the three
+# (internal/experiments/testdata/golden.txt), then regenerate the two
 # full-size outputs (about 25 minutes on a 2-vCPU host). Only stdout
 # reaches the files — each experiment's wall time goes to stderr — so a
 # second run leaves no diff.
@@ -191,7 +191,6 @@ golden:
 	$(GO) test ./internal/experiments -run '^TestGolden$$' -count=1 -update
 	$(GO) run ./cmd/experiments -exp all -tol 1e-6 -maxmv 6000 > experiments_output.txt
 	$(GO) run ./cmd/experiments -exp table3 -procs 16 -tol 1e-6 -maxmv 6000 > experiments_table3_p16.txt
-	{ $(GO) run ./cmd/experiments -exp ilu0 && $(GO) run ./cmd/experiments -exp breakdown; } > experiments_extra.txt
 
 # Real-backend wall-clock speedup curves (factorization and GMRES solve)
 # at p in {1,2,4,8,16}; writes BENCH_speedup.json. On hosts with at least
