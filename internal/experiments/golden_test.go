@@ -24,6 +24,12 @@ var goldenPath = filepath.Join("testdata", "golden.txt")
 // MIS or a factor or solution bit shows up as a reviewed diff of the
 // paper's tables. The backend is pinned to modelled whatever
 // PILUT_BACKEND says: wall-clock times would never repeat.
+//
+// A driver's output must not depend on what ran before it: the drivers
+// share their problems' cells, so table3 (which re-factors Table 1's
+// cells to solve with them) and fig6 (a view over Table 2's cells), run
+// alone, must print exactly their blocks of the full run. The lone runs
+// build problems of their own, so they overlap the full one.
 func TestGolden(t *testing.T) {
 	c := Default()
 	c.G0Side, c.TorsoSide = 64, 16
@@ -31,9 +37,29 @@ func TestGolden(t *testing.T) {
 	c.Ms = []int{10}
 	c.Taus = []float64{1e-2, 1e-4}
 	c.Backend = backend.Modelled
+	alone := map[string]*bytes.Buffer{"table3": {}, "fig6": {}}
+	errs := make(chan error, len(alone))
+	for name, buf := range alone {
+		go func() { errs <- c.Run(buf, []string{name}, 1e-5, 3000, nil) }()
+	}
 	var got bytes.Buffer
-	if err := c.Run(&got, Names(), 1e-5, 3000, nil); err != nil {
+	blocks := map[string][]byte{} // each driver's block of got
+	start := 0
+	if err := c.Run(&got, Names(), 1e-5, 3000, func(name string) {
+		blocks[name] = got.Bytes()[start:got.Len()]
+		start = got.Len()
+	}); err != nil {
 		t.Fatal(err)
+	}
+	for range alone {
+		if err := <-errs; err != nil {
+			t.Fatal(err)
+		}
+	}
+	for name, buf := range alone {
+		if !bytes.Equal(buf.Bytes(), blocks[name]) {
+			t.Errorf("%s run alone prints:\n%s\nbut in the full run:\n%s", name, buf.Bytes(), blocks[name])
+		}
 	}
 	if *update {
 		if err := os.WriteFile(goldenPath, got.Bytes(), 0o644); err != nil {
