@@ -30,7 +30,10 @@ fmt-check:
 # every waiver removed. So are the service's two single seams: one peer
 # HTTP request builder (cluster.call) and one call of the front end
 # core.Prepare (analysisFor) — a second occurrence of either fails loc —
-# and the one front end itself: partition.KWay( in a non-test Go file
+# and so is the evaluation harness's one factorization: a second
+# core.Factor( in internal/experiments' non-test files fails loc, since
+# every table reads its cells through Config.factor, which computes each
+# cell once. And the one front end itself: partition.KWay( in a non-test Go file
 # outside internal/core, cmd/partition and bench/ fails loc. And the one
 # comm engine: internal/machine is the cost models, so its non-test files
 # importing sync, pcomm or trace (a second engine growing back) fails loc.
@@ -59,6 +62,7 @@ fmt-check:
 HOTALLOC_WAIVERS_MAX = 16
 GO_SRC = $$(find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' -not -path '*/testdata/*')
 SERVICE_SRC = $$(find internal/service -name '*.go' -not -name '*_test.go')
+EXPERIMENTS_SRC = $$(find internal/experiments -name '*.go' -not -name '*_test.go' -not -path '*/testdata/*')
 MACHINE_SRC = $$(find internal/machine -name '*.go' -not -name '*_test.go')
 NUMERIC_SRC = $$(find internal/core internal/mis internal/dist internal/krylov -name '*.go' -not -name '*_test.go')
 
@@ -69,6 +73,8 @@ loc:
 		n=$$(cat $(SERVICE_SRC) | grep -c -F "$$pat"); \
 		if [ $$n -gt 1 ]; then echo "internal/service: $$n occurrences of $$pat, want at most 1"; exit 1; fi; \
 	done
+	@n=$$(cat $(EXPERIMENTS_SRC) | grep -c -F 'core.Factor('); \
+		if [ $$n -gt 1 ]; then echo "internal/experiments: $$n occurrences of core.Factor(, want at most 1: factor through Config.factor"; exit 1; fi
 	@if grep -n -F 'partition.KWay(' $(GO_SRC) | grep -v -E '^\./(internal/core|cmd/partition)/'; then \
 		echo "partition.KWay outside internal/core and cmd/partition: lay a matrix out with core.Prepare"; exit 1; fi
 	@if grep -n -E '"(sync|repro/internal/pcomm|repro/internal/trace)(/[a-z/]*)?"' $(MACHINE_SRC); then \
