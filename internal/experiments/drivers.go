@@ -175,7 +175,7 @@ func (c Config) RunTable2(w io.Writer, pr *Problem) error {
 	row := []string{"Matrix-Vector"}
 	var mvRates []string
 	for _, p := range c.Procs {
-		t, rate, err := c.MatVecRate(pr, p, nApply)
+		t, rate, err := c.MatVecRate(pr, p)
 		if err != nil {
 			return err
 		}
@@ -424,30 +424,28 @@ func (c Config) RunILU0(w io.Writer, pr *Problem) error {
 	tbl := &Table{Header: []string{"factorization", "q levels", "factor time", "GMRES(50) NMV"}}
 	ilu0 := c.at(p, ilu.Params{})
 	ilu0.ilu0 = true
-	rows := []struct {
-		name string
-		k    cellKey
-	}{{"ILU(0)", ilu0}}
+	keys := []cellKey{ilu0}
 	for _, params := range []ilu.Params{
 		{M: 5, Tau: 1e-2},
 		{M: 10, Tau: 1e-4, K: c.K},
 		{M: 10, Tau: 1e-6, K: c.K},
 	} {
-		rows = append(rows, struct {
-			name string
-			k    cellKey
-		}{ConfigName(params), c.at(p, params)})
+		keys = append(keys, c.at(p, params))
 	}
-	for _, row := range rows {
+	for _, k := range keys {
 		var gm GMRESOutcome
-		cell, err := c.factor(pr, row.k, func(pcs []*core.ProcPrecond) (err error) {
+		cell, err := c.factor(pr, k, func(pcs []*core.ProcPrecond) (err error) {
 			gm, err = c.GMRES(pr, p, pcs, 50, 4000, 1e-6)
 			return err
 		})
 		if err != nil {
 			return err
 		}
-		tbl.Add(row.name, fmt.Sprintf("%d", cell.Levels), fmt.Sprintf("%.4f", cell.Seconds), gm.nmv())
+		name := "ILU(0)"
+		if !k.ilu0 {
+			name = ConfigName(k.params)
+		}
+		tbl.Add(name, fmt.Sprintf("%d", cell.Levels), fmt.Sprintf("%.4f", cell.Seconds), gm.nmv())
 	}
 	tbl.Write(w)
 	fmt.Fprintln(w, "ILU(0)'s schedule is precomputable (few colour-class levels) but its")

@@ -9,6 +9,7 @@ package experiments
 import (
 	"fmt"
 	"io"
+	"strings"
 
 	"repro/internal/core"
 	"repro/internal/dist"
@@ -184,10 +185,11 @@ func (c Config) cell(pr *Problem, k cellKey) (Cell, error) {
 // a cell an earlier driver took, and runs all its solves on that one
 // factorization.
 func (c Config) factor(pr *Problem, k cellKey, use func(pcs []*core.ProcPrecond) error) (Cell, error) {
-	plan, err := pr.PlanFor(k.p)
+	planFor := pr.PlanFor
 	if k.random {
-		plan, err = pr.RandomPlanFor(k.p)
+		planFor = pr.RandomPlanFor
 	}
+	plan, err := planFor(k.p)
 	if err != nil {
 		return Cell{}, err
 	}
@@ -239,7 +241,7 @@ func (c Config) solveRate(lay *dist.Layout, pcs []*core.ProcPrecond) (float64, f
 // per-processor MFlop rate. The distributed matrix, whose ghost plan is a
 // collective of its own, is built in a run before the timed one, as the
 // factors are for the substitution rows.
-func (c Config) MatVecRate(pr *Problem, p int, nApply int) (float64, float64, error) {
+func (c Config) MatVecRate(pr *Problem, p int) (float64, float64, error) {
 	plan, err := pr.PlanFor(p)
 	if err != nil {
 		return 0, 0, err
@@ -255,7 +257,7 @@ func (c Config) MatVecRate(pr *Problem, p int, nApply int) (float64, float64, er
 		}
 	})
 	mflops := res.TotalFlops() / (res.Elapsed * float64(p)) / 1e6
-	return res.Elapsed / float64(nApply), mflops, nil
+	return res.Elapsed / nApply, mflops, nil
 }
 
 // GMRESOutcome is one cell of Table 3.
@@ -354,9 +356,7 @@ func (t *Table) Write(w io.Writer) {
 	line(t.Header)
 	sep := make([]string, len(t.Header))
 	for i := range sep {
-		for j := 0; j < width[i]; j++ {
-			sep[i] += "-"
-		}
+		sep[i] = strings.Repeat("-", width[i])
 	}
 	line(sep)
 	for _, r := range t.Rows {

@@ -58,7 +58,7 @@ func TestTriangularSolveAndMatVecTimes(t *testing.T) {
 		t.Fatal(err)
 	}
 	ts := cell.SolveSeconds
-	mv, _, err := c.MatVecRate(pr, 2, 3)
+	mv, _, err := c.MatVecRate(pr, 2)
 	if err != nil {
 		t.Fatal(err)
 	}

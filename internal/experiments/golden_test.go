@@ -45,16 +45,17 @@ func TestGolden(t *testing.T) {
 	var got bytes.Buffer
 	blocks := map[string][]byte{} // each driver's block of got
 	start := 0
-	if err := c.Run(&got, Names(), 1e-5, 3000, func(name string) {
+	err := c.Run(&got, Names(), 1e-5, 3000, func(name string) {
 		blocks[name] = got.Bytes()[start:got.Len()]
 		start = got.Len()
-	}); err != nil {
-		t.Fatal(err)
-	}
+	})
 	for range alone {
-		if err := <-errs; err != nil {
-			t.Fatal(err)
+		if e := <-errs; err == nil {
+			err = e
 		}
+	}
+	if err != nil {
+		t.Fatal(err)
 	}
 	for name, buf := range alone {
 		if !bytes.Equal(buf.Bytes(), blocks[name]) {
