@@ -190,7 +190,7 @@ bench-kernels:
 # index: rewrite the golden file of the reduced run that the
 # experiments package's tests hold the tree to
 # (internal/experiments/testdata/golden.txt), then regenerate the two
-# full-size outputs (about 25 minutes on a 2-vCPU host). Only stdout
+# full-size outputs (about 8 minutes on a 2-vCPU host). Only stdout
 # reaches the files — each experiment's wall time goes to stderr — so a
 # second run leaves no diff.
 golden:
